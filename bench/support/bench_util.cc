@@ -1,5 +1,7 @@
 #include "support/bench_util.h"
 
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -76,13 +78,20 @@ void JsonEmitter::AddTable(const std::string& title,
 
 void JsonEmitter::AddSeries(const std::string& name, double ops_per_sec,
                             const Histogram& latency_micros) {
+  // A p99 needs at least 10 samples beyond it; over fewer samples it is
+  // just the maximum, so it is left out and max_us speaks for the tail.
+  constexpr size_t kMinTailSamples = 10;
+  const size_t count = latency_micros.count();
+  std::string p99;
+  if (count / 100 >= kMinTailSamples) {
+    p99 = StringPrintf("\"p99_us\": %.6g, ", latency_micros.Percentile(99));
+  }
   series_.push_back(StringPrintf(
       "{\"name\": \"%s\", \"ops_per_sec\": %.6g, \"count\": %zu, "
-      "\"p50_us\": %.6g, \"p99_us\": %.6g, \"mean_us\": %.6g, "
-      "\"max_us\": %.6g}",
-      JsonEscape(name).c_str(), ops_per_sec, latency_micros.count(),
-      latency_micros.Percentile(50), latency_micros.Percentile(99),
-      latency_micros.mean(), latency_micros.max()));
+      "\"p50_us\": %.6g, %s\"mean_us\": %.6g, \"max_us\": %.6g}",
+      JsonEscape(name).c_str(), ops_per_sec, count,
+      latency_micros.Percentile(50), p99.c_str(), latency_micros.mean(),
+      latency_micros.max()));
 }
 
 void JsonEmitter::AddScalar(const std::string& name, double value) {
@@ -113,8 +122,20 @@ void JsonEmitter::Flush() {
 
 TestDb OpenFreshDb(const std::string& name, VirtualClock* clock,
                    DbOptions base) {
+  // One directory per process under $TMPDIR, removed at exit, so concurrent
+  // runs of one bench never share a database.
+  static const std::string* const root = [] {
+    const char* tmp = std::getenv("TMPDIR");
+    auto* dir = new std::string(
+        StringPrintf("%s/instantdb_bench_%ld",
+                     tmp != nullptr && *tmp != '\0' ? tmp : "/tmp",
+                     static_cast<long>(getpid())));
+    RemoveDirRecursive(*dir).ok();
+    std::atexit([] { RemoveDirRecursive(*root).ok(); });
+    return dir;
+  }();
   TestDb out;
-  out.path = "/tmp/instantdb_bench_" + name;
+  out.path = *root + "/" + name;
   RemoveDirRecursive(out.path).ok();
   base.path = out.path;
   base.clock = clock;

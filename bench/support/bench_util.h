@@ -10,13 +10,15 @@
 
 namespace instantdb::bench {
 
-/// Fresh scratch database under /tmp, driven by the supplied VirtualClock.
+/// Fresh scratch database in this process's directory under $TMPDIR
+/// (default /tmp), driven by the supplied VirtualClock.
 struct TestDb {
   std::string path;
   std::unique_ptr<Database> db;
 };
 
-/// Opens a fresh database (removing any previous contents).
+/// Opens a fresh database (removing any previous contents). The process's
+/// directory, and every database in it, is removed at exit.
 TestDb OpenFreshDb(const std::string& name, VirtualClock* clock,
                    DbOptions base = {});
 

@@ -59,6 +59,13 @@ bool DomainHierarchy::DecodeLevelNames(Slice* input,
   return true;
 }
 
+Result<LeafInterval> DomainHierarchy::GeneralizedLeafRange(const Value& value,
+                                                          int from,
+                                                          int to) const {
+  IDB_ASSIGN_OR_RETURN(Value generalized, Generalize(value, from, to));
+  return LeafRange(generalized, to);
+}
+
 bool DomainHierarchy::Covers(const Value& general, int general_level,
                              const Value& specific, int specific_level) const {
   if (specific_level > general_level) return false;
@@ -196,7 +203,7 @@ Result<int> GeneralizationTree::FindNode(const Value& value, int level) const {
   return it->second;
 }
 
-Result<Value> GeneralizationTree::Generalize(const Value& value, int from,
+Result<int> GeneralizationTree::AncestorNode(const Value& value, int from,
                                              int to) const {
   if (to < from || to >= height_) {
     return Status::InvalidArgument(
@@ -205,7 +212,19 @@ Result<Value> GeneralizationTree::Generalize(const Value& value, int from,
   }
   IDB_ASSIGN_OR_RETURN(int id, FindNode(value, from));
   while (nodes_[id].level < to) id = nodes_[id].parent;
+  return id;
+}
+
+Result<Value> GeneralizationTree::Generalize(const Value& value, int from,
+                                             int to) const {
+  IDB_ASSIGN_OR_RETURN(int id, AncestorNode(value, from, to));
   return Value::String(nodes_[id].label);
+}
+
+Result<LeafInterval> GeneralizationTree::GeneralizedLeafRange(
+    const Value& value, int from, int to) const {
+  IDB_ASSIGN_OR_RETURN(int id, AncestorNode(value, from, to));
+  return nodes_[id].leaves;
 }
 
 Result<int64_t> GeneralizationTree::LeafOrdinal(const Value& leaf) const {

@@ -2,9 +2,9 @@
 #define INSTANTDB_CATALOG_GENERALIZATION_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,6 +60,13 @@ class DomainHierarchy {
   /// Leaf interval covered by `value` at `level`.
   virtual Result<LeafInterval> LeafRange(const Value& value,
                                          int level) const = 0;
+
+  /// `LeafRange(Generalize(value, from, to), to)` with the same statuses,
+  /// for σ over a stored value at the demanded accuracy without building
+  /// the generalized Value. The default is that composition; trees answer
+  /// it with one label lookup and a parent walk.
+  virtual Result<LeafInterval> GeneralizedLeafRange(const Value& value,
+                                                    int from, int to) const;
 
   /// Validates that `value` is a well-formed level-`level` value.
   virtual Status ValidateAtLevel(const Value& value, int level) const = 0;
@@ -123,7 +130,7 @@ class GeneralizationTree final : public DomainHierarchy {
     std::string name_;
     std::vector<std::string> labels_;
     std::vector<int> parents_;  // -1 for root
-    std::map<std::string, int> by_label_;
+    std::unordered_map<std::string, int> by_label_;
     Status deferred_error_;
   };
 
@@ -135,6 +142,8 @@ class GeneralizationTree final : public DomainHierarchy {
   Result<int64_t> LeafOrdinal(const Value& leaf) const override;
   Result<Value> LeafFromOrdinal(int64_t ordinal) const override;
   Result<LeafInterval> LeafRange(const Value& value, int level) const override;
+  Result<LeafInterval> GeneralizedLeafRange(const Value& value, int from,
+                                            int to) const override;
   Status ValidateAtLevel(const Value& value, int level) const override;
   Result<int64_t> CardinalityAtLevel(int level) const override;
   void EncodeTo(std::string* dst) const override;
@@ -165,11 +174,13 @@ class GeneralizationTree final : public DomainHierarchy {
   GeneralizationTree() = default;
 
   Result<int> FindNode(const Value& value, int level) const;
+  /// Node id of `value` (a level-`from` label) walked up to level `to`.
+  Result<int> AncestorNode(const Value& value, int from, int to) const;
 
   std::string name_;
   int height_ = 0;
   std::vector<Node> nodes_;          // nodes_[0] is the root
-  std::map<std::string, int> by_label_;
+  std::unordered_map<std::string, int> by_label_;
   std::vector<int> leaves_;          // node ids in DFS (ordinal) order
 };
 

@@ -112,36 +112,40 @@ bool Value::DecodeFrom(Slice* input, Value* out) {
   input->remove_prefix(1);
   switch (type) {
     case ValueType::kNull:
-      *out = Value::Null();
+      if (out != nullptr) *out = Value::Null();
       return true;
     case ValueType::kInt64:
     case ValueType::kTimestamp: {
       uint64_t raw;
       if (!GetVarint64(input, &raw)) return false;
-      *out = (type == ValueType::kInt64)
-                 ? Value::Int64(static_cast<int64_t>(raw))
-                 : Value::Timestamp(static_cast<int64_t>(raw));
+      if (out != nullptr) {
+        *out = (type == ValueType::kInt64)
+                   ? Value::Int64(static_cast<int64_t>(raw))
+                   : Value::Timestamp(static_cast<int64_t>(raw));
+      }
       return true;
     }
     case ValueType::kDouble: {
       uint64_t bits;
       if (!GetFixed64(input, &bits)) return false;
-      double d;
-      std::memcpy(&d, &bits, 8);
-      *out = Value::Double(d);
+      if (out != nullptr) {
+        double d;
+        std::memcpy(&d, &bits, 8);
+        *out = Value::Double(d);
+      }
       return true;
     }
     case ValueType::kString: {
       Slice s;
       if (!GetLengthPrefixed(input, &s)) return false;
-      *out = Value::String(std::string(s));
+      if (out != nullptr) *out = Value::String(std::string(s));
       return true;
     }
     case ValueType::kBool: {
       if (input->empty()) return false;
       const char b = input->front();
       input->remove_prefix(1);
-      *out = Value::Bool(b != 0);
+      if (out != nullptr) *out = Value::Bool(b != 0);
       return true;
     }
   }

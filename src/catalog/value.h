@@ -79,6 +79,8 @@ class Value {
 
   /// Type-tagged record encoding (storage, WAL).
   void EncodeTo(std::string* dst) const;
+  /// With `out == nullptr` the value is only skipped: `input` advances and
+  /// the framing is checked, but no Value is built.
   static bool DecodeFrom(Slice* input, Value* out);
 
   /// Order-preserving index-key encoding. No type tag: all keys of one

@@ -188,6 +188,10 @@ class Database {
     /// (row, degradable column) store resolutions performed / avoided:
     uint64_t store_probes_issued = 0;
     uint64_t store_probes_skipped = 0;
+    /// Stable values the pushdown scans materialized from heap records.
+    /// A scan decodes only the stable columns its statement reads, so
+    /// COUNT(*) decodes none.
+    uint64_t values_decoded = 0;
     /// Per-worker aggregate partials folded into final results by the
     /// aggregate pushdown (0 when every aggregate ran through the cursor).
     uint64_t aggregate_partials_merged = 0;
@@ -290,6 +294,7 @@ class Database {
     std::atomic<uint64_t> rows_prefiltered{0};
     std::atomic<uint64_t> store_probes_issued{0};
     std::atomic<uint64_t> store_probes_skipped{0};
+    std::atomic<uint64_t> values_decoded{0};
     std::atomic<uint64_t> aggregate_partials_merged{0};
     std::atomic<uint64_t> morsels_claimed{0};
     std::atomic<uint64_t> morsels_stolen{0};

@@ -47,6 +47,11 @@ struct ScanSpec {
   /// queries that reference no degradable column. The caller asserts that
   /// no consumer reads the degradable part of the emitted rows.
   bool need_degradable = true;
+  /// One flag per stable ordinal (Schema::stable_columns()): the stable
+  /// values the consumer reads, through the filter or in the emitted rows.
+  /// The decoder skips the others and leaves them NULL. Empty decodes every
+  /// stable column.
+  std::vector<bool> stable_needed;
 };
 
 /// Per-scan counter deltas, filled by the partition while it holds its
@@ -60,6 +65,7 @@ struct ScanDeltas {
   uint64_t rows_prefiltered = 0; ///< rejected by the stable filter pre-assembly
   uint64_t probes_issued = 0;    ///< (row, column) store resolutions performed
   uint64_t probes_skipped = 0;   ///< (row, column) resolutions avoided
+  uint64_t values_decoded = 0;   ///< stable values materialized by decode
 };
 
 /// Scratch a pushdown scan reuses across batches (decoded-tuple slots,

@@ -525,6 +525,8 @@ Status TablePartition::ScanChunkLocked(Rid* pos, PageId end_page, size_t limit,
                                        ScanDeltas* deltas) const {
   *done = true;
   ws->count = 0;
+  const std::vector<bool>* needed =
+      spec.stable_needed.empty() ? nullptr : &spec.stable_needed;
   Status decode_status;
   IDB_RETURN_IF_ERROR(heap_->ScanRange(*pos, end_page, [&](Rid rid, Slice record) {
     if (ws->count >= limit) {
@@ -534,12 +536,18 @@ Status TablePartition::ScanChunkLocked(Rid* pos, PageId end_page, size_t limit,
     }
     if (ws->count == ws->tuples.size()) ws->tuples.emplace_back();
     decode_status = DecodeHeapTuple(schema(), runtime_.layout, record,
-                                    &ws->tuples[ws->count]);
+                                    &ws->tuples[ws->count], needed);
     if (!decode_status.ok()) return false;
     ++ws->count;
     return true;
   }));
   IDB_RETURN_IF_ERROR(decode_status);
+  const size_t decoded_per_tuple =
+      needed == nullptr
+          ? schema().stable_columns().size()
+          : static_cast<size_t>(
+                std::count(needed->begin(), needed->end(), true));
+  deltas->values_decoded += ws->count * decoded_per_tuple;
   AssembleSurvivorsLocked(spec, ws, out, deltas);
   return Status::OK();
 }
@@ -576,13 +584,14 @@ void TablePartition::AssembleSurvivorsLocked(const ScanSpec& spec,
   while (out->size() < survivors) out->emplace_back();
 
   for (size_t k = 0; k < survivors; ++k) {
-    const HeapTuple& tuple = ws->tuples[ws->selection[k]];
+    HeapTuple& tuple = ws->tuples[ws->selection[k]];
     RowView& view = (*out)[k];
     view.row_id = tuple.row_id;
     view.insert_time = tuple.insert_time;
     view.values.assign(schema().num_columns(), Value::Null());
+    // The slot is re-decoded before its next use, so its values move out.
     for (size_t i = 0; i < schema().stable_columns().size(); ++i) {
-      view.values[schema().stable_columns()[i]] = tuple.stable[i];
+      view.values[schema().stable_columns()[i]] = std::move(tuple.stable[i]);
     }
     view.phases.assign(dcols, 0);
   }
@@ -606,13 +615,16 @@ void TablePartition::AssembleSurvivorsLocked(const ScanSpec& spec,
 
   // kStateStores: one sorted merge per (column, phase) store over the
   // survivors' ascending row ids. Heap order is mostly — but not strictly —
-  // ascending (updates relocate rows), hence the sort.
+  // ascending (updates relocate rows), hence the sort when it is not.
   ws->order.resize(survivors);
   for (size_t k = 0; k < survivors; ++k) ws->order[k] = static_cast<uint32_t>(k);
-  std::sort(ws->order.begin(), ws->order.end(), [&](uint32_t a, uint32_t b) {
+  const auto by_row_id = [&](uint32_t a, uint32_t b) {
     return ws->tuples[ws->selection[a]].row_id <
            ws->tuples[ws->selection[b]].row_id;
-  });
+  };
+  if (!std::is_sorted(ws->order.begin(), ws->order.end(), by_row_id)) {
+    std::sort(ws->order.begin(), ws->order.end(), by_row_id);
+  }
   ws->ids.resize(survivors);
   for (size_t j = 0; j < survivors; ++j) {
     ws->ids[j] = ws->tuples[ws->selection[ws->order[j]]].row_id;

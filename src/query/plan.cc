@@ -56,6 +56,21 @@ void FoldDeltas(Database::ScanCounters* counters, const ScanDeltas& deltas) {
                                           std::memory_order_relaxed);
   counters->store_probes_skipped.fetch_add(deltas.probes_skipped,
                                            std::memory_order_relaxed);
+  counters->values_decoded.fetch_add(deltas.values_decoded,
+                                     std::memory_order_relaxed);
+}
+
+/// The pushdown contract of one bound query: its stable terms as the filter,
+/// store probes only when a degradable column is referenced (COUNT(*)
+/// never probes), and decode only the stable columns it reads (COUNT(*)
+/// decodes none). `filter` must outlive the spec.
+ScanSpec MakeScanSpec(const BoundQuery& query,
+                      const StablePredicateFilter& filter) {
+  ScanSpec spec;
+  spec.filter = filter.empty() ? nullptr : &filter;
+  spec.need_degradable = !query.accuracy.empty();
+  spec.stable_needed = query.stable_needed;
+  return spec;
 }
 
 /// Finds the level of a literal value in a hierarchy (tree labels can sit at
@@ -219,33 +234,41 @@ Status BindPredicate(const Schema& schema, Session* session, TableId table_id,
   return Status::OK();
 }
 
-/// Evaluates one bound predicate against a value already generalized to
-/// `value_level` (== min(k, stored level) under include_coarser).
+/// Evaluates one bound predicate against a value stored at `stored_level`,
+/// read at `level` (== max(k, stored level)). Node predicates (Eq/Ne,
+/// label-LIKE, BETWEEN) compare the leaf interval of the stored value's
+/// level-`level` ancestor and never build the generalized Value; the rest
+/// compare the generalized value itself.
 bool EvalDegradablePredicate(const DomainHierarchy& hierarchy,
-                             const BoundPredicate& pred, const Value& value,
-                             int value_level) {
+                             const BoundPredicate& pred, const Value& stored,
+                             int stored_level, int level) {
+  const bool node_predicate =
+      pred.op == ComparisonOp::kEq || pred.op == ComparisonOp::kNe ||
+      pred.op == ComparisonOp::kBetween ||
+      (pred.op == ComparisonOp::kLike && pred.literal_level >= 0);
+  if (node_predicate) {
+    auto row_interval =
+        hierarchy.GeneralizedLeafRange(stored, stored_level, level);
+    if (!row_interval.ok()) return false;
+    switch (pred.op) {
+      case ComparisonOp::kBetween:
+        return row_interval->lo >= pred.literal_interval.lo &&
+               row_interval->hi <= pred.literal_interval2.hi;
+      case ComparisonOp::kNe:
+        return !pred.literal_interval.Contains(*row_interval);
+      default:  // Eq, label LIKE
+        return pred.literal_interval.Contains(*row_interval);
+    }
+  }
+  Value value = stored;
+  if (stored_level < level) {
+    auto generalized = hierarchy.Generalize(stored, stored_level, level);
+    if (!generalized.ok()) return false;
+    value = std::move(*generalized);
+  }
   switch (pred.op) {
-    case ComparisonOp::kEq:
-    case ComparisonOp::kNe: {
-      auto row_interval = hierarchy.LeafRange(value, value_level);
-      if (!row_interval.ok()) return false;
-      const bool contains = pred.literal_interval.Contains(*row_interval);
-      return pred.op == ComparisonOp::kEq ? contains : !contains;
-    }
-    case ComparisonOp::kLike: {
-      if (pred.literal_level >= 0) {
-        auto row_interval = hierarchy.LeafRange(value, value_level);
-        return row_interval.ok() &&
-               pred.literal_interval.Contains(*row_interval);
-      }
-      return MatchLike(hierarchy.DisplayValue(value, value_level), pred);
-    }
-    case ComparisonOp::kBetween: {
-      auto row_interval = hierarchy.LeafRange(value, value_level);
-      if (!row_interval.ok()) return false;
-      return row_interval->lo >= pred.literal_interval.lo &&
-             row_interval->hi <= pred.literal_interval2.hi;
-    }
+    case ComparisonOp::kLike:
+      return MatchLike(hierarchy.DisplayValue(value, level), pred);
     case ComparisonOp::kLt:
       return value.int64() < pred.value.int64();
     case ComparisonOp::kLe:
@@ -257,8 +280,9 @@ bool EvalDegradablePredicate(const DomainHierarchy& hierarchy,
       return value.int64() > pred.value.int64();
     case ComparisonOp::kGe:
       return value.int64() >= pred.value.int64();
+    default:
+      return false;
   }
-  return false;
 }
 
 /// Streams the heap sequentially in batches of `batch_rows` RowViews,
@@ -279,10 +303,8 @@ class HeapScanSource : public RowSource {
         query_(query),
         batch_rows_(batch_rows),
         pushdown_(session->scan_options().pushdown),
-        filter_(query.table->schema(), query.predicates) {
-    spec_.filter = filter_.empty() ? nullptr : &filter_;
-    spec_.need_degradable = !query.referenced_degradable.empty();
-  }
+        filter_(query.table->schema(), query.predicates),
+        spec_(MakeScanSpec(query, filter_)) {}
 
   Result<bool> NextBatch(EvaluatedBatch* out) override {
     out->Clear();
@@ -345,7 +367,7 @@ class HeapScanSource : public RowSource {
   const size_t batch_rows_;
   const bool pushdown_;
   const StablePredicateFilter filter_;
-  ScanSpec spec_;
+  const ScanSpec spec_;
   ScanWorkspace ws_;
   TableScanPos pos_;
   uint32_t partition_ = 0;
@@ -386,12 +408,11 @@ class ParallelScanSource : public RowSource {
         queue_capacity_(std::max<size_t>(queue_batches, 1)),
         pushdown_(session->scan_options().pushdown),
         filter_(query.table->schema(), query.predicates),
+        spec_(MakeScanSpec(query, filter_)),
         sched_(std::move(plan),
                MorselStatsSink{&counters_->morsels_claimed,
                                &counters_->morsels_stolen,
                                &counters_->steal_failures}) {
-    spec_.filter = filter_.empty() ? nullptr : &filter_;
-    spec_.need_degradable = !query.referenced_degradable.empty();
     // The shortfall must be computed from the immutable `want`, never from
     // producers_live_: borrowed pool producers start (and may finish,
     // decrementing producers_live_) while this constructor is still running.
@@ -530,7 +551,7 @@ class ParallelScanSource : public RowSource {
   const size_t queue_capacity_;
   const bool pushdown_;
   const StablePredicateFilter filter_;
-  ScanSpec spec_;
+  const ScanSpec spec_;
   MorselScheduler sched_;
 
   std::mutex mu_;
@@ -566,10 +587,8 @@ class SnapshotScanSource : public RowSource {
         query_(query),
         workers_(workers),
         pushdown_(session->scan_options().pushdown),
-        filter_(query.table->schema(), query.predicates) {
-    spec_.filter = filter_.empty() ? nullptr : &filter_;
-    spec_.need_degradable = !query.referenced_degradable.empty();
-  }
+        filter_(query.table->schema(), query.predicates),
+        spec_(MakeScanSpec(query, filter_)) {}
 
   Result<bool> NextBatch(EvaluatedBatch* out) override {
     if (!scanned_) {
@@ -661,7 +680,7 @@ class SnapshotScanSource : public RowSource {
   const size_t workers_;
   const bool pushdown_;
   const StablePredicateFilter filter_;
-  ScanSpec spec_;
+  const ScanSpec spec_;
   bool scanned_ = false;
   bool served_ = false;
   EvaluatedBatch result_;
@@ -762,20 +781,30 @@ Result<BoundQuery> BindQuery(Session* session, const std::string& table_name,
   }
   query.table = session->db()->GetTable(def->id);
   const Schema& schema = query.table->schema();
+  const std::vector<int>& stable = schema.stable_columns();
+  query.stable_needed.assign(stable.size(), false);
+  auto mark_stable = [&](int col) {
+    const auto it = std::find(stable.begin(), stable.end(), col);
+    if (it != stable.end()) query.stable_needed[it - stable.begin()] = true;
+  };
 
   for (const PredicateAst& ast : where) {
     BoundPredicate pred;
     IDB_RETURN_IF_ERROR(BindPredicate(schema, session, def->id, ast, &pred));
     if (pred.degradable) {
-      query.referenced_degradable.insert(pred.column);
       query.accuracy[pred.column] = pred.level;
+    } else {
+      mark_stable(pred.column);
     }
     query.predicates.push_back(std::move(pred));
   }
   for (int col : projected_columns) {
-    if (col >= 0 && schema.column(col).kind == ColumnKind::kDegradable) {
-      query.referenced_degradable.insert(col);
+    if (col < 0) continue;
+    if (schema.column(col).kind == ColumnKind::kDegradable) {
+      query.projected_degradable.insert(col);
       query.accuracy[col] = session->AccuracyFor(def->id, col);
+    } else {
+      mark_stable(col);
     }
   }
   return query;
@@ -786,15 +815,23 @@ bool EvaluateRow(const BoundQuery& query, const ReadOptions& read_options,
                  bool stable_prefiltered) {
   const Schema& schema = query.table->schema();
   out->row_id = view.row_id;
-  out->values = view.values;
+  out->values.resize(view.values.size());
+  for (int col : schema.stable_columns()) out->values[col] = view.values[col];
   out->degradable_level.clear();
 
-  // Computability (σ over ∪_{j≤k} ST_j) and f_k generalization.
-  for (int col : query.referenced_degradable) {
+  // Computability (σ over ∪_{j≤k} ST_j) and the demanded level of every
+  // referenced degradable column. Every degradable column starts NULL: σ
+  // reads the stored values from the view, and only the projected columns
+  // are filled in, at level k, once the row qualifies.
+  const std::vector<int>& degradable = schema.degradable_columns();
+  for (size_t ordinal = 0; ordinal < degradable.size(); ++ordinal) {
+    const int col = degradable[ordinal];
+    out->values[col] = Value::Null();
+    const auto accuracy = query.accuracy.find(col);
+    if (accuracy == query.accuracy.end()) continue;  // unreferenced
     const ColumnDef& column = schema.column(col);
-    const int ordinal = schema.DegradableOrdinal(col);
     const int phase = view.phases[ordinal];
-    const int k = query.accuracy.at(col);
+    const int k = accuracy->second;
     if (phase >= column.lcp.num_phases()) {
       return false;  // value removed (⊥): never computable
     }
@@ -802,25 +839,18 @@ bool EvaluateRow(const BoundQuery& query, const ReadOptions& read_options,
     if (stored_level > k && !read_options.include_coarser) {
       return false;  // coarser than demanded: not in any ST_{j<=k}
     }
-    const int target_level = std::max(stored_level, k);
-    Value vk = view.values[col];
-    if (stored_level < target_level) {
-      auto generalized =
-          column.hierarchy->Generalize(vk, stored_level, target_level);
-      if (!generalized.ok()) return false;
-      vk = *generalized;
-    }
-    out->values[col] = vk;
-    out->degradable_level.Set(col, target_level);
+    out->degradable_level.Set(col, std::max(stored_level, k));
   }
 
-  // σ_P over the generalized image.
+  // σ_P over the generalized image, evaluated on hierarchy nodes.
   for (const BoundPredicate& pred : query.predicates) {
     const ColumnDef& column = schema.column(pred.column);
     if (pred.degradable) {
-      const int level = out->degradable_level.Get(pred.column);
-      if (!EvalDegradablePredicate(*column.hierarchy, pred,
-                                   out->values[pred.column], level)) {
+      const int phase = view.phases[schema.DegradableOrdinal(pred.column)];
+      if (!EvalDegradablePredicate(
+              *column.hierarchy, pred, view.values[pred.column],
+              column.lcp.phase(phase).level,
+              out->degradable_level.Get(pred.column))) {
         return false;
       }
     } else {
@@ -829,6 +859,22 @@ bool EvaluateRow(const BoundQuery& query, const ReadOptions& read_options,
       if (stable_prefiltered) continue;
       if (!EvalStablePredicate(pred, out->values[pred.column])) return false;
     }
+  }
+
+  // f_k for the columns that leave the scan.
+  for (int col : query.projected_degradable) {
+    const ColumnDef& column = schema.column(col);
+    const int phase = view.phases[schema.DegradableOrdinal(col)];
+    const int stored_level = column.lcp.phase(phase).level;
+    const int target_level = out->degradable_level.Get(col);
+    if (stored_level == target_level) {
+      out->values[col] = view.values[col];
+      continue;
+    }
+    auto generalized = column.hierarchy->Generalize(view.values[col],
+                                                    stored_level, target_level);
+    if (!generalized.ok()) return false;
+    out->values[col] = std::move(*generalized);
   }
   return true;
 }
@@ -1051,11 +1097,7 @@ Result<AggregatePartials> ExecuteAggregatePushdown(Session* session,
   auto* counters = session->db()->scan_counters();
 
   const StablePredicateFilter filter(table->schema(), query.predicates);
-  ScanSpec spec;
-  spec.filter = filter.empty() ? nullptr : &filter;
-  // COUNT(*)/stable-only aggregates reference no degradable column: the scan
-  // never touches a state store at all.
-  spec.need_degradable = !query.referenced_degradable.empty();
+  const ScanSpec spec = MakeScanSpec(query, filter);
 
   MorselScheduler sched(
       table->MorselPlan(session->scan_options().morsel_pages),

@@ -53,10 +53,17 @@ struct BoundPredicate {
 struct BoundQuery {
   Table* table = nullptr;
   std::vector<BoundPredicate> predicates;
-  /// Accuracy per referenced degradable column index.
+  /// Accuracy per referenced degradable column index (projection +
+  /// predicates).
   std::map<int, int> accuracy;
-  /// Referenced degradable column indexes (projection + predicates).
-  std::set<int> referenced_degradable;
+  /// The referenced degradable columns that leave the scan (projection,
+  /// aggregate argument, GROUP BY): the only ones EvaluateRow generalizes.
+  /// A predicate-only degradable column is tested on hierarchy node ids and
+  /// left NULL in the EvaluatedRow, so its stored value is never exposed.
+  std::set<int> projected_degradable;
+  /// One flag per stable ordinal: read by a predicate or projected. The
+  /// pushdown scans decode only these (ScanSpec::stable_needed).
+  std::vector<bool> stable_needed;
 };
 
 /// One evaluated row: schema-ordered values at purpose accuracy, plus the
@@ -99,6 +106,10 @@ Result<BoundQuery> BindQuery(Session* session, const std::string& table_name,
 
 /// Applies computability + f_k + σ_P to one stored row. Returns true and
 /// fills `out` when the row qualifies under the bound accuracy levels.
+/// Degradable predicates are evaluated on the stored value's leaf interval
+/// at the demanded level. Only the projected degradable columns of a
+/// qualifying row are generalized into `out`; every other degradable column
+/// is NULL there.
 /// `stable_prefiltered` tells it the scan already evaluated every
 /// stable-column conjunct below row assembly (ScanSpec pushdown), so only
 /// the degradable terms are re-checked here.

@@ -16,7 +16,8 @@ void EncodeHeapTuple(const Schema& /*schema*/, DegradableLayout layout,
 }
 
 Status DecodeHeapTuple(const Schema& schema, DegradableLayout layout,
-                       Slice input, HeapTuple* out) {
+                       Slice input, HeapTuple* out,
+                       const std::vector<bool>* stable_needed) {
   uint64_t row_id, insert_time;
   if (!GetVarint64(&input, &row_id) || !GetVarint64(&input, &insert_time)) {
     return Status::Corruption("bad heap tuple header");
@@ -24,8 +25,11 @@ Status DecodeHeapTuple(const Schema& schema, DegradableLayout layout,
   out->row_id = row_id;
   out->insert_time = static_cast<Micros>(insert_time);
   out->stable.resize(schema.stable_columns().size());
-  for (Value& v : out->stable) {
-    if (!Value::DecodeFrom(&input, &v)) {
+  for (size_t i = 0; i < out->stable.size(); ++i) {
+    Value& v = out->stable[i];
+    const bool needed = stable_needed == nullptr || (*stable_needed)[i];
+    if (!needed) v = Value::Null();
+    if (!Value::DecodeFrom(&input, needed ? &v : nullptr)) {
       return Status::Corruption("bad stable value");
     }
   }

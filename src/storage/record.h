@@ -41,8 +41,13 @@ struct HeapTuple {
 void EncodeHeapTuple(const Schema& schema, DegradableLayout layout,
                      const HeapTuple& tuple, std::string* dst);
 
+/// Decodes a heap record. With `stable_needed` (one flag per stable
+/// ordinal), only the flagged stable values are materialized; the others
+/// are skipped and left NULL. Framing is checked either way, so a truncated
+/// record or trailing bytes are Corruption whatever the mask.
 Status DecodeHeapTuple(const Schema& schema, DegradableLayout layout,
-                       Slice input, HeapTuple* out);
+                       Slice input, HeapTuple* out,
+                       const std::vector<bool>* stable_needed = nullptr);
 
 }  // namespace instantdb
 

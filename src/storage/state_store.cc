@@ -468,17 +468,32 @@ const StoreEntry* StateStore::Find(RowId row_id) const {
 
 size_t StateStore::FindMany(const RowId* ids, size_t n,
                             const StoreEntry** out) const {
+  const auto less = [](const LiveEntry& e, RowId id) {
+    return e.entry.row_id < id;
+  };
+  const auto end = live_.end();
   size_t found = 0;
   auto it = live_.begin();
   for (size_t j = 0; j < n; ++j) {
     if (out[j] != nullptr) continue;
-    // Ascending ids: resume the search where the previous id left it, so
-    // the whole batch costs one pass over the overlapping range.
-    it = std::lower_bound(it, live_.end(), ids[j],
-                          [](const LiveEntry& e, RowId id) {
-                            return e.entry.row_id < id;
-                          });
-    if (it == live_.end()) break;  // every later id is larger still
+    // Ascending ids: gallop forward from where the previous id left the
+    // search (the next entry, then steps 1, 2, 4, ... until an entry >= id),
+    // then binary-search inside that bracket. A dense batch finds each id
+    // right after the last, so it costs O(1) per id rather than O(log N).
+    if (it != end && less(*it, ids[j]) && ++it != end &&
+        less(*it, ids[j])) {
+      auto lo = it;  // lo < id; the answer lies in (lo, hi]
+      auto hi = end;
+      for (std::ptrdiff_t step = 1; step < end - lo; step *= 2) {
+        if (!less(lo[step], ids[j])) {
+          hi = lo + step;
+          break;
+        }
+        lo += step;
+      }
+      it = std::lower_bound(lo + 1, hi, ids[j], less);
+    }
+    if (it == end) break;  // every later id is larger still
     if (it->entry.row_id == ids[j]) {
       out[j] = &it->entry;
       ++found;

@@ -102,8 +102,9 @@ class StateStore {
   const StoreEntry* Find(RowId row_id) const;
 
   /// Batched Find: resolves `ids[0..n)` (which must be ascending) against
-  /// the live mirror with ONE forward merge instead of n independent binary
-  /// searches — the probe primitive of the pushdown scan's survivor pass.
+  /// the live mirror in ONE forward pass that gallops from each hit to the
+  /// next, instead of n independent binary searches — the probe primitive
+  /// of the pushdown scan's survivor pass. A dense batch costs O(1) per id.
   /// Sets out[j] for every id found whose slot is still nullptr (slots
   /// already set are skipped, so a caller probing a phase chain passes the
   /// same arrays through every phase's store and each row keeps its

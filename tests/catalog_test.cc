@@ -1,4 +1,6 @@
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "catalog/builtin_domains.h"
 #include "catalog/catalog.h"
@@ -199,6 +201,65 @@ TEST(GeneralizationTreeTest, LeafOrdinalRoundTrip) {
     EXPECT_EQ(*tree->LeafOrdinal(Value::String(*label)), ord);
   }
   EXPECT_FALSE(tree->LeafLabel(tree->leaf_count()).ok());
+}
+
+/// GeneralizedLeafRange must be exactly LeafRange(Generalize(...)): the
+/// same interval when both succeed, the same status code when they fail.
+void ExpectGeneralizedLeafRangeMatchesComposition(
+    const DomainHierarchy& domain, const Value& value, int from, int to) {
+  const Result<LeafInterval> fast =
+      domain.GeneralizedLeafRange(value, from, to);
+  Result<LeafInterval> slow = Status::InvalidArgument("unset");
+  const Result<Value> generalized = domain.Generalize(value, from, to);
+  if (generalized.ok()) {
+    slow = domain.LeafRange(*generalized, to);
+  } else {
+    slow = generalized.status();
+  }
+  ASSERT_EQ(fast.ok(), slow.ok())
+      << value.ToString() << " " << from << "->" << to;
+  if (fast.ok()) {
+    EXPECT_EQ(*fast, *slow) << value.ToString() << " " << from << "->" << to;
+  } else {
+    EXPECT_EQ(fast.status().code(), slow.status().code())
+        << value.ToString() << " " << from << "->" << to;
+  }
+}
+
+TEST(GeneralizationTreeTest, GeneralizedLeafRangeMatchesComposition) {
+  auto domain = SyntheticLocationDomain(4, 8, 16, 8);
+  const auto* tree = static_cast<const GeneralizationTree*>(domain.get());
+  std::vector<Value> values = {Value::String("no such place"),
+                               Value::Int64(3), Value::Null()};
+  for (int level = 0; level < tree->height(); ++level) {
+    for (const std::string& label : tree->LabelsAtLevel(level)) {
+      values.push_back(Value::String(label));
+    }
+  }
+  ASSERT_EQ(values.size(), 3u + 4096 + 512 + 32 + 4 + 1);
+  // Levels outside [0, height) and `to < from` exercise every error path.
+  for (const Value& value : values) {
+    for (int from = -1; from <= tree->height(); ++from) {
+      for (int to = -1; to <= tree->height(); ++to) {
+        ExpectGeneralizedLeafRangeMatchesComposition(*tree, value, from, to);
+      }
+    }
+  }
+}
+
+TEST(IntervalHierarchyTest, GeneralizedLeafRangeMatchesComposition) {
+  auto domain = IntervalHierarchy::Make("x", -7, 100, {4, 20, 100});
+  ASSERT_TRUE(domain.ok());
+  for (int64_t v = -10; v <= 110; ++v) {
+    for (int from = -1; from <= (*domain)->height(); ++from) {
+      for (int to = -1; to <= (*domain)->height(); ++to) {
+        ExpectGeneralizedLeafRangeMatchesComposition(**domain, Value::Int64(v),
+                                                     from, to);
+      }
+    }
+  }
+  ExpectGeneralizedLeafRangeMatchesComposition(**domain, Value::String("1"), 0,
+                                               1);
 }
 
 TEST(GeneralizationTreeTest, AsciiArtShowsFig1Shape) {
@@ -533,10 +594,11 @@ TEST(CatalogTest, IdsNotReusedAfterDrop) {
   Catalog catalog;
   auto t1 = catalog.CreateTable("a", MakePersonSchema());
   ASSERT_TRUE(t1.ok());
+  const TableId dropped_id = (*t1)->id;  // DropTable frees the TableDef
   ASSERT_TRUE(catalog.DropTable("a").ok());
   auto t2 = catalog.CreateTable("b", MakePersonSchema());
   ASSERT_TRUE(t2.ok());
-  EXPECT_GT((*t2)->id, (*t1)->id);
+  EXPECT_GT((*t2)->id, dropped_id);
 }
 
 TEST(CatalogTest, PersistenceRoundTrip) {

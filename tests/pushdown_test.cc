@@ -3,7 +3,9 @@
 // (full RowView assembly, σ above) returns — across predicate shapes, scan
 // parallelism and WAL privacy modes — while the scan counters prove the
 // store probes were actually skipped. Also covers the batched store probe
-// (TablePartition::ProbeMany vs per-row assembly), the maintenance daemon's
+// (TablePartition::ProbeMany vs per-row assembly), the rule that no
+// degradable value finer than the purpose's accuracy reaches an evaluated
+// row, the column-pruned heap decode, the maintenance daemon's
 // adaptive checkpoint cadence, and audit-driven urgent repair. Runs under
 // TSan/ASan in scripts/verify.sh: the aggregate fan-out and the
 // degrade-while-aggregating test are real cross-thread paths.
@@ -19,6 +21,8 @@
 #include "db/database.h"
 #include "gtest/gtest.h"
 #include "query/cursor.h"
+#include "query/parser.h"
+#include "query/plan.h"
 #include "query/session.h"
 #include "util/file.h"
 
@@ -241,6 +245,164 @@ TEST_F(PushdownTest, ProbeAccountingInvariantHoldsAcrossScanShapes) {
                 (after.scan.store_probes_skipped -
                  before.scan.store_probes_skipped),
             after.scan.rows - before.scan.rows);
+}
+
+TEST_F(PushdownTest, HotQueryShapesAgreeAndNeverExposeFinerValues) {
+  constexpr int kRows = 600;
+  BuildDb(4, kRows);
+  Session session(db_.get());
+  ASSERT_TRUE(session
+                  .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
+                           "FOR pings.location")
+                  .ok());
+  const auto domain = LocationDomain();
+  // True for a finer-than-CITY (ADDRESS) label of the location domain.
+  auto is_address = [&](const Value& v) {
+    return v.type() == ValueType::kString &&
+           domain->ValidateAtLevel(v, 0).ok();
+  };
+
+  // The five statement shapes of the hot read mix; `indexes` is whether
+  // the shape runs with index probes allowed, `projected` whether location
+  // leaves the scan.
+  struct Shape {
+    std::string sql;
+    bool indexes;
+    bool projected;
+  };
+  const std::vector<Shape> kShapes = {
+      {"SELECT user, location FROM pings WHERE score = 42", true, true},
+      {"SELECT user FROM pings WHERE location = 'Paris'", true, false},
+      {"SELECT COUNT(*) FROM pings", true, false},
+      {"SELECT COUNT(*), SUM(score) FROM pings WHERE location = 'Paris'",
+       false, false},
+      {"SELECT user, location FROM pings WHERE score BETWEEN 100 AND 159",
+       true, true},
+      // The same predicate-only column through an unindexed scan and a
+      // label LIKE.
+      {"SELECT user FROM pings WHERE location = 'Paris'", false, false},
+      {"SELECT user, score FROM pings WHERE location LIKE '%France%'", false,
+       false},
+      // Projected and tested: generalized only after σ passes.
+      {"SELECT user, location FROM pings WHERE location = 'Paris'", false,
+       true},
+  };
+  for (const Shape& shape : kShapes) {
+    session.set_use_indexes(shape.indexes);
+    session.scan_options().pushdown = false;
+    session.scan_options().parallelism = 1;
+    auto reference = session.Execute(shape.sql);
+    ASSERT_TRUE(reference.ok()) << shape.sql;
+    ASSERT_FALSE(reference->rows.empty()) << shape.sql;
+    auto sorted = [](std::vector<std::vector<std::string>> rows) {
+      std::sort(rows.begin(), rows.end());
+      return rows;
+    };
+    for (const bool pushdown : {false, true}) {
+      for (size_t parallelism : {1u, 4u}) {
+        session.scan_options().pushdown = pushdown;
+        session.scan_options().parallelism = parallelism;
+        const std::string where = shape.sql + " pushdown=" +
+                                  std::to_string(pushdown) +
+                                  " parallelism=" + std::to_string(parallelism);
+        auto result = session.Execute(shape.sql);
+        ASSERT_TRUE(result.ok()) << where;
+        EXPECT_EQ(result->rows.size(), reference->rows.size()) << where;
+        EXPECT_EQ(sorted(result->display), sorted(reference->display))
+            << where;
+
+        // Streaming cursor: every value of every batch is at CITY or
+        // coarser.
+        auto cursor = session.ExecuteCursor(shape.sql);
+        ASSERT_TRUE(cursor.ok()) << where;
+        std::vector<std::vector<std::string>> streamed;
+        const CursorBatch* batch = nullptr;
+        while (true) {
+          auto more = (*cursor)->NextBatch(&batch);
+          ASSERT_TRUE(more.ok()) << where;
+          if (!*more) break;
+          for (size_t i = 0; i < batch->size(); ++i) {
+            for (const Value& v : batch->values(i)) {
+              EXPECT_FALSE(is_address(v)) << where << ": " << v.ToString();
+            }
+            streamed.push_back(batch->display(i));
+          }
+        }
+        EXPECT_EQ(sorted(streamed), sorted(reference->display)) << where;
+
+        // Below the cursor: no EvaluatedRow carries an ADDRESS value, and
+        // a location that does not leave the scan is not carried at all.
+        auto statement = ParseStatement(shape.sql);
+        ASSERT_TRUE(statement.ok()) << where;
+        auto plan =
+            plan::BindSelect(&session, std::get<SelectAst>(*statement));
+        ASSERT_TRUE(plan.ok()) << where;
+        const int location = plan->schema->degradable_columns()[0];
+        EXPECT_EQ(plan->query.projected_degradable.count(location) == 1,
+                  shape.projected)
+            << where;
+        for (const size_t batch_rows :
+             {plan::kStreamingScanBatchRows, size_t{SIZE_MAX}}) {
+          auto source = plan::MakeRowSource(&session, plan->query, batch_rows);
+          ASSERT_TRUE(source.ok()) << where;
+          plan::EvaluatedBatch rows;
+          while (true) {
+            auto more = (*source)->NextBatch(&rows);
+            ASSERT_TRUE(more.ok()) << where;
+            if (!*more) break;
+            for (size_t r = 0; r < rows.size; ++r) {
+              const Value& v = rows.rows[r].values[location];
+              EXPECT_FALSE(is_address(v)) << where << ": " << v.ToString();
+              if (!shape.projected) {
+                EXPECT_TRUE(v.is_null()) << where << ": " << v.ToString();
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(PushdownTest, ScansDecodeOnlyTheStableColumnsTheyRead) {
+  constexpr int kRows = 600;
+  BuildDb(4, kRows);
+  Session session(db_.get());
+  session.set_use_indexes(false);
+  session.scan_options().pushdown = true;
+  ASSERT_TRUE(session
+                  .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
+                           "FOR pings.location")
+                  .ok());
+  // {statement, stable values decoded per scanned row} over the two
+  // stable columns (user, score).
+  const std::vector<std::pair<std::string, uint64_t>> kShapes = {
+      {"SELECT COUNT(*) FROM pings", 0},
+      {"SELECT COUNT(*), SUM(score) FROM pings WHERE location = 'Paris'", 1},
+      {"SELECT COUNT(location) FROM pings", 0},
+      {"SELECT user FROM pings WHERE location = 'Paris'", 1},
+      {"SELECT user FROM pings WHERE score < 60", 2},
+      {"SELECT * FROM pings", 2},
+  };
+  for (const auto& [sql, per_row] : kShapes) {
+    for (size_t parallelism : {1u, 4u}) {
+      session.scan_options().parallelism = parallelism;
+      const Database::Stats before = db_->stats();
+      ASSERT_TRUE(session.Execute(sql).ok()) << sql;
+      DrainCursor(&session, sql, parallelism, /*pushdown=*/true);
+      const Database::Stats after = db_->stats();
+      const uint64_t rows = after.scan.rows - before.scan.rows;
+      EXPECT_EQ(rows, 2u * kRows) << sql << " parallelism=" << parallelism;
+      EXPECT_EQ(after.scan.values_decoded - before.scan.values_decoded,
+                per_row * rows)
+          << sql << " parallelism=" << parallelism;
+    }
+  }
+  // The pushdown-off reference path decodes in full and does not count.
+  session.scan_options().pushdown = false;
+  const Database::Stats before = db_->stats();
+  ASSERT_TRUE(session.Execute("SELECT user FROM pings WHERE score < 60").ok());
+  EXPECT_EQ(db_->stats().scan.values_decoded, before.scan.values_decoded);
 }
 
 TEST_F(PushdownTest, AggregatePushdownMatchesCursorAggregation) {

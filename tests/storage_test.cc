@@ -1,5 +1,8 @@
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "catalog/builtin_domains.h"
 #include "common/random.h"
@@ -302,6 +305,64 @@ TEST(RecordCodecTest, InPlaceLayoutCarriesDegradables) {
       DecodeHeapTuple(schema, DegradableLayout::kStateStores, buf, &out).ok());
 }
 
+TEST(RecordCodecTest, MaskedDecodeSkipsUnneededStableColumns) {
+  auto schema = *Schema::Make(
+      {ColumnDef::Stable("id", ValueType::kInt64),
+       ColumnDef::Stable("name", ValueType::kString),
+       ColumnDef::Degradable("location", LocationDomain(), Fig2LocationLcp()),
+       ColumnDef::Stable("score", ValueType::kDouble),
+       ColumnDef::Stable("flag", ValueType::kBool),
+       ColumnDef::Stable("seen", ValueType::kTimestamp),
+       ColumnDef::Stable("note", ValueType::kString)});
+  const size_t stable = schema.stable_columns().size();
+  ASSERT_EQ(stable, 6u);
+  HeapTuple tuple;
+  tuple.row_id = 300;
+  tuple.insert_time = 7 * kMicrosPerHour;
+  tuple.stable = {Value::Int64(-12345), Value::String("alice"),
+                  Value::Double(2.5),   Value::Bool(true),
+                  Value::Timestamp(99), Value::Null()};
+  tuple.degradable = {{1, Value::String("Paris")}};
+  for (DegradableLayout layout :
+       {DegradableLayout::kStateStores, DegradableLayout::kInPlace}) {
+    std::string buf;
+    EncodeHeapTuple(schema, layout, tuple, &buf);
+    HeapTuple full;
+    ASSERT_TRUE(DecodeHeapTuple(schema, layout, buf, &full).ok());
+    // Every mask over the stable ordinals, decoded into one recycled slot
+    // so a skipped column must overwrite what the previous mask left there.
+    HeapTuple masked;
+    for (uint32_t bits = 0; bits < (1u << stable); ++bits) {
+      std::vector<bool> needed(stable);
+      for (size_t i = 0; i < stable; ++i) needed[i] = (bits >> i) & 1;
+      ASSERT_TRUE(DecodeHeapTuple(schema, layout, buf, &masked, &needed).ok());
+      EXPECT_EQ(masked.row_id, full.row_id);
+      EXPECT_EQ(masked.insert_time, full.insert_time);
+      ASSERT_EQ(masked.stable.size(), stable);
+      for (size_t i = 0; i < stable; ++i) {
+        if (needed[i]) {
+          EXPECT_EQ(masked.stable[i], full.stable[i]) << bits << " " << i;
+        } else {
+          EXPECT_TRUE(masked.stable[i].is_null()) << bits << " " << i;
+        }
+      }
+      EXPECT_EQ(masked.degradable, full.degradable);
+
+      // Skipping still checks framing: every truncation and any trailing
+      // byte is Corruption, whatever the mask.
+      for (size_t len = 0; len < buf.size(); ++len) {
+        EXPECT_TRUE(DecodeHeapTuple(schema, layout, Slice(buf.data(), len),
+                                    &masked, &needed)
+                        .IsCorruption())
+            << bits << " len " << len;
+      }
+      EXPECT_TRUE(DecodeHeapTuple(schema, layout, buf + "x", &masked, &needed)
+                      .IsCorruption())
+          << bits;
+    }
+  }
+}
+
 // --- KeyManager ------------------------------------------------------------------
 
 TEST_F(StorageTest, KeyManagerMintGetDestroy) {
@@ -433,6 +494,55 @@ TEST_P(StateStoreTest, FindAndForEach) {
   size_t n = 0;
   store->ForEach([&](const StoreEntry&) { return ++n < 4; });
   EXPECT_EQ(n, 4u);
+}
+
+TEST_P(StateStoreTest, FindManyMatchesPerIdFind) {
+  auto store = MakeStore();
+  ASSERT_TRUE(store->Open().ok());
+  // A dense run, a sparse run, and a tail committed out of row-id order.
+  std::vector<RowId> appended;
+  for (RowId id = 1; id <= 300; ++id) appended.push_back(id);
+  for (RowId id = 1000; id <= 3000; id += 37) appended.push_back(id);
+  for (RowId id : {5000u, 4990u, 5003u, 4995u, 5001u}) appended.push_back(id);
+  for (RowId id : appended) ASSERT_TRUE(store->Append(Entry(id, "v")).ok());
+  ASSERT_EQ(store->size(), appended.size());
+
+  const StoreEntry preset{1, 0, Value::String("preset")};
+  auto check = [&](const std::vector<RowId>& ids, const char* what) {
+    // Every third slot arrives already resolved (by an earlier phase's
+    // store): FindMany must leave it alone and not count it.
+    std::vector<const StoreEntry*> out(ids.size(), nullptr);
+    std::vector<const StoreEntry*> expected(ids.size(), nullptr);
+    size_t expected_hits = 0;
+    for (size_t j = 0; j < ids.size(); ++j) {
+      if (j % 3 == 2) {
+        out[j] = expected[j] = &preset;
+        continue;
+      }
+      expected[j] = store->Find(ids[j]);
+      if (expected[j] != nullptr) ++expected_hits;
+    }
+    EXPECT_EQ(store->FindMany(ids.data(), ids.size(), out.data()),
+              expected_hits)
+        << what;
+    EXPECT_EQ(out, expected) << what;
+  };
+
+  std::vector<RowId> dense;
+  for (RowId id = 1; id <= 300; ++id) dense.push_back(id);
+  check(dense, "dense");
+  std::vector<RowId> sparse;
+  for (RowId id = 0; id <= 6000; id += 7) sparse.push_back(id);
+  check(sparse, "sparse");
+  std::vector<RowId> everything = appended;
+  for (RowId id = 0; id <= 5100; id += 101) everything.push_back(id);
+  std::sort(everything.begin(), everything.end());
+  everything.erase(std::unique(everything.begin(), everything.end()),
+                   everything.end());
+  check(everything, "appended plus misses");
+  check({4990, 4995, 5000, 5001, 5003}, "out-of-order tail");
+  check({0, 6000}, "all misses");
+  check({}, "empty batch");
 }
 
 TEST_P(StateStoreTest, AppendIsIdempotentOnRowId) {
