@@ -168,127 +168,6 @@ void RunScanParallelism() {
       "materializing drain at parallelism 1 vs 4");
 }
 
-/// Setup for the pushdown series: `partitions` partitions and a schema with
-/// a UNIQUE stable int score (0..n-1), so "score < K" selects exactly K rows
-/// — selectivity is exact by construction.
-std::unique_ptr<QuerySetup> MakeScoredSetup(uint32_t partitions, size_t rows) {
-  auto setup = std::make_unique<QuerySetup>();
-  DbOptions options;
-  options.partitions = partitions;
-  options.degradation.worker_threads = partitions;
-  setup->test = bench::OpenFreshDb("query_pushdown", &setup->clock, options);
-  setup->workload = bench::MakePingWorkload(Fig2LocationLcp(), 4);
-  setup->tree =
-      static_cast<const GeneralizationTree*>(setup->workload.domain.get());
-  auto schema = Schema::Make(
-      {ColumnDef::Stable("user", ValueType::kString),
-       ColumnDef::Stable("score", ValueType::kInt64),
-       ColumnDef::Degradable("location", setup->workload.domain,
-                             Fig2LocationLcp())});
-  setup->test.db->CreateTable("scored", *schema).status();
-  const auto& addresses = setup->workload.addresses;
-  for (size_t start = 0; start < rows; start += 100) {
-    WriteBatch batch;
-    for (size_t i = start; i < std::min(start + 100, rows); ++i) {
-      batch.Insert("scored",
-                   {Value::String("u" + std::to_string(i)),
-                    Value::Int64(static_cast<int64_t>(i)),
-                    Value::String(addresses[i % addresses.size()])});
-    }
-    setup->test.db->Write(&batch).ok();
-    setup->clock.Advance(2 * kMicrosPerHour / (rows / 100));
-  }
-  setup->test.db->RunDegradationOnce().status().ok();
-  return setup;
-}
-
-/// Predicate pushdown on a selective stable term: latency of draining the
-/// qualifying rows at 0.1% / 1% / 10% selectivity with the stable filter
-/// run below row assembly (state stores probed only for survivors) vs the
-/// reference path (full RowView assembly, σ above), plus the raw full-table
-/// drain as the decode-everything floor. Sequential scan (parallelism 1):
-/// this isolates the pushdown win from fan-out.
-void RunPushdownSelectivity() {
-  constexpr size_t kRows = 20000;
-  auto setup = MakeScoredSetup(4, kRows);
-  Session session(setup->test.db.get());
-  session.set_use_indexes(false);
-  session.scan_options().parallelism = 1;
-  session.Execute(
-      "DECLARE PURPOSE PD SET ACCURACY LEVEL CITY FOR scored.location")
-      .status();
-  TablePrinter table({"selectivity", "pushdown us", "reference us", "speedup"});
-  const struct {
-    const char* label;
-    const char* tag;
-    size_t matches;
-  } kPoints[] = {{"0.1%", "sel01", 20}, {"1%", "sel1", 200},
-                 {"10%", "sel10", 2000}};
-  for (const auto& point : kPoints) {
-    const std::string sql = StringPrintf(
-        "SELECT user, location FROM scored WHERE score < %zu", point.matches);
-    session.scan_options().pushdown = true;
-    const double pushed = RecordSqlSeries(
-        &session, StringPrintf("pushdown_scan_%s_on", point.tag), sql, 10);
-    session.scan_options().pushdown = false;
-    const double reference = RecordSqlSeries(
-        &session, StringPrintf("pushdown_scan_%s_off", point.tag), sql, 10);
-    table.AddRow({point.label, StringPrintf("%.0f", pushed),
-                  StringPrintf("%.0f", reference),
-                  StringPrintf("%.1fx", reference / pushed)});
-  }
-  session.scan_options().pushdown = false;
-  RecordSqlSeries(&session, "pushdown_scan_fulldecode",
-                  "SELECT user, location FROM scored", 10);
-  table.Print(
-      "pushdown: selective stable-predicate scan (20000 tuples, parallelism "
-      "1) — stable filter below row assembly vs full assembly + σ");
-}
-
-/// Aggregate pushdown: COUNT(*) / SUM over 8 partitions with per-worker
-/// partials folded inside the scan (COUNT(*) additionally skips every state
-/// store probe) vs the cursor path materializing every row first.
-void RunAggregatePushdown() {
-  constexpr size_t kRows = 20000;
-  auto setup = MakeScoredSetup(8, kRows);
-  Session session(setup->test.db.get());
-  session.set_use_indexes(false);
-  session.Execute(
-      "DECLARE PURPOSE PA SET ACCURACY LEVEL CITY FOR scored.location")
-      .status();
-  TablePrinter table(
-      {"aggregate", "parallelism", "pushdown us", "reference us", "speedup"});
-  const struct {
-    const char* name;
-    const char* sql;
-  } kAggregates[] = {
-      {"count", "SELECT COUNT(*) FROM scored"},
-      {"sum", "SELECT SUM(score) FROM scored WHERE score < 10000"},
-  };
-  for (const auto& agg : kAggregates) {
-    for (size_t parallelism : {1u, 8u}) {
-      session.scan_options().parallelism = parallelism;
-      session.scan_options().pushdown = true;
-      const double pushed = RecordSqlSeries(
-          &session,
-          StringPrintf("agg_pushdown_%s_par%zu_on", agg.name, parallelism),
-          agg.sql, 15);
-      session.scan_options().pushdown = false;
-      const double reference = RecordSqlSeries(
-          &session,
-          StringPrintf("agg_pushdown_%s_par%zu_off", agg.name, parallelism),
-          agg.sql, 15);
-      table.AddRow({agg.name, std::to_string(parallelism),
-                    StringPrintf("%.0f", pushed),
-                    StringPrintf("%.0f", reference),
-                    StringPrintf("%.1fx", reference / pushed)});
-    }
-  }
-  table.Print(
-      "aggregate pushdown (20000 tuples, 8 partitions): per-partition "
-      "partials in the scan workers vs cursor aggregation");
-}
-
 QuerySetup* SharedSetup() {
   static QuerySetup* setup = MakeSetup().release();
   return setup;
@@ -355,8 +234,6 @@ int main(int argc, char** argv) {
   RunSelectivity();
   RunAccessPathSeries();
   RunScanParallelism();
-  RunPushdownSelectivity();
-  RunAggregatePushdown();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;  // JsonEmitter flushes BENCH_<program>.json at exit

@@ -17,7 +17,23 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # locally with the same command; override via IDB_FAULT_SEED to explore.
 export IDB_FAULT_SEED="${IDB_FAULT_SEED:-20260808}"
 
+# Statements borrow workers from the shared pool (util/worker_pool.h); they
+# never spawn threads. Only the pool itself and the two background loops
+# (degradation coordinator, maintenance scheduler) may create one.
+check_thread_spawning() {
+  local hits
+  hits="$(grep -rnE 'std::(thread|jthread|async)\b' src |
+    grep -vE '^src/(util/worker_pool|degrade/degradation_engine|maintain/maintenance_daemon)\.(h|cc):' ||
+    true)"
+  if [ -n "$hits" ]; then
+    echo "verify: thread creation outside the worker pool and background loops:" >&2
+    echo "$hits" >&2
+    return 1
+  fi
+}
+
 run_plain() {
+  check_thread_spawning
   cmake -B build -S .
   cmake --build build -j "$JOBS"
   ctest --test-dir build --output-on-failure -j "$JOBS"
@@ -41,8 +57,10 @@ run_sanitized() {
 }
 
 case "${1:-}" in
-  --tsan) run_plain && run_sanitized thread ;;
-  --asan) run_plain && run_sanitized address ;;
+  # Sequenced, not chained with &&: `set -e` is suspended inside an &&
+  # list, so a failing step there would fall through to "verify: OK".
+  --tsan) run_plain; run_sanitized thread ;;
+  --asan) run_plain; run_sanitized address ;;
   "") run_plain ;;
   *) echo "usage: $0 [--tsan|--asan]" >&2; exit 2 ;;
 esac

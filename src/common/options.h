@@ -107,8 +107,12 @@ struct ReadOptions {
 /// claim morsels from per-partition queues with partition affinity and
 /// steal from the busiest queue when their own runs dry, so parallelism is
 /// not capped by the partition count and a skewed partition is shared by
-/// many workers. Per-batch snapshot semantics (one partition latch per
-/// batch) are unchanged at any parallelism.
+/// many workers. Every scan evaluates its stable WHERE terms on the decoded
+/// heap tuples and probes the state stores only for the survivors;
+/// ungrouped COUNT/SUM/AVG/MIN/MAX fold per-worker partials inside the
+/// scan. Workers are borrowed from the database's shared pool, never
+/// spawned. Per-batch snapshot semantics (one partition latch per batch)
+/// hold at any parallelism.
 struct ScanOptions {
   /// Number of scan workers a streaming cursor fans out over, and the pool
   /// size a materialized (Session::Execute) scan drains morsels with.
@@ -120,8 +124,9 @@ struct ScanOptions {
   /// count (workers share partitions at morsel granularity) and is clamped
   /// only to the morsel-plan size. 1 scans partitions sequentially inline
   /// on the consumer's thread (no extra threads, rows in (partition, heap)
-  /// order); higher values run that many scan workers, which interleaves
-  /// rows across morsels in arrival order on the streaming path.
+  /// order); higher values run up to that many scan workers — as many as
+  /// the pool lends, inline when it lends none — which interleaves rows
+  /// across morsels in arrival order on the streaming path.
   size_t parallelism = 0;
   /// Heap pages per morsel. 0 (the default) = kDefaultMorselPages (16).
   /// Smaller morsels split work finer (better stealing on skew, more claim
@@ -133,14 +138,6 @@ struct ScanOptions {
   /// backpressures the workers instead of buffering the table. 0 means
   /// 2 × parallelism.
   size_t prefetch_batches = 0;
-  /// Predicate & aggregate pushdown below row assembly: stable-column WHERE
-  /// terms are evaluated batch-at-a-time on the decoded heap tuples, state
-  /// stores are probed only for the surviving rows (one sorted merge per
-  /// store instead of one binary search per row), and ungrouped
-  /// COUNT/SUM/AVG/MIN/MAX fold per-partition partials inside the scan
-  /// workers. On by default; off restores full RowView assembly before σ —
-  /// the reference path the pushdown equivalence tests compare against.
-  bool pushdown = true;
   /// Absolute statement deadline on the database's clock (0 = none). Every
   /// scan path checks it at morsel-claim and batch granularity and returns
   /// Status::Timeout — partial-safe: workers stop claiming, release their

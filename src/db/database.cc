@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "io/env.h"
-#include "util/parallel.h"
 
 namespace instantdb {
 
@@ -80,7 +79,7 @@ Status Database::OpenImpl() {
   locks_ = std::make_unique<LockManager>();
   tm_ = std::make_unique<TransactionManager>(locks_.get(), wal_.get());
   degrader_ = std::make_unique<DegradationEngine>(
-      tm_.get(), clock_, options_.degradation, &worker_pool_);
+      tm_.get(), clock_, options_.degradation, worker_pool_);
 
   for (const TableDef* def : catalog_->tables()) {
     auto table = std::make_unique<Table>(def, TableDir(def->id), MakeRuntime());
@@ -94,8 +93,7 @@ Status Database::OpenImpl() {
   // Partitions rebuild their indexes on the worker pool — partition-
   // parallel recovery, like the degradation passes the pool was sized for.
   for (auto& [id, table] : tables_) {
-    IDB_RETURN_IF_ERROR(
-        table->RebuildIndexes(options_.degradation.worker_threads));
+    IDB_RETURN_IF_ERROR(table->RebuildIndexes(worker_pool_));
   }
 
   if (options_.degradation.background_thread) {
@@ -136,7 +134,7 @@ Status Database::Recover() {
   // concurrent live commits exercise.
   uint64_t max_txn_id = 0;
   IDB_RETURN_IF_ERROR(wal_->RecoverCommitted(
-      checkpoint, stream_local, [&](const WalRecord& record) {
+      checkpoint, stream_local, worker_pool_, [&](const WalRecord& record) {
         auto it = tables_.find(record.table);
         if (it == tables_.end()) return Status::OK();  // dropped table
         switch (record.type) {
@@ -169,7 +167,7 @@ Result<const TableDef*> Database::CreateTable(const std::string& name,
   IDB_RETURN_IF_ERROR(catalog_->SaveTo(options_.path + "/CATALOG", env_));
   auto table = std::make_unique<Table>(def, TableDir(def->id), MakeRuntime());
   IDB_RETURN_IF_ERROR(table->Open());
-  IDB_RETURN_IF_ERROR(table->RebuildIndexes());
+  IDB_RETURN_IF_ERROR(table->RebuildIndexes(worker_pool_));
   degrader_->RegisterTable(table.get());
   tables_[def->id] = std::move(table);
   return def;

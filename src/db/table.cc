@@ -6,7 +6,7 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "io/env.h"
-#include "util/parallel.h"
+#include "util/worker_pool.h"
 
 namespace instantdb {
 
@@ -88,12 +88,12 @@ Status Table::Open() {
   return Status::OK();
 }
 
-Status Table::RebuildIndexes(size_t worker_threads) {
+Status Table::RebuildIndexes(WorkerPool& pool) {
   // Partitions own disjoint physical state, so their rebuilds are
-  // embarrassingly parallel; the pool mirrors the degradation worker pool
-  // (the database passes the same size).
-  return ParallelFor(worker_threads, partitions_.size(),
-                     [this](size_t i) { return partitions_[i]->RebuildIndexes(); });
+  // embarrassingly parallel.
+  return pool.Run(pool.size(), partitions_.size(), [this](size_t i) {
+    return partitions_[i]->RebuildIndexes();
+  });
 }
 
 Status Table::Drop() {
@@ -216,23 +216,6 @@ Status Table::ScanRows(const std::function<bool(const RowView&)>& fn) const {
     IDB_RETURN_IF_ERROR(partition->ScanRows(fn, &stopped));
     if (stopped) break;
   }
-  return Status::OK();
-}
-
-Status Table::ScanBatch(TableScanPos* pos, size_t limit,
-                        std::vector<RowView>* out, bool* done) const {
-  out->clear();
-  *done = false;
-  while (pos->partition < partitions_.size()) {
-    if (out->size() >= limit) return Status::OK();  // more partitions remain
-    bool partition_done = false;
-    IDB_RETURN_IF_ERROR(partitions_[pos->partition]->ScanBatch(
-        &pos->rid, limit - out->size(), out, &partition_done));
-    if (!partition_done) return Status::OK();  // limit hit inside partition
-    ++pos->partition;
-    pos->rid = Rid{0, 0};
-  }
-  *done = true;
   return Status::OK();
 }
 

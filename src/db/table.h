@@ -16,23 +16,16 @@ namespace instantdb {
 /// can make Open() attempt).
 inline constexpr uint32_t kMaxPartitions = 1024;
 
-/// Resume position of a table scan that spans partitions: the partition
-/// currently being walked plus the heap position inside it. Value-semantic
-/// so cursors can checkpoint it between batches.
-struct TableScanPos {
-  uint32_t partition = 0;
-  Rid rid{0, 0};
-};
+class WorkerPool;
 
-/// \brief Cursor over ONE partition's heap, from Table::OpenPartitionCursor.
+/// \brief Cursor over ONE partition's heap (Table::OpenPartitionCursor) or
+/// one morsel's page range of it (Table::OpenMorselCursor).
 ///
-/// This is the unit the parallel read path shards on: a consumer that wants
-/// to fan a table scan out itself (the query layer's prefetch workers, the
-/// exposure/attack-window audit benches) opens one cursor per partition and
-/// drains them on distinct threads — partitions own disjoint rows and
-/// latches, so the cursors never contend. Each NextBatch holds the
-/// partition's shared latch only while assembling that batch
-/// (snapshot-per-batch semantics, exactly like Table::ScanBatch).
+/// This is the unit scans shard on: the query layer's morsel readers and
+/// the deletion-assurance sweep open one cursor per claimed morsel, and the
+/// exposure/attack-window audit benches one per partition, draining them on
+/// distinct threads. Each NextBatch holds the partition's shared latch only
+/// while assembling that batch (snapshot-per-batch semantics).
 /// Value-semantic and independent of sibling cursors; the Table must
 /// outlive it.
 class PartitionCursor {
@@ -104,10 +97,10 @@ class Table {
   /// they reflect the recovered state.
   Status Open();
   /// Rebuilds every partition's indexes. Partitions are independent, so
-  /// with `worker_threads > 1` they rebuild on a worker pool (the database
-  /// passes the degradation pool size) — this is what cuts recovery time on
+  /// they rebuild on the database's shared worker pool (WorkerPool::Run,
+  /// the caller participating) — this is what cuts recovery time on
   /// multi-partition tables.
-  Status RebuildIndexes(size_t worker_threads = 1);
+  Status RebuildIndexes(WorkerPool& pool);
   /// Securely drops all storage (DROP TABLE).
   Status Drop();
 
@@ -151,31 +144,20 @@ class Table {
 
   // --- read path -------------------------------------------------------------
 
-  /// Snapshot scan: assembles every live row, walking partitions in order
-  /// under each partition's shared latch. Stops early when `fn` returns
-  /// false. Consistency is snapshot-per-partition: each partition is read
-  /// atomically, but a row changed in a later partition while an earlier
-  /// one was being read may reflect the newer state (rows never span
-  /// partitions, so no row is ever torn).
+  /// Snapshot scan: assembles every live row in full (one state-store
+  /// probe per row), walking partitions in order under each partition's
+  /// shared latch. Stops early when `fn` returns false. Consistency is
+  /// snapshot-per-partition: each partition is read atomically, but a row
+  /// changed in a later partition while an earlier one was being read may
+  /// reflect the newer state (rows never span partitions, so no row is
+  /// ever torn).
   Status ScanRows(const std::function<bool(const RowView&)>& fn) const;
-
-  /// Cursor support: assembles up to `limit` live rows starting at `*pos`
-  /// (default-constructed to start), advancing `*pos` to the resume
-  /// position — which may cross into the next partition — and setting
-  /// `*done` once every partition is exhausted. Each batch holds one
-  /// partition latch at a time, so a slow consumer never blocks writers or
-  /// the degrader; isolation is weak across batches: rows changed between
-  /// two batches may or may not be observed, and a row physically relocated
-  /// by a concurrent update may be missed or observed twice. Pass SIZE_MAX
-  /// to scan everything in one call (snapshot-per-partition semantics).
-  Status ScanBatch(TableScanPos* pos, size_t limit, std::vector<RowView>* out,
-                   bool* done) const;
 
   /// Opens a cursor over partition `i` only, so parallel consumers can
   /// shard a table scan themselves (one cursor per partition, one thread
-  /// per cursor). The streaming read path's fan-out workers are built on
-  /// this; it is also the API the degradation-audit benches use to sweep a
-  /// table at device speed. An out-of-range index yields an empty cursor
+  /// per cursor). This is the API the degradation-audit benches use to
+  /// sweep a table at device speed; query scans use OpenMorselCursor
+  /// instead. An out-of-range index yields an empty cursor
   /// (NextBatch reports done immediately) rather than undefined behavior.
   PartitionCursor OpenPartitionCursor(uint32_t i) const {
     if (i >= partitions_.size()) return PartitionCursor();

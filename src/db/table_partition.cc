@@ -458,11 +458,6 @@ std::vector<Morsel> TablePartition::MorselPlan(uint32_t pages_per_morsel) const 
   return plan;
 }
 
-Status TablePartition::ScanBatch(Rid* pos, size_t limit,
-                                 std::vector<RowView>* out, bool* done) const {
-  return ScanBatch(pos, kInvalidPageId, limit, out, done);
-}
-
 Status TablePartition::ScanBatch(Rid* pos, PageId end_page, size_t limit,
                                  std::vector<RowView>* out, bool* done) const {
   std::shared_lock<std::shared_mutex> latch(latch_);
@@ -485,44 +480,12 @@ Status TablePartition::ScanBatch(Rid* pos, PageId end_page, size_t limit,
   return decode_status;
 }
 
-Status TablePartition::ScanBatchFiltered(Rid* pos, size_t limit,
-                                         const ScanSpec& spec,
-                                         ScanWorkspace* ws,
-                                         std::vector<RowView>* out, bool* done,
-                                         ScanDeltas* deltas) const {
-  return ScanBatchFiltered(pos, kInvalidPageId, limit, spec, ws, out, done,
-                           deltas);
-}
-
 Status TablePartition::ScanBatchFiltered(Rid* pos, PageId end_page,
                                          size_t limit, const ScanSpec& spec,
                                          ScanWorkspace* ws,
                                          std::vector<RowView>* out, bool* done,
                                          ScanDeltas* deltas) const {
   std::shared_lock<std::shared_mutex> latch(latch_);
-  return ScanChunkLocked(pos, end_page, limit, spec, ws, out, done, deltas);
-}
-
-Status TablePartition::ScanFiltered(
-    const ScanSpec& spec, ScanWorkspace* ws,
-    const std::function<Status(const std::vector<RowView>&)>& fn,
-    ScanDeltas* deltas) const {
-  std::shared_lock<std::shared_mutex> latch(latch_);
-  Rid pos{0, 0};
-  bool done = false;
-  std::vector<RowView> views;
-  while (!done) {
-    IDB_RETURN_IF_ERROR(ScanChunkLocked(&pos, kInvalidPageId, kScanChunkRows,
-                                        spec, ws, &views, &done, deltas));
-    if (!views.empty()) IDB_RETURN_IF_ERROR(fn(views));
-  }
-  return Status::OK();
-}
-
-Status TablePartition::ScanChunkLocked(Rid* pos, PageId end_page, size_t limit,
-                                       const ScanSpec& spec, ScanWorkspace* ws,
-                                       std::vector<RowView>* out, bool* done,
-                                       ScanDeltas* deltas) const {
   *done = true;
   ws->count = 0;
   const std::vector<bool>* needed =

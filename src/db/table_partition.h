@@ -155,58 +155,34 @@ class TablePartition {
   /// is open-ended (end_page == kInvalidPageId) so rows appended after
   /// planning are still observed; an empty partition yields one open-ended
   /// morsel for the same reason. Each morsel carries its own resume
-  /// position through the range-bounded ScanBatch/ScanBatchFiltered
-  /// overloads below.
+  /// position through ScanBatch/ScanBatchFiltered below.
   std::vector<Morsel> MorselPlan(uint32_t pages_per_morsel) const;
 
   /// Cursor support: assembles up to `limit` live rows starting at heap
   /// position `*pos` (`Rid{0, 0}` to start) under the shared latch,
-  /// advancing `*pos` to the resume position and setting `*done` once this
-  /// partition's heap is exhausted.
-  Status ScanBatch(Rid* pos, size_t limit, std::vector<RowView>* out,
-                   bool* done) const;
-
-  /// Range-bounded ScanBatch over one morsel's pages: identical semantics,
-  /// but `*done` reports exhaustion of [*pos, end_page) instead of the
-  /// whole heap (end_page == kInvalidPageId restores the unbounded form).
+  /// advancing `*pos` to the resume position and setting `*done` once
+  /// [*pos, end_page) is exhausted (end_page == kInvalidPageId: to the end
+  /// of the heap).
   Status ScanBatch(Rid* pos, PageId end_page, size_t limit,
                    std::vector<RowView>* out, bool* done) const;
 
-  /// Pushdown form of ScanBatch: decodes up to `limit` heap tuples from
-  /// `*pos`, runs `spec.filter` batch-at-a-time on the decoded stable
-  /// values, and only then resolves the degradable part — for the SURVIVORS
-  /// only, with one sorted merge per state store (StateStore::FindMany)
-  /// instead of one binary search per row. Everything happens under a
-  /// single shared-latch acquisition, so the batch has exactly ScanBatch's
-  /// snapshot-per-batch semantics. REPLACES `*out`'s contents (it does not
-  /// append): the caller keeps passing the same vector and the RowView
+  /// Pushdown form of ScanBatch, over the same page range: decodes up to
+  /// `limit` heap tuples from `*pos`, runs `spec.filter` batch-at-a-time on the
+  /// decoded stable values, and only then resolves the degradable part — for
+  /// the SURVIVORS only, with one sorted merge per state store
+  /// (StateStore::FindMany) instead of one binary search per row. Everything
+  /// happens under a single shared-latch acquisition, so the batch has exactly
+  /// ScanBatch's snapshot-per-batch semantics. REPLACES `*out`'s contents (it
+  /// does not append): the caller keeps passing the same vector and the RowView
   /// slots recycle their storage. `limit` bounds tuples DECODED, not rows
-  /// emitted — a selective batch comes out short rather than holding the
-  /// latch until it fills. `ws` is per-consumer scratch; `deltas`
-  /// accumulates the pushdown accounting (see ScanDeltas).
-  Status ScanBatchFiltered(Rid* pos, size_t limit, const ScanSpec& spec,
-                           ScanWorkspace* ws, std::vector<RowView>* out,
-                           bool* done, ScanDeltas* deltas) const;
-
-  /// Range-bounded pushdown batch over one morsel's pages (the
-  /// MorselPlan/ScanBatchFiltered(range) pair the morsel consumers drive).
+  /// emitted — a selective batch comes out short rather than holding the latch
+  /// until it fills. `ws` is per-consumer scratch; `deltas` accumulates the
+  /// pushdown accounting (see ScanDeltas). This is the batch every query-layer
+  /// heap scan pulls.
   Status ScanBatchFiltered(Rid* pos, PageId end_page, size_t limit,
                            const ScanSpec& spec, ScanWorkspace* ws,
                            std::vector<RowView>* out, bool* done,
                            ScanDeltas* deltas) const;
-
-  /// Whole-partition pushdown scan under ONE shared-latch hold
-  /// (snapshot-per-partition, like ScanRows): assembles survivor batches of
-  /// kScanChunkRows and hands each to `fn`. The vector passed to `fn` is
-  /// reused between calls. The materializing read path and the aggregate
-  /// pushdown drain partitions through this.
-  Status ScanFiltered(const ScanSpec& spec, ScanWorkspace* ws,
-                      const std::function<Status(const std::vector<RowView>&)>& fn,
-                      ScanDeltas* deltas) const;
-
-  /// Tuples decoded per latched chunk of ScanFiltered (matches the
-  /// streaming cursor's batch size).
-  static constexpr size_t kScanChunkRows = 256;
 
   /// Batched store probe: resolves the stored (phase, value) of every id in
   /// `row_ids` (must be ascending) for every degradable column, row-major —
@@ -337,13 +313,6 @@ class TablePartition {
   /// Builds a RowView from a decoded heap tuple (caller holds the latch).
   bool AssembleRow(const HeapTuple& tuple, RowView* view) const;
 
-  /// ScanBatchFiltered's body, minus the latch (ScanFiltered holds it once
-  /// for the whole partition). `end_page` bounds the decoded page range
-  /// (exclusive; kInvalidPageId = to the heap's end).
-  Status ScanChunkLocked(Rid* pos, PageId end_page, size_t limit,
-                         const ScanSpec& spec, ScanWorkspace* ws,
-                         std::vector<RowView>* out, bool* done,
-                         ScanDeltas* deltas) const;
   /// Filters ws->tuples[0..count), probes stores for the survivors
   /// (FindMany merges), and fills `*out` (replace semantics). Caller holds
   /// the shared latch.

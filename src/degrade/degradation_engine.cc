@@ -18,7 +18,7 @@ constexpr Micros kPassBackoffCap = 5'000'000;  // 5 s
 
 DegradationEngine::DegradationEngine(TransactionManager* tm, Clock* clock,
                                      const DegradationOptions& options,
-                                     WorkerPool* pool)
+                                     WorkerPool& pool)
     : tm_(tm), clock_(clock), options_(options), pool_(pool) {}
 
 DegradationEngine::~DegradationEngine() { Stop(); }
@@ -187,7 +187,7 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
         std::max<size_t>(options_.worker_threads, 1), units.size());
     if (workers <= 1) {
       drain();
-    } else if (pool_ != nullptr) {
+    } else {
       // Borrow helpers from the shared pool (never blocks; a busy pool just
       // yields fewer helpers) and drain alongside them. Priority dispatch:
       // the pool's reserved tokens (WorkerPool::SetReserved, sized by
@@ -195,15 +195,10 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
       // here, so overdue privacy steps fan out even when foreground scans
       // hold every normal token — the degradation priority floor.
       WorkerPool::Ticket ticket;
-      pool_->TryDispatch(workers - 1, [&](size_t) { drain(); }, &ticket,
-                         /*priority=*/true);
+      pool_.TryDispatch(workers - 1, [&](size_t) { drain(); }, &ticket,
+                        /*priority=*/true);
       drain();
-      pool_->Wait(&ticket);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (size_t i = 0; i < workers; ++i) threads.emplace_back(drain);
-      for (std::thread& worker : threads) worker.join();
+      pool_.Wait(&ticket);
     }
 
     delta.steps += steps.load();

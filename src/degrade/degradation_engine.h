@@ -48,12 +48,10 @@ namespace instantdb {
 /// stats.
 class DegradationEngine {
  public:
-  /// `pool` (optional, not owned, must outlive the engine) is the shared
-  /// worker pool passes borrow workers from; null falls back to spawning
-  /// one-shot threads per pass (standalone/test construction).
+  /// `pool` (not owned, must outlive the engine) is the Database's shared
+  /// worker pool passes borrow workers from.
   DegradationEngine(TransactionManager* tm, Clock* clock,
-                    const DegradationOptions& options,
-                    WorkerPool* pool = nullptr);
+                    const DegradationOptions& options, WorkerPool& pool);
   ~DegradationEngine();
   DegradationEngine(const DegradationEngine&) = delete;
   DegradationEngine& operator=(const DegradationEngine&) = delete;
@@ -133,7 +131,7 @@ class DegradationEngine {
   TransactionManager* const tm_;
   Clock* const clock_;
   const DegradationOptions options_;
-  WorkerPool* const pool_;  // shared Database pool, may be null
+  WorkerPool& pool_;  // shared Database pool
 
   mutable std::mutex mu_;
   std::map<TableId, Table*> tables_;

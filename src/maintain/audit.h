@@ -108,9 +108,9 @@ struct AuditReport {
 /// writers or the degrader for longer than a scan batch.
 class DeletionAuditor {
  public:
-  /// `pool` (optional, not owned) is the Database's shared worker pool the
-  /// sweep borrows threads from; null spawns sweep threads per call.
-  DeletionAuditor(WalManager* wal, size_t workers, WorkerPool* pool = nullptr)
+  /// `pool` (not owned, must outlive the auditor) is the Database's shared
+  /// worker pool the sweep borrows threads from.
+  DeletionAuditor(WalManager* wal, size_t workers, WorkerPool& pool)
       : wal_(wal), workers_(workers == 0 ? 1 : workers), pool_(pool) {}
 
   /// Sweeps `tables` at `now`, granting `grace` of slack: a value is
@@ -124,7 +124,7 @@ class DeletionAuditor {
  private:
   WalManager* const wal_;
   const size_t workers_;
-  WorkerPool* const pool_;  // shared Database pool, may be null
+  WorkerPool& pool_;  // shared Database pool
 };
 
 }  // namespace instantdb

@@ -19,7 +19,7 @@ MaintenanceDaemon::MaintenanceDaemon(Database* db,
     : db_(db),
       options_(options),
       auditor_(db->wal(), db->options().degradation.worker_threads,
-               db->worker_pool()) {}
+               *db->worker_pool()) {}
 
 MaintenanceDaemon::~MaintenanceDaemon() { Stop(); }
 

@@ -17,9 +17,9 @@ namespace {
 /// just "drain into a QueryResult".
 Result<QueryResult> DrainSelectCursor(Session* session,
                                       const StatementAst& statement) {
-  // SIZE_MAX batch: every partition is scanned atomically under its shared
-  // latch (fanned out over the worker pool, merged in partition order), so
-  // a materialized Execute keeps the pre-cursor snapshot semantics.
+  // SIZE_MAX batch: the scan drains on the worker pool and its rows merge
+  // in morsel-ordinal order, i.e. sequential-scan order. Isolation is
+  // snapshot-per-batch, as for a streaming cursor.
   IDB_ASSIGN_OR_RETURN(std::unique_ptr<Cursor> cursor,
                        Cursor::Open(session, statement, SIZE_MAX));
   QueryResult result;
@@ -54,11 +54,7 @@ Result<QueryResult> ExecuteAggregate(Session* session,
 
   struct AggState {
     Value group_value;
-    DegradableLevels group_levels;
-    uint64_t count = 0;
-    std::vector<double> sums;
-    std::vector<Value> mins, maxs;
-    std::vector<uint64_t> non_null;
+    plan::AggregatePartials partials;
   };
   std::map<std::string, AggState> groups;
 
@@ -69,14 +65,7 @@ Result<QueryResult> ExecuteAggregate(Session* session,
     // below is shared with the row-at-a-time path.
     IDB_ASSIGN_OR_RETURN(plan::AggregatePartials partial,
                          plan::ExecuteAggregatePushdown(session, select));
-    if (partial.count > 0) {
-      AggState& state = groups["*"];
-      state.count = partial.count;
-      state.sums = std::move(partial.sums);
-      state.mins = std::move(partial.mins);
-      state.maxs = std::move(partial.maxs);
-      state.non_null = std::move(partial.non_null);
-    }
+    if (partial.count > 0) groups["*"].partials = std::move(partial);
   } else {
     IDB_ASSIGN_OR_RETURN(std::unique_ptr<plan::RowSource> source,
                          plan::MakeRowSource(session, select.query, SIZE_MAX));
@@ -91,44 +80,20 @@ Result<QueryResult> ExecuteAggregate(Session* session,
                                 row.degradable_level);
       }
       AggState& state = groups[key];
-      if (state.count == 0) {
-        state.sums.assign(items.size(), 0);
-        state.mins.assign(items.size(), Value::Null());
-        state.maxs.assign(items.size(), Value::Null());
-        state.non_null.assign(items.size(), 0);
+      if (state.partials.count == 0) {
+        plan::InitPartials(items.size(), &state.partials);
         if (select.group_col >= 0) {
           state.group_value = row.values[select.group_col];
-          state.group_levels = row.degradable_level;
         }
       }
-      ++state.count;
-      for (size_t i = 0; i < items.size(); ++i) {
-        if (items[i].aggregate == AggregateKind::kNone ||
-            items[i].column.empty()) {
-          continue;
-        }
-        const Value& v = row.values[select.item_columns[i]];
-        if (v.is_null()) continue;
-        ++state.non_null[i];
-        if (v.type() == ValueType::kInt64 ||
-            v.type() == ValueType::kTimestamp) {
-          state.sums[i] += static_cast<double>(v.int64());
-        } else if (v.type() == ValueType::kDouble) {
-          state.sums[i] += v.dbl();
-        }
-        if (state.mins[i].is_null() || v.Compare(state.mins[i]) < 0) {
-          state.mins[i] = v;
-        }
-        if (state.maxs[i].is_null() || v.Compare(state.maxs[i]) > 0) {
-          state.maxs[i] = v;
-        }
-      }
+      plan::FoldAggregateRow(select, row, &state.partials);
     }
   }
 
   QueryResult result;
   result.columns = select.output_columns;
   for (auto& [key, state] : groups) {
+    const plan::AggregatePartials& agg = state.partials;
     std::vector<Value> out;
     std::vector<std::string> rendered;
     for (size_t i = 0; i < items.size(); ++i) {
@@ -145,30 +110,30 @@ Result<QueryResult> ExecuteAggregate(Session* session,
         }
         case AggregateKind::kCount: {
           const uint64_t n =
-              item.column.empty() ? state.count : state.non_null[i];
+              item.column.empty() ? agg.count : agg.non_null[i];
           out.push_back(Value::Int64(static_cast<int64_t>(n)));
           rendered.push_back(out.back().ToString());
           break;
         }
         case AggregateKind::kSum:
-          out.push_back(Value::Double(state.sums[i]));
-          rendered.push_back(StringPrintf("%.6g", state.sums[i]));
+          out.push_back(Value::Double(agg.sums[i]));
+          rendered.push_back(StringPrintf("%.6g", agg.sums[i]));
           break;
         case AggregateKind::kAvg: {
           const double avg =
-              state.non_null[i] == 0
+              agg.non_null[i] == 0
                   ? 0
-                  : state.sums[i] / static_cast<double>(state.non_null[i]);
+                  : agg.sums[i] / static_cast<double>(agg.non_null[i]);
           out.push_back(Value::Double(avg));
           rendered.push_back(StringPrintf("%.6g", avg));
           break;
         }
         case AggregateKind::kMin:
-          out.push_back(state.mins[i]);
+          out.push_back(agg.mins[i]);
           rendered.push_back(out.back().ToString());
           break;
         case AggregateKind::kMax:
-          out.push_back(state.maxs[i]);
+          out.push_back(agg.maxs[i]);
           rendered.push_back(out.back().ToString());
           break;
       }

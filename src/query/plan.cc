@@ -6,13 +6,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
+#include <functional>
 #include <mutex>
 
 #include "common/cancel.h"
 #include "common/strings.h"
 #include "query/predicate.h"
 #include "util/morsel.h"
-#include "util/parallel.h"
 #include "util/worker_pool.h"
 
 namespace instantdb {
@@ -20,9 +20,9 @@ namespace plan {
 
 namespace {
 
-/// Batch size of the materializing (SnapshotScanSource / aggregate
-/// pushdown) morsel drains: large enough that latch reacquisition is noise,
-/// small enough that a batch never holds a partition latch for long.
+/// Batch size of the materialized and aggregate morsel drains: large enough
+/// that latch reacquisition is noise, small enough that a batch never holds
+/// a partition latch for long.
 constexpr size_t kMaterializedScanBatchRows = 1024;
 
 /// Statement budget captured when a source opens: every scan path probes
@@ -103,6 +103,21 @@ Result<std::pair<Value, int>> ResolveLabel(const DomainHierarchy& hierarchy,
                           hierarchy.name());
 }
 
+/// Splits a LIKE pattern into its core and the leading/trailing `%` flags
+/// (case-insensitive substring match, see MatchLike).
+Status BindLikePattern(const Value& pattern_value, BoundPredicate* out) {
+  if (pattern_value.type() != ValueType::kString) {
+    return Status::InvalidArgument("LIKE needs a string pattern");
+  }
+  std::string pattern = pattern_value.str();
+  out->like_prefix_wildcard = StartsWith(pattern, "%");
+  out->like_suffix_wildcard = EndsWith(pattern, "%") && pattern.size() > 1;
+  if (out->like_prefix_wildcard) pattern.erase(0, 1);
+  if (out->like_suffix_wildcard && !pattern.empty()) pattern.pop_back();
+  out->like_core = std::move(pattern);
+  return Status::OK();
+}
+
 /// Parses the paper's bucket literal syntax 'lo-hi' for interval domains.
 bool ParseBucketLiteral(const std::string& text, int64_t* lo, int64_t* hi) {
   const size_t dash = text.find('-', 1);
@@ -126,18 +141,8 @@ Status BindPredicate(const Schema& schema, Session* session, TableId table_id,
   out->value = ast.value;
   out->value2 = ast.value2;
   if (!out->degradable) {
-    if (ast.op == ComparisonOp::kLike) {
-      if (ast.value.type() != ValueType::kString) {
-        return Status::InvalidArgument("LIKE needs a string pattern");
-      }
-      std::string pattern = ast.value.str();
-      out->like_prefix_wildcard = StartsWith(pattern, "%");
-      out->like_suffix_wildcard = EndsWith(pattern, "%") && pattern.size() > 1;
-      if (out->like_prefix_wildcard) pattern.erase(0, 1);
-      if (out->like_suffix_wildcard && !pattern.empty()) pattern.pop_back();
-      out->like_core = pattern;
-    }
-    return Status::OK();
+    return ast.op == ComparisonOp::kLike ? BindLikePattern(ast.value, out)
+                                         : Status::OK();
   }
 
   const DomainHierarchy& hierarchy = *column.hierarchy;
@@ -171,18 +176,10 @@ Status BindPredicate(const Schema& schema, Session* session, TableId table_id,
       return Status::OK();
     }
     case ComparisonOp::kLike: {
-      if (ast.value.type() != ValueType::kString) {
-        return Status::InvalidArgument("LIKE needs a string pattern");
-      }
-      std::string pattern = ast.value.str();
-      out->like_prefix_wildcard = StartsWith(pattern, "%");
-      out->like_suffix_wildcard = EndsWith(pattern, "%") && pattern.size() > 1;
-      if (out->like_prefix_wildcard) pattern.erase(0, 1);
-      if (out->like_suffix_wildcard && !pattern.empty()) pattern.pop_back();
-      out->like_core = pattern;
+      IDB_RETURN_IF_ERROR(BindLikePattern(ast.value, out));
       // `%France%` resolves to the France node: evaluated (and indexed) as
       // an equality against that node's subtree.
-      auto label = ResolveLabel(hierarchy, pattern);
+      auto label = ResolveLabel(hierarchy, out->like_core);
       if (label.ok()) {
         out->value = label->first;
         out->literal_level = label->second;
@@ -285,147 +282,140 @@ bool EvalDegradablePredicate(const DomainHierarchy& hierarchy,
   }
 }
 
-/// Streams the heap sequentially in batches of `batch_rows` RowViews,
-/// walking the table's partitions in order (the resume position carries the
-/// current partition plus the heap position inside it) and re-acquiring one
-/// partition's shared latch per batch so a slow consumer never blocks
-/// writers or the degrader on any partition. Isolation is
-/// snapshot-per-batch (standard cursor semantics): rows inserted, deleted
-/// or degraded between two pulls may or may not be observed. This is the
-/// resolved-parallelism-1 path: no threads, rows in (partition, heap)
-/// order.
-class HeapScanSource : public RowSource {
- public:
-  HeapScanSource(Session* session, const BoundQuery& query, size_t batch_rows)
-      : read_options_(session->read_options()),
-        counters_(session->db()->scan_counters()),
-        budget_(ScanBudget::Of(session)),
-        query_(query),
-        batch_rows_(batch_rows),
-        pushdown_(session->scan_options().pushdown),
-        filter_(query.table->schema(), query.predicates),
-        spec_(MakeScanSpec(query, filter_)) {}
+/// Per-statement state shared by every morsel reader of one heap scan: the
+/// pushdown spec (stable σ below row assembly, survivors-only store probes,
+/// only the read stable columns decoded), the morsel scheduler, the
+/// statement budget and the counters the readers fold into.
+struct HeapScan {
+  HeapScan(Session* session, const BoundQuery& query, size_t batch_rows,
+           std::vector<std::vector<Morsel>> plan)
+      : query(query),
+        read_options(session->read_options()),
+        counters(session->db()->scan_counters()),
+        budget(ScanBudget::Of(session)),
+        batch_rows(batch_rows),
+        filter(query.table->schema(), query.predicates),
+        spec(MakeScanSpec(query, filter)),
+        sched(std::move(plan),
+              MorselStatsSink{&counters->morsels_claimed,
+                              &counters->morsels_stolen,
+                              &counters->steal_failures}) {}
 
-  Result<bool> NextBatch(EvaluatedBatch* out) override {
-    out->Clear();
-    // Keep pulling heap batches until one yields a qualifying row (a batch
-    // may be fully filtered by σ) or the scan ends.
-    while (out->size == 0) {
-      if (done_) return false;
-      IDB_RETURN_IF_ERROR(budget_.Check());
-      if (pushdown_) {
-        IDB_RETURN_IF_ERROR(PullPushdownBatch());
-      } else {
-        views_.clear();
-        IDB_RETURN_IF_ERROR(
-            query_.table->ScanBatch(&pos_, batch_rows_, &views_, &done_));
-        if (!views_.empty()) {
-          counters_->batches.fetch_add(1, std::memory_order_relaxed);
-          counters_->rows.fetch_add(views_.size(), std::memory_order_relaxed);
-        }
-      }
-      if (views_.empty()) continue;  // exhausted or fully prefiltered
-      EvaluateViews(query_, read_options_, views_, out, pushdown_);
+  /// Readers worth running for `want` workers: at least one, at most one
+  /// per morsel.
+  size_t Fanout(size_t want) const {
+    return std::max<size_t>(1, std::min(want, sched.total()));
+  }
+
+  const BoundQuery& query;
+  const ReadOptions read_options;
+  Database::ScanCounters* const counters;
+  const ScanBudget budget;
+  const size_t batch_rows;
+  const StablePredicateFilter filter;
+  const ScanSpec spec;
+  MorselScheduler sched;
+};
+
+/// One worker's pass over a HeapScan, and the only heap-scan loop: claims a
+/// morsel, opens its cursor, pulls latched pushdown batches, folds their
+/// deltas into the scan counters and applies the degradable σ and f_k to
+/// the survivors. The statement budget is checked before every batch (so
+/// on every claim too), which stops a doomed statement within one batch.
+/// Isolation is snapshot-per-batch: a batch holds its partition's shared
+/// latch only while it is assembled, so rows inserted, deleted or degraded
+/// between two batches may or may not be observed. One reader per worker.
+class MorselReader {
+ public:
+  MorselReader(HeapScan* scan, size_t worker) : scan_(scan), worker_(worker) {}
+
+  /// Appends the qualifying rows of ONE latched batch to `*out` — none
+  /// when σ filtered the whole batch. Returns false once no morsel is left.
+  Result<bool> Next(EvaluatedBatch* out) {
+    if (!cursor_open_) {
+      if (!scan_->sched.Claim(worker_, &morsel_)) return false;
+      cursor_ = scan_->query.table->OpenMorselCursor(morsel_);
+      cursor_open_ = true;
     }
+    IDB_RETURN_IF_ERROR(scan_->budget.Check());
+    ScanDeltas deltas;
+    bool done = false;
+    IDB_RETURN_IF_ERROR(cursor_.NextBatch(scan_->batch_rows, scan_->spec, &ws_,
+                                          &views_, &done, &deltas));
+    cursor_open_ = !done;
+    if (deltas.rows_scanned > 0) {
+      scan_->counters->batches.fetch_add(1, std::memory_order_relaxed);
+      FoldDeltas(scan_->counters, deltas);
+    }
+    EvaluateViews(scan_->query, scan_->read_options, views_, out,
+                  /*stable_prefiltered=*/true);
     return true;
   }
 
- private:
-  /// One latched chunk from the current partition's pushdown cursor,
-  /// advancing to the next partition on exhaustion. Partition order is the
-  /// legacy path's (partition, heap) order.
-  Status PullPushdownBatch() {
-    if (!cursor_open_) {
-      if (partition_ >= query_.table->num_partitions()) {
-        done_ = true;
-        views_.clear();
-        return Status::OK();
-      }
-      cursor_ = query_.table->OpenPartitionCursor(partition_);
-      cursor_open_ = true;
-    }
-    ScanDeltas deltas;
-    bool partition_done = false;
-    IDB_RETURN_IF_ERROR(cursor_.NextBatch(batch_rows_, spec_, &ws_, &views_,
-                                          &partition_done, &deltas));
-    if (partition_done) {
-      cursor_open_ = false;
-      ++partition_;
-      if (partition_ >= query_.table->num_partitions()) done_ = true;
-    }
-    if (deltas.rows_scanned > 0) {
-      counters_->batches.fetch_add(1, std::memory_order_relaxed);
-      FoldDeltas(counters_, deltas);
-    }
-    return Status::OK();
-  }
+  /// Ordinal of the morsel the last batch came from.
+  size_t ordinal() const { return morsel_.ordinal; }
 
-  const ReadOptions read_options_;
-  Database::ScanCounters* const counters_;
-  const ScanBudget budget_;
-  const BoundQuery& query_;
-  const size_t batch_rows_;
-  const bool pushdown_;
-  const StablePredicateFilter filter_;
-  const ScanSpec spec_;
-  ScanWorkspace ws_;
-  TableScanPos pos_;
-  uint32_t partition_ = 0;
+ private:
+  HeapScan* const scan_;
+  const size_t worker_;
+  Morsel morsel_;
   PartitionCursor cursor_;
   bool cursor_open_ = false;
-  bool done_ = false;
+  ScanWorkspace ws_;
   std::vector<RowView> views_;
 };
 
-/// Morsel fan-out source: `workers` prefetch threads claim page-range
-/// morsels from the shared MorselScheduler (partition-affine home queues,
-/// stealing from the busiest partition when their own runs dry — so
-/// parallelism is not capped by the partition count and one skewed
-/// partition is shared), pull ScanBatch batches under that partition's
-/// shared latch, run whole-batch σ, and push the qualifying batches into a
-/// bounded queue the consumer drains. Per-batch snapshot semantics are
-/// exactly the sequential source's — parallelism changes only which
-/// morsels' batches interleave, never what one batch may contain. Producer
-/// threads are borrowed from the Database's shared worker pool when it has
-/// idle capacity; the shortfall is spawned, because a streaming consumer
-/// waits on `producers_live_ > 0` and the producer count must therefore be
-/// guaranteed, not best-effort. Batch storage circulates: drained batches
-/// return to a spare pool the workers refill, so a steady-state scan stops
-/// allocating. The queue bound backpressures workers when the consumer is
-/// slow; the consumer counts a prefetch stall each time it finds the queue
-/// empty while workers are still producing.
-class ParallelScanSource : public RowSource {
+/// Runs `workers` readers over `scan` on the shared pool (WorkerPool::Run:
+/// the caller drains too, so a saturated pool only narrows the scan) and
+/// hands every non-empty batch to `consume(worker, morsel ordinal, batch)`.
+Status DrainOnPool(
+    Session* session, HeapScan* scan, size_t workers,
+    const std::function<void(size_t, size_t, EvaluatedBatch*)>& consume) {
+  return session->db()->worker_pool()->Run(
+      workers, workers, [&](size_t worker) -> Status {
+        MorselReader reader(scan, worker);
+        EvaluatedBatch batch;
+        for (;;) {
+          batch.Clear();
+          IDB_ASSIGN_OR_RETURN(const bool more, reader.Next(&batch));
+          if (!more) return Status::OK();
+          if (batch.size > 0) consume(worker, reader.ordinal(), &batch);
+        }
+      });
+}
+
+/// Streaming consumer (cursors): rows in arrival order. With `workers` 1,
+/// or when the shared pool lends no worker, the consumer's own thread pulls
+/// one reader inline. Otherwise each producer the pool lends runs a reader
+/// and pushes its qualifying batches into a bounded queue the consumer
+/// drains. No thread is ever spawned: a busy pool makes the scan narrower,
+/// never blocked. Batch storage circulates — drained batches return to a
+/// spare pool the producers refill — so a steady-state scan stops
+/// allocating. The queue bound backpressures producers when the consumer
+/// is slow; the consumer counts a prefetch stall each time it finds the
+/// queue empty while producers are still running.
+class StreamingScanSource : public RowSource {
  public:
-  ParallelScanSource(Session* session, const BoundQuery& query,
-                     size_t batch_rows, size_t workers, size_t queue_batches,
-                     std::vector<std::vector<Morsel>> plan)
-      : read_options_(session->read_options()),
-        counters_(session->db()->scan_counters()),
-        budget_(ScanBudget::Of(session)),
+  StreamingScanSource(Session* session, const BoundQuery& query,
+                      size_t batch_rows, size_t workers, size_t queue_batches,
+                      std::vector<std::vector<Morsel>> plan)
+      : scan_(session, query, batch_rows, std::move(plan)),
         pool_(session->db()->worker_pool()),
-        query_(query),
-        batch_rows_(batch_rows),
         queue_capacity_(std::max<size_t>(queue_batches, 1)),
-        pushdown_(session->scan_options().pushdown),
-        filter_(query.table->schema(), query.predicates),
-        spec_(MakeScanSpec(query, filter_)),
-        sched_(std::move(plan),
-               MorselStatsSink{&counters_->morsels_claimed,
-                               &counters_->morsels_stolen,
-                               &counters_->steal_failures}) {
-    // The shortfall must be computed from the immutable `want`, never from
-    // producers_live_: borrowed pool producers start (and may finish,
-    // decrementing producers_live_) while this constructor is still running.
-    const size_t want = std::max<size_t>(workers, 1);
-    producers_live_ = want;
-    const size_t borrowed = pool_->TryDispatch(
-        want, [this](size_t) { ProduceLoop(); }, &ticket_);
-    if (borrowed < want) {
-      runner_.Start(want - borrowed, [this](size_t) { ProduceLoop(); });
-    }
+        inline_reader_(&scan_, 0) {
+    if (workers <= 1) return;
+    // Counted before dispatch: lent producers may start, and even finish,
+    // before TryDispatch returns. The slot is a stable worker id for morsel
+    // affinity (home queue slot % partitions).
+    producers_live_ = workers;
+    const size_t lent = pool_->TryDispatch(
+        workers, [this](size_t slot) { ProduceLoop(slot); }, &ticket_);
+    std::lock_guard<std::mutex> lock(mu_);
+    producers_live_ -= workers - lent;
+    producing_ = lent > 0;
   }
 
-  ~ParallelScanSource() override {
+  ~StreamingScanSource() override {
     {
       // The lock orders the store against a producer's wait predicate so
       // the notify cannot fall between its check and its sleep.
@@ -433,11 +423,18 @@ class ParallelScanSource : public RowSource {
       closed_.store(true, std::memory_order_relaxed);
     }
     cv_.notify_all();
-    runner_.Join();
     pool_->Wait(&ticket_);
   }
 
   Result<bool> NextBatch(EvaluatedBatch* out) override {
+    out->Clear();
+    if (!producing_) {
+      while (out->size == 0) {
+        IDB_ASSIGN_OR_RETURN(const bool more, inline_reader_.Next(out));
+        if (!more) return false;
+      }
+      return true;
+    }
     std::unique_lock<std::mutex> lock(mu_);
     bool stalled = false;
     while (true) {
@@ -446,12 +443,11 @@ class ParallelScanSource : public RowSource {
       // passes (or the token trips) the cursor reports it on the very next
       // pull, even when scanned batches are still buffered — a doomed
       // statement must not keep streaming stale work.
-      IDB_RETURN_IF_ERROR(budget_.Check());
+      IDB_RETURN_IF_ERROR(scan_.budget.Check());
       if (!queue_.empty()) {
-        out->Clear();
         out->Swap(&queue_.front());
         // The swapped-out storage (the consumer's previous batch) goes back
-        // to the spare pool for a worker to refill.
+        // to the spare pool for a producer to refill.
         spares_.push_back(std::move(queue_.front()));
         queue_.pop_front();
         cv_.notify_all();
@@ -463,78 +459,45 @@ class ParallelScanSource : public RowSource {
       // signal the benches read.
       if (!stalled) {
         stalled = true;
-        counters_->prefetch_stalls.fetch_add(1, std::memory_order_relaxed);
+        scan_.counters->prefetch_stalls.fetch_add(1,
+                                                  std::memory_order_relaxed);
       }
       cv_.wait(lock);
     }
   }
 
  private:
-  void ProduceLoop() {
-    // Stable worker id for morsel affinity: worker w's home queue is
-    // partition w % partitions, so distinct producers start on distinct
-    // partitions and only meet on one when stealing.
-    const size_t worker = worker_ids_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<RowView> views;
+  void ProduceLoop(size_t worker) {
+    MorselReader reader(&scan_, worker);
     EvaluatedBatch batch;
-    ScanWorkspace ws;
     Status status;
-    Morsel morsel;
-    for (;;) {
-      // Morsel-claim budget check: a producer whose statement timed out or
-      // was cancelled stops claiming; the error wakes the consumer and the
-      // destructor's join/Wait releases every borrowed pool token.
-      status = budget_.Check();
-      if (!status.ok()) break;
-      if (!sched_.Claim(worker, &morsel)) break;
-      PartitionCursor cursor = query_.table->OpenMorselCursor(morsel);
-      bool done = false;
-      while (!done) {
-        // An early Close (cursor dropped mid-stream) must not keep workers
-        // scanning the rest of the table before the destructor can join.
-        if (closed_.load(std::memory_order_relaxed)) return;
-        status = budget_.Check();
-        if (!status.ok()) break;
-        if (pushdown_) {
-          ScanDeltas deltas;
-          status =
-              cursor.NextBatch(batch_rows_, spec_, &ws, &views, &done, &deltas);
-          if (!status.ok()) break;
-          if (deltas.rows_scanned > 0) {
-            counters_->batches.fetch_add(1, std::memory_order_relaxed);
-            FoldDeltas(counters_, deltas);
-          }
-        } else {
-          views.clear();
-          status = cursor.NextBatch(batch_rows_, &views, &done);
-          if (!status.ok()) break;
-          if (!views.empty()) {
-            counters_->batches.fetch_add(1, std::memory_order_relaxed);
-            counters_->rows.fetch_add(views.size(), std::memory_order_relaxed);
-          }
-        }
-        if (views.empty()) continue;
-        batch.Clear();
-        EvaluateViews(query_, read_options_, views, &batch, pushdown_);
-        if (batch.size == 0) continue;  // fully filtered: recycle in place,
-                                        // no reason to touch the queue lock
-        std::unique_lock<std::mutex> lock(mu_);
-        while (queue_.size() >= queue_capacity_ &&
-               !closed_.load(std::memory_order_relaxed)) {
-          cv_.wait(lock);
-        }
-        if (closed_.load(std::memory_order_relaxed)) return;
-        queue_.emplace_back();
-        queue_.back().Swap(&batch);
-        if (!spares_.empty()) {
-          // Refill our working storage from the spare pool so the batch we
-          // just published keeps its buffers.
-          batch.Swap(&spares_.back());
-          spares_.pop_back();
-        }
-        cv_.notify_all();
+    // Checked between batches, fully filtered ones included: an early
+    // Close (cursor dropped mid-stream) must not keep producers scanning
+    // the rest of the table before the destructor's Wait returns.
+    while (!closed_.load(std::memory_order_relaxed)) {
+      batch.Clear();
+      Result<bool> more = reader.Next(&batch);
+      if (!more.ok()) {
+        status = more.status();
+        break;
       }
-      if (!status.ok()) break;
+      if (!*more) break;
+      if (batch.size == 0) continue;  // no reason to touch the queue lock
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] {
+        return queue_.size() < queue_capacity_ ||
+               closed_.load(std::memory_order_relaxed);
+      });
+      if (closed_.load(std::memory_order_relaxed)) break;
+      queue_.emplace_back();
+      queue_.back().Swap(&batch);
+      if (!spares_.empty()) {
+        // Refill our working storage from the spare pool so the batch we
+        // just published keeps its buffers.
+        batch.Swap(&spares_.back());
+        spares_.pop_back();
+      }
+      cv_.notify_all();
     }
     std::lock_guard<std::mutex> lock(mu_);
     if (!status.ok() && error_.ok()) error_ = status;
@@ -542,17 +505,13 @@ class ParallelScanSource : public RowSource {
     cv_.notify_all();
   }
 
-  const ReadOptions read_options_;
-  Database::ScanCounters* const counters_;
-  const ScanBudget budget_;
+  HeapScan scan_;
   WorkerPool* const pool_;
-  const BoundQuery& query_;
-  const size_t batch_rows_;
   const size_t queue_capacity_;
-  const bool pushdown_;
-  const StablePredicateFilter filter_;
-  const ScanSpec spec_;
-  MorselScheduler sched_;
+  /// The consumer's own reader, used when no producer runs.
+  MorselReader inline_reader_;
+  /// Set once by the constructor: true when the pool lent producers.
+  bool producing_ = false;
 
   std::mutex mu_;
   std::condition_variable cv_;
@@ -562,128 +521,56 @@ class ParallelScanSource : public RowSource {
   size_t producers_live_ = 0;
   /// Atomic so producers can poll it between batches without the mutex.
   std::atomic<bool> closed_{false};
-  std::atomic<size_t> worker_ids_{0};
   WorkerPool::Ticket ticket_;
-  ParallelRunner runner_;
 };
 
-/// Materializing-path source: workers claim page-range morsels from a
-/// shared MorselScheduler and drain each under that partition's shared
-/// latch a batch at a time, with σ applied as the batches stream — so only
-/// qualifying rows are ever held. Snapshot semantics are per batch (the
-/// streaming cursor's), not per partition: a concurrent degrader may land
-/// between two batches of one partition, which every caller already had to
-/// tolerate across partitions. Workers are borrowed from the Database's
-/// shared pool (small tables resolve to 1 and stay inline), and the
-/// per-morsel results merge in morsel-ordinal order — (partition,
-/// begin_page) ascending — so the output order matches the sequential
-/// scan's regardless of parallelism or stealing. Used when the caller asks
-/// for an unbounded batch (Session::Execute, DELETE, aggregates).
-class SnapshotScanSource : public RowSource {
+/// Materialized consumer (Session::Execute, DELETE, grouped aggregates):
+/// `workers` readers drain the whole scan on the shared pool, each batch's
+/// rows landing in its morsel's bucket. Buckets are served in morsel-ordinal
+/// order — (partition, begin_page) ascending — so rows come out in
+/// sequential-scan order at any parallelism and whatever was stolen.
+class MaterializedScanSource : public RowSource {
  public:
-  SnapshotScanSource(Session* session, const BoundQuery& query,
-                     size_t workers)
-      : session_(session),
-        query_(query),
-        workers_(workers),
-        pushdown_(session->scan_options().pushdown),
-        filter_(query.table->schema(), query.predicates),
-        spec_(MakeScanSpec(query, filter_)) {}
+  MaterializedScanSource(Session* session, const BoundQuery& query,
+                         size_t workers)
+      : session_(session), query_(query), workers_(workers) {}
 
   Result<bool> NextBatch(EvaluatedBatch* out) override {
     if (!scanned_) {
       scanned_ = true;
       IDB_RETURN_IF_ERROR(ScanAll());
     }
-    if (served_ || result_.size == 0) return false;
-    served_ = true;
-    out->Clear();
-    out->Swap(&result_);
-    return true;
+    while (next_ < buckets_.size()) {
+      EvaluatedBatch& bucket = buckets_[next_++];
+      if (bucket.size == 0) continue;
+      out->Clear();
+      out->Swap(&bucket);
+      return true;
+    }
+    return false;
   }
 
  private:
   Status ScanAll() {
-    const Table* table = query_.table;
-    const ReadOptions read_options = session_->read_options();
-    auto* counters = session_->db()->scan_counters();
-    MorselScheduler sched(
-        table->MorselPlan(session_->scan_options().morsel_pages),
-        MorselStatsSink{&counters->morsels_claimed, &counters->morsels_stolen,
-                        &counters->steal_failures});
-    const size_t workers =
-        std::max<size_t>(1, std::min(workers_, sched.total()));
-    // One bucket per morsel, concatenated in ordinal order below: ordinals
-    // are assigned in (partition, begin_page) order, so the merged output
-    // is the sequential scan's order no matter which worker drained what.
-    const ScanBudget budget = ScanBudget::Of(session_);
-    std::vector<std::vector<EvaluatedRow>> per_morsel(sched.total());
-    auto drain = [&](size_t w) -> Status {
-      Morsel morsel;
-      ScanWorkspace ws;
-      EvaluatedRow row;
-      std::vector<RowView> views;
-      while (sched.Claim(w, &morsel)) {
-        IDB_RETURN_IF_ERROR(budget.Check());
-        std::vector<EvaluatedRow>& bucket = per_morsel[morsel.ordinal];
-        PartitionCursor cursor = table->OpenMorselCursor(morsel);
-        bool done = false;
-        while (!done) {
-          IDB_RETURN_IF_ERROR(budget.Check());
-          if (pushdown_) {
-            // Stable predicates run on the decoded tuples and stores are
-            // probed only for the survivors, exactly as on the streaming
-            // path.
-            ScanDeltas deltas;
-            IDB_RETURN_IF_ERROR(cursor.NextBatch(kMaterializedScanBatchRows,
-                                                 spec_, &ws, &views, &done,
-                                                 &deltas));
-            if (deltas.rows_scanned > 0) {
-              counters->batches.fetch_add(1, std::memory_order_relaxed);
-              FoldDeltas(counters, deltas);
-            }
-            for (const RowView& view : views) {
-              if (EvaluateRow(query_, read_options, view, &row,
-                              /*stable_prefiltered=*/true)) {
-                bucket.push_back(std::move(row));
-              }
-            }
-          } else {
-            views.clear();
-            IDB_RETURN_IF_ERROR(
-                cursor.NextBatch(kMaterializedScanBatchRows, &views, &done));
-            if (!views.empty()) {
-              counters->batches.fetch_add(1, std::memory_order_relaxed);
-              counters->rows.fetch_add(views.size(),
-                                       std::memory_order_relaxed);
-            }
-            for (const RowView& view : views) {
-              if (EvaluateRow(query_, read_options, view, &row)) {
-                bucket.push_back(std::move(row));
-              }
-            }
-          }
-        }
-      }
-      return Status::OK();
-    };
-    IDB_RETURN_IF_ERROR(
-        session_->db()->worker_pool()->Run(workers, workers, drain));
-    for (auto& rows : per_morsel) {
-      for (EvaluatedRow& row : rows) *result_.Add() = std::move(row);
-    }
-    return Status::OK();
+    const uint32_t morsel_pages = session_->scan_options().morsel_pages;
+    HeapScan scan(session_, query_, kMaterializedScanBatchRows,
+                  query_.table->MorselPlan(morsel_pages));
+    buckets_.resize(scan.sched.total());
+    return DrainOnPool(session_, &scan, scan.Fanout(workers_),
+                       [this](size_t, size_t ordinal, EvaluatedBatch* batch) {
+                         EvaluatedBatch& bucket = buckets_[ordinal];
+                         for (size_t i = 0; i < batch->size; ++i) {
+                           *bucket.Add() = std::move(batch->rows[i]);
+                         }
+                       });
   }
 
   Session* const session_;
   const BoundQuery& query_;
   const size_t workers_;
-  const bool pushdown_;
-  const StablePredicateFilter filter_;
-  const ScanSpec spec_;
   bool scanned_ = false;
-  bool served_ = false;
-  EvaluatedBatch result_;
+  std::vector<EvaluatedBatch> buckets_;  // one per morsel ordinal
+  size_t next_ = 0;
 };
 
 /// Probes the multi-resolution index once (row ids only — cheap), then
@@ -930,30 +817,32 @@ Result<std::unique_ptr<RowSource>> MakeRowSource(Session* session,
         scan_batch_rows == SIZE_MAX ? kStreamingScanBatchRows
                                     : scan_batch_rows));
   }
-  size_t parallelism = ResolveScanParallelism(session, *query.table);
+  const size_t parallelism = ResolveScanParallelism(session, *query.table);
   if (scan_batch_rows == SIZE_MAX) {
     return std::unique_ptr<RowSource>(
-        new SnapshotScanSource(session, query, parallelism));
+        new MaterializedScanSource(session, query, parallelism));
   }
-  std::vector<std::vector<Morsel>> plan;
-  if (parallelism > 1) {
-    // Clamp the fan-out to the actual work: a table one morsel long gains
-    // nothing from prefetch workers or the bounded-queue machinery, and a
-    // two-morsel table needs at most two producers.
-    plan = query.table->MorselPlan(session->scan_options().morsel_pages);
-    size_t total = 0;
-    for (const auto& queue : plan) total += queue.size();
-    parallelism = std::min(parallelism, total);
-  }
-  if (parallelism <= 1) {
-    return std::unique_ptr<RowSource>(
-        new HeapScanSource(session, query, scan_batch_rows));
+  std::vector<std::vector<Morsel>> plan =
+      query.table->MorselPlan(session->scan_options().morsel_pages);
+  size_t total = 0;
+  for (const auto& queue : plan) total += queue.size();
+  // A one-morsel table gains nothing from producers or the queue.
+  const size_t workers = std::min(parallelism, total);
+  if (workers <= 1) {
+    // One queue over the flattened plan: the inline reader claims morsels
+    // in ordinal order, so rows come out in (partition, heap) order.
+    std::vector<Morsel> flat;
+    flat.reserve(total);
+    for (const auto& queue : plan) {
+      flat.insert(flat.end(), queue.begin(), queue.end());
+    }
+    plan.assign(1, std::move(flat));
   }
   size_t queue_batches = session->scan_options().prefetch_batches;
-  if (queue_batches == 0) queue_batches = 2 * parallelism;
+  if (queue_batches == 0) queue_batches = 2 * workers;
   return std::unique_ptr<RowSource>(
-      new ParallelScanSource(session, query, scan_batch_rows, parallelism,
-                             queue_batches, std::move(plan)));
+      new StreamingScanSource(session, query, scan_batch_rows, workers,
+                              queue_batches, std::move(plan)));
 }
 
 Result<SelectPlan> BindSelect(Session* session, const SelectAst& ast) {
@@ -1023,7 +912,6 @@ Result<SelectPlan> BindSelect(Session* session, const SelectAst& ast) {
 }
 
 bool CanPushAggregate(Session* session, const SelectPlan& select) {
-  if (!session->scan_options().pushdown) return false;
   if (!select.has_aggregate || select.group_col >= 0) return false;
   for (const SelectItem& item : select.items) {
     // A non-aggregate item needs per-row output; partials can't carry it.
@@ -1031,8 +919,6 @@ bool CanPushAggregate(Session* session, const SelectPlan& select) {
   }
   return UsableIndexPredicate(session, select.query) == nullptr;
 }
-
-namespace {
 
 void InitPartials(size_t items, AggregatePartials* agg) {
   agg->count = 0;
@@ -1042,8 +928,6 @@ void InitPartials(size_t items, AggregatePartials* agg) {
   agg->non_null.assign(items, 0);
 }
 
-/// Folds one qualifying row into a worker's partial — the same per-item
-/// state transitions as the executor's row-at-a-time AggState fold.
 void FoldAggregateRow(const SelectPlan& select, const EvaluatedRow& row,
                       AggregatePartials* agg) {
   ++agg->count;
@@ -1069,6 +953,8 @@ void FoldAggregateRow(const SelectPlan& select, const EvaluatedRow& row,
   }
 }
 
+namespace {
+
 /// Merge is associative over per-partition partials: counts and sums add,
 /// extrema compare — so partition order never matters.
 void MergePartials(const AggregatePartials& in, AggregatePartials* out) {
@@ -1092,64 +978,32 @@ void MergePartials(const AggregatePartials& in, AggregatePartials* out) {
 Result<AggregatePartials> ExecuteAggregatePushdown(Session* session,
                                                    const SelectPlan& select) {
   const BoundQuery& query = select.query;
-  const Table* table = query.table;
-  const ReadOptions read_options = session->read_options();
-  auto* counters = session->db()->scan_counters();
-
-  const StablePredicateFilter filter(table->schema(), query.predicates);
-  const ScanSpec spec = MakeScanSpec(query, filter);
-
-  MorselScheduler sched(
-      table->MorselPlan(session->scan_options().morsel_pages),
-      MorselStatsSink{&counters->morsels_claimed, &counters->morsels_stolen,
-                      &counters->steal_failures});
+  HeapScan scan(session, query, kMaterializedScanBatchRows,
+                query.table->MorselPlan(session->scan_options().morsel_pages));
   const size_t workers =
-      std::max<size_t>(1, std::min(ResolveScanParallelism(session, *table),
-                                   sched.total()));
+      scan.Fanout(ResolveScanParallelism(session, *query.table));
   // One partial per WORKER, not per partition: a worker folds every morsel
   // it claims — home partition or stolen — into its own accumulator, and
   // merge associativity makes the claim order irrelevant.
-  const ScanBudget budget = ScanBudget::Of(session);
   std::vector<AggregatePartials> partials(workers);
-  auto drain = [&](size_t w) -> Status {
-    AggregatePartials& agg = partials[w];
-    InitPartials(select.items.size(), &agg);
-    ScanWorkspace ws;
-    EvaluatedRow row;
-    std::vector<RowView> views;
-    Morsel morsel;
-    while (sched.Claim(w, &morsel)) {
-      IDB_RETURN_IF_ERROR(budget.Check());
-      PartitionCursor cursor = table->OpenMorselCursor(morsel);
-      bool done = false;
-      while (!done) {
-        IDB_RETURN_IF_ERROR(budget.Check());
-        ScanDeltas deltas;
-        IDB_RETURN_IF_ERROR(cursor.NextBatch(kMaterializedScanBatchRows, spec,
-                                             &ws, &views, &done, &deltas));
-        if (deltas.rows_scanned > 0) {
-          counters->batches.fetch_add(1, std::memory_order_relaxed);
-          FoldDeltas(counters, deltas);
+  for (AggregatePartials& partial : partials) {
+    InitPartials(select.items.size(), &partial);
+  }
+  IDB_RETURN_IF_ERROR(DrainOnPool(
+      session, &scan, workers,
+      [&](size_t worker, size_t, EvaluatedBatch* batch) {
+        for (size_t i = 0; i < batch->size; ++i) {
+          FoldAggregateRow(select, batch->rows[i], &partials[worker]);
         }
-        for (const RowView& view : views) {
-          if (EvaluateRow(query, read_options, view, &row,
-                          /*stable_prefiltered=*/true)) {
-            FoldAggregateRow(select, row, &agg);
-          }
-        }
-      }
-    }
-    return Status::OK();
-  };
-  IDB_RETURN_IF_ERROR(session->db()->worker_pool()->Run(workers, workers, drain));
+      }));
 
   AggregatePartials merged;
   InitPartials(select.items.size(), &merged);
   for (const AggregatePartials& partial : partials) {
     MergePartials(partial, &merged);
   }
-  counters->aggregate_partials_merged.fetch_add(workers,
-                                                std::memory_order_relaxed);
+  scan.counters->aggregate_partials_merged.fetch_add(
+      workers, std::memory_order_relaxed);
   return merged;
 }
 

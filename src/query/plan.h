@@ -16,8 +16,8 @@
 /// \brief Internal query-plan layer shared by the streaming Cursor and the
 /// materializing executor: predicate binding, accuracy resolution, and the
 /// batch-at-a-time row source (scan → σ at accuracy level) that both build
-/// on — sequential or fanned out over the table's partitions per the
-/// session's ScanOptions.
+/// on — one morsel reader per worker, inline or on the shared worker pool
+/// per the session's ScanOptions.
 ///
 /// Nothing here is part of the stable public API; embedders should use
 /// `Session` / `Cursor` (query/session.h, query/cursor.h).
@@ -61,8 +61,8 @@ struct BoundQuery {
   /// A predicate-only degradable column is tested on hierarchy node ids and
   /// left NULL in the EvaluatedRow, so its stored value is never exposed.
   std::set<int> projected_degradable;
-  /// One flag per stable ordinal: read by a predicate or projected. The
-  /// pushdown scans decode only these (ScanSpec::stable_needed).
+  /// One flag per stable ordinal: read by a predicate or projected. Heap
+  /// scans decode only these (ScanSpec::stable_needed).
   std::vector<bool> stable_needed;
 };
 
@@ -111,8 +111,8 @@ Result<BoundQuery> BindQuery(Session* session, const std::string& table_name,
 /// qualifying row are generalized into `out`; every other degradable column
 /// is NULL there.
 /// `stable_prefiltered` tells it the scan already evaluated every
-/// stable-column conjunct below row assembly (ScanSpec pushdown), so only
-/// the degradable terms are re-checked here.
+/// stable-column conjunct below row assembly (ScanSpec pushdown, as every
+/// heap scan does), so only the degradable terms are re-checked here.
 bool EvaluateRow(const BoundQuery& query, const ReadOptions& read_options,
                  const RowView& view, EvaluatedRow* out,
                  bool stable_prefiltered = false);
@@ -129,9 +129,9 @@ std::string RenderValue(const Schema& schema, int col, const Value& value,
                         const DegradableLevels& levels);
 
 /// \brief Pull-based source of qualifying rows: the scan → σ stage of the
-/// operator pipeline, pulled a batch at a time. Implementations stream from
-/// the heap — sequentially or fanned out over the table's partitions by a
-/// prefetch worker pool — or from a multi-resolution index probe.
+/// operator pipeline, pulled a batch at a time. Implementations read the
+/// heap through per-worker morsel readers (streamed or materialized) or
+/// fetch the rows of a multi-resolution index probe.
 class RowSource {
  public:
   virtual ~RowSource() = default;
@@ -155,7 +155,7 @@ class RowSource {
 inline constexpr size_t kStreamingScanBatchRows = 256;
 
 /// Below this many live rows, auto-resolved parallelism (ScanOptions 0)
-/// stays at 1: spawning scan workers costs more than scanning a
+/// stays at 1: dispatching scan workers costs more than scanning a
 /// few-batches table inline.
 inline constexpr uint64_t kParallelScanMinRows = 8 * kStreamingScanBatchRows;
 
@@ -173,20 +173,22 @@ size_t ResolveScanParallelism(Session* session, const Table& table);
 /// the corresponding source. `query` must outlive the source. ReadOptions
 /// and ScanOptions are captured from the session at this point.
 ///
-/// `scan_batch_rows` sets the heap-scan batch size. The streaming default
-/// keeps memory bounded but releases the latch between batches (weak
-/// cursor isolation: a row relocated by a concurrent update may be missed
-/// or observed twice). With resolved parallelism 1 the scan walks the
-/// table's partitions in order, one partition latch at a time; with more,
-/// that many prefetch workers claim page-range morsels from a shared
-/// work-stealing scheduler (util/morsel.h) and drain them into a bounded
-/// batch queue (rows interleave across morsels in arrival order, still
-/// snapshot-per-batch). The fan-out is clamped to the morsel-plan size, so
-/// a one-morsel table skips the queue machinery entirely and stays on the
-/// sequential source. Materializing callers (Execute, DELETE, aggregates)
-/// pass SIZE_MAX: workers drain morsels a latched batch at a time and the
-/// per-morsel results concatenate in (partition, page) order, so rows come
-/// out in sequential-scan order at any parallelism.
+/// Every heap scan is one pipeline: per-worker readers claim page-range
+/// morsels from a work-stealing scheduler (util/morsel.h), pull latched
+/// batches with the stable predicates pushed below row assembly, and apply
+/// the degradable σ and f_k to the survivors. Isolation is
+/// snapshot-per-batch at any parallelism (a row relocated by a concurrent
+/// update may be missed or observed twice). Only the consumer differs:
+///  - `scan_batch_rows` bounded (streaming cursors): with resolved
+///    parallelism 1 — or a one-morsel table, or a pool that lends no
+///    worker — the consumer's thread pulls one reader inline, in
+///    (partition, heap) order; otherwise the producers the shared pool
+///    lends feed a bounded batch queue and rows arrive interleaved across
+///    morsels. No thread is spawned.
+///  - SIZE_MAX (Execute, DELETE, grouped aggregates): readers drain the
+///    whole scan on the shared pool into per-morsel buckets served in
+///    morsel-ordinal order, so rows come out in sequential-scan order at
+///    any parallelism.
 Result<std::unique_ptr<RowSource>> MakeRowSource(
     Session* session, const BoundQuery& query,
     size_t scan_batch_rows = kStreamingScanBatchRows);
@@ -205,9 +207,9 @@ struct SelectPlan {
 /// Binds a SELECT statement into an executable plan.
 Result<SelectPlan> BindSelect(Session* session, const SelectAst& ast);
 
-/// Merged per-worker aggregate state of one ungrouped aggregate query,
-/// indexed like SelectPlan::items. COUNT(*) reads `count`; COUNT(col)/AVG
-/// read `non_null`; SUM/AVG read `sums`; MIN/MAX read `mins`/`maxs`.
+/// Aggregate state of one group (or one scan worker), indexed like
+/// SelectPlan::items. COUNT(*) reads `count`; COUNT(col)/AVG read
+/// `non_null`; SUM/AVG read `sums`; MIN/MAX read `mins`/`maxs`.
 struct AggregatePartials {
   uint64_t count = 0;
   std::vector<double> sums;
@@ -216,17 +218,25 @@ struct AggregatePartials {
   std::vector<uint64_t> non_null;
 };
 
-/// True when `select` can compute below the cursor: pushdown enabled on the
-/// session, ungrouped, every item an aggregate, and no usable index
-/// predicate (index probes keep the row-at-a-time path).
+/// Resets `agg` to the empty state for `items` select items.
+void InitPartials(size_t items, AggregatePartials* agg);
+
+/// Folds one qualifying row into `agg`: the one per-item aggregate state
+/// transition, shared by the pushed-down partials and the executor's
+/// grouped and index-path aggregation.
+void FoldAggregateRow(const SelectPlan& select, const EvaluatedRow& row,
+                      AggregatePartials* agg);
+
+/// True when `select` can compute below the cursor: ungrouped, every item
+/// an aggregate, and no usable index predicate (index probes keep the
+/// row-at-a-time path).
 bool CanPushAggregate(Session* session, const SelectPlan& select);
 
 /// Aggregate pushdown: computes COUNT/SUM/AVG/MIN/MAX partials inside the
-/// scan workers — one partial per WORKER, each claiming page-range morsels
-/// from the shared work-stealing scheduler and folding them a latched
-/// batch at a time with the stable predicates pushed below row assembly —
-/// then merges the per-worker partials (merge is associative, so the claim
-/// order never matters). Aggregate queries stop shipping qualifying rows
+/// scan workers — one partial per WORKER, each running a morsel reader on
+/// the shared pool and folding its batches as they leave the scan — then
+/// merges the per-worker partials (merge is associative, so the claim order
+/// never matters). Aggregate queries stop shipping qualifying rows
 /// through a row source entirely; a query referencing no degradable column
 /// (COUNT(*) over stable predicates) also skips every state-store probe.
 /// Only valid when CanPushAggregate(session, select).

@@ -7,7 +7,6 @@
 #include "common/strings.h"
 #include "io/env.h"
 #include "util/crc32c.h"
-#include "util/parallel.h"
 
 namespace instantdb {
 
@@ -349,7 +348,7 @@ Status WalManager::ReplayStream(
 }
 
 Status WalManager::RecoverCommitted(
-    const std::vector<Lsn>& from, bool stream_local_apply,
+    const std::vector<Lsn>& from, bool stream_local_apply, WorkerPool& pool,
     const std::function<Status(const WalRecord&)>& redo,
     uint64_t* max_txn_id) {
   const size_t n = streams_.size();
@@ -368,7 +367,7 @@ Status WalManager::RecoverCommitted(
   std::vector<std::map<uint64_t, CommitMeta>> commits(n);
   std::vector<uint64_t> max_txn(n, 0);
   std::vector<uint64_t> max_seq(n, 0);
-  IDB_RETURN_IF_ERROR(ParallelFor(n, n, [&](size_t s) {
+  IDB_RETURN_IF_ERROR(pool.Run(n, n, [&](size_t s) {
     return streams_[s]->Replay(from[s], [&](const WalRecord& record, Lsn) {
       // Track ids of torn transactions too: reusing one would let a new
       // generation's torn commit pass the record-count check with this
@@ -429,7 +428,7 @@ Status WalManager::RecoverCommitted(
     // Every table partition maps wholly into one stream, so any two
     // conflicting records share a stream and stream order already equals
     // commit order where it matters: streams replay concurrently.
-    return ParallelFor(n, n, [&](size_t s) {
+    return pool.Run(n, n, [&](size_t s) {
       return streams_[s]->Replay(from[s], [&](const WalRecord& record, Lsn) {
         if (!IsDataRecord(record.type)) return Status::OK();
         if (committed.count(record.txn_id) == 0) return Status::OK();

@@ -12,6 +12,7 @@
 #include "common/options.h"
 #include "storage/key_manager.h"
 #include "util/file.h"
+#include "util/worker_pool.h"
 #include "wal/log_record.h"
 #include "wal/wal_stream.h"
 
@@ -152,9 +153,11 @@ class WalManager {
   /// records in one stream is voided atomically. Pass 2 redoes the data
   /// records of committed transactions: when `stream_local_apply` (every
   /// table partition maps wholly into one stream, so all conflicting
-  /// records share a stream) streams replay in parallel, one thread each;
+  /// records share a stream) streams replay in parallel, one task each;
   /// otherwise records are merged and applied globally in commit-sequence
-  /// order. `redo` must be thread-safe in the parallel case.
+  /// order. Both passes run their per-stream tasks on `pool`
+  /// (WorkerPool::Run, the caller participating). `redo` must be
+  /// thread-safe in the parallel case.
   ///
   /// Recovery also advances the global commit sequence past everything
   /// scanned (a reopened log must never mint CSNs that collide with live
@@ -164,6 +167,7 @@ class WalManager {
   /// txn id could satisfy a torn transaction's record counts with a prior
   /// generation's records.
   Status RecoverCommitted(const std::vector<Lsn>& from, bool stream_local_apply,
+                          WorkerPool& pool,
                           const std::function<Status(const WalRecord&)>& redo,
                           uint64_t* max_txn_id = nullptr);
 

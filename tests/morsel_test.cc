@@ -1,15 +1,15 @@
 // Morsel-driven execution: page-range work units claimed from per-partition
 // queues with partition affinity and busiest-queue stealing (util/morsel.h).
-// These tests pin down (a) scheduler accounting — every morsel claimed
-// exactly once, home claims never counted as steals, ordinals in
-// (partition, page) order; (b) scan equivalence at any parallelism,
-// including parallelism ABOVE the partition count, with pushdown on and
-// off; (c) range-bounded cursor resume exactness across morsel boundaries;
-// (d) work stealing on a 100%-skewed table, proving more than one worker
-// participates in one partition's scan; and (e) snapshot safety with a
-// concurrent degrader. Runs under ThreadSanitizer in scripts/verify.sh
-// --tsan: the scheduler's lock-free claim path and the shared worker pool
-// are exactly the cross-thread code it exercises.
+// These tests pin down (a) scheduler accounting — every morsel claimed exactly
+// once, home claims never counted as steals, ordinals in (partition, page)
+// order; (b) equivalence with the test oracle (scan_oracle.h) at any
+// parallelism, including parallelism ABOVE the partition count; (c)
+// range-bounded cursor resume exactness across morsel boundaries; (d) work
+// stealing on a 100%-skewed table, proving more than one worker participates in
+// one partition's scan; and (e) snapshot safety with a concurrent degrader.
+// Runs under ThreadSanitizer in scripts/verify.sh --tsan: the scheduler's
+// lock-free claim path and the shared worker pool are exactly the cross-thread
+// code it exercises.
 
 #include <algorithm>
 #include <atomic>
@@ -23,6 +23,7 @@
 #include "gtest/gtest.h"
 #include "query/cursor.h"
 #include "query/session.h"
+#include "scan_oracle.h"
 #include "util/file.h"
 #include "util/morsel.h"
 
@@ -189,35 +190,32 @@ class MorselScanTest : public ::testing::Test {
   std::unique_ptr<Database> db_;
 };
 
-TEST_F(MorselScanTest, EquivalentAtAnyParallelismPartitionsAndPushdown) {
+TEST_F(MorselScanTest, EquivalentToTheOracleAtAnyParallelismAndPartitions) {
   constexpr int kRows = 900;
   for (uint32_t partitions : {1u, 4u}) {
     BuildDb(partitions, kRows);
-    for (bool pushdown : {true, false}) {
-      Session session(db_.get());
-      session.scan_options().pushdown = pushdown;
-      ASSERT_TRUE(session
-                      .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
-                               "FOR pings.location")
-                      .ok());
-      const std::string sql = "SELECT user, location FROM pings";
-      const auto baseline = DrainCursor(&session, sql, 1);
-      ASSERT_EQ(baseline.size(), static_cast<size_t>(kRows))
-          << "partitions=" << partitions << " pushdown=" << pushdown;
-      const auto ordered = MaterializedRows(&session, sql, 1);
-      ASSERT_EQ(ordered.size(), static_cast<size_t>(kRows));
-      // 2×partitions exceeds the partition count: pre-morsel fan-out could
-      // not even express this — workers must share partitions.
-      for (size_t parallelism : {4u, 2 * partitions}) {
-        EXPECT_EQ(DrainCursor(&session, sql, parallelism), baseline)
-            << "partitions=" << partitions << " parallelism=" << parallelism
-            << " pushdown=" << pushdown;
-        // The materialized path must also preserve sequential ORDER, not
-        // just the row set: buckets concatenate in morsel-ordinal order.
-        EXPECT_EQ(MaterializedRows(&session, sql, parallelism), ordered)
-            << "partitions=" << partitions << " parallelism=" << parallelism
-            << " pushdown=" << pushdown;
-      }
+    Session session(db_.get());
+    ASSERT_TRUE(session
+                    .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
+                             "FOR pings.location")
+                    .ok());
+    const std::string sql = "SELECT user, location FROM pings";
+    auto reference = oracle::Execute(&session, sql);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    // The oracle walks partitions in (partition, heap) order: the
+    // sequential scan order.
+    const auto& ordered = reference->display;
+    ASSERT_EQ(ordered.size(), static_cast<size_t>(kRows));
+    const auto baseline = oracle::ByFirstColumn(*reference);
+    // 2×partitions exceeds the partition count: pre-morsel fan-out could
+    // not even express this — workers must share partitions.
+    for (size_t parallelism : {size_t{1}, size_t{4}, size_t{2 * partitions}}) {
+      EXPECT_EQ(DrainCursor(&session, sql, parallelism), baseline)
+          << "partitions=" << partitions << " parallelism=" << parallelism;
+      // The materialized path must also preserve sequential ORDER, not
+      // just the row set: buckets concatenate in morsel-ordinal order.
+      EXPECT_EQ(MaterializedRows(&session, sql, parallelism), ordered)
+          << "partitions=" << partitions << " parallelism=" << parallelism;
     }
   }
 }
@@ -228,12 +226,18 @@ TEST_F(MorselScanTest, ClaimedCounterMatchesThePlanSizeExactly) {
   const size_t plan_total = PlanTotal();
   ASSERT_GT(plan_total, 4u);  // multiple morsels per partition at 1 page
 
-  // Streaming fan-out: a fully drained scan claims every morsel exactly
-  // once — the invariant the lock-free claim path must uphold.
-  const uint64_t before = db_->stats().scan.morsels_claimed;
-  EXPECT_EQ(DrainCursor(&session, "SELECT user FROM pings", 4).size(), 800u);
-  const uint64_t streamed = db_->stats().scan.morsels_claimed;
-  EXPECT_EQ(streamed - before, plan_total);
+  // Streaming scans: a fully drained scan claims every morsel exactly
+  // once — the invariant the lock-free claim path must uphold. Inline
+  // (parallelism 1) scans claim through the same scheduler.
+  uint64_t streamed = db_->stats().scan.morsels_claimed;
+  for (size_t parallelism : {1u, 4u}) {
+    const uint64_t before = streamed;
+    EXPECT_EQ(DrainCursor(&session, "SELECT user FROM pings", parallelism)
+                  .size(),
+              800u);
+    streamed = db_->stats().scan.morsels_claimed;
+    EXPECT_EQ(streamed - before, plan_total) << "parallelism=" << parallelism;
+  }
 
   // Materialized path builds its own scheduler over the same plan.
   EXPECT_EQ(MaterializedRows(&session, "SELECT user FROM pings", 4).size(),

@@ -1,5 +1,6 @@
-// Parallel read path: partition fan-out scans must return exactly the row
-// set the sequential scan returns at every parallelism, preserve snapshot
+// Parallel read path: fanned-out scans must return exactly the row set of
+// the test oracle (scan_oracle.h) at every parallelism — also when the
+// shared pool lends no worker and the scan runs inline — preserve snapshot
 // safety while the degrader runs, expose per-partition cursors for
 // consumers that shard a scan themselves, and account their work in
 // Database::stats().scan. This test runs under ThreadSanitizer in
@@ -7,6 +8,7 @@
 // consumer are exactly the cross-thread paths it exercises.
 
 #include <algorithm>
+#include <future>
 #include <map>
 #include <set>
 #include <string>
@@ -17,6 +19,7 @@
 #include "gtest/gtest.h"
 #include "query/cursor.h"
 #include "query/session.h"
+#include "scan_oracle.h"
 #include "util/file.h"
 
 namespace instantdb {
@@ -101,6 +104,13 @@ class ParallelScanTest : public ::testing::Test {
     return rows;
   }
 
+  /// The oracle's answer for `sql`.
+  QueryResult Oracle(Session* session, const std::string& sql) {
+    auto result = oracle::Execute(session, sql);
+    EXPECT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+    return result.ok() ? *result : QueryResult{};
+  }
+
   std::string dir_;
   std::unique_ptr<VirtualClock> clock_;
   std::unique_ptr<Database> db_;
@@ -117,28 +127,24 @@ TEST_F(ParallelScanTest, ParallelAndSequentialScansReturnTheSameRowSet) {
                     .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
                              "FOR pings.location")
                     .ok());
-    const auto baseline =
-        DrainCursor(&session, "SELECT user, location FROM pings", 1);
+    const QueryResult reference =
+        Oracle(&session, "SELECT user, location FROM pings");
+    const auto baseline = oracle::ByFirstColumn(reference);
     ASSERT_EQ(baseline.size(), static_cast<size_t>(kRows))
         << "partitions=" << partitions;
-    for (size_t parallelism : {2u, 8u}) {
+    for (size_t parallelism : {1u, 2u, 8u}) {
       const auto parallel =
           DrainCursor(&session, "SELECT user, location FROM pings",
                       parallelism);
       EXPECT_EQ(parallel, baseline)
           << "partitions=" << partitions << " parallelism=" << parallelism;
     }
-    // The materialized path (Execute drains partitions on the pool) must
-    // agree too, and in deterministic partition order.
+    // The materialized path (Execute drains morsels on the pool) must
+    // agree too, and in deterministic (partition, heap) order.
     session.scan_options().parallelism = 0;  // auto: match the worker pool
     auto materialized = session.Execute("SELECT user, location FROM pings");
     ASSERT_TRUE(materialized.ok());
-    EXPECT_EQ(materialized->rows.size(), static_cast<size_t>(kRows));
-    std::set<std::string> users;
-    for (const auto& display : materialized->display) {
-      users.insert(display[0]);
-    }
-    EXPECT_EQ(users.size(), baseline.size());
+    EXPECT_EQ(materialized->display, reference.display);
   }
 }
 
@@ -146,17 +152,21 @@ TEST_F(ParallelScanTest, PredicatesAndStableProjectionsAgreeAcrossParallelism) {
   BuildDb(4, 600);
   Session session(db_.get());
   // Stable-only projection: no degradable reference, every row qualifies.
-  const auto all = DrainCursor(&session, "SELECT user FROM pings", 1);
+  const auto all =
+      oracle::ByFirstColumn(Oracle(&session, "SELECT user FROM pings"));
   EXPECT_EQ(all.size(), 600u);
-  EXPECT_EQ(DrainCursor(&session, "SELECT user FROM pings", 8), all);
+  for (size_t parallelism : {1u, 8u}) {
+    EXPECT_EQ(DrainCursor(&session, "SELECT user FROM pings", parallelism),
+              all)
+        << "parallelism=" << parallelism;
+  }
   // Degradable predicate through the relaxed semantics (include_coarser):
   // the degraded half evaluates by containment.
   session.read_options().include_coarser = true;
-  const auto paris = DrainCursor(
-      &session, "SELECT user, location FROM pings WHERE location = 'Paris'",
-      1);
+  const auto paris = oracle::ByFirstColumn(Oracle(
+      &session, "SELECT user, location FROM pings WHERE location = 'Paris'"));
   EXPECT_FALSE(paris.empty());
-  for (size_t parallelism : {2u, 4u}) {
+  for (size_t parallelism : {1u, 2u, 4u}) {
     EXPECT_EQ(
         DrainCursor(&session,
                     "SELECT user, location FROM pings WHERE location = 'Paris'",
@@ -259,7 +269,7 @@ TEST_F(ParallelScanTest, ScanCountersAccountBatchesRowsAndStalls) {
   EXPECT_EQ(sequential.scan.rows - before.scan.rows,
             static_cast<uint64_t>(kRows));
   EXPECT_GE(sequential.scan.batches - before.scan.batches, 1u);
-  // The sequential path never touches the prefetch queue.
+  // The inline path never touches the prefetch queue.
   EXPECT_EQ(sequential.scan.prefetch_stalls, before.scan.prefetch_stalls);
 
   const auto parallel = DrainCursor(&session, "SELECT user FROM pings", 4);
@@ -278,7 +288,55 @@ TEST_F(ParallelScanTest, ExplicitParallelismClampsToThePartitionCount) {
   const auto wide = DrainCursor(&session, "SELECT user FROM pings", 8);
   const auto narrow = DrainCursor(&session, "SELECT user FROM pings", 1);
   EXPECT_EQ(wide, narrow);
+  EXPECT_EQ(wide,
+            oracle::ByFirstColumn(Oracle(&session, "SELECT user FROM pings")));
   EXPECT_EQ(wide.size(), 300u);
+}
+
+TEST_F(ParallelScanTest, SaturatedPoolRunsTheStreamingScanInline) {
+  constexpr int kRows = 600;
+  BuildDb(4, kRows);
+  Session session(db_.get());
+  ASSERT_TRUE(session
+                  .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
+                           "FOR pings.location")
+                  .ok());
+  const std::string sql = "SELECT user, location FROM pings";
+  const auto expected = oracle::ByFirstColumn(Oracle(&session, sql));
+  ASSERT_EQ(expected.size(), static_cast<size_t>(kRows));
+
+  // Hold every normal pool token with blocked tasks: a parallelism-4
+  // cursor now gets no producer and must drain on the consumer's thread.
+  WorkerPool* pool = db_->worker_pool();
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  WorkerPool::Ticket ticket;
+  const size_t taken = pool->TryDispatch(
+      pool->size(), [released](size_t) { released.wait(); }, &ticket);
+  ASSERT_EQ(taken, pool->size() - pool->reserved());
+  ASSERT_EQ(pool->free_workers(), pool->reserved());
+
+  const Database::Stats before = db_->stats();
+  EXPECT_EQ(DrainCursor(&session, sql, 4), expected);
+  const Database::Stats after = db_->stats();
+  EXPECT_EQ(after.scan.rows - before.scan.rows, static_cast<uint64_t>(kRows));
+  // Inline: the prefetch queue was never waited on.
+  EXPECT_EQ(after.scan.prefetch_stalls, before.scan.prefetch_stalls);
+
+  // The inline path observes the statement deadline like the producers do.
+  session.scan_options().deadline = clock_->NowMicros() + kMicrosPerSecond;
+  auto cursor = session.ExecuteCursor(sql);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  clock_->Advance(10 * kMicrosPerSecond);
+  CursorRow row;
+  auto next = (*cursor)->Next(&row);
+  EXPECT_TRUE(next.status().IsTimeout()) << next.status().ToString();
+  (*cursor)->Close();
+  session.scan_options().deadline = 0;
+
+  release.set_value();
+  pool->Wait(&ticket);
+  EXPECT_EQ(pool->free_workers(), pool->size());
 }
 
 }  // namespace

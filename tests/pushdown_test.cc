@@ -1,14 +1,14 @@
 // Pushdown execution: stable-predicate pre-filtering and aggregate partials
-// computed below row assembly must return exactly what the reference path
-// (full RowView assembly, σ above) returns — across predicate shapes, scan
-// parallelism and WAL privacy modes — while the scan counters prove the
-// store probes were actually skipped. Also covers the batched store probe
-// (TablePartition::ProbeMany vs per-row assembly), the rule that no
-// degradable value finer than the purpose's accuracy reaches an evaluated
-// row, the column-pruned heap decode, the maintenance daemon's
-// adaptive checkpoint cadence, and audit-driven urgent repair. Runs under
-// TSan/ASan in scripts/verify.sh: the aggregate fan-out and the
-// degrade-while-aggregating test are real cross-thread paths.
+// computed below row assembly must return exactly what the test oracle
+// (scan_oracle.h: full RowView assembly, σ above) returns — across predicate
+// shapes, scan parallelism and WAL privacy modes — while the scan counters
+// prove the store probes were actually skipped. Also covers the batched store
+// probe (TablePartition::ProbeMany vs per-row assembly), the rule that no
+// degradable value finer than the purpose's accuracy reaches an evaluated row,
+// the column-pruned heap decode, the maintenance daemon's adaptive checkpoint
+// cadence, and audit-driven urgent repair. Runs under TSan/ASan in
+// scripts/verify.sh: the aggregate fan-out and the degrade-while-aggregating
+// test are real cross-thread paths.
 
 #include <algorithm>
 #include <map>
@@ -24,6 +24,7 @@
 #include "query/parser.h"
 #include "query/plan.h"
 #include "query/session.h"
+#include "scan_oracle.h"
 #include "util/file.h"
 
 namespace instantdb {
@@ -86,12 +87,17 @@ class PushdownTest : public ::testing::Test {
     insert_range(rows / 2, rows);
   }
 
+  /// The oracle's answer for `sql`.
+  QueryResult Oracle(Session* session, const std::string& sql) {
+    auto result = oracle::Execute(session, sql);
+    EXPECT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+    return result.ok() ? *result : QueryResult{};
+  }
+
   /// Streaming drain keyed by user (parallel scans interleave partitions).
   std::map<std::string, std::vector<std::string>> DrainCursor(
-      Session* session, const std::string& sql, size_t parallelism,
-      bool pushdown) {
+      Session* session, const std::string& sql, size_t parallelism) {
     session->scan_options().parallelism = parallelism;
-    session->scan_options().pushdown = pushdown;
     std::map<std::string, std::vector<std::string>> rows;
     auto cursor = session->ExecuteCursor(sql);
     EXPECT_TRUE(cursor.ok()) << sql << " -> " << cursor.status().ToString();
@@ -138,28 +144,28 @@ TEST_F(PushdownTest, EquivalenceAcrossPredicatesParallelismAndPrivacyModes) {
                              "FOR pings.location")
                     .ok());
     for (const std::string& sql : kQueries) {
-      const auto baseline =
-          DrainCursor(&session, sql, /*parallelism=*/1, /*pushdown=*/false);
+      const QueryResult reference = Oracle(&session, sql);
+      const auto baseline = oracle::ByFirstColumn(reference);
+      ASSERT_FALSE(baseline.empty()) << sql;
       for (size_t parallelism : {1u, 4u, 8u}) {
-        EXPECT_EQ(DrainCursor(&session, sql, parallelism, /*pushdown=*/true),
-                  baseline)
-            << sql << " parallelism=" << parallelism;
-        EXPECT_EQ(DrainCursor(&session, sql, parallelism, /*pushdown=*/false),
-                  baseline)
+        EXPECT_EQ(DrainCursor(&session, sql, parallelism), baseline)
             << sql << " parallelism=" << parallelism;
       }
-      // Materialized path (snapshot-per-partition source) agrees too.
-      for (const bool pushdown : {true, false}) {
-        session.scan_options().pushdown = pushdown;
-        session.scan_options().parallelism = 0;
-        auto materialized = session.Execute(sql);
-        ASSERT_TRUE(materialized.ok()) << sql;
-        EXPECT_EQ(materialized->rows.size(), baseline.size())
-            << sql << " pushdown=" << pushdown;
-      }
-      // Heap path forced even where an index probe would win.
+      // Materialized path agrees too (index probes serve row-id order).
+      session.scan_options().parallelism = 0;
+      auto materialized = session.Execute(sql);
+      ASSERT_TRUE(materialized.ok()) << sql;
+      EXPECT_EQ(materialized->rows.size(), reference.rows.size()) << sql;
+      EXPECT_EQ(oracle::ByFirstColumn(*materialized), baseline) << sql;
+      // Heap path forced even where an index probe would win; the
+      // materialized heap scan merges in the oracle's (partition, heap)
+      // order.
       session.set_use_indexes(false);
-      EXPECT_EQ(DrainCursor(&session, sql, 4, /*pushdown=*/true), baseline)
+      EXPECT_EQ(DrainCursor(&session, sql, 4), baseline)
+          << sql << " (indexes off)";
+      materialized = session.Execute(sql);
+      ASSERT_TRUE(materialized.ok()) << sql;
+      EXPECT_EQ(materialized->display, reference.display)
           << sql << " (indexes off)";
       session.set_use_indexes(true);
     }
@@ -170,16 +176,14 @@ TEST_F(PushdownTest, StablePrefilterSkipsStoreProbesAndCountsThem) {
   constexpr int kRows = 600;
   BuildDb(4, kRows);
   Session session(db_.get());
-  session.scan_options().pushdown = true;
   session.scan_options().parallelism = 1;
 
   // Stable-only projection + predicate: the scan never resolves a single
   // degradable value — every (row, column) probe is provably skipped.
   const Database::Stats s0 = db_->stats();
-  EXPECT_EQ(DrainCursor(&session, "SELECT user FROM pings WHERE score < 6", 1,
-                        true)
-                .size(),
-            6u);
+  EXPECT_EQ(
+      DrainCursor(&session, "SELECT user FROM pings WHERE score < 6", 1).size(),
+      6u);
   const Database::Stats s1 = db_->stats();
   EXPECT_EQ(s1.scan.rows - s0.scan.rows, static_cast<uint64_t>(kRows));
   EXPECT_EQ(s1.scan.rows_prefiltered - s0.scan.rows_prefiltered,
@@ -195,8 +199,7 @@ TEST_F(PushdownTest, StablePrefilterSkipsStoreProbesAndCountsThem) {
                            "FOR pings.location")
                   .ok());
   EXPECT_EQ(DrainCursor(&session,
-                        "SELECT user, location FROM pings WHERE score < 6", 1,
-                        true)
+                        "SELECT user, location FROM pings WHERE score < 6", 1)
                 .size(),
             6u);
   const Database::Stats s2 = db_->stats();
@@ -211,7 +214,6 @@ TEST_F(PushdownTest, ProbeAccountingInvariantHoldsAcrossScanShapes) {
   BuildDb(4, kRows);
   Session session(db_.get());
   session.set_use_indexes(false);  // the index path doesn't do pushdown
-  session.scan_options().pushdown = true;
   ASSERT_TRUE(session
                   .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
                            "FOR pings.location")
@@ -224,7 +226,7 @@ TEST_F(PushdownTest, ProbeAccountingInvariantHoldsAcrossScanShapes) {
   };
   for (const auto& [sql, parallelism] : kShapes) {
     const Database::Stats before = db_->stats();
-    DrainCursor(&session, sql, parallelism, true);
+    DrainCursor(&session, sql, parallelism);
     const Database::Stats after = db_->stats();
     const uint64_t rows = after.scan.rows - before.scan.rows;
     const uint64_t issued =
@@ -289,73 +291,66 @@ TEST_F(PushdownTest, HotQueryShapesAgreeAndNeverExposeFinerValues) {
   };
   for (const Shape& shape : kShapes) {
     session.set_use_indexes(shape.indexes);
-    session.scan_options().pushdown = false;
-    session.scan_options().parallelism = 1;
-    auto reference = session.Execute(shape.sql);
-    ASSERT_TRUE(reference.ok()) << shape.sql;
-    ASSERT_FALSE(reference->rows.empty()) << shape.sql;
+    const QueryResult reference = Oracle(&session, shape.sql);
+    ASSERT_FALSE(reference.rows.empty()) << shape.sql;
     auto sorted = [](std::vector<std::vector<std::string>> rows) {
       std::sort(rows.begin(), rows.end());
       return rows;
     };
-    for (const bool pushdown : {false, true}) {
-      for (size_t parallelism : {1u, 4u}) {
-        session.scan_options().pushdown = pushdown;
-        session.scan_options().parallelism = parallelism;
-        const std::string where = shape.sql + " pushdown=" +
-                                  std::to_string(pushdown) +
-                                  " parallelism=" + std::to_string(parallelism);
-        auto result = session.Execute(shape.sql);
-        ASSERT_TRUE(result.ok()) << where;
-        EXPECT_EQ(result->rows.size(), reference->rows.size()) << where;
-        EXPECT_EQ(sorted(result->display), sorted(reference->display))
-            << where;
+    for (size_t parallelism : {1u, 4u}) {
+      session.scan_options().parallelism = parallelism;
+      const std::string where = shape.sql + " parallelism=" +
+                                std::to_string(parallelism);
+      auto result = session.Execute(shape.sql);
+      ASSERT_TRUE(result.ok()) << where;
+      EXPECT_EQ(result->rows.size(), reference.rows.size()) << where;
+      EXPECT_EQ(sorted(result->display), sorted(reference.display))
+          << where;
 
-        // Streaming cursor: every value of every batch is at CITY or
-        // coarser.
-        auto cursor = session.ExecuteCursor(shape.sql);
-        ASSERT_TRUE(cursor.ok()) << where;
-        std::vector<std::vector<std::string>> streamed;
-        const CursorBatch* batch = nullptr;
+      // Streaming cursor: every value of every batch is at CITY or
+      // coarser.
+      auto cursor = session.ExecuteCursor(shape.sql);
+      ASSERT_TRUE(cursor.ok()) << where;
+      std::vector<std::vector<std::string>> streamed;
+      const CursorBatch* batch = nullptr;
+      while (true) {
+        auto more = (*cursor)->NextBatch(&batch);
+        ASSERT_TRUE(more.ok()) << where;
+        if (!*more) break;
+        for (size_t i = 0; i < batch->size(); ++i) {
+          for (const Value& v : batch->values(i)) {
+            EXPECT_FALSE(is_address(v)) << where << ": " << v.ToString();
+          }
+          streamed.push_back(batch->display(i));
+        }
+      }
+      EXPECT_EQ(sorted(streamed), sorted(reference.display)) << where;
+
+      // Below the cursor: no EvaluatedRow carries an ADDRESS value, and
+      // a location that does not leave the scan is not carried at all.
+      auto statement = ParseStatement(shape.sql);
+      ASSERT_TRUE(statement.ok()) << where;
+      auto plan =
+          plan::BindSelect(&session, std::get<SelectAst>(*statement));
+      ASSERT_TRUE(plan.ok()) << where;
+      const int location = plan->schema->degradable_columns()[0];
+      EXPECT_EQ(plan->query.projected_degradable.count(location) == 1,
+                shape.projected)
+          << where;
+      for (const size_t batch_rows :
+           {plan::kStreamingScanBatchRows, size_t{SIZE_MAX}}) {
+        auto source = plan::MakeRowSource(&session, plan->query, batch_rows);
+        ASSERT_TRUE(source.ok()) << where;
+        plan::EvaluatedBatch rows;
         while (true) {
-          auto more = (*cursor)->NextBatch(&batch);
+          auto more = (*source)->NextBatch(&rows);
           ASSERT_TRUE(more.ok()) << where;
           if (!*more) break;
-          for (size_t i = 0; i < batch->size(); ++i) {
-            for (const Value& v : batch->values(i)) {
-              EXPECT_FALSE(is_address(v)) << where << ": " << v.ToString();
-            }
-            streamed.push_back(batch->display(i));
-          }
-        }
-        EXPECT_EQ(sorted(streamed), sorted(reference->display)) << where;
-
-        // Below the cursor: no EvaluatedRow carries an ADDRESS value, and
-        // a location that does not leave the scan is not carried at all.
-        auto statement = ParseStatement(shape.sql);
-        ASSERT_TRUE(statement.ok()) << where;
-        auto plan =
-            plan::BindSelect(&session, std::get<SelectAst>(*statement));
-        ASSERT_TRUE(plan.ok()) << where;
-        const int location = plan->schema->degradable_columns()[0];
-        EXPECT_EQ(plan->query.projected_degradable.count(location) == 1,
-                  shape.projected)
-            << where;
-        for (const size_t batch_rows :
-             {plan::kStreamingScanBatchRows, size_t{SIZE_MAX}}) {
-          auto source = plan::MakeRowSource(&session, plan->query, batch_rows);
-          ASSERT_TRUE(source.ok()) << where;
-          plan::EvaluatedBatch rows;
-          while (true) {
-            auto more = (*source)->NextBatch(&rows);
-            ASSERT_TRUE(more.ok()) << where;
-            if (!*more) break;
-            for (size_t r = 0; r < rows.size; ++r) {
-              const Value& v = rows.rows[r].values[location];
-              EXPECT_FALSE(is_address(v)) << where << ": " << v.ToString();
-              if (!shape.projected) {
-                EXPECT_TRUE(v.is_null()) << where << ": " << v.ToString();
-              }
+          for (size_t r = 0; r < rows.size; ++r) {
+            const Value& v = rows.rows[r].values[location];
+            EXPECT_FALSE(is_address(v)) << where << ": " << v.ToString();
+            if (!shape.projected) {
+              EXPECT_TRUE(v.is_null()) << where << ": " << v.ToString();
             }
           }
         }
@@ -369,7 +364,6 @@ TEST_F(PushdownTest, ScansDecodeOnlyTheStableColumnsTheyRead) {
   BuildDb(4, kRows);
   Session session(db_.get());
   session.set_use_indexes(false);
-  session.scan_options().pushdown = true;
   ASSERT_TRUE(session
                   .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
                            "FOR pings.location")
@@ -389,7 +383,7 @@ TEST_F(PushdownTest, ScansDecodeOnlyTheStableColumnsTheyRead) {
       session.scan_options().parallelism = parallelism;
       const Database::Stats before = db_->stats();
       ASSERT_TRUE(session.Execute(sql).ok()) << sql;
-      DrainCursor(&session, sql, parallelism, /*pushdown=*/true);
+      DrainCursor(&session, sql, parallelism);
       const Database::Stats after = db_->stats();
       const uint64_t rows = after.scan.rows - before.scan.rows;
       EXPECT_EQ(rows, 2u * kRows) << sql << " parallelism=" << parallelism;
@@ -398,11 +392,6 @@ TEST_F(PushdownTest, ScansDecodeOnlyTheStableColumnsTheyRead) {
           << sql << " parallelism=" << parallelism;
     }
   }
-  // The pushdown-off reference path decodes in full and does not count.
-  session.scan_options().pushdown = false;
-  const Database::Stats before = db_->stats();
-  ASSERT_TRUE(session.Execute("SELECT user FROM pings WHERE score < 60").ok());
-  EXPECT_EQ(db_->stats().scan.values_decoded, before.scan.values_decoded);
 }
 
 TEST_F(PushdownTest, AggregatePushdownMatchesCursorAggregation) {
@@ -423,25 +412,23 @@ TEST_F(PushdownTest, AggregatePushdownMatchesCursorAggregation) {
       "SELECT COUNT(*) FROM pings WHERE location = 'Paris'",
       // Empty result: pushdown must also yield zero output rows.
       "SELECT COUNT(*), MIN(score) FROM pings WHERE score < 0",
+      // Grouped: the executor's row-at-a-time fold over a materialized scan.
+      "SELECT location, COUNT(*), SUM(score) FROM pings GROUP BY location",
   };
   for (const std::string& sql : kAggregates) {
-    session.scan_options().pushdown = false;
-    session.scan_options().parallelism = 1;
-    auto reference = session.Execute(sql);
-    ASSERT_TRUE(reference.ok()) << sql;
+    const QueryResult reference = Oracle(&session, sql);
     for (size_t parallelism : {1u, 8u}) {
-      session.scan_options().pushdown = true;
       session.scan_options().parallelism = parallelism;
       auto pushed = session.Execute(sql);
       ASSERT_TRUE(pushed.ok()) << sql;
-      EXPECT_EQ(pushed->rows, reference->rows)
+      EXPECT_EQ(pushed->rows, reference.rows)
           << sql << " parallelism=" << parallelism;
-      EXPECT_EQ(pushed->display, reference->display)
+      EXPECT_EQ(pushed->display, reference.display)
           << sql << " parallelism=" << parallelism;
     }
   }
-  // The pushed runs above merged per-partition partials; the fallback and
-  // reference runs merged none.
+  // The pushed runs above merged per-worker partials; the index-path and
+  // grouped runs merged none.
   EXPECT_GT(db_->stats().scan.aggregate_partials_merged, 0u);
 }
 
@@ -449,7 +436,6 @@ TEST_F(PushdownTest, AggregateMergeStaysExactUnderConcurrentDegradation) {
   constexpr int kRows = 800;
   BuildDb(8, kRows);
   Session session(db_.get());
-  session.scan_options().pushdown = true;
   session.scan_options().parallelism = 8;
 
   // COUNT(*) over a stable predicate is invariant under degradation (this
@@ -469,16 +455,14 @@ TEST_F(PushdownTest, AggregateMergeStaysExactUnderConcurrentDegradation) {
   }
   degrader.join();
 
-  // Settled: pushdown and reference aggregation agree on everything.
-  auto pushed = session.Execute(
-      "SELECT COUNT(*), MIN(score), MAX(score), SUM(score) FROM pings");
+  // Settled: pushed-down aggregation and the oracle agree on everything.
+  const std::string sql =
+      "SELECT COUNT(*), MIN(score), MAX(score), SUM(score) FROM pings";
+  auto pushed = session.Execute(sql);
   ASSERT_TRUE(pushed.ok());
-  session.scan_options().pushdown = false;
-  auto reference = session.Execute(
-      "SELECT COUNT(*), MIN(score), MAX(score), SUM(score) FROM pings");
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(pushed->rows, reference->rows);
-  EXPECT_EQ(pushed->display, reference->display);
+  const QueryResult reference = Oracle(&session, sql);
+  EXPECT_EQ(pushed->rows, reference.rows);
+  EXPECT_EQ(pushed->display, reference.display);
 }
 
 TEST_F(PushdownTest, ProbeManyAgreesWithPerRowAssembly) {
