@@ -1,23 +1,15 @@
 // Partition scaling: scan, batched-ingest and degradation throughput at
-// 1/2/4/8 hash-partitions with the degradation worker pool enabled, plus
-// WAL-stream scaling: durable batched ingest at 8 partitions over
-// 1/2/4/8 log streams.
+// 1/2/4/8 hash-partitions with the degradation worker pool enabled.
 //
 // What partitioning buys: every partition owns its own heap, buffer pool,
 // state stores and reader-writer latch, so ingest threads, partition scans
 // and degradation workers proceed in parallel instead of serializing on one
-// per-table latch. What WAL sharding buys: commits route to per-partition
-// log streams (batch-affine row allocation puts a WriteBatch's rows in one
-// partition, hence one stream), so commits neither queue on a single log
-// mutex nor — the dominant effect for durable ingest — behind one file's
-// fsync: syncs on distinct streams overlap in the I/O layer even on a
-// single core.
+// per-table latch.
 //
 // Emits BENCH_partition_scaling.json with one throughput series per
-// (metric, partitions), per-stream-count durable-ingest series carrying
-// p50/p99 commit latency, WAL sync counts, and speedup scalars — plus the
-// commit-pipeline scenarios: multi-writer durable ingest on ONE stream
-// (group-commit absorption: syncs per commit < 1 at 16 writers) and the
+// (metric, partitions) and speedup scalars — plus the commit-pipeline
+// scenarios: multi-writer durable ingest on the one WAL (group-commit
+// absorption: syncs per commit < 1 at 16 writers) and the
 // incremental-checkpoint dirty/clean partition counts.
 
 #include <atomic>
@@ -37,14 +29,6 @@ namespace {
 
 constexpr size_t kRows = 20000;
 constexpr size_t kBatchRows = 100;
-
-// Durable (sync-on-commit) stream-scaling scenario: small OLTP-style
-// WriteBatches, so the per-commit log sync — the thing sharding
-// parallelizes — dominates over per-row CPU. Large batches amortize the
-// sync and need partition/CPU scaling instead (first table).
-constexpr size_t kStreamRows = 40000;
-constexpr size_t kStreamBatchRows = 4;
-constexpr uint32_t kStreamPartitions = 8;
 
 struct Throughput {
   double ingest = 0;   // rows committed per second
@@ -316,67 +300,12 @@ void RunParallelScanScaling() {
   }
 }
 
-/// Durable-ingest scaling over WAL streams at a fixed 8 partitions: every
-/// commit fsyncs. With one stream all commits queue behind one file's sync;
-/// with per-partition streams the batch-affine commits land on distinct
-/// stream files whose fsyncs overlap in the I/O layer — this is the
-/// configuration the WAL sharding exists for, and it scales even when the
-/// CPU does not (fsync waits overlap on a single core).
-void RunWalStreamScaling() {
-  TablePrinter table({"wal streams", "ingest rows/s", "commit p50 us",
-                      "commit p99 us", "wal syncs"});
-  double base = 0, best = 0;
-  for (uint32_t streams : {1u, 2u, 4u, 8u}) {
-    SystemClock wall;
-    VirtualClock clock;
-    DbOptions options;
-    options.partitions = kStreamPartitions;
-    options.degradation.worker_threads = 1;
-    options.wal.wal_streams = streams;
-    options.wal.sync_on_commit = true;  // durable ingest: the WAL-bound case
-    auto test = bench::OpenFreshDb(
-        "wal_stream_scaling_s" + std::to_string(streams), &clock, options);
-    auto workload = bench::MakePingWorkload(Fig2LocationLcp(), 4);
-    test.db->CreateTable("pings", workload.schema).status();
-
-    Throughput t;
-    RunIngest(test.db.get(), &wall, workload, kStreamRows, kStreamBatchRows,
-              kStreamPartitions, &t);
-    if (streams == 1) base = t.ingest;
-    if (streams == 8) best = t.ingest;
-    table.AddRow({std::to_string(streams),
-                  StringPrintf("%.0f", t.ingest),
-                  StringPrintf("%.0f", t.commit_latency_us.Percentile(50)),
-                  StringPrintf("%.0f", t.commit_latency_us.Percentile(99)),
-                  std::to_string(t.wal_syncs)});
-    const std::string suffix =
-        "_p" + std::to_string(kStreamPartitions) + "_s" + std::to_string(streams);
-    JsonEmitter::Instance().AddSeries("durable_ingest" + suffix, t.ingest,
-                                      t.commit_latency_us);
-    JsonEmitter::Instance().AddScalar("durable_ingest_rows_per_sec" + suffix,
-                                      t.ingest);
-    JsonEmitter::Instance().AddScalar("wal_syncs" + suffix,
-                                      static_cast<double>(t.wal_syncs));
-  }
-  table.Print(StringPrintf(
-      "WAL stream scaling: durable (sync-on-commit) batched ingest, "
-      "%zu rows, %u partitions, %u writers",
-      kStreamRows, kStreamPartitions, kStreamPartitions));
-  if (base > 0) {
-    JsonEmitter::Instance().AddScalar("ingest_speedup_p8_s8_vs_s1",
-                                      best / base);
-    std::printf("\ndurable ingest speedup, 8 streams vs 1: %.2fx\n",
-                best / base);
-  }
-}
-
-// Leader-based group commit on a FEW-stream configuration: durable
-// small-batch ingest over one log stream at 1/4/16 writer threads. With one
-// writer every commit leads its own fdatasync (syncs per commit == 1); with
-// 16 writers most commits park on the synced-LSN watermark and one leader's
-// fdatasync absorbs the pack — syncs per commit drops well below 1, which
-// is the acceptance signal for the asynchronous commit pipeline (stream
-// sharding cannot help here: there is only one stream to sync).
+// Leader-based group commit: durable small-batch ingest at 1/4/16 writer
+// threads. With one writer every commit leads its own fdatasync (syncs per
+// commit == 1); with 16 writers most commits park on the synced-LSN
+// watermark and one leader's fdatasync absorbs the pack — syncs per commit
+// drops well below 1, which is the acceptance signal for the asynchronous
+// commit pipeline.
 void RunGroupCommitScaling() {
   constexpr size_t kGroupRows = 12000;
   constexpr size_t kGroupBatchRows = 4;
@@ -388,7 +317,6 @@ void RunGroupCommitScaling() {
     DbOptions options;
     options.partitions = 8;
     options.degradation.worker_threads = 1;
-    options.wal.wal_streams = 1;  // few-stream: every commit shares one file
     options.wal.sync_on_commit = true;
     auto test = bench::OpenFreshDb(
         "group_commit_w" + std::to_string(writers), &clock, options);
@@ -422,7 +350,7 @@ void RunGroupCommitScaling() {
   }
   table.Print(StringPrintf(
       "group commit: durable (sync-on-commit) ingest, %zu rows, batch %zu, "
-      "8 partitions, ONE wal stream",
+      "8 partitions",
       kGroupRows, kGroupBatchRows));
   std::printf(
       "\nShape check: syncs/commit must be 1.0 at 1 writer and < 1 at 16\n"
@@ -606,7 +534,6 @@ void RunSkewedScanScaling() {
 
 int main() {
   RunScaling();
-  RunWalStreamScaling();
   RunGroupCommitScaling();
   RunCheckpointSkipScenario();
   // Last: the cold-scan scenarios evict the page cache and leave hundreds

@@ -53,22 +53,11 @@ struct StorageOptions {
 struct WalOptions {
   WalPrivacyMode privacy_mode = WalPrivacyMode::kScrub;
   size_t segment_bytes = 1 * 1024 * 1024;
-  /// Number of independent WAL streams commits are sharded over. Records
-  /// route to stream `row_id % wal_streams` — the same hash the tables use
-  /// for partitioning — so with wal_streams == partitions a partition's
-  /// redo lives in exactly one stream and commits on distinct partitions
-  /// neither share a log mutex nor queue behind one file's fsync. 0 (the
-  /// default) means "match DbOptions::partitions" (standalone WalManager
-  /// use treats it as 1); 1 keeps the unsharded on-disk layout byte-for-
-  /// byte. The count is persisted in `wal/STREAMS` at creation — reopening
-  /// with a different value keeps the on-disk count.
-  size_t wal_streams = 0;
   /// Sync on every commit. Benchmarks disable this to isolate CPU costs.
   /// Durability is watermark-based either way: a committer blocks until the
-  /// stream's synced LSN covers its bytes, and one leader's fdatasync
-  /// absorbs every committer parked on the same stream (leader-based group
-  /// commit) — so under concurrency this costs far less than one sync per
-  /// commit.
+  /// log's synced LSN covers its bytes, and one leader's fdatasync absorbs
+  /// every committer parked on the watermark (leader-based group commit) —
+  /// so under concurrency this costs far less than one sync per commit.
   bool sync_on_commit = false;
   /// kEncryptedEpoch: width of one key epoch. Choosing it at or below the
   /// shortest phase-0 duration lets every epoch be destroyed as soon as its

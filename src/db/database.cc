@@ -19,7 +19,16 @@ Result<std::unique_ptr<Database>> Database::Open(const DbOptions& options) {
     return Status::InvalidArgument("DbOptions::partitions exceeds limit");
   }
   auto db = std::unique_ptr<Database>(new Database(options));
-  IDB_RETURN_IF_ERROR(db->OpenImpl());
+  const Status opened = db->OpenImpl();
+  if (!opened.ok()) {
+    // Half open: stop what started, but never run Close()'s checkpoint —
+    // recovery may not have finished, and the manifest must not move past
+    // redo that was never applied.
+    db->closed_ = true;
+    if (db->maintenance_ != nullptr) db->maintenance_->Stop();
+    if (db->degrader_ != nullptr) db->degrader_->Stop();
+    return opened;
+  }
   return db;
 }
 
@@ -64,15 +73,7 @@ Status Database::OpenImpl() {
     catalog_ = std::make_unique<Catalog>();
   }
 
-  // WAL sharding defaults to one stream per table partition, so a
-  // partition's redo lives in exactly one stream and commits on distinct
-  // partitions never share a log mutex or an fsync queue. The WalManager
-  // pins whatever count is already on disk.
-  WalOptions wal_options = options_.wal;
-  if (wal_options.wal_streams == 0) {
-    wal_options.wal_streams = options_.partitions == 0 ? 1 : options_.partitions;
-  }
-  wal_ = std::make_unique<WalManager>(options_.path + "/wal", wal_options,
+  wal_ = std::make_unique<WalManager>(options_.path + "/wal", options_.wal,
                                       keys_.get(), env_);
   IDB_RETURN_IF_ERROR(wal_->Open());
 
@@ -110,31 +111,15 @@ Status Database::OpenImpl() {
 }
 
 Status Database::Recover() {
-  IDB_ASSIGN_OR_RETURN(std::vector<Lsn> checkpoint,
-                       wal_->ReadCheckpointPositions());
-
-  // Streams may replay in parallel only when every table partition maps
-  // wholly into one stream (stream count divides the partition count):
-  // then any two conflicting records share a stream, and per-stream order
-  // is commit order where it matters. Otherwise the WalManager merges
-  // records globally in commit-sequence order.
-  bool stream_local = true;
-  for (const auto& [id, table] : tables_) {
-    if (table->num_partitions() % wal_->num_streams() != 0) {
-      stream_local = false;
-      break;
-    }
-  }
+  IDB_ASSIGN_OR_RETURN(const Lsn checkpoint, wal_->ReadCheckpointLsn());
 
   // Two passes inside RecoverCommitted: committed transaction set (commit
-  // frames + per-stream record counts, so a torn tail in one stream voids a
-  // cross-stream commit atomically), then idempotent redo of committed
-  // work. The redo callback runs concurrently across streams when
-  // stream_local; the per-partition apply paths are the same ones
-  // concurrent live commits exercise.
+  // markers that survived the torn-tail truncation), then idempotent redo
+  // of committed work in log order.
   uint64_t max_txn_id = 0;
   IDB_RETURN_IF_ERROR(wal_->RecoverCommitted(
-      checkpoint, stream_local, worker_pool_, [&](const WalRecord& record) {
+      checkpoint,
+      [&](const WalRecord& record) {
         auto it = tables_.find(record.table);
         if (it == tables_.end()) return Status::OK();  // dropped table
         switch (record.type) {
@@ -259,7 +244,7 @@ Status Database::Delete(const std::string& table_name, RowId row_id,
 }
 
 Status Database::Checkpoint() {
-  // Fuzzy checkpoint: capture the replay-start LSN vector BEFORE flushing
+  // Fuzzy checkpoint: capture the replay-start LSN BEFORE flushing
   // any table state, at a point where no commit is between its WAL append
   // and its apply. A transaction committing mid-flush (a degradation
   // worker, a concurrent WriteBatch) may be only partially reflected in the
@@ -267,7 +252,7 @@ Status Database::Checkpoint() {
   // instead of silently excluding it — without this, a degrade step
   // committing during the flush could resurface its accurate value after
   // recovery.
-  const std::vector<Lsn> begin = tm_->CheckpointBeginPositions();
+  const Lsn begin = tm_->CheckpointBeginLsn();
 
   // Write-ahead barrier: every record the partitions have already applied
   // must be durable BEFORE any store flush makes its effects durable.
@@ -275,8 +260,8 @@ Status Database::Checkpoint() {
   // checkpoint that persists their pops while the record still sits in an
   // unsynced WAL tail lets a crash forget the record but keep the pop — the
   // value is then gone from every store with no replay left to rebuild it.
-  // Syncing the streams first restores the invariant that durable store
-  // state is always covered by durable log.
+  // Syncing the log first restores the invariant that durable store state
+  // is always covered by durable log.
   IDB_RETURN_IF_ERROR(wal_->Sync());
 
   // Incremental flush: only partitions mutated since their last flush do
@@ -297,8 +282,7 @@ Status Database::Checkpoint() {
   IDB_RETURN_IF_ERROR(worker_pool_.Run(
       std::max<size_t>(options_.degradation.worker_threads, 1), units.size(),
       [&](size_t i) {
-        IDB_ASSIGN_OR_RETURN(const bool ran,
-                             units[i]->CheckpointIfDirty(begin));
+        IDB_ASSIGN_OR_RETURN(const bool ran, units[i]->CheckpointIfDirty());
         (ran ? flushed : clean).fetch_add(1, std::memory_order_relaxed);
         return Status::OK();
       }));
@@ -308,27 +292,9 @@ Status Database::Checkpoint() {
   checkpoint_partitions_clean_.fetch_add(clean.load(),
                                          std::memory_order_relaxed);
 
-  // Stamp the manifest from the per-partition low-water marks: retirement
-  // must never outrun the weakest partition's durable coverage. Today every
-  // partition just advanced to `begin`, so the minimum equals `begin` — but
-  // deriving it from the partitions keeps the safety argument local if a
-  // future path checkpoints partitions at different cadences.
-  std::vector<Lsn> low_water = begin;
-  for (TablePartition* unit : units) {
-    const std::vector<Lsn> mark = unit->clean_through();
-    if (mark.size() != low_water.size()) {
-      // Empty (or stream-count-mismatched) mark = "nothing covered": pin
-      // the manifest to zero rather than silently treating the partition
-      // as covered. Unreachable while every partition advances above, but
-      // a future partial-checkpoint cadence must fail safe.
-      std::fill(low_water.begin(), low_water.end(), Lsn{0});
-      break;
-    }
-    for (size_t s = 0; s < low_water.size(); ++s) {
-      low_water[s] = std::min(low_water[s], mark[s]);
-    }
-  }
-  return wal_->LogCheckpointAll(low_water).status();
+  // Every partition flushed or was clean (a failure returned above), so
+  // durable storage covers everything below `begin`.
+  return wal_->LogCheckpoint(begin).status();
 }
 
 uint64_t Database::DirtyPartitions() const {

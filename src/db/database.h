@@ -128,16 +128,15 @@ class Database {
 
   // --- maintenance ---------------------------------------------------------------
 
-  /// Incremental fuzzy checkpoint: captures the per-stream begin vector
-  /// under the commit barrier, flushes ONLY the partitions mutated since
-  /// their last flush (fanned out over DegradationOptions::worker_threads
-  /// workers — the same pool size the degrader uses), stamps the WAL
-  /// CHECKPOINT manifest from the element-wise minimum of the per-partition
-  /// clean-through low-water marks, and retires fully-covered segments per
-  /// the privacy mode. Clean partitions cost one atomic compare — a mostly-
-  /// cold database checkpoints in O(dirty), which is what keeps the segment
-  /// retirement cadence (and therefore kScrub/kEncryptedEpoch timeliness)
-  /// independent of total data volume.
+  /// Incremental fuzzy checkpoint: captures the begin LSN under the commit
+  /// barrier, flushes ONLY the partitions mutated since their last flush
+  /// (fanned out over DegradationOptions::worker_threads workers — the same
+  /// pool size the degrader uses), stamps the WAL CHECKPOINT manifest with
+  /// the begin LSN once every partition succeeded, and retires fully-covered
+  /// segments per the privacy mode. Clean partitions cost one atomic
+  /// compare — a mostly-cold database checkpoints in O(dirty), which is what
+  /// keeps the segment retirement cadence (and therefore kScrub/
+  /// kEncryptedEpoch timeliness) independent of total data volume.
   Status Checkpoint();
 
   /// Pumped degradation: run everything due at the clock's current time.
@@ -260,7 +259,7 @@ class Database {
   /// behavior (sync absorption, scan fan-out efficiency, checkpoint
   /// dirty-skipping) instead of inferring it from file I/O or timing.
   struct Stats {
-    /// Aggregated WAL stream counters. The commit pipeline trio:
+    /// WAL counters. The commit pipeline trio:
     /// `wal.syncs` (fdatasyncs issued), `wal.sync_requests` (durability
     /// demands), `wal.commits_absorbed` (demands satisfied by another
     /// leader's sync). syncs / sync_requests is the syncs-per-commit ratio

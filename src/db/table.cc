@@ -112,7 +112,7 @@ Result<RowId> Table::Insert(Transaction* txn, const std::vector<Value>& row) {
 
   // Batch-affine allocation: every insert of this transaction draws from
   // one partition's allocator (rotating across transactions), so the whole
-  // batch commits through one partition latch and one WAL stream.
+  // batch applies under one partition latch.
   const uint32_t affine = txn->InsertPartition(id(), [this] {
     return next_affine_.fetch_add(1, std::memory_order_relaxed) %
            static_cast<uint32_t>(partitions_.size());
@@ -141,7 +141,7 @@ Result<RowId> Table::Insert(Transaction* txn, const std::vector<Value>& row) {
       record.degradable.push_back(row[idx]);
     }
     // Earliest phase-0 deadline this record's payload carries: the WAL
-    // streams fold it into a per-segment minimum for the deletion-assurance
+    // folds it into a per-segment minimum for the deletion-assurance
     // audit ("does any live segment hold an accurate value past its
     // deadline?").
     const Micros phase0 = col.lcp.PhaseEndOffset(0);

@@ -214,8 +214,8 @@ Status TablePartition::Checkpoint() {
   // fault aborts halfway. (Buffer-pool eviction can still leak a heap page
   // early — that residual window is what the ApplyInsert repair path
   // covers.) Cross-store consistency needs no ordering: a failed attempt
-  // never advances clean_through_, so the WAL replays the affected records
-  // against whichever subset landed.
+  // fails the whole checkpoint before the WAL manifest advances, so the
+  // WAL replays the affected records against whichever subset landed.
   for (auto& per_phase : stores_) {
     for (auto& store : per_phase) {
       IDB_RETURN_IF_ERROR(store->Checkpoint());
@@ -224,8 +224,7 @@ Status TablePartition::Checkpoint() {
   return heap_pool_->FlushAll();
 }
 
-Result<bool> TablePartition::CheckpointIfDirty(
-    const std::vector<Lsn>& positions) {
+Result<bool> TablePartition::CheckpointIfDirty() {
   std::lock_guard<std::mutex> ckpt(ckpt_mu_);
   const uint64_t seq = mutation_seq_.load(std::memory_order_acquire);
   bool flushed = false;
@@ -239,15 +238,7 @@ Result<bool> TablePartition::CheckpointIfDirty(
     flushed_seq_.store(seq, std::memory_order_release);
     flushed = true;
   }
-  // Flushed or clean, the durable state now covers every record below the
-  // begin positions (see the header's correctness argument).
-  clean_through_ = positions;
   return flushed;
-}
-
-std::vector<Lsn> TablePartition::clean_through() const {
-  std::lock_guard<std::mutex> ckpt(ckpt_mu_);
-  return clean_through_;
 }
 
 Status TablePartition::Drop() {

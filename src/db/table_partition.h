@@ -93,20 +93,15 @@ class TablePartition {
   /// themselves when individually clean). Prefer CheckpointIfDirty.
   Status Checkpoint();
   /// Incremental checkpoint: flushes only when a mutation applied since the
-  /// last flush, then advances the clean-through low-water mark to
-  /// `positions` — the per-stream fuzzy begin vector the caller captured
-  /// under the commit barrier (TransactionManager::CheckpointBeginPositions)
-  /// BEFORE any flushing. Correctness of the skip: every WAL record below
-  /// `positions` was fully applied when the barrier returned, and an
-  /// applied-but-unflushed mutation leaves the partition dirty — so a clean
-  /// partition's durable state already covers everything below `positions`.
-  /// Returns true when a flush ran, false when the partition was clean and
-  /// only the watermark advanced.
-  Result<bool> CheckpointIfDirty(const std::vector<Lsn>& positions);
-  /// Per-stream low-water mark: this partition's durable state covers every
-  /// WAL record below it. Empty until the first CheckpointIfDirty — the
-  /// database then treats it as "nothing covered" (zeros).
-  std::vector<Lsn> clean_through() const;
+  /// last flush. On success the partition's durable state covers every WAL
+  /// record below the fuzzy begin LSN the caller captured under the commit
+  /// barrier (TransactionManager::CheckpointBeginLsn) BEFORE any flushing.
+  /// Correctness of the skip: every record below that LSN was fully applied
+  /// when the barrier returned, and an applied-but-unflushed mutation
+  /// leaves the partition dirty — so a clean partition's durable state
+  /// already covers it. Returns true when a flush ran, false when the
+  /// partition was clean.
+  Result<bool> CheckpointIfDirty();
   /// Securely drops all storage of this partition.
   Status Drop();
 
@@ -342,7 +337,7 @@ class TablePartition {
 
   mutable std::shared_mutex latch_;
   /// Serializes checkpoints of this partition and guards the incremental-
-  /// checkpoint bookkeeping (flushed_seq_, clean_through_).
+  /// checkpoint bookkeeping (flushed_seq_).
   mutable std::mutex ckpt_mu_;
   /// Monotone count of applied mutations (inserts, deletes, degrade moves,
   /// stable updates), bumped under the exclusive latch. The dirty test is
@@ -351,7 +346,6 @@ class TablePartition {
   /// Written under ckpt_mu_; atomic so dirty() can poll it latch-free (the
   /// maintenance daemon's cadence test must not contend with checkpoints).
   std::atomic<uint64_t> flushed_seq_{0};
-  std::vector<Lsn> clean_through_;   // under ckpt_mu_
   std::unordered_map<RowId, Rid> row_map_;
   RowId max_row_id_ = 0;
   /// Row-id allocator multiplier: the next id minted is

@@ -21,7 +21,7 @@ struct IoCounters {
   /// fsync/fdatasync operations issued, including failed ones.
   uint64_t syncs = 0;
   /// Syncs that returned an error. Invariant (asserted by the fault tests):
-  /// sync_failures > 0 ⇒ some WAL stream is poisoned or a consumer retried
+  /// sync_failures > 0 ⇒ the WAL is poisoned or a consumer retried
   /// the failed operation to success (stats().io.retries > 0).
   uint64_t sync_failures = 0;
   /// Faults injected by a FaultInjectionEnv; always 0 on the default Env.

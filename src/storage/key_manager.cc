@@ -25,14 +25,6 @@ ChaCha20::Nonce NonceForSequence(uint64_t seqno) {
   return nonce;
 }
 
-ChaCha20::Nonce NonceForStreamOffset(uint32_t stream, uint64_t offset) {
-  ChaCha20::Nonce nonce = NonceForSequence(offset);
-  for (int i = 0; i < 4; ++i) {
-    nonce[8 + i] = static_cast<uint8_t>(stream >> (8 * i));
-  }
-  return nonce;
-}
-
 KeyManager::KeyManager(std::string path, Env* env)
     : path_(std::move(path)),
       env_(env != nullptr ? env : Env::Default()),

@@ -73,16 +73,10 @@ class KeyManager {
   uint64_t keys_destroyed_ = 0;
 };
 
-/// Deterministic nonce for a segment/epoch sequence number: segments are
-/// never rewritten under the same key, so (key, seqno) pairs are unique.
+/// Deterministic nonce for a sequence number — a store segment's seqno or
+/// a WAL record's LSN: neither repeats under one key, so (key, seqno) pairs
+/// are unique.
 ChaCha20::Nonce NonceForSequence(uint64_t seqno);
-
-/// Nonce for a WAL stream's record at stream-local byte offset `offset`.
-/// Epoch keys are shared across the streams of a sharded log and offsets
-/// restart per stream, so the stream id must enter the nonce to keep
-/// (key, nonce) pairs unique. Stream 0 equals NonceForSequence(offset),
-/// which keeps single-stream logs written before sharding decryptable.
-ChaCha20::Nonce NonceForStreamOffset(uint32_t stream, uint64_t offset);
 
 }  // namespace instantdb
 

@@ -21,14 +21,10 @@ Status TransactionManager::Commit(Transaction* txn, bool sync) {
     // durably logged transaction from both the flush and the replay range.
     std::shared_lock<std::shared_mutex> commit_window(commit_mu_);
     // Group commit: every queued record plus the COMMIT marker goes to the
-    // log as one buffered write per touched stream (frames encoded before
-    // the stream mutex is taken), and durability is a wait on each touched
-    // stream's synced-LSN watermark — at most one sync per stream, and
-    // under concurrency usually somebody else's: the stream's sync leader
-    // absorbs every committer parked on the watermark. AppendCommit stamps
-    // the commit frame with the global commit sequence number and
-    // per-stream record counts that let sharded recovery order and
-    // atomicity-check it.
+    // log as one buffered write (frames encoded before the log mutex is
+    // taken), and durability is a wait on the synced-LSN watermark — at
+    // most one sync, and under concurrency usually somebody else's: the
+    // sync leader absorbs every committer parked on the watermark.
     WalRecord commit;
     commit.type = WalRecordType::kCommit;
     commit.txn_id = txn->id_;
@@ -38,7 +34,7 @@ Status TransactionManager::Commit(Transaction* txn, bool sync) {
       op.record.txn_id = txn->id_;
       records.push_back(&op.record);
     }
-    const Status logged = wal_->AppendCommit(records, &commit, sync);
+    const Status logged = wal_->AppendCommit(records, commit, sync);
     if (!logged.ok()) {
       // The commit never became durable and nothing was applied: treat it
       // as an abort so a WAL failure cannot leak 2PL locks for the rest of
@@ -62,12 +58,12 @@ Status TransactionManager::Commit(Transaction* txn, bool sync) {
   return Status::OK();
 }
 
-std::vector<Lsn> TransactionManager::CheckpointBeginPositions() {
+Lsn TransactionManager::CheckpointBeginLsn() {
   // Exclusive acquisition drains every in-flight commit's append+apply
-  // window; while held no new commit can log, so everything below the
-  // positions read here is fully applied and no transaction straddles them.
+  // window; while held no new commit can log, so everything below the LSN
+  // read here is fully applied and no transaction straddles it.
   std::unique_lock<std::shared_mutex> barrier(commit_mu_);
-  return wal_->StreamEnds();
+  return wal_->next_lsn();
 }
 
 void TransactionManager::Abort(Transaction* txn) {

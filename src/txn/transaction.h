@@ -64,10 +64,9 @@ class Transaction {
   /// Partition this transaction's inserts into `table` route to, chosen
   /// once per (transaction, table) by `pick` on first use. Batch-affine
   /// allocation: every row a WriteBatch inserts into one table lands in one
-  /// partition — and therefore one WAL stream — so the commit touches one
-  /// partition latch and costs one log write + one sync instead of
-  /// spraying every stream. Tables rotate the pick across transactions to
-  /// keep partitions balanced.
+  /// partition, so the commit's apply takes one partition latch instead of
+  /// one per partition. Tables rotate the pick across transactions to keep
+  /// partitions balanced.
   uint32_t InsertPartition(TableId table,
                            const std::function<uint32_t()>& pick) {
     auto it = insert_partition_.find(table);
@@ -100,8 +99,8 @@ class TransactionManager {
   std::unique_ptr<Transaction> Begin();
 
   /// Raises the id allocator above `txn_id` (crash recovery: a reused id
-  /// could alias a prior generation's logged records, letting a torn
-  /// transaction pass the per-stream record-count check).
+  /// could attach a new commit marker to a prior generation's torn
+  /// transaction, resurrecting its surviving records on the next replay).
   void EnsureTxnIdsAbove(uint64_t txn_id) {
     uint64_t expect = next_txn_id_.load(std::memory_order_relaxed);
     while (txn_id + 1 > expect &&
@@ -117,18 +116,14 @@ class TransactionManager {
   /// Drops queued work and releases locks. Always succeeds.
   void Abort(Transaction* txn);
 
-  /// Fuzzy-checkpoint begin positions: waits for every in-flight commit to
-  /// finish its apply phase, then reads the end of every WAL stream.
-  /// Guarantees that every record below the returned per-stream LSNs has
-  /// been applied (so a subsequent storage flush covers it) and every
-  /// record at or above them will be replayed on recovery — Commit appends
-  /// to the WAL before applying, and without this barrier a checkpoint
-  /// could slip between the two and lose a durably committed transaction.
-  /// Because commits happen entirely inside the shared window, no
-  /// transaction straddles the returned vector: its records sit wholly
-  /// below or wholly at-or-above it in every stream, which is what lets
-  /// recovery verify cross-stream commit atomicity with record counts.
-  std::vector<Lsn> CheckpointBeginPositions();
+  /// Fuzzy-checkpoint begin LSN: waits for every in-flight commit to
+  /// finish its apply phase, then reads the end of the WAL. Guarantees
+  /// that every record below the returned LSN has been applied (so a
+  /// subsequent storage flush covers it) and every record at or above it
+  /// will be replayed on recovery — Commit appends to the WAL before
+  /// applying, and without this barrier a checkpoint could slip between
+  /// the two and lose a durably committed transaction.
+  Lsn CheckpointBeginLsn();
 
   struct Stats {
     uint64_t started = 0;
@@ -143,10 +138,10 @@ class TransactionManager {
   std::atomic<uint64_t> next_txn_id_{1};
   mutable std::mutex mu_;
   /// Held shared across a commit's append+apply window — including the
-  /// group-commit durability wait, when the committer parks on its streams'
-  /// synced-LSN watermarks; CheckpointBeginPositions takes it exclusively
-  /// so "logged but not yet applied" is impossible at the instant the begin
-  /// vector is read. The park never holds a stream mutex (the leader's
+  /// group-commit durability wait, when the committer parks on the log's
+  /// synced-LSN watermark; CheckpointBeginLsn takes it exclusively so
+  /// "logged but not yet applied" is impossible at the instant the begin
+  /// LSN is read. The park never holds the log mutex (the leader's
   /// fdatasync runs with it released), so commits draining under the
   /// barrier cannot deadlock against concurrent appenders.
   mutable std::shared_mutex commit_mu_;

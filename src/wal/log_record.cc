@@ -53,18 +53,6 @@ void EncodeWalRecord(const WalRecord& record, const WalBlobCipher& encrypt,
   PutVarint32(dst, record.table);
   switch (record.type) {
     case WalRecordType::kCommit:
-      // Sharded commit frames carry the CSN + per-stream record counts;
-      // unsharded ones encode nothing here, keeping the single-stream byte
-      // layout identical to logs written before sharding existed.
-      if (record.commit_seq != 0 || !record.stream_counts.empty()) {
-        PutVarint64(dst, record.commit_seq);
-        PutVarint32(dst, static_cast<uint32_t>(record.stream_counts.size()));
-        for (const auto& [stream, count] : record.stream_counts) {
-          PutVarint32(dst, stream);
-          PutVarint32(dst, count);
-        }
-      }
-      break;
     case WalRecordType::kBegin:
     case WalRecordType::kAbort:
       break;
@@ -145,21 +133,6 @@ Result<WalRecord> DecodeWalRecord(Slice input, const WalBlobCipher& decrypt) {
   record.table = table;
   switch (record.type) {
     case WalRecordType::kCommit:
-      // Optional tail: absent in single-stream and legacy frames.
-      if (!input.empty()) {
-        uint32_t n;
-        if (!GetVarint64(&input, &record.commit_seq) ||
-            !GetVarint32(&input, &n) || n > 65536) {
-          return Status::Corruption("bad commit record");
-        }
-        record.stream_counts.resize(n);
-        for (auto& [stream, count] : record.stream_counts) {
-          if (!GetVarint32(&input, &stream) || !GetVarint32(&input, &count)) {
-            return Status::Corruption("bad commit stream counts");
-          }
-        }
-      }
-      break;
     case WalRecordType::kBegin:
     case WalRecordType::kAbort:
       break;

@@ -73,21 +73,10 @@ struct WalRecord {
   /// accurate degradable values this kInsert record carries — insert_time
   /// plus the shortest first-phase duration over the row's degradable
   /// columns, kForever when nothing in the record ever degrades. The WAL
-  /// streams fold it into a per-segment minimum so the deletion-assurance
-  /// audit can ask "does any live segment still hold an accurate value past
-  /// its deadline?" without re-reading the log.
+  /// folds it into a per-segment minimum so the deletion-assurance audit
+  /// can ask "does any live segment still hold an accurate value past its
+  /// deadline?" without re-reading the log.
   Micros payload_deadline = kForever;
-
-  // kCommit, sharded WAL only (WalOptions::wal_streams > 1). The global
-  // commit sequence number orders commits across streams, and `stream_counts`
-  // lists, per stream the transaction touched, how many records it appended
-  // there — recovery honors the commit only when every counted record
-  // survived its stream's torn-tail truncation, which keeps cross-stream
-  // commits atomic. Single-stream commit frames leave both empty (encoded as
-  // zero extra bytes), so old logs decode unchanged and wal_streams=1 logs
-  // stay byte-identical to pre-sharding ones.
-  uint64_t commit_seq = 0;
-  std::vector<std::pair<uint32_t, uint32_t>> stream_counts;
 };
 
 /// Encrypts/decrypts the degradable blob of an insert record. Input is the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <set>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -14,10 +15,22 @@ namespace {
 
 constexpr char kCheckpointFile[] = "CHECKPOINT";
 
-/// Sanity cap on WalOptions::wal_streams (mirrors kMaxPartitions: one
-/// stream per core is the useful range, and this bounds what a corrupt
-/// STREAMS file can make Open() attempt).
-constexpr uint32_t kMaxWalStreams = 1024;
+/// Marker of the sharded layout: the stream count, written at creation.
+constexpr char kLegacyStreamsFile[] = "STREAMS";
+
+/// Parses a sharded layout's stream directory name `s<k>`.
+bool ParseLegacyStreamDir(const std::string& name, uint32_t* index) {
+  if (name.size() < 2 || name[0] != 's') return false;
+  char* end = nullptr;
+  const unsigned long k = std::strtoul(name.c_str() + 1, &end, 10);
+  if (*end != '\0' || k > UINT32_MAX) return false;
+  *index = static_cast<uint32_t>(k);
+  return true;
+}
+
+bool IsSegmentName(const std::string& name) {
+  return StartsWith(name, "wal_") && EndsWith(name, ".log");
+}
 
 bool IsDataRecord(WalRecordType type) {
   return type != WalRecordType::kCommit && type != WalRecordType::kCheckpoint;
@@ -34,236 +47,144 @@ WalManager::WalManager(std::string dir, const WalOptions& options,
 
 WalManager::~WalManager() = default;
 
-std::string WalManager::StreamDir(uint32_t stream) const {
-  // A single stream keeps the unsharded on-disk layout (segments directly
-  // under the log directory).
-  if (streams_.size() <= 1) return dir_;
-  return dir_ + StringPrintf("/s%u", stream);
-}
-
-Result<uint32_t> WalManager::ResolveStreamCount() const {
-  if (env_->FileExists(StreamCountPath())) {
-    IDB_ASSIGN_OR_RETURN(std::string text,
-                         env_->ReadFileToString(StreamCountPath()));
-    char* end = nullptr;
-    const unsigned long persisted = std::strtoul(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || persisted == 0 ||
-        persisted > kMaxWalStreams) {
-      return Status::Corruption("bad STREAMS file in " + dir_);
-    }
-    return static_cast<uint32_t>(persisted);
-  }
-  IDB_ASSIGN_OR_RETURN(auto names, env_->ListDir(dir_));
-  bool has_legacy = false;
-  uint32_t stream_dirs = 0;
-  uint32_t max_index = 0;
-  for (const std::string& name : names) {
-    if (StartsWith(name, "wal_") || name == kCheckpointFile) {
-      has_legacy = true;
-      continue;
-    }
-    if (name.size() >= 2 && name[0] == 's') {
-      char* end = nullptr;
-      const unsigned long index = std::strtoul(name.c_str() + 1, &end, 10);
-      if (*end != '\0') continue;
-      ++stream_dirs;
-      max_index = std::max(max_index, static_cast<uint32_t>(index));
-    }
-  }
-  if (stream_dirs > 0) {
-    // STREAMS file lost but stream directories present: recover the count
-    // only if the dirs are unambiguous (contiguous s0..sN-1, N >= 2).
-    // Guessing across a gap would mis-route every record forever. This
-    // check runs BEFORE the legacy one — sharded logs also keep their
-    // CHECKPOINT manifest at the top level, so a top-level file must not
-    // demote a sharded log to one stream.
-    if (stream_dirs != max_index + 1 || stream_dirs < 2 ||
-        stream_dirs > kMaxWalStreams) {
-      return Status::Corruption(
-          "STREAMS file missing and stream directories are ambiguous in " +
-          dir_);
-    }
-    return stream_dirs;
-  }
-  if (has_legacy) {
-    // Segments (or a checkpoint) at the top level and no stream dirs: a log
-    // written before sharding existed, or by wal_streams = 1. Pin the
-    // single-stream layout — re-routing would strand every record on disk.
-    return 1u;
-  }
-  // Fresh log: adopt the configured count (0 = "decided by the caller",
-  // treated as 1 here for standalone use).
-  const size_t configured = options_.wal_streams == 0 ? 1 : options_.wal_streams;
-  if (configured > kMaxWalStreams) {
-    return Status::InvalidArgument("WalOptions::wal_streams exceeds limit");
-  }
-  return static_cast<uint32_t>(configured);
-}
-
 Status WalManager::Open() {
   IDB_RETURN_IF_ERROR(env_->CreateDirs(dir_));
-  IDB_ASSIGN_OR_RETURN(const uint32_t count, ResolveStreamCount());
-  if (count > 1 && !env_->FileExists(StreamCountPath())) {
-    IDB_RETURN_IF_ERROR(env_->WriteStringToFile(
-        StreamCountPath(), std::to_string(count), /*sync=*/true));
-  }
-  streams_.clear();
-  streams_.reserve(count);
-  // StreamDir consults streams_.size() to pick the layout, so size the
-  // vector before computing directories.
-  for (uint32_t s = 0; s < count; ++s) streams_.push_back(nullptr);
-  for (uint32_t s = 0; s < count; ++s) {
-    streams_[s] =
-        std::make_unique<WalStream>(StreamDir(s), s, options_, keys_, env_);
-    IDB_RETURN_IF_ERROR(streams_[s]->Open());
-  }
-  return Status::OK();
+  IDB_RETURN_IF_ERROR(ConvertShardedLayout());
+  stream_ = std::make_unique<WalStream>(dir_, options_, keys_, env_);
+  return stream_->Open();
 }
 
-uint32_t WalManager::StreamOf(const WalRecord& record) const {
-  const auto n = static_cast<uint64_t>(streams_.size());
-  if (n == 1) return 0;
-  switch (record.type) {
-    case WalRecordType::kInsert:
-    case WalRecordType::kDelete:
-    case WalRecordType::kUpdateStable:
-      return static_cast<uint32_t>(record.row_id % n);
-    case WalRecordType::kDegradeStep:
-      // A step drains one partition's store; every entry's row id hashes to
-      // the same partition, so the first entry routes the whole record.
-      if (!record.entries.empty()) {
-        return static_cast<uint32_t>(record.entries[0].row_id % n);
-      }
-      [[fallthrough]];
-    default:
-      return static_cast<uint32_t>(record.txn_id % n);
+Status WalManager::ConvertShardedLayout() {
+  IDB_ASSIGN_OR_RETURN(auto names, env_->ListDir(dir_));
+  std::vector<std::pair<uint32_t, std::string>> stream_dirs;
+  bool has_segment = false;
+  Lsn start = 0;
+  for (const std::string& name : names) {
+    uint32_t k = 0;
+    if (ParseLegacyStreamDir(name, &k)) {
+      stream_dirs.emplace_back(k, dir_ + "/" + name);
+    } else if (IsSegmentName(name)) {
+      // Only an interrupted conversion leaves a segment beside the stream
+      // directories: the new log's first, still empty, segment.
+      has_segment = true;
+      start = std::max<Lsn>(start,
+                            std::strtoull(name.c_str() + 4, nullptr, 16));
+    }
   }
+  const std::string streams_file = dir_ + "/" + kLegacyStreamsFile;
+  if (stream_dirs.empty() && !env_->FileExists(streams_file)) {
+    return Status::OK();
+  }
+
+  if (!stream_dirs.empty()) {
+    // Sharded manifest: a stream count, then one replay position per
+    // stream. Absent = nothing was ever checkpointed.
+    std::vector<Lsn> positions;
+    IDB_ASSIGN_OR_RETURN(const std::string body, ReadManifest());
+    if (!body.empty()) {
+      Slice input = body;
+      uint32_t count = 0;
+      if (!GetVarint32(&input, &count)) {
+        return Status::Corruption("bad sharded CHECKPOINT in " + dir_);
+      }
+      for (uint32_t k = 0; k < count; ++k) {
+        uint64_t lsn;
+        if (!GetVarint64(&input, &lsn)) {
+          return Status::Corruption("bad sharded CHECKPOINT in " + dir_);
+        }
+        positions.push_back(lsn);
+      }
+    }
+    // Read-only scan: the directory stays byte-for-byte as found when it is
+    // refused. Only the record type byte is read — enough to tell the
+    // kCheckpoint records a clean close leaves from redo.
+    const Status refused = Status::NotSupported(
+        dir_ + " holds a multi-stream WAL with records past its last "
+               "checkpoint; open and close the database once with the "
+               "earlier build that wrote it, then reopen it with this one");
+    for (const auto& [k, path] : stream_dirs) {
+      const Lsn from = k < positions.size() ? positions[k] : 0;
+      IDB_ASSIGN_OR_RETURN(auto files, env_->ListDir(path));
+      for (const std::string& file : files) {
+        if (!IsSegmentName(file)) continue;  // `*.recycled`: retired
+        const Lsn segment = std::strtoull(file.c_str() + 4, nullptr, 16);
+        IDB_ASSIGN_OR_RETURN(const std::string raw,
+                             env_->ReadFileToString(path + "/" + file));
+        IDB_ASSIGN_OR_RETURN(
+            const uint64_t size,
+            WalStream::ForEachFrame(raw, [&](uint64_t off, Slice body) {
+              const bool redo =
+                  body.empty() || static_cast<WalRecordType>(body[0]) !=
+                                      WalRecordType::kCheckpoint;
+              return segment + off >= from && redo ? refused : Status::OK();
+            }));
+        start = std::max(start, segment + size);
+      }
+    }
+  }
+
+  // Clean. Persist the new log's start first (an empty first segment at or
+  // above every old stream's end: epoch keys outlive the conversion, and
+  // old stream 0's nonces were NonceForSequence of its own offsets), then
+  // scrub, then publish the manifest, and drop the STREAMS marker last — a
+  // crash at any point reruns the conversion on the next open.
+  if (!has_segment) {
+    IDB_RETURN_IF_ERROR(env_->WriteStringToFile(
+        dir_ + "/" + WalStream::SegmentName(start), "", /*sync=*/true));
+  }
+  for (const auto& [k, path] : stream_dirs) {
+    IDB_ASSIGN_OR_RETURN(auto files, env_->ListDir(path));
+    for (const std::string& file : files) {
+      // Every file — live segments and kPlain's `*.recycled` alike.
+      const std::string victim = path + "/" + file;
+      IDB_ASSIGN_OR_RETURN(const uint64_t size, env_->GetFileSize(victim));
+      IDB_RETURN_IF_ERROR(env_->OverwriteRange(victim, 0, size));
+      IDB_RETURN_IF_ERROR(env_->RemoveFile(victim));
+    }
+    IDB_RETURN_IF_ERROR(env_->RemoveDirRecursive(path));
+  }
+  IDB_RETURN_IF_ERROR(WriteManifest(start));
+  return env_->FileExists(streams_file) ? env_->RemoveFile(streams_file)
+                                        : Status::OK();
 }
 
 Result<Lsn> WalManager::Append(const WalRecord& record, bool sync) {
-  return streams_[StreamOf(record)]->Append(record, sync);
+  return stream_->Append(record, sync);
 }
 
 Result<Lsn> WalManager::AppendBatch(
     const std::vector<const WalRecord*>& records, bool sync) {
-  if (streams_.size() == 1) return streams_[0]->AppendBatch(records, sync);
-  if (records.empty()) return Lsn{0};
-  std::vector<std::vector<const WalRecord*>> buckets(streams_.size());
-  for (const WalRecord* record : records) {
-    buckets[StreamOf(*record)].push_back(record);
-  }
-  const uint32_t first_stream = StreamOf(*records[0]);
-  Lsn first_lsn = 0;
-  for (uint32_t s = 0; s < streams_.size(); ++s) {
-    if (buckets[s].empty()) continue;
-    IDB_ASSIGN_OR_RETURN(const Lsn lsn,
-                         streams_[s]->AppendBatch(buckets[s], sync));
-    if (s == first_stream) first_lsn = lsn;
-  }
-  return first_lsn;
+  return stream_->AppendBatch(records, sync);
 }
 
 Status WalManager::AppendCommit(const std::vector<const WalRecord*>& ops,
-                                WalRecord* commit, bool sync) {
-  const uint32_t n = num_streams();
-  if (n == 1) {
-    // Unsharded group commit, byte-identical to the pre-sharding log: the
-    // commit frame stays unstamped (no CSN, no counts) and everything goes
-    // as one buffered write + at most one sync.
-    std::vector<const WalRecord*> records(ops);
-    records.push_back(commit);
-    return streams_[0]->AppendBatch(records, sync).status();
-  }
-  commit->commit_seq = next_commit_seq_.fetch_add(1, std::memory_order_relaxed);
-  commit->stream_counts.clear();
-  // Fast path: batch-affine row allocation makes most transactions stream-
-  // local, so detect "every op routes to one stream" without building
-  // per-stream buckets.
-  bool local = true;
-  const uint32_t first = ops.empty() ? 0 : StreamOf(*ops[0]);
-  for (const WalRecord* op : ops) {
-    if (StreamOf(*op) != first) {
-      local = false;
-      break;
-    }
-  }
-  if (local) {
-    if (!ops.empty()) {
-      commit->stream_counts.emplace_back(first,
-                                         static_cast<uint32_t>(ops.size()));
-    }
-    const uint32_t commit_stream =
-        ops.empty() ? static_cast<uint32_t>(commit->txn_id % n) : first;
-    std::vector<const WalRecord*> tail(ops);
-    tail.push_back(commit);
-    return streams_[commit_stream]->AppendBatch(tail, sync).status();
-  }
-  std::vector<std::vector<const WalRecord*>> buckets(n);
-  for (const WalRecord* op : ops) buckets[StreamOf(*op)].push_back(op);
-  for (uint32_t s = 0; s < n; ++s) {
-    if (!buckets[s].empty()) {
-      commit->stream_counts.emplace_back(
-          s, static_cast<uint32_t>(buckets[s].size()));
-    }
-  }
-  const uint32_t commit_stream =
-      commit->stream_counts.empty()
-          ? static_cast<uint32_t>(commit->txn_id % n)
-          : commit->stream_counts.front().first;
-  std::vector<Lsn> sibling_end(n, 0);
-  for (uint32_t s = 0; s < n; ++s) {
-    if (s == commit_stream || buckets[s].empty()) continue;
-    IDB_RETURN_IF_ERROR(
-        streams_[s]->AppendBatch(buckets[s], false, &sibling_end[s]).status());
-  }
-  // The commit stream's ops and the commit frame go as one buffered write,
-  // so a stream-local transaction (the common case: partition-affine row
-  // allocation puts a batch's inserts in one partition) costs one write and
-  // — when durable — at most one sync on one stream.
-  std::vector<const WalRecord*> tail = std::move(buckets[commit_stream]);
-  tail.push_back(commit);
-  IDB_RETURN_IF_ERROR(
-      streams_[commit_stream]->AppendBatch(tail, sync).status());
-  if (sync && !options_.sync_on_commit) {
-    // Ack only once every stream holding this transaction's records is
-    // durable — SyncThrough the exact end of each sibling's run, so a
-    // leader sync already past it (another commit's, or this loop's own
-    // earlier iteration racing new traffic) satisfies the ack for free.
-    // A crash part-way leaves the commit frame on disk with a torn sibling
-    // stream; recovery's per-stream record counts void the commit
-    // atomically, so durability is still all-or-nothing. (Under
-    // sync_on_commit the sibling AppendBatch calls above already synced —
-    // skipping this loop avoids a second fsync per sibling stream.)
-    for (const auto& [s, count] : commit->stream_counts) {
-      (void)count;
-      if (s == commit_stream) continue;
-      IDB_RETURN_IF_ERROR(streams_[s]->SyncThrough(sibling_end[s]));
-    }
-  }
-  return Status::OK();
+                                const WalRecord& commit, bool sync) {
+  std::vector<const WalRecord*> records;
+  records.reserve(ops.size() + 1);
+  records.insert(records.end(), ops.begin(), ops.end());
+  records.push_back(&commit);
+  return stream_->AppendBatch(records, sync).status();
 }
 
-Status WalManager::Sync() {
-  for (auto& stream : streams_) IDB_RETURN_IF_ERROR(stream->Sync());
-  return Status::OK();
+Status WalManager::Sync() { return stream_->Sync(); }
+
+Result<std::string> WalManager::ReadManifest() const {
+  const std::string path = dir_ + "/" + kCheckpointFile;
+  if (!env_->FileExists(path)) return std::string();
+  IDB_ASSIGN_OR_RETURN(std::string contents, env_->ReadFileToString(path));
+  Slice input = contents;
+  uint32_t masked;
+  if (!GetFixed32(&input, &masked) ||
+      crc32c::Unmask(masked) != crc32c::Value(input.data(), input.size()) ||
+      input.empty()) {
+    return Status::Corruption("bad CHECKPOINT file");
+  }
+  return std::string(input);
 }
 
-std::vector<Lsn> WalManager::StreamEnds() const {
-  std::vector<Lsn> ends(streams_.size());
-  for (size_t s = 0; s < streams_.size(); ++s) ends[s] = streams_[s]->next_lsn();
-  return ends;
-}
-
-Status WalManager::WriteManifest(const std::vector<Lsn>& lsns) {
+Status WalManager::WriteManifest(Lsn lsn) {
   std::string body;
-  if (lsns.size() == 1) {
-    // Legacy single-stream format, readable by (and identical to) the
-    // pre-sharding CHECKPOINT file.
-    PutVarint64(&body, lsns[0]);
-  } else {
-    PutVarint32(&body, static_cast<uint32_t>(lsns.size()));
-    for (Lsn lsn : lsns) PutVarint64(&body, lsn);
-  }
+  PutVarint64(&body, lsn);
   std::string file;
   PutFixed32(&file, crc32c::Mask(crc32c::Value(body.data(), body.size())));
   file += body;
@@ -279,194 +200,58 @@ Status WalManager::WriteManifest(const std::vector<Lsn>& lsns) {
   return renamed;
 }
 
-Result<std::vector<Lsn>> WalManager::LogCheckpointAll(
-    const std::vector<Lsn>& replay_from) {
-  if (!replay_from.empty() && replay_from.size() != streams_.size()) {
-    return Status::InvalidArgument("replay_from size != stream count");
-  }
+Result<Lsn> WalManager::LogCheckpoint(Lsn replay_from) {
   // One checkpoint at a time (see checkpoint_mu_): the daemon's cadence and
   // caller-driven checkpoints would otherwise race the manifest rename.
   std::lock_guard<std::mutex> checkpoint_lock(checkpoint_mu_);
-  std::vector<Lsn> lsns(streams_.size(), 0);
-  for (size_t s = 0; s < streams_.size(); ++s) {
-    IDB_ASSIGN_OR_RETURN(
-        lsns[s], streams_[s]->BeginCheckpoint(
-                     replay_from.empty() ? WalStream::kLogEnd : replay_from[s]));
-  }
+  IDB_ASSIGN_OR_RETURN(const Lsn lsn, stream_->BeginCheckpoint(replay_from));
   // Retirement only after the manifest durably records the new replay
-  // positions: segments must never disappear ahead of the pointer that
-  // says they are no longer needed.
-  IDB_RETURN_IF_ERROR(WriteManifest(lsns));
-  for (size_t s = 0; s < streams_.size(); ++s) {
-    IDB_RETURN_IF_ERROR(streams_[s]->RetireThrough(lsns[s]));
-  }
-  return lsns;
+  // position: segments must never disappear ahead of the pointer that says
+  // they are no longer needed.
+  IDB_RETURN_IF_ERROR(WriteManifest(lsn));
+  IDB_RETURN_IF_ERROR(stream_->RetireThrough(lsn));
+  return lsn;
 }
 
-Result<std::vector<Lsn>> WalManager::ReadCheckpointPositions() const {
-  std::vector<Lsn> lsns(streams_.size(), 0);
-  const std::string path = dir_ + "/" + kCheckpointFile;
-  if (!env_->FileExists(path)) return lsns;
-  IDB_ASSIGN_OR_RETURN(std::string contents, env_->ReadFileToString(path));
-  Slice input = contents;
-  uint32_t masked;
-  if (!GetFixed32(&input, &masked) ||
-      crc32c::Unmask(masked) != crc32c::Value(input.data(), input.size())) {
-    return Status::Corruption("bad CHECKPOINT file");
+Result<Lsn> WalManager::ReadCheckpointLsn() const {
+  IDB_ASSIGN_OR_RETURN(const std::string body, ReadManifest());
+  if (body.empty()) return Lsn{0};
+  Slice input = body;
+  uint64_t lsn;
+  if (!GetVarint64(&input, &lsn)) {
+    return Status::Corruption("bad CHECKPOINT payload");
   }
-  if (streams_.size() == 1) {
-    uint64_t lsn;
-    if (!GetVarint64(&input, &lsn)) {
-      return Status::Corruption("bad CHECKPOINT payload");
-    }
-    lsns[0] = lsn;
-    return lsns;
-  }
-  uint32_t count;
-  if (!GetVarint32(&input, &count) || count != streams_.size()) {
-    return Status::Corruption("CHECKPOINT stream count mismatch");
-  }
-  for (uint32_t s = 0; s < count; ++s) {
-    uint64_t lsn;
-    if (!GetVarint64(&input, &lsn)) {
-      return Status::Corruption("bad CHECKPOINT payload");
-    }
-    lsns[s] = lsn;
-  }
-  return lsns;
+  return lsn;
 }
 
 Status WalManager::Replay(
     Lsn from, const std::function<Status(const WalRecord&, Lsn)>& fn) const {
-  return streams_[0]->Replay(from, fn);
-}
-
-Status WalManager::ReplayStream(
-    uint32_t stream, Lsn from,
-    const std::function<Status(const WalRecord&, Lsn)>& fn) const {
-  return streams_[stream]->Replay(from, fn);
+  return stream_->Replay(from, fn);
 }
 
 Status WalManager::RecoverCommitted(
-    const std::vector<Lsn>& from, bool stream_local_apply, WorkerPool& pool,
-    const std::function<Status(const WalRecord&)>& redo,
+    Lsn from, const std::function<Status(const WalRecord&)>& redo,
     uint64_t* max_txn_id) {
-  const size_t n = streams_.size();
-  if (from.size() != n) {
-    return Status::InvalidArgument("recovery position size != stream count");
-  }
-
-  // Pass 1 (parallel): per stream, how many data records each transaction
-  // left behind, plus every commit frame's CSN and expected counts, plus
-  // the id/sequence high-water marks the reopened log must resume above.
-  struct CommitMeta {
-    uint64_t seq = 0;
-    std::vector<std::pair<uint32_t, uint32_t>> counts;
-  };
-  std::vector<std::map<uint64_t, uint64_t>> observed(n);  // txn -> records
-  std::vector<std::map<uint64_t, CommitMeta>> commits(n);
-  std::vector<uint64_t> max_txn(n, 0);
-  std::vector<uint64_t> max_seq(n, 0);
-  IDB_RETURN_IF_ERROR(pool.Run(n, n, [&](size_t s) {
-    return streams_[s]->Replay(from[s], [&](const WalRecord& record, Lsn) {
-      // Track ids of torn transactions too: reusing one would let a new
-      // generation's torn commit pass the record-count check with this
-      // generation's records.
-      max_txn[s] = std::max(max_txn[s], record.txn_id);
-      if (record.type == WalRecordType::kCommit) {
-        max_seq[s] = std::max(max_seq[s], record.commit_seq);
-        commits[s].emplace(record.txn_id,
-                           CommitMeta{record.commit_seq, record.stream_counts});
-      } else if (IsDataRecord(record.type)) {
-        ++observed[s][record.txn_id];
-      }
-      return Status::OK();
-    });
-  }));
-
-  // New commits must sequence strictly after every surviving frame; a CSN
-  // collision across crash generations would break the merge order (and
-  // the atomicity check) on the next recovery.
+  // Pass 1: which transactions' commit markers survived, and the id
+  // high-water mark (torn transactions included).
+  std::set<uint64_t> committed;
   uint64_t high_txn = 0;
-  uint64_t high_seq = 0;
-  for (uint32_t s = 0; s < n; ++s) {
-    high_txn = std::max(high_txn, max_txn[s]);
-    high_seq = std::max(high_seq, max_seq[s]);
-  }
-  uint64_t expect = next_commit_seq_.load(std::memory_order_relaxed);
-  while (high_seq + 1 > expect &&
-         !next_commit_seq_.compare_exchange_weak(expect, high_seq + 1,
-                                                 std::memory_order_relaxed)) {
-  }
+  IDB_RETURN_IF_ERROR(
+      stream_->Replay(from, [&](const WalRecord& record, Lsn) {
+        high_txn = std::max(high_txn, record.txn_id);
+        if (record.type == WalRecordType::kCommit) {
+          committed.insert(record.txn_id);
+        }
+        return Status::OK();
+      }));
   if (max_txn_id != nullptr) *max_txn_id = high_txn;
 
-  // Committed = commit frame present AND every per-stream record count
-  // intact. A commit without counts is a legacy/single-stream frame whose
-  // own stream ordering vouches for it (records precede the commit in the
-  // same buffered write, so a torn tail that ate them ate the commit too).
-  std::map<uint64_t, uint64_t> committed;  // txn -> commit seq
-  for (uint32_t s = 0; s < n; ++s) {
-    for (const auto& [txn_id, meta] : commits[s]) {
-      bool intact = true;
-      for (const auto& [stream, count] : meta.counts) {
-        if (stream >= n) {
-          intact = false;
-          break;
-        }
-        const auto it = observed[stream].find(txn_id);
-        if (it == observed[stream].end() || it->second < count) {
-          intact = false;
-          break;
-        }
-      }
-      if (intact) committed.emplace(txn_id, meta.seq);
-    }
-  }
-
-  // Pass 2: redo data records of committed transactions.
-  if (stream_local_apply) {
-    // Every table partition maps wholly into one stream, so any two
-    // conflicting records share a stream and stream order already equals
-    // commit order where it matters: streams replay concurrently.
-    return pool.Run(n, n, [&](size_t s) {
-      return streams_[s]->Replay(from[s], [&](const WalRecord& record, Lsn) {
-        if (!IsDataRecord(record.type)) return Status::OK();
-        if (committed.count(record.txn_id) == 0) return Status::OK();
-        return redo(record);
-      });
-    });
-  }
-
-  // Cross-stream ordering required (stream count does not divide the
-  // partition count): gather the committed records and apply them globally
-  // in commit-sequence order, records of one transaction in (stream,
-  // stream-order) order.
-  struct Pending {
-    uint64_t seq;
-    uint32_t stream;
-    uint64_t index;
-    WalRecord record;
-  };
-  std::vector<Pending> pending;
-  for (uint32_t s = 0; s < n; ++s) {
-    uint64_t index = 0;
-    IDB_RETURN_IF_ERROR(streams_[s]->Replay(
-        from[s], [&](const WalRecord& record, Lsn) {
-          if (!IsDataRecord(record.type)) return Status::OK();
-          const auto it = committed.find(record.txn_id);
-          if (it == committed.end()) return Status::OK();
-          pending.push_back({it->second, s, index++, record});
-          return Status::OK();
-        }));
-  }
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const Pending& a, const Pending& b) {
-                     if (a.seq != b.seq) return a.seq < b.seq;
-                     if (a.stream != b.stream) return a.stream < b.stream;
-                     return a.index < b.index;
-                   });
-  for (const Pending& p : pending) IDB_RETURN_IF_ERROR(redo(p.record));
-  return Status::OK();
+  // Pass 2: redo committed work in log order.
+  return stream_->Replay(from, [&](const WalRecord& record, Lsn) {
+    if (!IsDataRecord(record.type)) return Status::OK();
+    if (committed.count(record.txn_id) == 0) return Status::OK();
+    return redo(record);
+  });
 }
 
 Status WalManager::DestroyEpochKeysThrough(TableId table, Micros safe_time) {
@@ -493,26 +278,18 @@ Status WalManager::DestroyEpochKeysThrough(TableId table, Micros safe_time) {
 WalManager::ExposureAudit WalManager::AuditExposure(Micros horizon) const {
   ExposureAudit audit;
   if (options_.privacy_mode != WalPrivacyMode::kEncryptedEpoch) {
-    for (const auto& stream : streams_) {
-      audit.exposed_segments += stream->ExposedPayloadSegments(horizon);
-    }
+    audit.exposed_segments = stream_->ExposedPayloadSegments(horizon);
   }
   if (options_.privacy_mode == WalPrivacyMode::kPlain) {
     // Every retirement under kPlain renamed the segment and left the bytes
     // on disk; none has ever been scrubbed.
-    for (const auto& stream : streams_) {
-      audit.unscrubbed_recycled += stream->stats().segments_retired;
-    }
+    audit.unscrubbed_recycled = stream_->stats().segments_retired;
   }
   return audit;
 }
 
 Micros WalManager::EarliestPayloadDeadline() const {
-  Micros earliest = kForever;
-  for (const auto& stream : streams_) {
-    earliest = std::min(earliest, stream->EarliestPayloadDeadline());
-  }
-  return earliest;
+  return stream_->EarliestPayloadDeadline();
 }
 
 uint64_t WalManager::LingeringEpochKeys(TableId table, Micros safe_time) const {
@@ -531,19 +308,17 @@ uint64_t WalManager::LingeringEpochKeys(TableId table, Micros safe_time) const {
 }
 
 WalManager::Stats WalManager::stats() const {
+  const WalStream::Stats s = stream_->stats();
   Stats total;
-  for (const auto& stream : streams_) {
-    const WalStream::Stats s = stream->stats();
-    total.records_appended += s.records_appended;
-    total.bytes_appended += s.bytes_appended;
-    total.segments_created += s.segments_created;
-    total.segments_retired += s.segments_retired;
-    total.scrub_bytes += s.scrub_bytes;
-    total.syncs += s.syncs;
-    total.sync_requests += s.sync_requests;
-    total.commits_absorbed += s.commits_absorbed;
-    if (stream->poisoned()) ++total.poisoned_streams;
-  }
+  total.records_appended = s.records_appended;
+  total.bytes_appended = s.bytes_appended;
+  total.segments_created = s.segments_created;
+  total.segments_retired = s.segments_retired;
+  total.scrub_bytes = s.scrub_bytes;
+  total.syncs = s.syncs;
+  total.sync_requests = s.sync_requests;
+  total.commits_absorbed = s.commits_absorbed;
+  total.poisoned_streams = stream_->poisoned() ? 1 : 0;
   total.epoch_keys_destroyed =
       epoch_keys_destroyed_.load(std::memory_order_relaxed);
   return total;

@@ -14,10 +14,9 @@ std::string WalEpochKeyId(TableId table, uint64_t epoch) {
                       static_cast<unsigned long long>(epoch));
 }
 
-WalStream::WalStream(std::string dir, uint32_t stream_id,
-                     const WalOptions& options, KeyManager* keys, Env* env)
+WalStream::WalStream(std::string dir, const WalOptions& options,
+                     KeyManager* keys, Env* env)
     : dir_(std::move(dir)),
-      id_(stream_id),
       options_(options),
       keys_(keys),
       env_(env != nullptr ? env : Env::Default()) {}
@@ -26,9 +25,9 @@ WalStream::~WalStream() {
   if (writer_ != nullptr) writer_->Close().ok();
 }
 
-std::string WalStream::SegmentPath(Lsn start) const {
-  return dir_ + StringPrintf("/wal_%016llx.log",
-                             static_cast<unsigned long long>(start));
+std::string WalStream::SegmentName(Lsn start) {
+  return StringPrintf("wal_%016llx.log",
+                      static_cast<unsigned long long>(start));
 }
 
 Status WalStream::Open() {
@@ -67,17 +66,7 @@ Status WalStream::Open() {
     SegmentInfo& last = segments_.back();
     IDB_ASSIGN_OR_RETURN(std::string raw,
                          env_->ReadFileToString(SegmentPath(last.start)));
-    uint64_t off = 0;
-    while (off + 8 <= raw.size()) {
-      const uint32_t masked = DecodeFixed32(raw.data() + off);
-      const uint32_t len = DecodeFixed32(raw.data() + off + 4);
-      if (off + 8 + len > raw.size()) break;
-      if (crc32c::Unmask(masked) !=
-          crc32c::Value(raw.data() + off + 8, len)) {
-        break;
-      }
-      off += 8 + len;
-    }
+    IDB_ASSIGN_OR_RETURN(const uint64_t off, ForEachFrame(raw, nullptr));
     if (off < raw.size()) {
       // Torn suffix, or the zeroed remainder of a preallocated segment.
       IDB_RETURN_IF_ERROR(env_->TruncateFile(SegmentPath(last.start), off));
@@ -144,8 +133,7 @@ Status WalStream::PoisonLocked(const Status& cause) {
     // and a failed append leaves the positional fd ahead of next_lsn_ —
     // retry-and-pretend would ack commits whose bytes are not, or are not
     // where the LSN-derived nonces say they are, on disk.
-    poisoned_ = Status::IOError("wal stream " + std::to_string(id_) +
-                                " poisoned: " + cause.ToString());
+    poisoned_ = Status::IOError("wal poisoned: " + cause.ToString());
     // Wake every parked group-commit waiter so it observes the poison
     // instead of sleeping for a watermark that will never advance.
     sync_cv_.notify_all();
@@ -162,7 +150,7 @@ WalBlobCipher WalStream::MakeDecryptor(Lsn lsn) const {
             static_cast<uint64_t>(options_.epoch_micros)));
     if (!key.ok()) return false;  // destroyed epoch: values are gone
     *out = in;
-    ChaCha20::XorStreamAt(*key, NonceForStreamOffset(id_, lsn), 0, out->data(),
+    ChaCha20::XorStreamAt(*key, NonceForSequence(lsn), 0, out->data(),
                           out->size());
     return true;
   };
@@ -242,7 +230,7 @@ Result<Lsn> WalStream::AppendFramesLocked(std::unique_lock<std::mutex>& lock,
       // LSN-reservation seal: the record was serialized outside the mutex;
       // now that its LSN is fixed, XOR the blob with the LSN-derived nonce
       // and fill in the frame CRC over the final (ciphertext) body.
-      ChaCha20::XorStreamAt(frame.key, NonceForStreamOffset(id_, lsn), 0,
+      ChaCha20::XorStreamAt(frame.key, NonceForSequence(lsn), 0,
                             &frame.bytes[frame.blob_offset],
                             frame.blob_length);
       EncodeFixed32(&frame.bytes[0],
@@ -360,9 +348,8 @@ Status WalStream::SyncThrough(Lsn lsn) {
       ++stats_.syncs;
       lock.unlock();
       // Commit-path sync: fdatasync while inside the preallocated, size-
-      // durable region (no journal commit, so concurrent streams' syncs
-      // overlap in the I/O layer), full fsync otherwise. Rotation cannot
-      // close this writer meanwhile — it waits on sync_in_flight_.
+      // durable region (no journal commit), full fsync otherwise. Rotation
+      // cannot close this writer meanwhile — it waits on sync_in_flight_.
       const Status synced = data_only ? writer->SyncData() : writer->Sync();
       lock.lock();
       sync_in_flight_ = false;
@@ -481,6 +468,24 @@ Micros WalStream::EarliestPayloadDeadline() const {
   return earliest;
 }
 
+Result<uint64_t> WalStream::ForEachFrame(
+    Slice raw, const std::function<Status(uint64_t, Slice)>& fn) {
+  uint64_t off = 0;
+  while (off + 8 <= raw.size()) {
+    const uint32_t masked = DecodeFixed32(raw.data() + off);
+    const uint32_t len = DecodeFixed32(raw.data() + off + 4);
+    if (off + 8 + len > raw.size()) break;  // torn tail
+    if (crc32c::Unmask(masked) != crc32c::Value(raw.data() + off + 8, len)) {
+      break;
+    }
+    if (fn != nullptr) {
+      IDB_RETURN_IF_ERROR(fn(off, Slice(raw.data() + off + 8, len)));
+    }
+    off += 8 + len;
+  }
+  return off;
+}
+
 Status WalStream::Replay(
     Lsn from, const std::function<Status(const WalRecord&, Lsn)>& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -488,24 +493,14 @@ Status WalStream::Replay(
     if (segment.end <= from) continue;
     IDB_ASSIGN_OR_RETURN(std::string raw,
                          env_->ReadFileToString(SegmentPath(segment.start)));
-    uint64_t off = 0;
-    while (off + 8 <= raw.size()) {
-      const uint32_t masked = DecodeFixed32(raw.data() + off);
-      const uint32_t len = DecodeFixed32(raw.data() + off + 4);
-      if (off + 8 + len > raw.size()) break;  // torn tail
-      if (crc32c::Unmask(masked) !=
-          crc32c::Value(raw.data() + off + 8, len)) {
-        break;
-      }
-      const Lsn lsn = segment.start + off;
-      if (lsn >= from) {
-        auto record = DecodeWalRecord(Slice(raw.data() + off + 8, len),
-                                      MakeDecryptor(lsn));
-        if (!record.ok()) return record.status();
-        IDB_RETURN_IF_ERROR(fn(*record, lsn));
-      }
-      off += 8 + len;
-    }
+    IDB_RETURN_IF_ERROR(
+        ForEachFrame(raw, [&](uint64_t off, Slice body) -> Status {
+          const Lsn lsn = segment.start + off;
+          if (lsn < from) return Status::OK();
+          auto record = DecodeWalRecord(body, MakeDecryptor(lsn));
+          if (!record.ok()) return record.status();
+          return fn(*record, lsn);
+        }).status());
   }
   return Status::OK();
 }

@@ -17,31 +17,25 @@ namespace instantdb {
 
 class Env;
 
-/// Id of the shared per-(table, epoch) key in the KeyManager
-/// (WalPrivacyMode::kEncryptedEpoch). Epoch keys are shared across every
-/// stream of a sharded log, so destroying one makes the epoch's inserts
-/// unreadable in all streams at once.
+/// Id of the per-(table, epoch) key in the KeyManager
+/// (WalPrivacyMode::kEncryptedEpoch). Destroying it makes every logged copy
+/// of the epoch's inserts unreadable at once.
 std::string WalEpochKeyId(TableId table, uint64_t epoch);
 
-/// \brief One independent redo-log stream: segment files, writer, mutex and
-/// a leader-based group-commit sync watermark.
+/// \brief The redo log's segment files, writer, mutex and leader-based
+/// group-commit sync watermark.
 ///
-/// The WalManager shards the log over N of these (records route by
-/// `row_id % N`, the same hash the tables use for partitioning), so commits
-/// touching distinct streams serialize only on their own stream's mutex and
-/// their syncs overlap in the I/O layer instead of queueing behind one
-/// file. A stream knows nothing about its siblings: LSNs are stream-local
-/// byte offsets, segments are named `wal_<start-lsn>.log` inside the
-/// stream's directory, and the three privacy modes (WalPrivacyMode) retire
-/// segments per stream exactly as the unsharded log did. Epoch keys are the
-/// one shared resource — per (table, epoch) keys live in the KeyManager and
-/// are shared across streams, so the stream id enters the encryption nonce
-/// (NonceForStreamOffset) to keep (key, nonce) pairs unique.
+/// LSNs are byte offsets in the logical log, segments are named
+/// `wal_<start-lsn>.log` inside the log directory, and the three privacy
+/// modes (WalPrivacyMode) decide how a retired segment dies. Under
+/// kEncryptedEpoch an insert's payload is sealed with its epoch key and
+/// the nonce NonceForSequence(lsn): LSNs never repeat within a log, so
+/// neither do (key, nonce) pairs.
 ///
 /// Commit pipeline: append and sync are split around two watermarks.
-/// Appends advance the stream-local *appended* LSN (`next_lsn_`) under the
-/// mutex, but frames are encoded and checksummed BEFORE the mutex is taken
-/// (for kEncryptedEpoch inserts, serialization happens outside and only the
+/// Appends advance the *appended* LSN (`next_lsn_`) under the mutex, but
+/// frames are encoded and checksummed BEFORE the mutex is taken (for
+/// kEncryptedEpoch inserts, serialization happens outside and only the
 /// LSN-derived blob seal + CRC run under it — the LSN-reservation path).
 /// Durability runs OUTSIDE the mutex behind the *synced* LSN watermark
 /// (`synced_lsn_`): a committer wanting durability parks until the
@@ -57,9 +51,7 @@ std::string WalEpochKeyId(TableId table, uint64_t epoch);
 /// (sync_requests == syncs + commits_absorbed always).
 ///
 /// Framing: [u32 masked CRC32C(body)] [u32 len] [body]. Recovery tolerates
-/// a torn tail frame. With a single stream the directory layout, frame
-/// bytes and nonces are identical to the pre-sharding WalManager, which is
-/// what keeps old databases readable.
+/// a torn tail frame.
 ///
 /// Thread-safety: all public methods are safe to call concurrently; shared
 /// state is guarded by the stream mutex, and the only code that runs
@@ -71,6 +63,9 @@ class WalStream {
   /// Sentinel for BeginCheckpoint: "cover everything logged so far".
   static constexpr Lsn kLogEnd = UINT64_MAX;
 
+  /// File name of the segment whose first record has LSN `start`.
+  static std::string SegmentName(Lsn start);
+
   struct Stats {
     uint64_t records_appended = 0;
     uint64_t bytes_appended = 0;
@@ -80,28 +75,28 @@ class WalStream {
     /// fdatasync/fsync calls actually issued on the commit path.
     uint64_t syncs = 0;
     /// Durability demands (SyncThrough calls): every durable commit makes
-    /// one per stream it touched.
+    /// one.
     uint64_t sync_requests = 0;
     /// Requests satisfied without issuing their own sync — parked behind a
     /// leader whose fdatasync covered them, or already below the watermark
     /// on arrival. syncs + commits_absorbed == sync_requests on a healthy
-    /// stream; a poisoned stream's waiters return with the sticky error
+    /// log; a poisoned log's waiters return with the sticky error
     /// and count in neither bucket.
     uint64_t commits_absorbed = 0;
   };
 
   /// `env` == nullptr uses Env::Default().
-  WalStream(std::string dir, uint32_t stream_id, const WalOptions& options,
-            KeyManager* keys, Env* env = nullptr);
+  WalStream(std::string dir, const WalOptions& options, KeyManager* keys,
+            Env* env = nullptr);
   ~WalStream();
   WalStream(const WalStream&) = delete;
   WalStream& operator=(const WalStream&) = delete;
 
   /// Scans existing segments, truncating a torn tail, and positions the
-  /// writer at the end of the stream.
+  /// writer at the end of the log.
   Status Open();
 
-  /// Appends one record; returns its stream-local LSN.
+  /// Appends one record; returns its LSN.
   Result<Lsn> Append(const WalRecord& record, bool sync);
 
   /// Group commit: appends all records as ONE buffered file write. Frames
@@ -123,7 +118,7 @@ class WalStream {
   /// Syncs everything appended so far (SyncThrough the appended end).
   Status Sync();
 
-  /// Appended watermark: the stream-local LSN the next record will get.
+  /// Appended watermark: the LSN the next record will get.
   Lsn next_lsn() const {
     std::lock_guard<std::mutex> lock(mu_);
     return next_lsn_;
@@ -176,12 +171,18 @@ class WalStream {
   /// of waiting out a fixed interval.
   Micros EarliestPayloadDeadline() const;
 
-  /// Replays records with LSN >= `from` in stream order. `fn` returning
+  /// Replays records with LSN >= `from` in log order. `fn` returning
   /// non-OK aborts the replay with that status.
   Status Replay(Lsn from,
                 const std::function<Status(const WalRecord&, Lsn)>& fn) const;
 
-  uint32_t id() const { return id_; }
+  /// Walks the whole, CRC-valid frames of one segment's bytes in order,
+  /// calling `fn(offset, body)` (when non-null) for each, and stops at the
+  /// first torn or corrupt frame or at `fn`'s first error. Returns the
+  /// offset just past the last whole frame: the segment's logical size.
+  static Result<uint64_t> ForEachFrame(
+      Slice raw, const std::function<Status(uint64_t, Slice)>& fn);
+
   Stats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
@@ -222,7 +223,9 @@ class WalStream {
     Micros payload_deadline = kForever;
   };
 
-  std::string SegmentPath(Lsn start) const;
+  std::string SegmentPath(Lsn start) const {
+    return dir_ + "/" + SegmentName(start);
+  }
   /// Encodes + checksums `record` into a frame. Plaintext frames come out
   /// final; kEncryptedEpoch inserts carry their blob in plaintext with the
   /// seal deferred to AppendFramesLocked. Called outside the mutex.
@@ -246,7 +249,6 @@ class WalStream {
   Status PoisonLocked(const Status& cause);
 
   const std::string dir_;
-  const uint32_t id_;
   const WalOptions options_;
   KeyManager* const keys_;
   Env* const env_;
@@ -283,7 +285,7 @@ class WalStream {
   /// leader and by segment rotation (which fsyncs the sealed segment).
   Lsn synced_lsn_ = 0;
   /// True while a leader's fdatasync runs with the mutex released. At most
-  /// one sync is ever in flight per stream; rotation waits on it.
+  /// one sync is ever in flight; rotation waits on it.
   bool sync_in_flight_ = false;
   /// Largest LSN any still-waiting committer demands, and how many waiters
   /// demand exactly it. A waiter below the target parks instead of leading

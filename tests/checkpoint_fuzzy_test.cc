@@ -3,8 +3,8 @@
 // threaded durable WriteBatch ingest and a background degrader, and a
 // crash image taken afterwards must recover to exactly the pre-crash
 // state — no lost rows (every acked commit survives) and no resurrected
-// ones (no row, value or phase more accurate than the live state). The
-// matrix covers {1, 4} WAL streams × every privacy mode; the test is in
+// ones (no row, value or phase more accurate than the live state). It runs
+// in every privacy mode; the test is in
 // scripts/verify.sh's TSan list because it drives the group-commit
 // watermark, the checkpoint worker pool and the degradation pool against
 // each other.
@@ -13,7 +13,6 @@
 #include <chrono>
 #include <filesystem>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "catalog/builtin_domains.h"
@@ -60,11 +59,9 @@ void CopyTree(const std::string& from, const std::string& to) {
   std::filesystem::copy(from, to, std::filesystem::copy_options::recursive);
 }
 
-class CheckpointFuzzyTest
-    : public ::testing::TestWithParam<std::tuple<uint32_t, WalPrivacyMode>> {
+class CheckpointFuzzyTest : public ::testing::TestWithParam<WalPrivacyMode> {
  protected:
-  uint32_t streams() const { return std::get<0>(GetParam()); }
-  WalPrivacyMode mode() const { return std::get<1>(GetParam()); }
+  WalPrivacyMode mode() const { return GetParam(); }
 
   void SetUp() override {
     dir_ = ::testing::TempDir() + "/idb_ckpt_fuzzy_test";
@@ -85,7 +82,6 @@ class CheckpointFuzzyTest
     options.degradation.worker_threads = 2;
     options.degradation.step_batch_limit = 16;  // many small steps
     options.wal.privacy_mode = mode();
-    options.wal.wal_streams = streams();
     options.wal.segment_bytes = 4096;  // frequent rollover + retirement
     return options;
   }
@@ -249,21 +245,21 @@ TEST_P(CheckpointFuzzyTest, MostlyCleanDatabaseFlushesOnlyDirtyPartitions) {
   EXPECT_EQ((*recovered)->GetTable("pings")->live_rows(), 8u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    StreamsByMode, CheckpointFuzzyTest,
-    ::testing::Combine(::testing::Values(1u, 4u),
-                       ::testing::Values(WalPrivacyMode::kPlain,
-                                         WalPrivacyMode::kScrub,
-                                         WalPrivacyMode::kEncryptedEpoch)),
-    [](const auto& info) {
-      std::string name = "S" + std::to_string(std::get<0>(info.param));
-      switch (std::get<1>(info.param)) {
-        case WalPrivacyMode::kPlain: return name + "Plain";
-        case WalPrivacyMode::kScrub: return name + "Scrub";
-        case WalPrivacyMode::kEncryptedEpoch: return name + "EncryptedEpoch";
-      }
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(AllPrivacyModes, CheckpointFuzzyTest,
+                         ::testing::Values(WalPrivacyMode::kPlain,
+                                           WalPrivacyMode::kScrub,
+                                           WalPrivacyMode::kEncryptedEpoch),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case WalPrivacyMode::kPlain:
+                               return "Plain";
+                             case WalPrivacyMode::kScrub:
+                               return "Scrub";
+                             case WalPrivacyMode::kEncryptedEpoch:
+                               return "EncryptedEpoch";
+                           }
+                           return "?";
+                         });
 
 }  // namespace
 }  // namespace instantdb

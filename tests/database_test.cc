@@ -29,15 +29,19 @@ class DatabaseTest : public ::testing::TestWithParam<DegradableLayout> {
     RemoveDirRecursive(dir_).ok();
   }
 
-  void ReopenDb() {
-    db_.reset();
+  DbOptions Options() const {
     DbOptions options;
     options.path = dir_;
     options.clock = clock_.get();
     options.layout = GetParam();
     options.storage.segment_bytes = 512;
     options.wal.segment_bytes = 4096;
-    auto db = Database::Open(options);
+    return options;
+  }
+
+  void ReopenDb() {
+    db_.reset();
+    auto db = Database::Open(Options());
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     db_ = std::move(*db);
   }
@@ -160,6 +164,27 @@ TEST_P(DatabaseTest, RecoveryReplaysInsertsAndDegradations) {
   ASSERT_TRUE(db_->RunDegradationOnce().ok());
   EXPECT_EQ(LocationOf(r1), Value::String("Ile-de-France"));
   EXPECT_EQ(LocationOf(r3), Value::String("Versailles"));
+}
+
+TEST_P(DatabaseTest, FailedOpenNeverCheckpoints) {
+  ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
+  InsertPing("alice", 1, "11 Rue Lepic");
+  db_.reset();  // the clean close writes the manifest
+  const std::string manifest = dir_ + "/wal/CHECKPOINT";
+  auto bytes = ReadFileToString(manifest);
+  ASSERT_TRUE(bytes.ok());
+  std::string corrupt = *bytes;
+  corrupt.back() ^= 0x5A;
+  ASSERT_TRUE(WriteStringToFile(manifest, corrupt, true).ok());
+
+  auto db = Database::Open(Options());
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+  // Recovery never ran, so the half-open database must not checkpoint on
+  // its way out: a fresh manifest would skip the redo it never applied.
+  auto after = ReadFileToString(manifest);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, corrupt);
 }
 
 TEST_P(DatabaseTest, IndexesSurviveRecoveryViaRebuild) {

@@ -77,8 +77,8 @@ class FaultInjectionTest : public ::testing::Test {
     RemoveDirRecursive(clone_).ok();
   }
 
-  DbOptions Options(const std::string& path, VirtualClock* clock, Env* env,
-                    uint32_t streams) const {
+  DbOptions Options(const std::string& path, VirtualClock* clock,
+                    Env* env) const {
     DbOptions options;
     options.path = path;
     options.clock = clock;
@@ -90,7 +90,6 @@ class FaultInjectionTest : public ::testing::Test {
     // audit fully clean (kPlain leaves recycled segments unscrubbed by
     // design and never comes clean).
     options.wal.privacy_mode = WalPrivacyMode::kScrub;
-    options.wal.wal_streams = streams;
     options.wal.segment_bytes = 4096;  // frequent rollover + retirement
     return options;
   }
@@ -120,7 +119,7 @@ class FaultInjectionTest : public ::testing::Test {
 TEST_F(FaultInjectionTest, FsyncEioPoisonsStreamAndFailsAllWaiters) {
   FaultInjectionEnv fault(Env::Default());
   VirtualClock clock(0);
-  auto opened = Database::Open(Options(dir_, &clock, &fault, /*streams=*/1));
+  auto opened = Database::Open(Options(dir_, &clock, &fault));
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<Database> db = std::move(*opened);
   CreatePings(db.get());
@@ -193,7 +192,7 @@ TEST_F(FaultInjectionTest, FsyncEioPoisonsStreamAndFailsAllWaiters) {
 TEST_F(FaultInjectionTest, DiskFullFailsWritesKeepsReadsWorking) {
   FaultInjectionEnv fault(Env::Default());
   VirtualClock clock(0);
-  auto opened = Database::Open(Options(dir_, &clock, &fault, /*streams=*/1));
+  auto opened = Database::Open(Options(dir_, &clock, &fault));
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<Database> db = std::move(*opened);
   CreatePings(db.get());
@@ -263,7 +262,7 @@ TEST_F(FaultInjectionTest, TortureRandomizedFaultCrashSchedules) {
 
     FaultInjectionEnv fault(Env::Default());
     VirtualClock clock(0);
-    auto opened = Database::Open(Options(dir_, &clock, &fault, /*streams=*/2));
+    auto opened = Database::Open(Options(dir_, &clock, &fault));
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     std::unique_ptr<Database> db = std::move(*opened);
     CreatePings(db.get());
@@ -324,7 +323,7 @@ TEST_F(FaultInjectionTest, TortureRandomizedFaultCrashSchedules) {
 
     VirtualClock recovered_clock(clock.NowMicros());
     auto recovered = Database::Open(
-        Options(clone_, &recovered_clock, /*env=*/nullptr, /*streams=*/2));
+        Options(clone_, &recovered_clock, /*env=*/nullptr));
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     std::unique_ptr<Database> rdb = std::move(*recovered);
     Table* table = rdb->GetTable("pings");
@@ -531,7 +530,7 @@ TEST_F(FaultInjectionTest, HeapPageChecksumDetectsTornAndCorruptPages) {
 TEST_F(FaultInjectionTest, MaintenanceRetriesCheckpointAndKeepsOldManifest) {
   FaultInjectionEnv fault(Env::Default());
   VirtualClock clock(0);
-  auto opened = Database::Open(Options(dir_, &clock, &fault, /*streams=*/1));
+  auto opened = Database::Open(Options(dir_, &clock, &fault));
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<Database> db = std::move(*opened);
   CreatePings(db.get());
@@ -548,7 +547,7 @@ TEST_F(FaultInjectionTest, MaintenanceRetriesCheckpointAndKeepsOldManifest) {
   Micros now = clock.NowMicros();
   ASSERT_TRUE(daemon->RunOnce(now).ok());
   ASSERT_EQ(daemon->stats().checkpoints, 1u);
-  auto before = db->wal()->ReadCheckpointPositions();
+  auto before = db->wal()->ReadCheckpointLsn();
   ASSERT_TRUE(before.ok());
 
   ASSERT_TRUE(
@@ -568,7 +567,7 @@ TEST_F(FaultInjectionTest, MaintenanceRetriesCheckpointAndKeepsOldManifest) {
   EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
   EXPECT_EQ(daemon->next_checkpoint_due(), now + 10'000);  // backoff floor
   EXPECT_EQ(daemon->stats().io_retries, 1u);
-  auto after_failure = db->wal()->ReadCheckpointPositions();
+  auto after_failure = db->wal()->ReadCheckpointLsn();
   ASSERT_TRUE(after_failure.ok());
   EXPECT_EQ(*after_failure, *before) << "a failed rename replaced the "
                                      << "authoritative manifest";
@@ -580,7 +579,7 @@ TEST_F(FaultInjectionTest, MaintenanceRetriesCheckpointAndKeepsOldManifest) {
   now = clock.NowMicros();
   ASSERT_TRUE(daemon->RunOnce(now).ok());
   EXPECT_EQ(daemon->stats().checkpoints, 2u);
-  auto after_retry = db->wal()->ReadCheckpointPositions();
+  auto after_retry = db->wal()->ReadCheckpointLsn();
   ASSERT_TRUE(after_retry.ok());
   EXPECT_NE(*after_retry, *before) << "the retried checkpoint never "
                                    << "published a new manifest";

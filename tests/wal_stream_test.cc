@@ -1,10 +1,9 @@
-// Sharded-WAL recovery matrix: {1, 2, 4} streams × every privacy mode.
+// WAL recovery matrix over every privacy mode.
 //
-// What must hold (ISSUE 3 acceptance): crash recovery reconstructs the same
-// state a single-stream log would, a torn tail frame in one stream voids a
-// cross-stream commit atomically while clean streams' transactions survive,
-// the persisted stream count pins the on-disk layout across reopen, and
-// epoch-key destruction reaches every stream's copies at once.
+// What must hold: crash recovery reconstructs the pre-crash state, a torn
+// commit marker voids its transaction while earlier transactions survive,
+// checkpoints retire segments per the privacy mode, and epoch-key
+// destruction reaches every logged copy at once.
 //
 // Crashes are simulated by syncing the WAL and copying the database
 // directory while the source stays open (no checkpoint runs), then
@@ -15,7 +14,6 @@
 #include <atomic>
 #include <filesystem>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "catalog/builtin_domains.h"
@@ -33,9 +31,8 @@ Schema PingSchema() {
        ColumnDef::Degradable("location", LocationDomain(), Fig2LocationLcp())});
 }
 
-/// Concatenated bytes of every file under `dir`, recursively (stream
-/// subdirectories, recycled segments, the keystore — everything a forensic
-/// scan would read).
+/// Concatenated bytes of every file under `dir`, recursively (recycled
+/// segments, the keystore — everything a forensic scan would read).
 std::string AllBytesUnder(const std::string& dir) {
   std::string all;
   std::error_code ec;
@@ -84,11 +81,9 @@ std::vector<RowState> DumpTable(Table* table) {
   return rows;
 }
 
-class WalStreamTest
-    : public ::testing::TestWithParam<std::tuple<uint32_t, WalPrivacyMode>> {
+class WalStreamTest : public ::testing::TestWithParam<WalPrivacyMode> {
  protected:
-  uint32_t streams() const { return std::get<0>(GetParam()); }
-  WalPrivacyMode mode() const { return std::get<1>(GetParam()); }
+  WalPrivacyMode mode() const { return GetParam(); }
 
   void SetUp() override {
     dir_ = ::testing::TempDir() + "/idb_wal_stream_test";
@@ -101,16 +96,15 @@ class WalStreamTest
     RemoveDirRecursive(clone_).ok();
   }
 
-  DbOptions Options(const std::string& path, uint32_t wal_streams,
-                    uint32_t partitions, VirtualClock* clock) {
+  DbOptions Options(const std::string& path, uint32_t partitions,
+                    VirtualClock* clock) {
     DbOptions options;
     options.path = path;
     options.clock = clock;
     options.partitions = partitions;
     options.degradation.worker_threads = partitions;
     options.wal.privacy_mode = mode();
-    options.wal.wal_streams = wal_streams;
-    options.wal.segment_bytes = 1024;  // tiny: exercise per-stream rollover
+    options.wal.segment_bytes = 1024;  // tiny: exercise rollover
     return options;
   }
 
@@ -179,7 +173,7 @@ class WalStreamTest
 
 TEST_P(WalStreamTest, CrashRecoveryReconstructsState) {
   VirtualClock clock(0);
-  auto db = MustOpen(Options(dir_, streams(), 4, &clock));
+  auto db = MustOpen(Options(dir_, 4, &clock));
   ASSERT_NE(db, nullptr);
   ASSERT_TRUE(db->CreateTable("pings", PingSchema()).ok());
   RunWorkload(db.get(), &clock);
@@ -188,9 +182,8 @@ TEST_P(WalStreamTest, CrashRecoveryReconstructsState) {
   CrashClone(db.get());
 
   VirtualClock recovered_clock(clock.NowMicros());
-  auto recovered = MustOpen(Options(clone_, streams(), 4, &recovered_clock));
+  auto recovered = MustOpen(Options(clone_, 4, &recovered_clock));
   ASSERT_NE(recovered, nullptr);
-  EXPECT_EQ(recovered->wal()->num_streams(), streams());
   EXPECT_EQ(DumpTable(recovered->GetTable("pings")), before);
 
   // The per-partition row-id allocators resumed above the recovered id
@@ -207,95 +200,9 @@ TEST_P(WalStreamTest, CrashRecoveryReconstructsState) {
   EXPECT_TRUE(recovered->RunDegradationOnce().ok());
 }
 
-TEST_P(WalStreamTest, ShardedReplayEquivalentToSingleStream) {
-  // Identical workload against a single-stream and an N-stream log (same
-  // partition count, deterministically advanced clocks): crash recovery
-  // must produce identical table states — the global commit ordering makes
-  // sharding invisible to replay.
-  if (streams() == 1) GTEST_SKIP() << "needs a sharded configuration";
-  const std::string single_dir = dir_ + "_single";
-  const std::string single_clone = clone_ + "_single";
-  RemoveDirRecursive(single_dir).ok();
-  RemoveDirRecursive(single_clone).ok();
-
-  std::vector<RowState> states[2];
-  for (int variant = 0; variant < 2; ++variant) {
-    const uint32_t wal_streams = variant == 0 ? 1 : streams();
-    const std::string base = variant == 0 ? single_dir : dir_;
-    const std::string clone = variant == 0 ? single_clone : clone_;
-    VirtualClock clock(0);
-    auto db = MustOpen(Options(base, wal_streams, 4, &clock));
-    ASSERT_NE(db, nullptr);
-    ASSERT_TRUE(db->CreateTable("pings", PingSchema()).ok());
-    RunWorkload(db.get(), &clock);
-    ASSERT_TRUE(db->wal()->Sync().ok());
-    CopyTree(base, clone);
-    VirtualClock recovered_clock(clock.NowMicros());
-    auto recovered =
-        MustOpen(Options(clone, wal_streams, 4, &recovered_clock));
-    ASSERT_NE(recovered, nullptr);
-    states[variant] = DumpTable(recovered->GetTable("pings"));
-  }
-  EXPECT_EQ(states[0], states[1]);
-
-  RemoveDirRecursive(single_dir).ok();
-  RemoveDirRecursive(single_clone).ok();
-}
-
-TEST_P(WalStreamTest, MergedReplayWhenStreamsDoNotDividePartitions) {
-  // partitions = 2 with 4 streams: a partition's records span streams, so
-  // recovery must fall back to the global commit-order merge. State must
-  // still match the pre-crash image exactly.
-  if (streams() != 4) GTEST_SKIP() << "one configuration suffices";
+TEST_P(WalStreamTest, CheckpointRetiresSegments) {
   VirtualClock clock(0);
-  auto db = MustOpen(Options(dir_, 4, 2, &clock));
-  ASSERT_NE(db, nullptr);
-  ASSERT_TRUE(db->CreateTable("pings", PingSchema()).ok());
-  RunWorkload(db.get(), &clock);
-  const std::vector<RowState> before = DumpTable(db->GetTable("pings"));
-  CrashClone(db.get());
-
-  VirtualClock recovered_clock(clock.NowMicros());
-  auto recovered = MustOpen(Options(clone_, 4, 2, &recovered_clock));
-  ASSERT_NE(recovered, nullptr);
-  EXPECT_EQ(recovered->wal()->num_streams(), 4u);
-  EXPECT_EQ(DumpTable(recovered->GetTable("pings")), before);
-}
-
-TEST_P(WalStreamTest, StreamCountIsPinnedOnDisk) {
-  VirtualClock clock(0);
-  {
-    auto db = MustOpen(Options(dir_, streams(), 4, &clock));
-    ASSERT_NE(db, nullptr);
-    ASSERT_TRUE(db->CreateTable("pings", PingSchema()).ok());
-    ASSERT_TRUE(db->Insert("pings", {Value::String("a"),
-                                     Value::String("11 Rue Lepic")})
-                    .ok());
-  }
-  // Reopen asking for a different count: the on-disk count wins (re-routing
-  // would strand records), and the data is intact.
-  {
-    auto reopened =
-        MustOpen(Options(dir_, streams() == 1 ? 8 : 1, 4, &clock));
-    ASSERT_NE(reopened, nullptr);
-    EXPECT_EQ(reopened->wal()->num_streams(), streams());
-    EXPECT_EQ(reopened->GetTable("pings")->live_rows(), 1u);
-  }
-  // A lost STREAMS file must not demote a sharded log to one stream — the
-  // contiguous s<k> directories recover the count even though the
-  // CHECKPOINT manifest also lives at the top level.
-  if (streams() > 1) {
-    ASSERT_TRUE(RemoveFile(dir_ + "/wal/STREAMS").ok());
-    auto reopened = MustOpen(Options(dir_, 1, 4, &clock));
-    ASSERT_NE(reopened, nullptr);
-    EXPECT_EQ(reopened->wal()->num_streams(), streams());
-    EXPECT_EQ(reopened->GetTable("pings")->live_rows(), 1u);
-  }
-}
-
-TEST_P(WalStreamTest, CheckpointRetiresSegmentsPerStream) {
-  VirtualClock clock(0);
-  auto db = MustOpen(Options(dir_, streams(), 4, &clock));
+  auto db = MustOpen(Options(dir_, 4, &clock));
   ASSERT_NE(db, nullptr);
   ASSERT_TRUE(db->CreateTable("pings", PingSchema()).ok());
   const std::string needle = "11 Rue Lepic";  // a real leaf: must validate
@@ -327,10 +234,10 @@ TEST_P(WalStreamTest, CheckpointRetiresSegmentsPerStream) {
   }
 }
 
-TEST_P(WalStreamTest, EpochKeyDestructionReachesEveryStream) {
+TEST_P(WalStreamTest, EpochKeyDestructionReachesEveryCopy) {
   if (mode() != WalPrivacyMode::kEncryptedEpoch) GTEST_SKIP();
   VirtualClock clock(0);
-  auto db = MustOpen(Options(dir_, streams(), 4, &clock));
+  auto db = MustOpen(Options(dir_, 4, &clock));
   ASSERT_NE(db, nullptr);
   ASSERT_TRUE(db->CreateTable("pings", PingSchema()).ok());
   const std::string needle = "11 Rue Lepic";  // a real leaf: must validate
@@ -340,11 +247,11 @@ TEST_P(WalStreamTest, EpochKeyDestructionReachesEveryStream) {
   }
   ASSERT_TRUE(db->Write(&batch).ok());
   ASSERT_TRUE(db->wal()->Sync().ok());
-  // Sealed on arrival: no stream ever holds the accurate value in clear.
+  // Sealed on arrival: the log never holds the accurate value in clear.
   EXPECT_EQ(AllBytesUnder(dir_ + "/wal").find(needle), std::string::npos);
 
-  // Every tuple leaves phase 0; the shared per-(table, epoch) keys die,
-  // voiding the inserts' payloads in every stream at once.
+  // Every tuple leaves phase 0; the per-(table, epoch) keys die, voiding
+  // every logged copy of the inserts' payloads at once.
   clock.Advance(kMicrosPerHour + kMicrosPerMinute);
   auto moved = db->RunDegradationOnce();
   ASSERT_TRUE(moved.ok());
@@ -353,7 +260,7 @@ TEST_P(WalStreamTest, EpochKeyDestructionReachesEveryStream) {
 
   CrashClone(db.get());
   VirtualClock recovered_clock(clock.NowMicros());
-  auto recovered = MustOpen(Options(clone_, streams(), 4, &recovered_clock));
+  auto recovered = MustOpen(Options(clone_, 4, &recovered_clock));
   ASSERT_NE(recovered, nullptr);
   // Recovery fell back to the degraded values logged by the steps; the
   // accurate addresses are unrecoverable by design.
@@ -364,21 +271,47 @@ TEST_P(WalStreamTest, EpochKeyDestructionReachesEveryStream) {
   EXPECT_EQ(AllBytesUnder(clone_ + "/wal").find(needle), std::string::npos);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    StreamsByMode, WalStreamTest,
-    ::testing::Combine(::testing::Values(1u, 2u, 4u),
-                       ::testing::Values(WalPrivacyMode::kPlain,
-                                         WalPrivacyMode::kScrub,
-                                         WalPrivacyMode::kEncryptedEpoch)),
-    [](const auto& info) {
-      std::string name = "S" + std::to_string(std::get<0>(info.param));
-      switch (std::get<1>(info.param)) {
-        case WalPrivacyMode::kPlain: return name + "Plain";
-        case WalPrivacyMode::kScrub: return name + "Scrub";
-        case WalPrivacyMode::kEncryptedEpoch: return name + "EncryptedEpoch";
-      }
-      return name;
-    });
+TEST_P(WalStreamTest, ShardedWalWithRedoIsRefusedAtOpen) {
+  // An earlier build sharded the log (stream k in wal/s<k>) and crashed
+  // with redo in stream 1. Open refuses the directory instead of
+  // recovering part of it, and the refusal leaves it for that build.
+  const std::string wal_dir = dir_ + "/wal";
+  ASSERT_TRUE(CreateDirs(wal_dir).ok());
+  ASSERT_TRUE(WriteStringToFile(wal_dir + "/STREAMS", "2", true).ok());
+  {
+    KeyManager keys(dir_ + "/KEYSTORE");
+    ASSERT_TRUE(keys.Open().ok());
+    WalStream stream(wal_dir + "/s1", WalOptions{}, &keys);
+    ASSERT_TRUE(stream.Open().ok());
+    WalRecord insert;
+    insert.type = WalRecordType::kInsert;
+    insert.txn_id = 1;
+    insert.table = 1;
+    insert.row_id = 1;
+    ASSERT_TRUE(stream.Append(insert, /*sync=*/true).ok());
+  }
+  VirtualClock clock(0);
+  auto db = Database::Open(Options(dir_, 4, &clock));
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsNotSupported()) << db.status().ToString();
+  EXPECT_TRUE(FileExists(wal_dir + "/STREAMS"));
+  EXPECT_TRUE(FileExists(wal_dir + "/s1"));
+}
+
+std::string ModeName(const ::testing::TestParamInfo<WalPrivacyMode>& info) {
+  switch (info.param) {
+    case WalPrivacyMode::kPlain: return "Plain";
+    case WalPrivacyMode::kScrub: return "Scrub";
+    case WalPrivacyMode::kEncryptedEpoch: return "EncryptedEpoch";
+  }
+  return "?";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPrivacyModes, WalStreamTest,
+                         ::testing::Values(WalPrivacyMode::kPlain,
+                                           WalPrivacyMode::kScrub,
+                                           WalPrivacyMode::kEncryptedEpoch),
+                         ModeName);
 
 // --- torn-tail atomicity, at the WalManager level ---------------------------
 
@@ -396,7 +329,6 @@ class WalTornTailTest : public ::testing::TestWithParam<WalPrivacyMode> {
   WalOptions MakeOptions() {
     WalOptions options;
     options.privacy_mode = GetParam();
-    options.wal_streams = 2;
     return options;
   }
 
@@ -419,119 +351,57 @@ class WalTornTailTest : public ::testing::TestWithParam<WalPrivacyMode> {
     WalRecord commit;
     commit.type = WalRecordType::kCommit;
     commit.txn_id = txn;
-    return wal->AppendCommit(pointers, &commit, /*sync=*/true);
+    return wal->AppendCommit(pointers, commit, /*sync=*/true);
   }
 
   std::string dir_;
   std::unique_ptr<KeyManager> keys_;
-  WorkerPool pool_{2};  // RecoverCommitted runs its per-stream passes here
 };
 
-TEST_P(WalTornTailTest, TornStreamVoidsCrossStreamCommitAtomically) {
-  Lsn s1_end = 0;
+TEST_P(WalTornTailTest, TornCommitMarkerVoidsItsTransaction) {
+  // txn 2 commits first, then txn 9, whose commit marker is the log's
+  // final frame. The torn transaction carries the largest id, so the id
+  // high-water mark can only cover it by counting a transaction that never
+  // committed.
+  Lsn end = 0;
   {
     WalManager wal(dir_ + "/wal", MakeOptions(), keys_.get());
     ASSERT_TRUE(wal.Open().ok());
-    ASSERT_EQ(wal.num_streams(), 2u);
-    // txn 1 spans both streams (rows 2 -> s0, 3 -> s1); its commit frame
-    // lands in s0. txn 2 lives wholly in s0.
-    WalRecord a = MakeInsert(1, 2);
-    WalRecord b = MakeInsert(1, 3);
-    ASSERT_TRUE(Commit(&wal, 1, {a, b}).ok());
     ASSERT_TRUE(Commit(&wal, 2, {MakeInsert(2, 4)}).ok());
-    s1_end = wal.StreamEnds()[1];
+    ASSERT_TRUE(Commit(&wal, 9, {MakeInsert(9, 2), MakeInsert(9, 3)}).ok());
+    end = wal.next_lsn();
   }
-  // Tear stream 1's tail: the frame holding txn 1's row-3 insert loses its
-  // last bytes, as after a crash mid-write. (Segments are preallocated, so
-  // the cut lands at the logical end, not the zero-padded physical end.)
+  // Cut the last bytes of txn 9's commit marker, as after a crash
+  // mid-write. (Segments are preallocated, so the cut lands at the logical
+  // end, not the zero-padded physical end.)
   {
-    auto names = ListDir(dir_ + "/wal/s1");
+    auto names = ListDir(dir_ + "/wal");
     ASSERT_TRUE(names.ok());
     std::string segment;
     for (const auto& name : *names) {
       if (EndsWith(name, ".log")) segment = name;
     }
     ASSERT_FALSE(segment.empty());
-    const std::string path = dir_ + "/wal/s1/" + segment;
-    ASSERT_GT(s1_end, 4u);
-    ASSERT_TRUE(TruncateFile(path, s1_end - 3).ok());
+    ASSERT_GT(end, 4u);
+    ASSERT_TRUE(TruncateFile(dir_ + "/wal/" + segment, end - 3).ok());
   }
   WalManager wal(dir_ + "/wal", MakeOptions(), keys_.get());
   ASSERT_TRUE(wal.Open().ok());
-  // txn 1's commit frame survived in s0, but its per-stream counts say one
-  // record must live in s1 — gone, so the commit is void. txn 2 replays.
+  // Both of txn 9's inserts survived the cut, but its marker did not: the
+  // transaction is void. txn 2 replays.
   std::vector<RowId> rows;
-  ASSERT_TRUE(wal.RecoverCommitted({0, 0}, /*stream_local_apply=*/false, pool_,
+  uint64_t max_txn = 0;
+  ASSERT_TRUE(wal.RecoverCommitted(0,
                                    [&](const WalRecord& record) {
                                      rows.push_back(record.row_id);
                                      return Status::OK();
-                                   })
-                  .ok());
-  EXPECT_EQ(rows, std::vector<RowId>{4});
-}
-
-TEST_P(WalTornTailTest, MergedReplayFollowsCommitOrder) {
-  WalManager wal(dir_ + "/wal", MakeOptions(), keys_.get());
-  ASSERT_TRUE(wal.Open().ok());
-  // Three commits with interleaved stream footprints; the merge must yield
-  // whole transactions in commit-sequence order.
-  ASSERT_TRUE(Commit(&wal, 7, {MakeInsert(7, 2)}).ok());             // s0
-  ASSERT_TRUE(Commit(&wal, 8, {MakeInsert(8, 3)}).ok());             // s1
-  ASSERT_TRUE(Commit(&wal, 9, {MakeInsert(9, 4), MakeInsert(9, 5)}).ok());
-  std::vector<uint64_t> txn_order;
-  ASSERT_TRUE(wal.RecoverCommitted({0, 0}, /*stream_local_apply=*/false, pool_,
-                                   [&](const WalRecord& record) {
-                                     if (txn_order.empty() ||
-                                         txn_order.back() != record.txn_id) {
-                                       txn_order.push_back(record.txn_id);
-                                     }
-                                     return Status::OK();
-                                   })
-                  .ok());
-  EXPECT_EQ(txn_order, (std::vector<uint64_t>{7, 8, 9}));
-}
-
-TEST_P(WalTornTailTest, CommitSequenceResumesAfterRecovery) {
-  // A reopened log must mint CSNs (and the database must mint txn ids)
-  // above everything still in the replay range: a second crash would
-  // otherwise merge a new generation's commits BEFORE the old ones, and a
-  // reused txn id could satisfy a torn commit's record counts with the
-  // prior generation's records.
-  {
-    WalManager wal(dir_ + "/wal", MakeOptions(), keys_.get());
-    ASSERT_TRUE(wal.Open().ok());
-    ASSERT_TRUE(Commit(&wal, 7, {MakeInsert(7, 2)}).ok());
-    ASSERT_TRUE(Commit(&wal, 8, {MakeInsert(8, 3), MakeInsert(8, 4)}).ok());
-  }
-  WalManager wal(dir_ + "/wal", MakeOptions(), keys_.get());
-  ASSERT_TRUE(wal.Open().ok());
-  uint64_t max_txn = 0;
-  ASSERT_TRUE(wal.RecoverCommitted({0, 0}, /*stream_local_apply=*/false, pool_,
-                                   [](const WalRecord&) { return Status::OK(); },
+                                   },
                                    &max_txn)
                   .ok());
-  EXPECT_EQ(max_txn, 8u);
-  // Same txn id as the first generation, committed post-recovery: its CSN
-  // must sort after both surviving commits.
-  ASSERT_TRUE(Commit(&wal, 7, {MakeInsert(7, 5)}).ok());
-  std::vector<uint64_t> seqs;
-  for (uint32_t s = 0; s < 2; ++s) {
-    ASSERT_TRUE(wal.ReplayStream(s, 0, [&](const WalRecord& record, Lsn) {
-                     if (record.type == WalRecordType::kCommit) {
-                       seqs.push_back(record.commit_seq);
-                     }
-                     return Status::OK();
-                   })
-                    .ok());
-  }
-  ASSERT_EQ(seqs.size(), 3u);
-  const uint64_t newest = *std::max_element(seqs.begin(), seqs.end());
-  size_t above = 0;
-  for (uint64_t seq : seqs) {
-    if (seq == newest) ++above;
-  }
-  EXPECT_EQ(above, 1u);
-  EXPECT_GT(newest, 2u);  // strictly after both first-generation CSNs
+  EXPECT_EQ(rows, std::vector<RowId>{4});
+  // The torn transaction's id is reported, so a reopened database never
+  // reuses it: a new txn 9 marker would otherwise adopt rows 2 and 3.
+  EXPECT_EQ(max_txn, 9u);
 }
 
 // --- group-commit watermark, at the WalStream level -------------------------
@@ -564,7 +434,7 @@ class GroupCommitWatermarkTest : public ::testing::Test {
 };
 
 TEST_F(GroupCommitWatermarkTest, CoveredRequestIsAbsorbedWithoutASync) {
-  WalStream stream(dir_ + "/wal", 0, WalOptions{}, keys_.get());
+  WalStream stream(dir_ + "/wal", WalOptions{}, keys_.get());
   ASSERT_TRUE(stream.Open().ok());
   ASSERT_TRUE(stream.Append(MakeInsert(1, 1), /*sync=*/true).ok());
   WalStream::Stats stats = stream.stats();
@@ -585,7 +455,7 @@ TEST_F(GroupCommitWatermarkTest, CoveredRequestIsAbsorbedWithoutASync) {
 TEST_F(GroupCommitWatermarkTest, ConcurrentDurableAppendsKeepInvariants) {
   constexpr int kThreads = 8;
   constexpr int kAppendsPerThread = 50;
-  WalStream stream(dir_ + "/wal", 0, WalOptions{}, keys_.get());
+  WalStream stream(dir_ + "/wal", WalOptions{}, keys_.get());
   ASSERT_TRUE(stream.Open().ok());
   std::atomic<int> errors{0};
   std::vector<std::thread> threads;
@@ -630,7 +500,7 @@ TEST_F(GroupCommitWatermarkTest, ConcurrentDurableAppendsKeepInvariants) {
 // This is the property the commit-latency-aware handoff rests on (the
 // largest demand leading cannot strand smaller ones).
 TEST_F(GroupCommitWatermarkTest, OneLeaderCoversEveryLargerDemand) {
-  WalStream stream(dir_ + "/wal", 0, WalOptions{}, keys_.get());
+  WalStream stream(dir_ + "/wal", WalOptions{}, keys_.get());
   ASSERT_TRUE(stream.Open().ok());
   Lsn end_first = 0;
   const WalRecord first = MakeInsert(1, 1);
@@ -662,7 +532,7 @@ TEST_F(GroupCommitWatermarkTest, OneLeaderCoversEveryLargerDemand) {
 TEST_F(GroupCommitWatermarkTest, StaggeredDemandsKeepTheSyncLedgerExact) {
   constexpr int kThreads = 8;
   constexpr int kAppendsPerThread = 40;
-  WalStream stream(dir_ + "/wal", 0, WalOptions{}, keys_.get());
+  WalStream stream(dir_ + "/wal", WalOptions{}, keys_.get());
   ASSERT_TRUE(stream.Open().ok());
   std::atomic<int> errors{0};
   std::vector<std::thread> threads;
@@ -703,17 +573,7 @@ INSTANTIATE_TEST_SUITE_P(AllPrivacyModes, WalTornTailTest,
                          ::testing::Values(WalPrivacyMode::kPlain,
                                            WalPrivacyMode::kScrub,
                                            WalPrivacyMode::kEncryptedEpoch),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case WalPrivacyMode::kPlain:
-                               return "Plain";
-                             case WalPrivacyMode::kScrub:
-                               return "Scrub";
-                             case WalPrivacyMode::kEncryptedEpoch:
-                               return "EncryptedEpoch";
-                           }
-                           return "?";
-                         });
+                         ModeName);
 
 }  // namespace
 }  // namespace instantdb

@@ -1,10 +1,14 @@
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
+#include <map>
 #include <vector>
 
 #include "common/strings.h"
 #include "gtest/gtest.h"
 #include "storage/key_manager.h"
+#include "util/coding.h"
+#include "util/crc32c.h"
 #include "util/file.h"
 #include "wal/log_record.h"
 #include "wal/wal_manager.h"
@@ -50,16 +54,67 @@ class WalTest : public ::testing::TestWithParam<WalPrivacyMode> {
                                         keys_.get());
   }
 
-  /// Concatenated bytes of every file under the WAL dir (incl. recycled).
+  /// Every file under the WAL dir, recursively (recycled segments and
+  /// stream subdirectories included), keyed by path relative to it.
+  std::map<std::string, std::string> WalFiles() {
+    std::map<std::string, std::string> files;
+    const std::string root = dir_ + "/wal";
+    std::error_code ec;
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(root, ec)) {
+      if (!entry.is_regular_file()) continue;
+      const std::string path = entry.path().string();
+      auto contents = ReadFileToString(path);
+      if (contents.ok()) files[path.substr(root.size())] = *contents;
+    }
+    return files;
+  }
+
+  /// Concatenated bytes of every file under the WAL dir.
   std::string AllWalBytes() {
     std::string all;
-    auto names = ListDir(dir_ + "/wal");
-    if (!names.ok()) return all;
-    for (const auto& name : *names) {
-      auto contents = ReadFileToString(dir_ + "/wal/" + name);
-      if (contents.ok()) all += *contents;
-    }
+    for (const auto& [path, contents] : WalFiles()) all += contents;
     return all;
+  }
+
+  /// Hand-builds what a build that sharded the log over two streams left
+  /// behind: a `STREAMS` count, stream k's segments in `s<k>/`, and a
+  /// CHECKPOINT manifest with one replay position per stream. Both streams
+  /// hold inserts of `needle` below their position. Stream 0 retired its
+  /// covered segments (kPlain keeps them as `*.recycled`); stream 1 had
+  /// not got that far. `dirty` adds an insert past stream 1's position.
+  /// Returns the larger stream end.
+  Lsn BuildShardedDir(const std::string& needle, bool dirty) {
+    const std::string wal_dir = dir_ + "/wal";
+    EXPECT_TRUE(CreateDirs(wal_dir).ok());
+    EXPECT_TRUE(WriteStringToFile(wal_dir + "/STREAMS", "2", true).ok());
+    std::string body;
+    PutVarint32(&body, 2);
+    Lsn max_end = 0;
+    for (uint32_t k = 0; k < 2; ++k) {
+      WalStream stream(wal_dir + "/s" + std::to_string(k), MakeOptions(),
+                       keys_.get());
+      EXPECT_TRUE(stream.Open().ok());
+      for (RowId r = 1; r <= (k == 0 ? 20u : 6u); ++r) {
+        EXPECT_TRUE(stream.Append(MakeInsert(1, 2 * r + k, 0, needle), false)
+                        .ok());
+      }
+      auto position = stream.BeginCheckpoint(WalStream::kLogEnd);
+      EXPECT_TRUE(position.ok());
+      PutVarint64(&body, *position);
+      if (k == 0) EXPECT_TRUE(stream.RetireThrough(*position).ok());
+      if (k == 1 && dirty) {
+        EXPECT_TRUE(stream.Append(MakeInsert(1, 99, 0, needle), true).ok());
+      }
+      max_end = std::max(max_end, stream.next_lsn());
+    }
+    std::string manifest;
+    PutFixed32(&manifest,
+               crc32c::Mask(crc32c::Value(body.data(), body.size())));
+    manifest += body;
+    EXPECT_TRUE(
+        WriteStringToFile(wal_dir + "/CHECKPOINT", manifest, true).ok());
+    return max_end;
   }
 
   std::string dir_;
@@ -167,15 +222,14 @@ TEST_P(WalTest, CheckpointRetiresSegments) {
     ASSERT_TRUE(wal->Append(MakeInsert(1, r, 0, "payload-payload"), false).ok());
   }
   ASSERT_GT(wal->stats().segments_created, 2u);
-  // Quiescent vector checkpoint; a one-stream log has a one-entry vector.
-  auto ckpt_vec = wal->LogCheckpointAll({});
-  ASSERT_TRUE(ckpt_vec.ok());
-  ASSERT_EQ(ckpt_vec->size(), 1u);
-  const Lsn ckpt = (*ckpt_vec)[0];
+  // Quiescent checkpoint: covers everything logged so far.
+  auto checkpointed = wal->LogCheckpoint();
+  ASSERT_TRUE(checkpointed.ok());
+  const Lsn ckpt = *checkpointed;
   EXPECT_GT(wal->stats().segments_retired, 0u);
-  auto read_back = wal->ReadCheckpointPositions();
+  auto read_back = wal->ReadCheckpointLsn();
   ASSERT_TRUE(read_back.ok());
-  EXPECT_EQ(*read_back, *ckpt_vec);
+  EXPECT_EQ(*read_back, ckpt);
   // Replay from the checkpoint sees nothing: everything before it (incl.
   // the checkpoint record) is covered, and its segment was rotated out.
   size_t count = 0;
@@ -246,7 +300,7 @@ TEST_P(WalTest, AccurateResidueMatchesPrivacyMode) {
     EXPECT_NE(AllWalBytes().find(secret), std::string::npos);
   }
 
-  ASSERT_TRUE(wal->LogCheckpointAll({}).ok());
+  ASSERT_TRUE(wal->LogCheckpoint().ok());
   const std::string bytes = AllWalBytes();
   switch (GetParam()) {
     case WalPrivacyMode::kPlain:
@@ -333,6 +387,63 @@ TEST_P(WalTest, CorruptFrameStopsReplayCleanly) {
                    return Status::OK();
                  }).ok());
   EXPECT_LT(count, 3u);
+}
+
+TEST_P(WalTest, CleanShardedDirectoryConvertsOnOpen) {
+  const std::string needle = "SHARDED-ERA-ADDRESS-0042";
+  const Lsn old_end = BuildShardedDir(needle, /*dirty=*/false);
+  const auto before = WalFiles();
+  if (GetParam() != WalPrivacyMode::kEncryptedEpoch) {
+    ASSERT_NE(AllWalBytes().find(needle), std::string::npos);
+  }
+  if (GetParam() == WalPrivacyMode::kPlain) {
+    ASSERT_TRUE(std::any_of(before.begin(), before.end(), [](const auto& f) {
+      return EndsWith(f.first, ".recycled");
+    }));
+  }
+
+  auto wal = MakeWal();
+  const Status opened = wal->Open();
+  ASSERT_TRUE(opened.ok()) << opened.ToString();
+  EXPECT_FALSE(FileExists(dir_ + "/wal/STREAMS"));
+  EXPECT_FALSE(FileExists(dir_ + "/wal/s0"));
+  EXPECT_FALSE(FileExists(dir_ + "/wal/s1"));
+  // Every legacy copy is scrubbed, whatever the privacy mode — kPlain's
+  // recycled segment included.
+  EXPECT_EQ(AllWalBytes().find(needle), std::string::npos);
+
+  // The single log starts at or past every old stream's end (old records
+  // sat below it), so no (epoch key, nonce) pair repeats.
+  auto checkpoint = wal->ReadCheckpointLsn();
+  ASSERT_TRUE(checkpoint.ok());
+  EXPECT_GE(*checkpoint, old_end);
+  auto lsn = wal->Append(MakeInsert(1, 500, 0, "fresh"), true);
+  ASSERT_TRUE(lsn.ok());
+  EXPECT_GE(*lsn, old_end);
+
+  // Converted once: a reopen is an ordinary single-stream open.
+  wal = MakeWal();
+  ASSERT_TRUE(wal->Open().ok());
+  std::vector<WalRecord> seen;
+  ASSERT_TRUE(wal->Replay(*checkpoint, [&](const WalRecord& record, Lsn) {
+                   seen.push_back(record);
+                   return Status::OK();
+                 }).ok());
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].row_id, 500u);
+  ASSERT_EQ(seen[0].degradable.size(), 2u);
+  EXPECT_EQ(seen[0].degradable[0], Value::String("fresh"));
+}
+
+TEST_P(WalTest, UncleanShardedDirectoryIsRefusedUntouched) {
+  BuildShardedDir("SHARDED-ERA-ADDRESS-0042", /*dirty=*/true);
+  const auto before = WalFiles();
+  auto wal = MakeWal();
+  const Status opened = wal->Open();
+  EXPECT_TRUE(opened.IsNotSupported()) << opened.ToString();
+  EXPECT_NE(opened.ToString().find("earlier build"), std::string::npos)
+      << opened.ToString();
+  EXPECT_EQ(WalFiles(), before);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPrivacyModes, WalTest,
