@@ -59,13 +59,6 @@ bool DomainHierarchy::DecodeLevelNames(Slice* input,
   return true;
 }
 
-Result<LeafInterval> DomainHierarchy::GeneralizedLeafRange(const Value& value,
-                                                          int from,
-                                                          int to) const {
-  IDB_ASSIGN_OR_RETURN(Value generalized, Generalize(value, from, to));
-  return LeafRange(generalized, to);
-}
-
 bool DomainHierarchy::Covers(const Value& general, int general_level,
                              const Value& specific, int specific_level) const {
   if (specific_level > general_level) return false;
@@ -203,7 +196,7 @@ Result<int> GeneralizationTree::FindNode(const Value& value, int level) const {
   return it->second;
 }
 
-Result<int> GeneralizationTree::AncestorNode(const Value& value, int from,
+Result<Value> GeneralizationTree::Generalize(const Value& value, int from,
                                              int to) const {
   if (to < from || to >= height_) {
     return Status::InvalidArgument(
@@ -212,19 +205,15 @@ Result<int> GeneralizationTree::AncestorNode(const Value& value, int from,
   }
   IDB_ASSIGN_OR_RETURN(int id, FindNode(value, from));
   while (nodes_[id].level < to) id = nodes_[id].parent;
-  return id;
-}
-
-Result<Value> GeneralizationTree::Generalize(const Value& value, int from,
-                                             int to) const {
-  IDB_ASSIGN_OR_RETURN(int id, AncestorNode(value, from, to));
   return Value::String(nodes_[id].label);
 }
 
-Result<LeafInterval> GeneralizationTree::GeneralizedLeafRange(
-    const Value& value, int from, int to) const {
-  IDB_ASSIGN_OR_RETURN(int id, AncestorNode(value, from, to));
-  return nodes_[id].leaves;
+LeafInterval GeneralizationTree::AncestorRange(int64_t ordinal, int to) const {
+  return nodes_[LeafAncestor(ordinal, to)].leaves;
+}
+
+Value GeneralizationTree::AncestorValue(int64_t ordinal, int to) const {
+  return Value::String(nodes_[LeafAncestor(ordinal, to)].label);
 }
 
 Result<int64_t> GeneralizationTree::LeafOrdinal(const Value& leaf) const {
@@ -376,6 +365,17 @@ Result<LeafInterval> IntervalHierarchy::LeafRange(const Value& value,
   const int64_t w = WidthAt(level);
   const int64_t hi = std::min(lo + w - 1, max_ - min_);
   return LeafInterval{lo, hi};
+}
+
+LeafInterval IntervalHierarchy::AncestorRange(int64_t ordinal, int to) const {
+  const int64_t w = WidthAt(to);
+  const int64_t lo = (ordinal / w) * w;
+  return LeafInterval{lo, std::min(lo + w - 1, max_ - min_)};
+}
+
+Value IntervalHierarchy::AncestorValue(int64_t ordinal, int to) const {
+  const int64_t w = WidthAt(to);
+  return Value::Int64(min_ + (ordinal / w) * w);
 }
 
 Status IntervalHierarchy::ValidateAtLevel(const Value& value,

@@ -61,12 +61,17 @@ class DomainHierarchy {
   virtual Result<LeafInterval> LeafRange(const Value& value,
                                          int level) const = 0;
 
-  /// `LeafRange(Generalize(value, from, to), to)` with the same statuses,
-  /// for σ over a stored value at the demanded accuracy without building
-  /// the generalized Value. The default is that composition; trees answer
-  /// it with one label lookup and a parent walk.
-  virtual Result<LeafInterval> GeneralizedLeafRange(const Value& value,
-                                                    int from, int to) const;
+  /// Integer-only ancestor queries: the leaf interval and the value of the
+  /// level-`to` ancestor of the leaf with ordinal `ordinal`. They let σ and
+  /// f_k run on a stored value's leaf ordinal (`LeafRange(value, level).lo`,
+  /// resolved once when the value enters a state store) instead of on the
+  /// Value: a tree answers with a parent walk from `leaves_[ordinal]`, an
+  /// interval hierarchy with arithmetic. No lookup, no failure — the caller
+  /// guarantees `0 <= ordinal < leaf count` and `0 <= to < height()`.
+  /// `AncestorValue(LeafRange(v, l).lo, t) == Generalize(v, l, t)` for
+  /// every level-l value v and t >= l.
+  virtual LeafInterval AncestorRange(int64_t ordinal, int to) const = 0;
+  virtual Value AncestorValue(int64_t ordinal, int to) const = 0;
 
   /// Validates that `value` is a well-formed level-`level` value.
   virtual Status ValidateAtLevel(const Value& value, int level) const = 0;
@@ -142,8 +147,8 @@ class GeneralizationTree final : public DomainHierarchy {
   Result<int64_t> LeafOrdinal(const Value& leaf) const override;
   Result<Value> LeafFromOrdinal(int64_t ordinal) const override;
   Result<LeafInterval> LeafRange(const Value& value, int level) const override;
-  Result<LeafInterval> GeneralizedLeafRange(const Value& value, int from,
-                                            int to) const override;
+  LeafInterval AncestorRange(int64_t ordinal, int to) const override;
+  Value AncestorValue(int64_t ordinal, int to) const override;
   Status ValidateAtLevel(const Value& value, int level) const override;
   Result<int64_t> CardinalityAtLevel(int level) const override;
   void EncodeTo(std::string* dst) const override;
@@ -174,8 +179,12 @@ class GeneralizationTree final : public DomainHierarchy {
   GeneralizationTree() = default;
 
   Result<int> FindNode(const Value& value, int level) const;
-  /// Node id of `value` (a level-`from` label) walked up to level `to`.
-  Result<int> AncestorNode(const Value& value, int from, int to) const;
+  /// Node id of the level-`to` ancestor of leaf `ordinal` (unchecked).
+  int LeafAncestor(int64_t ordinal, int to) const {
+    int id = leaves_[ordinal];
+    while (nodes_[id].level < to) id = nodes_[id].parent;
+    return id;
+  }
 
   std::string name_;
   int height_ = 0;
@@ -207,6 +216,8 @@ class IntervalHierarchy final : public DomainHierarchy {
   Result<int64_t> LeafOrdinal(const Value& leaf) const override;
   Result<Value> LeafFromOrdinal(int64_t ordinal) const override;
   Result<LeafInterval> LeafRange(const Value& value, int level) const override;
+  LeafInterval AncestorRange(int64_t ordinal, int to) const override;
+  Value AncestorValue(int64_t ordinal, int to) const override;
   Status ValidateAtLevel(const Value& value, int level) const override;
   Result<int64_t> CardinalityAtLevel(int level) const override;
   std::string DisplayValue(const Value& value, int level) const override;

@@ -96,10 +96,9 @@ struct ReadOptions {
 /// claim morsels from per-partition queues with partition affinity and
 /// steal from the busiest queue when their own runs dry, so parallelism is
 /// not capped by the partition count and a skewed partition is shared by
-/// many workers. Every scan evaluates its stable WHERE terms on the decoded
-/// heap tuples and probes the state stores only for the survivors;
-/// ungrouped COUNT/SUM/AVG/MIN/MAX fold per-worker partials inside the
-/// scan. Workers are borrowed from the database's shared pool, never
+/// many workers. Every scan evaluates its stable WHERE terms inside the
+/// heap scan and probes the state stores only for the survivors;
+/// aggregates fold per-worker partials on the scan workers. Workers are borrowed from the database's shared pool, never
 /// spawned. Per-batch snapshot semantics (one partition latch per batch)
 /// hold at any parallelism.
 struct ScanOptions {

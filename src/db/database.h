@@ -176,23 +176,23 @@ class Database {
     /// Times a streaming cursor's consumer waited on an empty prefetch
     /// queue while its scan workers were still producing.
     uint64_t prefetch_stalls = 0;
-    /// Pushdown accounting (ScanOptions::pushdown). Per scanned row and
+    /// Pushdown accounting of the heap scans. Per scanned row and
     /// degradable column the read path either issues a store probe or
-    /// provably skips it, so over the pushdown scan paths
+    /// provably skips it, so over the heap scan paths
     /// store_probes_issued + store_probes_skipped ==
     /// rows × degradable columns (asserted in tests).
-    /// Rows rejected by the stable-column pre-filter before any store
-    /// probe or RowView assembly:
+    /// Rows rejected by the stable-column filter inside the scan, before
+    /// any store probe or further decode:
     uint64_t rows_prefiltered = 0;
     /// (row, degradable column) store resolutions performed / avoided:
     uint64_t store_probes_issued = 0;
     uint64_t store_probes_skipped = 0;
-    /// Stable values the pushdown scans materialized from heap records.
-    /// A scan decodes only the stable columns its statement reads, so
-    /// COUNT(*) decodes none.
+    /// Stable values the heap scans decoded: the columns the stable filter
+    /// reads for every row scanned, plus the projected-only ones for the
+    /// filter's survivors. COUNT(*) decodes none.
     uint64_t values_decoded = 0;
-    /// Per-worker aggregate partials folded into final results by the
-    /// aggregate pushdown (0 when every aggregate ran through the cursor).
+    /// Per-worker aggregate partials (or group maps) merged into final
+    /// results by heap-scan aggregates (index-probe aggregates merge none).
     uint64_t aggregate_partials_merged = 0;
     /// Morsel-scheduler accounting over the parallel scan paths
     /// (util/morsel.h): page-range work units claimed, how many of those

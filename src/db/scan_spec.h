@@ -9,49 +9,56 @@
 
 /// \file
 /// \brief Pushdown contract between the storage/db layer and the query
-/// layer: what a scan may evaluate BELOW row assembly.
+/// layer: what a scan may evaluate BELOW row assembly, and the compact
+/// per-row state it hands up instead of assembled rows.
 ///
-/// The dominant per-row scan cost is RowView assembly — one state-store
-/// probe per degradable column — paid before σ ever runs. A ScanSpec lets
-/// the consumer push the stable-column part of σ underneath that cost: the
-/// partition decodes heap tuples, runs the filter batch-at-a-time on the
-/// decoded stable values, and probes the state stores only for the
-/// surviving rows (one sorted merge per store instead of one binary search
-/// per row). The query layer implements TupleFilter (it owns predicate
-/// semantics); this header keeps the db layer free of any query dependency.
+/// A heap scan decodes, per tuple, only the stable columns its filter
+/// reads and tests the filter right there, while the record is still in
+/// the buffer pool. Survivors then get their projected-only stable columns
+/// decoded (a second pass over the same record) and one sorted state-store
+/// merge per (degradable column, phase) that resolves each degradable cell
+/// to its stored phase and leaf ordinal — never to the stored Value. The
+/// query layer implements TupleFilter (it owns predicate semantics), runs
+/// σ and f_k on the ordinals (DomainHierarchy::AncestorRange/AncestorValue)
+/// and builds Values only for the qualifying cells that leave the scan;
+/// this header keeps the db layer free of any query dependency.
 
 namespace instantdb {
 
-/// Batch predicate over decoded heap tuples, evaluated before any state
-/// store is touched. Implementations live in the query layer
-/// (query/predicate.h); the db layer only calls through this interface.
+/// Row predicate over a decoded heap tuple's stable columns, evaluated
+/// inside the scan before any state store is touched. Implementations live
+/// in the query layer (query/predicate.h); the db layer only calls through
+/// this interface.
 class TupleFilter {
  public:
   virtual ~TupleFilter() = default;
-  /// Fills `*sel` (cleared by the caller) with the indexes, in ascending
-  /// order, of the tuples in [tuples, tuples + n) whose STABLE columns
-  /// satisfy the filter. Degradable columns must not be consulted — under
-  /// the kStateStores layout they are not present in the tuple at all.
-  virtual void SelectStable(const HeapTuple* tuples, size_t n,
-                            std::vector<uint32_t>* sel) const = 0;
+  /// True when the tuple's STABLE columns satisfy the filter. Only the
+  /// columns ScanSpec::filter_columns flags are decoded when it runs;
+  /// degradable columns must not be consulted.
+  virtual bool Matches(const HeapTuple& tuple) const = 0;
 };
 
 /// What a pushdown scan should compute per batch. Value-semantic and
 /// read-only during the scan; the filter (when set) must outlive it.
 struct ScanSpec {
-  /// Stable-column pre-filter; nullptr scans unfiltered (every decoded
-  /// tuple survives to assembly).
+  /// Stable-column filter; nullptr scans unfiltered (every tuple survives).
   const TupleFilter* filter = nullptr;
   /// When false the scan skips the state-store probes entirely and leaves
-  /// every degradable value NULL at phase 0 — the COUNT(*) fast path for
-  /// queries that reference no degradable column. The caller asserts that
-  /// no consumer reads the degradable part of the emitted rows.
+  /// the survivors' phases and ordinals unset — for statements that
+  /// reference no degradable column.
   bool need_degradable = true;
-  /// One flag per stable ordinal (Schema::stable_columns()): the stable
-  /// values the consumer reads, through the filter or in the emitted rows.
-  /// The decoder skips the others and leaves them NULL. Empty decodes every
-  /// stable column.
-  std::vector<bool> stable_needed;
+  /// The consumer reads no column of a surviving row (COUNT(*) with
+  /// stable-only or no predicates): the batch keeps no tuple and reports
+  /// its survivors only through ScanDeltas (rows_scanned -
+  /// rows_prefiltered). Implies no store probe.
+  bool count_only = false;
+  /// One flag per stable ordinal (Schema::stable_columns()). The columns
+  /// the filter reads are decoded for every tuple examined; the columns
+  /// that only leave the scan are decoded for survivors only. Unflagged
+  /// columns stay NULL. Without a filter every tuple survives, so the
+  /// output columns are decoded in the first pass.
+  std::vector<bool> filter_columns;
+  std::vector<bool> output_columns;
 };
 
 /// Per-scan counter deltas, filled by the partition while it holds its
@@ -61,27 +68,34 @@ struct ScanSpec {
 /// degradable columns — every (row, degradable column) pair is either
 /// probed or provably not needed.
 struct ScanDeltas {
-  uint64_t rows_scanned = 0;     ///< heap tuples decoded
-  uint64_t rows_prefiltered = 0; ///< rejected by the stable filter pre-assembly
+  uint64_t rows_scanned = 0;     ///< heap tuples examined
+  uint64_t rows_prefiltered = 0; ///< rejected by the stable filter
   uint64_t probes_issued = 0;    ///< (row, column) store resolutions performed
   uint64_t probes_skipped = 0;   ///< (row, column) resolutions avoided
-  uint64_t values_decoded = 0;   ///< stable values materialized by decode
+  uint64_t values_decoded = 0;   ///< stable values decoded, both passes
 };
 
-/// Scratch a pushdown scan reuses across batches (decoded-tuple slots,
-/// selection vectors, probe arrays): owned by the consumer — one per scan
-/// worker — so a steady-state scan stops allocating. Contents are
-/// meaningless between calls.
+/// One pushdown batch's surviving rows plus the scratch that produced them,
+/// owned by the consumer — one per scan worker — and refilled by every
+/// batch, so a steady-state scan stops allocating. The surviving rows are
+/// valid until the next batch; a consumer may move stable values out of
+/// them (each slot is re-decoded before its next use).
 struct ScanWorkspace {
-  /// Decoded tuple slots; the valid prefix is [0, count). Kept instead of
-  /// cleared so the per-tuple value vectors keep their capacity.
+  /// Survivors in heap order: tuples[0, count) hold the row id, insert time
+  /// and decoded stable values. Slots past `count` keep their capacity.
   std::vector<HeapTuple> tuples;
   size_t count = 0;
-  std::vector<uint32_t> selection;  ///< surviving tuple indexes (heap order)
-  std::vector<uint32_t> order;      ///< survivor positions sorted by row id
-  std::vector<RowId> ids;           ///< survivor row ids, ascending
-  std::vector<const StoreEntry*> entries;  ///< per-survivor probe results
-  std::vector<int> phases;                 ///< per-survivor resolved phases
+  /// Survivor k's stored phase (lcp.num_phases() = removed) and leaf
+  /// ordinal at that phase's level (-1 when removed or not a hierarchy
+  /// node) of degradable column d, at [k * degradable columns + d]. Filled
+  /// only under ScanSpec::need_degradable.
+  std::vector<int> phases;
+  std::vector<int64_t> ordinals;
+  /// Probe scratch: survivor positions sorted by row id, their ids, and one
+  /// column's per-survivor probe results.
+  std::vector<uint32_t> order;
+  std::vector<RowId> ids;
+  std::vector<const StoreEntry*> entries;
 };
 
 }  // namespace instantdb

@@ -232,16 +232,15 @@ Status PartitionCursor::NextBatch(size_t limit, std::vector<RowView>* out,
 }
 
 Status PartitionCursor::NextBatch(size_t limit, const ScanSpec& spec,
-                                  ScanWorkspace* ws, std::vector<RowView>* out,
-                                  bool* done, ScanDeltas* deltas) {
+                                  ScanWorkspace* ws, bool* done,
+                                  ScanDeltas* deltas) {
   if (done_ || partition_ == nullptr) {
-    out->clear();
+    ws->count = 0;
     *done = true;
     return Status::OK();
   }
   IDB_RETURN_IF_ERROR(partition_->ScanBatchFiltered(&pos_, end_page_, limit,
-                                                    spec, ws, out, &done_,
-                                                    deltas));
+                                                    spec, ws, &done_, deltas));
   *done = done_;
   return Status::OK();
 }

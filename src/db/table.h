@@ -39,11 +39,11 @@ class PartitionCursor {
 
   /// Pushdown form (TablePartition::ScanBatchFiltered): stable predicates
   /// run on the decoded tuples and state stores are probed only for the
-  /// survivors. REPLACES `*out`'s contents; `limit` bounds tuples decoded,
+  /// survivors, which REPLACE `ws`'s batch; `limit` bounds tuples examined,
   /// so a selective batch comes out short. `ws` and `deltas` are the
-  /// caller's per-worker scratch and counter accumulator.
+  /// caller's per-worker batch and counter accumulator.
   Status NextBatch(size_t limit, const ScanSpec& spec, ScanWorkspace* ws,
-                   std::vector<RowView>* out, bool* done, ScanDeltas* deltas);
+                   bool* done, ScanDeltas* deltas);
 
   uint32_t partition_index() const { return index_; }
 

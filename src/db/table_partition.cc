@@ -90,8 +90,9 @@ Status TablePartition::Open() {
       std::vector<std::unique_ptr<StateStore>> per_phase;
       for (int p = 0; p < col.lcp.num_phases(); ++p) {
         auto store = std::make_unique<StateStore>(
-            StoreDir(col_idx, p), id(), col_idx, p, runtime_.storage,
-            runtime_.keys, runtime_.env);
+            StoreDir(col_idx, p), id(), col_idx, p, col.hierarchy.get(),
+            col.lcp.phase(p).level, runtime_.storage, runtime_.keys,
+            runtime_.env);
         IDB_RETURN_IF_ERROR(store->Open());
         // Ids of fully degraded (expired) tuples have left the heap but
         // must never be re-allocated: an append of a reused id would be
@@ -473,95 +474,87 @@ Status TablePartition::ScanBatch(Rid* pos, PageId end_page, size_t limit,
 
 Status TablePartition::ScanBatchFiltered(Rid* pos, PageId end_page,
                                          size_t limit, const ScanSpec& spec,
-                                         ScanWorkspace* ws,
-                                         std::vector<RowView>* out, bool* done,
+                                         ScanWorkspace* ws, bool* done,
                                          ScanDeltas* deltas) const {
   std::shared_lock<std::shared_mutex> latch(latch_);
   *done = true;
   ws->count = 0;
-  const std::vector<bool>* needed =
-      spec.stable_needed.empty() ? nullptr : &spec.stable_needed;
+  // Without a filter every tuple survives, so the output columns are the
+  // first pass and there is no second one.
+  const bool filtered = spec.filter != nullptr;
+  const std::vector<bool>& first =
+      filtered ? spec.filter_columns : spec.output_columns;
+  const size_t first_per_tuple =
+      static_cast<size_t>(std::count(first.begin(), first.end(), true));
+  const bool late_decode =
+      filtered && std::count(spec.output_columns.begin(),
+                             spec.output_columns.end(), true) > 0;
+  size_t examined = 0;
+  size_t survivors = 0;
   Status decode_status;
   IDB_RETURN_IF_ERROR(heap_->ScanRange(*pos, end_page, [&](Rid rid, Slice record) {
-    if (ws->count >= limit) {
+    if (examined >= limit) {
       *pos = rid;  // resume here: this record has not been consumed
       *done = false;
       return false;
     }
+    ++examined;
     if (ws->count == ws->tuples.size()) ws->tuples.emplace_back();
-    decode_status = DecodeHeapTuple(schema(), runtime_.layout, record,
-                                    &ws->tuples[ws->count], needed);
+    HeapTuple& slot = ws->tuples[ws->count];
+    decode_status =
+        DecodeHeapTuple(schema(), runtime_.layout, record, &slot, &first);
     if (!decode_status.ok()) return false;
-    ++ws->count;
+    // The record is only valid inside this callback: σ over the stable
+    // columns runs here, and a rejected tuple's slot is reused at once.
+    if (filtered && !spec.filter->Matches(slot)) return true;
+    ++survivors;
+    if (late_decode) {
+      deltas->values_decoded +=
+          DecodeStableValues(schema(), record, spec.output_columns, &slot);
+    }
+    if (!spec.count_only) ++ws->count;
     return true;
   }));
   IDB_RETURN_IF_ERROR(decode_status);
-  const size_t decoded_per_tuple =
-      needed == nullptr
-          ? schema().stable_columns().size()
-          : static_cast<size_t>(
-                std::count(needed->begin(), needed->end(), true));
-  deltas->values_decoded += ws->count * decoded_per_tuple;
-  AssembleSurvivorsLocked(spec, ws, out, deltas);
-  return Status::OK();
-}
 
-void TablePartition::AssembleSurvivorsLocked(const ScanSpec& spec,
-                                             ScanWorkspace* ws,
-                                             std::vector<RowView>* out,
-                                             ScanDeltas* deltas) const {
-  const size_t n = ws->count;
-  const auto& degradable_cols = schema().degradable_columns();
-  const size_t dcols = degradable_cols.size();
-
-  ws->selection.clear();
-  if (spec.filter != nullptr) {
-    spec.filter->SelectStable(ws->tuples.data(), n, &ws->selection);
-  } else {
-    ws->selection.resize(n);
-    for (size_t i = 0; i < n; ++i) ws->selection[i] = static_cast<uint32_t>(i);
-  }
-  const size_t survivors = ws->selection.size();
-
-  deltas->rows_scanned += n;
-  deltas->rows_prefiltered += n - survivors;
-  deltas->probes_skipped += (n - survivors) * dcols;
-  if (spec.need_degradable) {
+  const size_t dcols = schema().degradable_columns().size();
+  const bool probe = spec.need_degradable && !spec.count_only;
+  deltas->rows_scanned += examined;
+  deltas->rows_prefiltered += examined - survivors;
+  deltas->values_decoded += examined * first_per_tuple;
+  deltas->probes_skipped += (examined - survivors) * dcols;
+  if (probe) {
     deltas->probes_issued += survivors * dcols;
+    ResolveDegradableLocked(ws);
   } else {
     deltas->probes_skipped += survivors * dcols;
   }
+  return Status::OK();
+}
 
-  // Replace semantics with slot recycling: the overlapping prefix of the
-  // caller's vector keeps its per-row vector capacity across batches.
-  if (out->size() > survivors) out->resize(survivors);
-  while (out->size() < survivors) out->emplace_back();
+int64_t TablePartition::InlineOrdinal(
+    size_t d, const InlineDegradable& inline_value) const {
+  const ColumnDef& col = schema().column(schema().degradable_columns()[d]);
+  if (inline_value.phase >= col.lcp.num_phases()) return -1;
+  const Result<LeafInterval> range = col.hierarchy->LeafRange(
+      inline_value.value, col.lcp.phase(inline_value.phase).level);
+  return range.ok() ? range->lo : -1;
+}
 
-  for (size_t k = 0; k < survivors; ++k) {
-    HeapTuple& tuple = ws->tuples[ws->selection[k]];
-    RowView& view = (*out)[k];
-    view.row_id = tuple.row_id;
-    view.insert_time = tuple.insert_time;
-    view.values.assign(schema().num_columns(), Value::Null());
-    // The slot is re-decoded before its next use, so its values move out.
-    for (size_t i = 0; i < schema().stable_columns().size(); ++i) {
-      view.values[schema().stable_columns()[i]] = std::move(tuple.stable[i]);
-    }
-    view.phases.assign(dcols, 0);
-  }
-  if (!spec.need_degradable || dcols == 0 || survivors == 0) return;
+void TablePartition::ResolveDegradableLocked(ScanWorkspace* ws) const {
+  const size_t n = ws->count;
+  const auto& degradable_cols = schema().degradable_columns();
+  const size_t dcols = degradable_cols.size();
+  ws->phases.resize(n * dcols);
+  ws->ordinals.resize(n * dcols);
+  if (dcols == 0 || n == 0) return;
 
   if (runtime_.layout == DegradableLayout::kInPlace) {
-    for (size_t k = 0; k < survivors; ++k) {
-      const HeapTuple& tuple = ws->tuples[ws->selection[k]];
-      RowView& view = (*out)[k];
+    for (size_t k = 0; k < n; ++k) {
+      const HeapTuple& tuple = ws->tuples[k];
       for (size_t d = 0; d < dcols; ++d) {
-        const InlineDegradable& inline_value = tuple.degradable[d];
-        view.phases[d] = inline_value.phase;
-        if (inline_value.phase <
-            schema().column(degradable_cols[d]).lcp.num_phases()) {
-          view.values[degradable_cols[d]] = inline_value.value;
-        }
+        ws->phases[k * dcols + d] = tuple.degradable[d].phase;
+        ws->ordinals[k * dcols + d] = InlineOrdinal(d, tuple.degradable[d]);
       }
     }
     return;
@@ -570,40 +563,37 @@ void TablePartition::AssembleSurvivorsLocked(const ScanSpec& spec,
   // kStateStores: one sorted merge per (column, phase) store over the
   // survivors' ascending row ids. Heap order is mostly — but not strictly —
   // ascending (updates relocate rows), hence the sort when it is not.
-  ws->order.resize(survivors);
-  for (size_t k = 0; k < survivors; ++k) ws->order[k] = static_cast<uint32_t>(k);
+  ws->order.resize(n);
+  for (size_t k = 0; k < n; ++k) ws->order[k] = static_cast<uint32_t>(k);
   const auto by_row_id = [&](uint32_t a, uint32_t b) {
-    return ws->tuples[ws->selection[a]].row_id <
-           ws->tuples[ws->selection[b]].row_id;
+    return ws->tuples[a].row_id < ws->tuples[b].row_id;
   };
   if (!std::is_sorted(ws->order.begin(), ws->order.end(), by_row_id)) {
     std::sort(ws->order.begin(), ws->order.end(), by_row_id);
   }
-  ws->ids.resize(survivors);
-  for (size_t j = 0; j < survivors; ++j) {
-    ws->ids[j] = ws->tuples[ws->selection[ws->order[j]]].row_id;
-  }
+  ws->ids.resize(n);
+  for (size_t j = 0; j < n; ++j) ws->ids[j] = ws->tuples[ws->order[j]].row_id;
   for (size_t d = 0; d < dcols; ++d) {
     const int removed = schema().column(degradable_cols[d]).lcp.num_phases();
-    ws->entries.assign(survivors, nullptr);
-    ws->phases.assign(survivors, removed);
+    ws->entries.assign(n, nullptr);
+    for (size_t j = 0; j < n; ++j) {
+      const size_t cell = ws->order[j] * dcols + d;
+      ws->phases[cell] = removed;
+      ws->ordinals[cell] = -1;
+    }
     size_t found = 0;
-    for (size_t p = 0; p < stores_[d].size() && found < survivors; ++p) {
+    for (size_t p = 0; p < stores_[d].size() && found < n; ++p) {
       const size_t hits =
-          stores_[d][p]->FindMany(ws->ids.data(), survivors, ws->entries.data());
+          stores_[d][p]->FindMany(ws->ids.data(), n, ws->entries.data());
       if (hits == 0) continue;
       found += hits;
-      for (size_t j = 0; j < survivors; ++j) {
-        if (ws->phases[j] == removed && ws->entries[j] != nullptr) {
-          ws->phases[j] = static_cast<int>(p);
+      // Slots set by an earlier (more accurate) phase keep that phase.
+      for (size_t j = 0; j < n; ++j) {
+        const size_t cell = ws->order[j] * dcols + d;
+        if (ws->phases[cell] == removed && ws->entries[j] != nullptr) {
+          ws->phases[cell] = static_cast<int>(p);
+          ws->ordinals[cell] = ws->entries[j]->ordinal;
         }
-      }
-    }
-    for (size_t j = 0; j < survivors; ++j) {
-      RowView& view = (*out)[ws->order[j]];
-      view.phases[d] = ws->phases[j];
-      if (ws->entries[j] != nullptr) {
-        view.values[degradable_cols[d]] = ws->entries[j]->value;
       }
     }
   }
@@ -684,6 +674,7 @@ bool TablePartition::AssembleRow(const HeapTuple& tuple, RowView* view) const {
   }
   const auto& degradable_cols = schema().degradable_columns();
   view->phases.assign(degradable_cols.size(), 0);
+  view->ordinals.assign(degradable_cols.size(), -1);
   for (size_t d = 0; d < degradable_cols.size(); ++d) {
     const ColumnDef& col = schema().column(degradable_cols[d]);
     if (runtime_.layout == DegradableLayout::kStateStores) {
@@ -693,6 +684,7 @@ bool TablePartition::AssembleRow(const HeapTuple& tuple, RowView* view) const {
         if (entry != nullptr) {
           phase = static_cast<int>(p);
           view->values[degradable_cols[d]] = entry->value;
+          view->ordinals[d] = entry->ordinal;
           break;
         }
       }
@@ -700,6 +692,7 @@ bool TablePartition::AssembleRow(const HeapTuple& tuple, RowView* view) const {
     } else {
       const InlineDegradable& inline_value = tuple.degradable[d];
       view->phases[d] = inline_value.phase;
+      view->ordinals[d] = InlineOrdinal(d, inline_value);
       if (inline_value.phase < col.lcp.num_phases()) {
         view->values[degradable_cols[d]] = inline_value.value;
       }

@@ -44,9 +44,10 @@ struct TableRuntime {
   Env* env = nullptr;
 };
 
-/// Fully assembled row as seen by the executor: stable values plus each
-/// degradable attribute's *stored* phase and value (the physical ST_j
-/// membership, which is what the paper's query semantics partition on).
+/// Fully assembled row (ScanRows, GetRow, the unfiltered cursor batch):
+/// stable values plus each degradable attribute's *stored* phase, value and
+/// leaf ordinal (the physical ST_j membership, which is what the paper's
+/// query semantics partition on).
 struct RowView {
   RowId row_id = kInvalidRowId;
   Micros insert_time = 0;
@@ -57,6 +58,10 @@ struct RowView {
   /// Aligned with schema.degradable_columns(): current phase per attribute
   /// (lcp.num_phases() = removed).
   std::vector<int> phases;
+  /// Aligned with schema.degradable_columns(): leaf ordinal of the stored
+  /// value at its phase's level (StoreEntry::ordinal; -1 once removed) —
+  /// what the query layer's σ and f_k read.
+  std::vector<int64_t> ordinals;
 };
 
 /// \brief The physical state of one hash-partition of a table: slotted heap
@@ -161,22 +166,20 @@ class TablePartition {
   Status ScanBatch(Rid* pos, PageId end_page, size_t limit,
                    std::vector<RowView>* out, bool* done) const;
 
-  /// Pushdown form of ScanBatch, over the same page range: decodes up to
-  /// `limit` heap tuples from `*pos`, runs `spec.filter` batch-at-a-time on the
-  /// decoded stable values, and only then resolves the degradable part — for
-  /// the SURVIVORS only, with one sorted merge per state store
-  /// (StateStore::FindMany) instead of one binary search per row. Everything
-  /// happens under a single shared-latch acquisition, so the batch has exactly
-  /// ScanBatch's snapshot-per-batch semantics. REPLACES `*out`'s contents (it
-  /// does not append): the caller keeps passing the same vector and the RowView
-  /// slots recycle their storage. `limit` bounds tuples DECODED, not rows
-  /// emitted — a selective batch comes out short rather than holding the latch
-  /// until it fills. `ws` is per-consumer scratch; `deltas` accumulates the
-  /// pushdown accounting (see ScanDeltas). This is the batch every query-layer
-  /// heap scan pulls.
+  /// Pushdown form of ScanBatch, over the same page range: examines up to
+  /// `limit` heap tuples from `*pos`, decoding per tuple only the stable
+  /// columns `spec.filter` reads and testing it on the spot; survivors get
+  /// their output-only columns decoded from the same record, then one sorted
+  /// merge per state store (StateStore::FindMany) resolves their degradable
+  /// cells to (phase, leaf ordinal). Everything happens under a single
+  /// shared-latch acquisition, so the batch has exactly ScanBatch's
+  /// snapshot-per-batch semantics. The survivors REPLACE `ws`'s batch (see
+  /// ScanWorkspace); `limit` bounds tuples examined, not rows kept — a
+  /// selective batch comes out short rather than holding the latch until it
+  /// fills. `deltas` accumulates the pushdown accounting (see ScanDeltas).
+  /// This is the batch every query-layer heap scan pulls.
   Status ScanBatchFiltered(Rid* pos, PageId end_page, size_t limit,
-                           const ScanSpec& spec, ScanWorkspace* ws,
-                           std::vector<RowView>* out, bool* done,
+                           const ScanSpec& spec, ScanWorkspace* ws, bool* done,
                            ScanDeltas* deltas) const;
 
   /// Batched store probe: resolves the stored (phase, value) of every id in
@@ -308,12 +311,15 @@ class TablePartition {
   /// Builds a RowView from a decoded heap tuple (caller holds the latch).
   bool AssembleRow(const HeapTuple& tuple, RowView* view) const;
 
-  /// Filters ws->tuples[0..count), probes stores for the survivors
-  /// (FindMany merges), and fills `*out` (replace semantics). Caller holds
-  /// the shared latch.
-  void AssembleSurvivorsLocked(const ScanSpec& spec, ScanWorkspace* ws,
-                               std::vector<RowView>* out,
-                               ScanDeltas* deltas) const;
+  /// Leaf ordinal of degradable column `d`'s inline image (kInPlace), -1
+  /// once removed.
+  int64_t InlineOrdinal(size_t d, const InlineDegradable& inline_value) const;
+
+  /// Resolves the (phase, ordinal) of every degradable column of the
+  /// survivors ws->tuples[0, count) into ws->phases/ordinals: FindMany
+  /// merges under kStateStores, the inline images under kInPlace. Caller
+  /// holds the shared latch.
+  void ResolveDegradableLocked(ScanWorkspace* ws) const;
 
   const TableDef* const def_;
   const std::string dir_;

@@ -28,8 +28,10 @@
 ///    rows never materializes more than one small scan batch.
 ///  - Session::Prepare → PreparedStatement — parse once, bind `?`
 ///    parameters, execute many; the hot path for ingest loops.
-/// `Session::Execute` remains the convenience wrapper: it opens a cursor
-/// and drains it into a fully materialized QueryResult.
+/// `Session::Execute` remains the convenience wrapper: it runs the same
+/// scan → σ → π pipeline with the projection done on the scan workers and
+/// returns a fully materialized QueryResult (typed values; display strings
+/// rendered on demand).
 
 #include "anonymize/mondrian.h"
 #include "catalog/builtin_domains.h"

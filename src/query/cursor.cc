@@ -6,50 +6,23 @@
 
 namespace instantdb {
 
-void CursorBatch::Reset(const plan::SelectPlan* plan) {
-  plan_ = plan;
-  size_ = 0;
-}
-
-size_t CursorBatch::Append(RowId row_id) {
-  const size_t i = size_++;
-  if (i == row_ids_.size()) {
-    row_ids_.emplace_back();
-    values_.emplace_back();
-    levels_.emplace_back();
-    display_.emplace_back();
-    display_valid_.push_back(0);
-  }
-  row_ids_[i] = row_id;
-  display_valid_[i] = 0;
-  return i;
-}
-
-void CursorBatch::AdoptBuffered(
-    std::vector<std::vector<Value>>&& rows,
-    std::vector<std::vector<std::string>>&& display) {
-  plan_ = nullptr;
-  size_ = rows.size();
-  row_ids_.assign(size_, kInvalidRowId);
-  values_ = std::move(rows);
-  levels_.clear();
-  levels_.resize(size_);
-  display_ = std::move(display);
-  display_.resize(size_);  // pad DML results that carry no display strings
-  display_valid_.assign(size_, 1);
+void CursorBatch::ResetDisplay() {
+  display_valid_.assign(rows_.size, 0);
+  if (display_.size() < rows_.size) display_.resize(rows_.size);
 }
 
 const std::vector<std::string>& CursorBatch::display(size_t i) const {
   if (!display_valid_[i]) {
     // Lazy π rendering: only consumers that actually read display strings
     // pay for hierarchy lookups and formatting.
+    const std::vector<Value>& values = rows_.values[i];
+    const int* levels =
+        rows_.levels.data() + i * format_->levels_per_row();
     std::vector<std::string>& out = display_[i];
     out.clear();
-    const plan::SelectPlan& select = *plan_;
-    out.reserve(select.item_columns.size());
-    for (size_t k = 0; k < select.item_columns.size(); ++k) {
-      out.push_back(plan::RenderValue(*select.schema, select.item_columns[k],
-                                      values_[i][k], levels_[i]));
+    out.reserve(values.size());
+    for (size_t k = 0; k < values.size(); ++k) {
+      out.push_back(format_->Render(k, values[k], levels));
     }
     display_valid_[i] = 1;
   }
@@ -58,23 +31,23 @@ const std::vector<std::string>& CursorBatch::display(size_t i) const {
 
 /// Pipeline state: either a live streaming pipeline (non-aggregate SELECT)
 /// or a buffered result (aggregates, DML, purpose statements) served as one
-/// pre-rendered batch.
+/// batch.
 struct Cursor::Impl {
   // Streaming: plan owns the bound query the source references, so it lives
   // behind a stable pointer and must be destroyed after the source.
   std::unique_ptr<plan::SelectPlan> plan;
   std::unique_ptr<plan::RowSource> source;
-  /// Reused scan → σ output the batch projection reads from.
-  plan::EvaluatedBatch evaluated;
 
   /// Current projected batch (reused storage); what Next/NextBatch expose.
   CursorBatch batch;
   size_t next_row = 0;   // Next()'s position within `batch`
   bool batch_live = false;
 
-  /// Buffered fallback: the whole result is one pre-rendered batch.
+  /// Buffered fallback: the whole result is one batch rendered with the
+  /// result's own format.
   bool use_buffer = false;
   bool buffer_served = false;
+  ResultFormat buffer_format;
 
   std::vector<std::string> columns;
   uint64_t rows_returned = 0;
@@ -114,24 +87,10 @@ Result<bool> Cursor::FetchBatch() {
     return true;
   }
 
-  impl.evaluated.Clear();
-  IDB_ASSIGN_OR_RETURN(const bool more, impl.source->NextBatch(&impl.evaluated));
+  IDB_ASSIGN_OR_RETURN(const bool more,
+                       impl.source->NextBatch(&impl.batch.rows_));
   if (!more) return false;
-
-  // π over the whole batch into reused storage: copy the projected values,
-  // carry the per-row levels for lazy display rendering.
-  const plan::SelectPlan& select = *impl.plan;
-  impl.batch.Reset(impl.plan.get());
-  for (size_t r = 0; r < impl.evaluated.size; ++r) {
-    const plan::EvaluatedRow& row = impl.evaluated.rows[r];
-    const size_t i = impl.batch.Append(row.row_id);
-    std::vector<Value>& out = impl.batch.values_[i];
-    out.resize(select.item_columns.size());
-    for (size_t k = 0; k < select.item_columns.size(); ++k) {
-      out[k] = row.values[select.item_columns[k]];
-    }
-    impl.batch.levels_[i] = row.degradable_level;
-  }
+  impl.batch.ResetDisplay();
   impl.batch_live = impl.batch.size() > 0;
   return impl.batch_live;
 }
@@ -148,20 +107,13 @@ Result<bool> Cursor::Next(CursorRow* out) {
   return true;
 }
 
-Result<bool> Cursor::NextBatch(CursorBatch** out) {
+Result<bool> Cursor::NextBatch(const CursorBatch** out) {
   IDB_ASSIGN_OR_RETURN(const bool more, FetchBatch());
   if (!more) return false;
   impl_->next_row = impl_->batch.size();  // Next() may not re-serve these
   impl_->rows_returned += impl_->batch.size();
   *out = &impl_->batch;
   return true;
-}
-
-Result<bool> Cursor::NextBatch(const CursorBatch** out) {
-  CursorBatch* batch = nullptr;
-  IDB_ASSIGN_OR_RETURN(const bool more, NextBatch(&batch));
-  if (more) *out = batch;
-  return more;
 }
 
 Result<std::unique_ptr<Cursor>> Cursor::Open(Session* session,
@@ -178,9 +130,10 @@ Result<std::unique_ptr<Cursor>> Cursor::Open(Session* session,
     if (!plan->has_aggregate) {
       impl->columns = plan->output_columns;
       impl->plan = std::move(plan);
-      IDB_ASSIGN_OR_RETURN(impl->source,
-                           plan::MakeRowSource(session, impl->plan->query,
-                                               scan_batch_rows));
+      impl->batch.format_ = &impl->plan->format;
+      IDB_ASSIGN_OR_RETURN(
+          impl->source,
+          plan::MakeRowSource(session, *impl->plan, scan_batch_rows));
       return std::unique_ptr<Cursor>(new Cursor(std::move(impl)));
     }
     // Aggregates execute eagerly over the bound plan; the cursor streams
@@ -192,9 +145,15 @@ Result<std::unique_ptr<Cursor>> Cursor::Open(Session* session,
     IDB_ASSIGN_OR_RETURN(buffered, ExecuteStatement(session, statement));
   }
   impl->use_buffer = true;
-  impl->columns = buffered.columns;
-  impl->batch.AdoptBuffered(std::move(buffered.rows),
-                            std::move(buffered.display));
+  impl->columns = std::move(buffered.columns);
+  impl->buffer_format = std::move(buffered.format);
+  ProjectedRows& rows = impl->batch.rows_;
+  rows.size = buffered.rows.size();
+  rows.row_ids.assign(rows.size, kInvalidRowId);
+  rows.values = std::move(buffered.rows);
+  rows.levels = std::move(buffered.levels);
+  impl->batch.format_ = &impl->buffer_format;
+  impl->batch.ResetDisplay();
   return std::unique_ptr<Cursor>(new Cursor(std::move(impl)));
 }
 

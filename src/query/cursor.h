@@ -10,72 +10,43 @@
 #include "catalog/value.h"
 #include "common/result.h"
 #include "query/ast.h"
-#include "query/levels.h"
+#include "query/result.h"
 #include "storage/page.h"
 
 namespace instantdb {
 
 class Session;
-namespace plan {
-struct SelectPlan;
-}  // namespace plan
 
 /// \brief One batch of projected output rows, owned by the Cursor and
 /// served by `Cursor::NextBatch`. Valid until the next
 /// NextBatch/Next/Close call; storage is reused across batches.
 ///
-/// Values are materialized per batch (π over the scan → σ output); display
-/// strings are NOT — `display(i)` renders row i's strings on first access
-/// and caches them, so a consumer that only reads `values` never pays for
-/// string formatting (the dominant per-row cost of the old row-at-a-time
-/// pipeline).
+/// Values are materialized per batch (π runs worker-side, next to the scan
+/// → σ that produced the rows); display strings are NOT — `display(i)`
+/// renders row i's strings on first access and caches them, so a consumer
+/// that only reads `values` never pays for string formatting.
 class CursorBatch {
  public:
-  size_t size() const { return size_; }
-  RowId row_id(size_t i) const { return row_ids_[i]; }
+  size_t size() const { return rows_.size; }
+  RowId row_id(size_t i) const { return rows_.row_ids[i]; }
   /// Projected values of row i, in SELECT-item order.
-  const std::vector<Value>& values(size_t i) const { return values_[i]; }
+  const std::vector<Value>& values(size_t i) const { return rows_.values[i]; }
   /// Display renderings of row i (bucket values render as "[lo..hi]"),
   /// produced lazily on first access.
   const std::vector<std::string>& display(size_t i) const;
 
-  /// Moves row i's projected values out, leaving the slot empty. For
-  /// single-pass materializing drains (each row taken once); streaming
-  /// consumers should read `values(i)` instead — a taken slot costs a
-  /// reallocation when the batch is recycled. If row i's display is also
-  /// wanted, take (or read) it BEFORE the values: rendering reads them.
-  std::vector<Value> TakeValues(size_t i) { return std::move(values_[i]); }
-  /// Moves row i's display strings out, rendering them first if needed.
-  std::vector<std::string> TakeDisplay(size_t i) {
-    display(i);
-    display_valid_[i] = 0;
-    return std::move(display_[i]);
-  }
-
  private:
   friend class Cursor;
 
-  /// Clears rows, keeping per-row storage for reuse. `plan` provides the
-  /// schema/items for lazy rendering (null for pre-rendered buffered
-  /// results).
-  void Reset(const plan::SelectPlan* plan);
-  /// Appends one row slot and returns its index (storage recycled).
-  size_t Append(RowId row_id);
-  /// Adopts an eagerly-materialized result (aggregates, DML) as one
-  /// pre-rendered batch: values and display strings move over verbatim,
-  /// every display slot is marked rendered (no plan needed). The single
-  /// place the parallel per-row vectors are assembled outside
-  /// Reset/Append.
-  void AdoptBuffered(std::vector<std::vector<Value>>&& rows,
-                     std::vector<std::vector<std::string>>&& display);
+  /// Marks every row's display as not yet rendered (after the rows were
+  /// refilled).
+  void ResetDisplay();
 
-  const plan::SelectPlan* plan_ = nullptr;
-  std::vector<RowId> row_ids_;
-  std::vector<std::vector<Value>> values_;
-  std::vector<DegradableLevels> levels_;
+  ProjectedRows rows_;
+  /// How rows_ render; owned by the cursor (its plan or buffered result).
+  const ResultFormat* format_ = nullptr;
   mutable std::vector<std::vector<std::string>> display_;
   mutable std::vector<uint8_t> display_valid_;
-  size_t size_ = 0;
 };
 
 /// \brief One streamed output row: a view into the cursor's current batch,
@@ -118,25 +89,26 @@ class CursorRow {
 /// \endcode
 ///
 /// **Parallel fan-out.** The scan side runs at the session's
-/// `ScanOptions::parallelism` (0 = match the database's worker pool,
-/// clamped to the table's partition count). At parallelism 1 the consumer's
-/// thread walks partitions in order — rows come out in (partition, heap)
-/// order, no extra threads. At parallelism N ≥ 2, N prefetch workers drain
-/// distinct partitions into a bounded batch queue while the consumer pulls:
-/// scan I/O on one partition overlaps σ/π of another's batch, and rows
-/// interleave across partitions in arrival order (no global order). Either
-/// way `Next` is a view into the current batch and `NextBatch` exposes the
-/// batches themselves — the bulk API the benches drain.
+/// `ScanOptions::parallelism` (0 = match the database's worker pool; tables
+/// below plan::kParallelScanMinRows stay at 1). Scans parallelize at morsel
+/// (page-range) granularity, so the fan-out is bounded by the morsel plan,
+/// not the partition count. At parallelism 1 the consumer's thread walks
+/// the morsels in order — rows come out in (partition, heap) order, no
+/// extra threads. At parallelism N ≥ 2, up to N workers lent by the shared
+/// pool claim morsels and push projected batches into a bounded queue while
+/// the consumer pulls: scan I/O of one morsel overlaps σ/π of another's
+/// batch, and rows interleave across morsels in arrival order (no global
+/// order). Either way `Next` is a view into the current batch and
+/// `NextBatch` exposes the batches themselves — the bulk API the benches
+/// drain.
 ///
-/// Isolation is snapshot-per-batch at every parallelism: each scan batch is
-/// assembled under one partition's shared latch, rows inserted, deleted or
-/// degraded while the cursor is open may or may not be observed (never
-/// torn), and a row physically relocated by a concurrent update can be
-/// missed or seen twice. Materialized reads through `Session::Execute` are
-/// not subject to this — they drain each partition atomically (on the
-/// worker pool, merged in partition order). Aggregate/GROUP BY statements
-/// are supported but buffer their (small) aggregated result before
-/// streaming it.
+/// Isolation is snapshot-per-batch at every parallelism, for cursors and
+/// `Session::Execute` alike: each scan batch is assembled under one
+/// partition's shared latch, rows inserted, deleted or degraded while the
+/// statement runs may or may not be observed (never torn), and a row
+/// physically relocated by a concurrent update can be missed or seen twice.
+/// Aggregate/GROUP BY statements are supported but buffer their (small)
+/// aggregated result before streaming it.
 class Cursor {
  public:
   ~Cursor();
@@ -156,10 +128,6 @@ class Cursor {
   /// until the next NextBatch/Next/Close). Returns false at end of stream.
   /// Batches are non-empty while the stream lasts.
   Result<bool> NextBatch(const CursorBatch** out);
-  /// Mutable variant for consumers that move rows out of the batch
-  /// (CursorBatch::TakeValues/TakeDisplay) — the materializing executor's
-  /// drain, which would otherwise deep-copy the whole result.
-  Result<bool> NextBatch(CursorBatch** out);
 
   /// Releases pipeline resources early (stopping any prefetch workers);
   /// Next/NextBatch return false afterwards. Also run by the destructor.
@@ -172,11 +140,9 @@ class Cursor {
   /// statements execute eagerly and stream their result rows). Most callers
   /// use `Session::ExecuteCursor(sql)` instead.
   ///
-  /// `scan_batch_rows` bounds how many rows one heap-scan batch assembles
-  /// under a partition's shared latch. The streaming default (0) keeps
-  /// memory bounded; `Session::Execute` drains with SIZE_MAX, which scans
-  /// every partition atomically under its latch and keeps the pre-cursor
-  /// executor's read consistency.
+  /// `scan_batch_rows` bounds how many heap tuples one scan batch examines
+  /// under a partition's shared latch (0 = plan::kStreamingScanBatchRows,
+  /// which keeps memory bounded; SIZE_MAX makes every batch a whole morsel).
   static Result<std::unique_ptr<Cursor>> Open(Session* session,
                                               const StatementAst& statement,
                                               size_t scan_batch_rows = 0);

@@ -1,101 +1,39 @@
 #include "query/executor.h"
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
-#include "common/strings.h"
-#include "query/cursor.h"
 #include "query/plan.h"
 
 namespace instantdb {
 
 namespace {
 
-/// SELECT: open the cursor pipeline (streaming for plain selects, buffered
-/// for aggregates — Cursor::Open plans once and dispatches) and drain it.
-/// This keeps Execute and ExecuteCursor behaviorally identical — Execute is
-/// just "drain into a QueryResult".
-Result<QueryResult> DrainSelectCursor(Session* session,
-                                      const StatementAst& statement) {
-  // SIZE_MAX batch: the scan drains on the worker pool and its rows merge
-  // in morsel-ordinal order, i.e. sequential-scan order. Isolation is
-  // snapshot-per-batch, as for a streaming cursor.
-  IDB_ASSIGN_OR_RETURN(std::unique_ptr<Cursor> cursor,
-                       Cursor::Open(session, statement, SIZE_MAX));
-  QueryResult result;
-  result.columns = cursor->columns();
-  CursorBatch* batch = nullptr;
-  while (true) {
-    IDB_ASSIGN_OR_RETURN(const bool more, cursor->NextBatch(&batch));
-    if (!more) break;
-    result.rows.reserve(result.rows.size() + batch->size());
-    result.display.reserve(result.display.size() + batch->size());
-    for (size_t i = 0; i < batch->size(); ++i) {
-      // Single-pass drain: move rows out of the batch instead of deep-
-      // copying the (possibly whole-table) result a second time. Display
-      // first — rendering reads the values the second Take empties.
-      result.display.push_back(batch->TakeDisplay(i));
-      result.rows.push_back(batch->TakeValues(i));
-    }
-  }
-  result.affected_rows = result.rows.size();
-  return result;
+/// SELECT, materialized: aggregates fold worker-side, everything else is
+/// projected worker-side into morsel buckets (plan::ExecuteProjection). The
+/// result keeps typed values and renders display strings only on demand.
+Result<QueryResult> ExecuteSelect(Session* session, const SelectAst& ast) {
+  IDB_ASSIGN_OR_RETURN(plan::SelectPlan select, plan::BindSelect(session, ast));
+  if (select.has_aggregate) return ExecuteAggregate(session, select);
+  return plan::ExecuteProjection(session, select);
 }
 
 }  // namespace
 
-/// Aggregation (optionally grouped by one column), pulling evaluated rows
-/// straight from the scan → σ source: no intermediate materialization of
-/// the qualifying set.
+/// Aggregation (optionally grouped by one column): the per-group partials
+/// come from the worker-side fold (plan::ExecuteAggregation); this renders
+/// them into output rows.
 Result<QueryResult> ExecuteAggregate(Session* session,
                                      const plan::SelectPlan& select) {
-  const Schema& schema = *select.schema;
   const auto& items = select.items;
-
-  struct AggState {
-    Value group_value;
-    plan::AggregatePartials partials;
-  };
-  std::map<std::string, AggState> groups;
-
-  if (plan::CanPushAggregate(session, select)) {
-    // Ungrouped all-aggregate query: partials computed inside the scan
-    // workers (stable predicates below row assembly, state stores skipped
-    // when no degradable column is referenced), merged here. Rendering
-    // below is shared with the row-at-a-time path.
-    IDB_ASSIGN_OR_RETURN(plan::AggregatePartials partial,
-                         plan::ExecuteAggregatePushdown(session, select));
-    if (partial.count > 0) groups["*"].partials = std::move(partial);
-  } else {
-    IDB_ASSIGN_OR_RETURN(std::unique_ptr<plan::RowSource> source,
-                         plan::MakeRowSource(session, select.query, SIZE_MAX));
-    plan::EvaluatedRow row;
-    while (true) {
-      IDB_ASSIGN_OR_RETURN(const bool more, source->Next(&row));
-      if (!more) break;
-      std::string key = "*";
-      if (select.group_col >= 0) {
-        key = plan::RenderValue(schema, select.group_col,
-                                row.values[select.group_col],
-                                row.degradable_level);
-      }
-      AggState& state = groups[key];
-      if (state.partials.count == 0) {
-        plan::InitPartials(items.size(), &state.partials);
-        if (select.group_col >= 0) {
-          state.group_value = row.values[select.group_col];
-        }
-      }
-      plan::FoldAggregateRow(select, row, &state.partials);
-    }
-  }
+  IDB_ASSIGN_OR_RETURN(auto groups, plan::ExecuteAggregation(session, select));
 
   QueryResult result;
   result.columns = select.output_columns;
-  for (auto& [key, state] : groups) {
-    const plan::AggregatePartials& agg = state.partials;
+  result.format = select.format;
+  for (auto& [key, group] : groups) {
+    const plan::AggregatePartials& agg = group.partials;
     std::vector<Value> out;
-    std::vector<std::string> rendered;
     for (size_t i = 0; i < items.size(); ++i) {
       const SelectItem& item = items[i];
       switch (item.aggregate) {
@@ -104,20 +42,20 @@ Result<QueryResult> ExecuteAggregate(Session* session,
             return Status::InvalidArgument(
                 "non-aggregate column must be the GROUP BY column");
           }
-          out.push_back(state.group_value);
-          rendered.push_back(key);
+          out.push_back(group.value);
+          if (result.format.level_slot(i) >= 0) {
+            result.levels.push_back(group.level);
+          }
           break;
         }
         case AggregateKind::kCount: {
           const uint64_t n =
               item.column.empty() ? agg.count : agg.non_null[i];
           out.push_back(Value::Int64(static_cast<int64_t>(n)));
-          rendered.push_back(out.back().ToString());
           break;
         }
         case AggregateKind::kSum:
           out.push_back(Value::Double(agg.sums[i]));
-          rendered.push_back(StringPrintf("%.6g", agg.sums[i]));
           break;
         case AggregateKind::kAvg: {
           const double avg =
@@ -125,21 +63,17 @@ Result<QueryResult> ExecuteAggregate(Session* session,
                   ? 0
                   : agg.sums[i] / static_cast<double>(agg.non_null[i]);
           out.push_back(Value::Double(avg));
-          rendered.push_back(StringPrintf("%.6g", avg));
           break;
         }
         case AggregateKind::kMin:
           out.push_back(agg.mins[i]);
-          rendered.push_back(out.back().ToString());
           break;
         case AggregateKind::kMax:
           out.push_back(agg.maxs[i]);
-          rendered.push_back(out.back().ToString());
           break;
       }
     }
     result.rows.push_back(std::move(out));
-    result.display.push_back(std::move(rendered));
   }
   result.affected_rows = result.rows.size();
   return result;
@@ -175,19 +109,12 @@ Result<QueryResult> ExecuteDelete(Session* session, const DeleteAst& ast) {
 
   // View-style delete (paper §II): the predicate selects at the session's
   // accuracy; the delete removes both stable and degradable parts.
-  IDB_ASSIGN_OR_RETURN(std::unique_ptr<plan::RowSource> source,
-                       plan::MakeRowSource(session, query, SIZE_MAX));
+  IDB_ASSIGN_OR_RETURN(std::vector<RowId> rows,
+                       plan::QualifyingRowIds(session, query));
   auto txn = session->db()->Begin();
   uint64_t deleted = 0;
-  plan::EvaluatedRow row;
-  while (true) {
-    auto more = source->Next(&row);
-    if (!more.ok()) {
-      session->db()->Abort(txn.get());
-      return more.status();
-    }
-    if (!*more) break;
-    const Status status = query.table->Delete(txn.get(), row.row_id);
+  for (const RowId row_id : rows) {
+    const Status status = query.table->Delete(txn.get(), row_id);
     if (status.ok()) {
       ++deleted;
     } else if (!status.IsNotFound()) {
@@ -206,8 +133,8 @@ Result<QueryResult> ExecuteDelete(Session* session, const DeleteAst& ast) {
 
 Result<QueryResult> ExecuteStatement(Session* session,
                                      const StatementAst& statement) {
-  if (std::get_if<SelectAst>(&statement) != nullptr) {
-    return DrainSelectCursor(session, statement);
+  if (const auto* select = std::get_if<SelectAst>(&statement)) {
+    return ExecuteSelect(session, *select);
   }
   if (const auto* insert = std::get_if<InsertAst>(&statement)) {
     return ExecuteInsert(session, *insert);

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
-#include <functional>
 #include <mutex>
 
 #include "common/cancel.h"
@@ -62,15 +61,25 @@ void FoldDeltas(Database::ScanCounters* counters, const ScanDeltas& deltas) {
 
 /// The pushdown contract of one bound query: its stable terms as the filter,
 /// store probes only when a degradable column is referenced (COUNT(*)
-/// never probes), and decode only the stable columns it reads (COUNT(*)
-/// decodes none). `filter` must outlive the spec.
+/// never probes), and decode only the stable columns it reads — the filter's
+/// for every tuple, the rest for survivors (COUNT(*) decodes none).
+/// `filter` must outlive the spec.
 ScanSpec MakeScanSpec(const BoundQuery& query,
-                      const StablePredicateFilter& filter) {
+                      const StablePredicateFilter& filter, bool count_only) {
   ScanSpec spec;
   spec.filter = filter.empty() ? nullptr : &filter;
-  spec.need_degradable = !query.accuracy.empty();
-  spec.stable_needed = query.stable_needed;
+  spec.need_degradable = query.reads_degradable;
+  spec.count_only = count_only;
+  spec.filter_columns = query.filter_stable;
+  spec.output_columns = query.output_stable;
   return spec;
+}
+
+/// Position of stable column `col` in Schema::stable_columns(), -1 if none.
+int StableOrdinal(const Schema& schema, int col) {
+  const std::vector<int>& stable = schema.stable_columns();
+  const auto it = std::find(stable.begin(), stable.end(), col);
+  return it == stable.end() ? -1 : static_cast<int>(it - stable.begin());
 }
 
 /// Finds the level of a literal value in a hierarchy (tree labels can sit at
@@ -137,6 +146,8 @@ Status BindPredicate(const Schema& schema, Session* session, TableId table_id,
   }
   const ColumnDef& column = schema.column(out->column);
   out->degradable = column.kind == ColumnKind::kDegradable;
+  out->ordinal = out->degradable ? schema.DegradableOrdinal(out->column)
+                                 : StableOrdinal(schema, out->column);
   out->op = ast.op;
   out->value = ast.value;
   out->value2 = ast.value2;
@@ -231,38 +242,32 @@ Status BindPredicate(const Schema& schema, Session* session, TableId table_id,
   return Status::OK();
 }
 
-/// Evaluates one bound predicate against a value stored at `stored_level`,
-/// read at `level` (== max(k, stored level)). Node predicates (Eq/Ne,
-/// label-LIKE, BETWEEN) compare the leaf interval of the stored value's
-/// level-`level` ancestor and never build the generalized Value; the rest
-/// compare the generalized value itself.
+/// Evaluates one bound degradable predicate on a stored value's leaf
+/// ordinal, read at `level` (the effective level, never finer than the
+/// stored one). Node predicates (Eq/Ne, label-LIKE, BETWEEN) compare the
+/// leaf interval of the ordinal's level-`level` ancestor; the rest compare
+/// that ancestor's value. Neither path hashes or copies the stored Value.
 bool EvalDegradablePredicate(const DomainHierarchy& hierarchy,
-                             const BoundPredicate& pred, const Value& stored,
-                             int stored_level, int level) {
+                             const BoundPredicate& pred, int64_t ordinal,
+                             int level) {
+  if (ordinal < 0) return false;  // not a node of the domain
   const bool node_predicate =
       pred.op == ComparisonOp::kEq || pred.op == ComparisonOp::kNe ||
       pred.op == ComparisonOp::kBetween ||
       (pred.op == ComparisonOp::kLike && pred.literal_level >= 0);
   if (node_predicate) {
-    auto row_interval =
-        hierarchy.GeneralizedLeafRange(stored, stored_level, level);
-    if (!row_interval.ok()) return false;
+    const LeafInterval row_interval = hierarchy.AncestorRange(ordinal, level);
     switch (pred.op) {
       case ComparisonOp::kBetween:
-        return row_interval->lo >= pred.literal_interval.lo &&
-               row_interval->hi <= pred.literal_interval2.hi;
+        return row_interval.lo >= pred.literal_interval.lo &&
+               row_interval.hi <= pred.literal_interval2.hi;
       case ComparisonOp::kNe:
-        return !pred.literal_interval.Contains(*row_interval);
+        return !pred.literal_interval.Contains(row_interval);
       default:  // Eq, label LIKE
-        return pred.literal_interval.Contains(*row_interval);
+        return pred.literal_interval.Contains(row_interval);
     }
   }
-  Value value = stored;
-  if (stored_level < level) {
-    auto generalized = hierarchy.Generalize(stored, stored_level, level);
-    if (!generalized.ok()) return false;
-    value = std::move(*generalized);
-  }
+  const Value value = hierarchy.AncestorValue(ordinal, level);
   switch (pred.op) {
     case ComparisonOp::kLike:
       return MatchLike(hierarchy.DisplayValue(value, level), pred);
@@ -282,20 +287,119 @@ bool EvalDegradablePredicate(const DomainHierarchy& hierarchy,
   }
 }
 
+/// One row that passed σ, as the worker-side consumers read it: stable
+/// values by stable ordinal in `tuple` (only the read ones decoded; a
+/// consumer may move them out), and per degradable ordinal the leaf
+/// ordinal and effective level that f_k builds an output cell from.
+struct QualifiedRow {
+  HeapTuple* tuple = nullptr;
+  const int64_t* ordinals = nullptr;
+  const int* levels = nullptr;
+};
+
+/// f_k for one qualifying cell: the stored value's ancestor at the row's
+/// effective level, built from its leaf ordinal.
+Value DegradableCell(const BoundQuery& query, int d, const QualifiedRow& row) {
+  const int64_t ordinal = row.ordinals[d];
+  if (ordinal < 0) return Value::Null();
+  return query.degradable[d].hierarchy->AncestorValue(ordinal, row.levels[d]);
+}
+
+/// π for one qualifying row: appends it to `out`, stable values moved out
+/// of the scan slot on their last use, degradable cells built with f_k,
+/// plus the row's level block for lazy rendering.
+void ProjectRow(const SelectPlan& select, QualifiedRow& row,
+                ProjectedRows* out) {
+  const size_t per_row = select.format.levels_per_row();
+  const size_t i =
+      out->Add(row.tuple->row_id, select.sources.size(), per_row);
+  std::vector<Value>& values = out->values[i];
+  int* levels = out->levels.data() + i * per_row;
+  for (size_t k = 0; k < select.sources.size(); ++k) {
+    const CellSource& src = select.sources[k];
+    if (src.stable >= 0) {
+      Value& stored = row.tuple->stable[src.stable];
+      values[k] = src.move ? std::move(stored) : stored;
+    } else {
+      values[k] = DegradableCell(select.query, src.degradable, row);
+      *levels++ = row.levels[src.degradable];
+    }
+  }
+}
+
+/// The one per-item aggregate state transition for a non-NULL value.
+void FoldValue(size_t item, const Value& v, AggregatePartials* agg) {
+  if (v.is_null()) return;
+  ++agg->non_null[item];
+  if (v.type() == ValueType::kInt64 || v.type() == ValueType::kTimestamp) {
+    agg->sums[item] += static_cast<double>(v.int64());
+  } else if (v.type() == ValueType::kDouble) {
+    agg->sums[item] += v.dbl();
+  }
+  if (agg->mins[item].is_null() || v.Compare(agg->mins[item]) < 0) {
+    agg->mins[item] = v;
+  }
+  if (agg->maxs[item].is_null() || v.Compare(agg->maxs[item]) > 0) {
+    agg->maxs[item] = v;
+  }
+}
+
+/// Folds one qualifying row into `agg`, reading stable values in place and
+/// building degradable cells only for the aggregated columns.
+void FoldRow(const SelectPlan& select, const QualifiedRow& row,
+             AggregatePartials* agg) {
+  ++agg->count;
+  for (size_t i = 0; i < select.items.size(); ++i) {
+    const CellSource& src = select.sources[i];
+    if (select.items[i].aggregate == AggregateKind::kNone) continue;
+    if (src.stable >= 0) {
+      FoldValue(i, row.tuple->stable[src.stable], agg);
+    } else if (src.degradable >= 0) {
+      FoldValue(i, DegradableCell(select.query, src.degradable, row), agg);
+    }
+  }
+}
+
+void InitPartials(size_t items, AggregatePartials* agg) {
+  agg->count = 0;
+  agg->sums.assign(items, 0);
+  agg->mins.assign(items, Value::Null());
+  agg->maxs.assign(items, Value::Null());
+  agg->non_null.assign(items, 0);
+}
+
+/// Merge is associative over per-worker partials: counts and sums add,
+/// extrema compare — so claim order never matters.
+void MergePartials(const AggregatePartials& in, AggregatePartials* out) {
+  out->count += in.count;
+  for (size_t i = 0; i < in.sums.size(); ++i) {
+    out->sums[i] += in.sums[i];
+    out->non_null[i] += in.non_null[i];
+    if (!in.mins[i].is_null() &&
+        (out->mins[i].is_null() || in.mins[i].Compare(out->mins[i]) < 0)) {
+      out->mins[i] = in.mins[i];
+    }
+    if (!in.maxs[i].is_null() &&
+        (out->maxs[i].is_null() || in.maxs[i].Compare(out->maxs[i]) > 0)) {
+      out->maxs[i] = in.maxs[i];
+    }
+  }
+}
+
 /// Per-statement state shared by every morsel reader of one heap scan: the
-/// pushdown spec (stable σ below row assembly, survivors-only store probes,
-/// only the read stable columns decoded), the morsel scheduler, the
-/// statement budget and the counters the readers fold into.
+/// pushdown spec (stable σ inside the scan, survivors-only store probes and
+/// late decode), the morsel scheduler, the statement budget and the counters
+/// the readers fold into.
 struct HeapScan {
   HeapScan(Session* session, const BoundQuery& query, size_t batch_rows,
-           std::vector<std::vector<Morsel>> plan)
+           std::vector<std::vector<Morsel>> plan, bool count_only = false)
       : query(query),
         read_options(session->read_options()),
         counters(session->db()->scan_counters()),
         budget(ScanBudget::Of(session)),
         batch_rows(batch_rows),
-        filter(query.table->schema(), query.predicates),
-        spec(MakeScanSpec(query, filter)),
+        filter(query.predicates),
+        spec(MakeScanSpec(query, filter, count_only)),
         sched(std::move(plan),
               MorselStatsSink{&counters->morsels_claimed,
                               &counters->morsels_stolen,
@@ -319,19 +423,25 @@ struct HeapScan {
 
 /// One worker's pass over a HeapScan, and the only heap-scan loop: claims a
 /// morsel, opens its cursor, pulls latched pushdown batches, folds their
-/// deltas into the scan counters and applies the degradable σ and f_k to
-/// the survivors. The statement budget is checked before every batch (so
-/// on every claim too), which stops a doomed statement within one batch.
-/// Isolation is snapshot-per-batch: a batch holds its partition's shared
-/// latch only while it is assembled, so rows inserted, deleted or degraded
-/// between two batches may or may not be observed. One reader per worker.
+/// deltas into the scan counters, runs the degradable σ on the survivors'
+/// ordinals and hands each qualifying row to the caller's consumer. The
+/// statement budget is checked before every batch (so on every claim too),
+/// which stops a doomed statement within one batch. Isolation is
+/// snapshot-per-batch: a batch holds its partition's shared latch only
+/// while it is assembled, so rows inserted, deleted or degraded between two
+/// batches may or may not be observed. One reader per worker.
 class MorselReader {
  public:
-  MorselReader(HeapScan* scan, size_t worker) : scan_(scan), worker_(worker) {}
+  MorselReader(HeapScan* scan, size_t worker)
+      : scan_(scan), worker_(worker), levels_(scan->query.degradable.size()) {}
 
-  /// Appends the qualifying rows of ONE latched batch to `*out` — none
-  /// when σ filtered the whole batch. Returns false once no morsel is left.
-  Result<bool> Next(EvaluatedBatch* out) {
+  /// Pulls ONE latched batch and hands each of its qualifying rows to
+  /// `on_row(QualifiedRow&)` — none when σ filtered the whole batch, and
+  /// none under a count-only spec (see survivors()). Returns false once no
+  /// morsel is left.
+  template <typename OnRow>
+  Result<bool> Next(OnRow&& on_row) {
+    survivors_ = 0;
     if (!cursor_open_) {
       if (!scan_->sched.Claim(worker_, &morsel_)) return false;
       cursor_ = scan_->query.table->OpenMorselCursor(morsel_);
@@ -340,20 +450,35 @@ class MorselReader {
     IDB_RETURN_IF_ERROR(scan_->budget.Check());
     ScanDeltas deltas;
     bool done = false;
-    IDB_RETURN_IF_ERROR(cursor_.NextBatch(scan_->batch_rows, scan_->spec, &ws_,
-                                          &views_, &done, &deltas));
+    IDB_RETURN_IF_ERROR(cursor_.NextBatch(scan_->batch_rows, scan_->spec,
+                                          &ws_, &done, &deltas));
     cursor_open_ = !done;
+    survivors_ = deltas.rows_scanned - deltas.rows_prefiltered;
     if (deltas.rows_scanned > 0) {
       scan_->counters->batches.fetch_add(1, std::memory_order_relaxed);
       FoldDeltas(scan_->counters, deltas);
     }
-    EvaluateViews(scan_->query, scan_->read_options, views_, out,
-                  /*stable_prefiltered=*/true);
+    const size_t dcols = levels_.size();
+    const bool resolved = scan_->spec.need_degradable;
+    for (size_t k = 0; k < ws_.count; ++k) {
+      const int* phases = resolved ? ws_.phases.data() + k * dcols : nullptr;
+      const int64_t* ordinals =
+          resolved ? ws_.ordinals.data() + k * dcols : nullptr;
+      if (!QualifyDegradable(scan_->query, scan_->read_options, phases,
+                             ordinals, levels_.data())) {
+        continue;
+      }
+      QualifiedRow row{&ws_.tuples[k], ordinals, levels_.data()};
+      on_row(row);
+    }
     return true;
   }
 
   /// Ordinal of the morsel the last batch came from.
   size_t ordinal() const { return morsel_.ordinal; }
+  /// Rows of the last batch that passed the stable filter — the only
+  /// output of a count-only batch.
+  uint64_t survivors() const { return survivors_; }
 
  private:
   HeapScan* const scan_;
@@ -362,44 +487,91 @@ class MorselReader {
   PartitionCursor cursor_;
   bool cursor_open_ = false;
   ScanWorkspace ws_;
-  std::vector<RowView> views_;
+  std::vector<int> levels_;
+  uint64_t survivors_ = 0;
 };
 
-/// Runs `workers` readers over `scan` on the shared pool (WorkerPool::Run:
-/// the caller drains too, so a saturated pool only narrows the scan) and
-/// hands every non-empty batch to `consume(worker, morsel ordinal, batch)`.
-Status DrainOnPool(
-    Session* session, HeapScan* scan, size_t workers,
-    const std::function<void(size_t, size_t, EvaluatedBatch*)>& consume) {
-  return session->db()->worker_pool()->Run(
-      workers, workers, [&](size_t worker) -> Status {
-        MorselReader reader(scan, worker);
-        EvaluatedBatch batch;
-        for (;;) {
-          batch.Clear();
-          IDB_ASSIGN_OR_RETURN(const bool more, reader.Next(&batch));
-          if (!more) return Status::OK();
-          if (batch.size > 0) consume(worker, reader.ordinal(), &batch);
-        }
-      });
-}
+/// Index-probe counterpart of MorselReader: fetches the probed rows with
+/// Table::GetRow (which resolves each degradable cell's ordinal once) and
+/// runs the same σ on them — the stable terms too, since nothing was pushed
+/// below the fetch.
+class IndexReader {
+ public:
+  IndexReader(Session* session, const BoundQuery& query,
+              std::vector<RowId> rids, size_t batch_rows)
+      : read_options_(session->read_options()),
+        counters_(session->db()->scan_counters()),
+        budget_(ScanBudget::Of(session)),
+        query_(query),
+        filter_(query.predicates),
+        rids_(std::move(rids)),
+        batch_rows_(std::max<size_t>(batch_rows, 1)),
+        levels_(query.degradable.size()) {}
 
-/// Streaming consumer (cursors): rows in arrival order. With `workers` 1,
-/// or when the shared pool lends no worker, the consumer's own thread pulls
-/// one reader inline. Otherwise each producer the pool lends runs a reader
-/// and pushes its qualifying batches into a bounded queue the consumer
-/// drains. No thread is ever spawned: a busy pool makes the scan narrower,
-/// never blocked. Batch storage circulates — drained batches return to a
-/// spare pool the producers refill — so a steady-state scan stops
-/// allocating. The queue bound backpressures producers when the consumer
-/// is slow; the consumer counts a prefetch stall each time it finds the
-/// queue empty while producers are still running.
+  /// Fetches rows until `batch_rows` qualified or the ids ran out, handing
+  /// each qualifying row to `on_row(QualifiedRow&)`. Returns false once
+  /// every id was fetched.
+  template <typename OnRow>
+  Result<bool> Next(OnRow&& on_row) {
+    if (next_ >= rids_.size()) return false;
+    IDB_RETURN_IF_ERROR(budget_.Check());
+    const std::vector<int>& stable = query_.table->schema().stable_columns();
+    uint64_t fetched = 0;
+    size_t qualified = 0;
+    while (next_ < rids_.size() && qualified < batch_rows_) {
+      IDB_ASSIGN_OR_RETURN(auto view, query_.table->GetRow(rids_[next_++]));
+      if (!view.has_value()) continue;
+      ++fetched;
+      tuple_.row_id = view->row_id;
+      tuple_.stable.resize(stable.size());
+      for (size_t i = 0; i < stable.size(); ++i) {
+        tuple_.stable[i] = std::move(view->values[stable[i]]);
+      }
+      if (!filter_.Matches(tuple_) ||
+          !QualifyDegradable(query_, read_options_, view->phases.data(),
+                             view->ordinals.data(), levels_.data())) {
+        continue;
+      }
+      QualifiedRow row{&tuple_, view->ordinals.data(), levels_.data()};
+      on_row(row);
+      ++qualified;
+    }
+    counters_->batches.fetch_add(1, std::memory_order_relaxed);
+    counters_->rows.fetch_add(fetched, std::memory_order_relaxed);
+    return true;
+  }
+
+ private:
+  const ReadOptions read_options_;
+  Database::ScanCounters* const counters_;
+  const ScanBudget budget_;
+  const BoundQuery& query_;
+  const StablePredicateFilter filter_;
+  std::vector<RowId> rids_;
+  const size_t batch_rows_;
+  size_t next_ = 0;
+  HeapTuple tuple_;
+  std::vector<int> levels_;
+};
+
+/// Streaming heap source (cursors): rows in arrival order. With `workers`
+/// 1, or when the shared pool lends no worker, the consumer's own thread
+/// pulls one reader inline. Otherwise each producer the pool lends runs a
+/// reader, projects its qualifying rows and pushes the batches into a
+/// bounded queue the consumer drains. No thread is ever spawned: a busy
+/// pool makes the scan narrower, never blocked. Batch storage circulates —
+/// drained batches return to a spare pool the producers refill — so a
+/// steady-state scan stops allocating. The queue bound backpressures
+/// producers when the consumer is slow; the consumer counts a prefetch
+/// stall each time it finds the queue empty while producers are still
+/// running.
 class StreamingScanSource : public RowSource {
  public:
-  StreamingScanSource(Session* session, const BoundQuery& query,
+  StreamingScanSource(Session* session, const SelectPlan& select,
                       size_t batch_rows, size_t workers, size_t queue_batches,
                       std::vector<std::vector<Morsel>> plan)
-      : scan_(session, query, batch_rows, std::move(plan)),
+      : select_(select),
+        scan_(session, select.query, batch_rows, std::move(plan)),
         pool_(session->db()->worker_pool()),
         queue_capacity_(std::max<size_t>(queue_batches, 1)),
         inline_reader_(&scan_, 0) {
@@ -426,11 +598,14 @@ class StreamingScanSource : public RowSource {
     pool_->Wait(&ticket_);
   }
 
-  Result<bool> NextBatch(EvaluatedBatch* out) override {
+  Result<bool> NextBatch(ProjectedRows* out) override {
     out->Clear();
     if (!producing_) {
       while (out->size == 0) {
-        IDB_ASSIGN_OR_RETURN(const bool more, inline_reader_.Next(out));
+        IDB_ASSIGN_OR_RETURN(
+            const bool more, inline_reader_.Next([&](QualifiedRow& row) {
+              ProjectRow(select_, row, out);
+            }));
         if (!more) return false;
       }
       return true;
@@ -469,14 +644,15 @@ class StreamingScanSource : public RowSource {
  private:
   void ProduceLoop(size_t worker) {
     MorselReader reader(&scan_, worker);
-    EvaluatedBatch batch;
+    ProjectedRows batch;
     Status status;
     // Checked between batches, fully filtered ones included: an early
     // Close (cursor dropped mid-stream) must not keep producers scanning
     // the rest of the table before the destructor's Wait returns.
     while (!closed_.load(std::memory_order_relaxed)) {
       batch.Clear();
-      Result<bool> more = reader.Next(&batch);
+      Result<bool> more = reader.Next(
+          [&](QualifiedRow& row) { ProjectRow(select_, row, &batch); });
       if (!more.ok()) {
         status = more.status();
         break;
@@ -505,6 +681,7 @@ class StreamingScanSource : public RowSource {
     cv_.notify_all();
   }
 
+  const SelectPlan& select_;
   HeapScan scan_;
   WorkerPool* const pool_;
   const size_t queue_capacity_;
@@ -515,8 +692,8 @@ class StreamingScanSource : public RowSource {
 
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<EvaluatedBatch> queue_;
-  std::vector<EvaluatedBatch> spares_;
+  std::deque<ProjectedRows> queue_;
+  std::vector<ProjectedRows> spares_;
   Status error_;
   size_t producers_live_ = 0;
   /// Atomic so producers can poll it between batches without the mutex.
@@ -524,121 +701,146 @@ class StreamingScanSource : public RowSource {
   WorkerPool::Ticket ticket_;
 };
 
-/// Materialized consumer (Session::Execute, DELETE, grouped aggregates):
-/// `workers` readers drain the whole scan on the shared pool, each batch's
-/// rows landing in its morsel's bucket. Buckets are served in morsel-ordinal
-/// order — (partition, begin_page) ascending — so rows come out in
-/// sequential-scan order at any parallelism and whatever was stolen.
-class MaterializedScanSource : public RowSource {
- public:
-  MaterializedScanSource(Session* session, const BoundQuery& query,
-                         size_t workers)
-      : session_(session), query_(query), workers_(workers) {}
-
-  Result<bool> NextBatch(EvaluatedBatch* out) override {
-    if (!scanned_) {
-      scanned_ = true;
-      IDB_RETURN_IF_ERROR(ScanAll());
-    }
-    while (next_ < buckets_.size()) {
-      EvaluatedBatch& bucket = buckets_[next_++];
-      if (bucket.size == 0) continue;
-      out->Clear();
-      out->Swap(&bucket);
-      return true;
-    }
-    return false;
-  }
-
- private:
-  Status ScanAll() {
-    const uint32_t morsel_pages = session_->scan_options().morsel_pages;
-    HeapScan scan(session_, query_, kMaterializedScanBatchRows,
-                  query_.table->MorselPlan(morsel_pages));
-    buckets_.resize(scan.sched.total());
-    return DrainOnPool(session_, &scan, scan.Fanout(workers_),
-                       [this](size_t, size_t ordinal, EvaluatedBatch* batch) {
-                         EvaluatedBatch& bucket = buckets_[ordinal];
-                         for (size_t i = 0; i < batch->size; ++i) {
-                           *bucket.Add() = std::move(batch->rows[i]);
-                         }
-                       });
-  }
-
-  Session* const session_;
-  const BoundQuery& query_;
-  const size_t workers_;
-  bool scanned_ = false;
-  std::vector<EvaluatedBatch> buckets_;  // one per morsel ordinal
-  size_t next_ = 0;
-};
-
-/// Probes the multi-resolution index once (row ids only — cheap), then
-/// fetches and evaluates rows batch-at-a-time.
+/// Streaming index-probe source: projects the probed rows batch by batch,
+/// in row-id order.
 class IndexScanSource : public RowSource {
  public:
-  IndexScanSource(Session* session, const BoundQuery& query,
+  IndexScanSource(Session* session, const SelectPlan& select,
                   std::vector<RowId> rids, size_t batch_rows)
-      : read_options_(session->read_options()),
-        counters_(session->db()->scan_counters()),
-        budget_(ScanBudget::Of(session)),
-        query_(query),
-        rids_(std::move(rids)),
-        batch_rows_(std::max<size_t>(batch_rows, 1)) {}
+      : select_(select),
+        reader_(session, select.query, std::move(rids), batch_rows) {}
 
-  Result<bool> NextBatch(EvaluatedBatch* out) override {
+  Result<bool> NextBatch(ProjectedRows* out) override {
     out->Clear();
-    while (out->size == 0 && next_ < rids_.size()) {
-      IDB_RETURN_IF_ERROR(budget_.Check());
-      uint64_t fetched = 0;
-      while (next_ < rids_.size() && out->size < batch_rows_) {
-        IDB_ASSIGN_OR_RETURN(auto view, query_.table->GetRow(rids_[next_++]));
-        if (!view.has_value()) continue;
-        ++fetched;
-        EvaluatedRow* slot = out->Add();
-        if (!EvaluateRow(query_, read_options_, *view, slot)) out->DropLast();
-      }
-      counters_->batches.fetch_add(1, std::memory_order_relaxed);
-      counters_->rows.fetch_add(fetched, std::memory_order_relaxed);
+    while (out->size == 0) {
+      IDB_ASSIGN_OR_RETURN(const bool more,
+                           reader_.Next([&](QualifiedRow& row) {
+                             ProjectRow(select_, row, out);
+                           }));
+      if (!more) return false;
     }
-    return out->size > 0;
+    return true;
   }
 
  private:
-  const ReadOptions read_options_;
-  Database::ScanCounters* const counters_;
-  const ScanBudget budget_;
-  const BoundQuery& query_;
-  std::vector<RowId> rids_;
-  const size_t batch_rows_;
-  size_t next_ = 0;
+  const SelectPlan& select_;
+  IndexReader reader_;
 };
 
-}  // namespace
-
-Result<bool> RowSource::Next(EvaluatedRow* out) {
-  while (adapter_next_ >= adapter_batch_.size) {
-    if (adapter_done_) return false;
-    adapter_next_ = 0;
-    IDB_ASSIGN_OR_RETURN(const bool more, NextBatch(&adapter_batch_));
-    if (!more) {
-      adapter_done_ = true;
-      return false;
-    }
+/// The degradable predicate an index probe would serve, or nullptr when the
+/// query takes a heap scan (shared by every drain so they always agree on
+/// the access path).
+const BoundPredicate* UsableIndexPredicate(Session* session,
+                                           const BoundQuery& query) {
+  if (!session->use_indexes() || session->read_options().include_coarser) {
+    return nullptr;
   }
-  *out = std::move(adapter_batch_.rows[adapter_next_++]);
+  for (const BoundPredicate& pred : query.predicates) {
+    if (pred.degradable && pred.index_usable) return &pred;
+  }
+  return nullptr;
+}
+
+/// Probes the multi-resolution index when the query has a usable predicate:
+/// fills `*rids` (ascending) and returns true; false means heap scan.
+Result<bool> ProbeIndex(Session* session, const BoundQuery& query,
+                        std::vector<RowId>* rids) {
+  const BoundPredicate* index_pred = UsableIndexPredicate(session, query);
+  if (index_pred == nullptr) return false;
+  if (index_pred->op == ComparisonOp::kBetween) {
+    IDB_RETURN_IF_ERROR(query.table->IndexLookupRange(
+        index_pred->column, index_pred->value, index_pred->value2,
+        index_pred->level, rids));
+  } else {
+    // Equality / label-LIKE: probe at the literal's own level so every
+    // computable phase tree is visited.
+    IDB_RETURN_IF_ERROR(query.table->IndexLookupEqual(
+        index_pred->column, index_pred->value,
+        std::max(index_pred->literal_level, index_pred->level), rids));
+  }
+  std::sort(rids->begin(), rids->end());
   return true;
 }
 
-void EvaluateViews(const BoundQuery& query, const ReadOptions& read_options,
-                   const std::vector<RowView>& views, EvaluatedBatch* out,
-                   bool stable_prefiltered) {
-  for (const RowView& view : views) {
-    EvaluatedRow* slot = out->Add();
-    if (!EvaluateRow(query, read_options, view, slot, stable_prefiltered)) {
-      out->DropLast();
+/// The materialized drain behind Execute's projection, aggregation and
+/// DELETE: hands every qualifying row of `query` to the consumer
+/// worker-side. An index probe's rows go inline to worker 0, bucket 0; a
+/// heap scan runs Fanout readers on the shared pool (WorkerPool::Run: the
+/// caller drains too, so a saturated pool only narrows the scan), each row
+/// tagged with its reader's worker slot and its morsel ordinal. The consumer
+/// provides Prepare(workers, buckets) — called once, before any row —
+/// Row(worker, bucket, QualifiedRow&) and, for count-only scans,
+/// Count(worker, survivors). Returns the number of heap workers (0 for the
+/// index path).
+template <typename Consumer>
+Result<size_t> DrainQualifying(Session* session, const BoundQuery& query,
+                               bool count_only, Consumer* consumer) {
+  std::vector<RowId> rids;
+  IDB_ASSIGN_OR_RETURN(const bool indexed, ProbeIndex(session, query, &rids));
+  if (indexed) {
+    consumer->Prepare(1, 1);
+    IndexReader reader(session, query, std::move(rids),
+                       kStreamingScanBatchRows);
+    for (;;) {
+      IDB_ASSIGN_OR_RETURN(const bool more,
+                           reader.Next([&](QualifiedRow& row) {
+                             consumer->Row(0, 0, row);
+                           }));
+      if (!more) return size_t{0};
     }
   }
+  HeapScan scan(session, query, kMaterializedScanBatchRows,
+                query.table->MorselPlan(session->scan_options().morsel_pages),
+                count_only);
+  const size_t workers =
+      scan.Fanout(ResolveScanParallelism(session, *query.table));
+  consumer->Prepare(workers, scan.sched.total());
+  IDB_RETURN_IF_ERROR(session->db()->worker_pool()->Run(
+      workers, workers, [&](size_t worker) -> Status {
+        MorselReader reader(&scan, worker);
+        for (;;) {
+          IDB_ASSIGN_OR_RETURN(const bool more,
+                               reader.Next([&](QualifiedRow& row) {
+                                 consumer->Row(worker, reader.ordinal(), row);
+                               }));
+          if (!more) return Status::OK();
+          if (count_only) consumer->Count(worker, reader.survivors());
+        }
+      }));
+  return workers;
+}
+
+}  // namespace
+
+bool QualifyDegradable(const BoundQuery& query, const ReadOptions& read_options,
+                       const int* phases, const int64_t* ordinals,
+                       int* levels) {
+  if (!query.reads_degradable) return true;
+  // Computability (σ over ∪_{j≤k} ST_j) and the effective level of every
+  // referenced degradable column.
+  for (size_t d = 0; d < query.degradable.size(); ++d) {
+    const DegradableColumn& column = query.degradable[d];
+    if (column.accuracy < 0) continue;  // unreferenced
+    const int phase = phases[d];
+    if (phase >= static_cast<int>(column.phase_levels.size())) {
+      return false;  // value removed (⊥): never computable
+    }
+    const int stored_level = column.phase_levels[phase];
+    if (stored_level > column.accuracy && !read_options.include_coarser) {
+      return false;  // coarser than demanded: not in any ST_{j<=k}
+    }
+    levels[d] = std::max(stored_level, column.accuracy);
+  }
+  // σ_P over the generalized image, evaluated on hierarchy nodes.
+  for (const BoundPredicate& pred : query.predicates) {
+    if (!pred.degradable) continue;
+    if (!EvalDegradablePredicate(*query.degradable[pred.ordinal].hierarchy,
+                                 pred, ordinals[pred.ordinal],
+                                 levels[pred.ordinal])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 size_t ResolveScanParallelism(Session* session, const Table& table) {
@@ -668,160 +870,59 @@ Result<BoundQuery> BindQuery(Session* session, const std::string& table_name,
   }
   query.table = session->db()->GetTable(def->id);
   const Schema& schema = query.table->schema();
-  const std::vector<int>& stable = schema.stable_columns();
-  query.stable_needed.assign(stable.size(), false);
-  auto mark_stable = [&](int col) {
-    const auto it = std::find(stable.begin(), stable.end(), col);
-    if (it != stable.end()) query.stable_needed[it - stable.begin()] = true;
-  };
+  for (int col : schema.degradable_columns()) {
+    const ColumnDef& column = schema.column(col);
+    DegradableColumn degradable;
+    degradable.hierarchy = column.hierarchy.get();
+    for (int p = 0; p < column.lcp.num_phases(); ++p) {
+      degradable.phase_levels.push_back(column.lcp.phase(p).level);
+    }
+    query.degradable.push_back(std::move(degradable));
+  }
+  query.filter_stable.assign(schema.stable_columns().size(), false);
+  query.output_stable.assign(schema.stable_columns().size(), false);
 
   for (const PredicateAst& ast : where) {
     BoundPredicate pred;
     IDB_RETURN_IF_ERROR(BindPredicate(schema, session, def->id, ast, &pred));
     if (pred.degradable) {
-      query.accuracy[pred.column] = pred.level;
+      query.degradable[pred.ordinal].accuracy = pred.level;
+      query.reads_degradable = true;
     } else {
-      mark_stable(pred.column);
+      query.filter_stable[pred.ordinal] = true;
     }
     query.predicates.push_back(std::move(pred));
   }
   for (int col : projected_columns) {
     if (col < 0) continue;
     if (schema.column(col).kind == ColumnKind::kDegradable) {
-      query.projected_degradable.insert(col);
-      query.accuracy[col] = session->AccuracyFor(def->id, col);
+      query.degradable[schema.DegradableOrdinal(col)].accuracy =
+          session->AccuracyFor(def->id, col);
+      query.reads_degradable = true;
     } else {
-      mark_stable(col);
+      query.output_stable[StableOrdinal(schema, col)] = true;
     }
+  }
+  // A column the filter reads is decoded for every tuple already.
+  for (size_t i = 0; i < query.output_stable.size(); ++i) {
+    if (query.filter_stable[i]) query.output_stable[i] = false;
   }
   return query;
 }
 
-bool EvaluateRow(const BoundQuery& query, const ReadOptions& read_options,
-                 const RowView& view, EvaluatedRow* out,
-                 bool stable_prefiltered) {
-  const Schema& schema = query.table->schema();
-  out->row_id = view.row_id;
-  out->values.resize(view.values.size());
-  for (int col : schema.stable_columns()) out->values[col] = view.values[col];
-  out->degradable_level.clear();
-
-  // Computability (σ over ∪_{j≤k} ST_j) and the demanded level of every
-  // referenced degradable column. Every degradable column starts NULL: σ
-  // reads the stored values from the view, and only the projected columns
-  // are filled in, at level k, once the row qualifies.
-  const std::vector<int>& degradable = schema.degradable_columns();
-  for (size_t ordinal = 0; ordinal < degradable.size(); ++ordinal) {
-    const int col = degradable[ordinal];
-    out->values[col] = Value::Null();
-    const auto accuracy = query.accuracy.find(col);
-    if (accuracy == query.accuracy.end()) continue;  // unreferenced
-    const ColumnDef& column = schema.column(col);
-    const int phase = view.phases[ordinal];
-    const int k = accuracy->second;
-    if (phase >= column.lcp.num_phases()) {
-      return false;  // value removed (⊥): never computable
-    }
-    const int stored_level = column.lcp.phase(phase).level;
-    if (stored_level > k && !read_options.include_coarser) {
-      return false;  // coarser than demanded: not in any ST_{j<=k}
-    }
-    out->degradable_level.Set(col, std::max(stored_level, k));
-  }
-
-  // σ_P over the generalized image, evaluated on hierarchy nodes.
-  for (const BoundPredicate& pred : query.predicates) {
-    const ColumnDef& column = schema.column(pred.column);
-    if (pred.degradable) {
-      const int phase = view.phases[schema.DegradableOrdinal(pred.column)];
-      if (!EvalDegradablePredicate(
-              *column.hierarchy, pred, view.values[pred.column],
-              column.lcp.phase(phase).level,
-              out->degradable_level.Get(pred.column))) {
-        return false;
-      }
-    } else {
-      // Stable terms already ran below row assembly when the scan pushed
-      // them down; only the index path re-checks them here.
-      if (stable_prefiltered) continue;
-      if (!EvalStablePredicate(pred, out->values[pred.column])) return false;
-    }
-  }
-
-  // f_k for the columns that leave the scan.
-  for (int col : query.projected_degradable) {
-    const ColumnDef& column = schema.column(col);
-    const int phase = view.phases[schema.DegradableOrdinal(col)];
-    const int stored_level = column.lcp.phase(phase).level;
-    const int target_level = out->degradable_level.Get(col);
-    if (stored_level == target_level) {
-      out->values[col] = view.values[col];
-      continue;
-    }
-    auto generalized = column.hierarchy->Generalize(view.values[col],
-                                                    stored_level, target_level);
-    if (!generalized.ok()) return false;
-    out->values[col] = std::move(*generalized);
-  }
-  return true;
-}
-
-std::string RenderValue(const Schema& schema, int col, const Value& value,
-                        const DegradableLevels& levels) {
-  const ColumnDef& column = schema.column(col);
-  if (value.is_null()) return "NULL";
-  if (column.kind == ColumnKind::kDegradable) {
-    return column.hierarchy->DisplayValue(value, levels.Get(col, 0));
-  }
-  return value.ToString();
-}
-
-namespace {
-
-/// The degradable predicate an index probe would serve, or nullptr when the
-/// query takes a heap scan (shared by MakeRowSource and CanPushAggregate so
-/// both always agree on the access path).
-const BoundPredicate* UsableIndexPredicate(Session* session,
-                                           const BoundQuery& query) {
-  if (!session->use_indexes() || session->read_options().include_coarser) {
-    return nullptr;
-  }
-  for (const BoundPredicate& pred : query.predicates) {
-    if (pred.degradable && pred.index_usable) return &pred;
-  }
-  return nullptr;
-}
-
-}  // namespace
-
 Result<std::unique_ptr<RowSource>> MakeRowSource(Session* session,
-                                                 const BoundQuery& query,
+                                                 const SelectPlan& select,
                                                  size_t scan_batch_rows) {
-  const BoundPredicate* index_pred = UsableIndexPredicate(session, query);
-  if (index_pred != nullptr) {
-    std::vector<RowId> rids;
-    if (index_pred->op == ComparisonOp::kBetween) {
-      IDB_RETURN_IF_ERROR(query.table->IndexLookupRange(
-          index_pred->column, index_pred->value, index_pred->value2,
-          index_pred->level, &rids));
-    } else {
-      // Equality / label-LIKE: probe at the literal's own level so every
-      // computable phase tree is visited.
-      IDB_RETURN_IF_ERROR(query.table->IndexLookupEqual(
-          index_pred->column, index_pred->value,
-          std::max(index_pred->literal_level, index_pred->level), &rids));
-    }
-    std::sort(rids.begin(), rids.end());
+  const BoundQuery& query = select.query;
+  std::vector<RowId> rids;
+  IDB_ASSIGN_OR_RETURN(const bool indexed, ProbeIndex(session, query, &rids));
+  if (indexed) {
     return std::unique_ptr<RowSource>(new IndexScanSource(
-        session, query, std::move(rids),
+        session, select, std::move(rids),
         scan_batch_rows == SIZE_MAX ? kStreamingScanBatchRows
                                     : scan_batch_rows));
   }
   const size_t parallelism = ResolveScanParallelism(session, *query.table);
-  if (scan_batch_rows == SIZE_MAX) {
-    return std::unique_ptr<RowSource>(
-        new MaterializedScanSource(session, query, parallelism));
-  }
   std::vector<std::vector<Morsel>> plan =
       query.table->MorselPlan(session->scan_options().morsel_pages);
   size_t total = 0;
@@ -841,18 +942,16 @@ Result<std::unique_ptr<RowSource>> MakeRowSource(Session* session,
   size_t queue_batches = session->scan_options().prefetch_batches;
   if (queue_batches == 0) queue_batches = 2 * workers;
   return std::unique_ptr<RowSource>(
-      new StreamingScanSource(session, query, scan_batch_rows, workers,
+      new StreamingScanSource(session, select, scan_batch_rows, workers,
                               queue_batches, std::move(plan)));
 }
 
 Result<SelectPlan> BindSelect(Session* session, const SelectAst& ast) {
   SelectPlan select;
-  {
-    const TableDef* def = ResolveTableName(session->db()->catalog(), ast.table,
-                                           /*allow_prefix=*/false);
-    if (def == nullptr) return Status::NotFound("no such table: " + ast.table);
-    select.schema = &def->schema;
-  }
+  const TableDef* def = ResolveTableName(session->db()->catalog(), ast.table,
+                                         /*allow_prefix=*/false);
+  if (def == nullptr) return Status::NotFound("no such table: " + ast.table);
+  select.schema = &def->schema;
   const Schema& schema = *select.schema;
 
   select.items = ast.items;
@@ -862,6 +961,19 @@ Result<SelectPlan> BindSelect(Session* session, const SelectAst& ast) {
           SelectItem{AggregateKind::kNone, schema.column(i).name});
     }
   }
+
+  // Where a column's cell comes from; `move` is set below on the last use
+  // of each stable value.
+  auto source_of = [&](int col) {
+    CellSource src;
+    if (col < 0) return src;
+    if (schema.column(col).kind == ColumnKind::kDegradable) {
+      src.degradable = schema.DegradableOrdinal(col);
+    } else {
+      src.stable = StableOrdinal(schema, col);
+    }
+    return src;
+  };
 
   std::vector<int> projected;
   for (const SelectItem& item : select.items) {
@@ -875,6 +987,13 @@ Result<SelectPlan> BindSelect(Session* session, const SelectAst& ast) {
       projected.push_back(col);
     }
     select.item_columns.push_back(col);
+    select.sources.push_back(source_of(col));
+    // Aggregate values render plainly; a plain column item (a projection,
+    // or the GROUP BY column) renders in its domain.
+    select.format.AddColumn(item.aggregate == AggregateKind::kNone &&
+                                    select.sources.back().degradable >= 0
+                                ? schema.column(col).hierarchy
+                                : nullptr);
     switch (item.aggregate) {
       case AggregateKind::kNone:
         select.output_columns.push_back(item.column);
@@ -897,11 +1016,20 @@ Result<SelectPlan> BindSelect(Session* session, const SelectAst& ast) {
         break;
     }
   }
+  for (size_t i = 0; i < select.sources.size(); ++i) {
+    CellSource& src = select.sources[i];
+    if (src.stable < 0) continue;
+    src.move = true;
+    for (size_t j = i + 1; j < select.sources.size(); ++j) {
+      if (select.sources[j].stable == src.stable) src.move = false;
+    }
+  }
   if (!ast.group_by.empty()) {
     select.group_col = ResolveColumnName(schema, ast.group_by);
     if (select.group_col < 0) {
       return Status::InvalidArgument("unknown column: " + ast.group_by);
     }
+    select.group_source = source_of(select.group_col);
     projected.push_back(select.group_col);
     select.has_aggregate = true;
   }
@@ -911,100 +1039,138 @@ Result<SelectPlan> BindSelect(Session* session, const SelectAst& ast) {
   return select;
 }
 
-bool CanPushAggregate(Session* session, const SelectPlan& select) {
-  if (!select.has_aggregate || select.group_col >= 0) return false;
-  for (const SelectItem& item : select.items) {
-    // A non-aggregate item needs per-row output; partials can't carry it.
-    if (item.aggregate == AggregateKind::kNone) return false;
+Result<QueryResult> ExecuteProjection(Session* session,
+                                      const SelectPlan& select) {
+  // One bucket per morsel ordinal, each written only by the worker that
+  // claimed the morsel.
+  struct Projector {
+    const SelectPlan& select;
+    std::vector<ProjectedRows> buckets;
+    void Prepare(size_t, size_t count) { buckets.resize(count); }
+    void Row(size_t, size_t bucket, QualifiedRow& row) {
+      ProjectRow(select, row, &buckets[bucket]);
+    }
+    void Count(size_t, uint64_t) {}
+  } projector{select, {}};
+  IDB_RETURN_IF_ERROR(
+      DrainQualifying(session, select.query, false, &projector).status());
+
+  QueryResult out;
+  out.columns = select.output_columns;
+  out.format = select.format;
+  size_t total = 0;
+  for (const ProjectedRows& bucket : projector.buckets) total += bucket.size;
+  out.rows.reserve(total);
+  out.levels.reserve(total * select.format.levels_per_row());
+  for (ProjectedRows& bucket : projector.buckets) {
+    for (size_t i = 0; i < bucket.size; ++i) {
+      out.rows.push_back(std::move(bucket.values[i]));
+    }
+    out.levels.insert(out.levels.end(), bucket.levels.begin(),
+                      bucket.levels.end());
   }
-  return UsableIndexPredicate(session, select.query) == nullptr;
+  out.affected_rows = out.rows.size();
+  return out;
 }
 
-void InitPartials(size_t items, AggregatePartials* agg) {
-  agg->count = 0;
-  agg->sums.assign(items, 0);
-  agg->mins.assign(items, Value::Null());
-  agg->maxs.assign(items, Value::Null());
-  agg->non_null.assign(items, 0);
-}
-
-void FoldAggregateRow(const SelectPlan& select, const EvaluatedRow& row,
-                      AggregatePartials* agg) {
-  ++agg->count;
-  const auto& items = select.items;
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (items[i].aggregate == AggregateKind::kNone || items[i].column.empty()) {
-      continue;
-    }
-    const Value& v = row.values[select.item_columns[i]];
-    if (v.is_null()) continue;
-    ++agg->non_null[i];
-    if (v.type() == ValueType::kInt64 || v.type() == ValueType::kTimestamp) {
-      agg->sums[i] += static_cast<double>(v.int64());
-    } else if (v.type() == ValueType::kDouble) {
-      agg->sums[i] += v.dbl();
-    }
-    if (agg->mins[i].is_null() || v.Compare(agg->mins[i]) < 0) {
-      agg->mins[i] = v;
-    }
-    if (agg->maxs[i].is_null() || v.Compare(agg->maxs[i]) > 0) {
-      agg->maxs[i] = v;
-    }
+Result<std::map<std::string, AggregateGroup>> ExecuteAggregation(
+    Session* session, const SelectPlan& select) {
+  const size_t items = select.items.size();
+  // A statement that reads no column folds survivor counts only.
+  bool count_only = select.group_col < 0 && !select.query.reads_degradable;
+  for (const CellSource& src : select.sources) {
+    if (src.stable >= 0 || src.degradable >= 0) count_only = false;
   }
-}
-
-namespace {
-
-/// Merge is associative over per-partition partials: counts and sums add,
-/// extrema compare — so partition order never matters.
-void MergePartials(const AggregatePartials& in, AggregatePartials* out) {
-  out->count += in.count;
-  for (size_t i = 0; i < in.sums.size(); ++i) {
-    out->sums[i] += in.sums[i];
-    out->non_null[i] += in.non_null[i];
-    if (!in.mins[i].is_null() &&
-        (out->mins[i].is_null() || in.mins[i].Compare(out->mins[i]) < 0)) {
-      out->mins[i] = in.mins[i];
+  // One accumulator per WORKER, not per partition or morsel: a worker folds
+  // every morsel it claims — home partition or stolen — into its own state.
+  struct Folder {
+    const SelectPlan& select;
+    size_t items;
+    std::vector<AggregatePartials> partials;  // ungrouped
+    std::vector<std::map<std::string, AggregateGroup>> groups;
+    void Prepare(size_t workers, size_t) {
+      partials.resize(workers);
+      for (AggregatePartials& partial : partials) InitPartials(items, &partial);
+      groups.resize(workers);
     }
-    if (!in.maxs[i].is_null() &&
-        (out->maxs[i].is_null() || in.maxs[i].Compare(out->maxs[i]) > 0)) {
-      out->maxs[i] = in.maxs[i];
+    void Row(size_t worker, size_t, QualifiedRow& row) {
+      if (select.group_col < 0) {
+        FoldRow(select, row, &partials[worker]);
+        return;
+      }
+      // Groups are keyed by the rendered value, exactly as displayed.
+      const CellSource& src = select.group_source;
+      Value value;
+      int level = 0;
+      std::string key;
+      if (src.stable >= 0) {
+        value = row.tuple->stable[src.stable];
+        key = value.is_null() ? "NULL" : value.ToString();
+      } else {
+        value = DegradableCell(select.query, src.degradable, row);
+        level = row.levels[src.degradable];
+        key = value.is_null() ? "NULL"
+                              : select.query.degradable[src.degradable]
+                                    .hierarchy->DisplayValue(value, level);
+      }
+      auto [it, inserted] = groups[worker].try_emplace(std::move(key));
+      if (inserted) {
+        InitPartials(items, &it->second.partials);
+        it->second.value = std::move(value);
+        it->second.level = level;
+      }
+      FoldRow(select, row, &it->second.partials);
     }
-  }
-}
+    void Count(size_t worker, uint64_t survivors) {
+      partials[worker].count += survivors;
+    }
+  } folder{select, items, {}, {}};
+  IDB_ASSIGN_OR_RETURN(
+      const size_t workers,
+      DrainQualifying(session, select.query, count_only, &folder));
 
-}  // namespace
-
-Result<AggregatePartials> ExecuteAggregatePushdown(Session* session,
-                                                   const SelectPlan& select) {
-  const BoundQuery& query = select.query;
-  HeapScan scan(session, query, kMaterializedScanBatchRows,
-                query.table->MorselPlan(session->scan_options().morsel_pages));
-  const size_t workers =
-      scan.Fanout(ResolveScanParallelism(session, *query.table));
-  // One partial per WORKER, not per partition: a worker folds every morsel
-  // it claims — home partition or stolen — into its own accumulator, and
-  // merge associativity makes the claim order irrelevant.
-  std::vector<AggregatePartials> partials(workers);
-  for (AggregatePartials& partial : partials) {
-    InitPartials(select.items.size(), &partial);
-  }
-  IDB_RETURN_IF_ERROR(DrainOnPool(
-      session, &scan, workers,
-      [&](size_t worker, size_t, EvaluatedBatch* batch) {
-        for (size_t i = 0; i < batch->size; ++i) {
-          FoldAggregateRow(select, batch->rows[i], &partials[worker]);
+  std::map<std::string, AggregateGroup> merged;
+  if (select.group_col < 0) {
+    AggregateGroup all;
+    InitPartials(items, &all.partials);
+    for (const AggregatePartials& partial : folder.partials) {
+      MergePartials(partial, &all.partials);
+    }
+    if (all.partials.count > 0) merged["*"] = std::move(all);
+  } else {
+    for (auto& worker_groups : folder.groups) {
+      for (auto& [key, group] : worker_groups) {
+        auto [it, inserted] = merged.try_emplace(key);
+        if (inserted) {
+          it->second = std::move(group);
+        } else {
+          MergePartials(group.partials, &it->second.partials);
         }
-      }));
-
-  AggregatePartials merged;
-  InitPartials(select.items.size(), &merged);
-  for (const AggregatePartials& partial : partials) {
-    MergePartials(partial, &merged);
+      }
+    }
   }
-  scan.counters->aggregate_partials_merged.fetch_add(
+  session->db()->scan_counters()->aggregate_partials_merged.fetch_add(
       workers, std::memory_order_relaxed);
   return merged;
+}
+
+Result<std::vector<RowId>> QualifyingRowIds(Session* session,
+                                            const BoundQuery& query) {
+  struct Collector {
+    std::vector<std::vector<RowId>> ids;  // per worker
+    void Prepare(size_t workers, size_t) { ids.resize(workers); }
+    void Row(size_t worker, size_t, QualifiedRow& row) {
+      ids[worker].push_back(row.tuple->row_id);
+    }
+    void Count(size_t, uint64_t) {}
+  } collector;
+  IDB_RETURN_IF_ERROR(
+      DrainQualifying(session, query, false, &collector).status());
+  std::vector<RowId> out;
+  for (const std::vector<RowId>& ids : collector.ids) {
+    out.insert(out.end(), ids.begin(), ids.end());
+  }
+  return out;
 }
 
 }  // namespace plan

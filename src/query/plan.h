@@ -3,21 +3,26 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "db/table.h"
 #include "query/ast.h"
-#include "query/levels.h"
+#include "query/result.h"
 #include "query/session.h"
 
 /// \file
 /// \brief Internal query-plan layer shared by the streaming Cursor and the
-/// materializing executor: predicate binding, accuracy resolution, and the
-/// batch-at-a-time row source (scan → σ at accuracy level) that both build
-/// on — one morsel reader per worker, inline or on the shared worker pool
-/// per the session's ScanOptions.
+/// materializing executor: predicate binding, accuracy resolution, σ on
+/// stored leaf ordinals, and the drains that hand qualifying rows to their
+/// consumers worker-side — one morsel reader per worker, inline or on the
+/// shared worker pool per the session's ScanOptions.
+///
+/// Late materialization: a heap scan carries per row only its decoded
+/// stable values and, per degradable column, the stored phase and leaf
+/// ordinal (db/scan_spec.h). Computability and σ run on those integers
+/// (QualifyDegradable); a Value is built — with f_k, from the ordinal — only
+/// for a qualifying cell that leaves the scan.
 ///
 /// Nothing here is part of the stable public API; embedders should use
 /// `Session` / `Cursor` (query/session.h, query/cursor.h).
@@ -31,6 +36,9 @@ namespace plan {
 struct BoundPredicate {
   int column = -1;
   bool degradable = false;
+  /// The column's stable ordinal (stable terms) or degradable ordinal
+  /// (degradable terms): where a scanned row carries its value.
+  int ordinal = -1;
   int level = 0;  // accuracy k of this column under the active purpose
   ComparisonOp op = ComparisonOp::kEq;
   Value value;
@@ -48,54 +56,32 @@ struct BoundPredicate {
   bool like_suffix_wildcard = false;  // pattern ends with %
 };
 
+/// One degradable column as σ reads it, indexed by degradable ordinal.
+struct DegradableColumn {
+  const DomainHierarchy* hierarchy = nullptr;
+  /// Accuracy level of every LCP phase; a phase >= size() is removed (⊥).
+  std::vector<int> phase_levels;
+  /// Accuracy k the statement demands; -1 when it does not reference the
+  /// column.
+  int accuracy = -1;
+};
+
 /// One bound table access: σ conjuncts plus the accuracy demanded of every
 /// referenced degradable column.
 struct BoundQuery {
   Table* table = nullptr;
   std::vector<BoundPredicate> predicates;
-  /// Accuracy per referenced degradable column index (projection +
-  /// predicates).
-  std::map<int, int> accuracy;
-  /// The referenced degradable columns that leave the scan (projection,
-  /// aggregate argument, GROUP BY): the only ones EvaluateRow generalizes.
-  /// A predicate-only degradable column is tested on hierarchy node ids and
-  /// left NULL in the EvaluatedRow, so its stored value is never exposed.
-  std::set<int> projected_degradable;
-  /// One flag per stable ordinal: read by a predicate or projected. Heap
-  /// scans decode only these (ScanSpec::stable_needed).
-  std::vector<bool> stable_needed;
-};
-
-/// One evaluated row: schema-ordered values at purpose accuracy, plus the
-/// effective level of each degradable column (for display rendering).
-/// Assignment reuses the vectors' capacity, which is what EvaluatedBatch's
-/// slot recycling relies on.
-struct EvaluatedRow {
-  RowId row_id = kInvalidRowId;
-  std::vector<Value> values;
-  DegradableLevels degradable_level;  // column -> rendered level
-};
-
-/// One batch of qualifying rows, with slot storage reused across batches:
-/// Clear() keeps every row's vectors allocated, so a steady-state scan
-/// stops allocating after its first few batches (the read path's arena).
-struct EvaluatedBatch {
-  /// Valid rows are rows[0 .. size); entries beyond hold recycled storage.
-  std::vector<EvaluatedRow> rows;
-  size_t size = 0;
-
-  void Clear() { size = 0; }
-  /// Next writable slot (recycled or grown).
-  EvaluatedRow* Add() {
-    if (size == rows.size()) rows.emplace_back();
-    return &rows[size++];
-  }
-  /// Drops the most recently added slot (row did not qualify).
-  void DropLast() { --size; }
-  void Swap(EvaluatedBatch* other) {
-    rows.swap(other->rows);
-    std::swap(size, other->size);
-  }
+  /// Per degradable ordinal: domain, phase levels and demanded accuracy
+  /// (projection + predicates).
+  std::vector<DegradableColumn> degradable;
+  /// True when some degradable column is referenced: heap scans then
+  /// resolve every survivor's phases and ordinals.
+  bool reads_degradable = false;
+  /// One flag per stable ordinal. `filter_stable`: read by a predicate, so
+  /// decoded for every scanned tuple. `output_stable`: projected and not
+  /// read by a predicate, so decoded for survivors only.
+  std::vector<bool> filter_stable;
+  std::vector<bool> output_stable;
 };
 
 /// Binds table + WHERE conjuncts + projected columns against the catalog and
@@ -104,50 +90,56 @@ Result<BoundQuery> BindQuery(Session* session, const std::string& table_name,
                              const std::vector<PredicateAst>& where,
                              const std::vector<int>& projected_columns);
 
-/// Applies computability + f_k + σ_P to one stored row. Returns true and
-/// fills `out` when the row qualifies under the bound accuracy levels.
-/// Degradable predicates are evaluated on the stored value's leaf interval
-/// at the demanded level. Only the projected degradable columns of a
-/// qualifying row are generalized into `out`; every other degradable column
-/// is NULL there.
-/// `stable_prefiltered` tells it the scan already evaluated every
-/// stable-column conjunct below row assembly (ScanSpec pushdown, as every
-/// heap scan does), so only the degradable terms are re-checked here.
-bool EvaluateRow(const BoundQuery& query, const ReadOptions& read_options,
-                 const RowView& view, EvaluatedRow* out,
-                 bool stable_prefiltered = false);
+/// Computability + degradable σ of one stored row, read from its stored
+/// phases and leaf ordinals (by degradable ordinal). A referenced column
+/// that was removed, or is coarser than demanded without include_coarser,
+/// fails the row; node predicates (Eq/Ne, label LIKE, BETWEEN) compare the
+/// leaf interval of the ordinal's ancestor at the effective level, the rest
+/// the ancestor's value. On success `levels[d]` holds the effective level
+/// (max(stored, k)) of every referenced column d. Stable terms are not
+/// checked here (StablePredicateFilter).
+bool QualifyDegradable(const BoundQuery& query, const ReadOptions& read_options,
+                       const int* phases, const int64_t* ordinals, int* levels);
 
-/// Whole-batch σ: evaluates every view, appending the qualifying rows to
-/// `out` (recycled slots, see EvaluatedBatch). This is the operators' inner
-/// loop — one virtual call per batch instead of per row.
-void EvaluateViews(const BoundQuery& query, const ReadOptions& read_options,
-                   const std::vector<RowView>& views, EvaluatedBatch* out,
-                   bool stable_prefiltered = false);
+/// Where one output cell comes from: a stable value of the scanned tuple
+/// (by stable ordinal; moved out on its last use in the row) or a degradable
+/// cell built with f_k from its leaf ordinal (by degradable ordinal).
+/// Both -1: COUNT(*).
+struct CellSource {
+  int stable = -1;
+  int degradable = -1;
+  bool move = false;
+};
 
-/// Renders one output value (buckets as "[lo..hi]", levels applied).
-std::string RenderValue(const Schema& schema, int col, const Value& value,
-                        const DegradableLevels& levels);
+/// Fully bound SELECT: access path + projection + aggregation shape.
+struct SelectPlan {
+  const Schema* schema = nullptr;
+  std::vector<SelectItem> items;    // star already expanded
+  std::vector<int> item_columns;    // per item: schema column (-1 = COUNT(*))
+  std::vector<CellSource> sources;  // per item
+  std::vector<std::string> output_columns;  // rendered header names
+  int group_col = -1;               // schema column, -1 = none
+  CellSource group_source;
+  bool has_aggregate = false;
+  /// How output rows render: degradable plain-column items (projected, or
+  /// the GROUP BY column) in their domain at the row's level, everything
+  /// else — aggregate values included — plainly.
+  ResultFormat format;
+  BoundQuery query;
+};
 
-/// \brief Pull-based source of qualifying rows: the scan → σ stage of the
-/// operator pipeline, pulled a batch at a time. Implementations read the
-/// heap through per-worker morsel readers (streamed or materialized) or
-/// fetch the rows of a multi-resolution index probe.
+/// Binds a SELECT statement into an executable plan.
+Result<SelectPlan> BindSelect(Session* session, const SelectAst& ast);
+
+/// \brief Pull-based source of projected rows for streaming cursors: scan →
+/// σ → π, pulled a batch at a time, every stage worker-side.
 class RowSource {
  public:
   virtual ~RowSource() = default;
-  /// Pulls the next batch of qualifying rows into `*out` (storage reused or
+  /// Pulls the next batch of projected rows into `*out` (storage reused or
   /// swapped). Returns false at end of stream. A returned batch may be
   /// empty only at end of stream.
-  virtual Result<bool> NextBatch(EvaluatedBatch* out) = 0;
-  /// Row-at-a-time adapter over NextBatch for consumers that fold rows into
-  /// running state (aggregates, DELETE). Moves each row out of an internal
-  /// batch; do not interleave with NextBatch on the same source.
-  Result<bool> Next(EvaluatedRow* out);
-
- private:
-  EvaluatedBatch adapter_batch_;
-  size_t adapter_next_ = 0;
-  bool adapter_done_ = false;
+  virtual Result<bool> NextBatch(ProjectedRows* out) = 0;
 };
 
 /// Default heap-scan batch for streaming cursors: bounds both peak memory
@@ -159,8 +151,8 @@ inline constexpr size_t kStreamingScanBatchRows = 256;
 /// few-batches table inline.
 inline constexpr uint64_t kParallelScanMinRows = 8 * kStreamingScanBatchRows;
 
-/// Resolved scan fan-out: how many workers MakeRowSource would use for
-/// `table` under the session's ScanOptions. 0 resolves to
+/// Resolved scan fan-out: how many workers a heap scan of `table` uses
+/// under the session's ScanOptions. 0 resolves to
 /// DegradationOptions::worker_threads — but stays 1 on tables below
 /// kParallelScanMinRows, where worker dispatch would dominate. Explicit
 /// values are honored. No partition clamp: scans parallelize at morsel
@@ -168,44 +160,34 @@ inline constexpr uint64_t kParallelScanMinRows = 8 * kStreamingScanBatchRows;
 /// each scan path clamps only to its own morsel-plan size.
 size_t ResolveScanParallelism(Session* session, const Table& table);
 
-/// Chooses the access path (index probe when a usable degradable predicate
-/// exists and the session allows indexes, heap scan otherwise) and returns
-/// the corresponding source. `query` must outlive the source. ReadOptions
-/// and ScanOptions are captured from the session at this point.
+/// Streaming source for a non-aggregate SELECT. Chooses the access path
+/// (index probe when a usable degradable predicate exists and the session
+/// allows indexes, heap scan otherwise). `select` must outlive the source.
+/// ReadOptions and ScanOptions are captured from the session at this point.
 ///
 /// Every heap scan is one pipeline: per-worker readers claim page-range
 /// morsels from a work-stealing scheduler (util/morsel.h), pull latched
-/// batches with the stable predicates pushed below row assembly, and apply
-/// the degradable σ and f_k to the survivors. Isolation is
-/// snapshot-per-batch at any parallelism (a row relocated by a concurrent
-/// update may be missed or observed twice). Only the consumer differs:
-///  - `scan_batch_rows` bounded (streaming cursors): with resolved
-///    parallelism 1 — or a one-morsel table, or a pool that lends no
-///    worker — the consumer's thread pulls one reader inline, in
-///    (partition, heap) order; otherwise the producers the shared pool
-///    lends feed a bounded batch queue and rows arrive interleaved across
-///    morsels. No thread is spawned.
-///  - SIZE_MAX (Execute, DELETE, grouped aggregates): readers drain the
-///    whole scan on the shared pool into per-morsel buckets served in
-///    morsel-ordinal order, so rows come out in sequential-scan order at
-///    any parallelism.
+/// batches with the stable predicates evaluated inside the scan, run the
+/// degradable σ on the survivors' ordinals and project the qualifying rows.
+/// Isolation is snapshot-per-batch at any parallelism (a row relocated by a
+/// concurrent update may be missed or observed twice). With resolved
+/// parallelism 1 — or a one-morsel table, or a pool that lends no worker —
+/// the consumer's thread pulls one reader inline, in (partition, heap)
+/// order; otherwise the producers the shared pool lends feed a bounded
+/// batch queue and rows arrive interleaved across morsels. No thread is
+/// spawned. `scan_batch_rows` bounds the heap tuples one batch examines
+/// (SIZE_MAX: a whole morsel per batch).
 Result<std::unique_ptr<RowSource>> MakeRowSource(
-    Session* session, const BoundQuery& query,
+    Session* session, const SelectPlan& select,
     size_t scan_batch_rows = kStreamingScanBatchRows);
 
-/// Fully bound SELECT: access path + projection + aggregation shape.
-struct SelectPlan {
-  const Schema* schema = nullptr;
-  std::vector<SelectItem> items;    // star already expanded
-  std::vector<int> item_columns;    // per item: schema column (-1 = COUNT(*))
-  std::vector<std::string> output_columns;  // rendered header names
-  int group_col = -1;               // schema column, -1 = none
-  bool has_aggregate = false;
-  BoundQuery query;
-};
-
-/// Binds a SELECT statement into an executable plan.
-Result<SelectPlan> BindSelect(Session* session, const SelectAst& ast);
+/// Materialized non-aggregate SELECT (Session::Execute): every qualifying
+/// row is projected worker-side straight into its morsel's bucket, and the
+/// buckets are concatenated in morsel-ordinal order — (partition,
+/// begin_page) ascending — so rows come out in sequential-scan order at any
+/// parallelism. Index probes project in row-id order.
+Result<QueryResult> ExecuteProjection(Session* session,
+                                      const SelectPlan& select);
 
 /// Aggregate state of one group (or one scan worker), indexed like
 /// SelectPlan::items. COUNT(*) reads `count`; COUNT(col)/AVG read
@@ -218,30 +200,29 @@ struct AggregatePartials {
   std::vector<uint64_t> non_null;
 };
 
-/// Resets `agg` to the empty state for `items` select items.
-void InitPartials(size_t items, AggregatePartials* agg);
+/// One output group of an aggregate SELECT: the group column's value and
+/// effective level (for rendering; unset when ungrouped) and its partials.
+struct AggregateGroup {
+  Value value;
+  int level = 0;
+  AggregatePartials partials;
+};
 
-/// Folds one qualifying row into `agg`: the one per-item aggregate state
-/// transition, shared by the pushed-down partials and the executor's
-/// grouped and index-path aggregation.
-void FoldAggregateRow(const SelectPlan& select, const EvaluatedRow& row,
-                      AggregatePartials* agg);
+/// Aggregate SELECT (optionally grouped by one column), computed
+/// worker-side: each scan worker folds its qualifying rows straight from
+/// the latched batch into its own partials (or group map) — f_k runs only
+/// for aggregated degradable columns — and the per-worker partials merge
+/// here (merge is associative, so the claim order never matters). A
+/// statement that reads no column at all (COUNT(*) with stable-only or no
+/// predicates) folds survivor counts and assembles no row. Index probes
+/// fold inline. Groups are keyed by their rendered value ("*" when
+/// ungrouped); an ungrouped aggregate over no row yields no group.
+Result<std::map<std::string, AggregateGroup>> ExecuteAggregation(
+    Session* session, const SelectPlan& select);
 
-/// True when `select` can compute below the cursor: ungrouped, every item
-/// an aggregate, and no usable index predicate (index probes keep the
-/// row-at-a-time path).
-bool CanPushAggregate(Session* session, const SelectPlan& select);
-
-/// Aggregate pushdown: computes COUNT/SUM/AVG/MIN/MAX partials inside the
-/// scan workers — one partial per WORKER, each running a morsel reader on
-/// the shared pool and folding its batches as they leave the scan — then
-/// merges the per-worker partials (merge is associative, so the claim order
-/// never matters). Aggregate queries stop shipping qualifying rows
-/// through a row source entirely; a query referencing no degradable column
-/// (COUNT(*) over stable predicates) also skips every state-store probe.
-/// Only valid when CanPushAggregate(session, select).
-Result<AggregatePartials> ExecuteAggregatePushdown(Session* session,
-                                                   const SelectPlan& select);
+/// Row ids of every row `query` qualifies (DELETE), collected worker-side.
+Result<std::vector<RowId>> QualifyingRowIds(Session* session,
+                                            const BoundQuery& query);
 
 }  // namespace plan
 }  // namespace instantdb

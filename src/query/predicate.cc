@@ -62,51 +62,10 @@ bool EvalStablePredicate(const BoundPredicate& pred, const Value& value) {
   return false;
 }
 
-ColumnPredicate::ColumnPredicate(const Schema& schema,
-                                 const BoundPredicate* pred)
-    : pred_(pred) {
-  const auto& stable = schema.stable_columns();
-  for (size_t i = 0; i < stable.size(); ++i) {
-    if (stable[i] == pred->column) {
-      stable_ordinal_ = static_cast<int>(i);
-      break;
-    }
-  }
-}
-
-void ColumnPredicate::FilterBatch(const HeapTuple* tuples, size_t n,
-                                  bool refine,
-                                  std::vector<uint32_t>* sel) const {
-  if (!refine) {
-    for (size_t i = 0; i < n; ++i) {
-      if (Matches(tuples[i])) sel->push_back(static_cast<uint32_t>(i));
-    }
-    return;
-  }
-  size_t kept = 0;
-  for (uint32_t idx : *sel) {
-    if (Matches(tuples[idx])) (*sel)[kept++] = idx;
-  }
-  sel->resize(kept);
-}
-
 StablePredicateFilter::StablePredicateFilter(
-    const Schema& schema, const std::vector<BoundPredicate>& predicates) {
+    const std::vector<BoundPredicate>& predicates) {
   for (const BoundPredicate& pred : predicates) {
-    if (!pred.degradable) kernels_.emplace_back(schema, &pred);
-  }
-}
-
-void StablePredicateFilter::SelectStable(const HeapTuple* tuples, size_t n,
-                                         std::vector<uint32_t>* sel) const {
-  if (kernels_.empty()) {
-    sel->resize(n);
-    for (size_t i = 0; i < n; ++i) (*sel)[i] = static_cast<uint32_t>(i);
-    return;
-  }
-  kernels_[0].FilterBatch(tuples, n, /*refine=*/false, sel);
-  for (size_t k = 1; k < kernels_.size() && !sel->empty(); ++k) {
-    kernels_[k].FilterBatch(tuples, n, /*refine=*/true, sel);
+    if (!pred.degradable) terms_.push_back(&pred);
   }
 }
 

@@ -8,68 +8,45 @@
 #include "query/plan.h"
 
 /// \file
-/// \brief Vectorized stable-column predicate kernels: the query layer's
+/// \brief Stable-column predicate evaluation: the query layer's
 /// implementation of the db layer's TupleFilter pushdown hook.
 ///
 /// A WHERE conjunction splits into stable-column terms and degradable-column
-/// terms. Every stable term is compilable into a ColumnPredicate — the
-/// column resolved to its position in the heap tuple's stable vector once,
-/// at plan time — and the conjunction of those kernels runs batch-at-a-time
-/// directly on decoded heap tuples, BEFORE any state-store probe or RowView
-/// assembly. Degradable terms stay above assembly (they need the stored
-/// phase); EvaluateRow re-checks only them when told the stable part was
-/// prefiltered.
+/// terms. The stable terms run inside the heap scan, on each tuple right
+/// after its filter columns are decoded and BEFORE any state-store probe or
+/// further decode. Degradable terms run above, on the survivors' stored
+/// phases and leaf ordinals (plan::QualifyDegradable).
 
 namespace instantdb {
 namespace plan {
 
-/// Scalar predicate evaluators shared by the row-at-a-time path
-/// (EvaluateRow) and the vector kernels.
+/// Scalar predicate evaluators.
 bool MatchLike(const std::string& text, const BoundPredicate& pred);
 bool EvalStablePredicate(const BoundPredicate& pred, const Value& value);
 
-/// One stable-column WHERE conjunct compiled against the schema: the bound
-/// predicate plus the column's ordinal in HeapTuple::stable, so batch
-/// evaluation never goes through schema lookups or full-width value
-/// vectors. The BoundPredicate must outlive the kernel (it lives in the
-/// BoundQuery the scan source already borrows).
-class ColumnPredicate {
- public:
-  ColumnPredicate(const Schema& schema, const BoundPredicate* pred);
-
-  bool Matches(const HeapTuple& tuple) const {
-    return EvalStablePredicate(*pred_, tuple.stable[stable_ordinal_]);
-  }
-
-  /// Vector form. `refine == false` fills `*sel` with the indexes in
-  /// [0, n) that match; `refine == true` compacts the existing selection in
-  /// place, keeping only survivors — so a conjunction evaluates its first
-  /// kernel over the batch and every later kernel over the shrinking
-  /// selection only.
-  void FilterBatch(const HeapTuple* tuples, size_t n, bool refine,
-                   std::vector<uint32_t>* sel) const;
-
- private:
-  const BoundPredicate* pred_;
-  int stable_ordinal_ = 0;
-};
-
-/// The conjunction of every stable-column term of a bound WHERE clause:
-/// what the scan sources install below row assembly. Degradable terms are
-/// ignored here — they are exactly what EvaluateRow still checks above.
+/// The conjunction of every stable-column term of a bound WHERE clause,
+/// evaluated on a tuple's stable values by stable ordinal
+/// (BoundPredicate::ordinal). Degradable terms are ignored here. The
+/// predicates must outlive the filter (they live in the BoundQuery the scan
+/// already borrows).
 class StablePredicateFilter : public TupleFilter {
  public:
   StablePredicateFilter() = default;
-  StablePredicateFilter(const Schema& schema,
-                        const std::vector<BoundPredicate>& predicates);
+  explicit StablePredicateFilter(const std::vector<BoundPredicate>& predicates);
 
-  bool empty() const { return kernels_.empty(); }
+  bool empty() const { return terms_.empty(); }
 
-  void SelectStable(const HeapTuple* tuples, size_t n,
-                    std::vector<uint32_t>* sel) const override;
+  bool Matches(const HeapTuple& tuple) const override {
+    for (const BoundPredicate* term : terms_) {
+      if (!EvalStablePredicate(*term, tuple.stable[term->ordinal])) {
+        return false;
+      }
+    }
+    return true;
+  }
 
  private:
-  std::vector<ColumnPredicate> kernels_;
+  std::vector<const BoundPredicate*> terms_;
 };
 
 }  // namespace plan

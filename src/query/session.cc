@@ -32,6 +32,17 @@ int ResolveColumnName(const Schema& schema, const std::string& name) {
   return -1;
 }
 
+std::vector<std::string> QueryResult::display(size_t row) const {
+  const std::vector<Value>& values = rows[row];
+  const int* row_levels = levels.data() + row * format.levels_per_row();
+  std::vector<std::string> out;
+  out.reserve(values.size());
+  for (size_t c = 0; c < values.size(); ++c) {
+    out.push_back(format.Render(c, values[c], row_levels));
+  }
+  return out;
+}
+
 std::string QueryResult::ToString() const {
   if (statement != StatementKind::kSelect) {
     if (statement == StatementKind::kCommand) return "OK\n";
@@ -45,9 +56,12 @@ std::string QueryResult::ToString() const {
     out += '\n';
     return out;
   }
+  std::vector<std::vector<std::string>> rendered;
+  rendered.reserve(rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) rendered.push_back(display(r));
   std::vector<size_t> widths(columns.size());
   for (size_t c = 0; c < columns.size(); ++c) widths[c] = columns[c].size();
-  for (const auto& row : display) {
+  for (const auto& row : rendered) {
     for (size_t c = 0; c < row.size() && c < widths.size(); ++c) {
       widths[c] = std::max(widths[c], row[c].size());
     }
@@ -69,7 +83,7 @@ std::string QueryResult::ToString() const {
   }
   out.push_back('\n');
   out += line('-', '+');
-  for (const auto& row : display) {
+  for (const auto& row : rendered) {
     out.push_back('|');
     for (size_t c = 0; c < row.size(); ++c) {
       out += ' ' + row[c] + std::string(widths[c] - row[c].size(), ' ') + " |";
@@ -77,7 +91,7 @@ std::string QueryResult::ToString() const {
     out.push_back('\n');
   }
   out += line('-', '+');
-  out += StringPrintf("%zu row(s)\n", display.size());
+  out += StringPrintf("%zu row(s)\n", rendered.size());
   return out;
 }
 

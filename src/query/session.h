@@ -9,6 +9,7 @@
 #include "common/options.h"
 #include "db/database.h"
 #include "query/ast.h"
+#include "query/result.h"
 
 namespace instantdb {
 
@@ -21,27 +22,6 @@ const TableDef* ResolveTableName(const Catalog& catalog,
                                  const std::string& name, bool allow_prefix);
 /// Case-insensitive column resolution; -1 when absent.
 int ResolveColumnName(const Schema& schema, const std::string& name);
-
-/// What kind of statement produced a QueryResult (drives ToString: tabular
-/// rendering for SELECT, a summary line for DML and commands).
-enum class StatementKind : uint8_t { kSelect, kInsert, kDelete, kCommand };
-
-/// Tabular result of one SQL statement.
-struct QueryResult {
-  std::vector<std::string> columns;
-  std::vector<std::vector<Value>> rows;
-  /// Pre-rendered display strings (bucket values render as "[lo..hi]").
-  std::vector<std::vector<std::string>> display;
-  /// SELECT: number of result rows. INSERT/DELETE: rows written/removed.
-  uint64_t affected_rows = 0;
-  /// Row id assigned by the most recent INSERT (kInvalidRowId otherwise).
-  RowId last_insert_id = kInvalidRowId;
-  StatementKind statement = StatementKind::kSelect;
-
-  /// ASCII table rendering for SELECT results; a one-line summary
-  /// ("2 row(s) affected, last insert id 7") for DML and commands.
-  std::string ToString() const;
-};
 
 /// \brief SQL session: executes statements under a declared purpose.
 ///
@@ -56,9 +36,10 @@ class Session {
  public:
   explicit Session(Database* db) : db_(db) {}
 
-  /// Parses and executes one statement, materializing the full result.
-  /// Implemented as "open a cursor, drain it" — prefer ExecuteCursor for
-  /// reads whose result may be large.
+  /// Parses and executes one statement, materializing the full result: the
+  /// scan workers project every qualifying row straight into the result
+  /// (rows in sequential-scan order). Prefer ExecuteCursor for reads whose
+  /// result may be large.
   Result<QueryResult> Execute(const std::string& sql);
 
   /// Scalable read entry point: parses one statement and opens a pull-based

@@ -1,5 +1,7 @@
 #include "storage/record.h"
 
+#include <algorithm>
+
 namespace instantdb {
 
 void EncodeHeapTuple(const Schema& /*schema*/, DegradableLayout layout,
@@ -47,6 +49,25 @@ Status DecodeHeapTuple(const Schema& schema, DegradableLayout layout,
   }
   if (!input.empty()) return Status::Corruption("trailing bytes in tuple");
   return Status::OK();
+}
+
+size_t DecodeStableValues(const Schema& schema, Slice input,
+                          const std::vector<bool>& stable_needed,
+                          HeapTuple* out) {
+  uint64_t skipped;
+  GetVarint64(&input, &skipped);  // row id
+  GetVarint64(&input, &skipped);  // insert time
+  // Values after the last flagged one are never walked.
+  const size_t wanted = static_cast<size_t>(
+      std::count(stable_needed.begin(), stable_needed.end(), true));
+  size_t decoded = 0;
+  for (size_t i = 0; decoded < wanted && i < schema.stable_columns().size();
+       ++i) {
+    const bool needed = stable_needed[i];
+    Value::DecodeFrom(&input, needed ? &out->stable[i] : nullptr);
+    decoded += needed ? 1 : 0;
+  }
+  return decoded;
 }
 
 }  // namespace instantdb

@@ -49,6 +49,14 @@ Status DecodeHeapTuple(const Schema& schema, DegradableLayout layout,
                        Slice input, HeapTuple* out,
                        const std::vector<bool>* stable_needed = nullptr);
 
+/// Second pass of a late-materializing scan: decodes the flagged stable
+/// values of a record DecodeHeapTuple already checked into `out->stable`
+/// and leaves every other slot as it is. Returns the number of values
+/// decoded.
+size_t DecodeStableValues(const Schema& schema, Slice input,
+                          const std::vector<bool>& stable_needed,
+                          HeapTuple* out);
+
 }  // namespace instantdb
 
 #endif  // INSTANTDB_STORAGE_RECORD_H_

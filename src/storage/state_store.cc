@@ -47,18 +47,26 @@ bool DecodeEntryPayload(Slice payload, StoreEntry* out) {
 }  // namespace
 
 StateStore::StateStore(std::string dir, TableId table, int column, int phase,
+                       const DomainHierarchy* hierarchy, int level,
                        const StorageOptions& options, KeyManager* keys,
                        Env* env)
     : dir_(std::move(dir)),
       table_(table),
       column_(column),
       phase_(phase),
+      hierarchy_(hierarchy),
+      level_(level),
       options_(options),
       keys_(keys),
       env_(env != nullptr ? env : Env::Default()) {}
 
 StateStore::~StateStore() {
   if (tail_writer_ != nullptr) tail_writer_->Close().ok();
+}
+
+int64_t StateStore::OrdinalOf(const Value& value) const {
+  const Result<LeafInterval> range = hierarchy_->LeafRange(value, level_);
+  return range.ok() ? range->lo : -1;
 }
 
 std::string StateStore::SegmentPath(uint64_t seqno) const {
@@ -247,6 +255,7 @@ Status StateStore::LoadSegment(Segment* segment, MetaState* meta) {
     if (popped_entry) {
       ++segment->popped;  // degraded out of this store before the checkpoint
     } else {
+      entry.ordinal = OrdinalOf(entry.value);
       live_.push_back(LiveEntry{std::move(entry), segment->seqno, off, len});
     }
     off += hdr + len;
@@ -347,8 +356,9 @@ Status StateStore::Append(const StoreEntry& entry) {
   // Re-resolve the position: OpenTailWriter/SealTail do not touch live_,
   // but keeping the lookup next to the insert guards future edits.
   pos = LowerBound(entry.row_id);
-  live_.insert(pos, LiveEntry{entry, tail.seqno, tail.bytes,
-                              static_cast<uint32_t>(payload.size())});
+  pos = live_.insert(pos, LiveEntry{entry, tail.seqno, tail.bytes,
+                                    static_cast<uint32_t>(payload.size())});
+  pos->entry.ordinal = OrdinalOf(entry.value);
   live_times_.insert(entry.insert_time);
   tail.bytes += frame.size();
   ++tail.entries;

@@ -8,6 +8,7 @@
 #include <string>
 #include <unordered_set>
 
+#include "catalog/generalization.h"
 #include "catalog/value.h"
 #include "common/clock.h"
 #include "common/options.h"
@@ -28,6 +29,12 @@ struct StoreEntry {
   /// degradation deadline of this entry.
   Micros insert_time = 0;
   Value value;
+  /// In-memory mirror only (never encoded): leaf ordinal of `value` at the
+  /// store's level, `LeafRange(value, level).lo`, or -1 when the value is
+  /// not a node of the hierarchy. Set when the entry enters the mirror, so
+  /// scans evaluate σ and f_k on it (DomainHierarchy::AncestorRange/
+  /// AncestorValue) without hashing the value or copying it out.
+  int64_t ordinal = -1;
 };
 
 /// \brief Append-only FIFO store for the subset ST of values of one
@@ -54,8 +61,11 @@ struct StoreEntry {
 /// ignored and pops of an absent one are no-ops.
 class StateStore {
  public:
-  /// `env` == nullptr uses Env::Default().
+  /// `hierarchy` is the column's domain and `level` the phase's accuracy
+  /// level: together they resolve every entry's leaf ordinal. Both must
+  /// outlive the store. `env` == nullptr uses Env::Default().
   StateStore(std::string dir, TableId table, int column, int phase,
+             const DomainHierarchy* hierarchy, int level,
              const StorageOptions& options, KeyManager* keys,
              Env* env = nullptr);
   ~StateStore();
@@ -79,7 +89,8 @@ class StateStore {
   /// the live mirror is kept sorted by row id, so a late append lands in
   /// its FIFO position. An append whose row id is already present is
   /// ignored — this is what makes WAL replay idempotent (re-pops are
-  /// handled by the degrade records that follow in log order).
+  /// handled by the degrade records that follow in log order). The mirror
+  /// copy's ordinal is resolved here; `entry.ordinal` is ignored.
   Status Append(const StoreEntry& entry);
 
   /// Removes the head entry; erases segments as they drain.
@@ -178,6 +189,8 @@ class StateStore {
     std::unordered_set<RowId> survivors;
   };
 
+  /// Leaf ordinal of a value at this store's level (-1 when it has none).
+  int64_t OrdinalOf(const Value& value) const;
   /// Sorted insert position of `row_id` in the live mirror.
   std::deque<LiveEntry>::iterator LowerBound(RowId row_id);
   Status OpenTailWriter();
@@ -199,6 +212,8 @@ class StateStore {
   const TableId table_;
   const int column_;
   const int phase_;
+  const DomainHierarchy* const hierarchy_;
+  const int level_;
   const StorageOptions options_;
   KeyManager* const keys_;
   Env* const env_;

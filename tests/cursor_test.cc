@@ -67,7 +67,8 @@ class CursorTest : public ::testing::Test {
       if (!*more) break;
       ASSERT_LT(i, materialized->rows.size()) << sql;
       EXPECT_EQ(row.values(), materialized->rows[i]) << sql << " row " << i;
-      EXPECT_EQ(row.display(), materialized->display[i]) << sql << " row " << i;
+      EXPECT_EQ(row.display(), materialized->display(i))
+          << sql << " row " << i;
       ++i;
     }
     EXPECT_EQ(i, materialized->rows.size()) << sql;

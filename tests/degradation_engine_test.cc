@@ -206,5 +206,110 @@ INSTANTIATE_TEST_SUITE_P(
         std::vector<LcpPhase>{{1, kMicrosPerHour}, {3, kMicrosPerDay}},
         std::vector<LcpPhase>{{0, kMicrosPerHour}, {3, kForever}}));
 
+/// A degradation step moves each value to the next phase's store, where it
+/// must carry the leaf ordinal of its generalized value at that phase's
+/// level — in every WAL privacy mode, and again after a reopen.
+class DegradeOrdinalTest : public ::testing::TestWithParam<WalPrivacyMode> {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "/idb_degrade_ordinal_test";
+    ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
+  }
+  void TearDown() override {
+    db_.reset();
+    RemoveDirRecursive(dir_).ok();
+  }
+
+  void Open() {
+    db_.reset();
+    DbOptions options;
+    options.path = dir_;
+    options.clock = &clock_;
+    options.wal.privacy_mode = GetParam();
+    auto db = Database::Open(options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    db_ = std::move(*db);
+  }
+
+  /// Checks every mirror entry of phase `phase` and returns how many
+  /// entries the (column, phase) stores hold, summed over both columns.
+  size_t CheckPhase(int phase) {
+    Table* table = db_->GetTable("pings");
+    const Schema& schema = table->schema();
+    size_t entries = 0;
+    for (int col : schema.degradable_columns()) {
+      const ColumnDef& column = schema.column(col);
+      const int level = column.lcp.phase(phase).level;
+      table->partition(0)->store(col, phase)->ForEach(
+          [&](const StoreEntry& entry) {
+            auto range = column.hierarchy->LeafRange(entry.value, level);
+            EXPECT_TRUE(range.ok()) << entry.value.ToString();
+            if (range.ok()) {
+              EXPECT_EQ(entry.ordinal, range->lo)
+                  << column.name << " " << entry.value.ToString();
+            }
+            ++entries;
+            return true;
+          });
+    }
+    return entries;
+  }
+
+  std::string dir_;
+  VirtualClock clock_{0};
+  std::unique_ptr<Database> db_;
+};
+
+TEST_P(DegradeOrdinalTest, DegradeStepResolvesTheNextLevelsOrdinal) {
+  Open();
+  auto schema = Schema::Make(
+      {ColumnDef::Stable("user", ValueType::kString),
+       ColumnDef::Degradable("location", LocationDomain(), Fig2LocationLcp()),
+       ColumnDef::Degradable("salary", SalaryDomain(),
+                             *AttributeLcp::Make({{0, kMicrosPerHour},
+                                                  {1, kMicrosPerDay},
+                                                  {2, kMicrosPerMonth}}))});
+  ASSERT_TRUE(schema.ok());
+  ASSERT_TRUE(db_->CreateTable("pings", *schema).ok());
+  const char* kAddresses[] = {"11 Rue Lepic", "3 Av Foch", "12 Rue Royale",
+                              "4 Rue Breteuil", "8 Cours Mirabeau"};
+  WriteBatch batch;
+  for (int i = 0; i < 30; ++i) {
+    batch.Insert("pings", {Value::String("u" + std::to_string(i)),
+                           Value::String(kAddresses[i % 5]),
+                           Value::Int64(i * 3331)});
+  }
+  ASSERT_TRUE(db_->Write(&batch).ok());
+  EXPECT_EQ(CheckPhase(0), 60u);
+
+  clock_.Advance(kMicrosPerHour + kMicrosPerMinute);
+  ASSERT_TRUE(db_->RunDegradationOnce().ok());
+  EXPECT_EQ(CheckPhase(0), 0u);
+  EXPECT_EQ(CheckPhase(1), 60u);
+
+  clock_.Advance(kMicrosPerDay);
+  ASSERT_TRUE(db_->RunDegradationOnce().ok());
+  EXPECT_EQ(CheckPhase(1), 0u);
+  EXPECT_EQ(CheckPhase(2), 60u);
+
+  Open();
+  EXPECT_EQ(CheckPhase(2), 60u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPrivacyModes, DegradeOrdinalTest,
+    ::testing::Values(WalPrivacyMode::kPlain, WalPrivacyMode::kScrub,
+                      WalPrivacyMode::kEncryptedEpoch),
+    [](const auto& info) {
+      switch (info.param) {
+        case WalPrivacyMode::kPlain:
+          return "Plain";
+        case WalPrivacyMode::kScrub:
+          return "Scrub";
+        default:
+          return "EncryptedEpoch";
+      }
+    });
+
 }  // namespace
 }  // namespace instantdb

@@ -364,6 +364,7 @@ TEST_F(FaultInjectionTest, TortureRandomizedFaultCrashSchedules) {
 // CRC-framed (v2) segment; reopening must load the durable prefix intact and
 // drop the torn frames instead of decoding garbage.
 TEST_F(FaultInjectionTest, StateStoreShortWriteTruncatesAtTornFrame) {
+  const auto domain = LocationDomain();
   FaultInjectionEnv fault(Env::Default());
   ASSERT_TRUE(fault.CreateDirs(dir_).ok());
   KeyManager keys(dir_ + "/KEYSTORE", &fault);
@@ -372,7 +373,8 @@ TEST_F(FaultInjectionTest, StateStoreShortWriteTruncatesAtTornFrame) {
   const std::string store_dir = dir_ + "/store_a";
   {
     StateStore store(store_dir, /*table=*/1, /*column=*/0, /*phase=*/0,
-                     StorageOptions(), &keys, &fault);
+                     domain.get(), /*level=*/0, StorageOptions(), &keys,
+                     &fault);
     ASSERT_TRUE(store.Open().ok());
     for (RowId r = 1; r <= 8; ++r) {
       ASSERT_TRUE(store
@@ -401,8 +403,8 @@ TEST_F(FaultInjectionTest, StateStoreShortWriteTruncatesAtTornFrame) {
   // exact value, and nothing past the tear survives.
   KeyManager keys2(dir_ + "/KEYSTORE", Env::Default());
   ASSERT_TRUE(keys2.Open().ok());
-  StateStore reopened(store_dir, 1, 0, 0, StorageOptions(), &keys2,
-                      Env::Default());
+  StateStore reopened(store_dir, 1, 0, 0, domain.get(), 0, StorageOptions(),
+                      &keys2, Env::Default());
   ASSERT_TRUE(reopened.Open().ok());
   EXPECT_GE(reopened.size(), 8u);
   EXPECT_LT(reopened.size(), 12u);
@@ -429,6 +431,7 @@ TEST_F(FaultInjectionTest, StateStoreShortWriteTruncatesAtTornFrame) {
 // frame's CRC on load — the store drops the frame (and everything after it)
 // rather than serving a corrupted value as the row's state.
 TEST_F(FaultInjectionTest, StateStoreCrcRejectsCorruptedPayload) {
+  const auto domain = LocationDomain();
   Env* env = Env::Default();
   ASSERT_TRUE(env->CreateDirs(dir_).ok());
   KeyManager keys(dir_ + "/KEYSTORE", env);
@@ -437,7 +440,8 @@ TEST_F(FaultInjectionTest, StateStoreCrcRejectsCorruptedPayload) {
   const std::string store_dir = dir_ + "/store_b";
   std::string segment_path;
   {
-    StateStore store(store_dir, 1, 0, 0, StorageOptions(), &keys, env);
+    StateStore store(store_dir, 1, 0, 0, domain.get(), 0, StorageOptions(),
+                     &keys, env);
     ASSERT_TRUE(store.Open().ok());
     for (RowId r = 1; r <= 8; ++r) {
       ASSERT_TRUE(store.Append({r, 100, Value::String("payload")}).ok());
@@ -464,7 +468,8 @@ TEST_F(FaultInjectionTest, StateStoreCrcRejectsCorruptedPayload) {
   ASSERT_TRUE((*file)->Write(16, Slice(&flipped, 1)).ok());
   ASSERT_TRUE((*file)->Sync().ok());
 
-  StateStore reopened(store_dir, 1, 0, 0, StorageOptions(), &keys, env);
+  StateStore reopened(store_dir, 1, 0, 0, domain.get(), 0, StorageOptions(),
+                      &keys, env);
   ASSERT_TRUE(reopened.Open().ok());
   EXPECT_EQ(reopened.size(), 0u);  // the very first frame failed its CRC
   EXPECT_EQ(reopened.Find(1), nullptr);

@@ -182,7 +182,7 @@ class MorselScanTest : public ::testing::Test {
     auto result = session->Execute(sql);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     if (!result.ok()) return {};
-    return result->display;
+    return oracle::Display(*result);
   }
 
   std::string dir_;
@@ -249,7 +249,7 @@ TEST_F(MorselScanTest, ClaimedCounterMatchesThePlanSizeExactly) {
   const uint64_t merges_before = db_->stats().scan.aggregate_partials_merged;
   auto count = session.Execute("SELECT COUNT(*) FROM pings");
   ASSERT_TRUE(count.ok());
-  EXPECT_EQ(count->display[0][0], "800");
+  EXPECT_EQ(count->display(0)[0], "800");
   EXPECT_EQ(db_->stats().scan.morsels_claimed - materialized, plan_total);
   // One partial per WORKER now, not per partition.
   EXPECT_GT(db_->stats().scan.aggregate_partials_merged, merges_before);

@@ -16,6 +16,7 @@
 
 #include "catalog/builtin_domains.h"
 #include "db/database.h"
+#include "degradable_mix.h"
 #include "gtest/gtest.h"
 #include "query/cursor.h"
 #include "query/session.h"
@@ -105,10 +106,10 @@ class ParallelScanTest : public ::testing::Test {
   }
 
   /// The oracle's answer for `sql`.
-  QueryResult Oracle(Session* session, const std::string& sql) {
+  oracle::Answer Oracle(Session* session, const std::string& sql) {
     auto result = oracle::Execute(session, sql);
     EXPECT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
-    return result.ok() ? *result : QueryResult{};
+    return result.ok() ? *result : oracle::Answer{};
   }
 
   std::string dir_;
@@ -127,7 +128,7 @@ TEST_F(ParallelScanTest, ParallelAndSequentialScansReturnTheSameRowSet) {
                     .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
                              "FOR pings.location")
                     .ok());
-    const QueryResult reference =
+    const oracle::Answer reference =
         Oracle(&session, "SELECT user, location FROM pings");
     const auto baseline = oracle::ByFirstColumn(reference);
     ASSERT_EQ(baseline.size(), static_cast<size_t>(kRows))
@@ -144,7 +145,8 @@ TEST_F(ParallelScanTest, ParallelAndSequentialScansReturnTheSameRowSet) {
     session.scan_options().parallelism = 0;  // auto: match the worker pool
     auto materialized = session.Execute("SELECT user, location FROM pings");
     ASSERT_TRUE(materialized.ok());
-    EXPECT_EQ(materialized->display, reference.display);
+    EXPECT_EQ(materialized->rows, reference.rows);
+    EXPECT_EQ(oracle::Display(*materialized), reference.display);
   }
 }
 
@@ -175,6 +177,78 @@ TEST_F(ParallelScanTest, PredicatesAndStableProjectionsAgreeAcrossParallelism) {
         << "parallelism=" << parallelism;
   }
 }
+
+/// Both degradable layouts, a tree and an interval domain, node and
+/// non-node predicates, include_coarser: every fan-out returns the oracle's
+/// values and display, the materialized path in its exact order.
+class ParallelLayoutTest
+    : public ParallelScanTest,
+      public ::testing::WithParamInterface<DegradableLayout> {};
+
+TEST_P(ParallelLayoutTest, LayoutsAndDomainsAgreeAcrossParallelism) {
+  db_.reset();
+  ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
+  clock_ = std::make_unique<VirtualClock>(0);
+  DbOptions options;
+  options.path = dir_;
+  options.clock = clock_.get();
+  options.partitions = 4;
+  options.degradation.worker_threads = 4;
+  options.layout = GetParam();
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  db_ = std::move(*opened);
+  mix::Populate(db_.get(), clock_.get(), 900);
+
+  Session session(db_.get());
+  ASSERT_TRUE(session.Execute(mix::kPurpose).ok());
+  session.set_use_indexes(false);
+  auto sorted = [](auto rows) {
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  for (bool coarser : {false, true}) {
+    session.read_options().include_coarser = coarser;
+    for (const std::string& sql : mix::Statements()) {
+      const oracle::Answer reference = Oracle(&session, sql);
+      for (size_t parallelism : {1u, 2u, 8u}) {
+        session.scan_options().parallelism = parallelism;
+        const std::string where = sql + " coarser=" + std::to_string(coarser) +
+                                  " parallelism=" +
+                                  std::to_string(parallelism);
+        auto materialized = session.Execute(sql);
+        ASSERT_TRUE(materialized.ok()) << where;
+        EXPECT_EQ(materialized->rows, reference.rows) << where;
+        EXPECT_EQ(oracle::Display(*materialized), reference.display) << where;
+        auto cursor = session.ExecuteCursor(sql);
+        ASSERT_TRUE(cursor.ok()) << where;
+        std::vector<std::vector<Value>> values;
+        std::vector<std::vector<std::string>> display;
+        const CursorBatch* batch = nullptr;
+        while (true) {
+          auto more = (*cursor)->NextBatch(&batch);
+          ASSERT_TRUE(more.ok()) << where;
+          if (!*more) break;
+          for (size_t i = 0; i < batch->size(); ++i) {
+            values.push_back(batch->values(i));
+            display.push_back(batch->display(i));
+          }
+        }
+        EXPECT_EQ(sorted(values), sorted(reference.rows)) << where;
+        EXPECT_EQ(sorted(display), sorted(reference.display)) << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothLayouts, ParallelLayoutTest,
+    ::testing::Values(DegradableLayout::kStateStores,
+                      DegradableLayout::kInPlace),
+    [](const auto& info) {
+      return info.param == DegradableLayout::kStateStores ? "StateStores"
+                                                          : "InPlace";
+    });
 
 TEST_F(ParallelScanTest, CursorOpenDuringDegradationStaysSnapshotSafe) {
   constexpr int kRows = 800;

@@ -1,12 +1,14 @@
-// Pushdown execution: stable-predicate pre-filtering and aggregate partials
-// computed below row assembly must return exactly what the test oracle
-// (scan_oracle.h: full RowView assembly, σ above) returns — across predicate
-// shapes, scan parallelism and WAL privacy modes — while the scan counters
-// prove the store probes were actually skipped. Also covers the batched store
-// probe (TablePartition::ProbeMany vs per-row assembly), the rule that no
-// degradable value finer than the purpose's accuracy reaches an evaluated row,
-// the column-pruned heap decode, the maintenance daemon's adaptive checkpoint
-// cadence, and audit-driven urgent repair. Runs under TSan/ASan in
+// Pushdown execution: stable predicates evaluated inside the scan, σ and f_k
+// on stored leaf ordinals, and aggregates folded worker-side must return
+// exactly what the test oracle (scan_oracle.h: full RowView assembly, σ and
+// f_k on the stored Values) returns — across predicate shapes, both
+// degradable layouts, tree and interval domains, include_coarser, scan
+// parallelism and WAL privacy modes — while the scan counters prove the
+// store probes and decodes were actually skipped. Also covers the batched
+// store probe (TablePartition::ProbeMany vs per-row assembly), the rule that
+// no degradable value finer than the purpose's accuracy leaves the scan, the
+// late stable decode, the maintenance daemon's adaptive checkpoint cadence,
+// and audit-driven urgent repair. Runs under TSan/ASan in
 // scripts/verify.sh: the aggregate fan-out and the degrade-while-aggregating
 // test are real cross-thread paths.
 
@@ -19,6 +21,7 @@
 
 #include "catalog/builtin_domains.h"
 #include "db/database.h"
+#include "degradable_mix.h"
 #include "gtest/gtest.h"
 #include "query/cursor.h"
 #include "query/parser.h"
@@ -88,10 +91,10 @@ class PushdownTest : public ::testing::Test {
   }
 
   /// The oracle's answer for `sql`.
-  QueryResult Oracle(Session* session, const std::string& sql) {
+  oracle::Answer Oracle(Session* session, const std::string& sql) {
     auto result = oracle::Execute(session, sql);
     EXPECT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
-    return result.ok() ? *result : QueryResult{};
+    return result.ok() ? *result : oracle::Answer{};
   }
 
   /// Streaming drain keyed by user (parallel scans interleave partitions).
@@ -144,7 +147,7 @@ TEST_F(PushdownTest, EquivalenceAcrossPredicatesParallelismAndPrivacyModes) {
                              "FOR pings.location")
                     .ok());
     for (const std::string& sql : kQueries) {
-      const QueryResult reference = Oracle(&session, sql);
+      const oracle::Answer reference = Oracle(&session, sql);
       const auto baseline = oracle::ByFirstColumn(reference);
       ASSERT_FALSE(baseline.empty()) << sql;
       for (size_t parallelism : {1u, 4u, 8u}) {
@@ -165,7 +168,8 @@ TEST_F(PushdownTest, EquivalenceAcrossPredicatesParallelismAndPrivacyModes) {
           << sql << " (indexes off)";
       materialized = session.Execute(sql);
       ASSERT_TRUE(materialized.ok()) << sql;
-      EXPECT_EQ(materialized->display, reference.display)
+      EXPECT_EQ(materialized->rows, reference.rows) << sql << " (indexes off)";
+      EXPECT_EQ(oracle::Display(*materialized), reference.display)
           << sql << " (indexes off)";
       session.set_use_indexes(true);
     }
@@ -291,7 +295,7 @@ TEST_F(PushdownTest, HotQueryShapesAgreeAndNeverExposeFinerValues) {
   };
   for (const Shape& shape : kShapes) {
     session.set_use_indexes(shape.indexes);
-    const QueryResult reference = Oracle(&session, shape.sql);
+    const oracle::Answer reference = Oracle(&session, shape.sql);
     ASSERT_FALSE(reference.rows.empty()) << shape.sql;
     auto sorted = [](std::vector<std::vector<std::string>> rows) {
       std::sort(rows.begin(), rows.end());
@@ -304,7 +308,7 @@ TEST_F(PushdownTest, HotQueryShapesAgreeAndNeverExposeFinerValues) {
       auto result = session.Execute(shape.sql);
       ASSERT_TRUE(result.ok()) << where;
       EXPECT_EQ(result->rows.size(), reference.rows.size()) << where;
-      EXPECT_EQ(sorted(result->display), sorted(reference.display))
+      EXPECT_EQ(sorted(oracle::Display(*result)), sorted(reference.display))
           << where;
 
       // Streaming cursor: every value of every batch is at CITY or
@@ -326,31 +330,32 @@ TEST_F(PushdownTest, HotQueryShapesAgreeAndNeverExposeFinerValues) {
       }
       EXPECT_EQ(sorted(streamed), sorted(reference.display)) << where;
 
-      // Below the cursor: no EvaluatedRow carries an ADDRESS value, and
-      // a location that does not leave the scan is not carried at all.
+      // Below the cursor: location leaves the scan only when projected,
+      // and no projected batch carries an ADDRESS value.
       auto statement = ParseStatement(shape.sql);
       ASSERT_TRUE(statement.ok()) << where;
       auto plan =
           plan::BindSelect(&session, std::get<SelectAst>(*statement));
       ASSERT_TRUE(plan.ok()) << where;
-      const int location = plan->schema->degradable_columns()[0];
-      EXPECT_EQ(plan->query.projected_degradable.count(location) == 1,
+      EXPECT_EQ(std::any_of(plan->sources.begin(), plan->sources.end(),
+                            [](const plan::CellSource& src) {
+                              return src.degradable == 0;
+                            }),
                 shape.projected)
           << where;
+      if (plan->has_aggregate) continue;
       for (const size_t batch_rows :
            {plan::kStreamingScanBatchRows, size_t{SIZE_MAX}}) {
-        auto source = plan::MakeRowSource(&session, plan->query, batch_rows);
+        auto source = plan::MakeRowSource(&session, *plan, batch_rows);
         ASSERT_TRUE(source.ok()) << where;
-        plan::EvaluatedBatch rows;
+        ProjectedRows rows;
         while (true) {
           auto more = (*source)->NextBatch(&rows);
           ASSERT_TRUE(more.ok()) << where;
           if (!*more) break;
           for (size_t r = 0; r < rows.size; ++r) {
-            const Value& v = rows.rows[r].values[location];
-            EXPECT_FALSE(is_address(v)) << where << ": " << v.ToString();
-            if (!shape.projected) {
-              EXPECT_TRUE(v.is_null()) << where << ": " << v.ToString();
+            for (const Value& v : rows.values[r]) {
+              EXPECT_FALSE(is_address(v)) << where << ": " << v.ToString();
             }
           }
         }
@@ -368,28 +373,41 @@ TEST_F(PushdownTest, ScansDecodeOnlyTheStableColumnsTheyRead) {
                   .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
                            "FOR pings.location")
                   .ok());
-  // {statement, stable values decoded per scanned row} over the two
-  // stable columns (user, score).
-  const std::vector<std::pair<std::string, uint64_t>> kShapes = {
-      {"SELECT COUNT(*) FROM pings", 0},
-      {"SELECT COUNT(*), SUM(score) FROM pings WHERE location = 'Paris'", 1},
-      {"SELECT COUNT(location) FROM pings", 0},
-      {"SELECT user FROM pings WHERE location = 'Paris'", 1},
-      {"SELECT user FROM pings WHERE score < 60", 2},
-      {"SELECT * FROM pings", 2},
+  // {statement, stable values decoded per scanned row, per stable-filter
+  // survivor} over the two stable columns (user, score): the filter's
+  // columns are decoded for every row, the projected-only ones for
+  // survivors only.
+  struct Shape {
+    std::string sql;
+    uint64_t per_row;
+    uint64_t per_survivor;
+    uint64_t survivors;
   };
-  for (const auto& [sql, per_row] : kShapes) {
+  const std::vector<Shape> kShapes = {
+      {"SELECT COUNT(*) FROM pings", 0, 0, kRows},
+      {"SELECT COUNT(*), SUM(score) FROM pings WHERE location = 'Paris'", 1,
+       0, kRows},
+      {"SELECT COUNT(location) FROM pings", 0, 0, kRows},
+      {"SELECT user FROM pings WHERE location = 'Paris'", 1, 0, kRows},
+      {"SELECT user FROM pings WHERE score < 60", 1, 1, 60},
+      {"SELECT COUNT(*) FROM pings WHERE score < 60", 1, 0, 60},
+      {"SELECT user, score FROM pings WHERE score < 60", 1, 1, 60},
+      {"SELECT * FROM pings", 2, 0, kRows},
+  };
+  for (const Shape& shape : kShapes) {
     for (size_t parallelism : {1u, 4u}) {
       session.scan_options().parallelism = parallelism;
       const Database::Stats before = db_->stats();
-      ASSERT_TRUE(session.Execute(sql).ok()) << sql;
-      DrainCursor(&session, sql, parallelism);
+      ASSERT_TRUE(session.Execute(shape.sql).ok()) << shape.sql;
+      DrainCursor(&session, shape.sql, parallelism);
       const Database::Stats after = db_->stats();
       const uint64_t rows = after.scan.rows - before.scan.rows;
-      EXPECT_EQ(rows, 2u * kRows) << sql << " parallelism=" << parallelism;
+      EXPECT_EQ(rows, 2u * kRows)
+          << shape.sql << " parallelism=" << parallelism;
       EXPECT_EQ(after.scan.values_decoded - before.scan.values_decoded,
-                per_row * rows)
-          << sql << " parallelism=" << parallelism;
+                shape.per_row * rows +
+                    shape.per_survivor * 2 * shape.survivors)
+          << shape.sql << " parallelism=" << parallelism;
     }
   }
 }
@@ -416,14 +434,14 @@ TEST_F(PushdownTest, AggregatePushdownMatchesCursorAggregation) {
       "SELECT location, COUNT(*), SUM(score) FROM pings GROUP BY location",
   };
   for (const std::string& sql : kAggregates) {
-    const QueryResult reference = Oracle(&session, sql);
+    const oracle::Answer reference = Oracle(&session, sql);
     for (size_t parallelism : {1u, 8u}) {
       session.scan_options().parallelism = parallelism;
       auto pushed = session.Execute(sql);
       ASSERT_TRUE(pushed.ok()) << sql;
       EXPECT_EQ(pushed->rows, reference.rows)
           << sql << " parallelism=" << parallelism;
-      EXPECT_EQ(pushed->display, reference.display)
+      EXPECT_EQ(oracle::Display(*pushed), reference.display)
           << sql << " parallelism=" << parallelism;
     }
   }
@@ -450,8 +468,8 @@ TEST_F(PushdownTest, AggregateMergeStaysExactUnderConcurrentDegradation) {
   for (int i = 0; i < 30; ++i) {
     auto count = session.Execute("SELECT COUNT(*) FROM pings WHERE score >= 0");
     ASSERT_TRUE(count.ok());
-    ASSERT_EQ(count->display.size(), 1u);
-    EXPECT_EQ(count->display[0][0], std::to_string(kRows));
+    ASSERT_EQ(count->rows.size(), 1u);
+    EXPECT_EQ(count->display(0)[0], std::to_string(kRows));
   }
   degrader.join();
 
@@ -460,10 +478,155 @@ TEST_F(PushdownTest, AggregateMergeStaysExactUnderConcurrentDegradation) {
       "SELECT COUNT(*), MIN(score), MAX(score), SUM(score) FROM pings";
   auto pushed = session.Execute(sql);
   ASSERT_TRUE(pushed.ok());
-  const QueryResult reference = Oracle(&session, sql);
+  const oracle::Answer reference = Oracle(&session, sql);
   EXPECT_EQ(pushed->rows, reference.rows);
-  EXPECT_EQ(pushed->display, reference.display);
+  EXPECT_EQ(oracle::Display(*pushed), reference.display);
 }
+
+TEST_F(PushdownTest, LateDecodeAndCountOnlyCountersAreExact) {
+  constexpr int kRows = 600;
+  BuildDb(4, kRows);
+  Session session(db_.get());
+  session.set_use_indexes(false);
+  ASSERT_TRUE(session
+                  .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
+                           "FOR pings.location")
+                  .ok());
+  for (size_t parallelism : {1u, 4u}) {
+    session.scan_options().parallelism = parallelism;
+    const std::string where = "parallelism=" + std::to_string(parallelism);
+
+    // The selective read: `score` is decoded for every scanned row, `user`
+    // only for the one survivor (scores are unique).
+    Database::Stats before = db_->stats();
+    auto selective =
+        session.Execute("SELECT user, location FROM pings WHERE score = 42");
+    ASSERT_TRUE(selective.ok()) << where;
+    ASSERT_EQ(selective->rows.size(), 1u) << where;
+    EXPECT_EQ(selective->rows[0][0], Value::String("u42")) << where;
+    Database::Stats after = db_->stats();
+    uint64_t scanned = after.scan.rows - before.scan.rows;
+    EXPECT_EQ(scanned, static_cast<uint64_t>(kRows)) << where;
+    EXPECT_EQ(after.scan.values_decoded - before.scan.values_decoded,
+              scanned + 1)
+        << where;
+
+    // COUNT(*) reads no column: nothing decoded, nothing probed, and the
+    // probe ledger still balances (one degradable column).
+    for (const char* sql :
+         {"SELECT COUNT(*) FROM pings", "SELECT COUNT(*) FROM pings WHERE "
+                                        "score >= 100"}) {
+      before = db_->stats();
+      auto count = session.Execute(sql);
+      ASSERT_TRUE(count.ok()) << sql << " " << where;
+      after = db_->stats();
+      scanned = after.scan.rows - before.scan.rows;
+      EXPECT_EQ(scanned, static_cast<uint64_t>(kRows)) << sql << " " << where;
+      const uint64_t issued =
+          after.scan.store_probes_issued - before.scan.store_probes_issued;
+      const uint64_t skipped =
+          after.scan.store_probes_skipped - before.scan.store_probes_skipped;
+      EXPECT_EQ(issued, 0u) << sql << " " << where;
+      EXPECT_EQ(issued + skipped, scanned) << sql << " " << where;
+      const uint64_t filter_decodes =
+          std::string(sql).find("score") != std::string::npos ? scanned : 0;
+      EXPECT_EQ(after.scan.values_decoded - before.scan.values_decoded,
+                filter_decodes)
+          << sql << " " << where;
+    }
+    auto all = session.Execute("SELECT COUNT(*) FROM pings");
+    ASSERT_TRUE(all.ok());
+    EXPECT_EQ(all->rows[0][0], Value::Int64(kRows)) << where;
+    auto some =
+        session.Execute("SELECT COUNT(*) FROM pings WHERE score >= 100");
+    ASSERT_TRUE(some.ok());
+    EXPECT_EQ(some->rows[0][0], Value::Int64(kRows - 100)) << where;
+  }
+}
+
+/// Oracle equivalence over both degradable layouts, a tree and an interval
+/// domain, node and non-node predicates and include_coarser: values and
+/// rendered display of every materialized and streamed path.
+class PushdownLayoutTest
+    : public PushdownTest,
+      public ::testing::WithParamInterface<DegradableLayout> {
+ protected:
+  void BuildMixDb(int rows) {
+    db_.reset();
+    ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
+    clock_ = std::make_unique<VirtualClock>(0);
+    DbOptions options;
+    options.path = dir_;
+    options.clock = clock_.get();
+    options.partitions = 4;
+    options.degradation.worker_threads = 4;
+    options.layout = GetParam();
+    auto opened = Database::Open(options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    db_ = std::move(*opened);
+    mix::Populate(db_.get(), clock_.get(), rows);
+  }
+};
+
+TEST_P(PushdownLayoutTest, OracleEquivalenceAcrossDomainsAndPredicateKinds) {
+  BuildMixDb(600);
+  Session session(db_.get());
+  ASSERT_TRUE(session.Execute(mix::kPurpose).ok());
+  auto sorted = [](auto rows) {
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  for (bool coarser : {false, true}) {
+    session.read_options().include_coarser = coarser;
+    for (const std::string& sql : mix::Statements()) {
+      const oracle::Answer reference = Oracle(&session, sql);
+      ASSERT_FALSE(reference.rows.empty()) << sql;
+      for (size_t parallelism : {1u, 4u}) {
+        session.scan_options().parallelism = parallelism;
+        const std::string where = sql + " coarser=" + std::to_string(coarser) +
+                                  " parallelism=" +
+                                  std::to_string(parallelism);
+        // Heap scan: the oracle's (partition, heap) order exactly.
+        session.set_use_indexes(false);
+        auto heap = session.Execute(sql);
+        ASSERT_TRUE(heap.ok()) << where << " " << heap.status().ToString();
+        EXPECT_EQ(heap->rows, reference.rows) << where;
+        EXPECT_EQ(oracle::Display(*heap), reference.display) << where;
+        // Index probes where a predicate allows them (row-id order).
+        session.set_use_indexes(true);
+        auto indexed = session.Execute(sql);
+        ASSERT_TRUE(indexed.ok()) << where;
+        EXPECT_EQ(sorted(indexed->rows), sorted(reference.rows)) << where;
+        EXPECT_EQ(sorted(oracle::Display(*indexed)), sorted(reference.display))
+            << where;
+        // Streamed.
+        auto cursor = session.ExecuteCursor(sql);
+        ASSERT_TRUE(cursor.ok()) << where;
+        std::vector<std::vector<Value>> values;
+        std::vector<std::vector<std::string>> display;
+        CursorRow row;
+        while (true) {
+          auto more = (*cursor)->Next(&row);
+          ASSERT_TRUE(more.ok()) << where;
+          if (!*more) break;
+          values.push_back(row.values());
+          display.push_back(row.display());
+        }
+        EXPECT_EQ(sorted(values), sorted(reference.rows)) << where;
+        EXPECT_EQ(sorted(display), sorted(reference.display)) << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothLayouts, PushdownLayoutTest,
+    ::testing::Values(DegradableLayout::kStateStores,
+                      DegradableLayout::kInPlace),
+    [](const auto& info) {
+      return info.param == DegradableLayout::kStateStores ? "StateStores"
+                                                          : "InPlace";
+    });
 
 TEST_F(PushdownTest, ProbeManyAgreesWithPerRowAssembly) {
   constexpr int kRows = 500;

@@ -159,7 +159,7 @@ TEST_F(SqlTest, PaperQueryVerbatim) {
     EXPECT_EQ(row[sal], Value::Int64(2000));
   }
   // Display strings render buckets.
-  EXPECT_EQ(result.display[0][sal], "[2000..2999]");
+  EXPECT_EQ(result.display(0)[sal], "[2000..2999]");
 }
 
 TEST_F(SqlTest, AccuracyLevelsChangeVisibilityAsDataDegrades) {
@@ -343,6 +343,94 @@ TEST_F(SqlTest, MixedPhaseQueryUnionsStates) {
   for (const auto& row : result.rows) {
     EXPECT_EQ(row[1], Value::String("Paris"));
   }
+}
+
+// Results keep typed values and render text on demand. The tables below
+// pin that rendering byte for byte (tree labels, interval buckets, NULL,
+// aggregates over both domains), and a result must still render them after
+// the session and the database that produced it are gone.
+TEST(LazyDisplayTest, RendersLikeTheEagerExecutorAfterItsDatabaseIsGone) {
+  const std::string dir = ::testing::TempDir() + "/idb_lazy_display_test";
+  ASSERT_TRUE(RemoveDirRecursive(dir).ok());
+  VirtualClock clock(0);
+  DbOptions options;
+  options.path = dir;
+  options.clock = &clock;
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(*opened);
+  auto schema = Schema::Make(
+      {ColumnDef::Stable("name", ValueType::kString),
+       ColumnDef::Stable("memo", ValueType::kString),
+       ColumnDef::Degradable("location", LocationDomain(), Fig2LocationLcp()),
+       ColumnDef::Degradable(
+           "salary", SalaryDomain(),
+           *AttributeLcp::Make({{0, kMicrosPerDay}, {1, kMicrosPerMonth}}))});
+  ASSERT_TRUE(schema.ok());
+  ASSERT_TRUE(db->CreateTable("person", *schema).ok());
+  const std::vector<std::vector<Value>> people = {
+      {Value::String("alice"), Value::String("first"),
+       Value::String("11 Rue Lepic"), Value::Int64(2345)},
+      {Value::String("bob"), Value::Null(), Value::String("3 Av Foch"),
+       Value::Int64(2999)},
+      {Value::String("carol"), Value::String("third"),
+       Value::String("4 Rue Breteuil"), Value::Int64(3500)},
+      {Value::String("dave"), Value::Null(), Value::String("8 Cours Mirabeau"),
+       Value::Int64(9000)},
+  };
+  for (const auto& row : people) ASSERT_TRUE(db->Insert("person", row).ok());
+
+  auto session = std::make_unique<Session>(db.get());
+  ASSERT_TRUE(session
+                  ->Execute("DECLARE PURPOSE STAT SET ACCURACY LEVEL REGION "
+                            "FOR person.location, RANGE1000 FOR person.salary")
+                  .ok());
+  auto projection =
+      session->Execute("SELECT name, memo, location, salary FROM person");
+  auto grouped = session->Execute(
+      "SELECT salary, COUNT(memo), MIN(memo), AVG(salary) FROM person "
+      "GROUP BY salary");
+  auto by_region = session->Execute(
+      "SELECT location, COUNT(*), SUM(salary), MAX(salary) FROM person "
+      "GROUP BY location");
+  ASSERT_TRUE(projection.ok()) << projection.status().ToString();
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  ASSERT_TRUE(by_region.ok()) << by_region.status().ToString();
+  session.reset();
+  db.reset();
+  ASSERT_TRUE(RemoveDirRecursive(dir).ok());
+
+  EXPECT_EQ(projection->ToString(),
+            "+-------+-------+---------------+--------------+\n"
+            "| name  | memo  | location      | salary       |\n"
+            "+-------+-------+---------------+--------------+\n"
+            "| alice | first | Ile-de-France | [2000..2999] |\n"
+            "| bob   | NULL  | Ile-de-France | [2000..2999] |\n"
+            "| carol | third | Provence      | [3000..3999] |\n"
+            "| dave  | NULL  | Provence      | [9000..9999] |\n"
+            "+-------+-------+---------------+--------------+\n"
+            "4 row(s)\n");
+  EXPECT_EQ(projection->display(1),
+            (std::vector<std::string>{"bob", "NULL", "Ile-de-France",
+                                      "[2000..2999]"}));
+  EXPECT_EQ(projection->rows[1][3], Value::Int64(2000));
+  EXPECT_EQ(grouped->ToString(),
+            "+--------------+-------------+-----------+-------------+\n"
+            "| salary       | COUNT(memo) | MIN(memo) | AVG(salary) |\n"
+            "+--------------+-------------+-----------+-------------+\n"
+            "| [2000..2999] | 1           | first     | 2000        |\n"
+            "| [3000..3999] | 1           | third     | 3000        |\n"
+            "| [9000..9999] | 0           | NULL      | 9000        |\n"
+            "+--------------+-------------+-----------+-------------+\n"
+            "3 row(s)\n");
+  EXPECT_EQ(by_region->ToString(),
+            "+---------------+----------+-------------+-------------+\n"
+            "| location      | COUNT(*) | SUM(salary) | MAX(salary) |\n"
+            "+---------------+----------+-------------+-------------+\n"
+            "| Ile-de-France | 2        | 4000        | 2000        |\n"
+            "| Provence      | 2        | 12000       | 9000        |\n"
+            "+---------------+----------+-------------+-------------+\n"
+            "2 row(s)\n");
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Test-only reference evaluator for SELECT statements: the answer every
 // production scan shape (streaming or materialized, any parallelism,
-// inline or on the worker pool, index or heap, pushed-down aggregate or
-// not) must reproduce. It is built only from the library's simplest read
-// path — Table::ScanRows assembles every live row in full (one state-store
-// probe per row, partitions in order) and plan::EvaluateRow applies σ and
-// f_k above it with no stable prefilter — and it folds aggregates itself,
-// so it shares no morsel, pool, pushdown or aggregate code with the paths
-// under test.
+// inline or on the worker pool, index or heap, worker-side aggregate or
+// not, either degradable layout) must reproduce. It is built only from the
+// library's simplest read path — Table::ScanRows assembles every live row
+// in full, stored degradable Values included (one state-store probe per
+// row, partitions in order) — and computes σ, f_k, π, rendering and
+// aggregates itself, from the stored Values with
+// DomainHierarchy::Generalize/LeafRange/DisplayValue. It shares no leaf
+// ordinal, morsel, pool, pushdown, projection or aggregate code with the
+// paths under test; only statement binding (plan::BindSelect) and the
+// scalar stable comparators are common.
 
 #ifndef INSTANTDB_TESTS_SCAN_ORACLE_H_
 #define INSTANTDB_TESTS_SCAN_ORACLE_H_
@@ -19,15 +22,143 @@
 #include "common/strings.h"
 #include "query/parser.h"
 #include "query/plan.h"
+#include "query/predicate.h"
 #include "query/session.h"
 
 namespace instantdb {
 namespace oracle {
 
+/// What a SELECT must return: typed rows and their display strings.
+struct Answer {
+  std::vector<std::vector<Value>> rows;
+  std::vector<std::vector<std::string>> display;
+};
+
+/// Every row's display strings of an engine result, through its lazy
+/// accessor.
+inline std::vector<std::vector<std::string>> Display(const QueryResult& r) {
+  std::vector<std::vector<std::string>> out;
+  for (size_t i = 0; i < r.rows.size(); ++i) out.push_back(r.display(i));
+  return out;
+}
+
+namespace internal {
+
+/// One qualifying row: values by schema column at purpose accuracy, and the
+/// effective level of each referenced degradable column.
+struct Row {
+  std::vector<Value> values;
+  std::map<int, int> levels;
+};
+
+/// σ and f_k over one fully assembled stored row, from the stored Values.
+/// Returns false when the row does not qualify.
+inline bool Evaluate(const plan::SelectPlan& select,
+                     const ReadOptions& read_options, const RowView& view,
+                     Row* out) {
+  const Schema& schema = *select.schema;
+  const plan::BoundQuery& query = select.query;
+  out->values.assign(view.values.size(), Value::Null());
+  out->levels.clear();
+  for (int col : schema.stable_columns()) out->values[col] = view.values[col];
+
+  // Computability and the effective level of every referenced column.
+  const std::vector<int>& degradable = schema.degradable_columns();
+  for (size_t d = 0; d < degradable.size(); ++d) {
+    const int k = query.degradable[d].accuracy;
+    if (k < 0) continue;
+    const ColumnDef& column = schema.column(degradable[d]);
+    if (view.phases[d] >= column.lcp.num_phases()) return false;
+    const int stored_level = column.lcp.phase(view.phases[d]).level;
+    if (stored_level > k && !read_options.include_coarser) return false;
+    out->levels[degradable[d]] = std::max(stored_level, k);
+  }
+  // The stored value of a referenced degradable column generalized to its
+  // effective level; NULL when it has no generalization.
+  auto generalized = [&](int col) {
+    const ColumnDef& column = schema.column(col);
+    const int stored_level =
+        column.lcp.phase(view.phases[schema.DegradableOrdinal(col)]).level;
+    auto value = column.hierarchy->Generalize(view.values[col], stored_level,
+                                              out->levels.at(col));
+    return value.ok() ? *value : Value::Null();
+  };
+
+  for (const plan::BoundPredicate& pred : query.predicates) {
+    if (!pred.degradable) {
+      if (!plan::EvalStablePredicate(pred, view.values[pred.column])) {
+        return false;
+      }
+      continue;
+    }
+    const DomainHierarchy& hierarchy = *schema.column(pred.column).hierarchy;
+    const int level = out->levels.at(pred.column);
+    const Value value = generalized(pred.column);
+    if (value.is_null()) return false;
+    const bool node =
+        pred.op == ComparisonOp::kEq || pred.op == ComparisonOp::kNe ||
+        pred.op == ComparisonOp::kBetween ||
+        (pred.op == ComparisonOp::kLike && pred.literal_level >= 0);
+    if (node) {
+      auto range = hierarchy.LeafRange(value, level);
+      if (!range.ok()) return false;
+      bool match = false;
+      if (pred.op == ComparisonOp::kBetween) {
+        match = range->lo >= pred.literal_interval.lo &&
+                range->hi <= pred.literal_interval2.hi;
+      } else if (pred.op == ComparisonOp::kNe) {
+        match = !pred.literal_interval.Contains(*range);
+      } else {
+        match = pred.literal_interval.Contains(*range);
+      }
+      if (!match) return false;
+      continue;
+    }
+    bool match = false;
+    switch (pred.op) {
+      case ComparisonOp::kLike:
+        match = plan::MatchLike(hierarchy.DisplayValue(value, level), pred);
+        break;
+      case ComparisonOp::kLt:
+        match = value.int64() < pred.value.int64();
+        break;
+      case ComparisonOp::kLe:
+        match = value.int64() <= pred.value.int64();
+        break;
+      case ComparisonOp::kGt:
+        match = value.int64() > pred.value.int64();
+        break;
+      case ComparisonOp::kGe:
+        match = value.int64() >= pred.value.int64();
+        break;
+      default:
+        break;
+    }
+    if (!match) return false;
+  }
+
+  // f_k for the degradable columns that leave the scan.
+  for (const auto& [col, level] : out->levels) {
+    out->values[col] = generalized(col);
+  }
+  return true;
+}
+
+/// Display string of one cell.
+inline std::string Render(const Schema& schema, int col, const Value& value,
+                          const std::map<int, int>& levels) {
+  if (value.is_null()) return "NULL";
+  const ColumnDef& column = schema.column(col);
+  if (column.kind != ColumnKind::kDegradable) return value.ToString();
+  return column.hierarchy->DisplayValue(value, levels.at(col));
+}
+
+}  // namespace internal
+
 /// The result Session::Execute must return for the SELECT `sql`: projected
 /// rows in (partition, heap) order, or one row per group in ascending
 /// rendered-key order (no row for an ungrouped aggregate over nothing).
-inline Result<QueryResult> Execute(Session* session, const std::string& sql) {
+inline Result<Answer> Execute(Session* session, const std::string& sql) {
   IDB_ASSIGN_OR_RETURN(StatementAst statement, ParseStatement(sql));
   const auto* ast = std::get_if<SelectAst>(&statement);
   if (ast == nullptr) return Status::InvalidArgument("oracle: not a SELECT");
@@ -36,41 +167,38 @@ inline Result<QueryResult> Execute(Session* session, const std::string& sql) {
   const Schema& schema = *select.schema;
   const ReadOptions read_options = session->read_options();
 
-  std::vector<plan::EvaluatedRow> rows;
-  plan::EvaluatedRow row;
+  std::vector<internal::Row> rows;
+  internal::Row row;
   IDB_RETURN_IF_ERROR(select.query.table->ScanRows([&](const RowView& view) {
-    if (plan::EvaluateRow(select.query, read_options, view, &row,
-                          /*stable_prefiltered=*/false)) {
+    if (internal::Evaluate(select, read_options, view, &row)) {
       rows.push_back(row);
     }
     return true;
   }));
 
-  QueryResult result;
-  result.columns = select.output_columns;
+  Answer answer;
   if (!select.has_aggregate) {
-    for (const plan::EvaluatedRow& r : rows) {
+    for (const internal::Row& r : rows) {
       std::vector<Value> values;
       std::vector<std::string> display;
       for (int col : select.item_columns) {
         values.push_back(r.values[col]);
         display.push_back(
-            plan::RenderValue(schema, col, r.values[col], r.degradable_level));
+            internal::Render(schema, col, r.values[col], r.levels));
       }
-      result.rows.push_back(std::move(values));
-      result.display.push_back(std::move(display));
+      answer.rows.push_back(std::move(values));
+      answer.display.push_back(std::move(display));
     }
-    result.affected_rows = result.rows.size();
-    return result;
+    return answer;
   }
 
-  std::map<std::string, std::vector<const plan::EvaluatedRow*>> groups;
-  for (const plan::EvaluatedRow& r : rows) {
+  std::map<std::string, std::vector<const internal::Row*>> groups;
+  for (const internal::Row& r : rows) {
     const std::string key =
         select.group_col < 0
             ? "*"
-            : plan::RenderValue(schema, select.group_col,
-                                r.values[select.group_col], r.degradable_level);
+            : internal::Render(schema, select.group_col,
+                               r.values[select.group_col], r.levels);
     groups[key].push_back(&r);
   }
   for (const auto& [key, members] : groups) {
@@ -88,7 +216,7 @@ inline Result<QueryResult> Execute(Session* session, const std::string& sql) {
       double sum = 0;
       Value min = Value::Null();
       Value max = Value::Null();
-      for (const plan::EvaluatedRow* member : members) {
+      for (const internal::Row* member : members) {
         if (col < 0) continue;  // COUNT(*)
         const Value& v = member->values[col];
         if (v.is_null()) continue;
@@ -131,20 +259,27 @@ inline Result<QueryResult> Execute(Session* session, const std::string& sql) {
           break;
       }
     }
-    result.rows.push_back(std::move(values));
-    result.display.push_back(std::move(display));
+    answer.rows.push_back(std::move(values));
+    answer.display.push_back(std::move(display));
   }
-  result.affected_rows = result.rows.size();
-  return result;
+  return answer;
 }
 
-/// Oracle rows keyed by their first rendered column, for comparing against
+/// Rows keyed by their first rendered column, for comparing against
 /// streaming drains whose arrival order depends on parallelism.
 inline std::map<std::string, std::vector<std::string>> ByFirstColumn(
-    const QueryResult& result) {
+    const std::vector<std::vector<std::string>>& display) {
   std::map<std::string, std::vector<std::string>> rows;
-  for (const auto& display : result.display) rows.emplace(display[0], display);
+  for (const auto& row : display) rows.emplace(row[0], row);
   return rows;
+}
+inline std::map<std::string, std::vector<std::string>> ByFirstColumn(
+    const Answer& answer) {
+  return ByFirstColumn(answer.display);
+}
+inline std::map<std::string, std::vector<std::string>> ByFirstColumn(
+    const QueryResult& result) {
+  return ByFirstColumn(Display(result));
 }
 
 }  // namespace oracle

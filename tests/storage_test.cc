@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -6,6 +7,7 @@
 
 #include "catalog/builtin_domains.h"
 #include "common/random.h"
+#include "db/database.h"
 #include "gtest/gtest.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -434,10 +436,13 @@ class StateStoreTest : public StorageTest,
     return options;
   }
 
+  /// A store over the location tree at accuracy level `phase` (the Fig. 2
+  /// LCP keeps phase p at level p).
   std::unique_ptr<StateStore> MakeStore(int phase = 0) {
     keys_ = std::make_unique<KeyManager>(dir_ + "/keystore");
     if (!keys_->Open().ok()) return nullptr;
     return std::make_unique<StateStore>(dir_ + "/store", TableId{1}, 0, phase,
+                                        domain_.get(), /*level=*/phase,
                                         MakeOptions(), keys_.get());
   }
 
@@ -455,6 +460,7 @@ class StateStoreTest : public StorageTest,
   }
 
   std::unique_ptr<KeyManager> keys_;
+  const std::shared_ptr<const DomainHierarchy> domain_ = LocationDomain();
 };
 
 TEST_P(StateStoreTest, AppendPopFifoOrder) {
@@ -765,6 +771,60 @@ TEST_P(StateStoreTest, TornTailFrameIsDropped) {
   EXPECT_EQ(store->size(), 3u);
 }
 
+TEST_P(StateStoreTest, OrdinalResolvedOnAppendReopenAndTornTail) {
+  // Level-1 (CITY) values of the location tree, in a phase-1 store; the
+  // last one is not a city, so it has no ordinal.
+  const std::vector<std::string> kCities = {"Paris", "Versailles", "Marseille",
+                                            "Aix", "Paris", "Provence"};
+  auto expected = [&](RowId id) -> int64_t {
+    auto range = domain_->LeafRange(Value::String(kCities[id - 1]), 1);
+    return range.ok() ? range->lo : -1;
+  };
+  auto check = [&](StateStore* store, size_t want) {
+    size_t seen = 0;
+    store->ForEach([&](const StoreEntry& entry) {
+      EXPECT_EQ(entry.ordinal, expected(entry.row_id)) << entry.row_id;
+      ++seen;
+      return true;
+    });
+    EXPECT_EQ(seen, want);
+  };
+  {
+    auto store = MakeStore(/*phase=*/1);
+    ASSERT_TRUE(store->Open().ok());
+    for (RowId id = 1; id <= kCities.size(); ++id) {
+      StoreEntry entry = Entry(id, kCities[id - 1]);
+      entry.ordinal = 12345;  // ignored: the store resolves its own
+      ASSERT_TRUE(store->Append(entry).ok());
+    }
+    EXPECT_EQ(store->Find(1)->ordinal, 0);   // Paris covers leaves 0..1
+    EXPECT_EQ(store->Find(3)->ordinal, 3);   // Marseille: leaf 3
+    EXPECT_EQ(store->Find(6)->ordinal, -1);  // a region, not a city
+    check(store.get(), kCities.size());
+    ASSERT_TRUE(store->Checkpoint().ok());
+  }
+  {
+    auto store = MakeStore(1);
+    ASSERT_TRUE(store->Open().ok());
+    check(store.get(), kCities.size());
+  }
+  // Torn tail: the reload drops the last frame and resolves the rest.
+  auto names = ListDir(dir_ + "/store");
+  ASSERT_TRUE(names.ok());
+  std::string tail;
+  for (const std::string& name : *names) {
+    if (StartsWith(name, "seg_") && name > tail) tail = name;
+  }
+  ASSERT_FALSE(tail.empty());
+  const std::string path = dir_ + "/store/" + tail;
+  auto size = GetFileSize(path);
+  ASSERT_TRUE(size.ok());
+  ASSERT_TRUE(TruncateFile(path, *size - 3).ok());
+  auto store = MakeStore(1);
+  ASSERT_TRUE(store->Open().ok());
+  check(store.get(), kCities.size() - 1);
+}
+
 TEST_P(StateStoreTest, SecureDeleteEntryScrubsAndSkips) {
   auto store = MakeStore();
   ASSERT_TRUE(store->Open().ok());
@@ -830,6 +890,155 @@ INSTANTIATE_TEST_SUITE_P(AllEraseModes, StateStoreTest,
                                       ? "Overwrite"
                                       : "CryptoErase";
                          });
+
+// --- Leaf ordinals across a database's lifecycle -------------------------------
+
+/// Every mirror entry of every state store carries
+/// LeafRange(value, level).lo at its store's level, and returns how many
+/// entries each (degradable column, phase) store holds.
+std::map<std::pair<int, int>, size_t> ExpectOrdinalsResolved(Database* db) {
+  std::map<std::pair<int, int>, size_t> entries;
+  Table* table = db->GetTable("pings");
+  EXPECT_NE(table, nullptr);
+  if (table == nullptr) return entries;
+  const Schema& schema = table->schema();
+  for (uint32_t p = 0; p < table->num_partitions(); ++p) {
+    for (int col : schema.degradable_columns()) {
+      const ColumnDef& column = schema.column(col);
+      for (int phase = 0; phase < column.lcp.num_phases(); ++phase) {
+        const StateStore* store = table->partition(p)->store(col, phase);
+        EXPECT_NE(store, nullptr);
+        if (store == nullptr) continue;
+        const int level = column.lcp.phase(phase).level;
+        store->ForEach([&](const StoreEntry& entry) {
+          auto range = column.hierarchy->LeafRange(entry.value, level);
+          EXPECT_TRUE(range.ok()) << entry.value.ToString();
+          if (range.ok()) {
+            EXPECT_EQ(entry.ordinal, range->lo)
+                << column.name << " phase " << phase << " "
+                << entry.value.ToString();
+          }
+          ++entries[{col, phase}];
+          return true;
+        });
+      }
+    }
+  }
+  return entries;
+}
+
+/// pings(user, location: tree, salary: interval) with one-hour first
+/// phases.
+Schema OrdinalSchema() {
+  return *Schema::Make(
+      {ColumnDef::Stable("user", ValueType::kString),
+       ColumnDef::Degradable("location", LocationDomain(), Fig2LocationLcp()),
+       ColumnDef::Degradable("salary", SalaryDomain(),
+                             *AttributeLcp::Make({{0, kMicrosPerHour},
+                                                  {1, kMicrosPerDay}}))});
+}
+
+class OrdinalLifecycleTest
+    : public StorageTest,
+      public ::testing::WithParamInterface<WalPrivacyMode> {
+ protected:
+  DbOptions Options(const std::string& path) {
+    DbOptions options;
+    options.path = path;
+    options.clock = &clock_;
+    options.wal.privacy_mode = GetParam();
+    return options;
+  }
+
+  void InsertRows(Database* db, int from, int to) {
+    const char* kAddresses[] = {"11 Rue Lepic", "3 Av Foch", "12 Rue Royale",
+                                "4 Rue Breteuil", "8 Cours Mirabeau"};
+    for (int start = from; start < to; start += 50) {
+      WriteBatch batch;
+      for (int i = start; i < std::min(start + 50, to); ++i) {
+        batch.Insert("pings", {Value::String("u" + std::to_string(i)),
+                               Value::String(kAddresses[i % 5]),
+                               Value::Int64((i * 7919) % 100001)});
+      }
+      ASSERT_TRUE(db->Write(&batch).ok());
+    }
+  }
+
+  VirtualClock clock_{0};
+};
+
+TEST_P(OrdinalLifecycleTest, AppendReopenTornTailAndCrashRedo) {
+  const std::string live = dir_ + "/live";
+  const std::string crash = dir_ + "/crash";
+  auto db = Database::Open(Options(live));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->CreateTable("pings", OrdinalSchema()).ok());
+
+  // After Append (inserts).
+  InsertRows(db->get(), 0, 40);
+  auto entries = ExpectOrdinalsResolved(db->get());
+  EXPECT_EQ((entries[{1, 0}]), 40u);
+  EXPECT_EQ((entries[{2, 0}]), 40u);
+
+  // Crash image: checkpoint, then enough post-checkpoint inserts (over the
+  // stores' 8 KB write buffer) that every store writes part of them
+  // through; tear the tail frame of every store.
+  ASSERT_TRUE((*db)->Checkpoint().ok());
+  InsertRows(db->get(), 40, 840);
+  ASSERT_TRUE((*db)->wal()->Sync().ok());
+  std::filesystem::remove_all(crash);
+  std::filesystem::copy(live, crash, std::filesystem::copy_options::recursive);
+  std::map<std::string, std::string> tails;  // store dir -> last segment
+  for (const auto& file :
+       std::filesystem::recursive_directory_iterator(crash)) {
+    const std::string name = file.path().filename().string();
+    if (!StartsWith(name, "seg_") || !EndsWith(name, ".dat") ||
+        file.path().string().find("/stores/") == std::string::npos) {
+      continue;
+    }
+    std::string& tail = tails[file.path().parent_path().string()];
+    if (file.path().string() > tail) tail = file.path().string();
+  }
+  ASSERT_EQ(tails.size(), 2u);  // location and salary phase-0 stores
+  for (const auto& [store_dir, path] : tails) {
+    auto size = GetFileSize(path);
+    ASSERT_TRUE(size.ok());
+    ASSERT_TRUE(TruncateFile(path, *size - 3).ok()) << path;
+  }
+
+  // After crash + WAL redo (the torn frames reload short and redo
+  // re-appends every post-checkpoint entry).
+  {
+    auto recovered = Database::Open(Options(crash));
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    entries = ExpectOrdinalsResolved(recovered->get());
+    EXPECT_EQ((entries[{1, 0}]), 840u);
+    EXPECT_EQ((entries[{2, 0}]), 840u);
+  }
+
+  // After a clean reopen (segments and META reload).
+  db->reset();
+  auto reopened = Database::Open(Options(live));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  entries = ExpectOrdinalsResolved(reopened->get());
+  EXPECT_EQ((entries[{1, 0}]), 840u);
+  EXPECT_EQ((entries[{2, 0}]), 840u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPrivacyModes, OrdinalLifecycleTest,
+    ::testing::Values(WalPrivacyMode::kPlain, WalPrivacyMode::kScrub,
+                      WalPrivacyMode::kEncryptedEpoch),
+    [](const auto& info) {
+      switch (info.param) {
+        case WalPrivacyMode::kPlain:
+          return "Plain";
+        case WalPrivacyMode::kScrub:
+          return "Scrub";
+        default:
+          return "EncryptedEpoch";
+      }
+    });
 
 }  // namespace
 }  // namespace instantdb
