@@ -109,23 +109,29 @@ Throughput RunOneConfig(uint32_t partitions) {
   RunIngest(test.db.get(), &wall, workload, kRows, kBatchRows, partitions,
             &result);
 
-  // --- partition-parallel scan (sharded by hand via partition cursors, the
-  // API the degradation-audit sweeps use) ------------------------------------
+  // --- partition-parallel scan (sharded by hand: one thread drains each
+  // partition's morsels through the cursor batch every heap scan pulls,
+  // decoding every stable column and resolving every degradable cell) ------
   {
     Table* table = test.db->GetTable("pings");
+    const std::vector<std::vector<Morsel>> plan = table->MorselPlan(0);
+    ScanSpec spec;
+    spec.output_columns.assign(table->schema().stable_columns().size(), true);
     std::atomic<uint64_t> scanned{0};
     const Micros start = wall.NowMicros();
     std::vector<std::thread> threads;
     for (uint32_t p = 0; p < table->num_partitions(); ++p) {
       threads.emplace_back([&, p] {
-        PartitionCursor cursor = table->OpenPartitionCursor(p);
-        std::vector<RowView> views;
+        ScanWorkspace ws;
+        ScanDeltas deltas;
         uint64_t rows = 0;
-        bool done = false;
-        while (!done) {
-          views.clear();
-          if (!cursor.NextBatch(256, &views, &done).ok()) break;
-          rows += views.size();
+        for (const Morsel& morsel : plan[p]) {
+          PartitionCursor cursor = table->OpenMorselCursor(morsel);
+          bool done = false;
+          while (!done) {
+            if (!cursor.NextBatch(256, spec, &ws, &done, &deltas).ok()) break;
+            rows += ws.count;
+          }
         }
         scanned += rows;
       });

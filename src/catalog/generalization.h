@@ -76,8 +76,8 @@ class DomainHierarchy {
   /// Validates that `value` is a well-formed level-`level` value.
   virtual Status ValidateAtLevel(const Value& value, int level) const = 0;
 
-  /// Number of distinct values at `level` (used by planner selectivity
-  /// estimates and the bitmap index).
+  /// Number of distinct values at `level` (used by the Mondrian
+  /// anonymizer).
   virtual Result<int64_t> CardinalityAtLevel(int level) const = 0;
 
   /// Human-readable rendering of a level-`level` value (interval domains

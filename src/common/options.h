@@ -24,16 +24,6 @@ enum class WalPrivacyMode {
   kEncryptedEpoch,
 };
 
-/// Physical layout for degradable attribute values (experiment B4).
-enum class DegradableLayout {
-  /// One append-only FIFO store per (attribute, LCP state); degradation is
-  /// sequential pop/append plus segment-granularity secure erase.
-  kStateStores,
-  /// Degradable values stored inline in the heap tuple; degradation is a
-  /// random-access in-place overwrite. Ablation baseline.
-  kInPlace,
-};
-
 /// How popped state-store segments are made unrecoverable.
 enum class EraseMode {
   /// Overwrite the byte range with zeros, then sync.

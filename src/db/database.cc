@@ -41,8 +41,6 @@ std::string Database::TableDir(TableId id) const {
 TableRuntime Database::MakeRuntime() const {
   TableRuntime runtime;
   runtime.storage = options_.storage;
-  runtime.layout = options_.layout;
-  runtime.bitmap_indexes = options_.bitmap_indexes;
   runtime.partitions = options_.partitions == 0 ? 1 : options_.partitions;
   runtime.keys = keys_.get();
   runtime.wal = wal_.get();

@@ -35,15 +35,12 @@ struct DbOptions {
   /// object always exists (pumped tests drive it via RunOnce); the
   /// scheduler thread starts only when `maintenance.enabled`.
   MaintenanceOptions maintenance;
-  DegradableLayout layout = DegradableLayout::kStateStores;
   /// Hash-partitions of the row-id space per table. 1 (the default) keeps
   /// the unpartitioned on-disk layout; higher values let scans, batched
   /// ingest and the degradation worker pool scale across cores. The count
   /// is persisted per table at creation — reopening with a different value
   /// keeps the on-disk count.
   uint32_t partitions = 1;
-  /// Maintain bitmap indexes alongside the multi-resolution trees (OLAP).
-  bool bitmap_indexes = false;
   /// External clock (a VirtualClock for tests/benchmarks). When null the
   /// database owns a SystemClock.
   Clock* clock = nullptr;

@@ -219,18 +219,6 @@ Status Table::ScanRows(const std::function<bool(const RowView&)>& fn) const {
   return Status::OK();
 }
 
-Status PartitionCursor::NextBatch(size_t limit, std::vector<RowView>* out,
-                                  bool* done) {
-  if (done_ || partition_ == nullptr) {
-    *done = true;
-    return Status::OK();
-  }
-  IDB_RETURN_IF_ERROR(
-      partition_->ScanBatch(&pos_, end_page_, limit, out, &done_));
-  *done = done_;
-  return Status::OK();
-}
-
 Status PartitionCursor::NextBatch(size_t limit, const ScanSpec& spec,
                                   ScanWorkspace* ws, bool* done,
                                   ScanDeltas* deltas) {
@@ -273,17 +261,6 @@ Status Table::IndexLookupRange(int column, const Value& lo, const Value& hi,
   return Status::OK();
 }
 
-Result<Bitmap> Table::BitmapLookupEqual(int column, const Value& value,
-                                        int level) const {
-  Bitmap merged;
-  for (const auto& partition : partitions_) {
-    IDB_ASSIGN_OR_RETURN(Bitmap bitmap,
-                         partition->BitmapLookupEqual(column, value, level));
-    merged.OrWith(bitmap);
-  }
-  return merged;
-}
-
 // --- degradation ----------------------------------------------------------------------
 
 Micros Table::NextDeadline() const {
@@ -311,8 +288,8 @@ Result<size_t> Table::RunDegradationStep(TransactionManager* tm, Micros now,
       runtime_.wal->epoch_keys_enabled()) {
     // Epoch keys are table-wide: a key is destroyable only once every
     // partition's phase-0 head has moved past the epoch. SafeEpochTime
-    // walks live phase-0 state (O(1) per store, O(queue) under kInPlace),
-    // so it only runs when there are keys to destroy.
+    // takes every partition's latch (O(1) per store), so it only runs when
+    // there are keys to destroy.
     IDB_RETURN_IF_ERROR(
         runtime_.wal->DestroyEpochKeysThrough(id(), SafeEpochTime()));
   }

@@ -18,30 +18,26 @@ inline constexpr uint32_t kMaxPartitions = 1024;
 
 class WorkerPool;
 
-/// \brief Cursor over ONE partition's heap (Table::OpenPartitionCursor) or
-/// one morsel's page range of it (Table::OpenMorselCursor).
+/// \brief Cursor over one morsel's page range of a partition's heap
+/// (Table::OpenMorselCursor).
 ///
 /// This is the unit scans shard on: the query layer's morsel readers and
-/// the deletion-assurance sweep open one cursor per claimed morsel, and the
-/// exposure/attack-window audit benches one per partition, draining them on
-/// distinct threads. Each NextBatch holds the partition's shared latch only
-/// while assembling that batch (snapshot-per-batch semantics).
-/// Value-semantic and independent of sibling cursors; the Table must
-/// outlive it.
+/// the deletion-assurance sweep open one cursor per claimed morsel and
+/// drain them on distinct workers. Each NextBatch holds the partition's
+/// shared latch only while producing that batch (snapshot-per-batch
+/// semantics). Value-semantic and independent of sibling cursors; the
+/// Table must outlive it.
 class PartitionCursor {
  public:
   PartitionCursor() = default;
 
-  /// Assembles up to `limit` live rows into `*out` (appended), advancing
-  /// the cursor. `*done` is set once the partition is exhausted; subsequent
+  /// Examines up to `limit` heap tuples, advancing the cursor
+  /// (TablePartition::ScanBatchFiltered): stable predicates run on the
+  /// decoded tuples and state stores are probed only for the survivors,
+  /// which REPLACE `ws`'s batch, so a selective batch comes out short.
+  /// `ws` and `deltas` are the caller's per-worker batch and counter
+  /// accumulator. `*done` is set once the range is exhausted; subsequent
   /// calls return no rows with `*done` true.
-  Status NextBatch(size_t limit, std::vector<RowView>* out, bool* done);
-
-  /// Pushdown form (TablePartition::ScanBatchFiltered): stable predicates
-  /// run on the decoded tuples and state stores are probed only for the
-  /// survivors, which REPLACE `ws`'s batch; `limit` bounds tuples examined,
-  /// so a selective batch comes out short. `ws` and `deltas` are the
-  /// caller's per-worker batch and counter accumulator.
   Status NextBatch(size_t limit, const ScanSpec& spec, ScanWorkspace* ws,
                    bool* done, ScanDeltas* deltas);
 
@@ -68,9 +64,9 @@ class PartitionCursor {
 /// \brief One table: a router over N hash-partitions of the row-id space.
 ///
 /// Every physical structure (heap file + buffer pool, per-(attribute, phase)
-/// state stores, multi-resolution/bitmap indexes, latch, row map, in-place
-/// schedule queues) lives in a `TablePartition`; the table routes each row
-/// id to its owning partition with the deterministic hash `row_id % N`.
+/// state stores, multi-resolution indexes, latch, row map) lives in a
+/// `TablePartition`; the table routes each row id to its owning partition
+/// with the deterministic hash `row_id % N`.
 /// Recovery reuses the same hash — WAL records carry row ids, so redo needs
 /// no partition-aware record types. With `TableRuntime::partitions == 1`
 /// (the default) the single partition stores its files directly under the
@@ -153,17 +149,6 @@ class Table {
   /// ever torn).
   Status ScanRows(const std::function<bool(const RowView&)>& fn) const;
 
-  /// Opens a cursor over partition `i` only, so parallel consumers can
-  /// shard a table scan themselves (one cursor per partition, one thread
-  /// per cursor). This is the API the degradation-audit benches use to
-  /// sweep a table at device speed; query scans use OpenMorselCursor
-  /// instead. An out-of-range index yields an empty cursor
-  /// (NextBatch reports done immediately) rather than undefined behavior.
-  PartitionCursor OpenPartitionCursor(uint32_t i) const {
-    if (i >= partitions_.size()) return PartitionCursor();
-    return PartitionCursor(partitions_[i].get(), i);
-  }
-
   /// Morsel-grained sharding (util/morsel.h): per-partition page-range
   /// plans for the work-stealing scheduler. `plan[p]` is partition p's
   /// queue; Σ plan sizes is the claim total the scan counters assert
@@ -180,7 +165,8 @@ class Table {
 
   /// Cursor over ONE morsel's page range — each claimed morsel gets its own
   /// resume position, so many workers share a partition without sharing
-  /// cursor state. An out-of-range partition yields an empty cursor.
+  /// cursor state. An out-of-range partition yields an empty cursor
+  /// (NextBatch reports done immediately) rather than undefined behavior.
   PartitionCursor OpenMorselCursor(const Morsel& morsel) const {
     if (morsel.partition >= partitions_.size()) return PartitionCursor();
     return PartitionCursor(partitions_[morsel.partition].get(),
@@ -199,10 +185,6 @@ class Table {
                           std::vector<RowId>* out) const;
   Status IndexLookupRange(int column, const Value& lo, const Value& hi,
                           int level, std::vector<RowId>* out) const;
-  /// Same via the bitmap indexes (enabled by TableRuntime::bitmap_indexes);
-  /// partition bitmaps are disjoint by construction and OR-merged.
-  Result<Bitmap> BitmapLookupEqual(int column, const Value& value,
-                                   int level) const;
 
   // --- degradation -----------------------------------------------------------
 

@@ -1,7 +1,6 @@
 #include "db/table_partition.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -25,7 +24,7 @@ const StateStore* TablePartition::store(int column, int phase) const {
   const int ordinal = schema().DegradableOrdinal(column);
   if (ordinal < 0 || static_cast<size_t>(ordinal) >= stores_.size() ||
       phase < 0 || static_cast<size_t>(phase) >= stores_[ordinal].size()) {
-    return nullptr;  // kInPlace layout has no stores
+    return nullptr;
   }
   return stores_[ordinal][phase].get();
 }
@@ -42,68 +41,42 @@ Status TablePartition::Open() {
   heap_ = std::make_unique<HeapFile>(heap_pool_.get());
   IDB_RETURN_IF_ERROR(heap_->Open());
 
-  // Rebuild the row-id map (and in-place schedules) from the heap.
+  // Rebuild the row-id map from the heap. A record carrying inline
+  // degradable images (an older build's in-place layout) fails the decode
+  // with Corruption, so such a directory is refused here.
   row_map_.clear();
-  inplace_queues_.assign(schema().degradable_columns().size(), {});
-  for (size_t d = 0; d < schema().degradable_columns().size(); ++d) {
-    const ColumnDef& col = schema().column(schema().degradable_columns()[d]);
-    inplace_queues_[d].assign(col.lcp.num_phases(), {});
-  }
   RowId max_row = 0;
-  std::vector<HeapTuple> tuples;  // only for kInPlace schedule rebuild
   Status scan_status;
   IDB_RETURN_IF_ERROR(heap_->Scan([&](Rid rid, Slice record) {
     HeapTuple tuple;
-    scan_status = DecodeHeapTuple(schema(), runtime_.layout, record, &tuple);
+    scan_status = DecodeHeapTuple(schema(), record, &tuple);
     if (!scan_status.ok()) return false;
     row_map_[tuple.row_id] = rid;
     max_row = std::max(max_row, tuple.row_id);
-    if (runtime_.layout == DegradableLayout::kInPlace) {
-      tuples.push_back(std::move(tuple));
-    }
     return true;
   }));
   IDB_RETURN_IF_ERROR(scan_status);
   max_row_id_ = max_row;
 
-  if (runtime_.layout == DegradableLayout::kInPlace) {
-    std::sort(tuples.begin(), tuples.end(),
-              [](const HeapTuple& a, const HeapTuple& b) {
-                return a.row_id < b.row_id;
-              });
-    for (const HeapTuple& tuple : tuples) {
-      for (size_t d = 0; d < tuple.degradable.size(); ++d) {
-        const int phases = static_cast<int>(inplace_queues_[d].size());
-        if (tuple.degradable[d].phase < phases) {
-          inplace_queues_[d][tuple.degradable[d].phase].emplace_back(
-              tuple.row_id, tuple.insert_time);
-        }
-      }
-    }
-  }
-
-  // State stores (kStateStores layout only).
   stores_.clear();
-  if (runtime_.layout == DegradableLayout::kStateStores) {
-    for (int col_idx : schema().degradable_columns()) {
-      const ColumnDef& col = schema().column(col_idx);
-      std::vector<std::unique_ptr<StateStore>> per_phase;
-      for (int p = 0; p < col.lcp.num_phases(); ++p) {
-        auto store = std::make_unique<StateStore>(
-            StoreDir(col_idx, p), id(), col_idx, p, col.hierarchy.get(),
-            col.lcp.phase(p).level, runtime_.storage, runtime_.keys,
-            runtime_.env);
-        IDB_RETURN_IF_ERROR(store->Open());
-        // Ids of fully degraded (expired) tuples have left the heap but
-        // must never be re-allocated: an append of a reused id would be
-        // mistaken for WAL redo of the popped value and dropped.
-        if (store->LastAppendedRowId() != kInvalidRowId) {
-          max_row_id_ = std::max(max_row_id_, store->LastAppendedRowId());
-        }
-        per_phase.push_back(std::move(store));
+  for (int col_idx : schema().degradable_columns()) {
+    const ColumnDef& col = schema().column(col_idx);
+    std::vector<std::unique_ptr<StateStore>> per_phase;
+    for (int p = 0; p < col.lcp.num_phases(); ++p) {
+      auto store = std::make_unique<StateStore>(
+          StoreDir(col_idx, p), id(), col_idx, p, col.hierarchy.get(),
+          col.lcp.phase(p).level, runtime_.storage, runtime_.keys,
+          runtime_.env);
+      IDB_RETURN_IF_ERROR(store->Open());
+      // Ids of fully degraded (expired) tuples have left the heap but
+      // must never be re-allocated: an append of a reused id would be
+      // mistaken for WAL redo of the popped value and dropped.
+      if (store->LastAppendedRowId() != kInvalidRowId) {
+        max_row_id_ = std::max(max_row_id_, store->LastAppendedRowId());
       }
-      stores_.push_back(std::move(per_phase));
+      per_phase.push_back(std::move(store));
     }
+    stores_.push_back(std::move(per_phase));
   }
 
   // Row-id allocator: this partition mints ids congruent to its index
@@ -147,58 +120,23 @@ Status TablePartition::RebuildIndexes() {
       index_disk_.get(), runtime_.storage.buffer_pool_pages);
 
   multires_.clear();
-  bitmaps_.clear();
   for (int col_idx : schema().degradable_columns()) {
     const ColumnDef& col = schema().column(col_idx);
     auto index = std::make_unique<MultiResolutionIndex>(col, index_pool_.get());
     IDB_RETURN_IF_ERROR(index->Init());
     multires_.push_back(std::move(index));
-    if (runtime_.bitmap_indexes) {
-      bitmaps_.push_back(std::make_unique<BitmapColumnIndex>(col));
-    }
   }
 
-  if (runtime_.layout == DegradableLayout::kStateStores) {
-    for (size_t d = 0; d < stores_.size(); ++d) {
-      for (size_t p = 0; p < stores_[d].size(); ++p) {
-        Status status;
-        stores_[d][p]->ForEach([&](const StoreEntry& entry) {
-          status = multires_[d]->OnInsertAtPhase(entry.row_id, entry.value,
-                                                 static_cast<int>(p));
-          if (status.ok() && !bitmaps_.empty()) {
-            status = bitmaps_[d]->OnInsertAtPhase(entry.row_id, entry.value,
-                                                  static_cast<int>(p));
-          }
-          return status.ok();
-        });
-        IDB_RETURN_IF_ERROR(status);
-      }
+  for (size_t d = 0; d < stores_.size(); ++d) {
+    for (size_t p = 0; p < stores_[d].size(); ++p) {
+      Status status;
+      stores_[d][p]->ForEach([&](const StoreEntry& entry) {
+        status = multires_[d]->OnInsertAtPhase(entry.row_id, entry.value,
+                                               static_cast<int>(p));
+        return status.ok();
+      });
+      IDB_RETURN_IF_ERROR(status);
     }
-  } else {
-    Status status;
-    IDB_RETURN_IF_ERROR(heap_->Scan([&](Rid, Slice record) {
-      HeapTuple tuple;
-      status = DecodeHeapTuple(schema(), runtime_.layout, record, &tuple);
-      if (!status.ok()) return false;
-      for (size_t d = 0; d < tuple.degradable.size(); ++d) {
-        const InlineDegradable& inline_value = tuple.degradable[d];
-        if (inline_value.phase >=
-            static_cast<int32_t>(inplace_queues_[d].size())) {
-          continue;  // removed
-        }
-        status = multires_[d]->OnInsertAtPhase(tuple.row_id,
-                                               inline_value.value,
-                                               inline_value.phase);
-        if (status.ok() && !bitmaps_.empty()) {
-          status = bitmaps_[d]->OnInsertAtPhase(tuple.row_id,
-                                                inline_value.value,
-                                                inline_value.phase);
-        }
-        if (!status.ok()) return false;
-      }
-      return true;
-    }));
-    IDB_RETURN_IF_ERROR(status);
   }
   return Status::OK();
 }
@@ -276,8 +214,7 @@ Status TablePartition::ApplyInsert(RowId row_id, Micros insert_time,
     // degrade record in log order re-converges), so only a row absent from
     // every phase is repaired. Append and the index OnInsert hooks are
     // idempotent, so a repeated redo stays a no-op.
-    if (degradable_available &&
-        runtime_.layout == DegradableLayout::kStateStores) {
+    if (degradable_available) {
       for (size_t d = 0; d < schema().degradable_columns().size(); ++d) {
         bool present = false;
         for (const auto& store : stores_[d]) {
@@ -292,9 +229,6 @@ Status TablePartition::ApplyInsert(RowId row_id, Micros insert_time,
         if (!multires_.empty()) {
           IDB_RETURN_IF_ERROR(multires_[d]->OnInsert(row_id, degradable[d]));
         }
-        if (!bitmaps_.empty()) {
-          IDB_RETURN_IF_ERROR(bitmaps_[d]->OnInsert(row_id, degradable[d]));
-        }
       }
       mutation_seq_.fetch_add(1, std::memory_order_release);
     }
@@ -304,33 +238,18 @@ Status TablePartition::ApplyInsert(RowId row_id, Micros insert_time,
   tuple.row_id = row_id;
   tuple.insert_time = insert_time;
   tuple.stable = stable;
-  if (runtime_.layout == DegradableLayout::kInPlace) {
-    tuple.degradable.resize(schema().degradable_columns().size());
-    for (size_t d = 0; d < tuple.degradable.size(); ++d) {
-      tuple.degradable[d].phase = 0;
-      tuple.degradable[d].value =
-          degradable_available ? degradable[d] : Value::Null();
-    }
-  }
   std::string encoded;
-  EncodeHeapTuple(schema(), runtime_.layout, tuple, &encoded);
+  EncodeHeapTuple(tuple, &encoded);
   IDB_ASSIGN_OR_RETURN(Rid rid, heap_->Insert(encoded));
   row_map_[row_id] = rid;
   max_row_id_ = std::max(max_row_id_, row_id);
 
   if (degradable_available) {
     for (size_t d = 0; d < schema().degradable_columns().size(); ++d) {
-      if (runtime_.layout == DegradableLayout::kStateStores) {
-        IDB_RETURN_IF_ERROR(
-            stores_[d][0]->Append({row_id, insert_time, degradable[d]}));
-      } else {
-        inplace_queues_[d][0].emplace_back(row_id, insert_time);
-      }
+      IDB_RETURN_IF_ERROR(
+          stores_[d][0]->Append({row_id, insert_time, degradable[d]}));
       if (!multires_.empty()) {
         IDB_RETURN_IF_ERROR(multires_[d]->OnInsert(row_id, degradable[d]));
-      }
-      if (!bitmaps_.empty()) {
-        IDB_RETURN_IF_ERROR(bitmaps_[d]->OnInsert(row_id, degradable[d]));
       }
     }
   }
@@ -345,43 +264,17 @@ Status TablePartition::ApplyDelete(RowId row_id) {
   if (it == row_map_.end()) return Status::OK();  // idempotent redo
 
   // Remove degradable values from stores + indexes.
-  if (runtime_.layout == DegradableLayout::kStateStores) {
-    for (size_t d = 0; d < stores_.size(); ++d) {
-      for (size_t p = 0; p < stores_[d].size(); ++p) {
-        const StoreEntry* entry = stores_[d][p]->Find(row_id);
-        if (entry == nullptr) continue;
-        const Value value = entry->value;
-        if (!multires_.empty()) {
-          IDB_RETURN_IF_ERROR(
-              multires_[d]->OnDelete(row_id, static_cast<int>(p), value));
-        }
-        if (!bitmaps_.empty()) {
-          IDB_RETURN_IF_ERROR(
-              bitmaps_[d]->OnDelete(row_id, static_cast<int>(p), value));
-        }
-        IDB_RETURN_IF_ERROR(stores_[d][p]->SecureDeleteEntry(row_id));
-        break;
-      }
-    }
-  } else {
-    IDB_ASSIGN_OR_RETURN(std::string record, heap_->Get(it->second));
-    HeapTuple tuple;
-    IDB_RETURN_IF_ERROR(
-        DecodeHeapTuple(schema(), runtime_.layout, record, &tuple));
-    for (size_t d = 0; d < tuple.degradable.size(); ++d) {
-      const InlineDegradable& inline_value = tuple.degradable[d];
-      if (inline_value.phase >=
-          static_cast<int32_t>(inplace_queues_[d].size())) {
-        continue;
-      }
+  for (size_t d = 0; d < stores_.size(); ++d) {
+    for (size_t p = 0; p < stores_[d].size(); ++p) {
+      const StoreEntry* entry = stores_[d][p]->Find(row_id);
+      if (entry == nullptr) continue;
+      const Value value = entry->value;
       if (!multires_.empty()) {
-        IDB_RETURN_IF_ERROR(multires_[d]->OnDelete(
-            row_id, inline_value.phase, inline_value.value));
+        IDB_RETURN_IF_ERROR(
+            multires_[d]->OnDelete(row_id, static_cast<int>(p), value));
       }
-      if (!bitmaps_.empty()) {
-        IDB_RETURN_IF_ERROR(bitmaps_[d]->OnDelete(
-            row_id, inline_value.phase, inline_value.value));
-      }
+      IDB_RETURN_IF_ERROR(stores_[d][p]->SecureDeleteEntry(row_id));
+      break;
     }
   }
   IDB_RETURN_IF_ERROR(heap_->Delete(it->second));
@@ -398,11 +291,10 @@ Status TablePartition::ApplyUpdateStable(RowId row_id,
   if (it == row_map_.end()) return Status::OK();  // idempotent redo
   IDB_ASSIGN_OR_RETURN(std::string record, heap_->Get(it->second));
   HeapTuple tuple;
-  IDB_RETURN_IF_ERROR(
-      DecodeHeapTuple(schema(), runtime_.layout, record, &tuple));
+  IDB_RETURN_IF_ERROR(DecodeHeapTuple(schema(), record, &tuple));
   tuple.stable = stable;
   std::string encoded;
-  EncodeHeapTuple(schema(), runtime_.layout, tuple, &encoded);
+  EncodeHeapTuple(tuple, &encoded);
   Rid new_rid;
   IDB_RETURN_IF_ERROR(heap_->Update(it->second, encoded, &new_rid));
   it->second = new_rid;
@@ -419,10 +311,10 @@ Status TablePartition::ScanRows(const std::function<bool(const RowView&)>& fn,
   Status decode_status;
   IDB_RETURN_IF_ERROR(heap_->Scan([&](Rid, Slice record) {
     HeapTuple tuple;
-    decode_status = DecodeHeapTuple(schema(), runtime_.layout, record, &tuple);
+    decode_status = DecodeHeapTuple(schema(), record, &tuple);
     if (!decode_status.ok()) return false;
     RowView view;
-    if (!AssembleRow(tuple, &view)) return true;  // skip unreadable row
+    AssembleRow(tuple, &view);
     if (!fn(view)) {
       *stopped = true;
       return false;
@@ -448,28 +340,6 @@ std::vector<Morsel> TablePartition::MorselPlan(uint32_t pages_per_morsel) const 
     plan.push_back(m);
   } while (begin < pages);
   return plan;
-}
-
-Status TablePartition::ScanBatch(Rid* pos, PageId end_page, size_t limit,
-                                 std::vector<RowView>* out, bool* done) const {
-  std::shared_lock<std::shared_mutex> latch(latch_);
-  *done = true;
-  const size_t start_size = out->size();
-  Status decode_status;
-  IDB_RETURN_IF_ERROR(heap_->ScanRange(*pos, end_page, [&](Rid rid, Slice record) {
-    if (out->size() - start_size >= limit) {
-      *pos = rid;  // resume here: this record has not been consumed
-      *done = false;
-      return false;
-    }
-    HeapTuple tuple;
-    decode_status = DecodeHeapTuple(schema(), runtime_.layout, record, &tuple);
-    if (!decode_status.ok()) return false;
-    RowView view;
-    if (AssembleRow(tuple, &view)) out->push_back(std::move(view));
-    return true;
-  }));
-  return decode_status;
 }
 
 Status TablePartition::ScanBatchFiltered(Rid* pos, PageId end_page,
@@ -501,8 +371,7 @@ Status TablePartition::ScanBatchFiltered(Rid* pos, PageId end_page,
     ++examined;
     if (ws->count == ws->tuples.size()) ws->tuples.emplace_back();
     HeapTuple& slot = ws->tuples[ws->count];
-    decode_status =
-        DecodeHeapTuple(schema(), runtime_.layout, record, &slot, &first);
+    decode_status = DecodeHeapTuple(schema(), record, &slot, &first);
     if (!decode_status.ok()) return false;
     // The record is only valid inside this callback: σ over the stable
     // columns runs here, and a rejected tuple's slot is reused at once.
@@ -532,15 +401,6 @@ Status TablePartition::ScanBatchFiltered(Rid* pos, PageId end_page,
   return Status::OK();
 }
 
-int64_t TablePartition::InlineOrdinal(
-    size_t d, const InlineDegradable& inline_value) const {
-  const ColumnDef& col = schema().column(schema().degradable_columns()[d]);
-  if (inline_value.phase >= col.lcp.num_phases()) return -1;
-  const Result<LeafInterval> range = col.hierarchy->LeafRange(
-      inline_value.value, col.lcp.phase(inline_value.phase).level);
-  return range.ok() ? range->lo : -1;
-}
-
 void TablePartition::ResolveDegradableLocked(ScanWorkspace* ws) const {
   const size_t n = ws->count;
   const auto& degradable_cols = schema().degradable_columns();
@@ -549,19 +409,8 @@ void TablePartition::ResolveDegradableLocked(ScanWorkspace* ws) const {
   ws->ordinals.resize(n * dcols);
   if (dcols == 0 || n == 0) return;
 
-  if (runtime_.layout == DegradableLayout::kInPlace) {
-    for (size_t k = 0; k < n; ++k) {
-      const HeapTuple& tuple = ws->tuples[k];
-      for (size_t d = 0; d < dcols; ++d) {
-        ws->phases[k * dcols + d] = tuple.degradable[d].phase;
-        ws->ordinals[k * dcols + d] = InlineOrdinal(d, tuple.degradable[d]);
-      }
-    }
-    return;
-  }
-
-  // kStateStores: one sorted merge per (column, phase) store over the
-  // survivors' ascending row ids. Heap order is mostly — but not strictly —
+  // One sorted merge per (column, phase) store over the survivors'
+  // ascending row ids. Heap order is mostly — but not strictly —
   // ascending (updates relocate rows), hence the sort when it is not.
   ws->order.resize(n);
   for (size_t k = 0; k < n; ++k) ws->order[k] = static_cast<uint32_t>(k);
@@ -599,73 +448,7 @@ void TablePartition::ResolveDegradableLocked(ScanWorkspace* ws) const {
   }
 }
 
-Status TablePartition::ProbeMany(const std::vector<RowId>& row_ids,
-                                 std::vector<int>* phases,
-                                 std::vector<Value>* values) const {
-  std::shared_lock<std::shared_mutex> latch(latch_);
-  const auto& degradable_cols = schema().degradable_columns();
-  const size_t dcols = degradable_cols.size();
-  const size_t n = row_ids.size();
-  phases->assign(n * dcols, 0);
-  values->assign(n * dcols, Value::Null());
-  if (n == 0 || dcols == 0) return Status::OK();
-
-  if (runtime_.layout == DegradableLayout::kInPlace) {
-    for (size_t i = 0; i < n; ++i) {
-      auto it = row_map_.find(row_ids[i]);
-      HeapTuple tuple;
-      bool live = false;
-      if (it != row_map_.end()) {
-        IDB_ASSIGN_OR_RETURN(std::string record, heap_->Get(it->second));
-        IDB_RETURN_IF_ERROR(
-            DecodeHeapTuple(schema(), runtime_.layout, record, &tuple));
-        live = true;
-      }
-      for (size_t d = 0; d < dcols; ++d) {
-        const int removed =
-            schema().column(degradable_cols[d]).lcp.num_phases();
-        if (!live) {
-          (*phases)[i * dcols + d] = removed;
-          continue;
-        }
-        (*phases)[i * dcols + d] = tuple.degradable[d].phase;
-        if (tuple.degradable[d].phase < removed) {
-          (*values)[i * dcols + d] = tuple.degradable[d].value;
-        }
-      }
-    }
-    return Status::OK();
-  }
-
-  std::vector<const StoreEntry*> entries(n, nullptr);
-  std::vector<int> resolved(n, 0);
-  for (size_t d = 0; d < dcols; ++d) {
-    const int removed = schema().column(degradable_cols[d]).lcp.num_phases();
-    entries.assign(n, nullptr);
-    resolved.assign(n, removed);
-    size_t found = 0;
-    for (size_t p = 0; p < stores_[d].size() && found < n; ++p) {
-      const size_t hits =
-          stores_[d][p]->FindMany(row_ids.data(), n, entries.data());
-      if (hits == 0) continue;
-      found += hits;
-      for (size_t i = 0; i < n; ++i) {
-        if (resolved[i] == removed && entries[i] != nullptr) {
-          resolved[i] = static_cast<int>(p);
-        }
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      (*phases)[i * dcols + d] = resolved[i];
-      if (entries[i] != nullptr) {
-        (*values)[i * dcols + d] = entries[i]->value;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-bool TablePartition::AssembleRow(const HeapTuple& tuple, RowView* view) const {
+void TablePartition::AssembleRow(const HeapTuple& tuple, RowView* view) const {
   view->row_id = tuple.row_id;
   view->insert_time = tuple.insert_time;
   view->values.assign(schema().num_columns(), Value::Null());
@@ -677,28 +460,18 @@ bool TablePartition::AssembleRow(const HeapTuple& tuple, RowView* view) const {
   view->ordinals.assign(degradable_cols.size(), -1);
   for (size_t d = 0; d < degradable_cols.size(); ++d) {
     const ColumnDef& col = schema().column(degradable_cols[d]);
-    if (runtime_.layout == DegradableLayout::kStateStores) {
-      int phase = col.lcp.num_phases();  // removed unless found
-      for (size_t p = 0; p < stores_[d].size(); ++p) {
-        const StoreEntry* entry = stores_[d][p]->Find(tuple.row_id);
-        if (entry != nullptr) {
-          phase = static_cast<int>(p);
-          view->values[degradable_cols[d]] = entry->value;
-          view->ordinals[d] = entry->ordinal;
-          break;
-        }
-      }
-      view->phases[d] = phase;
-    } else {
-      const InlineDegradable& inline_value = tuple.degradable[d];
-      view->phases[d] = inline_value.phase;
-      view->ordinals[d] = InlineOrdinal(d, inline_value);
-      if (inline_value.phase < col.lcp.num_phases()) {
-        view->values[degradable_cols[d]] = inline_value.value;
+    int phase = col.lcp.num_phases();  // removed unless found
+    for (size_t p = 0; p < stores_[d].size(); ++p) {
+      const StoreEntry* entry = stores_[d][p]->Find(tuple.row_id);
+      if (entry != nullptr) {
+        phase = static_cast<int>(p);
+        view->values[degradable_cols[d]] = entry->value;
+        view->ordinals[d] = entry->ordinal;
+        break;
       }
     }
+    view->phases[d] = phase;
   }
-  return true;
 }
 
 Result<std::optional<RowView>> TablePartition::GetRow(RowId row_id) const {
@@ -707,8 +480,7 @@ Result<std::optional<RowView>> TablePartition::GetRow(RowId row_id) const {
   if (it == row_map_.end()) return std::optional<RowView>{};
   IDB_ASSIGN_OR_RETURN(std::string record, heap_->Get(it->second));
   HeapTuple tuple;
-  IDB_RETURN_IF_ERROR(
-      DecodeHeapTuple(schema(), runtime_.layout, record, &tuple));
+  IDB_RETURN_IF_ERROR(DecodeHeapTuple(schema(), record, &tuple));
   RowView view;
   AssembleRow(tuple, &view);
   return std::optional<RowView>(std::move(view));
@@ -768,29 +540,13 @@ Status TablePartition::IndexLookupRange(int column, const Value& lo,
   });
 }
 
-Result<Bitmap> TablePartition::BitmapLookupEqual(int column, const Value& value,
-                                                 int level) const {
-  std::shared_lock<std::shared_mutex> latch(latch_);
-  const int ordinal = schema().DegradableOrdinal(column);
-  if (ordinal < 0 || bitmaps_.empty()) {
-    return Status::InvalidArgument("no bitmap index on column");
-  }
-  return bitmaps_[ordinal]->LookupEqual(value, level);
-}
-
 // --- degradation ----------------------------------------------------------------------
 
 Micros TablePartition::StoreHeadDeadline(int ordinal, int phase) const {
   const ColumnDef& col =
       schema().column(schema().degradable_columns()[ordinal]);
-  Micros head_insert = kForever;
-  if (runtime_.layout == DegradableLayout::kStateStores) {
-    if (stores_[ordinal][phase]->empty()) return kForever;
-    head_insert = stores_[ordinal][phase]->Head().insert_time;
-  } else {
-    if (inplace_queues_[ordinal][phase].empty()) return kForever;
-    head_insert = inplace_queues_[ordinal][phase].front().second;
-  }
+  if (stores_[ordinal][phase]->empty()) return kForever;
+  const Micros head_insert = stores_[ordinal][phase]->Head().insert_time;
   const Micros offset = col.lcp.PhaseEndOffset(phase);
   if (offset == kForever) return kForever;
   return head_insert + offset;
@@ -858,55 +614,23 @@ Result<size_t> TablePartition::RunDegradationStep(TransactionManager* tm,
   {
     std::shared_lock<std::shared_mutex> latch(latch_);
     const Micros offset = col.lcp.PhaseEndOffset(from_phase);
-    auto consider = [&](RowId row_id, Micros insert_time,
-                        const Value& value) {
-      const Micros deadline = insert_time + offset;
+    stores_[ordinal][from_phase]->ForEach([&](const StoreEntry& entry) {
+      const Micros deadline = entry.insert_time + offset;
       if (deadline > now || moves.size() >= batch_limit) return false;
-      StoreEntry moved{row_id, insert_time, Value::Null()};
+      StoreEntry moved{entry.row_id, entry.insert_time, Value::Null()};
       if (!removal) {
         auto generalized = col.hierarchy->Generalize(
-            value, col.lcp.phase(from_phase).level,
+            entry.value, col.lcp.phase(from_phase).level,
             col.lcp.phase(to_phase).level);
         if (!generalized.ok()) return false;
         moved.value = *generalized;
       }
       moves.push_back(std::move(moved));
-      old_values.push_back(value);
+      old_values.push_back(entry.value);
       deadlines.push_back(deadline);
-      up_to = row_id;
+      up_to = entry.row_id;
       return true;
-    };
-    if (runtime_.layout == DegradableLayout::kStateStores) {
-      stores_[ordinal][from_phase]->ForEach([&](const StoreEntry& entry) {
-        return consider(entry.row_id, entry.insert_time, entry.value);
-      });
-    } else {
-      for (const auto& [row_id, insert_time] :
-           inplace_queues_[ordinal][from_phase]) {
-        auto it = row_map_.find(row_id);
-        if (it == row_map_.end()) {
-          // Row deleted; schedule entry is stale. Treat as a zero-cost move
-          // so the queue drains.
-          const Micros deadline = insert_time + col.lcp.PhaseEndOffset(from_phase);
-          if (deadline > now || moves.size() >= batch_limit) break;
-          moves.push_back({row_id, insert_time, Value::Null()});
-          old_values.push_back(Value::Null());
-          deadlines.push_back(deadline);
-          up_to = row_id;
-          continue;
-        }
-        auto record = heap_->Get(it->second);
-        if (!record.ok()) break;
-        HeapTuple tuple;
-        if (!DecodeHeapTuple(schema(), runtime_.layout, *record, &tuple).ok()) {
-          break;
-        }
-        if (!consider(row_id, insert_time,
-                      tuple.degradable[ordinal].value)) {
-          break;
-        }
-      }
-    }
+    });
   }
   if (moves.empty()) {
     tm->Abort(txn.get());
@@ -960,107 +684,48 @@ Status TablePartition::ApplyDegrade(int col_idx, int from_phase, int to_phase,
   const bool removal = to_phase >= col.lcp.num_phases();
   const bool update_indexes = old_values != nullptr && !multires_.empty();
 
-  if (runtime_.layout == DegradableLayout::kStateStores) {
-    // Pop exactly the collected entries. A prefix pop through `up_to` would
-    // also destroy an out-of-order append that landed below `up_to` between
-    // this step's collect and apply — that entry was never generalized and
-    // must stay for a later step. (`up_to` remains in the WAL record for
-    // observability; redo pops by the entry ids too.)
-    (void)up_to;
-    // Apply order: append and index updates FIRST, pops LAST. Every sub-step
-    // can fail on an I/O error after the WAL record has already committed,
-    // so the order is chosen to make any partial state self-healing: a fault
-    // before the pop leaves the value in the from-phase store, where its
-    // overdue deadline keeps it visible to the next degradation pass, which
-    // re-collects and re-applies the step — Append of a present id, the
-    // index OnDegrade hooks, and PopById of an absent id are all idempotent,
-    // so the retry (or WAL redo after a crash) converges to the fully
-    // applied state. Pop-first turned the same fault into permanent loss:
-    // a popped-but-never-appended value vanished from every store, and no
-    // later pass could find it again (the audit saw the heap shell with all
-    // values at ⊥). The cost is a transient window where a value exists in
-    // two stores at once — over-accurate, never under-durable — which the
-    // retry erases.
-    for (size_t i = 0; i < moves.size(); ++i) {
-      const StoreEntry& move = moves[i];
-      // A row deleted between collect and apply must not resurface.
-      const bool row_live = row_map_.count(move.row_id) != 0;
-      if (!removal && row_live) {
-        IDB_RETURN_IF_ERROR(stores_[ordinal][to_phase]->Append(move));
-      }
-      if (update_indexes && row_live) {
-        IDB_RETURN_IF_ERROR(multires_[ordinal]->OnDegrade(
-            move.row_id, from_phase, (*old_values)[i], to_phase, move.value));
-        if (!bitmaps_.empty()) {
-          IDB_RETURN_IF_ERROR(bitmaps_[ordinal]->OnDegrade(
-              move.row_id, from_phase, (*old_values)[i], to_phase,
-              move.value));
-        }
-      }
-    }
-    for (const StoreEntry& move : moves) {
-      IDB_RETURN_IF_ERROR(stores_[ordinal][from_phase]->PopById(move.row_id));
-    }
-    if (removal) {
-      // Expiry last: MaybeExpireTupleLocked only removes the heap shell once
-      // every store has dropped the row, so it must run after the pops.
-      for (const StoreEntry& move : moves) {
-        if (row_map_.count(move.row_id) != 0) {
-          IDB_RETURN_IF_ERROR(MaybeExpireTupleLocked(move.row_id));
-        }
-      }
-    }
-    mutation_seq_.fetch_add(1, std::memory_order_release);
-    return Status::OK();
-  }
-
-  // In-place layout: rewrite heap tuples and advance the schedule queues.
-  // Queue entries are removed by id, not as a positional prefix: concurrent
-  // commits can enqueue slightly out of row-id order, and `up_to` alone
-  // would then drop a not-yet-moved neighbour.
-  auto& queue = inplace_queues_[ordinal][from_phase];
-  {
-    std::unordered_set<RowId> moved_ids;
-    for (const StoreEntry& move : moves) moved_ids.insert(move.row_id);
-    for (auto it = queue.begin(); it != queue.end() && !moved_ids.empty();) {
-      if (moved_ids.erase(it->first) != 0) {
-        it = queue.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  // Pop exactly the collected entries. A prefix pop through `up_to` would
+  // also destroy an out-of-order append that landed below `up_to` between
+  // this step's collect and apply — that entry was never generalized and
+  // must stay for a later step. (`up_to` remains in the WAL record for
+  // observability; redo pops by the entry ids too.)
+  (void)up_to;
+  // Apply order: append and index updates FIRST, pops LAST. Every sub-step
+  // can fail on an I/O error after the WAL record has already committed,
+  // so the order is chosen to make any partial state self-healing: a fault
+  // before the pop leaves the value in the from-phase store, where its
+  // overdue deadline keeps it visible to the next degradation pass, which
+  // re-collects and re-applies the step — Append of a present id, the
+  // index OnDegrade hooks, and PopById of an absent id are all idempotent,
+  // so the retry (or WAL redo after a crash) converges to the fully
+  // applied state. Pop-first turned the same fault into permanent loss:
+  // a popped-but-never-appended value vanished from every store, and no
+  // later pass could find it again (the audit saw the heap shell with all
+  // values at ⊥). The cost is a transient window where a value exists in
+  // two stores at once — over-accurate, never under-durable — which the
+  // retry erases.
   for (size_t i = 0; i < moves.size(); ++i) {
     const StoreEntry& move = moves[i];
-    auto it = row_map_.find(move.row_id);
-    if (it == row_map_.end()) continue;  // deleted meanwhile / stale redo
-    IDB_ASSIGN_OR_RETURN(std::string record, heap_->Get(it->second));
-    HeapTuple tuple;
-    IDB_RETURN_IF_ERROR(
-        DecodeHeapTuple(schema(), runtime_.layout, record, &tuple));
-    if (tuple.degradable[ordinal].phase != from_phase) continue;  // stale redo
-    const Value old_value = tuple.degradable[ordinal].value;
-    tuple.degradable[ordinal].phase = to_phase;
-    tuple.degradable[ordinal].value = removal ? Value::Null() : move.value;
-    std::string encoded;
-    EncodeHeapTuple(schema(), runtime_.layout, tuple, &encoded);
-    Rid new_rid;
-    IDB_RETURN_IF_ERROR(heap_->Update(it->second, encoded, &new_rid));
-    it->second = new_rid;
-    if (!removal) {
-      inplace_queues_[ordinal][to_phase].emplace_back(move.row_id,
-                                                      move.insert_time);
+    // A row deleted between collect and apply must not resurface.
+    const bool row_live = row_map_.count(move.row_id) != 0;
+    if (!removal && row_live) {
+      IDB_RETURN_IF_ERROR(stores_[ordinal][to_phase]->Append(move));
     }
-    if (update_indexes) {
+    if (update_indexes && row_live) {
       IDB_RETURN_IF_ERROR(multires_[ordinal]->OnDegrade(
-          move.row_id, from_phase, old_value, to_phase, move.value));
-      if (!bitmaps_.empty()) {
-        IDB_RETURN_IF_ERROR(bitmaps_[ordinal]->OnDegrade(
-            move.row_id, from_phase, old_value, to_phase, move.value));
-      }
+          move.row_id, from_phase, (*old_values)[i], to_phase, move.value));
     }
-    if (removal) {
-      IDB_RETURN_IF_ERROR(MaybeExpireTupleLocked(move.row_id));
+  }
+  for (const StoreEntry& move : moves) {
+    IDB_RETURN_IF_ERROR(stores_[ordinal][from_phase]->PopById(move.row_id));
+  }
+  if (removal) {
+    // Expiry last: MaybeExpireTupleLocked only removes the heap shell once
+    // every store has dropped the row, so it must run after the pops.
+    for (const StoreEntry& move : moves) {
+      if (row_map_.count(move.row_id) != 0) {
+        IDB_RETURN_IF_ERROR(MaybeExpireTupleLocked(move.row_id));
+      }
     }
   }
   mutation_seq_.fetch_add(1, std::memory_order_release);
@@ -1070,23 +735,9 @@ Status TablePartition::ApplyDegrade(int col_idx, int from_phase, int to_phase,
 Status TablePartition::MaybeExpireTupleLocked(RowId row_id) {
   auto it = row_map_.find(row_id);
   if (it == row_map_.end()) return Status::OK();
-  if (runtime_.layout == DegradableLayout::kStateStores) {
-    for (const auto& per_phase : stores_) {
-      for (const auto& store : per_phase) {
-        if (store->Find(row_id) != nullptr) return Status::OK();
-      }
-    }
-  } else {
-    IDB_ASSIGN_OR_RETURN(std::string record, heap_->Get(it->second));
-    HeapTuple tuple;
-    IDB_RETURN_IF_ERROR(
-        DecodeHeapTuple(schema(), runtime_.layout, record, &tuple));
-    for (size_t d = 0; d < tuple.degradable.size(); ++d) {
-      const ColumnDef& col =
-          schema().column(schema().degradable_columns()[d]);
-      if (tuple.degradable[d].phase < col.lcp.num_phases()) {
-        return Status::OK();
-      }
+  for (const auto& per_phase : stores_) {
+    for (const auto& store : per_phase) {
+      if (store->Find(row_id) != nullptr) return Status::OK();
     }
   }
   // Every degradable attribute reached ⊥: the tuple disappears, stable part
@@ -1100,20 +751,12 @@ Status TablePartition::MaybeExpireTupleLocked(RowId row_id) {
 Micros TablePartition::SafeEpochTime() const {
   std::shared_lock<std::shared_mutex> latch(latch_);
   Micros safe = runtime_.clock->NowMicros();
-  for (size_t d = 0; d < schema().degradable_columns().size(); ++d) {
-    Micros head = kForever;
-    if (runtime_.layout == DegradableLayout::kStateStores) {
-      // Exact minimum, not Head(): the mirror is sorted by row id, and an
-      // out-of-order commit can put an earlier insert_time behind the head.
-      // Destroying an epoch key while such a value is still accurate would
-      // make it unrecoverable after a crash.
-      head = stores_[d][0]->MinInsertTime();
-    } else {
-      for (const auto& [row_id, insert_time] : inplace_queues_[d][0]) {
-        head = std::min(head, insert_time);
-      }
-    }
-    safe = std::min(safe, head);
+  for (const auto& per_phase : stores_) {
+    // Exact minimum, not Head(): the mirror is sorted by row id, and an
+    // out-of-order commit can put an earlier insert_time behind the head.
+    // Destroying an epoch key while such a value is still accurate would
+    // make it unrecoverable after a crash.
+    safe = std::min(safe, per_phase[0]->MinInsertTime());
   }
   return safe;
 }
@@ -1126,39 +769,15 @@ TablePartition::IndexAuditCounts TablePartition::AuditIndexes() const {
   // exclusive latch, so any two-acquisition scheme would race a live
   // degrader into false positives.
   std::shared_lock<std::shared_mutex> latch(latch_);
-  const auto& degradable = schema().degradable_columns();
-  std::vector<std::vector<uint64_t>> actual(degradable.size());
-  for (size_t d = 0; d < degradable.size(); ++d) {
-    const int num_phases = schema().column(degradable[d]).lcp.num_phases();
-    actual[d].assign(num_phases, 0);
-    if (runtime_.layout == DegradableLayout::kStateStores) {
-      for (int p = 0; p < num_phases; ++p) actual[d][p] = stores_[d][p]->size();
-    }
-  }
-  if (runtime_.layout == DegradableLayout::kInPlace) {
-    // The schedule queues are lazy (deleted rows linger until their phase
-    // mismatch is seen), so the heap is the authority on phase membership.
-    for (const auto& [row_id, rid] : row_map_) {
-      auto record = heap_->Get(rid);
-      if (!record.ok()) continue;
-      HeapTuple tuple;
-      if (!DecodeHeapTuple(schema(), runtime_.layout, *record, &tuple).ok()) {
-        continue;
-      }
-      for (size_t d = 0; d < tuple.degradable.size(); ++d) {
-        const int phase = tuple.degradable[d].phase;
-        if (phase < static_cast<int>(actual[d].size())) ++actual[d][phase];
-      }
-    }
-  }
-  for (size_t d = 0; d < degradable.size(); ++d) {
-    for (size_t p = 0; p < actual[d].size(); ++p) {
+  for (size_t d = 0; d < stores_.size(); ++d) {
+    for (size_t p = 0; p < stores_[d].size(); ++p) {
+      const uint64_t actual = stores_[d][p]->size();
       const uint64_t indexed = multires_[d]->EntriesInPhase(static_cast<int>(p));
-      if (indexed > actual[d][p]) {
+      if (indexed > actual) {
         // Postings claiming accuracy the data has lost: the privacy breach.
-        counts.stale += indexed - actual[d][p];
+        counts.stale += indexed - actual;
       } else {
-        counts.missing += actual[d][p] - indexed;
+        counts.missing += actual - indexed;
       }
     }
   }

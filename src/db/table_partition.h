@@ -2,7 +2,6 @@
 #define INSTANTDB_DB_TABLE_PARTITION_H_
 
 #include <atomic>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -16,7 +15,6 @@
 #include "common/clock.h"
 #include "common/options.h"
 #include "db/scan_spec.h"
-#include "index/bitmap_index.h"
 #include "index/multires_index.h"
 #include "storage/heap_file.h"
 #include "storage/record.h"
@@ -32,8 +30,6 @@ namespace instantdb {
 /// table layer needs).
 struct TableRuntime {
   StorageOptions storage;
-  DegradableLayout layout = DegradableLayout::kStateStores;
-  bool bitmap_indexes = false;
   /// Number of hash-partitions of the row-id space per table. 1 keeps the
   /// single-partition layout (and on-disk paths) of unpartitioned tables.
   uint32_t partitions = 1;
@@ -44,10 +40,10 @@ struct TableRuntime {
   Env* env = nullptr;
 };
 
-/// Fully assembled row (ScanRows, GetRow, the unfiltered cursor batch):
-/// stable values plus each degradable attribute's *stored* phase, value and
-/// leaf ordinal (the physical ST_j membership, which is what the paper's
-/// query semantics partition on).
+/// Fully assembled row (ScanRows, GetRow): stable values plus each
+/// degradable attribute's *stored* phase, value and leaf ordinal (the
+/// physical ST_j membership, which is what the paper's query semantics
+/// partition on).
 struct RowView {
   RowId row_id = kInvalidRowId;
   Micros insert_time = 0;
@@ -66,8 +62,8 @@ struct RowView {
 
 /// \brief The physical state of one hash-partition of a table: slotted heap
 /// for the stable part, FIFO state stores per (degradable attribute, phase),
-/// multi-resolution + optional bitmap indexes, the row-id map, and the
-/// degradation stepping logic.
+/// multi-resolution indexes, the row-id map, and the degradation stepping
+/// logic.
 ///
 /// `Table` (db/table.h) routes every row id to exactly one partition via a
 /// deterministic hash, so partitions never share rows: each owns its own
@@ -143,9 +139,9 @@ class TablePartition {
 
   // --- read path -------------------------------------------------------------
 
-  /// Snapshot scan of this partition under its shared latch. Stops early
-  /// when `fn` returns false (reported via the return flag of ScanRows'
-  /// caller; see Table::ScanRows).
+  /// Snapshot scan of this partition under its shared latch, assembling
+  /// every live row in full. Stops early when `fn` returns false (reported
+  /// via `*stopped`; see Table::ScanRows).
   Status ScanRows(const std::function<bool(const RowView&)>& fn,
                   bool* stopped) const;
 
@@ -155,42 +151,27 @@ class TablePartition {
   /// is open-ended (end_page == kInvalidPageId) so rows appended after
   /// planning are still observed; an empty partition yields one open-ended
   /// morsel for the same reason. Each morsel carries its own resume
-  /// position through ScanBatch/ScanBatchFiltered below.
+  /// position through ScanBatchFiltered below.
   std::vector<Morsel> MorselPlan(uint32_t pages_per_morsel) const;
 
-  /// Cursor support: assembles up to `limit` live rows starting at heap
-  /// position `*pos` (`Rid{0, 0}` to start) under the shared latch,
-  /// advancing `*pos` to the resume position and setting `*done` once
-  /// [*pos, end_page) is exhausted (end_page == kInvalidPageId: to the end
-  /// of the heap).
-  Status ScanBatch(Rid* pos, PageId end_page, size_t limit,
-                   std::vector<RowView>* out, bool* done) const;
-
-  /// Pushdown form of ScanBatch, over the same page range: examines up to
-  /// `limit` heap tuples from `*pos`, decoding per tuple only the stable
-  /// columns `spec.filter` reads and testing it on the spot; survivors get
-  /// their output-only columns decoded from the same record, then one sorted
-  /// merge per state store (StateStore::FindMany) resolves their degradable
-  /// cells to (phase, leaf ordinal). Everything happens under a single
-  /// shared-latch acquisition, so the batch has exactly ScanBatch's
-  /// snapshot-per-batch semantics. The survivors REPLACE `ws`'s batch (see
-  /// ScanWorkspace); `limit` bounds tuples examined, not rows kept — a
-  /// selective batch comes out short rather than holding the latch until it
-  /// fills. `deltas` accumulates the pushdown accounting (see ScanDeltas).
-  /// This is the batch every query-layer heap scan pulls.
+  /// Cursor support: examines up to `limit` heap tuples starting at heap
+  /// position `*pos` (`Rid{0, 0}` to start), advancing `*pos` to the resume
+  /// position and setting `*done` once [*pos, end_page) is exhausted
+  /// (end_page == kInvalidPageId: to the end of the heap). Per tuple only
+  /// the stable columns `spec.filter` reads are decoded and tested on the
+  /// spot; survivors get their output-only columns decoded from the same
+  /// record, then one sorted merge per state store (StateStore::FindMany)
+  /// resolves their degradable cells to (phase, leaf ordinal). Everything
+  /// happens under a single shared-latch acquisition (snapshot-per-batch
+  /// semantics). The survivors REPLACE `ws`'s batch (see ScanWorkspace);
+  /// `limit` bounds tuples examined, not rows kept — a selective batch
+  /// comes out short rather than holding the latch until it fills. `deltas`
+  /// accumulates the pushdown accounting (see ScanDeltas). Every heap scan
+  /// of the query layer and of the deletion-assurance sweep pulls this
+  /// batch.
   Status ScanBatchFiltered(Rid* pos, PageId end_page, size_t limit,
                            const ScanSpec& spec, ScanWorkspace* ws, bool* done,
                            ScanDeltas* deltas) const;
-
-  /// Batched store probe: resolves the stored (phase, value) of every id in
-  /// `row_ids` (must be ascending) for every degradable column, row-major —
-  /// phases/values[i * degradable_cols + d]. A removed value reports phase
-  /// == lcp.num_phases() with a NULL value; an id not in this partition
-  /// reports every column removed. One shared-latch acquisition, one
-  /// FindMany merge per (column, phase) store. Exposed for tests (merge
-  /// equivalence vs Find) and consumers that need levels without full rows.
-  Status ProbeMany(const std::vector<RowId>& row_ids, std::vector<int>* phases,
-                   std::vector<Value>* values) const;
 
   Result<std::optional<RowView>> GetRow(RowId row_id) const;
 
@@ -198,8 +179,8 @@ class TablePartition {
   bool Contains(RowId row_id) const;
 
   /// (column, phase) of the store currently holding `row_id`'s value, for
-  /// every degradable column (kStateStores layout; empty under kInPlace).
-  /// Used by Table::Delete to serialize against degradation steps.
+  /// every degradable column that still holds one. Used by Table::Delete to
+  /// serialize against degradation steps.
   std::vector<std::pair<int, int>> StoresHolding(RowId row_id) const;
 
   uint64_t live_rows() const;
@@ -208,14 +189,9 @@ class TablePartition {
                           std::vector<RowId>* out) const;
   Status IndexLookupRange(int column, const Value& lo, const Value& hi,
                           int level, std::vector<RowId>* out) const;
-  Result<Bitmap> BitmapLookupEqual(int column, const Value& value,
-                                   int level) const;
 
   const MultiResolutionIndex* multires_index(int degradable_ordinal) const {
     return multires_[degradable_ordinal].get();
-  }
-  const BitmapColumnIndex* bitmap_index(int degradable_ordinal) const {
-    return bitmaps_.empty() ? nullptr : bitmaps_[degradable_ordinal].get();
   }
 
   // --- degradation -----------------------------------------------------------
@@ -272,8 +248,8 @@ class TablePartition {
   /// degrade step (which moves store entries and index postings together
   /// under the exclusive latch) can never be observed halfway. For every
   /// (degradable column, phase): `stale` counts index entries above what the
-  /// phase's store (or in-place schedule queue) actually holds — postings
-  /// still claiming accuracy the data has lost — and `missing` the opposite.
+  /// phase's store actually holds — postings still claiming accuracy the
+  /// data has lost — and `missing` the opposite.
   struct IndexAuditCounts {
     uint64_t stale = 0;
     uint64_t missing = 0;
@@ -286,6 +262,8 @@ class TablePartition {
   Histogram lateness_histogram() const;
 
   BufferPool* heap_pool() const { return heap_pool_.get(); }
+  /// State store of (schema column, phase); nullptr when the column is not
+  /// degradable or the phase is out of range.
   const StateStore* store(int column, int phase) const;
 
  private:
@@ -308,17 +286,13 @@ class TablePartition {
   /// Caller holds the exclusive latch.
   Status MaybeExpireTupleLocked(RowId row_id);
 
-  /// Builds a RowView from a decoded heap tuple (caller holds the latch).
-  bool AssembleRow(const HeapTuple& tuple, RowView* view) const;
-
-  /// Leaf ordinal of degradable column `d`'s inline image (kInPlace), -1
-  /// once removed.
-  int64_t InlineOrdinal(size_t d, const InlineDegradable& inline_value) const;
+  /// Builds a RowView from a decoded heap tuple, one store probe per
+  /// degradable column (caller holds the latch).
+  void AssembleRow(const HeapTuple& tuple, RowView* view) const;
 
   /// Resolves the (phase, ordinal) of every degradable column of the
-  /// survivors ws->tuples[0, count) into ws->phases/ordinals: FindMany
-  /// merges under kStateStores, the inline images under kInPlace. Caller
-  /// holds the shared latch.
+  /// survivors ws->tuples[0, count) into ws->phases/ordinals with one
+  /// FindMany merge per state store. Caller holds the shared latch.
   void ResolveDegradableLocked(ScanWorkspace* ws) const;
 
   const TableDef* const def_;
@@ -335,11 +309,6 @@ class TablePartition {
   /// stores_[degradable_ordinal][phase].
   std::vector<std::vector<std::unique_ptr<StateStore>>> stores_;
   std::vector<std::unique_ptr<MultiResolutionIndex>> multires_;
-  std::vector<std::unique_ptr<BitmapColumnIndex>> bitmaps_;
-
-  /// In-place layout: FIFO schedule (row_id, insert_time) per (ordinal,
-  /// phase), mirroring what the state stores provide for free.
-  std::vector<std::vector<std::deque<std::pair<RowId, Micros>>>> inplace_queues_;
 
   mutable std::shared_mutex latch_;
   /// Serializes checkpoints of this partition and guards the incremental-

@@ -65,50 +65,57 @@ AuditReport DeletionAuditor::Run(const std::vector<Table*>& tables, Micros now,
     const uint32_t parts = table->num_partitions();
     std::vector<PartitionFindings> per(parts);
     std::mutex merge_mu;
-    // Page-range morsels with a null stats sink: audit claims are not query
-    // scans and must not perturb the scan-counter invariant. Read-only
-    // fan-out; cursor batches hold one shared latch at a time, so the audit
-    // never blocks a writer or the degrader for longer than one batch
-    // assembly. Scan errors surface as a Status and abort the whole sweep.
+    // Page-range morsels whose scan deltas are discarded: audit claims are
+    // not query scans and must not perturb the scan-counter invariant.
+    // Read-only fan-out; cursor batches hold one shared latch at a time, so
+    // the audit never blocks a writer or the degrader for longer than one
+    // batch. Each batch decodes no stable value: the sweep reads only the
+    // insert time and each cell's stored phase. Scan errors surface as a
+    // Status and abort the whole sweep.
+    ScanSpec spec;
+    spec.output_columns.assign(schema.stable_columns().size(), false);
+    const size_t dcols = degradable.size();
     MorselScheduler sched(table->MorselPlan(0));
     const size_t workers =
         std::max<size_t>(1, std::min<size_t>(workers_, sched.total()));
     auto sweep = [&](size_t w) -> Status {
       Morsel morsel;
-      std::vector<RowView> batch;
+      ScanWorkspace ws;
+      ScanDeltas deltas;
       while (sched.Claim(w, &morsel)) {
         PartitionFindings acc;
         PartitionCursor cursor = table->OpenMorselCursor(morsel);
         bool done = false;
         while (!done) {
-          batch.clear();
-          IDB_RETURN_IF_ERROR(cursor.NextBatch(1024, &batch, &done));
-          for (const RowView& row : batch) {
+          IDB_RETURN_IF_ERROR(
+              cursor.NextBatch(1024, spec, &ws, &done, &deltas));
+          for (size_t k = 0; k < ws.count; ++k) {
+            const Micros insert_time = ws.tuples[k].insert_time;
             ++acc.rows;
             size_t removed = 0;
-            for (size_t d = 0; d < degradable.size(); ++d) {
+            for (size_t d = 0; d < dcols; ++d) {
               const AttributeLcp& lcp = schema.column(degradable[d]).lcp;
-              const int stored = row.phases[d];
+              const int stored = ws.phases[k * dcols + d];
               if (stored >= lcp.num_phases()) {
                 ++removed;
                 continue;
               }
               // Phase the LCP expects at the horizon; anything stored
               // more accurately has outlived a transition deadline.
-              const int expected = lcp.PhaseAt(horizon - row.insert_time);
+              const int expected = lcp.PhaseAt(horizon - insert_time);
               if (stored < expected) {
                 ++acc.exposed;
                 // The value should have left `stored` at this deadline;
                 // the attack window is how long past it we caught it.
                 const Micros deadline =
-                    row.insert_time + lcp.PhaseEndOffset(stored);
+                    insert_time + lcp.PhaseEndOffset(stored);
                 acc.max_exposure = std::max(acc.max_exposure, now - deadline);
               }
             }
             // Every value at ⊥ but the shell still in the heap: the
             // disappearance step is overdue (counted per tuple, not per
             // value, so it never double-counts with exposed_values).
-            if (!degradable.empty() && removed == degradable.size()) {
+            if (dcols != 0 && removed == dcols) {
               ++acc.overdue_tuples;
             }
           }

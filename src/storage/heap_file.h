@@ -10,8 +10,8 @@
 
 namespace instantdb {
 
-/// \brief Slotted-page heap file holding the stable part of each tuple (and,
-/// under DegradableLayout::kInPlace, the degradable values too).
+/// \brief Slotted-page heap file holding the stable part of each tuple and
+/// its insertion time (the degradable values live in the state stores).
 ///
 /// Page layout:
 ///   [0..2)  uint16 slot count

@@ -4,21 +4,13 @@
 
 namespace instantdb {
 
-void EncodeHeapTuple(const Schema& /*schema*/, DegradableLayout layout,
-                     const HeapTuple& tuple, std::string* dst) {
+void EncodeHeapTuple(const HeapTuple& tuple, std::string* dst) {
   PutVarint64(dst, tuple.row_id);
   PutVarint64(dst, static_cast<uint64_t>(tuple.insert_time));
   for (const Value& v : tuple.stable) v.EncodeTo(dst);
-  if (layout == DegradableLayout::kInPlace) {
-    for (const InlineDegradable& d : tuple.degradable) {
-      PutVarint32(dst, static_cast<uint32_t>(d.phase));
-      d.value.EncodeTo(dst);
-    }
-  }
 }
 
-Status DecodeHeapTuple(const Schema& schema, DegradableLayout layout,
-                       Slice input, HeapTuple* out,
+Status DecodeHeapTuple(const Schema& schema, Slice input, HeapTuple* out,
                        const std::vector<bool>* stable_needed) {
   uint64_t row_id, insert_time;
   if (!GetVarint64(&input, &row_id) || !GetVarint64(&input, &insert_time)) {
@@ -33,18 +25,6 @@ Status DecodeHeapTuple(const Schema& schema, DegradableLayout layout,
     if (!needed) v = Value::Null();
     if (!Value::DecodeFrom(&input, needed ? &v : nullptr)) {
       return Status::Corruption("bad stable value");
-    }
-  }
-  out->degradable.clear();
-  if (layout == DegradableLayout::kInPlace) {
-    out->degradable.resize(schema.degradable_columns().size());
-    for (InlineDegradable& d : out->degradable) {
-      uint32_t phase;
-      if (!GetVarint32(&input, &phase) ||
-          !Value::DecodeFrom(&input, &d.value)) {
-        return Status::Corruption("bad inline degradable value");
-      }
-      d.phase = static_cast<int32_t>(phase);
     }
   }
   if (!input.empty()) return Status::Corruption("trailing bytes in tuple");

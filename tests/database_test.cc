@@ -16,7 +16,7 @@ Schema PingSchema() {
        ColumnDef::Degradable("location", LocationDomain(), Fig2LocationLcp())});
 }
 
-class DatabaseTest : public ::testing::TestWithParam<DegradableLayout> {
+class DatabaseTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "/idb_db_test";
@@ -33,7 +33,6 @@ class DatabaseTest : public ::testing::TestWithParam<DegradableLayout> {
     DbOptions options;
     options.path = dir_;
     options.clock = clock_.get();
-    options.layout = GetParam();
     options.storage.segment_bytes = 512;
     options.wal.segment_bytes = 4096;
     return options;
@@ -69,7 +68,7 @@ class DatabaseTest : public ::testing::TestWithParam<DegradableLayout> {
   std::unique_ptr<Database> db_;
 };
 
-TEST_P(DatabaseTest, Fig2LifecycleEndToEnd) {
+TEST_F(DatabaseTest, Fig2LifecycleEndToEnd) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   const RowId row = InsertPing("alice", 1, "11 Rue Lepic");
 
@@ -101,7 +100,7 @@ TEST_P(DatabaseTest, Fig2LifecycleEndToEnd) {
   EXPECT_EQ(db_->GetTable("pings")->stats().tuples_expired, 1u);
 }
 
-TEST_P(DatabaseTest, DegradationIsBatchedAcrossManyRows) {
+TEST_F(DatabaseTest, DegradationIsBatchedAcrossManyRows) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   const std::vector<std::string> addresses = {
       "11 Rue Lepic", "3 Av Foch", "12 Rue Royale", "4 Rue Breteuil",
@@ -124,7 +123,7 @@ TEST_P(DatabaseTest, DegradationIsBatchedAcrossManyRows) {
   EXPECT_EQ(LocationOf(rows[61]), Value::String("3 Av Foch"));  // still accurate
 }
 
-TEST_P(DatabaseTest, UserDeleteRemovesEverythingImmediately) {
+TEST_F(DatabaseTest, UserDeleteRemovesEverythingImmediately) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   const RowId keep = InsertPing("keep", 1, "11 Rue Lepic");
   const RowId gone = InsertPing("gone", 2, "3 Av Foch");
@@ -139,7 +138,7 @@ TEST_P(DatabaseTest, UserDeleteRemovesEverythingImmediately) {
   EXPECT_TRUE(LocationOf(gone).is_null());
 }
 
-TEST_P(DatabaseTest, RecoveryReplaysInsertsAndDegradations) {
+TEST_F(DatabaseTest, RecoveryReplaysInsertsAndDegradations) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   const RowId r1 = InsertPing("alice", 1, "11 Rue Lepic");
   const RowId r2 = InsertPing("bob", 2, "4 Rue Breteuil");
@@ -166,7 +165,7 @@ TEST_P(DatabaseTest, RecoveryReplaysInsertsAndDegradations) {
   EXPECT_EQ(LocationOf(r3), Value::String("Versailles"));
 }
 
-TEST_P(DatabaseTest, FailedOpenNeverCheckpoints) {
+TEST_F(DatabaseTest, FailedOpenNeverCheckpoints) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   InsertPing("alice", 1, "11 Rue Lepic");
   db_.reset();  // the clean close writes the manifest
@@ -187,7 +186,7 @@ TEST_P(DatabaseTest, FailedOpenNeverCheckpoints) {
   EXPECT_EQ(*after, corrupt);
 }
 
-TEST_P(DatabaseTest, IndexesSurviveRecoveryViaRebuild) {
+TEST_F(DatabaseTest, IndexesSurviveRecoveryViaRebuild) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   InsertPing("alice", 1, "11 Rue Lepic");
   InsertPing("bob", 2, "3 Av Foch");
@@ -208,7 +207,7 @@ TEST_P(DatabaseTest, IndexesSurviveRecoveryViaRebuild) {
   EXPECT_EQ(rids.size(), 3u);
 }
 
-TEST_P(DatabaseTest, RetentionBaselineIsAllOrNothing) {
+TEST_F(DatabaseTest, RetentionBaselineIsAllOrNothing) {
   // Limited retention = single-phase LCP. The value stays fully accurate
   // until the TTL, then the tuple vanishes — no intermediate states.
   auto schema = *Schema::Make(
@@ -230,7 +229,7 @@ TEST_P(DatabaseTest, RetentionBaselineIsAllOrNothing) {
   EXPECT_FALSE(view->has_value());
 }
 
-TEST_P(DatabaseTest, ForensicScanFindsNoDegradedPlaintext) {
+TEST_F(DatabaseTest, ForensicScanFindsNoDegradedPlaintext) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   const std::string secret = "11 Rue Lepic";
   for (int i = 0; i < 20; ++i) InsertPing("alice", i, secret);
@@ -269,7 +268,7 @@ TEST_P(DatabaseTest, ForensicScanFindsNoDegradedPlaintext) {
   EXPECT_EQ(db_->GetTable("pings")->live_rows(), 20u);
 }
 
-TEST_P(DatabaseTest, MultipleDegradableColumnsIndependentTimelines) {
+TEST_F(DatabaseTest, MultipleDegradableColumnsIndependentTimelines) {
   auto schema = *Schema::Make(
       {ColumnDef::Stable("user", ValueType::kString),
        ColumnDef::Degradable("location", LocationDomain(), Fig2LocationLcp()),
@@ -298,7 +297,7 @@ TEST_P(DatabaseTest, MultipleDegradableColumnsIndependentTimelines) {
   EXPECT_EQ(view->values[2], Value::Int64(2000));
 }
 
-TEST_P(DatabaseTest, DropTableErasesStorage) {
+TEST_F(DatabaseTest, DropTableErasesStorage) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   InsertPing("alice", 1, "11 Rue Lepic");
   ASSERT_TRUE(db_->DropTable("pings").ok());
@@ -309,7 +308,7 @@ TEST_P(DatabaseTest, DropTableErasesStorage) {
   EXPECT_EQ(db_->GetTable("pings")->live_rows(), 0u);
 }
 
-TEST_P(DatabaseTest, UpdateStableKeepsDegradationSchedule) {
+TEST_F(DatabaseTest, UpdateStableKeepsDegradationSchedule) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   const RowId row = InsertPing("alice", 1, "11 Rue Lepic");
   auto txn = db_->Begin();
@@ -328,7 +327,7 @@ TEST_P(DatabaseTest, UpdateStableKeepsDegradationSchedule) {
   EXPECT_EQ(LocationOf(row), Value::String("Paris"));
 }
 
-TEST_P(DatabaseTest, AbortedTransactionLeavesNoTrace) {
+TEST_F(DatabaseTest, AbortedTransactionLeavesNoTrace) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   auto txn = db_->Begin();
   auto row = db_->GetTable("pings")->Insert(
@@ -342,7 +341,7 @@ TEST_P(DatabaseTest, AbortedTransactionLeavesNoTrace) {
   EXPECT_FALSE(view->has_value());
 }
 
-TEST_P(DatabaseTest, ScanRowsSeesConsistentPhases) {
+TEST_F(DatabaseTest, ScanRowsSeesConsistentPhases) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   InsertPing("a", 1, "11 Rue Lepic");
   clock_->Advance(kMicrosPerHour);
@@ -359,15 +358,6 @@ TEST_P(DatabaseTest, ScanRowsSeesConsistentPhases) {
   EXPECT_EQ(phase_by_user["a"], 1);  // city phase
   EXPECT_EQ(phase_by_user["b"], 0);  // accurate
 }
-
-INSTANTIATE_TEST_SUITE_P(AllLayouts, DatabaseTest,
-                         ::testing::Values(DegradableLayout::kStateStores,
-                                           DegradableLayout::kInPlace),
-                         [](const auto& info) {
-                           return info.param == DegradableLayout::kStateStores
-                                      ? "StateStores"
-                                      : "InPlace";
-                         });
 
 }  // namespace
 }  // namespace instantdb

@@ -4,7 +4,6 @@
 #include "catalog/builtin_domains.h"
 #include "common/random.h"
 #include "gtest/gtest.h"
-#include "index/bitmap_index.h"
 #include "index/btree.h"
 #include "index/multires_index.h"
 #include "util/file.h"
@@ -321,73 +320,6 @@ TEST_F(MultiResIndexTest, RangeLookupOnIntervalDomain) {
                   .ok());
   std::sort(rids.begin(), rids.end());
   EXPECT_EQ(rids, (std::vector<RowId>{2, 3}));  // 1000 and 1500
-}
-
-// --- BitmapColumnIndex ---------------------------------------------------------------
-
-class BitmapIndexTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    column_ = ColumnDef::Degradable("location", LocationDomain(),
-                                    Fig2LocationLcp());
-    index_ = std::make_unique<BitmapColumnIndex>(column_);
-  }
-
-  std::vector<RowId> Lookup(const std::string& label, int level) {
-    auto bitmap = index_->LookupEqual(Value::String(label), level);
-    EXPECT_TRUE(bitmap.ok());
-    std::vector<RowId> rids;
-    bitmap->ForEachSet([&](size_t i) { rids.push_back(i); });
-    return rids;
-  }
-
-  ColumnDef column_;
-  std::unique_ptr<BitmapColumnIndex> index_;
-};
-
-TEST_F(BitmapIndexTest, MirrorsMultiResolutionSemantics) {
-  ASSERT_TRUE(index_->OnInsert(1, Value::String("11 Rue Lepic")).ok());
-  ASSERT_TRUE(index_->OnInsert(2, Value::String("3 Av Foch")).ok());
-  ASSERT_TRUE(index_->OnInsert(3, Value::String("4 Rue Breteuil")).ok());
-  EXPECT_EQ(Lookup("Paris", 1), (std::vector<RowId>{1, 2}));
-  EXPECT_EQ(Lookup("France", 3), (std::vector<RowId>{1, 2, 3}));
-
-  ASSERT_TRUE(index_
-                  ->OnDegrade(3, 0, Value::String("4 Rue Breteuil"), 1,
-                              Value::String("Marseille"))
-                  .ok());
-  EXPECT_EQ(Lookup("Marseille", 1), (std::vector<RowId>{3}));
-  EXPECT_EQ(Lookup("France", 3), (std::vector<RowId>{1, 2, 3}));
-  EXPECT_EQ(index_->DistinctInPhase(0), 2u);
-  EXPECT_EQ(index_->DistinctInPhase(1), 1u);
-
-  ASSERT_TRUE(index_->OnDelete(3, 1, Value::String("Marseille")).ok());
-  EXPECT_EQ(Lookup("France", 3), (std::vector<RowId>{1, 2}));
-  EXPECT_EQ(index_->DistinctInPhase(1), 0u);
-}
-
-TEST_F(BitmapIndexTest, DomainShrinksAsDataDegrades) {
-  // The paper's OLAP observation: degradation reduces distinct values, so
-  // bitmap indexes get *denser* per value at coarser phases.
-  const std::vector<std::string> addresses = {
-      "11 Rue Lepic", "3 Av Foch", "12 Rue Royale", "4 Rue Breteuil",
-      "8 Cours Mirabeau"};
-  for (RowId r = 0; r < addresses.size(); ++r) {
-    ASSERT_TRUE(index_->OnInsert(r + 1, Value::String(addresses[r])).ok());
-  }
-  EXPECT_EQ(index_->DistinctInPhase(0), 5u);  // one per address
-  // Degrade all to city level.
-  const std::vector<std::string> cities = {"Paris", "Paris", "Versailles",
-                                           "Marseille", "Aix"};
-  for (RowId r = 0; r < addresses.size(); ++r) {
-    ASSERT_TRUE(index_
-                    ->OnDegrade(r + 1, 0, Value::String(addresses[r]), 1,
-                                Value::String(cities[r]))
-                    .ok());
-  }
-  EXPECT_EQ(index_->DistinctInPhase(0), 0u);
-  EXPECT_EQ(index_->DistinctInPhase(1), 4u);  // 4 distinct cities
-  EXPECT_GT(index_->MemoryBytes(), 0u);
 }
 
 }  // namespace

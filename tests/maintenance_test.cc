@@ -193,6 +193,68 @@ TEST_F(MaintenanceTest, AuditCatchesPlantedStaleValue) {
   EXPECT_EQ(db->stats().maintenance.max_exposure_seen, 2 * kMicrosPerSecond);
 }
 
+// The sweep reads each cell's phase at [row * degradable columns + column]
+// of a pushdown batch: with two degradable columns on different schedules
+// and several morsels per partition, only the short-lived column's cells of
+// the faulted partition may count, each exactly once.
+TEST_F(MaintenanceTest, AuditCountsOnlyOverdueCellsAcrossMorsels) {
+  VirtualClock clock(0);
+  DbOptions options = Options(&clock);
+  options.wal.segment_bytes = 1 << 20;
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(*opened);
+  auto near = AttributeLcp::Make({{0, kMicrosPerSecond}, {1, kForever}});
+  auto far = AttributeLcp::Make({{0, kMicrosPerHour}, {1, kForever}});
+  ASSERT_TRUE(near.ok());
+  ASSERT_TRUE(far.ok());
+  auto schema = Schema::Make(
+      {ColumnDef::Stable("user", ValueType::kString),
+       ColumnDef::Degradable("home", LocationDomain(), *far),
+       ColumnDef::Degradable("ping", LocationDomain(), *near)});
+  ASSERT_TRUE(schema.ok());
+  ASSERT_TRUE(db->CreateTable("pings", *schema).ok());
+  Table* table = db->GetTable("pings");
+
+  // Long stable values fill heap pages quickly, so every partition spans
+  // more than one default-sized morsel.
+  std::vector<RowId> ids;
+  for (int b = 0; b < 32; ++b) {
+    WriteBatch batch;
+    for (int i = 0; i < 50; ++i) {
+      batch.Insert("pings",
+                   {Value::String(StringPrintf("u%d-%d-", b, i) +
+                                  std::string(400, 'x')),
+                    Value::String("11 Rue Lepic"), Value::String("3 Av Foch")});
+    }
+    ASSERT_TRUE(db->Write(&batch).ok());
+    ids.insert(ids.end(), batch.row_ids().begin(), batch.row_ids().end());
+  }
+  ASSERT_EQ(table->live_rows(), ids.size());
+  for (uint32_t p = 0; p < table->num_partitions(); ++p) {
+    ASSERT_GT(table->partition(p)->MorselPlan(0).size(), 1u) << p;
+  }
+
+  const uint32_t victim = table->PartitionOf(ids[0]);
+  uint64_t planted = 0;
+  for (RowId id : ids) planted += table->PartitionOf(id) == victim ? 1 : 0;
+  ASSERT_GT(planted, 0u);
+  ASSERT_LT(planted, ids.size());
+  db->degradation()->TEST_FaultSkipPartition(table->id(), victim, true);
+  clock.Advance(3 * kMicrosPerSecond);
+  ASSERT_TRUE(db->RunDegradationOnce().ok());
+
+  const AuditReport report = db->Audit();
+  EXPECT_EQ(report.exposed_values, planted) << report.ToString();
+  EXPECT_EQ(report.max_exposure, 2 * kMicrosPerSecond);
+  EXPECT_EQ(report.rows_scanned, table->live_rows());
+  EXPECT_EQ(report.overdue_tuples, 0u);
+  ASSERT_EQ(report.tables.size(), 1u);
+  EXPECT_EQ(report.tables[0].exposed_partitions,
+            std::vector<uint32_t>{victim});
+  db->degradation()->TEST_FaultSkipPartition(table->id(), victim, false);
+}
+
 // The paper's unsafe baseline: a kPlain WAL retires segments by rename
 // and leaves the bytes on disk. The audit flags that permanently — there
 // is no clean report to be had in kPlain once a payload-bearing segment

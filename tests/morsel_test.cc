@@ -292,42 +292,45 @@ TEST_F(MorselScanTest, MorselCursorsResumeExactlyAcrossBoundaries) {
 
   // Full sequential sweep as ground truth.
   std::set<RowId> expected;
-  for (uint32_t p = 0; p < table->num_partitions(); ++p) {
-    PartitionCursor cursor = table->OpenPartitionCursor(p);
-    bool done = false;
-    while (!done) {
-      std::vector<RowView> views;
-      ASSERT_TRUE(cursor.NextBatch(64, &views, &done).ok());
-      for (const RowView& view : views) expected.insert(view.row_id);
-    }
-  }
+  ASSERT_TRUE(table
+                  ->ScanRows([&](const RowView& view) {
+                    expected.insert(view.row_id);
+                    return true;
+                  })
+                  .ok());
   ASSERT_EQ(expected.size(), static_cast<size_t>(kRows));
 
   // Drain every 1-page morsel with a tiny batch limit, forcing resume
   // positions INSIDE pages and at page (= morsel) boundaries. The union
   // must be exact: no row lost at a boundary, none served by two morsels.
+  ScanSpec spec;
+  spec.output_columns.assign(table->schema().stable_columns().size(), true);
+  ScanWorkspace ws;
+  ScanDeltas deltas;
   std::set<RowId> seen;
   for (const auto& queue : table->MorselPlan(1)) {
     for (const Morsel& morsel : queue) {
       PartitionCursor cursor = table->OpenMorselCursor(morsel);
       bool done = false;
       while (!done) {
-        std::vector<RowView> views;
-        ASSERT_TRUE(cursor.NextBatch(7, &views, &done).ok());
-        for (const RowView& view : views) {
-          EXPECT_EQ(table->PartitionOf(view.row_id), morsel.partition);
-          EXPECT_TRUE(seen.insert(view.row_id).second)
-              << "row served by two morsels: " << view.row_id;
+        ASSERT_TRUE(cursor.NextBatch(7, spec, &ws, &done, &deltas).ok());
+        EXPECT_LE(ws.count, 7u);
+        for (size_t k = 0; k < ws.count; ++k) {
+          const RowId row_id = ws.tuples[k].row_id;
+          EXPECT_EQ(table->PartitionOf(row_id), morsel.partition);
+          EXPECT_TRUE(seen.insert(row_id).second)
+              << "row served by two morsels: " << row_id;
         }
       }
       // A drained morsel cursor stays drained.
-      std::vector<RowView> extra;
-      ASSERT_TRUE(cursor.NextBatch(7, &extra, &done).ok());
+      ASSERT_TRUE(cursor.NextBatch(7, spec, &ws, &done, &deltas).ok());
       EXPECT_TRUE(done);
-      EXPECT_TRUE(extra.empty());
+      EXPECT_EQ(ws.count, 0u);
     }
   }
   EXPECT_EQ(seen, expected);
+  EXPECT_EQ(deltas.rows_scanned, static_cast<uint64_t>(kRows));
+  EXPECT_EQ(deltas.rows_prefiltered, 0u);
 }
 
 TEST_F(MorselScanTest, ScanDuringDegradationStaysSnapshotSafe) {

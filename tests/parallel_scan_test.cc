@@ -1,8 +1,8 @@
 // Parallel read path: fanned-out scans must return exactly the row set of
 // the test oracle (scan_oracle.h) at every parallelism — also when the
 // shared pool lends no worker and the scan runs inline — preserve snapshot
-// safety while the degrader runs, expose per-partition cursors for
-// consumers that shard a scan themselves, and account their work in
+// safety while the degrader runs, expose morsel cursors for consumers
+// that shard a scan themselves, and account their work in
 // Database::stats().scan. This test runs under ThreadSanitizer in
 // scripts/verify.sh --tsan: the prefetch workers, bounded queue and
 // consumer are exactly the cross-thread paths it exercises.
@@ -178,14 +178,10 @@ TEST_F(ParallelScanTest, PredicatesAndStableProjectionsAgreeAcrossParallelism) {
   }
 }
 
-/// Both degradable layouts, a tree and an interval domain, node and
-/// non-node predicates, include_coarser: every fan-out returns the oracle's
-/// values and display, the materialized path in its exact order.
-class ParallelLayoutTest
-    : public ParallelScanTest,
-      public ::testing::WithParamInterface<DegradableLayout> {};
-
-TEST_P(ParallelLayoutTest, LayoutsAndDomainsAgreeAcrossParallelism) {
+/// A tree and an interval domain, node and non-node predicates,
+/// include_coarser: every fan-out returns the oracle's values and display,
+/// the materialized path in its exact order.
+TEST_F(ParallelScanTest, DomainsAgreeAcrossParallelism) {
   db_.reset();
   ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
   clock_ = std::make_unique<VirtualClock>(0);
@@ -194,7 +190,6 @@ TEST_P(ParallelLayoutTest, LayoutsAndDomainsAgreeAcrossParallelism) {
   options.clock = clock_.get();
   options.partitions = 4;
   options.degradation.worker_threads = 4;
-  options.layout = GetParam();
   auto opened = Database::Open(options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   db_ = std::move(*opened);
@@ -240,15 +235,6 @@ TEST_P(ParallelLayoutTest, LayoutsAndDomainsAgreeAcrossParallelism) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothLayouts, ParallelLayoutTest,
-    ::testing::Values(DegradableLayout::kStateStores,
-                      DegradableLayout::kInPlace),
-    [](const auto& info) {
-      return info.param == DegradableLayout::kStateStores ? "StateStores"
-                                                          : "InPlace";
-    });
 
 TEST_F(ParallelScanTest, CursorOpenDuringDegradationStaysSnapshotSafe) {
   constexpr int kRows = 800;
@@ -300,35 +286,42 @@ TEST_F(ParallelScanTest, PartitionCursorsShardTheTableExactly) {
   BuildDb(4, kRows);
   Table* table = db_->GetTable("pings");
   ASSERT_NE(table, nullptr);
+  ScanSpec spec;
+  spec.output_columns.assign(table->schema().stable_columns().size(), true);
+  ScanWorkspace ws;
+  ScanDeltas deltas;
   std::set<RowId> all;
   for (uint32_t p = 0; p < table->num_partitions(); ++p) {
-    PartitionCursor cursor = table->OpenPartitionCursor(p);
+    // One whole-partition morsel: page 0 to the end of the heap.
+    Morsel whole;
+    whole.partition = p;
+    PartitionCursor cursor = table->OpenMorselCursor(whole);
     bool done = false;
     while (!done) {
-      std::vector<RowView> views;
-      ASSERT_TRUE(cursor.NextBatch(64, &views, &done).ok());
-      for (const RowView& view : views) {
+      ASSERT_TRUE(cursor.NextBatch(64, spec, &ws, &done, &deltas).ok());
+      for (size_t k = 0; k < ws.count; ++k) {
+        const RowId row_id = ws.tuples[k].row_id;
         // Every row a partition cursor serves routes back to it.
-        EXPECT_EQ(table->PartitionOf(view.row_id), p);
-        EXPECT_TRUE(all.insert(view.row_id).second)
-            << "row served twice: " << view.row_id;
+        EXPECT_EQ(table->PartitionOf(row_id), p);
+        EXPECT_TRUE(all.insert(row_id).second) << "row served twice: " << row_id;
       }
     }
     // A drained cursor stays drained.
-    std::vector<RowView> extra;
-    ASSERT_TRUE(cursor.NextBatch(64, &extra, &done).ok());
+    ASSERT_TRUE(cursor.NextBatch(64, spec, &ws, &done, &deltas).ok());
     EXPECT_TRUE(done);
-    EXPECT_TRUE(extra.empty());
+    EXPECT_EQ(ws.count, 0u);
   }
   EXPECT_EQ(all.size(), static_cast<size_t>(kRows));
 
   // An out-of-range partition index yields a safe empty cursor.
-  PartitionCursor oob = table->OpenPartitionCursor(table->num_partitions());
+  Morsel oob_morsel;
+  oob_morsel.partition = table->num_partitions();
+  PartitionCursor oob = table->OpenMorselCursor(oob_morsel);
   bool done = false;
-  std::vector<RowView> views;
-  ASSERT_TRUE(oob.NextBatch(64, &views, &done).ok());
+  ASSERT_TRUE(oob.NextBatch(64, spec, &ws, &done, &deltas).ok());
   EXPECT_TRUE(done);
-  EXPECT_TRUE(views.empty());
+  EXPECT_EQ(ws.count, 0u);
+  EXPECT_EQ(deltas.rows_scanned, static_cast<uint64_t>(kRows));
 }
 
 TEST_F(ParallelScanTest, ScanCountersAccountBatchesRowsAndStalls) {

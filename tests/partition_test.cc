@@ -15,10 +15,10 @@ Schema PingSchema() {
        ColumnDef::Degradable("location", LocationDomain(), Fig2LocationLcp())});
 }
 
-/// Partitioned-table behavior, both layouts, with the degradation worker
+/// Partitioned-table behavior, with the degradation worker
 /// pool enabled: routing, scans, recovery and scheduling must be
 /// indistinguishable from the single-partition engine (modulo speed).
-class PartitionTest : public ::testing::TestWithParam<DegradableLayout> {
+class PartitionTest : public ::testing::Test {
  protected:
   static constexpr uint32_t kPartitions = 4;
 
@@ -38,7 +38,6 @@ class PartitionTest : public ::testing::TestWithParam<DegradableLayout> {
     DbOptions options;
     options.path = dir_;
     options.clock = clock_.get();
-    options.layout = GetParam();
     options.partitions = partitions;
     options.degradation.worker_threads = 4;
     options.storage.segment_bytes = 512;
@@ -66,7 +65,7 @@ class PartitionTest : public ::testing::TestWithParam<DegradableLayout> {
   std::unique_ptr<Database> db_;
 };
 
-TEST_P(PartitionTest, RowsRouteDeterministicallyToAllPartitions) {
+TEST_F(PartitionTest, RowsRouteDeterministicallyToAllPartitions) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   Table* table = db_->GetTable("pings");
   ASSERT_EQ(table->num_partitions(), kPartitions);
@@ -89,7 +88,7 @@ TEST_P(PartitionTest, RowsRouteDeterministicallyToAllPartitions) {
   }
 }
 
-TEST_P(PartitionTest, WorkerPoolDegradesEveryPartitionOnSchedule) {
+TEST_F(PartitionTest, WorkerPoolDegradesEveryPartitionOnSchedule) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   std::vector<RowId> rows;
   for (int i = 0; i < 100; ++i) {
@@ -109,7 +108,7 @@ TEST_P(PartitionTest, WorkerPoolDegradesEveryPartitionOnSchedule) {
   EXPECT_EQ(db_->GetTable("pings")->lateness_histogram().count(), 100u);
 }
 
-TEST_P(PartitionTest, EngineCountsPassesOnlyWhenWorkWasDue) {
+TEST_F(PartitionTest, EngineCountsPassesOnlyWhenWorkWasDue) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   ASSERT_TRUE(db_->RunDegradationOnce().ok());  // nothing due: not a pass
   EXPECT_EQ(db_->degradation()->stats().passes, 0u);
@@ -123,7 +122,7 @@ TEST_P(PartitionTest, EngineCountsPassesOnlyWhenWorkWasDue) {
   EXPECT_EQ(stats.values_moved, 1u);
 }
 
-TEST_P(PartitionTest, RecoveryRoutesRedoToOwningPartition) {
+TEST_F(PartitionTest, RecoveryRoutesRedoToOwningPartition) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   std::vector<RowId> rows;
   for (int i = 0; i < 20; ++i) {
@@ -158,7 +157,7 @@ TEST_P(PartitionTest, RecoveryRoutesRedoToOwningPartition) {
   EXPECT_EQ(LocationOf(fresh), Value::String("Marseille"));
 }
 
-TEST_P(PartitionTest, IndexLookupsMergeAcrossPartitions) {
+TEST_F(PartitionTest, IndexLookupsMergeAcrossPartitions) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   for (int i = 0; i < 12; ++i) {
     InsertPing("p" + std::to_string(i),
@@ -179,7 +178,7 @@ TEST_P(PartitionTest, IndexLookupsMergeAcrossPartitions) {
   EXPECT_EQ(rids.size(), 12u);
 }
 
-TEST_P(PartitionTest, PartitionCountPersistsAcrossMismatchedReopen) {
+TEST_F(PartitionTest, PartitionCountPersistsAcrossMismatchedReopen) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   std::vector<RowId> rows;
   for (int i = 0; i < 16; ++i) {
@@ -196,7 +195,7 @@ TEST_P(PartitionTest, PartitionCountPersistsAcrossMismatchedReopen) {
   }
 }
 
-TEST_P(PartitionTest, LegacyUnpartitionedLayoutIsPinnedToOnePartition) {
+TEST_F(PartitionTest, LegacyUnpartitionedLayoutIsPinnedToOnePartition) {
   // Simulate a table from before partitioning existed: single-partition
   // layout with no PARTITIONS file. Reopening with partitions=4 must not
   // re-route (and thereby orphan) the stored rows.
@@ -218,7 +217,7 @@ TEST_P(PartitionTest, LegacyUnpartitionedLayoutIsPinnedToOnePartition) {
   }
 }
 
-TEST_P(PartitionTest, DropTableRemovesEveryPartition) {
+TEST_F(PartitionTest, DropTableRemovesEveryPartition) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   InsertPing("a", "11 Rue Lepic");
   ASSERT_TRUE(db_->DropTable("pings").ok());
@@ -227,15 +226,6 @@ TEST_P(PartitionTest, DropTableRemovesEveryPartition) {
   EXPECT_EQ(db_->GetTable("pings")->live_rows(), 0u);
   EXPECT_EQ(db_->GetTable("pings")->num_partitions(), kPartitions);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllLayouts, PartitionTest,
-                         ::testing::Values(DegradableLayout::kStateStores,
-                                           DegradableLayout::kInPlace),
-                         [](const auto& info) {
-                           return info.param == DegradableLayout::kStateStores
-                                      ? "StateStores"
-                                      : "InPlace";
-                         });
 
 }  // namespace
 }  // namespace instantdb

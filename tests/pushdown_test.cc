@@ -1,11 +1,12 @@
 // Pushdown execution: stable predicates evaluated inside the scan, σ and f_k
 // on stored leaf ordinals, and aggregates folded worker-side must return
 // exactly what the test oracle (scan_oracle.h: full RowView assembly, σ and
-// f_k on the stored Values) returns — across predicate shapes, both
-// degradable layouts, tree and interval domains, include_coarser, scan
-// parallelism and WAL privacy modes — while the scan counters prove the
-// store probes and decodes were actually skipped. Also covers the batched
-// store probe (TablePartition::ProbeMany vs per-row assembly), the rule that
+// f_k on the stored Values) returns — across predicate shapes, tree and
+// interval domains, include_coarser, scan parallelism and WAL privacy
+// modes — while the scan counters prove the store probes and decodes were
+// actually skipped. Also covers the batched store merge (the scan's
+// per-survivor (phase, ordinal) vs GetRow's per-row probe, with rows out of
+// row-id order after relocating updates), the rule that
 // no degradable value finer than the purpose's accuracy leaves the scan, the
 // late stable decode, the maintenance daemon's adaptive checkpoint cadence,
 // and audit-driven urgent repair. Runs under TSan/ASan in
@@ -544,12 +545,10 @@ TEST_F(PushdownTest, LateDecodeAndCountOnlyCountersAreExact) {
   }
 }
 
-/// Oracle equivalence over both degradable layouts, a tree and an interval
-/// domain, node and non-node predicates and include_coarser: values and
-/// rendered display of every materialized and streamed path.
-class PushdownLayoutTest
-    : public PushdownTest,
-      public ::testing::WithParamInterface<DegradableLayout> {
+/// Oracle equivalence over a tree and an interval domain, node and non-node
+/// predicates and include_coarser: values and rendered display of every
+/// materialized and streamed path.
+class PushdownMixTest : public PushdownTest {
  protected:
   void BuildMixDb(int rows) {
     db_.reset();
@@ -560,7 +559,6 @@ class PushdownLayoutTest
     options.clock = clock_.get();
     options.partitions = 4;
     options.degradation.worker_threads = 4;
-    options.layout = GetParam();
     auto opened = Database::Open(options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     db_ = std::move(*opened);
@@ -568,7 +566,7 @@ class PushdownLayoutTest
   }
 };
 
-TEST_P(PushdownLayoutTest, OracleEquivalenceAcrossDomainsAndPredicateKinds) {
+TEST_F(PushdownMixTest, OracleEquivalenceAcrossDomainsAndPredicateKinds) {
   BuildMixDb(600);
   Session session(db_.get());
   ASSERT_TRUE(session.Execute(mix::kPurpose).ok());
@@ -619,52 +617,109 @@ TEST_P(PushdownLayoutTest, OracleEquivalenceAcrossDomainsAndPredicateKinds) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    BothLayouts, PushdownLayoutTest,
-    ::testing::Values(DegradableLayout::kStateStores,
-                      DegradableLayout::kInPlace),
-    [](const auto& info) {
-      return info.param == DegradableLayout::kStateStores ? "StateStores"
-                                                          : "InPlace";
-    });
+/// Keeps the rows whose score is not a multiple of three.
+class ScoreNotMultipleOfThree : public TupleFilter {
+ public:
+  bool Matches(const HeapTuple& tuple) const override {
+    return tuple.stable[1].int64() % 3 != 0;
+  }
+};
 
-TEST_F(PushdownTest, ProbeManyAgreesWithPerRowAssembly) {
+TEST_F(PushdownTest, BatchedStoreMergeAgreesWithGetRowOutOfRowIdOrder) {
   constexpr int kRows = 500;
   BuildDb(4, kRows);
   Table* table = db_->GetTable("pings");
   ASSERT_NE(table, nullptr);
-  const Schema& schema = table->schema();
-  const auto& degradable = schema.degradable_columns();
+  const size_t dcols = table->schema().degradable_columns().size();
+
+  // Grow the user string of every 7th row: a packed heap page cannot hold
+  // the longer record, so the update relocates it behind rows with higher
+  // ids and the heap is no longer in ascending row-id order.
+  std::vector<RowView> rows;
+  ASSERT_TRUE(table
+                  ->ScanRows([&](const RowView& view) {
+                    rows.push_back(view);
+                    return true;
+                  })
+                  .ok());
+  ASSERT_EQ(rows.size(), static_cast<size_t>(kRows));
+  std::sort(rows.begin(), rows.end(),
+            [](const RowView& a, const RowView& b) {
+              return a.row_id < b.row_id;
+            });
+  auto txn = db_->Begin();
+  for (size_t i = 0; i < rows.size(); i += 7) {
+    const RowView& row = rows[i];
+    ASSERT_TRUE(table
+                    ->UpdateStable(txn.get(), row.row_id,
+                                   {Value::String(row.values[0].str() +
+                                                  std::string(1000, 'x')),
+                                    row.values[1]})
+                    .ok());
+  }
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+
+  // The production merge: every survivor's (phase, ordinal) must be what
+  // the per-row probe of GetRow reports.
+  ScoreNotMultipleOfThree filter;
+  ScanSpec spec;
+  spec.filter = &filter;
+  spec.filter_columns = {false, true};
+  spec.output_columns = {true, false};
+  ScanWorkspace ws;
+  ScanDeltas deltas;
   size_t checked = 0;
-  for (uint32_t p = 0; p < table->num_partitions(); ++p) {
-    // Per-row truth via the assembling cursor.
-    std::map<RowId, RowView> expected;
-    PartitionCursor cursor = table->OpenPartitionCursor(p);
-    bool done = false;
-    while (!done) {
-      std::vector<RowView> views;
-      ASSERT_TRUE(cursor.NextBatch(64, &views, &done).ok());
-      for (RowView& view : views) expected.emplace(view.row_id, view);
-    }
-    std::vector<RowId> ids;
-    for (const auto& [id, view] : expected) ids.push_back(id);  // ascending
-    std::vector<int> phases;
-    std::vector<Value> values;
-    ASSERT_TRUE(table->partition(p)->ProbeMany(ids, &phases, &values).ok());
-    ASSERT_EQ(phases.size(), ids.size() * degradable.size());
-    ASSERT_EQ(values.size(), ids.size() * degradable.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      const RowView& view = expected.at(ids[i]);
-      for (size_t d = 0; d < degradable.size(); ++d) {
-        EXPECT_EQ(phases[i * degradable.size() + d], view.phases[d])
-            << "row " << ids[i];
-        EXPECT_EQ(values[i * degradable.size() + d], view.values[degradable[d]])
-            << "row " << ids[i];
+  size_t unordered_batches = 0;
+  for (const std::vector<Morsel>& plan : table->MorselPlan(0)) {
+    for (const Morsel& morsel : plan) {
+      PartitionCursor cursor = table->OpenMorselCursor(morsel);
+      bool done = false;
+      while (!done) {
+        ASSERT_TRUE(cursor.NextBatch(64, spec, &ws, &done, &deltas).ok());
+        bool ascending = true;
+        for (size_t k = 0; k < ws.count; ++k) {
+          const HeapTuple& tuple = ws.tuples[k];
+          if (k > 0 && tuple.row_id < ws.tuples[k - 1].row_id) {
+            ascending = false;
+          }
+          EXPECT_NE(tuple.stable[1].int64() % 3, 0);
+          auto view = table->GetRow(tuple.row_id);
+          ASSERT_TRUE(view.ok());
+          ASSERT_TRUE(view->has_value());
+          EXPECT_EQ(tuple.stable[0], (*view)->values[0]);
+          for (size_t d = 0; d < dcols; ++d) {
+            EXPECT_EQ(ws.phases[k * dcols + d], (*view)->phases[d])
+                << "row " << tuple.row_id;
+            EXPECT_EQ(ws.ordinals[k * dcols + d], (*view)->ordinals[d])
+                << "row " << tuple.row_id;
+          }
+          ++checked;
+        }
+        if (!ascending) ++unordered_batches;
       }
-      ++checked;
     }
   }
-  EXPECT_EQ(checked, static_cast<size_t>(kRows));
+  EXPECT_EQ(checked, static_cast<size_t>(kRows - (kRows + 2) / 3));
+  EXPECT_GT(unordered_batches, 0u);
+
+  // And end to end: a heap-scan SELECT agrees with the oracle.
+  Session session(db_.get());
+  ASSERT_TRUE(session
+                  .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
+                           "FOR pings.location")
+                  .ok());
+  session.set_use_indexes(false);
+  const std::string sql =
+      "SELECT user, score, location FROM pings WHERE score >= 100";
+  const oracle::Answer reference = Oracle(&session, sql);
+  ASSERT_FALSE(reference.rows.empty());
+  for (size_t parallelism : {1u, 4u}) {
+    session.scan_options().parallelism = parallelism;
+    auto result = session.Execute(sql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->rows, reference.rows) << parallelism;
+    EXPECT_EQ(oracle::Display(*result), reference.display) << parallelism;
+  }
 }
 
 TEST_F(PushdownTest, AdaptiveCadencePullsCheckpointToPayloadDeadline) {

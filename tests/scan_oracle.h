@@ -1,7 +1,7 @@
 // Test-only reference evaluator for SELECT statements: the answer every
 // production scan shape (streaming or materialized, any parallelism,
 // inline or on the worker pool, index or heap, worker-side aggregate or
-// not, either degradable layout) must reproduce. It is built only from the
+// not) must reproduce. It is built only from the
 // library's simplest read path — Table::ScanRows assembles every live row
 // in full, stored degradable Values included (one state-store probe per
 // row, partitions in order) — and computes σ, f_k, π, rendering and

@@ -261,7 +261,7 @@ TEST_F(HeapFileTest, RejectsOversizedRecord) {
 
 // --- record codec ------------------------------------------------------------------
 
-TEST(RecordCodecTest, StateStoresLayoutRoundTrip) {
+TEST(RecordCodecTest, RoundTrip) {
   auto schema = *Schema::Make(
       {ColumnDef::Stable("id", ValueType::kInt64),
        ColumnDef::Stable("name", ValueType::kString),
@@ -271,40 +271,45 @@ TEST(RecordCodecTest, StateStoresLayoutRoundTrip) {
   tuple.insert_time = kMicrosPerHour;
   tuple.stable = {Value::Int64(7), Value::String("alice")};
   std::string buf;
-  EncodeHeapTuple(schema, DegradableLayout::kStateStores, tuple, &buf);
+  EncodeHeapTuple(tuple, &buf);
   HeapTuple out;
-  ASSERT_TRUE(
-      DecodeHeapTuple(schema, DegradableLayout::kStateStores, buf, &out).ok());
+  ASSERT_TRUE(DecodeHeapTuple(schema, buf, &out).ok());
   EXPECT_EQ(out.row_id, 42u);
   EXPECT_EQ(out.insert_time, kMicrosPerHour);
   ASSERT_EQ(out.stable.size(), 2u);
   EXPECT_EQ(out.stable[1], Value::String("alice"));
-  EXPECT_TRUE(out.degradable.empty());
 }
 
-TEST(RecordCodecTest, InPlaceLayoutCarriesDegradables) {
+TEST(RecordCodecTest, LegacyInlineImagesAreCorruption) {
+  // Older builds could keep degradable values inline: after the stable
+  // part, one varint phase plus one encoded Value per degradable column.
+  // Such a record must be refused, never read with its images ignored.
   auto schema = *Schema::Make(
       {ColumnDef::Stable("id", ValueType::kInt64),
        ColumnDef::Degradable("location", LocationDomain(), Fig2LocationLcp()),
+       ColumnDef::Stable("name", ValueType::kString),
        ColumnDef::Degradable("salary", SalaryDomain(),
                              AttributeLcp::Retention(kMicrosPerDay))});
+  const size_t stable = schema.stable_columns().size();
   HeapTuple tuple;
   tuple.row_id = 1;
   tuple.insert_time = 5;
-  tuple.stable = {Value::Int64(9)};
-  tuple.degradable = {{1, Value::String("Paris")}, {0, Value::Int64(2345)}};
-  std::string buf;
-  EncodeHeapTuple(schema, DegradableLayout::kInPlace, tuple, &buf);
+  tuple.stable = {Value::Int64(9), Value::String("bob")};
+  std::string legacy;
+  EncodeHeapTuple(tuple, &legacy);
+  PutVarint32(&legacy, 1);
+  Value::String("Paris").EncodeTo(&legacy);
+  PutVarint32(&legacy, 0);
+  Value::Int64(2345).EncodeTo(&legacy);
+
   HeapTuple out;
-  ASSERT_TRUE(
-      DecodeHeapTuple(schema, DegradableLayout::kInPlace, buf, &out).ok());
-  ASSERT_EQ(out.degradable.size(), 2u);
-  EXPECT_EQ(out.degradable[0].phase, 1);
-  EXPECT_EQ(out.degradable[0].value, Value::String("Paris"));
-  EXPECT_EQ(out.degradable[1].value, Value::Int64(2345));
-  // Decoding with the wrong layout fails loudly (trailing bytes).
-  EXPECT_FALSE(
-      DecodeHeapTuple(schema, DegradableLayout::kStateStores, buf, &out).ok());
+  EXPECT_TRUE(DecodeHeapTuple(schema, legacy, &out).IsCorruption());
+  for (uint32_t bits = 0; bits < (1u << stable); ++bits) {
+    std::vector<bool> needed(stable);
+    for (size_t i = 0; i < stable; ++i) needed[i] = (bits >> i) & 1;
+    EXPECT_TRUE(DecodeHeapTuple(schema, legacy, &out, &needed).IsCorruption())
+        << bits;
+  }
 }
 
 TEST(RecordCodecTest, MaskedDecodeSkipsUnneededStableColumns) {
@@ -324,44 +329,39 @@ TEST(RecordCodecTest, MaskedDecodeSkipsUnneededStableColumns) {
   tuple.stable = {Value::Int64(-12345), Value::String("alice"),
                   Value::Double(2.5),   Value::Bool(true),
                   Value::Timestamp(99), Value::Null()};
-  tuple.degradable = {{1, Value::String("Paris")}};
-  for (DegradableLayout layout :
-       {DegradableLayout::kStateStores, DegradableLayout::kInPlace}) {
-    std::string buf;
-    EncodeHeapTuple(schema, layout, tuple, &buf);
-    HeapTuple full;
-    ASSERT_TRUE(DecodeHeapTuple(schema, layout, buf, &full).ok());
-    // Every mask over the stable ordinals, decoded into one recycled slot
-    // so a skipped column must overwrite what the previous mask left there.
-    HeapTuple masked;
-    for (uint32_t bits = 0; bits < (1u << stable); ++bits) {
-      std::vector<bool> needed(stable);
-      for (size_t i = 0; i < stable; ++i) needed[i] = (bits >> i) & 1;
-      ASSERT_TRUE(DecodeHeapTuple(schema, layout, buf, &masked, &needed).ok());
-      EXPECT_EQ(masked.row_id, full.row_id);
-      EXPECT_EQ(masked.insert_time, full.insert_time);
-      ASSERT_EQ(masked.stable.size(), stable);
-      for (size_t i = 0; i < stable; ++i) {
-        if (needed[i]) {
-          EXPECT_EQ(masked.stable[i], full.stable[i]) << bits << " " << i;
-        } else {
-          EXPECT_TRUE(masked.stable[i].is_null()) << bits << " " << i;
-        }
+  std::string buf;
+  EncodeHeapTuple(tuple, &buf);
+  HeapTuple full;
+  ASSERT_TRUE(DecodeHeapTuple(schema, buf, &full).ok());
+  // Every mask over the stable ordinals, decoded into one recycled slot so
+  // a skipped column must overwrite what the previous mask left there.
+  HeapTuple masked;
+  for (uint32_t bits = 0; bits < (1u << stable); ++bits) {
+    std::vector<bool> needed(stable);
+    for (size_t i = 0; i < stable; ++i) needed[i] = (bits >> i) & 1;
+    ASSERT_TRUE(DecodeHeapTuple(schema, buf, &masked, &needed).ok());
+    EXPECT_EQ(masked.row_id, full.row_id);
+    EXPECT_EQ(masked.insert_time, full.insert_time);
+    ASSERT_EQ(masked.stable.size(), stable);
+    for (size_t i = 0; i < stable; ++i) {
+      if (needed[i]) {
+        EXPECT_EQ(masked.stable[i], full.stable[i]) << bits << " " << i;
+      } else {
+        EXPECT_TRUE(masked.stable[i].is_null()) << bits << " " << i;
       }
-      EXPECT_EQ(masked.degradable, full.degradable);
-
-      // Skipping still checks framing: every truncation and any trailing
-      // byte is Corruption, whatever the mask.
-      for (size_t len = 0; len < buf.size(); ++len) {
-        EXPECT_TRUE(DecodeHeapTuple(schema, layout, Slice(buf.data(), len),
-                                    &masked, &needed)
-                        .IsCorruption())
-            << bits << " len " << len;
-      }
-      EXPECT_TRUE(DecodeHeapTuple(schema, layout, buf + "x", &masked, &needed)
-                      .IsCorruption())
-          << bits;
     }
+
+    // Skipping still checks framing: every truncation and any trailing
+    // byte is Corruption, whatever the mask.
+    for (size_t len = 0; len < buf.size(); ++len) {
+      EXPECT_TRUE(
+          DecodeHeapTuple(schema, Slice(buf.data(), len), &masked, &needed)
+              .IsCorruption())
+          << bits << " len " << len;
+    }
+    EXPECT_TRUE(
+        DecodeHeapTuple(schema, buf + "x", &masked, &needed).IsCorruption())
+        << bits;
   }
 }
 

@@ -6,7 +6,6 @@
 #include "common/random.h"
 #include "gtest/gtest.h"
 #include "util/arena.h"
-#include "util/bitmap.h"
 #include "util/chacha20.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
@@ -298,70 +297,6 @@ TEST(HistogramTest, MergeAndClear) {
   a.Clear();
   EXPECT_EQ(a.count(), 0u);
   EXPECT_DOUBLE_EQ(a.Percentile(99), 0);
-}
-
-// --- bitmap -----------------------------------------------------------------
-
-TEST(BitmapTest, SetGetClear) {
-  Bitmap bm;
-  bm.Set(0);
-  bm.Set(63);
-  bm.Set(64);
-  bm.Set(1000);
-  EXPECT_TRUE(bm.Get(0));
-  EXPECT_TRUE(bm.Get(63));
-  EXPECT_TRUE(bm.Get(64));
-  EXPECT_TRUE(bm.Get(1000));
-  EXPECT_FALSE(bm.Get(1));
-  EXPECT_FALSE(bm.Get(5000));  // out of range reads as unset
-  bm.Clear(64);
-  EXPECT_FALSE(bm.Get(64));
-  EXPECT_EQ(bm.Count(), 3u);
-}
-
-TEST(BitmapTest, CountRange) {
-  Bitmap bm(256);
-  for (size_t i = 0; i < 256; i += 2) bm.Set(i);
-  EXPECT_EQ(bm.CountRange(0, 256), 128u);
-  EXPECT_EQ(bm.CountRange(0, 1), 1u);
-  EXPECT_EQ(bm.CountRange(1, 2), 0u);
-  EXPECT_EQ(bm.CountRange(10, 20), 5u);
-  EXPECT_EQ(bm.CountRange(63, 65), 1u);  // crosses a word boundary
-  EXPECT_EQ(bm.CountRange(20, 10), 0u);
-}
-
-TEST(BitmapTest, LogicalOps) {
-  Bitmap a(128), b(128);
-  a.Set(1);
-  a.Set(2);
-  a.Set(100);
-  b.Set(2);
-  b.Set(100);
-  b.Set(101);
-
-  Bitmap a_and = a;
-  a_and.AndWith(b);
-  EXPECT_EQ(a_and.Count(), 2u);
-  EXPECT_TRUE(a_and.Get(2));
-  EXPECT_TRUE(a_and.Get(100));
-
-  Bitmap a_or = a;
-  a_or.OrWith(b);
-  EXPECT_EQ(a_or.Count(), 4u);
-
-  Bitmap a_not = a;
-  a_not.AndNotWith(b);
-  EXPECT_EQ(a_not.Count(), 1u);
-  EXPECT_TRUE(a_not.Get(1));
-}
-
-TEST(BitmapTest, ForEachSetAscending) {
-  Bitmap bm;
-  const std::vector<size_t> positions = {3, 64, 65, 200, 511};
-  for (size_t p : positions) bm.Set(p);
-  std::vector<size_t> seen;
-  bm.ForEachSet([&](size_t i) { seen.push_back(i); });
-  EXPECT_EQ(seen, positions);
 }
 
 // --- file -------------------------------------------------------------------
