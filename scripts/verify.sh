@@ -54,8 +54,7 @@ SANITIZE_TESTS="storage_test|catalog_test|wal_test|query_test|cursor_test|concur
 run_sanitized() {
   local kind="$1"
   local dir="build-$kind"
-  cmake -B "$dir" -S . -DINSTANTDB_SANITIZE="$kind" \
-    -DINSTANTDB_BUILD_BENCHMARKS=OFF -DINSTANTDB_BUILD_EXAMPLES=OFF
+  cmake -B "$dir" -S . -DINSTANTDB_SANITIZE="$kind" -DINSTANTDB_BUILD_EXAMPLES=OFF
   cmake --build "$dir" -j "$JOBS"
   ctest --test-dir "$dir" --output-on-failure -j 1 -R "$SANITIZE_TESTS"
 }

@@ -1,8 +1,11 @@
 #include <set>
+#include <tuple>
 
 #include "catalog/builtin_domains.h"
 #include "db/database.h"
+#include "forensic.h"
 #include "gtest/gtest.h"
+#include "io/fault_env.h"
 #include "util/file.h"
 
 namespace instantdb {
@@ -229,44 +232,97 @@ TEST_F(DatabaseTest, RetentionBaselineIsAllOrNothing) {
   EXPECT_FALSE(view->has_value());
 }
 
-TEST_F(DatabaseTest, ForensicScanFindsNoDegradedPlaintext) {
-  ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
+/// Forensic residue of one accurate address once it has degraded, per WAL
+/// privacy mode, counted in every file and every freed block: after a
+/// clean close, and in the crash image taken right after degrade +
+/// checkpoint, then again once that image has recovered. kScrub and
+/// kEncryptedEpoch must leave no copy; kPlain keeps its recycled WAL
+/// segments, the forensic threat the paper cites from Stahlberg et al.
+class DatabaseForensicTest
+    : public DatabaseTest,
+      public ::testing::WithParamInterface<std::tuple<WalPrivacyMode, bool>> {
+ protected:
+  WalPrivacyMode mode() const { return std::get<0>(GetParam()); }
+  bool crash() const { return std::get<1>(GetParam()); }
+
+  /// Opens `path` in this test's privacy mode through `env`.
+  std::unique_ptr<Database> OpenWith(const std::string& path, Env* env) {
+    DbOptions options = Options();
+    options.path = path;
+    options.env = env;
+    options.wal.privacy_mode = mode();
+    options.wal.epoch_micros = kMicrosPerHour;
+    auto db = Database::Open(options);
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    return db.ok() ? std::move(*db) : nullptr;
+  }
+
+  /// What a residue count must be after the address degraded.
+  void ExpectResidue(size_t copies, const char* where) const {
+    if (mode() == WalPrivacyMode::kPlain) {
+      EXPECT_GT(copies, 0u) << where;
+    } else {
+      EXPECT_EQ(copies, 0u) << where;
+    }
+  }
+};
+
+TEST_P(DatabaseForensicTest, ForensicScanFindsNoDegradedPlaintext) {
   const std::string secret = "11 Rue Lepic";
+  const std::string image = dir_ + "_crash";
+  ASSERT_TRUE(RemoveDirRecursive(image).ok());
+  db_.reset();
+  ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
+  FaultInjectionEnv fault(Env::Default());
+  FreedBlocksEnv freed(&fault);
+  db_ = OpenWith(dir_, &freed);
+  ASSERT_NE(db_, nullptr);
+  ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   for (int i = 0; i < 20; ++i) InsertPing("alice", i, secret);
   clock_->Advance(kMicrosPerHour);
   ASSERT_TRUE(db_->RunDegradationOnce().ok());
   // Checkpoint: flush heap pages and retire WAL segments.
   ASSERT_TRUE(db_->Checkpoint().ok());
-  db_.reset();  // close cleanly
 
-  // Scan every byte under the database directory for the accurate address.
-  // The CATALOG is excluded: the generalization tree is public domain
-  // metadata, so its labels appearing there associate no tuple with the
-  // address.
-  std::function<size_t(const std::string&)> scan =
-      [&](const std::string& dir) -> size_t {
-    size_t hits = 0;
-    auto names = ListDir(dir);
-    if (!names.ok()) return 0;
-    for (const auto& name : *names) {
-      if (name == "CATALOG") continue;
-      const std::string path = dir + "/" + name;
-      auto contents = ReadFileToString(path);
-      if (contents.ok()) {
-        for (size_t pos = contents->find(secret); pos != std::string::npos;
-             pos = contents->find(secret, pos + 1)) {
-          ++hits;
-        }
-      } else {
-        hits += scan(path);
-      }
-    }
-    return hits;
-  };
-  EXPECT_EQ(scan(dir_), 0u);
-  ReopenDb();  // and the database still opens fine
-  EXPECT_EQ(db_->GetTable("pings")->live_rows(), 20u);
+  std::string scanned = dir_;
+  if (crash()) {
+    ASSERT_TRUE(fault.SimulateCrashTo(dir_, image).ok());
+    ExpectResidue(CopiesUnder(image, secret) + freed.Copies(secret),
+                  "crash image");
+    scanned = image;
+  }
+  db_.reset();
+  if (!crash()) {
+    ExpectResidue(CopiesUnder(dir_, secret) + freed.Copies(secret),
+                  "clean close");
+  }
+
+  // The database reopens (a crash image recovers) with every row, and
+  // recovery brings no accurate copy back.
+  FreedBlocksEnv reopen_freed(Env::Default());
+  auto reopened = OpenWith(scanned, &reopen_freed);
+  ASSERT_NE(reopened, nullptr);
+  EXPECT_EQ(reopened->GetTable("pings")->live_rows(), 20u);
+  ASSERT_TRUE(reopened->Close().ok());
+  reopened.reset();
+  ExpectResidue(CopiesUnder(scanned, secret) + reopen_freed.Copies(secret),
+                "after reopen");
+  RemoveDirRecursive(image).ok();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PrivacyModes, DatabaseForensicTest,
+    ::testing::Combine(::testing::Values(WalPrivacyMode::kPlain,
+                                         WalPrivacyMode::kScrub,
+                                         WalPrivacyMode::kEncryptedEpoch),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      const WalPrivacyMode mode = std::get<0>(info.param);
+      return std::string(mode == WalPrivacyMode::kPlain   ? "Plain"
+                         : mode == WalPrivacyMode::kScrub ? "Scrub"
+                                                          : "EncryptedEpoch") +
+             (std::get<1>(info.param) ? "Crash" : "Clean");
+    });
 
 TEST_F(DatabaseTest, MultipleDegradableColumnsIndependentTimelines) {
   auto schema = *Schema::Make(

@@ -1,10 +1,10 @@
 #include <algorithm>
 #include <cstdlib>
-#include <filesystem>
 #include <map>
 #include <vector>
 
 #include "common/strings.h"
+#include "forensic.h"
 #include "gtest/gtest.h"
 #include "storage/key_manager.h"
 #include "util/coding.h"
@@ -54,27 +54,14 @@ class WalTest : public ::testing::TestWithParam<WalPrivacyMode> {
                                         keys_.get());
   }
 
-  /// Every file under the WAL dir, recursively (recycled segments and
-  /// stream subdirectories included), keyed by path relative to it.
+  /// Every file under the WAL dir, keyed by path relative to it.
   std::map<std::string, std::string> WalFiles() {
-    std::map<std::string, std::string> files;
-    const std::string root = dir_ + "/wal";
-    std::error_code ec;
-    for (const auto& entry :
-         std::filesystem::recursive_directory_iterator(root, ec)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string path = entry.path().string();
-      auto contents = ReadFileToString(path);
-      if (contents.ok()) files[path.substr(root.size())] = *contents;
-    }
-    return files;
+    return FilesUnder(dir_ + "/wal");
   }
 
-  /// Concatenated bytes of every file under the WAL dir.
-  std::string AllWalBytes() {
-    std::string all;
-    for (const auto& [path, contents] : WalFiles()) all += contents;
-    return all;
+  /// Copies of `needle` in the files under the WAL dir.
+  size_t WalCopies(const std::string& needle) {
+    return CopiesUnder(dir_ + "/wal", needle);
   }
 
   /// Hand-builds what a build that sharded the log over two streams left
@@ -295,22 +282,22 @@ TEST_P(WalTest, AccurateResidueMatchesPrivacyMode) {
   if (GetParam() == WalPrivacyMode::kEncryptedEpoch) {
     // Even before retirement, the accurate value never hits the disk in
     // the clear.
-    EXPECT_EQ(AllWalBytes().find(secret), std::string::npos);
+    EXPECT_EQ(WalCopies(secret), 0u);
   } else {
-    EXPECT_NE(AllWalBytes().find(secret), std::string::npos);
+    EXPECT_GT(WalCopies(secret), 0u);
   }
 
   ASSERT_TRUE(wal->LogCheckpoint().ok());
-  const std::string bytes = AllWalBytes();
+  const size_t copies = WalCopies(secret);
   switch (GetParam()) {
     case WalPrivacyMode::kPlain:
       // Recycled segments keep the accurate values around — the unsafe
       // baseline the paper warns about.
-      EXPECT_NE(bytes.find(secret), std::string::npos);
+      EXPECT_GT(copies, 0u);
       break;
     case WalPrivacyMode::kScrub:
     case WalPrivacyMode::kEncryptedEpoch:
-      EXPECT_EQ(bytes.find(secret), std::string::npos);
+      EXPECT_EQ(copies, 0u);
       break;
   }
 }
@@ -394,7 +381,7 @@ TEST_P(WalTest, CleanShardedDirectoryConvertsOnOpen) {
   const Lsn old_end = BuildShardedDir(needle, /*dirty=*/false);
   const auto before = WalFiles();
   if (GetParam() != WalPrivacyMode::kEncryptedEpoch) {
-    ASSERT_NE(AllWalBytes().find(needle), std::string::npos);
+    ASSERT_GT(WalCopies(needle), 0u);
   }
   if (GetParam() == WalPrivacyMode::kPlain) {
     ASSERT_TRUE(std::any_of(before.begin(), before.end(), [](const auto& f) {
@@ -410,7 +397,7 @@ TEST_P(WalTest, CleanShardedDirectoryConvertsOnOpen) {
   EXPECT_FALSE(FileExists(dir_ + "/wal/s1"));
   // Every legacy copy is scrubbed, whatever the privacy mode — kPlain's
   // recycled segment included.
-  EXPECT_EQ(AllWalBytes().find(needle), std::string::npos);
+  EXPECT_EQ(WalCopies(needle), 0u);
 
   // The single log starts at or past every old stream's end (old records
   // sat below it), so no (epoch key, nonce) pair repeats.
