@@ -42,14 +42,15 @@ run_plain() {
 # Sanitized pass: the tests that drive real thread interleavings, plus the
 # fault-injection suite — injected I/O errors exercise the rarely-taken
 # unwind paths where use-after-free and lock bugs hide — plus storage_test
-# and catalog_test, whose galloping store search and column-skipping heap
-# decoder do raw iterator and buffer arithmetic, wal_test, whose
+# and catalog_test, whose galloping store search and pointer-walking heap
+# record parser do raw iterator and buffer arithmetic, wal_test, whose
 # legacy-layout conversion parses manifest and segment bytes from disk, and
 # query_test and cursor_test: results render after the statement from
 # retained hierarchy pointers, and σ/f_k index hierarchy arrays by stored
-# leaf ordinals. The rest of the suite is single-threaded and adds only
-# build time.
-SANITIZE_TESTS="storage_test|catalog_test|wal_test|query_test|cursor_test|concurrency_stress_test|parallel_scan_test|pushdown_test|partition_test|degradation_engine_test|write_batch_test|wal_stream_test|checkpoint_fuzzy_test|maintenance_test|fault_injection_test|morsel_test|service_test"
+# leaf ordinals. stable_predicate_test runs the stable σ on string views
+# parsed out of encoded bytes. The rest of the suite is single-threaded and
+# adds only build time.
+SANITIZE_TESTS="storage_test|catalog_test|wal_test|query_test|cursor_test|concurrency_stress_test|parallel_scan_test|pushdown_test|stable_predicate_test|partition_test|degradation_engine_test|write_batch_test|wal_stream_test|checkpoint_fuzzy_test|maintenance_test|fault_injection_test|morsel_test|service_test"
 
 run_sanitized() {
   local kind="$1"

@@ -160,8 +160,8 @@ class GeneralizationTree final : public DomainHierarchy {
   /// All labels at a given level (testing, workload generation, examples).
   std::vector<std::string> LabelsAtLevel(int level) const;
 
-  /// Multi-line ASCII rendering (used by `bench_figures` to reproduce
-  /// the paper's Fig. 1).
+  /// Multi-line ASCII rendering (the location_privacy example prints the
+  /// paper's Fig. 1 with it).
   std::string ToAsciiArt() const;
 
  private:

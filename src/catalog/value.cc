@@ -107,49 +107,13 @@ void Value::EncodeTo(std::string* dst) const {
 }
 
 bool Value::DecodeFrom(Slice* input, Value* out) {
-  if (input->empty()) return false;
-  const auto type = static_cast<ValueType>(input->front());
-  input->remove_prefix(1);
-  switch (type) {
-    case ValueType::kNull:
-      if (out != nullptr) *out = Value::Null();
-      return true;
-    case ValueType::kInt64:
-    case ValueType::kTimestamp: {
-      uint64_t raw;
-      if (!GetVarint64(input, &raw)) return false;
-      if (out != nullptr) {
-        *out = (type == ValueType::kInt64)
-                   ? Value::Int64(static_cast<int64_t>(raw))
-                   : Value::Timestamp(static_cast<int64_t>(raw));
-      }
-      return true;
-    }
-    case ValueType::kDouble: {
-      uint64_t bits;
-      if (!GetFixed64(input, &bits)) return false;
-      if (out != nullptr) {
-        double d;
-        std::memcpy(&d, &bits, 8);
-        *out = Value::Double(d);
-      }
-      return true;
-    }
-    case ValueType::kString: {
-      Slice s;
-      if (!GetLengthPrefixed(input, &s)) return false;
-      if (out != nullptr) *out = Value::String(std::string(s));
-      return true;
-    }
-    case ValueType::kBool: {
-      if (input->empty()) return false;
-      const char b = input->front();
-      input->remove_prefix(1);
-      if (out != nullptr) *out = Value::Bool(b != 0);
-      return true;
-    }
-  }
-  return false;
+  FieldView field;
+  const char* const end = FieldView::Parse(
+      input->data(), input->data() + input->size(), &field);
+  if (end == nullptr) return false;
+  input->remove_prefix(static_cast<size_t>(end - input->data()));
+  if (out != nullptr) *out = field.ToValue();
+  return true;
 }
 
 void Value::EncodeOrdered(std::string* dst) const {

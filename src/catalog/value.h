@@ -3,7 +3,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/clock.h"
@@ -23,6 +25,11 @@ enum class ValueType : uint8_t {
 };
 
 const char* ValueTypeName(ValueType t);
+
+/// INT64 and TIMESTAMP: the two types that compare with each other by value.
+inline bool IsIntegerType(ValueType t) {
+  return t == ValueType::kInt64 || t == ValueType::kTimestamp;
+}
 
 /// \brief Runtime value: the unit the degradation functions f_k operate on.
 ///
@@ -80,7 +87,8 @@ class Value {
   /// Type-tagged record encoding (storage, WAL).
   void EncodeTo(std::string* dst) const;
   /// With `out == nullptr` the value is only skipped: `input` advances and
-  /// the framing is checked, but no Value is built.
+  /// the framing is checked, but no Value is built. Parses with
+  /// FieldView::Parse, so every reader checks the same framing.
   static bool DecodeFrom(Slice* input, Value* out);
 
   /// Order-preserving index-key encoding. No type tag: all keys of one
@@ -96,6 +104,105 @@ class Value {
 
   ValueType type_ = ValueType::kNull;
   std::variant<std::monostate, int64_t, double, std::string, bool> data_;
+};
+
+/// \brief Borrowed, typed view of one encoded value: what σ reads off a
+/// heap record without building a Value. A string view points into the
+/// bytes it was parsed from (or into the Value it was made from) and is
+/// valid only as long as they are.
+struct FieldView {
+  ValueType type = ValueType::kNull;
+  int64_t i = 0;        ///< kInt64 and kTimestamp; kBool as 0 or 1
+  double d = 0;         ///< kDouble
+  std::string_view s;   ///< kString
+
+  bool is_null() const { return type == ValueType::kNull; }
+
+  /// The view of a built Value (index probes, the test oracle): the same
+  /// σ then runs on both.
+  static FieldView Of(const Value& v) {
+    FieldView f;
+    f.type = v.type();
+    switch (f.type) {
+      case ValueType::kInt64:
+      case ValueType::kTimestamp:
+        f.i = v.int64();
+        break;
+      case ValueType::kDouble:
+        f.d = v.dbl();
+        break;
+      case ValueType::kString:
+        f.s = v.str();
+        break;
+      case ValueType::kBool:
+        f.i = v.boolean() ? 1 : 0;
+        break;
+      case ValueType::kNull:
+        break;
+    }
+    return f;
+  }
+
+  /// Builds the Value this view shows (a string is copied).
+  Value ToValue() const {
+    switch (type) {
+      case ValueType::kInt64:
+        return Value::Int64(i);
+      case ValueType::kTimestamp:
+        return Value::Timestamp(i);
+      case ValueType::kDouble:
+        return Value::Double(d);
+      case ValueType::kString:
+        return Value::String(std::string(s));
+      case ValueType::kBool:
+        return Value::Bool(i != 0);
+      case ValueType::kNull:
+        break;
+    }
+    return Value::Null();
+  }
+
+  /// Parses the type-tagged value Value::EncodeTo wrote at `p` (bytes
+  /// before `limit`) into `*out`, borrowing string bytes, and returns the
+  /// byte after it — or nullptr when the input is truncated or the tag is
+  /// unknown. Inline and allocation-free: heap scans call it once per
+  /// field of every record they examine.
+  static const char* Parse(const char* p, const char* limit, FieldView* out) {
+    if (p >= limit) return nullptr;
+    out->type = static_cast<ValueType>(*p++);
+    switch (out->type) {
+      case ValueType::kNull:
+        return p;
+      case ValueType::kInt64:
+      case ValueType::kTimestamp: {
+        uint64_t raw = 0;
+        p = GetVarint64Ptr(p, limit, &raw);
+        out->i = static_cast<int64_t>(raw);
+        return p;
+      }
+      case ValueType::kDouble: {
+        if (limit - p < 8) return nullptr;
+        const uint64_t bits = DecodeFixed64(p);
+        static_assert(sizeof(double) == 8);
+        std::memcpy(&out->d, &bits, 8);
+        return p + 8;
+      }
+      case ValueType::kString: {
+        uint32_t len = 0;
+        p = GetVarint32Ptr(p, limit, &len);
+        if (p == nullptr || static_cast<size_t>(limit - p) < len) {
+          return nullptr;
+        }
+        out->s = std::string_view(p, len);
+        return p + len;
+      }
+      case ValueType::kBool:
+        if (p >= limit) return nullptr;
+        out->i = *p != 0 ? 1 : 0;
+        return p + 1;
+    }
+    return nullptr;
+  }
 };
 
 }  // namespace instantdb

@@ -332,6 +332,8 @@ Database::Stats Database::stats() const {
       scan_counters_.store_probes_skipped.load(std::memory_order_relaxed);
   stats.scan.values_decoded =
       scan_counters_.values_decoded.load(std::memory_order_relaxed);
+  stats.scan.values_built =
+      scan_counters_.values_built.load(std::memory_order_relaxed);
   stats.scan.aggregate_partials_merged =
       scan_counters_.aggregate_partials_merged.load(std::memory_order_relaxed);
   stats.scan.morsels_claimed =

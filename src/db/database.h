@@ -188,6 +188,10 @@ class Database {
     /// reads for every row scanned, plus the projected-only ones for the
     /// filter's survivors. COUNT(*) decodes none.
     uint64_t values_decoded = 0;
+    /// Stable Values the heap scans constructed: one per projected stable
+    /// column of every survivor. The filter reads borrowed field views of
+    /// the record instead, so COUNT(*) builds none.
+    uint64_t values_built = 0;
     /// Per-worker aggregate partials (or group maps) merged into final
     /// results by heap-scan aggregates (index-probe aggregates merge none).
     uint64_t aggregate_partials_merged = 0;
@@ -291,6 +295,7 @@ class Database {
     std::atomic<uint64_t> store_probes_issued{0};
     std::atomic<uint64_t> store_probes_skipped{0};
     std::atomic<uint64_t> values_decoded{0};
+    std::atomic<uint64_t> values_built{0};
     std::atomic<uint64_t> aggregate_partials_merged{0};
     std::atomic<uint64_t> morsels_claimed{0};
     std::atomic<uint64_t> morsels_stolen{0};

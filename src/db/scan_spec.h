@@ -12,30 +12,33 @@
 /// layer: what a scan may evaluate BELOW row assembly, and the compact
 /// per-row state it hands up instead of assembled rows.
 ///
-/// A heap scan decodes, per tuple, only the stable columns its filter
-/// reads and tests the filter right there, while the record is still in
-/// the buffer pool. Survivors then get their projected-only stable columns
-/// decoded (a second pass over the same record) and one sorted state-store
-/// merge per (degradable column, phase) that resolves each degradable cell
-/// to its stored phase and leaf ordinal — never to the stored Value. The
-/// query layer implements TupleFilter (it owns predicate semantics), runs
-/// σ and f_k on the ordinals (DomainHierarchy::AncestorRange/AncestorValue)
-/// and builds Values only for the qualifying cells that leave the scan;
-/// this header keeps the db layer free of any query dependency.
+/// A heap scan walks each record once, while it is still in the buffer
+/// pool: WalkHeapRecord (storage/record.h) parses the header and every
+/// stable field into the worker's FieldView array — borrowed integers,
+/// doubles and string views, nothing allocated — and the stable filter
+/// runs on those views. Only a survivor gets Values, and only for the
+/// stable columns its consumer reads, built from the same views; then one
+/// sorted state-store merge per (degradable column, phase) resolves each
+/// of its degradable cells to the stored phase and leaf ordinal — never to
+/// the stored Value. The query layer implements TupleFilter (it owns
+/// predicate semantics), runs σ and f_k on the ordinals
+/// (DomainHierarchy::AncestorRange/AncestorValue) and builds degradable
+/// Values only for the qualifying cells that leave the scan; this header
+/// keeps the db layer free of any query dependency.
 
 namespace instantdb {
 
-/// Row predicate over a decoded heap tuple's stable columns, evaluated
-/// inside the scan before any state store is touched. Implementations live
-/// in the query layer (query/predicate.h); the db layer only calls through
-/// this interface.
+/// Row predicate over a heap record's stable fields, evaluated inside the
+/// scan on the record's FieldViews, before any Value is built or state
+/// store touched. Implementations live in the query layer
+/// (query/predicate.h); the db layer only calls through this interface.
 class TupleFilter {
  public:
   virtual ~TupleFilter() = default;
-  /// True when the tuple's STABLE columns satisfy the filter. Only the
-  /// columns ScanSpec::filter_columns flags are decoded when it runs;
-  /// degradable columns must not be consulted.
-  virtual bool Matches(const HeapTuple& tuple) const = 0;
+  /// True when the record's STABLE fields satisfy the filter. `fields`
+  /// holds one view per stable ordinal (Schema::stable_columns()), valid
+  /// only during the call; degradable columns must not be consulted.
+  virtual bool Matches(const FieldView* fields) const = 0;
 };
 
 /// What a pushdown scan should compute per batch. Value-semantic and
@@ -52,11 +55,12 @@ struct ScanSpec {
   /// its survivors only through ScanDeltas (rows_scanned -
   /// rows_prefiltered). Implies no store probe.
   bool count_only = false;
-  /// One flag per stable ordinal (Schema::stable_columns()). The columns
-  /// the filter reads are decoded for every tuple examined; the columns
-  /// that only leave the scan are decoded for survivors only. Unflagged
-  /// columns stay NULL. Without a filter every tuple survives, so the
-  /// output columns are decoded in the first pass.
+  /// One flag per stable ordinal (Schema::stable_columns()).
+  /// `filter_columns`: the columns the filter reads. `output_columns`: the
+  /// columns the consumer reads from a survivor — the only ones it gets
+  /// Values for; unflagged slots stay NULL. Every field is parsed into a
+  /// view either way; the flags drive the Values built and the decode
+  /// accounting (ScanDeltas).
   std::vector<bool> filter_columns;
   std::vector<bool> output_columns;
 };
@@ -72,19 +76,25 @@ struct ScanDeltas {
   uint64_t rows_prefiltered = 0; ///< rejected by the stable filter
   uint64_t probes_issued = 0;    ///< (row, column) store resolutions performed
   uint64_t probes_skipped = 0;   ///< (row, column) resolutions avoided
-  uint64_t values_decoded = 0;   ///< stable values decoded, both passes
+  /// Stable fields σ and π read: the filter's columns for every tuple
+  /// examined plus the other output columns for every survivor.
+  uint64_t values_decoded = 0;
+  uint64_t values_built = 0;     ///< stable Values constructed (survivors)
 };
 
 /// One pushdown batch's surviving rows plus the scratch that produced them,
 /// owned by the consumer — one per scan worker — and refilled by every
 /// batch, so a steady-state scan stops allocating. The surviving rows are
 /// valid until the next batch; a consumer may move stable values out of
-/// them (each slot is re-decoded before its next use).
+/// them (each output slot is rebuilt before its next use).
 struct ScanWorkspace {
   /// Survivors in heap order: tuples[0, count) hold the row id, insert time
-  /// and decoded stable values. Slots past `count` keep their capacity.
+  /// and the stable Values of ScanSpec::output_columns. Slots past `count`
+  /// keep their capacity. A count-only batch leaves them untouched.
   std::vector<HeapTuple> tuples;
   size_t count = 0;
+  /// The record being examined, one view per stable ordinal.
+  std::vector<FieldView> fields;
   /// Survivor k's stored phase (lcp.num_phases() = removed) and leaf
   /// ordinal at that phase's level (-1 when removed or not a hierarchy
   /// node) of degradable column d, at [k * degradable columns + d]. Filled

@@ -46,16 +46,21 @@ Status TablePartition::Open() {
   // with Corruption, so such a directory is refused here.
   row_map_.clear();
   RowId max_row = 0;
-  Status scan_status;
+  bool corrupt = false;
+  const size_t stable_count = schema().stable_columns().size();
   IDB_RETURN_IF_ERROR(heap_->Scan([&](Rid rid, Slice record) {
-    HeapTuple tuple;
-    scan_status = DecodeHeapTuple(schema(), record, &tuple);
-    if (!scan_status.ok()) return false;
-    row_map_[tuple.row_id] = rid;
-    max_row = std::max(max_row, tuple.row_id);
+    RowId row_id = kInvalidRowId;
+    Micros insert_time = 0;
+    if (!WalkHeapRecord(record, stable_count, &row_id, &insert_time,
+                        [](size_t, const FieldView&) {})) {
+      corrupt = true;
+      return false;
+    }
+    row_map_[row_id] = rid;
+    max_row = std::max(max_row, row_id);
     return true;
   }));
-  IDB_RETURN_IF_ERROR(scan_status);
+  if (corrupt) return Status::Corruption("malformed heap record");
   max_row_id_ = max_row;
 
   stores_.clear();
@@ -349,48 +354,69 @@ Status TablePartition::ScanBatchFiltered(Rid* pos, PageId end_page,
   std::shared_lock<std::shared_mutex> latch(latch_);
   *done = true;
   ws->count = 0;
-  // Without a filter every tuple survives, so the output columns are the
-  // first pass and there is no second one.
-  const bool filtered = spec.filter != nullptr;
-  const std::vector<bool>& first =
-      filtered ? spec.filter_columns : spec.output_columns;
-  const size_t first_per_tuple =
-      static_cast<size_t>(std::count(first.begin(), first.end(), true));
-  const bool late_decode =
-      filtered && std::count(spec.output_columns.begin(),
-                             spec.output_columns.end(), true) > 0;
+  const size_t stable_count = schema().stable_columns().size();
+  ws->fields.resize(stable_count);
+  FieldView* const fields = ws->fields.data();
   size_t examined = 0;
   size_t survivors = 0;
-  Status decode_status;
-  IDB_RETURN_IF_ERROR(heap_->ScanRange(*pos, end_page, [&](Rid rid, Slice record) {
+  bool corrupt = false;
+  IDB_RETURN_IF_ERROR(heap_->ScanRange(*pos, end_page, [&](Rid rid,
+                                                          Slice record) {
     if (examined >= limit) {
       *pos = rid;  // resume here: this record has not been consumed
       *done = false;
       return false;
     }
     ++examined;
-    if (ws->count == ws->tuples.size()) ws->tuples.emplace_back();
-    HeapTuple& slot = ws->tuples[ws->count];
-    decode_status = DecodeHeapTuple(schema(), record, &slot, &first);
-    if (!decode_status.ok()) return false;
-    // The record is only valid inside this callback: σ over the stable
-    // columns runs here, and a rejected tuple's slot is reused at once.
-    if (filtered && !spec.filter->Matches(slot)) return true;
-    ++survivors;
-    if (late_decode) {
-      deltas->values_decoded +=
-          DecodeStableValues(schema(), record, spec.output_columns, &slot);
+    RowId row_id = kInvalidRowId;
+    Micros insert_time = 0;
+    const auto keep = [fields](size_t i, const FieldView& field) {
+      fields[i] = field;
+    };
+    if (!WalkHeapRecord(record, stable_count, &row_id, &insert_time, keep)) {
+      corrupt = true;
+      return false;
     }
-    if (!spec.count_only) ++ws->count;
+    // The views borrow the pinned page: σ runs on them right here, and only
+    // a survivor's output columns become Values.
+    if (spec.filter != nullptr && !spec.filter->Matches(fields)) return true;
+    ++survivors;
+    if (spec.count_only) return true;
+    if (ws->count == ws->tuples.size()) ws->tuples.emplace_back();
+    HeapTuple& slot = ws->tuples[ws->count++];
+    slot.row_id = row_id;
+    slot.insert_time = insert_time;
+    slot.stable.resize(stable_count);
+    for (size_t i = 0; i < stable_count; ++i) {
+      if (spec.output_columns[i]) {
+        slot.stable[i] = fields[i].ToValue();
+      } else if (!slot.stable[i].is_null()) {
+        slot.stable[i] = Value::Null();
+      }
+    }
     return true;
   }));
-  IDB_RETURN_IF_ERROR(decode_status);
+  if (corrupt) return Status::Corruption("malformed heap record");
 
+  // Decode accounting: the filter's fields for every tuple examined, the
+  // other output fields for every survivor.
+  size_t filter_fields = 0;
+  size_t output_only = 0;
+  size_t outputs = 0;
+  for (size_t i = 0; i < stable_count; ++i) {
+    const bool filter_reads = spec.filter != nullptr &&
+                              i < spec.filter_columns.size() &&
+                              spec.filter_columns[i];
+    filter_fields += filter_reads ? 1 : 0;
+    outputs += spec.output_columns[i] ? 1 : 0;
+    output_only += spec.output_columns[i] && !filter_reads ? 1 : 0;
+  }
   const size_t dcols = schema().degradable_columns().size();
   const bool probe = spec.need_degradable && !spec.count_only;
   deltas->rows_scanned += examined;
   deltas->rows_prefiltered += examined - survivors;
-  deltas->values_decoded += examined * first_per_tuple;
+  deltas->values_decoded += examined * filter_fields + survivors * output_only;
+  deltas->values_built += ws->count * outputs;
   deltas->probes_skipped += (examined - survivors) * dcols;
   if (probe) {
     deltas->probes_issued += survivors * dcols;

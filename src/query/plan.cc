@@ -57,13 +57,14 @@ void FoldDeltas(Database::ScanCounters* counters, const ScanDeltas& deltas) {
                                            std::memory_order_relaxed);
   counters->values_decoded.fetch_add(deltas.values_decoded,
                                      std::memory_order_relaxed);
+  counters->values_built.fetch_add(deltas.values_built,
+                                   std::memory_order_relaxed);
 }
 
 /// The pushdown contract of one bound query: its stable terms as the filter,
 /// store probes only when a degradable column is referenced (COUNT(*)
-/// never probes), and decode only the stable columns it reads — the filter's
-/// for every tuple, the rest for survivors (COUNT(*) decodes none).
-/// `filter` must outlive the spec.
+/// never probes), and Values only for the stable columns its consumer reads
+/// from a survivor (COUNT(*) builds none). `filter` must outlive the spec.
 ScanSpec MakeScanSpec(const BoundQuery& query,
                       const StablePredicateFilter& filter, bool count_only) {
   ScanSpec spec;
@@ -127,6 +128,26 @@ Status BindLikePattern(const Value& pattern_value, BoundPredicate* out) {
   return Status::OK();
 }
 
+/// A stable term's literal must have its column's type, so the scan's typed
+/// σ never meets two incomparable values: int64 and timestamp are
+/// interchangeable, and an integer literal against a DOUBLE column is
+/// promoted to a double.
+Status CheckStableLiteral(const ColumnDef& column, Value* literal) {
+  const ValueType type = literal->type();
+  if (type == column.type ||
+      (IsIntegerType(type) && IsIntegerType(column.type))) {
+    return Status::OK();
+  }
+  if (column.type == ValueType::kDouble && type == ValueType::kInt64) {
+    *literal = Value::Double(static_cast<double>(literal->int64()));
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      StringPrintf("column '%s' is %s, literal %s is %s", column.name.c_str(),
+                   ValueTypeName(column.type), literal->ToString().c_str(),
+                   ValueTypeName(type)));
+}
+
 /// Parses the paper's bucket literal syntax 'lo-hi' for interval domains.
 bool ParseBucketLiteral(const std::string& text, int64_t* lo, int64_t* hi) {
   const size_t dash = text.find('-', 1);
@@ -152,8 +173,17 @@ Status BindPredicate(const Schema& schema, Session* session, TableId table_id,
   out->value = ast.value;
   out->value2 = ast.value2;
   if (!out->degradable) {
-    return ast.op == ComparisonOp::kLike ? BindLikePattern(ast.value, out)
-                                         : Status::OK();
+    if (ast.op == ComparisonOp::kLike) {
+      if (column.type != ValueType::kString) {
+        return Status::InvalidArgument("LIKE on non-string column: " +
+                                       column.name);
+      }
+      return BindLikePattern(ast.value, out);
+    }
+    IDB_RETURN_IF_ERROR(CheckStableLiteral(column, &out->value));
+    return ast.op == ComparisonOp::kBetween
+               ? CheckStableLiteral(column, &out->value2)
+               : Status::OK();
   }
 
   const DomainHierarchy& hierarchy = *column.hierarchy;
@@ -504,6 +534,7 @@ class IndexReader {
         budget_(ScanBudget::Of(session)),
         query_(query),
         filter_(query.predicates),
+        fields_(query.table->schema().stable_columns().size()),
         rids_(std::move(rids)),
         batch_rows_(std::max<size_t>(batch_rows, 1)),
         levels_(query.degradable.size()) {}
@@ -526,8 +557,9 @@ class IndexReader {
       tuple_.stable.resize(stable.size());
       for (size_t i = 0; i < stable.size(); ++i) {
         tuple_.stable[i] = std::move(view->values[stable[i]]);
+        fields_[i] = FieldView::Of(tuple_.stable[i]);
       }
-      if (!filter_.Matches(tuple_) ||
+      if (!filter_.Matches(fields_.data()) ||
           !QualifyDegradable(query_, read_options_, view->phases.data(),
                              view->ordinals.data(), levels_.data())) {
         continue;
@@ -547,6 +579,8 @@ class IndexReader {
   const ScanBudget budget_;
   const BoundQuery& query_;
   const StablePredicateFilter filter_;
+  /// Views of tuple_'s stable values, which the filter reads.
+  std::vector<FieldView> fields_;
   std::vector<RowId> rids_;
   const size_t batch_rows_;
   size_t next_ = 0;
@@ -902,10 +936,6 @@ Result<BoundQuery> BindQuery(Session* session, const std::string& table_name,
     } else {
       query.output_stable[StableOrdinal(schema, col)] = true;
     }
-  }
-  // A column the filter reads is decoded for every tuple already.
-  for (size_t i = 0; i < query.output_stable.size(); ++i) {
-    if (query.filter_stable[i]) query.output_stable[i] = false;
   }
   return query;
 }

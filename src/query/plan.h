@@ -18,11 +18,13 @@
 /// consumers worker-side — one morsel reader per worker, inline or on the
 /// shared worker pool per the session's ScanOptions.
 ///
-/// Late materialization: a heap scan carries per row only its decoded
-/// stable values and, per degradable column, the stored phase and leaf
-/// ordinal (db/scan_spec.h). Computability and σ run on those integers
-/// (QualifyDegradable); a Value is built — with f_k, from the ordinal — only
-/// for a qualifying cell that leaves the scan.
+/// Late materialization: a heap scan runs the stable σ on the field views
+/// of its one walk over each record and carries per surviving row only the
+/// stable Values its consumer reads and, per degradable column, the stored
+/// phase and leaf ordinal (db/scan_spec.h). Computability and the
+/// degradable σ run on those integers (QualifyDegradable); a degradable
+/// Value is built — with f_k, from the ordinal — only for a qualifying cell
+/// that leaves the scan.
 ///
 /// Nothing here is part of the stable public API; embedders should use
 /// `Session` / `Cursor` (query/session.h, query/cursor.h).
@@ -77,9 +79,9 @@ struct BoundQuery {
   /// True when some degradable column is referenced: heap scans then
   /// resolve every survivor's phases and ordinals.
   bool reads_degradable = false;
-  /// One flag per stable ordinal. `filter_stable`: read by a predicate, so
-  /// decoded for every scanned tuple. `output_stable`: projected and not
-  /// read by a predicate, so decoded for survivors only.
+  /// One flag per stable ordinal. `filter_stable`: read by a predicate on
+  /// every scanned tuple's field views. `output_stable`: projected, so
+  /// built as a Value for every survivor.
   std::vector<bool> filter_stable;
   std::vector<bool> output_stable;
 };

@@ -8,37 +8,15 @@
 
 namespace instantdb {
 
-namespace {
-
-constexpr size_t kHeaderBytes = 8;
-constexpr size_t kSlotBytes = 4;
-
-uint16_t SlotOffset(const char* page, uint16_t slot) {
-  return DecodeFixed32(page + kHeaderBytes + slot * kSlotBytes) & 0xFFFF;
-}
-
-uint16_t SlotLen(const char* page, uint16_t slot) {
-  return (DecodeFixed32(page + kHeaderBytes + slot * kSlotBytes) >> 16) &
-         0xFFFF;
-}
-
-void SetSlot(char* page, uint16_t slot, uint16_t offset, uint16_t len) {
+void HeapFile::SetSlot(char* page, uint16_t slot, uint16_t offset,
+                       uint16_t len) {
   EncodeFixed32(page + kHeaderBytes + slot * kSlotBytes,
                 static_cast<uint32_t>(offset) |
                     (static_cast<uint32_t>(len) << 16));
 }
 
-}  // namespace
-
 HeapFile::HeapFile(BufferPool* pool)
     : pool_(pool), page_size_(pool->disk()->page_size()) {}
-
-HeapFile::PageHeader HeapFile::ReadHeader(const char* page) {
-  PageHeader header;
-  header.num_slots = DecodeFixed32(page) & 0xFFFF;
-  header.data_start = (DecodeFixed32(page) >> 16) & 0xFFFF;
-  return header;
-}
 
 void HeapFile::WriteHeader(char* page, PageHeader header) {
   EncodeFixed32(page, static_cast<uint32_t>(header.num_slots) |
@@ -230,34 +208,6 @@ Status HeapFile::Update(Rid rid, Slice record, Rid* out) {
   guard.Release();
   IDB_ASSIGN_OR_RETURN(Rid new_rid, Insert(record));
   *out = new_rid;
-  return Status::OK();
-}
-
-Status HeapFile::Scan(const std::function<bool(Rid, Slice)>& fn) const {
-  return ScanFrom(Rid{0, 0}, fn);
-}
-
-Status HeapFile::ScanFrom(Rid start,
-                          const std::function<bool(Rid, Slice)>& fn) const {
-  return ScanRange(start, kInvalidPageId, fn);
-}
-
-Status HeapFile::ScanRange(Rid start, PageId end_page,
-                           const std::function<bool(Rid, Slice)>& fn) const {
-  const PageId n = std::min<PageId>(end_page, pool_->disk()->num_pages());
-  for (PageId p = start.page; p < n; ++p) {
-    IDB_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(p));
-    const char* page = guard.data();
-    const PageHeader header = ReadHeader(page);
-    for (uint16_t s = p == start.page ? start.slot : 0; s < header.num_slots;
-         ++s) {
-      const uint16_t offset = SlotOffset(page, s);
-      if (offset == 0) continue;
-      if (!fn(Rid{p, s}, Slice(page + offset, SlotLen(page, s)))) {
-        return Status::OK();
-      }
-    }
-  }
   return Status::OK();
 }
 

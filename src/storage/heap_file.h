@@ -1,12 +1,14 @@
 #ifndef INSTANTDB_STORAGE_HEAP_FILE_H_
 #define INSTANTDB_STORAGE_HEAP_FILE_H_
 
-#include <functional>
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
+#include "util/coding.h"
 
 namespace instantdb {
 
@@ -39,19 +41,35 @@ class HeapFile {
   /// compaction); otherwise relocates and returns the new rid in `*out`.
   Status Update(Rid rid, Slice record, Rid* out);
 
-  /// Calls `fn` for every live record. Stops early if `fn` returns false.
-  Status Scan(
-      const std::function<bool(Rid, Slice)>& fn) const;
+  /// Calls `fn(Rid, Slice)` for every live record in (page, slot) order
+  /// from `start` (inclusive; `Rid{0, 0}` scans everything), stopping
+  /// before `end_page` (exclusive; kInvalidPageId = to the end of the heap)
+  /// or as soon as `fn` returns false — the morsel scan primitive. A record
+  /// is valid only inside its call, while its page is pinned.
+  template <typename Fn>
+  Status ScanRange(Rid start, PageId end_page, Fn&& fn) const {
+    const PageId n = std::min<PageId>(end_page, pool_->disk()->num_pages());
+    for (PageId p = start.page; p < n; ++p) {
+      IDB_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(p));
+      const char* page = guard.data();
+      const PageHeader header = ReadHeader(page);
+      for (uint16_t s = p == start.page ? start.slot : 0;
+           s < header.num_slots; ++s) {
+        const uint16_t offset = SlotOffset(page, s);
+        if (offset == 0) continue;
+        if (!fn(Rid{p, s}, Slice(page + offset, SlotLen(page, s)))) {
+          return Status::OK();
+        }
+      }
+    }
+    return Status::OK();
+  }
 
-  /// Resumable variant for cursors: scans live records in (page, slot)
-  /// order starting at `start` (inclusive). `Rid{0, 0}` scans everything.
-  Status ScanFrom(Rid start, const std::function<bool(Rid, Slice)>& fn) const;
-
-  /// Page-range-bounded ScanFrom: stops before `end_page` (exclusive) — the
-  /// morsel scan primitive. `kInvalidPageId` means "to the end of the heap",
-  /// making ScanFrom the open-ended special case.
-  Status ScanRange(Rid start, PageId end_page,
-                   const std::function<bool(Rid, Slice)>& fn) const;
+  /// ScanRange over the whole heap.
+  template <typename Fn>
+  Status Scan(Fn&& fn) const {
+    return ScanRange(Rid{0, 0}, kInvalidPageId, std::forward<Fn>(fn));
+  }
 
   /// Number of live records (maintained incrementally).
   uint64_t live_records() const { return live_records_; }
@@ -64,7 +82,22 @@ class HeapFile {
     uint16_t data_start;
   };
 
-  static PageHeader ReadHeader(const char* page);
+  static constexpr size_t kHeaderBytes = 8;
+  static constexpr size_t kSlotBytes = 4;
+
+  static PageHeader ReadHeader(const char* page) {
+    const uint32_t word = DecodeFixed32(page);
+    return PageHeader{static_cast<uint16_t>(word & 0xFFFF),
+                      static_cast<uint16_t>(word >> 16)};
+  }
+  static uint16_t SlotOffset(const char* page, uint16_t slot) {
+    return DecodeFixed32(page + kHeaderBytes + slot * kSlotBytes) & 0xFFFF;
+  }
+  static uint16_t SlotLen(const char* page, uint16_t slot) {
+    return DecodeFixed32(page + kHeaderBytes + slot * kSlotBytes) >> 16;
+  }
+  static void SetSlot(char* page, uint16_t slot, uint16_t offset,
+                      uint16_t len);
   static void WriteHeader(char* page, PageHeader header);
   size_t FreeSpace(const char* page) const;
   /// Compacts the data region of a pinned page, preserving slot numbers.

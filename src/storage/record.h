@@ -9,6 +9,14 @@
 #include "common/result.h"
 #include "storage/page.h"
 
+/// \file
+/// \brief Heap record codec. A record is the varint row id, the varint
+/// insertion time, then one type-tagged value per stable column
+/// (Value::EncodeTo), and nothing after. WalkHeapRecord is the one walk
+/// over that layout: heap scans read borrowed FieldViews from it and build
+/// Values only for the survivors' read columns, and DecodeHeapTuple builds
+/// a HeapTuple through it.
+
 namespace instantdb {
 
 /// \brief Decoded heap record: the stable part of a tuple plus its
@@ -23,22 +31,39 @@ struct HeapTuple {
 
 void EncodeHeapTuple(const HeapTuple& tuple, std::string* dst);
 
-/// Decodes a heap record. With `stable_needed` (one flag per stable
-/// ordinal), only the flagged stable values are materialized; the others
-/// are skipped and left NULL. Framing is checked either way, so a truncated
-/// record or trailing bytes are Corruption whatever the mask — which is
+/// Walks an encoded heap record once: its header into `*row_id` and
+/// `*insert_time`, then each of the `stable_count` stable values as a
+/// FieldView borrowing from `input`, handed to `on_field(ordinal, view)`.
+/// Allocation-free. Every framing check of the codec runs — the header
+/// varints, each type tag, each string length and no trailing bytes — so
+/// false means the record is corrupt, whatever the caller keeps. That is
 /// also how a record carrying inline degradable images, as an older build
 /// wrote them, is refused.
-Status DecodeHeapTuple(const Schema& schema, Slice input, HeapTuple* out,
-                       const std::vector<bool>* stable_needed = nullptr);
+template <typename OnField>
+inline bool WalkHeapRecord(Slice input, size_t stable_count, RowId* row_id,
+                           Micros* insert_time, OnField&& on_field) {
+  const char* p = input.data();
+  const char* const limit = p + input.size();
+  uint64_t id = 0;
+  uint64_t time = 0;
+  if ((p = GetVarint64Ptr(p, limit, &id)) == nullptr ||
+      (p = GetVarint64Ptr(p, limit, &time)) == nullptr) {
+    return false;
+  }
+  *row_id = id;
+  *insert_time = static_cast<Micros>(time);
+  for (size_t i = 0; i < stable_count; ++i) {
+    FieldView field;
+    if ((p = FieldView::Parse(p, limit, &field)) == nullptr) return false;
+    on_field(i, field);
+  }
+  return p == limit;
+}
 
-/// Second pass of a late-materializing scan: decodes the flagged stable
-/// values of a record DecodeHeapTuple already checked into `out->stable`
-/// and leaves every other slot as it is. Returns the number of values
-/// decoded.
-size_t DecodeStableValues(const Schema& schema, Slice input,
-                          const std::vector<bool>& stable_needed,
-                          HeapTuple* out);
+/// Decodes a heap record with WalkHeapRecord, building every stable Value
+/// (full-row reads: open, GetRow, ScanRows, stable updates). A malformed
+/// record is Corruption.
+Status DecodeHeapTuple(const Schema& schema, Slice input, HeapTuple* out);
 
 }  // namespace instantdb
 

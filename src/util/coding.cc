@@ -42,19 +42,11 @@ namespace {
 
 template <typename T, int kMaxBytes>
 bool GetVarintImpl(Slice* input, T* value) {
-  T result = 0;
-  for (int shift = 0, i = 0; i < kMaxBytes && !input->empty(); ++i, shift += 7) {
-    const auto byte = static_cast<unsigned char>(input->front());
-    input->remove_prefix(1);
-    if (byte & 0x80) {
-      result |= static_cast<T>(byte & 0x7F) << shift;
-    } else {
-      result |= static_cast<T>(byte) << shift;
-      *value = result;
-      return true;
-    }
-  }
-  return false;
+  const char* const limit = input->data() + input->size();
+  const char* p = GetVarintPtr<T, kMaxBytes>(input->data(), limit, value);
+  if (p == nullptr) return false;
+  input->remove_prefix(static_cast<size_t>(p - input->data()));
+  return true;
 }
 
 }  // namespace

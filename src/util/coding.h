@@ -39,6 +39,33 @@ void PutFixed64(std::string* dst, uint64_t v);
 void PutVarint32(std::string* dst, uint32_t v);
 void PutVarint64(std::string* dst, uint64_t v);
 
+/// Parses the varint at `p` (bytes before `limit`) into `*value` and returns
+/// the byte after it, or nullptr on truncated/overlong input (more than
+/// kMaxBytes bytes). Inline: record walks call it once per field.
+template <typename T, int kMaxBytes>
+inline const char* GetVarintPtr(const char* p, const char* limit, T* value) {
+  T result = 0;
+  for (int shift = 0, i = 0; i < kMaxBytes && p < limit; ++i, shift += 7) {
+    const auto byte = static_cast<unsigned char>(*p++);
+    if (byte & 0x80) {
+      result |= static_cast<T>(byte & 0x7F) << shift;
+    } else {
+      result |= static_cast<T>(byte) << shift;
+      *value = result;
+      return p;
+    }
+  }
+  return nullptr;
+}
+inline const char* GetVarint32Ptr(const char* p, const char* limit,
+                                  uint32_t* value) {
+  return GetVarintPtr<uint32_t, 5>(p, limit, value);
+}
+inline const char* GetVarint64Ptr(const char* p, const char* limit,
+                                  uint64_t* value) {
+  return GetVarintPtr<uint64_t, 10>(p, limit, value);
+}
+
 /// Parses a varint from the front of `*input`, advancing it. Returns false
 /// on truncated/overlong input.
 bool GetVarint32(Slice* input, uint32_t* value);

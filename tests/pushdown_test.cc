@@ -8,12 +8,17 @@
 // per-survivor (phase, ordinal) vs GetRow's per-row probe, with rows out of
 // row-id order after relocating updates), the rule that
 // no degradable value finer than the purpose's accuracy leaves the scan, the
-// late stable decode, the maintenance daemon's adaptive checkpoint cadence,
-// and audit-driven urgent repair. Runs under TSan/ASan in
+// late stable decode (Values built only for survivors' projected columns),
+// randomized stable predicates against the oracle, a corrupt heap record
+// failing every scan shape with Corruption, the maintenance daemon's
+// adaptive checkpoint cadence, and audit-driven urgent repair. Runs under TSan/ASan in
 // scripts/verify.sh: the aggregate fan-out and the degrade-while-aggregating
 // test are real cross-thread paths.
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -21,6 +26,7 @@
 #include <vector>
 
 #include "catalog/builtin_domains.h"
+#include "common/random.h"
 #include "db/database.h"
 #include "degradable_mix.h"
 #include "gtest/gtest.h"
@@ -375,25 +381,27 @@ TEST_F(PushdownTest, ScansDecodeOnlyTheStableColumnsTheyRead) {
                            "FOR pings.location")
                   .ok());
   // {statement, stable values decoded per scanned row, per stable-filter
-  // survivor} over the two stable columns (user, score): the filter's
-  // columns are decoded for every row, the projected-only ones for
-  // survivors only.
+  // survivor, stable-filter survivors, Values built per survivor} over the
+  // two stable columns (user, score): the filter's columns are decoded for
+  // every row, the projected-only ones for survivors only, and a survivor
+  // gets a Value for each projected stable column and no other.
   struct Shape {
     std::string sql;
     uint64_t per_row;
     uint64_t per_survivor;
     uint64_t survivors;
+    uint64_t built_per_survivor;
   };
   const std::vector<Shape> kShapes = {
-      {"SELECT COUNT(*) FROM pings", 0, 0, kRows},
+      {"SELECT COUNT(*) FROM pings", 0, 0, kRows, 0},
       {"SELECT COUNT(*), SUM(score) FROM pings WHERE location = 'Paris'", 1,
-       0, kRows},
-      {"SELECT COUNT(location) FROM pings", 0, 0, kRows},
-      {"SELECT user FROM pings WHERE location = 'Paris'", 1, 0, kRows},
-      {"SELECT user FROM pings WHERE score < 60", 1, 1, 60},
-      {"SELECT COUNT(*) FROM pings WHERE score < 60", 1, 0, 60},
-      {"SELECT user, score FROM pings WHERE score < 60", 1, 1, 60},
-      {"SELECT * FROM pings", 2, 0, kRows},
+       0, kRows, 1},
+      {"SELECT COUNT(location) FROM pings", 0, 0, kRows, 0},
+      {"SELECT user FROM pings WHERE location = 'Paris'", 1, 0, kRows, 1},
+      {"SELECT user FROM pings WHERE score < 60", 1, 1, 60, 1},
+      {"SELECT COUNT(*) FROM pings WHERE score < 60", 1, 0, 60, 0},
+      {"SELECT user, score FROM pings WHERE score < 60", 1, 1, 60, 2},
+      {"SELECT * FROM pings", 2, 0, kRows, 2},
   };
   for (const Shape& shape : kShapes) {
     for (size_t parallelism : {1u, 4u}) {
@@ -408,6 +416,9 @@ TEST_F(PushdownTest, ScansDecodeOnlyTheStableColumnsTheyRead) {
       EXPECT_EQ(after.scan.values_decoded - before.scan.values_decoded,
                 shape.per_row * rows +
                     shape.per_survivor * 2 * shape.survivors)
+          << shape.sql << " parallelism=" << parallelism;
+      EXPECT_EQ(after.scan.values_built - before.scan.values_built,
+                shape.built_per_survivor * 2 * shape.survivors)
           << shape.sql << " parallelism=" << parallelism;
     }
   }
@@ -511,6 +522,9 @@ TEST_F(PushdownTest, LateDecodeAndCountOnlyCountersAreExact) {
     EXPECT_EQ(after.scan.values_decoded - before.scan.values_decoded,
               scanned + 1)
         << where;
+    // `score` is only ever a field view: the one Value built is the
+    // survivor's `user`.
+    EXPECT_EQ(after.scan.values_built - before.scan.values_built, 1u) << where;
 
     // COUNT(*) reads no column: nothing decoded, nothing probed, and the
     // probe ledger still balances (one degradable column).
@@ -534,6 +548,8 @@ TEST_F(PushdownTest, LateDecodeAndCountOnlyCountersAreExact) {
       EXPECT_EQ(after.scan.values_decoded - before.scan.values_decoded,
                 filter_decodes)
           << sql << " " << where;
+      EXPECT_EQ(after.scan.values_built, before.scan.values_built)
+          << sql << " " << where;
     }
     auto all = session.Execute("SELECT COUNT(*) FROM pings");
     ASSERT_TRUE(all.ok());
@@ -543,6 +559,172 @@ TEST_F(PushdownTest, LateDecodeAndCountOnlyCountersAreExact) {
     ASSERT_TRUE(some.ok());
     EXPECT_EQ(some->rows[0][0], Value::Int64(kRows - 100)) << where;
   }
+}
+
+/// Keeps the rows whose score is not a multiple of three.
+class ScoreNotMultipleOfThree : public TupleFilter {
+ public:
+  bool Matches(const FieldView* fields) const override {
+    return fields[1].i % 3 != 0;
+  }
+};
+
+TEST_F(PushdownTest, RandomStablePredicatesMatchTheOracle) {
+  constexpr int kRows = 600;
+  BuildDb(4, kRows);
+  Session session(db_.get());
+  session.set_use_indexes(false);
+  ASSERT_TRUE(session
+                  .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
+                           "FOR pings.location")
+                  .ok());
+  Random rng(20261018);
+  const char* const kOps[] = {"=", "<>", "<", "<=", ">", ">="};
+  const char* const kProjections[] = {
+      "user",     "score",           "user, location",
+      "*",        "COUNT(*)",        "COUNT(*), SUM(score), MIN(user)",
+      "score, user"};
+  // A score literal: mostly inside the table's 0..kRows-1, sometimes just
+  // outside it or at the int64 extremes.
+  auto score = [&]() -> std::string {
+    switch (rng.Uniform(8)) {
+      case 0:
+        return std::to_string(std::numeric_limits<int64_t>::min());
+      case 1:
+        return std::to_string(std::numeric_limits<int64_t>::max());
+      default:
+        return std::to_string(rng.UniformRange(-3, kRows + 3));
+    }
+  };
+  auto user = [&]() {
+    return "'u" + std::to_string(rng.UniformRange(0, kRows + 3)) + "'";
+  };
+  auto term = [&]() -> std::string {
+    const bool on_score = rng.Uniform(2) == 0;
+    switch (rng.Uniform(8)) {
+      case 0:
+        return on_score ? "score BETWEEN " + score() + " AND " + score()
+                        : "user BETWEEN " + user() + " AND " + user();
+      case 1: {
+        // Prefix, suffix or infix LIKE on the string column.
+        const std::string digits = std::to_string(rng.UniformRange(0, 99));
+        switch (rng.Uniform(3)) {
+          case 0:
+            return "user LIKE 'U" + digits + "%'";
+          case 1:
+            return "user LIKE '%" + digits + "'";
+          default:
+            return "user LIKE '%" + digits + "%'";
+        }
+      }
+      default:
+        return std::string(on_score ? "score " : "user ") +
+               kOps[rng.Uniform(6)] + " " + (on_score ? score() : user());
+    }
+  };
+  auto sorted = [](auto rows) {
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  for (int i = 0; i < 150; ++i) {
+    std::string sql = "SELECT " +
+                      std::string(kProjections[rng.Uniform(7)]) +
+                      " FROM pings WHERE " + term();
+    for (uint64_t more = rng.Uniform(3); more > 0; --more) {
+      sql += " AND " + term();
+    }
+    if (rng.Uniform(4) == 0) sql += " AND location = 'Paris'";
+    const oracle::Answer reference = Oracle(&session, sql);
+    for (size_t parallelism : {1u, 4u}) {
+      session.scan_options().parallelism = parallelism;
+      const std::string where =
+          sql + " parallelism=" + std::to_string(parallelism);
+      auto result = session.Execute(sql);
+      ASSERT_TRUE(result.ok()) << where << " " << result.status().ToString();
+      EXPECT_EQ(sorted(result->rows), sorted(reference.rows)) << where;
+    }
+  }
+}
+
+TEST_F(PushdownTest, CorruptRecordsFailEveryScanShape) {
+  constexpr int kRows = 40;
+  BuildDb(1, kRows);
+  Table* table = db_->GetTable("pings");
+  ASSERT_NE(table, nullptr);
+  const Schema& schema = table->schema();
+  const size_t stable = schema.stable_columns().size();
+
+  // Page 0 of the only partition holds every record. Slot 1's record sits
+  // just below slot 0's, so one byte past its end is slot 0's first byte.
+  BufferPool* pool = table->partition(0)->heap_pool();
+  auto guard = pool->FetchPage(0);
+  ASSERT_TRUE(guard.ok());
+  char* page = guard->data();
+  const std::string pristine(page, pool->disk()->page_size());
+  ASSERT_GE(DecodeFixed32(page) & 0xFFFF, 2u);
+  char* const slot = page + 8 + 4;  // slot 1: uint16 offset, uint16 length
+  const uint16_t offset = DecodeFixed32(slot) & 0xFFFF;
+  const uint16_t length = DecodeFixed32(slot) >> 16;
+  Slice rest(page + offset, length);
+  uint64_t skipped;
+  ASSERT_TRUE(GetVarint64(&rest, &skipped) && GetVarint64(&rest, &skipped));
+  const size_t header = length - rest.size();
+  auto set_length = [&](size_t n) {
+    EncodeFixed32(slot, offset | static_cast<uint32_t>(n) << 16);
+  };
+  // The record is (row id, insert time, 'u<i>' string, score).
+  const std::vector<std::pair<std::string, std::function<void()>>> kCases = {
+      {"truncated header", [&] { set_length(1); }},
+      {"bad tag", [&] { page[offset + header] = 0x7F; }},
+      {"truncated string", [&] { set_length(header + 3); }},
+      {"trailing bytes", [&] { set_length(length + 1); }},
+  };
+
+  ScoreNotMultipleOfThree filter;
+  ScanSpec count_only;
+  count_only.count_only = true;
+  count_only.output_columns.assign(stable, false);
+  ScanSpec filtered;
+  filtered.filter = &filter;
+  filtered.filter_columns = {false, true};
+  filtered.output_columns = {true, true};
+  ScanSpec unfiltered;
+  unfiltered.output_columns.assign(stable, true);
+  const std::vector<std::pair<std::string, const ScanSpec*>> kShapes = {
+      {"count-only", &count_only},
+      {"filtered", &filtered},
+      {"unfiltered", &unfiltered}};
+
+  Session session(db_.get());
+  for (const auto& [name, corrupt] : kCases) {
+    std::memcpy(page, pristine.data(), pristine.size());
+    corrupt();
+    HeapTuple tuple;
+    const Slice record(page + offset, DecodeFixed32(slot) >> 16);
+    EXPECT_TRUE(DecodeHeapTuple(schema, record, &tuple).IsCorruption())
+        << name;
+    for (const auto& [shape, spec] : kShapes) {
+      PartitionCursor cursor = table->OpenMorselCursor(Morsel{});
+      ScanWorkspace ws;
+      ScanDeltas deltas;
+      bool done = false;
+      EXPECT_TRUE(cursor.NextBatch(1024, *spec, &ws, &done, &deltas)
+                      .IsCorruption())
+          << name << " " << shape;
+    }
+    for (const char* sql : {"SELECT COUNT(*) FROM pings",
+                            "SELECT user FROM pings WHERE score < 10",
+                            "SELECT * FROM pings"}) {
+      EXPECT_TRUE(session.Execute(sql).status().IsCorruption())
+          << name << " " << sql;
+    }
+  }
+
+  // Restored, the same page scans whole again.
+  std::memcpy(page, pristine.data(), pristine.size());
+  auto count = session.Execute("SELECT COUNT(*) FROM pings");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->rows[0][0], Value::Int64(kRows));
 }
 
 /// Oracle equivalence over a tree and an interval domain, node and non-node
@@ -617,14 +799,6 @@ TEST_F(PushdownMixTest, OracleEquivalenceAcrossDomainsAndPredicateKinds) {
   }
 }
 
-/// Keeps the rows whose score is not a multiple of three.
-class ScoreNotMultipleOfThree : public TupleFilter {
- public:
-  bool Matches(const HeapTuple& tuple) const override {
-    return tuple.stable[1].int64() % 3 != 0;
-  }
-};
-
 TEST_F(PushdownTest, BatchedStoreMergeAgreesWithGetRowOutOfRowIdOrder) {
   constexpr int kRows = 500;
   BuildDb(4, kRows);
@@ -665,7 +839,7 @@ TEST_F(PushdownTest, BatchedStoreMergeAgreesWithGetRowOutOfRowIdOrder) {
   ScanSpec spec;
   spec.filter = &filter;
   spec.filter_columns = {false, true};
-  spec.output_columns = {true, false};
+  spec.output_columns = {true, true};
   ScanWorkspace ws;
   ScanDeltas deltas;
   size_t checked = 0;

@@ -86,7 +86,8 @@ inline bool Evaluate(const plan::SelectPlan& select,
 
   for (const plan::BoundPredicate& pred : query.predicates) {
     if (!pred.degradable) {
-      if (!plan::EvalStablePredicate(pred, view.values[pred.column])) {
+      if (!plan::StableTerm(pred).Matches(
+              FieldView::Of(view.values[pred.column]))) {
         return false;
       }
       continue;

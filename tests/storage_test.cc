@@ -304,15 +304,14 @@ TEST(RecordCodecTest, LegacyInlineImagesAreCorruption) {
 
   HeapTuple out;
   EXPECT_TRUE(DecodeHeapTuple(schema, legacy, &out).IsCorruption());
-  for (uint32_t bits = 0; bits < (1u << stable); ++bits) {
-    std::vector<bool> needed(stable);
-    for (size_t i = 0; i < stable; ++i) needed[i] = (bits >> i) & 1;
-    EXPECT_TRUE(DecodeHeapTuple(schema, legacy, &out, &needed).IsCorruption())
-        << bits;
-  }
+  // The scan's walk refuses it too, whatever it would keep of the fields.
+  RowId row_id;
+  Micros insert_time;
+  EXPECT_FALSE(WalkHeapRecord(legacy, stable, &row_id, &insert_time,
+                              [](size_t, const FieldView&) {}));
 }
 
-TEST(RecordCodecTest, MaskedDecodeSkipsUnneededStableColumns) {
+TEST(RecordCodecTest, WalkViewsEveryStableFieldAndChecksFraming) {
   auto schema = *Schema::Make(
       {ColumnDef::Stable("id", ValueType::kInt64),
        ColumnDef::Stable("name", ValueType::kString),
@@ -331,38 +330,65 @@ TEST(RecordCodecTest, MaskedDecodeSkipsUnneededStableColumns) {
                   Value::Timestamp(99), Value::Null()};
   std::string buf;
   EncodeHeapTuple(tuple, &buf);
-  HeapTuple full;
-  ASSERT_TRUE(DecodeHeapTuple(schema, buf, &full).ok());
-  // Every mask over the stable ordinals, decoded into one recycled slot so
-  // a skipped column must overwrite what the previous mask left there.
-  HeapTuple masked;
-  for (uint32_t bits = 0; bits < (1u << stable); ++bits) {
-    std::vector<bool> needed(stable);
-    for (size_t i = 0; i < stable; ++i) needed[i] = (bits >> i) & 1;
-    ASSERT_TRUE(DecodeHeapTuple(schema, buf, &masked, &needed).ok());
-    EXPECT_EQ(masked.row_id, full.row_id);
-    EXPECT_EQ(masked.insert_time, full.insert_time);
-    ASSERT_EQ(masked.stable.size(), stable);
-    for (size_t i = 0; i < stable; ++i) {
-      if (needed[i]) {
-        EXPECT_EQ(masked.stable[i], full.stable[i]) << bits << " " << i;
-      } else {
-        EXPECT_TRUE(masked.stable[i].is_null()) << bits << " " << i;
-      }
-    }
 
-    // Skipping still checks framing: every truncation and any trailing
-    // byte is Corruption, whatever the mask.
-    for (size_t len = 0; len < buf.size(); ++len) {
-      EXPECT_TRUE(
-          DecodeHeapTuple(schema, Slice(buf.data(), len), &masked, &needed)
-              .IsCorruption())
-          << bits << " len " << len;
-    }
-    EXPECT_TRUE(
-        DecodeHeapTuple(schema, buf + "x", &masked, &needed).IsCorruption())
-        << bits;
+  // One view per stable field, each the Value it encodes.
+  RowId row_id = kInvalidRowId;
+  Micros insert_time = 0;
+  size_t fields = 0;
+  ASSERT_TRUE(WalkHeapRecord(buf, stable, &row_id, &insert_time,
+                             [&](size_t i, const FieldView& field) {
+                               EXPECT_EQ(i, fields++);
+                               EXPECT_EQ(field.ToValue(), tuple.stable[i])
+                                   << i;
+                             }));
+  EXPECT_EQ(fields, stable);
+  EXPECT_EQ(row_id, tuple.row_id);
+  EXPECT_EQ(insert_time, tuple.insert_time);
+  HeapTuple decoded;
+  ASSERT_TRUE(DecodeHeapTuple(schema, buf, &decoded).ok());
+  EXPECT_EQ(decoded.stable, tuple.stable);
+
+  // Every truncation and any trailing byte is Corruption, for the walk and
+  // for the decoder built on it.
+  auto walks = [&](Slice input) {
+    return WalkHeapRecord(input, stable, &row_id, &insert_time,
+                          [](size_t, const FieldView&) {});
+  };
+  for (size_t len = 0; len < buf.size(); ++len) {
+    const Slice cut(buf.data(), len);
+    EXPECT_FALSE(walks(cut)) << "len " << len;
+    EXPECT_TRUE(DecodeHeapTuple(schema, cut, &decoded).IsCorruption())
+        << "len " << len;
   }
+  EXPECT_FALSE(walks(buf + "x"));
+  EXPECT_TRUE(DecodeHeapTuple(schema, buf + "x", &decoded).IsCorruption());
+}
+
+TEST(RecordCodecTest, FieldParseRejectsEveryTruncation) {
+  // The scan's field walk borrows string bytes in place, so a length that
+  // runs past the record must fail right there, never yield a view beyond
+  // the input — whether or not another field follows.
+  const std::vector<Value> values = {
+      Value::Null(),        Value::Int64(-1),   Value::Int64(300),
+      Value::Double(2.5),   Value::Bool(true),  Value::Timestamp(1 << 20),
+      Value::String("alice"), Value::String(std::string(200, 'x'))};
+  for (const Value& value : values) {
+    std::string buf;
+    value.EncodeTo(&buf);
+    FieldView field;
+    EXPECT_EQ(FieldView::Parse(buf.data(), buf.data() + buf.size(), &field),
+              buf.data() + buf.size())
+        << value.ToString();
+    EXPECT_EQ(field.ToValue(), value);
+    for (size_t len = 0; len < buf.size(); ++len) {
+      EXPECT_EQ(FieldView::Parse(buf.data(), buf.data() + len, &field),
+                nullptr)
+          << value.ToString() << " len " << len;
+    }
+  }
+  const char unknown_tag[] = {0x7F, 0};
+  FieldView field;
+  EXPECT_EQ(FieldView::Parse(unknown_tag, unknown_tag + 2, &field), nullptr);
 }
 
 // --- KeyManager ------------------------------------------------------------------
