@@ -348,6 +348,16 @@ Database::Stats Database::stats() const {
   stats.checkpoint_partitions_clean =
       checkpoint_partitions_clean_.load(std::memory_order_relaxed);
   if (maintenance_ != nullptr) stats.maintenance = maintenance_->stats();
+  {
+    std::shared_lock<std::shared_mutex> ddl(ddl_mu_);
+    for (const auto& [id, table] : tables_) {
+      for (uint32_t p = 0; p < table->num_partitions(); ++p) {
+        const StoreMemory memory = table->partition(p)->store_memory();
+        stats.stores.entries += memory.entries;
+        stats.stores.mirror_bytes += memory.mirror_bytes;
+      }
+    }
+  }
   stats.service.submitted =
       service_counters_.submitted.load(std::memory_order_relaxed);
   stats.service.admitted =

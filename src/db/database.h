@@ -282,6 +282,10 @@ class Database {
     MaintenanceDaemon::Stats maintenance;
     /// Service front end: admission/shedding/deadline accounting.
     ServiceStats service;
+    /// State stores of every table: live entries and the heap bytes of
+    /// their in-memory mirrors (row id, insert time, leaf ordinal and frame
+    /// locator per entry — no Value), array capacity included.
+    StoreMemory stores;
   };
   Stats stats() const;
 

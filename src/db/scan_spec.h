@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "storage/record.h"
-#include "storage/state_store.h"
 
 /// \file
 /// \brief Pushdown contract between the storage/db layer and the query
@@ -18,9 +17,10 @@
 /// doubles and string views, nothing allocated — and the stable filter
 /// runs on those views. Only a survivor gets Values, and only for the
 /// stable columns its consumer reads, built from the same views; then one
-/// sorted state-store merge per (degradable column, phase) resolves each
-/// of its degradable cells to the stored phase and leaf ordinal — never to
-/// the stored Value. The query layer implements TupleFilter (it owns
+/// sorted merge per (degradable column, phase) over that state store's
+/// contiguous row-id array resolves each of its degradable cells to the
+/// stored phase and leaf ordinal — all a store keeps of a value in memory
+/// (storage/state_store.h). The query layer implements TupleFilter (it owns
 /// predicate semantics), runs σ and f_k on the ordinals
 /// (DomainHierarchy::AncestorRange/AncestorValue) and builds degradable
 /// Values only for the qualifying cells that leave the scan; this header
@@ -96,16 +96,17 @@ struct ScanWorkspace {
   /// The record being examined, one view per stable ordinal.
   std::vector<FieldView> fields;
   /// Survivor k's stored phase (lcp.num_phases() = removed) and leaf
-  /// ordinal at that phase's level (-1 when removed or not a hierarchy
-  /// node) of degradable column d, at [k * degradable columns + d]. Filled
-  /// only under ScanSpec::need_degradable.
+  /// ordinal at that phase's level (-1 when removed) of degradable column
+  /// d, at [k * degradable columns + d] — all a scan learns of a stored
+  /// value. Filled only under ScanSpec::need_degradable.
   std::vector<int> phases;
   std::vector<int64_t> ordinals;
-  /// Probe scratch: survivor positions sorted by row id, their ids, and one
-  /// column's per-survivor probe results.
+  /// Probe scratch: survivor positions sorted by row id, their ids, and the
+  /// leaf ordinals StateStore::FindMany writes for one column's phase chain
+  /// (-1 until a phase's store holds the row), in that sorted order.
   std::vector<uint32_t> order;
   std::vector<RowId> ids;
-  std::vector<const StoreEntry*> entries;
+  std::vector<int64_t> probe;
 };
 
 }  // namespace instantdb

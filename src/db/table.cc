@@ -323,7 +323,7 @@ Status Table::RedoDegrade(const WalRecord& record) {
   return Route(record.entries[0].row_id)
       ->ApplyDegrade(record.column, record.from_phase, record.to_phase,
                      record.up_to_row_id, record.entries,
-                     /*old_values=*/nullptr);
+                     /*old_ordinals=*/nullptr);
 }
 
 Status Table::RedoDelete(const WalRecord& record) {

@@ -133,11 +133,14 @@ Status TablePartition::RebuildIndexes() {
   }
 
   for (size_t d = 0; d < stores_.size(); ++d) {
+    const ColumnDef& col = schema().column(schema().degradable_columns()[d]);
     for (size_t p = 0; p < stores_[d].size(); ++p) {
+      const int level = col.lcp.phase(static_cast<int>(p)).level;
       Status status;
-      stores_[d][p]->ForEach([&](const StoreEntry& entry) {
-        status = multires_[d]->OnInsertAtPhase(entry.row_id, entry.value,
-                                               static_cast<int>(p));
+      stores_[d][p]->ForEach([&](const StoreEntryView& entry) {
+        status = multires_[d]->OnInsertAtPhase(
+            entry.row_id, col.hierarchy->AncestorValue(entry.ordinal, level),
+            static_cast<int>(p));
         return status.ok();
       });
       IDB_RETURN_IF_ERROR(status);
@@ -223,7 +226,7 @@ Status TablePartition::ApplyInsert(RowId row_id, Micros insert_time,
       for (size_t d = 0; d < schema().degradable_columns().size(); ++d) {
         bool present = false;
         for (const auto& store : stores_[d]) {
-          if (store->Find(row_id) != nullptr) {
+          if (store->Find(row_id)) {
             present = true;
             break;
           }
@@ -270,13 +273,15 @@ Status TablePartition::ApplyDelete(RowId row_id) {
 
   // Remove degradable values from stores + indexes.
   for (size_t d = 0; d < stores_.size(); ++d) {
+    const ColumnDef& col = schema().column(schema().degradable_columns()[d]);
     for (size_t p = 0; p < stores_[d].size(); ++p) {
-      const StoreEntry* entry = stores_[d][p]->Find(row_id);
-      if (entry == nullptr) continue;
-      const Value value = entry->value;
+      const std::optional<StoreEntryView> entry = stores_[d][p]->Find(row_id);
+      if (!entry) continue;
       if (!multires_.empty()) {
-        IDB_RETURN_IF_ERROR(
-            multires_[d]->OnDelete(row_id, static_cast<int>(p), value));
+        const int level = col.lcp.phase(static_cast<int>(p)).level;
+        IDB_RETURN_IF_ERROR(multires_[d]->OnDelete(
+            row_id, static_cast<int>(p),
+            col.hierarchy->AncestorValue(entry->ordinal, level)));
       }
       IDB_RETURN_IF_ERROR(stores_[d][p]->SecureDeleteEntry(row_id));
       break;
@@ -450,7 +455,7 @@ void TablePartition::ResolveDegradableLocked(ScanWorkspace* ws) const {
   for (size_t j = 0; j < n; ++j) ws->ids[j] = ws->tuples[ws->order[j]].row_id;
   for (size_t d = 0; d < dcols; ++d) {
     const int removed = schema().column(degradable_cols[d]).lcp.num_phases();
-    ws->entries.assign(n, nullptr);
+    ws->probe.assign(n, -1);
     for (size_t j = 0; j < n; ++j) {
       const size_t cell = ws->order[j] * dcols + d;
       ws->phases[cell] = removed;
@@ -459,15 +464,15 @@ void TablePartition::ResolveDegradableLocked(ScanWorkspace* ws) const {
     size_t found = 0;
     for (size_t p = 0; p < stores_[d].size() && found < n; ++p) {
       const size_t hits =
-          stores_[d][p]->FindMany(ws->ids.data(), n, ws->entries.data());
+          stores_[d][p]->FindMany(ws->ids.data(), n, ws->probe.data());
       if (hits == 0) continue;
       found += hits;
       // Slots set by an earlier (more accurate) phase keep that phase.
       for (size_t j = 0; j < n; ++j) {
         const size_t cell = ws->order[j] * dcols + d;
-        if (ws->phases[cell] == removed && ws->entries[j] != nullptr) {
+        if (ws->phases[cell] == removed && ws->probe[j] >= 0) {
           ws->phases[cell] = static_cast<int>(p);
-          ws->ordinals[cell] = ws->entries[j]->ordinal;
+          ws->ordinals[cell] = ws->probe[j];
         }
       }
     }
@@ -488,10 +493,12 @@ void TablePartition::AssembleRow(const HeapTuple& tuple, RowView* view) const {
     const ColumnDef& col = schema().column(degradable_cols[d]);
     int phase = col.lcp.num_phases();  // removed unless found
     for (size_t p = 0; p < stores_[d].size(); ++p) {
-      const StoreEntry* entry = stores_[d][p]->Find(tuple.row_id);
-      if (entry != nullptr) {
+      const std::optional<StoreEntryView> entry =
+          stores_[d][p]->Find(tuple.row_id);
+      if (entry) {
         phase = static_cast<int>(p);
-        view->values[degradable_cols[d]] = entry->value;
+        view->values[degradable_cols[d]] = col.hierarchy->AncestorValue(
+            entry->ordinal, col.lcp.phase(phase).level);
         view->ordinals[d] = entry->ordinal;
         break;
       }
@@ -524,7 +531,7 @@ std::vector<std::pair<int, int>> TablePartition::StoresHolding(
   for (size_t d = 0; d < stores_.size(); ++d) {
     const int col_idx = schema().degradable_columns()[d];
     for (size_t p = 0; p < stores_[d].size(); ++p) {
-      if (stores_[d][p]->Find(row_id) != nullptr) {
+      if (stores_[d][p]->Find(row_id)) {
         holding.emplace_back(col_idx, static_cast<int>(p));
         break;
       }
@@ -536,6 +543,18 @@ std::vector<std::pair<int, int>> TablePartition::StoresHolding(
 uint64_t TablePartition::live_rows() const {
   std::shared_lock<std::shared_mutex> latch(latch_);
   return row_map_.size();
+}
+
+StoreMemory TablePartition::store_memory() const {
+  std::shared_lock<std::shared_mutex> latch(latch_);
+  StoreMemory memory;
+  for (const auto& per_phase : stores_) {
+    for (const auto& store : per_phase) {
+      memory.entries += store->size();
+      memory.mirror_bytes += store->mirror_bytes();
+    }
+  }
+  return memory;
 }
 
 Status TablePartition::IndexLookupEqual(int column, const Value& value,
@@ -632,27 +651,28 @@ Result<size_t> TablePartition::RunDegradationStep(TransactionManager* tm,
     return lock_status;
   }
 
-  // Collect the overdue prefix under the shared latch.
+  // Collect the overdue prefix under the shared latch. f_k runs on the
+  // stored leaf ordinal: the next phase's value and ordinal come from the
+  // ancestor at its level, with no label lookup.
   std::vector<StoreEntry> moves;      // entries with generalized values
-  std::vector<Value> old_values;
+  std::vector<int64_t> old_ordinals;  // leaf ordinals at from_phase's level
   std::vector<Micros> deadlines;
   RowId up_to = 0;
   {
     std::shared_lock<std::shared_mutex> latch(latch_);
     const Micros offset = col.lcp.PhaseEndOffset(from_phase);
-    stores_[ordinal][from_phase]->ForEach([&](const StoreEntry& entry) {
+    const int to_level = removal ? 0 : col.lcp.phase(to_phase).level;
+    stores_[ordinal][from_phase]->ForEach([&](const StoreEntryView& entry) {
       const Micros deadline = entry.insert_time + offset;
       if (deadline > now || moves.size() >= batch_limit) return false;
       StoreEntry moved{entry.row_id, entry.insert_time, Value::Null()};
       if (!removal) {
-        auto generalized = col.hierarchy->Generalize(
-            entry.value, col.lcp.phase(from_phase).level,
-            col.lcp.phase(to_phase).level);
-        if (!generalized.ok()) return false;
-        moved.value = *generalized;
+        moved.value = col.hierarchy->AncestorValue(entry.ordinal, to_level);
+        moved.ordinal =
+            col.hierarchy->AncestorRange(entry.ordinal, to_level).lo;
       }
       moves.push_back(std::move(moved));
-      old_values.push_back(entry.value);
+      old_ordinals.push_back(entry.ordinal);
       deadlines.push_back(deadline);
       up_to = entry.row_id;
       return true;
@@ -677,9 +697,9 @@ Result<size_t> TablePartition::RunDegradationStep(TransactionManager* tm,
 
   const size_t moved = moves.size();
   txn->AddOp(std::move(record),
-             [this, col_idx, from_phase, to_phase, up_to, moves, old_values] {
+             [this, col_idx, from_phase, to_phase, up_to, moves, old_ordinals] {
                return ApplyDegrade(col_idx, from_phase, to_phase, up_to, moves,
-                                   &old_values);
+                                   &old_ordinals);
              });
   IDB_RETURN_IF_ERROR(tm->Commit(txn.get()));
 
@@ -703,12 +723,12 @@ Result<size_t> TablePartition::RunDegradationStep(TransactionManager* tm,
 Status TablePartition::ApplyDegrade(int col_idx, int from_phase, int to_phase,
                                     RowId up_to,
                                     const std::vector<StoreEntry>& moves,
-                                    const std::vector<Value>* old_values) {
+                                    const std::vector<int64_t>* old_ordinals) {
   std::unique_lock<std::shared_mutex> latch(latch_);
   const int ordinal = schema().DegradableOrdinal(col_idx);
   const ColumnDef& col = schema().column(col_idx);
   const bool removal = to_phase >= col.lcp.num_phases();
-  const bool update_indexes = old_values != nullptr && !multires_.empty();
+  const bool update_indexes = old_ordinals != nullptr && !multires_.empty();
 
   // Pop exactly the collected entries. A prefix pop through `up_to` would
   // also destroy an out-of-order append that landed below `up_to` between
@@ -739,7 +759,10 @@ Status TablePartition::ApplyDegrade(int col_idx, int from_phase, int to_phase,
     }
     if (update_indexes && row_live) {
       IDB_RETURN_IF_ERROR(multires_[ordinal]->OnDegrade(
-          move.row_id, from_phase, (*old_values)[i], to_phase, move.value));
+          move.row_id, from_phase,
+          col.hierarchy->AncestorValue((*old_ordinals)[i],
+                                       col.lcp.phase(from_phase).level),
+          to_phase, move.value));
     }
   }
   for (const StoreEntry& move : moves) {
@@ -763,7 +786,7 @@ Status TablePartition::MaybeExpireTupleLocked(RowId row_id) {
   if (it == row_map_.end()) return Status::OK();
   for (const auto& per_phase : stores_) {
     for (const auto& store : per_phase) {
-      if (store->Find(row_id) != nullptr) return Status::OK();
+      if (store->Find(row_id)) return Status::OK();
     }
   }
   // Every degradable attribute reached ⊥: the tuple disappears, stable part

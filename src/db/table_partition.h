@@ -55,7 +55,7 @@ struct RowView {
   /// (lcp.num_phases() = removed).
   std::vector<int> phases;
   /// Aligned with schema.degradable_columns(): leaf ordinal of the stored
-  /// value at its phase's level (StoreEntry::ordinal; -1 once removed) —
+  /// value at its phase's level (StoreEntryView::ordinal; -1 once removed) —
   /// what the query layer's σ and f_k read.
   std::vector<int64_t> ordinals;
 };
@@ -130,11 +130,12 @@ class TablePartition {
                      const std::vector<Value>& degradable,
                      bool degradable_available);
   Status ApplyDelete(RowId row_id);
-  /// `old_values` is non-null on the live path (index maintenance) and null
+  /// `old_ordinals` (the moved entries' leaf ordinals at `from_phase`'s
+  /// level) is non-null on the live path (index maintenance) and null
   /// during redo (indexes are rebuilt wholesale after replay).
   Status ApplyDegrade(int column, int from_phase, int to_phase,
                       RowId up_to_row_id, const std::vector<StoreEntry>& moves,
-                      const std::vector<Value>* old_values);
+                      const std::vector<int64_t>* old_ordinals);
   Status ApplyUpdateStable(RowId row_id, const std::vector<Value>& stable);
 
   // --- read path -------------------------------------------------------------
@@ -184,6 +185,8 @@ class TablePartition {
   std::vector<std::pair<int, int>> StoresHolding(RowId row_id) const;
 
   uint64_t live_rows() const;
+  /// Live entries and mirror bytes of this partition's state stores.
+  StoreMemory store_memory() const;
 
   Status IndexLookupEqual(int column, const Value& value, int level,
                           std::vector<RowId>* out) const;

@@ -280,12 +280,27 @@ Status BindPredicate(const Schema& schema, Session* session, TableId table_id,
 bool EvalDegradablePredicate(const DomainHierarchy& hierarchy,
                              const BoundPredicate& pred, int64_t ordinal,
                              int level) {
-  if (ordinal < 0) return false;  // not a node of the domain
+  if (ordinal < 0) return false;  // removed
   const bool node_predicate =
       pred.op == ComparisonOp::kEq || pred.op == ComparisonOp::kNe ||
       pred.op == ComparisonOp::kBetween ||
       (pred.op == ComparisonOp::kLike && pred.literal_level >= 0);
+  if (node_predicate && level <= pred.literal_level) {
+    // Intervals nest: the row's level-`level` node lies inside exactly one
+    // node of the literal's (coarser or equal) level, so it is inside the
+    // literal's interval iff its leaf ordinal is — no ancestor walk.
+    switch (pred.op) {
+      case ComparisonOp::kBetween:
+        return ordinal >= pred.literal_interval.lo &&
+               ordinal <= pred.literal_interval2.hi;
+      case ComparisonOp::kNe:
+        return !pred.literal_interval.Contains(ordinal);
+      default:  // Eq, label LIKE
+        return pred.literal_interval.Contains(ordinal);
+    }
+  }
   if (node_predicate) {
+    // A row read coarser than the literal: compare its node's interval.
     const LeafInterval row_interval = hierarchy.AncestorRange(ordinal, level);
     switch (pred.op) {
       case ComparisonOp::kBetween:

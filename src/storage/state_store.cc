@@ -28,6 +28,17 @@ constexpr char kSegmentMagic[8] = {'I', 'D', 'B', 'S', 'S', 'G', '2', '\n'};
 /// which is always far below this.
 constexpr uint64_t kMetaV2Tag = UINT64_MAX;
 
+/// A segment seals once it reaches this size whatever `segment_bytes` says,
+/// so every frame offset fits the mirror's 32-bit locator.
+constexpr uint64_t kMaxSegmentBytes = uint64_t{1} << 31;
+
+/// Grows a mirror array by 1/16 instead of doubling: the slack capacity is
+/// paid per entry on top of StateStore::kMirrorBytesPerEntry.
+template <typename T>
+void GrowForOneMore(std::vector<T>* v) {
+  if (v->size() == v->capacity()) v->reserve(v->size() + v->size() / 16 + 64);
+}
+
 void EncodeEntryPayload(const StoreEntry& entry, std::string* dst) {
   PutVarint64(dst, entry.row_id);
   PutVarint64(dst, static_cast<uint64_t>(entry.insert_time));
@@ -64,9 +75,18 @@ StateStore::~StateStore() {
   if (tail_writer_ != nullptr) tail_writer_->Close().ok();
 }
 
-int64_t StateStore::OrdinalOf(const Value& value) const {
+static_assert(StateStore::kMirrorBytesPerEntry <= 40,
+              "a live state-store entry must cost at most 40 mirror bytes");
+
+Result<int64_t> StateStore::OrdinalOf(const Value& value) const {
   const Result<LeafInterval> range = hierarchy_->LeafRange(value, level_);
-  return range.ok() ? range->lo : -1;
+  if (!range.ok()) {
+    return Status::InvalidArgument(
+        StringPrintf("%s is not a level-%d node of domain %s",
+                     value.ToString().c_str(), level_,
+                     hierarchy_->name().c_str()));
+  }
+  return range->lo;
 }
 
 std::string StateStore::SegmentPath(uint64_t seqno) const {
@@ -79,16 +99,20 @@ std::string StateStore::KeyId(uint64_t seqno) const {
                       static_cast<unsigned long long>(seqno));
 }
 
-StateStore::Segment* StateStore::FindSegment(uint64_t seqno) {
+StateStore::Segment* StateStore::FindSegment(uint32_t seqno) {
   for (Segment& segment : segments_) {
-    if (segment.seqno == seqno) return &segment;
+    if (static_cast<uint32_t>(segment.seqno) == seqno) return &segment;
   }
   return nullptr;
 }
 
 Status StateStore::Open() {
   IDB_RETURN_IF_ERROR(env_->CreateDirs(dir_));
-  live_.clear();
+  ids_.clear();
+  times_.clear();
+  ordinals_.clear();
+  frames_.clear();
+  head_ = 0;
   segments_.clear();
   tail_writer_.reset();
   last_appended_row_id_ = kInvalidRowId;
@@ -138,10 +162,11 @@ Status StateStore::Open() {
   }
   std::sort(seqnos.begin(), seqnos.end());
 
+  std::vector<MirrorRow> live;
   for (uint64_t seqno : seqnos) {
     Segment segment;
     segment.seqno = seqno;
-    IDB_RETURN_IF_ERROR(LoadSegment(&segment, &meta_state));
+    IDB_RETURN_IF_ERROR(LoadSegment(&segment, &meta_state, &live));
     if (segment.popped + segment.deleted >= segment.entries) {
       // Fully drained (or unreadable) segment that survived a crash between
       // erase and unlink: finish the job.
@@ -154,20 +179,27 @@ Status StateStore::Open() {
   // Frames inside a segment follow commit order, which may deviate from
   // row-id order when transactions committed concurrently: restore the
   // sorted mirror invariant.
-  std::sort(live_.begin(), live_.end(),
-            [](const LiveEntry& a, const LiveEntry& b) {
-              return a.entry.row_id < b.entry.row_id;
-            });
-  live_times_.clear();
-  for (const LiveEntry& live : live_) {
-    live_times_.insert(live.entry.insert_time);
+  const auto by_row_id = [](const MirrorRow& a, const MirrorRow& b) {
+    return a.row_id < b.row_id;
+  };
+  if (!std::is_sorted(live.begin(), live.end(), by_row_id)) {
+    std::sort(live.begin(), live.end(), by_row_id);
   }
+  ids_.reserve(live.size());
+  times_.reserve(live.size());
+  ordinals_.reserve(live.size());
+  frames_.reserve(live.size());
+  for (const MirrorRow& row : live) {
+    ids_.push_back(row.row_id);
+    times_.push_back(row.insert_time);
+    ordinals_.push_back(row.ordinal);
+    frames_.push_back(row.frame);
+  }
+  RecomputeTimeBlocks(0);
   // Largest id ever appended: popped ids (covered by the watermark) count
   // too. Keeping this exact prevents the table from re-allocating a row id
   // whose value was already degraded out of this store.
-  if (!live_.empty()) {
-    last_appended_row_id_ = live_.back().entry.row_id;
-  }
+  if (!ids_.empty()) last_appended_row_id_ = ids_.back();
   if (pop_watermark_ > 0 && (last_appended_row_id_ == kInvalidRowId ||
                              pop_watermark_ > last_appended_row_id_)) {
     last_appended_row_id_ = pop_watermark_;
@@ -177,7 +209,8 @@ Status StateStore::Open() {
   return Status::OK();
 }
 
-Status StateStore::LoadSegment(Segment* segment, MetaState* meta) {
+Status StateStore::LoadSegment(Segment* segment, MetaState* meta,
+                               std::vector<MirrorRow>* live) {
   const std::string path = SegmentPath(segment->seqno);
   IDB_ASSIGN_OR_RETURN(std::string raw, env_->ReadFileToString(path));
 
@@ -255,8 +288,20 @@ Status StateStore::LoadSegment(Segment* segment, MetaState* meta) {
     if (popped_entry) {
       ++segment->popped;  // degraded out of this store before the checkpoint
     } else {
-      entry.ordinal = OrdinalOf(entry.value);
-      live_.push_back(LiveEntry{std::move(entry), segment->seqno, off, len});
+      // The mirror keeps the value only as its leaf ordinal, so a frame
+      // that decodes to something other than a node of this level cannot
+      // be loaded (Append never writes one).
+      const Result<int64_t> ordinal = OrdinalOf(entry.value);
+      if (!ordinal.ok()) {
+        return Status::Corruption(path + ": " + ordinal.status().message());
+      }
+      if (off > UINT32_MAX) {
+        return Status::Corruption(path + ": frame offset beyond 4 GiB");
+      }
+      live->push_back(MirrorRow{
+          entry.row_id, entry.insert_time, *ordinal,
+          FrameLocator{static_cast<uint32_t>(segment->seqno),
+                       static_cast<uint32_t>(off), len}});
     }
     off += hdr + len;
   }
@@ -303,17 +348,77 @@ Status StateStore::SealTail() {
   return Status::OK();
 }
 
-std::deque<StateStore::LiveEntry>::iterator StateStore::LowerBound(
-    RowId row_id) {
-  return std::lower_bound(
-      live_.begin(), live_.end(), row_id,
-      [](const LiveEntry& e, RowId id) { return e.entry.row_id < id; });
+size_t StateStore::LowerBound(RowId row_id) const {
+  return static_cast<size_t>(
+      std::lower_bound(ids_.begin() + head_, ids_.end(), row_id) -
+      ids_.begin());
+}
+
+void StateStore::MirrorInsert(size_t pos, const MirrorRow& row) {
+  GrowForOneMore(&ids_);
+  GrowForOneMore(&times_);
+  GrowForOneMore(&ordinals_);
+  GrowForOneMore(&frames_);
+  ids_.insert(ids_.begin() + pos, row.row_id);
+  times_.insert(times_.begin() + pos, row.insert_time);
+  ordinals_.insert(ordinals_.begin() + pos, row.ordinal);
+  frames_.insert(frames_.begin() + pos, row.frame);
+  if (pos + 1 < ids_.size()) {
+    RecomputeTimeBlocks(pos / kTimeBlock);  // the tail moved
+  } else if (pos % kTimeBlock == 0) {
+    time_block_min_.push_back(row.insert_time);
+  } else {
+    time_block_min_.back() = std::min(time_block_min_.back(), row.insert_time);
+  }
+}
+
+void StateStore::MirrorErase(size_t pos) {
+  if (pos == head_) {
+    ++head_;
+    if (head_ * 2 > ids_.size()) Compact();
+    return;
+  }
+  ids_.erase(ids_.begin() + pos);
+  times_.erase(times_.begin() + pos);
+  ordinals_.erase(ordinals_.begin() + pos);
+  frames_.erase(frames_.begin() + pos);
+  RecomputeTimeBlocks(pos / kTimeBlock);
+}
+
+void StateStore::Compact() {
+  ids_.erase(ids_.begin(), ids_.begin() + head_);
+  times_.erase(times_.begin(), times_.begin() + head_);
+  ordinals_.erase(ordinals_.begin(), ordinals_.begin() + head_);
+  frames_.erase(frames_.begin(), frames_.begin() + head_);
+  head_ = 0;
+  if (ids_.capacity() > 4 * ids_.size() + 64) {
+    // A large drain: give the capacity back rather than keep the peak.
+    ids_.shrink_to_fit();
+    times_.shrink_to_fit();
+    ordinals_.shrink_to_fit();
+    frames_.shrink_to_fit();
+  }
+  RecomputeTimeBlocks(0);
+}
+
+void StateStore::RecomputeTimeBlocks(size_t first) {
+  const size_t n = times_.size();
+  time_block_min_.resize((n + kTimeBlock - 1) / kTimeBlock);
+  for (size_t b = first; b < time_block_min_.size(); ++b) {
+    time_block_min_[b] =
+        *std::min_element(times_.begin() + b * kTimeBlock,
+                          times_.begin() + std::min(n, (b + 1) * kTimeBlock));
+  }
 }
 
 Status StateStore::Append(const StoreEntry& entry) {
-  auto pos = LowerBound(entry.row_id);
-  if (pos != live_.end() && pos->entry.row_id == entry.row_id) {
+  const size_t pos = LowerBound(entry.row_id);
+  if (pos != ids_.size() && ids_[pos] == entry.row_id) {
     return Status::OK();  // idempotent WAL redo
+  }
+  int64_t ordinal = entry.ordinal;
+  if (ordinal < 0) {
+    IDB_ASSIGN_OR_RETURN(ordinal, OrdinalOf(entry.value));
   }
   // No pop-watermark gate: an absent id is always a first-time append. A
   // replayed insert whose value was popped before the checkpoint is never
@@ -323,7 +428,8 @@ Status StateStore::Append(const StoreEntry& entry) {
   // and the degrade record that popped it replays later in log order.
   if (tail_writer_ == nullptr || segments_.empty() || segments_.back().sealed) {
     IDB_RETURN_IF_ERROR(OpenTailWriter());
-  } else if (segments_.back().bytes >= options_.segment_bytes) {
+  } else if (segments_.back().bytes >=
+             std::min<uint64_t>(options_.segment_bytes, kMaxSegmentBytes)) {
     IDB_RETURN_IF_ERROR(SealTail());
     IDB_RETURN_IF_ERROR(OpenTailWriter());
   }
@@ -353,13 +459,12 @@ Status StateStore::Append(const StoreEntry& entry) {
   if (tail_pending_.size() >= 8192) {
     IDB_RETURN_IF_ERROR(FlushTail());
   }
-  // Re-resolve the position: OpenTailWriter/SealTail do not touch live_,
-  // but keeping the lookup next to the insert guards future edits.
-  pos = LowerBound(entry.row_id);
-  pos = live_.insert(pos, LiveEntry{entry, tail.seqno, tail.bytes,
-                                    static_cast<uint32_t>(payload.size())});
-  pos->entry.ordinal = OrdinalOf(entry.value);
-  live_times_.insert(entry.insert_time);
+  // OpenTailWriter/SealTail leave the mirror alone: `pos` still holds.
+  MirrorInsert(pos, MirrorRow{entry.row_id, entry.insert_time, ordinal,
+                              FrameLocator{static_cast<uint32_t>(tail.seqno),
+                                           static_cast<uint32_t>(tail.bytes),
+                                           static_cast<uint32_t>(
+                                               payload.size())}});
   tail.bytes += frame.size();
   ++tail.entries;
   if (last_appended_row_id_ == kInvalidRowId ||
@@ -406,106 +511,91 @@ Status StateStore::CleanupDrainedSegments() {
   return Status::OK();
 }
 
-Status StateStore::PopHead(StoreEntry* out) {
-  if (live_.empty()) return Status::NotFound("state store empty");
-  const LiveEntry& head = live_.front();
-  if (out != nullptr) *out = head.entry;
-  Segment* segment = FindSegment(head.seqno);
-  if (segment != nullptr) ++segment->popped;
-  pop_watermark_ = std::max(pop_watermark_, head.entry.row_id);
-  live_times_.erase(live_times_.find(head.entry.insert_time));
-  live_.pop_front();
-  ++stats_.entries_popped;
-  dirty_ = true;
-  return CleanupDrainedSegments();
+Status StateStore::PopHead(StoreEntryView* out) {
+  if (empty()) return Status::NotFound("state store empty");
+  if (out != nullptr) *out = Head();
+  return PopById(ids_[head_]);
 }
 
 Status StateStore::PopById(RowId row_id) {
-  auto it = LowerBound(row_id);
-  if (it == live_.end() || it->entry.row_id != row_id) {
+  const size_t pos = LowerBound(row_id);
+  if (pos == ids_.size() || ids_[pos] != row_id) {
     return Status::OK();  // stale redo / never appended
   }
-  Segment* segment = FindSegment(it->seqno);
+  Segment* segment = FindSegment(frames_[pos].segment);
   if (segment != nullptr) ++segment->popped;
   pop_watermark_ = std::max(pop_watermark_, row_id);
-  live_times_.erase(live_times_.find(it->entry.insert_time));
-  live_.erase(it);
+  MirrorErase(pos);
   ++stats_.entries_popped;
   dirty_ = true;
   return CleanupDrainedSegments();
 }
 
 Status StateStore::SecureDeleteEntry(RowId row_id) {
-  auto it = std::lower_bound(
-      live_.begin(), live_.end(), row_id,
-      [](const LiveEntry& e, RowId id) { return e.entry.row_id < id; });
-  if (it == live_.end() || it->entry.row_id != row_id) {
+  const size_t pos = LowerBound(row_id);
+  if (pos == ids_.size() || ids_[pos] != row_id) {
     return Status::NotFound("row not in this store");
   }
+  const FrameLocator frame = frames_[pos];
   // Tombstone the frame on disk: set the tombstone bit in the length field
   // and zero the payload bytes so the (plain or cipher) value is physically
   // cleaned right now. The buffered tail must be on disk first, or the
   // flush would resurrect the payload after this pass zeroed its range.
   IDB_RETURN_IF_ERROR(FlushTail());
-  Segment* segment = FindSegment(it->seqno);
+  Segment* segment = FindSegment(frame.segment);
   const uint64_t hdr = (segment == nullptr || segment->has_crc) ? 8 : 4;
-  const std::string path = SegmentPath(it->seqno);
-  if (env_->FileExists(path)) {
-    IDB_ASSIGN_OR_RETURN(auto file, env_->NewRandomRWFile(path));
+  if (segment != nullptr && env_->FileExists(SegmentPath(segment->seqno))) {
+    IDB_ASSIGN_OR_RETURN(auto file,
+                         env_->NewRandomRWFile(SegmentPath(segment->seqno)));
     std::string len_field;
-    PutFixed32(&len_field, it->len | kTombstoneBit);
-    IDB_RETURN_IF_ERROR(file->Write(it->offset, len_field));
+    PutFixed32(&len_field, frame.len | kTombstoneBit);
+    IDB_RETURN_IF_ERROR(file->Write(frame.offset, len_field));
     // Zero the CRC word (v2) along with the payload bytes.
-    const std::string zeros(hdr - 4 + it->len, '\0');
-    IDB_RETURN_IF_ERROR(file->Write(it->offset + 4, zeros));
+    const std::string zeros(hdr - 4 + frame.len, '\0');
+    IDB_RETURN_IF_ERROR(file->Write(uint64_t{frame.offset} + 4, zeros));
     IDB_RETURN_IF_ERROR(file->Sync());
   }
   if (segment != nullptr) ++segment->deleted;
-  live_times_.erase(live_times_.find(it->entry.insert_time));
-  live_.erase(it);
+  MirrorErase(pos);
   ++stats_.entries_deleted;
   dirty_ = true;
   return CleanupDrainedSegments();
 }
 
-const StoreEntry* StateStore::Find(RowId row_id) const {
-  auto it = std::lower_bound(
-      live_.begin(), live_.end(), row_id,
-      [](const LiveEntry& e, RowId id) { return e.entry.row_id < id; });
-  if (it == live_.end() || it->entry.row_id != row_id) return nullptr;
-  return &it->entry;
+std::optional<StoreEntryView> StateStore::Find(RowId row_id) const {
+  const size_t pos = LowerBound(row_id);
+  if (pos == ids_.size() || ids_[pos] != row_id) return std::nullopt;
+  return View(pos);
 }
 
 size_t StateStore::FindMany(const RowId* ids, size_t n,
-                            const StoreEntry** out) const {
-  const auto less = [](const LiveEntry& e, RowId id) {
-    return e.entry.row_id < id;
-  };
-  const auto end = live_.end();
+                            int64_t* ordinals) const {
+  const RowId* const base = ids_.data();
+  const RowId* const end = base + ids_.size();
   size_t found = 0;
-  auto it = live_.begin();
+  const RowId* it = base + head_;
   for (size_t j = 0; j < n; ++j) {
-    if (out[j] != nullptr) continue;
+    if (ordinals[j] >= 0) continue;
+    const RowId id = ids[j];
     // Ascending ids: gallop forward from where the previous id left the
     // search (the next entry, then steps 1, 2, 4, ... until an entry >= id),
     // then binary-search inside that bracket. A dense batch finds each id
     // right after the last, so it costs O(1) per id rather than O(log N).
-    if (it != end && less(*it, ids[j]) && ++it != end &&
-        less(*it, ids[j])) {
-      auto lo = it;  // lo < id; the answer lies in (lo, hi]
-      auto hi = end;
+    if (it != end && *it < id && ++it != end && *it < id) {
+      const RowId* lo = it;  // *lo < id; the answer lies in (lo, hi]
+      const RowId* hi = end;
       for (std::ptrdiff_t step = 1; step < end - lo; step *= 2) {
-        if (!less(lo[step], ids[j])) {
+        if (lo[step] >= id) {
           hi = lo + step;
           break;
         }
         lo += step;
       }
-      it = std::lower_bound(lo + 1, hi, ids[j], less);
+      it = std::lower_bound(lo + 1, hi, id);
     }
     if (it == end) break;  // every later id is larger still
-    if (it->entry.row_id == ids[j]) {
-      out[j] = &it->entry;
+    if (*it == id) {
+      ordinals[j] = ordinals_[it - base];
       ++found;
     }
   }
@@ -513,14 +603,31 @@ size_t StateStore::FindMany(const RowId* ids, size_t n,
 }
 
 void StateStore::ForEach(
-    const std::function<bool(const StoreEntry&)>& fn) const {
-  for (const LiveEntry& live : live_) {
-    if (!fn(live.entry)) return;
+    const std::function<bool(const StoreEntryView&)>& fn) const {
+  for (size_t pos = head_; pos < ids_.size(); ++pos) {
+    if (!fn(View(pos))) return;
   }
 }
 
 Micros StateStore::MinInsertTime() const {
-  return live_times_.empty() ? kForever : *live_times_.begin();
+  if (empty()) return kForever;
+  // The head's block holds consumed positions: scan its live part, then
+  // take every later block's minimum.
+  const size_t first = head_ / kTimeBlock;
+  Micros min = *std::min_element(
+      times_.begin() + head_,
+      times_.begin() + std::min(times_.size(), (first + 1) * kTimeBlock));
+  for (size_t b = first + 1; b < time_block_min_.size(); ++b) {
+    min = std::min(min, time_block_min_[b]);
+  }
+  return min;
+}
+
+size_t StateStore::mirror_bytes() const {
+  return ids_.capacity() * sizeof(RowId) + times_.capacity() * sizeof(Micros) +
+         ordinals_.capacity() * sizeof(int64_t) +
+         frames_.capacity() * sizeof(FrameLocator) +
+         time_block_min_.capacity() * sizeof(Micros);
 }
 
 Status StateStore::Checkpoint() {
@@ -543,9 +650,9 @@ Status StateStore::SaveMeta() {
   // Survivors: live entries at or below the watermark (late out-of-order
   // appends the prefix pops skipped). Normally none; bounded by commit skew.
   std::vector<RowId> survivors;
-  for (const LiveEntry& live : live_) {
-    if (live.entry.row_id > pop_watermark_) break;  // sorted mirror
-    survivors.push_back(live.entry.row_id);
+  for (size_t pos = head_; pos < ids_.size(); ++pos) {
+    if (ids_[pos] > pop_watermark_) break;  // sorted mirror
+    survivors.push_back(ids_[pos]);
   }
   PutVarint64(&meta, survivors.size());
   for (RowId id : survivors) PutVarint64(&meta, id);
@@ -561,8 +668,12 @@ Status StateStore::Drop() {
     segments_.pop_front();
     IDB_RETURN_IF_ERROR(EraseSegment(segment));
   }
-  live_.clear();
-  live_times_.clear();
+  ids_ = {};
+  times_ = {};
+  ordinals_ = {};
+  frames_ = {};
+  time_block_min_ = {};
+  head_ = 0;
   return env_->RemoveDirRecursive(dir_);
 }
 

@@ -1,12 +1,14 @@
 #ifndef INSTANTDB_STORAGE_STATE_STORE_H_
 #define INSTANTDB_STORAGE_STATE_STORE_H_
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <set>
+#include <optional>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "catalog/generalization.h"
 #include "catalog/value.h"
@@ -22,18 +24,28 @@ namespace instantdb {
 
 class Env;
 
-/// One degradable attribute value of one tuple, resident in a state store.
+/// One degradable attribute value of one tuple: the unit a state store
+/// frames on disk, a degrade step logs, and Append takes.
 struct StoreEntry {
   RowId row_id = kInvalidRowId;
   /// Tuple insertion time; with the table-uniform LCP it determines every
   /// degradation deadline of this entry.
   Micros insert_time = 0;
   Value value;
-  /// In-memory mirror only (never encoded): leaf ordinal of `value` at the
-  /// store's level, `LeafRange(value, level).lo`, or -1 when the value is
-  /// not a node of the hierarchy. Set when the entry enters the mirror, so
-  /// scans evaluate σ and f_k on it (DomainHierarchy::AncestorRange/
-  /// AncestorValue) without hashing the value or copying it out.
+  /// Never encoded: leaf ordinal of `value` at the store's level,
+  /// `LeafRange(value, level).lo`, when the producer already knows it (a
+  /// degrade step computes it with DomainHierarchy::AncestorRange), so
+  /// Append need not resolve it; -1 makes Append resolve it.
+  int64_t ordinal = -1;
+};
+
+/// One live entry as a state store hands it out. The store keeps no Value:
+/// `DomainHierarchy::AncestorValue(ordinal, level)` rebuilds the stored
+/// value, and AncestorRange/AncestorValue at coarser levels give σ and f_k.
+struct StoreEntryView {
+  RowId row_id = kInvalidRowId;
+  Micros insert_time = 0;
+  /// `LeafRange(value, level).lo` of the stored value at the store's level.
   int64_t ordinal = -1;
 };
 
@@ -54,13 +66,33 @@ struct StoreEntry {
 /// or its per-segment key destroyed (EraseMode::kCryptoErase), then
 /// unlinked. User deletes in the middle of a store are handled by
 /// `SecureDeleteEntry`, which tombstones the frame and zeroes its payload
-/// bytes in place. The live contents are mirrored in memory, sorted by row
-/// id (the working set of a phase is bounded by arrival-rate × phase
-/// duration); crash recovery rebuilds the mirror from the segments plus WAL
-/// replay, which is idempotent because appends of a present row id are
-/// ignored and pops of an absent one are no-ops.
+/// bytes in place. Crash recovery rebuilds the mirror from the segments
+/// plus WAL replay, which is idempotent because appends of a present row id
+/// are ignored and pops of an absent one are no-ops.
+///
+/// What stays in memory: per live entry its row id, insert time, the leaf
+/// ordinal of its value at the store's level — one integer per value, never
+/// the Value — and the locator of its frame, in parallel arrays sorted by
+/// row id (the working set of a phase is bounded by arrival-rate × phase
+/// duration). The row ids form their own contiguous array, the only one
+/// the FindMany probe reads. A Value exists only transiently: decoded from
+/// a frame on Open, encoded into one on Append, or rebuilt by the caller
+/// from the ordinal (DomainHierarchy::AncestorValue). A value that is not a
+/// node of the hierarchy at the store's level therefore cannot be stored.
+/// Live entries of some state stores and the bytes their in-memory mirrors
+/// hold (StateStore::mirror_bytes), summed.
+struct StoreMemory {
+  uint64_t entries = 0;
+  uint64_t mirror_bytes = 0;
+};
+
 class StateStore {
  public:
+  /// Bytes one live entry costs in the mirror arrays (capacity slack and
+  /// the per-block insert-time minima come on top; see mirror_bytes()).
+  static constexpr size_t kMirrorBytesPerEntry =
+      sizeof(RowId) + sizeof(Micros) + sizeof(int64_t) + 3 * sizeof(uint32_t);
+
   /// `hierarchy` is the column's domain and `level` the phase's accuracy
   /// level: together they resolve every entry's leaf ordinal. Both must
   /// outlive the store. `env` == nullptr uses Env::Default().
@@ -73,14 +105,16 @@ class StateStore {
   StateStore& operator=(const StateStore&) = delete;
 
   /// Loads segment files (and the checkpoint meta, if present) and rebuilds
-  /// the in-memory mirror. Tolerates a torn tail frame after a crash.
+  /// the in-memory mirror. Tolerates a torn tail frame after a crash; a
+  /// live frame whose value is not a node at the store's level is
+  /// Corruption.
   Status Open();
 
-  bool empty() const { return live_.empty(); }
-  size_t size() const { return live_.size(); }
+  bool empty() const { return size() == 0; }
+  size_t size() const { return ids_.size() - head_; }
 
   /// Entry with the smallest row id; store must be non-empty.
-  const StoreEntry& Head() const { return live_.front().entry; }
+  StoreEntryView Head() const { return View(head_); }
   /// Largest row id ever appended, kInvalidRowId when nothing was.
   RowId LastAppendedRowId() const { return last_appended_row_id_; }
 
@@ -90,11 +124,13 @@ class StateStore {
   /// its FIFO position. An append whose row id is already present is
   /// ignored — this is what makes WAL replay idempotent (re-pops are
   /// handled by the degrade records that follow in log order). The mirror
-  /// copy's ordinal is resolved here; `entry.ordinal` is ignored.
+  /// keeps `entry.ordinal` when it is set (the caller vouches that it is
+  /// `LeafRange(entry.value, level).lo`) and resolves it otherwise;
+  /// InvalidArgument when the value is not a node at the store's level.
   Status Append(const StoreEntry& entry);
 
   /// Removes the head entry; erases segments as they drain.
-  Status PopHead(StoreEntry* out);
+  Status PopHead(StoreEntryView* out);
 
   /// Pops exactly one entry by row id; a no-op when absent (stale redo, or
   /// an entry that was never appended). Degradation steps pop precisely the
@@ -109,22 +145,22 @@ class StateStore {
   /// segment drains. NotFound if the row is not in this store.
   Status SecureDeleteEntry(RowId row_id);
 
-  /// Binary search over the (row-id-sorted) live mirror; nullptr if absent.
-  const StoreEntry* Find(RowId row_id) const;
+  /// Binary search over the sorted row-id array; nullopt if absent.
+  std::optional<StoreEntryView> Find(RowId row_id) const;
 
   /// Batched Find: resolves `ids[0..n)` (which must be ascending) against
-  /// the live mirror in ONE forward pass that gallops from each hit to the
+  /// the row-id array in ONE forward pass that gallops from each hit to the
   /// next, instead of n independent binary searches — the probe primitive
   /// of the pushdown scan's survivor pass. A dense batch costs O(1) per id.
-  /// Sets out[j] for every id found whose slot is still nullptr (slots
-  /// already set are skipped, so a caller probing a phase chain passes the
-  /// same arrays through every phase's store and each row keeps its
-  /// first — i.e. most accurate — hit). Returns the number of slots newly
-  /// set.
-  size_t FindMany(const RowId* ids, size_t n, const StoreEntry** out) const;
+  /// Writes the leaf ordinal into ordinals[j] for every id found whose slot
+  /// is still negative (slots already set are skipped, so a caller probing
+  /// a phase chain passes the same arrays through every phase's store and
+  /// each row keeps its first — i.e. most accurate — hit). Returns the
+  /// number of slots newly set.
+  size_t FindMany(const RowId* ids, size_t n, int64_t* ordinals) const;
 
   /// In-order iteration; stops early when `fn` returns false.
-  void ForEach(const std::function<bool(const StoreEntry&)>& fn) const;
+  void ForEach(const std::function<bool(const StoreEntryView&)>& fn) const;
 
   /// Earliest insert_time over the live entries (kForever when empty). The
   /// mirror is sorted by row id, and out-of-order commits mean the head's
@@ -152,6 +188,10 @@ class StateStore {
   };
   const Stats& stats() const { return stats_; }
 
+  /// Heap bytes the in-memory mirror holds, array capacity and the
+  /// consumed prefix included.
+  size_t mirror_bytes() const;
+
   const std::string& dir() const { return dir_; }
 
  private:
@@ -167,11 +207,22 @@ class StateStore {
     bool has_crc = false;
   };
 
-  struct LiveEntry {
-    StoreEntry entry;
-    uint64_t seqno = 0;     // owning segment
-    uint64_t offset = 0;    // frame offset in the segment file
-    uint32_t len = 0;       // payload length
+  /// Where a live entry's frame is: the owning segment's seqno (its low 32
+  /// bits — the live segments of one store span a far smaller seqno
+  /// window), the frame's file offset (segments stay below 2 GiB) and its
+  /// payload length.
+  struct FrameLocator {
+    uint32_t segment = 0;
+    uint32_t offset = 0;
+    uint32_t len = 0;
+  };
+
+  /// One entry in flight between the frame codec and the mirror arrays.
+  struct MirrorRow {
+    RowId row_id;
+    Micros insert_time;
+    int64_t ordinal;
+    FrameLocator frame;
   };
 
   std::string SegmentPath(uint64_t seqno) const;
@@ -189,10 +240,9 @@ class StateStore {
     std::unordered_set<RowId> survivors;
   };
 
-  /// Leaf ordinal of a value at this store's level (-1 when it has none).
-  int64_t OrdinalOf(const Value& value) const;
-  /// Sorted insert position of `row_id` in the live mirror.
-  std::deque<LiveEntry>::iterator LowerBound(RowId row_id);
+  /// Leaf ordinal of a value at this store's level, or InvalidArgument when
+  /// it is not a node there.
+  Result<int64_t> OrdinalOf(const Value& value) const;
   Status OpenTailWriter();
   Status SealTail();
   /// Writes the buffered tail frames through to the segment file. Appends
@@ -204,9 +254,27 @@ class StateStore {
   Status EraseSegment(const Segment& segment);
   /// Erases leading segments with no live frames left.
   Status CleanupDrainedSegments();
-  Segment* FindSegment(uint64_t seqno);
-  Status LoadSegment(Segment* segment, MetaState* meta);
+  Segment* FindSegment(uint32_t seqno);
+  Status LoadSegment(Segment* segment, MetaState* meta,
+                     std::vector<MirrorRow>* live);
   Status SaveMeta();
+
+  // --- mirror arrays ---------------------------------------------------------
+
+  StoreEntryView View(size_t pos) const {
+    return StoreEntryView{ids_[pos], times_[pos], ordinals_[pos]};
+  }
+  /// Array position of the first live entry whose row id is >= `row_id`.
+  size_t LowerBound(RowId row_id) const;
+  /// Inserts `row` at array position `pos` (>= head_), moving the tail.
+  void MirrorInsert(size_t pos, const MirrorRow& row);
+  /// Removes the entry at array position `pos`: a head pop advances head_,
+  /// anything else moves the tail.
+  void MirrorErase(size_t pos);
+  /// Drops the consumed prefix [0, head_) from every array.
+  void Compact();
+  /// Recomputes time_block_min_ from block `first` on.
+  void RecomputeTimeBlocks(size_t first);
 
   const std::string dir_;
   const TableId table_;
@@ -218,10 +286,23 @@ class StateStore {
   KeyManager* const keys_;
   Env* const env_;
 
-  std::deque<LiveEntry> live_;    // sorted by row id
-  /// Multiset of live insert times: O(log n) maintenance, O(1) exact
-  /// minimum for MinInsertTime on the degradation hot path.
-  std::multiset<Micros> live_times_;
+  /// The live mirror: entry i, for head_ <= i < ids_.size(), is (ids_[i],
+  /// times_[i], ordinals_[i], frames_[i]), sorted by row id. Positions
+  /// below head_ are the consumed prefix of head pops, dropped once it
+  /// passes half the arrays, so a pop at the head is O(1) amortized.
+  std::vector<RowId> ids_;
+  std::vector<Micros> times_;
+  std::vector<int64_t> ordinals_;
+  std::vector<FrameLocator> frames_;
+  size_t head_ = 0;
+  /// time_block_min_[b]: minimum of times_ over array positions
+  /// [b * kTimeBlock, (b + 1) * kTimeBlock), consumed prefix included (the
+  /// block holding head_ is rescanned from head_ instead) — an exact
+  /// MinInsertTime in O(size / kTimeBlock + kTimeBlock) without a per-entry
+  /// tree node.
+  static constexpr size_t kTimeBlock = 256;
+  std::vector<Micros> time_block_min_;
+
   std::deque<Segment> segments_;  // front = head (oldest)
   std::unique_ptr<WritableFile> tail_writer_;
   /// Frames appended but not yet written through (see FlushTail).

@@ -250,6 +250,42 @@ TEST(IntervalHierarchyTest, AncestorQueriesMatchComposition) {
   }
 }
 
+// A state store keeps a value only as its leaf ordinal LeafRange(v, l).lo
+// and rebuilds it with AncestorValue: the identity must hold for every node
+// at every level of every built-in domain.
+TEST(OrdinalRoundTripTest, EveryNodeRebuildsFromItsLeafOrdinal) {
+  auto round_trips = [](const DomainHierarchy& domain, const Value& v,
+                        int level) {
+    const Result<LeafInterval> range = domain.LeafRange(v, level);
+    return range.ok() && domain.AncestorValue(range->lo, level) == v;
+  };
+  const auto trees = {LocationDomain(), SyntheticLocationDomain(4, 8, 16, 8)};
+  for (const auto& domain : trees) {
+    const auto* tree = static_cast<const GeneralizationTree*>(domain.get());
+    for (int level = 0; level < tree->height(); ++level) {
+      size_t nodes = 0;
+      for (const std::string& label : tree->LabelsAtLevel(level)) {
+        EXPECT_TRUE(round_trips(*tree, Value::String(label), level))
+            << label << " @" << level;
+        ++nodes;
+      }
+      EXPECT_EQ(static_cast<int64_t>(nodes), *tree->CardinalityAtLevel(level));
+    }
+  }
+  const auto salary = SalaryDomain();
+  const auto* interval = static_cast<const IntervalHierarchy*>(salary.get());
+  for (int level = 0; level < interval->height(); ++level) {
+    int64_t nodes = 0;
+    for (int64_t v = interval->min(); v <= interval->max();
+         v += interval->WidthAt(level)) {
+      EXPECT_TRUE(round_trips(*interval, Value::Int64(v), level))
+          << v << " @" << level;
+      ++nodes;
+    }
+    EXPECT_EQ(nodes, *interval->CardinalityAtLevel(level));
+  }
+}
+
 TEST(GeneralizationTreeTest, AsciiArtShowsFig1Shape) {
   auto domain = LocationDomain();
   const auto* tree = static_cast<const GeneralizationTree*>(domain.get());

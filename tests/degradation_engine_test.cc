@@ -1,4 +1,8 @@
+#include <map>
+#include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "catalog/builtin_domains.h"
 #include "db/database.h"
@@ -232,7 +236,9 @@ class DegradeOrdinalTest : public ::testing::TestWithParam<WalPrivacyMode> {
   }
 
   /// Checks every mirror entry of phase `phase` and returns how many
-  /// entries the (column, phase) stores hold, summed over both columns.
+  /// entries the (column, phase) stores hold, summed over both columns. A
+  /// non-empty store must hold exactly the inserted leaves generalized to
+  /// its level.
   size_t CheckPhase(int phase) {
     Table* table = db_->GetTable("pings");
     const Schema& schema = table->schema();
@@ -240,21 +246,34 @@ class DegradeOrdinalTest : public ::testing::TestWithParam<WalPrivacyMode> {
     for (int col : schema.degradable_columns()) {
       const ColumnDef& column = schema.column(col);
       const int level = column.lcp.phase(phase).level;
+      std::multiset<std::string> stored;
       table->partition(0)->store(col, phase)->ForEach(
-          [&](const StoreEntry& entry) {
-            auto range = column.hierarchy->LeafRange(entry.value, level);
-            EXPECT_TRUE(range.ok()) << entry.value.ToString();
+          [&](const StoreEntryView& entry) {
+            const Value value =
+                column.hierarchy->AncestorValue(entry.ordinal, level);
+            auto range = column.hierarchy->LeafRange(value, level);
+            EXPECT_TRUE(range.ok()) << value.ToString();
             if (range.ok()) {
               EXPECT_EQ(entry.ordinal, range->lo)
-                  << column.name << " " << entry.value.ToString();
+                  << column.name << " " << value.ToString();
             }
+            stored.insert(value.ToString());
             ++entries;
             return true;
           });
+      if (stored.empty()) continue;
+      std::multiset<std::string> expected;
+      for (const Value& leaf : inserted_[col]) {
+        expected.insert(
+            column.hierarchy->Generalize(leaf, 0, level)->ToString());
+      }
+      EXPECT_EQ(stored, expected) << column.name << " phase " << phase;
     }
     return entries;
   }
 
+  /// Leaf values inserted per degradable column index.
+  std::map<int, std::vector<Value>> inserted_;
   std::string dir_;
   VirtualClock clock_{0};
   std::unique_ptr<Database> db_;
@@ -278,6 +297,8 @@ TEST_P(DegradeOrdinalTest, DegradeStepResolvesTheNextLevelsOrdinal) {
     batch.Insert("pings", {Value::String("u" + std::to_string(i)),
                            Value::String(kAddresses[i % 5]),
                            Value::Int64(i * 3331)});
+    inserted_[1].push_back(Value::String(kAddresses[i % 5]));
+    inserted_[2].push_back(Value::Int64(i * 3331));
   }
   ASSERT_TRUE(db_->Write(&batch).ok());
   EXPECT_EQ(CheckPhase(0), 60u);

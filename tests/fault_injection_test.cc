@@ -34,6 +34,7 @@
 #include "catalog/builtin_domains.h"
 #include "common/strings.h"
 #include "db/database.h"
+#include "extra_leaves.h"
 #include "gtest/gtest.h"
 #include "io/env.h"
 #include "io/fault_env.h"
@@ -363,8 +364,15 @@ TEST_F(FaultInjectionTest, TortureRandomizedFaultCrashSchedules) {
 // Torn-tail detection in the state store: a short write tears the tail of a
 // CRC-framed (v2) segment; reopening must load the durable prefix intact and
 // drop the torn frames instead of decoding garbage.
+/// The location tree plus the strings the state-store fault tests frame.
+std::shared_ptr<const DomainHierarchy> FaultStoreDomain() {
+  std::vector<std::string> labels = {"payload"};
+  for (int r = 1; r <= 12; ++r) labels.push_back("v" + std::to_string(r));
+  return WithExtraLeaves(*LocationDomain(), labels);
+}
+
 TEST_F(FaultInjectionTest, StateStoreShortWriteTruncatesAtTornFrame) {
-  const auto domain = LocationDomain();
+  const auto domain = FaultStoreDomain();
   FaultInjectionEnv fault(Env::Default());
   ASSERT_TRUE(fault.CreateDirs(dir_).ok());
   KeyManager keys(dir_ + "/KEYSTORE", &fault);
@@ -409,9 +417,9 @@ TEST_F(FaultInjectionTest, StateStoreShortWriteTruncatesAtTornFrame) {
   EXPECT_GE(reopened.size(), 8u);
   EXPECT_LT(reopened.size(), 12u);
   for (RowId r = 1; r <= 8; ++r) {
-    const StoreEntry* entry = reopened.Find(r);
-    ASSERT_NE(entry, nullptr) << "durable row " << r << " lost";
-    EXPECT_EQ(entry->value.ToString(),
+    const std::optional<StoreEntryView> entry = reopened.Find(r);
+    ASSERT_NE(entry, std::nullopt) << "durable row " << r << " lost";
+    EXPECT_EQ(domain->AncestorValue(entry->ordinal, 0).ToString(),
               StringPrintf("v%llu", (unsigned long long)r));
   }
   // Prefix property: a loaded post-checkpoint frame implies every earlier
@@ -419,7 +427,7 @@ TEST_F(FaultInjectionTest, StateStoreShortWriteTruncatesAtTornFrame) {
   // picked past it).
   bool missing = false;
   for (RowId r = 9; r <= 12; ++r) {
-    if (reopened.Find(r) == nullptr) {
+    if (reopened.Find(r) == std::nullopt) {
       missing = true;
     } else {
       EXPECT_FALSE(missing) << "frame " << r << " loaded past a torn frame";
@@ -431,7 +439,7 @@ TEST_F(FaultInjectionTest, StateStoreShortWriteTruncatesAtTornFrame) {
 // frame's CRC on load — the store drops the frame (and everything after it)
 // rather than serving a corrupted value as the row's state.
 TEST_F(FaultInjectionTest, StateStoreCrcRejectsCorruptedPayload) {
-  const auto domain = LocationDomain();
+  const auto domain = FaultStoreDomain();
   Env* env = Env::Default();
   ASSERT_TRUE(env->CreateDirs(dir_).ok());
   KeyManager keys(dir_ + "/KEYSTORE", env);
@@ -472,7 +480,7 @@ TEST_F(FaultInjectionTest, StateStoreCrcRejectsCorruptedPayload) {
                       &keys, env);
   ASSERT_TRUE(reopened.Open().ok());
   EXPECT_EQ(reopened.size(), 0u);  // the very first frame failed its CRC
-  EXPECT_EQ(reopened.Find(1), nullptr);
+  EXPECT_EQ(reopened.Find(1), std::nullopt);
 }
 
 // Heap page checksums: a torn (half-persisted) page write and a flipped

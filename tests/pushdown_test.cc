@@ -799,6 +799,125 @@ TEST_F(PushdownMixTest, OracleEquivalenceAcrossDomainsAndPredicateKinds) {
   }
 }
 
+// σ on degradable node predicates (Eq, Ne, label LIKE, BETWEEN) tests leaf
+// containment when the row's effective level is at most the literal's,
+// and walks to the row's ancestor only for coarser rows. Differential
+// check against the walk — the row's node interval at its effective level —
+// for every leaf × stored level × demanded level × literal node, with
+// include_coarser off and on, on a tree and on an interval domain whose
+// last buckets are cut short.
+TEST(DegradableSigmaTest, LeafContainmentMatchesTheAncestorWalk) {
+  using plan::BoundPredicate;
+  using plan::BoundQuery;
+  auto interval = IntervalHierarchy::Make("x", -7, 100, {4, 20, 100});
+  ASSERT_TRUE(interval.ok());
+  const std::vector<std::shared_ptr<const DomainHierarchy>> domains = {
+      LocationDomain(), SyntheticLocationDomain(2, 2, 3, 3), *interval};
+  for (const auto& domain : domains) {
+    const int height = domain->height();
+    const int64_t leaves = *domain->CardinalityAtLevel(0);
+    const bool is_tree = domain->value_type() == ValueType::kString;
+    // Every node as (level, leaf interval): the lo leaf's ancestors.
+    std::vector<std::pair<int, LeafInterval>> nodes;
+    for (int level = 0; level < height; ++level) {
+      for (int64_t leaf = 0; leaf < leaves; ++leaf) {
+        const LeafInterval node = domain->AncestorRange(leaf, level);
+        if (node.lo == leaf) nodes.emplace_back(level, node);
+      }
+    }
+    // Bound predicates: Eq/Ne (and label LIKE on the tree) on every node;
+    // BETWEEN (interval domain) on pairs of nodes at one level.
+    std::vector<BoundPredicate> predicates;
+    for (const auto& [level, node] : nodes) {
+      std::vector<ComparisonOp> ops = {ComparisonOp::kEq, ComparisonOp::kNe};
+      if (is_tree) ops.push_back(ComparisonOp::kLike);
+      for (ComparisonOp op : ops) {
+        BoundPredicate pred;
+        pred.degradable = true;
+        pred.ordinal = 0;
+        pred.op = op;
+        pred.literal_level = level;
+        pred.literal_interval = node;
+        predicates.push_back(pred);
+      }
+      if (is_tree) continue;
+      for (const auto& [level2, node2] : nodes) {
+        if (level2 != level || node2.lo < node.lo ||
+            (level == 0 && (node2.lo - node.lo) % 13 != 0)) {
+          continue;
+        }
+        BoundPredicate pred;
+        pred.degradable = true;
+        pred.ordinal = 0;
+        pred.op = ComparisonOp::kBetween;
+        pred.literal_level = level;
+        pred.literal_interval = node;
+        pred.literal_interval2 = node2;
+        predicates.push_back(pred);
+      }
+    }
+    auto walk = [&](const BoundPredicate& pred, int64_t ordinal, int level) {
+      const LeafInterval row = domain->AncestorRange(ordinal, level);
+      switch (pred.op) {
+        case ComparisonOp::kBetween:
+          return row.lo >= pred.literal_interval.lo &&
+                 row.hi <= pred.literal_interval2.hi;
+        case ComparisonOp::kNe:
+          return !pred.literal_interval.Contains(row);
+        default:
+          return pred.literal_interval.Contains(row);
+      }
+    };
+
+    BoundQuery query;
+    query.reads_degradable = true;
+    query.degradable.resize(1);
+    query.degradable[0].hierarchy = domain.get();
+    for (int level = 0; level < height; ++level) {
+      query.degradable[0].phase_levels.push_back(level);
+    }
+    query.predicates.resize(1);
+    size_t checked = 0;
+    size_t matched = 0;
+    for (BoundPredicate pred : predicates) {
+      // BETWEEN binds its literals at the demanded level.
+      const bool between = pred.op == ComparisonOp::kBetween;
+      const int first_k = between ? pred.literal_level : 0;
+      const int last_k = between ? pred.literal_level : height - 1;
+      for (int k = first_k; k <= last_k; ++k) {
+        pred.level = k;
+        query.predicates[0] = pred;
+        query.degradable[0].accuracy = k;
+        for (bool include_coarser : {false, true}) {
+          ReadOptions read;
+          read.include_coarser = include_coarser;
+          for (int phase = 0; phase < height; ++phase) {
+            for (int64_t leaf = 0; leaf < leaves; ++leaf) {
+              const int64_t ordinal = domain->AncestorRange(leaf, phase).lo;
+              int level = -1;
+              const bool got = plan::QualifyDegradable(query, read, &phase,
+                                                       &ordinal, &level);
+              const bool computable = phase <= k || include_coarser;
+              const bool want =
+                  computable && walk(pred, ordinal, std::max(phase, k));
+              ASSERT_EQ(got, want)
+                  << domain->name() << " op " << static_cast<int>(pred.op)
+                  << " literal [" << pred.literal_interval.lo << ","
+                  << pred.literal_interval.hi << "]@" << pred.literal_level
+                  << " k " << k << " stored@" << phase << " leaf " << leaf
+                  << " coarser " << include_coarser;
+              ++checked;
+              matched += got ? 1 : 0;
+            }
+          }
+        }
+      }
+    }
+    EXPECT_GT(matched, 0u) << domain->name();
+    EXPECT_LT(matched, checked) << domain->name();
+  }
+}
+
 TEST_F(PushdownTest, BatchedStoreMergeAgreesWithGetRowOutOfRowIdOrder) {
   constexpr int kRows = 500;
   BuildDb(4, kRows);

@@ -8,6 +8,7 @@
 #include "catalog/builtin_domains.h"
 #include "common/random.h"
 #include "db/database.h"
+#include "extra_leaves.h"
 #include "gtest/gtest.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -452,6 +453,17 @@ TEST_F(StorageTest, KeyManagerDestroyRemovesBytesFromDisk) {
 
 // --- StateStore -------------------------------------------------------------------
 
+/// Every string the StateStoreTest cases store as a level-0 value.
+std::vector<std::string> StoreTestLabels() {
+  std::vector<std::string> labels = {
+      "v", "x", "a", "a-again", "late", "redo", "new", "keep", "payload",
+      "abcdef", "vvvvvvvvvvvv", "VERY-SENSITIVE-LOCATION",
+      "PLAINTEXT-SHOULD-NOT-APPEAR", "DELETED-SECRET-PAYLOAD"};
+  for (int i = 1; i <= 100; ++i) labels.push_back("v" + std::to_string(i));
+  for (int i = 1; i <= 40; ++i) labels.push_back("value-" + std::to_string(i));
+  return labels;
+}
+
 class StateStoreTest : public StorageTest,
                        public ::testing::WithParamInterface<EraseMode> {
  protected:
@@ -462,8 +474,9 @@ class StateStoreTest : public StorageTest,
     return options;
   }
 
-  /// A store over the location tree at accuracy level `phase` (the Fig. 2
-  /// LCP keeps phase p at level p).
+  /// A store over the location tree (plus StoreTestLabels() as extra
+  /// addresses) at accuracy level `phase` (the Fig. 2 LCP keeps phase p at
+  /// level p).
   std::unique_ptr<StateStore> MakeStore(int phase = 0) {
     keys_ = std::make_unique<KeyManager>(dir_ + "/keystore");
     if (!keys_->Open().ok()) return nullptr;
@@ -485,8 +498,14 @@ class StateStoreTest : public StorageTest,
     }
   }
 
+  /// The stored value of a level-0 entry, rebuilt from its leaf ordinal.
+  Value ValueOf(const StoreEntryView& entry) const {
+    return domain_->AncestorValue(entry.ordinal, 0);
+  }
+
   std::unique_ptr<KeyManager> keys_;
-  const std::shared_ptr<const DomainHierarchy> domain_ = LocationDomain();
+  const std::shared_ptr<const DomainHierarchy> domain_ =
+      WithExtraLeaves(*LocationDomain(), StoreTestLabels());
 };
 
 TEST_P(StateStoreTest, AppendPopFifoOrder) {
@@ -499,12 +518,12 @@ TEST_P(StateStoreTest, AppendPopFifoOrder) {
   }
   EXPECT_EQ(store->size(), 100u);
   for (RowId id = 1; id <= 100; ++id) {
-    StoreEntry out;
+    StoreEntryView out;
     ASSERT_TRUE(store->PopHead(&out).ok());
     EXPECT_EQ(out.row_id, id);
   }
   EXPECT_TRUE(store->empty());
-  StoreEntry out;
+  StoreEntryView out;
   EXPECT_TRUE(store->PopHead(&out).IsNotFound());
   // With 256-byte segments, 100 entries spanned several segments, and all
   // must have been erased.
@@ -518,13 +537,13 @@ TEST_P(StateStoreTest, FindAndForEach) {
   for (RowId id = 10; id <= 100; id += 10) {
     ASSERT_TRUE(store->Append(Entry(id, "x")).ok());
   }
-  ASSERT_NE(store->Find(50), nullptr);
+  ASSERT_NE(store->Find(50), std::nullopt);
   EXPECT_EQ(store->Find(50)->row_id, 50u);
-  EXPECT_EQ(store->Find(55), nullptr);
-  EXPECT_EQ(store->Find(5), nullptr);
-  EXPECT_EQ(store->Find(500), nullptr);
+  EXPECT_EQ(store->Find(55), std::nullopt);
+  EXPECT_EQ(store->Find(5), std::nullopt);
+  EXPECT_EQ(store->Find(500), std::nullopt);
   size_t n = 0;
-  store->ForEach([&](const StoreEntry&) { return ++n < 4; });
+  store->ForEach([&](const StoreEntryView&) { return ++n < 4; });
   EXPECT_EQ(n, 4u);
 }
 
@@ -539,20 +558,23 @@ TEST_P(StateStoreTest, FindManyMatchesPerIdFind) {
   for (RowId id : appended) ASSERT_TRUE(store->Append(Entry(id, "v")).ok());
   ASSERT_EQ(store->size(), appended.size());
 
-  const StoreEntry preset{1, 0, Value::String("preset")};
+  constexpr int64_t kPreset = 1 << 20;  // no leaf of the test domain
   auto check = [&](const std::vector<RowId>& ids, const char* what) {
     // Every third slot arrives already resolved (by an earlier phase's
     // store): FindMany must leave it alone and not count it.
-    std::vector<const StoreEntry*> out(ids.size(), nullptr);
-    std::vector<const StoreEntry*> expected(ids.size(), nullptr);
+    std::vector<int64_t> out(ids.size(), -1);
+    std::vector<int64_t> expected(ids.size(), -1);
     size_t expected_hits = 0;
     for (size_t j = 0; j < ids.size(); ++j) {
       if (j % 3 == 2) {
-        out[j] = expected[j] = &preset;
+        out[j] = expected[j] = kPreset;
         continue;
       }
-      expected[j] = store->Find(ids[j]);
-      if (expected[j] != nullptr) ++expected_hits;
+      const std::optional<StoreEntryView> hit = store->Find(ids[j]);
+      if (hit) {
+        expected[j] = hit->ordinal;
+        ++expected_hits;
+      }
     }
     EXPECT_EQ(store->FindMany(ids.data(), ids.size(), out.data()),
               expected_hits)
@@ -587,7 +609,7 @@ TEST_P(StateStoreTest, AppendIsIdempotentOnRowId) {
   // its FIFO position (concurrent WriteBatch ingest commits out of order).
   ASSERT_TRUE(store->Append(Entry(3, "late")).ok());
   EXPECT_EQ(store->size(), 2u);
-  EXPECT_EQ(store->Head().value, Value::String("late"));
+  EXPECT_EQ(ValueOf(store->Head()), Value::String("late"));
   EXPECT_EQ(store->Head().row_id, 3u);
 }
 
@@ -599,9 +621,9 @@ TEST_P(StateStoreTest, PopByIdPopsExactlyThatEntry) {
   }
   ASSERT_TRUE(store->PopById(2).ok());
   EXPECT_EQ(store->size(), 2u);
-  EXPECT_EQ(store->Find(2), nullptr);
-  EXPECT_NE(store->Find(1), nullptr);
-  EXPECT_NE(store->Find(3), nullptr);
+  EXPECT_EQ(store->Find(2), std::nullopt);
+  EXPECT_NE(store->Find(1), std::nullopt);
+  EXPECT_NE(store->Find(3), std::nullopt);
   ASSERT_TRUE(store->PopById(2).ok());   // idempotent
   ASSERT_TRUE(store->PopById(99).ok());  // never appended: no-op
   EXPECT_EQ(store->size(), 2u);
@@ -626,10 +648,10 @@ TEST_P(StateStoreTest, ReplayGuardAndSurvivorsAcrossReopen) {
   store = MakeStore();
   ASSERT_TRUE(store->Open().ok());
   EXPECT_EQ(store->size(), 2u);
-  ASSERT_NE(store->Find(2), nullptr);
-  EXPECT_EQ(store->Find(2)->value, Value::String("late"));
-  EXPECT_NE(store->Find(6), nullptr);
-  EXPECT_EQ(store->Find(4), nullptr);
+  ASSERT_NE(store->Find(2), std::nullopt);
+  EXPECT_EQ(ValueOf(*store->Find(2)), Value::String("late"));
+  EXPECT_NE(store->Find(6), std::nullopt);
+  EXPECT_EQ(store->Find(4), std::nullopt);
   // A replayed append of a live id dedupes; a replayed append of an id
   // whose pop is also in the replayable suffix comes back and is re-popped
   // by the degrade record that follows in log order.
@@ -638,7 +660,7 @@ TEST_P(StateStoreTest, ReplayGuardAndSurvivorsAcrossReopen) {
   ASSERT_TRUE(store->Append(Entry(4, "redo")).ok());
   ASSERT_TRUE(store->PopById(4).ok());
   EXPECT_EQ(store->size(), 2u);
-  EXPECT_EQ(store->Find(4), nullptr);
+  EXPECT_EQ(store->Find(4), std::nullopt);
   // The popped ids were appended once: id allocation must stay above them.
   EXPECT_GE(store->LastAppendedRowId(), 5u);
 }
@@ -798,18 +820,20 @@ TEST_P(StateStoreTest, TornTailFrameIsDropped) {
 }
 
 TEST_P(StateStoreTest, OrdinalResolvedOnAppendReopenAndTornTail) {
-  // Level-1 (CITY) values of the location tree, in a phase-1 store; the
-  // last one is not a city, so it has no ordinal.
+  // Level-1 (CITY) values of the location tree, in a phase-1 store. A
+  // region is not a city: the store, which keeps only leaf ordinals, must
+  // refuse it.
   const std::vector<std::string> kCities = {"Paris", "Versailles", "Marseille",
-                                            "Aix", "Paris", "Provence"};
+                                            "Aix", "Paris"};
   auto expected = [&](RowId id) -> int64_t {
-    auto range = domain_->LeafRange(Value::String(kCities[id - 1]), 1);
-    return range.ok() ? range->lo : -1;
+    return domain_->LeafRange(Value::String(kCities[id - 1]), 1)->lo;
   };
   auto check = [&](StateStore* store, size_t want) {
     size_t seen = 0;
-    store->ForEach([&](const StoreEntry& entry) {
+    store->ForEach([&](const StoreEntryView& entry) {
       EXPECT_EQ(entry.ordinal, expected(entry.row_id)) << entry.row_id;
+      EXPECT_EQ(domain_->AncestorValue(entry.ordinal, 1),
+                Value::String(kCities[entry.row_id - 1]));
       ++seen;
       return true;
     });
@@ -819,13 +843,15 @@ TEST_P(StateStoreTest, OrdinalResolvedOnAppendReopenAndTornTail) {
     auto store = MakeStore(/*phase=*/1);
     ASSERT_TRUE(store->Open().ok());
     for (RowId id = 1; id <= kCities.size(); ++id) {
-      StoreEntry entry = Entry(id, kCities[id - 1]);
-      entry.ordinal = 12345;  // ignored: the store resolves its own
-      ASSERT_TRUE(store->Append(entry).ok());
+      ASSERT_TRUE(store->Append(Entry(id, kCities[id - 1])).ok());
     }
-    EXPECT_EQ(store->Find(1)->ordinal, 0);   // Paris covers leaves 0..1
-    EXPECT_EQ(store->Find(3)->ordinal, 3);   // Marseille: leaf 3
-    EXPECT_EQ(store->Find(6)->ordinal, -1);  // a region, not a city
+    const uint64_t bytes = store->stats().bytes_appended;
+    EXPECT_TRUE(store->Append(Entry(6, "Provence")).IsInvalidArgument());
+    EXPECT_EQ(store->Find(6), std::nullopt);
+    EXPECT_EQ(store->stats().bytes_appended, bytes);  // no frame written
+    EXPECT_EQ(store->LastAppendedRowId(), kCities.size());
+    EXPECT_EQ(store->Find(1)->ordinal, 0);  // Paris covers leaves 0..1
+    EXPECT_EQ(store->Find(3)->ordinal, 3);  // Marseille: leaf 3
     check(store.get(), kCities.size());
     ASSERT_TRUE(store->Checkpoint().ok());
   }
@@ -851,6 +877,20 @@ TEST_P(StateStoreTest, OrdinalResolvedOnAppendReopenAndTornTail) {
   check(store.get(), kCities.size() - 1);
 }
 
+TEST_P(StateStoreTest, LoadingAValueThatIsNotANodeIsCorruption) {
+  // Cities framed by a CITY-level store are not addresses: the same
+  // segments opened at ADDRESS level have no ordinal to mirror them by.
+  {
+    auto store = MakeStore(/*phase=*/1);
+    ASSERT_TRUE(store->Open().ok());
+    ASSERT_TRUE(store->Append(Entry(1, "Paris")).ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+  }
+  StateStore store(dir_ + "/store", TableId{1}, 0, /*phase=*/1, domain_.get(),
+                   /*level=*/0, MakeOptions(), keys_.get());
+  EXPECT_TRUE(store.Open().IsCorruption());
+}
+
 TEST_P(StateStoreTest, SecureDeleteEntryScrubsAndSkips) {
   auto store = MakeStore();
   ASSERT_TRUE(store->Open().ok());
@@ -862,8 +902,8 @@ TEST_P(StateStoreTest, SecureDeleteEntryScrubsAndSkips) {
   ASSERT_TRUE(store->SecureDeleteEntry(5).ok());
   EXPECT_TRUE(store->SecureDeleteEntry(5).IsNotFound());
   EXPECT_EQ(store->size(), 8u);
-  EXPECT_EQ(store->Find(5), nullptr);
-  ASSERT_NE(store->Find(6), nullptr);
+  EXPECT_EQ(store->Find(5), std::nullopt);
+  ASSERT_NE(store->Find(6), std::nullopt);
   // The deleted payload is gone from disk immediately.
   auto names = ListDir(dir_ + "/store");
   ASSERT_TRUE(names.ok());
@@ -876,7 +916,7 @@ TEST_P(StateStoreTest, SecureDeleteEntryScrubsAndSkips) {
   auto reopened = MakeStore();
   ASSERT_TRUE(reopened->Open().ok());
   EXPECT_EQ(reopened->size(), 8u);
-  EXPECT_EQ(reopened->Find(5), nullptr);
+  EXPECT_EQ(reopened->Find(5), std::nullopt);
   // FIFO popping skips the deleted entry.
   PopIdsThrough(reopened.get(), 6);
   EXPECT_EQ(reopened->Head().row_id, 7u);
@@ -908,6 +948,201 @@ TEST_P(StateStoreTest, DropErasesEverything) {
   EXPECT_FALSE(FileExists(dir_ + "/store"));
 }
 
+// The mirror arrays against a reference model (an ordered map plus a
+// multiset of insert times) under seeded random operations: in-order,
+// out-of-order and redo appends, head pops, pops and secure deletes by id
+// (present and absent). Every observable is compared after every
+// operation, and again after each checkpoint + reopen.
+TEST_P(StateStoreTest, MirrorMatchesReferenceModelUnderRandomOperations) {
+  const auto domain = SyntheticLocationDomain(2, 3, 4, 5);
+  const int64_t leaves = *domain->CardinalityAtLevel(0);
+  StorageOptions options = MakeOptions();
+  options.segment_bytes = 2048;
+  keys_ = std::make_unique<KeyManager>(dir_ + "/keystore");
+  ASSERT_TRUE(keys_->Open().ok());
+  auto open = [&] {
+    auto store = std::make_unique<StateStore>(dir_ + "/store", TableId{1}, 0,
+                                              0, domain.get(), 0, options,
+                                              keys_.get());
+    EXPECT_TRUE(store->Open().ok());
+    return store;
+  };
+  auto store = open();
+
+  struct Ref {
+    Micros insert_time;
+    int64_t ordinal;
+  };
+  std::map<RowId, Ref> ref;
+  std::multiset<Micros> times;
+  RowId last_appended = kInvalidRowId;
+  RowId max_popped = kInvalidRowId;
+  Random rnd(GetParam() == EraseMode::kOverwrite ? 17 : 71);
+
+  auto compare = [&](const std::string& what) {
+    SCOPED_TRACE(what);
+    ASSERT_EQ(store->size(), ref.size());
+    ASSERT_EQ(store->empty(), ref.empty());
+    ASSERT_EQ(store->LastAppendedRowId(), last_appended);
+    ASSERT_EQ(store->MinInsertTime(),
+              times.empty() ? kForever : *times.begin());
+    if (!ref.empty()) ASSERT_EQ(store->Head().row_id, ref.begin()->first);
+    // ForEach visits exactly the reference, in row-id order.
+    auto it = ref.begin();
+    bool same = true;
+    store->ForEach([&](const StoreEntryView& e) {
+      same = same && it != ref.end() && e.row_id == it->first &&
+             e.insert_time == it->second.insert_time &&
+             e.ordinal == it->second.ordinal;
+      if (it != ref.end()) ++it;
+      return true;
+    });
+    ASSERT_TRUE(same && it == ref.end());
+    // FindMany over every id (and misses) with the phase-chain rule: a
+    // slot an earlier phase already resolved keeps its first hit.
+    const RowId top = ref.empty() ? 2 : ref.rbegin()->first + 2;
+    std::vector<RowId> ids;
+    for (RowId id = 0; id <= top; ++id) ids.push_back(id);
+    std::vector<int64_t> ordinals(ids.size(), -1);
+    std::vector<int64_t> expected(ids.size(), -1);
+    size_t expected_hits = 0;
+    for (size_t j = 0; j < ids.size(); ++j) {
+      if (rnd.OneIn(5)) {
+        ordinals[j] = expected[j] = leaves + 1;  // an earlier phase's hit
+        continue;
+      }
+      auto hit = ref.find(ids[j]);
+      if (hit != ref.end()) {
+        expected[j] = hit->second.ordinal;
+        ++expected_hits;
+      }
+    }
+    ASSERT_EQ(store->FindMany(ids.data(), ids.size(), ordinals.data()),
+              expected_hits);
+    ASSERT_EQ(ordinals, expected);
+    // Find on a few ids.
+    for (int k = 0; k < 4; ++k) {
+      const RowId id = rnd.Uniform(top + 1);
+      auto hit = ref.find(id);
+      const std::optional<StoreEntryView> found = store->Find(id);
+      ASSERT_EQ(found.has_value(), hit != ref.end()) << id;
+      if (found) {
+        ASSERT_EQ(found->insert_time, hit->second.insert_time);
+        ASSERT_EQ(found->ordinal, hit->second.ordinal);
+      }
+    }
+  };
+
+  auto append = [&](RowId id) {
+    const int64_t leaf = static_cast<int64_t>(rnd.Uniform(leaves));
+    const Micros t = static_cast<Micros>(rnd.Uniform(1000000));
+    ASSERT_TRUE(
+        store->Append({id, t, domain->AncestorValue(leaf, 0)}).ok());
+    if (ref.count(id) != 0) return;  // redo: ignored
+    ref[id] = {t, leaf};
+    times.insert(t);
+    if (last_appended == kInvalidRowId || id > last_appended) {
+      last_appended = id;
+    }
+  };
+  auto remove = [&](RowId id, bool popped) {
+    auto it = ref.find(id);
+    times.erase(times.find(it->second.insert_time));
+    ref.erase(it);
+    if (popped && (max_popped == kInvalidRowId || id > max_popped)) {
+      max_popped = id;
+    }
+  };
+  auto random_present = [&] {
+    auto it = ref.begin();
+    std::advance(it, rnd.Uniform(ref.size()));
+    return it->first;
+  };
+
+  RowId next_id = 1;
+  std::set<RowId> used;  // every id ever appended
+  constexpr int kOps = 4000;
+  for (int op = 0; op < kOps; ++op) {
+    // Grow for the first half, then drain: the mirror crosses many
+    // insert-time blocks and compacts its consumed prefix several times.
+    const bool growing = op < kOps / 2;
+    const uint64_t dice = rnd.Uniform(100);
+    std::string what;
+    if (dice < (growing ? 55u : 20u)) {
+      what = "in-order append";
+      used.insert(next_id);
+      append(next_id);
+      next_id += 1 + rnd.Uniform(3);
+    } else if (dice < (growing ? 65u : 25u)) {
+      // A late commit of a fresh id below the tail (row ids are never
+      // reused, so never one that was popped or deleted).
+      what = "out-of-order append";
+      const RowId id = 1 + rnd.Uniform(next_id - 1);
+      if (used.insert(id).second) append(id);
+    } else if (dice < (growing ? 70u : 30u) && !ref.empty()) {
+      what = "redo append";
+      append(random_present());
+    } else if (dice < (growing ? 85u : 70u)) {
+      what = "pop head";
+      StoreEntryView out;
+      const Status status = store->PopHead(&out);
+      if (ref.empty()) {
+        ASSERT_TRUE(status.IsNotFound());
+      } else {
+        ASSERT_TRUE(status.ok()) << status.ToString();
+        ASSERT_EQ(out.row_id, ref.begin()->first);
+        ASSERT_EQ(out.insert_time, ref.begin()->second.insert_time);
+        ASSERT_EQ(out.ordinal, ref.begin()->second.ordinal);
+        remove(out.row_id, /*popped=*/true);
+      }
+    } else if (dice < 95u) {
+      what = "pop by id";
+      RowId id = rnd.Uniform(next_id + 1);
+      if (!ref.empty() && rnd.OneIn(3)) {
+        id = random_present();
+      } else if (!ref.empty() && rnd.OneIn(2)) {
+        // The entry holding MinInsertTime, usually mid-store: the bound
+        // must move to the next-oldest entry.
+        id = std::min_element(ref.begin(), ref.end(),
+                              [](const auto& a, const auto& b) {
+                                return a.second.insert_time <
+                                       b.second.insert_time;
+                              })
+                 ->first;
+      }
+      ASSERT_TRUE(store->PopById(id).ok());
+      if (ref.count(id) != 0) remove(id, /*popped=*/true);
+    } else {
+      what = "secure delete";
+      const RowId id = !ref.empty() && rnd.OneIn(2)
+                           ? random_present()
+                           : rnd.Uniform(next_id + 1);
+      const Status status = store->SecureDeleteEntry(id);
+      if (ref.count(id) != 0) {
+        ASSERT_TRUE(status.ok()) << status.ToString();
+        remove(id, /*popped=*/false);
+      } else {
+        ASSERT_TRUE(status.IsNotFound());
+      }
+    }
+    compare(what + " #" + std::to_string(op));
+    if (HasFatalFailure()) return;
+    if (op % 500 == 499) {
+      ASSERT_TRUE(store->Checkpoint().ok());
+      store = open();
+      // Reopen knows the live ids and the pop watermark, not the ids of
+      // securely deleted entries.
+      last_appended = ref.empty() ? kInvalidRowId : ref.rbegin()->first;
+      if (max_popped != kInvalidRowId &&
+          (last_appended == kInvalidRowId || max_popped > last_appended)) {
+        last_appended = max_popped;
+      }
+      compare("reopen after #" + std::to_string(op));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEraseModes, StateStoreTest,
                          ::testing::Values(EraseMode::kOverwrite,
                                            EraseMode::kCryptoErase),
@@ -919,9 +1154,9 @@ INSTANTIATE_TEST_SUITE_P(AllEraseModes, StateStoreTest,
 
 // --- Leaf ordinals across a database's lifecycle -------------------------------
 
-/// Every mirror entry of every state store carries
-/// LeafRange(value, level).lo at its store's level, and returns how many
-/// entries each (degradable column, phase) store holds.
+/// Every mirror entry of every state store carries the leaf ordinal of a
+/// node at its store's level (the lo end of that node's leaf range), and
+/// returns how many entries each (degradable column, phase) store holds.
 std::map<std::pair<int, int>, size_t> ExpectOrdinalsResolved(Database* db) {
   std::map<std::pair<int, int>, size_t> entries;
   Table* table = db->GetTable("pings");
@@ -936,13 +1171,14 @@ std::map<std::pair<int, int>, size_t> ExpectOrdinalsResolved(Database* db) {
         EXPECT_NE(store, nullptr);
         if (store == nullptr) continue;
         const int level = column.lcp.phase(phase).level;
-        store->ForEach([&](const StoreEntry& entry) {
-          auto range = column.hierarchy->LeafRange(entry.value, level);
-          EXPECT_TRUE(range.ok()) << entry.value.ToString();
+        store->ForEach([&](const StoreEntryView& entry) {
+          const Value value =
+              column.hierarchy->AncestorValue(entry.ordinal, level);
+          auto range = column.hierarchy->LeafRange(value, level);
+          EXPECT_TRUE(range.ok()) << value.ToString();
           if (range.ok()) {
             EXPECT_EQ(entry.ordinal, range->lo)
-                << column.name << " phase " << phase << " "
-                << entry.value.ToString();
+                << column.name << " phase " << phase << " " << value.ToString();
           }
           ++entries[{col, phase}];
           return true;
@@ -1065,6 +1301,42 @@ INSTANTIATE_TEST_SUITE_P(
           return "EncryptedEpoch";
       }
     });
+
+// --- Mirror footprint --------------------------------------------------------
+
+// The state stores keep per live value a row id, an insert time, a leaf
+// ordinal and a frame locator, never the Value: 100k appends through the
+// table path cost at most 40 mirror bytes each, array capacity included.
+TEST_F(StorageTest, StoreMirrorCostsAtMostFortyBytesPerEntry) {
+  static_assert(StateStore::kMirrorBytesPerEntry <= 40);
+  DbOptions options;
+  options.path = dir_ + "/db";
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto schema = Schema::Make(
+      {ColumnDef::Stable("user", ValueType::kInt64),
+       ColumnDef::Degradable("location", SyntheticLocationDomain(4, 4, 4, 8),
+                             Fig2LocationLcp())});
+  ASSERT_TRUE(schema.ok());
+  ASSERT_TRUE((*db)->CreateTable("pings", *schema).ok());
+  constexpr int kRows = 100000;
+  for (int start = 0; start < kRows; start += 1000) {
+    WriteBatch batch;
+    for (int i = start; i < start + 1000; ++i) {
+      batch.Insert("pings",
+                   {Value::Int64(i), Value::String(StringPrintf(
+                                         "Addr%d.%d.%d.%d", i % 4, i / 4 % 4,
+                                         i / 16 % 4, i / 64 % 8))});
+    }
+    ASSERT_TRUE((*db)->Write(&batch).ok());
+  }
+  const StoreMemory stores = (*db)->stats().stores;
+  EXPECT_EQ(stores.entries, static_cast<uint64_t>(kRows));
+  EXPECT_GE(stores.mirror_bytes, StateStore::kMirrorBytesPerEntry * kRows);
+  EXPECT_LE(static_cast<double>(stores.mirror_bytes) /
+                static_cast<double>(stores.entries),
+            40.0);
+}
 
 }  // namespace
 }  // namespace instantdb
