@@ -116,29 +116,4 @@ bool Value::DecodeFrom(Slice* input, Value* out) {
   return true;
 }
 
-void Value::EncodeOrdered(std::string* dst) const {
-  if (is_null()) {
-    dst->push_back('\x00');
-    return;
-  }
-  dst->push_back('\x01');
-  switch (type_) {
-    case ValueType::kInt64:
-    case ValueType::kTimestamp:
-      PutOrderedInt64(dst, std::get<int64_t>(data_));
-      break;
-    case ValueType::kDouble:
-      PutOrderedDouble(dst, dbl());
-      break;
-    case ValueType::kString:
-      PutOrderedString(dst, str());
-      break;
-    case ValueType::kBool:
-      dst->push_back(boolean() ? '\x01' : '\x00');
-      break;
-    case ValueType::kNull:
-      break;
-  }
-}
-
 }  // namespace instantdb

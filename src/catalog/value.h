@@ -91,11 +91,6 @@ class Value {
   /// FieldView::Parse, so every reader checks the same framing.
   static bool DecodeFrom(Slice* input, Value* out);
 
-  /// Order-preserving index-key encoding. No type tag: all keys of one
-  /// index share a type. NULL encodes as a 0x00 prefix byte sorting first;
-  /// non-null values get a 0x01 prefix.
-  void EncodeOrdered(std::string* dst) const;
-
  private:
   Value(ValueType t, int64_t v) : type_(t), data_(v) {}
   explicit Value(double v) : type_(ValueType::kDouble), data_(v) {}

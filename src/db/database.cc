@@ -355,6 +355,9 @@ Database::Stats Database::stats() const {
         const StoreMemory memory = table->partition(p)->store_memory();
         stats.stores.entries += memory.entries;
         stats.stores.mirror_bytes += memory.mirror_bytes;
+        const IndexMemory index = table->partition(p)->index_memory();
+        stats.index.entries += index.entries;
+        stats.index.bytes += index.bytes;
       }
     }
   }

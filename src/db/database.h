@@ -286,6 +286,10 @@ class Database {
     /// their in-memory mirrors (row id, insert time, leaf ordinal and frame
     /// locator per entry — no Value), array capacity included.
     StoreMemory stores;
+    /// Multi-resolution indexes of every table: postings (one per live
+    /// degradable value) and the heap bytes of their maps and row-id
+    /// arrays, array capacity included. Indexes live in memory only.
+    IndexMemory index;
   };
   Stats stats() const;
 

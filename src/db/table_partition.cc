@@ -31,11 +31,19 @@ const StateStore* TablePartition::store(int column, int phase) const {
 
 Status TablePartition::Open() {
   IDB_RETURN_IF_ERROR(runtime_.env->CreateDirs(dir_));
-  // Heap pages get CRC stamps (reserved header word): a torn page write
-  // surfaces as Corruption instead of decoding garbage rows.
+  // Indexes live in memory only. A directory an older build wrote still
+  // holds its paged index, keys of degraded rows included: zero-overwrite
+  // and sync it before the unlink, so its blocks keep nothing.
+  const std::string legacy_index = dir_ + "/index.db";
+  if (runtime_.env->FileExists(legacy_index)) {
+    IDB_ASSIGN_OR_RETURN(const uint64_t size,
+                         runtime_.env->GetFileSize(legacy_index));
+    IDB_RETURN_IF_ERROR(runtime_.env->OverwriteRange(legacy_index, 0, size));
+    IDB_RETURN_IF_ERROR(runtime_.env->RemoveFile(legacy_index));
+  }
   IDB_ASSIGN_OR_RETURN(
       heap_disk_, DiskManager::Open(HeapPath(), runtime_.storage.page_size,
-                                    runtime_.env, /*checksum_pages=*/true));
+                                    runtime_.env));
   heap_pool_ = std::make_unique<BufferPool>(
       heap_disk_.get(), runtime_.storage.buffer_pool_pages);
   heap_ = std::make_unique<HeapFile>(heap_pool_.get());
@@ -110,40 +118,17 @@ void TablePartition::EnsureRowAllocatorAbove(RowId row_id) {
 }
 
 Status TablePartition::RebuildIndexes() {
-  // Indexes are derived data: recreate the index file from scratch.
-  index_pool_.reset();
-  index_disk_.reset();
-  if (runtime_.env->FileExists(IndexPath())) {
-    IDB_RETURN_IF_ERROR(runtime_.env->RemoveFile(IndexPath()));
-  }
-  // No page checksums here: B-tree nodes use the reserved header word for
-  // the leftmost-child pointer (see DiskManager).
-  IDB_ASSIGN_OR_RETURN(
-      index_disk_, DiskManager::Open(IndexPath(), runtime_.storage.page_size,
-                                     runtime_.env));
-  index_pool_ = std::make_unique<BufferPool>(
-      index_disk_.get(), runtime_.storage.buffer_pool_pages);
-
+  // Indexes are derived data, kept in memory: rebuild them from the stores.
   multires_.clear();
-  for (int col_idx : schema().degradable_columns()) {
-    const ColumnDef& col = schema().column(col_idx);
-    auto index = std::make_unique<MultiResolutionIndex>(col, index_pool_.get());
-    IDB_RETURN_IF_ERROR(index->Init());
-    multires_.push_back(std::move(index));
-  }
-
   for (size_t d = 0; d < stores_.size(); ++d) {
-    const ColumnDef& col = schema().column(schema().degradable_columns()[d]);
+    multires_.push_back(std::make_unique<MultiResolutionIndex>(
+        schema().column(schema().degradable_columns()[d])));
     for (size_t p = 0; p < stores_[d].size(); ++p) {
-      const int level = col.lcp.phase(static_cast<int>(p)).level;
-      Status status;
       stores_[d][p]->ForEach([&](const StoreEntryView& entry) {
-        status = multires_[d]->OnInsertAtPhase(
-            entry.row_id, col.hierarchy->AncestorValue(entry.ordinal, level),
-            static_cast<int>(p));
-        return status.ok();
+        multires_[d]->OnInsert(entry.row_id, static_cast<int>(p),
+                               entry.ordinal);
+        return true;
       });
-      IDB_RETURN_IF_ERROR(status);
     }
   }
   return Status::OK();
@@ -199,8 +184,6 @@ Status TablePartition::Drop() {
   heap_.reset();
   heap_pool_.reset();
   heap_disk_.reset();
-  index_pool_.reset();
-  index_disk_.reset();
   return runtime_.env->RemoveDirRecursive(dir_);
 }
 
@@ -220,7 +203,7 @@ Status TablePartition::ApplyInsert(RowId row_id, Micros insert_time,
     // the values to the phase-0 stores instead. If ANY phase still holds
     // the row, nothing was lost (possibly it already degraded — a later
     // degrade record in log order re-converges), so only a row absent from
-    // every phase is repaired. Append and the index OnInsert hooks are
+    // every phase is repaired. Append and the index OnInsert hook are
     // idempotent, so a repeated redo stays a no-op.
     if (degradable_available) {
       for (size_t d = 0; d < schema().degradable_columns().size(); ++d) {
@@ -231,11 +214,9 @@ Status TablePartition::ApplyInsert(RowId row_id, Micros insert_time,
             break;
           }
         }
-        if (present) continue;
-        IDB_RETURN_IF_ERROR(
-            stores_[d][0]->Append({row_id, insert_time, degradable[d]}));
-        if (!multires_.empty()) {
-          IDB_RETURN_IF_ERROR(multires_[d]->OnInsert(row_id, degradable[d]));
+        if (!present) {
+          IDB_RETURN_IF_ERROR(InsertDegradableLocked(
+              d, row_id, insert_time, degradable[d]));
         }
       }
       mutation_seq_.fetch_add(1, std::memory_order_release);
@@ -255,14 +236,22 @@ Status TablePartition::ApplyInsert(RowId row_id, Micros insert_time,
   if (degradable_available) {
     for (size_t d = 0; d < schema().degradable_columns().size(); ++d) {
       IDB_RETURN_IF_ERROR(
-          stores_[d][0]->Append({row_id, insert_time, degradable[d]}));
-      if (!multires_.empty()) {
-        IDB_RETURN_IF_ERROR(multires_[d]->OnInsert(row_id, degradable[d]));
-      }
+          InsertDegradableLocked(d, row_id, insert_time, degradable[d]));
     }
   }
   ++stats_.inserts;
   mutation_seq_.fetch_add(1, std::memory_order_release);
+  return Status::OK();
+}
+
+Status TablePartition::InsertDegradableLocked(size_t d, RowId row_id,
+                                              Micros insert_time,
+                                              const Value& value) {
+  // One label lookup serves the store and the index.
+  IDB_ASSIGN_OR_RETURN(const int64_t ordinal, stores_[d][0]->OrdinalOf(value));
+  IDB_RETURN_IF_ERROR(
+      stores_[d][0]->Append({row_id, insert_time, value, ordinal}));
+  if (!multires_.empty()) multires_[d]->OnInsert(row_id, 0, ordinal);
   return Status::OK();
 }
 
@@ -273,15 +262,12 @@ Status TablePartition::ApplyDelete(RowId row_id) {
 
   // Remove degradable values from stores + indexes.
   for (size_t d = 0; d < stores_.size(); ++d) {
-    const ColumnDef& col = schema().column(schema().degradable_columns()[d]);
     for (size_t p = 0; p < stores_[d].size(); ++p) {
       const std::optional<StoreEntryView> entry = stores_[d][p]->Find(row_id);
       if (!entry) continue;
       if (!multires_.empty()) {
-        const int level = col.lcp.phase(static_cast<int>(p)).level;
         IDB_RETURN_IF_ERROR(multires_[d]->OnDelete(
-            row_id, static_cast<int>(p),
-            col.hierarchy->AncestorValue(entry->ordinal, level)));
+            row_id, static_cast<int>(p), entry->ordinal));
       }
       IDB_RETURN_IF_ERROR(stores_[d][p]->SecureDeleteEntry(row_id));
       break;
@@ -545,6 +531,17 @@ uint64_t TablePartition::live_rows() const {
   return row_map_.size();
 }
 
+IndexMemory TablePartition::index_memory() const {
+  std::shared_lock<std::shared_mutex> latch(latch_);
+  IndexMemory memory;
+  for (const auto& index : multires_) {
+    const IndexMemory one = index->memory();
+    memory.entries += one.entries;
+    memory.bytes += one.bytes;
+  }
+  return memory;
+}
+
 StoreMemory TablePartition::store_memory() const {
   std::shared_lock<std::shared_mutex> latch(latch_);
   StoreMemory memory;
@@ -758,11 +755,9 @@ Status TablePartition::ApplyDegrade(int col_idx, int from_phase, int to_phase,
       IDB_RETURN_IF_ERROR(stores_[ordinal][to_phase]->Append(move));
     }
     if (update_indexes && row_live) {
-      IDB_RETURN_IF_ERROR(multires_[ordinal]->OnDegrade(
-          move.row_id, from_phase,
-          col.hierarchy->AncestorValue((*old_ordinals)[i],
-                                       col.lcp.phase(from_phase).level),
-          to_phase, move.value));
+      multires_[ordinal]->OnDegrade(move.row_id, from_phase,
+                                    (*old_ordinals)[i], to_phase,
+                                    move.ordinal);
     }
   }
   for (const StoreEntry& move : moves) {

@@ -187,15 +187,13 @@ class TablePartition {
   uint64_t live_rows() const;
   /// Live entries and mirror bytes of this partition's state stores.
   StoreMemory store_memory() const;
+  /// Entries and heap bytes of this partition's multi-resolution indexes.
+  IndexMemory index_memory() const;
 
   Status IndexLookupEqual(int column, const Value& value, int level,
                           std::vector<RowId>* out) const;
   Status IndexLookupRange(int column, const Value& lo, const Value& hi,
                           int level, std::vector<RowId>* out) const;
-
-  const MultiResolutionIndex* multires_index(int degradable_ordinal) const {
-    return multires_[degradable_ordinal].get();
-  }
 
   // --- degradation -----------------------------------------------------------
 
@@ -277,7 +275,6 @@ class TablePartition {
   };
 
   std::string HeapPath() const { return dir_ + "/heap.db"; }
-  std::string IndexPath() const { return dir_ + "/index.db"; }
   std::string StoreDir(int column, int phase) const;
 
   /// Deadline of the head entry of (column, phase), kForever if empty.
@@ -288,6 +285,11 @@ class TablePartition {
   /// the tuple is gone, remove the whole tuple (paper: disappearance).
   /// Caller holds the exclusive latch.
   Status MaybeExpireTupleLocked(RowId row_id);
+
+  /// Appends `value` of degradable column `d` to its phase-0 store and
+  /// index. Caller holds the exclusive latch.
+  Status InsertDegradableLocked(size_t d, RowId row_id, Micros insert_time,
+                                const Value& value);
 
   /// Builds a RowView from a decoded heap tuple, one store probe per
   /// degradable column (caller holds the latch).
@@ -306,8 +308,6 @@ class TablePartition {
   std::unique_ptr<DiskManager> heap_disk_;
   std::unique_ptr<BufferPool> heap_pool_;
   std::unique_ptr<HeapFile> heap_;
-  std::unique_ptr<DiskManager> index_disk_;
-  std::unique_ptr<BufferPool> index_pool_;
 
   /// stores_[degradable_ordinal][phase].
   std::vector<std::vector<std::unique_ptr<StateStore>>> stores_;

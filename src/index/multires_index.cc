@@ -1,82 +1,209 @@
 #include "index/multires_index.h"
 
+#include <string.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstring>
+
 namespace instantdb {
 
-MultiResolutionIndex::MultiResolutionIndex(const ColumnDef& column,
-                                           BufferPool* pool)
-    : column_(column), pool_(pool) {}
+namespace {
 
-Status MultiResolutionIndex::Init() {
-  trees_.clear();
-  for (int p = 0; p < column_.lcp.num_phases(); ++p) {
-    IDB_ASSIGN_OR_RETURN(auto tree, BPlusTree::Create(pool_));
-    trees_.push_back(std::move(tree));
+/// Smallest posting array, in row ids.
+constexpr size_t kMinCapacity = 4;
+
+std::atomic<MultiResolutionIndex::ReleaseHook> release_hook{nullptr};
+
+/// A zeroed array of `capacity` row ids behind its capacity word.
+RowId* AllocateArray(size_t capacity) {
+  RowId* block = new RowId[capacity + 1]();
+  block[0] = capacity;
+  return block;
+}
+
+/// Zeroes a posting array, shows it to the test hook and frees it.
+void ReleaseArray(RowId* block) {
+  const size_t bytes = (static_cast<size_t>(block[0]) + 1) * sizeof(RowId);
+  explicit_bzero(block, bytes);
+  if (const auto hook = release_hook.load(std::memory_order_relaxed)) {
+    hook(block, bytes);
   }
-  return Status::OK();
+  delete[] block;
 }
 
-Result<int64_t> MultiResolutionIndex::PhaseKey(const Value& value,
-                                               int phase) const {
-  IDB_ASSIGN_OR_RETURN(
-      LeafInterval interval,
-      column_.hierarchy->LeafRange(value, column_.lcp.phase(phase).level));
-  return interval.lo;
+}  // namespace
+
+// --- Posting -------------------------------------------------------------------
+
+MultiResolutionIndex::Posting::~Posting() {
+  if (Inline()) {
+    explicit_bzero(&one_, sizeof(one_));
+  } else {
+    ReleaseArray(block_);
+  }
 }
 
-Status MultiResolutionIndex::OnInsert(RowId rid, const Value& leaf_value) {
-  return OnInsertAtPhase(rid, leaf_value, 0);
+void MultiResolutionIndex::Posting::Reallocate(size_t capacity) {
+  const size_t live = size();
+  RowId* block = AllocateArray(capacity);
+  std::memcpy(block + 1, ids() + head_, live * sizeof(RowId));
+  ReleaseArray(block_);
+  block_ = block;
+  head_ = 0;
+  end_ = static_cast<uint32_t>(live);
 }
 
-Status MultiResolutionIndex::OnInsertAtPhase(RowId rid, const Value& value,
-                                             int phase) {
-  IDB_ASSIGN_OR_RETURN(int64_t key, PhaseKey(value, phase));
-  std::string encoded;
-  BPlusTree::EncodeKey(Value::Int64(key), rid, &encoded);
-  return trees_[phase]->Insert(encoded, rid);
+size_t MultiResolutionIndex::Posting::MakeRoom() {
+  if (end_ < capacity()) return 0;
+  const size_t moved = head_;
+  const size_t live = size();
+  if (live * 2 <= capacity()) {
+    // Half the array is consumed prefix: slide the live ids down and zero
+    // the slots they leave.
+    std::memmove(ids(), ids() + head_, live * sizeof(RowId));
+    std::memset(ids() + live, 0, (end_ - live) * sizeof(RowId));
+    head_ = 0;
+    end_ = static_cast<uint32_t>(live);
+  } else {
+    Reallocate(capacity() + capacity() / 2);
+  }
+  return moved;
 }
 
-Status MultiResolutionIndex::OnDegrade(RowId rid, int from_phase,
-                                       const Value& old_value, int to_phase,
-                                       const Value& new_value) {
+bool MultiResolutionIndex::Posting::Insert(RowId row) {
+  if (size() == 0) {
+    one_ = row;
+    end_ = 1;
+    return true;
+  }
+  if (Inline()) {
+    if (one_ == row) return false;
+    RowId* block = AllocateArray(kMinCapacity);
+    block[1] = std::min(one_, row);
+    block[2] = std::max(one_, row);
+    block_ = block;
+    end_ = 2;
+    return true;
+  }
+  // In-order commits append; an out-of-order one lands near the tail.
+  size_t pos = end_;
+  if (row <= ids()[end_ - 1]) {
+    pos = static_cast<size_t>(
+        std::lower_bound(ids() + head_, ids() + end_, row) - ids());
+    if (ids()[pos] == row) return false;
+  }
+  pos -= MakeRoom();
+  RowId* slots = ids();
+  std::memmove(slots + pos + 1, slots + pos, (end_ - pos) * sizeof(RowId));
+  slots[pos] = row;
+  ++end_;
+  return true;
+}
+
+bool MultiResolutionIndex::Posting::Erase(RowId row) {
+  if (Inline()) {
+    if (size() == 0 || one_ != row) return false;
+    one_ = 0;
+    end_ = 0;
+    return true;
+  }
+  RowId* slots = ids();
+  size_t pos = head_;
+  if (slots[pos] != row) {  // not a FIFO pop: a user DELETE or a retry
+    pos = static_cast<size_t>(
+        std::lower_bound(slots + head_, slots + end_, row) - slots);
+    if (pos == end_ || slots[pos] != row) return false;
+  }
+  if (pos == head_) {
+    slots[head_++] = 0;
+  } else {
+    std::memmove(slots + pos, slots + pos + 1,
+                 (end_ - pos - 1) * sizeof(RowId));
+    slots[--end_] = 0;
+  }
+  if (size() == 1) {
+    const RowId last = slots[head_];
+    ReleaseArray(block_);
+    one_ = last;
+    head_ = 0;
+    end_ = 1;
+  } else if (size() * 4 <= capacity() && capacity() > kMinCapacity) {
+    Reallocate(std::max(kMinCapacity, size() * 2));
+  }
+  return true;
+}
+
+bool MultiResolutionIndex::Posting::VacatedSlotsZero() const {
+  if (Inline()) return size() == 1 || one_ == 0;
+  for (size_t i = 0; i < capacity(); ++i) {
+    if ((i < head_ || i >= end_) && ids()[i] != 0) return false;
+  }
+  return true;
+}
+
+// --- MultiResolutionIndex --------------------------------------------------------
+
+MultiResolutionIndex::MultiResolutionIndex(const ColumnDef& column)
+    : column_(column),
+      postings_(column.lcp.num_phases()),
+      entries_(column.lcp.num_phases(), 0) {}
+
+void MultiResolutionIndex::SetReleaseHookForTesting(ReleaseHook hook) {
+  release_hook.store(hook, std::memory_order_relaxed);
+}
+
+void MultiResolutionIndex::OnInsert(RowId row, int phase, int64_t ordinal) {
+  Posting& posting = postings_[phase][ordinal];
+  const size_t before = posting.heap_bytes();
+  if (posting.Insert(row)) ++entries_[phase];
+  array_bytes_ += posting.heap_bytes();
+  array_bytes_ -= before;
+}
+
+bool MultiResolutionIndex::Remove(RowId row, int phase, int64_t ordinal) {
+  PhaseMap& map = postings_[phase];
+  const auto it = map.find(ordinal);
+  if (it == map.end()) return false;
+  Posting& posting = it->second;
+  const size_t before = posting.heap_bytes();
+  const bool removed = posting.Erase(row);
+  array_bytes_ += posting.heap_bytes();
+  array_bytes_ -= before;
+  if (!removed) return false;
+  --entries_[phase];
+  if (posting.size() == 0) map.erase(it);
+  return true;
+}
+
+void MultiResolutionIndex::OnDegrade(RowId row, int from_phase,
+                                     int64_t old_ordinal, int to_phase,
+                                     int64_t new_ordinal) {
   // Re-entry safe: a degrade apply can fail partway through on an I/O error
   // and be retried by the next pass (or replayed by WAL redo), so the old
-  // posting may already be gone and the new one may already exist. Treat
-  // both as success, not corruption — tree ops are not atomic across the
-  // delete/insert pair.
-  IDB_ASSIGN_OR_RETURN(int64_t old_key, PhaseKey(old_value, from_phase));
-  std::string encoded;
-  BPlusTree::EncodeKey(Value::Int64(old_key), rid, &encoded);
-  const Status removed = trees_[from_phase]->Delete(encoded);
-  if (!removed.ok() && !removed.IsNotFound()) return removed;
-  if (to_phase >= num_phases()) return Status::OK();  // removed (⊥)
-  IDB_ASSIGN_OR_RETURN(int64_t new_key, PhaseKey(new_value, to_phase));
-  encoded.clear();
-  BPlusTree::EncodeKey(Value::Int64(new_key), rid, &encoded);
-  IDB_ASSIGN_OR_RETURN(bool present, trees_[to_phase]->Contains(encoded));
-  if (present) return Status::OK();
-  return trees_[to_phase]->Insert(encoded, rid);
+  // posting may already be gone and the new one may already hold the row.
+  // Both are no-ops.
+  Remove(row, from_phase, old_ordinal);
+  if (to_phase < num_phases()) OnInsert(row, to_phase, new_ordinal);
 }
 
-Status MultiResolutionIndex::OnDelete(RowId rid, int phase,
-                                      const Value& value) {
-  IDB_ASSIGN_OR_RETURN(int64_t key, PhaseKey(value, phase));
-  std::string encoded;
-  BPlusTree::EncodeKey(Value::Int64(key), rid, &encoded);
-  return trees_[phase]->Delete(encoded);
+Status MultiResolutionIndex::OnDelete(RowId row, int phase, int64_t ordinal) {
+  if (Remove(row, phase, ordinal)) return Status::OK();
+  return Status::NotFound("row is not in its index posting");
 }
 
 Status MultiResolutionIndex::ScanInterval(
     int max_level, const LeafInterval& interval,
     const std::function<bool(RowId)>& fn) const {
-  std::string begin, end;
-  BPlusTree::EncodeLowerBound(Value::Int64(interval.lo), &begin);
-  BPlusTree::EncodeUpperBound(Value::Int64(interval.hi), &end);
   for (int p = 0; p < num_phases(); ++p) {
     if (column_.lcp.phase(p).level > max_level) continue;
-    bool keep_going = true;
-    IDB_RETURN_IF_ERROR(trees_[p]->Scan(
-        begin, end, [&](Slice, RowId rid) { return keep_going = fn(rid); }));
-    if (!keep_going) break;
+    const PhaseMap& map = postings_[p];
+    for (auto it = map.lower_bound(interval.lo);
+         it != map.end() && it->first <= interval.hi; ++it) {
+      for (const RowId row : it->second) {
+        if (!fn(row)) return Status::OK();
+      }
+    }
   }
   return Status::OK();
 }
@@ -100,8 +227,27 @@ Status MultiResolutionIndex::LookupRange(
   return ScanInterval(level, LeafInterval{lo_interval.lo, hi_interval.hi}, fn);
 }
 
-uint64_t MultiResolutionIndex::EntriesInPhase(int phase) const {
-  return trees_[phase]->num_entries();
+IndexMemory MultiResolutionIndex::memory() const {
+  // libstdc++'s red-black node: a color word and three links before the
+  // key and the inline posting.
+  constexpr size_t kNodeBytes =
+      4 * sizeof(void*) + sizeof(PhaseMap::value_type);
+  IndexMemory memory;
+  memory.bytes = array_bytes_;
+  for (int p = 0; p < num_phases(); ++p) {
+    memory.entries += entries_[p];
+    memory.bytes += postings_[p].size() * kNodeBytes;
+  }
+  return memory;
+}
+
+bool MultiResolutionIndex::VacatedSlotsZeroForTesting() const {
+  for (const PhaseMap& map : postings_) {
+    for (const auto& [key, posting] : map) {
+      if (!posting.VacatedSlotsZero()) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace instantdb

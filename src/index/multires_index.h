@@ -1,52 +1,74 @@
 #ifndef INSTANTDB_INDEX_MULTIRES_INDEX_H_
 #define INSTANTDB_INDEX_MULTIRES_INDEX_H_
 
-#include <memory>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <vector>
 
 #include "catalog/schema.h"
-#include "index/btree.h"
+#include "storage/page.h"
 
 namespace instantdb {
 
-/// \brief Degradation-aware index for one degradable attribute: one B+-tree
-/// per LCP phase, keyed by the *leaf interval lower bound* of the stored
-/// value (paper §III, "indexing techniques supporting efficiently
-/// degradation").
+/// Entries and heap bytes of some multi-resolution indexes, summed.
+struct IndexMemory {
+  uint64_t entries = 0;
+  uint64_t bytes = 0;
+};
+
+/// \brief Degradation-aware index for one degradable attribute (paper §III,
+/// "indexing techniques supporting efficiently degradation"): per LCP phase,
+/// an ordered map from a GT node to the FIFO posting of the rows whose
+/// value sits at that node.
 ///
 /// Why this shape works:
 ///  - Values in phase p sit at one GT level, and GT nodes are DFS-numbered,
-///    so a node's leaf interval lower bound orders values exactly like the
+///    so a node's key — the lower bound of its leaf interval, which is the
+///    ordinal the phase's state store keeps — orders nodes exactly like the
 ///    tree does. A predicate at any accuracy level k >= level(p) covers a
 ///    contiguous interval of leaf ordinals, hence a contiguous key range of
-///    EVERY phase tree with level <= k — coarse queries stay range scans
-///    instead of enumerating subtree members.
-///  - Degradation moves an entry between two phase trees (delete + insert),
-///    touching only those trees; queries at other levels are unaffected.
-///  - A query at accuracy k probes the trees of all phases with
-///    level(p) <= k and unions the results — precisely the paper's
-///    σ_{P,k} over the computable subsets ST_j.
+///    EVERY phase map with level <= k: a probe at accuracy k walks the keys
+///    inside the literal's leaf interval, in every such phase, and unions
+///    the postings — the paper's σ_{P,k} over the computable subsets ST_j.
+///  - Within a phase, rows arrive and leave in row-id order, the argument
+///    StateStore rests on, so each node's posting is itself a FIFO: an
+///    insert appends at the tail (an out-of-order commit lands near it), a
+///    degrade step pops the head, and only a user DELETE erases in the
+///    middle. A posting that empties leaves its map.
+///  - The index is derived data, rebuilt from the state stores at every
+///    open, and it never touches disk. What it holds tracks the live data:
+///    a posting of one row lives inline in its map node, larger ones in one
+///    contiguous array with a consumed-prefix head, compacted or shrunk as
+///    the FIFO drains.
+///  - A posting binds a row id to a node, which is the degraded datum
+///    itself, so it wipes what it drops: a vacated slot is zeroed at once,
+///    and an array is zeroed with explicit_bzero before it is freed or left
+///    behind by growth.
+///
+/// Hooks take the row's leaf ordinal at the phase's level, the ordinal its
+/// state store holds (StoreEntryView::ordinal). Inserts of a present row
+/// and removals of an absent one are no-ops, so WAL redo and a degrade step
+/// retried after a partial apply converge. Not thread-safe: the owning
+/// partition's latch serializes mutations against probes.
 class MultiResolutionIndex {
  public:
-  /// `column` must be degradable. Trees are created in `pool` (the table's
-  /// index file); indexes are derived data, rebuilt on open.
-  MultiResolutionIndex(const ColumnDef& column, BufferPool* pool);
+  /// `column` must be degradable and outlive the index.
+  explicit MultiResolutionIndex(const ColumnDef& column);
 
-  Status Init();
+  /// Adds `row` at node `ordinal` of `phase`.
+  void OnInsert(RowId row, int phase, int64_t ordinal);
 
-  /// Phase-0 insertion of an accurate value.
-  Status OnInsert(RowId rid, const Value& leaf_value);
+  /// One degradation transition: moves `row` from node `old_ordinal` of
+  /// `from_phase` to node `new_ordinal` of `to_phase`. `to_phase ==
+  /// lcp.num_phases()` removes the row without reinserting it (⊥).
+  void OnDegrade(RowId row, int from_phase, int64_t old_ordinal, int to_phase,
+                 int64_t new_ordinal);
 
-  /// Direct insertion at an arbitrary phase (index rebuild after recovery).
-  Status OnInsertAtPhase(RowId rid, const Value& value, int phase);
-
-  /// One degradation transition. `to_phase == lcp.num_phases()` removes the
-  /// entry without reinserting (⊥). Values are those stored before/after.
-  Status OnDegrade(RowId rid, int from_phase, const Value& old_value,
-                   int to_phase, const Value& new_value);
-
-  /// Tuple deletion while the value is in `phase`.
-  Status OnDelete(RowId rid, int phase, const Value& value);
+  /// Tuple deletion while the value is in `phase`; NotFound when the row is
+  /// not at node `ordinal` of `phase`.
+  Status OnDelete(RowId row, int phase, int64_t ordinal);
 
   /// Rows whose stored value generalizes to `value` at accuracy `level`
   /// (equality predicate at level k). Visits phases with level(p) <= level.
@@ -58,18 +80,77 @@ class MultiResolutionIndex {
   Status LookupRange(const Value& lo, const Value& hi, int level,
                      const std::function<bool(RowId)>& fn) const;
 
-  uint64_t EntriesInPhase(int phase) const;
-  int num_phases() const { return static_cast<int>(trees_.size()); }
+  uint64_t EntriesInPhase(int phase) const { return entries_[phase]; }
+  int num_phases() const { return static_cast<int>(postings_.size()); }
+
+  /// Entries of every phase, and the heap bytes the index holds: map nodes
+  /// and posting arrays, capacity and consumed prefixes included.
+  IndexMemory memory() const;
+
+  /// Testing: true when every array slot outside a posting's live range is
+  /// zero.
+  bool VacatedSlotsZeroForTesting() const;
+  /// Testing: `hook` sees every posting array just before it is freed (null
+  /// turns it off).
+  using ReleaseHook = void (*)(const void* region, size_t bytes);
+  static void SetReleaseHookForTesting(ReleaseHook hook);
 
  private:
-  /// Key of `value` when stored at `phase`: its leaf interval lower bound.
-  Result<int64_t> PhaseKey(const Value& value, int phase) const;
-  Status ScanInterval(int first_level, const LeafInterval& interval,
+  /// Row ids of one node, ascending. While it holds at most one id the
+  /// posting is inline (`one_`, head_ == 0); from two ids on they sit at
+  /// [head_, end_) of `block_ + 1`, and block_[0] is the array capacity.
+  class Posting {
+   public:
+    Posting() : one_(0) {}
+    ~Posting();
+    Posting(const Posting&) = delete;
+    Posting& operator=(const Posting&) = delete;
+
+    size_t size() const { return end_ - head_; }
+    const RowId* begin() const { return Inline() ? &one_ : ids() + head_; }
+    const RowId* end() const { return begin() + size(); }
+    /// Bytes of the array, or 0 when inline.
+    size_t heap_bytes() const {
+      return Inline() ? 0 : (capacity() + 1) * sizeof(RowId);
+    }
+    /// Inserts `row` in order; false when it is already present.
+    bool Insert(RowId row);
+    /// Removes `row`; false when it is absent.
+    bool Erase(RowId row);
+    bool VacatedSlotsZero() const;
+
+   private:
+    bool Inline() const { return size() <= 1; }
+    RowId* ids() const { return block_ + 1; }
+    size_t capacity() const { return static_cast<size_t>(block_[0]); }
+    /// Moves the live ids to the front of a fresh array of `capacity`
+    /// slots and releases the old one.
+    void Reallocate(size_t capacity);
+    /// Makes room for one more id at the tail; returns how far the live
+    /// ids moved down.
+    size_t MakeRoom();
+
+    union {
+      RowId one_;
+      RowId* block_;
+    };
+    uint32_t head_ = 0;
+    uint32_t end_ = 0;
+  };
+  static_assert(sizeof(Posting) == 2 * sizeof(RowId),
+                "a posting of one row lives inline in its map node");
+  using PhaseMap = std::map<int64_t, Posting>;
+
+  Status ScanInterval(int max_level, const LeafInterval& interval,
                       const std::function<bool(RowId)>& fn) const;
+  /// Removes `row` from node `ordinal` of `phase`; false when absent.
+  bool Remove(RowId row, int phase, int64_t ordinal);
 
   const ColumnDef& column_;
-  BufferPool* const pool_;
-  std::vector<std::unique_ptr<BPlusTree>> trees_;  // one per phase
+  std::vector<PhaseMap> postings_;  // one per phase
+  std::vector<uint64_t> entries_;   // rows per phase
+  /// Bytes of every posting array (map nodes are counted from the maps).
+  uint64_t array_bytes_ = 0;
 };
 
 }  // namespace instantdb

@@ -15,8 +15,7 @@ constexpr size_t kPageCrcOffset = 4;
 
 Result<std::unique_ptr<DiskManager>> DiskManager::Open(const std::string& path,
                                                        size_t page_size,
-                                                       Env* env,
-                                                       bool checksum_pages) {
+                                                       Env* env) {
   if (env == nullptr) env = Env::Default();
   IDB_ASSIGN_OR_RETURN(auto file, env->NewRandomRWFile(path));
   const uint64_t size = file->Size();
@@ -25,7 +24,7 @@ Result<std::unique_ptr<DiskManager>> DiskManager::Open(const std::string& path,
   }
   return std::unique_ptr<DiskManager>(
       new DiskManager(path, page_size, std::move(file),
-                      static_cast<PageId>(size / page_size), checksum_pages));
+                      static_cast<PageId>(size / page_size)));
 }
 
 uint32_t DiskManager::PageCrc(const char* page) const {
@@ -57,23 +56,17 @@ Status DiskManager::ReadPage(PageId id, char* out) const {
     return Status::Corruption("short page read");
   }
   std::memcpy(out, data.data(), page_size_);
-  if (checksum_pages_) {
-    const uint32_t stored = DecodeFixed32(out + kPageCrcOffset);
-    // 0 = unchecked: freshly allocated zero pages and pre-checksum files.
-    if (stored != 0 && stored != PageCrc(out)) {
-      return Status::Corruption("heap page checksum mismatch: " + path_ +
-                                " page " + std::to_string(id));
-    }
+  const uint32_t stored = DecodeFixed32(out + kPageCrcOffset);
+  // 0 = unchecked: freshly allocated zero pages and pre-checksum files.
+  if (stored != 0 && stored != PageCrc(out)) {
+    return Status::Corruption("heap page checksum mismatch: " + path_ +
+                              " page " + std::to_string(id));
   }
   return Status::OK();
 }
 
 Status DiskManager::WritePage(PageId id, const char* data) {
   if (id >= num_pages()) return Status::InvalidArgument("page out of range");
-  if (!checksum_pages_) {
-    return file_->Write(static_cast<uint64_t>(id) * page_size_,
-                        Slice(data, page_size_));
-  }
   std::string stamped(data, page_size_);
   EncodeFixed32(stamped.data() + kPageCrcOffset, PageCrc(stamped.data()));
   return file_->Write(static_cast<uint64_t>(id) * page_size_, stamped);

@@ -17,19 +17,16 @@ namespace instantdb {
 /// \brief Page-granular I/O over a single file (one heap file per table).
 /// Thread-safe; the buffer pool serializes logical access above it.
 ///
-/// With `checksum_pages` every written page is stamped with a masked CRC32C
-/// in the page's reserved word (bytes [4..8), unused by the heap layout) and
-/// every read verifies it, so a torn page write surfaces as Corruption
-/// instead of silently decoding garbage. A stored value of 0 means
-/// "unchecked" (zero-fresh or pre-checksum pages), which keeps old heap
-/// files readable. Index files must NOT enable it — B-tree nodes use that
-/// word for the leftmost-child pointer.
+/// Every written page is stamped with a masked CRC32C in the page's
+/// reserved word (bytes [4..8), unused by the heap layout) and every read
+/// verifies it, so a torn page write surfaces as Corruption instead of
+/// silently decoding garbage. A stored value of 0 means "unchecked"
+/// (zero-fresh or pre-checksum pages), which keeps old heap files readable.
 class DiskManager {
  public:
   static Result<std::unique_ptr<DiskManager>> Open(const std::string& path,
                                                    size_t page_size,
-                                                   Env* env = nullptr,
-                                                   bool checksum_pages = false);
+                                                   Env* env = nullptr);
 
   size_t page_size() const { return page_size_; }
   PageId num_pages() const { return num_pages_.load(std::memory_order_acquire); }
@@ -44,13 +41,11 @@ class DiskManager {
 
  private:
   DiskManager(std::string path, size_t page_size,
-              std::unique_ptr<RandomRWFile> file, PageId num_pages,
-              bool checksum_pages)
+              std::unique_ptr<RandomRWFile> file, PageId num_pages)
       : path_(std::move(path)),
         page_size_(page_size),
         file_(std::move(file)),
-        num_pages_(num_pages),
-        checksum_pages_(checksum_pages) {}
+        num_pages_(num_pages) {}
 
   /// CRC32C over the page with the checksum word treated as zero.
   uint32_t PageCrc(const char* page) const;
@@ -59,7 +54,6 @@ class DiskManager {
   size_t page_size_;
   std::unique_ptr<RandomRWFile> file_;
   std::atomic<PageId> num_pages_;
-  const bool checksum_pages_;
   std::mutex alloc_mu_;
 };
 

@@ -129,6 +129,10 @@ class StateStore {
   /// InvalidArgument when the value is not a node at the store's level.
   Status Append(const StoreEntry& entry);
 
+  /// Leaf ordinal of a value at this store's level, or InvalidArgument when
+  /// it is not a node there.
+  Result<int64_t> OrdinalOf(const Value& value) const;
+
   /// Removes the head entry; erases segments as they drain.
   Status PopHead(StoreEntryView* out);
 
@@ -240,9 +244,6 @@ class StateStore {
     std::unordered_set<RowId> survivors;
   };
 
-  /// Leaf ordinal of a value at this store's level, or InvalidArgument when
-  /// it is not a node there.
-  Result<int64_t> OrdinalOf(const Value& value) const;
   Status OpenTailWriter();
   Status SealTail();
   /// Writes the buffered tail frames through to the segment file. Appends

@@ -87,97 +87,4 @@ bool GetFixed64(Slice* input, uint64_t* value) {
   return true;
 }
 
-// --- order-preserving encodings --------------------------------------------
-
-void PutOrderedInt64(std::string* dst, int64_t v) {
-  // Flip the sign bit so negatives sort before positives, then big-endian.
-  const uint64_t u = static_cast<uint64_t>(v) ^ (1ULL << 63);
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>(u >> (56 - 8 * i));
-  dst->append(buf, 8);
-}
-
-bool GetOrderedInt64(Slice* input, int64_t* v) {
-  if (input->size() < 8) return false;
-  uint64_t u = 0;
-  for (int i = 0; i < 8; ++i) {
-    u = (u << 8) | static_cast<unsigned char>((*input)[i]);
-  }
-  input->remove_prefix(8);
-  *v = static_cast<int64_t>(u ^ (1ULL << 63));
-  return true;
-}
-
-void PutOrderedDouble(std::string* dst, double v) {
-  // IEEE-754 total order: positive values get the sign bit set; negative
-  // values are bitwise complemented.
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  if (bits & (1ULL << 63)) {
-    bits = ~bits;
-  } else {
-    bits |= (1ULL << 63);
-  }
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>(bits >> (56 - 8 * i));
-  dst->append(buf, 8);
-}
-
-bool GetOrderedDouble(Slice* input, double* v) {
-  if (input->size() < 8) return false;
-  uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits = (bits << 8) | static_cast<unsigned char>((*input)[i]);
-  }
-  input->remove_prefix(8);
-  if (bits & (1ULL << 63)) {
-    bits &= ~(1ULL << 63);
-  } else {
-    bits = ~bits;
-  }
-  std::memcpy(v, &bits, 8);
-  return true;
-}
-
-void PutOrderedString(std::string* dst, Slice v) {
-  // Escape embedded 0x00 as 0x00 0x01 and terminate with 0x00 0x00 so the
-  // encoding is prefix-free and memcmp order equals string order.
-  for (char c : v) {
-    if (c == '\0') {
-      dst->push_back('\0');
-      dst->push_back('\x01');
-    } else {
-      dst->push_back(c);
-    }
-  }
-  dst->push_back('\0');
-  dst->push_back('\0');
-}
-
-bool GetOrderedString(Slice* input, std::string* v) {
-  v->clear();
-  size_t i = 0;
-  while (i < input->size()) {
-    const char c = (*input)[i];
-    if (c != '\0') {
-      v->push_back(c);
-      ++i;
-      continue;
-    }
-    if (i + 1 >= input->size()) return false;
-    const char next = (*input)[i + 1];
-    if (next == '\0') {
-      input->remove_prefix(i + 2);
-      return true;
-    }
-    if (next == '\x01') {
-      v->push_back('\0');
-      i += 2;
-      continue;
-    }
-    return false;  // invalid escape
-  }
-  return false;
-}
-
 }  // namespace instantdb

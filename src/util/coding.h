@@ -80,24 +80,6 @@ bool GetLengthPrefixed(Slice* input, Slice* value);
 bool GetFixed32(Slice* input, uint32_t* value);
 bool GetFixed64(Slice* input, uint64_t* value);
 
-// ---------------------------------------------------------------------------
-// Order-preserving key encodings for the B+-tree.
-//
-// Encoded byte strings compare with memcmp in the same order as the source
-// values: signed ints (two's complement with flipped sign bit, big-endian),
-// doubles (IEEE-754 total order trick), strings (0x00-escaped with a
-// 0x00 0x00 terminator so that a shorter string sorts before its
-// extensions and fixed-width suffixes such as row ids can follow).
-// ---------------------------------------------------------------------------
-
-void PutOrderedInt64(std::string* dst, int64_t v);
-void PutOrderedDouble(std::string* dst, double v);
-void PutOrderedString(std::string* dst, Slice v);
-
-bool GetOrderedInt64(Slice* input, int64_t* v);
-bool GetOrderedDouble(Slice* input, double* v);
-bool GetOrderedString(Slice* input, std::string* v);
-
 }  // namespace instantdb
 
 #endif  // INSTANTDB_UTIL_CODING_H_

@@ -59,23 +59,6 @@ TEST(ValueTest, RecordEncodingRoundTrip) {
   EXPECT_TRUE(in.empty());
 }
 
-TEST(ValueTest, OrderedEncodingSortsLikeCompare) {
-  Random rng(3);
-  for (int i = 0; i < 500; ++i) {
-    const Value a = Value::Int64(rng.UniformRange(-1000, 1000));
-    const Value b = Value::Int64(rng.UniformRange(-1000, 1000));
-    std::string ea, eb;
-    a.EncodeOrdered(&ea);
-    b.EncodeOrdered(&eb);
-    EXPECT_EQ(a.Compare(b) < 0, ea < eb);
-  }
-  // NULL sorts before any value in the encoded space too.
-  std::string en, ev;
-  Value::Null().EncodeOrdered(&en);
-  Value::Int64(INT64_MIN).EncodeOrdered(&ev);
-  EXPECT_LT(en, ev);
-}
-
 // --- GeneralizationTree (Fig. 1) ----------------------------------------------
 
 class LocationTreeTest : public ::testing::Test {

@@ -491,8 +491,7 @@ TEST_F(FaultInjectionTest, HeapPageChecksumDetectsTornAndCorruptPages) {
   ASSERT_TRUE(fault.CreateDirs(dir_).ok());
   const std::string path = dir_ + "/heap.db";
 
-  auto opened =
-      DiskManager::Open(path, kPageSize, &fault, /*checksum_pages=*/true);
+  auto opened = DiskManager::Open(path, kPageSize, &fault);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<DiskManager> heap = std::move(*opened);
 

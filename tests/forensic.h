@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -42,15 +43,35 @@ inline size_t CountCopies(const std::string& bytes, const std::string& needle) {
   return copies;
 }
 
+/// Occurrences in `bytes` of any of `needles`, which all have the same
+/// length: one pass over the bytes, however many needles there are.
+inline size_t CountCopies(const std::string& bytes,
+                          const std::set<std::string>& needles) {
+  if (needles.empty()) return 0;
+  const size_t len = needles.begin()->size();
+  bool first[256] = {};
+  for (const std::string& needle : needles) {
+    first[static_cast<unsigned char>(needle[0])] = true;
+  }
+  size_t copies = 0;
+  for (size_t pos = 0; pos + len <= bytes.size(); ++pos) {
+    if (first[static_cast<unsigned char>(bytes[pos])]) {
+      copies += needles.count(bytes.substr(pos, len));
+    }
+  }
+  return copies;
+}
+
 /// The CATALOG holds the generalization trees, which are public domain
 /// metadata: a label in it associates no tuple with the value.
 inline bool IsCatalog(const std::string& path) {
   return std::filesystem::path(path).filename() == "CATALOG";
 }
 
-/// Copies of `needle` in the files under `dir`, counted file by file, the
-/// CATALOG excluded.
-inline size_t CopiesUnder(const std::string& dir, const std::string& needle) {
+/// Copies of `needle` (a string, or a set of same-length strings) in the
+/// files under `dir`, counted file by file, the CATALOG excluded.
+template <typename Needle>
+size_t CopiesUnder(const std::string& dir, const Needle& needle) {
   size_t copies = 0;
   for (const auto& [path, bytes] : FilesUnder(dir)) {
     if (!IsCatalog(path)) copies += CountCopies(bytes, needle);
@@ -70,8 +91,10 @@ class FreedBlocksEnv final : public Env {
   /// `base` must outlive this env.
   explicit FreedBlocksEnv(Env* base) : base_(base) {}
 
-  /// Copies of `needle` in the freed bytes, the CATALOG's excluded.
-  size_t Copies(const std::string& needle) {
+  /// Copies of `needle` (as for CopiesUnder) in the freed bytes, the
+  /// CATALOG's excluded.
+  template <typename Needle>
+  size_t Copies(const Needle& needle) {
     std::lock_guard<std::mutex> lock(mu_);
     size_t copies = 0;
     for (const auto& [path, bytes] : freed_) {

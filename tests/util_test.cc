@@ -83,88 +83,6 @@ TEST(CodingTest, LengthPrefixedRoundTrip) {
   EXPECT_EQ(c.size(), 1000u);
 }
 
-TEST(OrderedCodingTest, Int64OrderPreserved) {
-  const std::vector<int64_t> values = {INT64_MIN, -1000000, -1, 0, 1, 42,
-                                       1000000, INT64_MAX};
-  std::vector<std::string> encoded;
-  for (int64_t v : values) {
-    std::string buf;
-    PutOrderedInt64(&buf, v);
-    encoded.push_back(buf);
-  }
-  EXPECT_TRUE(std::is_sorted(encoded.begin(), encoded.end()));
-  for (size_t i = 0; i < values.size(); ++i) {
-    Slice in = encoded[i];
-    int64_t got;
-    ASSERT_TRUE(GetOrderedInt64(&in, &got));
-    EXPECT_EQ(got, values[i]);
-  }
-}
-
-TEST(OrderedCodingTest, Int64RandomOrderProperty) {
-  Random rng(5);
-  for (int i = 0; i < 2000; ++i) {
-    const int64_t a = static_cast<int64_t>(rng.NextU64());
-    const int64_t b = static_cast<int64_t>(rng.NextU64());
-    std::string ea, eb;
-    PutOrderedInt64(&ea, a);
-    PutOrderedInt64(&eb, b);
-    EXPECT_EQ(a < b, ea < eb) << a << " vs " << b;
-  }
-}
-
-TEST(OrderedCodingTest, DoubleOrderPreserved) {
-  const std::vector<double> values = {-1e300, -42.5, -1.0, -0.0, 0.0,
-                                      1e-10, 1.0, 42.5, 1e300};
-  std::vector<std::string> encoded;
-  for (double v : values) {
-    std::string buf;
-    PutOrderedDouble(&buf, v);
-    encoded.push_back(buf);
-  }
-  for (size_t i = 1; i < encoded.size(); ++i) {
-    EXPECT_LE(encoded[i - 1], encoded[i]) << "at " << i;
-  }
-  for (size_t i = 0; i < values.size(); ++i) {
-    Slice in = encoded[i];
-    double got;
-    ASSERT_TRUE(GetOrderedDouble(&in, &got));
-    EXPECT_EQ(got, values[i]);
-  }
-}
-
-TEST(OrderedCodingTest, StringOrderAndEscaping) {
-  const std::vector<std::string> values = {
-      "", std::string(1, '\0'), std::string("\0\0", 2), "a",
-      std::string("a\0b", 3), "ab", "b"};
-  std::vector<std::string> encoded;
-  for (const auto& v : values) {
-    std::string buf;
-    PutOrderedString(&buf, v);
-    encoded.push_back(buf);
-  }
-  EXPECT_TRUE(std::is_sorted(encoded.begin(), encoded.end()));
-  for (size_t i = 0; i < values.size(); ++i) {
-    Slice in = encoded[i];
-    std::string got;
-    ASSERT_TRUE(GetOrderedString(&in, &got));
-    EXPECT_EQ(got, values[i]);
-    EXPECT_TRUE(in.empty());
-  }
-}
-
-TEST(OrderedCodingTest, StringPrefixFreeWithSuffix) {
-  // A shorter string followed by a fixed suffix must not be confused with a
-  // longer string: ("a", suffix) and ("a\x01", suffix) stay distinct.
-  std::string e1, e2;
-  PutOrderedString(&e1, "a");
-  PutOrderedInt64(&e1, 1);
-  PutOrderedString(&e2, std::string("a\x01", 2));
-  PutOrderedInt64(&e2, 1);
-  EXPECT_NE(e1, e2);
-  EXPECT_LT(e1, e2);
-}
-
 // --- crc32c -----------------------------------------------------------------
 
 TEST(Crc32cTest, KnownVectors) {
