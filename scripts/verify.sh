@@ -48,9 +48,9 @@ run_plain() {
 # query_test and cursor_test: results render after the statement from
 # retained hierarchy pointers, and σ/f_k index hierarchy arrays by stored
 # leaf ordinals. stable_predicate_test runs the stable σ on string views
-# parsed out of encoded bytes, and index_test the postings' raw row-id
-# arrays (memmove on insert, erase and compaction; release on growth and
-# shrink). The rest of the suite is single-threaded and adds only build
+# parsed out of encoded bytes, and index_test the postings' row-id arrays
+# (shifting inserts and erases, compaction, and the wiping allocator's
+# release on growth and shrink). The rest of the suite is single-threaded and adds only build
 # time.
 SANITIZE_TESTS="storage_test|catalog_test|index_test|wal_test|query_test|cursor_test|concurrency_stress_test|parallel_scan_test|pushdown_test|stable_predicate_test|partition_test|degradation_engine_test|write_batch_test|wal_stream_test|checkpoint_fuzzy_test|maintenance_test|fault_injection_test|morsel_test|service_test"
 

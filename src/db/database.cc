@@ -352,12 +352,8 @@ Database::Stats Database::stats() const {
     std::shared_lock<std::shared_mutex> ddl(ddl_mu_);
     for (const auto& [id, table] : tables_) {
       for (uint32_t p = 0; p < table->num_partitions(); ++p) {
-        const StoreMemory memory = table->partition(p)->store_memory();
-        stats.stores.entries += memory.entries;
-        stats.stores.mirror_bytes += memory.mirror_bytes;
-        const IndexMemory index = table->partition(p)->index_memory();
-        stats.index.entries += index.entries;
-        stats.index.bytes += index.bytes;
+        stats.stores += table->partition(p)->store_memory();
+        stats.index += table->partition(p)->index_memory();
       }
     }
   }

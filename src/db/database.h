@@ -285,11 +285,12 @@ class Database {
     /// State stores of every table: live entries and the heap bytes of
     /// their in-memory mirrors (row id, insert time, leaf ordinal and frame
     /// locator per entry — no Value), array capacity included.
-    StoreMemory stores;
+    MemoryUsage stores;
     /// Multi-resolution indexes of every table: postings (one per live
-    /// degradable value) and the heap bytes of their maps and row-id
-    /// arrays, array capacity included. Indexes live in memory only.
-    IndexMemory index;
+    /// degradable value) and the heap bytes their maps and row-id arrays
+    /// requested, array capacity included (malloc's overhead comes on top).
+    /// Indexes live in memory only.
+    MemoryUsage index;
   };
   Stats stats() const;
 

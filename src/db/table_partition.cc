@@ -531,24 +531,19 @@ uint64_t TablePartition::live_rows() const {
   return row_map_.size();
 }
 
-IndexMemory TablePartition::index_memory() const {
+MemoryUsage TablePartition::index_memory() const {
   std::shared_lock<std::shared_mutex> latch(latch_);
-  IndexMemory memory;
-  for (const auto& index : multires_) {
-    const IndexMemory one = index->memory();
-    memory.entries += one.entries;
-    memory.bytes += one.bytes;
-  }
+  MemoryUsage memory;
+  for (const auto& index : multires_) memory += index->memory();
   return memory;
 }
 
-StoreMemory TablePartition::store_memory() const {
+MemoryUsage TablePartition::store_memory() const {
   std::shared_lock<std::shared_mutex> latch(latch_);
-  StoreMemory memory;
+  MemoryUsage memory;
   for (const auto& per_phase : stores_) {
     for (const auto& store : per_phase) {
-      memory.entries += store->size();
-      memory.mirror_bytes += store->mirror_bytes();
+      memory += MemoryUsage{store->size(), store->mirror_bytes()};
     }
   }
   return memory;

@@ -186,9 +186,9 @@ class TablePartition {
 
   uint64_t live_rows() const;
   /// Live entries and mirror bytes of this partition's state stores.
-  StoreMemory store_memory() const;
+  MemoryUsage store_memory() const;
   /// Entries and heap bytes of this partition's multi-resolution indexes.
-  IndexMemory index_memory() const;
+  MemoryUsage index_memory() const;
 
   Status IndexLookupEqual(int column, const Value& value, int level,
                           std::vector<RowId>* out) const;

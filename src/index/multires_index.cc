@@ -4,140 +4,54 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 
 namespace instantdb {
 
 namespace {
 
-/// Smallest posting array, in row ids.
-constexpr size_t kMinCapacity = 4;
-
 std::atomic<MultiResolutionIndex::ReleaseHook> release_hook{nullptr};
-
-/// A zeroed array of `capacity` row ids behind its capacity word.
-RowId* AllocateArray(size_t capacity) {
-  RowId* block = new RowId[capacity + 1]();
-  block[0] = capacity;
-  return block;
-}
-
-/// Zeroes a posting array, shows it to the test hook and frees it.
-void ReleaseArray(RowId* block) {
-  const size_t bytes = (static_cast<size_t>(block[0]) + 1) * sizeof(RowId);
-  explicit_bzero(block, bytes);
-  if (const auto hook = release_hook.load(std::memory_order_relaxed)) {
-    hook(block, bytes);
-  }
-  delete[] block;
-}
 
 }  // namespace
 
 // --- Posting -------------------------------------------------------------------
 
-MultiResolutionIndex::Posting::~Posting() {
-  if (Inline()) {
-    explicit_bzero(&one_, sizeof(one_));
-  } else {
-    ReleaseArray(block_);
-  }
-}
-
-void MultiResolutionIndex::Posting::Reallocate(size_t capacity) {
-  const size_t live = size();
-  RowId* block = AllocateArray(capacity);
-  std::memcpy(block + 1, ids() + head_, live * sizeof(RowId));
-  ReleaseArray(block_);
-  block_ = block;
-  head_ = 0;
-  end_ = static_cast<uint32_t>(live);
-}
-
-size_t MultiResolutionIndex::Posting::MakeRoom() {
-  if (end_ < capacity()) return 0;
-  const size_t moved = head_;
-  const size_t live = size();
-  if (live * 2 <= capacity()) {
-    // Half the array is consumed prefix: slide the live ids down and zero
-    // the slots they leave.
-    std::memmove(ids(), ids() + head_, live * sizeof(RowId));
-    std::memset(ids() + live, 0, (end_ - live) * sizeof(RowId));
-    head_ = 0;
-    end_ = static_cast<uint32_t>(live);
-  } else {
-    Reallocate(capacity() + capacity() / 2);
-  }
-  return moved;
-}
-
 bool MultiResolutionIndex::Posting::Insert(RowId row) {
-  if (size() == 0) {
-    one_ = row;
-    end_ = 1;
-    return true;
-  }
-  if (Inline()) {
-    if (one_ == row) return false;
-    RowId* block = AllocateArray(kMinCapacity);
-    block[1] = std::min(one_, row);
-    block[2] = std::max(one_, row);
-    block_ = block;
-    end_ = 2;
-    return true;
-  }
   // In-order commits append; an out-of-order one lands near the tail.
-  size_t pos = end_;
-  if (row <= ids()[end_ - 1]) {
-    pos = static_cast<size_t>(
-        std::lower_bound(ids() + head_, ids() + end_, row) - ids());
-    if (ids()[pos] == row) return false;
+  if (size() == 0 || row > ids.back()) {
+    ids.push_back(row);
+    return true;
   }
-  pos -= MakeRoom();
-  RowId* slots = ids();
-  std::memmove(slots + pos + 1, slots + pos, (end_ - pos) * sizeof(RowId));
-  slots[pos] = row;
-  ++end_;
+  const auto pos = std::lower_bound(ids.begin() + head, ids.end(), row);
+  if (*pos == row) return false;
+  ids.insert(pos, row);
   return true;
 }
 
 bool MultiResolutionIndex::Posting::Erase(RowId row) {
-  if (Inline()) {
-    if (size() == 0 || one_ != row) return false;
-    one_ = 0;
-    end_ = 0;
-    return true;
+  auto pos = ids.begin() + head;
+  if (*pos != row) {  // not a FIFO pop: a user DELETE or a retry
+    pos = std::lower_bound(pos, ids.end(), row);
+    if (pos == ids.end() || *pos != row) return false;
   }
-  RowId* slots = ids();
-  size_t pos = head_;
-  if (slots[pos] != row) {  // not a FIFO pop: a user DELETE or a retry
-    pos = static_cast<size_t>(
-        std::lower_bound(slots + head_, slots + end_, row) - slots);
-    if (pos == end_ || slots[pos] != row) return false;
-  }
-  if (pos == head_) {
-    slots[head_++] = 0;
+  if (pos == ids.begin() + head) {
+    *pos = 0;
+    ++head;
   } else {
-    std::memmove(slots + pos, slots + pos + 1,
-                 (end_ - pos - 1) * sizeof(RowId));
-    slots[--end_] = 0;
+    std::move(pos + 1, ids.end(), pos);
+    // explicit_bzero, not a store: a store into an element that pop_back
+    // then destroys is dead to the compiler.
+    explicit_bzero(&ids.back(), sizeof(RowId));
+    ids.pop_back();
   }
-  if (size() == 1) {
-    const RowId last = slots[head_];
-    ReleaseArray(block_);
-    one_ = last;
-    head_ = 0;
-    end_ = 1;
-  } else if (size() * 4 <= capacity() && capacity() > kMinCapacity) {
-    Reallocate(std::max(kMinCapacity, size() * 2));
-  }
-  return true;
-}
-
-bool MultiResolutionIndex::Posting::VacatedSlotsZero() const {
-  if (Inline()) return size() == 1 || one_ == 0;
-  for (size_t i = 0; i < capacity(); ++i) {
-    if ((i < head_ || i >= end_) && ids()[i] != 0) return false;
+  if (head * 2 >= ids.size()) {
+    // Half the array is consumed prefix: slide the live ids down, zero the
+    // slots they leave, and give back capacity the FIFO has drained.
+    const size_t live = size();
+    std::move(ids.begin() + head, ids.end(), ids.begin());
+    explicit_bzero(ids.data() + live, (ids.size() - live) * sizeof(RowId));
+    ids.resize(live);
+    head = 0;
+    if (ids.capacity() > 4 * live) ids.shrink_to_fit();
   }
   return true;
 }
@@ -146,19 +60,30 @@ bool MultiResolutionIndex::Posting::VacatedSlotsZero() const {
 
 MultiResolutionIndex::MultiResolutionIndex(const ColumnDef& column)
     : column_(column),
-      postings_(column.lcp.num_phases()),
-      entries_(column.lcp.num_phases(), 0) {}
+      entries_(column.lcp.num_phases(), 0) {
+  postings_.reserve(entries_.size());
+  for (size_t p = 0; p < entries_.size(); ++p) {
+    postings_.emplace_back(PhaseMap::allocator_type(&heap_bytes_));
+  }
+}
+
+void MultiResolutionIndex::Release(void* block, size_t bytes) {
+  explicit_bzero(block, bytes);
+  if (const auto hook = release_hook.load(std::memory_order_relaxed)) {
+    hook(block, bytes);
+  }
+}
 
 void MultiResolutionIndex::SetReleaseHookForTesting(ReleaseHook hook) {
   release_hook.store(hook, std::memory_order_relaxed);
 }
 
 void MultiResolutionIndex::OnInsert(RowId row, int phase, int64_t ordinal) {
-  Posting& posting = postings_[phase][ordinal];
-  const size_t before = posting.heap_bytes();
+  PhaseMap& map = postings_[phase];
+  Posting& posting =
+      map.try_emplace(ordinal, WipingAllocator<RowId>(&heap_bytes_))
+          .first->second;
   if (posting.Insert(row)) ++entries_[phase];
-  array_bytes_ += posting.heap_bytes();
-  array_bytes_ -= before;
 }
 
 bool MultiResolutionIndex::Remove(RowId row, int phase, int64_t ordinal) {
@@ -166,11 +91,7 @@ bool MultiResolutionIndex::Remove(RowId row, int phase, int64_t ordinal) {
   const auto it = map.find(ordinal);
   if (it == map.end()) return false;
   Posting& posting = it->second;
-  const size_t before = posting.heap_bytes();
-  const bool removed = posting.Erase(row);
-  array_bytes_ += posting.heap_bytes();
-  array_bytes_ -= before;
-  if (!removed) return false;
+  if (!posting.Erase(row)) return false;
   --entries_[phase];
   if (posting.size() == 0) map.erase(it);
   return true;
@@ -200,8 +121,10 @@ Status MultiResolutionIndex::ScanInterval(
     const PhaseMap& map = postings_[p];
     for (auto it = map.lower_bound(interval.lo);
          it != map.end() && it->first <= interval.hi; ++it) {
-      for (const RowId row : it->second) {
-        if (!fn(row)) return Status::OK();
+      const Posting& posting = it->second;
+      for (auto row = posting.ids.begin() + posting.head;
+           row != posting.ids.end(); ++row) {
+        if (!fn(*row)) return Status::OK();
       }
     }
   }
@@ -227,24 +150,25 @@ Status MultiResolutionIndex::LookupRange(
   return ScanInterval(level, LeafInterval{lo_interval.lo, hi_interval.hi}, fn);
 }
 
-IndexMemory MultiResolutionIndex::memory() const {
-  // libstdc++'s red-black node: a color word and three links before the
-  // key and the inline posting.
-  constexpr size_t kNodeBytes =
-      4 * sizeof(void*) + sizeof(PhaseMap::value_type);
-  IndexMemory memory;
-  memory.bytes = array_bytes_;
-  for (int p = 0; p < num_phases(); ++p) {
-    memory.entries += entries_[p];
-    memory.bytes += postings_[p].size() * kNodeBytes;
-  }
+MemoryUsage MultiResolutionIndex::memory() const {
+  MemoryUsage memory;
+  memory.bytes = heap_bytes_;
+  for (const uint64_t entries : entries_) memory.entries += entries;
   return memory;
 }
 
 bool MultiResolutionIndex::VacatedSlotsZeroForTesting() const {
   for (const PhaseMap& map : postings_) {
     for (const auto& [key, posting] : map) {
-      if (!posting.VacatedSlotsZero()) return false;
+      // The spare capacity past size() holds no elements, so the array is
+      // read as the raw bytes the allocator handed out.
+      const auto* bytes =
+          reinterpret_cast<const unsigned char*>(posting.ids.data());
+      const size_t live_begin = posting.head * sizeof(RowId);
+      const size_t live_end = posting.ids.size() * sizeof(RowId);
+      for (size_t i = 0; i < posting.ids.capacity() * sizeof(RowId); ++i) {
+        if ((i < live_begin || i >= live_end) && bytes[i] != 0) return false;
+      }
     }
   }
   return true;

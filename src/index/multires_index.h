@@ -3,20 +3,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "catalog/schema.h"
 #include "storage/page.h"
 
 namespace instantdb {
-
-/// Entries and heap bytes of some multi-resolution indexes, summed.
-struct IndexMemory {
-  uint64_t entries = 0;
-  uint64_t bytes = 0;
-};
 
 /// \brief Degradation-aware index for one degradable attribute (paper §III,
 /// "indexing techniques supporting efficiently degradation"): per LCP phase,
@@ -39,13 +35,12 @@ struct IndexMemory {
 ///    middle. A posting that empties leaves its map.
 ///  - The index is derived data, rebuilt from the state stores at every
 ///    open, and it never touches disk. What it holds tracks the live data:
-///    a posting of one row lives inline in its map node, larger ones in one
-///    contiguous array with a consumed-prefix head, compacted or shrunk as
-///    the FIFO drains.
+///    a posting is one contiguous array of row ids with a consumed-prefix
+///    head, compacted once half of it is consumed.
 ///  - A posting binds a row id to a node, which is the degraded datum
 ///    itself, so it wipes what it drops: a vacated slot is zeroed at once,
-///    and an array is zeroed with explicit_bzero before it is freed or left
-///    behind by growth.
+///    and every heap block of the index (array or map node) is zeroed with
+///    explicit_bzero before it is freed, growth included.
 ///
 /// Hooks take the row's leaf ordinal at the phase's level, the ordinal its
 /// state store holds (StoreEntryView::ordinal). Inserts of a present row
@@ -56,6 +51,8 @@ class MultiResolutionIndex {
  public:
   /// `column` must be degradable and outlive the index.
   explicit MultiResolutionIndex(const ColumnDef& column);
+  MultiResolutionIndex(const MultiResolutionIndex&) = delete;
+  MultiResolutionIndex& operator=(const MultiResolutionIndex&) = delete;
 
   /// Adds `row` at node `ordinal` of `phase`.
   void OnInsert(RowId row, int phase, int64_t ordinal);
@@ -83,63 +80,73 @@ class MultiResolutionIndex {
   uint64_t EntriesInPhase(int phase) const { return entries_[phase]; }
   int num_phases() const { return static_cast<int>(postings_.size()); }
 
-  /// Entries of every phase, and the heap bytes the index holds: map nodes
-  /// and posting arrays, capacity and consumed prefixes included.
-  IndexMemory memory() const;
+  /// Entries of every phase, and the heap bytes the index requested: map
+  /// nodes and posting arrays, capacity and consumed prefixes included
+  /// (malloc's own rounding and chunk headers come on top).
+  MemoryUsage memory() const;
 
-  /// Testing: true when every array slot outside a posting's live range is
-  /// zero.
+  /// Testing: true when every array slot outside a posting's live range
+  /// (consumed prefix and spare capacity) is zero.
   bool VacatedSlotsZeroForTesting() const;
-  /// Testing: `hook` sees every posting array just before it is freed (null
-  /// turns it off).
+  /// Testing: `hook` sees every heap block of an index just before it is
+  /// freed (null turns it off).
   using ReleaseHook = void (*)(const void* region, size_t bytes);
   static void SetReleaseHookForTesting(ReleaseHook hook);
 
  private:
-  /// Row ids of one node, ascending. While it holds at most one id the
-  /// posting is inline (`one_`, head_ == 0); from two ids on they sit at
-  /// [head_, end_) of `block_ + 1`, and block_[0] is the array capacity.
-  class Posting {
+  /// Allocator of the index's map nodes and posting arrays: hands out
+  /// zeroed blocks and adds them to the index's byte count, and wipes
+  /// (Release) what it takes back.
+  template <typename T>
+  class WipingAllocator {
    public:
-    Posting() : one_(0) {}
-    ~Posting();
-    Posting(const Posting&) = delete;
-    Posting& operator=(const Posting&) = delete;
+    using value_type = T;
+    explicit WipingAllocator(uint64_t* bytes) : bytes_(bytes) {}
+    template <typename U>
+    WipingAllocator(const WipingAllocator<U>& other) : bytes_(other.bytes_) {}
 
-    size_t size() const { return end_ - head_; }
-    const RowId* begin() const { return Inline() ? &one_ : ids() + head_; }
-    const RowId* end() const { return begin() + size(); }
-    /// Bytes of the array, or 0 when inline.
-    size_t heap_bytes() const {
-      return Inline() ? 0 : (capacity() + 1) * sizeof(RowId);
+    T* allocate(size_t n) {
+      *bytes_ += n * sizeof(T);
+      T* block = std::allocator<T>().allocate(n);
+      std::memset(static_cast<void*>(block), 0, n * sizeof(T));
+      return block;
     }
+    void deallocate(T* block, size_t n) {
+      *bytes_ -= n * sizeof(T);
+      Release(block, n * sizeof(T));
+      std::allocator<T>().deallocate(block, n);
+    }
+    bool operator==(const WipingAllocator& other) const {
+      return bytes_ == other.bytes_;
+    }
+
+   private:
+    template <typename U>
+    friend class WipingAllocator;
+    uint64_t* bytes_;
+  };
+
+  /// Row ids of one node, ascending, at [head, ids.size()); the consumed
+  /// prefix [0, head) and the spare capacity are zero.
+  struct Posting {
+    explicit Posting(const WipingAllocator<RowId>& allocator)
+        : ids(allocator) {}
+    size_t size() const { return ids.size() - head; }
     /// Inserts `row` in order; false when it is already present.
     bool Insert(RowId row);
     /// Removes `row`; false when it is absent.
     bool Erase(RowId row);
-    bool VacatedSlotsZero() const;
 
-   private:
-    bool Inline() const { return size() <= 1; }
-    RowId* ids() const { return block_ + 1; }
-    size_t capacity() const { return static_cast<size_t>(block_[0]); }
-    /// Moves the live ids to the front of a fresh array of `capacity`
-    /// slots and releases the old one.
-    void Reallocate(size_t capacity);
-    /// Makes room for one more id at the tail; returns how far the live
-    /// ids moved down.
-    size_t MakeRoom();
-
-    union {
-      RowId one_;
-      RowId* block_;
-    };
-    uint32_t head_ = 0;
-    uint32_t end_ = 0;
+    std::vector<RowId, WipingAllocator<RowId>> ids;
+    size_t head = 0;
   };
-  static_assert(sizeof(Posting) == 2 * sizeof(RowId),
-                "a posting of one row lives inline in its map node");
-  using PhaseMap = std::map<int64_t, Posting>;
+  using PhaseMap =
+      std::map<int64_t, Posting, std::less<int64_t>,
+               WipingAllocator<std::pair<const int64_t, Posting>>>;
+
+  /// Zeroes a heap block the index hands back and shows it to the test
+  /// hook.
+  static void Release(void* block, size_t bytes);
 
   Status ScanInterval(int max_level, const LeafInterval& interval,
                       const std::function<bool(RowId)>& fn) const;
@@ -147,10 +154,11 @@ class MultiResolutionIndex {
   bool Remove(RowId row, int phase, int64_t ordinal);
 
   const ColumnDef& column_;
+  /// Heap bytes the maps and postings requested, net of what they freed;
+  /// every allocator points here, so the index neither copies nor moves.
+  uint64_t heap_bytes_ = 0;
   std::vector<PhaseMap> postings_;  // one per phase
   std::vector<uint64_t> entries_;   // rows per phase
-  /// Bytes of every posting array (map nodes are counted from the maps).
-  uint64_t array_bytes_ = 0;
 };
 
 }  // namespace instantdb

@@ -30,6 +30,19 @@ struct Rid {
   }
 };
 
+/// Live entries of some in-memory structures (state-store mirrors,
+/// multi-resolution indexes) and the heap bytes they hold, summed.
+struct MemoryUsage {
+  uint64_t entries = 0;
+  uint64_t bytes = 0;
+
+  MemoryUsage& operator+=(const MemoryUsage& other) {
+    entries += other.entries;
+    bytes += other.bytes;
+    return *this;
+  }
+};
+
 }  // namespace instantdb
 
 #endif  // INSTANTDB_STORAGE_PAGE_H_

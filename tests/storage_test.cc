@@ -1336,10 +1336,10 @@ TEST_F(StorageTest, StoreMirrorCostsAtMostFortyBytesPerEntry) {
     }
     ASSERT_TRUE((*db)->Write(&batch).ok());
   }
-  const StoreMemory stores = (*db)->stats().stores;
+  const MemoryUsage stores = (*db)->stats().stores;
   EXPECT_EQ(stores.entries, static_cast<uint64_t>(kRows));
-  EXPECT_GE(stores.mirror_bytes, StateStore::kMirrorBytesPerEntry * kRows);
-  EXPECT_LE(static_cast<double>(stores.mirror_bytes) /
+  EXPECT_GE(stores.bytes, StateStore::kMirrorBytesPerEntry * kRows);
+  EXPECT_LE(static_cast<double>(stores.bytes) /
                 static_cast<double>(stores.entries),
             40.0);
 }
