@@ -44,7 +44,8 @@ run_plain() {
 # unwind paths where use-after-free and lock bugs hide — plus storage_test
 # and catalog_test, whose galloping store search and pointer-walking heap
 # record parser do raw iterator and buffer arithmetic, wal_test, whose
-# legacy-layout conversion parses manifest and segment bytes from disk, and
+# reopen parses torn segment tails and the manifest from disk, database_test,
+# whose FORMAT gate parses stamps and crash images from disk, and
 # query_test and cursor_test: results render after the statement from
 # retained hierarchy pointers, and σ/f_k index hierarchy arrays by stored
 # leaf ordinals. stable_predicate_test runs the stable σ on string views
@@ -52,7 +53,7 @@ run_plain() {
 # (shifting inserts and erases, compaction, and the wiping allocator's
 # release on growth and shrink). The rest of the suite is single-threaded and adds only build
 # time.
-SANITIZE_TESTS="storage_test|catalog_test|index_test|wal_test|query_test|cursor_test|concurrency_stress_test|parallel_scan_test|pushdown_test|stable_predicate_test|partition_test|degradation_engine_test|write_batch_test|wal_stream_test|checkpoint_fuzzy_test|maintenance_test|fault_injection_test|morsel_test|service_test"
+SANITIZE_TESTS="storage_test|catalog_test|index_test|wal_test|database_test|query_test|cursor_test|concurrency_stress_test|parallel_scan_test|pushdown_test|stable_predicate_test|partition_test|degradation_engine_test|write_batch_test|wal_stream_test|checkpoint_fuzzy_test|maintenance_test|fault_injection_test|morsel_test|service_test"
 
 run_sanitized() {
   local kind="$1"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
 #include <set>
 #include <shared_mutex>
 
@@ -49,9 +50,42 @@ TableRuntime Database::MakeRuntime() const {
   return runtime;
 }
 
+Status Database::CheckFormat() {
+  const std::string& dir = options_.path;
+  const std::string format_path = dir + "/FORMAT";
+  std::vector<std::string> names;
+  if (env_->FileExists(dir)) {
+    IDB_ASSIGN_OR_RETURN(names, env_->ListDir(dir));
+  }
+  if (!names.empty()) {
+    const bool stamped = env_->FileExists(format_path);
+    std::string text;
+    if (stamped) {
+      IDB_ASSIGN_OR_RETURN(text, env_->ReadFileToString(format_path));
+    }
+    const bool parsed = !text.empty() && text.find_first_not_of(
+                                             "0123456789") == std::string::npos;
+    const unsigned long long version =
+        parsed ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+    if (parsed && version == kFormatVersion) return Status::OK();
+    // A FORMAT alone that does not parse is a crash during creation.
+    if (parsed || names.size() != 1 || !stamped) {
+      const std::string found =
+          parsed ? "format " + std::to_string(version)
+                 : stamped ? "an unreadable FORMAT stamp" : "no FORMAT stamp";
+      return Status::NotSupported(StringPrintf(
+          "%s has %s; this build reads only format %u and converts nothing",
+          dir.c_str(), found.c_str(), kFormatVersion));
+    }
+  }
+  IDB_RETURN_IF_ERROR(env_->CreateDirs(dir));
+  return env_->WriteStringToFile(format_path, std::to_string(kFormatVersion),
+                                 /*sync=*/true);
+}
+
 Status Database::OpenImpl() {
   env_ = options_.env != nullptr ? options_.env : Env::Default();
-  IDB_RETURN_IF_ERROR(env_->CreateDirs(options_.path));
+  IDB_RETURN_IF_ERROR(CheckFormat());
   IDB_RETURN_IF_ERROR(env_->CreateDirs(options_.path + "/tables"));
 
   if (options_.clock != nullptr) {

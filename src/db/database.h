@@ -24,6 +24,13 @@
 
 namespace instantdb {
 
+/// Version of the on-disk layout, stamped as one decimal integer in
+/// `<path>/FORMAT` when a database is created. Open refuses any other
+/// version, and any non-empty directory without the stamp, with
+/// NotSupported and touches nothing. A layout change bumps this number and
+/// ships no converter.
+inline constexpr uint32_t kFormatVersion = 1;
+
 /// Top-level configuration of an InstantDB instance.
 struct DbOptions {
   std::string path;
@@ -35,11 +42,10 @@ struct DbOptions {
   /// object always exists (pumped tests drive it via RunOnce); the
   /// scheduler thread starts only when `maintenance.enabled`.
   MaintenanceOptions maintenance;
-  /// Hash-partitions of the row-id space per table. 1 (the default) keeps
-  /// the unpartitioned on-disk layout; higher values let scans, batched
-  /// ingest and the degradation worker pool scale across cores. The count
-  /// is persisted per table at creation — reopening with a different value
-  /// keeps the on-disk count.
+  /// Hash-partitions of the row-id space per table (1 by default); higher
+  /// values let scans, batched ingest and the degradation worker pool scale
+  /// across cores. The count is persisted per table at creation — reopening
+  /// with a different value keeps the on-disk count.
   uint32_t partitions = 1;
   /// External clock (a VirtualClock for tests/benchmarks). When null the
   /// database owns a SystemClock.
@@ -72,6 +78,9 @@ struct DbOptions {
 /// `Session` in query/session.h.
 class Database {
  public:
+  /// Opens (creating when missing or empty) the database at
+  /// `options.path`; a directory of another format is NotSupported (see
+  /// kFormatVersion).
   static Result<std::unique_ptr<Database>> Open(const DbOptions& options);
   ~Database();
   Database(const Database&) = delete;
@@ -209,7 +218,7 @@ class Database {
   /// I/O-layer health (snapshot in Stats::io): physical-operation counters
   /// from the instance's Env plus the consumers' retry/error bookkeeping.
   /// Invariant (asserted by the fault-injection tests): sync_failures > 0 ⇒
-  /// wal.poisoned_streams > 0 OR retries > 0 — a failed sync is never
+  /// wal.poisoned > 0 OR retries > 0 — a failed sync is never
   /// silently retried-and-forgotten (fsyncgate).
   struct IoStats {
     /// File write operations issued (appends + positional writes).
@@ -360,6 +369,10 @@ class Database {
   explicit Database(DbOptions options) : options_(std::move(options)) {}
 
   Status OpenImpl();
+  /// The FORMAT gate, run before anything is created: stamps a missing or
+  /// empty directory (or one whose only entry is a FORMAT torn during
+  /// creation), passes the current version, and refuses the rest.
+  Status CheckFormat();
   Status Recover();
   /// First sticky I/O error any background loop recorded (maintenance
   /// cadence first, then degrader); OK when healthy. Close() returns it and

@@ -17,13 +17,6 @@ Table::Table(const TableDef* def, std::string dir, const TableRuntime& runtime)
 
 Table::~Table() = default;
 
-std::string Table::PartitionDir(uint32_t index) const {
-  // A single partition keeps the unpartitioned on-disk layout (files
-  // directly under the table directory).
-  if (runtime_.partitions <= 1) return dir_;
-  return dir_ + StringPrintf("/p%u", index);
-}
-
 Status Table::Open() {
   if (runtime_.partitions == 0 || runtime_.partitions > kMaxPartitions) {
     return Status::InvalidArgument("bad partition count");
@@ -45,16 +38,13 @@ Status Table::Open() {
     }
     runtime_.partitions = static_cast<uint32_t>(persisted);
   } else {
-    // No PARTITIONS file: either a fresh table, or one from before
-    // partitioning existed. Pin a pre-existing layout rather than trusting
-    // DbOptions — re-routing would orphan every stored row.
-    if (runtime_.env->FileExists(dir_ + "/heap.db")) {
-      runtime_.partitions = 1;  // legacy unpartitioned layout
-    } else if (runtime_.env->FileExists(dir_ + "/p0")) {
-      // PARTITIONS file lost but partition dirs present: recover the count
-      // only if the dirs are unambiguous (contiguous p0..pN-1, N >= 2).
-      // Guessing across a gap — a partially restored table — would pin a
-      // wrong count and silently mis-route rows forever.
+    // No PARTITIONS file: a fresh table, or one whose file was lost.
+    if (runtime_.env->FileExists(dir_ + "/p0")) {
+      // Partition dirs present: recover the count only if the dirs are
+      // unambiguous (contiguous p0..pN-1). Guessing across a gap — a
+      // partially restored table — would pin a wrong count and silently
+      // mis-route rows forever; trusting DbOptions would orphan every
+      // stored row.
       IDB_ASSIGN_OR_RETURN(auto names, runtime_.env->ListDir(dir_));
       uint32_t max_index = 0;
       uint32_t count = 0;
@@ -66,7 +56,7 @@ Status Table::Open() {
         ++count;
         max_index = std::max(max_index, static_cast<uint32_t>(index));
       }
-      if (count != max_index + 1 || count < 2 || count > kMaxPartitions) {
+      if (count != max_index + 1 || count > kMaxPartitions) {
         return Status::Corruption(
             "PARTITIONS file missing and partition directories are "
             "ambiguous for table " + def_->name);
@@ -80,8 +70,8 @@ Status Table::Open() {
 
   partitions_.clear();
   for (uint32_t i = 0; i < runtime_.partitions; ++i) {
-    auto partition = std::make_unique<TablePartition>(def_, PartitionDir(i),
-                                                      runtime_, i);
+    auto partition = std::make_unique<TablePartition>(
+        def_, dir_ + StringPrintf("/p%u", i), runtime_, i);
     IDB_RETURN_IF_ERROR(partition->Open());
     partitions_.push_back(std::move(partition));
   }

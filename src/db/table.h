@@ -68,12 +68,11 @@ class PartitionCursor {
 /// `TablePartition`; the table routes each row id to its owning partition
 /// with the deterministic hash `row_id % N`.
 /// Recovery reuses the same hash — WAL records carry row ids, so redo needs
-/// no partition-aware record types. With `TableRuntime::partitions == 1`
-/// (the default) the single partition stores its files directly under the
-/// table directory, preserving the unpartitioned on-disk layout; with N > 1
-/// partition k lives under `<table-dir>/p<k>`. The partition count is
+/// no partition-aware record types. Partition k lives under
+/// `<table-dir>/p<k>`, a single partition included. The partition count is
 /// persisted in `<table-dir>/PARTITIONS` so a reopen with a different
-/// DbOptions::partitions cannot mis-route recovered rows.
+/// DbOptions::partitions cannot mis-route recovered rows; a lost file is
+/// recovered from contiguous `p<k>` directories.
 ///
 /// Partitioning is what lets throughput scale with cores: scans take one
 /// partition latch at a time (writers and the degrader on other partitions
@@ -226,7 +225,6 @@ class Table {
   Histogram lateness_histogram() const;
 
  private:
-  std::string PartitionDir(uint32_t index) const;
   std::string PartitionCountPath() const { return dir_ + "/PARTITIONS"; }
   TablePartition* Route(RowId row_id) const {
     return partitions_[PartitionOf(row_id)].get();

@@ -31,16 +31,6 @@ const StateStore* TablePartition::store(int column, int phase) const {
 
 Status TablePartition::Open() {
   IDB_RETURN_IF_ERROR(runtime_.env->CreateDirs(dir_));
-  // Indexes live in memory only. A directory an older build wrote still
-  // holds its paged index, keys of degraded rows included: zero-overwrite
-  // and sync it before the unlink, so its blocks keep nothing.
-  const std::string legacy_index = dir_ + "/index.db";
-  if (runtime_.env->FileExists(legacy_index)) {
-    IDB_ASSIGN_OR_RETURN(const uint64_t size,
-                         runtime_.env->GetFileSize(legacy_index));
-    IDB_RETURN_IF_ERROR(runtime_.env->OverwriteRange(legacy_index, 0, size));
-    IDB_RETURN_IF_ERROR(runtime_.env->RemoveFile(legacy_index));
-  }
   IDB_ASSIGN_OR_RETURN(
       heap_disk_, DiskManager::Open(HeapPath(), runtime_.storage.page_size,
                                     runtime_.env));
@@ -49,9 +39,8 @@ Status TablePartition::Open() {
   heap_ = std::make_unique<HeapFile>(heap_pool_.get());
   IDB_RETURN_IF_ERROR(heap_->Open());
 
-  // Rebuild the row-id map from the heap. A record carrying inline
-  // degradable images (an older build's in-place layout) fails the decode
-  // with Corruption, so such a directory is refused here.
+  // Rebuild the row-id map from the heap. A record the codec's framing
+  // checks refuse fails the open with Corruption.
   row_map_.clear();
   RowId max_row = 0;
   bool corrupt = false;

@@ -30,8 +30,8 @@ namespace instantdb {
 /// table layer needs).
 struct TableRuntime {
   StorageOptions storage;
-  /// Number of hash-partitions of the row-id space per table. 1 keeps the
-  /// single-partition layout (and on-disk paths) of unpartitioned tables.
+  /// Number of hash-partitions of the row-id space per table; partition k
+  /// lives under `<table-dir>/p<k>`.
   uint32_t partitions = 1;
   KeyManager* keys = nullptr;
   WalManager* wal = nullptr;

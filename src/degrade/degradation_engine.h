@@ -18,7 +18,7 @@
 
 namespace instantdb {
 
-/// \brief The sharded degrader: tracks the earliest pending transition
+/// \brief The partition-parallel degrader: tracks the earliest pending transition
 /// deadline across every partition of every table and fires degradation
 /// steps as system transactions — the component that makes degradation
 /// *timely* (paper §III).

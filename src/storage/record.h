@@ -36,9 +36,9 @@ void EncodeHeapTuple(const HeapTuple& tuple, std::string* dst);
 /// FieldView borrowing from `input`, handed to `on_field(ordinal, view)`.
 /// Allocation-free. Every framing check of the codec runs — the header
 /// varints, each type tag, each string length and no trailing bytes — so
-/// false means the record is corrupt, whatever the caller keeps. That is
-/// also how a record carrying inline degradable images, as an older build
-/// wrote them, is refused.
+/// false means the record is corrupt, whatever the caller keeps: a record
+/// with bytes past its last stable value (inline degradable images, say) is
+/// refused.
 template <typename OnField>
 inline bool WalkHeapRecord(Slice input, size_t stable_count, RowId* row_id,
                            Micros* insert_time, OnField&& on_field) {

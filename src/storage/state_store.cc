@@ -17,15 +17,17 @@ namespace {
 /// frame whose payload bytes have been zeroed in place.
 constexpr uint32_t kTombstoneBit = 0x80000000u;
 
-/// Magic header opening a v2 segment file. v2 frames are
+/// Magic header opening every segment file. Frames are
 /// `[u32 len|tombstone][u32 masked crc32c of the on-disk payload][payload]`,
 /// so a short write anywhere in the frame is detected as a torn tail instead
-/// of decoding garbage. Headerless files are legacy v1 (`[u32 len][payload]`)
-/// and load without CRC checks.
+/// of decoding garbage.
 constexpr char kSegmentMagic[8] = {'I', 'D', 'B', 'S', 'S', 'G', '2', '\n'};
 
-/// First varint of a v2 META. v1 (legacy) metas start with a segment seqno,
-/// which is always far below this.
+/// Frame header bytes: the length field and the CRC.
+constexpr uint64_t kFrameHeader = 8;
+
+/// First varint of every META: the magic that tells a META from any other
+/// bytes.
 constexpr uint64_t kMetaV2Tag = UINT64_MAX;
 
 /// A segment seals once it reaches this size whatever `segment_bytes` says,
@@ -118,39 +120,30 @@ Status StateStore::Open() {
   last_appended_row_id_ = kInvalidRowId;
   pop_watermark_ = 0;
 
-  // Checkpoint meta (optional). v2: pop watermark + survivor ids (live
-  // entries at or below the watermark — late out-of-order appends that were
-  // never popped) + seqno allocation. v1 (written before partitioning):
-  // positional head-frame count — still valid for those files, whose frames
-  // are strictly monotone.
+  // Checkpoint meta (optional): magic, pop watermark, seqno allocation and
+  // survivor ids (live entries at or below the watermark — late
+  // out-of-order appends that were never popped).
   uint64_t meta_next_seqno = 0;
-  MetaState meta_state;
+  std::unordered_set<RowId> survivors;
   if (env_->FileExists(MetaPath())) {
     IDB_ASSIGN_OR_RETURN(std::string meta, env_->ReadFileToString(MetaPath()));
     Slice in = meta;
-    uint64_t first = 0;
-    bool valid = GetVarint64(&in, &first);
-    if (valid && first == kMetaV2Tag) {
-      uint64_t watermark = 0;
-      uint64_t survivor_count = 0;
-      valid = GetVarint64(&in, &watermark) &&
-              GetVarint64(&in, &meta_next_seqno) &&
-              GetVarint64(&in, &survivor_count);
-      for (uint64_t i = 0; valid && i < survivor_count; ++i) {
-        uint64_t id = 0;
-        valid = GetVarint64(&in, &id);
-        if (valid) meta_state.survivors.insert(id);
-      }
-      if (valid) pop_watermark_ = watermark;
-    } else if (valid) {
-      meta_state.legacy = true;
-      meta_state.legacy_head_seqno = first;
-      valid = GetVarint64(&in, &meta_state.legacy_head_popped) &&
-              GetVarint64(&in, &meta_next_seqno);
+    uint64_t tag = 0;
+    uint64_t watermark = 0;
+    uint64_t survivor_count = 0;
+    bool valid = GetVarint64(&in, &tag) && tag == kMetaV2Tag &&
+                 GetVarint64(&in, &watermark) &&
+                 GetVarint64(&in, &meta_next_seqno) &&
+                 GetVarint64(&in, &survivor_count);
+    for (uint64_t i = 0; valid && i < survivor_count; ++i) {
+      uint64_t id = 0;
+      valid = GetVarint64(&in, &id);
+      if (valid) survivors.insert(id);
     }
     if (!valid || !in.empty()) {
       return Status::Corruption("bad state-store meta: " + MetaPath());
     }
+    pop_watermark_ = watermark;
   }
 
   IDB_ASSIGN_OR_RETURN(auto names, env_->ListDir(dir_));
@@ -166,7 +159,7 @@ Status StateStore::Open() {
   for (uint64_t seqno : seqnos) {
     Segment segment;
     segment.seqno = seqno;
-    IDB_RETURN_IF_ERROR(LoadSegment(&segment, &meta_state, &live));
+    IDB_RETURN_IF_ERROR(LoadSegment(&segment, survivors, &live));
     if (segment.popped + segment.deleted >= segment.entries) {
       // Fully drained (or unreadable) segment that survived a crash between
       // erase and unlink: finish the job.
@@ -209,83 +202,61 @@ Status StateStore::Open() {
   return Status::OK();
 }
 
-Status StateStore::LoadSegment(Segment* segment, MetaState* meta,
+Status StateStore::LoadSegment(Segment* segment,
+                               const std::unordered_set<RowId>& survivors,
                                std::vector<MirrorRow>* live) {
   const std::string path = SegmentPath(segment->seqno);
   IDB_ASSIGN_OR_RETURN(std::string raw, env_->ReadFileToString(path));
 
+  // A segment left with no entries is erased by the caller.
   ChaCha20::Key key{};
-  bool have_key = true;
   if (options_.erase_mode == EraseMode::kCryptoErase) {
     auto k = keys_->Get(KeyId(segment->seqno));
-    if (!k.ok()) {
-      // Key destroyed but file not yet unlinked: the data is already dead.
-      have_key = false;
-    } else {
-      key = *k;
-    }
+    // Key destroyed but file not yet unlinked: the data is already dead.
+    if (!k.ok()) return Status::OK();
+    key = *k;
   }
-  if (!have_key) {
-    segment->entries = 0;
-    segment->popped = 0;
+  // Shorter than the magic: a crash before the first tail flush. Zeros
+  // where the magic was: a crash between EraseSegment's scrub and its
+  // unlink. Either way the segment holds nothing.
+  if (raw.size() < sizeof(kSegmentMagic) ||
+      std::all_of(raw.begin(), raw.begin() + sizeof(kSegmentMagic),
+                  [](char c) { return c == '\0'; })) {
     segment->bytes = raw.size();
     return Status::OK();
   }
-
-  segment->has_crc =
-      raw.size() >= sizeof(kSegmentMagic) &&
-      std::memcmp(raw.data(), kSegmentMagic, sizeof(kSegmentMagic)) == 0;
-  // v2 frames carry a masked CRC of the on-disk payload between the length
-  // field and the payload; the frame header is 8 bytes instead of 4.
-  const uint64_t hdr = segment->has_crc ? 8 : 4;
-  uint64_t off = segment->has_crc ? sizeof(kSegmentMagic) : 0;
-  while (off + hdr <= raw.size()) {
+  if (std::memcmp(raw.data(), kSegmentMagic, sizeof(kSegmentMagic)) != 0) {
+    return Status::Corruption(path + ": not a state-store segment");
+  }
+  uint64_t off = sizeof(kSegmentMagic);
+  while (off + kFrameHeader <= raw.size()) {
     const uint32_t raw_len = DecodeFixed32(raw.data() + off);
     const bool tombstone = (raw_len & kTombstoneBit) != 0;
     const uint32_t len = raw_len & ~kTombstoneBit;
-    if (len == 0 || off + hdr + len > raw.size()) break;  // torn/zeroed tail
+    if (len == 0 || off + kFrameHeader + len > raw.size()) {
+      break;  // torn/zeroed tail
+    }
     if (tombstone) {
       ++segment->entries;
       ++segment->deleted;
-      off += hdr + len;
+      off += kFrameHeader + len;
       continue;
     }
-    if (segment->has_crc) {
-      const uint32_t stored = DecodeFixed32(raw.data() + off + 4);
-      if (crc32c::Unmask(stored) !=
-          crc32c::Value(raw.data() + off + hdr, len)) {
-        break;  // torn (short-written) tail frame
-      }
+    const uint32_t stored = DecodeFixed32(raw.data() + off + 4);
+    if (crc32c::Unmask(stored) !=
+        crc32c::Value(raw.data() + off + kFrameHeader, len)) {
+      break;  // torn (short-written) tail frame
     }
-    std::string payload(raw.data() + off + hdr, len);
+    std::string payload(raw.data() + off + kFrameHeader, len);
     if (options_.erase_mode == EraseMode::kCryptoErase) {
-      ChaCha20::XorStreamAt(key, NonceForSequence(segment->seqno), off + hdr,
-                            payload.data(), payload.size());
+      ChaCha20::XorStreamAt(key, NonceForSequence(segment->seqno),
+                            off + kFrameHeader, payload.data(),
+                            payload.size());
     }
     StoreEntry entry;
     if (!DecodeEntryPayload(payload, &entry)) break;  // torn tail
     ++segment->entries;
-    bool popped_entry;
-    if (meta->legacy) {
-      // Positional skip: legacy files have monotone frames, so the head
-      // segment's first N frames are exactly the popped prefix.
-      if (segment->seqno < meta->legacy_head_seqno) {
-        popped_entry = true;
-      } else if (segment->seqno == meta->legacy_head_seqno &&
-                 meta->legacy_head_popped > 0) {
-        popped_entry = true;
-        --meta->legacy_head_popped;
-      } else {
-        popped_entry = false;
-      }
-      if (popped_entry) {
-        pop_watermark_ = std::max(pop_watermark_, entry.row_id);
-      }
-    } else {
-      popped_entry = entry.row_id <= pop_watermark_ &&
-                     meta->survivors.count(entry.row_id) == 0;
-    }
-    if (popped_entry) {
+    if (entry.row_id <= pop_watermark_ && survivors.count(entry.row_id) == 0) {
       ++segment->popped;  // degraded out of this store before the checkpoint
     } else {
       // The mirror keeps the value only as its leaf ordinal, so a frame
@@ -303,7 +274,7 @@ Status StateStore::LoadSegment(Segment* segment, MetaState* meta,
           FrameLocator{static_cast<uint32_t>(segment->seqno),
                        static_cast<uint32_t>(off), len}});
     }
-    off += hdr + len;
+    off += kFrameHeader + len;
   }
   segment->bytes = off;
   if (off < raw.size()) {
@@ -321,9 +292,8 @@ Status StateStore::OpenTailWriter() {
   }
   IDB_ASSIGN_OR_RETURN(tail_writer_,
                        env_->NewWritableFile(SegmentPath(segment.seqno)));
-  // New segments are v2: magic header, then CRC-framed entries. The header
-  // rides the buffered tail like any frame bytes.
-  segment.has_crc = true;
+  // Magic header, then CRC-framed entries. The header rides the buffered
+  // tail like any frame bytes.
   segment.bytes = sizeof(kSegmentMagic);
   tail_pending_.append(kSegmentMagic, sizeof(kSegmentMagic));
   segments_.push_back(segment);
@@ -440,9 +410,10 @@ Status StateStore::Append(const StoreEntry& entry) {
   if (options_.erase_mode == EraseMode::kCryptoErase) {
     IDB_ASSIGN_OR_RETURN(ChaCha20::Key key,
                          keys_->GetOrCreate(KeyId(tail.seqno)));
-    // Stream offset = the payload's file offset (after the 8-byte v2 frame
-    // header), keeping (key, nonce, offset) unique per on-disk byte.
-    ChaCha20::XorStreamAt(key, NonceForSequence(tail.seqno), tail.bytes + 8,
+    // Stream offset = the payload's file offset (after the frame header),
+    // keeping (key, nonce, offset) unique per on-disk byte.
+    ChaCha20::XorStreamAt(key, NonceForSequence(tail.seqno),
+                          tail.bytes + kFrameHeader,
                           payload.data(), payload.size());
   }
   std::string frame;
@@ -543,15 +514,14 @@ Status StateStore::SecureDeleteEntry(RowId row_id) {
   // flush would resurrect the payload after this pass zeroed its range.
   IDB_RETURN_IF_ERROR(FlushTail());
   Segment* segment = FindSegment(frame.segment);
-  const uint64_t hdr = (segment == nullptr || segment->has_crc) ? 8 : 4;
   if (segment != nullptr && env_->FileExists(SegmentPath(segment->seqno))) {
     IDB_ASSIGN_OR_RETURN(auto file,
                          env_->NewRandomRWFile(SegmentPath(segment->seqno)));
     std::string len_field;
     PutFixed32(&len_field, frame.len | kTombstoneBit);
     IDB_RETURN_IF_ERROR(file->Write(frame.offset, len_field));
-    // Zero the CRC word (v2) along with the payload bytes.
-    const std::string zeros(hdr - 4 + frame.len, '\0');
+    // Zero the CRC word along with the payload bytes.
+    const std::string zeros(kFrameHeader - 4 + frame.len, '\0');
     IDB_RETURN_IF_ERROR(file->Write(uint64_t{frame.offset} + 4, zeros));
     IDB_RETURN_IF_ERROR(file->Sync());
   }

@@ -199,9 +199,6 @@ class StateStore {
     uint32_t deleted = 0;   // frames tombstoned by SecureDeleteEntry
     uint64_t bytes = 0;
     bool sealed = false;    // no further appends
-    /// v2 segments (magic header) carry a per-frame CRC32C; legacy segments
-    /// are headerless and CRC-less but stay readable.
-    bool has_crc = false;
   };
 
   /// Where a live entry's frame is: the owning segment's seqno (its low 32
@@ -226,17 +223,6 @@ class StateStore {
   std::string KeyId(uint64_t seqno) const;
   std::string MetaPath() const { return dir_ + "/META"; }
 
-  /// Checkpoint-meta state driving which loaded frames count as popped.
-  /// v2 metas carry the pop watermark + survivor ids; v1 (legacy,
-  /// pre-partitioning) metas carry a positional frame count, valid because
-  /// legacy files have strictly monotone row ids.
-  struct MetaState {
-    bool legacy = false;
-    uint64_t legacy_head_seqno = 0;
-    uint64_t legacy_head_popped = 0;  // frames left to skip in the head seg
-    std::unordered_set<RowId> survivors;
-  };
-
   Status OpenTailWriter();
   Status SealTail();
   /// Writes the buffered tail frames through to the segment file. Appends
@@ -249,7 +235,11 @@ class StateStore {
   /// Erases leading segments with no live frames left.
   Status CleanupDrainedSegments();
   Segment* FindSegment(uint32_t seqno);
-  Status LoadSegment(Segment* segment, MetaState* meta,
+  /// Loads one segment's frames: a frame at or below the pop watermark
+  /// and not among the META's `survivors` counts as popped, the rest join
+  /// `live`.
+  Status LoadSegment(Segment* segment,
+                     const std::unordered_set<RowId>& survivors,
                      std::vector<MirrorRow>* live);
   Status SaveMeta();
 

@@ -15,23 +15,6 @@ namespace {
 
 constexpr char kCheckpointFile[] = "CHECKPOINT";
 
-/// Marker of the sharded layout: the stream count, written at creation.
-constexpr char kLegacyStreamsFile[] = "STREAMS";
-
-/// Parses a sharded layout's stream directory name `s<k>`.
-bool ParseLegacyStreamDir(const std::string& name, uint32_t* index) {
-  if (name.size() < 2 || name[0] != 's') return false;
-  char* end = nullptr;
-  const unsigned long k = std::strtoul(name.c_str() + 1, &end, 10);
-  if (*end != '\0' || k > UINT32_MAX) return false;
-  *index = static_cast<uint32_t>(k);
-  return true;
-}
-
-bool IsSegmentName(const std::string& name) {
-  return StartsWith(name, "wal_") && EndsWith(name, ".log");
-}
-
 bool IsDataRecord(WalRecordType type) {
   return type != WalRecordType::kCommit && type != WalRecordType::kCheckpoint;
 }
@@ -49,103 +32,8 @@ WalManager::~WalManager() = default;
 
 Status WalManager::Open() {
   IDB_RETURN_IF_ERROR(env_->CreateDirs(dir_));
-  IDB_RETURN_IF_ERROR(ConvertShardedLayout());
   stream_ = std::make_unique<WalStream>(dir_, options_, keys_, env_);
   return stream_->Open();
-}
-
-Status WalManager::ConvertShardedLayout() {
-  IDB_ASSIGN_OR_RETURN(auto names, env_->ListDir(dir_));
-  std::vector<std::pair<uint32_t, std::string>> stream_dirs;
-  bool has_segment = false;
-  Lsn start = 0;
-  for (const std::string& name : names) {
-    uint32_t k = 0;
-    if (ParseLegacyStreamDir(name, &k)) {
-      stream_dirs.emplace_back(k, dir_ + "/" + name);
-    } else if (IsSegmentName(name)) {
-      // Only an interrupted conversion leaves a segment beside the stream
-      // directories: the new log's first, still empty, segment.
-      has_segment = true;
-      start = std::max<Lsn>(start,
-                            std::strtoull(name.c_str() + 4, nullptr, 16));
-    }
-  }
-  const std::string streams_file = dir_ + "/" + kLegacyStreamsFile;
-  if (stream_dirs.empty() && !env_->FileExists(streams_file)) {
-    return Status::OK();
-  }
-
-  if (!stream_dirs.empty()) {
-    // Sharded manifest: a stream count, then one replay position per
-    // stream. Absent = nothing was ever checkpointed.
-    std::vector<Lsn> positions;
-    IDB_ASSIGN_OR_RETURN(const std::string body, ReadManifest());
-    if (!body.empty()) {
-      Slice input = body;
-      uint32_t count = 0;
-      if (!GetVarint32(&input, &count)) {
-        return Status::Corruption("bad sharded CHECKPOINT in " + dir_);
-      }
-      for (uint32_t k = 0; k < count; ++k) {
-        uint64_t lsn;
-        if (!GetVarint64(&input, &lsn)) {
-          return Status::Corruption("bad sharded CHECKPOINT in " + dir_);
-        }
-        positions.push_back(lsn);
-      }
-    }
-    // Read-only scan: the directory stays byte-for-byte as found when it is
-    // refused. Only the record type byte is read — enough to tell the
-    // kCheckpoint records a clean close leaves from redo.
-    const Status refused = Status::NotSupported(
-        dir_ + " holds a multi-stream WAL with records past its last "
-               "checkpoint; open and close the database once with the "
-               "earlier build that wrote it, then reopen it with this one");
-    for (const auto& [k, path] : stream_dirs) {
-      const Lsn from = k < positions.size() ? positions[k] : 0;
-      IDB_ASSIGN_OR_RETURN(auto files, env_->ListDir(path));
-      for (const std::string& file : files) {
-        if (!IsSegmentName(file)) continue;  // `*.recycled`: retired
-        const Lsn segment = std::strtoull(file.c_str() + 4, nullptr, 16);
-        IDB_ASSIGN_OR_RETURN(const std::string raw,
-                             env_->ReadFileToString(path + "/" + file));
-        IDB_ASSIGN_OR_RETURN(
-            const uint64_t size,
-            WalStream::ForEachFrame(raw, [&](uint64_t off, Slice body) {
-              const bool redo =
-                  body.empty() || static_cast<WalRecordType>(body[0]) !=
-                                      WalRecordType::kCheckpoint;
-              return segment + off >= from && redo ? refused : Status::OK();
-            }));
-        start = std::max(start, segment + size);
-      }
-    }
-  }
-
-  // Clean. Persist the new log's start first (an empty first segment at or
-  // above every old stream's end: epoch keys outlive the conversion, and
-  // old stream 0's nonces were NonceForSequence of its own offsets), then
-  // scrub, then publish the manifest, and drop the STREAMS marker last — a
-  // crash at any point reruns the conversion on the next open.
-  if (!has_segment) {
-    IDB_RETURN_IF_ERROR(env_->WriteStringToFile(
-        dir_ + "/" + WalStream::SegmentName(start), "", /*sync=*/true));
-  }
-  for (const auto& [k, path] : stream_dirs) {
-    IDB_ASSIGN_OR_RETURN(auto files, env_->ListDir(path));
-    for (const std::string& file : files) {
-      // Every file — live segments and kPlain's `*.recycled` alike.
-      const std::string victim = path + "/" + file;
-      IDB_ASSIGN_OR_RETURN(const uint64_t size, env_->GetFileSize(victim));
-      IDB_RETURN_IF_ERROR(env_->OverwriteRange(victim, 0, size));
-      IDB_RETURN_IF_ERROR(env_->RemoveFile(victim));
-    }
-    IDB_RETURN_IF_ERROR(env_->RemoveDirRecursive(path));
-  }
-  IDB_RETURN_IF_ERROR(WriteManifest(start));
-  return env_->FileExists(streams_file) ? env_->RemoveFile(streams_file)
-                                        : Status::OK();
 }
 
 Result<Lsn> WalManager::Append(const WalRecord& record, bool sync) {
@@ -167,20 +55,6 @@ Status WalManager::AppendCommit(const std::vector<const WalRecord*>& ops,
 }
 
 Status WalManager::Sync() { return stream_->Sync(); }
-
-Result<std::string> WalManager::ReadManifest() const {
-  const std::string path = dir_ + "/" + kCheckpointFile;
-  if (!env_->FileExists(path)) return std::string();
-  IDB_ASSIGN_OR_RETURN(std::string contents, env_->ReadFileToString(path));
-  Slice input = contents;
-  uint32_t masked;
-  if (!GetFixed32(&input, &masked) ||
-      crc32c::Unmask(masked) != crc32c::Value(input.data(), input.size()) ||
-      input.empty()) {
-    return Status::Corruption("bad CHECKPOINT file");
-  }
-  return std::string(input);
-}
 
 Status WalManager::WriteManifest(Lsn lsn) {
   std::string body;
@@ -214,12 +88,16 @@ Result<Lsn> WalManager::LogCheckpoint(Lsn replay_from) {
 }
 
 Result<Lsn> WalManager::ReadCheckpointLsn() const {
-  IDB_ASSIGN_OR_RETURN(const std::string body, ReadManifest());
-  if (body.empty()) return Lsn{0};
-  Slice input = body;
+  const std::string path = dir_ + "/" + kCheckpointFile;
+  if (!env_->FileExists(path)) return Lsn{0};
+  IDB_ASSIGN_OR_RETURN(std::string contents, env_->ReadFileToString(path));
+  Slice input = contents;
+  uint32_t masked;
   uint64_t lsn;
-  if (!GetVarint64(&input, &lsn)) {
-    return Status::Corruption("bad CHECKPOINT payload");
+  if (!GetFixed32(&input, &masked) ||
+      crc32c::Unmask(masked) != crc32c::Value(input.data(), input.size()) ||
+      !GetVarint64(&input, &lsn)) {
+    return Status::Corruption("bad CHECKPOINT file");
   }
   return lsn;
 }
@@ -318,7 +196,7 @@ WalManager::Stats WalManager::stats() const {
   total.syncs = s.syncs;
   total.sync_requests = s.sync_requests;
   total.commits_absorbed = s.commits_absorbed;
-  total.poisoned_streams = stream_->poisoned() ? 1 : 0;
+  total.poisoned = stream_->poisoned() ? 1 : 0;
   total.epoch_keys_destroyed =
       epoch_keys_destroyed_.load(std::memory_order_relaxed);
   return total;

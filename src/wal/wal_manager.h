@@ -38,10 +38,7 @@ namespace instantdb {
 /// fuzzy checkpoints and segment retirement proceed against it.
 ///
 /// Layout: segments `wal_<start-lsn>.log` and the manifest sit directly in
-/// the log directory. Directories written by builds that sharded the log
-/// (stream k in `s<k>/`, a `STREAMS` count file, one manifest position per
-/// stream) are converted by Open when they were closed cleanly and refused
-/// otherwise.
+/// the log directory.
 class Env;
 
 class WalManager {
@@ -54,9 +51,7 @@ class WalManager {
   WalManager(const WalManager&) = delete;
   WalManager& operator=(const WalManager&) = delete;
 
-  /// Opens the log, truncating a torn tail. A sharded directory is
-  /// converted first (see ConvertShardedLayout), or refused with
-  /// NotSupported when it still holds redo past its manifest.
+  /// Opens the log, truncating a torn tail.
   Status Open();
 
   /// Appends one record; returns its LSN.
@@ -177,7 +172,7 @@ class WalManager {
     /// 1 when a sync failed and the log now fails every append/sync fast
     /// (see WalStream::poisoned()): the log has lost its durability
     /// guarantee until reopen.
-    uint64_t poisoned_streams = 0;
+    uint64_t poisoned = 0;
   };
   Stats stats() const;
 
@@ -189,15 +184,6 @@ class WalManager {
   const std::string& dir() const { return dir_; }
 
  private:
-  /// One-time conversion of a directory written by a build that sharded
-  /// the log over N streams. Clean (past every stream's manifest position
-  /// there is nothing but kCheckpoint records): scrubs every legacy segment
-  /// whatever the privacy mode and starts this log at an LSN at or above
-  /// every old stream's end, so no (epoch key, nonce) pair can repeat.
-  /// Unclean: NotSupported, touching nothing. A no-op for other layouts.
-  Status ConvertShardedLayout();
-  /// CRC-checked manifest payload; empty when no checkpoint was written.
-  Result<std::string> ReadManifest() const;
   Status WriteManifest(Lsn lsn);
 
   const std::string dir_;

@@ -9,6 +9,32 @@
 
 namespace instantdb {
 
+namespace {
+
+/// Walks the whole, CRC-valid frames of one segment's bytes in order,
+/// calling `fn(offset, body)` (when non-null) for each, and stops at the
+/// first torn or corrupt frame or at `fn`'s first error. Returns the
+/// offset just past the last whole frame: the segment's logical size.
+Result<uint64_t> ForEachFrame(
+    Slice raw, const std::function<Status(uint64_t, Slice)>& fn) {
+  uint64_t off = 0;
+  while (off + 8 <= raw.size()) {
+    const uint32_t masked = DecodeFixed32(raw.data() + off);
+    const uint32_t len = DecodeFixed32(raw.data() + off + 4);
+    if (off + 8 + len > raw.size()) break;  // torn tail
+    if (crc32c::Unmask(masked) != crc32c::Value(raw.data() + off + 8, len)) {
+      break;
+    }
+    if (fn != nullptr) {
+      IDB_RETURN_IF_ERROR(fn(off, Slice(raw.data() + off + 8, len)));
+    }
+    off += 8 + len;
+  }
+  return off;
+}
+
+}  // namespace
+
 std::string WalEpochKeyId(TableId table, uint64_t epoch) {
   return StringPrintf("wal.t%u.e%llu", table,
                       static_cast<unsigned long long>(epoch));
@@ -25,9 +51,9 @@ WalStream::~WalStream() {
   if (writer_ != nullptr) writer_->Close().ok();
 }
 
-std::string WalStream::SegmentName(Lsn start) {
-  return StringPrintf("wal_%016llx.log",
-                      static_cast<unsigned long long>(start));
+std::string WalStream::SegmentPath(Lsn start) const {
+  return dir_ + StringPrintf("/wal_%016llx.log",
+                             static_cast<unsigned long long>(start));
 }
 
 Status WalStream::Open() {
@@ -466,24 +492,6 @@ Micros WalStream::EarliestPayloadDeadline() const {
     earliest = std::min(earliest, segment.min_payload_deadline);
   }
   return earliest;
-}
-
-Result<uint64_t> WalStream::ForEachFrame(
-    Slice raw, const std::function<Status(uint64_t, Slice)>& fn) {
-  uint64_t off = 0;
-  while (off + 8 <= raw.size()) {
-    const uint32_t masked = DecodeFixed32(raw.data() + off);
-    const uint32_t len = DecodeFixed32(raw.data() + off + 4);
-    if (off + 8 + len > raw.size()) break;  // torn tail
-    if (crc32c::Unmask(masked) != crc32c::Value(raw.data() + off + 8, len)) {
-      break;
-    }
-    if (fn != nullptr) {
-      IDB_RETURN_IF_ERROR(fn(off, Slice(raw.data() + off + 8, len)));
-    }
-    off += 8 + len;
-  }
-  return off;
 }
 
 Status WalStream::Replay(

@@ -63,9 +63,6 @@ class WalStream {
   /// Sentinel for BeginCheckpoint: "cover everything logged so far".
   static constexpr Lsn kLogEnd = UINT64_MAX;
 
-  /// File name of the segment whose first record has LSN `start`.
-  static std::string SegmentName(Lsn start);
-
   struct Stats {
     uint64_t records_appended = 0;
     uint64_t bytes_appended = 0;
@@ -176,13 +173,6 @@ class WalStream {
   Status Replay(Lsn from,
                 const std::function<Status(const WalRecord&, Lsn)>& fn) const;
 
-  /// Walks the whole, CRC-valid frames of one segment's bytes in order,
-  /// calling `fn(offset, body)` (when non-null) for each, and stops at the
-  /// first torn or corrupt frame or at `fn`'s first error. Returns the
-  /// offset just past the last whole frame: the segment's logical size.
-  static Result<uint64_t> ForEachFrame(
-      Slice raw, const std::function<Status(uint64_t, Slice)>& fn);
-
   Stats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
@@ -223,9 +213,9 @@ class WalStream {
     Micros payload_deadline = kForever;
   };
 
-  std::string SegmentPath(Lsn start) const {
-    return dir_ + "/" + SegmentName(start);
-  }
+  /// `<dir>/wal_<start>.log`: the segment whose first record has LSN
+  /// `start`.
+  std::string SegmentPath(Lsn start) const;
   /// Encodes + checksums `record` into a frame. Plaintext frames come out
   /// final; kEncryptedEpoch inserts carry their blob in plaintext with the
   /// seal deferred to AppendFramesLocked. Called outside the mutex.

@@ -6,7 +6,9 @@
 #include "forensic.h"
 #include "gtest/gtest.h"
 #include "io/fault_env.h"
+#include "util/coding.h"
 #include "util/file.h"
+#include "wal/wal_stream.h"
 
 namespace instantdb {
 namespace {
@@ -413,6 +415,211 @@ TEST_F(DatabaseTest, ScanRowsSeesConsistentPhases) {
                   .ok());
   EXPECT_EQ(phase_by_user["a"], 1);  // city phase
   EXPECT_EQ(phase_by_user["b"], 0);  // accurate
+}
+
+// --- The FORMAT gate ---------------------------------------------------------
+
+/// Layouts older builds left behind, or a newer build's stamp. The gate
+/// refuses each one before it creates, renames or writes anything.
+enum class OldLayout {
+  kNoStamp,             // any directory written before the FORMAT stamp
+  kNewerStamp,          // FORMAT holds kFormatVersion + 1
+  kShardedWal,          // wal/STREAMS and wal/s1/ holding redo
+  kPositionalStoreMeta, // a state-store META without its magic
+  kUnpartitionedTable,  // heap.db directly under tables/t1
+  kLeftoverIndexFile,   // a paged index.db beside the heap
+};
+
+/// Every entry under `dir`, recursively: a file maps to its bytes, a
+/// directory to "<dir>".
+std::map<std::string, std::string> TreeUnder(const std::string& dir) {
+  std::map<std::string, std::string> tree = FilesUnder(dir);
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir, ec)) {
+    if (entry.is_directory()) {
+      tree[entry.path().string().substr(dir.size())] = "<dir>";
+    }
+  }
+  return tree;
+}
+
+class FormatGateTest : public ::testing::TestWithParam<OldLayout> {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "/idb_format_gate";
+    image_ = dir_ + "_crash";
+    ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
+    ASSERT_TRUE(RemoveDirRecursive(image_).ok());
+  }
+  void TearDown() override {
+    RemoveDirRecursive(dir_).ok();
+    RemoveDirRecursive(image_).ok();
+  }
+
+  DbOptions Options(const std::string& path, uint32_t partitions = 1) {
+    DbOptions options;
+    options.path = path;
+    options.clock = &clock_;
+    options.partitions = partitions;
+    return options;
+  }
+
+  /// A database this build wrote and closed: one table, one row.
+  void WriteDatabase(uint32_t partitions) {
+    auto db = Database::Open(Options(dir_, partitions));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->CreateTable("pings", PingSchema()).ok());
+    ASSERT_TRUE((*db)->Insert("pings", {Value::String("alice"),
+                                        Value::Int64(1),
+                                        Value::String("11 Rue Lepic")})
+                    .ok());
+  }
+
+  /// Opens, inserts a row and closes `path`, twice; the second open must
+  /// see the first's row.
+  void ExpectCreatesAndReopens(const std::string& path) {
+    for (size_t rows = 1; rows <= 2; ++rows) {
+      auto db = Database::Open(Options(path));
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      if (rows == 1) {
+        ASSERT_TRUE((*db)->CreateTable("pings", PingSchema()).ok());
+      }
+      ASSERT_TRUE((*db)->Insert("pings", {Value::String("bob"),
+                                          Value::Int64(1),
+                                          Value::String("11 Rue Lepic")})
+                      .ok());
+      EXPECT_EQ((*db)->GetTable("pings")->live_rows(), rows);
+    }
+    auto stamp = ReadFileToString(path + "/FORMAT");
+    ASSERT_TRUE(stamp.ok());
+    EXPECT_EQ(*stamp, std::to_string(kFormatVersion));
+  }
+
+  std::string dir_;
+  std::string image_;
+  VirtualClock clock_{0};
+};
+
+TEST_P(FormatGateTest, OtherLayoutIsRefusedUntouched) {
+  const OldLayout layout = GetParam();
+  WriteDatabase(/*partitions=*/1);
+  const std::string format = dir_ + "/FORMAT";
+  const std::string p0 = dir_ + "/tables/t1/p0";
+  if (layout == OldLayout::kNewerStamp) {
+    ASSERT_TRUE(WriteStringToFile(format, std::to_string(kFormatVersion + 1),
+                                  /*sync=*/true)
+                    .ok());
+  } else {
+    ASSERT_TRUE(RemoveFile(format).ok());
+  }
+  switch (layout) {
+    case OldLayout::kNoStamp:
+    case OldLayout::kNewerStamp:
+      break;
+    case OldLayout::kShardedWal: {
+      ASSERT_TRUE(WriteStringToFile(dir_ + "/wal/STREAMS", "2", true).ok());
+      KeyManager keys(dir_ + "/KEYSTORE");
+      ASSERT_TRUE(keys.Open().ok());
+      WalStream stream(dir_ + "/wal/s1", WalOptions{}, &keys);
+      ASSERT_TRUE(stream.Open().ok());
+      WalRecord insert;
+      insert.type = WalRecordType::kInsert;
+      insert.txn_id = 1;
+      insert.table = 1;
+      insert.row_id = 2;
+      ASSERT_TRUE(stream.Append(insert, /*sync=*/true).ok());
+      break;
+    }
+    case OldLayout::kPositionalStoreMeta: {
+      std::string meta;
+      PutVarint64(&meta, 0);  // head seqno
+      PutVarint64(&meta, 0);  // head frames popped
+      PutVarint64(&meta, 1);  // next seqno
+      ASSERT_TRUE(
+          WriteStringToFile(p0 + "/stores/c2.p0/META", meta, true).ok());
+      break;
+    }
+    case OldLayout::kUnpartitionedTable:
+      ASSERT_TRUE(RemoveFile(dir_ + "/tables/t1/PARTITIONS").ok());
+      for (const auto& entry : std::filesystem::directory_iterator(p0)) {
+        std::filesystem::rename(entry.path(),
+                                std::filesystem::path(dir_ + "/tables/t1") /
+                                    entry.path().filename());
+      }
+      std::filesystem::remove(p0);
+      ASSERT_TRUE(FileExists(dir_ + "/tables/t1/heap.db"));
+      break;
+    case OldLayout::kLeftoverIndexFile:
+      ASSERT_TRUE(WriteStringToFile(p0 + "/index.db", std::string(4096, 'k'),
+                                    true)
+                      .ok());
+      break;
+  }
+
+  const auto before = TreeUnder(dir_);
+  auto db = Database::Open(Options(dir_, /*partitions=*/4));
+  ASSERT_FALSE(db.ok());
+  const std::string message = db.status().ToString();
+  EXPECT_TRUE(db.status().IsNotSupported()) << message;
+  EXPECT_NE(message.find(dir_), std::string::npos) << message;
+  EXPECT_NE(message.find("format " + std::to_string(kFormatVersion)),
+            std::string::npos)
+      << message;
+  if (layout == OldLayout::kNewerStamp) {
+    EXPECT_NE(message.find("format " + std::to_string(kFormatVersion + 1)),
+              std::string::npos)
+        << message;
+  }
+  EXPECT_EQ(TreeUnder(dir_), before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, FormatGateTest,
+    ::testing::Values(OldLayout::kNoStamp, OldLayout::kNewerStamp,
+                      OldLayout::kShardedWal, OldLayout::kPositionalStoreMeta,
+                      OldLayout::kUnpartitionedTable,
+                      OldLayout::kLeftoverIndexFile),
+    [](const auto& info) {
+      switch (info.param) {
+        case OldLayout::kNoStamp: return "NoStamp";
+        case OldLayout::kNewerStamp: return "NewerStamp";
+        case OldLayout::kShardedWal: return "ShardedWal";
+        case OldLayout::kPositionalStoreMeta: return "PositionalStoreMeta";
+        case OldLayout::kUnpartitionedTable: return "UnpartitionedTable";
+        case OldLayout::kLeftoverIndexFile: return "LeftoverIndexFile";
+      }
+      return "?";
+    });
+
+using FormatCreateTest = FormatGateTest;
+
+TEST_F(FormatCreateTest, MissingDirectoryIsCreatedAndReopens) {
+  ExpectCreatesAndReopens(dir_);
+}
+
+TEST_F(FormatCreateTest, EmptyDirectoryIsCreatedAndReopens) {
+  ASSERT_TRUE(CreateDirs(dir_).ok());
+  ExpectCreatesAndReopens(dir_);
+}
+
+TEST_F(FormatCreateTest, StampTornBeforeItsSyncReopensAsFresh) {
+  FaultInjectionEnv fault(Env::Default());
+  fault.FailOnce(FaultOp::kSync, 1, Status::IOError("injected"), "FORMAT");
+  DbOptions options = Options(dir_);
+  options.env = &fault;
+  auto db = Database::Open(options);
+  ASSERT_FALSE(db.ok());
+  // The stamp is the first entry; nothing else was created before its sync.
+  auto names = ListDir(dir_);
+  ASSERT_TRUE(names.ok());
+  EXPECT_EQ(*names, std::vector<std::string>{"FORMAT"});
+
+  ASSERT_TRUE(fault.SimulateCrashTo(dir_, image_).ok());
+  auto torn = ReadFileToString(image_ + "/FORMAT");
+  ASSERT_TRUE(torn.ok());
+  EXPECT_EQ(*torn, "");
+  ExpectCreatesAndReopens(image_);
 }
 
 }  // namespace

@@ -175,11 +175,11 @@ TEST_F(FaultInjectionTest, FsyncEioPoisonsStreamAndFailsAllWaiters) {
             std::set<std::string>{"baseline"});
 
   const Database::Stats stats = db->stats();
-  EXPECT_EQ(stats.wal.poisoned_streams, 1u);
+  EXPECT_EQ(stats.wal.poisoned, 1u);
   EXPECT_GE(stats.io.sync_failures, 1u);
   EXPECT_GE(stats.io.injected_faults, 1u);
   // The fsyncgate invariant: a failed sync is never silently forgotten.
-  EXPECT_TRUE(stats.wal.poisoned_streams > 0 || stats.io.retries > 0);
+  EXPECT_TRUE(stats.wal.poisoned > 0 || stats.io.retries > 0);
 
   // Close cannot pretend the database shut down healthy: the final
   // checkpoint hits the poisoned stream.
@@ -231,7 +231,7 @@ TEST_F(FaultInjectionTest, DiskFullFailsWritesKeepsReadsWorking) {
   EXPECT_FALSE(later.ok());
   EXPECT_TRUE(later.ToString().find("poisoned") != std::string::npos)
       << later.ToString();
-  EXPECT_EQ(db->stats().wal.poisoned_streams, 1u);
+  EXPECT_EQ(db->stats().wal.poisoned, 1u);
   EXPECT_EQ(db->GetTable("pings")->live_rows(), 4u);
 
   EXPECT_FALSE(db->Close().ok());
@@ -311,7 +311,7 @@ TEST_F(FaultInjectionTest, TortureRandomizedFaultCrashSchedules) {
     // never a silent retry-and-forget.
     const Database::Stats stats = db->stats();
     if (stats.io.sync_failures > 0) {
-      EXPECT_TRUE(stats.wal.poisoned_streams > 0 || stats.io.retries > 0 ||
+      EXPECT_TRUE(stats.wal.poisoned > 0 || stats.io.retries > 0 ||
                   saw_error)
           << "a sync failure vanished without a trace";
     }
@@ -606,7 +606,7 @@ TEST_F(FaultInjectionTest, MaintenanceRetriesCheckpointAndKeepsOldManifest) {
               std::string::npos)
       << stats.io.first_error;
   if (stats.io.sync_failures > 0) {
-    EXPECT_TRUE(stats.wal.poisoned_streams > 0 || stats.io.retries > 0);
+    EXPECT_TRUE(stats.wal.poisoned > 0 || stats.io.retries > 0);
   }
   Status closed = db->Close();
   EXPECT_FALSE(closed.ok());

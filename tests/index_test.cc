@@ -584,44 +584,6 @@ TEST_P(IndexResidueTest, NoPhaseZeroKeyOfADegradedRowSurvives) {
       << "after reopen";
 }
 
-// A directory an older build wrote still holds its paged index next to the
-// heap: open zero-overwrites it before the unlink, so no block keeps it.
-TEST_P(IndexResidueTest, LeftoverIndexFileIsScrubbedOnOpen) {
-  auto schema = Schema::Make(
-      {ColumnDef::Stable("id", ValueType::kInt64),
-       ColumnDef::Degradable("location", LocationDomain(),
-                             Fig2LocationLcp())});
-  ASSERT_TRUE(schema.ok());
-  {
-    auto db = OpenWith(dir_, Env::Default());
-    ASSERT_NE(db, nullptr);
-    ASSERT_TRUE(db->CreateTable("pings", *schema).ok());
-    ASSERT_TRUE(
-        db->Insert("pings", {Value::Int64(1), Value::String("11 Rue Lepic")})
-            .ok());
-  }
-  std::string heap;
-  for (const auto& [path, bytes] : FilesUnder(dir_)) {
-    if (path.size() >= 7 && path.substr(path.size() - 7) == "heap.db") {
-      heap = dir_ + path;
-    }
-  }
-  ASSERT_FALSE(heap.empty());
-  const std::string leftover = heap.substr(0, heap.size() - 7) + "index.db";
-  const std::string key = TreeKey(3, 1);
-  std::string page(4096, '\0');
-  page.replace(100, key.size(), key);
-  ASSERT_TRUE(WriteStringToFile(leftover, page, true).ok());
-
-  FreedBlocksEnv freed(Env::Default());
-  auto db = OpenWith(dir_, &freed);
-  ASSERT_NE(db, nullptr);
-  EXPECT_FALSE(FileExists(leftover));
-  EXPECT_EQ(freed.Copies(key), 0u);
-  EXPECT_EQ(CopiesUnder(dir_, key), 0u);
-  EXPECT_EQ(db->GetTable("pings")->live_rows(), 1u);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     PrivacyModes, IndexResidueTest,
     ::testing::Combine(::testing::Values(WalPrivacyMode::kPlain,

@@ -195,26 +195,53 @@ TEST_F(PartitionTest, PartitionCountPersistsAcrossMismatchedReopen) {
   }
 }
 
-TEST_F(PartitionTest, LegacyUnpartitionedLayoutIsPinnedToOnePartition) {
-  // Simulate a table from before partitioning existed: single-partition
-  // layout with no PARTITIONS file. Reopening with partitions=4 must not
-  // re-route (and thereby orphan) the stored rows.
-  ReopenDb(/*partitions=*/1);
-  ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
-  std::vector<RowId> rows;
-  for (int i = 0; i < 8; ++i) {
-    rows.push_back(InsertPing("u" + std::to_string(i), "11 Rue Lepic"));
-  }
-  db_.reset();  // clean close (checkpoints)
-  ASSERT_TRUE(RemoveFile(dir_ + "/tables/t1/PARTITIONS").ok());
+/// PARTITIONS lost: the count is recovered from contiguous `p<k>`
+/// directories, whatever DbOptions::partitions says on the reopen. A single
+/// partition lives in `p0` too.
+TEST_F(PartitionTest, LostPartitionCountIsRecoveredFromContiguousDirs) {
+  for (const uint32_t created : {kPartitions, 1u}) {
+    SCOPED_TRACE(created);
+    db_.reset();
+    ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
+    ReopenDb(created);
+    ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
+    std::vector<RowId> rows;
+    for (int i = 0; i < 8; ++i) {
+      rows.push_back(InsertPing("u" + std::to_string(i), "11 Rue Lepic"));
+    }
+    db_.reset();  // clean close (checkpoints)
+    EXPECT_TRUE(FileExists(dir_ + "/tables/t1/p0/heap.db"));
+    EXPECT_FALSE(FileExists(dir_ + "/tables/t1/heap.db"));
+    EXPECT_EQ(FileExists(dir_ + "/tables/t1/p1"), created > 1);
+    ASSERT_TRUE(RemoveFile(dir_ + "/tables/t1/PARTITIONS").ok());
 
-  ReopenDb(/*partitions=*/4);
-  Table* table = db_->GetTable("pings");
-  EXPECT_EQ(table->num_partitions(), 1u);
-  EXPECT_EQ(table->live_rows(), 8u);
-  for (RowId row : rows) {
-    EXPECT_EQ(LocationOf(row), Value::String("11 Rue Lepic"));
+    ASSERT_NO_FATAL_FAILURE(ReopenDb(created == 1 ? kPartitions : 2));
+    Table* table = db_->GetTable("pings");
+    EXPECT_EQ(table->num_partitions(), created);
+    EXPECT_EQ(table->live_rows(), 8u);
+    for (RowId row : rows) {
+      EXPECT_EQ(LocationOf(row), Value::String("11 Rue Lepic"));
+    }
   }
+}
+
+TEST_F(PartitionTest, LostPartitionCountWithAGapIsCorruption) {
+  ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
+  for (int i = 0; i < 8; ++i) {
+    InsertPing("u" + std::to_string(i), "11 Rue Lepic");
+  }
+  db_.reset();
+  ASSERT_TRUE(RemoveFile(dir_ + "/tables/t1/PARTITIONS").ok());
+  ASSERT_TRUE(RemoveDirRecursive(dir_ + "/tables/t1/p1").ok());
+  ASSERT_TRUE(RemoveDirRecursive(dir_ + "/tables/t1/p3").ok());
+
+  DbOptions options;
+  options.path = dir_;
+  options.clock = clock_.get();
+  options.partitions = kPartitions;
+  auto db = Database::Open(options);
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
 }
 
 TEST_F(PartitionTest, DropTableRemovesEveryPartition) {

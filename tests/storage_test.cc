@@ -504,6 +504,25 @@ class StateStoreTest : public StorageTest,
     }
   }
 
+  /// Checkpoints a fresh store holding one entry in its one segment, then
+  /// replaces that segment's bytes with `bytes`. Returns the segment's path.
+  std::string WriteOnlySegment(const std::string& bytes) {
+    EXPECT_TRUE(RemoveDirRecursive(dir_ + "/store").ok());
+    if (FileExists(dir_ + "/keystore")) {
+      EXPECT_TRUE(RemoveFile(dir_ + "/keystore").ok());
+    }
+    {
+      auto store = MakeStore();
+      EXPECT_TRUE(store->Open().ok());
+      EXPECT_TRUE(store->Append(Entry(1, "abcdef")).ok());
+      EXPECT_TRUE(store->Checkpoint().ok());
+    }
+    const std::string segment = dir_ + "/store/seg_00000000.dat";
+    EXPECT_TRUE(FileExists(segment));
+    EXPECT_TRUE(WriteStringToFile(segment, bytes, /*sync=*/true).ok());
+    return segment;
+  }
+
   /// The stored value of a level-0 entry, rebuilt from its leaf ordinal.
   Value ValueOf(const StoreEntryView& entry) const {
     return domain_->AncestorValue(entry.ordinal, 0);
@@ -684,35 +703,44 @@ TEST_P(StateStoreTest, PrefixPopRedoIsIdempotent) {
   EXPECT_EQ(store->Head().row_id, 5u);
 }
 
-TEST_P(StateStoreTest, LegacyPositionalMetaStillOpens) {
-  // Databases checkpointed before the watermark format wrote META as
-  // [head_seqno, head_popped, next_seqno]; their frames are strictly
-  // monotone, so the positional skip remains exact.
-  auto store = MakeStore();
-  ASSERT_TRUE(store->Open().ok());
-  for (RowId id = 1; id <= 10; ++id) {
-    ASSERT_TRUE(store->Append(Entry(id, "v")).ok());
+TEST_P(StateStoreTest, SegmentHoldingNothingOpensEmptyAndIsErased) {
+  // A crash before the first tail flush leaves at most a prefix of the
+  // 8-byte magic. EraseSegment zero-overwrites before it unlinks, so a
+  // crash in between leaves zeros where the magic was.
+  std::vector<std::string> contents;
+  for (size_t size = 0; size < 8; ++size) {
+    contents.push_back(std::string("IDBSSG2\n").substr(0, size));
   }
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(store->PopHead(nullptr).ok());
+  contents.push_back(std::string(64, '\0'));
+  for (const std::string& bytes : contents) {
+    SCOPED_TRACE(bytes.size());
+    const std::string segment = WriteOnlySegment(bytes);
+    auto store = MakeStore();
+    const Status opened = store->Open();
+    ASSERT_TRUE(opened.ok()) << opened.ToString();
+    EXPECT_TRUE(store->empty());
+    EXPECT_FALSE(FileExists(segment));
   }
-  ASSERT_TRUE(store->Checkpoint().ok());
-  store.reset();
+}
 
-  std::string legacy;
-  PutVarint64(&legacy, 0);  // head seqno
-  PutVarint64(&legacy, 3);  // head frames popped
-  PutVarint64(&legacy, 1);  // next seqno
-  ASSERT_TRUE(
-      WriteStringToFile(dir_ + "/store/META", legacy, /*sync=*/true).ok());
-
-  store = MakeStore();
-  ASSERT_TRUE(store->Open().ok());
-  EXPECT_EQ(store->size(), 7u);
-  EXPECT_EQ(store->Head().row_id, 4u);
-  // The watermark reconstructed from the skipped frames keeps id
-  // allocation above every id ever appended.
-  EXPECT_GE(store->LastAppendedRowId(), 10u);
+TEST_P(StateStoreTest, SegmentWithoutTheMagicIsCorruption) {
+  // Headerless `[u32 len][payload]` frames are never parsed as entries.
+  std::string payload;
+  PutVarint64(&payload, 1);
+  PutVarint64(&payload, static_cast<uint64_t>(kMicrosPerMinute));
+  Value::String("abcdef").EncodeTo(&payload);
+  std::string headerless;
+  PutFixed32(&headerless, static_cast<uint32_t>(payload.size()));
+  headerless += payload;
+  for (const std::string& bytes : {headerless, std::string("IDBSSG1\n")}) {
+    const std::string segment = WriteOnlySegment(bytes);
+    auto store = MakeStore();
+    const Status opened = store->Open();
+    EXPECT_TRUE(opened.IsCorruption()) << opened.ToString();
+    auto kept = ReadFileToString(segment);
+    ASSERT_TRUE(kept.ok());
+    EXPECT_EQ(*kept, bytes);
+  }
 }
 
 TEST_P(StateStoreTest, ReopenRecoversLiveEntries) {

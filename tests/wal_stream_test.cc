@@ -258,33 +258,6 @@ TEST_P(WalStreamTest, EpochKeyDestructionReachesEveryCopy) {
   EXPECT_EQ(CopiesUnder(clone_ + "/wal", needle), 0u);
 }
 
-TEST_P(WalStreamTest, ShardedWalWithRedoIsRefusedAtOpen) {
-  // An earlier build sharded the log (stream k in wal/s<k>) and crashed
-  // with redo in stream 1. Open refuses the directory instead of
-  // recovering part of it, and the refusal leaves it for that build.
-  const std::string wal_dir = dir_ + "/wal";
-  ASSERT_TRUE(CreateDirs(wal_dir).ok());
-  ASSERT_TRUE(WriteStringToFile(wal_dir + "/STREAMS", "2", true).ok());
-  {
-    KeyManager keys(dir_ + "/KEYSTORE");
-    ASSERT_TRUE(keys.Open().ok());
-    WalStream stream(wal_dir + "/s1", WalOptions{}, &keys);
-    ASSERT_TRUE(stream.Open().ok());
-    WalRecord insert;
-    insert.type = WalRecordType::kInsert;
-    insert.txn_id = 1;
-    insert.table = 1;
-    insert.row_id = 1;
-    ASSERT_TRUE(stream.Append(insert, /*sync=*/true).ok());
-  }
-  VirtualClock clock(0);
-  auto db = Database::Open(Options(dir_, 4, &clock));
-  ASSERT_FALSE(db.ok());
-  EXPECT_TRUE(db.status().IsNotSupported()) << db.status().ToString();
-  EXPECT_TRUE(FileExists(wal_dir + "/STREAMS"));
-  EXPECT_TRUE(FileExists(wal_dir + "/s1"));
-}
-
 std::string ModeName(const ::testing::TestParamInfo<WalPrivacyMode>& info) {
   switch (info.param) {
     case WalPrivacyMode::kPlain: return "Plain";

@@ -1,14 +1,11 @@
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <vector>
 
 #include "common/strings.h"
 #include "forensic.h"
 #include "gtest/gtest.h"
 #include "storage/key_manager.h"
-#include "util/coding.h"
-#include "util/crc32c.h"
 #include "util/file.h"
 #include "wal/log_record.h"
 #include "wal/wal_manager.h"
@@ -54,54 +51,9 @@ class WalTest : public ::testing::TestWithParam<WalPrivacyMode> {
                                         keys_.get());
   }
 
-  /// Every file under the WAL dir, keyed by path relative to it.
-  std::map<std::string, std::string> WalFiles() {
-    return FilesUnder(dir_ + "/wal");
-  }
-
   /// Copies of `needle` in the files under the WAL dir.
   size_t WalCopies(const std::string& needle) {
     return CopiesUnder(dir_ + "/wal", needle);
-  }
-
-  /// Hand-builds what a build that sharded the log over two streams left
-  /// behind: a `STREAMS` count, stream k's segments in `s<k>/`, and a
-  /// CHECKPOINT manifest with one replay position per stream. Both streams
-  /// hold inserts of `needle` below their position. Stream 0 retired its
-  /// covered segments (kPlain keeps them as `*.recycled`); stream 1 had
-  /// not got that far. `dirty` adds an insert past stream 1's position.
-  /// Returns the larger stream end.
-  Lsn BuildShardedDir(const std::string& needle, bool dirty) {
-    const std::string wal_dir = dir_ + "/wal";
-    EXPECT_TRUE(CreateDirs(wal_dir).ok());
-    EXPECT_TRUE(WriteStringToFile(wal_dir + "/STREAMS", "2", true).ok());
-    std::string body;
-    PutVarint32(&body, 2);
-    Lsn max_end = 0;
-    for (uint32_t k = 0; k < 2; ++k) {
-      WalStream stream(wal_dir + "/s" + std::to_string(k), MakeOptions(),
-                       keys_.get());
-      EXPECT_TRUE(stream.Open().ok());
-      for (RowId r = 1; r <= (k == 0 ? 20u : 6u); ++r) {
-        EXPECT_TRUE(stream.Append(MakeInsert(1, 2 * r + k, 0, needle), false)
-                        .ok());
-      }
-      auto position = stream.BeginCheckpoint(WalStream::kLogEnd);
-      EXPECT_TRUE(position.ok());
-      PutVarint64(&body, *position);
-      if (k == 0) EXPECT_TRUE(stream.RetireThrough(*position).ok());
-      if (k == 1 && dirty) {
-        EXPECT_TRUE(stream.Append(MakeInsert(1, 99, 0, needle), true).ok());
-      }
-      max_end = std::max(max_end, stream.next_lsn());
-    }
-    std::string manifest;
-    PutFixed32(&manifest,
-               crc32c::Mask(crc32c::Value(body.data(), body.size())));
-    manifest += body;
-    EXPECT_TRUE(
-        WriteStringToFile(wal_dir + "/CHECKPOINT", manifest, true).ok());
-    return max_end;
   }
 
   std::string dir_;
@@ -374,63 +326,6 @@ TEST_P(WalTest, CorruptFrameStopsReplayCleanly) {
                    return Status::OK();
                  }).ok());
   EXPECT_LT(count, 3u);
-}
-
-TEST_P(WalTest, CleanShardedDirectoryConvertsOnOpen) {
-  const std::string needle = "SHARDED-ERA-ADDRESS-0042";
-  const Lsn old_end = BuildShardedDir(needle, /*dirty=*/false);
-  const auto before = WalFiles();
-  if (GetParam() != WalPrivacyMode::kEncryptedEpoch) {
-    ASSERT_GT(WalCopies(needle), 0u);
-  }
-  if (GetParam() == WalPrivacyMode::kPlain) {
-    ASSERT_TRUE(std::any_of(before.begin(), before.end(), [](const auto& f) {
-      return EndsWith(f.first, ".recycled");
-    }));
-  }
-
-  auto wal = MakeWal();
-  const Status opened = wal->Open();
-  ASSERT_TRUE(opened.ok()) << opened.ToString();
-  EXPECT_FALSE(FileExists(dir_ + "/wal/STREAMS"));
-  EXPECT_FALSE(FileExists(dir_ + "/wal/s0"));
-  EXPECT_FALSE(FileExists(dir_ + "/wal/s1"));
-  // Every legacy copy is scrubbed, whatever the privacy mode — kPlain's
-  // recycled segment included.
-  EXPECT_EQ(WalCopies(needle), 0u);
-
-  // The single log starts at or past every old stream's end (old records
-  // sat below it), so no (epoch key, nonce) pair repeats.
-  auto checkpoint = wal->ReadCheckpointLsn();
-  ASSERT_TRUE(checkpoint.ok());
-  EXPECT_GE(*checkpoint, old_end);
-  auto lsn = wal->Append(MakeInsert(1, 500, 0, "fresh"), true);
-  ASSERT_TRUE(lsn.ok());
-  EXPECT_GE(*lsn, old_end);
-
-  // Converted once: a reopen is an ordinary single-stream open.
-  wal = MakeWal();
-  ASSERT_TRUE(wal->Open().ok());
-  std::vector<WalRecord> seen;
-  ASSERT_TRUE(wal->Replay(*checkpoint, [&](const WalRecord& record, Lsn) {
-                   seen.push_back(record);
-                   return Status::OK();
-                 }).ok());
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].row_id, 500u);
-  ASSERT_EQ(seen[0].degradable.size(), 2u);
-  EXPECT_EQ(seen[0].degradable[0], Value::String("fresh"));
-}
-
-TEST_P(WalTest, UncleanShardedDirectoryIsRefusedUntouched) {
-  BuildShardedDir("SHARDED-ERA-ADDRESS-0042", /*dirty=*/true);
-  const auto before = WalFiles();
-  auto wal = MakeWal();
-  const Status opened = wal->Open();
-  EXPECT_TRUE(opened.IsNotSupported()) << opened.ToString();
-  EXPECT_NE(opened.ToString().find("earlier build"), std::string::npos)
-      << opened.ToString();
-  EXPECT_EQ(WalFiles(), before);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPrivacyModes, WalTest,
