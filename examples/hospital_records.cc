@@ -1,12 +1,10 @@
-// Hospital admissions: multi-attribute degradation vs. k-anonymity.
+// Hospital admissions: multi-attribute degradation.
 //
 // "People give personal data explicitly all the time to insurance
 // companies, hospitals, banks…" (paper §I). An admissions table keeps the
 // patient identity (stable — that is the point of a medical record) while
-// the sensitive attributes degrade on independent schedules. The same
-// dataset is also pushed through the Mondrian k-anonymizer to contrast the
-// two tools: anonymization cuts the identity link and rewrites history
-// once; degradation keeps identity and fades detail over time.
+// the sensitive attributes degrade on independent schedules: identity stays
+// for care, detail fades as the records age.
 
 #include <cstdio>
 
@@ -66,13 +64,11 @@ int main() {
   const auto* tree = static_cast<const GeneralizationTree*>(diagnosis.get());
   const auto diagnoses = tree->LabelsAtLevel(0);
   Random rng(11);
-  std::vector<MondrianRecord> mondrian_input;
   for (int i = 0; i < 60; ++i) {
     const Value diag = Value::String(diagnoses[rng.Uniform(diagnoses.size())]);
     const Value patient_age = Value::Int64(rng.UniformRange(18, 95));
     (*db)->Insert("admissions", {Value::String(StringPrintf("patient-%03d", i)),
                                  diag, patient_age}).status();
-    mondrian_input.push_back(MondrianRecord{{diag, patient_age}});
   }
 
   Session session(db->get());
@@ -111,21 +107,5 @@ int main() {
                 research->ToString().c_str());
   }
 
-  // The k-anonymity alternative on the same data: one-shot rewrite that
-  // generalizes until every (diagnosis, age) class has >= k members.
-  std::printf("\n== Mondrian k-anonymity on the same 60 admissions ==\n");
-  std::printf("%-4s | %-11s | %-10s | classes\n", "k", "avg diag lvl",
-              "avg age lvl");
-  for (size_t k : {2, 5, 10}) {
-    Mondrian mondrian({diagnosis, age}, k);
-    auto result = mondrian.Anonymize(mondrian_input);
-    if (!result.ok()) continue;
-    std::printf("%-4zu | %-11.2f | %-10.2f | %zu\n", k, result->avg_level[0],
-                result->avg_level[1], result->num_classes);
-  }
-  std::printf(
-      "\nContrast: anonymization pays its information loss immediately and\n"
-      "severs the identity link; degradation keeps the donor's identity for\n"
-      "user-facing service and loses detail only as it ages.\n");
   return 0;
 }

@@ -54,7 +54,7 @@ failed=0
 check hot_query 2 \
   query.rows_examined_per_row_returned=39.4628 \
   query.prefilter_ratio=0.474853 \
-  query.store_probes_per_row=0.274861 \
+  query.store_probes_per_row=0.275243 \
   util.morsels_per_scan=40 || failed=1
 check cold_scan 20 \
   query.rows_examined_per_row_returned=193.548 \

@@ -76,8 +76,7 @@ class DomainHierarchy {
   /// Validates that `value` is a well-formed level-`level` value.
   virtual Status ValidateAtLevel(const Value& value, int level) const = 0;
 
-  /// Number of distinct values at `level` (used by the Mondrian
-  /// anonymizer).
+  /// Number of distinct values at `level`.
   virtual Result<int64_t> CardinalityAtLevel(int level) const = 0;
 
   /// Human-readable rendering of a level-`level` value (interval domains

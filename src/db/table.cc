@@ -200,15 +200,6 @@ Status Table::UpdateStable(Transaction* txn, RowId row_id,
 
 // --- read path ---------------------------------------------------------------------
 
-Status Table::ScanRows(const std::function<bool(const RowView&)>& fn) const {
-  for (const auto& partition : partitions_) {
-    bool stopped = false;
-    IDB_RETURN_IF_ERROR(partition->ScanRows(fn, &stopped));
-    if (stopped) break;
-  }
-  return Status::OK();
-}
-
 Status PartitionCursor::NextBatch(size_t limit, const ScanSpec& spec,
                                   ScanWorkspace* ws, bool* done,
                                   ScanDeltas* deltas) {
@@ -217,14 +208,13 @@ Status PartitionCursor::NextBatch(size_t limit, const ScanSpec& spec,
     *done = true;
     return Status::OK();
   }
-  IDB_RETURN_IF_ERROR(partition_->ScanBatchFiltered(&pos_, end_page_, limit,
-                                                    spec, ws, &done_, deltas));
+  IDB_RETURN_IF_ERROR(
+      by_id_ ? partition_->ReadRowsFiltered(ids_, &next_id_, limit, spec, ws,
+                                            &done_, deltas)
+             : partition_->ScanBatchFiltered(&pos_, end_page_, limit, spec,
+                                             ws, &done_, deltas));
   *done = done_;
   return Status::OK();
-}
-
-Result<std::optional<RowView>> Table::GetRow(RowId row_id) const {
-  return Route(row_id)->GetRow(row_id);
 }
 
 uint64_t Table::live_rows() const {
@@ -233,20 +223,24 @@ uint64_t Table::live_rows() const {
   return total;
 }
 
-Status Table::IndexLookupEqual(int column, const Value& value, int level,
-                               std::vector<RowId>* out) const {
-  for (const auto& partition : partitions_) {
+Status Table::IndexLookupEqual(
+    int column, const Value& value, int level,
+    std::vector<std::vector<RowId>>* out) const {
+  out->assign(partitions_.size(), {});
+  for (size_t p = 0; p < partitions_.size(); ++p) {
     IDB_RETURN_IF_ERROR(
-        partition->IndexLookupEqual(column, value, level, out));
+        partitions_[p]->IndexLookupEqual(column, value, level, &(*out)[p]));
   }
   return Status::OK();
 }
 
-Status Table::IndexLookupRange(int column, const Value& lo, const Value& hi,
-                               int level, std::vector<RowId>* out) const {
-  for (const auto& partition : partitions_) {
+Status Table::IndexLookupRange(
+    int column, const Value& lo, const Value& hi, int level,
+    std::vector<std::vector<RowId>>* out) const {
+  out->assign(partitions_.size(), {});
+  for (size_t p = 0; p < partitions_.size(); ++p) {
     IDB_RETURN_IF_ERROR(
-        partition->IndexLookupRange(column, lo, hi, level, out));
+        partitions_[p]->IndexLookupRange(column, lo, hi, level, &(*out)[p]));
   }
   return Status::OK();
 }

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,25 +17,27 @@ inline constexpr uint32_t kMaxPartitions = 1024;
 
 class WorkerPool;
 
-/// \brief Cursor over one morsel's page range of a partition's heap
-/// (Table::OpenMorselCursor).
+/// \brief Cursor over one partition's rows: a morsel's page range
+/// (Table::OpenMorselCursor) or an index probe's row ids
+/// (Table::OpenRowIdCursor).
 ///
-/// This is the unit scans shard on: the query layer's morsel readers and
+/// Morsels are the unit scans shard on: the query layer's morsel readers and
 /// the deletion-assurance sweep open one cursor per claimed morsel and
-/// drain them on distinct workers. Each NextBatch holds the partition's
-/// shared latch only while producing that batch (snapshot-per-batch
-/// semantics). Value-semantic and independent of sibling cursors; the
-/// Table must outlive it.
+/// drain them on distinct workers. Either source yields the same pushdown
+/// batches. Each NextBatch holds the partition's shared latch only while
+/// producing that batch (snapshot-per-batch semantics). Value-semantic and
+/// independent of sibling cursors; the Table must outlive it.
 class PartitionCursor {
  public:
   PartitionCursor() = default;
 
-  /// Examines up to `limit` heap tuples, advancing the cursor
-  /// (TablePartition::ScanBatchFiltered): stable predicates run on the
-  /// decoded tuples and state stores are probed only for the survivors,
+  /// Examines up to `limit` heap tuples (page range) or row ids (id list),
+  /// advancing the cursor (TablePartition::ScanBatchFiltered,
+  /// TablePartition::ReadRowsFiltered): stable predicates run on the
+  /// walked records and state stores are probed only for the survivors,
   /// which REPLACE `ws`'s batch, so a selective batch comes out short.
   /// `ws` and `deltas` are the caller's per-worker batch and counter
-  /// accumulator. `*done` is set once the range is exhausted; subsequent
+  /// accumulator. `*done` is set once the source is exhausted; subsequent
   /// calls return no rows with `*done` true.
   Status NextBatch(size_t limit, const ScanSpec& spec, ScanWorkspace* ws,
                    bool* done, ScanDeltas* deltas);
@@ -46,11 +47,17 @@ class PartitionCursor {
  private:
   friend class Table;
   PartitionCursor(const TablePartition* partition, uint32_t index,
-                  PageId begin_page = 0, PageId end_page = kInvalidPageId)
+                  PageId begin_page, PageId end_page)
       : partition_(partition),
         index_(index),
         pos_{begin_page, 0},
         end_page_(end_page) {}
+  PartitionCursor(const TablePartition* partition, uint32_t index,
+                  std::vector<RowId> ids)
+      : partition_(partition),
+        index_(index),
+        by_id_(true),
+        ids_(std::move(ids)) {}
 
   const TablePartition* partition_ = nullptr;
   uint32_t index_ = 0;
@@ -58,6 +65,10 @@ class PartitionCursor {
   /// Exclusive page bound (kInvalidPageId = whole partition): a morsel
   /// cursor reports done at its range's end, not the heap's.
   PageId end_page_ = kInvalidPageId;
+  /// Id-list source: ids_[next_id_, end) are still to be read.
+  bool by_id_ = false;
+  std::vector<RowId> ids_;
+  size_t next_id_ = 0;
   bool done_ = false;
 };
 
@@ -139,15 +150,6 @@ class Table {
 
   // --- read path -------------------------------------------------------------
 
-  /// Snapshot scan: assembles every live row in full (one state-store
-  /// probe per row), walking partitions in order under each partition's
-  /// shared latch. Stops early when `fn` returns false. Consistency is
-  /// snapshot-per-partition: each partition is read atomically, but a row
-  /// changed in a later partition while an earlier one was being read may
-  /// reflect the newer state (rows never span partitions, so no row is
-  /// ever torn).
-  Status ScanRows(const std::function<bool(const RowView&)>& fn) const;
-
   /// Morsel-grained sharding (util/morsel.h): per-partition page-range
   /// plans for the work-stealing scheduler. `plan[p]` is partition p's
   /// queue; Σ plan sizes is the claim total the scan counters assert
@@ -173,17 +175,26 @@ class Table {
                            morsel.end_page);
   }
 
-  Result<std::optional<RowView>> GetRow(RowId row_id) const;
+  /// Cursor over the rows of `ids` in `partition` — ascending ids that
+  /// partition owns, as IndexLookupEqual/IndexLookupRange group them. An
+  /// out-of-range partition yields an empty cursor.
+  PartitionCursor OpenRowIdCursor(uint32_t partition,
+                                  std::vector<RowId> ids) const {
+    if (partition >= partitions_.size()) return PartitionCursor();
+    return PartitionCursor(partitions_[partition].get(), partition,
+                           std::move(ids));
+  }
 
   uint64_t live_rows() const;
 
   /// Rows matching an equality/range predicate on a degradable column at
-  /// accuracy `level`, merged across every partition's multi-resolution
-  /// index.
+  /// accuracy `level`, probed in every partition's multi-resolution index:
+  /// `(*out)[p]` holds partition p's row ids, ascending.
   Status IndexLookupEqual(int column, const Value& value, int level,
-                          std::vector<RowId>* out) const;
+                          std::vector<std::vector<RowId>>* out) const;
   Status IndexLookupRange(int column, const Value& lo, const Value& hi,
-                          int level, std::vector<RowId>* out) const;
+                          int level,
+                          std::vector<std::vector<RowId>>* out) const;
 
   // --- degradation -----------------------------------------------------------
 

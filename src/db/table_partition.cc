@@ -274,9 +274,12 @@ Status TablePartition::ApplyUpdateStable(RowId row_id,
   std::unique_lock<std::shared_mutex> latch(latch_);
   auto it = row_map_.find(row_id);
   if (it == row_map_.end()) return Status::OK();  // idempotent redo
-  IDB_ASSIGN_OR_RETURN(std::string record, heap_->Get(it->second));
   HeapTuple tuple;
-  IDB_RETURN_IF_ERROR(DecodeHeapTuple(schema(), record, &tuple));
+  Status decoded;
+  IDB_RETURN_IF_ERROR(heap_->Read(it->second, [&](Slice record) {
+    decoded = DecodeHeapTuple(schema(), record, &tuple);
+  }));
+  IDB_RETURN_IF_ERROR(decoded);
   tuple.stable = stable;
   std::string encoded;
   EncodeHeapTuple(tuple, &encoded);
@@ -288,26 +291,6 @@ Status TablePartition::ApplyUpdateStable(RowId row_id,
 }
 
 // --- read path ---------------------------------------------------------------------
-
-Status TablePartition::ScanRows(const std::function<bool(const RowView&)>& fn,
-                                bool* stopped) const {
-  std::shared_lock<std::shared_mutex> latch(latch_);
-  *stopped = false;
-  Status decode_status;
-  IDB_RETURN_IF_ERROR(heap_->Scan([&](Rid, Slice record) {
-    HeapTuple tuple;
-    decode_status = DecodeHeapTuple(schema(), record, &tuple);
-    if (!decode_status.ok()) return false;
-    RowView view;
-    AssembleRow(tuple, &view);
-    if (!fn(view)) {
-      *stopped = true;
-      return false;
-    }
-    return true;
-  }));
-  return decode_status;
-}
 
 std::vector<Morsel> TablePartition::MorselPlan(uint32_t pages_per_morsel) const {
   if (pages_per_morsel == 0) pages_per_morsel = kDefaultMorselPages;
@@ -327,12 +310,11 @@ std::vector<Morsel> TablePartition::MorselPlan(uint32_t pages_per_morsel) const 
   return plan;
 }
 
-Status TablePartition::ScanBatchFiltered(Rid* pos, PageId end_page,
-                                         size_t limit, const ScanSpec& spec,
-                                         ScanWorkspace* ws, bool* done,
-                                         ScanDeltas* deltas) const {
+template <typename ForEachRecord>
+Status TablePartition::FillBatch(const ScanSpec& spec, ScanWorkspace* ws,
+                                 ScanDeltas* deltas,
+                                 ForEachRecord&& for_each_record) const {
   std::shared_lock<std::shared_mutex> latch(latch_);
-  *done = true;
   ws->count = 0;
   const size_t stable_count = schema().stable_columns().size();
   ws->fields.resize(stable_count);
@@ -340,13 +322,8 @@ Status TablePartition::ScanBatchFiltered(Rid* pos, PageId end_page,
   size_t examined = 0;
   size_t survivors = 0;
   bool corrupt = false;
-  IDB_RETURN_IF_ERROR(heap_->ScanRange(*pos, end_page, [&](Rid rid,
-                                                          Slice record) {
-    if (examined >= limit) {
-      *pos = rid;  // resume here: this record has not been consumed
-      *done = false;
-      return false;
-    }
+  // The per-record body, one inlined copy per record source.
+  IDB_RETURN_IF_ERROR(for_each_record([&](Slice record) {
     ++examined;
     RowId row_id = kInvalidRowId;
     Micros insert_time = 0;
@@ -407,6 +384,44 @@ Status TablePartition::ScanBatchFiltered(Rid* pos, PageId end_page,
   return Status::OK();
 }
 
+Status TablePartition::ScanBatchFiltered(Rid* pos, PageId end_page,
+                                         size_t limit, const ScanSpec& spec,
+                                         ScanWorkspace* ws, bool* done,
+                                         ScanDeltas* deltas) const {
+  *done = true;
+  size_t taken = 0;
+  return FillBatch(spec, ws, deltas, [&](const auto& take) {
+    return heap_->ScanRange(*pos, end_page, [&](Rid rid, Slice record) {
+      if (taken == limit) {
+        *pos = rid;  // resume here: this record has not been consumed
+        *done = false;
+        return false;
+      }
+      ++taken;
+      return take(record);
+    });
+  });
+}
+
+Status TablePartition::ReadRowsFiltered(const std::vector<RowId>& ids,
+                                        size_t* next, size_t limit,
+                                        const ScanSpec& spec,
+                                        ScanWorkspace* ws, bool* done,
+                                        ScanDeltas* deltas) const {
+  return FillBatch(spec, ws, deltas, [&](const auto& take) {
+    const size_t end = *next + std::min(limit, ids.size() - *next);
+    bool ok = true;
+    for (; ok && *next < end; ++*next) {
+      const auto it = row_map_.find(ids[*next]);
+      if (it == row_map_.end()) continue;  // deleted or expired since the probe
+      IDB_RETURN_IF_ERROR(heap_->Read(
+          it->second, [&](Slice record) { ok = take(record); }));
+    }
+    *done = *next == ids.size();
+    return Status::OK();
+  });
+}
+
 void TablePartition::ResolveDegradableLocked(ScanWorkspace* ws) const {
   const size_t n = ws->count;
   const auto& degradable_cols = schema().degradable_columns();
@@ -452,46 +467,6 @@ void TablePartition::ResolveDegradableLocked(ScanWorkspace* ws) const {
       }
     }
   }
-}
-
-void TablePartition::AssembleRow(const HeapTuple& tuple, RowView* view) const {
-  view->row_id = tuple.row_id;
-  view->insert_time = tuple.insert_time;
-  view->values.assign(schema().num_columns(), Value::Null());
-  for (size_t i = 0; i < schema().stable_columns().size(); ++i) {
-    view->values[schema().stable_columns()[i]] = tuple.stable[i];
-  }
-  const auto& degradable_cols = schema().degradable_columns();
-  view->phases.assign(degradable_cols.size(), 0);
-  view->ordinals.assign(degradable_cols.size(), -1);
-  for (size_t d = 0; d < degradable_cols.size(); ++d) {
-    const ColumnDef& col = schema().column(degradable_cols[d]);
-    int phase = col.lcp.num_phases();  // removed unless found
-    for (size_t p = 0; p < stores_[d].size(); ++p) {
-      const std::optional<StoreEntryView> entry =
-          stores_[d][p]->Find(tuple.row_id);
-      if (entry) {
-        phase = static_cast<int>(p);
-        view->values[degradable_cols[d]] = col.hierarchy->AncestorValue(
-            entry->ordinal, col.lcp.phase(phase).level);
-        view->ordinals[d] = entry->ordinal;
-        break;
-      }
-    }
-    view->phases[d] = phase;
-  }
-}
-
-Result<std::optional<RowView>> TablePartition::GetRow(RowId row_id) const {
-  std::shared_lock<std::shared_mutex> latch(latch_);
-  auto it = row_map_.find(row_id);
-  if (it == row_map_.end()) return std::optional<RowView>{};
-  IDB_ASSIGN_OR_RETURN(std::string record, heap_->Get(it->second));
-  HeapTuple tuple;
-  IDB_RETURN_IF_ERROR(DecodeHeapTuple(schema(), record, &tuple));
-  RowView view;
-  AssembleRow(tuple, &view);
-  return std::optional<RowView>(std::move(view));
 }
 
 bool TablePartition::Contains(RowId row_id) const {
@@ -546,10 +521,12 @@ Status TablePartition::IndexLookupEqual(int column, const Value& value,
   if (ordinal < 0 || multires_.empty()) {
     return Status::InvalidArgument("no multi-resolution index on column");
   }
-  return multires_[ordinal]->LookupEqual(value, level, [&](RowId rid) {
+  IDB_RETURN_IF_ERROR(multires_[ordinal]->LookupEqual(value, level, [&](RowId rid) {
     out->push_back(rid);
     return true;
-  });
+  }));
+  std::sort(out->begin(), out->end());
+  return Status::OK();
 }
 
 Status TablePartition::IndexLookupRange(int column, const Value& lo,
@@ -560,10 +537,12 @@ Status TablePartition::IndexLookupRange(int column, const Value& lo,
   if (ordinal < 0 || multires_.empty()) {
     return Status::InvalidArgument("no multi-resolution index on column");
   }
-  return multires_[ordinal]->LookupRange(lo, hi, level, [&](RowId rid) {
+  IDB_RETURN_IF_ERROR(multires_[ordinal]->LookupRange(lo, hi, level, [&](RowId rid) {
     out->push_back(rid);
     return true;
-  });
+  }));
+  std::sort(out->begin(), out->end());
+  return Status::OK();
 }
 
 // --- degradation ----------------------------------------------------------------------

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -38,26 +37,6 @@ struct TableRuntime {
   Clock* clock = nullptr;
   /// All table storage I/O routes through this seam; nullptr = Env::Default().
   Env* env = nullptr;
-};
-
-/// Fully assembled row (ScanRows, GetRow): stable values plus each
-/// degradable attribute's *stored* phase, value and leaf ordinal (the
-/// physical ST_j membership, which is what the paper's query semantics
-/// partition on).
-struct RowView {
-  RowId row_id = kInvalidRowId;
-  Micros insert_time = 0;
-  /// Aligned with schema.columns(): stable columns hold their value;
-  /// degradable columns hold the stored (possibly degraded) value, or NULL
-  /// once removed.
-  std::vector<Value> values;
-  /// Aligned with schema.degradable_columns(): current phase per attribute
-  /// (lcp.num_phases() = removed).
-  std::vector<int> phases;
-  /// Aligned with schema.degradable_columns(): leaf ordinal of the stored
-  /// value at its phase's level (StoreEntryView::ordinal; -1 once removed) —
-  /// what the query layer's σ and f_k read.
-  std::vector<int64_t> ordinals;
 };
 
 /// \brief The physical state of one hash-partition of a table: slotted heap
@@ -140,12 +119,6 @@ class TablePartition {
 
   // --- read path -------------------------------------------------------------
 
-  /// Snapshot scan of this partition under its shared latch, assembling
-  /// every live row in full. Stops early when `fn` returns false (reported
-  /// via `*stopped`; see Table::ScanRows).
-  Status ScanRows(const std::function<bool(const RowView&)>& fn,
-                  bool* stopped) const;
-
   /// Splits this partition's heap into page-range morsels of
   /// `pages_per_morsel` pages (0 = kDefaultMorselPages), the unit the
   /// morsel scheduler hands to scan/degrade/audit workers. The last morsel
@@ -174,7 +147,17 @@ class TablePartition {
                            const ScanSpec& spec, ScanWorkspace* ws, bool* done,
                            ScanDeltas* deltas) const;
 
-  Result<std::optional<RowView>> GetRow(RowId row_id) const;
+  /// The same batch over a row-id list instead of a page range (index
+  /// probes): reads the rows of up to `limit` ids from `ids[*next]` on,
+  /// each record in place on its pinned page, through the same per-record
+  /// body and accounting, under one shared-latch acquisition. Advances
+  /// `*next` and sets `*done` once every id was visited. An id with no row
+  /// (deleted or expired since the probe) is skipped and not counted as
+  /// examined. `ids` are ascending, so the store merge needs no sort.
+  Status ReadRowsFiltered(const std::vector<RowId>& ids, size_t* next,
+                          size_t limit, const ScanSpec& spec,
+                          ScanWorkspace* ws, bool* done,
+                          ScanDeltas* deltas) const;
 
   /// True if the row id currently lives in this partition.
   bool Contains(RowId row_id) const;
@@ -190,6 +173,8 @@ class TablePartition {
   /// Entries and heap bytes of this partition's multi-resolution indexes.
   MemoryUsage index_memory() const;
 
+  /// Row ids matching an equality/range predicate on a degradable column
+  /// at accuracy `level`, appended to `*out` and sorted ascending.
   Status IndexLookupEqual(int column, const Value& value, int level,
                           std::vector<RowId>* out) const;
   Status IndexLookupRange(int column, const Value& lo, const Value& hi,
@@ -291,9 +276,17 @@ class TablePartition {
   Status InsertDegradableLocked(size_t d, RowId row_id, Micros insert_time,
                                 const Value& value);
 
-  /// Builds a RowView from a decoded heap tuple, one store probe per
-  /// degradable column (caller holds the latch).
-  void AssembleRow(const HeapTuple& tuple, RowView* view) const;
+  /// One pushdown batch under a single shared-latch acquisition:
+  /// `for_each_record(take)` hands each heap record, borrowed from its
+  /// pinned page, to `take`, which walks it into ws->fields, runs
+  /// spec.filter on the views and appends a survivor, with Values for its
+  /// output columns only, to ws's batch; it returns false on a malformed
+  /// record, and the source then stops. Then the ScanDeltas accounting and
+  /// the survivors' degradable cells. The body of ScanBatchFiltered and
+  /// ReadRowsFiltered, instantiated once for each.
+  template <typename ForEachRecord>
+  Status FillBatch(const ScanSpec& spec, ScanWorkspace* ws,
+                   ScanDeltas* deltas, ForEachRecord&& for_each_record) const;
 
   /// Resolves the (phase, ordinal) of every degradable column of the
   /// survivors ws->tuples[0, count) into ws->phases/ordinals with one

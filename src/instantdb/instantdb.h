@@ -12,7 +12,6 @@
 ///  - Schema / ColumnDef — stable vs. degradable attributes.
 ///  - Database — engine facade (storage, WAL, transactions, degrader).
 ///  - Session — SQL with DECLARE PURPOSE accuracy binding.
-///  - Mondrian — k-anonymity comparison baseline.
 ///  - MaintenanceDaemon / AuditReport — self-driving checkpoint cadence and
 ///    deletion-assurance audits that *prove* data past its deadline is gone
 ///    (enable with DbOptions::maintenance.enabled; verify with
@@ -33,7 +32,6 @@
 /// returns a fully materialized QueryResult (typed values; display strings
 /// rendered on demand).
 
-#include "anonymize/mondrian.h"
 #include "catalog/builtin_domains.h"
 #include "catalog/catalog.h"
 #include "catalog/generalization.h"

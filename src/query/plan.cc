@@ -431,13 +431,57 @@ void MergePartials(const AggregatePartials& in, AggregatePartials* out) {
   }
 }
 
-/// Per-statement state shared by every morsel reader of one heap scan: the
-/// pushdown spec (stable σ inside the scan, survivors-only store probes and
-/// late decode), the morsel scheduler, the statement budget and the counters
-/// the readers fold into.
+/// What one statement reads: the row ids an index probe returned, grouped
+/// by partition (each group ascending), or — with no usable index
+/// predicate — the heap's morsel plan.
+struct ReadSet {
+  bool indexed = false;
+  std::vector<std::vector<RowId>> probed;
+  std::vector<std::vector<Morsel>> plan;
+};
+
+/// Probes the multi-resolution index when the query has a usable degradable
+/// predicate (and indexes are on); otherwise plans a heap scan.
+Result<ReadSet> PlanRead(Session* session, const BoundQuery& query) {
+  ReadSet read;
+  const BoundPredicate* index_pred = nullptr;
+  if (session->use_indexes() && !session->read_options().include_coarser) {
+    for (const BoundPredicate& pred : query.predicates) {
+      if (pred.degradable && pred.index_usable) {
+        index_pred = &pred;
+        break;
+      }
+    }
+  }
+  if (index_pred == nullptr) {
+    read.plan = query.table->MorselPlan(session->scan_options().morsel_pages);
+    return read;
+  }
+  read.indexed = true;
+  if (index_pred->op == ComparisonOp::kBetween) {
+    IDB_RETURN_IF_ERROR(query.table->IndexLookupRange(
+        index_pred->column, index_pred->value, index_pred->value2,
+        index_pred->level, &read.probed));
+  } else {
+    // Equality / label-LIKE: probe at the literal's own level so every
+    // computable phase tree is visited.
+    IDB_RETURN_IF_ERROR(query.table->IndexLookupEqual(
+        index_pred->column, index_pred->value,
+        std::max(index_pred->literal_level, index_pred->level),
+        &read.probed));
+  }
+  return read;
+}
+
+/// Per-statement state shared by every reader of one scan: the pushdown
+/// spec (stable σ inside the scan, survivors-only store probes and late
+/// decode), what to read, the statement budget and the counters the readers
+/// fold into. A heap scan hands out morsels through the scheduler; an index
+/// probe's ids are read partition by partition by ONE reader (Fanout is 1),
+/// which claims no morsel.
 struct HeapScan {
   HeapScan(Session* session, const BoundQuery& query, size_t batch_rows,
-           std::vector<std::vector<Morsel>> plan, bool count_only = false)
+           ReadSet read, bool count_only = false)
       : query(query),
         read_options(session->read_options()),
         counters(session->db()->scan_counters()),
@@ -445,15 +489,37 @@ struct HeapScan {
         batch_rows(batch_rows),
         filter(query.predicates),
         spec(MakeScanSpec(query, filter, count_only)),
-        sched(std::move(plan),
+        indexed(read.indexed),
+        probed(std::move(read.probed)),
+        sched(std::move(read.plan),
               MorselStatsSink{&counters->morsels_claimed,
                               &counters->morsels_stolen,
                               &counters->steal_failures}) {}
 
   /// Readers worth running for `want` workers: at least one, at most one
-  /// per morsel.
+  /// per morsel, exactly one for an index probe.
   size_t Fanout(size_t want) const {
+    if (indexed) return 1;
     return std::max<size_t>(1, std::min(want, sched.total()));
+  }
+
+  /// Opens `worker`'s next cursor: on a heap scan over a morsel it claims
+  /// (stored in `*morsel`), on an index probe over the next partition's
+  /// probed ids. False once nothing is left.
+  bool OpenNext(size_t worker, Morsel* morsel, PartitionCursor* cursor) {
+    if (!indexed) {
+      if (!sched.Claim(worker, morsel)) return false;
+      *cursor = query.table->OpenMorselCursor(*morsel);
+      return true;
+    }
+    for (; next_probe < probed.size(); ++next_probe) {
+      if (probed[next_probe].empty()) continue;
+      *cursor = query.table->OpenRowIdCursor(
+          next_probe, std::move(probed[next_probe]));
+      ++next_probe;
+      return true;
+    }
+    return false;
   }
 
   const BoundQuery& query;
@@ -463,33 +529,36 @@ struct HeapScan {
   const size_t batch_rows;
   const StablePredicateFilter filter;
   const ScanSpec spec;
+  const bool indexed;
+  std::vector<std::vector<RowId>> probed;
+  uint32_t next_probe = 0;
   MorselScheduler sched;
 };
 
-/// One worker's pass over a HeapScan, and the only heap-scan loop: claims a
-/// morsel, opens its cursor, pulls latched pushdown batches, folds their
-/// deltas into the scan counters, runs the degradable σ on the survivors'
-/// ordinals and hands each qualifying row to the caller's consumer. The
-/// statement budget is checked before every batch (so on every claim too),
-/// which stops a doomed statement within one batch. Isolation is
-/// snapshot-per-batch: a batch holds its partition's shared latch only
-/// while it is assembled, so rows inserted, deleted or degraded between two
-/// batches may or may not be observed. One reader per worker.
-class MorselReader {
+/// One worker's pass over a HeapScan, and the only scan loop, index probes
+/// included: opens a cursor (HeapScan::OpenNext), pulls latched pushdown
+/// batches, folds their deltas into the scan counters, runs the degradable
+/// σ on the survivors' ordinals and hands each qualifying row to the
+/// caller's consumer. The statement budget is checked before every batch
+/// (so on every claim too), which stops a doomed statement within one
+/// batch. Isolation is snapshot-per-batch: a batch holds its partition's
+/// shared latch only while it is assembled, so rows inserted, deleted or
+/// degraded between two batches may or may not be observed. One reader per
+/// worker.
+class ScanReader {
  public:
-  MorselReader(HeapScan* scan, size_t worker)
+  ScanReader(HeapScan* scan, size_t worker)
       : scan_(scan), worker_(worker), levels_(scan->query.degradable.size()) {}
 
   /// Pulls ONE latched batch and hands each of its qualifying rows to
   /// `on_row(QualifiedRow&)` — none when σ filtered the whole batch, and
-  /// none under a count-only spec (see survivors()). Returns false once no
-  /// morsel is left.
+  /// none under a count-only spec (see survivors()). Returns false once
+  /// nothing is left to read.
   template <typename OnRow>
   Result<bool> Next(OnRow&& on_row) {
     survivors_ = 0;
     if (!cursor_open_) {
-      if (!scan_->sched.Claim(worker_, &morsel_)) return false;
-      cursor_ = scan_->query.table->OpenMorselCursor(morsel_);
+      if (!scan_->OpenNext(worker_, &morsel_, &cursor_)) return false;
       cursor_open_ = true;
     }
     IDB_RETURN_IF_ERROR(scan_->budget.Check());
@@ -519,7 +588,7 @@ class MorselReader {
     return true;
   }
 
-  /// Ordinal of the morsel the last batch came from.
+  /// Ordinal of the morsel the last batch came from (0 on an index probe).
   size_t ordinal() const { return morsel_.ordinal; }
   /// Rows of the last batch that passed the stable filter — the only
   /// output of a count-only batch.
@@ -536,78 +605,11 @@ class MorselReader {
   uint64_t survivors_ = 0;
 };
 
-/// Index-probe counterpart of MorselReader: fetches the probed rows with
-/// Table::GetRow (which resolves each degradable cell's ordinal once) and
-/// runs the same σ on them — the stable terms too, since nothing was pushed
-/// below the fetch.
-class IndexReader {
- public:
-  IndexReader(Session* session, const BoundQuery& query,
-              std::vector<RowId> rids, size_t batch_rows)
-      : read_options_(session->read_options()),
-        counters_(session->db()->scan_counters()),
-        budget_(ScanBudget::Of(session)),
-        query_(query),
-        filter_(query.predicates),
-        fields_(query.table->schema().stable_columns().size()),
-        rids_(std::move(rids)),
-        batch_rows_(std::max<size_t>(batch_rows, 1)),
-        levels_(query.degradable.size()) {}
-
-  /// Fetches rows until `batch_rows` qualified or the ids ran out, handing
-  /// each qualifying row to `on_row(QualifiedRow&)`. Returns false once
-  /// every id was fetched.
-  template <typename OnRow>
-  Result<bool> Next(OnRow&& on_row) {
-    if (next_ >= rids_.size()) return false;
-    IDB_RETURN_IF_ERROR(budget_.Check());
-    const std::vector<int>& stable = query_.table->schema().stable_columns();
-    uint64_t fetched = 0;
-    size_t qualified = 0;
-    while (next_ < rids_.size() && qualified < batch_rows_) {
-      IDB_ASSIGN_OR_RETURN(auto view, query_.table->GetRow(rids_[next_++]));
-      if (!view.has_value()) continue;
-      ++fetched;
-      tuple_.row_id = view->row_id;
-      tuple_.stable.resize(stable.size());
-      for (size_t i = 0; i < stable.size(); ++i) {
-        tuple_.stable[i] = std::move(view->values[stable[i]]);
-        fields_[i] = FieldView::Of(tuple_.stable[i]);
-      }
-      if (!filter_.Matches(fields_.data()) ||
-          !QualifyDegradable(query_, read_options_, view->phases.data(),
-                             view->ordinals.data(), levels_.data())) {
-        continue;
-      }
-      QualifiedRow row{&tuple_, view->ordinals.data(), levels_.data()};
-      on_row(row);
-      ++qualified;
-    }
-    counters_->batches.fetch_add(1, std::memory_order_relaxed);
-    counters_->rows.fetch_add(fetched, std::memory_order_relaxed);
-    return true;
-  }
-
- private:
-  const ReadOptions read_options_;
-  Database::ScanCounters* const counters_;
-  const ScanBudget budget_;
-  const BoundQuery& query_;
-  const StablePredicateFilter filter_;
-  /// Views of tuple_'s stable values, which the filter reads.
-  std::vector<FieldView> fields_;
-  std::vector<RowId> rids_;
-  const size_t batch_rows_;
-  size_t next_ = 0;
-  HeapTuple tuple_;
-  std::vector<int> levels_;
-};
-
-/// Streaming heap source (cursors): rows in arrival order. With `workers`
-/// 1, or when the shared pool lends no worker, the consumer's own thread
-/// pulls one reader inline. Otherwise each producer the pool lends runs a
-/// reader, projects its qualifying rows and pushes the batches into a
-/// bounded queue the consumer drains. No thread is ever spawned: a busy
+/// Streaming source (cursors): rows in arrival order. With `workers` 1 (an
+/// index probe always), or when the shared pool lends no worker, the
+/// consumer's own thread pulls one reader inline. Otherwise each producer
+/// the pool lends runs a reader, projects its qualifying rows and pushes
+/// the batches into a bounded queue the consumer drains. No thread is ever spawned: a busy
 /// pool makes the scan narrower, never blocked. Batch storage circulates —
 /// drained batches return to a spare pool the producers refill — so a
 /// steady-state scan stops allocating. The queue bound backpressures
@@ -618,9 +620,9 @@ class StreamingScanSource : public RowSource {
  public:
   StreamingScanSource(Session* session, const SelectPlan& select,
                       size_t batch_rows, size_t workers, size_t queue_batches,
-                      std::vector<std::vector<Morsel>> plan)
+                      ReadSet read)
       : select_(select),
-        scan_(session, select.query, batch_rows, std::move(plan)),
+        scan_(session, select.query, batch_rows, std::move(read)),
         pool_(session->db()->worker_pool()),
         queue_capacity_(std::max<size_t>(queue_batches, 1)),
         inline_reader_(&scan_, 0) {
@@ -692,7 +694,7 @@ class StreamingScanSource : public RowSource {
 
  private:
   void ProduceLoop(size_t worker) {
-    MorselReader reader(&scan_, worker);
+    ScanReader reader(&scan_, worker);
     ProjectedRows batch;
     Status status;
     // Checked between batches, fully filtered ones included: an early
@@ -735,7 +737,7 @@ class StreamingScanSource : public RowSource {
   WorkerPool* const pool_;
   const size_t queue_capacity_;
   /// The consumer's own reader, used when no producer runs.
-  MorselReader inline_reader_;
+  ScanReader inline_reader_;
   /// Set once by the constructor: true when the pool lent producers.
   bool producing_ = false;
 
@@ -750,103 +752,27 @@ class StreamingScanSource : public RowSource {
   WorkerPool::Ticket ticket_;
 };
 
-/// Streaming index-probe source: projects the probed rows batch by batch,
-/// in row-id order.
-class IndexScanSource : public RowSource {
- public:
-  IndexScanSource(Session* session, const SelectPlan& select,
-                  std::vector<RowId> rids, size_t batch_rows)
-      : select_(select),
-        reader_(session, select.query, std::move(rids), batch_rows) {}
-
-  Result<bool> NextBatch(ProjectedRows* out) override {
-    out->Clear();
-    while (out->size == 0) {
-      IDB_ASSIGN_OR_RETURN(const bool more,
-                           reader_.Next([&](QualifiedRow& row) {
-                             ProjectRow(select_, row, out);
-                           }));
-      if (!more) return false;
-    }
-    return true;
-  }
-
- private:
-  const SelectPlan& select_;
-  IndexReader reader_;
-};
-
-/// The degradable predicate an index probe would serve, or nullptr when the
-/// query takes a heap scan (shared by every drain so they always agree on
-/// the access path).
-const BoundPredicate* UsableIndexPredicate(Session* session,
-                                           const BoundQuery& query) {
-  if (!session->use_indexes() || session->read_options().include_coarser) {
-    return nullptr;
-  }
-  for (const BoundPredicate& pred : query.predicates) {
-    if (pred.degradable && pred.index_usable) return &pred;
-  }
-  return nullptr;
-}
-
-/// Probes the multi-resolution index when the query has a usable predicate:
-/// fills `*rids` (ascending) and returns true; false means heap scan.
-Result<bool> ProbeIndex(Session* session, const BoundQuery& query,
-                        std::vector<RowId>* rids) {
-  const BoundPredicate* index_pred = UsableIndexPredicate(session, query);
-  if (index_pred == nullptr) return false;
-  if (index_pred->op == ComparisonOp::kBetween) {
-    IDB_RETURN_IF_ERROR(query.table->IndexLookupRange(
-        index_pred->column, index_pred->value, index_pred->value2,
-        index_pred->level, rids));
-  } else {
-    // Equality / label-LIKE: probe at the literal's own level so every
-    // computable phase tree is visited.
-    IDB_RETURN_IF_ERROR(query.table->IndexLookupEqual(
-        index_pred->column, index_pred->value,
-        std::max(index_pred->literal_level, index_pred->level), rids));
-  }
-  std::sort(rids->begin(), rids->end());
-  return true;
-}
-
 /// The materialized drain behind Execute's projection, aggregation and
 /// DELETE: hands every qualifying row of `query` to the consumer
-/// worker-side. An index probe's rows go inline to worker 0, bucket 0; a
-/// heap scan runs Fanout readers on the shared pool (WorkerPool::Run: the
-/// caller drains too, so a saturated pool only narrows the scan), each row
-/// tagged with its reader's worker slot and its morsel ordinal. The consumer
-/// provides Prepare(workers, buckets) — called once, before any row —
-/// Row(worker, bucket, QualifiedRow&) and, for count-only scans,
-/// Count(worker, survivors). Returns the number of heap workers (0 for the
-/// index path).
+/// worker-side. Fanout readers run on the shared pool (WorkerPool::Run: the
+/// caller drains too, so a saturated pool only narrows the scan; an index
+/// probe's one reader runs inline), each row tagged with its reader's worker
+/// slot and its morsel ordinal. The consumer provides Prepare(workers,
+/// buckets) — called once, before any row — Row(worker, bucket,
+/// QualifiedRow&) and, for count-only scans, Count(worker, survivors).
+/// Returns the number of workers.
 template <typename Consumer>
 Result<size_t> DrainQualifying(Session* session, const BoundQuery& query,
                                bool count_only, Consumer* consumer) {
-  std::vector<RowId> rids;
-  IDB_ASSIGN_OR_RETURN(const bool indexed, ProbeIndex(session, query, &rids));
-  if (indexed) {
-    consumer->Prepare(1, 1);
-    IndexReader reader(session, query, std::move(rids),
-                       kStreamingScanBatchRows);
-    for (;;) {
-      IDB_ASSIGN_OR_RETURN(const bool more,
-                           reader.Next([&](QualifiedRow& row) {
-                             consumer->Row(0, 0, row);
-                           }));
-      if (!more) return size_t{0};
-    }
-  }
-  HeapScan scan(session, query, kMaterializedScanBatchRows,
-                query.table->MorselPlan(session->scan_options().morsel_pages),
+  IDB_ASSIGN_OR_RETURN(ReadSet read, PlanRead(session, query));
+  HeapScan scan(session, query, kMaterializedScanBatchRows, std::move(read),
                 count_only);
   const size_t workers =
       scan.Fanout(ResolveScanParallelism(session, *query.table));
-  consumer->Prepare(workers, scan.sched.total());
+  consumer->Prepare(workers, std::max<size_t>(scan.sched.total(), 1));
   IDB_RETURN_IF_ERROR(session->db()->worker_pool()->Run(
       workers, workers, [&](size_t worker) -> Status {
-        MorselReader reader(&scan, worker);
+        ScanReader reader(&scan, worker);
         for (;;) {
           IDB_ASSIGN_OR_RETURN(const bool more,
                                reader.Next([&](QualifiedRow& row) {
@@ -959,36 +885,28 @@ Result<std::unique_ptr<RowSource>> MakeRowSource(Session* session,
                                                  const SelectPlan& select,
                                                  size_t scan_batch_rows) {
   const BoundQuery& query = select.query;
-  std::vector<RowId> rids;
-  IDB_ASSIGN_OR_RETURN(const bool indexed, ProbeIndex(session, query, &rids));
-  if (indexed) {
-    return std::unique_ptr<RowSource>(new IndexScanSource(
-        session, select, std::move(rids),
-        scan_batch_rows == SIZE_MAX ? kStreamingScanBatchRows
-                                    : scan_batch_rows));
-  }
-  const size_t parallelism = ResolveScanParallelism(session, *query.table);
-  std::vector<std::vector<Morsel>> plan =
-      query.table->MorselPlan(session->scan_options().morsel_pages);
+  IDB_ASSIGN_OR_RETURN(ReadSet read, PlanRead(session, query));
   size_t total = 0;
-  for (const auto& queue : plan) total += queue.size();
-  // A one-morsel table gains nothing from producers or the queue.
-  const size_t workers = std::min(parallelism, total);
+  for (const auto& queue : read.plan) total += queue.size();
+  // A one-morsel table gains nothing from producers or the queue, and an
+  // index probe (no morsel) is read by one reader.
+  const size_t workers = std::max<size_t>(
+      1, std::min(ResolveScanParallelism(session, *query.table), total));
   if (workers <= 1) {
     // One queue over the flattened plan: the inline reader claims morsels
     // in ordinal order, so rows come out in (partition, heap) order.
     std::vector<Morsel> flat;
     flat.reserve(total);
-    for (const auto& queue : plan) {
+    for (const auto& queue : read.plan) {
       flat.insert(flat.end(), queue.begin(), queue.end());
     }
-    plan.assign(1, std::move(flat));
+    read.plan.assign(1, std::move(flat));
   }
   size_t queue_batches = session->scan_options().prefetch_batches;
   if (queue_batches == 0) queue_batches = 2 * workers;
   return std::unique_ptr<RowSource>(
       new StreamingScanSource(session, select, scan_batch_rows, workers,
-                              queue_batches, std::move(plan)));
+                              queue_batches, std::move(read)));
 }
 
 Result<SelectPlan> BindSelect(Session* session, const SelectAst& ast) {

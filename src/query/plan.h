@@ -177,8 +177,11 @@ size_t ResolveScanParallelism(Session* session, const Table& table);
 /// the consumer's thread pulls one reader inline, in (partition, heap)
 /// order; otherwise the producers the shared pool lends feed a bounded
 /// batch queue and rows arrive interleaved across morsels. No thread is
-/// spawned. `scan_batch_rows` bounds the heap tuples one batch examines
-/// (SIZE_MAX: a whole morsel per batch).
+/// spawned. An index probe reads through the same batches, one cursor per
+/// partition over that partition's probed ids, with one inline reader, so
+/// its rows come out in (partition, row id) order. `scan_batch_rows` bounds
+/// the heap tuples (or probed ids) one batch examines (SIZE_MAX: a whole
+/// morsel, or a partition's ids, per batch).
 Result<std::unique_ptr<RowSource>> MakeRowSource(
     Session* session, const SelectPlan& select,
     size_t scan_batch_rows = kStreamingScanBatchRows);
@@ -187,7 +190,7 @@ Result<std::unique_ptr<RowSource>> MakeRowSource(
 /// row is projected worker-side straight into its morsel's bucket, and the
 /// buckets are concatenated in morsel-ordinal order — (partition,
 /// begin_page) ascending — so rows come out in sequential-scan order at any
-/// parallelism. Index probes project in row-id order.
+/// parallelism. Index probes project in (partition, row id) order.
 Result<QueryResult> ExecuteProjection(Session* session,
                                       const SelectPlan& select);
 

@@ -150,17 +150,6 @@ Result<Rid> HeapFile::Insert(Slice record) {
   return InsertIntoPage(guard, record);
 }
 
-Result<std::string> HeapFile::Get(Rid rid) const {
-  IDB_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page));
-  const char* page = guard.data();
-  const PageHeader header = ReadHeader(page);
-  if (rid.slot >= header.num_slots || SlotOffset(page, rid.slot) == 0) {
-    return Status::NotFound("no record at rid");
-  }
-  return std::string(page + SlotOffset(page, rid.slot),
-                     SlotLen(page, rid.slot));
-}
-
 Status HeapFile::Delete(Rid rid) {
   IDB_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page));
   char* page = guard.data();

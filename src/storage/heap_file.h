@@ -32,7 +32,21 @@ class HeapFile {
   Status Open();
 
   Result<Rid> Insert(Slice record);
-  Result<std::string> Get(Rid rid) const;
+
+  /// Calls `fn(Slice)` with the record at `rid`, read in place while its
+  /// page is pinned (valid only inside the call). NotFound for a free or
+  /// out-of-range slot.
+  template <typename Fn>
+  Status Read(Rid rid, Fn&& fn) const {
+    IDB_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page));
+    const char* page = guard.data();
+    if (rid.slot >= ReadHeader(page).num_slots ||
+        SlotOffset(page, rid.slot) == 0) {
+      return Status::NotFound("no record at rid");
+    }
+    fn(Slice(page + SlotOffset(page, rid.slot), SlotLen(page, rid.slot)));
+    return Status::OK();
+  }
 
   /// Frees the slot; record bytes are always zeroed first.
   Status Delete(Rid rid);

@@ -19,6 +19,7 @@
 #include "common/strings.h"
 #include "db/database.h"
 #include "gtest/gtest.h"
+#include "scan_oracle.h"
 #include "util/file.h"
 
 namespace instantdb {
@@ -40,16 +41,15 @@ struct RowState {
 
 std::vector<RowState> DumpTable(Table* table) {
   std::vector<RowState> rows;
-  EXPECT_TRUE(table
-                  ->ScanRows([&](const RowView& view) {
-                    rows.push_back(
-                        {view.row_id, view.values[0].ToString(),
-                         view.values[1].is_null() ? "<null>"
-                                                  : view.values[1].ToString(),
-                         view.phases[0]});
-                    return true;
-                  })
-                  .ok());
+  auto stored = oracle::StoredRows(*table);
+  EXPECT_TRUE(stored.ok());
+  if (!stored.ok()) return rows;
+  for (const oracle::Stored& view : *stored) {
+    rows.push_back({view.row_id, view.values[0].ToString(),
+                    view.values[1].is_null() ? "<null>"
+                                             : view.values[1].ToString(),
+                    view.phases[0]});
+  }
   std::sort(rows.begin(), rows.end());
   return rows;
 }

@@ -8,6 +8,7 @@
 #include "gtest/gtest.h"
 #include "query/cursor.h"
 #include "query/session.h"
+#include "scan_oracle.h"
 #include "util/file.h"
 
 namespace instantdb {
@@ -178,16 +179,14 @@ void ConcurrencyStressTest::RunStress(size_t scan_parallelism) {
   // No lost rows, and every value left phase 0 by its deadline plus one
   // pass of the worker pool.
   EXPECT_EQ(table->live_rows(), kTotalRows);
-  uint64_t scanned = 0;
-  ASSERT_TRUE(table
-                  ->ScanRows([&](const RowView& view) {
-                    ++scanned;
-                    EXPECT_GE(view.phases[0], 1) << "row " << view.row_id;
-                    EXPECT_EQ(view.values[1], Value::String("Paris"));
-                    return true;
-                  })
-                  .ok());
-  EXPECT_EQ(scanned, kTotalRows);
+  // The degrader is stopped: the table is quiescent for the oracle.
+  auto stored = oracle::StoredRows(*table);
+  ASSERT_TRUE(stored.ok());
+  for (const oracle::Stored& view : *stored) {
+    EXPECT_GE(view.phases[0], 1) << "row " << view.row_id;
+    EXPECT_EQ(view.values[1], Value::String("Paris"));
+  }
+  EXPECT_EQ(stored->size(), kTotalRows);
   const auto stats = table->stats();
   EXPECT_EQ(stats.inserts, kTotalRows);
   EXPECT_EQ(stats.values_degraded, kTotalRows);

@@ -6,6 +6,7 @@
 #include "forensic.h"
 #include "gtest/gtest.h"
 #include "io/fault_env.h"
+#include "scan_oracle.h"
 #include "util/coding.h"
 #include "util/file.h"
 #include "wal/wal_stream.h"
@@ -61,7 +62,7 @@ class DatabaseTest : public ::testing::Test {
 
   /// location value of one row (NULL when removed / row gone).
   Value LocationOf(RowId row_id) {
-    auto row = db_->GetTable("pings")->GetRow(row_id);
+    auto row = oracle::StoredRow(*db_->GetTable("pings"), row_id);
     EXPECT_TRUE(row.ok());
     if (!row.ok() || !row->has_value()) return Value::Null();
     const int col = db_->GetTable("pings")->schema().FindColumn("location");
@@ -98,7 +99,7 @@ TEST_F(DatabaseTest, Fig2LifecycleEndToEnd) {
   // t = +1 more month: the tuple disappears entirely.
   clock_->Advance(kMicrosPerMonth);
   ASSERT_TRUE(db_->RunDegradationOnce().ok());
-  auto gone = db_->GetTable("pings")->GetRow(row);
+  auto gone = oracle::StoredRow(*db_->GetTable("pings"), row);
   ASSERT_TRUE(gone.ok());
   EXPECT_FALSE(gone->has_value());
   EXPECT_EQ(db_->GetTable("pings")->live_rows(), 0u);
@@ -202,14 +203,16 @@ TEST_F(DatabaseTest, IndexesSurviveRecoveryViaRebuild) {
 
   Table* table = db_->GetTable("pings");
   const int col = table->schema().FindColumn("location");
-  std::vector<RowId> rids;
-  ASSERT_TRUE(
-      table->IndexLookupEqual(col, Value::String("Paris"), 1, &rids).ok());
-  EXPECT_EQ(rids.size(), 2u);
-  rids.clear();
-  ASSERT_TRUE(
-      table->IndexLookupEqual(col, Value::String("France"), 3, &rids).ok());
-  EXPECT_EQ(rids.size(), 3u);
+  auto probe = [&](const char* value, int level) {
+    std::vector<std::vector<RowId>> rids;
+    EXPECT_TRUE(
+        table->IndexLookupEqual(col, Value::String(value), level, &rids).ok());
+    size_t total = 0;
+    for (const std::vector<RowId>& ids : rids) total += ids.size();
+    return total;
+  };
+  EXPECT_EQ(probe("Paris", 1), 2u);
+  EXPECT_EQ(probe("France", 3), 3u);
 }
 
 TEST_F(DatabaseTest, RetentionBaselineIsAllOrNothing) {
@@ -225,12 +228,12 @@ TEST_F(DatabaseTest, RetentionBaselineIsAllOrNothing) {
   ASSERT_TRUE(row.ok());
   clock_->Advance(kMicrosPerDay - 1);
   ASSERT_TRUE(db_->RunDegradationOnce().ok());
-  auto view = db_->GetTable("retained")->GetRow(*row);
+  auto view = oracle::StoredRow(*db_->GetTable("retained"), *row);
   ASSERT_TRUE(view->has_value());
   EXPECT_EQ((*view)->values[1], Value::String("11 Rue Lepic"));
   clock_->Advance(1);
   ASSERT_TRUE(db_->RunDegradationOnce().ok());
-  view = db_->GetTable("retained")->GetRow(*row);
+  view = oracle::StoredRow(*db_->GetTable("retained"), *row);
   EXPECT_FALSE(view->has_value());
 }
 
@@ -342,7 +345,7 @@ TEST_F(DatabaseTest, MultipleDegradableColumnsIndependentTimelines) {
   // 1h: location degrades to city; salary still exact.
   clock_->Advance(kMicrosPerHour);
   ASSERT_TRUE(db_->RunDegradationOnce().ok());
-  auto view = *db_->GetTable("person")->GetRow(*row);
+  auto view = *oracle::StoredRow(*db_->GetTable("person"), *row);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->values[1], Value::String("Paris"));
   EXPECT_EQ(view->values[2], Value::Int64(2345));
@@ -350,7 +353,7 @@ TEST_F(DatabaseTest, MultipleDegradableColumnsIndependentTimelines) {
   // 1 day: salary rounds to the paper's RANGE1000 bucket.
   clock_->Advance(kMicrosPerDay);
   ASSERT_TRUE(db_->RunDegradationOnce().ok());
-  view = *db_->GetTable("person")->GetRow(*row);
+  view = *oracle::StoredRow(*db_->GetTable("person"), *row);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->values[2], Value::Int64(2000));
 }
@@ -376,7 +379,7 @@ TEST_F(DatabaseTest, UpdateStableKeepsDegradationSchedule) {
                                   Value::Int64(99)})
                   .ok());
   ASSERT_TRUE(db_->Commit(txn.get()).ok());
-  auto view = *db_->GetTable("pings")->GetRow(row);
+  auto view = *oracle::StoredRow(*db_->GetTable("pings"), row);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->values[0], Value::String("alice-renamed"));
   EXPECT_EQ(view->values[2], Value::String("11 Rue Lepic"));
@@ -394,12 +397,12 @@ TEST_F(DatabaseTest, AbortedTransactionLeavesNoTrace) {
   ASSERT_TRUE(row.ok());
   db_->Abort(txn.get());
   EXPECT_EQ(db_->GetTable("pings")->live_rows(), 0u);
-  auto view = db_->GetTable("pings")->GetRow(*row);
+  auto view = oracle::StoredRow(*db_->GetTable("pings"), *row);
   ASSERT_TRUE(view.ok());
   EXPECT_FALSE(view->has_value());
 }
 
-TEST_F(DatabaseTest, ScanRowsSeesConsistentPhases) {
+TEST_F(DatabaseTest, StoredRowsSeeConsistentPhases) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   InsertPing("a", 1, "11 Rue Lepic");
   clock_->Advance(kMicrosPerHour);
@@ -407,12 +410,11 @@ TEST_F(DatabaseTest, ScanRowsSeesConsistentPhases) {
   InsertPing("b", 2, "3 Av Foch");
 
   std::map<std::string, int> phase_by_user;
-  ASSERT_TRUE(db_->GetTable("pings")
-                  ->ScanRows([&](const RowView& view) {
-                    phase_by_user[view.values[0].str()] = view.phases[0];
-                    return true;
-                  })
-                  .ok());
+  auto rows = oracle::StoredRows(*db_->GetTable("pings"));
+  ASSERT_TRUE(rows.ok());
+  for (const oracle::Stored& row : *rows) {
+    phase_by_user[row.values[0].str()] = row.phases[0];
+  }
   EXPECT_EQ(phase_by_user["a"], 1);  // city phase
   EXPECT_EQ(phase_by_user["b"], 0);  // accurate
 }

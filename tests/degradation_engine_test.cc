@@ -7,6 +7,7 @@
 #include "catalog/builtin_domains.h"
 #include "db/database.h"
 #include "gtest/gtest.h"
+#include "scan_oracle.h"
 #include "util/file.h"
 
 namespace instantdb {
@@ -113,7 +114,9 @@ TEST_F(EngineTest, BackgroundThreadDegradesOnVirtualClock) {
     if (db_->GetTable("pings")->stats().values_degraded > 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  auto view = db_->GetTable("pings")->GetRow(*row);
+  // The degrader is idle again (its next deadline is a day away), so the
+  // table is quiescent for the oracle.
+  auto view = oracle::StoredRow(*db_->GetTable("pings"), *row);
   ASSERT_TRUE(view.ok());
   ASSERT_TRUE(view->has_value());
   const int col = db_->GetTable("pings")->schema().FindColumn("location");
@@ -179,13 +182,13 @@ TEST_P(LcpConformanceTest, StorageMatchesAutomaton) {
     // One microsecond before the boundary: still in phase p.
     clock.AdvanceTo(end - 1);
     ASSERT_TRUE((*db)->RunDegradationOnce().ok());
-    auto view = *(*db)->GetTable("t")->GetRow(*row);
+    auto view = *oracle::StoredRow(*(*db)->GetTable("t"), *row);
     ASSERT_TRUE(view.has_value());
     EXPECT_EQ(view->phases[0], p) << "before boundary of phase " << p;
     // At the boundary: moved on (or expired).
     clock.AdvanceTo(end);
     ASSERT_TRUE((*db)->RunDegradationOnce().ok());
-    view = *(*db)->GetTable("t")->GetRow(*row);
+    view = *oracle::StoredRow(*(*db)->GetTable("t"), *row);
     if (p + 1 < lcp->num_phases()) {
       ASSERT_TRUE(view.has_value());
       EXPECT_EQ(view->phases[0], p + 1) << "after boundary of phase " << p;

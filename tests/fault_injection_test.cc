@@ -38,6 +38,7 @@
 #include "gtest/gtest.h"
 #include "io/env.h"
 #include "io/fault_env.h"
+#include "scan_oracle.h"
 #include "storage/disk_manager.h"
 #include "storage/key_manager.h"
 #include "storage/state_store.h"
@@ -56,12 +57,12 @@ uint64_t BaseSeed() {
 
 std::set<std::string> DumpUsers(Table* table) {
   std::set<std::string> users;
-  EXPECT_TRUE(table
-                  ->ScanRows([&](const RowView& view) {
-                    users.insert(view.values[0].ToString());
-                    return true;
-                  })
-                  .ok());
+  auto stored = oracle::StoredRows(*table);
+  EXPECT_TRUE(stored.ok());
+  if (!stored.ok()) return users;
+  for (const oracle::Stored& view : *stored) {
+    users.insert(view.values[0].ToString());
+  }
   return users;
 }
 

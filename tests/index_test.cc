@@ -9,6 +9,7 @@
 #include "gtest/gtest.h"
 #include "index/multires_index.h"
 #include "io/fault_env.h"
+#include "scan_oracle.h"
 #include "util/file.h"
 
 namespace instantdb {
@@ -542,7 +543,9 @@ TEST_P(IndexResidueTest, NoPhaseZeroKeyOfADegradedRowSurvives) {
   }
   ASSERT_TRUE(db->Write(&batch).ok());
   std::vector<RowId> rows;
-  ASSERT_TRUE(db->GetTable("pings")->ScanRows([&](const RowView& row) {
+  auto stored = oracle::StoredRows(*db->GetTable("pings"));
+  ASSERT_TRUE(stored.ok());
+  for (const oracle::Stored& row : *stored) {
     rows.push_back(row.row_id);
     const int64_t leaf = leaf_of[static_cast<size_t>(row.values[0].int64())];
     // A row whose address is its city's first leaf has the same key in
@@ -550,8 +553,7 @@ TEST_P(IndexResidueTest, NoPhaseZeroKeyOfADegradedRowSurvives) {
     if (domain->AncestorRange(leaf, 1).lo != leaf) {
       keys.insert(TreeKey(leaf, row.row_id));
     }
-    return true;
-  }).ok());
+  }
   ASSERT_EQ(rows.size(), 3000u);
   ASSERT_GT(keys.size(), 2000u);
 

@@ -292,12 +292,9 @@ TEST_F(MorselScanTest, MorselCursorsResumeExactlyAcrossBoundaries) {
 
   // Full sequential sweep as ground truth.
   std::set<RowId> expected;
-  ASSERT_TRUE(table
-                  ->ScanRows([&](const RowView& view) {
-                    expected.insert(view.row_id);
-                    return true;
-                  })
-                  .ok());
+  auto stored = oracle::StoredRows(*table);
+  ASSERT_TRUE(stored.ok());
+  for (const oracle::Stored& view : *stored) expected.insert(view.row_id);
   ASSERT_EQ(expected.size(), static_cast<size_t>(kRows));
 
   // Drain every 1-page morsel with a tiny batch limit, forcing resume

@@ -25,6 +25,7 @@
 #include "db/database.h"
 #include "gtest/gtest.h"
 #include "query/session.h"
+#include "scan_oracle.h"
 #include "util/file.h"
 
 namespace instantdb {
@@ -74,14 +75,14 @@ class PaperClaimsTest : public ::testing::Test {
 
   /// Live tuples whose location is still in `phase`.
   static size_t CountInPhase(Database* db, int phase) {
-    size_t count = 0;
-    EXPECT_TRUE(db->GetTable("pings")
-                    ->ScanRows([&](const RowView& view) {
-                      count += view.phases[0] == phase ? 1 : 0;
-                      return true;
-                    })
-                    .ok());
-    return count;
+    auto stored = oracle::StoredRows(*db->GetTable("pings"));
+    EXPECT_TRUE(stored.ok());
+    if (!stored.ok()) return 0;
+    return static_cast<size_t>(
+        std::count_if(stored->begin(), stored->end(),
+                      [&](const oracle::Stored& row) {
+                        return row.phases[0] == phase;
+                      }));
   }
 
   std::string dir_;
@@ -186,12 +187,11 @@ TEST_F(PaperClaimsTest, CaptureNeedsSnapshotsWithinTheShortestStep) {
       ASSERT_TRUE(db->RunDegradationOnce().ok());
       if (next < snapshots.size() && snapshots[next] == clock.NowMicros()) {
         ++next;
-        ASSERT_TRUE(db->GetTable("pings")
-                        ->ScanRows([&](const RowView& view) {
-                          if (view.phases[0] == 0) captured.insert(view.row_id);
-                          return true;
-                        })
-                        .ok());
+        auto stored = oracle::StoredRows(*db->GetTable("pings"));
+        ASSERT_TRUE(stored.ok());
+        for (const oracle::Stored& row : *stored) {
+          if (row.phases[0] == 0) captured.insert(row.row_id);
+        }
       }
     }
     ASSERT_EQ(next, snapshots.size());

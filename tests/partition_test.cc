@@ -1,9 +1,11 @@
+#include <algorithm>
 #include <map>
 #include <set>
 
 #include "catalog/builtin_domains.h"
 #include "db/database.h"
 #include "gtest/gtest.h"
+#include "scan_oracle.h"
 #include "util/file.h"
 
 namespace instantdb {
@@ -54,7 +56,7 @@ class PartitionTest : public ::testing::Test {
   }
 
   Value LocationOf(RowId row_id) {
-    auto row = db_->GetTable("pings")->GetRow(row_id);
+    auto row = oracle::StoredRow(*db_->GetTable("pings"), row_id);
     EXPECT_TRUE(row.ok());
     if (!row.ok() || !row->has_value()) return Value::Null();
     return (*row)->values[1];
@@ -82,7 +84,7 @@ TEST_F(PartitionTest, RowsRouteDeterministicallyToAllPartitions) {
   }
   for (RowId row : rows) {
     EXPECT_EQ(table->PartitionOf(row), row % kPartitions);
-    auto view = table->GetRow(row);
+    auto view = oracle::StoredRow(*table, row);
     ASSERT_TRUE(view.ok());
     EXPECT_TRUE(view->has_value());
   }
@@ -157,7 +159,7 @@ TEST_F(PartitionTest, RecoveryRoutesRedoToOwningPartition) {
   EXPECT_EQ(LocationOf(fresh), Value::String("Marseille"));
 }
 
-TEST_F(PartitionTest, IndexLookupsMergeAcrossPartitions) {
+TEST_F(PartitionTest, IndexLookupsGroupRowIdsByPartition) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   for (int i = 0; i < 12; ++i) {
     InsertPing("p" + std::to_string(i),
@@ -168,14 +170,22 @@ TEST_F(PartitionTest, IndexLookupsMergeAcrossPartitions) {
 
   Table* table = db_->GetTable("pings");
   const int col = table->schema().FindColumn("location");
-  std::vector<RowId> rids;
-  ASSERT_TRUE(
-      table->IndexLookupEqual(col, Value::String("Paris"), 1, &rids).ok());
-  EXPECT_EQ(rids.size(), 6u);
-  rids.clear();
-  ASSERT_TRUE(
-      table->IndexLookupEqual(col, Value::String("France"), 3, &rids).ok());
-  EXPECT_EQ(rids.size(), 12u);
+  // Every partition's ids come back in its own ascending group.
+  auto probe = [&](const char* value, int level) {
+    std::vector<std::vector<RowId>> rids;
+    EXPECT_TRUE(
+        table->IndexLookupEqual(col, Value::String(value), level, &rids).ok());
+    EXPECT_EQ(rids.size(), table->num_partitions());
+    size_t total = 0;
+    for (uint32_t p = 0; p < rids.size(); ++p) {
+      EXPECT_TRUE(std::is_sorted(rids[p].begin(), rids[p].end()));
+      for (RowId id : rids[p]) EXPECT_EQ(table->PartitionOf(id), p);
+      total += rids[p].size();
+    }
+    return total;
+  };
+  EXPECT_EQ(probe("Paris", 1), 6u);
+  EXPECT_EQ(probe("France", 3), 12u);
 }
 
 TEST_F(PartitionTest, PartitionCountPersistsAcrossMismatchedReopen) {

@@ -1,12 +1,14 @@
 // Pushdown execution: stable predicates evaluated inside the scan, σ and f_k
 // on stored leaf ordinals, and aggregates folded worker-side must return
-// exactly what the test oracle (scan_oracle.h: full RowView assembly, σ and
-// f_k on the stored Values) returns — across predicate shapes, tree and
-// interval domains, include_coarser, scan parallelism and WAL privacy
-// modes — while the scan counters prove the store probes and decodes were
-// actually skipped. Also covers the batched store merge (the scan's
-// per-survivor (phase, ordinal) vs GetRow's per-row probe, with rows out of
-// row-id order after relocating updates), the rule that
+// exactly what the test oracle (scan_oracle.h: stored rows read with
+// per-row store probes, σ and f_k on the stored Values) returns — across
+// predicate shapes, heap scans and index probes, tree and interval
+// domains, include_coarser, scan parallelism, partition counts and WAL
+// privacy modes — while the scan counters prove the store probes and
+// decodes were actually skipped. Also covers the batched store merge (the
+// scan's per-survivor (phase, ordinal) vs a per-row StateStore::Find, with
+// rows out of row-id order after relocating updates), the row-id cursor
+// of index probes skipping deleted ids, the rule that
 // no degradable value finer than the purpose's accuracy leaves the scan, the
 // late stable decode (Values built only for survivors' projected columns),
 // randomized stable predicates against the oracle, a corrupt heap record
@@ -97,6 +99,31 @@ class PushdownTest : public ::testing::Test {
     insert_range(rows / 2, rows);
   }
 
+  /// Grows the user string of every `every`-th row (in row-id order) by
+  /// 1000 bytes: a packed heap page cannot hold the longer record, so the
+  /// update relocates it behind rows with higher ids and the heap is no
+  /// longer in ascending row-id order.
+  void RelocateEvery(size_t every) {
+    Table* table = db_->GetTable("pings");
+    auto stored = oracle::StoredRows(*table);
+    ASSERT_TRUE(stored.ok());
+    std::sort(stored->begin(), stored->end(),
+              [](const oracle::Stored& a, const oracle::Stored& b) {
+                return a.row_id < b.row_id;
+              });
+    auto txn = db_->Begin();
+    for (size_t i = 0; i < stored->size(); i += every) {
+      const oracle::Stored& row = (*stored)[i];
+      ASSERT_TRUE(table
+                      ->UpdateStable(txn.get(), row.row_id,
+                                     {Value::String(row.values[0].str() +
+                                                    std::string(1000, 'x')),
+                                      row.values[1]})
+                      .ok());
+    }
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+
   /// The oracle's answer for `sql`.
   oracle::Answer Oracle(Session* session, const std::string& sql) {
     auto result = oracle::Execute(session, sql);
@@ -130,30 +157,43 @@ class PushdownTest : public ::testing::Test {
 
 TEST_F(PushdownTest, EquivalenceAcrossPredicatesParallelismAndPrivacyModes) {
   constexpr int kRows = 600;
-  const std::vector<std::string> kQueries = {
+  // {statement, whether an index probe serves it when indexes are on}.
+  const std::vector<std::pair<std::string, bool>> kQueries = {
       // No predicate, stable + degradable projection.
-      "SELECT user, location FROM pings",
+      {"SELECT user, location FROM pings", false},
       // Stable-only conjunction (the vector kernels do all the work).
-      "SELECT user, score FROM pings WHERE score < 60 AND score >= 6",
+      {"SELECT user, score FROM pings WHERE score < 60 AND score >= 6",
+       false},
       // Degradable-only predicate (nothing to push; stores still probed).
-      "SELECT user, location FROM pings WHERE location = 'Paris'",
-      // Mixed: stable term below assembly, degradable term above.
-      "SELECT user, location FROM pings WHERE score < 300 AND "
-      "location = 'Paris'",
+      {"SELECT user, location FROM pings WHERE location = 'Paris'", true},
+      // Mixed: the stable term runs below the heap fetch — inside the scan
+      // batch or, on an index probe, inside the row-id batch — and the
+      // degradable term above it.
+      {"SELECT user, location FROM pings WHERE score < 300 AND "
+       "location = 'Paris'",
+       true},
+      {"SELECT user, score, location FROM pings WHERE location LIKE "
+       "'%Provence%' AND score >= 150",
+       true},
       // Stable-only projection + predicate: no store probe at all.
-      "SELECT user FROM pings WHERE score < 6",
+      {"SELECT user FROM pings WHERE score < 6", false},
   };
-  for (WalPrivacyMode privacy :
-       {WalPrivacyMode::kPlain, WalPrivacyMode::kScrub,
-        WalPrivacyMode::kEncryptedEpoch}) {
-    BuildDb(4, kRows, privacy);
+  // Every WAL privacy mode, and 1, 4 and 8 partitions.
+  const std::vector<std::pair<WalPrivacyMode, uint32_t>> kDatabases = {
+      {WalPrivacyMode::kPlain, 1},
+      {WalPrivacyMode::kScrub, 4},
+      {WalPrivacyMode::kEncryptedEpoch, 8}};
+  for (const auto& [privacy, partitions] : kDatabases) {
+    BuildDb(partitions, kRows, privacy);
+    // Heap order no longer follows row id, on either read path.
+    RelocateEvery(7);
     Session session(db_.get());
     // CITY accuracy makes every row computable regardless of phase.
     ASSERT_TRUE(session
                     .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
                              "FOR pings.location")
                     .ok());
-    for (const std::string& sql : kQueries) {
+    for (const auto& [sql, indexed] : kQueries) {
       const oracle::Answer reference = Oracle(&session, sql);
       const auto baseline = oracle::ByFirstColumn(reference);
       ASSERT_FALSE(baseline.empty()) << sql;
@@ -161,10 +201,14 @@ TEST_F(PushdownTest, EquivalenceAcrossPredicatesParallelismAndPrivacyModes) {
         EXPECT_EQ(DrainCursor(&session, sql, parallelism), baseline)
             << sql << " parallelism=" << parallelism;
       }
-      // Materialized path agrees too (index probes serve row-id order).
+      // Materialized path agrees too (index probes serve (partition, row
+      // id) order). An index probe examines only the rows it fetched.
       session.scan_options().parallelism = 0;
+      const Database::Stats before = db_->stats();
       auto materialized = session.Execute(sql);
       ASSERT_TRUE(materialized.ok()) << sql;
+      const uint64_t examined = db_->stats().scan.rows - before.scan.rows;
+      EXPECT_EQ(examined < static_cast<uint64_t>(kRows), indexed) << sql;
       EXPECT_EQ(materialized->rows.size(), reference.rows.size()) << sql;
       EXPECT_EQ(oracle::ByFirstColumn(*materialized), baseline) << sql;
       // Heap path forced even where an index probe would win; the
@@ -224,7 +268,7 @@ TEST_F(PushdownTest, ProbeAccountingInvariantHoldsAcrossScanShapes) {
   constexpr int kRows = 480;
   BuildDb(4, kRows);
   Session session(db_.get());
-  session.set_use_indexes(false);  // the index path doesn't do pushdown
+  session.set_use_indexes(false);  // every shape scans all kRows
   ASSERT_TRUE(session
                   .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
                            "FOR pings.location")
@@ -299,6 +343,10 @@ TEST_F(PushdownTest, HotQueryShapesAgreeAndNeverExposeFinerValues) {
       // Projected and tested: generalized only after σ passes.
       {"SELECT user, location FROM pings WHERE location = 'Paris'", false,
        true},
+      // A stable term pushed below the index probe's fetch.
+      {"SELECT user, location FROM pings WHERE location = 'Paris' AND "
+       "score < 300",
+       true, true},
   };
   for (const Shape& shape : kShapes) {
     session.set_use_indexes(shape.indexes);
@@ -499,14 +547,56 @@ TEST_F(PushdownTest, LateDecodeAndCountOnlyCountersAreExact) {
   constexpr int kRows = 600;
   BuildDb(4, kRows);
   Session session(db_.get());
-  session.set_use_indexes(false);
   ASSERT_TRUE(session
                   .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
                            "FOR pings.location")
                   .ok());
-  for (size_t parallelism : {1u, 4u}) {
+  // Rows whose location is in Paris, counted on the heap path.
+  session.set_use_indexes(false);
+  auto paris = session.Execute(
+      "SELECT COUNT(*) FROM pings WHERE location = 'Paris'");
+  ASSERT_TRUE(paris.ok());
+  const uint64_t paris_rows = static_cast<uint64_t>(paris->rows[0][0].int64());
+  ASSERT_GT(paris_rows, 0u);
+  ASSERT_LT(paris_rows, static_cast<uint64_t>(kRows));
+  const std::vector<std::pair<bool, size_t>> kRuns = {
+      {false, 1}, {false, 4}, {true, 1}, {true, 4}};
+  for (const auto& [indexes, parallelism] : kRuns) {
+    session.set_use_indexes(indexes);
     session.scan_options().parallelism = parallelism;
-    const std::string where = "parallelism=" + std::to_string(parallelism);
+    const std::string where = "parallelism=" + std::to_string(parallelism) +
+                              " indexes=" + std::to_string(indexes);
+
+    // A stable + degradable conjunction: on an index probe `score` is
+    // decoded for every probed row and `user` built for the stable
+    // survivors only, and only those are probed in the store — the same
+    // ledger as the heap scan, over fewer rows.
+    {
+      const Database::Stats before = db_->stats();
+      auto mixed = session.Execute(
+          "SELECT user FROM pings WHERE location = 'Paris' AND score < 300");
+      ASSERT_TRUE(mixed.ok()) << where;
+      const Database::Stats after = db_->stats();
+      const uint64_t scanned = after.scan.rows - before.scan.rows;
+      const uint64_t survivors =
+          scanned -
+          (after.scan.rows_prefiltered - before.scan.rows_prefiltered);
+      EXPECT_EQ(scanned, indexes ? paris_rows : uint64_t{kRows}) << where;
+      EXPECT_LT(survivors, scanned) << where;
+      EXPECT_GE(survivors, mixed->rows.size()) << where;
+      if (indexes) EXPECT_EQ(survivors, mixed->rows.size()) << where;
+      const uint64_t issued =
+          after.scan.store_probes_issued - before.scan.store_probes_issued;
+      const uint64_t skipped =
+          after.scan.store_probes_skipped - before.scan.store_probes_skipped;
+      EXPECT_EQ(issued, survivors) << where;
+      EXPECT_EQ(issued + skipped, scanned) << where;
+      EXPECT_EQ(after.scan.values_decoded - before.scan.values_decoded,
+                scanned + survivors)
+          << where;
+      EXPECT_EQ(after.scan.values_built - before.scan.values_built, survivors)
+          << where;
+    }
 
     // The selective read: `score` is decoded for every scanned row, `user`
     // only for the one survivor (scores are unique).
@@ -918,42 +1008,21 @@ TEST(DegradableSigmaTest, LeafContainmentMatchesTheAncestorWalk) {
   }
 }
 
-TEST_F(PushdownTest, BatchedStoreMergeAgreesWithGetRowOutOfRowIdOrder) {
+TEST_F(PushdownTest, BatchedStoreMergeAgreesWithPerRowFindOutOfRowIdOrder) {
   constexpr int kRows = 500;
   BuildDb(4, kRows);
   Table* table = db_->GetTable("pings");
   ASSERT_NE(table, nullptr);
-  const size_t dcols = table->schema().degradable_columns().size();
+  const std::vector<int>& degradable = table->schema().degradable_columns();
+  const size_t dcols = degradable.size();
+  RelocateEvery(7);
+  auto stored = oracle::StoredRows(*table);
+  ASSERT_TRUE(stored.ok());
+  std::map<RowId, Value> user_of;
+  for (const oracle::Stored& row : *stored) user_of[row.row_id] = row.values[0];
 
-  // Grow the user string of every 7th row: a packed heap page cannot hold
-  // the longer record, so the update relocates it behind rows with higher
-  // ids and the heap is no longer in ascending row-id order.
-  std::vector<RowView> rows;
-  ASSERT_TRUE(table
-                  ->ScanRows([&](const RowView& view) {
-                    rows.push_back(view);
-                    return true;
-                  })
-                  .ok());
-  ASSERT_EQ(rows.size(), static_cast<size_t>(kRows));
-  std::sort(rows.begin(), rows.end(),
-            [](const RowView& a, const RowView& b) {
-              return a.row_id < b.row_id;
-            });
-  auto txn = db_->Begin();
-  for (size_t i = 0; i < rows.size(); i += 7) {
-    const RowView& row = rows[i];
-    ASSERT_TRUE(table
-                    ->UpdateStable(txn.get(), row.row_id,
-                                   {Value::String(row.values[0].str() +
-                                                  std::string(1000, 'x')),
-                                    row.values[1]})
-                    .ok());
-  }
-  ASSERT_TRUE(db_->Commit(txn.get()).ok());
-
-  // The production merge: every survivor's (phase, ordinal) must be what
-  // the per-row probe of GetRow reports.
+  // The production merge: every survivor's (phase, ordinal) must be what a
+  // per-row Find down the column's phase stores reports.
   ScoreNotMultipleOfThree filter;
   ScanSpec spec;
   spec.filter = &filter;
@@ -966,6 +1035,7 @@ TEST_F(PushdownTest, BatchedStoreMergeAgreesWithGetRowOutOfRowIdOrder) {
   for (const std::vector<Morsel>& plan : table->MorselPlan(0)) {
     for (const Morsel& morsel : plan) {
       PartitionCursor cursor = table->OpenMorselCursor(morsel);
+      const TablePartition* partition = table->partition(morsel.partition);
       bool done = false;
       while (!done) {
         ASSERT_TRUE(cursor.NextBatch(64, spec, &ws, &done, &deltas).ok());
@@ -976,14 +1046,23 @@ TEST_F(PushdownTest, BatchedStoreMergeAgreesWithGetRowOutOfRowIdOrder) {
             ascending = false;
           }
           EXPECT_NE(tuple.stable[1].int64() % 3, 0);
-          auto view = table->GetRow(tuple.row_id);
-          ASSERT_TRUE(view.ok());
-          ASSERT_TRUE(view->has_value());
-          EXPECT_EQ(tuple.stable[0], (*view)->values[0]);
+          EXPECT_EQ(tuple.stable[0], user_of.at(tuple.row_id));
           for (size_t d = 0; d < dcols; ++d) {
-            EXPECT_EQ(ws.phases[k * dcols + d], (*view)->phases[d])
+            const int col = degradable[d];
+            const int phases = table->schema().column(col).lcp.num_phases();
+            int phase = 0;
+            int64_t ordinal = -1;
+            for (; phase < phases; ++phase) {
+              const auto entry =
+                  partition->store(col, phase)->Find(tuple.row_id);
+              if (entry) {
+                ordinal = entry->ordinal;
+                break;
+              }
+            }
+            EXPECT_EQ(ws.phases[k * dcols + d], phase)
                 << "row " << tuple.row_id;
-            EXPECT_EQ(ws.ordinals[k * dcols + d], (*view)->ordinals[d])
+            EXPECT_EQ(ws.ordinals[k * dcols + d], ordinal)
                 << "row " << tuple.row_id;
           }
           ++checked;
@@ -1013,6 +1092,63 @@ TEST_F(PushdownTest, BatchedStoreMergeAgreesWithGetRowOutOfRowIdOrder) {
     EXPECT_EQ(result->rows, reference.rows) << parallelism;
     EXPECT_EQ(oracle::Display(*result), reference.display) << parallelism;
   }
+}
+
+TEST_F(PushdownTest, RowIdCursorSkipsDeletedIds) {
+  constexpr int kRows = 200;
+  BuildDb(4, kRows);
+  Table* table = db_->GetTable("pings");
+  ASSERT_NE(table, nullptr);
+  // Partition 1's ids, ascending — the shape of an index probe's group —
+  // and every third of them deleted after the "probe".
+  auto stored = oracle::StoredRows(*table);
+  ASSERT_TRUE(stored.ok());
+  std::vector<RowId> ids;
+  for (const oracle::Stored& row : *stored) {
+    if (table->PartitionOf(row.row_id) == 1) ids.push_back(row.row_id);
+  }
+  std::sort(ids.begin(), ids.end());
+  ASSERT_GT(ids.size(), 16u);
+  std::vector<RowId> live;
+  auto txn = db_->Begin();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i % 3 == 0) {
+      ASSERT_TRUE(table->Delete(txn.get(), ids[i]).ok());
+    } else {
+      live.push_back(ids[i]);
+    }
+  }
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+
+  ScanSpec spec;
+  spec.output_columns = {true, true};
+  PartitionCursor cursor = table->OpenRowIdCursor(1, ids);
+  EXPECT_EQ(cursor.partition_index(), 1u);
+  ScanWorkspace ws;
+  ScanDeltas deltas;
+  std::vector<RowId> seen;
+  size_t batches = 0;
+  bool done = false;
+  while (!done) {
+    ASSERT_TRUE(cursor.NextBatch(8, spec, &ws, &done, &deltas).ok());
+    ++batches;
+    for (size_t k = 0; k < ws.count; ++k) {
+      seen.push_back(ws.tuples[k].row_id);
+      EXPECT_GE(ws.ordinals[k], 0) << ws.tuples[k].row_id;
+    }
+  }
+  // The limit bounds the ids visited, deleted ones included; only live
+  // rows are examined, probed and returned.
+  EXPECT_EQ(batches, (ids.size() + 7) / 8);
+  EXPECT_EQ(seen, live);
+  EXPECT_EQ(deltas.rows_scanned, live.size());
+  EXPECT_EQ(deltas.rows_prefiltered, 0u);
+  EXPECT_EQ(deltas.probes_issued, live.size());
+  EXPECT_EQ(deltas.probes_skipped, 0u);
+  // Drained: further batches are empty.
+  ASSERT_TRUE(cursor.NextBatch(8, spec, &ws, &done, &deltas).ok());
+  EXPECT_TRUE(done);
+  EXPECT_EQ(ws.count, 0u);
 }
 
 TEST_F(PushdownTest, AdaptiveCadencePullsCheckpointToPayloadDeadline) {

@@ -1,25 +1,32 @@
 // Test-only reference evaluator for SELECT statements: the answer every
 // production scan shape (streaming or materialized, any parallelism,
 // inline or on the worker pool, index or heap, worker-side aggregate or
-// not) must reproduce. It is built only from the
-// library's simplest read path — Table::ScanRows assembles every live row
-// in full, stored degradable Values included (one state-store probe per
-// row, partitions in order) — and computes σ, f_k, π, rendering and
-// aggregates itself, from the stored Values with
-// DomainHierarchy::Generalize/LeafRange/DisplayValue. It shares no leaf
-// ordinal, morsel, pool, pushdown, projection or aggregate code with the
-// paths under test; only statement binding (plan::BindSelect) and the
-// scalar stable comparators are common.
+// not) must reproduce. It reads the table its own simple way — the heap
+// through an unfiltered PartitionCursor that outputs every stable column
+// and resolves no degradable cell, then one StateStore::Find per (row,
+// column, phase) store and DomainHierarchy::AncestorValue for the stored
+// degradable values (StoredRows, StoredRow) — and computes σ, f_k, π,
+// rendering and aggregates itself, from those Values with
+// DomainHierarchy::Generalize/LeafRange/DisplayValue. It shares no
+// FindMany merge, leaf-ordinal σ, morsel, pool, projection or aggregate
+// code with the paths under test; only the heap record walk, statement
+// binding (plan::BindSelect) and the scalar stable comparators are common.
+//
+// The heap read and the store probes are separate steps, so the oracle
+// needs a quiescent table: no write, degrade step or checkpoint may run
+// while it reads.
 
 #ifndef INSTANTDB_TESTS_SCAN_ORACLE_H_
 #define INSTANTDB_TESTS_SCAN_ORACLE_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "common/strings.h"
+#include "db/table.h"
 #include "query/parser.h"
 #include "query/plan.h"
 #include "query/predicate.h"
@@ -42,6 +49,88 @@ inline std::vector<std::vector<std::string>> Display(const QueryResult& r) {
   return out;
 }
 
+/// One stored row: values by schema column — a stable column's value, a
+/// degradable column's stored value at its phase's level (NULL once
+/// removed) — and each degradable column's stored phase
+/// (lcp.num_phases() = removed).
+struct Stored {
+  RowId row_id = kInvalidRowId;
+  Micros insert_time = 0;
+  std::vector<Value> values;
+  std::vector<int> phases;
+};
+
+namespace internal {
+
+/// Drains `cursor` unfiltered, every stable column output and no store
+/// probed, and resolves each row's degradable cells with one Find per
+/// (column, phase) store of `partition` until a store holds the row.
+inline Status ReadStored(const Table& table, uint32_t partition,
+                         PartitionCursor cursor, std::vector<Stored>* out) {
+  const Schema& schema = table.schema();
+  ScanSpec spec;
+  spec.need_degradable = false;
+  spec.output_columns.assign(schema.stable_columns().size(), true);
+  ScanWorkspace ws;
+  ScanDeltas deltas;
+  bool done = false;
+  while (!done) {
+    IDB_RETURN_IF_ERROR(cursor.NextBatch(1024, spec, &ws, &done, &deltas));
+    for (size_t k = 0; k < ws.count; ++k) {
+      const HeapTuple& tuple = ws.tuples[k];
+      Stored row;
+      row.row_id = tuple.row_id;
+      row.insert_time = tuple.insert_time;
+      row.values.assign(schema.num_columns(), Value::Null());
+      for (size_t i = 0; i < schema.stable_columns().size(); ++i) {
+        row.values[schema.stable_columns()[i]] = tuple.stable[i];
+      }
+      for (int col : schema.degradable_columns()) {
+        const ColumnDef& column = schema.column(col);
+        int phase = 0;
+        for (; phase < column.lcp.num_phases(); ++phase) {
+          const auto entry =
+              table.partition(partition)->store(col, phase)->Find(row.row_id);
+          if (!entry) continue;
+          row.values[col] = column.hierarchy->AncestorValue(
+              entry->ordinal, column.lcp.phase(phase).level);
+          break;
+        }
+        row.phases.push_back(phase);
+      }
+      out->push_back(std::move(row));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace internal
+
+/// Every stored row of `table`, in (partition, heap) order. Needs a
+/// quiescent table (see above).
+inline Result<std::vector<Stored>> StoredRows(const Table& table) {
+  std::vector<Stored> rows;
+  for (uint32_t p = 0; p < table.num_partitions(); ++p) {
+    Morsel whole;
+    whole.partition = p;
+    IDB_RETURN_IF_ERROR(internal::ReadStored(
+        table, p, table.OpenMorselCursor(whole), &rows));
+  }
+  return rows;
+}
+
+/// Row `row_id` as stored, or nullopt when the table holds no such row.
+/// Needs a quiescent table (see above).
+inline Result<std::optional<Stored>> StoredRow(const Table& table,
+                                               RowId row_id) {
+  const uint32_t p = table.PartitionOf(row_id);
+  std::vector<Stored> rows;
+  IDB_RETURN_IF_ERROR(internal::ReadStored(
+      table, p, table.OpenRowIdCursor(p, {row_id}), &rows));
+  if (rows.empty()) return std::optional<Stored>();
+  return std::optional<Stored>(std::move(rows.front()));
+}
+
 namespace internal {
 
 /// One qualifying row: values by schema column at purpose accuracy, and the
@@ -51,10 +140,10 @@ struct Row {
   std::map<int, int> levels;
 };
 
-/// σ and f_k over one fully assembled stored row, from the stored Values.
-/// Returns false when the row does not qualify.
+/// σ and f_k over one stored row, from the stored Values. Returns false
+/// when the row does not qualify.
 inline bool Evaluate(const plan::SelectPlan& select,
-                     const ReadOptions& read_options, const RowView& view,
+                     const ReadOptions& read_options, const Stored& view,
                      Row* out) {
   const Schema& schema = *select.schema;
   const plan::BoundQuery& query = select.query;
@@ -168,14 +257,15 @@ inline Result<Answer> Execute(Session* session, const std::string& sql) {
   const Schema& schema = *select.schema;
   const ReadOptions read_options = session->read_options();
 
+  IDB_ASSIGN_OR_RETURN(const std::vector<Stored> stored,
+                       StoredRows(*select.query.table));
   std::vector<internal::Row> rows;
   internal::Row row;
-  IDB_RETURN_IF_ERROR(select.query.table->ScanRows([&](const RowView& view) {
+  for (const Stored& view : stored) {
     if (internal::Evaluate(select, read_options, view, &row)) {
       rows.push_back(row);
     }
-    return true;
-  }));
+  }
 
   Answer answer;
   if (!select.has_aggregate) {

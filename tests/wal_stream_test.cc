@@ -21,6 +21,7 @@
 #include "db/database.h"
 #include "forensic.h"
 #include "gtest/gtest.h"
+#include "scan_oracle.h"
 #include "util/file.h"
 
 namespace instantdb {
@@ -54,16 +55,15 @@ struct RowState {
 
 std::vector<RowState> DumpTable(Table* table) {
   std::vector<RowState> rows;
-  EXPECT_TRUE(table
-                  ->ScanRows([&](const RowView& view) {
-                    rows.push_back(
-                        {view.row_id, view.values[0].ToString(),
-                         view.values[1].is_null() ? "<null>"
-                                                  : view.values[1].ToString(),
-                         view.phases[0]});
-                    return true;
-                  })
-                  .ok());
+  auto stored = oracle::StoredRows(*table);
+  EXPECT_TRUE(stored.ok());
+  if (!stored.ok()) return rows;
+  for (const oracle::Stored& view : *stored) {
+    rows.push_back({view.row_id, view.values[0].ToString(),
+                    view.values[1].is_null() ? "<null>"
+                                             : view.values[1].ToString(),
+                    view.phases[0]});
+  }
   std::sort(rows.begin(), rows.end());
   return rows;
 }

@@ -4,6 +4,7 @@
 #include "db/database.h"
 #include "gtest/gtest.h"
 #include "query/session.h"
+#include "scan_oracle.h"
 #include "storage/key_manager.h"
 #include "util/file.h"
 #include "wal/wal_manager.h"
@@ -58,7 +59,7 @@ TEST_F(WriteBatchTest, CommitsAtomicallyAcrossTablesAndReturnsRowIds) {
   EXPECT_EQ(db_->GetTable("pings")->live_rows(), 2u);
   EXPECT_EQ(db_->GetTable("events")->live_rows(), 1u);
 
-  auto row = db_->GetTable("pings")->GetRow(batch.row_ids()[0]);
+  auto row = oracle::StoredRow(*db_->GetTable("pings"), batch.row_ids()[0]);
   ASSERT_TRUE(row.ok());
   ASSERT_TRUE(row->has_value());
   EXPECT_EQ((**row).values[0], Value::String("alice"));
