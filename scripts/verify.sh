@@ -41,9 +41,14 @@ run_plain() {
 
 # Sanitized pass: the tests that drive real thread interleavings, plus the
 # fault-injection suite — injected I/O errors exercise the rarely-taken
-# unwind paths where use-after-free and lock bugs hide — plus storage_test
-# and catalog_test, whose galloping store search and pointer-walking heap
-# record parser do raw iterator and buffer arithmetic, wal_test, whose
+# unwind paths where use-after-free and lock bugs hide — plus storage_test,
+# whose heap compacts holed pages in place (memcpy and memset over the data
+# region) and walks the free-space max-tree by index arithmetic, and whose
+# galloping store search and pointer-walking heap record parser do raw
+# iterator and buffer arithmetic; catalog_test for the same parser;
+# partition_test, whose row map shifts its sorted arrays on out-of-order
+# inserts and middle erases, drops the consumed head and gallops through
+# them on id-list reads; wal_test, whose
 # reopen parses torn segment tails and the manifest from disk, database_test,
 # whose FORMAT gate parses stamps and crash images from disk, and
 # query_test and cursor_test: results render after the statement from

@@ -67,7 +67,9 @@ int Schema::DegradableOrdinal(int col_idx) const {
   return -1;
 }
 
-Status Schema::ValidateInsertRow(const std::vector<Value>& row) const {
+Status Schema::ValidateInsertRow(const std::vector<Value>& row,
+                                 std::vector<int64_t>* leaf_ordinals) const {
+  if (leaf_ordinals != nullptr) leaf_ordinals->clear();
   if (static_cast<int>(row.size()) != num_columns()) {
     return Status::InvalidArgument(
         StringPrintf("row has %zu values, schema has %d columns", row.size(),
@@ -95,7 +97,9 @@ Status Schema::ValidateInsertRow(const std::vector<Value>& row) const {
     if (col.kind == ColumnKind::kDegradable) {
       // Paper §II: insertions of new elements are granted only in the most
       // accurate state, i.e. values must be valid GT leaves.
-      IDB_RETURN_IF_ERROR(col.hierarchy->ValidateAtLevel(v, 0));
+      IDB_ASSIGN_OR_RETURN(const LeafInterval leaf,
+                           col.hierarchy->LeafRange(v, 0));
+      if (leaf_ordinals != nullptr) leaf_ordinals->push_back(leaf.lo);
     }
   }
   return Status::OK();

@@ -73,8 +73,11 @@ class Schema {
   const TupleLcp& tuple_lcp() const { return tuple_lcp_; }
 
   /// Type- and domain-checks a full row at insertion accuracy (level 0).
-  /// Inserts are granted only in the most accurate state (paper §II).
-  Status ValidateInsertRow(const std::vector<Value>& row) const;
+  /// Inserts are granted only in the most accurate state (paper §II). When
+  /// `leaf_ordinals` is set, it receives the leaf ordinal of each degradable
+  /// value, in degradable_columns() order, from the same label lookup.
+  Status ValidateInsertRow(const std::vector<Value>& row,
+                           std::vector<int64_t>* leaf_ordinals = nullptr) const;
 
   void EncodeTo(std::string* dst) const;
   static Result<Schema> DecodeFrom(Slice* input);

@@ -388,6 +388,7 @@ Database::Stats Database::stats() const {
       for (uint32_t p = 0; p < table->num_partitions(); ++p) {
         stats.stores += table->partition(p)->store_memory();
         stats.index += table->partition(p)->index_memory();
+        stats.rows += table->partition(p)->row_memory();
       }
     }
   }

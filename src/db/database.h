@@ -300,6 +300,9 @@ class Database {
     /// requested, array capacity included (malloc's overhead comes on top).
     /// Indexes live in memory only.
     MemoryUsage index;
+    /// Row maps of every table partition (row id → heap Rid): live rows
+    /// and the heap bytes of their sorted arrays, capacity included.
+    MemoryUsage rows;
   };
   Stats stats() const;
 

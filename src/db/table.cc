@@ -97,7 +97,8 @@ Status Table::Drop() {
 // --- DML -------------------------------------------------------------------------
 
 Result<RowId> Table::Insert(Transaction* txn, const std::vector<Value>& row) {
-  IDB_RETURN_IF_ERROR(schema().ValidateInsertRow(row));
+  std::vector<int64_t> ordinals;  // each degradable value's, at phase 0
+  IDB_RETURN_IF_ERROR(schema().ValidateInsertRow(row, &ordinals));
   const Micros now = runtime_.clock->NowMicros();
 
   // Batch-affine allocation: every insert of this transaction draws from
@@ -117,16 +118,19 @@ Result<RowId> Table::Insert(Transaction* txn, const std::vector<Value>& row) {
   record.row_id = row_id;
   record.insert_time = now;
   for (int idx : schema().stable_columns()) record.stable.push_back(row[idx]);
-  for (int idx : schema().degradable_columns()) {
+  for (size_t d = 0; d < schema().degradable_columns().size(); ++d) {
     // Inserts arrive at full accuracy, but a policy may start coarser than
     // leaf level ("never store exact addresses"): generalize immediately so
-    // the accurate form never reaches storage or the WAL.
+    // the accurate form never reaches storage or the WAL. The validation's
+    // leaf ordinal gives the phase-0 value and its ordinal with no second
+    // label lookup.
+    const int idx = schema().degradable_columns()[d];
     const ColumnDef& col = schema().column(idx);
     const int first_level = col.lcp.phase(0).level;
     if (first_level > 0) {
-      IDB_ASSIGN_OR_RETURN(Value coarse,
-                           col.hierarchy->Generalize(row[idx], 0, first_level));
-      record.degradable.push_back(std::move(coarse));
+      record.degradable.push_back(
+          col.hierarchy->AncestorValue(ordinals[d], first_level));
+      ordinals[d] = col.hierarchy->AncestorRange(ordinals[d], first_level).lo;
     } else {
       record.degradable.push_back(row[idx]);
     }
@@ -143,9 +147,11 @@ Result<RowId> Table::Insert(Transaction* txn, const std::vector<Value>& row) {
   std::vector<Value> degradable = record.degradable;
   txn->AddOp(std::move(record),
              [partition, row_id, now, stable = std::move(stable),
-              degradable = std::move(degradable)] {
+              degradable = std::move(degradable),
+              ordinals = std::move(ordinals)] {
                return partition->ApplyInsert(row_id, now, stable, degradable,
-                                             /*degradable_available=*/true);
+                                             /*degradable_available=*/true,
+                                             &ordinals);
              });
   return row_id;
 }
@@ -297,7 +303,8 @@ Status Table::RedoInsert(const WalRecord& record) {
   partition->EnsureRowAllocatorAbove(record.row_id);
   return partition->ApplyInsert(record.row_id, record.insert_time,
                                 record.stable, record.degradable,
-                                !record.degradable_unavailable);
+                                !record.degradable_unavailable,
+                                /*ordinals=*/nullptr);
 }
 
 Status Table::RedoDegrade(const WalRecord& record) {

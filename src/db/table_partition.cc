@@ -39,9 +39,11 @@ Status TablePartition::Open() {
   heap_ = std::make_unique<HeapFile>(heap_pool_.get());
   IDB_RETURN_IF_ERROR(heap_->Open());
 
-  // Rebuild the row-id map from the heap. A record the codec's framing
+  // Rebuild the row-id map from the heap, sorted once: pages the heap
+  // reused hold newer rows before older ones. A record the codec's framing
   // checks refuse fails the open with Corruption.
-  row_map_.clear();
+  std::vector<std::pair<RowId, Rid>> rows;
+  rows.reserve(heap_->live_records());
   RowId max_row = 0;
   bool corrupt = false;
   const size_t stable_count = schema().stable_columns().size();
@@ -53,11 +55,12 @@ Status TablePartition::Open() {
       corrupt = true;
       return false;
     }
-    row_map_[row_id] = rid;
+    rows.emplace_back(row_id, rid);
     max_row = std::max(max_row, row_id);
     return true;
   }));
   if (corrupt) return Status::Corruption("malformed heap record");
+  row_map_.Assign(std::move(rows));
   max_row_id_ = max_row;
 
   stores_.clear();
@@ -181,9 +184,13 @@ Status TablePartition::Drop() {
 Status TablePartition::ApplyInsert(RowId row_id, Micros insert_time,
                                    const std::vector<Value>& stable,
                                    const std::vector<Value>& degradable,
-                                   bool degradable_available) {
+                                   bool degradable_available,
+                                   const std::vector<int64_t>* ordinals) {
+  const auto ordinal_of = [ordinals](size_t d) {
+    return ordinals != nullptr ? (*ordinals)[d] : int64_t{-1};
+  };
   std::unique_lock<std::shared_mutex> latch(latch_);
-  if (row_map_.count(row_id) != 0) {
+  if (row_map_.Find(row_id) != nullptr) {
     // Idempotent redo over a row the heap already holds — but not a blind
     // skip. A heap page can reach disk through buffer-pool eviction at any
     // time, independent of Checkpoint, so after a crash the heap may hold a
@@ -205,7 +212,7 @@ Status TablePartition::ApplyInsert(RowId row_id, Micros insert_time,
         }
         if (!present) {
           IDB_RETURN_IF_ERROR(InsertDegradableLocked(
-              d, row_id, insert_time, degradable[d]));
+              d, row_id, insert_time, degradable[d], ordinal_of(d)));
         }
       }
       mutation_seq_.fetch_add(1, std::memory_order_release);
@@ -219,13 +226,13 @@ Status TablePartition::ApplyInsert(RowId row_id, Micros insert_time,
   std::string encoded;
   EncodeHeapTuple(tuple, &encoded);
   IDB_ASSIGN_OR_RETURN(Rid rid, heap_->Insert(encoded));
-  row_map_[row_id] = rid;
+  row_map_.Insert(row_id, rid);
   max_row_id_ = std::max(max_row_id_, row_id);
 
   if (degradable_available) {
     for (size_t d = 0; d < schema().degradable_columns().size(); ++d) {
-      IDB_RETURN_IF_ERROR(
-          InsertDegradableLocked(d, row_id, insert_time, degradable[d]));
+      IDB_RETURN_IF_ERROR(InsertDegradableLocked(d, row_id, insert_time,
+                                                 degradable[d], ordinal_of(d)));
     }
   }
   ++stats_.inserts;
@@ -235,9 +242,12 @@ Status TablePartition::ApplyInsert(RowId row_id, Micros insert_time,
 
 Status TablePartition::InsertDegradableLocked(size_t d, RowId row_id,
                                               Micros insert_time,
-                                              const Value& value) {
-  // One label lookup serves the store and the index.
-  IDB_ASSIGN_OR_RETURN(const int64_t ordinal, stores_[d][0]->OrdinalOf(value));
+                                              const Value& value,
+                                              int64_t ordinal) {
+  // At most one label lookup (redo's) serves the store and the index.
+  if (ordinal < 0) {
+    IDB_ASSIGN_OR_RETURN(ordinal, stores_[d][0]->OrdinalOf(value));
+  }
   IDB_RETURN_IF_ERROR(
       stores_[d][0]->Append({row_id, insert_time, value, ordinal}));
   if (!multires_.empty()) multires_[d]->OnInsert(row_id, 0, ordinal);
@@ -246,8 +256,8 @@ Status TablePartition::InsertDegradableLocked(size_t d, RowId row_id,
 
 Status TablePartition::ApplyDelete(RowId row_id) {
   std::unique_lock<std::shared_mutex> latch(latch_);
-  auto it = row_map_.find(row_id);
-  if (it == row_map_.end()) return Status::OK();  // idempotent redo
+  const Rid* rid = row_map_.Find(row_id);
+  if (rid == nullptr) return Status::OK();  // idempotent redo
 
   // Remove degradable values from stores + indexes.
   for (size_t d = 0; d < stores_.size(); ++d) {
@@ -262,8 +272,8 @@ Status TablePartition::ApplyDelete(RowId row_id) {
       break;
     }
   }
-  IDB_RETURN_IF_ERROR(heap_->Delete(it->second));
-  row_map_.erase(it);
+  IDB_RETURN_IF_ERROR(heap_->Delete(*rid));
+  row_map_.Erase(row_id);
   ++stats_.deletes;
   mutation_seq_.fetch_add(1, std::memory_order_release);
   return Status::OK();
@@ -272,20 +282,18 @@ Status TablePartition::ApplyDelete(RowId row_id) {
 Status TablePartition::ApplyUpdateStable(RowId row_id,
                                          const std::vector<Value>& stable) {
   std::unique_lock<std::shared_mutex> latch(latch_);
-  auto it = row_map_.find(row_id);
-  if (it == row_map_.end()) return Status::OK();  // idempotent redo
+  Rid* rid = row_map_.Find(row_id);
+  if (rid == nullptr) return Status::OK();  // idempotent redo
   HeapTuple tuple;
   Status decoded;
-  IDB_RETURN_IF_ERROR(heap_->Read(it->second, [&](Slice record) {
+  IDB_RETURN_IF_ERROR(heap_->Read(*rid, [&](Slice record) {
     decoded = DecodeHeapTuple(schema(), record, &tuple);
   }));
   IDB_RETURN_IF_ERROR(decoded);
   tuple.stable = stable;
   std::string encoded;
   EncodeHeapTuple(tuple, &encoded);
-  Rid new_rid;
-  IDB_RETURN_IF_ERROR(heap_->Update(it->second, encoded, &new_rid));
-  it->second = new_rid;
+  IDB_RETURN_IF_ERROR(heap_->Update(*rid, encoded, rid));
   mutation_seq_.fetch_add(1, std::memory_order_release);
   return Status::OK();
 }
@@ -411,11 +419,12 @@ Status TablePartition::ReadRowsFiltered(const std::vector<RowId>& ids,
   return FillBatch(spec, ws, deltas, [&](const auto& take) {
     const size_t end = *next + std::min(limit, ids.size() - *next);
     bool ok = true;
+    size_t cursor = 0;  // the ids ascend: each lookup gallops on from the last
     for (; ok && *next < end; ++*next) {
-      const auto it = row_map_.find(ids[*next]);
-      if (it == row_map_.end()) continue;  // deleted or expired since the probe
-      IDB_RETURN_IF_ERROR(heap_->Read(
-          it->second, [&](Slice record) { ok = take(record); }));
+      const Rid* rid = row_map_.Seek(ids[*next], &cursor);
+      if (rid == nullptr) continue;  // deleted or expired since the probe
+      IDB_RETURN_IF_ERROR(
+          heap_->Read(*rid, [&](Slice record) { ok = take(record); }));
     }
     *done = *next == ids.size();
     return Status::OK();
@@ -432,7 +441,8 @@ void TablePartition::ResolveDegradableLocked(ScanWorkspace* ws) const {
 
   // One sorted merge per (column, phase) store over the survivors'
   // ascending row ids. Heap order is mostly — but not strictly —
-  // ascending (updates relocate rows), hence the sort when it is not.
+  // ascending (updates relocate rows, and inserts fill the space deletes
+  // and expiry freed), hence the sort when it is not.
   ws->order.resize(n);
   for (size_t k = 0; k < n; ++k) ws->order[k] = static_cast<uint32_t>(k);
   const auto by_row_id = [&](uint32_t a, uint32_t b) {
@@ -471,7 +481,7 @@ void TablePartition::ResolveDegradableLocked(ScanWorkspace* ws) const {
 
 bool TablePartition::Contains(RowId row_id) const {
   std::shared_lock<std::shared_mutex> latch(latch_);
-  return row_map_.count(row_id) != 0;
+  return row_map_.Find(row_id) != nullptr;
 }
 
 std::vector<std::pair<int, int>> TablePartition::StoresHolding(
@@ -493,6 +503,11 @@ std::vector<std::pair<int, int>> TablePartition::StoresHolding(
 uint64_t TablePartition::live_rows() const {
   std::shared_lock<std::shared_mutex> latch(latch_);
   return row_map_.size();
+}
+
+MemoryUsage TablePartition::row_memory() const {
+  std::shared_lock<std::shared_mutex> latch(latch_);
+  return MemoryUsage{row_map_.size(), row_map_.bytes()};
 }
 
 MemoryUsage TablePartition::index_memory() const {
@@ -713,7 +728,7 @@ Status TablePartition::ApplyDegrade(int col_idx, int from_phase, int to_phase,
   for (size_t i = 0; i < moves.size(); ++i) {
     const StoreEntry& move = moves[i];
     // A row deleted between collect and apply must not resurface.
-    const bool row_live = row_map_.count(move.row_id) != 0;
+    const bool row_live = row_map_.Find(move.row_id) != nullptr;
     if (!removal && row_live) {
       IDB_RETURN_IF_ERROR(stores_[ordinal][to_phase]->Append(move));
     }
@@ -730,9 +745,7 @@ Status TablePartition::ApplyDegrade(int col_idx, int from_phase, int to_phase,
     // Expiry last: MaybeExpireTupleLocked only removes the heap shell once
     // every store has dropped the row, so it must run after the pops.
     for (const StoreEntry& move : moves) {
-      if (row_map_.count(move.row_id) != 0) {
-        IDB_RETURN_IF_ERROR(MaybeExpireTupleLocked(move.row_id));
-      }
+      IDB_RETURN_IF_ERROR(MaybeExpireTupleLocked(move.row_id));
     }
   }
   mutation_seq_.fetch_add(1, std::memory_order_release);
@@ -740,8 +753,8 @@ Status TablePartition::ApplyDegrade(int col_idx, int from_phase, int to_phase,
 }
 
 Status TablePartition::MaybeExpireTupleLocked(RowId row_id) {
-  auto it = row_map_.find(row_id);
-  if (it == row_map_.end()) return Status::OK();
+  const Rid* rid = row_map_.Find(row_id);
+  if (rid == nullptr) return Status::OK();
   for (const auto& per_phase : stores_) {
     for (const auto& store : per_phase) {
       if (store->Find(row_id)) return Status::OK();
@@ -749,8 +762,8 @@ Status TablePartition::MaybeExpireTupleLocked(RowId row_id) {
   }
   // Every degradable attribute reached ⊥: the tuple disappears, stable part
   // included (paper §II "up to disappearance from the database").
-  IDB_RETURN_IF_ERROR(heap_->Delete(it->second));
-  row_map_.erase(it);
+  IDB_RETURN_IF_ERROR(heap_->Delete(*rid));
+  row_map_.Erase(row_id);
   ++stats_.tuples_expired;
   return Status::OK();
 }

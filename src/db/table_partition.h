@@ -6,13 +6,13 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "common/clock.h"
 #include "common/options.h"
+#include "db/row_map.h"
 #include "db/scan_spec.h"
 #include "index/multires_index.h"
 #include "storage/heap_file.h"
@@ -48,8 +48,11 @@ struct TableRuntime {
 /// deterministic hash, so partitions never share rows: each owns its own
 /// reader-writer latch and its degradation steps lock per-partition store
 /// heads. That is what lets the degradation worker pool run steps on
-/// distinct partitions concurrently while preserving the paper's bounded
-/// reader/degrader interference (B8) per partition.
+/// distinct partitions concurrently.
+///
+/// The physical footprint tracks the live rows: the heap reuses the space
+/// deletes and expiry free (storage/heap_file.h), and the row map is a
+/// row-id-sorted array whose head FIFO expiry pops (db/row_map.h).
 ///
 /// Thread-safety: logical conflicts go through the 2PL LockManager (row/
 /// store/table locks, store keys carry the partition index); physical
@@ -104,10 +107,14 @@ class TablePartition {
 
   // --- apply closures (commit-time + idempotent redo) ------------------------
 
+  /// `ordinals` (each degradable value's ordinal at its phase-0 level,
+  /// resolved when the insert was validated) is non-null on the live path;
+  /// redo passes null and resolves them from the values.
   Status ApplyInsert(RowId row_id, Micros insert_time,
                      const std::vector<Value>& stable,
                      const std::vector<Value>& degradable,
-                     bool degradable_available);
+                     bool degradable_available,
+                     const std::vector<int64_t>* ordinals);
   Status ApplyDelete(RowId row_id);
   /// `old_ordinals` (the moved entries' leaf ordinals at `from_phase`'s
   /// level) is non-null on the live path (index maintenance) and null
@@ -172,6 +179,8 @@ class TablePartition {
   MemoryUsage store_memory() const;
   /// Entries and heap bytes of this partition's multi-resolution indexes.
   MemoryUsage index_memory() const;
+  /// Live rows and the heap bytes of the row map's arrays.
+  MemoryUsage row_memory() const;
 
   /// Row ids matching an equality/range predicate on a degradable column
   /// at accuracy `level`, appended to `*out` and sorted ascending.
@@ -272,9 +281,10 @@ class TablePartition {
   Status MaybeExpireTupleLocked(RowId row_id);
 
   /// Appends `value` of degradable column `d` to its phase-0 store and
-  /// index. Caller holds the exclusive latch.
+  /// index. `ordinal` is its ordinal at the store's level, or -1 to look it
+  /// up. Caller holds the exclusive latch.
   Status InsertDegradableLocked(size_t d, RowId row_id, Micros insert_time,
-                                const Value& value);
+                                const Value& value, int64_t ordinal);
 
   /// One pushdown batch under a single shared-latch acquisition:
   /// `for_each_record(take)` hands each heap record, borrowed from its
@@ -317,7 +327,8 @@ class TablePartition {
   /// Written under ckpt_mu_; atomic so dirty() can poll it latch-free (the
   /// maintenance daemon's cadence test must not contend with checkpoints).
   std::atomic<uint64_t> flushed_seq_{0};
-  std::unordered_map<RowId, Rid> row_map_;
+  /// Where each live row's heap record is.
+  RowMap row_map_;
   RowId max_row_id_ = 0;
   /// Row-id allocator multiplier: the next id minted is
   /// `next_multiplier_ * partitions + index`.

@@ -35,27 +35,97 @@ size_t HeapFile::max_record_size() const {
   return page_size_ - kHeaderBytes - kSlotBytes;
 }
 
+void HeapFile::MaxTree::Assign(const std::vector<uint16_t>& values) {
+  size_ = values.size();
+  leaves_ = size_ == 0 ? 0 : 1;
+  while (leaves_ < size_) leaves_ *= 2;
+  nodes_.assign(2 * leaves_, 0);
+  std::copy(values.begin(), values.end(), nodes_.begin() + leaves_);
+  for (size_t k = leaves_; k-- > 1;) {
+    nodes_[k] = std::max(nodes_[2 * k], nodes_[2 * k + 1]);
+  }
+}
+
+void HeapFile::MaxTree::Push(uint16_t value) {
+  if (size_ == leaves_) {
+    // Full: double the leaves (amortized O(1) per page).
+    std::vector<uint16_t> values(nodes_.begin() + leaves_, nodes_.end());
+    values.push_back(value);
+    Assign(values);
+    return;
+  }
+  ++size_;
+  Set(size_ - 1, value);
+}
+
+void HeapFile::MaxTree::Set(size_t i, uint16_t value) {
+  size_t k = leaves_ + i;
+  nodes_[k] = value;
+  for (k /= 2; k > 0; k /= 2) {
+    const uint16_t max = std::max(nodes_[2 * k], nodes_[2 * k + 1]);
+    if (nodes_[k] == max) break;  // no ancestor changes either
+    nodes_[k] = max;
+  }
+}
+
+PageId HeapFile::MaxTree::FirstAtLeast(size_t from, size_t bound) const {
+  if (from >= size_) return kInvalidPageId;
+  // Climb from `from`'s leaf to the first subtree to its right (or itself)
+  // whose maximum reaches the bound, then descend to its leftmost such leaf.
+  size_t k = leaves_ + from;
+  while (nodes_[k] < bound) {
+    while (k & 1) {  // a right child: its right neighbour is an uncle's
+      k /= 2;
+      if (k == 0) return kInvalidPageId;  // climbed past the root
+    }
+    ++k;
+  }
+  while (k < leaves_) {
+    k *= 2;
+    if (nodes_[k] < bound) ++k;
+  }
+  return static_cast<PageId>(k - leaves_);
+}
+
 Status HeapFile::Open() {
   const PageId n = pool_->disk()->num_pages();
-  free_space_.assign(n, 0);
+  std::vector<uint16_t> free(n, 0);
+  holes_.assign(n, 0);
   freed_slots_.assign(n, 0);
   live_records_ = 0;
   for (PageId p = 0; p < n; ++p) {
     IDB_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(p));
-    free_space_[p] = static_cast<uint16_t>(FreeSpace(guard.data()));
-    const PageHeader header = ReadHeader(guard.data());
+    const char* page = guard.data();
+    const PageHeader header = ReadHeader(page);
+    size_t live_bytes = 0;
     for (uint16_t s = 0; s < header.num_slots; ++s) {
-      if (SlotOffset(guard.data(), s) != 0) {
+      if (SlotOffset(page, s) != 0) {
         ++live_records_;
+        live_bytes += SlotLen(page, s);
       } else {
         ++freed_slots_[p];
       }
     }
+    // The data region is [data_start, page end); what no live record holds
+    // of it is a hole.
+    const size_t data_start =
+        header.data_start == 0 ? page_size_ : header.data_start;
+    const size_t region = page_size_ - data_start;
+    holes_[p] = static_cast<uint16_t>(region > live_bytes ? region - live_bytes
+                                                          : 0);
+    free[p] = static_cast<uint16_t>(FreeSpace(page) + holes_[p]);
   }
+  free_.Assign(free);
   return Status::OK();
 }
 
-void HeapFile::CompactPage(char* page) const {
+void HeapFile::RefreshFree(const PageGuard& guard) {
+  free_.Set(guard.id(), static_cast<uint16_t>(FreeSpace(guard.data()) +
+                                              holes_[guard.id()]));
+}
+
+void HeapFile::CompactPage(PageGuard& guard) {
+  char* page = guard.data();
   PageHeader header = ReadHeader(page);
   std::string buffer(page_size_, '\0');
   size_t write_end = page_size_;
@@ -80,6 +150,9 @@ void HeapFile::CompactPage(char* page) const {
   }
   header.data_start = static_cast<uint16_t>(write_end);
   WriteHeader(page, header);
+  guard.MarkDirty();
+  holes_[guard.id()] = 0;
+  RefreshFree(guard);
 }
 
 Result<Rid> HeapFile::InsertIntoPage(PageGuard& guard, Slice record) {
@@ -91,7 +164,7 @@ Result<Rid> HeapFile::InsertIntoPage(PageGuard& guard, Slice record) {
   // freed-slot count makes the append-only common case O(1) instead of a
   // full slot scan per insert.
   uint16_t slot = header.num_slots;
-  if (guard.id() < freed_slots_.size() && freed_slots_[guard.id()] > 0) {
+  if (freed_slots_[guard.id()] > 0) {
     for (uint16_t s = 0; s < header.num_slots; ++s) {
       if (SlotOffset(page, s) == 0) {
         slot = s;
@@ -109,7 +182,7 @@ Result<Rid> HeapFile::InsertIntoPage(PageGuard& guard, Slice record) {
   std::memcpy(page + data_start, record.data(), record.size());
   if (new_slot) {
     ++header.num_slots;
-  } else if (guard.id() < freed_slots_.size() && freed_slots_[guard.id()] > 0) {
+  } else {
     --freed_slots_[guard.id()];
   }
   header.data_start = static_cast<uint16_t>(data_start);
@@ -117,7 +190,7 @@ Result<Rid> HeapFile::InsertIntoPage(PageGuard& guard, Slice record) {
   SetSlot(page, slot, static_cast<uint16_t>(data_start),
           static_cast<uint16_t>(record.size()));
   guard.MarkDirty();
-  free_space_[guard.id()] = static_cast<uint16_t>(FreeSpace(page));
+  RefreshFree(guard);
   ++live_records_;
   return Rid{guard.id(), slot};
 }
@@ -127,26 +200,24 @@ Result<Rid> HeapFile::Insert(Slice record) {
     return Status::InvalidArgument("record larger than page");
   }
   const size_t needed = record.size() + kSlotBytes;
-  for (PageId p = 0; p < free_space_.size(); ++p) {
-    if (free_space_[p] < needed) continue;
+  // First fit: the lowest page whose gap + holes has room. A page whose gap
+  // alone is too small is compacted, which folds its holes into the gap; a
+  // page still too full after that is passed over.
+  for (PageId p = free_.FirstAtLeast(0, needed); p != kInvalidPageId;
+       p = free_.FirstAtLeast(p + 1, needed)) {
     IDB_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(p));
     auto rid = InsertIntoPage(guard, record);
-    if (rid.ok()) return rid;
-    if (!rid.status().IsBusy()) return rid;
-    // Free-space map was stale (fragmentation); compact and retry once.
-    CompactPage(guard.data());
-    guard.MarkDirty();
-    free_space_[p] = static_cast<uint16_t>(FreeSpace(guard.data()));
-    if (free_space_[p] >= needed) {
-      auto retry = InsertIntoPage(guard, record);
-      if (retry.ok()) return retry;
-    }
+    if (rid.ok() || !rid.status().IsBusy()) return rid;
+    CompactPage(guard);
+    rid = InsertIntoPage(guard, record);
+    if (rid.ok() || !rid.status().IsBusy()) return rid;
   }
   IDB_ASSIGN_OR_RETURN(PageGuard guard, pool_->NewPage());
   PageHeader header{0, static_cast<uint16_t>(page_size_)};
   WriteHeader(guard.data(), header);
-  free_space_.push_back(static_cast<uint16_t>(FreeSpace(guard.data())));
+  holes_.push_back(0);
   freed_slots_.push_back(0);
+  free_.Push(static_cast<uint16_t>(FreeSpace(guard.data())));
   return InsertIntoPage(guard, record);
 }
 
@@ -158,11 +229,13 @@ Status HeapFile::Delete(Rid rid) {
     return Status::NotFound("no record at rid");
   }
   // Physically clean the record bytes before freeing the slot.
-  std::memset(page + SlotOffset(page, rid.slot), 0, SlotLen(page, rid.slot));
+  const uint16_t len = SlotLen(page, rid.slot);
+  std::memset(page + SlotOffset(page, rid.slot), 0, len);
   SetSlot(page, rid.slot, 0, 0);
   guard.MarkDirty();
-  free_space_[rid.page] = static_cast<uint16_t>(FreeSpace(page));
-  if (rid.page < freed_slots_.size()) ++freed_slots_[rid.page];
+  holes_[rid.page] += len;
+  ++freed_slots_[rid.page];
+  RefreshFree(guard);
   --live_records_;
   return Status::OK();
 }
@@ -183,16 +256,16 @@ Status HeapFile::Update(Rid rid, Slice record, Rid* out) {
     std::memset(page + offset + record.size(), 0, old_len - record.size());
     SetSlot(page, rid.slot, offset, static_cast<uint16_t>(record.size()));
     guard.MarkDirty();
+    holes_[rid.page] += old_len - record.size();
+    RefreshFree(guard);
     return Status::OK();
   }
   // Grow: zero the old image, free the slot, and re-insert (same page if it
   // fits after compaction, else anywhere).
   std::memset(page + offset, 0, old_len);
   SetSlot(page, rid.slot, 0, 0);
-  CompactPage(page);
-  guard.MarkDirty();
-  free_space_[rid.page] = static_cast<uint16_t>(FreeSpace(page));
-  if (rid.page < freed_slots_.size()) ++freed_slots_[rid.page];
+  ++freed_slots_[rid.page];
+  CompactPage(guard);
   --live_records_;
   guard.Release();
   IDB_ASSIGN_OR_RETURN(Rid new_rid, Insert(record));

@@ -24,11 +24,20 @@ namespace instantdb {
 /// the slot is freed, so no accurate value survives in the data space
 /// (paper §III, "every trace of deleted data must be physically cleaned
 /// up"). The same zeroing runs on every in-place shrink.
+///
+/// Space that deletes and shrinks free is reused. A page's free figure is
+/// its contiguous gap plus its holes (bytes freed inside the data region).
+/// Insert takes the lowest page whose figure has room, found in O(log
+/// pages) by a max-tree over the figures, and compacts that page first
+/// when the gap alone is too small. Compaction zeroes the whole data
+/// region, so reuse leaves no residue. Without deletes, holes stay zero
+/// and the layout is the append-only one.
 class HeapFile {
  public:
   explicit HeapFile(BufferPool* pool);
 
-  /// Rebuilds the in-memory free-space map by scanning page headers.
+  /// Rebuilds the in-memory free-space map (gaps and holes, from the page
+  /// headers and slot lengths) by scanning every page.
   Status Open();
 
   Result<Rid> Insert(Slice record);
@@ -90,7 +99,32 @@ class HeapFile {
 
   size_t max_record_size() const;
 
+  /// Bytes an insert can claim on page `p`: the contiguous gap plus the
+  /// holes, which compaction folds into the gap.
+  size_t page_free(PageId p) const { return free_.Get(p); }
+
  private:
+  /// \brief Max-tree over per-page values: the lowest page at or after a
+  /// given one whose value reaches a bound, in O(log pages).
+  class MaxTree {
+   public:
+    /// Replaces the values with `values`.
+    void Assign(const std::vector<uint16_t>& values);
+    /// Appends one page with value `value`.
+    void Push(uint16_t value);
+    void Set(size_t i, uint16_t value);
+    uint16_t Get(size_t i) const { return nodes_[leaves_ + i]; }
+    /// Lowest i >= `from` with Get(i) >= `bound`, or kInvalidPageId.
+    PageId FirstAtLeast(size_t from, size_t bound) const;
+
+   private:
+    /// nodes_[1] is the root, node k's children are 2k and 2k + 1, and page
+    /// i's leaf is nodes_[leaves_ + i]; leaves past the last page hold 0.
+    std::vector<uint16_t> nodes_;
+    size_t leaves_ = 0;  // a power of two, or 0 when there is no page
+    size_t size_ = 0;    // pages
+  };
+
   struct PageHeader {
     uint16_t num_slots;
     uint16_t data_start;
@@ -113,14 +147,22 @@ class HeapFile {
   static void SetSlot(char* page, uint16_t slot, uint16_t offset,
                       uint16_t len);
   static void WriteHeader(char* page, PageHeader header);
+  /// The contiguous gap between the slot array and the data region.
   size_t FreeSpace(const char* page) const;
-  /// Compacts the data region of a pinned page, preserving slot numbers.
-  void CompactPage(char* page) const;
+  /// Recomputes the free figure of a pinned page.
+  void RefreshFree(const PageGuard& guard);
+  /// Compacts the data region of a pinned page, preserving slot numbers:
+  /// its holes join the gap.
+  void CompactPage(PageGuard& guard);
   Result<Rid> InsertIntoPage(PageGuard& guard, Slice record);
 
   BufferPool* const pool_;
   const size_t page_size_;
-  std::vector<uint16_t> free_space_;  // per page, approximate
+  /// Per page: gap + holes, the figure first fit reads.
+  MaxTree free_;
+  /// Per page: bytes of the data region that no live record holds, freed by
+  /// deletes and shrinking updates. Zero again after CompactPage.
+  std::vector<uint16_t> holes_;
   /// Reusable (freed) slots per page: 0 means InsertIntoPage can append a
   /// fresh slot without scanning the slot array (the append-only hot path).
   std::vector<uint16_t> freed_slots_;

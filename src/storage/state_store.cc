@@ -8,6 +8,7 @@
 #include "common/strings.h"
 #include "io/env.h"
 #include "util/crc32c.h"
+#include "util/sorted_array.h"
 
 namespace instantdb {
 
@@ -33,13 +34,6 @@ constexpr uint64_t kMetaV2Tag = UINT64_MAX;
 /// A segment seals once it reaches this size whatever `segment_bytes` says,
 /// so every frame offset fits the mirror's 32-bit locator.
 constexpr uint64_t kMaxSegmentBytes = uint64_t{1} << 31;
-
-/// Grows a mirror array by 1/16 instead of doubling: the slack capacity is
-/// paid per entry on top of StateStore::kMirrorBytesPerEntry.
-template <typename T>
-void GrowForOneMore(std::vector<T>* v) {
-  if (v->size() == v->capacity()) v->reserve(v->size() + v->size() / 16 + 64);
-}
 
 void EncodeEntryPayload(const StoreEntry& entry, std::string* dst) {
   PutVarint64(dst, entry.row_id);
@@ -548,21 +542,8 @@ size_t StateStore::FindMany(const RowId* ids, size_t n,
     if (ordinals[j] >= 0) continue;
     const RowId id = ids[j];
     // Ascending ids: gallop forward from where the previous id left the
-    // search (the next entry, then steps 1, 2, 4, ... until an entry >= id),
-    // then binary-search inside that bracket. A dense batch finds each id
-    // right after the last, so it costs O(1) per id rather than O(log N).
-    if (it != end && *it < id && ++it != end && *it < id) {
-      const RowId* lo = it;  // *lo < id; the answer lies in (lo, hi]
-      const RowId* hi = end;
-      for (std::ptrdiff_t step = 1; step < end - lo; step *= 2) {
-        if (lo[step] >= id) {
-          hi = lo + step;
-          break;
-        }
-        lo += step;
-      }
-      it = std::lower_bound(lo + 1, hi, id);
-    }
+    // search, so a dense batch finds each id right after the last.
+    it = GallopLowerBound(it, end, id);
     if (it == end) break;  // every later id is larger still
     if (*it == id) {
       ordinals[j] = ordinals_[it - base];

@@ -19,8 +19,7 @@ enum class LockMode : uint8_t { kShared = 0, kExclusive = 1 };
 /// Lockable resources. Degradation steps lock the *head* of one state store
 /// (kStore), so a step conflicts only with readers of that store, not with
 /// inserts (which append to phase 0's tail under their own row locks) nor
-/// with readers of other accuracy levels — this is what keeps the paper's
-/// degradation/reader interference bounded (experiment B8).
+/// with readers of other accuracy levels.
 struct LockKey {
   enum class Kind : uint8_t { kTable = 0, kRow = 1, kStore = 2 };
 

@@ -1,7 +1,9 @@
+#include <filesystem>
 #include <set>
 #include <tuple>
 
 #include "catalog/builtin_domains.h"
+#include "common/strings.h"
 #include "db/database.h"
 #include "forensic.h"
 #include "gtest/gtest.h"
@@ -328,6 +330,105 @@ INSTANTIATE_TEST_SUITE_P(
                                                           : "EncryptedEpoch") +
              (std::get<1>(info.param) ? "Crash" : "Clean");
     });
+
+/// The heap reuses the space expiry frees, compacting a holed page before
+/// it takes a new record there. After one wave of rows expired and a
+/// second wave filled their pages, no heap.db holds any expired row's
+/// stable bytes: after a clean close, and in the crash image taken after
+/// the second wave's checkpoint.
+class HeapReuseForensicTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "/idb_heap_reuse";
+    image_ = dir_ + "_crash";
+    ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
+    ASSERT_TRUE(RemoveDirRecursive(image_).ok());
+  }
+  void TearDown() override {
+    RemoveDirRecursive(dir_).ok();
+    RemoveDirRecursive(image_).ok();
+  }
+
+  /// Every heap.db under `dir`, concatenated.
+  static std::string Heaps(const std::string& dir) {
+    std::string heaps;
+    for (const auto& [path, bytes] : FilesUnder(dir)) {
+      if (std::filesystem::path(path).filename() == "heap.db") heaps += bytes;
+    }
+    return heaps;
+  }
+
+  std::string dir_;
+  std::string image_;
+  VirtualClock clock_{0};
+};
+
+TEST_P(HeapReuseForensicTest, ReusedPagesHoldNoExpiredStableBytes) {
+  const bool crash = GetParam();
+  FaultInjectionEnv fault(Env::Default());
+  DbOptions options;
+  options.path = dir_;
+  options.env = &fault;
+  options.clock = &clock_;
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto schema = Schema::Make(
+      {ColumnDef::Stable("note", ValueType::kString),
+       ColumnDef::Degradable(
+           "location", LocationDomain(),
+           *AttributeLcp::Make({{0, kMicrosPerHour}, {1, kMicrosPerHour}}))});
+  ASSERT_TRUE(schema.ok());
+  ASSERT_TRUE((*db)->CreateTable("pings", *schema).ok());
+  const auto load = [&](const char* format) {
+    WriteBatch batch;
+    for (int i = 0; i < 3000; ++i) {
+      batch.Insert("pings", {Value::String(StringPrintf(format, i)),
+                             Value::String("11 Rue Lepic")});
+    }
+    ASSERT_TRUE((*db)->Write(&batch).ok());
+  };
+  const auto heap_pages = [&] {
+    uint64_t pages = 0;
+    const Table* table = (*db)->GetTable("pings");
+    for (uint32_t p = 0; p < table->num_partitions(); ++p) {
+      pages += table->partition(p)->heap_pool()->disk()->num_pages();
+    }
+    return pages;
+  };
+
+  load("expired-secret-%05d");
+  ASSERT_TRUE((*db)->Checkpoint().ok());  // the secrets reach heap.db
+  std::set<std::string> secrets;
+  for (int i = 0; i < 3000; ++i) {
+    secrets.insert(StringPrintf("expired-secret-%05d", i));
+  }
+  ASSERT_EQ(CountCopies(Heaps(dir_), secrets), 3000u);
+  const uint64_t pages = heap_pages();
+
+  clock_.Advance(2 * kMicrosPerHour + 1);
+  ASSERT_TRUE((*db)->RunDegradationOnce().ok());
+  ASSERT_EQ((*db)->GetTable("pings")->live_rows(), 0u);
+  // The same number of slightly shorter rows fills the expired pages; each
+  // first insert into a page compacts it.
+  load("fresh-note-%05d");
+  EXPECT_EQ(heap_pages(), pages) << "the second wave should reuse the heap";
+  ASSERT_TRUE((*db)->Checkpoint().ok());
+
+  std::string scanned = dir_;
+  if (crash) {
+    ASSERT_TRUE(fault.SimulateCrashTo(dir_, image_).ok());
+    scanned = image_;
+  }
+  db->reset();
+  EXPECT_EQ(CountCopies(Heaps(scanned), secrets), 0u)
+      << (crash ? "crash image" : "clean close");
+  EXPECT_EQ(CountCopies(Heaps(scanned), std::string("fresh-note-")), 3000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(CloseKinds, HeapReuseForensicTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return std::string(info.param ? "Crash" : "Clean");
+                         });
 
 TEST_F(DatabaseTest, MultipleDegradableColumnsIndependentTimelines) {
   auto schema = *Schema::Make(

@@ -3,7 +3,10 @@
 #include <set>
 
 #include "catalog/builtin_domains.h"
+#include "common/random.h"
+#include "common/strings.h"
 #include "db/database.h"
+#include "db/row_map.h"
 #include "gtest/gtest.h"
 #include "scan_oracle.h"
 #include "util/file.h"
@@ -262,6 +265,272 @@ TEST_F(PartitionTest, DropTableRemovesEveryPartition) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   EXPECT_EQ(db_->GetTable("pings")->live_rows(), 0u);
   EXPECT_EQ(db_->GetTable("pings")->num_partitions(), kPartitions);
+}
+
+// --- Row map ------------------------------------------------------------------
+
+/// `map` agrees with `oracle` on its size, on Find for every id up to
+/// `max_id`, and on Seek over the same ids in ascending order, dense when
+/// `stride` is 1 and with gaps otherwise.
+void ExpectRowMapMatches(const RowMap& map, const std::map<RowId, Rid>& oracle,
+                         RowId max_id, RowId stride) {
+  ASSERT_EQ(map.size(), oracle.size());
+  EXPECT_GE(map.bytes(), oracle.size() * (sizeof(RowId) + sizeof(Rid)));
+  size_t cursor = 0;
+  for (RowId id = 0; id <= max_id; id += stride) {
+    const auto it = oracle.find(id);
+    const Rid* found = map.Find(id);
+    const Rid* sought = map.Seek(id, &cursor);
+    if (it == oracle.end()) {
+      ASSERT_EQ(found, nullptr) << "id " << id;
+      ASSERT_EQ(sought, nullptr) << "id " << id;
+    } else {
+      ASSERT_NE(found, nullptr) << "id " << id;
+      ASSERT_EQ(*found, it->second) << "id " << id;
+      ASSERT_EQ(sought, found) << "id " << id;
+    }
+  }
+}
+
+// Seeded appends, out-of-order inserts, duplicate inserts, head pops and
+// middle erases against a std::map, then a rebuild from shuffled pairs.
+TEST(RowMapTest, MatchesAnOrderedMapUnderRandomOperations) {
+  Random rng(17);
+  RowMap map;
+  std::map<RowId, Rid> oracle;
+  RowId next = 1;
+  const auto rid_of = [](RowId id) {
+    return Rid{static_cast<PageId>(id / 7), static_cast<uint16_t>(id % 7)};
+  };
+  for (int op = 0; op < 30000; ++op) {
+    const uint64_t kind = rng.Uniform(10);
+    if (kind < 4) {  // append at the tail
+      ASSERT_TRUE(map.Insert(next, rid_of(next)));
+      oracle[next] = rid_of(next);
+      ++next;
+    } else if (kind < 6) {  // an out-of-order commit, or a duplicate
+      if (next == 1) continue;
+      const RowId id = next - 1 - rng.Uniform(std::min<RowId>(next - 1, 40));
+      const bool absent = oracle.count(id) == 0;
+      ASSERT_EQ(map.Insert(id, rid_of(id)), absent) << "id " << id;
+      oracle[id] = rid_of(id);
+    } else if (kind < 9) {  // FIFO expiry pops the head
+      if (oracle.empty()) continue;
+      ASSERT_TRUE(map.Erase(oracle.begin()->first));
+      oracle.erase(oracle.begin());
+    } else {  // a user delete anywhere
+      const RowId id = rng.Uniform(next);
+      ASSERT_EQ(map.Erase(id), oracle.erase(id) == 1) << "id " << id;
+    }
+    if (op % 1000 == 999) {
+      ASSERT_NO_FATAL_FAILURE(ExpectRowMapMatches(map, oracle, next, 1));
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectRowMapMatches(map, oracle, next, 1 + rng.Uniform(50)));
+    }
+  }
+  ASSERT_GT(oracle.size(), 100u);
+
+  // A heap scan hands the pairs over in page order; Assign sorts them, and
+  // of two pairs for one id the later wins.
+  std::vector<std::pair<RowId, Rid>> pairs(oracle.begin(), oracle.end());
+  for (size_t i = pairs.size(); i > 1; --i) {
+    std::swap(pairs[i - 1], pairs[rng.Uniform(i)]);
+  }
+  const RowId dup = pairs.front().first;
+  pairs.insert(pairs.begin(), {dup, Rid{999999, 1}});
+  map.Assign(pairs);
+  ASSERT_NO_FATAL_FAILURE(ExpectRowMapMatches(map, oracle, next, 1));
+
+  // Draining the head gives every byte back.
+  while (!oracle.empty()) {
+    ASSERT_TRUE(map.Erase(oracle.begin()->first));
+    oracle.erase(oracle.begin());
+  }
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.bytes(), 0u);
+}
+
+// The partition's row map against an ordered-map oracle, through the apply
+// closures: out-of-order applies, a duplicate ApplyInsert as redo replays
+// it, middle deletes, head pops past the compaction point, inserts that
+// reuse the freed heap space, and a reopen from that heap, whose page order
+// is no longer row-id order.
+TEST_F(PartitionTest, RowMapMatchesAnOracleThroughApplyAndReopen) {
+  ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
+  std::map<RowId, std::string> oracle;
+  // Partition 0 owns the ids that are multiples of kPartitions.
+  const auto apply = [&](uint64_t k, const std::string& user) {
+    const RowId id = k * kPartitions;
+    ASSERT_TRUE(db_->GetTable("pings")
+                    ->partition(0)
+                    ->ApplyInsert(id, clock_->NowMicros(),
+                                  {Value::String(user)},
+                                  {Value::String("11 Rue Lepic")},
+                                  /*degradable_available=*/true,
+                                  /*ordinals=*/nullptr)
+                    .ok());
+    oracle.emplace(id, user);  // a duplicate keeps the first
+  };
+  const auto user_of = [](uint64_t k) {
+    return StringPrintf("user-%06llu-padding-padding",
+                        static_cast<unsigned long long>(k));
+  };
+  const auto remove = [&](uint64_t k) {
+    ASSERT_TRUE(
+        db_->GetTable("pings")->partition(0)->ApplyDelete(k * kPartitions).ok());
+    oracle.erase(k * kPartitions);
+  };
+  const auto check = [&](const char* where) {
+    SCOPED_TRACE(where);
+    const Table& table = *db_->GetTable("pings");
+    const TablePartition& partition = *table.partition(0);
+    EXPECT_EQ(partition.live_rows(), oracle.size());
+    EXPECT_EQ(db_->stats().rows.entries, oracle.size());
+    const RowId max_id = oracle.empty() ? 0 : oracle.rbegin()->first;
+    std::vector<RowId> ids;
+    for (RowId id = 0; id <= max_id + kPartitions; id += kPartitions) {
+      EXPECT_EQ(partition.Contains(id), oracle.count(id) == 1) << "id " << id;
+      ids.push_back(id);
+    }
+    // A heap scan and an id-list read (absent ids included) both see
+    // exactly the oracle's rows.
+    auto scanned = oracle::StoredRows(table);
+    ASSERT_TRUE(scanned.ok());
+    std::vector<oracle::Stored> read;
+    ASSERT_TRUE(oracle::internal::ReadStored(
+                    table, 0, table.OpenRowIdCursor(0, ids), &read)
+                    .ok());
+    for (const auto* rows : {&*scanned, &read}) {
+      std::map<RowId, std::string> seen;
+      for (const oracle::Stored& row : *rows) {
+        seen[row.row_id] = row.values[0].str();
+      }
+      EXPECT_EQ(seen, oracle);
+    }
+  };
+
+  // Out of order: adjacent pairs swapped, every seventh id held back and
+  // applied last, far behind the tail.
+  for (uint64_t k = 0; k < 1200; k += 2) {
+    for (const uint64_t j : {k + 1, k}) {
+      if (j % 7 != 3) apply(j, user_of(j));
+    }
+  }
+  for (uint64_t k = 3; k < 1200; k += 7) apply(k, user_of(k));
+  check("out-of-order applies");
+
+  apply(5, "a replayed insert");  // redo of a row the heap holds
+  EXPECT_EQ(oracle.at(5 * kPartitions), user_of(5));
+  check("duplicate apply");
+
+  for (uint64_t k = 300; k < 600; k += 3) remove(k);
+  check("middle deletes");
+
+  for (uint64_t k = 0; k < 900; ++k) {
+    if (oracle.count(k * kPartitions) == 1) remove(k);
+  }
+  check("head pops");
+
+  // New rows fill the space the deletes freed at the front of the heap.
+  for (uint64_t k = 1200; k < 1800; ++k) apply(k, user_of(k));
+  check("reused space");
+  auto scanned = oracle::StoredRows(*db_->GetTable("pings"));
+  ASSERT_TRUE(scanned.ok());
+  ASSERT_FALSE(std::is_sorted(
+      scanned->begin(), scanned->end(),
+      [](const auto& a, const auto& b) { return a.row_id < b.row_id; }))
+      << "the reused pages should hold newer rows before older ones";
+
+  ReopenDb(kPartitions);
+  check("reopen");
+}
+
+// The row map costs at most 32 bytes per live row, array capacity
+// included, against about 46 for a hash-map node.
+TEST_F(PartitionTest, RowMapCostsAtMostThirtyTwoBytesPerRow) {
+  ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
+  constexpr int kRows = 100000;
+  for (int start = 0; start < kRows; start += 1000) {
+    WriteBatch batch;
+    for (int i = start; i < start + 1000; ++i) {
+      batch.Insert("pings", {Value::String("u"), Value::String("11 Rue Lepic")});
+    }
+    ASSERT_TRUE(db_->Write(&batch).ok());
+  }
+  const MemoryUsage rows = db_->stats().rows;
+  EXPECT_EQ(rows.entries, static_cast<uint64_t>(kRows));
+  EXPECT_GE(rows.bytes, rows.entries * (sizeof(RowId) + sizeof(Rid)));
+  EXPECT_LE(static_cast<double>(rows.bytes) / static_cast<double>(rows.entries),
+            32.0);
+}
+
+// Ten expiry waves, each inserting the same rows and letting all of them
+// expire: after every wave, every partition's heap is back at its one-wave
+// page count, because the heap reuses what expiry freed, and the row maps
+// hold no entry and exactly their one-wave bytes. Heap records encode the
+// row id and insert time as varints, so the waves keep both within one
+// varint length: the clock starts at 2^36 us, and a warm-up wave takes the
+// row ids below 128.
+TEST_F(PartitionTest, ExpiryWavesKeepHeapAndRowMapsAtTheirOneWaveSize) {
+  auto schema = Schema::Make(
+      {ColumnDef::Stable("user", ValueType::kString),
+       ColumnDef::Degradable(
+           "location", LocationDomain(),
+           *AttributeLcp::Make({{0, kMicrosPerHour}, {1, kMicrosPerHour}}))});
+  ASSERT_TRUE(schema.ok());
+  ASSERT_TRUE(db_->CreateTable("waves", *schema).ok());
+  const auto heap_pages = [&] {
+    std::vector<PageId> pages;
+    const Table* table = db_->GetTable("waves");
+    for (uint32_t p = 0; p < table->num_partitions(); ++p) {
+      pages.push_back(table->partition(p)->heap_pool()->disk()->num_pages());
+    }
+    return pages;
+  };
+  // One batch per partition and round (batches rotate over partitions).
+  const auto wave = [&](int rows_per_batch) {
+    for (uint32_t b = 0; b < 2 * kPartitions; ++b) {
+      WriteBatch batch;
+      for (int i = 0; i < rows_per_batch; ++i) {
+        batch.Insert("waves",
+                     {Value::String(StringPrintf("wave-user-%03d", i)),
+                      Value::String(i % 2 == 0 ? "11 Rue Lepic"
+                                               : "4 Rue Breteuil")});
+      }
+      ASSERT_TRUE(db_->Write(&batch).ok());
+    }
+    ASSERT_EQ(db_->GetTable("waves")->live_rows(),
+              2u * kPartitions * rows_per_batch);
+  };
+  const auto expire = [&] {
+    clock_->Advance(2 * kMicrosPerHour + 1);
+    ASSERT_TRUE(db_->RunDegradationOnce().ok());
+    ASSERT_EQ(db_->GetTable("waves")->live_rows(), 0u);
+  };
+  clock_->Advance(Micros{1} << 36);
+  wave(20);
+  expire();
+  std::vector<PageId> one_wave_pages;
+  MemoryUsage one_wave_rows;
+  MemoryUsage one_wave_peak;
+  for (int w = 0; w < 10; ++w) {
+    SCOPED_TRACE(w);
+    ASSERT_NO_FATAL_FAILURE(wave(180));  // 14,400 ids in all, below 2^14
+    const MemoryUsage peak = db_->stats().rows;
+    ASSERT_NO_FATAL_FAILURE(expire());
+    const MemoryUsage rows = db_->stats().rows;
+    EXPECT_EQ(rows.entries, 0u);
+    if (w == 0) {
+      one_wave_pages = heap_pages();
+      one_wave_rows = rows;
+      one_wave_peak = peak;
+      continue;
+    }
+    EXPECT_EQ(heap_pages(), one_wave_pages);
+    EXPECT_EQ(rows.bytes, one_wave_rows.bytes);
+    EXPECT_EQ(peak.entries, one_wave_peak.entries);
+    EXPECT_EQ(peak.bytes, one_wave_peak.bytes);
+  }
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <deque>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -272,6 +273,169 @@ TEST_F(HeapFileTest, OpenRebuildsFreeSpaceMap) {
 
 TEST_F(HeapFileTest, RejectsOversizedRecord) {
   EXPECT_FALSE(heap_->Insert(std::string(5000, 'x')).ok());
+}
+
+// FIFO churn: with 20k records live, 200k inserts in all keep the heap at
+// the size 20k records need, because deleted space is reused.
+TEST_F(HeapFileTest, FifoChurnReusesDeletedSpace) {
+  constexpr int kLive = 20000;
+  constexpr int kTotal = 200000;
+  std::deque<Rid> live;
+  PageId steady_pages = 0;
+  for (int i = 0; i < kTotal; ++i) {
+    auto rid = heap_->Insert(StringPrintf("fifo-record-%07d-zzzz", i));
+    ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+    live.push_back(*rid);
+    if (i + 1 == kLive) steady_pages = disk_->num_pages();
+    if (live.size() > kLive) {
+      ASSERT_TRUE(heap_->Delete(live.front()).ok());
+      live.pop_front();
+    }
+  }
+  ASSERT_GT(steady_pages, 0u);
+  EXPECT_LE(disk_->num_pages(), steady_pages * 11 / 10)
+      << "20k live records grew the heap from " << steady_pages << " pages";
+  EXPECT_EQ(heap_->live_records(), static_cast<uint64_t>(kLive));
+}
+
+/// A model of the heap's page figures, kept by the test from the rids the
+/// heap hands out: a page's free figure is the page minus its 8-byte
+/// header, 4 bytes per slot ever allocated and the live records' bytes.
+struct HeapModel {
+  static constexpr size_t kPage = 4096;
+  std::vector<size_t> slots;       // per page: highest slot used + 1
+  std::vector<size_t> live_bytes;  // per page
+  std::map<std::pair<PageId, uint16_t>, std::string> records;
+
+  size_t Free(PageId p) const {
+    return kPage - 8 - 4 * slots[p] - live_bytes[p];
+  }
+  /// Reference first fit: the lowest page with room, else a new page.
+  PageId FirstFit(size_t size) const {
+    for (PageId p = 0; p < slots.size(); ++p) {
+      if (Free(p) >= size + 4) return p;
+    }
+    return static_cast<PageId>(slots.size());
+  }
+  void Add(Rid rid, const std::string& record) {
+    if (rid.page >= slots.size()) {
+      slots.resize(rid.page + 1, 0);
+      live_bytes.resize(rid.page + 1, 0);
+    }
+    slots[rid.page] = std::max<size_t>(slots[rid.page], rid.slot + 1u);
+    live_bytes[rid.page] += record.size();
+    records[{rid.page, rid.slot}] = record;
+  }
+  void Remove(Rid rid) {
+    live_bytes[rid.page] -= records.at({rid.page, rid.slot}).size();
+    records.erase({rid.page, rid.slot});
+  }
+};
+
+// A seeded trace of inserts, deletes, shrinking and growing updates: every
+// insert lands on the page a linear first-fit scan of the model picks, and
+// the heap's per-page figures and records match the model throughout.
+TEST_F(HeapFileTest, FirstFitMatchesALinearScan) {
+  Random rng(31);
+  HeapModel model;
+  std::vector<Rid> rids;  // live records, in no particular order
+  const auto record_of = [&](size_t size) {
+    return std::string(size, static_cast<char>('a' + rng.Uniform(26)));
+  };
+  for (int op = 0; op < 20000; ++op) {
+    const uint64_t kind = rids.size() < 50 ? 0 : rng.Uniform(10);
+    if (kind < 4) {  // insert
+      const std::string record = record_of(8 + rng.Uniform(400));
+      const PageId expect = model.FirstFit(record.size());
+      auto rid = heap_->Insert(record);
+      ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+      ASSERT_EQ(rid->page, expect) << "op " << op;
+      model.Add(*rid, record);
+      rids.push_back(*rid);
+    } else {
+      const size_t pick = rng.Uniform(rids.size());
+      const Rid rid = rids[pick];
+      const size_t old_size = model.records.at({rid.page, rid.slot}).size();
+      if (kind < 7) {  // delete
+        ASSERT_TRUE(heap_->Delete(rid).ok());
+        model.Remove(rid);
+        rids[pick] = rids.back();
+        rids.pop_back();
+      } else if (kind < 9 || old_size > 1500) {  // shrink in place
+        const std::string record = record_of(1 + rng.Uniform(old_size));
+        Rid out;
+        ASSERT_TRUE(heap_->Update(rid, record, &out).ok());
+        ASSERT_EQ(out, rid);
+        model.Remove(rid);
+        model.Add(rid, record);
+      } else {  // grow: relocates through first fit
+        const std::string record = record_of(old_size + 1 + rng.Uniform(400));
+        model.Remove(rid);
+        const PageId expect = model.FirstFit(record.size());
+        Rid out;
+        ASSERT_TRUE(heap_->Update(rid, record, &out).ok());
+        ASSERT_EQ(out.page, expect) << "op " << op;
+        model.Add(out, record);
+        rids[pick] = out;
+      }
+    }
+    if (op % 500 == 0 || op == 19999) {
+      ASSERT_EQ(disk_->num_pages(), model.slots.size());
+      for (PageId p = 0; p < model.slots.size(); ++p) {
+        ASSERT_EQ(heap_->page_free(p), model.Free(p)) << "page " << p;
+      }
+      for (const auto& [at, record] : model.records) {
+        ASSERT_EQ(*Get(*heap_, Rid{at.first, at.second}), record);
+      }
+    }
+  }
+  EXPECT_EQ(heap_->live_records(), model.records.size());
+}
+
+// A reopened heap recomputes the holes from the slot lengths and reuses
+// them: the figures survive the reopen, and the next inserts fill the
+// holed first page instead of growing the file.
+TEST_F(HeapFileTest, ReopenedHeapReusesHoles) {
+  std::vector<Rid> rids;
+  for (int i = 0; i < 600; ++i) {
+    auto rid = heap_->Insert(StringPrintf("holed-record-%04d-wwwwwwwwww", i));
+    ASSERT_TRUE(rid.ok());
+    rids.push_back(*rid);
+  }
+  const PageId pages = disk_->num_pages();
+  ASSERT_GT(pages, 2u);
+  // Empty most of page 0 and shrink some records of page 1.
+  std::vector<Rid> freed;
+  for (const Rid& rid : rids) {
+    if (rid.page == 0 && rid.slot % 5 != 0) {
+      ASSERT_TRUE(heap_->Delete(rid).ok());
+      freed.push_back(rid);
+    } else if (rid.page == 1) {
+      Rid out;
+      ASSERT_TRUE(heap_->Update(rid, "short", &out).ok());
+    }
+  }
+  std::vector<size_t> figures;
+  for (PageId p = 0; p < pages; ++p) figures.push_back(heap_->page_free(p));
+  ASSERT_GT(figures[0], 1000u);
+  ASSERT_TRUE(pool_->FlushAll().ok());
+
+  HeapFile reopened(pool_.get());
+  ASSERT_TRUE(reopened.Open().ok());
+  for (PageId p = 0; p < pages; ++p) {
+    EXPECT_EQ(reopened.page_free(p), figures[p]) << "page " << p;
+  }
+  for (size_t i = 0; i < freed.size(); ++i) {
+    auto rid = reopened.Insert(StringPrintf("reused-%04zu-vvvvvvvvvvv", i));
+    ASSERT_TRUE(rid.ok());
+    EXPECT_EQ(rid->page, 0u) << "insert " << i;
+  }
+  EXPECT_EQ(disk_->num_pages(), pages);
+  for (size_t i = 0; i < rids.size(); ++i) {
+    if (rids[i].page != 0 || rids[i].slot % 5 != 0) continue;
+    EXPECT_EQ(*Get(reopened, rids[i]),
+              StringPrintf("holed-record-%04zu-wwwwwwwwww", i));
+  }
 }
 
 // --- record codec ------------------------------------------------------------------
