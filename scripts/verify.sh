@@ -56,9 +56,11 @@ run_plain() {
 # leaf ordinals. stable_predicate_test runs the stable σ on string views
 # parsed out of encoded bytes, and index_test the postings' row-id arrays
 # (shifting inserts and erases, compaction, and the wiping allocator's
-# release on growth and shrink). The rest of the suite is single-threaded and adds only build
-# time.
-SANITIZE_TESTS="storage_test|catalog_test|index_test|wal_test|database_test|query_test|cursor_test|concurrency_stress_test|parallel_scan_test|pushdown_test|stable_predicate_test|partition_test|degradation_engine_test|write_batch_test|wal_stream_test|checkpoint_fuzzy_test|maintenance_test|fault_injection_test|morsel_test|service_test"
+# release on growth and shrink). txn_test parks an older transaction on a
+# held row lock and wakes it from another thread, and races four threads
+# through wait-die on one row. The rest of the suite is single-threaded and
+# adds only build time.
+SANITIZE_TESTS="txn_test|storage_test|catalog_test|index_test|wal_test|database_test|query_test|cursor_test|concurrency_stress_test|parallel_scan_test|pushdown_test|stable_predicate_test|partition_test|degradation_engine_test|write_batch_test|wal_stream_test|checkpoint_fuzzy_test|maintenance_test|fault_injection_test|morsel_test|service_test"
 
 run_sanitized() {
   local kind="$1"

@@ -60,13 +60,13 @@ struct DegradationOptions {
   /// benchmarks instead pump `DegradationEngine::RunDue()` manually.
   bool background_thread = false;
   /// Maximum tuples moved per degradation step transaction, bounding the
-  /// time any store head stays locked.
+  /// time one step holds its partition's exclusive latch.
   size_t step_batch_limit = 1024;
   /// Size of the Database's shared lazily-started worker pool
   /// (util/worker_pool.h): degradation passes, scans, aggregate drains,
   /// checkpoints and audit sweeps all borrow the same threads instead of
   /// spawning their own per call. Degradation steps remain their own
-  /// system transactions with wait-die retry. 1 (the default) keeps the
+  /// system transactions, which take no lock. 1 (the default) keeps the
   /// serial engine; raising it lets degradation and scan throughput scale
   /// on a multicore box.
   size_t worker_threads = 1;

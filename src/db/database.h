@@ -120,7 +120,9 @@ class Database {
   /// one WAL append/sync (group commit). On success the batch's `row_ids()`
   /// carry the assigned id of each staged insert. This is the scalable
   /// ingest path — per-row Insert/Delete pay the full commit overhead per
-  /// row. On failure (including a wait-die lock abort) nothing is applied.
+  /// row. A failure while staging or logging (including a wait-die abort
+  /// of a delete or update) applies nothing; see TransactionManager::Commit
+  /// for a failure after the log append.
   Status Write(WriteBatch* batch, const WriteOptions& options = {});
 
   /// Single-statement convenience: insert one row (schema order) in its own

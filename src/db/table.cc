@@ -109,8 +109,9 @@ Result<RowId> Table::Insert(Transaction* txn, const std::vector<Value>& row) {
            static_cast<uint32_t>(partitions_.size());
   });
   TablePartition* partition = partitions_[affine].get();
+  // No row lock: no other transaction can name an id before its insert
+  // commits (Delete and UpdateStable return NotFound for it).
   const RowId row_id = partition->AllocateRowId();
-  IDB_RETURN_IF_ERROR(txn->Lock(LockKey::Row(id(), row_id), LockMode::kExclusive));
 
   WalRecord record;
   record.type = WalRecordType::kInsert;
@@ -157,19 +158,14 @@ Result<RowId> Table::Insert(Transaction* txn, const std::vector<Value>& row) {
 }
 
 Status Table::Delete(Transaction* txn, RowId row_id) {
-  IDB_RETURN_IF_ERROR(txn->Lock(LockKey::Row(id(), row_id), LockMode::kExclusive));
+  IDB_RETURN_IF_ERROR(txn->LockRow(id(), row_id));
   TablePartition* partition = Route(row_id);
   if (!partition->Contains(row_id)) {
     return Status::NotFound("no such row");
   }
-  // Serialize against degradation steps touching this row's stores (the
-  // store lock keys carry the partition index, so only this partition's
-  // degrader conflicts).
-  for (const auto& [col_idx, phase] : partition->StoresHolding(row_id)) {
-    IDB_RETURN_IF_ERROR(
-        txn->Lock(LockKey::Store(id(), col_idx, phase, partition->index()),
-                  LockMode::kExclusive));
-  }
+  // Degradation never waits for this transaction: the apply removes the
+  // row from whichever store holds it at commit time, and a degrade step
+  // applying later finds it gone.
   WalRecord record;
   record.type = WalRecordType::kDelete;
   record.table = id();
@@ -190,7 +186,7 @@ Status Table::UpdateStable(Transaction* txn, RowId row_id,
       return Status::InvalidArgument("stable type mismatch for " + col.name);
     }
   }
-  IDB_RETURN_IF_ERROR(txn->Lock(LockKey::Row(id(), row_id), LockMode::kExclusive));
+  IDB_RETURN_IF_ERROR(txn->LockRow(id(), row_id));
   TablePartition* partition = Route(row_id);
   if (!partition->Contains(row_id)) return Status::NotFound("no such row");
   WalRecord record;

@@ -484,22 +484,6 @@ bool TablePartition::Contains(RowId row_id) const {
   return row_map_.Find(row_id) != nullptr;
 }
 
-std::vector<std::pair<int, int>> TablePartition::StoresHolding(
-    RowId row_id) const {
-  std::shared_lock<std::shared_mutex> latch(latch_);
-  std::vector<std::pair<int, int>> holding;
-  for (size_t d = 0; d < stores_.size(); ++d) {
-    const int col_idx = schema().degradable_columns()[d];
-    for (size_t p = 0; p < stores_[d].size(); ++p) {
-      if (stores_[d][p]->Find(row_id)) {
-        holding.emplace_back(col_idx, static_cast<int>(p));
-        break;
-      }
-    }
-  }
-  return holding;
-}
-
 uint64_t TablePartition::live_rows() const {
   std::shared_lock<std::shared_mutex> latch(latch_);
   return row_map_.size();
@@ -600,6 +584,12 @@ Result<size_t> TablePartition::RunDegradationStep(TransactionManager* tm,
                                                   size_t batch_limit,
                                                   bool* stepped_phase0) {
   *stepped_phase0 = false;
+  // One step at a time per partition, from collect through apply. Two
+  // passes collecting the same prefix could otherwise log a step after
+  // another pass had carried its values further, and redo would replay it
+  // over that move. The pass holding the partition drains it, so skip it.
+  std::unique_lock<std::mutex> step(step_mu_, std::try_to_lock);
+  if (!step.owns_lock()) return size_t{0};
   PendingDegrade target;
   {
     std::shared_lock<std::shared_mutex> latch(latch_);
@@ -613,18 +603,6 @@ Result<size_t> TablePartition::RunDegradationStep(TransactionManager* tm,
   const int from_phase = target.phase;
   const int to_phase = from_phase + 1;  // == num_phases means ⊥
   const bool removal = to_phase >= col.lcp.num_phases();
-
-  auto txn = tm->Begin();
-  Status lock_status = txn->Lock(
-      LockKey::Store(id(), col_idx, from_phase, index_), LockMode::kExclusive);
-  if (lock_status.ok() && !removal) {
-    lock_status = txn->Lock(LockKey::Store(id(), col_idx, to_phase, index_),
-                            LockMode::kExclusive);
-  }
-  if (!lock_status.ok()) {
-    tm->Abort(txn.get());
-    return lock_status;
-  }
 
   // Collect the overdue prefix under the shared latch. f_k runs on the
   // stored leaf ordinal: the next phase's value and ordinal come from the
@@ -653,10 +631,7 @@ Result<size_t> TablePartition::RunDegradationStep(TransactionManager* tm,
       return true;
     });
   }
-  if (moves.empty()) {
-    tm->Abort(txn.get());
-    return size_t{0};
-  }
+  if (moves.empty()) return size_t{0};
 
   WalRecord record;
   record.type = WalRecordType::kDegradeStep;
@@ -670,6 +645,9 @@ Result<size_t> TablePartition::RunDegradationStep(TransactionManager* tm,
   // partition by hashing the row ids carried in `entries`.
   record.entries = moves;
 
+  // No logical lock: a user delete that commits between collect and apply
+  // leaves a row the apply finds gone, and skips.
+  auto txn = tm->Begin();
   const size_t moved = moves.size();
   txn->AddOp(std::move(record),
              [this, col_idx, from_phase, to_phase, up_to, moves, old_ordinals] {

@@ -46,19 +46,22 @@ struct TableRuntime {
 ///
 /// `Table` (db/table.h) routes every row id to exactly one partition via a
 /// deterministic hash, so partitions never share rows: each owns its own
-/// reader-writer latch and its degradation steps lock per-partition store
-/// heads. That is what lets the degradation worker pool run steps on
+/// reader-writer latch, and a degradation step touches only its own
+/// partition. That is what lets the degradation worker pool run steps on
 /// distinct partitions concurrently.
 ///
 /// The physical footprint tracks the live rows: the heap reuses the space
 /// deletes and expiry free (storage/heap_file.h), and the row map is a
 /// row-id-sorted array whose head FIFO expiry pops (db/row_map.h).
 ///
-/// Thread-safety: logical conflicts go through the 2PL LockManager (row/
-/// store/table locks, store keys carry the partition index); physical
-/// structures are protected by the per-partition latch (scans share it,
-/// apply closures take it exclusive). Statistics are mutated under the
-/// exclusive latch and read under the shared latch.
+/// Thread-safety: user deletes and stable updates lock their row in the
+/// LockManager; degradation takes no logical lock. Physical structures are
+/// protected by the per-partition latch (scans share it, apply closures
+/// take it exclusive), and one degradation step at a time runs per
+/// partition (`step_mu_`). A degrade move skips a row a user delete removed
+/// after the step collected it, and a delete removes the row from whichever
+/// store holds it at its apply. Statistics are mutated under the exclusive
+/// latch and read under the shared latch.
 class TablePartition {
  public:
   TablePartition(const TableDef* def, std::string dir,
@@ -91,7 +94,6 @@ class TablePartition {
   const TableDef& def() const { return *def_; }
   const Schema& schema() const { return def_->schema; }
   TableId id() const { return def_->id; }
-  uint32_t index() const { return index_; }
 
   /// Largest row id seen in this partition's heap at Open() time (0 when
   /// empty); the router derives the table-wide row-id counter from it.
@@ -169,11 +171,6 @@ class TablePartition {
   /// True if the row id currently lives in this partition.
   bool Contains(RowId row_id) const;
 
-  /// (column, phase) of the store currently holding `row_id`'s value, for
-  /// every degradable column that still holds one. Used by Table::Delete to
-  /// serialize against degradation steps.
-  std::vector<std::pair<int, int>> StoresHolding(RowId row_id) const;
-
   uint64_t live_rows() const;
   /// Live entries and mirror bytes of this partition's state stores.
   MemoryUsage store_memory() const;
@@ -195,12 +192,13 @@ class TablePartition {
   /// (kForever if nothing is pending).
   Micros NextDeadline() const;
 
-  /// Runs ONE degradation step on this partition as a system transaction:
-  /// drains every entry whose deadline has passed (up to `batch_limit`)
-  /// from the single most overdue (column, phase) store. Returns the number
-  /// of tuples moved (0 when nothing is due). `*stepped_phase0` is set when
-  /// the step drained a phase-0 store (the router then advances the WAL
-  /// epoch-key watermark using the table-wide safe time).
+  /// Runs ONE degradation step on this partition as a system transaction
+  /// that takes no logical lock: drains every entry whose deadline has
+  /// passed (up to `batch_limit`) from the single most overdue (column,
+  /// phase) store. Returns the number of tuples moved (0 when nothing is
+  /// due, or when another pass is stepping this partition). `*stepped_phase0`
+  /// is set when the step drained a phase-0 store (the router then
+  /// advances the WAL epoch-key watermark using the table-wide safe time).
   Result<size_t> RunDegradationStep(TransactionManager* tm, Micros now,
                                     size_t batch_limit, bool* stepped_phase0);
 
@@ -317,6 +315,10 @@ class TablePartition {
   std::vector<std::unique_ptr<MultiResolutionIndex>> multires_;
 
   mutable std::shared_mutex latch_;
+  /// Held by a degradation step from collect through apply; a second pass
+  /// skips the partition instead of waiting (try_lock). User transactions
+  /// never take it, so they cannot hold degradation back.
+  std::mutex step_mu_;
   /// Serializes checkpoints of this partition and guards the incremental-
   /// checkpoint bookkeeping (flushed_seq_).
   mutable std::mutex ckpt_mu_;

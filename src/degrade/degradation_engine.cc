@@ -87,13 +87,12 @@ Micros DegradationEngine::NextDeadline() const {
 
 Result<size_t> DegradationEngine::RunDue(Micros now) {
   // One unit of schedulable work: a table partition with an overdue store
-  // head. Units never share physical state or store locks, so the worker
-  // pool drains them concurrently.
+  // head. Units never share physical state, so the worker pool drains them
+  // concurrently.
   struct Unit {
     Table* table;
     uint32_t partition;
   };
-  constexpr int kMaxAbortRetries = 64;
 
   // Tables snapshotted below stay alive for the whole pass: UnregisterTable
   // blocks on this until we return.
@@ -101,12 +100,9 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
 
   size_t total = 0;
   Stats delta;  // batched into stats_ once per RunDue, not per step
-  std::atomic<int> abort_budget{kMaxAbortRetries};
   Status error;
 
   // Keep collecting and draining until no partition has overdue work.
-  // Wait-die aborts are bounded-retried: a conflicting reader commits and
-  // releases soon.
   for (;;) {
     std::vector<Unit> units;
     std::set<std::pair<TableId, uint32_t>> urgent;
@@ -140,14 +136,12 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
 
     std::atomic<uint64_t> steps{0};
     std::atomic<uint64_t> moved_round{0};
-    std::atomic<uint64_t> aborts_round{0};
     std::mutex error_mu;
 
     // Step-grained work queue: a claim runs ONE bounded step, then requeues
     // the unit at the back while it still has work. Urgent units sit at the
     // front, so their first step is never stuck behind another partition's
-    // deep backlog; aborted units also go to the back (the conflicting
-    // reader gets time to commit before the retry).
+    // deep backlog.
     std::mutex queue_mu;
     std::deque<Unit> queue(units.begin(), units.end());
 
@@ -164,18 +158,13 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
         auto moved = unit.table->RunDegradationStep(
             tm_, now, options_.step_batch_limit, unit.partition);
         if (!moved.ok()) {
-          if (moved.status().IsAborted() &&
-              abort_budget.fetch_sub(1, std::memory_order_relaxed) > 0) {
-            aborts_round.fetch_add(1, std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lock(queue_mu);
-            queue.push_back(unit);  // retry after the rest of the round
-            continue;
-          }
           std::lock_guard<std::mutex> lock(error_mu);
           if (error.ok()) error = moved.status();
           return;
         }
-        if (*moved == 0) continue;  // spurious wake-up: drop, re-collect next
+        // Nothing moved (a spurious wake-up, or another pass is stepping
+        // this partition): drop, re-collect next round.
+        if (*moved == 0) continue;
         steps.fetch_add(1, std::memory_order_relaxed);
         moved_round.fetch_add(*moved, std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(queue_mu);
@@ -203,20 +192,19 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
 
     delta.steps += steps.load();
     delta.values_moved += moved_round.load();
-    delta.lock_aborts += aborts_round.load();
     total += moved_round.load();
     if (!error.ok()) break;
-    // No progress this round (only aborts or spurious wake-ups): leave the
-    // remainder for the next RunDue rather than spinning.
+    // No progress this round (only spurious wake-ups, or partitions another
+    // pass is stepping): leave the remainder for the next RunDue rather than
+    // spinning.
     if (moved_round.load() == 0) break;
   }
 
-  if (delta.passes != 0 || delta.lock_aborts != 0 || delta.urgent_units != 0) {
+  if (delta.passes != 0 || delta.urgent_units != 0) {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.passes += delta.passes;
     stats_.steps += delta.steps;
     stats_.values_moved += delta.values_moved;
-    stats_.lock_aborts += delta.lock_aborts;
     stats_.urgent_units += delta.urgent_units;
   }
   if (!error.ok()) return error;

@@ -30,10 +30,8 @@ namespace instantdb {
 /// still has work, so an urgent (audit-repair) unit at the front of the
 /// queue gets its first step within one step latency even when another
 /// partition holds a deep backlog — no worker is pinned to one partition
-/// for the whole pass. Distinct partitions never share physical state or
-/// store locks, so workers proceed without interfering; within a partition
-/// the paper's B8 bounded-interference property holds exactly as in the
-/// serial engine.
+/// for the whole pass. Distinct partitions never share physical state, so
+/// workers proceed without interfering.
 ///
 /// Two drive modes:
 ///  - pumped: tests/benchmarks call `RunDue(now)` after advancing a
@@ -43,9 +41,9 @@ namespace instantdb {
 ///    Clock until the next deadline (woken early when the deadline set
 ///    changes) and runs RunDue passes.
 ///
-/// Each step locks only the head of one partition's (attribute, phase)
-/// store; wait-die aborts are retried on the next pass and surfaced in the
-/// stats.
+/// A step takes no logical lock, so no user transaction can hold it back.
+/// Steps on one partition run one at a time: a pass that finds another
+/// pass's step in flight there skips the partition, which that pass drains.
 class DegradationEngine {
  public:
   /// `pool` (not owned, must outlive the engine) is the Database's shared
@@ -108,7 +106,9 @@ class DegradationEngine {
     uint64_t passes = 0;  // RunDue invocations that found due work
     uint64_t steps = 0;
     uint64_t values_moved = 0;
-    uint64_t lock_aborts = 0;  // wait-die victims, retried next pass
+    /// Always 0: steps take no lock, so nothing aborts them. Kept only
+    /// because perfbench reports it (degrade.lock_abort_ratio).
+    uint64_t lock_aborts = 0;
     /// Urgent (audit-repair) units drained ahead of the regular order.
     uint64_t urgent_units = 0;
     /// Background passes that failed transiently (IOError/Busy) and were

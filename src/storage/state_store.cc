@@ -422,7 +422,14 @@ Status StateStore::Append(const StoreEntry& entry) {
   // durability until Checkpoint writes the buffer through.
   tail_pending_ += frame;
   if (tail_pending_.size() >= 8192) {
-    IDB_RETURN_IF_ERROR(FlushTail());
+    const Status flushed = FlushTail();
+    if (!flushed.ok()) {
+      // The entry is not appended: unbuffer its frame, or the caller's
+      // retry would write it twice and shift every later frame off its
+      // locator.
+      tail_pending_.resize(tail_pending_.size() - frame.size());
+      return flushed;
+    }
   }
   // OpenTailWriter/SealTail leave the mirror alone: `pos` still holds.
   MirrorInsert(pos, MirrorRow{entry.row_id, entry.insert_time, ordinal,

@@ -1,47 +1,23 @@
 #include "txn/lock_manager.h"
 
-#include <algorithm>
-
 namespace instantdb {
 
-bool LockManager::LockState::CompatibleWith(uint64_t txn_id,
-                                            LockMode mode) const {
-  for (const auto& [holder, held_mode] : holders) {
-    if (holder == txn_id) continue;  // self never conflicts (upgrade path)
-    if (mode == LockMode::kExclusive || held_mode == LockMode::kExclusive) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Status LockManager::Acquire(uint64_t txn_id, const LockKey& key,
-                            LockMode mode) {
+Status LockManager::LockRow(uint64_t txn_id, TableId table, RowId row) {
+  const RowKey key{table, row};
   std::unique_lock<std::mutex> lock(mu_);
   bool waited = false;
   for (;;) {
-    LockState& state = locks_[key];
-    auto self = state.holders.find(txn_id);
-    if (self != state.holders.end() &&
-        (self->second == mode || self->second == LockMode::kExclusive)) {
-      return Status::OK();  // already held at sufficient strength
-    }
-    if (state.CompatibleWith(txn_id, mode)) {
-      const bool first_time = self == state.holders.end();
-      state.holders[txn_id] = mode;
-      if (first_time) held_[txn_id].push_back(key);
+    auto [it, granted] = owner_.try_emplace(key, txn_id);
+    if (granted) {
+      held_[txn_id].push_back(key);
       ++stats_.acquisitions;
       return Status::OK();
     }
-    // Wait-die: die unless older than every conflicting holder.
-    for (const auto& [holder, held_mode] : state.holders) {
-      if (holder == txn_id) continue;
-      const bool conflicts =
-          mode == LockMode::kExclusive || held_mode == LockMode::kExclusive;
-      if (conflicts && txn_id > holder) {
-        ++stats_.die_aborts;
-        return Status::Aborted("wait-die: lock conflict with older txn");
-      }
+    if (it->second == txn_id) return Status::OK();  // already held
+    // Wait-die: die unless older than the holder.
+    if (txn_id > it->second) {
+      ++stats_.die_aborts;
+      return Status::Aborted("wait-die: lock conflict with older txn");
     }
     if (!waited) {
       waited = true;
@@ -51,45 +27,15 @@ Status LockManager::Acquire(uint64_t txn_id, const LockKey& key,
   }
 }
 
-void LockManager::Release(uint64_t txn_id, const LockKey& key) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = locks_.find(key);
-    if (it != locks_.end()) {
-      it->second.holders.erase(txn_id);
-      if (it->second.holders.empty()) locks_.erase(it);
-    }
-    auto held = held_.find(txn_id);
-    if (held != held_.end()) {
-      auto& keys = held->second;
-      keys.erase(std::remove(keys.begin(), keys.end(), key), keys.end());
-      if (keys.empty()) held_.erase(held);
-    }
-  }
-  cv_.notify_all();
-}
-
 void LockManager::ReleaseAll(uint64_t txn_id) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto held = held_.find(txn_id);
     if (held == held_.end()) return;
-    for (const LockKey& key : held->second) {
-      auto it = locks_.find(key);
-      if (it != locks_.end()) {
-        it->second.holders.erase(txn_id);
-        if (it->second.holders.empty()) locks_.erase(it);
-      }
-    }
+    for (const RowKey& key : held->second) owner_.erase(key);
     held_.erase(held);
   }
   cv_.notify_all();
-}
-
-std::vector<LockKey> LockManager::HeldBy(uint64_t txn_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = held_.find(txn_id);
-  return it == held_.end() ? std::vector<LockKey>{} : it->second;
 }
 
 LockManager::Stats LockManager::stats() const {

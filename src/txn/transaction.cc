@@ -37,24 +37,22 @@ Status TransactionManager::Commit(Transaction* txn, bool sync) {
     const Status logged = wal_->AppendCommit(records, commit, sync);
     if (!logged.ok()) {
       // The commit never became durable and nothing was applied: treat it
-      // as an abort so a WAL failure cannot leak 2PL locks for the rest of
-      // the process lifetime.
-      txn->ops_.clear();
-      txn->state_ = TxnState::kAborted;
-      locks_->ReleaseAll(txn->id_);
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.aborted;
+      // as an abort.
+      End(txn, TxnState::kAborted);
       return logged;
     }
-    // Point of no return: the transaction is durable; now surface it.
+    // Point of no return: the transaction is durable; now surface it. A
+    // failed apply still ends the transaction, so its row locks cannot
+    // outlive it and block every later writer of those rows.
     for (Transaction::PendingOp& op : txn->ops_) {
-      IDB_RETURN_IF_ERROR(op.apply());
+      const Status applied = op.apply();
+      if (!applied.ok()) {
+        End(txn, TxnState::kCommitted);
+        return applied;
+      }
     }
   }
-  txn->state_ = TxnState::kCommitted;
-  locks_->ReleaseAll(txn->id_);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.committed;
+  End(txn, TxnState::kCommitted);
   return Status::OK();
 }
 
@@ -68,11 +66,17 @@ Lsn TransactionManager::CheckpointBeginLsn() {
 
 void TransactionManager::Abort(Transaction* txn) {
   if (txn->state_ != TxnState::kActive) return;
+  End(txn, TxnState::kAborted);
+}
+
+void TransactionManager::End(Transaction* txn, TxnState state) {
   txn->ops_.clear();
-  txn->state_ = TxnState::kAborted;
-  locks_->ReleaseAll(txn->id_);
+  txn->state_ = state;
+  // Inserts, degrade steps and read-only statements take no lock: skip the
+  // lock manager's mutex.
+  if (txn->locked_) locks_->ReleaseAll(txn->id_);
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.aborted;
+  ++(state == TxnState::kCommitted ? stats_.committed : stats_.aborted);
 }
 
 TransactionManager::Stats TransactionManager::stats() const {

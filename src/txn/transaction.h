@@ -20,10 +20,10 @@ enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 
 /// \brief Transaction context under a deferred-apply, redo-only protocol.
 ///
-/// Statements validate, acquire 2PL locks and enqueue (WAL record, apply
-/// closure) pairs; nothing touches shared storage until Commit, which logs
-/// every record followed by a COMMIT record and only then runs the apply
-/// closures. Consequences:
+/// Statements validate, lock the rows they delete or update and enqueue
+/// (WAL record, apply closure) pairs; nothing touches shared storage until
+/// Commit, which logs every record followed by a COMMIT record and only
+/// then runs the apply closures. Consequences:
 ///  - Abort (user abort or wait-die victim) simply drops the queue — no
 ///    undo log is ever needed, which matters because undoing a degradation
 ///    step would mean *resurrecting* an accurate value the engine has
@@ -50,10 +50,12 @@ class Transaction {
   uint64_t id() const { return id_; }
   TxnState state() const { return state_; }
 
-  /// 2PL lock acquisition (wait-die may return Aborted; the caller must
-  /// then Abort() this transaction and retry with a fresh one).
-  Status Lock(const LockKey& key, LockMode mode) {
-    return locks_->Acquire(id_, key, mode);
+  /// Exclusive lock on one row until commit/abort (wait-die may return
+  /// Aborted; the caller must then Abort() this transaction and retry with
+  /// a fresh one).
+  Status LockRow(TableId table, RowId row) {
+    locked_ = true;
+    return locks_->LockRow(id_, table, row);
   }
 
   /// Queues one logical write for commit time.
@@ -85,6 +87,7 @@ class Transaction {
   const uint64_t id_;
   LockManager* const locks_;
   TxnState state_ = TxnState::kActive;
+  bool locked_ = false;  // LockRow was called: End must release
   std::vector<PendingOp> ops_;
   std::map<TableId, uint32_t> insert_partition_;  // batch-affine inserts
 };
@@ -110,7 +113,10 @@ class TransactionManager {
   }
 
   /// Logs the queued records + COMMIT, optionally syncs, applies the
-  /// closures in order, and releases all locks.
+  /// closures in order, and releases all locks. The transaction ends on
+  /// every path: a failed log append aborts it; a failed apply leaves it
+  /// committed (it is durable, so redo would finish it) and returns the
+  /// apply's error.
   Status Commit(Transaction* txn, bool sync = false);
 
   /// Drops queued work and releases locks. Always succeeds.
@@ -133,6 +139,9 @@ class TransactionManager {
   Stats stats() const;
 
  private:
+  /// Moves `txn` to `state`, drops its queue and releases its locks.
+  void End(Transaction* txn, TxnState state);
+
   LockManager* const locks_;
   WalManager* const wal_;
   std::atomic<uint64_t> next_txn_id_{1};

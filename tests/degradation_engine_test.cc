@@ -1,3 +1,6 @@
+#include <algorithm>
+#include <chrono>
+#include <future>
 #include <map>
 #include <set>
 #include <string>
@@ -6,6 +9,7 @@
 
 #include "catalog/builtin_domains.h"
 #include "db/database.h"
+#include "degradable_mix.h"
 #include "gtest/gtest.h"
 #include "scan_oracle.h"
 #include "util/file.h"
@@ -25,11 +29,12 @@ class EngineTest : public ::testing::Test {
     RemoveDirRecursive(dir_).ok();
   }
 
-  void OpenDb(DegradationOptions degradation = {}) {
+  void OpenDb(DegradationOptions degradation = {}, WalOptions wal = {}) {
     DbOptions options;
     options.path = dir_;
     options.clock = clock_.get();
     options.degradation = degradation;
+    options.wal = wal;
     auto db = Database::Open(options);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     db_ = std::move(*db);
@@ -148,6 +153,158 @@ TEST_F(EngineTest, LatenessReflectsDelayedPumping) {
   ASSERT_EQ(lateness.count(), 1u);
   EXPECT_DOUBLE_EQ(lateness.max(),
                    static_cast<double>(30 * kMicrosPerMinute));
+}
+
+// Degradation is a system action no user transaction can hold back: an
+// open transaction that staged a delete and a stable update neither delays
+// the pass nor leaves a value exposed, and its later commit deletes the row
+// from every store and index without bringing any value back.
+TEST_F(EngineTest, OpenUserTransactionCannotStopDegradation) {
+  // Epoch-keyed WAL: the pass that drains phase 0 also destroys the keys of
+  // the accurate values' log records, so the audit can come clean without
+  // a checkpoint.
+  WalOptions wal;
+  wal.privacy_mode = WalPrivacyMode::kEncryptedEpoch;
+  OpenDb({}, wal);
+  ASSERT_TRUE(db_->CreateTable("pings", mix::MixSchema()).ok());
+  Table* table = db_->GetTable("pings");
+  WriteBatch batch;
+  for (int i = 0; i < 101; ++i) {
+    batch.Insert("pings", {Value::String("u" + std::to_string(i)),
+                           Value::Int64(i), Value::String("11 Rue Lepic"),
+                           Value::Int64(i * 100)});
+  }
+  ASSERT_TRUE(db_->Write(&batch).ok());
+  const RowId deleted = batch.row_ids()[7];
+  const RowId updated = batch.row_ids()[8];
+
+  auto txn = db_->Begin();
+  ASSERT_TRUE(table->Delete(txn.get(), deleted).ok());
+  ASSERT_TRUE(table
+                  ->UpdateStable(txn.get(), updated,
+                                 {Value::String("renamed"), Value::Int64(-1)})
+                  .ok());
+
+  clock_->Advance(kMicrosPerHour + kMicrosPerSecond);
+  auto moved = db_->RunDegradationOnce();
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_EQ(*moved, 202u);  // both degradable columns of every row
+  const AuditReport while_open = db_->Audit();
+  EXPECT_TRUE(while_open.clean()) << while_open.ToString();
+
+  ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  const Schema& schema = table->schema();
+  for (int col : schema.degradable_columns()) {
+    for (int phase = 0; phase < schema.column(col).lcp.num_phases();
+         ++phase) {
+      EXPECT_FALSE(table->partition(0)->store(col, phase)->Find(deleted))
+          << "column " << col << " phase " << phase;
+    }
+  }
+  std::vector<std::vector<RowId>> indexed;
+  ASSERT_TRUE(table
+                  ->IndexLookupEqual(schema.FindColumn("location"),
+                                     Value::String("Paris"), 1, &indexed)
+                  .ok());
+  ASSERT_EQ(indexed.size(), 1u);
+  EXPECT_EQ(indexed[0].size(), 100u);
+  EXPECT_EQ(std::count(indexed[0].begin(), indexed[0].end(), deleted), 0);
+
+  auto rows = oracle::StoredRows(*table);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 100u);
+  for (const oracle::Stored& row : *rows) {
+    EXPECT_NE(row.row_id, deleted);
+    EXPECT_EQ(row.phases, (std::vector<int>{1, 1})) << row.row_id;
+    if (row.row_id == updated) {
+      EXPECT_EQ(row.values[0].ToString(), "renamed");
+    }
+  }
+  auto again = db_->RunDegradationOnce();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, 0u);
+  const AuditReport committed = db_->Audit();
+  EXPECT_TRUE(committed.clean()) << committed.ToString();
+}
+
+// Steps on one partition run one at a time. While one pass's step is in
+// flight, a second pass skips the partition instead of collecting the
+// prefix the first is moving: a step collected twice could be logged after
+// the other pass had carried its values further, and redo would replay it
+// over that move.
+TEST_F(EngineTest, SecondPassSkipsAPartitionWhoseStepIsInFlight) {
+  OpenDb();
+  ASSERT_TRUE(db_->CreateTable("pings", PingSchema(Fig2LocationLcp())).ok());
+  Table* table = db_->GetTable("pings");
+  std::vector<RowId> rows;
+  for (int i = 0; i < 3; ++i) {
+    auto row = db_->Insert("pings", {Value::String("u" + std::to_string(i)),
+                                     Value::String("11 Rue Lepic")});
+    ASSERT_TRUE(row.ok());
+    rows.push_back(*row);
+  }
+  clock_->Advance(kMicrosPerHour);
+
+  // A reader parks inside a batch with the partition latch held shared, so
+  // the first pass's step collects, logs, and then waits in its apply.
+  class ParkingFilter final : public TupleFilter {
+   public:
+    ParkingFilter(std::promise<void>* entered, std::shared_future<void> go)
+        : entered_(entered), go_(std::move(go)) {}
+    bool Matches(const FieldView*) const override {
+      entered_->set_value();
+      go_.wait();
+      return true;
+    }
+
+   private:
+    std::promise<void>* entered_;
+    std::shared_future<void> go_;
+  };
+  std::promise<void> entered;
+  std::promise<void> release;
+  ParkingFilter filter(&entered, release.get_future().share());
+  std::thread reader([&] {
+    ScanSpec spec;
+    spec.filter = &filter;
+    spec.need_degradable = false;
+    spec.filter_columns.assign(1, true);
+    spec.output_columns.assign(1, false);
+    ScanWorkspace ws;
+    ScanDeltas deltas;
+    bool done = false;
+    PartitionCursor cursor = table->OpenRowIdCursor(0, {rows[0]});
+    EXPECT_TRUE(cursor.NextBatch(16, spec, &ws, &done, &deltas).ok());
+  });
+  entered.get_future().wait();
+
+  // The step begins its transaction after the collect, holding the
+  // partition's step from then until its apply returns.
+  const uint64_t started = db_->txn_manager()->stats().started;
+  auto first = std::async(std::launch::async,
+                          [&] { return db_->RunDegradationOnce(); });
+  while (db_->txn_manager()->stats().started == started) {
+    std::this_thread::yield();
+  }
+  auto second = std::async(std::launch::async,
+                           [&] { return db_->RunDegradationOnce(); });
+  EXPECT_EQ(second.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "the second pass waited for the first's partition";
+  release.set_value();
+  reader.join();
+
+  auto moved_second = second.get();
+  auto moved_first = first.get();
+  ASSERT_TRUE(moved_first.ok()) << moved_first.status().ToString();
+  ASSERT_TRUE(moved_second.ok()) << moved_second.status().ToString();
+  EXPECT_EQ(*moved_first, 3u);
+  EXPECT_EQ(*moved_second, 0u);
+  EXPECT_EQ(table->stats().degrade_steps, 1u);
+  EXPECT_EQ(table->stats().values_degraded, 3u);
+  const AuditReport audit = db_->Audit();
+  EXPECT_EQ(audit.stale_index_entries, 0u) << audit.ToString();
+  EXPECT_EQ(audit.missing_index_entries, 0u) << audit.ToString();
 }
 
 // Property sweep: for any LCP phase timing, a tuple pumped exactly at each

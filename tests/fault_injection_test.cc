@@ -540,6 +540,58 @@ TEST_F(FaultInjectionTest, HeapPageChecksumDetectsTornAndCorruptPages) {
 // (so the recovered disk immediately drives the overdue checkpoint even
 // though the failed attempt flushed every partition clean), and the first
 // error stays sticky all the way into stats().io and Close().
+// A transient I/O error in a degrade step's apply, after the step's WAL
+// commit, must not stall degradation until a restart: the step ends (its
+// transaction holds nothing afterwards), and the next pass in the same
+// process re-collects the values still in the from-phase store and
+// completes the move.
+TEST_F(FaultInjectionTest, FailedDegradeApplyCompletesOnNextPass) {
+  FaultInjectionEnv fault(Env::Default());
+  VirtualClock clock(0);
+  DbOptions options;
+  options.path = dir_;
+  options.clock = &clock;
+  options.env = &fault;
+  // Epoch-keyed WAL: the pass that drains phase 0 destroys the accurate
+  // values' log keys, so the audit needs no checkpoint to come clean.
+  options.wal.privacy_mode = WalPrivacyMode::kEncryptedEpoch;
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(*opened);
+  auto schema = Schema::Make(
+      {ColumnDef::Stable("user", ValueType::kString),
+       ColumnDef::Degradable("location", LocationDomain(), Fig2LocationLcp())});
+  ASSERT_TRUE(schema.ok());
+  ASSERT_TRUE(db->CreateTable("pings", *schema).ok());
+  constexpr int kRows = 3000;
+  for (int start = 0; start < kRows; start += 100) {
+    WriteBatch batch;
+    for (int i = start; i < start + 100; ++i) {
+      batch.Insert("pings", {Value::String("u" + std::to_string(i)),
+                             Value::String("11 Rue Lepic")});
+    }
+    ASSERT_TRUE(db->Write(&batch).ok());
+  }
+
+  // The phase-1 store's buffered flush fails inside the step's apply.
+  fault.FailOnce(FaultOp::kAppend, 1, Status::IOError("injected append EIO"),
+                 "c1.p1");
+  clock.Advance(kMicrosPerHour + kMicrosPerSecond);
+  auto failed = db->RunDegradationOnce();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+
+  auto retried = db->RunDegradationOnce();
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_GT(*retried, 0u);
+  const AuditReport audit = db->Audit();
+  EXPECT_TRUE(audit.clean()) << audit.ToString();
+  Table* table = db->GetTable("pings");
+  EXPECT_TRUE(table->partition(0)->store(1, 0)->empty());
+  EXPECT_EQ(table->partition(0)->store(1, 1)->size(),
+            static_cast<size_t>(kRows));
+}
+
 TEST_F(FaultInjectionTest, MaintenanceRetriesCheckpointAndKeepsOldManifest) {
   FaultInjectionEnv fault(Env::Default());
   VirtualClock clock(0);

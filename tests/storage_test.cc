@@ -11,6 +11,7 @@
 #include "db/database.h"
 #include "extra_leaves.h"
 #include "gtest/gtest.h"
+#include "io/fault_env.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/heap_file.h"
@@ -1346,6 +1347,56 @@ TEST_P(StateStoreTest, MirrorMatchesReferenceModelUnderRandomOperations) {
       compare("reopen after #" + std::to_string(op));
       if (HasFatalFailure()) return;
     }
+  }
+}
+
+// A degrade step's apply retries an Append whose buffered flush failed. The
+// failed frame must not stay buffered: written twice, it would shift every
+// later frame off its locator, so a secure delete would zero the wrong
+// bytes and the deleted entry would come back on reopen.
+TEST_P(StateStoreTest, AppendRetriedAfterFailedFlushWritesOneFrame) {
+  FaultInjectionEnv fault(Env::Default());
+  keys_ = std::make_unique<KeyManager>(dir_ + "/keystore");
+  ASSERT_TRUE(keys_->Open().ok());
+  StorageOptions options = MakeOptions();
+  options.segment_bytes = 1 << 20;  // flushes come from the write buffer
+  auto open = [&] {
+    auto store = std::make_unique<StateStore>(dir_ + "/store", TableId{1}, 0,
+                                              0, domain_.get(), 0, options,
+                                              keys_.get(), &fault);
+    EXPECT_TRUE(store->Open().ok());
+    return store;
+  };
+  auto value = [](RowId id) { return "v" + std::to_string(id % 100 + 1); };
+  auto store = open();
+  fault.FailOnce(FaultOp::kAppend, 1, Status::IOError("injected EIO"),
+                 "seg_");
+  RowId failed = 1;
+  for (;; ++failed) {
+    ASSERT_LT(failed, 10000u) << "the buffered flush never ran";
+    const Status status = store->Append(Entry(failed, value(failed)));
+    if (!status.ok()) {
+      ASSERT_TRUE(status.IsIOError()) << status.ToString();
+      break;
+    }
+  }
+  EXPECT_FALSE(store->Find(failed).has_value());
+  const RowId last = failed + 20;
+  for (RowId id = failed; id <= last; ++id) {
+    ASSERT_TRUE(store->Append(Entry(id, value(id))).ok());
+  }
+  const RowId deleted = failed + 1;
+  ASSERT_TRUE(store->SecureDeleteEntry(deleted).ok());
+  ASSERT_TRUE(store->Checkpoint().ok());
+
+  store = open();
+  EXPECT_EQ(store->size(), static_cast<size_t>(last - 1));
+  EXPECT_FALSE(store->Find(deleted).has_value());
+  for (RowId id = 1; id <= last; ++id) {
+    if (id == deleted) continue;
+    const std::optional<StoreEntryView> entry = store->Find(id);
+    ASSERT_TRUE(entry.has_value()) << id;
+    EXPECT_EQ(ValueOf(*entry).ToString(), value(id)) << id;
   }
 }
 

@@ -4,7 +4,6 @@
 
 #include "gtest/gtest.h"
 #include "storage/key_manager.h"
-#include "txn/lock_manager.h"
 #include "txn/transaction.h"
 #include "util/file.h"
 
@@ -13,39 +12,26 @@ namespace {
 
 // --- LockManager -----------------------------------------------------------------
 
-TEST(LockManagerTest, SharedLocksCoexist) {
-  LockManager lm;
-  const LockKey key = LockKey::Table(1);
-  EXPECT_TRUE(lm.Acquire(1, key, LockMode::kShared).ok());
-  EXPECT_TRUE(lm.Acquire(2, key, LockMode::kShared).ok());
-  EXPECT_TRUE(lm.Acquire(3, key, LockMode::kShared).ok());
-  lm.ReleaseAll(1);
-  lm.ReleaseAll(2);
-  lm.ReleaseAll(3);
-}
-
 TEST(LockManagerTest, ExclusiveConflictsYoungerDies) {
   LockManager lm;
-  const LockKey key = LockKey::Row(1, 42);
-  ASSERT_TRUE(lm.Acquire(1, key, LockMode::kExclusive).ok());
-  // Younger transaction (larger id) requesting a conflicting lock dies.
-  EXPECT_TRUE(lm.Acquire(2, key, LockMode::kExclusive).IsAborted());
-  EXPECT_TRUE(lm.Acquire(2, key, LockMode::kShared).IsAborted());
-  EXPECT_EQ(lm.stats().die_aborts, 2u);
+  ASSERT_TRUE(lm.LockRow(1, 1, 42).ok());
+  EXPECT_TRUE(lm.LockRow(1, 1, 42).ok());  // re-acquire: no-op
+  // Younger transaction (larger id) requesting a held row dies.
+  EXPECT_TRUE(lm.LockRow(2, 1, 42).IsAborted());
+  EXPECT_EQ(lm.stats().die_aborts, 1u);
   lm.ReleaseAll(1);
-  EXPECT_TRUE(lm.Acquire(2, key, LockMode::kExclusive).ok());
+  EXPECT_TRUE(lm.LockRow(2, 1, 42).ok());
   lm.ReleaseAll(2);
 }
 
 TEST(LockManagerTest, OlderWaitsForYounger) {
   LockManager lm;
-  const LockKey key = LockKey::Store(1, 0, 0);
-  ASSERT_TRUE(lm.Acquire(5, key, LockMode::kExclusive).ok());
+  ASSERT_TRUE(lm.LockRow(5, 1, 7).ok());
 
   std::atomic<bool> granted{false};
   std::thread older([&] {
     // Txn 2 is older than holder 5: it must block, not die.
-    EXPECT_TRUE(lm.Acquire(2, key, LockMode::kExclusive).ok());
+    EXPECT_TRUE(lm.LockRow(2, 1, 7).ok());
     granted = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -57,45 +43,16 @@ TEST(LockManagerTest, OlderWaitsForYounger) {
   lm.ReleaseAll(2);
 }
 
-TEST(LockManagerTest, ReacquireAndUpgrade) {
-  LockManager lm;
-  const LockKey key = LockKey::Table(9);
-  ASSERT_TRUE(lm.Acquire(1, key, LockMode::kShared).ok());
-  // Re-acquire same mode: no-op.
-  ASSERT_TRUE(lm.Acquire(1, key, LockMode::kShared).ok());
-  // Upgrade with no other holder succeeds.
-  ASSERT_TRUE(lm.Acquire(1, key, LockMode::kExclusive).ok());
-  // X implies S.
-  ASSERT_TRUE(lm.Acquire(1, key, LockMode::kShared).ok());
-  EXPECT_EQ(lm.HeldBy(1).size(), 1u);
-  lm.ReleaseAll(1);
-  EXPECT_TRUE(lm.HeldBy(1).empty());
-}
-
-TEST(LockManagerTest, UpgradeConflictsWithOtherSharer) {
-  LockManager lm;
-  const LockKey key = LockKey::Table(9);
-  ASSERT_TRUE(lm.Acquire(1, key, LockMode::kShared).ok());
-  ASSERT_TRUE(lm.Acquire(2, key, LockMode::kShared).ok());
-  // Younger sharer trying to upgrade dies (older sharer present).
-  EXPECT_TRUE(lm.Acquire(2, key, LockMode::kExclusive).IsAborted());
-  lm.ReleaseAll(1);
-  lm.ReleaseAll(2);
-}
-
 TEST(LockManagerTest, DistinctKeysDoNotConflict) {
   LockManager lm;
-  EXPECT_TRUE(lm.Acquire(1, LockKey::Row(1, 5), LockMode::kExclusive).ok());
-  EXPECT_TRUE(lm.Acquire(2, LockKey::Row(1, 6), LockMode::kExclusive).ok());
-  EXPECT_TRUE(lm.Acquire(3, LockKey::Row(2, 5), LockMode::kExclusive).ok());
-  EXPECT_TRUE(lm.Acquire(4, LockKey::Store(1, 0, 1), LockMode::kExclusive).ok());
-  EXPECT_TRUE(lm.Acquire(5, LockKey::Store(1, 1, 0), LockMode::kExclusive).ok());
-  for (uint64_t t = 1; t <= 5; ++t) lm.ReleaseAll(t);
+  EXPECT_TRUE(lm.LockRow(1, 1, 5).ok());
+  EXPECT_TRUE(lm.LockRow(2, 1, 6).ok());
+  EXPECT_TRUE(lm.LockRow(3, 2, 5).ok());  // same row id, other table
+  for (uint64_t t = 1; t <= 3; ++t) lm.ReleaseAll(t);
 }
 
 TEST(LockManagerTest, MutualExclusionUnderContention) {
   LockManager lm;
-  const LockKey key = LockKey::Row(1, 1);
   int counter = 0;
   std::atomic<uint64_t> next_id{1};
   std::vector<std::thread> threads;
@@ -106,8 +63,8 @@ TEST(LockManagerTest, MutualExclusionUnderContention) {
         // as a real transaction restart would.
         for (;;) {
           const uint64_t id = next_id.fetch_add(1);
-          if (lm.Acquire(id, key, LockMode::kExclusive).ok()) {
-            ++counter;  // protected by the X lock
+          if (lm.LockRow(id, 1, 1).ok()) {
+            ++counter;  // protected by the row lock
             lm.ReleaseAll(id);
             break;
           }
@@ -145,6 +102,14 @@ class TxnTest : public ::testing::Test {
     return record;
   }
 
+  /// A fresh (younger) transaction locks the row at once: wait-die would
+  /// abort it if any transaction still held the row.
+  void ExpectRowFree(TableId table, RowId row) {
+    auto other = tm_->Begin();
+    EXPECT_TRUE(other->LockRow(table, row).ok());
+    EXPECT_TRUE(tm_->Commit(other.get()).ok());
+  }
+
   std::string dir_;
   std::unique_ptr<KeyManager> keys_;
   std::unique_ptr<WalManager> wal_;
@@ -163,11 +128,11 @@ TEST_F(TxnTest, CommitAppliesOpsInOrderAndLogs) {
     applied.push_back(2);
     return Status::OK();
   });
-  ASSERT_TRUE(txn->Lock(LockKey::Row(1, 1), LockMode::kExclusive).ok());
+  ASSERT_TRUE(txn->LockRow(1, 1).ok());
   ASSERT_TRUE(tm_->Commit(txn.get()).ok());
   EXPECT_EQ(txn->state(), TxnState::kCommitted);
   EXPECT_EQ(applied, (std::vector<int>{1, 2}));
-  EXPECT_TRUE(locks_.HeldBy(txn->id()).empty());
+  ExpectRowFree(1, 1);
 
   // WAL contains the two ops followed by a COMMIT with the txn id.
   std::vector<WalRecordType> types;
@@ -190,11 +155,11 @@ TEST_F(TxnTest, AbortDropsOpsAndLogsNothing) {
     applied = true;
     return Status::OK();
   });
-  ASSERT_TRUE(txn->Lock(LockKey::Row(1, 1), LockMode::kExclusive).ok());
+  ASSERT_TRUE(txn->LockRow(1, 1).ok());
   tm_->Abort(txn.get());
   EXPECT_EQ(txn->state(), TxnState::kAborted);
   EXPECT_FALSE(applied);
-  EXPECT_TRUE(locks_.HeldBy(txn->id()).empty());
+  ExpectRowFree(1, 1);
   size_t records = 0;
   ASSERT_TRUE(wal_->Replay(0, [&](const WalRecord&, Lsn) {
                    ++records;
@@ -206,10 +171,21 @@ TEST_F(TxnTest, AbortDropsOpsAndLogsNothing) {
 
 TEST_F(TxnTest, ReadOnlyCommitWritesNoWal) {
   auto txn = tm_->Begin();
-  ASSERT_TRUE(txn->Lock(LockKey::Table(1), LockMode::kShared).ok());
   EXPECT_TRUE(txn->read_only());
   ASSERT_TRUE(tm_->Commit(txn.get()).ok());
   EXPECT_EQ(wal_->stats().records_appended, 0u);
+}
+
+TEST_F(TxnTest, FailedApplyEndsTxnAndReleasesLocks) {
+  // The apply runs after the WAL commit; an I/O error there must still end
+  // the transaction, or its row lock would block every later writer.
+  auto txn = tm_->Begin();
+  ASSERT_TRUE(txn->LockRow(1, 1).ok());
+  txn->AddOp(InsertRecord(1), [] { return Status::IOError("apply failed"); });
+  const Status committed = tm_->Commit(txn.get());
+  EXPECT_TRUE(committed.IsIOError()) << committed.ToString();
+  EXPECT_NE(txn->state(), TxnState::kActive);
+  ExpectRowFree(1, 1);
 }
 
 TEST_F(TxnTest, TxnIdsAreMonotone) {
