@@ -16,8 +16,11 @@ using namespace instantdb;  // examples only; library code never does this
 
 int main() {
   // 1. Open a database driven by a virtual clock so we can fast-forward
-  //    through hours and months (real deployments pass no clock and get
-  //    wall time + a background degrader thread).
+  //    through hours and months; this example then drives degradation by
+  //    hand with RunDegradationOnce. A deployment passes no clock (it gets
+  //    wall time) and must also set `degradation.background_thread` and
+  //    `maintenance.enabled`: both default to false, and without them
+  //    no value degrades and no checkpoint runs unless the caller asks.
   VirtualClock clock;
   DbOptions options;
   options.path = "/tmp/instantdb_quickstart";

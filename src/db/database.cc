@@ -110,7 +110,9 @@ Status Database::OpenImpl() {
   IDB_RETURN_IF_ERROR(wal_->Open());
 
   locks_ = std::make_unique<LockManager>();
-  tm_ = std::make_unique<TransactionManager>(locks_.get(), wal_.get());
+  tm_ = std::make_unique<TransactionManager>(
+      locks_.get(), wal_.get(),
+      [this](const WalRecord& record) { return Apply(record); });
   degrader_ = std::make_unique<DegradationEngine>(
       tm_.get(), clock_, options_.degradation, worker_pool_);
 
@@ -150,28 +152,17 @@ Status Database::Recover() {
   // of committed work in log order.
   uint64_t max_txn_id = 0;
   IDB_RETURN_IF_ERROR(wal_->RecoverCommitted(
-      checkpoint,
-      [&](const WalRecord& record) {
-        auto it = tables_.find(record.table);
-        if (it == tables_.end()) return Status::OK();  // dropped table
-        switch (record.type) {
-          case WalRecordType::kInsert:
-            return it->second->RedoInsert(record);
-          case WalRecordType::kDegradeStep:
-            return it->second->RedoDegrade(record);
-          case WalRecordType::kDelete:
-            return it->second->RedoDelete(record);
-          case WalRecordType::kUpdateStable:
-            return it->second->RedoUpdateStable(record);
-          default:
-            return Status::OK();
-        }
-      },
+      checkpoint, [this](const WalRecord& record) { return Apply(record); },
       &max_txn_id));
   // Resume transaction ids above everything in the replay range: a reused
   // id would alias this generation's records on the next recovery.
   tm_->EnsureTxnIdsAbove(max_txn_id);
   return Status::OK();
+}
+
+Status Database::Apply(const WalRecord& record) {
+  Table* table = GetTable(record.table);
+  return table == nullptr ? Status::OK() : table->Apply(record);
 }
 
 Result<const TableDef*> Database::CreateTable(const std::string& name,
@@ -185,8 +176,14 @@ Result<const TableDef*> Database::CreateTable(const std::string& name,
   auto table = std::make_unique<Table>(def, TableDir(def->id), MakeRuntime());
   IDB_RETURN_IF_ERROR(table->Open());
   IDB_RETURN_IF_ERROR(table->RebuildIndexes(worker_pool_));
-  degrader_->RegisterTable(table.get());
-  tables_[def->id] = std::move(table);
+  // Into the map before the degrader sees it: a step's commit finds its
+  // table there.
+  Table* created = table.get();
+  {
+    std::unique_lock<std::shared_mutex> map(tables_mu_);
+    tables_[def->id] = std::move(table);
+  }
+  degrader_->RegisterTable(created);
   return def;
 }
 
@@ -201,6 +198,7 @@ Status Database::DropTable(const std::string& name) {
   auto it = tables_.find(id);
   if (it != tables_.end()) {
     IDB_RETURN_IF_ERROR(it->second->Drop());
+    std::unique_lock<std::shared_mutex> map(tables_mu_);
     tables_.erase(it);
   }
   IDB_RETURN_IF_ERROR(catalog_->DropTable(name));
@@ -213,6 +211,7 @@ Table* Database::GetTable(const std::string& name) const {
 }
 
 Table* Database::GetTable(TableId id) const {
+  std::shared_lock<std::shared_mutex> map(tables_mu_);
   auto it = tables_.find(id);
   return it == tables_.end() ? nullptr : it->second.get();
 }

@@ -379,6 +379,10 @@ class Database {
   /// creation), passes the current version, and refuses the rest.
   Status CheckFormat();
   Status Recover();
+  /// Applies one committed record through its table's Table::Apply: the
+  /// transaction manager's commit-time apply and Recover's redo. A record
+  /// of a dropped table is skipped.
+  Status Apply(const WalRecord& record);
   /// First sticky I/O error any background loop recorded (maintenance
   /// cadence first, then degrader); OK when healthy. Close() returns it and
   /// stats().io.first_error carries its text.
@@ -405,6 +409,11 @@ class Database {
   /// DirtyPartitions, SnapshotTables-based audits) take it shared — the
   /// first background readers of `tables_` this engine has had.
   mutable std::shared_mutex ddl_mu_;
+  /// Guards the map's structure for GetTable(TableId), which also runs on
+  /// the degrader's threads (a degrade step's commit-time Apply) while DDL
+  /// inserts or erases: DDL takes it exclusive around exactly that insert
+  /// or erase. A leaf lock, never held while waiting for anything else.
+  mutable std::shared_mutex tables_mu_;
   std::map<TableId, std::unique_ptr<Table>> tables_;
   /// Read-path counters (exposed via Stats::scan); atomics because scan
   /// workers and concurrent sessions bump them in parallel.

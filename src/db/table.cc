@@ -108,10 +108,9 @@ Result<RowId> Table::Insert(Transaction* txn, const std::vector<Value>& row) {
     return next_affine_.fetch_add(1, std::memory_order_relaxed) %
            static_cast<uint32_t>(partitions_.size());
   });
-  TablePartition* partition = partitions_[affine].get();
   // No row lock: no other transaction can name an id before its insert
   // commits (Delete and UpdateStable return NotFound for it).
-  const RowId row_id = partition->AllocateRowId();
+  const RowId row_id = partitions_[affine]->AllocateRowId();
 
   WalRecord record;
   record.type = WalRecordType::kInsert;
@@ -144,25 +143,14 @@ Result<RowId> Table::Insert(Transaction* txn, const std::vector<Value>& row) {
       record.payload_deadline = std::min(record.payload_deadline, now + phase0);
     }
   }
-  std::vector<Value> stable = record.stable;
-  std::vector<Value> degradable = record.degradable;
-  txn->AddOp(std::move(record),
-             [partition, row_id, now, stable = std::move(stable),
-              degradable = std::move(degradable),
-              ordinals = std::move(ordinals)] {
-               return partition->ApplyInsert(row_id, now, stable, degradable,
-                                             /*degradable_available=*/true,
-                                             &ordinals);
-             });
+  record.ordinals = std::move(ordinals);
+  txn->AddOp(std::move(record));
   return row_id;
 }
 
 Status Table::Delete(Transaction* txn, RowId row_id) {
   IDB_RETURN_IF_ERROR(txn->LockRow(id(), row_id));
-  TablePartition* partition = Route(row_id);
-  if (!partition->Contains(row_id)) {
-    return Status::NotFound("no such row");
-  }
+  if (!Route(row_id)->Contains(row_id)) return Status::NotFound("no such row");
   // Degradation never waits for this transaction: the apply removes the
   // row from whichever store holds it at commit time, and a degrade step
   // applying later finds it gone.
@@ -170,8 +158,7 @@ Status Table::Delete(Transaction* txn, RowId row_id) {
   record.type = WalRecordType::kDelete;
   record.table = id();
   record.row_id = row_id;
-  txn->AddOp(std::move(record),
-             [partition, row_id] { return partition->ApplyDelete(row_id); });
+  txn->AddOp(std::move(record));
   return Status::OK();
 }
 
@@ -187,16 +174,13 @@ Status Table::UpdateStable(Transaction* txn, RowId row_id,
     }
   }
   IDB_RETURN_IF_ERROR(txn->LockRow(id(), row_id));
-  TablePartition* partition = Route(row_id);
-  if (!partition->Contains(row_id)) return Status::NotFound("no such row");
+  if (!Route(row_id)->Contains(row_id)) return Status::NotFound("no such row");
   WalRecord record;
   record.type = WalRecordType::kUpdateStable;
   record.table = id();
   record.row_id = row_id;
   record.stable = stable;
-  txn->AddOp(std::move(record), [partition, row_id, stable] {
-    return partition->ApplyUpdateStable(row_id, stable);
-  });
+  txn->AddOp(std::move(record));
   return Status::OK();
 }
 
@@ -290,35 +274,30 @@ Micros Table::SafeEpochTime() const {
   return safe;
 }
 
-// --- recovery redo -----------------------------------------------------------------
+// --- apply ------------------------------------------------------------------------
 
-Status Table::RedoInsert(const WalRecord& record) {
-  // Replayed inserts carry committed row ids: keep the owning partition's
-  // allocator above the recovered id space.
-  TablePartition* partition = Route(record.row_id);
-  partition->EnsureRowAllocatorAbove(record.row_id);
-  return partition->ApplyInsert(record.row_id, record.insert_time,
-                                record.stable, record.degradable,
-                                !record.degradable_unavailable,
-                                /*ordinals=*/nullptr);
-}
-
-Status Table::RedoDegrade(const WalRecord& record) {
-  // A degradation step drains one partition's store: every entry hashes to
-  // the same partition, so the first row id routes the whole record.
-  if (record.entries.empty()) return Status::OK();
-  return Route(record.entries[0].row_id)
-      ->ApplyDegrade(record.column, record.from_phase, record.to_phase,
-                     record.up_to_row_id, record.entries,
-                     /*old_ordinals=*/nullptr);
-}
-
-Status Table::RedoDelete(const WalRecord& record) {
-  return Route(record.row_id)->ApplyDelete(record.row_id);
-}
-
-Status Table::RedoUpdateStable(const WalRecord& record) {
-  return Route(record.row_id)->ApplyUpdateStable(record.row_id, record.stable);
+Status Table::Apply(const WalRecord& record) {
+  switch (record.type) {
+    case WalRecordType::kInsert: {
+      // Replayed inserts carry committed row ids: keep the owning
+      // partition's allocator above the recovered id space.
+      TablePartition* partition = Route(record.row_id);
+      partition->EnsureRowAllocatorAbove(record.row_id);
+      return partition->ApplyInsert(record);
+    }
+    case WalRecordType::kDegradeStep:
+      // A degradation step drains one partition's store: every entry hashes
+      // to the same partition, so the first row id routes the whole record.
+      if (record.entries.empty()) return Status::OK();
+      return Route(record.entries[0].row_id)->ApplyDegrade(record);
+    case WalRecordType::kDelete:
+      return Route(record.row_id)->ApplyDelete(record.row_id);
+    case WalRecordType::kUpdateStable:
+      return Route(record.row_id)
+          ->ApplyUpdateStable(record.row_id, record.stable);
+    default:
+      return Status::OK();
+  }
 }
 
 Table::Stats Table::stats() const {

@@ -132,8 +132,8 @@ class Table {
 
   // --- DML (deferred-apply; effects run at txn commit) ----------------------
 
-  /// Validates the full-accuracy row, assigns a row id, locks it, and
-  /// queues the insert. Paper §II: inserts are granted only in the most
+  /// Validates the full-accuracy row, assigns a row id and queues the
+  /// insert. Paper §II: inserts are granted only in the most
   /// accurate state. Row ids are allocated partition-affine: every insert
   /// of one transaction into this table draws from the same partition's
   /// allocator (partitions rotate across transactions), so a WriteBatch's
@@ -214,12 +214,12 @@ class Table {
   /// True if any store head of `partition` is overdue at `now`.
   bool PartitionHasWorkAt(uint32_t partition, Micros now) const;
 
-  // --- recovery redo ----------------------------------------------------------
+  // --- apply ----------------------------------------------------------------
 
-  Status RedoInsert(const WalRecord& record);
-  Status RedoDegrade(const WalRecord& record);
-  Status RedoDelete(const WalRecord& record);
-  Status RedoUpdateStable(const WalRecord& record);
+  /// Applies one committed record to the partition that owns its rows: the
+  /// commit-time apply and WAL redo alike. Idempotent: applying a record
+  /// again changes nothing.
+  Status Apply(const WalRecord& record);
 
   /// min over partitions of the phase-0 head insert times: every insert at
   /// or before this instant has left the accurate state in all partitions.

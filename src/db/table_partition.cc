@@ -179,64 +179,51 @@ Status TablePartition::Drop() {
   return runtime_.env->RemoveDirRecursive(dir_);
 }
 
-// --- apply closures ----------------------------------------------------------------
+// --- apply -------------------------------------------------------------------------
 
-Status TablePartition::ApplyInsert(RowId row_id, Micros insert_time,
-                                   const std::vector<Value>& stable,
-                                   const std::vector<Value>& degradable,
-                                   bool degradable_available,
-                                   const std::vector<int64_t>* ordinals) {
-  const auto ordinal_of = [ordinals](size_t d) {
-    return ordinals != nullptr ? (*ordinals)[d] : int64_t{-1};
-  };
+Status TablePartition::ApplyInsert(const WalRecord& record) {
+  const RowId row_id = record.row_id;
   std::unique_lock<std::shared_mutex> latch(latch_);
-  if (row_map_.Find(row_id) != nullptr) {
-    // Idempotent redo over a row the heap already holds — but not a blind
-    // skip. A heap page can reach disk through buffer-pool eviction at any
-    // time, independent of Checkpoint, so after a crash the heap may hold a
-    // row whose store entries never became durable; skipping here would
-    // freeze that shell with every degradable value at ⊥ forever. Re-offer
-    // the values to the phase-0 stores instead. If ANY phase still holds
-    // the row, nothing was lost (possibly it already degraded — a later
-    // degrade record in log order re-converges), so only a row absent from
-    // every phase is repaired. Append and the index OnInsert hook are
-    // idempotent, so a repeated redo stays a no-op.
-    if (degradable_available) {
-      for (size_t d = 0; d < schema().degradable_columns().size(); ++d) {
-        bool present = false;
-        for (const auto& store : stores_[d]) {
-          if (store->Find(row_id)) {
-            present = true;
-            break;
-          }
-        }
-        if (!present) {
-          IDB_RETURN_IF_ERROR(InsertDegradableLocked(
-              d, row_id, insert_time, degradable[d], ordinal_of(d)));
-        }
-      }
-      mutation_seq_.fetch_add(1, std::memory_order_release);
-    }
-    return Status::OK();
+  // A re-apply over a row the heap already holds is not a blind skip. A
+  // commit's apply can fail between the heap insert and a store append, and
+  // a heap page can reach disk through buffer-pool eviction at any time,
+  // independent of Checkpoint, so after a crash the heap may hold a row
+  // whose store entries never became durable; skipping would freeze that
+  // shell with every degradable value at ⊥ forever. So a value goes to its
+  // phase-0 store unless ANY phase holds the row (then nothing was lost:
+  // possibly it already degraded, and a later degrade record in log order
+  // re-converges). The insert counts once, when the apply that completes
+  // it stores anything. Append and the index OnInsert hook are idempotent.
+  const bool fresh = row_map_.Find(row_id) == nullptr;
+  if (fresh) {
+    HeapTuple tuple;
+    tuple.row_id = row_id;
+    tuple.insert_time = record.insert_time;
+    tuple.stable = record.stable;
+    std::string encoded;
+    EncodeHeapTuple(tuple, &encoded);
+    IDB_ASSIGN_OR_RETURN(Rid rid, heap_->Insert(encoded));
+    row_map_.Insert(row_id, rid);
+    max_row_id_ = std::max(max_row_id_, row_id);
   }
-  HeapTuple tuple;
-  tuple.row_id = row_id;
-  tuple.insert_time = insert_time;
-  tuple.stable = stable;
-  std::string encoded;
-  EncodeHeapTuple(tuple, &encoded);
-  IDB_ASSIGN_OR_RETURN(Rid rid, heap_->Insert(encoded));
-  row_map_.Insert(row_id, rid);
-  max_row_id_ = std::max(max_row_id_, row_id);
-
-  if (degradable_available) {
-    for (size_t d = 0; d < schema().degradable_columns().size(); ++d) {
-      IDB_RETURN_IF_ERROR(InsertDegradableLocked(d, row_id, insert_time,
-                                                 degradable[d], ordinal_of(d)));
+  bool stored = fresh;
+  for (size_t d = 0; d < stores_.size() && !record.degradable_unavailable;
+       ++d) {
+    if (!fresh && std::any_of(stores_[d].begin(), stores_[d].end(),
+                              [row_id](const auto& store) {
+                                return store->Find(row_id).has_value();
+                              })) {
+      continue;
     }
+    IDB_RETURN_IF_ERROR(InsertDegradableLocked(
+        d, row_id, record.insert_time, record.degradable[d],
+        record.ordinals.empty() ? -1 : record.ordinals[d]));
+    stored = true;
   }
-  ++stats_.inserts;
-  mutation_seq_.fetch_add(1, std::memory_order_release);
+  if (stored) {
+    ++stats_.inserts;
+    mutation_seq_.fetch_add(1, std::memory_order_release);
+  }
   return Status::OK();
 }
 
@@ -257,7 +244,10 @@ Status TablePartition::InsertDegradableLocked(size_t d, RowId row_id,
 Status TablePartition::ApplyDelete(RowId row_id) {
   std::unique_lock<std::shared_mutex> latch(latch_);
   const Rid* rid = row_map_.Find(row_id);
-  if (rid == nullptr) return Status::OK();  // idempotent redo
+  if (rid == nullptr) {
+    ++stats_.applies_without_row;
+    return Status::OK();
+  }
 
   // Remove degradable values from stores + indexes.
   for (size_t d = 0; d < stores_.size(); ++d) {
@@ -283,7 +273,10 @@ Status TablePartition::ApplyUpdateStable(RowId row_id,
                                          const std::vector<Value>& stable) {
   std::unique_lock<std::shared_mutex> latch(latch_);
   Rid* rid = row_map_.Find(row_id);
-  if (rid == nullptr) return Status::OK();  // idempotent redo
+  if (rid == nullptr) {
+    ++stats_.applies_without_row;
+    return Status::OK();
+  }
   HeapTuple tuple;
   Status decoded;
   IDB_RETURN_IF_ERROR(heap_->Read(*rid, [&](Slice record) {
@@ -604,62 +597,52 @@ Result<size_t> TablePartition::RunDegradationStep(TransactionManager* tm,
   const int to_phase = from_phase + 1;  // == num_phases means ⊥
   const bool removal = to_phase >= col.lcp.num_phases();
 
-  // Collect the overdue prefix under the shared latch. f_k runs on the
-  // stored leaf ordinal: the next phase's value and ordinal come from the
-  // ancestor at its level, with no label lookup.
-  std::vector<StoreEntry> moves;      // entries with generalized values
-  std::vector<int64_t> old_ordinals;  // leaf ordinals at from_phase's level
-  std::vector<Micros> deadlines;
-  RowId up_to = 0;
-  {
-    std::shared_lock<std::shared_mutex> latch(latch_);
-    const Micros offset = col.lcp.PhaseEndOffset(from_phase);
-    const int to_level = removal ? 0 : col.lcp.phase(to_phase).level;
-    stores_[ordinal][from_phase]->ForEach([&](const StoreEntryView& entry) {
-      const Micros deadline = entry.insert_time + offset;
-      if (deadline > now || moves.size() >= batch_limit) return false;
-      StoreEntry moved{entry.row_id, entry.insert_time, Value::Null()};
-      if (!removal) {
-        moved.value = col.hierarchy->AncestorValue(entry.ordinal, to_level);
-        moved.ordinal =
-            col.hierarchy->AncestorRange(entry.ordinal, to_level).lo;
-      }
-      moves.push_back(std::move(moved));
-      old_ordinals.push_back(entry.ordinal);
-      deadlines.push_back(deadline);
-      up_to = entry.row_id;
-      return true;
-    });
-  }
-  if (moves.empty()) return size_t{0};
-
+  // Collect the overdue prefix under the shared latch, straight into the
+  // record. f_k runs on the stored leaf ordinal: the next phase's value and
+  // ordinal come from the ancestor at its level, with no label lookup.
+  // Removal steps log Null values: redo still needs the row ids to expire
+  // tuples, and a NULL leaks nothing. Redo routes the record back to this
+  // partition by hashing the row ids carried in `entries`.
   WalRecord record;
   record.type = WalRecordType::kDegradeStep;
   record.table = id();
   record.column = col_idx;
   record.from_phase = from_phase;
   record.to_phase = to_phase;
-  record.up_to_row_id = up_to;
-  // Removal steps log Null values: redo still needs the row ids to expire
-  // tuples, and a NULL leaks nothing. Redo routes the record back to this
-  // partition by hashing the row ids carried in `entries`.
-  record.entries = moves;
+  std::vector<Micros> deadlines;
+  {
+    std::shared_lock<std::shared_mutex> latch(latch_);
+    const Micros offset = col.lcp.PhaseEndOffset(from_phase);
+    const int to_level = removal ? 0 : col.lcp.phase(to_phase).level;
+    stores_[ordinal][from_phase]->ForEach([&](const StoreEntryView& entry) {
+      const Micros deadline = entry.insert_time + offset;
+      if (deadline > now || deadlines.size() >= batch_limit) return false;
+      StoreEntry& moved = record.entries.emplace_back();
+      moved.row_id = entry.row_id;
+      moved.insert_time = entry.insert_time;
+      if (!removal) {
+        moved.value = col.hierarchy->AncestorValue(entry.ordinal, to_level);
+        moved.ordinal =
+            col.hierarchy->AncestorRange(entry.ordinal, to_level).lo;
+      }
+      deadlines.push_back(deadline);
+      return true;
+    });
+  }
+  if (deadlines.empty()) return size_t{0};
+  record.up_to_row_id = record.entries.back().row_id;
 
   // No logical lock: a user delete that commits between collect and apply
   // leaves a row the apply finds gone, and skips.
   auto txn = tm->Begin();
-  const size_t moved = moves.size();
-  txn->AddOp(std::move(record),
-             [this, col_idx, from_phase, to_phase, up_to, moves, old_ordinals] {
-               return ApplyDegrade(col_idx, from_phase, to_phase, up_to, moves,
-                                   &old_ordinals);
-             });
+  txn->AddOp(std::move(record));
   IDB_RETURN_IF_ERROR(tm->Commit(txn.get()));
 
+  const size_t moved = deadlines.size();
   {
     std::unique_lock<std::shared_mutex> latch(latch_);
-    for (size_t i = 0; i < deadlines.size(); ++i) {
-      lateness_.Add(static_cast<double>(now - deadlines[i]));
+    for (const Micros deadline : deadlines) {
+      lateness_.Add(static_cast<double>(now - deadline));
     }
     ++stats_.degrade_steps;
     if (removal) {
@@ -673,51 +656,61 @@ Result<size_t> TablePartition::RunDegradationStep(TransactionManager* tm,
   return moved;
 }
 
-Status TablePartition::ApplyDegrade(int col_idx, int from_phase, int to_phase,
-                                    RowId up_to,
-                                    const std::vector<StoreEntry>& moves,
-                                    const std::vector<int64_t>* old_ordinals) {
+Status TablePartition::ApplyDegrade(const WalRecord& record) {
   std::unique_lock<std::shared_mutex> latch(latch_);
-  const int ordinal = schema().DegradableOrdinal(col_idx);
-  const ColumnDef& col = schema().column(col_idx);
-  const bool removal = to_phase >= col.lcp.num_phases();
-  const bool update_indexes = old_ordinals != nullptr && !multires_.empty();
+  const std::vector<StoreEntry>& moves = record.entries;
+  const int from_phase = record.from_phase;
+  const int to_phase = record.to_phase;
+  const int ordinal = schema().DegradableOrdinal(record.column);
+  const bool removal =
+      to_phase >= schema().column(record.column).lcp.num_phases();
+  StateStore* from = stores_[ordinal][from_phase].get();
+  StateStore* to = removal ? nullptr : stores_[ordinal][to_phase].get();
+  const bool update_indexes = !multires_.empty();
 
-  // Pop exactly the collected entries. A prefix pop through `up_to` would
-  // also destroy an out-of-order append that landed below `up_to` between
-  // this step's collect and apply — that entry was never generalized and
-  // must stay for a later step. (`up_to` remains in the WAL record for
-  // observability; redo pops by the entry ids too.)
-  (void)up_to;
+  // The index moves each value out of its from-phase node: read the old
+  // ordinals while the entries are still there (the ids ascend, in store
+  // order). An id already popped keeps -1, and OnDegrade's removal half is
+  // then a no-op.
+  std::vector<int64_t> old_ordinals;
+  if (update_indexes) {
+    std::vector<RowId> ids;
+    ids.reserve(moves.size());
+    for (const StoreEntry& move : moves) ids.push_back(move.row_id);
+    old_ordinals.assign(moves.size(), -1);
+    from->FindMany(ids.data(), ids.size(), old_ordinals.data());
+  }
+
+  // Pop exactly the logged ids: a prefix pop through the last one would
+  // also destroy an out-of-order append that landed below it between this
+  // step's collect and apply, a value never generalized.
   // Apply order: append and index updates FIRST, pops LAST. Every sub-step
-  // can fail on an I/O error after the WAL record has already committed,
-  // so the order is chosen to make any partial state self-healing: a fault
-  // before the pop leaves the value in the from-phase store, where its
-  // overdue deadline keeps it visible to the next degradation pass, which
-  // re-collects and re-applies the step — Append of a present id, the
-  // index OnDegrade hooks, and PopById of an absent id are all idempotent,
-  // so the retry (or WAL redo after a crash) converges to the fully
-  // applied state. Pop-first turned the same fault into permanent loss:
-  // a popped-but-never-appended value vanished from every store, and no
-  // later pass could find it again (the audit saw the heap shell with all
-  // values at ⊥). The cost is a transient window where a value exists in
-  // two stores at once — over-accurate, never under-durable — which the
-  // retry erases.
+  // can fail on an I/O error after the WAL record has already committed.
+  // A fault before the pop leaves the value in the from-phase store, and
+  // the commit's retry, the next degradation pass or WAL redo re-applies
+  // the step: Append of a present id, the index OnDegrade hooks and
+  // PopById of an absent id are all idempotent, so the re-apply converges.
+  // Pop-first turned the same fault into permanent loss: a popped but
+  // never appended value vanished from every store. The cost is a
+  // transient window where a value is in two stores at once —
+  // over-accurate, never under-durable — which the re-apply erases.
   for (size_t i = 0; i < moves.size(); ++i) {
     const StoreEntry& move = moves[i];
     // A row deleted between collect and apply must not resurface.
-    const bool row_live = row_map_.Find(move.row_id) != nullptr;
-    if (!removal && row_live) {
-      IDB_RETURN_IF_ERROR(stores_[ordinal][to_phase]->Append(move));
-    }
-    if (update_indexes && row_live) {
-      multires_[ordinal]->OnDegrade(move.row_id, from_phase,
-                                    (*old_ordinals)[i], to_phase,
-                                    move.ordinal);
+    if (row_map_.Find(move.row_id) == nullptr) continue;
+    if (!removal) IDB_RETURN_IF_ERROR(to->Append(move));
+    if (update_indexes) {
+      // A decoded record carries no ordinals: resolve the new one.
+      int64_t new_ordinal = move.ordinal;
+      if (!removal && new_ordinal < 0) {
+        IDB_ASSIGN_OR_RETURN(new_ordinal, to->OrdinalOf(move.value));
+      }
+      multires_[ordinal]->OnDegrade(move.row_id, from_phase, old_ordinals[i],
+                                    to_phase, new_ordinal);
     }
   }
   for (const StoreEntry& move : moves) {
-    IDB_RETURN_IF_ERROR(stores_[ordinal][from_phase]->PopById(move.row_id));
+    IDB_RETURN_IF_ERROR(from->PopById(move.row_id));
   }
   if (removal) {
     // Expiry last: MaybeExpireTupleLocked only removes the heap shell once

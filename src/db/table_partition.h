@@ -56,8 +56,8 @@ struct TableRuntime {
 ///
 /// Thread-safety: user deletes and stable updates lock their row in the
 /// LockManager; degradation takes no logical lock. Physical structures are
-/// protected by the per-partition latch (scans share it, apply closures
-/// take it exclusive), and one degradation step at a time runs per
+/// protected by the per-partition latch (scans share it, applies take it
+/// exclusive), and one degradation step at a time runs per
 /// partition (`step_mu_`). A degrade move skips a row a user delete removed
 /// after the step collected it, and a delete removes the row from whichever
 /// store holds it at its apply. Statistics are mutated under the exclusive
@@ -107,23 +107,19 @@ class TablePartition {
   /// Raises the allocator above a replayed row id (recovery redo).
   void EnsureRowAllocatorAbove(RowId row_id);
 
-  // --- apply closures (commit-time + idempotent redo) ------------------------
+  // --- apply (commit-time and redo alike, idempotent; see Table::Apply) -----
 
-  /// `ordinals` (each degradable value's ordinal at its phase-0 level,
-  /// resolved when the insert was validated) is non-null on the live path;
-  /// redo passes null and resolves them from the values.
-  Status ApplyInsert(RowId row_id, Micros insert_time,
-                     const std::vector<Value>& stable,
-                     const std::vector<Value>& degradable,
-                     bool degradable_available,
-                     const std::vector<int64_t>* ordinals);
+  /// Uses the record's phase-0 `ordinals` when the live insert carried
+  /// them and resolves them from the values otherwise.
+  Status ApplyInsert(const WalRecord& record);
+  /// The delete and the stable update of a row that is gone (deleted, or
+  /// expired by the LCP since the statement found it) change nothing and
+  /// count in Stats::applies_without_row.
   Status ApplyDelete(RowId row_id);
-  /// `old_ordinals` (the moved entries' leaf ordinals at `from_phase`'s
-  /// level) is non-null on the live path (index maintenance) and null
-  /// during redo (indexes are rebuilt wholesale after replay).
-  Status ApplyDegrade(int column, int from_phase, int to_phase,
-                      RowId up_to_row_id, const std::vector<StoreEntry>& moves,
-                      const std::vector<int64_t>* old_ordinals);
+  /// Moves exactly the record's entries out of the from-phase store, for
+  /// rows still live. With indexes built, the moved values' old ordinals
+  /// are read from the from-phase store before the pops.
+  Status ApplyDegrade(const WalRecord& record);
   Status ApplyUpdateStable(RowId row_id, const std::vector<Value>& stable);
 
   // --- read path -------------------------------------------------------------
@@ -216,6 +212,9 @@ class TablePartition {
     uint64_t values_degraded = 0;
     uint64_t values_removed = 0;
     uint64_t tuples_expired = 0;  // whole-tuple removals by the LCP
+    /// Deletes and stable updates applied to a row already gone: a delete
+    /// or expiry between the statement and its commit, or a redo.
+    uint64_t applies_without_row = 0;
 
     void MergeFrom(const Stats& other) {
       inserts += other.inserts;
@@ -224,6 +223,7 @@ class TablePartition {
       values_degraded += other.values_degraded;
       values_removed += other.values_removed;
       tuples_expired += other.tuples_expired;
+      applies_without_row += other.applies_without_row;
     }
   };
   /// True when a mutation applied since the last CheckpointIfDirty flush.

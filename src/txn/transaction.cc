@@ -25,16 +25,18 @@ Status TransactionManager::Commit(Transaction* txn, bool sync) {
     // taken), and durability is a wait on the synced-LSN watermark — at
     // most one sync, and under concurrency usually somebody else's: the
     // sync leader absorbs every committer parked on the watermark.
-    WalRecord commit;
-    commit.type = WalRecordType::kCommit;
-    commit.txn_id = txn->id_;
+    // The COMMIT marker joins the record list, so a torn tail that loses
+    // any record loses the marker too.
+    std::vector<WalRecord>& ops = txn->ops_;
+    const size_t count = ops.size();
+    ops.emplace_back().type = WalRecordType::kCommit;
     std::vector<const WalRecord*> records;
-    records.reserve(txn->ops_.size());
-    for (Transaction::PendingOp& op : txn->ops_) {
-      op.record.txn_id = txn->id_;
-      records.push_back(&op.record);
+    records.reserve(ops.size());
+    for (WalRecord& op : ops) {
+      op.txn_id = txn->id_;
+      records.push_back(&op);
     }
-    const Status logged = wal_->AppendCommit(records, commit, sync);
+    const Status logged = wal_->AppendBatch(records, sync).status();
     if (!logged.ok()) {
       // The commit never became durable and nothing was applied: treat it
       // as an abort.
@@ -42,14 +44,21 @@ Status TransactionManager::Commit(Transaction* txn, bool sync) {
       return logged;
     }
     // Point of no return: the transaction is durable; now surface it. A
-    // failed apply still ends the transaction, so its row locks cannot
-    // outlive it and block every later writer of those rows.
-    for (Transaction::PendingOp& op : txn->ops_) {
-      const Status applied = op.apply();
-      if (!applied.ok()) {
-        End(txn, TxnState::kCommitted);
-        return applied;
+    // failed apply is re-run once from the failing record: every apply is
+    // the idempotent redo, so records already applied in part converge. A
+    // failure that outlasts the retry still ends the transaction, so its
+    // row locks cannot outlive it and block every later writer of those
+    // rows.
+    for (size_t i = 0; i < count; ++i) {
+      if (apply_(ops[i]).ok()) continue;
+      for (size_t j = i; j < count; ++j) {
+        const Status applied = apply_(ops[j]);
+        if (!applied.ok()) {
+          End(txn, TxnState::kCommitted);
+          return applied;
+        }
       }
+      break;
     }
   }
   End(txn, TxnState::kCommitted);

@@ -20,10 +20,11 @@ enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 
 /// \brief Transaction context under a deferred-apply, redo-only protocol.
 ///
-/// Statements validate, lock the rows they delete or update and enqueue
-/// (WAL record, apply closure) pairs; nothing touches shared storage until
-/// Commit, which logs every record followed by a COMMIT record and only
-/// then runs the apply closures. Consequences:
+/// Statements validate, lock the rows they delete or update and enqueue WAL
+/// records; nothing touches shared storage until Commit, which logs every
+/// record followed by a COMMIT record and only then applies the records it
+/// logged, through the same function crash recovery replays them with.
+/// Consequences:
 ///  - Abort (user abort or wait-die victim) simply drops the queue — no
 ///    undo log is ever needed, which matters because undoing a degradation
 ///    step would mean *resurrecting* an accurate value the engine has
@@ -31,6 +32,8 @@ enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 ///    degradation).
 ///  - Crash recovery replays the WAL in two passes: collect committed txn
 ///    ids, then redo only their records (all redo is idempotent).
+///  - The logged record is the whole truth about a commit, so a failed
+///    apply can be retried in place: the retry is that idempotent redo.
 ///
 /// The paper's observation that an inserting transaction "generates effects
 /// all along the lifetime of the degradation process" shows up here as
@@ -38,11 +41,6 @@ enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 /// after the inserting transaction committed.
 class Transaction {
  public:
-  struct PendingOp {
-    WalRecord record;
-    std::function<Status()> apply;
-  };
-
   Transaction(uint64_t id, LockManager* locks) : id_(id), locks_(locks) {}
   Transaction(const Transaction&) = delete;
   Transaction& operator=(const Transaction&) = delete;
@@ -59,9 +57,7 @@ class Transaction {
   }
 
   /// Queues one logical write for commit time.
-  void AddOp(WalRecord record, std::function<Status()> apply) {
-    ops_.push_back({std::move(record), std::move(apply)});
-  }
+  void AddOp(WalRecord record) { ops_.push_back(std::move(record)); }
 
   /// Partition this transaction's inserts into `table` route to, chosen
   /// once per (transaction, table) by `pick` on first use. Batch-affine
@@ -78,7 +74,6 @@ class Transaction {
     return it->second;
   }
 
-  const std::vector<PendingOp>& ops() const { return ops_; }
   bool read_only() const { return ops_.empty(); }
 
  private:
@@ -88,7 +83,7 @@ class Transaction {
   LockManager* const locks_;
   TxnState state_ = TxnState::kActive;
   bool locked_ = false;  // LockRow was called: End must release
-  std::vector<PendingOp> ops_;
+  std::vector<WalRecord> ops_;
   std::map<TableId, uint32_t> insert_partition_;  // batch-affine inserts
 };
 
@@ -96,8 +91,13 @@ class Transaction {
 /// release) and abort (drop → release).
 class TransactionManager {
  public:
-  TransactionManager(LockManager* locks, WalManager* wal)
-      : locks_(locks), wal_(wal) {}
+  /// Applies one logged record to storage. The database passes the table
+  /// dispatch its WAL redo also runs, so a commit and a recovery apply a
+  /// record the same way.
+  using ApplyFn = std::function<Status(const WalRecord&)>;
+
+  TransactionManager(LockManager* locks, WalManager* wal, ApplyFn apply)
+      : locks_(locks), wal_(wal), apply_(std::move(apply)) {}
 
   std::unique_ptr<Transaction> Begin();
 
@@ -113,10 +113,11 @@ class TransactionManager {
   }
 
   /// Logs the queued records + COMMIT, optionally syncs, applies the
-  /// closures in order, and releases all locks. The transaction ends on
-  /// every path: a failed log append aborts it; a failed apply leaves it
-  /// committed (it is durable, so redo would finish it) and returns the
-  /// apply's error.
+  /// records in order, and releases all locks. The transaction ends on
+  /// every path: a failed log append aborts it. A failed apply is re-run
+  /// once, from the failing record on (applies are idempotent); if that
+  /// fails too the transaction stays committed (it is durable, so redo
+  /// would finish it) and Commit returns the error.
   Status Commit(Transaction* txn, bool sync = false);
 
   /// Drops queued work and releases locks. Always succeeds.
@@ -144,6 +145,7 @@ class TransactionManager {
 
   LockManager* const locks_;
   WalManager* const wal_;
+  const ApplyFn apply_;
   std::atomic<uint64_t> next_txn_id_{1};
   mutable std::mutex mu_;
   /// Held shared across a commit's append+apply window — including the

@@ -27,11 +27,13 @@ enum class WalRecordType : uint8_t {
   /// accurate sensitive bytes that ever reach the log; WalPrivacyMode
   /// governs how they are kept from outliving their degradation deadline.
   kInsert = 4,
-  /// One degradation step of one attribute: pop the (FIFO) prefix of the
-  /// `from_phase` store up to `up_to_row_id` and append the generalized
-  /// `entries` to the next phase (empty when the step is a removal to ⊥).
-  /// Logged values are already generalized — they leak nothing beyond what
-  /// stays live in the database, so they may be logged in the clear.
+  /// One degradation step of one attribute: pop exactly the row ids of
+  /// `entries` from the `from_phase` store and append the generalized
+  /// `entries` to the next phase (their values are Null when the step is a
+  /// removal to ⊥). `up_to_row_id` (the last id) is encoded but read by
+  /// nothing. The values are logged in the clear: they are as coarse as
+  /// the to-phase store holds them, but they stay in the log past that
+  /// phase's own deadline, until the segment retires.
   kDegradeStep = 5,
   /// Tuple removal (user delete, or the final LCP transition).
   kDelete = 6,
@@ -40,9 +42,10 @@ enum class WalRecordType : uint8_t {
   kCheckpoint = 8,
 };
 
-/// \brief One redo record. All redo is *idempotent*: appends carry monotone
-/// row ids (stores skip duplicates), pops are expressed as "through row id",
-/// deletes and stable updates are absolute.
+/// \brief One redo record: a commit applies it and crash recovery replays
+/// it through the same function (Table::Apply). All redo is *idempotent*:
+/// appends carry row ids (stores skip duplicates), pops are by row id
+/// (absent ids are no-ops), deletes and stable updates are absolute.
 struct WalRecord {
   WalRecordType type = WalRecordType::kBegin;
   uint64_t txn_id = 0;
@@ -58,6 +61,11 @@ struct WalRecord {
   /// good, which is exactly the guarantee — redo falls back to the coarse
   /// values carried by later kDegradeStep records.
   bool degradable_unavailable = false;
+  /// In-memory only (never serialized): each degradable value's leaf
+  /// ordinal at its phase-0 level, as the live insert validated it, so the
+  /// apply needs no label lookup. Empty on a decoded record, whose apply
+  /// resolves the ordinals from the values.
+  std::vector<int64_t> ordinals;
 
   // kDegradeStep
   int column = 0;       // schema column index

@@ -36,22 +36,9 @@ Status WalManager::Open() {
   return stream_->Open();
 }
 
-Result<Lsn> WalManager::Append(const WalRecord& record, bool sync) {
-  return stream_->Append(record, sync);
-}
-
 Result<Lsn> WalManager::AppendBatch(
     const std::vector<const WalRecord*>& records, bool sync) {
   return stream_->AppendBatch(records, sync);
-}
-
-Status WalManager::AppendCommit(const std::vector<const WalRecord*>& ops,
-                                const WalRecord& commit, bool sync) {
-  std::vector<const WalRecord*> records;
-  records.reserve(ops.size() + 1);
-  records.insert(records.end(), ops.begin(), ops.end());
-  records.push_back(&commit);
-  return stream_->AppendBatch(records, sync).status();
 }
 
 Status WalManager::Sync() { return stream_->Sync(); }

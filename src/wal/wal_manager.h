@@ -54,22 +54,15 @@ class WalManager {
   /// Opens the log, truncating a torn tail.
   Status Open();
 
-  /// Appends one record; returns its LSN.
-  Result<Lsn> Append(const WalRecord& record, bool sync);
-
-  /// Group append: every record as one buffered write + at most one sync.
+  /// Group append: every record as one buffered write, so a torn tail that
+  /// loses any record loses the ones after it too (a transaction's COMMIT
+  /// marker goes last). When `sync` (or WalOptions::sync_on_commit) it
+  /// blocks until the synced watermark covers the records' bytes — at most
+  /// one sync, and under concurrency usually a *shared* one: the
+  /// group-commit leader absorbs every committer parked on the watermark.
   /// Returns the LSN of the first record.
   Result<Lsn> AppendBatch(const std::vector<const WalRecord*>& records,
                           bool sync);
-
-  /// Transaction commit: `ops` and the `commit` marker as one buffered
-  /// write, so a torn tail that loses any op loses the marker too. When
-  /// `sync` (or WalOptions::sync_on_commit) it blocks until the synced
-  /// watermark covers the transaction's bytes — at most one sync, and under
-  /// concurrency usually a *shared* one: the group-commit leader absorbs
-  /// every committer parked on the watermark.
-  Status AppendCommit(const std::vector<const WalRecord*>& ops,
-                      const WalRecord& commit, bool sync);
 
   /// Syncs everything appended so far.
   Status Sync();

@@ -227,6 +227,46 @@ TEST_F(EngineTest, OpenUserTransactionCannotStopDegradation) {
   EXPECT_TRUE(committed.clean()) << committed.ToString();
 }
 
+// A stable update staged on a row the LCP then expires applies to nothing:
+// the commit succeeds, changes nothing, and counts the apply that found no
+// row. A reopen replays the update over the expired row, which stays gone.
+TEST_F(EngineTest, UpdateOfARowExpiredBeforeItsCommitChangesNothing) {
+  OpenDb();
+  ASSERT_TRUE(db_->CreateTable("pings", PingSchema(Fig2LocationLcp())).ok());
+  auto row = db_->Insert("pings",
+                         {Value::String("u"), Value::String("11 Rue Lepic")});
+  ASSERT_TRUE(row.ok());
+  auto txn = db_->Begin();
+  ASSERT_TRUE(db_->GetTable("pings")
+                  ->UpdateStable(txn.get(), *row, {Value::String("renamed")})
+                  .ok());
+
+  // Past the last phase: the pass removes the value and so expires the
+  // tuple, with the update's row lock still held.
+  clock_->Advance(kMicrosPerHour + kMicrosPerDay + 2 * kMicrosPerMonth +
+                  kMicrosPerSecond);
+  auto moved = db_->RunDegradationOnce();
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  Table* table = db_->GetTable("pings");
+  EXPECT_EQ(table->stats().tuples_expired, 1u);
+
+  const Status committed = db_->Commit(txn.get());
+  ASSERT_TRUE(committed.ok()) << committed.ToString();
+  EXPECT_EQ(table->stats().applies_without_row, 1u);
+  EXPECT_EQ(table->live_rows(), 0u);
+  auto stored = oracle::StoredRow(*table, *row);
+  ASSERT_TRUE(stored.ok());
+  EXPECT_FALSE(stored->has_value());
+
+  db_.reset();
+  OpenDb();
+  table = db_->GetTable("pings");
+  EXPECT_EQ(table->live_rows(), 0u);
+  stored = oracle::StoredRow(*table, *row);
+  ASSERT_TRUE(stored.ok());
+  EXPECT_FALSE(stored->has_value());
+}
+
 // Steps on one partition run one at a time. While one pass's step is in
 // flight, a second pass skips the partition instead of collecting the
 // prefix the first is moving: a step collected twice could be logged after

@@ -541,9 +541,10 @@ TEST_F(FaultInjectionTest, HeapPageChecksumDetectsTornAndCorruptPages) {
 // though the failed attempt flushed every partition clean), and the first
 // error stays sticky all the way into stats().io and Close().
 // A transient I/O error in a degrade step's apply, after the step's WAL
-// commit, must not stall degradation until a restart: the step ends (its
-// transaction holds nothing afterwards), and the next pass in the same
-// process re-collects the values still in the from-phase store and
+// commit, must not stall degradation until a restart. The commit re-runs
+// the failed apply once; here the fault outlasts that retry, so the step
+// ends (its transaction holds nothing afterwards), and the next pass in the
+// same process re-collects the values still in the from-phase store and
 // completes the move.
 TEST_F(FaultInjectionTest, FailedDegradeApplyCompletesOnNextPass) {
   FaultInjectionEnv fault(Env::Default());
@@ -573,9 +574,12 @@ TEST_F(FaultInjectionTest, FailedDegradeApplyCompletesOnNextPass) {
     ASSERT_TRUE(db->Write(&batch).ok());
   }
 
-  // The phase-1 store's buffered flush fails inside the step's apply.
-  fault.FailOnce(FaultOp::kAppend, 1, Status::IOError("injected append EIO"),
-                 "c1.p1");
+  // The phase-1 store's buffered flush fails inside the step's apply, and
+  // again inside the commit's retry of it.
+  for (int i = 0; i < 2; ++i) {
+    fault.FailOnce(FaultOp::kAppend, 1, Status::IOError("injected append EIO"),
+                   "c1.p1");
+  }
   clock.Advance(kMicrosPerHour + kMicrosPerSecond);
   auto failed = db->RunDegradationOnce();
   ASSERT_FALSE(failed.ok());
@@ -590,6 +594,51 @@ TEST_F(FaultInjectionTest, FailedDegradeApplyCompletesOnNextPass) {
   EXPECT_TRUE(table->partition(0)->store(1, 0)->empty());
   EXPECT_EQ(table->partition(0)->store(1, 1)->size(),
             static_cast<size_t>(kRows));
+}
+
+// A transient I/O error in a user commit's apply, after its WAL commit,
+// converges inside that commit: the failed record and the ones after it are
+// applied again (an apply is the idempotent redo), and the insert whose
+// store append failed is completed and counted once. No reopen.
+TEST_F(FaultInjectionTest, FailedInsertApplyIsRetriedInTheSameCommit) {
+  FaultInjectionEnv fault(Env::Default());
+  VirtualClock clock(0);
+  auto opened = Database::Open(Options(dir_, &clock, &fault));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(*opened);
+  ASSERT_NO_FATAL_FAILURE(CreatePings(db.get()));
+
+  // The phase-0 store's buffered flush fails partway through the batch's
+  // apply: that row is in the heap, its location is in no store.
+  fault.FailOnce(FaultOp::kAppend, 1, Status::IOError("injected append EIO"),
+                 "c1.p0");
+  constexpr uint64_t kRows = 1000;
+  WriteBatch batch;
+  for (uint64_t i = 0; i < kRows; ++i) {
+    batch.Insert("pings", {Value::String("u" + std::to_string(i)),
+                           Value::String("11 Rue Lepic")});
+  }
+  const Status written = db->Write(&batch);
+  ASSERT_TRUE(written.ok()) << written.ToString();
+  EXPECT_EQ(fault.io_counters().injected_faults, 1u);
+
+  Table* table = db->GetTable("pings");
+  EXPECT_EQ(table->live_rows(), kRows);
+  EXPECT_EQ(DumpUsers(table).size(), kRows);
+  EXPECT_EQ(table->stats().inserts, kRows);
+  size_t stored = 0;
+  for (uint32_t p = 0; p < table->num_partitions(); ++p) {
+    stored += table->partition(p)->store(1, 0)->size();
+    const TablePartition::IndexAuditCounts index =
+        table->partition(p)->AuditIndexes();
+    EXPECT_EQ(index.stale, 0u);
+    EXPECT_EQ(index.missing, 0u);
+  }
+  EXPECT_EQ(stored, kRows);
+  EXPECT_EQ(db->stats().stores.entries, kRows);
+  EXPECT_EQ(db->stats().index.entries, kRows);
+  const AuditReport audit = db->Audit();
+  EXPECT_TRUE(audit.clean()) << audit.ToString();
 }
 
 TEST_F(FaultInjectionTest, MaintenanceRetriesCheckpointAndKeepsOldManifest) {

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 
@@ -7,6 +8,7 @@
 #include "common/strings.h"
 #include "db/database.h"
 #include "db/row_map.h"
+#include "degradable_mix.h"
 #include "gtest/gtest.h"
 #include "scan_oracle.h"
 #include "util/file.h"
@@ -350,8 +352,8 @@ TEST(RowMapTest, MatchesAnOrderedMapUnderRandomOperations) {
   EXPECT_EQ(map.bytes(), 0u);
 }
 
-// The partition's row map against an ordered-map oracle, through the apply
-// closures: out-of-order applies, a duplicate ApplyInsert as redo replays
+// The partition's row map against an ordered-map oracle, through
+// Table::Apply: out-of-order applies, a duplicate insert as redo replays
 // it, middle deletes, head pops past the compaction point, inserts that
 // reuse the freed heap space, and a reopen from that heap, whose page order
 // is no longer row-id order.
@@ -360,15 +362,15 @@ TEST_F(PartitionTest, RowMapMatchesAnOracleThroughApplyAndReopen) {
   std::map<RowId, std::string> oracle;
   // Partition 0 owns the ids that are multiples of kPartitions.
   const auto apply = [&](uint64_t k, const std::string& user) {
-    const RowId id = k * kPartitions;
-    ASSERT_TRUE(db_->GetTable("pings")
-                    ->partition(0)
-                    ->ApplyInsert(id, clock_->NowMicros(),
-                                  {Value::String(user)},
-                                  {Value::String("11 Rue Lepic")},
-                                  /*degradable_available=*/true,
-                                  /*ordinals=*/nullptr)
-                    .ok());
+    WalRecord record;
+    record.type = WalRecordType::kInsert;
+    record.table = db_->GetTable("pings")->id();
+    record.row_id = k * kPartitions;
+    record.insert_time = clock_->NowMicros();
+    record.stable = {Value::String(user)};
+    record.degradable = {Value::String("11 Rue Lepic")};
+    ASSERT_TRUE(db_->GetTable("pings")->Apply(record).ok());
+    const RowId id = record.row_id;
     oracle.emplace(id, user);  // a duplicate keeps the first
   };
   const auto user_of = [](uint64_t k) {
@@ -376,8 +378,11 @@ TEST_F(PartitionTest, RowMapMatchesAnOracleThroughApplyAndReopen) {
                         static_cast<unsigned long long>(k));
   };
   const auto remove = [&](uint64_t k) {
-    ASSERT_TRUE(
-        db_->GetTable("pings")->partition(0)->ApplyDelete(k * kPartitions).ok());
+    WalRecord record;
+    record.type = WalRecordType::kDelete;
+    record.table = db_->GetTable("pings")->id();
+    record.row_id = k * kPartitions;
+    ASSERT_TRUE(db_->GetTable("pings")->Apply(record).ok());
     oracle.erase(k * kPartitions);
   };
   const auto check = [&](const char* where) {
@@ -443,6 +448,159 @@ TEST_F(PartitionTest, RowMapMatchesAnOracleThroughApplyAndReopen) {
 
   ReopenDb(kPartitions);
   check("reopen");
+}
+
+// Applying a committed record a second time changes nothing, for every
+// record type: insert, delete, stable update, degrade step, and removal
+// step with and without the tuple's expiry. Each commit's records are read
+// back from the log and applied again through Table::Apply on the live
+// database, indexes built, so the index hooks are re-applied too (WAL redo
+// runs before the indexes exist). This is what makes a commit's retry of a
+// failed apply safe.
+TEST_F(PartitionTest, ApplyingACommittedRecordAgainChangesNothing) {
+  ASSERT_TRUE(db_->CreateTable("pings", mix::MixSchema()).ok());
+  Table* table = db_->GetTable("pings");
+  const Schema& schema = table->schema();
+
+  // Everything an apply can touch: the rows as the scan oracle reads them,
+  // every store's entries, the index and store footprints, the index audit.
+  const auto snapshot = [&] {
+    std::vector<std::string> state;
+    auto rows = oracle::StoredRows(*table);
+    EXPECT_TRUE(rows.ok());
+    if (!rows.ok()) return state;
+    std::map<RowId, std::string> by_id;
+    for (const oracle::Stored& row : *rows) {
+      std::string text = std::to_string(row.insert_time);
+      for (const Value& value : row.values) text += "|" + value.ToString();
+      for (int phase : row.phases) text += "|p" + std::to_string(phase);
+      by_id[row.row_id] = text;
+    }
+    for (const auto& [id, text] : by_id) {
+      state.push_back(std::to_string(id) + ":" + text);
+    }
+    for (uint32_t p = 0; p < table->num_partitions(); ++p) {
+      for (int col : schema.degradable_columns()) {
+        for (int phase = 0; phase < schema.column(col).lcp.num_phases();
+             ++phase) {
+          std::string entries = StringPrintf("p%u.c%d.%d:", p, col, phase);
+          table->partition(p)->store(col, phase)->ForEach(
+              [&](const StoreEntryView& entry) {
+                entries += StringPrintf(
+                    " %llu/%lld/%lld",
+                    static_cast<unsigned long long>(entry.row_id),
+                    static_cast<long long>(entry.insert_time),
+                    static_cast<long long>(entry.ordinal));
+                return true;
+              });
+          state.push_back(entries);
+        }
+      }
+      const TablePartition::IndexAuditCounts audit =
+          table->partition(p)->AuditIndexes();
+      state.push_back(StringPrintf("audit %llu %llu",
+                                   static_cast<unsigned long long>(audit.stale),
+                                   static_cast<unsigned long long>(
+                                       audit.missing)));
+    }
+    const Database::Stats stats = db_->stats();
+    state.push_back(StringPrintf(
+        "index %llu %llu stores %llu %llu",
+        static_cast<unsigned long long>(stats.index.entries),
+        static_cast<unsigned long long>(stats.index.bytes),
+        static_cast<unsigned long long>(stats.stores.entries),
+        static_cast<unsigned long long>(stats.stores.bytes)));
+    return state;
+  };
+
+  std::set<std::string> kinds;
+  // Runs `op`, then applies every record it committed a second time;
+  // returns how many there were.
+  const auto twice = [&](const std::function<void()>& op) {
+    const Lsn from = db_->wal()->next_lsn();
+    op();
+    const std::vector<std::string> once = snapshot();
+    size_t records = 0;
+    const auto apply_again = [&](const WalRecord& record) {
+      ++records;
+      if (record.type != WalRecordType::kDegradeStep) {
+        kinds.insert(std::to_string(static_cast<int>(record.type)));
+      } else if (record.to_phase <
+                 schema.column(record.column).lcp.num_phases()) {
+        kinds.insert("degrade");
+      } else {
+        kinds.insert("removal");
+      }
+      return table->Apply(record);
+    };
+    EXPECT_TRUE(db_->wal()->RecoverCommitted(from, apply_again).ok());
+    EXPECT_EQ(snapshot(), once);
+    return records;
+  };
+
+  // Ten batches spread the rows over every partition (batch-affine ids).
+  std::vector<RowId> rows;
+  for (int b = 0; b < 10; ++b) {
+    const size_t records = twice([&] {
+      WriteBatch batch;
+      for (int i = 0; i < 8; ++i) {
+        const int n = b * 8 + i;
+        batch.Insert("pings", {Value::String("u" + std::to_string(n)),
+                               Value::Int64(n), Value::String("11 Rue Lepic"),
+                               Value::Int64((n * 137) % 20000)});
+      }
+      ASSERT_TRUE(db_->Write(&batch).ok());
+      rows.insert(rows.end(), batch.row_ids().begin(), batch.row_ids().end());
+    });
+    EXPECT_EQ(records, 8u);
+  }
+  const auto delete_some = [&] {
+    WriteBatch batch;
+    for (size_t i = 0; i < rows.size(); i += 9) batch.Delete("pings", rows[i]);
+    ASSERT_TRUE(db_->Write(&batch).ok());
+  };
+  EXPECT_EQ(twice(delete_some), 9u);
+  const auto update_some = [&] {
+    auto txn = db_->Begin();
+    for (size_t i = 1; i < rows.size(); i += 5) {
+      if (i % 9 == 0) continue;  // deleted above
+      const std::vector<Value> stable = {
+          Value::String("renamed"), Value::Int64(-static_cast<int64_t>(i))};
+      ASSERT_TRUE(table->UpdateStable(txn.get(), rows[i], stable).ok());
+    }
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  };
+  EXPECT_EQ(twice(update_some), 15u);
+
+  // One degrade step at a time. Salary reaches ⊥ a month before location
+  // (a removal that keeps the tuple); location's removal expires it.
+  const auto degrade = [&] {
+    for (uint32_t p = 0; p < table->num_partitions(); ++p) {
+      for (;;) {
+        size_t moved = 0;
+        twice([&] {
+          auto step = table->RunDegradationStep(
+              db_->txn_manager(), clock_->NowMicros(), 16, p);
+          ASSERT_TRUE(step.ok()) << step.status().ToString();
+          moved = *step;
+        });
+        if (moved == 0) break;
+      }
+    }
+  };
+  for (const Micros advance : {kMicrosPerHour, kMicrosPerDay, kMicrosPerMonth,
+                               kMicrosPerMonth}) {
+    clock_->Advance(advance + kMicrosPerSecond);
+    degrade();
+  }
+  EXPECT_GT(table->stats().tuples_expired, 0u);
+  EXPECT_EQ(table->live_rows(), 0u);
+  EXPECT_EQ(kinds, (std::set<std::string>{
+                       std::to_string(static_cast<int>(WalRecordType::kInsert)),
+                       std::to_string(static_cast<int>(WalRecordType::kDelete)),
+                       std::to_string(
+                           static_cast<int>(WalRecordType::kUpdateStable)),
+                       "degrade", "removal"}));
 }
 
 // The row map costs at most 32 bytes per live row, array capacity

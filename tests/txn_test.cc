@@ -1,4 +1,5 @@
 #include <atomic>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -89,7 +90,15 @@ class TxnTest : public ::testing::Test {
     wal_ = std::make_unique<WalManager>(dir_ + "/wal", WalOptions{},
                                         keys_.get());
     ASSERT_TRUE(wal_->Open().ok());
-    tm_ = std::make_unique<TransactionManager>(&locks_, wal_.get());
+    // The apply seam: records the row id of every record applied, and
+    // fails the applies whose (1-based) call number is in `fail_calls_`.
+    tm_ = std::make_unique<TransactionManager>(
+        &locks_, wal_.get(), [this](const WalRecord& record) {
+          applied_.push_back(record.row_id);
+          return fail_calls_.count(applied_.size()) != 0
+                     ? Status::IOError("apply failed")
+                     : Status::OK();
+        });
   }
   void TearDown() override { RemoveDirRecursive(dir_).ok(); }
 
@@ -115,23 +124,18 @@ class TxnTest : public ::testing::Test {
   std::unique_ptr<WalManager> wal_;
   LockManager locks_;
   std::unique_ptr<TransactionManager> tm_;
+  std::vector<RowId> applied_;
+  std::set<size_t> fail_calls_;
 };
 
 TEST_F(TxnTest, CommitAppliesOpsInOrderAndLogs) {
   auto txn = tm_->Begin();
-  std::vector<int> applied;
-  txn->AddOp(InsertRecord(1), [&] {
-    applied.push_back(1);
-    return Status::OK();
-  });
-  txn->AddOp(InsertRecord(2), [&] {
-    applied.push_back(2);
-    return Status::OK();
-  });
+  txn->AddOp(InsertRecord(1));
+  txn->AddOp(InsertRecord(2));
   ASSERT_TRUE(txn->LockRow(1, 1).ok());
   ASSERT_TRUE(tm_->Commit(txn.get()).ok());
   EXPECT_EQ(txn->state(), TxnState::kCommitted);
-  EXPECT_EQ(applied, (std::vector<int>{1, 2}));
+  EXPECT_EQ(applied_, (std::vector<RowId>{1, 2}));
   ExpectRowFree(1, 1);
 
   // WAL contains the two ops followed by a COMMIT with the txn id.
@@ -150,15 +154,11 @@ TEST_F(TxnTest, CommitAppliesOpsInOrderAndLogs) {
 
 TEST_F(TxnTest, AbortDropsOpsAndLogsNothing) {
   auto txn = tm_->Begin();
-  bool applied = false;
-  txn->AddOp(InsertRecord(1), [&] {
-    applied = true;
-    return Status::OK();
-  });
+  txn->AddOp(InsertRecord(1));
   ASSERT_TRUE(txn->LockRow(1, 1).ok());
   tm_->Abort(txn.get());
   EXPECT_EQ(txn->state(), TxnState::kAborted);
-  EXPECT_FALSE(applied);
+  EXPECT_TRUE(applied_.empty());
   ExpectRowFree(1, 1);
   size_t records = 0;
   ASSERT_TRUE(wal_->Replay(0, [&](const WalRecord&, Lsn) {
@@ -177,15 +177,31 @@ TEST_F(TxnTest, ReadOnlyCommitWritesNoWal) {
 }
 
 TEST_F(TxnTest, FailedApplyEndsTxnAndReleasesLocks) {
-  // The apply runs after the WAL commit; an I/O error there must still end
-  // the transaction, or its row lock would block every later writer.
+  // The apply runs after the WAL commit; an I/O error there that outlasts
+  // the retry must still end the transaction, or its row lock would block
+  // every later writer.
   auto txn = tm_->Begin();
   ASSERT_TRUE(txn->LockRow(1, 1).ok());
-  txn->AddOp(InsertRecord(1), [] { return Status::IOError("apply failed"); });
+  txn->AddOp(InsertRecord(1));
+  fail_calls_ = {1, 2};
   const Status committed = tm_->Commit(txn.get());
   EXPECT_TRUE(committed.IsIOError()) << committed.ToString();
+  EXPECT_EQ(applied_, (std::vector<RowId>{1, 1}));  // the apply and its retry
   EXPECT_NE(txn->state(), TxnState::kActive);
   ExpectRowFree(1, 1);
+}
+
+TEST_F(TxnTest, FailedApplyIsRetriedOnceFromTheFailingRecord) {
+  // Record 2's first apply fails: the commit re-runs it and the records
+  // after it (never the ones before), and then succeeds.
+  auto txn = tm_->Begin();
+  txn->AddOp(InsertRecord(1));
+  txn->AddOp(InsertRecord(2));
+  txn->AddOp(InsertRecord(3));
+  fail_calls_ = {2};
+  ASSERT_TRUE(tm_->Commit(txn.get()).ok());
+  EXPECT_EQ(txn->state(), TxnState::kCommitted);
+  EXPECT_EQ(applied_, (std::vector<RowId>{1, 2, 2, 3}));
 }
 
 TEST_F(TxnTest, TxnIdsAreMonotone) {
@@ -204,12 +220,12 @@ TEST_F(TxnTest, TwoPassRecoveryIgnoresUncommitted) {
   // both reach the log (the latter without its COMMIT record, as if the
   // crash hit between op logging and commit).
   auto committed = tm_->Begin();
-  committed->AddOp(InsertRecord(1), [] { return Status::OK(); });
+  committed->AddOp(InsertRecord(1));
   ASSERT_TRUE(tm_->Commit(committed.get()).ok());
 
   WalRecord orphan = InsertRecord(2);
   orphan.txn_id = 999;
-  ASSERT_TRUE(wal_->Append(orphan, true).ok());
+  ASSERT_TRUE(wal_->AppendBatch({&orphan}, true).ok());
 
   // Pass 1: committed set. Pass 2: apply filter.
   std::set<uint64_t> committed_ids;

@@ -306,12 +306,13 @@ class WalTornTailTest : public ::testing::TestWithParam<WalPrivacyMode> {
 
   Status Commit(WalManager* wal, uint64_t txn,
                 const std::vector<WalRecord>& ops) {
-    std::vector<const WalRecord*> pointers;
-    for (const WalRecord& op : ops) pointers.push_back(&op);
     WalRecord commit;
     commit.type = WalRecordType::kCommit;
     commit.txn_id = txn;
-    return wal->AppendCommit(pointers, commit, /*sync=*/true);
+    std::vector<const WalRecord*> records;
+    for (const WalRecord& op : ops) records.push_back(&op);
+    records.push_back(&commit);
+    return wal->AppendBatch(records, /*sync=*/true).status();
   }
 
   std::string dir_;

@@ -27,6 +27,11 @@ WalRecord MakeInsert(TableId table, RowId row, Micros t,
   return record;
 }
 
+/// Appends one record as its own group append; returns its LSN.
+Result<Lsn> Append(WalManager* wal, const WalRecord& record, bool sync) {
+  return wal->AppendBatch({&record}, sync);
+}
+
 class WalTest : public ::testing::TestWithParam<WalPrivacyMode> {
  protected:
   void SetUp() override {
@@ -65,10 +70,12 @@ TEST_P(WalTest, AppendAndReplayRoundTrip) {
   ASSERT_TRUE(wal->Open().ok());
   std::vector<Lsn> lsns;
   for (RowId r = 1; r <= 20; ++r) {
-    auto lsn = wal->Append(MakeInsert(1, r, r * kMicrosPerMinute,
-                                      StringPrintf("addr-%llu",
-                                                   static_cast<unsigned long long>(r))),
-                           false);
+    auto lsn = Append(
+        wal.get(),
+        MakeInsert(1, r, r * kMicrosPerMinute,
+                   StringPrintf("addr-%llu",
+                                static_cast<unsigned long long>(r))),
+        false);
     ASSERT_TRUE(lsn.ok());
     lsns.push_back(*lsn);
   }
@@ -96,7 +103,7 @@ TEST_P(WalTest, ReplayFromMidpoint) {
   ASSERT_TRUE(wal->Open().ok());
   Lsn mid = 0;
   for (RowId r = 1; r <= 10; ++r) {
-    auto lsn = wal->Append(MakeInsert(1, r, 0, "x"), false);
+    auto lsn = Append(wal.get(), MakeInsert(1, r, 0, "x"), false);
     ASSERT_TRUE(lsn.ok());
     if (r == 6) mid = *lsn;
   }
@@ -116,7 +123,8 @@ TEST_P(WalTest, ReopenResumesAppendingAfterTornTail) {
     auto wal = MakeWal();
     ASSERT_TRUE(wal->Open().ok());
     for (RowId r = 1; r <= 5; ++r) {
-      ASSERT_TRUE(wal->Append(MakeInsert(1, r, 0, "secret"), false).ok());
+      ASSERT_TRUE(
+          Append(wal.get(), MakeInsert(1, r, 0, "secret"), false).ok());
     }
     ASSERT_TRUE(wal->Sync().ok());
     end_before = wal->next_lsn();
@@ -145,7 +153,7 @@ TEST_P(WalTest, ReopenResumesAppendingAfterTornTail) {
                  }).ok());
   EXPECT_EQ(count, 5u);
   // New appends still replay correctly.
-  ASSERT_TRUE(wal->Append(MakeInsert(1, 6, 0, "after"), true).ok());
+  ASSERT_TRUE(Append(wal.get(), MakeInsert(1, 6, 0, "after"), true).ok());
   count = 0;
   ASSERT_TRUE(wal->Replay(0, [&](const WalRecord&, Lsn) {
                    ++count;
@@ -158,7 +166,8 @@ TEST_P(WalTest, CheckpointRetiresSegments) {
   auto wal = MakeWal();
   ASSERT_TRUE(wal->Open().ok());
   for (RowId r = 1; r <= 50; ++r) {
-    ASSERT_TRUE(wal->Append(MakeInsert(1, r, 0, "payload-payload"), false).ok());
+    ASSERT_TRUE(
+        Append(wal.get(), MakeInsert(1, r, 0, "payload-payload"), false).ok());
   }
   ASSERT_GT(wal->stats().segments_created, 2u);
   // Quiescent checkpoint: covers everything logged so far.
@@ -178,7 +187,8 @@ TEST_P(WalTest, CheckpointRetiresSegments) {
                  }).ok());
   EXPECT_EQ(count, 0u);
   // New appends after the checkpoint do replay.
-  ASSERT_TRUE(wal->Append(MakeInsert(1, 99, 0, "post-ckpt"), true).ok());
+  ASSERT_TRUE(
+      Append(wal.get(), MakeInsert(1, 99, 0, "post-ckpt"), true).ok());
   ASSERT_TRUE(wal->Replay(ckpt, [&](const WalRecord& record, Lsn) {
                    ++count;
                    EXPECT_EQ(record.row_id, 99u);
@@ -199,13 +209,13 @@ TEST_P(WalTest, DegradeStepAndDeleteRecordsRoundTrip) {
   step.up_to_row_id = 17;
   step.entries = {{15, 100, Value::String("Paris")},
                   {17, 120, Value::String("Aix")}};
-  ASSERT_TRUE(wal->Append(step, false).ok());
+  ASSERT_TRUE(Append(wal.get(), step, false).ok());
 
   WalRecord del;
   del.type = WalRecordType::kDelete;
   del.table = 3;
   del.row_id = 15;
-  ASSERT_TRUE(wal->Append(del, false).ok());
+  ASSERT_TRUE(Append(wal.get(), del, false).ok());
 
   std::vector<WalRecord> seen;
   ASSERT_TRUE(wal->Replay(0, [&](const WalRecord& record, Lsn) {
@@ -227,7 +237,7 @@ TEST_P(WalTest, AccurateResidueMatchesPrivacyMode) {
   auto wal = MakeWal();
   ASSERT_TRUE(wal->Open().ok());
   for (RowId r = 1; r <= 40; ++r) {
-    ASSERT_TRUE(wal->Append(MakeInsert(1, r, 0, secret), false).ok());
+    ASSERT_TRUE(Append(wal.get(), MakeInsert(1, r, 0, secret), false).ok());
   }
   ASSERT_TRUE(wal->Sync().ok());
 
@@ -259,11 +269,11 @@ TEST_P(WalTest, EpochKeyDestructionMakesInsertsUnreadable) {
   auto wal = MakeWal();
   ASSERT_TRUE(wal->Open().ok());
   // Epoch 0: t < 1h. Epoch 1: 1h <= t < 2h.
-  ASSERT_TRUE(wal->Append(MakeInsert(1, 1, 0, "old-epoch-addr"), false).ok());
-  ASSERT_TRUE(wal
-                  ->Append(MakeInsert(1, 2, kMicrosPerHour + 1,
-                                      "new-epoch-addr"),
-                           false)
+  ASSERT_TRUE(
+      Append(wal.get(), MakeInsert(1, 1, 0, "old-epoch-addr"), false).ok());
+  ASSERT_TRUE(Append(wal.get(),
+                     MakeInsert(1, 2, kMicrosPerHour + 1, "new-epoch-addr"),
+                     false)
                   .ok());
   ASSERT_TRUE(wal->Sync().ok());
 
@@ -292,7 +302,7 @@ TEST_P(WalTest, CorruptFrameStopsReplayCleanly) {
   auto wal = MakeWal();
   ASSERT_TRUE(wal->Open().ok());
   for (RowId r = 1; r <= 3; ++r) {
-    ASSERT_TRUE(wal->Append(MakeInsert(1, r, 0, "v"), false).ok());
+    ASSERT_TRUE(Append(wal.get(), MakeInsert(1, r, 0, "v"), false).ok());
   }
   ASSERT_TRUE(wal->Sync().ok());
   logical_end = wal->next_lsn();
