@@ -49,7 +49,10 @@ run_plain() {
 # partition_test, whose row map shifts its sorted arrays on out-of-order
 # inserts and middle erases, drops the consumed head and gallops through
 # them on id-list reads; wal_test, whose
-# reopen parses torn segment tails and the manifest from disk, database_test,
+# reopen parses torn segment tails and the manifest from disk and whose
+# group-commit cases race eight committers through the sync watermark;
+# wal_recovery_test, which recovers crash images of a multi-partition
+# workload in every privacy mode; database_test,
 # whose FORMAT gate parses stamps and crash images from disk, and
 # query_test and cursor_test: results render after the statement from
 # retained hierarchy pointers, and σ/f_k index hierarchy arrays by stored
@@ -60,7 +63,7 @@ run_plain() {
 # held row lock and wakes it from another thread, and races four threads
 # through wait-die on one row. The rest of the suite is single-threaded and
 # adds only build time.
-SANITIZE_TESTS="txn_test|storage_test|catalog_test|index_test|wal_test|database_test|query_test|cursor_test|concurrency_stress_test|parallel_scan_test|pushdown_test|stable_predicate_test|partition_test|degradation_engine_test|write_batch_test|wal_stream_test|checkpoint_fuzzy_test|maintenance_test|fault_injection_test|morsel_test|service_test"
+SANITIZE_TESTS="txn_test|storage_test|catalog_test|index_test|wal_test|database_test|query_test|cursor_test|concurrency_stress_test|parallel_scan_test|pushdown_test|stable_predicate_test|partition_test|degradation_engine_test|write_batch_test|wal_recovery_test|checkpoint_fuzzy_test|maintenance_test|fault_injection_test|morsel_test|service_test"
 
 run_sanitized() {
   local kind="$1"

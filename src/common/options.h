@@ -43,12 +43,6 @@ struct StorageOptions {
 struct WalOptions {
   WalPrivacyMode privacy_mode = WalPrivacyMode::kScrub;
   size_t segment_bytes = 1 * 1024 * 1024;
-  /// Sync on every commit. Benchmarks disable this to isolate CPU costs.
-  /// Durability is watermark-based either way: a committer blocks until the
-  /// log's synced LSN covers its bytes, and one leader's fdatasync absorbs
-  /// every committer parked on the watermark (leader-based group commit) —
-  /// so under concurrency this costs far less than one sync per commit.
-  bool sync_on_commit = false;
   /// kEncryptedEpoch: width of one key epoch. Choosing it at or below the
   /// shortest phase-0 duration lets every epoch be destroyed as soon as its
   /// tuples leave the accurate state.
@@ -130,6 +124,11 @@ struct ScanOptions {
   const CancelToken* cancel = nullptr;
 };
 
+/// Per-write durability. With `sync` a Write returns only once the log
+/// holds its commit durably (group commit: at most one fdatasync, usually
+/// shared with concurrent committers). Without it the commit is acked from
+/// the log's buffers, and a crash can lose it, up to the next sync or
+/// checkpoint.
 struct WriteOptions {
   bool sync = false;
 };

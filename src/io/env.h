@@ -31,7 +31,7 @@ struct IoCounters {
 /// \brief The filesystem seam every durability-bearing component routes
 /// through (LevelDB/RocksDB idiom).
 ///
-/// `DiskManager`, `WalStream`, `StateStore`, `KeyManager`, `Catalog`, and the
+/// `DiskManager`, `WalManager`, `StateStore`, `KeyManager`, `Catalog`, and the
 /// table/partition directory management all take an `Env*` and perform every
 /// open/read/write/fsync/rename through it, so a test can substitute a
 /// `FaultInjectionEnv` (io/fault_env.h) and exercise the recovery paths

@@ -36,24 +36,30 @@ Status TransactionManager::Commit(Transaction* txn, bool sync) {
       op.txn_id = txn->id_;
       records.push_back(&op);
     }
-    const Status logged = wal_->AppendBatch(records, sync).status();
+    const Result<Lsn> logged = wal_->AppendBatch(records, sync);
     if (!logged.ok()) {
       // The commit never became durable and nothing was applied: treat it
       // as an abort.
       End(txn, TxnState::kAborted);
-      return logged;
+      return logged.status();
     }
     // Point of no return: the transaction is durable; now surface it. A
     // failed apply is re-run once from the failing record: every apply is
     // the idempotent redo, so records already applied in part converge. A
     // failure that outlasts the retry still ends the transaction, so its
     // row locks cannot outlive it and block every later writer of those
-    // rows.
+    // rows; the next checkpoint finishes it (CheckpointBeginLsn).
     for (size_t i = 0; i < count; ++i) {
       if (apply_(ops[i]).ok()) continue;
       for (size_t j = i; j < count; ++j) {
         const Status applied = apply_(ops[j]);
         if (!applied.ok()) {
+          {
+            std::lock_guard<std::mutex> lock(mu_);
+            if (stats_.commits_pending++ == 0 || *logged < pending_lsn_) {
+              pending_lsn_ = *logged;
+            }
+          }
           End(txn, TxnState::kCommitted);
           return applied;
         }
@@ -70,6 +76,19 @@ Lsn TransactionManager::CheckpointBeginLsn() {
   // window; while held no new commit can log, so everything below the LSN
   // read here is fully applied and no transaction straddles it.
   std::unique_lock<std::shared_mutex> barrier(commit_mu_);
+  uint64_t pending = 0;
+  Lsn from = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    pending = stats_.commits_pending;
+    from = pending_lsn_;
+  }
+  if (pending > 0) {
+    if (!wal_->RecoverCommitted(from, apply_).ok()) return from;
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.commits_pending = 0;
+    stats_.commits_reapplied += pending;
+  }
   return wal_->next_lsn();
 }
 

@@ -112,12 +112,14 @@ class TransactionManager {
     }
   }
 
-  /// Logs the queued records + COMMIT, optionally syncs, applies the
-  /// records in order, and releases all locks. The transaction ends on
+  /// Logs the queued records + COMMIT, applies the records in order, and
+  /// releases all locks. With `sync` (WriteOptions::sync) it returns only
+  /// once the log holds the commit durably; without it a crash can lose the
+  /// commit until the next sync or checkpoint. The transaction ends on
   /// every path: a failed log append aborts it. A failed apply is re-run
   /// once, from the failing record on (applies are idempotent); if that
-  /// fails too the transaction stays committed (it is durable, so redo
-  /// would finish it) and Commit returns the error.
+  /// fails too the transaction stays committed, Commit returns the error,
+  /// and the commit is pending until CheckpointBeginLsn finishes it.
   Status Commit(Transaction* txn, bool sync = false);
 
   /// Drops queued work and releases locks. Always succeeds.
@@ -130,12 +132,25 @@ class TransactionManager {
   /// will be replayed on recovery — Commit appends to the WAL before
   /// applying, and without this barrier a checkpoint could slip between
   /// the two and lose a durably committed transaction.
+  ///
+  /// Pending commits (an apply that failed twice) are finished here first:
+  /// the committed log from the oldest one's first LSN on is redone through
+  /// the apply function, in log order, as recovery would. A re-apply of a
+  /// kept copy out of log order could undo a later update of the same row
+  /// or put back a value a later step removed; redo in log order cannot.
+  /// While that redo still fails, the returned LSN is that first LSN, so no
+  /// manifest moves past a commit storage does not fully hold.
   Lsn CheckpointBeginLsn();
 
   struct Stats {
     uint64_t started = 0;
     uint64_t committed = 0;
     uint64_t aborted = 0;
+    /// Committed transactions whose apply failed twice and that no
+    /// checkpoint has finished yet.
+    uint64_t commits_pending = 0;
+    /// Pending commits a checkpoint finished.
+    uint64_t commits_reapplied = 0;
   };
   Stats stats() const;
 
@@ -157,6 +172,9 @@ class TransactionManager {
   /// barrier cannot deadlock against concurrent appenders.
   mutable std::shared_mutex commit_mu_;
   Stats stats_;
+  /// First LSN of the oldest pending commit; meaningful while
+  /// stats_.commits_pending > 0. Guarded by mu_.
+  Lsn pending_lsn_ = 0;
 };
 
 }  // namespace instantdb

@@ -46,77 +46,50 @@ bool DecodeEntries(Slice* input, std::vector<StoreEntry>* out) {
 
 }  // namespace
 
-void EncodeWalRecord(const WalRecord& record, const WalBlobCipher& encrypt,
-                     std::string* dst) {
-  dst->push_back(static_cast<char>(record.type));
-  PutVarint64(dst, record.txn_id);
-  PutVarint32(dst, record.table);
+std::string EncodeWalRecord(const WalRecord& record, WalBlobRange* blob) {
+  if (blob != nullptr) *blob = {};
+  std::string dst;
+  dst.push_back(static_cast<char>(record.type));
+  PutVarint64(&dst, record.txn_id);
+  PutVarint32(&dst, record.table);
   switch (record.type) {
     case WalRecordType::kCommit:
-    case WalRecordType::kBegin:
-    case WalRecordType::kAbort:
       break;
-    case WalRecordType::kInsert: {
-      PutVarint64(dst, record.row_id);
-      PutVarint64(dst, static_cast<uint64_t>(record.insert_time));
-      EncodeValues(record.stable, dst);
-      if (encrypt != nullptr) {
+    case WalRecordType::kInsert:
+      PutVarint64(&dst, record.row_id);
+      PutVarint64(&dst, static_cast<uint64_t>(record.insert_time));
+      EncodeValues(record.stable, &dst);
+      if (blob == nullptr) {
+        dst.push_back(0);  // plaintext flag
+        EncodeValues(record.degradable, &dst);
+      } else {
+        dst.push_back(1);  // encrypted flag: the caller seals the blob
         std::string plain;
         EncodeValues(record.degradable, &plain);
-        std::string sealed = plain;
-        const bool ok = encrypt(record, plain, &sealed);
-        dst->push_back(ok ? 1 : 0);
-        if (ok) {
-          PutLengthPrefixed(dst, sealed);
-          break;
-        }
-      } else {
-        dst->push_back(0);
+        PutVarint32(&dst, static_cast<uint32_t>(plain.size()));
+        *blob = {dst.size(), plain.size()};
+        dst += plain;
       }
-      EncodeValues(record.degradable, dst);
       break;
-    }
     case WalRecordType::kDegradeStep:
-      PutVarint32(dst, static_cast<uint32_t>(record.column));
-      PutVarint32(dst, static_cast<uint32_t>(record.from_phase));
-      PutVarint32(dst, static_cast<uint32_t>(record.to_phase));
-      PutVarint64(dst, record.up_to_row_id);
-      EncodeEntries(record.entries, dst);
+      PutVarint32(&dst, static_cast<uint32_t>(record.column));
+      PutVarint32(&dst, static_cast<uint32_t>(record.from_phase));
+      PutVarint32(&dst, static_cast<uint32_t>(record.to_phase));
+      PutVarint64(&dst, record.up_to_row_id);
+      EncodeEntries(record.entries, &dst);
       break;
     case WalRecordType::kDelete:
-      PutVarint64(dst, record.row_id);
+      PutVarint64(&dst, record.row_id);
       break;
     case WalRecordType::kUpdateStable:
-      PutVarint64(dst, record.row_id);
-      EncodeValues(record.stable, dst);
+      PutVarint64(&dst, record.row_id);
+      EncodeValues(record.stable, &dst);
       break;
     case WalRecordType::kCheckpoint:
-      PutVarint64(dst, record.checkpoint_lsn);
+      PutVarint64(&dst, record.checkpoint_lsn);
       break;
   }
-}
-
-void EncodeWalRecordDeferBlob(const WalRecord& record, std::string* dst,
-                              WalBlobRange* range) {
-  *range = {};
-  if (record.type != WalRecordType::kInsert) {
-    // Only inserts carry an encryptable blob; everything else is final.
-    EncodeWalRecord(record, nullptr, dst);
-    return;
-  }
-  dst->push_back(static_cast<char>(record.type));
-  PutVarint64(dst, record.txn_id);
-  PutVarint32(dst, record.table);
-  PutVarint64(dst, record.row_id);
-  PutVarint64(dst, static_cast<uint64_t>(record.insert_time));
-  EncodeValues(record.stable, dst);
-  dst->push_back(1);  // encrypted flag: the caller seals the blob in place
-  std::string plain;
-  EncodeValues(record.degradable, &plain);
-  PutVarint32(dst, static_cast<uint32_t>(plain.size()));
-  range->offset = dst->size();
-  range->length = plain.size();
-  dst->append(plain);
+  return dst;
 }
 
 Result<WalRecord> DecodeWalRecord(Slice input, const WalBlobCipher& decrypt) {
@@ -133,8 +106,6 @@ Result<WalRecord> DecodeWalRecord(Slice input, const WalBlobCipher& decrypt) {
   record.table = table;
   switch (record.type) {
     case WalRecordType::kCommit:
-    case WalRecordType::kBegin:
-    case WalRecordType::kAbort:
       break;
     case WalRecordType::kInsert: {
       uint64_t row_id, insert_time;

@@ -19,10 +19,10 @@ namespace instantdb {
 /// logical log (segments are named by their starting LSN).
 using Lsn = uint64_t;
 
+/// The values are the on-disk type byte; 1 and 3 are unused (a decoded
+/// one is Corruption).
 enum class WalRecordType : uint8_t {
-  kBegin = 1,
   kCommit = 2,
-  kAbort = 3,
   /// Tuple insertion at full accuracy. The degradable values are the only
   /// accurate sensitive bytes that ever reach the log; WalPrivacyMode
   /// governs how they are kept from outliving their degradation deadline.
@@ -47,7 +47,7 @@ enum class WalRecordType : uint8_t {
 /// appends carry row ids (stores skip duplicates), pops are by row id
 /// (absent ids are no-ops), deletes and stable updates are absolute.
 struct WalRecord {
-  WalRecordType type = WalRecordType::kBegin;
+  WalRecordType type = WalRecordType::kCommit;
   uint64_t txn_id = 0;
   TableId table = 0;
 
@@ -87,38 +87,28 @@ struct WalRecord {
   Micros payload_deadline = kForever;
 };
 
-/// Encrypts/decrypts the degradable blob of an insert record. Input is the
-/// serialized plaintext (encrypt) or ciphertext (decrypt); returns false
-/// when the key is unavailable (destroyed epoch).
+/// Decrypts the degradable blob of an insert record: `in` is the
+/// ciphertext; returns false when the key is unavailable (destroyed epoch).
 using WalBlobCipher =
     std::function<bool(const WalRecord& record, const std::string& in,
                        std::string* out)>;
 
-/// Serializes the record body (the WalManager frames and checksums it).
-/// `encrypt` may be null for plaintext modes.
-void EncodeWalRecord(const WalRecord& record, const WalBlobCipher& encrypt,
-                     std::string* dst);
-
-/// Byte range of the degradable blob inside a record body produced by
-/// EncodeWalRecordDeferBlob. `length == 0` means the record carries no
-/// encryptable blob (every type but kInsert) and the body is final.
+/// Byte range of an insert's degradable blob inside its record body.
 struct WalBlobRange {
   size_t offset = 0;
   size_t length = 0;
 };
 
-/// LSN-reservation encode path: serializes the record body with the
-/// degradable blob written in *plaintext* but already framed as encrypted
-/// (flag + length prefix), reporting the blob's byte range via `*range`.
-/// The stream cipher preserves length, so the caller can serialize — the
-/// expensive part — outside the stream mutex, reserve the record's LSN
-/// under it, and then XOR the blob in place with the LSN-derived nonce.
-/// The resulting bytes are identical to EncodeWalRecord with the same key
-/// and nonce. Must only be used when the encryption key is known to exist
-/// (the caller fetched it); records without a blob come out exactly as
-/// EncodeWalRecord(record, nullptr, dst) would.
-void EncodeWalRecordDeferBlob(const WalRecord& record, std::string* dst,
-                              WalBlobRange* range);
+/// Serializes the record body (the WalManager frames and checksums it).
+/// With a null `blob` the body is final: an insert's degradable values are
+/// written in the plaintext layout. With a non-null `blob` an insert's
+/// values are written in *plaintext* but already framed as encrypted (flag
+/// + length prefix), and `*blob` receives their byte range; the caller
+/// seals that range in place once the record's LSN (its nonce) is known —
+/// the stream cipher preserves length. Every other type comes out final
+/// with `blob->length == 0`.
+std::string EncodeWalRecord(const WalRecord& record,
+                            WalBlobRange* blob = nullptr);
 
 /// Decodes a record body; `decrypt` may be null (encrypted payloads are then
 /// reported unavailable).

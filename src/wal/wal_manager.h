@@ -1,7 +1,7 @@
 #ifndef INSTANTDB_WAL_WAL_MANAGER_H_
 #define INSTANTDB_WAL_WAL_MANAGER_H_
 
-#include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
@@ -13,12 +13,19 @@
 #include "storage/key_manager.h"
 #include "util/file.h"
 #include "wal/log_record.h"
-#include "wal/wal_stream.h"
 
 namespace instantdb {
 
-/// \brief The redo log: one WalStream plus the checkpoint manifest, the
-/// epoch keys and the deletion-assurance probes.
+class Env;
+
+/// Id of the per-(table, epoch) key in the KeyManager
+/// (WalPrivacyMode::kEncryptedEpoch). Destroying it makes every logged copy
+/// of the epoch's inserts unreadable at once.
+std::string WalEpochKeyId(TableId table, uint64_t epoch);
+
+/// \brief The redo log: segment files, writer, group-commit sync watermark,
+/// checkpoint manifest, privacy-mode retirement, epoch keys and the
+/// deletion-assurance probes.
 ///
 /// The paper (§III, citing Stahlberg et al.) observes that traditional WALs
 /// keep every inserted value recoverable long after deletion. Accurate
@@ -31,16 +38,39 @@ namespace instantdb {
 ///    forensic experiments scan.
 ///  - kScrub: retired segments are zero-overwritten, synced, and unlinked.
 ///  - kEncryptedEpoch: each insert's degradable payload is encrypted under
-///    a per-(table, epoch) key. Destroying the key makes every log copy of
-///    the epoch unreadable at once.
+///    a per-(table, epoch) key and the nonce NonceForSequence(lsn). LSNs
+///    never repeat within a log, so neither do (key, nonce) pairs.
+///    Destroying the key makes every log copy of the epoch unreadable at
+///    once.
 ///
-/// Checkpoints: the CHECKPOINT manifest records the LSN replay starts from;
-/// fuzzy checkpoints and segment retirement proceed against it.
+/// Layout: LSNs are byte offsets in the logical log. Segments
+/// `wal_<start-lsn>.log` and the CHECKPOINT manifest (the LSN replay starts
+/// from) sit directly in the log directory. Framing:
+/// [u32 masked CRC32C(body)] [u32 len] [body]; recovery tolerates a torn
+/// tail frame.
 ///
-/// Layout: segments `wal_<start-lsn>.log` and the manifest sit directly in
-/// the log directory.
-class Env;
-
+/// Commit pipeline: append and sync are split around two watermarks.
+/// Appends advance the *appended* LSN (`next_lsn_`) under the mutex, but
+/// frames are encoded and checksummed BEFORE the mutex is taken (for
+/// kEncryptedEpoch inserts, serialization happens outside and only the
+/// LSN-derived blob seal + CRC run under it — the LSN-reservation path).
+/// Durability runs OUTSIDE the mutex behind the *synced* LSN watermark
+/// (`synced_lsn_`): a committer wanting durability parks until the
+/// watermark covers its bytes; leadership is commit-latency-aware — among
+/// the committers waiting while no sync is in flight, the one demanding the
+/// LARGEST covered LSN (the newest arrival, since appends serialize) leads,
+/// issues one fdatasync for everything appended so far with the mutex
+/// released, and its sync absorbs every parked committer at once. Handing
+/// the sync to the largest demand instead of first-through-the-gate shaves
+/// the tail: the biggest outstanding commit never waits behind a sync led
+/// on its behalf by a smaller one. The `sync_requests`/`syncs`/
+/// `commits_absorbed` counters expose how well the absorption works
+/// (sync_requests == syncs + commits_absorbed always).
+///
+/// Thread-safety: all public methods are safe to call concurrently; shared
+/// state is guarded by the log mutex, and the only code that runs outside
+/// it while logically in progress is the leader's fdatasync (segment
+/// rotation waits for an in-flight sync before closing the writer).
 class WalManager {
  public:
   /// `env` == nullptr uses Env::Default(); all physical log I/O funnels
@@ -51,40 +81,70 @@ class WalManager {
   WalManager(const WalManager&) = delete;
   WalManager& operator=(const WalManager&) = delete;
 
-  /// Opens the log, truncating a torn tail.
+  /// Scans existing segments, truncating a torn tail, and positions the
+  /// writer at the end of the log.
   Status Open();
 
-  /// Group append: every record as one buffered write, so a torn tail that
+  /// Group append: every record as ONE buffered write, so a torn tail that
   /// loses any record loses the ones after it too (a transaction's COMMIT
-  /// marker goes last). When `sync` (or WalOptions::sync_on_commit) it
-  /// blocks until the synced watermark covers the records' bytes — at most
-  /// one sync, and under concurrency usually a *shared* one: the
-  /// group-commit leader absorbs every committer parked on the watermark.
-  /// Returns the LSN of the first record.
+  /// marker goes last). Frames are encoded outside the log mutex. Returns
+  /// the LSN of the first record; `*end_lsn` (when non-null) receives the
+  /// post-batch appended LSN. With `sync` the call blocks until the synced
+  /// watermark covers the records' bytes — at most one sync, and under
+  /// concurrency usually a *shared* one: the group-commit leader absorbs
+  /// every committer parked on the watermark.
   Result<Lsn> AppendBatch(const std::vector<const WalRecord*>& records,
-                          bool sync);
+                          bool sync, Lsn* end_lsn = nullptr);
+
+  /// Durably persists every record appended at or below `lsn`: returns
+  /// immediately when the synced watermark already covers it, parks behind
+  /// an in-flight leader sync when one is running, and otherwise leads one
+  /// sync (issued with the mutex released) whose watermark advance wakes
+  /// every parked committer it absorbed.
+  Status SyncThrough(Lsn lsn);
 
   /// Syncs everything appended so far.
   Status Sync();
 
-  /// End of the log: the LSN the next record will get. The commit barrier
-  /// (TransactionManager::CheckpointBeginLsn) reads it with no commit in
-  /// flight, so no transaction straddles the returned position.
-  Lsn next_lsn() const { return stream_->next_lsn(); }
+  /// Appended watermark: the LSN the next record will get. The commit
+  /// barrier (TransactionManager::CheckpointBeginLsn) reads it with no
+  /// commit in flight, so no transaction straddles the returned position.
+  Lsn next_lsn() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return next_lsn_;
+  }
 
-  /// Durable checkpoint: appends a kCheckpoint record and rotates, writes
-  /// the CHECKPOINT manifest, then retires fully-covered segments per the
-  /// privacy mode. `replay_from` must be captured BEFORE flushing the
-  /// storage state the checkpoint covers (the fuzzy-checkpoint begin LSN);
-  /// WalStream::kLogEnd means no writes are in flight (quiescent form:
-  /// cover everything logged so far). Returns the LSN replay must start
-  /// from after a crash.
-  Result<Lsn> LogCheckpoint(Lsn replay_from = WalStream::kLogEnd);
+  /// Synced watermark: everything below it is durable.
+  Lsn synced_lsn() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return synced_lsn_;
+  }
+
+  /// Committers currently inside SyncThrough whose demand the synced
+  /// watermark did not already cover (group-commit depth: leaders plus
+  /// parked followers). Instantaneous — the service front end's WAL
+  /// backpressure signal, not an accounting counter: a sustained non-zero
+  /// depth means durability demand is outrunning the device.
+  size_t SyncWaiters() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return sync_parked_;
+  }
+
+  /// Durable checkpoint, three steps in order: append a kCheckpoint record
+  /// and rotate to a fresh segment (the rotation's seal fsync makes the
+  /// record durable), write the CHECKPOINT manifest, then retire the
+  /// segments fully below the new replay position per the privacy mode —
+  /// retirement never outruns the durable record of that position.
+  /// `begin` is the fuzzy-checkpoint begin LSN, captured BEFORE flushing
+  /// the storage state the checkpoint covers. Returns the LSN replay must
+  /// start from after a crash.
+  Result<Lsn> LogCheckpoint(Lsn begin);
 
   /// Replay start recorded by the last completed checkpoint; 0 if none.
   Result<Lsn> ReadCheckpointLsn() const;
 
-  /// Replays the log in order from `from`.
+  /// Replays records with LSN >= `from` in log order. `fn` returning
+  /// non-OK aborts the replay with that status.
   Status Replay(Lsn from,
                 const std::function<Status(const WalRecord&, Lsn)>& fn) const;
 
@@ -105,21 +165,21 @@ class WalManager {
   /// at or before `safe_time` (all its tuples have left phase 0).
   Status DestroyEpochKeysThrough(TableId table, Micros safe_time);
 
-  uint64_t EpochOf(Micros t) const {
-    return static_cast<uint64_t>(t) / static_cast<uint64_t>(options_.epoch_micros);
-  }
-
   /// Deletion-assurance probes (maintain/audit.h). `ExposureAudit` covers
   /// what plaintext-readable log bytes may still hold an accurate value past
   /// its phase-0 deadline:
-  ///  - `exposed_segments`: live segments whose per-segment payload-deadline
-  ///    minimum is at or before `horizon` (kPlain, kScrub — under
-  ///    kEncryptedEpoch live payloads are ciphertext and exposure is the
-  ///    epoch keys' problem, so the count is 0 by construction).
+  ///  - `exposed_segments`: live segments (the active one included) whose
+  ///    per-segment payload-deadline minimum is at or before `horizon`
+  ///    (kPlain, kScrub — under kEncryptedEpoch live payloads are
+  ///    ciphertext and exposure is the epoch keys' problem, so the count is
+  ///    0 by construction). The minima are folded in at append time;
+  ///    segments already on disk at Open count as exposed until retirement
+  ///    proves otherwise.
   ///  - `unscrubbed_recycled`: segments retired by renaming to `*.recycled`
-  ///    and left on disk (kPlain only). These were never scanned again, so
-  ///    every one is assumed to hold formerly-accurate bytes — the unsafe
-  ///    baseline the audit exists to flag.
+  ///    and left on disk (kPlain only), by this process or found at Open.
+  ///    These were never scanned again, so every one is assumed to hold
+  ///    formerly-accurate bytes — the unsafe baseline the audit exists to
+  ///    flag.
   struct ExposureAudit {
     uint64_t exposed_segments = 0;
     uint64_t unscrubbed_recycled = 0;
@@ -154,50 +214,167 @@ class WalManager {
     uint64_t records_appended = 0;
     uint64_t bytes_appended = 0;
     uint64_t segments_created = 0;
+    /// Segments this process retired (a reopened log starts at 0).
     uint64_t segments_retired = 0;
     uint64_t scrub_bytes = 0;
     uint64_t epoch_keys_destroyed = 0;
-    /// Commit pipeline (see WalStream::Stats): fdatasyncs actually issued,
-    /// durability demands, and demands absorbed by another leader's sync.
+    /// fdatasync/fsync calls actually issued on the commit path.
     uint64_t syncs = 0;
+    /// Durability demands (SyncThrough calls): every durable commit makes
+    /// one.
     uint64_t sync_requests = 0;
+    /// Requests satisfied without issuing their own sync — parked behind a
+    /// leader whose fdatasync covered them, or already below the watermark
+    /// on arrival. syncs + commits_absorbed == sync_requests on a healthy
+    /// log; a poisoned log's waiters return with the sticky error
+    /// and count in neither bucket.
     uint64_t commits_absorbed = 0;
-    /// 1 when a sync failed and the log now fails every append/sync fast
-    /// (see WalStream::poisoned()): the log has lost its durability
-    /// guarantee until reopen.
+    /// 1 once an append or sync failed and the log fails every later
+    /// append/sync fast (see PoisonLocked): the log has lost its
+    /// durability guarantee until reopen.
     uint64_t poisoned = 0;
   };
-  Stats stats() const;
-
-  /// Committers currently parked on the group-commit sync watermark
-  /// (WalStream::sync_waiters). The service front end's WAL backpressure
-  /// signal.
-  size_t SyncWaiters() const { return stream_->sync_waiters(); }
-
-  const std::string& dir() const { return dir_; }
+  Stats stats() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return stats_;
+  }
 
  private:
+  /// One frame prepared outside the log mutex: header + body bytes, plus
+  /// the blob seal left for the LSN-reservation step (kEncryptedEpoch
+  /// inserts: the nonce derives from the record's LSN, which only exists
+  /// once the mutex assigns it).
+  struct PendingFrame {
+    std::string bytes;       // [u32 crc (0 until sealed)][u32 len][body]
+    size_t blob_offset = 0;  // into `bytes`; meaningful when blob_length > 0
+    size_t blob_length = 0;  // 0 = frame final (CRC already computed)
+    ChaCha20::Key key{};     // epoch key for the deferred seal
+    /// Earliest phase-0 deadline of the payload (WalRecord carry-through);
+    /// min-merged into the segment the frame lands in.
+    Micros payload_deadline = kForever;
+  };
+
+  struct SegmentInfo {
+    Lsn start = 0;
+    Lsn end = 0;  // exclusive
+    /// Earliest phase-0 deadline over the accurate degradable payloads
+    /// appended into this segment; kForever when it holds none. Segments
+    /// found on disk at Open get 0 ("unknown — assume exposed"): the audit
+    /// must not vouch for bytes it never saw appended.
+    Micros min_payload_deadline = kForever;
+  };
+
+  uint64_t EpochOf(Micros t) const {
+    return static_cast<uint64_t>(t) /
+           static_cast<uint64_t>(options_.epoch_micros);
+  }
+  /// `<dir>/wal_<start>.log`: the segment whose first record has LSN
+  /// `start`.
+  std::string SegmentPath(Lsn start) const;
+  /// Encodes + checksums `record` into a frame. Plaintext frames come out
+  /// final; kEncryptedEpoch inserts carry their blob in plaintext with the
+  /// seal deferred to AppendFramesLocked. Called outside the mutex.
+  PendingFrame PrepareFrame(const WalRecord& record) const;
+  /// Assigns LSNs, seals deferred blobs, and appends every frame as
+  /// buffered writes (one per segment touched), rotating segments at
+  /// frame boundaries. Shared state (next_lsn_, segment end, stats) only
+  /// advances once bytes are on the file, so a failed write cannot desync
+  /// LSNs from the physical log (the LSN-derived nonces depend on this).
+  /// Returns the first frame's LSN. Caller holds `lock`.
+  Result<Lsn> AppendFramesLocked(std::unique_lock<std::mutex>& lock,
+                                 std::vector<PendingFrame>& frames);
+  /// Seals + closes the active segment and opens a fresh one. Waits out an
+  /// in-flight leader sync first (it holds the writer's fd), and advances
+  /// the synced watermark to the sealed end. Caller holds `lock`.
+  Status OpenNewSegmentLocked(std::unique_lock<std::mutex>& lock);
+  Status PreallocateActiveLocked();
+  WalBlobCipher MakeDecryptor(Lsn lsn) const;
+  /// Marks the log sticky-failed (first failure wins) and wakes every
+  /// parked committer so they observe the poison. Returns the sticky status.
+  Status PoisonLocked(const Status& cause);
+
+  /// Checkpoint step 1: appends the kCheckpoint record and rotates. Returns
+  /// the LSN replay must start from.
+  Result<Lsn> AppendCheckpointAndRotate(Lsn begin);
+  /// Checkpoint step 2: durably records `lsn` in the CHECKPOINT manifest.
   Status WriteManifest(Lsn lsn);
+  /// Checkpoint step 3: retires every segment fully below `lsn` per the
+  /// privacy mode.
+  Status RetireThrough(Lsn lsn);
 
   const std::string dir_;
   const WalOptions options_;
   KeyManager* const keys_;
   Env* const env_;
 
-  std::unique_ptr<WalStream> stream_;
-
   /// Serializes whole checkpoints (rotate → manifest → retire). Multiple
   /// drivers checkpoint concurrently (the maintenance daemon's cadence vs.
   /// caller-driven Database::Checkpoint): unserialized, both would write
   /// CHECKPOINT.tmp and race the rename — and an interleaving could stamp
   /// an older LSN over a newer manifest, regressing the durable replay
-  /// pointer. Appends/syncs never take this.
+  /// pointer. Appends and syncs never take this.
   std::mutex checkpoint_mu_;
+  /// Serializes appenders for the WHOLE append — including the rotation
+  /// wait inside OpenNewSegmentLocked, which releases `mu_` while an
+  /// in-flight leader sync drains. Without this outer lock a second
+  /// appender could slip in through that window and interleave with a
+  /// half-done rotation (stale local LSNs, double-sealed segments). Lock
+  /// order: checkpoint_mu_, then append_mu_, then mu_; SyncThrough takes
+  /// only mu_, so the sync leader never needs append_mu_ to finish.
+  std::mutex append_mu_;
+  /// Guards writer state, the segment list, both watermarks, the poison
+  /// status, the recycled count and stats.
+  mutable std::mutex mu_;
+  /// Waits: committers parked on the synced watermark; rotation parked on
+  /// an in-flight sync. Notified when either condition can have changed.
+  std::condition_variable sync_cv_;
+
+  std::vector<SegmentInfo> segments_;  // sorted by start
+  std::unique_ptr<WritableFile> writer_;
+  /// Appended watermark: everything below is written (buffered) to the
+  /// active segment.
+  Lsn next_lsn_ = 0;
+  /// Synced watermark: everything below is durable. Advanced by the sync
+  /// leader and by segment rotation (which fsyncs the sealed segment).
+  Lsn synced_lsn_ = 0;
+  /// True while a leader's fdatasync runs with the mutex released. At most
+  /// one sync is ever in flight; rotation waits on it.
+  bool sync_in_flight_ = false;
+  /// Largest LSN any still-waiting committer demands, and how many waiters
+  /// demand exactly it. A waiter below the target parks instead of leading
+  /// (the target's holder leads and covers it); the last holder to leave
+  /// resets the target so smaller demands can lead after an error. The
+  /// generation counter advances whenever the target is raised or cleared:
+  /// deregistration is generation-checked, so a waiter whose registration
+  /// was superseded cannot decrement a later registration that reuses its
+  /// LSN.
+  Lsn pending_target_ = 0;
+  size_t pending_target_holders_ = 0;
+  uint64_t pending_generation_ = 0;
+  /// Committers inside SyncThrough not yet covered by the watermark (the
+  /// SyncWaiters() depth signal).
+  size_t sync_parked_ = 0;
+  /// Active segment preallocation state: when `preallocated_`, the file's
+  /// size is durable through `prealloc_end_`, so commit syncs may use
+  /// fdatasync for appends below it.
+  bool preallocated_ = false;
+  Lsn prealloc_end_ = 0;
+  /// OK until the first append/sync failure; sticky thereafter. A failed
+  /// fdatasync may have left the kernel's dirty-page state (and so what a
+  /// later fsync would cover) unknowable, and a failed append leaves the
+  /// positional writer's offset ahead of `next_lsn_`, which would desync
+  /// the LSN-derived nonces from the physical bytes. Every later append,
+  /// sync and checkpoint fails fast with it; recovery is reopening the
+  /// database (replaying only what a clean sync acknowledged).
+  Status poisoned_;
+  /// kPlain: `*.recycled` segments on disk — found at Open plus those this
+  /// process renamed.
+  uint64_t recycled_segments_ = 0;
+  Stats stats_;
 
   /// Guards the epoch watermark map.
-  mutable std::mutex epoch_mu_;
+  std::mutex epoch_mu_;
   std::map<TableId, uint64_t> epoch_watermark_;  // first not-yet-destroyed
-  std::atomic<uint64_t> epoch_keys_destroyed_{0};
 };
 
 }  // namespace instantdb

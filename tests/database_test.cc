@@ -11,7 +11,7 @@
 #include "scan_oracle.h"
 #include "util/coding.h"
 #include "util/file.h"
-#include "wal/wal_stream.h"
+#include "wal/wal_manager.h"
 
 namespace instantdb {
 namespace {
@@ -624,14 +624,14 @@ TEST_P(FormatGateTest, OtherLayoutIsRefusedUntouched) {
       ASSERT_TRUE(WriteStringToFile(dir_ + "/wal/STREAMS", "2", true).ok());
       KeyManager keys(dir_ + "/KEYSTORE");
       ASSERT_TRUE(keys.Open().ok());
-      WalStream stream(dir_ + "/wal/s1", WalOptions{}, &keys);
-      ASSERT_TRUE(stream.Open().ok());
+      WalManager wal(dir_ + "/wal/s1", WalOptions{}, &keys);
+      ASSERT_TRUE(wal.Open().ok());
       WalRecord insert;
       insert.type = WalRecordType::kInsert;
       insert.txn_id = 1;
       insert.table = 1;
       insert.row_id = 2;
-      ASSERT_TRUE(stream.Append(insert, /*sync=*/true).ok());
+      ASSERT_TRUE(wal.AppendBatch({&insert}, /*sync=*/true).ok());
       break;
     }
     case OldLayout::kPositionalStoreMeta: {

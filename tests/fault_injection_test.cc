@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <random>
 #include <set>
 #include <string>
@@ -639,6 +640,70 @@ TEST_F(FaultInjectionTest, FailedInsertApplyIsRetriedInTheSameCommit) {
   EXPECT_EQ(db->stats().index.entries, kRows);
   const AuditReport audit = db->Audit();
   EXPECT_TRUE(audit.clean()) << audit.ToString();
+}
+
+// A user commit whose apply fails and whose retry fails too is durable but
+// half applied: one row is in the heap with its location in no store. The
+// next checkpoint must finish that commit before its manifest moves past
+// the commit's records, because no later redo would replay them.
+TEST_F(FaultInjectionTest, CheckpointFinishesACommitWhoseApplyFailedTwice) {
+  FaultInjectionEnv fault(Env::Default());
+  VirtualClock clock(0);
+  auto opened = Database::Open(Options(dir_, &clock, &fault));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(*opened);
+  ASSERT_NO_FATAL_FAILURE(CreatePings(db.get()));
+
+  // The phase-0 store's buffered flush fails inside the commit's apply and
+  // again inside its retry.
+  for (int i = 0; i < 2; ++i) {
+    fault.FailOnce(FaultOp::kAppend, 1, Status::IOError("injected append EIO"),
+                   "c1.p0");
+  }
+  constexpr uint64_t kRows = 1000;
+  WriteBatch batch;
+  std::set<std::string> users;
+  for (uint64_t i = 0; i < kRows; ++i) {
+    users.insert("u" + std::to_string(i));
+    batch.Insert("pings", {Value::String("u" + std::to_string(i)),
+                           Value::String("11 Rue Lepic")});
+  }
+  const Status written = db->Write(&batch);
+  ASSERT_TRUE(written.IsIOError()) << written.ToString();
+  EXPECT_EQ(fault.io_counters().injected_faults, 2u);
+  EXPECT_EQ(db->stats().txn.commits_pending, 1u);
+
+  // The fault is spent: the checkpoint re-applies the commit first.
+  ASSERT_TRUE(db->Checkpoint().ok());
+  EXPECT_EQ(db->stats().txn.commits_pending, 0u);
+  EXPECT_EQ(db->stats().txn.commits_reapplied, 1u);
+  Table* table = db->GetTable("pings");
+  EXPECT_EQ(table->live_rows(), kRows);
+  EXPECT_EQ(DumpUsers(table), users);
+  size_t stored = 0;
+  for (uint32_t p = 0; p < table->num_partitions(); ++p) {
+    stored += table->partition(p)->store(1, 0)->size();
+    const TablePartition::IndexAuditCounts index =
+        table->partition(p)->AuditIndexes();
+    EXPECT_EQ(index.stale, 0u);
+    EXPECT_EQ(index.missing, 0u);
+  }
+  EXPECT_EQ(stored, kRows);
+  EXPECT_EQ(db->stats().index.entries, kRows);
+  const AuditReport audit = db->Audit();
+  EXPECT_TRUE(audit.clean()) << audit.ToString();
+
+  // A crash image taken after that checkpoint reopens to the same rows.
+  ASSERT_TRUE(db->wal()->Sync().ok());
+  std::filesystem::remove_all(clone_);
+  std::filesystem::copy(dir_, clone_,
+                        std::filesystem::copy_options::recursive);
+  auto recovered = Database::Open(Options(clone_, &clock, nullptr));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  Table* reopened = (*recovered)->GetTable("pings");
+  EXPECT_EQ(reopened->live_rows(), kRows);
+  EXPECT_EQ(DumpUsers(reopened), users);
+  EXPECT_EQ((*recovered)->stats().stores.entries, kRows);
 }
 
 TEST_F(FaultInjectionTest, MaintenanceRetriesCheckpointAndKeepsOldManifest) {

@@ -277,6 +277,19 @@ TEST_F(MaintenanceTest, PlainWalModeIsPermanentlyFlagged) {
   const AuditReport report = db->Audit();
   EXPECT_GT(report.unscrubbed_recycled_segments, 0u);
   EXPECT_FALSE(report.clean());
+
+  // The recycled segments outlive the process: a reopened database finds
+  // them on disk and still flags every one, though it retired none itself.
+  ASSERT_TRUE(db->Close().ok());
+  db.reset();
+  opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  db = std::move(*opened);
+  EXPECT_EQ(db->stats().wal.segments_retired, 0u);
+  const AuditReport reopened = db->Audit();
+  EXPECT_GE(reopened.unscrubbed_recycled_segments,
+            report.unscrubbed_recycled_segments);
+  EXPECT_FALSE(reopened.clean());
 }
 
 // Service 3, policy hooks: while paused, cadence points pass without

@@ -204,6 +204,44 @@ TEST_F(TxnTest, FailedApplyIsRetriedOnceFromTheFailingRecord) {
   EXPECT_EQ(applied_, (std::vector<RowId>{1, 2, 2, 3}));
 }
 
+TEST_F(TxnTest, CheckpointBoundStaysAtAPendingCommitUntilItsRedoSucceeds) {
+  auto before = tm_->Begin();
+  before->AddOp(InsertRecord(1));
+  ASSERT_TRUE(tm_->Commit(before.get()).ok());
+  const Lsn first = wal_->next_lsn();
+  // Record 2's apply and its retry fail: the commit is pending.
+  auto failed = tm_->Begin();
+  failed->AddOp(InsertRecord(2));
+  failed->AddOp(InsertRecord(3));
+  fail_calls_ = {2, 3};
+  EXPECT_TRUE(tm_->Commit(failed.get()).IsIOError());
+  EXPECT_EQ(tm_->stats().commits_pending, 1u);
+  auto after = tm_->Begin();
+  after->AddOp(InsertRecord(4));
+  ASSERT_TRUE(tm_->Commit(after.get()).ok());
+  EXPECT_EQ(applied_, (std::vector<RowId>{1, 2, 2, 4}));
+
+  // The checkpoint's redo starts at the pending commit and fails on row 2
+  // again: the bound stays at that commit's first record.
+  applied_.clear();
+  fail_calls_ = {1};
+  EXPECT_EQ(tm_->CheckpointBeginLsn(), first);
+  EXPECT_EQ(applied_, (std::vector<RowId>{2}));
+  EXPECT_EQ(tm_->stats().commits_pending, 1u);
+
+  // The redo succeeds in log order, every later commit included, and the
+  // bound moves to the log end.
+  applied_.clear();
+  fail_calls_.clear();
+  EXPECT_EQ(tm_->CheckpointBeginLsn(), wal_->next_lsn());
+  EXPECT_EQ(applied_, (std::vector<RowId>{2, 3, 4}));
+  EXPECT_EQ(tm_->stats().commits_pending, 0u);
+  EXPECT_EQ(tm_->stats().commits_reapplied, 1u);
+  applied_.clear();
+  EXPECT_EQ(tm_->CheckpointBeginLsn(), wal_->next_lsn());
+  EXPECT_TRUE(applied_.empty());
+}
+
 TEST_F(TxnTest, TxnIdsAreMonotone) {
   auto t1 = tm_->Begin();
   auto t2 = tm_->Begin();

@@ -11,9 +11,7 @@
 // leaking the live Database.
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
-#include <thread>
 #include <vector>
 
 #include "catalog/builtin_domains.h"
@@ -68,12 +66,12 @@ std::vector<RowState> DumpTable(Table* table) {
   return rows;
 }
 
-class WalStreamTest : public ::testing::TestWithParam<WalPrivacyMode> {
+class WalRecoveryTest : public ::testing::TestWithParam<WalPrivacyMode> {
  protected:
   WalPrivacyMode mode() const { return GetParam(); }
 
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/idb_wal_stream_test";
+    dir_ = ::testing::TempDir() + "/idb_wal_recovery_test";
     clone_ = dir_ + "_clone";
     ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
     ASSERT_TRUE(RemoveDirRecursive(clone_).ok());
@@ -158,7 +156,7 @@ class WalStreamTest : public ::testing::TestWithParam<WalPrivacyMode> {
   std::string clone_;
 };
 
-TEST_P(WalStreamTest, CrashRecoveryReconstructsState) {
+TEST_P(WalRecoveryTest, CrashRecoveryReconstructsState) {
   VirtualClock clock(0);
   auto db = MustOpen(Options(dir_, 4, &clock));
   ASSERT_NE(db, nullptr);
@@ -187,7 +185,7 @@ TEST_P(WalStreamTest, CrashRecoveryReconstructsState) {
   EXPECT_TRUE(recovered->RunDegradationOnce().ok());
 }
 
-TEST_P(WalStreamTest, CheckpointRetiresSegments) {
+TEST_P(WalRecoveryTest, CheckpointRetiresSegments) {
   VirtualClock clock(0);
   auto db = MustOpen(Options(dir_, 4, &clock));
   ASSERT_NE(db, nullptr);
@@ -221,7 +219,7 @@ TEST_P(WalStreamTest, CheckpointRetiresSegments) {
   }
 }
 
-TEST_P(WalStreamTest, EpochKeyDestructionReachesEveryCopy) {
+TEST_P(WalRecoveryTest, EpochKeyDestructionReachesEveryCopy) {
   if (mode() != WalPrivacyMode::kEncryptedEpoch) GTEST_SKIP();
   VirtualClock clock(0);
   auto db = MustOpen(Options(dir_, 4, &clock));
@@ -267,7 +265,7 @@ std::string ModeName(const ::testing::TestParamInfo<WalPrivacyMode>& info) {
   return "?";
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPrivacyModes, WalStreamTest,
+INSTANTIATE_TEST_SUITE_P(AllPrivacyModes, WalRecoveryTest,
                          ::testing::Values(WalPrivacyMode::kPlain,
                                            WalPrivacyMode::kScrub,
                                            WalPrivacyMode::kEncryptedEpoch),
@@ -363,171 +361,6 @@ TEST_P(WalTornTailTest, TornCommitMarkerVoidsItsTransaction) {
   // The torn transaction's id is reported, so a reopened database never
   // reuses it: a new txn 9 marker would otherwise adopt rows 2 and 3.
   EXPECT_EQ(max_txn, 9u);
-}
-
-// --- group-commit watermark, at the WalStream level -------------------------
-
-class GroupCommitWatermarkTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "/idb_group_commit_test";
-    ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
-    ASSERT_TRUE(CreateDirs(dir_).ok());
-    keys_ = std::make_unique<KeyManager>(dir_ + "/keystore");
-    ASSERT_TRUE(keys_->Open().ok());
-  }
-  void TearDown() override { RemoveDirRecursive(dir_).ok(); }
-
-  WalRecord MakeInsert(uint64_t txn, RowId row) {
-    WalRecord record;
-    record.type = WalRecordType::kInsert;
-    record.txn_id = txn;
-    record.table = 1;
-    record.row_id = row;
-    record.insert_time = 0;
-    record.stable = {Value::String("u")};
-    record.degradable = {Value::String("11 Rue Lepic")};
-    return record;
-  }
-
-  std::string dir_;
-  std::unique_ptr<KeyManager> keys_;
-};
-
-TEST_F(GroupCommitWatermarkTest, CoveredRequestIsAbsorbedWithoutASync) {
-  WalStream stream(dir_ + "/wal", WalOptions{}, keys_.get());
-  ASSERT_TRUE(stream.Open().ok());
-  ASSERT_TRUE(stream.Append(MakeInsert(1, 1), /*sync=*/true).ok());
-  WalStream::Stats stats = stream.stats();
-  EXPECT_EQ(stats.syncs, 1u);
-  EXPECT_EQ(stats.sync_requests, 1u);
-  EXPECT_EQ(stats.commits_absorbed, 0u);
-  EXPECT_EQ(stream.synced_lsn(), stream.next_lsn());
-
-  // A second durability demand for already-covered bytes is satisfied by
-  // the watermark alone: no new fdatasync.
-  ASSERT_TRUE(stream.SyncThrough(stream.next_lsn()).ok());
-  stats = stream.stats();
-  EXPECT_EQ(stats.syncs, 1u);
-  EXPECT_EQ(stats.sync_requests, 2u);
-  EXPECT_EQ(stats.commits_absorbed, 1u);
-}
-
-TEST_F(GroupCommitWatermarkTest, ConcurrentDurableAppendsKeepInvariants) {
-  constexpr int kThreads = 8;
-  constexpr int kAppendsPerThread = 50;
-  WalStream stream(dir_ + "/wal", WalOptions{}, keys_.get());
-  ASSERT_TRUE(stream.Open().ok());
-  std::atomic<int> errors{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kAppendsPerThread; ++i) {
-        const RowId row = static_cast<RowId>(t * kAppendsPerThread + i + 1);
-        if (!stream.Append(MakeInsert(row, row), /*sync=*/true).ok()) {
-          ++errors;
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  ASSERT_EQ(errors.load(), 0);
-
-  const WalStream::Stats stats = stream.stats();
-  EXPECT_EQ(stats.records_appended,
-            static_cast<uint64_t>(kThreads) * kAppendsPerThread);
-  // Every durability demand either led a sync or was absorbed, the synced
-  // watermark caught up with the appended one, and nothing was lost.
-  EXPECT_EQ(stats.sync_requests, stats.syncs + stats.commits_absorbed);
-  EXPECT_EQ(stats.sync_requests,
-            static_cast<uint64_t>(kThreads) * kAppendsPerThread);
-  EXPECT_EQ(stream.synced_lsn(), stream.next_lsn());
-  size_t replayed = 0;
-  ASSERT_TRUE(stream
-                  .Replay(0,
-                          [&](const WalRecord&, Lsn) {
-                            ++replayed;
-                            return Status::OK();
-                          })
-                  .ok());
-  EXPECT_EQ(replayed, static_cast<size_t>(kThreads) * kAppendsPerThread);
-}
-
-// Leadership covers the whole appended tail, whatever the leader's own
-// demand: after three unsynced appends, a demand for the FIRST record's end
-// leads one fdatasync through the appended end, so later demands for the
-// larger LSNs are already below the watermark and absorb without syncing.
-// This is the property the commit-latency-aware handoff rests on (the
-// largest demand leading cannot strand smaller ones).
-TEST_F(GroupCommitWatermarkTest, OneLeaderCoversEveryLargerDemand) {
-  WalStream stream(dir_ + "/wal", WalOptions{}, keys_.get());
-  ASSERT_TRUE(stream.Open().ok());
-  Lsn end_first = 0;
-  const WalRecord first = MakeInsert(1, 1);
-  ASSERT_TRUE(stream.AppendBatch({&first}, false, &end_first).ok());
-  ASSERT_TRUE(stream.Append(MakeInsert(2, 2), /*sync=*/false).ok());
-  ASSERT_TRUE(stream.Append(MakeInsert(3, 3), /*sync=*/false).ok());
-  const Lsn end_all = stream.next_lsn();
-  ASSERT_GT(end_all, end_first);
-
-  ASSERT_TRUE(stream.SyncThrough(end_first).ok());  // leads; covers end_all
-  WalStream::Stats stats = stream.stats();
-  EXPECT_EQ(stats.syncs, 1u);
-  EXPECT_EQ(stream.synced_lsn(), end_all);
-
-  ASSERT_TRUE(stream.SyncThrough(end_all).ok());  // absorbed, no new sync
-  stats = stream.stats();
-  EXPECT_EQ(stats.syncs, 1u);
-  EXPECT_EQ(stats.sync_requests, 2u);
-  EXPECT_EQ(stats.commits_absorbed, 1u);
-  EXPECT_EQ(stats.sync_requests, stats.syncs + stats.commits_absorbed);
-}
-
-// Handoff under contention: threads append WITHOUT sync and then demand
-// durability for exactly their own end LSN, so demands of every size race
-// through the registration/handoff path (larger arrivals overtaking smaller
-// parked ones). The ledger must stay exact — every demand leads or is
-// absorbed, sync_requests == syncs + commits_absorbed — and the watermark
-// must cover the appended end with nothing lost.
-TEST_F(GroupCommitWatermarkTest, StaggeredDemandsKeepTheSyncLedgerExact) {
-  constexpr int kThreads = 8;
-  constexpr int kAppendsPerThread = 40;
-  WalStream stream(dir_ + "/wal", WalOptions{}, keys_.get());
-  ASSERT_TRUE(stream.Open().ok());
-  std::atomic<int> errors{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kAppendsPerThread; ++i) {
-        const RowId row = static_cast<RowId>(t * kAppendsPerThread + i + 1);
-        const WalRecord record = MakeInsert(row, row);
-        Lsn end = 0;
-        if (!stream.AppendBatch({&record}, /*sync=*/false, &end).ok() ||
-            !stream.SyncThrough(end).ok()) {
-          ++errors;
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  ASSERT_EQ(errors.load(), 0);
-
-  const WalStream::Stats stats = stream.stats();
-  EXPECT_EQ(stats.sync_requests,
-            static_cast<uint64_t>(kThreads) * kAppendsPerThread);
-  EXPECT_EQ(stats.sync_requests, stats.syncs + stats.commits_absorbed);
-  EXPECT_EQ(stream.synced_lsn(), stream.next_lsn());
-  size_t replayed = 0;
-  ASSERT_TRUE(stream
-                  .Replay(0,
-                          [&](const WalRecord&, Lsn) {
-                            ++replayed;
-                            return Status::OK();
-                          })
-                  .ok());
-  EXPECT_EQ(replayed, static_cast<size_t>(kThreads) * kAppendsPerThread);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPrivacyModes, WalTornTailTest,

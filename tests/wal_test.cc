@@ -1,11 +1,15 @@
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "common/strings.h"
 #include "forensic.h"
 #include "gtest/gtest.h"
 #include "storage/key_manager.h"
+#include "util/coding.h"
+#include "util/crc32c.h"
 #include "util/file.h"
 #include "wal/log_record.h"
 #include "wal/wal_manager.h"
@@ -30,6 +34,166 @@ WalRecord MakeInsert(TableId table, RowId row, Micros t,
 /// Appends one record as its own group append; returns its LSN.
 Result<Lsn> Append(WalManager* wal, const WalRecord& record, bool sync) {
   return wal->AppendBatch({&record}, sync);
+}
+
+// --- golden bytes ------------------------------------------------------------
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 0xf]);
+  }
+  return hex;
+}
+
+/// The frames `[starts[i], starts[i + 1])` of the segment file at `path`.
+std::vector<std::string> FramesOf(const std::string& path,
+                                  const std::vector<Lsn>& starts) {
+  auto raw = ReadFileToString(path);
+  EXPECT_TRUE(raw.ok()) << path;
+  std::vector<std::string> frames;
+  for (size_t i = 0; raw.ok() && i + 1 < starts.size(); ++i) {
+    frames.push_back(Hex(raw->substr(starts[i], starts[i + 1] - starts[i])));
+  }
+  return frames;
+}
+
+class WalGoldenTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "/idb_wal_golden_test";
+    ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
+    ASSERT_TRUE(CreateDirs(dir_).ok());
+  }
+  void TearDown() override { RemoveDirRecursive(dir_).ok(); }
+
+  std::string dir_;
+};
+
+// A log written by one build must replay under the next, so the encoding of
+// every record type the engine writes is pinned byte for byte: the frame
+// header (masked CRC32C, body length) and the body.
+TEST_F(WalGoldenTest, PlaintextFramesMatchGoldenBytes) {
+  KeyManager keys(dir_ + "/keystore");
+  ASSERT_TRUE(keys.Open().ok());
+  WalOptions options;
+  options.privacy_mode = WalPrivacyMode::kPlain;  // retired bytes stay
+  WalManager wal(dir_ + "/wal", options, &keys);
+  ASSERT_TRUE(wal.Open().ok());
+
+  std::vector<WalRecord> records(6);
+  records[0] = MakeInsert(1, 3, 1000, "11 Rue Lepic");
+  WalRecord& step = records[1];
+  step.type = WalRecordType::kDegradeStep;
+  step.txn_id = 8;
+  step.table = 3;
+  step.column = 2;
+  step.from_phase = 0;
+  step.to_phase = 1;
+  step.up_to_row_id = 17;
+  step.entries = {{15, 100, Value::String("Paris")},
+                  {17, 120, Value::String("Aix")}};
+  WalRecord& removal = records[2];
+  removal.type = WalRecordType::kDegradeStep;
+  removal.txn_id = 8;
+  removal.table = 3;
+  removal.column = 2;
+  removal.from_phase = 2;
+  removal.to_phase = 3;
+  removal.up_to_row_id = 15;
+  removal.entries = {{15, 100, Value::Null()}};
+  WalRecord& del = records[3];
+  del.type = WalRecordType::kDelete;
+  del.txn_id = 9;
+  del.table = 3;
+  del.row_id = 15;
+  WalRecord& update = records[4];
+  update.type = WalRecordType::kUpdateStable;
+  update.txn_id = 9;
+  update.table = 1;
+  update.row_id = 3;
+  update.stable = {Value::Int64(3), Value::String("acceptor")};
+  WalRecord& commit = records[5];
+  commit.type = WalRecordType::kCommit;
+  commit.txn_id = 9;
+
+  std::vector<Lsn> starts;
+  for (const WalRecord& record : records) {
+    auto lsn = wal.AppendBatch({&record}, /*sync=*/false);
+    ASSERT_TRUE(lsn.ok());
+    starts.push_back(*lsn);
+  }
+  starts.push_back(wal.next_lsn());
+  auto checkpoint = wal.LogCheckpoint(wal.next_lsn());
+  ASSERT_TRUE(checkpoint.ok());
+  starts.push_back(*checkpoint);  // the record ends its (rotated) segment
+
+  const std::vector<std::string> expected = {
+      // kInsert
+      "d26643a02300000004070103e8070201030305646f6e6f720002030c31312052"
+      "7565204c6570696301d00f",
+      // kDegradeStep
+      "233de04a1800000005080302000111020f640305506172697311780303416978",
+      // kDegradeStep, removal to ⊥
+      "aecc513e0b0000000508030202030f010f6400",
+      // kDelete
+      "64e2e965040000000609030f",
+      // kUpdateStable
+      "87c4a658110000000709010302010303086163636570746f72",
+      // kCommit
+      "532ef4f703000000020900",
+      // kCheckpoint
+      "a5e52bd0050000000800008e01",
+  };
+  EXPECT_EQ(FramesOf(dir_ + "/wal/wal_0000000000000000.log.recycled", starts),
+            expected);
+}
+
+// kEncryptedEpoch seals an insert's degradable values with its epoch key
+// and the nonce of the record's LSN; with a fixed key at a fixed LSN the
+// frame is fixed too.
+TEST_F(WalGoldenTest, SealedInsertMatchesGoldenBytes) {
+  // A keystore holding one fixed key for (table 1, epoch 0).
+  std::string body;
+  PutVarint32(&body, 1);  // live keys
+  PutVarint32(&body, 0);  // tombstones
+  PutLengthPrefixed(&body, "wal.t1.e0");
+  for (int i = 0; i < 32; ++i) body.push_back(static_cast<char>(i));
+  std::string file;
+  PutFixed32(&file, crc32c::Mask(crc32c::Value(body.data(), body.size())));
+  file += body;
+  ASSERT_TRUE(WriteStringToFile(dir_ + "/keystore", file, true).ok());
+  KeyManager keys(dir_ + "/keystore");
+  ASSERT_TRUE(keys.Open().ok());
+
+  WalOptions options;
+  options.privacy_mode = WalPrivacyMode::kEncryptedEpoch;
+  options.epoch_micros = kMicrosPerHour;
+  WalManager wal(dir_ + "/wal", options, &keys);
+  ASSERT_TRUE(wal.Open().ok());
+  WalRecord commit;
+  commit.type = WalRecordType::kCommit;
+  commit.txn_id = 6;
+  ASSERT_TRUE(wal.AppendBatch({&commit}, /*sync=*/false).ok());
+  const WalRecord insert = MakeInsert(1, 3, 1000, "11 Rue Lepic");
+  auto lsn = wal.AppendBatch({&insert}, /*sync=*/true);
+  ASSERT_TRUE(lsn.ok());
+  EXPECT_EQ(*lsn, 11u);
+  EXPECT_EQ(FramesOf(dir_ + "/wal/wal_0000000000000000.log",
+                     {*lsn, wal.next_lsn()}),
+            std::vector<std::string>{
+                "2111150c2400000004070103e8070201030305646f6e6f72011212c3efbd18"
+                "7c8d3efbdbf2432675f67d3903"});
+  // The sealed payload opens with the same key.
+  std::vector<WalRecord> seen;
+  ASSERT_TRUE(wal.Replay(*lsn, [&](const WalRecord& record, Lsn) {
+                   seen.push_back(record);
+                   return Status::OK();
+                 }).ok());
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].degradable, insert.degradable);
 }
 
 class WalTest : public ::testing::TestWithParam<WalPrivacyMode> {
@@ -170,8 +334,8 @@ TEST_P(WalTest, CheckpointRetiresSegments) {
         Append(wal.get(), MakeInsert(1, r, 0, "payload-payload"), false).ok());
   }
   ASSERT_GT(wal->stats().segments_created, 2u);
-  // Quiescent checkpoint: covers everything logged so far.
-  auto checkpointed = wal->LogCheckpoint();
+  // Nothing is in flight: the checkpoint covers everything logged so far.
+  auto checkpointed = wal->LogCheckpoint(wal->next_lsn());
   ASSERT_TRUE(checkpointed.ok());
   const Lsn ckpt = *checkpointed;
   EXPECT_GT(wal->stats().segments_retired, 0u);
@@ -249,7 +413,7 @@ TEST_P(WalTest, AccurateResidueMatchesPrivacyMode) {
     EXPECT_GT(WalCopies(secret), 0u);
   }
 
-  ASSERT_TRUE(wal->LogCheckpoint().ok());
+  ASSERT_TRUE(wal->LogCheckpoint(wal->next_lsn()).ok());
   const size_t copies = WalCopies(secret);
   switch (GetParam()) {
     case WalPrivacyMode::kPlain:
@@ -336,6 +500,163 @@ TEST_P(WalTest, CorruptFrameStopsReplayCleanly) {
                    return Status::OK();
                  }).ok());
   EXPECT_LT(count, 3u);
+}
+
+// --- group-commit watermark --------------------------------------------------
+
+class GroupCommitWatermarkTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "/idb_group_commit_test";
+    ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
+    ASSERT_TRUE(CreateDirs(dir_).ok());
+    keys_ = std::make_unique<KeyManager>(dir_ + "/keystore");
+    ASSERT_TRUE(keys_->Open().ok());
+  }
+  void TearDown() override { RemoveDirRecursive(dir_).ok(); }
+
+  static WalRecord Insert(RowId row) {
+    return MakeInsert(1, row, 0, "11 Rue Lepic");
+  }
+
+  std::string dir_;
+  std::unique_ptr<KeyManager> keys_;
+};
+
+TEST_F(GroupCommitWatermarkTest, CoveredRequestIsAbsorbedWithoutASync) {
+  WalManager wal(dir_ + "/wal", WalOptions{}, keys_.get());
+  ASSERT_TRUE(wal.Open().ok());
+  ASSERT_TRUE(Append(&wal, Insert(1), /*sync=*/true).ok());
+  WalManager::Stats stats = wal.stats();
+  EXPECT_EQ(stats.syncs, 1u);
+  EXPECT_EQ(stats.sync_requests, 1u);
+  EXPECT_EQ(stats.commits_absorbed, 0u);
+  EXPECT_EQ(wal.synced_lsn(), wal.next_lsn());
+
+  // A second durability demand for already-covered bytes is satisfied by
+  // the watermark alone: no new fdatasync.
+  ASSERT_TRUE(wal.SyncThrough(wal.next_lsn()).ok());
+  stats = wal.stats();
+  EXPECT_EQ(stats.syncs, 1u);
+  EXPECT_EQ(stats.sync_requests, 2u);
+  EXPECT_EQ(stats.commits_absorbed, 1u);
+}
+
+TEST_F(GroupCommitWatermarkTest, ConcurrentDurableAppendsKeepInvariants) {
+  constexpr int kThreads = 8;
+  constexpr int kAppendsPerThread = 50;
+  WalManager wal(dir_ + "/wal", WalOptions{}, keys_.get());
+  ASSERT_TRUE(wal.Open().ok());
+  std::atomic<int> errors{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kAppendsPerThread; ++i) {
+        const RowId row = static_cast<RowId>(t * kAppendsPerThread + i + 1);
+        if (!Append(&wal, Insert(row), /*sync=*/true).ok()) {
+          ++errors;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_EQ(errors.load(), 0);
+
+  const WalManager::Stats stats = wal.stats();
+  EXPECT_EQ(stats.records_appended,
+            static_cast<uint64_t>(kThreads) * kAppendsPerThread);
+  // Every durability demand either led a sync or was absorbed, the synced
+  // watermark caught up with the appended one, and nothing was lost.
+  EXPECT_EQ(stats.sync_requests, stats.syncs + stats.commits_absorbed);
+  EXPECT_EQ(stats.sync_requests,
+            static_cast<uint64_t>(kThreads) * kAppendsPerThread);
+  EXPECT_EQ(wal.synced_lsn(), wal.next_lsn());
+  size_t replayed = 0;
+  ASSERT_TRUE(wal
+                  .Replay(0,
+                          [&](const WalRecord&, Lsn) {
+                            ++replayed;
+                            return Status::OK();
+                          })
+                  .ok());
+  EXPECT_EQ(replayed, static_cast<size_t>(kThreads) * kAppendsPerThread);
+}
+
+// Leadership covers the whole appended tail, whatever the leader's own
+// demand: after three unsynced appends, a demand for the FIRST record's end
+// leads one fdatasync through the appended end, so later demands for the
+// larger LSNs are already below the watermark and absorb without syncing.
+// This is the property the commit-latency-aware handoff rests on (the
+// largest demand leading cannot strand smaller ones).
+TEST_F(GroupCommitWatermarkTest, OneLeaderCoversEveryLargerDemand) {
+  WalManager wal(dir_ + "/wal", WalOptions{}, keys_.get());
+  ASSERT_TRUE(wal.Open().ok());
+  Lsn end_first = 0;
+  const WalRecord first = Insert(1);
+  ASSERT_TRUE(wal.AppendBatch({&first}, false, &end_first).ok());
+  ASSERT_TRUE(Append(&wal, Insert(2), /*sync=*/false).ok());
+  ASSERT_TRUE(Append(&wal, Insert(3), /*sync=*/false).ok());
+  const Lsn end_all = wal.next_lsn();
+  ASSERT_GT(end_all, end_first);
+
+  ASSERT_TRUE(wal.SyncThrough(end_first).ok());  // leads; covers end_all
+  WalManager::Stats stats = wal.stats();
+  EXPECT_EQ(stats.syncs, 1u);
+  EXPECT_EQ(wal.synced_lsn(), end_all);
+
+  ASSERT_TRUE(wal.SyncThrough(end_all).ok());  // absorbed, no new sync
+  stats = wal.stats();
+  EXPECT_EQ(stats.syncs, 1u);
+  EXPECT_EQ(stats.sync_requests, 2u);
+  EXPECT_EQ(stats.commits_absorbed, 1u);
+  EXPECT_EQ(stats.sync_requests, stats.syncs + stats.commits_absorbed);
+}
+
+// Handoff under contention: threads append WITHOUT sync and then demand
+// durability for exactly their own end LSN, so demands of every size race
+// through the registration/handoff path (larger arrivals overtaking smaller
+// parked ones). The ledger must stay exact — every demand leads or is
+// absorbed, sync_requests == syncs + commits_absorbed — and the watermark
+// must cover the appended end with nothing lost.
+TEST_F(GroupCommitWatermarkTest, StaggeredDemandsKeepTheSyncLedgerExact) {
+  constexpr int kThreads = 8;
+  constexpr int kAppendsPerThread = 40;
+  WalManager wal(dir_ + "/wal", WalOptions{}, keys_.get());
+  ASSERT_TRUE(wal.Open().ok());
+  std::atomic<int> errors{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kAppendsPerThread; ++i) {
+        const RowId row = static_cast<RowId>(t * kAppendsPerThread + i + 1);
+        const WalRecord record = Insert(row);
+        Lsn end = 0;
+        if (!wal.AppendBatch({&record}, /*sync=*/false, &end).ok() ||
+            !wal.SyncThrough(end).ok()) {
+          ++errors;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_EQ(errors.load(), 0);
+
+  const WalManager::Stats stats = wal.stats();
+  EXPECT_EQ(stats.sync_requests,
+            static_cast<uint64_t>(kThreads) * kAppendsPerThread);
+  EXPECT_EQ(stats.sync_requests, stats.syncs + stats.commits_absorbed);
+  EXPECT_EQ(wal.synced_lsn(), wal.next_lsn());
+  size_t replayed = 0;
+  ASSERT_TRUE(wal
+                  .Replay(0,
+                          [&](const WalRecord&, Lsn) {
+                            ++replayed;
+                            return Status::OK();
+                          })
+                  .ok());
+  EXPECT_EQ(replayed, static_cast<size_t>(kThreads) * kAppendsPerThread);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPrivacyModes, WalTest,
