@@ -19,8 +19,10 @@ int main() {
   //    through hours and months; this example then drives degradation by
   //    hand with RunDegradationOnce. A deployment passes no clock (it gets
   //    wall time) and must also set `degradation.background_thread` and
-  //    `maintenance.enabled`: both default to false, and without them
-  //    no value degrades and no checkpoint runs unless the caller asks.
+  //    `maintenance.enabled`, which start the one background loop's
+  //    degradation passes and its checkpoint and audit cadences. Both
+  //    default to false, and without them no value degrades and no
+  //    checkpoint runs unless the caller asks.
   VirtualClock clock;
   DbOptions options;
   options.path = "/tmp/instantdb_quickstart";

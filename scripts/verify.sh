@@ -18,15 +18,16 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 export IDB_FAULT_SEED="${IDB_FAULT_SEED:-20260808}"
 
 # Statements borrow workers from the shared pool (util/worker_pool.h); they
-# never spawn threads. Only the pool itself and the two background loops
-# (degradation coordinator, maintenance scheduler) may create one.
+# never spawn threads. Only the pool itself and the one background loop
+# (degrade/degradation_engine: degradation, checkpoints, audits) may create
+# one.
 check_thread_spawning() {
   local hits
   hits="$(grep -rnE 'std::(thread|jthread|async)\b' src |
-    grep -vE '^src/(util/worker_pool|degrade/degradation_engine|maintain/maintenance_daemon)\.(h|cc):' ||
+    grep -vE '^src/(util/worker_pool|degrade/degradation_engine)\.(h|cc):' ||
     true)"
   if [ -n "$hits" ]; then
-    echo "verify: thread creation outside the worker pool and background loops:" >&2
+    echo "verify: thread creation outside the worker pool and background loop:" >&2
     echo "$hits" >&2
     return 1
   fi

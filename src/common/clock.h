@@ -101,8 +101,7 @@ class VirtualClock final : public Clock {
   /// Guarded by mu_; bumped by WakeAll. A generation counter, not a flag:
   /// every waiter present at the bump wakes (each compares against the
   /// generation it captured), so one waiter cannot swallow a broadcast
-  /// meant for several — the degrader and the maintenance daemon both park
-  /// on the same clock — and a token captured before the bump expires even
+  /// meant for several, and a token captured before the bump expires even
   /// if its thread had not parked yet.
   uint64_t wake_gen_ = 0;
 };

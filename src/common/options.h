@@ -50,8 +50,10 @@ struct WalOptions {
 };
 
 struct DegradationOptions {
-  /// Run the degrader on a background thread (real deployments). Tests and
-  /// benchmarks instead pump `DegradationEngine::RunDue()` manually.
+  /// Run degradation passes on the engine's background thread (real
+  /// deployments and the expiry_mix benchmark). Deterministic tests leave
+  /// it off and pump `Database::RunDegradationOnce()` or
+  /// `DegradationEngine::RunOnce()` on a VirtualClock instead.
   bool background_thread = false;
   /// Maximum tuples moved per degradation step transaction, bounding the
   /// time one step holds its partition's exclusive latch.
@@ -180,21 +182,21 @@ struct ServiceOptions {
   Micros pressure_refresh = 10 * kMicrosPerMilli;
 };
 
-/// Configuration of the self-driving maintenance daemon (maintain/
-/// maintenance_daemon.h): background checkpoint cadence plus continuous
-/// deletion-assurance audits. The daemon is what makes the durability/
-/// privacy loop autonomous — without it checkpoints (and therefore WAL
-/// segment retirement, the scrub cadence) only happen when a caller asks.
+/// Configuration of the checkpoint and audit cadences the DegradationEngine
+/// runs (degrade/degradation_engine.h). They make the durability/privacy
+/// loop autonomous — without them checkpoints (and therefore WAL segment
+/// retirement, the scrub cadence) only happen when a caller asks.
 struct MaintenanceOptions {
-  /// Start the daemon at Database::Open. Off by default: tests and tools
-  /// that assert exact checkpoint counts drive maintenance explicitly
-  /// (MaintenanceDaemon::RunOnce) or not at all.
+  /// Run both cadences on the engine's background thread, started at
+  /// Database::Open. Off by default: tests and tools that assert exact
+  /// checkpoint counts drive them explicitly (DegradationEngine::RunOnce)
+  /// or not at all.
   bool enabled = false;
   /// Background checkpoint cadence FLOOR. Each cadence point checkpoints
   /// only when at least `checkpoint_dirty_threshold` partitions are dirty
   /// OR a live WAL segment holds a degradable payload past its phase-0
   /// deadline (retirement must not wait for new writes). The cadence is
-  /// adaptive: the daemon schedules the next point at `interval` from now,
+  /// adaptive: the engine schedules the next point at `interval` from now,
   /// pulled EARLIER to the earliest phase-0 deadline of any payload still
   /// in the live log (WalManager::EarliestPayloadDeadline) when that lands
   /// inside the window — so the interval no longer needs to sit below the
@@ -205,18 +207,13 @@ struct MaintenanceOptions {
   /// cadence point checkpoint unconditionally.
   uint64_t checkpoint_dirty_threshold = 1;
   /// Cadence of deletion-assurance audit sweeps (0 disables continuous
-  /// audits; explicit MaintenanceDaemon::RunAuditNow always works).
+  /// audits; explicit Database::Audit always works).
   Micros audit_interval = 0;
-  /// Slack an audit grants the degrader/daemon before a value past its
+  /// Slack an audit grants the background loop before a value past its
   /// deadline counts as exposed. 0 (exact) is right on a VirtualClock where
   /// degradation is pumped; real deployments set it to roughly one
   /// degradation-pass latency plus one checkpoint interval.
   Micros audit_grace = 0;
-  /// Bound on how long Database::Close waits for an in-flight caller-driven
-  /// degradation pass to drain before proceeding with the final checkpoint
-  /// (the close is safe either way — checkpoints are fuzzy — but an orderly
-  /// shutdown prefers quiescence).
-  Micros close_quiesce_timeout = 5 * kMicrosPerSecond;
 };
 
 }  // namespace instantdb

@@ -1,7 +1,6 @@
 #include "db/database.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdlib>
 #include <set>
 #include <shared_mutex>
@@ -26,7 +25,6 @@ Result<std::unique_ptr<Database>> Database::Open(const DbOptions& options) {
     // recovery may not have finished, and the manifest must not move past
     // redo that was never applied.
     db->closed_ = true;
-    if (db->maintenance_ != nullptr) db->maintenance_->Stop();
     if (db->degrader_ != nullptr) db->degrader_->Stop();
     return opened;
   }
@@ -113,8 +111,7 @@ Status Database::OpenImpl() {
   tm_ = std::make_unique<TransactionManager>(
       locks_.get(), wal_.get(),
       [this](const WalRecord& record) { return Apply(record); });
-  degrader_ = std::make_unique<DegradationEngine>(
-      tm_.get(), clock_, options_.degradation, worker_pool_);
+  degrader_ = std::make_unique<DegradationEngine>(this);
 
   for (const TableDef* def : catalog_->tables()) {
     auto table = std::make_unique<Table>(def, TableDir(def->id), MakeRuntime());
@@ -131,15 +128,8 @@ Status Database::OpenImpl() {
     IDB_RETURN_IF_ERROR(table->RebuildIndexes(worker_pool_));
   }
 
-  if (options_.degradation.background_thread) {
+  if (options_.degradation.background_thread || options_.maintenance.enabled) {
     IDB_RETURN_IF_ERROR(degrader_->Start());
-  }
-
-  // The daemon object always exists — pumped tests drive RunOnce and
-  // Audit() without a thread; only `enabled` spawns the scheduler.
-  maintenance_ = std::make_unique<MaintenanceDaemon>(this, options_.maintenance);
-  if (options_.maintenance.enabled) {
-    IDB_RETURN_IF_ERROR(maintenance_->Start());
   }
   return Status::OK();
 }
@@ -167,7 +157,7 @@ Status Database::Apply(const WalRecord& record) {
 
 Result<const TableDef*> Database::CreateTable(const std::string& name,
                                               Schema schema) {
-  // Exclusive against the daemon's background readers of tables_ (cadence
+  // Exclusive against the background loop's readers of tables_ (cadence
   // checkpoints, dirty polls, audit sweeps).
   std::unique_lock<std::shared_mutex> ddl(ddl_mu_);
   IDB_ASSIGN_OR_RETURN(const TableDef* def,
@@ -298,8 +288,8 @@ Status Database::Checkpoint() {
   // Incremental flush: only partitions mutated since their last flush do
   // I/O, fanned out over the degradation pool size — so one large cold
   // table no longer stalls the retirement cadence scrubbing depends on.
-  // The shared DDL lock pins the table set for the whole flush: the daemon
-  // checkpoints from its scheduler thread, and a concurrent DropTable must
+  // The shared DDL lock pins the table set for the whole flush: the cadence
+  // checkpoints from the background loop, and a concurrent DropTable must
   // not destroy a partition mid-flush.
   std::shared_lock<std::shared_mutex> ddl(ddl_mu_);
   std::vector<TablePartition*> units;
@@ -353,6 +343,7 @@ Database::Stats Database::stats() const {
   stats.wal = wal_->stats();
   stats.txn = tm_->stats();
   stats.degradation = degrader_->stats();
+  stats.maintenance = degrader_->maintenance_stats();
   stats.scan.batches = scan_counters_.batches.load(std::memory_order_relaxed);
   stats.scan.rows = scan_counters_.rows.load(std::memory_order_relaxed);
   stats.scan.prefetch_stalls =
@@ -380,7 +371,6 @@ Database::Stats Database::stats() const {
       checkpoint_partitions_flushed_.load(std::memory_order_relaxed);
   stats.checkpoint_partitions_clean =
       checkpoint_partitions_clean_.load(std::memory_order_relaxed);
-  if (maintenance_ != nullptr) stats.maintenance = maintenance_->stats();
   {
     std::shared_lock<std::shared_mutex> ddl(ddl_mu_);
     for (const auto& [id, table] : tables_) {
@@ -414,23 +404,10 @@ Database::Stats Database::stats() const {
   stats.io.syncs = io.syncs;
   stats.io.sync_failures = io.sync_failures;
   stats.io.injected_faults = io.injected_faults;
-  stats.io.retries =
-      stats.degradation.io_retries + stats.maintenance.io_retries;
-  Status first = FirstBackgroundError();
+  stats.io.retries = stats.degradation.io_retries;
+  const Status first = degrader_->first_error();
   if (!first.ok()) stats.io.first_error = first.ToString();
   return stats;
-}
-
-Status Database::FirstBackgroundError() const {
-  if (maintenance_ != nullptr) {
-    Status status = maintenance_->first_error();
-    if (!status.ok()) return status;
-  }
-  if (degrader_ != nullptr) {
-    Status status = degrader_->first_error();
-    if (!status.ok()) return status;
-  }
-  return Status::OK();
 }
 
 Result<size_t> Database::RunDegradationOnce() {
@@ -440,33 +417,20 @@ Result<size_t> Database::RunDegradationOnce() {
 Status Database::Close() {
   if (closed_) return Status::OK();
   closed_ = true;
-  // Shutdown order contract (see the header): the service front end drains
-  // FIRST — queued statements reject with Shutdown, in-flight ones finish —
-  // so nothing new reaches the engine below; then the maintenance daemon
-  // stops so no new background checkpoint or audit can start while the
-  // engine drains; then the degrader's thread; then a bounded quiesce for
-  // any still-in-flight caller-pumped pass; only then the final checkpoint.
+  // The service front end drains first — queued statements reject with
+  // Shutdown, in-flight ones finish — so nothing new reaches the engine.
   std::function<void()> pre_close;
   {
     std::lock_guard<std::mutex> lock(pre_close_mu_);
     pre_close = pre_close_hook_;
   }
   if (pre_close) pre_close();
-  if (maintenance_ != nullptr) maintenance_->Stop();
-  degrader_->Stop();
-  if (!degrader_->Quiesce(options_.maintenance.close_quiesce_timeout)) {
-    // Not fatal: checkpoints are fuzzy, so the final checkpoint is correct
-    // against in-flight work — an orderly close just prefers quiescence.
-    IDB_WARN("Close: degrader did not quiesce within %lld us",
-             static_cast<long long>(options_.maintenance.close_quiesce_timeout));
-  }
-  assert(maintenance_ == nullptr || !maintenance_->running());
-  assert(!degrader_->running());
+  degrader_->Stop();  // joins the loop, then waits out a pumped pass
   Status status = Checkpoint();
-  // Surface the first sticky background I/O error even when the final
-  // checkpoint succeeded: a background loop that hit (and maybe retried
-  // past) a disk failure must not close with a silent OK.
-  if (status.ok()) status = FirstBackgroundError();
+  // Surface the first sticky background error even when the final
+  // checkpoint succeeded: a loop that hit (and maybe retried past) a disk
+  // failure must not close with a silent OK.
+  if (status.ok()) status = degrader_->first_error();
   return status;
 }
 

@@ -16,7 +16,6 @@
 #include "db/table.h"
 #include "db/write_batch.h"
 #include "degrade/degradation_engine.h"
-#include "maintain/maintenance_daemon.h"
 #include "txn/lock_manager.h"
 #include "txn/transaction.h"
 #include "util/worker_pool.h"
@@ -37,10 +36,8 @@ struct DbOptions {
   StorageOptions storage;
   WalOptions wal;
   DegradationOptions degradation;
-  /// Self-driving maintenance: background checkpoint cadence + continuous
-  /// deletion-assurance audits (maintain/maintenance_daemon.h). The daemon
-  /// object always exists (pumped tests drive it via RunOnce); the
-  /// scheduler thread starts only when `maintenance.enabled`.
+  /// Background checkpoint cadence + continuous deletion-assurance audits,
+  /// run by the DegradationEngine's loop (degrade/degradation_engine.h).
   MaintenanceOptions maintenance;
   /// Hash-partitions of the row-id space per table (1 by default); higher
   /// values let scans, batched ingest and the degradation worker pool scale
@@ -86,16 +83,11 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  /// Orderly shutdown, called by the destructor and safe to call twice.
-  /// The shutdown order is a contract (asserted in the implementation):
-  ///   1. maintenance daemon stops — no new background checkpoint or audit
-  ///      can start;
-  ///   2. the degrader's background thread stops;
-  ///   3. bounded quiesce (MaintenanceOptions::close_quiesce_timeout) drains
-  ///      any still-in-flight caller-pumped degradation pass;
-  ///   4. a final checkpoint runs against the settled state.
-  /// A quiesce timeout is logged, not fatal — checkpoints are fuzzy, so the
-  /// final checkpoint is correct against in-flight work too.
+  /// Orderly shutdown, called by the destructor and safe to call twice:
+  /// drains the attached service front end, stops the background loop and
+  /// waits out any caller-pumped degradation pass, then runs a final
+  /// checkpoint. Returns the first sticky background error when the
+  /// checkpoint succeeds.
   Status Close();
 
   // --- DDL -------------------------------------------------------------------
@@ -151,21 +143,21 @@ class Database {
   Result<size_t> RunDegradationOnce();
 
   /// Partitions with mutations applied since their last checkpoint flush
-  /// (latch-free poll; the daemon's cadence test). Taken under the shared
+  /// (latch-free poll; the checkpoint cadence's test). Taken under the shared
   /// DDL lock so a concurrent CreateTable/DropTable can't invalidate the
   /// table map mid-count.
   uint64_t DirtyPartitions() const;
 
   /// Runs `auditor` over every live table while holding the DDL lock
   /// shared, so a concurrent DropTable cannot destroy a table mid-sweep
-  /// (the daemon's audit entry point; tests go through Audit()).
+  /// (the engine's audit entry point; tests go through Audit()).
   AuditReport RunAuditSweep(const DeletionAuditor& auditor, Micros now,
                             Micros grace) const;
 
   /// On-demand deletion-assurance sweep at the clock's current time
-  /// (cadence-independent; MaintenanceDaemon::RunAuditNow). The report's
+  /// (cadence-independent; DegradationEngine::RunAuditNow). The report's
   /// Verify() is the hard-fail form.
-  AuditReport Audit() { return maintenance_->RunAuditNow(); }
+  AuditReport Audit() { return degrader_->RunAuditNow(); }
 
   // --- statistics ----------------------------------------------------------------
 
@@ -228,8 +220,8 @@ class Database {
     /// fsync/fdatasync operations issued, and how many returned an error.
     uint64_t syncs = 0;
     uint64_t sync_failures = 0;
-    /// Transient I/O failures absorbed by backoff-retry in the background
-    /// loops (maintenance cadence + degrader passes).
+    /// Background steps that failed with IOError or Busy and were retried
+    /// after a backoff (DegradationEngine::Stats::io_retries).
     uint64_t retries = 0;
     /// Faults injected by a FaultInjectionEnv (0 in production).
     uint64_t injected_faults = 0;
@@ -288,9 +280,9 @@ class Database {
     uint64_t checkpoints = 0;
     uint64_t checkpoint_partitions_flushed = 0;
     uint64_t checkpoint_partitions_clean = 0;
-    /// Maintenance daemon: cadence checkpoints run/skipped/forced, audits
-    /// run/failed, rows swept, worst attack window seen.
-    MaintenanceDaemon::Stats maintenance;
+    /// Checkpoint and audit cadence: cadence checkpoints run/skipped/forced,
+    /// audits run/failed, rows swept, worst attack window seen.
+    DegradationEngine::MaintenanceStats maintenance;
     /// Service front end: admission/shedding/deadline accounting.
     ServiceStats service;
     /// State stores of every table: live entries and the heap bytes of
@@ -343,10 +335,10 @@ class Database {
   };
   ServiceCounters* service_counters() const { return &service_counters_; }
 
-  /// Registers a hook Close() invokes FIRST — before the maintenance
-  /// daemon and degrader stop — so an attached service front end can drain
-  /// its queued-but-unadmitted statements with Status::Shutdown and wait
-  /// out in-flight ones instead of letting the quiesce timeout eat them.
+  /// Registers a hook Close() invokes FIRST — before the background loop
+  /// stops — so an attached service front end can drain its
+  /// queued-but-unadmitted statements with Status::Shutdown and wait out
+  /// in-flight ones.
   /// nullptr clears. One hook at a time (the attaching component owns it
   /// and must clear it before dying).
   void set_pre_close_hook(std::function<void()> hook) {
@@ -367,7 +359,6 @@ class Database {
   LockManager* lock_manager() const { return locks_.get(); }
   TransactionManager* txn_manager() const { return tm_.get(); }
   DegradationEngine* degradation() const { return degrader_.get(); }
-  MaintenanceDaemon* maintenance() const { return maintenance_.get(); }
   const DbOptions& options() const { return options_; }
 
  private:
@@ -383,10 +374,6 @@ class Database {
   /// transaction manager's commit-time apply and Recover's redo. A record
   /// of a dropped table is skipped.
   Status Apply(const WalRecord& record);
-  /// First sticky I/O error any background loop recorded (maintenance
-  /// cadence first, then degrader); OK when healthy. Close() returns it and
-  /// stats().io.first_error carries its text.
-  Status FirstBackgroundError() const;
   TableRuntime MakeRuntime() const;
   std::string TableDir(TableId id) const;
 
@@ -403,11 +390,9 @@ class Database {
   std::unique_ptr<LockManager> locks_;
   std::unique_ptr<TransactionManager> tm_;
   std::unique_ptr<DegradationEngine> degrader_;
-  std::unique_ptr<MaintenanceDaemon> maintenance_;
-  /// Guards the table map against the maintenance daemon: DDL takes it
-  /// exclusive, the daemon-driven paths (Checkpoint's unit collection,
-  /// DirtyPartitions, SnapshotTables-based audits) take it shared — the
-  /// first background readers of `tables_` this engine has had.
+  /// Guards the table map against the background loop: DDL takes it
+  /// exclusive, the cadence paths (Checkpoint's unit collection,
+  /// DirtyPartitions, audit sweeps) take it shared.
   mutable std::shared_mutex ddl_mu_;
   /// Guards the map's structure for GetTable(TableId), which also runs on
   /// the degrader's threads (a degrade step's commit-time Apply) while DDL

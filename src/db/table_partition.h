@@ -227,9 +227,9 @@ class TablePartition {
     }
   };
   /// True when a mutation applied since the last CheckpointIfDirty flush.
-  /// Latch-free (two relaxed atomic loads): the maintenance daemon polls
+  /// Latch-free (two relaxed atomic loads): the checkpoint cadence polls
   /// every partition each cadence point. May transiently read dirty for a
-  /// partition a concurrent checkpoint is flushing right now — the daemon's
+  /// partition a concurrent checkpoint is flushing right now — the cadence's
   /// extra checkpoint then finds it clean, which is benign.
   bool dirty() const {
     return mutation_seq_.load(std::memory_order_acquire) !=
@@ -327,7 +327,7 @@ class TablePartition {
   /// `mutation_seq_ != flushed_seq_`.
   std::atomic<uint64_t> mutation_seq_{0};
   /// Written under ckpt_mu_; atomic so dirty() can poll it latch-free (the
-  /// maintenance daemon's cadence test must not contend with checkpoints).
+  /// checkpoint cadence's test must not contend with checkpoints).
   std::atomic<uint64_t> flushed_seq_{0};
   /// Where each live row's heap record is.
   RowMap row_map_;

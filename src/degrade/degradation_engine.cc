@@ -1,25 +1,30 @@
 #include "degrade/degradation_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
+#include <vector>
 
 #include "common/logging.h"
+#include "db/database.h"
 
 namespace instantdb {
 
 namespace {
-/// Retry delays after a failed background pass: start at the floor, double
-/// per consecutive failure, never exceed the cap. Without this the loop
-/// would hot-spin on a still-overdue deadline while the disk stays broken.
-constexpr Micros kPassBackoffFloor = 10'000;   // 10 ms
-constexpr Micros kPassBackoffCap = 5'000'000;  // 5 s
+/// Retry delays after a failed step: start at the floor, double per
+/// consecutive failure, never exceed the cap. Without this the loop would
+/// hot-spin on a still-overdue deadline while the disk stays broken.
+constexpr Micros kBackoffFloor = 10'000;   // 10 ms
+constexpr Micros kBackoffCap = 5'000'000;  // 5 s
 }  // namespace
 
-DegradationEngine::DegradationEngine(TransactionManager* tm, Clock* clock,
-                                     const DegradationOptions& options,
-                                     WorkerPool& pool)
-    : tm_(tm), clock_(clock), options_(options), pool_(pool) {}
+DegradationEngine::DegradationEngine(Database* db)
+    : db_(db),
+      tm_(db->txn_manager()),
+      clock_(db->clock()),
+      options_(db->options().degradation),
+      maintenance_(db->options().maintenance),
+      pool_(*db->worker_pool()),
+      auditor_(db->wal(), options_.worker_threads, pool_) {}
 
 DegradationEngine::~DegradationEngine() { Stop(); }
 
@@ -34,25 +39,11 @@ void DegradationEngine::UnregisterTable(TableId id) {
     std::lock_guard<std::mutex> lock(mu_);
     tables_.erase(id);
   }
-  // Quiesce: an in-flight RunDue pass snapshotted raw Table* before the
-  // erase; wait for it to drain so the caller can safely destroy the table.
-  // (mu_ is released first — RunDue acquires mu_ while holding run_mu_
-  // shared, so holding both here would deadlock.)
-  std::unique_lock<std::shared_timed_mutex> quiesce(run_mu_);
-}
-
-bool DegradationEngine::Quiesce(Micros max_wait) {
-  std::unique_lock<std::shared_timed_mutex> quiesce(run_mu_, std::defer_lock);
-  if (!quiesce.try_lock_for(std::chrono::microseconds(max_wait))) return false;
-  return true;
-}
-
-void DegradationEngine::EnqueueUrgent(TableId table, uint32_t partition) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    urgent_.emplace(table, partition);
-  }
-  clock_->WakeAll();  // wake the background coordinator for the repair
+  // An in-flight RunDue pass snapshotted raw Table* before the erase; wait
+  // for it to drain so the caller can safely destroy the table. (mu_ is
+  // released first — RunDue acquires mu_ while holding run_mu_ shared, so
+  // holding both here would deadlock.)
+  std::unique_lock<std::shared_mutex> drained(run_mu_);
 }
 
 void DegradationEngine::TEST_FaultSkipPartition(TableId table,
@@ -96,7 +87,7 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
 
   // Tables snapshotted below stay alive for the whole pass: UnregisterTable
   // blocks on this until we return.
-  std::shared_lock<std::shared_timed_mutex> running(run_mu_);
+  std::shared_lock<std::shared_mutex> running(run_mu_);
 
   size_t total = 0;
   Stats delta;  // batched into stats_ once per RunDue, not per step
@@ -211,6 +202,145 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
   return total;
 }
 
+Status DegradationEngine::RunOnce(Micros now) {
+  Micros wake = kForever;
+  return Step(now, /*degrade=*/true, /*maintain=*/true, &wake);
+}
+
+Status DegradationEngine::Step(Micros now, bool degrade, bool maintain,
+                               Micros* wake) {
+  std::lock_guard<std::mutex> step(step_mu_);
+  // A pass drains only what is due at `now`, so a due checkpoint waits at
+  // most one pass.
+  Status status;
+  if (degrade) status = RunDue(now).status();
+  const bool checkpoint_due = maintain &&
+                              maintenance_.checkpoint_interval > 0 &&
+                              now >= next_checkpoint_due_;
+  Status checkpointed;
+  if (checkpoint_due) {
+    checkpointed = CheckpointIfWorthwhile(now);
+    if (status.ok()) status = checkpointed;
+  }
+  if (maintain && maintenance_.audit_interval > 0 && now >= next_audit_due_) {
+    next_audit_due_ = now + maintenance_.audit_interval;
+    const AuditReport report = RunAudit(now);
+    if (!report.clean()) {
+      IDB_ERROR("audit found exposure: %s", report.ToString().c_str());
+    }
+  }
+
+  // One backoff for every service: a failed step is retried after a capped
+  // exponential delay. The first failure stays sticky unless it is Busy (a
+  // resource momentarily exhausted, which loses nothing).
+  if (status.ok()) {
+    backoff_ = 0;
+  } else {
+    backoff_ = backoff_ == 0 ? kBackoffFloor
+                             : std::min(backoff_ * 2, kBackoffCap);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (first_error_.ok() && !status.IsBusy()) first_error_ = status;
+    if (status.IsIOError() || status.IsBusy()) ++stats_.io_retries;
+  }
+  if (checkpoint_due) {
+    // A failed checkpoint retries at the backoff and bypasses the
+    // skip-clean gate then. A successful one sets the next cadence point
+    // only now: it retired the pressuring segment, so the adaptive pull
+    // fires only for a payload deadline still live inside the interval.
+    checkpoint_pressure_pending_ = !checkpointed.ok();
+    next_checkpoint_due_ =
+        checkpointed.ok() ? NextCheckpointDue(now) : now + backoff_;
+  }
+
+  if (!status.ok()) {
+    *wake = now + backoff_;
+    return status;
+  }
+  Micros next = kForever;
+  if (degrade) {
+    next = NextDeadline();
+    // A failed audit's repair units are drained without sleeping.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!urgent_.empty()) next = now;
+  }
+  if (maintain && maintenance_.checkpoint_interval > 0) {
+    next = std::min(next, next_checkpoint_due_);
+  }
+  if (maintain && maintenance_.audit_interval > 0) {
+    next = std::min(next, next_audit_due_);
+  }
+  *wake = next;
+  return status;
+}
+
+Status DegradationEngine::CheckpointIfWorthwhile(Micros now) {
+  const bool clean =
+      db_->DirtyPartitions() < maintenance_.checkpoint_dirty_threshold;
+  // WAL payload-deadline pressure: a live segment still holds an accurate
+  // insert payload past its phase-0 deadline. Checkpointing rotates and
+  // retires it (scrub/unlink per the privacy mode), which keeps log hygiene
+  // tracking the deadlines when no new writes dirty a partition. A failed
+  // last attempt counts as pressure too: it may have flushed every
+  // partition clean while the manifest, and retirement, still lag.
+  const bool wal_pressure =
+      checkpoint_pressure_pending_ ||
+      db_->wal()->AuditExposure(now).exposed_segments > 0;
+  if (clean && !wal_pressure) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++maintenance_stats_.checkpoints_skipped_clean;
+    return Status::OK();
+  }
+  IDB_RETURN_IF_ERROR(db_->Checkpoint());
+  std::lock_guard<std::mutex> lock(mu_);
+  ++maintenance_stats_.checkpoints;
+  if (clean) ++maintenance_stats_.forced_checkpoints;
+  return Status::OK();
+}
+
+Micros DegradationEngine::NextCheckpointDue(Micros now) {
+  // `checkpoint_interval` is the floor, the guaranteed worst-case gap. When
+  // a live WAL payload's phase-0 deadline lands inside it, the next cadence
+  // point moves to that deadline, so the segment retires the moment its
+  // payload turns overdue. A deadline already past (or kForever) leaves the
+  // interval alone: pressure that old forces this very cadence point.
+  Micros due = now + maintenance_.checkpoint_interval;
+  const Micros payload = db_->wal()->EarliestPayloadDeadline();
+  if (payload > now && payload < due) {
+    due = payload;
+    std::lock_guard<std::mutex> lock(mu_);
+    ++maintenance_stats_.adaptive_checkpoint_pulls;
+  }
+  return due;
+}
+
+AuditReport DegradationEngine::RunAudit(Micros now) {
+  AuditReport report =
+      db_->RunAuditSweep(auditor_, now, maintenance_.audit_grace);
+  std::lock_guard<std::mutex> lock(mu_);
+  MaintenanceStats& stats = maintenance_stats_;
+  ++stats.audits;
+  if (!report.clean()) {
+    ++stats.audits_failed;
+    // Audit-driven repair: every partition the sweep proved overdue becomes
+    // an urgent unit the next pass drains ahead of the regular order.
+    for (const TableAuditFindings& findings : report.tables) {
+      for (const uint32_t partition : findings.exposed_partitions) {
+        urgent_.emplace(findings.table, partition);
+        ++stats.repairs_enqueued;
+      }
+    }
+  }
+  stats.audit_rows_scanned += report.rows_scanned;
+  stats.max_exposure_seen =
+      std::max(stats.max_exposure_seen, report.max_exposure);
+  stats.last_audit = now;
+  return report;
+}
+
+AuditReport DegradationEngine::RunAuditNow() {
+  return RunAudit(clock_->NowMicros());
+}
+
 Status DegradationEngine::Start() {
   if (running_.exchange(true)) return Status::OK();
   thread_ = std::thread([this] { BackgroundLoop(); });
@@ -218,56 +348,42 @@ Status DegradationEngine::Start() {
 }
 
 void DegradationEngine::Stop() {
-  if (!running_.exchange(false)) return;
-  clock_->WakeAll();
-  if (thread_.joinable()) thread_.join();
+  if (running_.exchange(false)) {
+    clock_->WakeAll();
+    thread_.join();
+  }
+  // Wait out a caller-pumped pass, as UnregisterTable does.
+  std::unique_lock<std::shared_mutex> drained(run_mu_);
 }
 
 void DegradationEngine::BackgroundLoop() {
-  Micros backoff = 0;  // current retry delay; 0 while passes succeed
   for (;;) {
-    // Token before the running_ check and the deadline computation: a
-    // Stop() or a RegisterTable()'s earlier-deadline WakeAll landing after
-    // this line expires the token, so WaitUntil returns immediately instead
-    // of sleeping through the wake (the missed-wakeup window between
-    // deciding to sleep and parking).
+    // Token before the running_ check and the step: a Stop() or a
+    // RegisterTable()'s earlier-deadline WakeAll landing after this line
+    // expires the token, so WaitUntil returns immediately instead of
+    // sleeping through the wake.
     const uint64_t token = clock_->WakeToken();
     if (!running_.load(std::memory_order_acquire)) break;
     const Micros now = clock_->NowMicros();
-    const Micros deadline = NextDeadline();
-    if (deadline <= now) {
-      auto moved = RunDue(now);
-      if (moved.ok()) {
-        backoff = 0;
-        continue;
-      }
-      IDB_ERROR("degrader pass failed: %s", moved.status().ToString().c_str());
-      // A failed pass leaves the deadline overdue; looping straight back
-      // would hot-spin against a broken disk. Retry with capped exponential
-      // backoff — the deadline stays overdue, so the pass that finds the
-      // disk recovered immediately drains the backlog.
-      backoff = backoff == 0 ? kPassBackoffFloor
-                             : std::min(backoff * 2, kPassBackoffCap);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (first_error_.ok() && moved.status().IsIOError()) {
-          first_error_ = moved.status();
-        }
-        if (moved.status().IsIOError() || moved.status().IsBusy()) {
-          ++stats_.io_retries;
-        }
-      }
-      clock_->WaitUntil(now + backoff, token);
-      continue;
+    Micros wake = kForever;
+    const Status status = Step(now, options_.background_thread,
+                               maintenance_.enabled, &wake);
+    if (!status.ok()) {
+      IDB_ERROR("background step failed: %s", status.ToString().c_str());
     }
-    clock_->WaitUntil(deadline == kForever ? now + kMicrosPerHour : deadline,
-                      token);
+    clock_->WaitUntil(wake == kForever ? now + kMicrosPerHour : wake, token);
   }
 }
 
 DegradationEngine::Stats DegradationEngine::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+DegradationEngine::MaintenanceStats DegradationEngine::maintenance_stats()
+    const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return maintenance_stats_;
 }
 
 }  // namespace instantdb

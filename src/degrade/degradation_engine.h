@@ -8,48 +8,60 @@
 #include <shared_mutex>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "common/clock.h"
 #include "common/options.h"
 #include "db/table.h"
+#include "maintain/audit.h"
 #include "txn/transaction.h"
 #include "util/worker_pool.h"
 
 namespace instantdb {
 
-/// \brief The partition-parallel degrader: tracks the earliest pending transition
-/// deadline across every partition of every table and fires degradation
-/// steps as system transactions — the component that makes degradation
-/// *timely* (paper §III).
+class Database;
+
+/// \brief The one background loop that enforces every deadline: degradation
+/// passes over the stores (the component that makes degradation *timely*,
+/// paper §III), the checkpoint cadence that retires WAL segments holding
+/// overdue payloads, and the deletion-assurance audits that prove both.
 ///
-/// Scheduling is per (table, partition): one pass collects every partition
-/// with overdue work and drains it STEP-GRAINED over the Database's shared
-/// worker pool (`DegradationOptions::worker_threads`). Each claim runs one
-/// bounded degradation step and requeues the unit at the back while it
-/// still has work, so an urgent (audit-repair) unit at the front of the
-/// queue gets its first step within one step latency even when another
-/// partition holds a deep backlog — no worker is pinned to one partition
-/// for the whole pass. Distinct partitions never share physical state, so
-/// workers proceed without interfering.
+/// Degradation is scheduled per (table, partition): one pass collects every
+/// partition with overdue work and drains it STEP-GRAINED over the
+/// Database's shared worker pool (`DegradationOptions::worker_threads`).
+/// Each claim runs one bounded degradation step and requeues the unit at
+/// the back while it still has work, so an urgent (audit-repair) unit at
+/// the front of the queue gets its first step within one step latency even
+/// when another partition holds a deep backlog. Distinct partitions never
+/// share physical state, so workers proceed without interfering. A step
+/// takes no logical lock, so no user transaction can hold it back. Steps on
+/// one partition run one at a time: a pass that finds another pass's step
+/// in flight there skips the partition, which that pass drains.
 ///
-/// Two drive modes:
-///  - pumped: tests/benchmarks call `RunDue(now)` after advancing a
-///    VirtualClock; everything is deterministic (workers join before RunDue
-///    returns).
-///  - background: `Start()` spawns a coordinator thread that sleeps on the
-///    Clock until the next deadline (woken early when the deadline set
-///    changes) and runs RunDue passes.
+/// The checkpoint cadence runs Database::Checkpoint every
+/// `MaintenanceOptions::checkpoint_interval` when at least
+/// `checkpoint_dirty_threshold` partitions are dirty, and FORCES one when a
+/// live WAL segment still holds an accurate payload past its phase-0
+/// deadline (retirement must not wait for new writes). The interval is a
+/// floor: the next cadence point is pulled in to the earliest payload
+/// deadline in the live log (WalManager::EarliestPayloadDeadline) when that
+/// lands inside it. Every `audit_interval` a DeletionAuditor sweep proves
+/// every value past its deadline is degraded or destroyed; the partitions a
+/// failed sweep finds exposed become urgent units of the next pass.
 ///
-/// A step takes no logical lock, so no user transaction can hold it back.
-/// Steps on one partition run one at a time: a pass that finds another
-/// pass's step in flight there skips the partition, which that pass drains.
+/// Drive modes:
+///  - pumped: tests call `RunDue(now)` (degradation only) or `RunOnce(now)`
+///    (all three services) after advancing a VirtualClock; everything is
+///    deterministic (workers join before either returns).
+///  - background: `Start()` spawns one thread that loops on the same step
+///    as RunOnce, running the services its flags enable
+///    (`DegradationOptions::background_thread`,
+///    `MaintenanceOptions::enabled`), and sleeps on the Clock until the
+///    earliest store deadline or cadence point.
 class DegradationEngine {
  public:
-  /// `pool` (not owned, must outlive the engine) is the Database's shared
-  /// worker pool passes borrow workers from.
-  DegradationEngine(TransactionManager* tm, Clock* clock,
-                    const DegradationOptions& options, WorkerPool& pool);
+  /// `db` (not owned) must outlive the engine, and its transaction manager,
+  /// WAL, clock and worker pool must already exist.
+  explicit DegradationEngine(Database* db);
   ~DegradationEngine();
   DegradationEngine(const DegradationEngine&) = delete;
   DegradationEngine& operator=(const DegradationEngine&) = delete;
@@ -64,6 +76,17 @@ class DegradationEngine {
   /// attribute values moved/removed.
   Result<size_t> RunDue(Micros now);
 
+  /// One deterministic step at clock time `now`: the degradation pass, then
+  /// the checkpoint cadence, then the audit cadence, each only when due.
+  /// This is the body of the background loop; tests on a VirtualClock call
+  /// it directly after Advance(). Returns the first failure of the step.
+  Status RunOnce(Micros now);
+
+  /// Unconditional deletion-assurance sweep at the clock's current time,
+  /// cadence-independent. The returned report's Verify() is the hard-fail
+  /// API the acceptance tests assert on.
+  AuditReport RunAuditNow();
+
   /// Earliest pending deadline over all tables (kForever when idle).
   Micros NextDeadline() const;
 
@@ -74,31 +97,22 @@ class DegradationEngine {
   /// load so the floor holds. Walks every partition; callers cache it.
   size_t OverdueUnits(Micros now) const;
 
-  /// Audit-driven repair: marks one (table, partition) unit as urgent. The
-  /// next RunDue pass (the background coordinator is woken immediately)
-  /// schedules urgent units at the FRONT of its first round, ahead of the
-  /// regular deadline order — a failed deletion-assurance audit turns its
-  /// overdue findings into top-priority work instead of waiting for the
-  /// partition's turn. Unknown tables and partitions without overdue work
-  /// are ignored at drain time, so stale enqueues are harmless.
-  void EnqueueUrgent(TableId table, uint32_t partition);
+  /// Next checkpoint cadence point, as the last step left it.
+  Micros next_checkpoint_due() const {
+    std::lock_guard<std::mutex> lock(step_mu_);
+    return next_checkpoint_due_;
+  }
 
-  /// Background-thread mode.
+  /// Background-thread mode. Stop() joins the thread, then waits for any
+  /// caller-pumped RunDue pass to finish.
   Status Start();
   void Stop();
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  /// Bounded quiesce: waits up to `max_wait` for an in-flight RunDue pass
-  /// (caller-pumped or background) to drain, returning true when the engine
-  /// is quiescent and false on timeout. Database::Close uses it after
-  /// stopping the background thread so the final checkpoint runs against a
-  /// settled state; the close is safe either way (checkpoints are fuzzy).
-  bool Quiesce(Micros max_wait);
-
   /// Fault injection (tests only): while set, RunDue never schedules the
   /// (table, partition) unit, so its overdue values stay stale — the planted
   /// exposure a deletion-assurance audit must catch. Use with the pumped
-  /// drive mode: a background coordinator would busy-spin on the skipped
+  /// drive mode: a background loop would busy-spin on the skipped
   /// partition's permanently-overdue deadline.
   void TEST_FaultSkipPartition(TableId table, uint32_t partition, bool skip);
 
@@ -111,43 +125,96 @@ class DegradationEngine {
     uint64_t lock_aborts = 0;
     /// Urgent (audit-repair) units drained ahead of the regular order.
     uint64_t urgent_units = 0;
-    /// Background passes that failed transiently (IOError/Busy) and were
-    /// retried after a capped exponential backoff instead of hot-spinning
-    /// on the still-overdue deadline.
+    /// RunOnce steps in which a service failed with IOError or Busy; the
+    /// background loop retries each after a capped exponential backoff
+    /// instead of hot-spinning on the still-overdue deadline.
     uint64_t io_retries = 0;
   };
   Stats stats() const;
 
-  /// First I/O error any background pass hit (OK before any). Sticky:
-  /// Database::Close surfaces it even after later retries succeeded.
+  struct MaintenanceStats {
+    /// Cadence checkpoints that ran (dirty threshold met or forced).
+    uint64_t checkpoints = 0;
+    /// Cadence points skipped because too few partitions were dirty.
+    uint64_t checkpoints_skipped_clean = 0;
+    /// Checkpoints forced below the dirty threshold by WAL payload-deadline
+    /// pressure (a live segment held an overdue accurate value).
+    uint64_t forced_checkpoints = 0;
+    /// Cadence points pulled EARLIER than checkpoint_interval because a
+    /// live WAL payload's phase-0 deadline landed inside the window.
+    uint64_t adaptive_checkpoint_pulls = 0;
+    /// Overdue (table, partition) units a failed audit marked urgent.
+    uint64_t repairs_enqueued = 0;
+    uint64_t audits = 0;
+    uint64_t audits_failed = 0;
+    uint64_t audit_rows_scanned = 0;
+    /// Worst attack window any audit has seen (monotone high-water mark).
+    Micros max_exposure_seen = 0;
+    /// Clock instant of the most recent completed audit (0 = none yet).
+    Micros last_audit = 0;
+  };
+  MaintenanceStats maintenance_stats() const;
+
+  /// First failure other than Busy of any RunOnce step, from any service
+  /// (OK before any). Sticky: Database::Close surfaces it even after later
+  /// retries succeeded, so a disk that failed and recovered mid-run is never
+  /// silently forgotten.
   Status first_error() const {
     std::lock_guard<std::mutex> lock(mu_);
     return first_error_;
   }
 
  private:
+  /// RunOnce's body for the services `degrade` and `maintain` enable;
+  /// returns the first failure and stores when the next step is due.
+  Status Step(Micros now, bool degrade, bool maintain, Micros* wake);
+  /// Cadence checkpoint decision + execution (see the class comment).
+  Status CheckpointIfWorthwhile(Micros now);
+  /// Interval-floored next cadence point, pulled in to the earliest live
+  /// WAL payload deadline when that lands inside the window.
+  Micros NextCheckpointDue(Micros now);
+  AuditReport RunAudit(Micros now);
   void BackgroundLoop();
 
+  Database* const db_;
   TransactionManager* const tm_;
   Clock* const clock_;
   const DegradationOptions options_;
+  const MaintenanceOptions maintenance_;
   WorkerPool& pool_;  // shared Database pool
+  const DeletionAuditor auditor_;
 
+  /// Guards the table map, the counters, the sticky error and the urgent
+  /// and fault sets. Never held across a step, a checkpoint or an audit, so
+  /// stats() and OverdueUnits never wait behind I/O.
   mutable std::mutex mu_;
   std::map<TableId, Table*> tables_;
   Stats stats_;
-  Status first_error_;  // first background-pass I/O error, under mu_
+  MaintenanceStats maintenance_stats_;
+  Status first_error_;
   /// (table, partition) units RunDue must skip (TEST_FaultSkipPartition).
   std::set<std::pair<TableId, uint32_t>> fault_skip_;
   /// Audit-repair units to schedule ahead of the regular order; swapped out
   /// (and counted) by the next RunDue pass.
   std::set<std::pair<TableId, uint32_t>> urgent_;
 
+  /// Serializes RunOnce steps (the background thread and pumped callers)
+  /// and guards the cadence state below.
+  mutable std::mutex step_mu_;
+  Micros next_checkpoint_due_ = 0;
+  Micros next_audit_due_ = 0;
+  /// Current retry delay after a failed step; 0 after a clean one.
+  Micros backoff_ = 0;
+  /// A cadence checkpoint was due (dirty threshold or WAL pressure) but
+  /// failed: the next attempt bypasses the skip-clean gate, because a
+  /// partial flush may have left every partition clean while the manifest —
+  /// and segment retirement — still lag.
+  bool checkpoint_pressure_pending_ = false;
+
   /// Held shared for the duration of a RunDue pass (whose workers step raw
-  /// Table* outside mu_); UnregisterTable acquires it exclusively to
-  /// quiesce before the table is destroyed (Quiesce does the same with a
-  /// deadline, hence the _timed variant).
-  mutable std::shared_timed_mutex run_mu_;
+  /// Table* outside mu_); UnregisterTable and Stop acquire it exclusively
+  /// to wait for in-flight passes.
+  std::shared_mutex run_mu_;
 
   std::thread thread_;
   std::atomic<bool> running_{false};

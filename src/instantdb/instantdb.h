@@ -12,10 +12,11 @@
 ///  - Schema / ColumnDef — stable vs. degradable attributes.
 ///  - Database — engine facade (storage, WAL, transactions, degrader).
 ///  - Session — SQL with DECLARE PURPOSE accuracy binding.
-///  - MaintenanceDaemon / AuditReport — self-driving checkpoint cadence and
-///    deletion-assurance audits that *prove* data past its deadline is gone
-///    (enable with DbOptions::maintenance.enabled; verify with
-///    Database::Audit().Verify()).
+///  - DegradationEngine / AuditReport — one background loop that runs the
+///    degradation passes, the checkpoint cadence and the deletion-assurance
+///    audits that *prove* data past its deadline is gone (enable with
+///    DbOptions::degradation.background_thread and
+///    DbOptions::maintenance.enabled; verify with Database::Audit().Verify()).
 ///
 /// Scalable read/write surfaces (designed for high-rate append streams and
 /// bounded-memory consumers):
@@ -47,7 +48,6 @@
 #include "db/write_batch.h"
 #include "degrade/degradation_engine.h"
 #include "maintain/audit.h"
-#include "maintain/maintenance_daemon.h"
 #include "query/cursor.h"
 #include "query/prepared_statement.h"
 #include "query/session.h"

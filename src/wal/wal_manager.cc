@@ -400,7 +400,7 @@ Status WalManager::SyncThrough(Lsn lsn) {
 Status WalManager::Sync() { return SyncThrough(next_lsn()); }
 
 Result<Lsn> WalManager::LogCheckpoint(Lsn begin) {
-  // One checkpoint at a time (see checkpoint_mu_): the daemon's cadence and
+  // One checkpoint at a time (see checkpoint_mu_): the background cadence and
   // caller-driven checkpoints would otherwise race the manifest rename.
   std::lock_guard<std::mutex> checkpoint_lock(checkpoint_mu_);
   IDB_ASSIGN_OR_RETURN(const Lsn lsn, AppendCheckpointAndRotate(begin));

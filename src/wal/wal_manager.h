@@ -188,7 +188,7 @@ class WalManager {
 
   /// Earliest phase-0 payload deadline still held by any live segment;
   /// kForever when the log holds no degradable payload. Drives
-  /// the maintenance daemon's adaptive checkpoint cadence: a checkpoint at
+  /// the background loop's adaptive checkpoint cadence: a checkpoint at
   /// this instant rotates + retires the segment before its payload becomes
   /// an exposure finding. Deadlines are tracked in every privacy mode (under
   /// kEncryptedEpoch an early checkpoint still shrinks the decryptable
@@ -308,7 +308,7 @@ class WalManager {
   Env* const env_;
 
   /// Serializes whole checkpoints (rotate → manifest → retire). Multiple
-  /// drivers checkpoint concurrently (the maintenance daemon's cadence vs.
+  /// drivers checkpoint concurrently (the background checkpoint cadence vs.
   /// caller-driven Database::Checkpoint): unserialized, both would write
   /// CHECKPOINT.tmp and race the rename — and an interleaving could stamp
   /// an older LSN over a newer manifest, regressing the durable replay

@@ -99,10 +99,10 @@ TEST_P(CheckpointFuzzyTest, ConcurrentCheckpointsLoseAndResurrectNothing) {
 
   VirtualClock clock(0);
   DbOptions options = Options(dir_, &clock);
+  // The background loop runs degrade steps and, on every 10-minute Advance
+  // below, a cadence checkpoint. The manual checkpoints race both of them
+  // AND the ingest threads.
   options.degradation.background_thread = true;
-  // Third checkpoint driver: the maintenance daemon's cadence fires on
-  // every 10-minute Advance below, so its checkpoints race the manual ones
-  // AND the ingest/degrader threads.
   options.maintenance.enabled = true;
   options.maintenance.checkpoint_interval = kMicrosPerMinute;
   auto opened = Database::Open(options);
@@ -159,6 +159,15 @@ TEST_P(CheckpointFuzzyTest, ConcurrentCheckpointsLoseAndResurrectNothing) {
     if (!ckpt.ok()) record_error(ckpt, "checkpoint");
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+  // The first phase-0 deadlines fell due an hour in. Keep checkpointing
+  // (bounded by real time) until the loop has stepped, so the manual
+  // checkpoints provably raced live degrade steps.
+  for (int i = 0; i < 5000 && db->stats().degradation.steps == 0; ++i) {
+    Status ckpt = db->Checkpoint();
+    if (!ckpt.ok()) record_error(ckpt, "checkpoint");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GT(db->stats().degradation.steps, 0u);
   for (std::thread& t : writers) t.join();
 
   // Let the degrader drain what is due, then quiesce so the live dump is a
@@ -184,10 +193,9 @@ TEST_P(CheckpointFuzzyTest, ConcurrentCheckpointsLoseAndResurrectNothing) {
 
   // Crash image: sync the WAL and snapshot the directory while the source
   // stays open — nothing below relies on a clean shutdown checkpoint. The
-  // daemon must stop first (Stop joins, so any in-flight cadence checkpoint
-  // drains): a checkpoint scrubbing segments mid-copy would hand CopyTree a
-  // vanishing file list.
-  db->maintenance()->Stop();
+  // loop stopped above (Stop joins, so any in-flight cadence checkpoint
+  // drained): a checkpoint scrubbing segments mid-copy would hand CopyTree
+  // a vanishing file list.
   ASSERT_TRUE(db->wal()->Sync().ok());
   CopyTree(dir_, clone_);
 

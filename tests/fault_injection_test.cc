@@ -15,15 +15,16 @@
 //    violations (the recovered database audits clean);
 //  - torn store/heap writes surface as truncated-at-CRC loads and
 //    Corruption reads, never as decoded garbage;
-//  - the maintenance cadence retries transient checkpoint I/O failures
-//    with capped backoff, the previous WAL manifest stays authoritative
-//    across a failed rename, and Close() surfaces the first sticky
-//    background error even after the retry succeeded.
+//  - the background loop retries transient checkpoint and degradation
+//    failures with one capped backoff, the previous WAL manifest stays
+//    authoritative across a failed rename, and Close() surfaces the first
+//    sticky background error even after the retry succeeded.
 //
 // The base seed is fixed (deterministic in CI) and overridable via
 // IDB_FAULT_SEED; scripts/verify.sh runs this suite under TSan as well.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <random>
@@ -356,7 +357,7 @@ TEST_F(FaultInjectionTest, TortureRandomizedFaultCrashSchedules) {
       ASSERT_TRUE(moved.ok()) << moved.status().ToString();
       if (*moved == 0) break;
     }
-    ASSERT_TRUE(rdb->maintenance()->RunOnce(now).ok());
+    ASSERT_TRUE(rdb->degradation()->RunOnce(now).ok());
     const AuditReport report = rdb->Audit();
     EXPECT_TRUE(report.Verify().ok()) << report.ToString();
     EXPECT_TRUE(rdb->Close().ok());
@@ -535,12 +536,6 @@ TEST_F(FaultInjectionTest, HeapPageChecksumDetectsTornAndCorruptPages) {
   EXPECT_TRUE(rot.IsCorruption()) << rot.ToString();
 }
 
-// The maintenance cadence against a transiently broken disk: a failed
-// manifest rename leaves the previous CHECKPOINT manifest authoritative,
-// schedules a capped-backoff retry that tracks the unmet deadline pressure
-// (so the recovered disk immediately drives the overdue checkpoint even
-// though the failed attempt flushed every partition clean), and the first
-// error stays sticky all the way into stats().io and Close().
 // A transient I/O error in a degrade step's apply, after the step's WAL
 // commit, must not stall degradation until a restart. The commit re-runs
 // the failed apply once; here the fault outlasts that retry, so the step
@@ -706,6 +701,12 @@ TEST_F(FaultInjectionTest, CheckpointFinishesACommitWhoseApplyFailedTwice) {
   EXPECT_EQ((*recovered)->stats().stores.entries, kRows);
 }
 
+// The checkpoint cadence against a transiently broken disk: a failed
+// manifest rename leaves the previous CHECKPOINT manifest authoritative,
+// schedules a capped-backoff retry that tracks the unmet deadline pressure
+// (so the recovered disk immediately drives the overdue checkpoint even
+// though the failed attempt flushed every partition clean), and the first
+// error stays sticky all the way into stats().io and Close().
 TEST_F(FaultInjectionTest, MaintenanceRetriesCheckpointAndKeepsOldManifest) {
   FaultInjectionEnv fault(Env::Default());
   VirtualClock clock(0);
@@ -713,7 +714,7 @@ TEST_F(FaultInjectionTest, MaintenanceRetriesCheckpointAndKeepsOldManifest) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<Database> db = std::move(*opened);
   CreatePings(db.get());
-  MaintenanceDaemon* daemon = db->maintenance();
+  DegradationEngine* engine = db->degradation();
 
   WriteOptions durable;
   durable.sync = true;
@@ -724,8 +725,8 @@ TEST_F(FaultInjectionTest, MaintenanceRetriesCheckpointAndKeepsOldManifest) {
   // A healthy cadence point: dirty partitions, checkpoint runs.
   clock.Advance(kMicrosPerSecond);
   Micros now = clock.NowMicros();
-  ASSERT_TRUE(daemon->RunOnce(now).ok());
-  ASSERT_EQ(daemon->stats().checkpoints, 1u);
+  ASSERT_TRUE(engine->RunOnce(now).ok());
+  ASSERT_EQ(engine->maintenance_stats().checkpoints, 1u);
   auto before = db->wal()->ReadCheckpointLsn();
   ASSERT_TRUE(before.ok());
 
@@ -741,11 +742,11 @@ TEST_F(FaultInjectionTest, MaintenanceRetriesCheckpointAndKeepsOldManifest) {
                  "CHECKPOINT");
   clock.Advance(2 * kMicrosPerSecond);
   now = clock.NowMicros();
-  Status failed = daemon->RunOnce(now);
+  Status failed = engine->RunOnce(now);
   ASSERT_FALSE(failed.ok());
   EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
-  EXPECT_EQ(daemon->next_checkpoint_due(), now + 10'000);  // backoff floor
-  EXPECT_EQ(daemon->stats().io_retries, 1u);
+  EXPECT_EQ(engine->next_checkpoint_due(), now + 10'000);  // backoff floor
+  EXPECT_EQ(engine->stats().io_retries, 1u);
   auto after_failure = db->wal()->ReadCheckpointLsn();
   ASSERT_TRUE(after_failure.ok());
   EXPECT_EQ(*after_failure, *before) << "a failed rename replaced the "
@@ -756,8 +757,8 @@ TEST_F(FaultInjectionTest, MaintenanceRetriesCheckpointAndKeepsOldManifest) {
   // attempt left every partition clean.
   clock.Advance(10'000);
   now = clock.NowMicros();
-  ASSERT_TRUE(daemon->RunOnce(now).ok());
-  EXPECT_EQ(daemon->stats().checkpoints, 2u);
+  ASSERT_TRUE(engine->RunOnce(now).ok());
+  EXPECT_EQ(engine->maintenance_stats().checkpoints, 2u);
   auto after_retry = db->wal()->ReadCheckpointLsn();
   ASSERT_TRUE(after_retry.ok());
   EXPECT_NE(*after_retry, *before) << "the retried checkpoint never "
@@ -777,6 +778,71 @@ TEST_F(FaultInjectionTest, MaintenanceRetriesCheckpointAndKeepsOldManifest) {
   }
   Status closed = db->Close();
   EXPECT_FALSE(closed.ok());
+  EXPECT_TRUE(closed.IsIOError()) << closed.ToString();
+}
+
+// The same backoff guards the degradation pass on the background thread.
+// The phase-1 store's buffered flush fails in a background step's apply
+// and again in the commit's retry of it, so the pass fails. The loop must
+// then wait out the 10 ms floor rather than spin on the still-overdue
+// deadline, and once the fault is spent every value reaches its next phase
+// in the same process. The failure stays sticky into Close().
+TEST_F(FaultInjectionTest, BackgroundLoopBacksOffAfterAFailedPass) {
+  FaultInjectionEnv fault(Env::Default());
+  VirtualClock clock(0);
+  DbOptions options = Options(dir_, &clock, &fault);
+  options.degradation.background_thread = true;
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(*opened);
+  CreatePings(db.get());
+  // Enough rows that a pass fills a phase-1 store's write buffer and
+  // flushes it to the file.
+  constexpr uint64_t kRows = 1000;
+  for (uint64_t start = 0; start < kRows; start += 100) {
+    WriteBatch batch;
+    for (uint64_t i = start; i < start + 100; ++i) {
+      batch.Insert("pings", {Value::String("u" + std::to_string(i)),
+                             Value::String("11 Rue Lepic")});
+    }
+    ASSERT_TRUE(db->Write(&batch).ok());
+  }
+  Table* table = db->GetTable("pings");
+
+  for (int i = 0; i < 2; ++i) {
+    fault.FailOnce(FaultOp::kAppend, 1, Status::IOError("injected append EIO"),
+                   "c1.p1");
+  }
+  clock.Advance(kMicrosPerHour);  // the phase-0 deadline: the loop wakes
+  // Bounded by real time: a loop that never fails fails the test.
+  for (int i = 0; i < 5000 && db->stats().io.retries == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(db->stats().io.retries, 1u);
+  EXPECT_EQ(fault.io_counters().injected_faults, 2u);
+  const uint64_t moved = table->stats().values_degraded;
+  EXPECT_LT(moved, kRows);
+
+  // Virtual time short of the floor: the loop stays parked. A loop that
+  // spun would have retried on the spent fault and moved the rest.
+  clock.Advance(10'000 - 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(db->stats().io.retries, 1u);
+  EXPECT_EQ(table->stats().values_degraded, moved);
+
+  // At the floor the retry runs and completes every move.
+  clock.Advance(1);
+  for (int i = 0; i < 5000 && table->stats().values_degraded < kRows; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(table->stats().values_degraded, kRows);
+  EXPECT_EQ(db->degradation()->NextDeadline(), kForever);
+  EXPECT_EQ(db->stats().io.retries, 1u);
+  EXPECT_TRUE(db->stats().io.first_error.find("injected append EIO") !=
+              std::string::npos)
+      << db->stats().io.first_error;
+
+  const Status closed = db->Close();
   EXPECT_TRUE(closed.IsIOError()) << closed.ToString();
 }
 

@@ -1,17 +1,24 @@
-// Maintenance daemon + verified-deletion audits (ISSUE 6): the cadence
-// scheduler checkpoints only when partitions are dirty (or a WAL segment
-// holds an overdue payload), WAL segments retire as the clean-through
-// marks advance, the deletion-assurance audit catches a planted stale
-// value via the degrader's fault-injection hook, shutdown mid-cadence is
-// clean, and — the acceptance bar — a daemon at a 100 ms cadence keeps
-// every layer (stores, indexes, WAL, epoch keys) audit-clean across
-// every phase-0 deadline with no manual Checkpoint() call. Everything
-// runs on a VirtualClock; MaintenanceDaemon::RunOnce is the exact body
-// of the background loop, so the pumped tests exercise the real
-// scheduler. In scripts/verify.sh's TSan list because the enabled-daemon
-// tests race the scheduler thread against ingest and the degrader.
+// Checkpoint and audit cadences + verified-deletion audits: the cadence
+// checkpoints only when partitions are dirty (or a WAL segment holds an
+// overdue payload), WAL segments retire as the clean-through marks
+// advance, the deletion-assurance audit catches a planted stale value via
+// the degrader's fault-injection hook, shutdown mid-cadence is clean, one
+// background thread runs every service, stats() never waits behind a
+// cadence checkpoint, and — the acceptance bar — a 100 ms cadence keeps
+// every layer (stores, indexes, WAL, epoch keys) audit-clean across every
+// phase-0 deadline with no manual Checkpoint() call. Everything runs on a
+// VirtualClock; DegradationEngine::RunOnce is the exact body of the
+// background loop, so the pumped tests exercise the real scheduler. In
+// scripts/verify.sh's TSan list because the enabled-loop tests race the
+// background thread against ingest.
 
+#include <chrono>
+#include <condition_variable>
+#include <filesystem>
+#include <future>
+#include <iterator>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,10 +27,101 @@
 #include "common/strings.h"
 #include "db/database.h"
 #include "gtest/gtest.h"
+#include "io/env.h"
 #include "util/file.h"
 
 namespace instantdb {
 namespace {
+
+/// Forwards every operation to `base`, except that once armed it parks the
+/// rename publishing the WAL's CHECKPOINT manifest until Release().
+class ParkedManifestEnv final : public Env {
+ public:
+  /// `base` must outlive this env.
+  explicit ParkedManifestEnv(Env* base) : base_(base) {}
+
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  void WaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path, bool truncate) override {
+    return base_->NewWritableFile(path, truncate);
+  }
+  Result<std::unique_ptr<WritableFile>> NewAppendableFile(
+      const std::string& path) override {
+    return base_->NewAppendableFile(path);
+  }
+  Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) override {
+    return base_->NewRandomAccessFile(path);
+  }
+  Result<std::unique_ptr<RandomRWFile>> NewRandomRWFile(
+      const std::string& path) override {
+    return base_->NewRandomRWFile(path);
+  }
+  Status CreateDirIfMissing(const std::string& path) override {
+    return base_->CreateDirIfMissing(path);
+  }
+  Status CreateDirs(const std::string& path) override {
+    return base_->CreateDirs(path);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Result<uint64_t> GetFileSize(const std::string& path) override {
+    return base_->GetFileSize(path);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  Status RemoveDirRecursive(const std::string& path) override {
+    return base_->RemoveDirRecursive(path);
+  }
+  Result<std::vector<std::string>> ListDir(const std::string& path) override {
+    return base_->ListDir(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    if (to.size() >= 11 && to.compare(to.size() - 11, 11, "/CHECKPOINT") == 0) {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (armed_) {
+        armed_ = false;
+        parked_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return released_; });
+      }
+    }
+    return base_->RenameFile(from, to);
+  }
+  Status TruncateFile(const std::string& path, uint64_t size) override {
+    return base_->TruncateFile(path, size);
+  }
+
+ private:
+  Env* const base_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+/// Threads of this process (entries of /proc/self/task).
+size_t ThreadCount() {
+  return static_cast<size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator()));
+}
 
 class MaintenanceTest : public ::testing::Test {
  protected:
@@ -79,33 +177,32 @@ TEST_F(MaintenanceTest, CadenceSkipsCleanAndFiresWhenDirty) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<Database> db = std::move(*opened);
   CreatePings(db.get(), kMicrosPerHour);
-  MaintenanceDaemon* daemon = db->maintenance();
-  ASSERT_NE(daemon, nullptr);
-  ASSERT_FALSE(daemon->running());  // enabled=false: pumped, no thread
+  DegradationEngine* engine = db->degradation();
+    ASSERT_FALSE(engine->running());  // enabled=false: pumped, no thread
 
   // t=0, nothing dirty: the cadence point records a skip.
-  ASSERT_TRUE(daemon->RunOnce(clock.NowMicros()).ok());
-  EXPECT_EQ(daemon->stats().checkpoints, 0u);
-  EXPECT_EQ(daemon->stats().checkpoints_skipped_clean, 1u);
+  ASSERT_TRUE(engine->RunOnce(clock.NowMicros()).ok());
+  EXPECT_EQ(engine->maintenance_stats().checkpoints, 0u);
+  EXPECT_EQ(engine->maintenance_stats().checkpoints_skipped_clean, 1u);
 
   // Between cadence points nothing happens, dirty or not.
   InsertPings(db.get(), 4);
   EXPECT_GE(db->DirtyPartitions(), 1u);
-  ASSERT_TRUE(daemon->RunOnce(clock.NowMicros()).ok());
-  EXPECT_EQ(daemon->stats().checkpoints, 0u);
+  ASSERT_TRUE(engine->RunOnce(clock.NowMicros()).ok());
+  EXPECT_EQ(engine->maintenance_stats().checkpoints, 0u);
 
   // Next cadence point sees the dirty partitions and checkpoints them.
   clock.Advance(kMicrosPerSecond);
-  ASSERT_TRUE(daemon->RunOnce(clock.NowMicros()).ok());
-  EXPECT_EQ(daemon->stats().checkpoints, 1u);
+  ASSERT_TRUE(engine->RunOnce(clock.NowMicros()).ok());
+  EXPECT_EQ(engine->maintenance_stats().checkpoints, 1u);
   EXPECT_EQ(db->DirtyPartitions(), 0u);
 
   // And the one after that is clean again.
   clock.Advance(kMicrosPerSecond);
-  ASSERT_TRUE(daemon->RunOnce(clock.NowMicros()).ok());
-  EXPECT_EQ(daemon->stats().checkpoints, 1u);
-  EXPECT_EQ(daemon->stats().checkpoints_skipped_clean, 2u);
-  EXPECT_EQ(daemon->stats().forced_checkpoints, 0u);
+  ASSERT_TRUE(engine->RunOnce(clock.NowMicros()).ok());
+  EXPECT_EQ(engine->maintenance_stats().checkpoints, 1u);
+  EXPECT_EQ(engine->maintenance_stats().checkpoints_skipped_clean, 2u);
+  EXPECT_EQ(engine->maintenance_stats().forced_checkpoints, 0u);
 }
 
 // Service 1, the privacy override: when a live WAL segment still holds an
@@ -121,15 +218,15 @@ TEST_F(MaintenanceTest, WalDeadlinePressureForcesRetirement) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<Database> db = std::move(*opened);
   CreatePings(db.get(), kMicrosPerSecond);
-  MaintenanceDaemon* daemon = db->maintenance();
+  DegradationEngine* engine = db->degradation();
 
   InsertPings(db.get(), 8);  // payload deadlines all at t=1s
 
   // Before the deadline the threshold wins: no checkpoint, segments live.
   clock.Advance(100 * kMicrosPerMilli);
-  ASSERT_TRUE(daemon->RunOnce(clock.NowMicros()).ok());
-  EXPECT_EQ(daemon->stats().checkpoints, 0u);
-  EXPECT_GE(daemon->stats().checkpoints_skipped_clean, 1u);
+  ASSERT_TRUE(engine->RunOnce(clock.NowMicros()).ok());
+  EXPECT_EQ(engine->maintenance_stats().checkpoints, 0u);
+  EXPECT_GE(engine->maintenance_stats().checkpoints_skipped_clean, 1u);
   EXPECT_EQ(db->stats().wal.segments_retired, 0u);
 
   // Past the deadline the segment's min payload deadline is overdue …
@@ -137,9 +234,9 @@ TEST_F(MaintenanceTest, WalDeadlinePressureForcesRetirement) {
   EXPECT_GT(db->wal()->AuditExposure(clock.NowMicros()).exposed_segments, 0u);
 
   // … and the next cadence point force-checkpoints to retire it.
-  ASSERT_TRUE(daemon->RunOnce(clock.NowMicros()).ok());
-  EXPECT_EQ(daemon->stats().checkpoints, 1u);
-  EXPECT_EQ(daemon->stats().forced_checkpoints, 1u);
+  ASSERT_TRUE(engine->RunOnce(clock.NowMicros()).ok());
+  EXPECT_EQ(engine->maintenance_stats().checkpoints, 1u);
+  EXPECT_EQ(engine->maintenance_stats().forced_checkpoints, 1u);
   EXPECT_GT(db->stats().wal.segments_retired, 0u);
   EXPECT_EQ(db->wal()->AuditExposure(clock.NowMicros()).exposed_segments, 0u);
 }
@@ -187,7 +284,7 @@ TEST_F(MaintenanceTest, AuditCatchesPlantedStaleValue) {
   // retire the overdue segments, and the audit comes back clean.
   db->degradation()->TEST_FaultSkipPartition(table->id(), victim, false);
   ASSERT_TRUE(db->RunDegradationOnce().ok());
-  ASSERT_TRUE(db->maintenance()->RunOnce(clock.NowMicros()).ok());
+  ASSERT_TRUE(db->degradation()->RunOnce(clock.NowMicros()).ok());
   report = db->Audit();
   EXPECT_TRUE(report.Verify().ok()) << report.ToString();
   EXPECT_EQ(db->stats().maintenance.max_exposure_seen, 2 * kMicrosPerSecond);
@@ -271,7 +368,7 @@ TEST_F(MaintenanceTest, PlainWalModeIsPermanentlyFlagged) {
 
   clock.Advance(2 * kMicrosPerSecond);
   ASSERT_TRUE(db->RunDegradationOnce().ok());
-  ASSERT_TRUE(db->maintenance()->RunOnce(clock.NowMicros()).ok());
+  ASSERT_TRUE(db->degradation()->RunOnce(clock.NowMicros()).ok());
   ASSERT_GT(db->stats().wal.segments_retired, 0u);
 
   const AuditReport report = db->Audit();
@@ -292,36 +389,9 @@ TEST_F(MaintenanceTest, PlainWalModeIsPermanentlyFlagged) {
   EXPECT_FALSE(reopened.clean());
 }
 
-// Service 3, policy hooks: while paused, cadence points pass without
-// work — and without accumulating a backlog Resume would replay.
-TEST_F(MaintenanceTest, PauseGatesCadenceWithoutBacklog) {
-  VirtualClock clock(0);
-  auto opened = Database::Open(Options(&clock));
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  std::unique_ptr<Database> db = std::move(*opened);
-  CreatePings(db.get(), kMicrosPerHour);
-  MaintenanceDaemon* daemon = db->maintenance();
-
-  InsertPings(db.get(), 4);
-  daemon->Pause();
-  EXPECT_TRUE(daemon->paused());
-  for (int i = 0; i < 5; ++i) {
-    clock.Advance(kMicrosPerSecond);
-    ASSERT_TRUE(daemon->RunOnce(clock.NowMicros()).ok());
-  }
-  EXPECT_EQ(daemon->stats().checkpoints, 0u);
-  EXPECT_EQ(daemon->stats().checkpoints_skipped_clean, 0u);
-
-  // One resume, one cadence point, one checkpoint — not five.
-  daemon->Resume();
-  clock.Advance(kMicrosPerSecond);
-  ASSERT_TRUE(daemon->RunOnce(clock.NowMicros()).ok());
-  EXPECT_EQ(daemon->stats().checkpoints, 1u);
-}
-
-// Lifecycle: an enabled daemon (real scheduler thread) works the cadence
-// on a VirtualClock, and Close() stops it cleanly mid-flight — shutdown
-// order contract: daemon first, then degrader, then the final checkpoint.
+// Lifecycle: the background loop (real thread) works the cadence on a
+// VirtualClock, and Close() stops it cleanly mid-flight before the final
+// checkpoint.
 TEST_F(MaintenanceTest, EnabledDaemonRunsAndShutsDownCleanly) {
   VirtualClock clock(0);
   DbOptions options = Options(&clock);
@@ -333,31 +403,92 @@ TEST_F(MaintenanceTest, EnabledDaemonRunsAndShutsDownCleanly) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<Database> db = std::move(*opened);
   CreatePings(db.get(), kMicrosPerHour);  // nothing comes due in this test
-  ASSERT_TRUE(db->maintenance()->running());
+  ASSERT_TRUE(db->degradation()->running());
   InsertPings(db.get(), 16);
 
-  // Walk virtual time across cadence points until the scheduler has both
-  // checkpointed the dirty partitions and completed an audit. The loop is
-  // bounded by real time, not virtual time — a hang fails the test.
+  // Walk virtual time across cadence points until the loop has both
+  // checkpointed the dirty partitions and completed an audit of the rows
+  // (the audit at open saw no table). The loop is bounded by real time,
+  // not virtual time — a hang fails the test.
   for (int i = 0; i < 5000; ++i) {
-    const MaintenanceDaemon::Stats stats = db->stats().maintenance;
-    if (stats.checkpoints >= 1 && stats.audits >= 1) break;
+    const DegradationEngine::MaintenanceStats stats = db->stats().maintenance;
+    if (stats.checkpoints >= 1 && stats.audit_rows_scanned > 0) break;
     clock.Advance(100 * kMicrosPerMilli);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  const MaintenanceDaemon::Stats stats = db->stats().maintenance;
+  const DegradationEngine::MaintenanceStats stats = db->stats().maintenance;
   EXPECT_GE(stats.checkpoints, 1u);
   EXPECT_GE(stats.audits, 1u);
   EXPECT_EQ(stats.audits_failed, 0u);
   EXPECT_GT(stats.audit_rows_scanned, 0u);
 
   ASSERT_TRUE(db->Close().ok());
-  EXPECT_FALSE(db->maintenance()->running());
   EXPECT_FALSE(db->degradation()->running());
   ASSERT_TRUE(db->Close().ok());  // idempotent
 }
 
-// The acceptance bar (ISSUE 6): with the daemon on a 100 ms cadence, an
+// One thread enforces every deadline: opening with both the degradation
+// and the maintenance flags on starts exactly one thread more than opening
+// with both off. No table exists, so the lazily started worker pool has not
+// started either way.
+TEST_F(MaintenanceTest, OpeningStartsOneBackgroundThread) {
+  VirtualClock clock(0);
+  size_t idle = 0;
+  {
+    auto opened = Database::Open(Options(&clock));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    idle = ThreadCount();
+    ASSERT_TRUE((*opened)->Close().ok());
+  }
+  DbOptions options = Options(&clock);
+  options.degradation.background_thread = true;
+  options.maintenance.enabled = true;
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(ThreadCount(), idle + 1);
+  ASSERT_TRUE((*opened)->Close().ok());
+}
+
+// Database::stats() and the service front end's backlog probe never wait
+// behind a cadence checkpoint's I/O: with a step parked inside the
+// checkpoint's manifest rename, both return at once.
+TEST_F(MaintenanceTest, StatsDoNotWaitBehindACadenceCheckpoint) {
+  ParkedManifestEnv env(Env::Default());
+  VirtualClock clock(0);
+  DbOptions options = Options(&clock);
+  options.env = &env;
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(*opened);
+  CreatePings(db.get(), kMicrosPerHour);
+  InsertPings(db.get(), 4);  // dirty partitions: the cadence point flushes
+  DegradationEngine* engine = db->degradation();
+
+  env.Arm();
+  const Micros now = clock.NowMicros();
+  std::thread step([&] { EXPECT_TRUE(engine->RunOnce(now).ok()); });
+  env.WaitParked();
+  // Each reader runs on its own thread, so one that blocks fails the test
+  // instead of hanging it.
+  auto checkpoints = std::async(std::launch::async, [&] {
+    return db->stats().maintenance.checkpoints;
+  });
+  auto overdue = std::async(std::launch::async,
+                            [&] { return engine->OverdueUnits(now); });
+  const bool stats_returned = checkpoints.wait_for(std::chrono::seconds(1)) ==
+                              std::future_status::ready;
+  const bool overdue_returned = overdue.wait_for(std::chrono::seconds(1)) ==
+                                std::future_status::ready;
+  env.Release();
+  step.join();
+  EXPECT_TRUE(stats_returned) << "stats() waited behind the checkpoint";
+  EXPECT_TRUE(overdue_returned) << "OverdueUnits waited behind the checkpoint";
+  EXPECT_EQ(checkpoints.get(), 0u);  // the parked checkpoint had not finished
+  EXPECT_EQ(overdue.get(), 0u);
+  EXPECT_EQ(engine->maintenance_stats().checkpoints, 1u);
+}
+
+// The acceptance bar: with the cadences at 100 ms, an
 // audit taken after EVERY phase-0 deadline reports zero exposed values
 // across stores, indexes, WAL segments and epoch keys — with no manual
 // Checkpoint() call anywhere. Parameterized over the privacy modes that
@@ -380,11 +511,11 @@ TEST_P(MaintenanceAcceptanceTest, DaemonKeepsEveryLayerCleanAtEveryDeadline) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<Database> db = std::move(*opened);
   CreatePings(db.get(), kPhase0);
-  MaintenanceDaemon* daemon = db->maintenance();
+  DegradationEngine* engine = db->degradation();
 
   // Ingest a batch every 300 ms over three virtual seconds; each batch's
   // phase-0 deadline lands exactly on a later cadence point. At every step
-  // the degrader runs, then the daemon's cadence point, then a full audit
+  // the degrader runs, then the cadence point, then a full audit
   // that must be clean — including the steps where a deadline just fired.
   int inserted = 0;
   for (int step = 0; step < 30; ++step) {
@@ -395,18 +526,18 @@ TEST_P(MaintenanceAcceptanceTest, DaemonKeepsEveryLayerCleanAtEveryDeadline) {
     clock.Advance(kStep);
     const Micros now = clock.NowMicros();
     ASSERT_TRUE(db->RunDegradationOnce().ok());
-    ASSERT_TRUE(daemon->RunOnce(now).ok());
+    ASSERT_TRUE(engine->RunOnce(now).ok());
     const AuditReport report = db->Audit();
     ASSERT_TRUE(report.Verify().ok())
         << "step " << step << ": " << report.ToString();
     EXPECT_EQ(report.at, now);
   }
 
-  // The daemon did the checkpointing: cadence points fired, several were
+  // The cadence did the checkpointing: cadence points fired, several were
   // real checkpoints (every 300 ms batch dirties partitions), and the worst
   // attack window any audit saw across all 30 deadline-crossing steps is
   // exactly zero.
-  const MaintenanceDaemon::Stats stats = db->stats().maintenance;
+  const DegradationEngine::MaintenanceStats stats = db->stats().maintenance;
   EXPECT_GE(stats.checkpoints, 5u);
   EXPECT_GE(stats.audits, 30u);
   EXPECT_EQ(stats.audits_failed, 0u);

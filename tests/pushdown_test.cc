@@ -12,8 +12,8 @@
 // no degradable value finer than the purpose's accuracy leaves the scan, the
 // late stable decode (Values built only for survivors' projected columns),
 // randomized stable predicates against the oracle, a corrupt heap record
-// failing every scan shape with Corruption, the maintenance daemon's
-// adaptive checkpoint cadence, and audit-driven urgent repair. Runs under TSan/ASan in
+// failing every scan shape with Corruption, the adaptive checkpoint
+// cadence, and audit-driven urgent repair. Runs under TSan/ASan in
 // scripts/verify.sh: the aggregate fan-out and the degrade-while-aggregating
 // test are real cross-thread paths.
 
@@ -1154,7 +1154,7 @@ TEST_F(PushdownTest, RowIdCursorSkipsDeletedIds) {
 TEST_F(PushdownTest, AdaptiveCadencePullsCheckpointToPayloadDeadline) {
   // Interval far above the phase-0 duration; threshold high enough that a
   // plain cadence point skips clean. The adaptive pull alone must bring the
-  // daemon back at the payload deadline.
+  // cadence back at the payload deadline.
   dir_ = ::testing::TempDir() + "/idb_pushdown_cadence_test";
   ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
   clock_ = std::make_unique<VirtualClock>(0);
@@ -1175,24 +1175,24 @@ TEST_F(PushdownTest, AdaptiveCadencePullsCheckpointToPayloadDeadline) {
   ASSERT_TRUE(
       session.Execute("INSERT INTO pings VALUES ('u0', '11 Rue Lepic')").ok());
 
-  MaintenanceDaemon* daemon = db_->maintenance();
+  DegradationEngine* engine = db_->degradation();
   // Cadence point at t=0: skips clean (1 dirty < 1000, payload not yet
   // overdue), but the next deadline is pulled from t+24h to the payload's
   // phase-0 deadline (insert at 0 + 1h address phase).
-  ASSERT_TRUE(daemon->RunOnce(clock_->NowMicros()).ok());
-  EXPECT_EQ(daemon->next_checkpoint_due(), kMicrosPerHour);
-  EXPECT_GE(daemon->stats().adaptive_checkpoint_pulls, 1u);
-  EXPECT_EQ(daemon->stats().checkpoints, 0u);
+  ASSERT_TRUE(engine->RunOnce(clock_->NowMicros()).ok());
+  EXPECT_EQ(engine->next_checkpoint_due(), kMicrosPerHour);
+  EXPECT_GE(engine->maintenance_stats().adaptive_checkpoint_pulls, 1u);
+  EXPECT_EQ(engine->maintenance_stats().checkpoints, 0u);
 
   // At the pulled deadline the payload is overdue: WAL pressure forces the
   // checkpoint below the dirty threshold, retiring the segment — and with
   // the pressure gone the next deadline returns to the interval floor.
   clock_->Advance(kMicrosPerHour + kMicrosPerMinute);
   const Micros now = clock_->NowMicros();
-  ASSERT_TRUE(daemon->RunOnce(now).ok());
-  EXPECT_EQ(daemon->stats().checkpoints, 1u);
-  EXPECT_EQ(daemon->stats().forced_checkpoints, 1u);
-  EXPECT_EQ(daemon->next_checkpoint_due(),
+  ASSERT_TRUE(engine->RunOnce(now).ok());
+  EXPECT_EQ(engine->maintenance_stats().checkpoints, 1u);
+  EXPECT_EQ(engine->maintenance_stats().forced_checkpoints, 1u);
+  EXPECT_EQ(engine->next_checkpoint_due(),
             now + 24 * kMicrosPerHour);
 }
 
@@ -1212,7 +1212,7 @@ TEST_F(PushdownTest, FailedAuditEnqueuesUrgentRepairThatDrainsFirst) {
   EXPECT_FALSE(failed.clean());
   ASSERT_EQ(failed.tables.size(), 1u);
   EXPECT_EQ(failed.tables[0].exposed_partitions, std::vector<uint32_t>{0});
-  EXPECT_GE(db_->maintenance()->stats().repairs_enqueued, 1u);
+  EXPECT_GE(db_->degradation()->maintenance_stats().repairs_enqueued, 1u);
 
   // Lift the fault: the next pass drains the urgent unit first and the
   // store-level exposure disappears.

@@ -421,7 +421,7 @@ TEST_F(ServiceTest, DegradationFloorHoldsAtFullQueryLoad) {
   // Deletion assurance: let a cadence point retire the WAL segments still
   // holding the accurate insert payloads, then nothing is retained past
   // its deadline at any layer.
-  ASSERT_TRUE(db_->maintenance()->RunOnce(clock_->NowMicros()).ok());
+  ASSERT_TRUE(db_->degradation()->RunOnce(clock_->NowMicros()).ok());
   AuditReport report = db_->Audit();
   EXPECT_TRUE(report.Verify().ok()) << report.ToString();
   ExpectServiceInvariant(*db_);
