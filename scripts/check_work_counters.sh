@@ -2,10 +2,12 @@
 # Gates on perfbench's fixed work counters. With `--trace 1`, perfbench runs
 # one fixed pass of each statement kind and reports the work it did: rows
 # examined per row returned, the share of rows the stable prefilter
-# rejected, state-store probes per row and morsels claimed per scan. These
-# repeat exactly for a seed, whatever the run length or the machine, so a
-# mismatch means a change made statements do different work. Latency is not
-# gated: shared machines are too noisy for it.
+# rejected, state-store probes per row and morsels claimed per scan, plus
+# cold_scan's heap-page misses per scan: each scan reads every page of its
+# table from disk and verifies its checksum. These repeat exactly for a
+# seed, whatever the run length or the machine, so a mismatch means a change
+# made statements do different work. Latency is not gated: shared machines
+# are too noisy for it.
 #
 #   scripts/check_work_counters.sh
 #
@@ -60,7 +62,8 @@ check cold_scan 20 \
   query.rows_examined_per_row_returned=193.548 \
   query.prefilter_ratio=0.743354 \
   query.store_probes_per_row=0.00514583 \
-  util.morsels_per_scan=504 || failed=1
+  util.morsels_per_scan=504 \
+  storage.heap_misses_per_scan=8000 || failed=1
 if [ "$failed" -ne 0 ]; then
   echo "check_work_counters: FAILED" >&2
   exit 1

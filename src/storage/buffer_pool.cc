@@ -38,7 +38,10 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity)
       capacity_(capacity == 0 ? 1 : capacity),
       page_size_(disk->page_size()),
       frames_(capacity_),
-      memory_(new char[capacity_ * disk->page_size()]) {}
+      memory_(new char[capacity_ * disk->page_size()]) {
+  // Popped from the back, so the lowest frame is used first.
+  for (size_t i = capacity_; i > 0; --i) free_frames_.push_back(i - 1);
+}
 
 BufferPool::~BufferPool() { FlushAll().ok(); }
 
@@ -50,8 +53,10 @@ void BufferPool::TouchLocked(size_t frame) {
 }
 
 Result<size_t> BufferPool::GetFreeFrameLocked() {
-  for (size_t i = 0; i < frames_.size(); ++i) {
-    if (!frames_[i].valid) return i;
+  if (!free_frames_.empty()) {
+    const size_t frame = free_frames_.back();
+    free_frames_.pop_back();
+    return frame;
   }
   // Evict the least-recently-used unpinned frame.
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
@@ -89,8 +94,12 @@ Result<PageGuard> BufferPool::FetchPage(PageId id) {
   }
   ++stats_.misses;
   IDB_ASSIGN_OR_RETURN(size_t frame, GetFreeFrameLocked());
-  IDB_RETURN_IF_ERROR(disk_->ReadPage(id, memory_.get() + frame * page_size_));
-  frames_[frame] = Frame{id, 0, false, true};
+  Status read = disk_->ReadPage(id, memory_.get() + frame * page_size_);
+  if (!read.ok()) {
+    free_frames_.push_back(frame);
+    return read;
+  }
+  frames_[frame] = Frame{id, 0, false};
   table_[id] = frame;
   return PinExistingLocked(frame);
 }
@@ -100,7 +109,7 @@ Result<PageGuard> BufferPool::NewPage() {
   IDB_ASSIGN_OR_RETURN(PageId id, disk_->AllocatePage());
   IDB_ASSIGN_OR_RETURN(size_t frame, GetFreeFrameLocked());
   std::memset(memory_.get() + frame * page_size_, 0, page_size_);
-  frames_[frame] = Frame{id, 0, false, true};
+  frames_[frame] = Frame{id, 0, false};
   table_[id] = frame;
   return PinExistingLocked(frame);
 }
@@ -109,7 +118,7 @@ Status BufferPool::FlushAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < frames_.size(); ++i) {
     Frame& f = frames_[i];
-    if (f.valid && f.dirty) {
+    if (f.dirty) {
       IDB_RETURN_IF_ERROR(
           disk_->WritePage(f.page, memory_.get() + i * page_size_));
       f.dirty = false;

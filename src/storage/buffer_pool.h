@@ -84,17 +84,18 @@ class BufferPool {
  private:
   friend class PageGuard;
 
+  /// A frame on free_frames_ holds Frame{}.
   struct Frame {
     PageId page = kInvalidPageId;
     int pins = 0;
     bool dirty = false;
-    bool valid = false;
   };
 
   void Unpin(size_t frame);
   void MarkDirtyFrame(size_t frame);
-  /// Returns a usable frame index, evicting an unpinned LRU victim if
-  /// needed. Requires mu_ held.
+  /// Returns a usable frame index: a free one, else an evicted unpinned LRU
+  /// victim. The caller puts it back on free_frames_ if it does not fill
+  /// it. Requires mu_ held.
   Result<size_t> GetFreeFrameLocked();
   void TouchLocked(size_t frame);
   Result<PageGuard> PinExistingLocked(size_t frame);
@@ -105,6 +106,7 @@ class BufferPool {
 
   mutable std::mutex mu_;
   std::vector<Frame> frames_;
+  std::vector<size_t> free_frames_;  // frames holding no page
   std::unique_ptr<char[]> memory_;
   std::unordered_map<PageId, size_t> table_;
   std::list<size_t> lru_;  // front = most recently used

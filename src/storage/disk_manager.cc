@@ -1,5 +1,6 @@
 #include "storage/disk_manager.h"
 
+#include <cstring>
 #include <vector>
 
 #include "util/coding.h"
@@ -36,6 +37,10 @@ uint32_t DiskManager::PageCrc(const char* page) const {
   return crc32c::Mask(crc);
 }
 
+bool DiskManager::IsZeroPage(const char* page) const {
+  return page[0] == 0 && std::memcmp(page, page + 1, page_size_ - 1) == 0;
+}
+
 Result<PageId> DiskManager::AllocatePage() {
   std::lock_guard<std::mutex> lock(alloc_mu_);
   const PageId id = num_pages_.load(std::memory_order_relaxed);
@@ -56,9 +61,10 @@ Status DiskManager::ReadPage(PageId id, char* out) const {
     return Status::Corruption("short page read");
   }
   std::memcpy(out, data.data(), page_size_);
-  const uint32_t stored = DecodeFixed32(out + kPageCrcOffset);
-  // 0 = unchecked: freshly allocated zero pages and pre-checksum files.
-  if (stored != 0 && stored != PageCrc(out)) {
+  // The one unstamped page is AllocatePage's all-zero one; a zero word over
+  // any other bytes is a torn write, not an exemption.
+  if (DecodeFixed32(out + kPageCrcOffset) != PageCrc(out) &&
+      !IsZeroPage(out)) {
     return Status::Corruption("heap page checksum mismatch: " + path_ +
                               " page " + std::to_string(id));
   }

@@ -20,8 +20,9 @@ namespace instantdb {
 /// Every written page is stamped with a masked CRC32C in the page's
 /// reserved word (bytes [4..8), unused by the heap layout) and every read
 /// verifies it, so a torn page write surfaces as Corruption instead of
-/// silently decoding garbage. A stored value of 0 means "unchecked"
-/// (zero-fresh or pre-checksum pages), which keeps old heap files readable.
+/// silently decoding garbage. The only page read without a matching CRC is
+/// an all-zero one, which AllocatePage writes before any stamp; a zero word
+/// over nonzero bytes is Corruption.
 class DiskManager {
  public:
   static Result<std::unique_ptr<DiskManager>> Open(const std::string& path,
@@ -49,6 +50,7 @@ class DiskManager {
 
   /// CRC32C over the page with the checksum word treated as zero.
   uint32_t PageCrc(const char* page) const;
+  bool IsZeroPage(const char* page) const;
 
   std::string path_;
   size_t page_size_;

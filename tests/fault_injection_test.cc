@@ -486,8 +486,9 @@ TEST_F(FaultInjectionTest, StateStoreCrcRejectsCorruptedPayload) {
   EXPECT_EQ(reopened.Find(1), std::nullopt);
 }
 
-// Heap page checksums: a torn (half-persisted) page write and a flipped
-// byte must both surface as Corruption on read, never as a decoded page.
+// Heap page checksums: a torn (half-persisted) page write, a flipped byte
+// and a torn write that left a zero checksum word must all surface as
+// Corruption on read, never as a decoded page.
 TEST_F(FaultInjectionTest, HeapPageChecksumDetectsTornAndCorruptPages) {
   constexpr size_t kPageSize = 4096;
   FaultInjectionEnv fault(Env::Default());
@@ -534,6 +535,20 @@ TEST_F(FaultInjectionTest, HeapPageChecksumDetectsTornAndCorruptPages) {
   ASSERT_TRUE((*file)->Sync().ok());
   Status rot = heap->ReadPage(*p1, buf.data());
   EXPECT_TRUE(rot.IsCorruption()) << rot.ToString();
+
+  // Torn write over a freshly allocated (all-zero) page: the second half
+  // lands, the first half, checksum word included, stays zero. A zero word
+  // exempts only an all-zero page, so this one is Corruption too.
+  auto p2 = heap->AllocatePage();
+  ASSERT_TRUE(p2.ok());
+  ASSERT_TRUE(heap->WritePage(*p2, page_a.data()).ok());
+  const std::string zero_half(kPageSize / 2, '\0');
+  ASSERT_TRUE((*file)
+                  ->Write(static_cast<uint64_t>(*p2) * kPageSize, zero_half)
+                  .ok());
+  ASSERT_TRUE((*file)->Sync().ok());
+  Status zeroed = heap->ReadPage(*p2, buf.data());
+  EXPECT_TRUE(zeroed.IsCorruption()) << zeroed.ToString();
 }
 
 // A transient I/O error in a degrade step's apply, after the step's WAL

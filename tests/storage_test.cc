@@ -125,6 +125,35 @@ TEST_F(StorageTest, BufferPoolPinPreventsEviction) {
   EXPECT_TRUE(g3.ok());
 }
 
+// A fetch whose read fails gives its frame back: three failed fetches on a
+// 2-frame pool leave both frames free for two pages pinned at once.
+TEST_F(StorageTest, BufferPoolFailedReadFreesItsFrame) {
+  const std::string path = dir_ + "/heap.db";
+  auto dm = DiskManager::Open(path, 4096);
+  ASSERT_TRUE(dm.ok());
+  const std::string page(4096, 'p');
+  for (PageId id = 0; id < 3; ++id) {
+    ASSERT_TRUE((*dm)->AllocatePage().ok());
+    ASSERT_TRUE((*dm)->WritePage(id, page.data()).ok());
+  }
+  // Flip a byte of page 2 behind the manager's back.
+  auto file = NewRandomRWFile(path);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->Write(2 * 4096 + 100, Slice("q", 1)).ok());
+
+  BufferPool pool(dm->get(), 2);
+  for (int i = 0; i < 3; ++i) {
+    auto bad = pool.FetchPage(2);
+    EXPECT_TRUE(bad.status().IsCorruption()) << bad.status().ToString();
+  }
+  auto g0 = pool.FetchPage(0);
+  auto g1 = pool.FetchPage(1);
+  ASSERT_TRUE(g0.ok()) << g0.status().ToString();
+  ASSERT_TRUE(g1.ok()) << g1.status().ToString();
+  EXPECT_EQ(g0->data()[100], 'p');
+  EXPECT_EQ(g1->data()[100], 'p');
+}
+
 TEST_F(StorageTest, BufferPoolFlushAllPersists) {
   const std::string path = dir_ + "/heap.db";
   auto dm = DiskManager::Open(path, 4096);

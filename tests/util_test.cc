@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -98,6 +99,55 @@ TEST(Crc32cTest, KnownVectors) {
   char seq[32];
   for (int i = 0; i < 32; ++i) seq[i] = static_cast<char>(i);
   EXPECT_EQ(crc32c::Value(seq, sizeof(seq)), 0x46DD794Eu);
+}
+
+// Golden values pinned from the table kernel; both kernels must return them.
+// The 8 KiB page and the 24,589-byte buffer run the word loop's steady
+// state, the offset-1 slice an unaligned start and a 7-byte tail.
+std::string Crc32cPattern(size_t n) {
+  std::string bytes(n, '\0');
+  for (size_t i = 0; i < n; ++i) bytes[i] = static_cast<char>((i * 131 + 7) & 0xFF);
+  return bytes;
+}
+
+TEST(Crc32cTest, GoldenValuesOnBothKernels) {
+  std::printf("crc32c::Value runs on %s\n",
+              crc32c::UsesHardware() ? "the SSE4.2 crc32 instruction"
+                                     : "the portable table (no SSE4.2)");
+  const std::string page = Crc32cPattern(8192);
+  const std::string long_run = Crc32cPattern(24589);
+  struct Golden {
+    const char* data;
+    size_t n;
+    uint32_t crc;
+  };
+  const Golden goldens[] = {
+      {"123456789", 9, 0xE3069283u},
+      {page.data(), page.size(), 0xFD5BED27u},
+      {page.data() + 1, page.size() - 1, 0x76DA2593u},
+      {long_run.data(), long_run.size(), 0xF9498E8Bu},
+  };
+  for (const Golden& g : goldens) {
+    EXPECT_EQ(crc32c::Value(g.data, g.n), g.crc) << "n=" << g.n;
+    EXPECT_EQ(crc32c::ValuePortable(g.data, g.n), g.crc) << "n=" << g.n;
+  }
+}
+
+TEST(Crc32cTest, ValueMatchesPortableOnRandomSlices) {
+  constexpr size_t kMaxOffset = 63;
+  constexpr size_t kMaxLength = 24640;
+  Random rng(38);
+  std::string bytes(kMaxOffset + kMaxLength, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.NextU64());
+  for (int i = 0; i < 10000; ++i) {
+    const size_t offset = rng.Uniform(kMaxOffset + 1);
+    const size_t n = rng.Uniform(kMaxLength + 1);
+    const uint32_t init = static_cast<uint32_t>(rng.NextU64()) | 1;
+    const char* data = bytes.data() + offset;
+    ASSERT_EQ(crc32c::Value(data, n, init),
+              crc32c::ValuePortable(data, n, init))
+        << "offset=" << offset << " n=" << n << " init=" << init;
+  }
 }
 
 TEST(Crc32cTest, Extend) {
