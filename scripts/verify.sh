@@ -65,7 +65,7 @@ run_plain() {
 # through wait-die on one row. util_test runs the CRC32C kernel's unaligned
 # word loads and byte tail over random offsets and lengths. The rest of the
 # suite is single-threaded and adds only build time.
-SANITIZE_TESTS="util_test|txn_test|storage_test|catalog_test|index_test|wal_test|database_test|query_test|cursor_test|concurrency_stress_test|parallel_scan_test|pushdown_test|stable_predicate_test|partition_test|degradation_engine_test|write_batch_test|wal_recovery_test|checkpoint_fuzzy_test|maintenance_test|fault_injection_test|morsel_test|service_test"
+SANITIZE_TESTS="util_test|txn_test|storage_test|catalog_test|index_test|wal_test|database_test|query_test|cursor_test|concurrency_stress_test|parallel_scan_test|pushdown_test|stable_predicate_test|partition_test|degradation_engine_test|write_batch_test|wal_recovery_test|checkpoint_fuzzy_test|maintenance_test|fault_injection_test|crash_sweep_test|morsel_test|service_test"
 
 run_sanitized() {
   local kind="$1"

@@ -55,14 +55,14 @@ struct DegradationOptions {
   /// it off and pump `Database::RunDegradationOnce()` or
   /// `DegradationEngine::RunOnce()` on a VirtualClock instead.
   bool background_thread = false;
-  /// Maximum tuples moved per degradation step transaction, bounding the
-  /// time one step holds its partition's exclusive latch.
+  /// Maximum values moved per degradation step, bounding the time one step
+  /// holds its partition's exclusive latch.
   size_t step_batch_limit = 1024;
   /// Size of the Database's shared lazily-started worker pool
   /// (util/worker_pool.h): degradation passes, scans, aggregate drains,
   /// checkpoints and audit sweeps all borrow the same threads instead of
-  /// spawning their own per call. Degradation steps remain their own
-  /// system transactions, which take no lock. 1 (the default) keeps the
+  /// spawning their own per call. Degradation steps take no lock and write
+  /// no log record. 1 (the default) keeps the
   /// serial engine; raising it lets degradation and scan throughput scale
   /// on a multicore box.
   size_t worker_threads = 1;

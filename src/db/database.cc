@@ -122,10 +122,11 @@ Status Database::OpenImpl() {
 
   IDB_RETURN_IF_ERROR(Recover());
 
-  // Partitions rebuild their indexes on the worker pool — partition-
-  // parallel recovery, like the degradation passes the pool was sized for.
+  // Partitions reconcile and rebuild their indexes on the worker pool —
+  // partition-parallel recovery, like the degradation passes the pool was
+  // sized for.
   for (auto& [id, table] : tables_) {
-    IDB_RETURN_IF_ERROR(table->RebuildIndexes(worker_pool_));
+    IDB_RETURN_IF_ERROR(table->FinishRecovery(worker_pool_));
   }
 
   if (options_.degradation.background_thread || options_.maintenance.enabled) {
@@ -165,9 +166,9 @@ Result<const TableDef*> Database::CreateTable(const std::string& name,
   IDB_RETURN_IF_ERROR(catalog_->SaveTo(options_.path + "/CATALOG", env_));
   auto table = std::make_unique<Table>(def, TableDir(def->id), MakeRuntime());
   IDB_RETURN_IF_ERROR(table->Open());
-  IDB_RETURN_IF_ERROR(table->RebuildIndexes(worker_pool_));
-  // Into the map before the degrader sees it: a step's commit finds its
-  // table there.
+  IDB_RETURN_IF_ERROR(table->FinishRecovery(worker_pool_));
+  // Into the map before the degrader sees it: every table it steps is
+  // reachable by id.
   Table* created = table.get();
   {
     std::unique_lock<std::shared_mutex> map(tables_mu_);
@@ -267,22 +268,20 @@ Status Database::Delete(const std::string& table_name, RowId row_id,
 Status Database::Checkpoint() {
   // Fuzzy checkpoint: capture the replay-start LSN BEFORE flushing
   // any table state, at a point where no commit is between its WAL append
-  // and its apply. A transaction committing mid-flush (a degradation
-  // worker, a concurrent WriteBatch) may be only partially reflected in the
-  // flushed metas; starting replay at `begin` re-applies it idempotently
-  // instead of silently excluding it — without this, a degrade step
-  // committing during the flush could resurface its accurate value after
-  // recovery.
+  // and its apply. A transaction committing mid-flush (a concurrent
+  // WriteBatch) may be only partially reflected in the flushed state;
+  // starting replay at `begin` re-applies it idempotently instead of
+  // silently excluding it. Degradation needs no log: each partition flushes
+  // its stores in descending phase order (TablePartition::Checkpoint).
   const Lsn begin = tm_->CheckpointBeginLsn();
 
   // Write-ahead barrier: every record the partitions have already applied
-  // must be durable BEFORE any store flush makes its effects durable.
-  // Degrade commits reach the WAL buffers without an fsync; a store
-  // checkpoint that persists their pops while the record still sits in an
-  // unsynced WAL tail lets a crash forget the record but keep the pop — the
-  // value is then gone from every store with no replay left to rebuild it.
-  // Syncing the log first restores the invariant that durable store state
-  // is always covered by durable log.
+  // is durable BEFORE any flush makes its effects durable. A transaction
+  // that touched several partitions (a stable update of rows in two of
+  // them) may otherwise have one partition's part flushed while its
+  // unsynced records die with a crash: the other part is then lost for
+  // good, and the transaction survives in part. With the log synced, redo
+  // completes it.
   IDB_RETURN_IF_ERROR(wal_->Sync());
 
   // Incremental flush: only partitions mutated since their last flush do

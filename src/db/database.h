@@ -28,7 +28,7 @@ namespace instantdb {
 /// version, and any non-empty directory without the stamp, with
 /// NotSupported and touches nothing. A layout change bumps this number and
 /// ships no converter.
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 
 /// Top-level configuration of an InstantDB instance.
 struct DbOptions {
@@ -394,10 +394,10 @@ class Database {
   /// exclusive, the cadence paths (Checkpoint's unit collection,
   /// DirtyPartitions, audit sweeps) take it shared.
   mutable std::shared_mutex ddl_mu_;
-  /// Guards the map's structure for GetTable(TableId), which also runs on
-  /// the degrader's threads (a degrade step's commit-time Apply) while DDL
-  /// inserts or erases: DDL takes it exclusive around exactly that insert
-  /// or erase. A leaf lock, never held while waiting for anything else.
+  /// Guards the map's structure for GetTable(TableId), which runs in every
+  /// commit's Apply while DDL inserts or erases: DDL takes it exclusive
+  /// around exactly that insert or erase. A leaf lock, never held while
+  /// waiting for anything else.
   mutable std::shared_mutex tables_mu_;
   std::map<TableId, std::unique_ptr<Table>> tables_;
   /// Read-path counters (exposed via Stats::scan); atomics because scan

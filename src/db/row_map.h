@@ -37,6 +37,12 @@ class RowMap {
   /// forward from it (see GallopLowerBound) instead of searching afresh.
   const Rid* Seek(RowId id, size_t* cursor) const;
 
+  /// Calls `fn(id)` for every live id, ascending.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (size_t i = head_; i < ids_.size(); ++i) fn(ids_[i]);
+  }
+
   size_t size() const { return ids_.size() - head_; }
   /// Heap bytes of the arrays, capacity and the consumed prefix included.
   size_t bytes() const {

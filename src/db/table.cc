@@ -78,12 +78,18 @@ Status Table::Open() {
   return Status::OK();
 }
 
-Status Table::RebuildIndexes(WorkerPool& pool) {
-  // Partitions own disjoint physical state, so their rebuilds are
+Status Table::FinishRecovery(WorkerPool& pool) {
+  // Partitions own disjoint physical state, so their recovery is
   // embarrassingly parallel.
-  return pool.Run(pool.size(), partitions_.size(), [this](size_t i) {
-    return partitions_[i]->RebuildIndexes();
-  });
+  IDB_RETURN_IF_ERROR(
+      pool.Run(pool.size(), partitions_.size(), [this](size_t i) {
+        IDB_RETURN_IF_ERROR(partitions_[i]->Reconcile());
+        return partitions_[i]->RebuildIndexes();
+      }));
+  // An epoch whose values all left phase 0 while its key survived (the
+  // crash lost the step that would have destroyed it, or the inserts the
+  // key sealed) has no phase-0 step left to destroy its key.
+  return DestroyDueEpochKeys();
 }
 
 Status Table::Drop() {
@@ -152,8 +158,7 @@ Status Table::Delete(Transaction* txn, RowId row_id) {
   IDB_RETURN_IF_ERROR(txn->LockRow(id(), row_id));
   if (!Route(row_id)->Contains(row_id)) return Status::NotFound("no such row");
   // Degradation never waits for this transaction: the apply removes the
-  // row from whichever store holds it at commit time, and a degrade step
-  // applying later finds it gone.
+  // row from whichever store holds it at commit time.
   WalRecord record;
   record.type = WalRecordType::kDelete;
   record.table = id();
@@ -247,23 +252,31 @@ bool Table::PartitionHasWorkAt(uint32_t partition, Micros now) const {
   return partitions_[partition]->HasWorkAt(now);
 }
 
-Result<size_t> Table::RunDegradationStep(TransactionManager* tm, Micros now,
-                                         size_t batch_limit,
+Result<size_t> Table::RunDegradationStep(Micros now, size_t batch_limit,
                                          uint32_t partition) {
   bool stepped_phase0 = false;
   IDB_ASSIGN_OR_RETURN(const size_t moved,
                        partitions_[partition]->RunDegradationStep(
-                           tm, now, batch_limit, &stepped_phase0));
-  if (moved > 0 && stepped_phase0 && runtime_.wal != nullptr &&
-      runtime_.wal->epoch_keys_enabled()) {
-    // Epoch keys are table-wide: a key is destroyable only once every
-    // partition's phase-0 head has moved past the epoch. SafeEpochTime
-    // takes every partition's latch (O(1) per store), so it only runs when
-    // there are keys to destroy.
-    IDB_RETURN_IF_ERROR(
-        runtime_.wal->DestroyEpochKeysThrough(id(), SafeEpochTime()));
-  }
+                           now, batch_limit, &stepped_phase0));
+  if (moved > 0 && stepped_phase0) IDB_RETURN_IF_ERROR(DestroyDueEpochKeys());
   return moved;
+}
+
+Status Table::DestroyDueEpochKeys() {
+  if (runtime_.wal == nullptr || !runtime_.wal->epoch_keys_enabled()) {
+    return Status::OK();
+  }
+  // Epoch keys are table-wide: a key is destroyable only once every
+  // partition's phase-0 head has moved past the epoch. SafeEpochTime takes
+  // every partition's latch (O(1) per store), so it only runs when there
+  // are keys to destroy. The key is the last trace of the values' accurate
+  // copies in the log: their coarser copies are synced first.
+  return runtime_.wal->DestroyEpochKeysThrough(id(), SafeEpochTime(), [this] {
+    for (auto& partition : partitions_) {
+      IDB_RETURN_IF_ERROR(partition->SyncStores());
+    }
+    return Status::OK();
+  });
 }
 
 Micros Table::SafeEpochTime() const {
@@ -285,11 +298,6 @@ Status Table::Apply(const WalRecord& record) {
       partition->EnsureRowAllocatorAbove(record.row_id);
       return partition->ApplyInsert(record);
     }
-    case WalRecordType::kDegradeStep:
-      // A degradation step drains one partition's store: every entry hashes
-      // to the same partition, so the first row id routes the whole record.
-      if (record.entries.empty()) return Status::OK();
-      return Route(record.entries[0].row_id)->ApplyDegrade(record);
     case WalRecordType::kDelete:
       return Route(record.row_id)->ApplyDelete(record.row_id);
     case WalRecordType::kUpdateStable:

@@ -99,14 +99,15 @@ class Table {
   Table& operator=(const Table&) = delete;
 
   /// Opens every partition (creating the directory layout on first open).
-  /// Indexes are rebuilt separately (RebuildIndexes) after WAL replay so
-  /// they reflect the recovered state.
+  /// Recovery finishes separately (FinishRecovery) after WAL redo.
   Status Open();
-  /// Rebuilds every partition's indexes. Partitions are independent, so
-  /// they rebuild on the database's shared worker pool (WorkerPool::Run,
-  /// the caller participating) — this is what cuts recovery time on
-  /// multi-partition tables.
-  Status RebuildIndexes(WorkerPool& pool);
+  /// After WAL redo: reconciles every partition's stores and heap
+  /// (TablePartition::Reconcile), rebuilds its indexes, and destroys the
+  /// epoch keys no phase-0 value needs any more. Partitions are
+  /// independent, so they run on the database's shared worker pool
+  /// (WorkerPool::Run, the caller participating) — this is what cuts
+  /// recovery time on multi-partition tables.
+  Status FinishRecovery(WorkerPool& pool);
   /// Securely drops all storage (DROP TABLE).
   Status Drop();
 
@@ -202,12 +203,14 @@ class Table {
   /// if nothing is pending).
   Micros NextDeadline() const;
 
-  /// Runs ONE degradation step on `partition` as a system transaction (see
+  /// Runs ONE degradation step on `partition` (see
   /// TablePartition::RunDegradationStep). After a phase-0 step the WAL
-  /// epoch-key watermark advances using the table-wide safe time. Distinct
+  /// epoch-key watermark advances using the table-wide safe time; before a
+  /// key is destroyed, every partition's stores are synced, so the values
+  /// it could decrypt are durable at their coarser levels. Distinct
   /// partitions may be stepped concurrently.
-  Result<size_t> RunDegradationStep(TransactionManager* tm, Micros now,
-                                    size_t batch_limit, uint32_t partition);
+  Result<size_t> RunDegradationStep(Micros now, size_t batch_limit,
+                                    uint32_t partition);
 
   /// True if any store head of any partition is overdue at `now`.
   bool HasWorkAt(Micros now) const;
@@ -237,6 +240,9 @@ class Table {
 
  private:
   std::string PartitionCountPath() const { return dir_ + "/PARTITIONS"; }
+  /// kEncryptedEpoch: destroys the WAL epoch keys through SafeEpochTime,
+  /// syncing every partition's stores before the first one goes.
+  Status DestroyDueEpochKeys();
   TablePartition* Route(RowId row_id) const {
     return partitions_[PartitionOf(row_id)].get();
   }

@@ -79,6 +79,7 @@ Status TablePartition::Open() {
       if (store->LastAppendedRowId() != kInvalidRowId) {
         max_row_id_ = std::max(max_row_id_, store->LastAppendedRowId());
       }
+      if (p > 0) per_phase.back()->set_successor(store.get());
       per_phase.push_back(std::move(store));
     }
     stores_.push_back(std::move(per_phase));
@@ -136,16 +137,60 @@ Status TablePartition::Checkpoint() {
   // after every store checkpoint succeeded makes "heap row durable ⟹ its
   // store entries durable" an invariant of every flush attempt, even one a
   // fault aborts halfway. (Buffer-pool eviction can still leak a heap page
-  // early — that residual window is what the ApplyInsert repair path
-  // covers.) Cross-store consistency needs no ordering: a failed attempt
-  // fails the whole checkpoint before the WAL manifest advances, so the
-  // WAL replays the affected records against whichever subset landed.
+  // early — that residual window is what the ApplyInsert repair path and
+  // Reconcile cover.) Across the stores of one column, phases go in
+  // descending order: a META makes its store's pops durable, so the next
+  // phase's copies of the popped values must be durable first. The shared
+  // latch keeps degradation steps out for the whole flush.
   for (auto& per_phase : stores_) {
-    for (auto& store : per_phase) {
-      IDB_RETURN_IF_ERROR(store->Checkpoint());
+    for (auto store = per_phase.rbegin(); store != per_phase.rend(); ++store) {
+      IDB_RETURN_IF_ERROR((*store)->Checkpoint());
     }
   }
   return heap_pool_->FlushAll();
+}
+
+Status TablePartition::SyncStores() {
+  std::lock_guard<std::mutex> ckpt(ckpt_mu_);
+  std::shared_lock<std::shared_mutex> latch(latch_);
+  for (auto& per_phase : stores_) {
+    for (auto& store : per_phase) IDB_RETURN_IF_ERROR(store->Sync());
+  }
+  return Status::OK();
+}
+
+Status TablePartition::Reconcile() {
+  std::unique_lock<std::shared_mutex> latch(latch_);
+  if (stores_.empty()) return Status::OK();
+  // Stores first: a finer copy of a later phase's entry (its pop never
+  // became durable), or an entry whose row is gone (the heap's expiry or
+  // delete reached disk before the store's pop did).
+  std::vector<RowId> scrub;
+  for (auto& per_phase : stores_) {
+    for (size_t p = 0; p < per_phase.size(); ++p) {
+      per_phase[p]->ForEach([&](const StoreEntryView& entry) {
+        if (row_map_.Find(entry.row_id) == nullptr ||
+            std::any_of(per_phase.begin() + p + 1, per_phase.end(),
+                        [&](const auto& s) { return s->Find(entry.row_id); })) {
+          scrub.push_back(entry.row_id);
+        }
+        return true;
+      });
+      for (; !scrub.empty(); scrub.pop_back()) {
+        IDB_RETURN_IF_ERROR(per_phase[p]->SecureDeleteEntry(scrub.back()));
+        mutation_seq_.fetch_add(1, std::memory_order_release);
+      }
+    }
+  }
+  // Then the heap: a row no store holds has expired.
+  std::vector<RowId> rows;
+  row_map_.ForEach([&](RowId id) { rows.push_back(id); });
+  const uint64_t expired = stats_.tuples_expired;
+  for (const RowId id : rows) IDB_RETURN_IF_ERROR(MaybeExpireTupleLocked(id));
+  if (stats_.tuples_expired != expired) {
+    mutation_seq_.fetch_add(1, std::memory_order_release);
+  }
+  return Status::OK();
 }
 
 Result<bool> TablePartition::CheckpointIfDirty() {
@@ -183,18 +228,29 @@ Status TablePartition::Drop() {
 
 Status TablePartition::ApplyInsert(const WalRecord& record) {
   const RowId row_id = record.row_id;
+  // The phase each value's LCP mandates now: 0 for a live commit, whatever
+  // the deadlines demand for redo, so recovery never writes a value back
+  // more accurate than allowed. A row with every value at ⊥ has expired.
+  const Micros age = runtime_.clock->NowMicros() - record.insert_time;
+  const auto column = [&](size_t d) -> const ColumnDef& {
+    return schema().column(schema().degradable_columns()[d]);
+  };
+  bool expired = !stores_.empty();
+  for (size_t d = 0; d < stores_.size(); ++d) {
+    expired &= column(d).lcp.PhaseAt(age) == column(d).lcp.num_phases();
+  }
   std::unique_lock<std::shared_mutex> latch(latch_);
   // A re-apply over a row the heap already holds is not a blind skip. A
   // commit's apply can fail between the heap insert and a store append, and
   // a heap page can reach disk through buffer-pool eviction at any time,
   // independent of Checkpoint, so after a crash the heap may hold a row
-  // whose store entries never became durable; skipping would freeze that
-  // shell with every degradable value at ⊥ forever. So a value goes to its
-  // phase-0 store unless ANY phase holds the row (then nothing was lost:
-  // possibly it already degraded, and a later degrade record in log order
-  // re-converges). The insert counts once, when the apply that completes
-  // it stores anything. Append and the index OnInsert hook are idempotent.
+  // whose store entries never became durable. So a value is appended
+  // unless ANY phase holds the row (then nothing was lost: possibly it
+  // already degraded). The insert counts once, when the apply that
+  // completes it stores anything. Append and the index OnInsert hook are
+  // idempotent.
   const bool fresh = row_map_.Find(row_id) == nullptr;
+  if (fresh && expired) return Status::OK();
   if (fresh) {
     HeapTuple tuple;
     tuple.row_id = row_id;
@@ -209,35 +265,36 @@ Status TablePartition::ApplyInsert(const WalRecord& record) {
   bool stored = fresh;
   for (size_t d = 0; d < stores_.size() && !record.degradable_unavailable;
        ++d) {
-    if (!fresh && std::any_of(stores_[d].begin(), stores_[d].end(),
-                              [row_id](const auto& store) {
-                                return store->Find(row_id).has_value();
-                              })) {
+    const ColumnDef& col = column(d);
+    const int phase = col.lcp.PhaseAt(age);
+    if (phase == col.lcp.num_phases() ||
+        (!fresh && std::any_of(stores_[d].begin(), stores_[d].end(),
+                               [row_id](const auto& store) {
+                                 return store->Find(row_id).has_value();
+                               }))) {
       continue;
     }
-    IDB_RETURN_IF_ERROR(InsertDegradableLocked(
-        d, row_id, record.insert_time, record.degradable[d],
-        record.ordinals.empty() ? -1 : record.ordinals[d]));
+    // At most one label lookup (redo's) serves the store and the index.
+    int64_t ordinal = record.ordinals.empty() ? -1 : record.ordinals[d];
+    if (ordinal < 0) {
+      IDB_ASSIGN_OR_RETURN(ordinal,
+                           stores_[d][0]->OrdinalOf(record.degradable[d]));
+    }
+    StoreEntry entry{row_id, record.insert_time, record.degradable[d],
+                     ordinal};
+    if (phase > 0) {
+      const int level = col.lcp.phase(phase).level;
+      entry.value = col.hierarchy->AncestorValue(ordinal, level);
+      entry.ordinal = col.hierarchy->AncestorRange(ordinal, level).lo;
+    }
+    IDB_RETURN_IF_ERROR(stores_[d][phase]->Append(entry));
+    if (!multires_.empty()) multires_[d]->OnInsert(row_id, phase, entry.ordinal);
     stored = true;
   }
   if (stored) {
     ++stats_.inserts;
     mutation_seq_.fetch_add(1, std::memory_order_release);
   }
-  return Status::OK();
-}
-
-Status TablePartition::InsertDegradableLocked(size_t d, RowId row_id,
-                                              Micros insert_time,
-                                              const Value& value,
-                                              int64_t ordinal) {
-  // At most one label lookup (redo's) serves the store and the index.
-  if (ordinal < 0) {
-    IDB_ASSIGN_OR_RETURN(ordinal, stores_[d][0]->OrdinalOf(value));
-  }
-  IDB_RETURN_IF_ERROR(
-      stores_[d][0]->Append({row_id, insert_time, value, ordinal}));
-  if (!multires_.empty()) multires_[d]->OnInsert(row_id, 0, ordinal);
   return Status::OK();
 }
 
@@ -249,16 +306,18 @@ Status TablePartition::ApplyDelete(RowId row_id) {
     return Status::OK();
   }
 
-  // Remove degradable values from stores + indexes.
+  // Remove degradable values from stores, then indexes: the index follows
+  // whatever the store did, so a failed scrub's retry finds them agreeing.
   for (size_t d = 0; d < stores_.size(); ++d) {
     for (size_t p = 0; p < stores_[d].size(); ++p) {
       const std::optional<StoreEntryView> entry = stores_[d][p]->Find(row_id);
       if (!entry) continue;
-      if (!multires_.empty()) {
+      const Status scrubbed = stores_[d][p]->SecureDeleteEntry(row_id);
+      if (!multires_.empty() && !stores_[d][p]->Find(row_id)) {
         IDB_RETURN_IF_ERROR(multires_[d]->OnDelete(
             row_id, static_cast<int>(p), entry->ordinal));
       }
-      IDB_RETURN_IF_ERROR(stores_[d][p]->SecureDeleteEntry(row_id));
+      IDB_RETURN_IF_ERROR(scrubbed);
       break;
     }
   }
@@ -572,155 +631,74 @@ bool TablePartition::HasWorkAt(Micros now) const {
   return NextDeadline() <= now;
 }
 
-Result<size_t> TablePartition::RunDegradationStep(TransactionManager* tm,
-                                                  Micros now,
+Result<size_t> TablePartition::RunDegradationStep(Micros now,
                                                   size_t batch_limit,
                                                   bool* stepped_phase0) {
   *stepped_phase0 = false;
-  // One step at a time per partition, from collect through apply. Two
-  // passes collecting the same prefix could otherwise log a step after
-  // another pass had carried its values further, and redo would replay it
-  // over that move. The pass holding the partition drains it, so skip it.
-  std::unique_lock<std::mutex> step(step_mu_, std::try_to_lock);
-  if (!step.owns_lock()) return size_t{0};
-  PendingDegrade target;
-  {
-    std::shared_lock<std::shared_mutex> latch(latch_);
-    target = MostOverdue();
-  }
+  // One in-memory move: nothing is logged, so collect and move happen under
+  // one exclusive latch and no delete can slip between them.
+  std::unique_lock<std::shared_mutex> latch(latch_);
+  const PendingDegrade target = MostOverdue();
   if (target.deadline > now) return size_t{0};
 
-  const int col_idx = target.column;
-  const int ordinal = schema().DegradableOrdinal(col_idx);
-  const ColumnDef& col = schema().column(col_idx);
+  const int ordinal = schema().DegradableOrdinal(target.column);
+  const ColumnDef& col = schema().column(target.column);
   const int from_phase = target.phase;
   const int to_phase = from_phase + 1;  // == num_phases means ⊥
   const bool removal = to_phase >= col.lcp.num_phases();
-
-  // Collect the overdue prefix under the shared latch, straight into the
-  // record. f_k runs on the stored leaf ordinal: the next phase's value and
-  // ordinal come from the ancestor at its level, with no label lookup.
-  // Removal steps log Null values: redo still needs the row ids to expire
-  // tuples, and a NULL leaks nothing. Redo routes the record back to this
-  // partition by hashing the row ids carried in `entries`.
-  WalRecord record;
-  record.type = WalRecordType::kDegradeStep;
-  record.table = id();
-  record.column = col_idx;
-  record.from_phase = from_phase;
-  record.to_phase = to_phase;
-  std::vector<Micros> deadlines;
-  {
-    std::shared_lock<std::shared_mutex> latch(latch_);
-    const Micros offset = col.lcp.PhaseEndOffset(from_phase);
-    const int to_level = removal ? 0 : col.lcp.phase(to_phase).level;
-    stores_[ordinal][from_phase]->ForEach([&](const StoreEntryView& entry) {
-      const Micros deadline = entry.insert_time + offset;
-      if (deadline > now || deadlines.size() >= batch_limit) return false;
-      StoreEntry& moved = record.entries.emplace_back();
-      moved.row_id = entry.row_id;
-      moved.insert_time = entry.insert_time;
-      if (!removal) {
-        moved.value = col.hierarchy->AncestorValue(entry.ordinal, to_level);
-        moved.ordinal =
-            col.hierarchy->AncestorRange(entry.ordinal, to_level).lo;
-      }
-      deadlines.push_back(deadline);
-      return true;
-    });
-  }
-  if (deadlines.empty()) return size_t{0};
-  record.up_to_row_id = record.entries.back().row_id;
-
-  // No logical lock: a user delete that commits between collect and apply
-  // leaves a row the apply finds gone, and skips.
-  auto txn = tm->Begin();
-  txn->AddOp(std::move(record));
-  IDB_RETURN_IF_ERROR(tm->Commit(txn.get()));
-
-  const size_t moved = deadlines.size();
-  {
-    std::unique_lock<std::shared_mutex> latch(latch_);
-    for (const Micros deadline : deadlines) {
-      lateness_.Add(static_cast<double>(now - deadline));
-    }
-    ++stats_.degrade_steps;
-    if (removal) {
-      stats_.values_removed += moved;
-    } else {
-      stats_.values_degraded += moved;
-    }
-  }
-
-  *stepped_phase0 = from_phase == 0;
-  return moved;
-}
-
-Status TablePartition::ApplyDegrade(const WalRecord& record) {
-  std::unique_lock<std::shared_mutex> latch(latch_);
-  const std::vector<StoreEntry>& moves = record.entries;
-  const int from_phase = record.from_phase;
-  const int to_phase = record.to_phase;
-  const int ordinal = schema().DegradableOrdinal(record.column);
-  const bool removal =
-      to_phase >= schema().column(record.column).lcp.num_phases();
   StateStore* from = stores_[ordinal][from_phase].get();
   StateStore* to = removal ? nullptr : stores_[ordinal][to_phase].get();
-  const bool update_indexes = !multires_.empty();
+  const Micros offset = col.lcp.PhaseEndOffset(from_phase);
 
-  // The index moves each value out of its from-phase node: read the old
-  // ordinals while the entries are still there (the ids ascend, in store
-  // order). An id already popped keeps -1, and OnDegrade's removal half is
-  // then a no-op.
-  std::vector<int64_t> old_ordinals;
-  if (update_indexes) {
-    std::vector<RowId> ids;
-    ids.reserve(moves.size());
-    for (const StoreEntry& move : moves) ids.push_back(move.row_id);
-    old_ordinals.assign(moves.size(), -1);
-    from->FindMany(ids.data(), ids.size(), old_ordinals.data());
-  }
+  // The overdue prefix of the from-phase store, in store order.
+  std::vector<StoreEntryView> due;
+  from->ForEach([&](const StoreEntryView& entry) {
+    if (entry.insert_time + offset > now || due.size() >= batch_limit) {
+      return false;
+    }
+    due.push_back(entry);
+    return true;
+  });
+  if (due.empty()) return size_t{0};
 
-  // Pop exactly the logged ids: a prefix pop through the last one would
-  // also destroy an out-of-order append that landed below it between this
-  // step's collect and apply, a value never generalized.
-  // Apply order: append and index updates FIRST, pops LAST. Every sub-step
-  // can fail on an I/O error after the WAL record has already committed.
-  // A fault before the pop leaves the value in the from-phase store, and
-  // the commit's retry, the next degradation pass or WAL redo re-applies
-  // the step: Append of a present id, the index OnDegrade hooks and
-  // PopById of an absent id are all idempotent, so the re-apply converges.
-  // Pop-first turned the same fault into permanent loss: a popped but
-  // never appended value vanished from every store. The cost is a
-  // transient window where a value is in two stores at once —
-  // over-accurate, never under-durable — which the re-apply erases.
-  for (size_t i = 0; i < moves.size(); ++i) {
-    const StoreEntry& move = moves[i];
-    // A row deleted between collect and apply must not resurface.
-    if (row_map_.Find(move.row_id) == nullptr) continue;
-    if (!removal) IDB_RETURN_IF_ERROR(to->Append(move));
-    if (update_indexes) {
-      // A decoded record carries no ordinals: resolve the new one.
-      int64_t new_ordinal = move.ordinal;
-      if (!removal && new_ordinal < 0) {
-        IDB_ASSIGN_OR_RETURN(new_ordinal, to->OrdinalOf(move.value));
-      }
-      multires_[ordinal]->OnDegrade(move.row_id, from_phase, old_ordinals[i],
-                                    to_phase, new_ordinal);
+  // Append first, pop after: a failed append leaves the value and the ones
+  // after it in the from-phase store, for the next step. f_k runs on the
+  // stored leaf ordinal: the next level's value and ordinal are its
+  // ancestor's, with no label lookup.
+  Status status;
+  std::vector<int64_t> to_ordinals(due.size(), -1);
+  size_t moved = removal ? due.size() : 0;
+  if (!removal) {
+    const int to_level = col.lcp.phase(to_phase).level;
+    for (; moved < due.size(); ++moved) {
+      const StoreEntryView& entry = due[moved];
+      to_ordinals[moved] =
+          col.hierarchy->AncestorRange(entry.ordinal, to_level).lo;
+      status = to->Append({entry.row_id, entry.insert_time,
+                           col.hierarchy->AncestorValue(entry.ordinal, to_level),
+                           to_ordinals[moved]});
+      if (!status.ok()) break;
     }
   }
-  for (const StoreEntry& move : moves) {
-    IDB_RETURN_IF_ERROR(from->PopById(move.row_id));
-  }
-  if (removal) {
-    // Expiry last: MaybeExpireTupleLocked only removes the heap shell once
-    // every store has dropped the row, so it must run after the pops.
-    for (const StoreEntry& move : moves) {
-      IDB_RETURN_IF_ERROR(MaybeExpireTupleLocked(move.row_id));
+  // A pop that fails erasing a drained segment has still left the mirror;
+  // the next pop retries the erase. So every moved value is popped, and a
+  // removal expires the tuple once no store holds it.
+  for (size_t i = 0; i < moved; ++i) {
+    if (!multires_.empty()) {
+      multires_[ordinal]->OnDegrade(due[i].row_id, from_phase, due[i].ordinal,
+                                    to_phase, to_ordinals[i]);
     }
+    Status done = from->PopById(due[i].row_id);
+    if (done.ok() && removal) done = MaybeExpireTupleLocked(due[i].row_id);
+    if (status.ok()) status = done;
+    lateness_.Add(static_cast<double>(now - (due[i].insert_time + offset)));
   }
+  ++stats_.degrade_steps;
+  (removal ? stats_.values_removed : stats_.values_degraded) += moved;
   mutation_seq_.fetch_add(1, std::memory_order_release);
-  return Status::OK();
+  IDB_RETURN_IF_ERROR(status);
+  *stepped_phase0 = from_phase == 0;
+  return moved;
 }
 
 Status TablePartition::MaybeExpireTupleLocked(RowId row_id) {

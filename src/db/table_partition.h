@@ -56,12 +56,15 @@ struct TableRuntime {
 ///
 /// Thread-safety: user deletes and stable updates lock their row in the
 /// LockManager; degradation takes no logical lock. Physical structures are
-/// protected by the per-partition latch (scans share it, applies take it
-/// exclusive), and one degradation step at a time runs per
-/// partition (`step_mu_`). A degrade move skips a row a user delete removed
-/// after the step collected it, and a delete removes the row from whichever
-/// store holds it at its apply. Statistics are mutated under the exclusive
-/// latch and read under the shared latch.
+/// protected by the per-partition latch (scans share it; applies and
+/// degradation steps take it exclusive). Statistics are mutated under the
+/// exclusive latch and read under the shared latch.
+///
+/// A degradation step writes no log record: recovery redoes inserts at
+/// their mandated phase and then Reconciles. One write order keeps a moved
+/// value durable: its to-phase frame is durable before the last trace of
+/// its from-phase copy can vanish (segment erase, checkpoint META, epoch-key
+/// destruction).
 class TablePartition {
  public:
   TablePartition(const TableDef* def, std::string dir,
@@ -74,10 +77,16 @@ class TablePartition {
   /// stores. Indexes are rebuilt separately (RebuildIndexes) after WAL
   /// replay so they reflect the recovered state.
   Status Open();
+  /// Recovery, after WAL redo: an id in two phases of one column keeps the
+  /// later one and the earlier frame is scrubbed, as is a store entry with
+  /// no heap row; a heap row no store holds has expired and is removed.
+  Status Reconcile();
   Status RebuildIndexes();
-  /// Unconditional flush of heap pages + state stores (stores skip
-  /// themselves when individually clean). Prefer CheckpointIfDirty.
+  /// Unconditional flush of state stores, in descending phase order (a META
+  /// makes pops durable), then heap pages. Prefer CheckpointIfDirty.
   Status Checkpoint();
+  /// Makes every frame the stores have appended durable (no META).
+  Status SyncStores();
   /// Incremental checkpoint: flushes only when a mutation applied since the
   /// last flush. On success the partition's durable state covers every WAL
   /// record below the fuzzy begin LSN the caller captured under the commit
@@ -109,17 +118,15 @@ class TablePartition {
 
   // --- apply (commit-time and redo alike, idempotent; see Table::Apply) -----
 
-  /// Uses the record's phase-0 `ordinals` when the live insert carried
-  /// them and resolves them from the values otherwise.
+  /// Appends each value at the phase its LCP mandates now (0 for a live
+  /// commit), unless some phase holds the row; nothing at ⊥, and no row at
+  /// all when every value is at ⊥. Uses the record's phase-0 `ordinals`
+  /// when the live insert carried them.
   Status ApplyInsert(const WalRecord& record);
   /// The delete and the stable update of a row that is gone (deleted, or
   /// expired by the LCP since the statement found it) change nothing and
   /// count in Stats::applies_without_row.
   Status ApplyDelete(RowId row_id);
-  /// Moves exactly the record's entries out of the from-phase store, for
-  /// rows still live. With indexes built, the moved values' old ordinals
-  /// are read from the from-phase store before the pops.
-  Status ApplyDegrade(const WalRecord& record);
   Status ApplyUpdateStable(RowId row_id, const std::vector<Value>& stable);
 
   // --- read path -------------------------------------------------------------
@@ -188,15 +195,14 @@ class TablePartition {
   /// (kForever if nothing is pending).
   Micros NextDeadline() const;
 
-  /// Runs ONE degradation step on this partition as a system transaction
-  /// that takes no logical lock: drains every entry whose deadline has
-  /// passed (up to `batch_limit`) from the single most overdue (column,
-  /// phase) store. Returns the number of tuples moved (0 when nothing is
-  /// due, or when another pass is stepping this partition). `*stepped_phase0`
-  /// is set when the step drained a phase-0 store (the router then
-  /// advances the WAL epoch-key watermark using the table-wide safe time).
-  Result<size_t> RunDegradationStep(TransactionManager* tm, Micros now,
-                                    size_t batch_limit, bool* stepped_phase0);
+  /// Runs ONE degradation step, an in-memory move under the exclusive
+  /// latch: the overdue prefix (up to `batch_limit`) of the most overdue
+  /// (column, phase) store goes to the next phase's store (nothing at ⊥),
+  /// index postings included. Returns the number of values moved.
+  /// `*stepped_phase0` is set when the step drained a phase-0 store (the
+  /// router then advances the WAL epoch-key watermark).
+  Result<size_t> RunDegradationStep(Micros now, size_t batch_limit,
+                                    bool* stepped_phase0);
 
   /// True if any store head of this partition is overdue at `now`.
   bool HasWorkAt(Micros now) const;
@@ -278,11 +284,6 @@ class TablePartition {
   /// Caller holds the exclusive latch.
   Status MaybeExpireTupleLocked(RowId row_id);
 
-  /// Appends `value` of degradable column `d` to its phase-0 store and
-  /// index. `ordinal` is its ordinal at the store's level, or -1 to look it
-  /// up. Caller holds the exclusive latch.
-  Status InsertDegradableLocked(size_t d, RowId row_id, Micros insert_time,
-                                const Value& value, int64_t ordinal);
 
   /// One pushdown batch under a single shared-latch acquisition:
   /// `for_each_record(take)` hands each heap record, borrowed from its
@@ -315,12 +316,8 @@ class TablePartition {
   std::vector<std::unique_ptr<MultiResolutionIndex>> multires_;
 
   mutable std::shared_mutex latch_;
-  /// Held by a degradation step from collect through apply; a second pass
-  /// skips the partition instead of waiting (try_lock). User transactions
-  /// never take it, so they cannot hold degradation back.
-  std::mutex step_mu_;
-  /// Serializes checkpoints of this partition and guards the incremental-
-  /// checkpoint bookkeeping (flushed_seq_).
+  /// Serializes checkpoints and store syncs of this partition and guards
+  /// the incremental-checkpoint bookkeeping (flushed_seq_).
   mutable std::mutex ckpt_mu_;
   /// Monotone count of applied mutations (inserts, deletes, degrade moves,
   /// stable updates), bumped under the exclusive latch. The dirty test is

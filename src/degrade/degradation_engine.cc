@@ -19,7 +19,6 @@ constexpr Micros kBackoffCap = 5'000'000;  // 5 s
 
 DegradationEngine::DegradationEngine(Database* db)
     : db_(db),
-      tm_(db->txn_manager()),
       clock_(db->clock()),
       options_(db->options().degradation),
       maintenance_(db->options().maintenance),
@@ -147,14 +146,14 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
         }
         if (!unit.table->PartitionHasWorkAt(unit.partition, now)) continue;
         auto moved = unit.table->RunDegradationStep(
-            tm_, now, options_.step_batch_limit, unit.partition);
+            now, options_.step_batch_limit, unit.partition);
         if (!moved.ok()) {
           std::lock_guard<std::mutex> lock(error_mu);
           if (error.ok()) error = moved.status();
           return;
         }
-        // Nothing moved (a spurious wake-up, or another pass is stepping
-        // this partition): drop, re-collect next round.
+        // Nothing moved (a spurious wake-up, or another pass drained this
+        // partition first): drop, re-collect next round.
         if (*moved == 0) continue;
         steps.fetch_add(1, std::memory_order_relaxed);
         moved_round.fetch_add(*moved, std::memory_order_relaxed);
@@ -186,7 +185,7 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
     total += moved_round.load();
     if (!error.ok()) break;
     // No progress this round (only spurious wake-ups, or partitions another
-    // pass is stepping): leave the remainder for the next RunDue rather than
+    // pass drained): leave the remainder for the next RunDue rather than
     // spinning.
     if (moved_round.load() == 0) break;
   }
@@ -209,7 +208,7 @@ Status DegradationEngine::RunOnce(Micros now) {
 
 Status DegradationEngine::Step(Micros now, bool degrade, bool maintain,
                                Micros* wake) {
-  std::lock_guard<std::mutex> step(step_mu_);
+  std::lock_guard<std::mutex> step(cadence_mu_);
   // A pass drains only what is due at `now`, so a due checkpoint waits at
   // most one pass.
   Status status;

@@ -13,7 +13,6 @@
 #include "common/options.h"
 #include "db/table.h"
 #include "maintain/audit.h"
-#include "txn/transaction.h"
 #include "util/worker_pool.h"
 
 namespace instantdb {
@@ -33,9 +32,8 @@ class Database;
 /// the front of the queue gets its first step within one step latency even
 /// when another partition holds a deep backlog. Distinct partitions never
 /// share physical state, so workers proceed without interfering. A step
-/// takes no logical lock, so no user transaction can hold it back. Steps on
-/// one partition run one at a time: a pass that finds another pass's step
-/// in flight there skips the partition, which that pass drains.
+/// takes no logical lock and writes no log record, so no user transaction
+/// can hold it back; steps on one partition serialize on its latch.
 ///
 /// The checkpoint cadence runs Database::Checkpoint every
 /// `MaintenanceOptions::checkpoint_interval` when at least
@@ -59,8 +57,8 @@ class Database;
 ///    earliest store deadline or cadence point.
 class DegradationEngine {
  public:
-  /// `db` (not owned) must outlive the engine, and its transaction manager,
-  /// WAL, clock and worker pool must already exist.
+  /// `db` (not owned) must outlive the engine, and its WAL, clock and
+  /// worker pool must already exist.
   explicit DegradationEngine(Database* db);
   ~DegradationEngine();
   DegradationEngine(const DegradationEngine&) = delete;
@@ -99,7 +97,7 @@ class DegradationEngine {
 
   /// Next checkpoint cadence point, as the last step left it.
   Micros next_checkpoint_due() const {
-    std::lock_guard<std::mutex> lock(step_mu_);
+    std::lock_guard<std::mutex> lock(cadence_mu_);
     return next_checkpoint_due_;
   }
 
@@ -177,7 +175,6 @@ class DegradationEngine {
   void BackgroundLoop();
 
   Database* const db_;
-  TransactionManager* const tm_;
   Clock* const clock_;
   const DegradationOptions options_;
   const MaintenanceOptions maintenance_;
@@ -200,7 +197,7 @@ class DegradationEngine {
 
   /// Serializes RunOnce steps (the background thread and pumped callers)
   /// and guards the cadence state below.
-  mutable std::mutex step_mu_;
+  mutable std::mutex cadence_mu_;
   Micros next_checkpoint_due_ = 0;
   Micros next_audit_due_ = 0;
   /// Current retry delay after a failed step; 0 after a clean one.

@@ -100,10 +100,6 @@ bool MultiResolutionIndex::Remove(RowId row, int phase, int64_t ordinal) {
 void MultiResolutionIndex::OnDegrade(RowId row, int from_phase,
                                      int64_t old_ordinal, int to_phase,
                                      int64_t new_ordinal) {
-  // Re-entry safe: a degrade apply can fail partway through on an I/O error
-  // and be retried by the next pass (or replayed by WAL redo), so the old
-  // posting may already be gone and the new one may already hold the row.
-  // Both are no-ops.
   Remove(row, from_phase, old_ordinal);
   if (to_phase < num_phases()) OnInsert(row, to_phase, new_ordinal);
 }

@@ -44,9 +44,9 @@ namespace instantdb {
 ///
 /// Hooks take the row's leaf ordinal at the phase's level, the ordinal its
 /// state store holds (StoreEntryView::ordinal). Inserts of a present row
-/// and removals of an absent one are no-ops, so WAL redo and a degrade step
-/// retried after a partial apply converge. Not thread-safe: the owning
-/// partition's latch serializes mutations against probes.
+/// and removals of an absent one are no-ops, so WAL redo converges. Not
+/// thread-safe: the owning partition's latch serializes mutations against
+/// probes.
 class MultiResolutionIndex {
  public:
   /// `column` must be degradable and outlive the index.

@@ -103,8 +103,16 @@ Result<ChaCha20::Key> KeyManager::GetOrCreate(const std::string& key_id) {
     std::memcpy(key.data() + i, &r, 8);
   }
   keys_[key_id] = key;
-  destroyed_.erase(key_id);  // id reuse covers only new data
-  IDB_RETURN_IF_ERROR(PersistLocked());
+  const bool reused = destroyed_.erase(key_id) > 0;  // covers only new data
+  const Status persisted = PersistLocked();
+  if (!persisted.ok()) {
+    // A key handed out must be durable, or a crash loses what it sealed:
+    // forget it, so the next call creates and persists one afresh.
+    keys_[key_id].fill(0);
+    keys_.erase(key_id);
+    if (reused) destroyed_.insert(key_id);
+    return persisted;
+  }
   return key;
 }
 

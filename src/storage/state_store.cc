@@ -384,12 +384,9 @@ Status StateStore::Append(const StoreEntry& entry) {
   if (ordinal < 0) {
     IDB_ASSIGN_OR_RETURN(ordinal, OrdinalOf(entry.value));
   }
-  // No pop-watermark gate: an absent id is always a first-time append. A
-  // replayed insert whose value was popped before the checkpoint is never
-  // seen here (its record predates the replay-start LSN, which the
-  // transaction manager's commit barrier keeps behind every applied
-  // record); a replayed insert popped *after* the checkpoint is re-appended
-  // and the degrade record that popped it replays later in log order.
+  // No pop-watermark gate: an absent id is always a first-time append. WAL
+  // redo of an insert appends at the phase the LCP mandates, and only when
+  // no phase holds the row (TablePartition::ApplyInsert).
   if (tail_writer_ == nullptr || segments_.empty() || segments_.back().sealed) {
     IDB_RETURN_IF_ERROR(OpenTailWriter());
   } else if (segments_.back().bytes >=
@@ -446,6 +443,26 @@ Status StateStore::Append(const StoreEntry& entry) {
   ++stats_.entries_appended;
   stats_.bytes_appended += frame.size();
   dirty_ = true;
+  if (unsynced_.empty() || unsynced_.back() != tail.seqno) {
+    unsynced_.push_back(tail.seqno);
+  }
+  return Status::OK();
+}
+
+Status StateStore::Sync() {
+  IDB_RETURN_IF_ERROR(FlushTail());
+  for (; !unsynced_.empty(); unsynced_.pop_back()) {
+    const uint64_t seqno = unsynced_.back();
+    if (tail_writer_ != nullptr && segments_.back().seqno == seqno) {
+      IDB_RETURN_IF_ERROR(tail_writer_->Flush());
+      IDB_RETURN_IF_ERROR(tail_writer_->Sync());
+    } else if (env_->FileExists(SegmentPath(seqno))) {  // sealed, not erased
+      IDB_ASSIGN_OR_RETURN(auto file,
+                           env_->NewAppendableFile(SegmentPath(seqno)));
+      IDB_RETURN_IF_ERROR(file->Sync());
+      IDB_RETURN_IF_ERROR(file->Close());
+    }
+  }
   return Status::OK();
 }
 
@@ -475,6 +492,11 @@ Status StateStore::CleanupDrainedSegments() {
     if (!front.sealed) {
       // Fully drained open tail: seal it so the next append starts fresh.
       IDB_RETURN_IF_ERROR(SealTail());
+    }
+    // Write order: the successor's copies of the popped entries are
+    // durable before the finer frames are erased.
+    if (front.popped > 0 && successor_ != nullptr) {
+      IDB_RETURN_IF_ERROR(successor_->Sync());
     }
     Segment drained = segments_.front();
     segments_.pop_front();
@@ -590,11 +612,7 @@ size_t StateStore::mirror_bytes() const {
 
 Status StateStore::Checkpoint() {
   if (!dirty_) return Status::OK();  // on-disk meta already matches memory
-  if (tail_writer_ != nullptr) {
-    IDB_RETURN_IF_ERROR(FlushTail());
-    IDB_RETURN_IF_ERROR(tail_writer_->Flush());
-    IDB_RETURN_IF_ERROR(tail_writer_->Sync());
-  }
+  IDB_RETURN_IF_ERROR(Sync());
   IDB_RETURN_IF_ERROR(SaveMeta());
   dirty_ = false;
   return Status::OK();

@@ -67,8 +67,10 @@ struct StoreEntryView {
 /// unlinked. User deletes in the middle of a store are handled by
 /// `SecureDeleteEntry`, which tombstones the frame and zeroes its payload
 /// bytes in place. Crash recovery rebuilds the mirror from the segments
-/// plus WAL replay, which is idempotent because appends of a present row id
-/// are ignored and pops of an absent one are no-ops.
+/// plus WAL redo of inserts, which is idempotent because appends of a
+/// present row id are ignored. A pop becomes durable when the META records
+/// it (Checkpoint) or its segment is erased, so the next phase's store,
+/// which holds the popped values, is synced first (set_successor).
 ///
 /// What stays in memory: per live entry its row id, insert time, the leaf
 /// ordinal of its value at the store's level — one integer per value, never
@@ -115,12 +117,19 @@ class StateStore {
   /// transactions committing concurrently may apply slightly out of order:
   /// the live mirror is kept sorted by row id, so a late append lands in
   /// its FIFO position. An append whose row id is already present is
-  /// ignored — this is what makes WAL replay idempotent (re-pops are
-  /// handled by the degrade records that follow in log order). The mirror
+  /// ignored — this is what makes WAL redo idempotent. The mirror
   /// keeps `entry.ordinal` when it is set (the caller vouches that it is
   /// `LeafRange(entry.value, level).lo`) and resolves it otherwise;
   /// InvalidArgument when the value is not a node at the store's level.
   Status Append(const StoreEntry& entry);
+
+  /// The next phase's store, synced before a segment with pops is erased
+  /// (nullptr for the last phase: its pops are removals to ⊥).
+  void set_successor(StateStore* successor) { successor_ = successor; }
+
+  /// Writes the buffered tail through and fsyncs every segment, sealed or
+  /// not, holding a frame appended since the last Sync.
+  Status Sync();
 
   /// Leaf ordinal of a value at this store's level, or InvalidArgument when
   /// it is not a node there.
@@ -129,11 +138,8 @@ class StateStore {
   /// Removes the head entry; erases segments as they drain.
   Status PopHead(StoreEntryView* out);
 
-  /// Pops exactly one entry by row id; a no-op when absent (stale redo, or
-  /// an entry that was never appended). Degradation steps pop precisely the
-  /// entries they collected — a prefix pop "through row id X" would also
-  /// destroy an out-of-order append that landed below X between a step's
-  /// collect and apply phases.
+  /// Pops exactly one entry by row id; a no-op when absent. Degradation
+  /// steps pop precisely the entries they moved to the next phase.
   Status PopById(RowId row_id);
 
   /// Physically removes one entry anywhere in the store (user DELETE):
@@ -165,10 +171,11 @@ class StateStore {
   /// must use this exact bound.
   Micros MinInsertTime() const;
 
-  /// fsync the tail segment + persist checkpoint meta (head position).
-  /// No-op when nothing changed since the last checkpoint — the incremental
-  /// checkpoint path calls this for every store of a dirty partition, and a
-  /// clean store must not pay the two fsyncs (tail + META rename).
+  /// Sync() + persist checkpoint meta (the popped set, so the successor is
+  /// checkpointed first). No-op when nothing changed since the last
+  /// checkpoint — the incremental checkpoint path calls this for every
+  /// store of a dirty partition, and a clean store must not pay the two
+  /// fsyncs (tail + META rename).
   Status Checkpoint();
 
   /// Securely erases every segment and removes the directory (table drop /
@@ -224,11 +231,12 @@ class StateStore {
   std::string MetaPath() const { return dir_ + "/META"; }
 
   Status OpenTailWriter();
+  /// Closes the tail segment; Sync still covers it.
   Status SealTail();
   /// Writes the buffered tail frames through to the segment file. Appends
-  /// buffer in user space (durability comes from the WAL until Checkpoint);
+  /// buffer in user space (durability comes from the WAL until Sync);
   /// every operation that reads or mutates segment bytes on disk — sealing,
-  /// checkpoint, tombstoning — flushes first.
+  /// sync, tombstoning — flushes first.
   Status FlushTail();
   /// Secure erase + unlink of a fully-dead segment.
   Status EraseSegment(const Segment& segment);
@@ -291,6 +299,10 @@ class StateStore {
   std::unique_ptr<WritableFile> tail_writer_;
   /// Frames appended but not yet written through (see FlushTail).
   std::string tail_pending_;
+  /// Seqnos of the segments holding frames a crash could lose, oldest
+  /// first (appended to by Append, drained by Sync).
+  std::vector<uint64_t> unsynced_;
+  StateStore* successor_ = nullptr;
   uint64_t next_seqno_ = 0;
   RowId last_appended_row_id_ = kInvalidRowId;
   /// Set by every mutation Checkpoint would have to persist (appends, pops,

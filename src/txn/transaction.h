@@ -36,9 +36,10 @@ enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 ///    apply can be retried in place: the retry is that idempotent redo.
 ///
 /// The paper's observation that an inserting transaction "generates effects
-/// all along the lifetime of the degradation process" shows up here as
-/// system transactions: each degradation step commits separately, long
-/// after the inserting transaction committed.
+/// all along the lifetime of the degradation process" needs no transaction
+/// here: each degradation step is an in-memory move that writes no log
+/// record, because recovery recomputes every value's phase from its insert
+/// time (TablePartition::Reconcile).
 class Transaction {
  public:
   Transaction(uint64_t id, LockManager* locks) : id_(id), locks_(locks) {}

@@ -1,5 +1,7 @@
 #include "wal/log_record.h"
 
+#include "util/coding.h"
+
 namespace instantdb {
 
 namespace {
@@ -15,31 +17,6 @@ bool DecodeValues(Slice* input, std::vector<Value>* out) {
   out->resize(n);
   for (Value& v : *out) {
     if (!Value::DecodeFrom(input, &v)) return false;
-  }
-  return true;
-}
-
-void EncodeEntries(const std::vector<StoreEntry>& entries, std::string* dst) {
-  PutVarint32(dst, static_cast<uint32_t>(entries.size()));
-  for (const StoreEntry& e : entries) {
-    PutVarint64(dst, e.row_id);
-    PutVarint64(dst, static_cast<uint64_t>(e.insert_time));
-    e.value.EncodeTo(dst);
-  }
-}
-
-bool DecodeEntries(Slice* input, std::vector<StoreEntry>* out) {
-  uint32_t n;
-  if (!GetVarint32(input, &n)) return false;
-  out->resize(n);
-  for (StoreEntry& e : *out) {
-    uint64_t row_id, insert_time;
-    if (!GetVarint64(input, &row_id) || !GetVarint64(input, &insert_time) ||
-        !Value::DecodeFrom(input, &e.value)) {
-      return false;
-    }
-    e.row_id = row_id;
-    e.insert_time = static_cast<Micros>(insert_time);
   }
   return true;
 }
@@ -70,13 +47,6 @@ std::string EncodeWalRecord(const WalRecord& record, WalBlobRange* blob) {
         *blob = {dst.size(), plain.size()};
         dst += plain;
       }
-      break;
-    case WalRecordType::kDegradeStep:
-      PutVarint32(&dst, static_cast<uint32_t>(record.column));
-      PutVarint32(&dst, static_cast<uint32_t>(record.from_phase));
-      PutVarint32(&dst, static_cast<uint32_t>(record.to_phase));
-      PutVarint64(&dst, record.up_to_row_id);
-      EncodeEntries(record.entries, &dst);
       break;
     case WalRecordType::kDelete:
       PutVarint64(&dst, record.row_id);
@@ -139,20 +109,6 @@ Result<WalRecord> DecodeWalRecord(Slice input, const WalBlobCipher& decrypt) {
         // design. Redo proceeds without them.
         record.degradable_unavailable = true;
       }
-      break;
-    }
-    case WalRecordType::kDegradeStep: {
-      uint32_t column, from_phase, to_phase;
-      uint64_t up_to;
-      if (!GetVarint32(&input, &column) || !GetVarint32(&input, &from_phase) ||
-          !GetVarint32(&input, &to_phase) || !GetVarint64(&input, &up_to) ||
-          !DecodeEntries(&input, &record.entries)) {
-        return Status::Corruption("bad degrade record");
-      }
-      record.column = static_cast<int>(column);
-      record.from_phase = static_cast<int>(from_phase);
-      record.to_phase = static_cast<int>(to_phase);
-      record.up_to_row_id = up_to;
       break;
     }
     case WalRecordType::kDelete: {

@@ -11,7 +11,6 @@
 #include "common/clock.h"
 #include "common/result.h"
 #include "storage/page.h"
-#include "storage/state_store.h"
 
 namespace instantdb {
 
@@ -19,22 +18,15 @@ namespace instantdb {
 /// logical log (segments are named by their starting LSN).
 using Lsn = uint64_t;
 
-/// The values are the on-disk type byte; 1 and 3 are unused (a decoded
-/// one is Corruption).
+/// The values are the on-disk type byte; 1, 3 and 5 are unused (a decoded
+/// one is Corruption). Degradation writes no record: a value's phase is a
+/// function of its insert time, and the state stores hold every level.
 enum class WalRecordType : uint8_t {
   kCommit = 2,
   /// Tuple insertion at full accuracy. The degradable values are the only
-  /// accurate sensitive bytes that ever reach the log; WalPrivacyMode
-  /// governs how they are kept from outliving their degradation deadline.
+  /// sensitive bytes that ever reach the log; WalPrivacyMode governs how
+  /// they are kept from outliving their degradation deadline.
   kInsert = 4,
-  /// One degradation step of one attribute: pop exactly the row ids of
-  /// `entries` from the `from_phase` store and append the generalized
-  /// `entries` to the next phase (their values are Null when the step is a
-  /// removal to ⊥). `up_to_row_id` (the last id) is encoded but read by
-  /// nothing. The values are logged in the clear: they are as coarse as
-  /// the to-phase store holds them, but they stay in the log past that
-  /// phase's own deadline, until the segment retires.
-  kDegradeStep = 5,
   /// Tuple removal (user delete, or the final LCP transition).
   kDelete = 6,
   /// Update of the stable part (full physical redo image).
@@ -44,8 +36,8 @@ enum class WalRecordType : uint8_t {
 
 /// \brief One redo record: a commit applies it and crash recovery replays
 /// it through the same function (Table::Apply). All redo is *idempotent*:
-/// appends carry row ids (stores skip duplicates), pops are by row id
-/// (absent ids are no-ops), deletes and stable updates are absolute.
+/// appends carry row ids (stores skip duplicates), deletes and stable
+/// updates are absolute.
 struct WalRecord {
   WalRecordType type = WalRecordType::kCommit;
   uint64_t txn_id = 0;
@@ -58,21 +50,15 @@ struct WalRecord {
   std::vector<Value> degradable;  // schema degradable-column order (accurate)
   /// Set by the decoder when the degradable payload was epoch-encrypted and
   /// the epoch key has been destroyed: the accurate values are gone for
-  /// good, which is exactly the guarantee — redo falls back to the coarse
-  /// values carried by later kDegradeStep records.
+  /// good, which is exactly the guarantee. A key is destroyed only once the
+  /// stores holding the values' coarser levels are durable, so redo finds
+  /// the values there.
   bool degradable_unavailable = false;
   /// In-memory only (never serialized): each degradable value's leaf
   /// ordinal at its phase-0 level, as the live insert validated it, so the
   /// apply needs no label lookup. Empty on a decoded record, whose apply
   /// resolves the ordinals from the values.
   std::vector<int64_t> ordinals;
-
-  // kDegradeStep
-  int column = 0;       // schema column index
-  int from_phase = 0;
-  int to_phase = 0;     // == lcp.num_phases() means removal to ⊥
-  RowId up_to_row_id = 0;
-  std::vector<StoreEntry> entries;
 
   // kCheckpoint
   Lsn checkpoint_lsn = 0;

@@ -550,16 +550,26 @@ Status WalManager::RecoverCommitted(
   });
 }
 
-Status WalManager::DestroyEpochKeysThrough(TableId table, Micros safe_time) {
+Status WalManager::DestroyEpochKeysThrough(
+    TableId table, Micros safe_time,
+    const std::function<Status()>& before_destroy) {
   if (!epoch_keys_enabled() || safe_time <= 0) return Status::OK();
   std::lock_guard<std::mutex> lock(epoch_mu_);
   // Epoch e covers [e*epoch, (e+1)*epoch); destroy every epoch that ends at
-  // or before safe_time.
-  const uint64_t end_epoch = EpochOf(safe_time - 1) + 1;
+  // or before safe_time, e < EpochOf(safe_time). The epoch holding
+  // safe_time may still take inserts: destroying its key would let the next
+  // insert re-create that key id, and redo would open the older records
+  // with the new key.
+  const uint64_t end_epoch = EpochOf(safe_time);
   uint64_t& watermark = epoch_watermark_[table];
+  bool prepared = false;
   while (watermark < end_epoch) {
     const std::string id = WalEpochKeyId(table, watermark);
     if (!keys_->IsDestroyed(id)) {
+      if (!prepared && keys_->Get(id).ok()) {  // a live key, not a gap
+        IDB_RETURN_IF_ERROR(before_destroy());
+        prepared = true;
+      }
       IDB_RETURN_IF_ERROR(keys_->Destroy(id));
       std::lock_guard<std::mutex> stats_lock(mu_);
       ++stats_.epoch_keys_destroyed;
@@ -596,7 +606,7 @@ uint64_t WalManager::LingeringEpochKeys(TableId table, Micros safe_time) const {
   if (!epoch_keys_enabled() || safe_time <= 0) return 0;
   // Epoch e covers [e*epoch, (e+1)*epoch): every epoch ending at or before
   // safe_time must be dead. Count survivors among the table's live keys.
-  const uint64_t end_epoch = EpochOf(safe_time - 1) + 1;
+  const uint64_t end_epoch = EpochOf(safe_time);
   const std::string prefix = StringPrintf("wal.t%u.e", table);
   uint64_t lingering = 0;
   keys_->ForEachLiveKeyId(prefix, [&](const std::string& id) {

@@ -162,8 +162,11 @@ class WalManager {
                           uint64_t* max_txn_id = nullptr);
 
   /// kEncryptedEpoch: destroys the keys of every epoch of `table` that ends
-  /// at or before `safe_time` (all its tuples have left phase 0).
-  Status DestroyEpochKeysThrough(TableId table, Micros safe_time);
+  /// at or before `safe_time` (all its tuples have left phase 0). Calls
+  /// `before_destroy` once, before the first key it actually destroys, and
+  /// destroys nothing when that fails.
+  Status DestroyEpochKeysThrough(TableId table, Micros safe_time,
+                                 const std::function<Status()>& before_destroy);
 
   /// Deletion-assurance probes (maintain/audit.h). `ExposureAudit` covers
   /// what plaintext-readable log bytes may still hold an accurate value past

@@ -239,12 +239,15 @@ TEST_F(DatabaseTest, RetentionBaselineIsAllOrNothing) {
   EXPECT_FALSE(view->has_value());
 }
 
-/// Forensic residue of one accurate address once it has degraded, per WAL
-/// privacy mode, counted in every file and every freed block: after a
-/// clean close, and in the crash image taken right after degrade +
-/// checkpoint, then again once that image has recovered. kScrub and
-/// kEncryptedEpoch must leave no copy; kPlain keeps its recycled WAL
-/// segments, the forensic threat the paper cites from Stahlberg et al.
+/// Forensic residue of one accurate address once it has degraded to its
+/// city and then to its region, per WAL privacy mode, counted in every file
+/// and every freed block: after a clean close, and in the crash image taken
+/// right after the second degrade + checkpoint, then again once that image
+/// has recovered. kScrub and kEncryptedEpoch must leave no copy of the
+/// address; kPlain keeps its recycled WAL segments, the forensic threat the
+/// paper cites from Stahlberg et al. The intermediate city label is past
+/// its own deadline too, and no mode leaves a copy of it: degradation
+/// writes no log record, and the drained city store was scrubbed.
 class DatabaseForensicTest
     : public DatabaseTest,
       public ::testing::WithParamInterface<std::tuple<WalPrivacyMode, bool>> {
@@ -276,6 +279,7 @@ class DatabaseForensicTest
 
 TEST_P(DatabaseForensicTest, ForensicScanFindsNoDegradedPlaintext) {
   const std::string secret = "11 Rue Lepic";
+  const std::string city = "Paris";
   const std::string image = dir_ + "_crash";
   ASSERT_TRUE(RemoveDirRecursive(image).ok());
   db_.reset();
@@ -286,22 +290,29 @@ TEST_P(DatabaseForensicTest, ForensicScanFindsNoDegradedPlaintext) {
   ASSERT_NE(db_, nullptr);
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   for (int i = 0; i < 20; ++i) InsertPing("alice", i, secret);
-  clock_->Advance(kMicrosPerHour);
-  ASSERT_TRUE(db_->RunDegradationOnce().ok());
-  // Checkpoint: flush heap pages and retire WAL segments.
-  ASSERT_TRUE(db_->Checkpoint().ok());
+  // Address to city, then city to region, each step followed by a
+  // checkpoint: flush heap pages and retire WAL segments.
+  for (const Micros advance : {kMicrosPerHour, kMicrosPerDay}) {
+    clock_->Advance(advance);
+    ASSERT_TRUE(db_->RunDegradationOnce().ok());
+    ASSERT_TRUE(db_->Checkpoint().ok());
+  }
 
   std::string scanned = dir_;
   if (crash()) {
     ASSERT_TRUE(fault.SimulateCrashTo(dir_, image).ok());
     ExpectResidue(CopiesUnder(image, secret) + freed.Copies(secret),
                   "crash image");
+    EXPECT_EQ(CopiesUnder(image, city) + freed.Copies(city), 0u)
+        << "crash image";
     scanned = image;
   }
   db_.reset();
   if (!crash()) {
     ExpectResidue(CopiesUnder(dir_, secret) + freed.Copies(secret),
                   "clean close");
+    EXPECT_EQ(CopiesUnder(dir_, city) + freed.Copies(city), 0u)
+        << "clean close";
   }
 
   // The database reopens (a crash image recovers) with every row, and
@@ -527,6 +538,7 @@ TEST_F(DatabaseTest, StoredRowsSeeConsistentPhases) {
 enum class OldLayout {
   kNoStamp,             // any directory written before the FORMAT stamp
   kNewerStamp,          // FORMAT holds kFormatVersion + 1
+  kFormatOne,           // format 1: degradation steps logged as type 5
   kShardedWal,          // wal/STREAMS and wal/s1/ holding redo
   kPositionalStoreMeta, // a state-store META without its magic
   kUnpartitionedTable,  // heap.db directly under tables/t1
@@ -613,12 +625,15 @@ TEST_P(FormatGateTest, OtherLayoutIsRefusedUntouched) {
     ASSERT_TRUE(WriteStringToFile(format, std::to_string(kFormatVersion + 1),
                                   /*sync=*/true)
                     .ok());
+  } else if (layout == OldLayout::kFormatOne) {
+    ASSERT_TRUE(WriteStringToFile(format, "1", /*sync=*/true).ok());
   } else {
     ASSERT_TRUE(RemoveFile(format).ok());
   }
   switch (layout) {
     case OldLayout::kNoStamp:
     case OldLayout::kNewerStamp:
+    case OldLayout::kFormatOne:
       break;
     case OldLayout::kShardedWal: {
       ASSERT_TRUE(WriteStringToFile(dir_ + "/wal/STREAMS", "2", true).ok());
@@ -674,19 +689,24 @@ TEST_P(FormatGateTest, OtherLayoutIsRefusedUntouched) {
               std::string::npos)
         << message;
   }
+  if (layout == OldLayout::kFormatOne) {
+    EXPECT_NE(message.find("format 1;"), std::string::npos) << message;
+  }
   EXPECT_EQ(TreeUnder(dir_), before);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Layouts, FormatGateTest,
     ::testing::Values(OldLayout::kNoStamp, OldLayout::kNewerStamp,
-                      OldLayout::kShardedWal, OldLayout::kPositionalStoreMeta,
+                      OldLayout::kFormatOne, OldLayout::kShardedWal,
+                      OldLayout::kPositionalStoreMeta,
                       OldLayout::kUnpartitionedTable,
                       OldLayout::kLeftoverIndexFile),
     [](const auto& info) {
       switch (info.param) {
         case OldLayout::kNoStamp: return "NoStamp";
         case OldLayout::kNewerStamp: return "NewerStamp";
+        case OldLayout::kFormatOne: return "FormatOne";
         case OldLayout::kShardedWal: return "ShardedWal";
         case OldLayout::kPositionalStoreMeta: return "PositionalStoreMeta";
         case OldLayout::kUnpartitionedTable: return "UnpartitionedTable";

@@ -267,12 +267,11 @@ TEST_F(EngineTest, UpdateOfARowExpiredBeforeItsCommitChangesNothing) {
   EXPECT_FALSE(stored->has_value());
 }
 
-// Steps on one partition run one at a time. While one pass's step is in
-// flight, a second pass skips the partition instead of collecting the
-// prefix the first is moving: a step collected twice could be logged after
-// the other pass had carried its values further, and redo would replay it
-// over that move.
-TEST_F(EngineTest, SecondPassSkipsAPartitionWhoseStepIsInFlight) {
+// Steps on one partition serialize on its latch, collect and move alike.
+// Two passes racing for one partition, both held back behind a reader that
+// parks inside a batch, move each due value exactly once: the second to
+// take the latch finds nothing left that is due.
+TEST_F(EngineTest, ConcurrentPassesMoveEachValueOnce) {
   OpenDb();
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema(Fig2LocationLcp())).ok());
   Table* table = db_->GetTable("pings");
@@ -286,7 +285,7 @@ TEST_F(EngineTest, SecondPassSkipsAPartitionWhoseStepIsInFlight) {
   clock_->Advance(kMicrosPerHour);
 
   // A reader parks inside a batch with the partition latch held shared, so
-  // the first pass's step collects, logs, and then waits in its apply.
+  // both passes' steps wait for the exclusive latch.
   class ParkingFilter final : public TupleFilter {
    public:
     ParkingFilter(std::promise<void>* entered, std::shared_future<void> go)
@@ -318,19 +317,11 @@ TEST_F(EngineTest, SecondPassSkipsAPartitionWhoseStepIsInFlight) {
   });
   entered.get_future().wait();
 
-  // The step begins its transaction after the collect, holding the
-  // partition's step from then until its apply returns.
-  const uint64_t started = db_->txn_manager()->stats().started;
   auto first = std::async(std::launch::async,
                           [&] { return db_->RunDegradationOnce(); });
-  while (db_->txn_manager()->stats().started == started) {
-    std::this_thread::yield();
-  }
   auto second = std::async(std::launch::async,
                            [&] { return db_->RunDegradationOnce(); });
-  EXPECT_EQ(second.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready)
-      << "the second pass waited for the first's partition";
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   release.set_value();
   reader.join();
 
@@ -338,8 +329,7 @@ TEST_F(EngineTest, SecondPassSkipsAPartitionWhoseStepIsInFlight) {
   auto moved_first = first.get();
   ASSERT_TRUE(moved_first.ok()) << moved_first.status().ToString();
   ASSERT_TRUE(moved_second.ok()) << moved_second.status().ToString();
-  EXPECT_EQ(*moved_first, 3u);
-  EXPECT_EQ(*moved_second, 0u);
+  EXPECT_EQ(*moved_first + *moved_second, 3u);
   EXPECT_EQ(table->stats().degrade_steps, 1u);
   EXPECT_EQ(table->stats().values_degraded, 3u);
   const AuditReport audit = db_->Audit();

@@ -111,9 +111,163 @@ class FaultInjectionTest : public ::testing::Test {
     ASSERT_TRUE(db->CreateTable("pings", *schema).ok());
   }
 
+  /// Opens `options`, creates `pings` with `lcp`, makes 20 synced inserts
+  /// at t = 0, checkpoints when asked, runs one degradation pass an hour
+  /// later and reopens the crash image taken right after it.
+  std::unique_ptr<Database> CrashRightAfterOneStep(DbOptions options,
+                                                   const AttributeLcp& lcp,
+                                                   bool checkpoint) {
+    FaultInjectionEnv fault(Env::Default());
+    VirtualClock clock(0);
+    options.clock = &clock;
+    options.env = &fault;
+    auto opened = Database::Open(options);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    if (!opened.ok()) return nullptr;
+    std::unique_ptr<Database> db = std::move(*opened);
+    auto schema = Schema::Make(
+        {ColumnDef::Stable("user", ValueType::kString),
+         ColumnDef::Degradable("location", LocationDomain(), lcp)});
+    EXPECT_TRUE(schema.ok() && db->CreateTable("pings", *schema).ok());
+    WriteOptions durable;
+    durable.sync = true;
+    for (int i = 0; i < kCrashRows; ++i) {
+      EXPECT_TRUE(db->Insert("pings",
+                             {Value::String("u" + std::to_string(i)),
+                              Value::String("11 Rue Lepic")},
+                             durable)
+                      .ok());
+    }
+    if (checkpoint) EXPECT_TRUE(db->Checkpoint().ok());
+    clock.Advance(kMicrosPerHour);
+    auto moved = db->RunDegradationOnce();
+    EXPECT_TRUE(moved.ok()) << moved.status().ToString();
+    EXPECT_TRUE(fault.SimulateCrashTo(dir_, clone_).ok());
+    db.reset();
+
+    options.path = clone_;
+    options.env = nullptr;
+    crash_clock_ = std::make_unique<VirtualClock>(clock.NowMicros());
+    options.clock = crash_clock_.get();
+    auto recovered = Database::Open(options);
+    EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
+    return recovered.ok() ? std::move(*recovered) : nullptr;
+  }
+
+  /// Values `table` holds in `phase` of its location column.
+  static size_t ValuesAt(const Table* table, int phase) {
+    size_t values = 0;
+    for (uint32_t p = 0; p < table->num_partitions(); ++p) {
+      values += table->partition(p)->store(1, phase)->size();
+    }
+    return values;
+  }
+
+  static constexpr int kCrashRows = 20;
   std::string dir_;
   std::string clone_;
+  /// The reopened crash image's clock, at the crash instant.
+  std::unique_ptr<VirtualClock> crash_clock_;
 };
+
+// A full store segment seals with an fsync. A checkpoint syncs only the
+// open tail, so a sealed segment it did not sync could hold inserts whose
+// WAL records the checkpoint then retires: 200 synced inserts over 512-byte
+// segments, one checkpoint, and the crash image must hold all 200 values.
+TEST_F(FaultInjectionTest, CheckpointKeepsValuesOfSealedStoreSegments) {
+  FaultInjectionEnv fault(Env::Default());
+  VirtualClock clock(0);
+  DbOptions options = Options(dir_, &clock, &fault);
+  options.storage.segment_bytes = 512;
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(*opened);
+  CreatePings(db.get());
+  WriteOptions durable;
+  durable.sync = true;
+  constexpr uint64_t kRows = 200;
+  for (uint64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(db->Insert("pings",
+                           {Value::String("u" + std::to_string(i)),
+                            Value::String("11 Rue Lepic")},
+                           durable)
+                    .ok());
+  }
+  ASSERT_TRUE(db->Checkpoint().ok());
+  ASSERT_TRUE(fault.SimulateCrashTo(dir_, clone_).ok());
+  db.reset();
+
+  options.path = clone_;
+  options.env = nullptr;
+  auto recovered = Database::Open(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  Table* table = (*recovered)->GetTable("pings");
+  EXPECT_EQ(table->live_rows(), kRows);
+  EXPECT_EQ(ValuesAt(table, 0), kRows);
+  EXPECT_EQ((*recovered)->stats().stores.entries, kRows);
+}
+
+// A degradation step writes no log record, so a crash right after it must
+// find each degraded value in the next phase's store. Here the step drains
+// the checkpointed phase-0 segment and erases it: the phase-1 store is
+// synced first.
+TEST_F(FaultInjectionTest, CrashAfterAStepThatErasedPhaseZeroKeepsPhaseOne) {
+  std::unique_ptr<Database> db = CrashRightAfterOneStep(
+      Options(dir_, nullptr, nullptr),
+      *AttributeLcp::Make({{0, kMicrosPerHour}, {1, kForever}}),
+      /*checkpoint=*/true);
+  ASSERT_NE(db, nullptr);
+  Table* table = db->GetTable("pings");
+  EXPECT_EQ(table->live_rows(), static_cast<uint64_t>(kCrashRows));
+  EXPECT_EQ(ValuesAt(table, 0), 0u);
+  EXPECT_EQ(ValuesAt(table, 1), static_cast<size_t>(kCrashRows));
+  // A reopened log counts as exposed until a checkpoint retires it.
+  ASSERT_TRUE(db->Checkpoint().ok());
+  const AuditReport audit = db->Audit();
+  EXPECT_TRUE(audit.clean()) << audit.ToString();
+}
+
+// The same under kEncryptedEpoch with no checkpoint: the step destroys the
+// epoch key of the inserts' log payloads, the only other durable copy of
+// the values. The stores are synced before the key goes.
+TEST_F(FaultInjectionTest, CrashAfterAStepThatDestroyedTheEpochKeyKeepsValues) {
+  DbOptions options = Options(dir_, nullptr, nullptr);
+  options.wal.privacy_mode = WalPrivacyMode::kEncryptedEpoch;
+  std::unique_ptr<Database> db = CrashRightAfterOneStep(
+      options, *AttributeLcp::Make({{0, kMicrosPerHour}, {1, kForever}}),
+      /*checkpoint=*/false);
+  ASSERT_NE(db, nullptr);
+  Table* table = db->GetTable("pings");
+  EXPECT_EQ(table->live_rows(), static_cast<uint64_t>(kCrashRows));
+  EXPECT_EQ(ValuesAt(table, 0), 0u);
+  EXPECT_EQ(ValuesAt(table, 1), static_cast<size_t>(kCrashRows));
+  // A reopened log counts as exposed until a checkpoint retires it.
+  ASSERT_TRUE(db->Checkpoint().ok());
+  const AuditReport audit = db->Audit();
+  EXPECT_TRUE(audit.clean()) << audit.ToString();
+}
+
+// A removal to ⊥ that expired every tuple, then a crash: the heap rows the
+// checkpoint had flushed come back with no store holding any value, and
+// recovery expires them (the paper's disappearance rule) instead of
+// keeping stable columns nothing will ever remove.
+TEST_F(FaultInjectionTest, CrashAfterAnExpiringStepLeavesNoTuple) {
+  std::unique_ptr<Database> db = CrashRightAfterOneStep(
+      Options(dir_, nullptr, nullptr),
+      *AttributeLcp::Make({{0, kMicrosPerHour}}), /*checkpoint=*/true);
+  ASSERT_NE(db, nullptr);
+  Table* table = db->GetTable("pings");
+  EXPECT_EQ(table->live_rows(), 0u);
+  EXPECT_EQ(ValuesAt(table, 0), 0u);
+  // A reopened log counts as exposed until a checkpoint retires it.
+  ASSERT_TRUE(db->Checkpoint().ok());
+  const AuditReport audit = db->Audit();
+  EXPECT_TRUE(audit.clean()) << audit.ToString();
+  for (int pass = 0; pass < 4; ++pass) {
+    ASSERT_TRUE(db->RunDegradationOnce().ok());
+  }
+  EXPECT_EQ(table->live_rows(), 0u);
+}
 
 // The deterministic fsyncgate test: one WAL stream, many concurrent durable
 // committers, and the very next fdatasync fails with EIO. The failure must
@@ -585,12 +739,10 @@ TEST_F(FaultInjectionTest, FailedDegradeApplyCompletesOnNextPass) {
     ASSERT_TRUE(db->Write(&batch).ok());
   }
 
-  // The phase-1 store's buffered flush fails inside the step's apply, and
-  // again inside the commit's retry of it.
-  for (int i = 0; i < 2; ++i) {
-    fault.FailOnce(FaultOp::kAppend, 1, Status::IOError("injected append EIO"),
-                   "c1.p1");
-  }
+  // The phase-1 store's buffered flush fails inside the step: the values
+  // not yet appended stay in phase 0 for the next pass.
+  fault.FailOnce(FaultOp::kAppend, 1, Status::IOError("injected append EIO"),
+                 "c1.p1");
   clock.Advance(kMicrosPerHour + kMicrosPerSecond);
   auto failed = db->RunDegradationOnce();
   ASSERT_FALSE(failed.ok());
@@ -797,8 +949,8 @@ TEST_F(FaultInjectionTest, MaintenanceRetriesCheckpointAndKeepsOldManifest) {
 }
 
 // The same backoff guards the degradation pass on the background thread.
-// The phase-1 store's buffered flush fails in a background step's apply
-// and again in the commit's retry of it, so the pass fails. The loop must
+// The phase-1 store's buffered flush fails in a background step, so the
+// pass fails. The loop must
 // then wait out the 10 ms floor rather than spin on the still-overdue
 // deadline, and once the fault is spent every value reaches its next phase
 // in the same process. The failure stays sticky into Close().
@@ -824,17 +976,15 @@ TEST_F(FaultInjectionTest, BackgroundLoopBacksOffAfterAFailedPass) {
   }
   Table* table = db->GetTable("pings");
 
-  for (int i = 0; i < 2; ++i) {
-    fault.FailOnce(FaultOp::kAppend, 1, Status::IOError("injected append EIO"),
-                   "c1.p1");
-  }
+  fault.FailOnce(FaultOp::kAppend, 1, Status::IOError("injected append EIO"),
+                 "c1.p1");
   clock.Advance(kMicrosPerHour);  // the phase-0 deadline: the loop wakes
   // Bounded by real time: a loop that never fails fails the test.
   for (int i = 0; i < 5000 && db->stats().io.retries == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_EQ(db->stats().io.retries, 1u);
-  EXPECT_EQ(fault.io_counters().injected_faults, 2u);
+  EXPECT_EQ(fault.io_counters().injected_faults, 1u);
   const uint64_t moved = table->stats().values_degraded;
   EXPECT_LT(moved, kRows);
 

@@ -879,9 +879,8 @@ TEST_P(StateStoreTest, ReplayGuardAndSurvivorsAcrossReopen) {
   EXPECT_EQ(ValueOf(*store->Find(2)), Value::String("late"));
   EXPECT_NE(store->Find(6), std::nullopt);
   EXPECT_EQ(store->Find(4), std::nullopt);
-  // A replayed append of a live id dedupes; a replayed append of an id
-  // whose pop is also in the replayable suffix comes back and is re-popped
-  // by the degrade record that follows in log order.
+  // A replayed append of a live id dedupes; an append of a popped id is a
+  // fresh append, which a pop takes out again.
   ASSERT_TRUE(store->Append(Entry(2, "redo")).ok());
   EXPECT_EQ(store->size(), 2u);
   ASSERT_TRUE(store->Append(Entry(4, "redo")).ok());

@@ -48,6 +48,16 @@ std::string Hex(const std::string& bytes) {
   return hex;
 }
 
+/// The bytes of an even-length lowercase hex string.
+std::string Unhex(const std::string& hex) {
+  const auto nibble = [](char c) { return c <= '9' ? c - '0' : c - 'a' + 10; };
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(nibble(hex[i]) << 4 | nibble(hex[i + 1])));
+  }
+  return bytes;
+}
+
 /// The frames `[starts[i], starts[i + 1])` of the segment file at `path`.
 std::vector<std::string> FramesOf(const std::string& path,
                                   const std::vector<Lsn>& starts) {
@@ -83,39 +93,20 @@ TEST_F(WalGoldenTest, PlaintextFramesMatchGoldenBytes) {
   WalManager wal(dir_ + "/wal", options, &keys);
   ASSERT_TRUE(wal.Open().ok());
 
-  std::vector<WalRecord> records(6);
+  std::vector<WalRecord> records(4);
   records[0] = MakeInsert(1, 3, 1000, "11 Rue Lepic");
-  WalRecord& step = records[1];
-  step.type = WalRecordType::kDegradeStep;
-  step.txn_id = 8;
-  step.table = 3;
-  step.column = 2;
-  step.from_phase = 0;
-  step.to_phase = 1;
-  step.up_to_row_id = 17;
-  step.entries = {{15, 100, Value::String("Paris")},
-                  {17, 120, Value::String("Aix")}};
-  WalRecord& removal = records[2];
-  removal.type = WalRecordType::kDegradeStep;
-  removal.txn_id = 8;
-  removal.table = 3;
-  removal.column = 2;
-  removal.from_phase = 2;
-  removal.to_phase = 3;
-  removal.up_to_row_id = 15;
-  removal.entries = {{15, 100, Value::Null()}};
-  WalRecord& del = records[3];
+  WalRecord& del = records[1];
   del.type = WalRecordType::kDelete;
   del.txn_id = 9;
   del.table = 3;
   del.row_id = 15;
-  WalRecord& update = records[4];
+  WalRecord& update = records[2];
   update.type = WalRecordType::kUpdateStable;
   update.txn_id = 9;
   update.table = 1;
   update.row_id = 3;
   update.stable = {Value::Int64(3), Value::String("acceptor")};
-  WalRecord& commit = records[5];
+  WalRecord& commit = records[3];
   commit.type = WalRecordType::kCommit;
   commit.txn_id = 9;
 
@@ -134,21 +125,30 @@ TEST_F(WalGoldenTest, PlaintextFramesMatchGoldenBytes) {
       // kInsert
       "d26643a02300000004070103e8070201030305646f6e6f720002030c31312052"
       "7565204c6570696301d00f",
-      // kDegradeStep
-      "233de04a1800000005080302000111020f640305506172697311780303416978",
-      // kDegradeStep, removal to ⊥
-      "aecc513e0b0000000508030202030f010f6400",
       // kDelete
       "64e2e965040000000609030f",
       // kUpdateStable
       "87c4a658110000000709010302010303086163636570746f72",
       // kCommit
       "532ef4f703000000020900",
-      // kCheckpoint
-      "a5e52bd0050000000800008e01",
+      // kCheckpoint, carrying its begin LSN: 91, the bytes above
+      "f6d71556040000000800005b",
   };
   EXPECT_EQ(FramesOf(dir_ + "/wal/wal_0000000000000000.log.recycled", starts),
             expected);
+}
+
+// Degradation writes no log record: the body of a format-1 degrade step
+// (type byte 5) decodes as Corruption, like the other unused type bytes.
+TEST_F(WalGoldenTest, UnusedTypeBytesDecodeAsCorruption) {
+  const std::string step =
+      Unhex("05080302000111020f640305506172697311780303416978");
+  EXPECT_TRUE(DecodeWalRecord(step, nullptr).status().IsCorruption());
+  for (const char type : {'\x01', '\x03', '\x05', '\x09'}) {
+    const std::string body = std::string(1, type) + "\x08\x03";
+    EXPECT_TRUE(DecodeWalRecord(body, nullptr).status().IsCorruption())
+        << static_cast<int>(type);
+  }
 }
 
 // kEncryptedEpoch seals an insert's degradable values with its epoch key
@@ -361,20 +361,9 @@ TEST_P(WalTest, CheckpointRetiresSegments) {
   EXPECT_EQ(count, 1u);
 }
 
-TEST_P(WalTest, DegradeStepAndDeleteRecordsRoundTrip) {
+TEST_P(WalTest, DeleteRecordRoundTrips) {
   auto wal = MakeWal();
   ASSERT_TRUE(wal->Open().ok());
-  WalRecord step;
-  step.type = WalRecordType::kDegradeStep;
-  step.table = 3;
-  step.column = 2;
-  step.from_phase = 0;
-  step.to_phase = 1;
-  step.up_to_row_id = 17;
-  step.entries = {{15, 100, Value::String("Paris")},
-                  {17, 120, Value::String("Aix")}};
-  ASSERT_TRUE(Append(wal.get(), step, false).ok());
-
   WalRecord del;
   del.type = WalRecordType::kDelete;
   del.table = 3;
@@ -386,14 +375,10 @@ TEST_P(WalTest, DegradeStepAndDeleteRecordsRoundTrip) {
                    seen.push_back(record);
                    return Status::OK();
                  }).ok());
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0].type, WalRecordType::kDegradeStep);
-  EXPECT_EQ(seen[0].column, 2);
-  EXPECT_EQ(seen[0].up_to_row_id, 17u);
-  ASSERT_EQ(seen[0].entries.size(), 2u);
-  EXPECT_EQ(seen[0].entries[1].value, Value::String("Aix"));
-  EXPECT_EQ(seen[1].type, WalRecordType::kDelete);
-  EXPECT_EQ(seen[1].row_id, 15u);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].type, WalRecordType::kDelete);
+  EXPECT_EQ(seen[0].table, 3u);
+  EXPECT_EQ(seen[0].row_id, 15u);
 }
 
 TEST_P(WalTest, AccurateResidueMatchesPrivacyMode) {
@@ -442,7 +427,9 @@ TEST_P(WalTest, EpochKeyDestructionMakesInsertsUnreadable) {
   ASSERT_TRUE(wal->Sync().ok());
 
   // Destroy epoch 0 (everything before 1h is fully degraded).
-  ASSERT_TRUE(wal->DestroyEpochKeysThrough(1, kMicrosPerHour).ok());
+  ASSERT_TRUE(wal->DestroyEpochKeysThrough(1, kMicrosPerHour, [] {
+                   return Status::OK();
+                 }).ok());
   EXPECT_EQ(wal->stats().epoch_keys_destroyed, 1u);
 
   std::vector<WalRecord> seen;
@@ -457,7 +444,9 @@ TEST_P(WalTest, EpochKeyDestructionMakesInsertsUnreadable) {
   ASSERT_EQ(seen[1].degradable.size(), 2u);
   EXPECT_EQ(seen[1].degradable[0], Value::String("new-epoch-addr"));
   // Idempotent: destroying again is a no-op.
-  ASSERT_TRUE(wal->DestroyEpochKeysThrough(1, kMicrosPerHour).ok());
+  ASSERT_TRUE(wal->DestroyEpochKeysThrough(1, kMicrosPerHour, [] {
+                   return Status::OK();
+                 }).ok());
   EXPECT_EQ(wal->stats().epoch_keys_destroyed, 1u);
 }
 
