@@ -88,19 +88,24 @@ struct ReadOptions {
 /// spawned. Per-batch snapshot semantics (one partition latch per batch)
 /// hold at any parallelism.
 struct ScanOptions {
-  /// Number of scan workers a streaming cursor fans out over, and the pool
-  /// size a materialized (Session::Execute) scan drains morsels with.
-  /// 0 (the default) means DegradationOptions::worker_threads — a database
-  /// configured with a worker pool reads with it too — EXCEPT on tables a
-  /// few scan batches long (under ~2k live rows), which stay sequential:
-  /// fanning out costs more than such a scan. Set an explicit value to
-  /// force fan-out regardless of table size; it may exceed the partition
-  /// count (workers share partitions at morsel granularity) and is clamped
-  /// only to the morsel-plan size. 1 scans partitions sequentially inline
-  /// on the consumer's thread (no extra threads, rows in (partition, heap)
-  /// order); higher values run up to that many scan workers — as many as
-  /// the pool lends, inline when it lends none — which interleaves rows
-  /// across morsels in arrival order on the streaming path.
+  /// The MOST scan readers one statement runs, its caller's own reader
+  /// included: a streaming cursor's consumer plus up to parallelism − 1
+  /// producers, a materialized (Session::Execute) scan's caller plus up to
+  /// parallelism − 1 lent readers. 0 (the default) means
+  /// DegradationOptions::worker_threads — a database configured with a
+  /// worker pool reads with it too — EXCEPT on tables a few scan batches
+  /// long (under ~2k live rows), which stay sequential: fanning out costs
+  /// more than such a scan. Set an explicit value to allow fan-out
+  /// regardless of table size; it may exceed the partition count (workers
+  /// share partitions at morsel granularity) and is clamped to the
+  /// morsel-plan size. The fan-out a statement gets is elastic: the shared
+  /// pool lends only cores no statement and no busy worker holds, and lent
+  /// readers return theirs at the next morsel boundary once other
+  /// statements need them (util/worker_pool.h), so under load a statement
+  /// reads with fewer readers, down to its caller alone. 1 scans
+  /// partitions sequentially inline on the caller's thread (no extra
+  /// threads, rows in (partition, heap) order); with several readers a
+  /// streaming scan interleaves rows across morsels in arrival order.
   size_t parallelism = 0;
   /// Heap pages per morsel. 0 (the default) = kDefaultMorselPages (16).
   /// Smaller morsels split work finer (better stealing on skew, more claim
@@ -109,7 +114,8 @@ struct ScanOptions {
   /// Capacity of the streaming cursor's prefetch queue, in batches. The
   /// queue is what lets scan I/O on one partition overlap σ/π evaluation of
   /// another partition's batch; it is bounded so a slow consumer
-  /// backpressures the workers instead of buffering the table. 0 means
+  /// backpressures the workers instead of buffering the table. The consumer
+  /// scans a batch itself whenever the queue is empty. 0 means
   /// 2 × parallelism.
   size_t prefetch_batches = 0;
   /// Absolute statement deadline on the database's clock (0 = none). Every

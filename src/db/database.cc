@@ -244,9 +244,23 @@ Status Database::Write(WriteBatch* batch, const WriteOptions& options) {
       batch->row_ids_.push_back(kInvalidRowId);
     }
   }
-  const Status status = tm_->Commit(txn.get(), options.sync);
+  const Status status = Commit(txn.get(), options);
   if (!status.ok()) batch->row_ids_.clear();
   return status;
+}
+
+Status Database::Commit(Transaction* txn, const WriteOptions& options) {
+  IDB_RETURN_IF_ERROR(tm_->Commit(txn, options.sync));
+  if (!wal_->epoch_keys_enabled()) return Status::OK();
+  std::shared_lock<std::shared_mutex> map(tables_mu_);
+  for (const auto& [id, table] : tables_) {
+    const Status destroyed = table->AfterDeleteCommit();
+    if (!destroyed.ok()) {
+      IDB_WARN("epoch keys of table %u not destroyed after a delete: %s", id,
+               destroyed.ToString().c_str());
+    }
+  }
+  return Status::OK();
 }
 
 Result<RowId> Database::Insert(const std::string& table_name,
@@ -365,6 +379,10 @@ Database::Stats Database::stats() const {
       scan_counters_.morsels_stolen.load(std::memory_order_relaxed);
   stats.scan.steal_failures =
       scan_counters_.steal_failures.load(std::memory_order_relaxed);
+  stats.scan.readers_lent =
+      scan_counters_.readers_lent.load(std::memory_order_relaxed);
+  stats.scan.readers_yielded =
+      scan_counters_.readers_yielded.load(std::memory_order_relaxed);
   stats.checkpoints = checkpoints_.load(std::memory_order_relaxed);
   stats.checkpoint_partitions_flushed =
       checkpoint_partitions_flushed_.load(std::memory_order_relaxed);

@@ -103,9 +103,12 @@ class Database {
   // --- transactions ------------------------------------------------------------
 
   std::unique_ptr<Transaction> Begin() { return tm_->Begin(); }
-  Status Commit(Transaction* txn, const WriteOptions& options = {}) {
-    return tm_->Commit(txn, options.sync);
-  }
+  /// Commits `txn` (TransactionManager::Commit). Under kEncryptedEpoch a
+  /// commit whose deletes removed phase-0 values then destroys the epoch
+  /// keys that lost their last accurate value (Table::AfterDeleteCommit);
+  /// a failure there is logged, not returned — the commit is durable — and
+  /// retried at the table's armed epoch-key deadline.
+  Status Commit(Transaction* txn, const WriteOptions& options = {});
   void Abort(Transaction* txn) { tm_->Abort(txn); }
 
   /// Applies every staged operation of `batch` atomically: one transaction,
@@ -163,18 +166,22 @@ class Database {
 
   /// Read-path counters (snapshot in Stats::scan). Benches read parallel
   /// scan efficiency from these instead of timing guesses: `rows` / elapsed
-  /// is assembly throughput, and `prefetch_stalls` counts how often a
-  /// cursor's consumer outran its scan workers (waited on an empty prefetch
-  /// queue) — zero stalls means the scan was consumer-bound, many means it
-  /// was producer (I/O or partition) bound.
+  /// is assembly throughput, `prefetch_stalls` counts how often a cursor's
+  /// consumer, with no morsel left to read itself, waited for its producers,
+  /// and `readers_lent` / `readers_yielded` show how elastic the fan-out
+  /// was.
   struct ScanStats {
     /// Scan batches served to the operator pipeline (heap batches plus
     /// index-probe batches).
     uint64_t batches = 0;
     /// Rows pulled out of partition heaps / index probes before σ.
     uint64_t rows = 0;
-    /// Times a streaming cursor's consumer waited on an empty prefetch
-    /// queue while its scan workers were still producing.
+    /// Times a streaming cursor's consumer had to wait: its own reader had
+    /// found the morsel plan empty and the prefetch queue was empty while
+    /// producers still read claimed morsels. A consumer that finds the
+    /// queue empty otherwise scans a batch itself, so many stalls means the
+    /// last morsels' reads are the bottleneck (smaller morsels help), zero
+    /// means the consumer never ran out of work.
     uint64_t prefetch_stalls = 0;
     /// Pushdown accounting of the heap scans. Per scanned row and
     /// degradable column the read path either issues a store probe or
@@ -207,6 +214,13 @@ class Database {
     uint64_t morsels_claimed = 0;
     uint64_t morsels_stolen = 0;
     uint64_t steal_failures = 0;
+    /// Elastic fan-out (util/worker_pool.h): scan readers the worker pool
+    /// lent statements beside their callers' own readers, and how many of
+    /// those stopped claiming morsels early to give their core back to a
+    /// statement (WorkerPool::ShouldYield). A yield never loses a morsel:
+    /// morsels_claimed still grows by the plan size per scan.
+    uint64_t readers_lent = 0;
+    uint64_t readers_yielded = 0;
   };
 
   /// I/O-layer health (snapshot in Stats::io): physical-operation counters
@@ -315,6 +329,8 @@ class Database {
     std::atomic<uint64_t> morsels_claimed{0};
     std::atomic<uint64_t> morsels_stolen{0};
     std::atomic<uint64_t> steal_failures{0};
+    std::atomic<uint64_t> readers_lent{0};
+    std::atomic<uint64_t> readers_yielded{0};
   };
   ScanCounters* scan_counters() const { return &scan_counters_; }
 

@@ -239,7 +239,7 @@ Status Table::IndexLookupRange(
 // --- degradation ----------------------------------------------------------------------
 
 Micros Table::NextDeadline() const {
-  Micros next = kForever;
+  Micros next = epoch_keys_due_.load(std::memory_order_relaxed);
   for (const auto& partition : partitions_) {
     next = std::min(next, partition->NextDeadline());
   }
@@ -260,6 +260,41 @@ Result<size_t> Table::RunDegradationStep(Micros now, size_t batch_limit,
                            now, batch_limit, &stepped_phase0));
   if (moved > 0 && stepped_phase0) IDB_RETURN_IF_ERROR(DestroyDueEpochKeys());
   return moved;
+}
+
+Status Table::AfterDeleteCommit() {
+  // Loaded first: every commit of every table passes here, and most
+  // delete no phase-0 value.
+  if (!phase0_deleted_.load(std::memory_order_relaxed) ||
+      !phase0_deleted_.exchange(false, std::memory_order_relaxed)) {
+    return Status::OK();
+  }
+  // The current epoch's key may have lost its last phase-0 value too, but
+  // it can still seal inserts until the epoch ends: arm a deadline there.
+  const Micros epoch_end =
+      runtime_.wal->EpochEnd(runtime_.clock->NowMicros());
+  Micros armed = epoch_keys_due_.load(std::memory_order_relaxed);
+  while ((armed == kForever || armed < epoch_end) &&
+         !epoch_keys_due_.compare_exchange_weak(armed, epoch_end,
+                                                std::memory_order_relaxed)) {
+  }
+  return DestroyDueEpochKeys();
+}
+
+Status Table::RunEpochKeyDeadline() {
+  Micros armed = epoch_keys_due_.load(std::memory_order_relaxed);
+  if (armed > runtime_.clock->NowMicros()) return Status::OK();
+  // A commit that re-armed a later deadline meanwhile keeps it.
+  epoch_keys_due_.compare_exchange_strong(armed, kForever,
+                                          std::memory_order_relaxed);
+  const Status destroyed = DestroyDueEpochKeys();
+  if (!destroyed.ok()) {
+    // Retry at the next pass.
+    Micros retry = kForever;
+    epoch_keys_due_.compare_exchange_strong(retry, armed,
+                                            std::memory_order_relaxed);
+  }
+  return destroyed;
 }
 
 Status Table::DestroyDueEpochKeys() {
@@ -298,8 +333,13 @@ Status Table::Apply(const WalRecord& record) {
       partition->EnsureRowAllocatorAbove(record.row_id);
       return partition->ApplyInsert(record);
     }
-    case WalRecordType::kDelete:
-      return Route(record.row_id)->ApplyDelete(record.row_id);
+    case WalRecordType::kDelete: {
+      bool removed_phase0 = false;
+      IDB_RETURN_IF_ERROR(
+          Route(record.row_id)->ApplyDelete(record.row_id, &removed_phase0));
+      if (removed_phase0) phase0_deleted_.store(true, std::memory_order_relaxed);
+      return Status::OK();
+    }
     case WalRecordType::kUpdateStable:
       return Route(record.row_id)
           ->ApplyUpdateStable(record.row_id, record.stable);

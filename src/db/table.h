@@ -199,8 +199,9 @@ class Table {
 
   // --- degradation -----------------------------------------------------------
 
-  /// Earliest pending transition deadline across all partitions (kForever
-  /// if nothing is pending).
+  /// Earliest pending transition deadline across all partitions, or the
+  /// armed epoch-key deadline when earlier (kForever if nothing is
+  /// pending).
   Micros NextDeadline() const;
 
   /// Runs ONE degradation step on `partition` (see
@@ -211,6 +212,18 @@ class Table {
   /// partitions may be stepped concurrently.
   Result<size_t> RunDegradationStep(Micros now, size_t batch_limit,
                                     uint32_t partition);
+
+  /// kEncryptedEpoch: an epoch key whose last phase-0 value left by a user
+  /// delete has no phase-0 step left to destroy it. Database::Commit calls
+  /// AfterDeleteCommit once a commit is applied: when one of its deletes
+  /// removed a phase-0 value, it destroys the keys that became due and arms
+  /// an epoch-key deadline at the end of the current epoch, whose key may
+  /// have lost its last value too but may still seal inserts until then.
+  /// NextDeadline includes the deadline; every degradation pass calls
+  /// RunEpochKeyDeadline, which destroys the due keys once it has passed
+  /// (and re-arms it when that fails).
+  Status AfterDeleteCommit();
+  Status RunEpochKeyDeadline();
 
   /// True if any store head of any partition is overdue at `now`.
   bool HasWorkAt(Micros now) const;
@@ -255,6 +268,11 @@ class Table {
   /// Rotates the partition assigned to each inserting transaction (the
   /// partitions own the actual row-id allocators).
   std::atomic<uint32_t> next_affine_{0};
+  /// Set by Apply when a delete removed a phase-0 value; taken by
+  /// AfterDeleteCommit.
+  std::atomic<bool> phase0_deleted_{false};
+  /// The armed epoch-key deadline (AfterDeleteCommit), kForever when none.
+  std::atomic<Micros> epoch_keys_due_{kForever};
 };
 
 }  // namespace instantdb

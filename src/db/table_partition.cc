@@ -298,7 +298,7 @@ Status TablePartition::ApplyInsert(const WalRecord& record) {
   return Status::OK();
 }
 
-Status TablePartition::ApplyDelete(RowId row_id) {
+Status TablePartition::ApplyDelete(RowId row_id, bool* removed_phase0) {
   std::unique_lock<std::shared_mutex> latch(latch_);
   const Rid* rid = row_map_.Find(row_id);
   if (rid == nullptr) {
@@ -318,6 +318,7 @@ Status TablePartition::ApplyDelete(RowId row_id) {
             row_id, static_cast<int>(p), entry->ordinal));
       }
       IDB_RETURN_IF_ERROR(scrubbed);
+      if (p == 0) *removed_phase0 = true;
       break;
     }
   }

@@ -125,8 +125,9 @@ class TablePartition {
   Status ApplyInsert(const WalRecord& record);
   /// The delete and the stable update of a row that is gone (deleted, or
   /// expired by the LCP since the statement found it) change nothing and
-  /// count in Stats::applies_without_row.
-  Status ApplyDelete(RowId row_id);
+  /// count in Stats::applies_without_row. `*removed_phase0` is set when the
+  /// delete removed a value still at phase 0.
+  Status ApplyDelete(RowId row_id, bool* removed_phase0);
   Status ApplyUpdateStable(RowId row_id, const std::vector<Value>& stable);
 
   // --- read path -------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include "query/executor.h"
 #include "query/plan.h"
 #include "query/session.h"
+#include "util/worker_pool.h"
 
 namespace instantdb {
 
@@ -52,6 +53,10 @@ struct Cursor::Impl {
   std::vector<std::string> columns;
   uint64_t rows_returned = 0;
   bool closed = false;
+  /// A streaming cursor's consumer thread holds a core from Open until the
+  /// stream ends or the cursor closes: the scan lends only the pool workers
+  /// left beside it.
+  WorkerPool::InFlight in_flight;
 };
 
 Cursor::Cursor(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
@@ -71,6 +76,7 @@ void Cursor::Close() {
   impl_->plan.reset();
   impl_->batch = CursorBatch{};
   impl_->batch_live = false;
+  impl_->in_flight = {};
 }
 
 Result<bool> Cursor::FetchBatch() {
@@ -89,7 +95,10 @@ Result<bool> Cursor::FetchBatch() {
 
   IDB_ASSIGN_OR_RETURN(const bool more,
                        impl.source->NextBatch(&impl.batch.rows_));
-  if (!more) return false;
+  if (!more) {
+    impl.in_flight = {};
+    return false;
+  }
   impl.batch.ResetDisplay();
   impl.batch_live = impl.batch.size() > 0;
   return impl.batch_live;
@@ -124,6 +133,8 @@ Result<std::unique_ptr<Cursor>> Cursor::Open(Session* session,
   const auto* select_ast = std::get_if<SelectAst>(&statement);
   QueryResult buffered;
   if (select_ast != nullptr) {
+    // Counted like ExecuteStatement, which runs every other statement.
+    WorkerPool::InFlight in_flight(session->db()->worker_pool());
     // Plan exactly once, whichever entry point the statement came through.
     auto plan = std::make_unique<plan::SelectPlan>();
     IDB_ASSIGN_OR_RETURN(*plan, plan::BindSelect(session, *select_ast));
@@ -131,6 +142,7 @@ Result<std::unique_ptr<Cursor>> Cursor::Open(Session* session,
       impl->columns = plan->output_columns;
       impl->plan = std::move(plan);
       impl->batch.format_ = &impl->plan->format;
+      impl->in_flight = std::move(in_flight);
       IDB_ASSIGN_OR_RETURN(
           impl->source,
           plan::MakeRowSource(session, *impl->plan, scan_batch_rows));

@@ -94,13 +94,16 @@ class CursorRow {
 /// (page-range) granularity, so the fan-out is bounded by the morsel plan,
 /// not the partition count. At parallelism 1 the consumer's thread walks
 /// the morsels in order — rows come out in (partition, heap) order, no
-/// extra threads. At parallelism N ≥ 2, up to N workers lent by the shared
-/// pool claim morsels and push projected batches into a bounded queue while
-/// the consumer pulls: scan I/O of one morsel overlaps σ/π of another's
+/// extra threads. At parallelism N ≥ 2, up to N − 1 workers lent by the
+/// shared pool claim morsels and push projected batches into a bounded
+/// queue; the consumer serves queued batches and scans one itself whenever
+/// the queue is empty. Scan I/O of one morsel overlaps σ/π of another's
 /// batch, and rows interleave across morsels in arrival order (no global
-/// order). Either way `Next` is a view into the current batch and
-/// `NextBatch` exposes the batches themselves — the bulk API the benches
-/// drain.
+/// order). The cursor holds one of the pool's cores from Open until its
+/// stream ends or it closes, and its lent producers give theirs back at
+/// morsel boundaries once other statements need them. Either way `Next` is
+/// a view into the current batch and `NextBatch` exposes the batches
+/// themselves — the bulk API the benches drain.
 ///
 /// Isolation is snapshot-per-batch at every parallelism, for cursors and
 /// `Session::Execute` alike: each scan batch is assembled under one

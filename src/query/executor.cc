@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "query/plan.h"
+#include "util/worker_pool.h"
 
 namespace instantdb {
 
@@ -133,6 +134,9 @@ Result<QueryResult> ExecuteDelete(Session* session, const DeleteAst& ast) {
 
 Result<QueryResult> ExecuteStatement(Session* session,
                                      const StatementAst& statement) {
+  // The caller's thread holds a core until the statement returns: scans lend
+  // only the pool workers left beside it (WorkerPool::InFlight).
+  const WorkerPool::InFlight in_flight(session->db()->worker_pool());
   if (const auto* select = std::get_if<SelectAst>(&statement)) {
     return ExecuteSelect(session, *select);
   }

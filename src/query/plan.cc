@@ -475,16 +475,17 @@ Result<ReadSet> PlanRead(Session* session, const BoundQuery& query) {
 
 /// Per-statement state shared by every reader of one scan: the pushdown
 /// spec (stable σ inside the scan, survivors-only store probes and late
-/// decode), what to read, the statement budget and the counters the readers
-/// fold into. A heap scan hands out morsels through the scheduler; an index
-/// probe's ids are read partition by partition by ONE reader (Fanout is 1),
-/// which claims no morsel.
+/// decode), what to read, the statement budget, the pool its lent readers
+/// come from and the counters the readers fold into. A heap scan hands out
+/// morsels through the scheduler; an index probe's ids are read partition
+/// by partition by ONE reader (Fanout is 1), which claims no morsel.
 struct HeapScan {
   HeapScan(Session* session, const BoundQuery& query, size_t batch_rows,
            ReadSet read, bool count_only = false)
       : query(query),
         read_options(session->read_options()),
         counters(session->db()->scan_counters()),
+        pool(session->db()->worker_pool()),
         budget(ScanBudget::Of(session)),
         batch_rows(batch_rows),
         filter(query.predicates),
@@ -525,6 +526,7 @@ struct HeapScan {
   const BoundQuery& query;
   const ReadOptions read_options;
   Database::ScanCounters* const counters;
+  WorkerPool* const pool;
   const ScanBudget budget;
   const size_t batch_rows;
   const StablePredicateFilter filter;
@@ -545,19 +547,35 @@ struct HeapScan {
 /// shared latch only while it is assembled, so rows inserted, deleted or
 /// degraded between two batches may or may not be observed. One reader per
 /// worker.
+///
+/// A `lent` reader runs on a worker the pool lent the statement; the
+/// caller's own reader is never lent, even when the caller itself is a pool
+/// worker. A lent reader gives its core back at a morsel boundary: before
+/// each claim it asks WorkerPool::ShouldYield and, when the pool is
+/// oversubscribed, stops claiming. Every claimed morsel is read to its end
+/// by its claimer, and the caller's reader drains whatever is left, so a
+/// yield never strands a morsel.
 class ScanReader {
  public:
-  ScanReader(HeapScan* scan, size_t worker)
-      : scan_(scan), worker_(worker), levels_(scan->query.degradable.size()) {}
+  ScanReader(HeapScan* scan, size_t worker, bool lent)
+      : scan_(scan),
+        worker_(worker),
+        lent_(lent),
+        levels_(scan->query.degradable.size()) {}
 
   /// Pulls ONE latched batch and hands each of its qualifying rows to
   /// `on_row(QualifiedRow&)` — none when σ filtered the whole batch, and
   /// none under a count-only spec (see survivors()). Returns false once
-  /// nothing is left to read.
+  /// nothing is left to read, or once a lent reader yielded.
   template <typename OnRow>
   Result<bool> Next(OnRow&& on_row) {
     survivors_ = 0;
     if (!cursor_open_) {
+      if (lent_ && scan_->pool->ShouldYield()) {
+        scan_->counters->readers_yielded.fetch_add(1,
+                                                   std::memory_order_relaxed);
+        return false;
+      }
       if (!scan_->OpenNext(worker_, &morsel_, &cursor_)) return false;
       cursor_open_ = true;
     }
@@ -597,6 +615,7 @@ class ScanReader {
  private:
   HeapScan* const scan_;
   const size_t worker_;
+  const bool lent_;
   Morsel morsel_;
   PartitionCursor cursor_;
   bool cursor_open_ = false;
@@ -605,17 +624,19 @@ class ScanReader {
   uint64_t survivors_ = 0;
 };
 
-/// Streaming source (cursors): rows in arrival order. With `workers` 1 (an
-/// index probe always), or when the shared pool lends no worker, the
-/// consumer's own thread pulls one reader inline. Otherwise each producer
-/// the pool lends runs a reader, projects its qualifying rows and pushes
-/// the batches into a bounded queue the consumer drains. No thread is ever spawned: a busy
-/// pool makes the scan narrower, never blocked. Batch storage circulates —
-/// drained batches return to a spare pool the producers refill — so a
-/// steady-state scan stops allocating. The queue bound backpressures
-/// producers when the consumer is slow; the consumer counts a prefetch
-/// stall each time it finds the queue empty while producers are still
-/// running.
+/// Streaming source (cursors): rows in arrival order. The consumer's thread
+/// owns one reader (worker 0) and up to `workers − 1` producers run on
+/// workers the shared pool lends — the consumer is one of the `workers`
+/// cores, and no thread is ever spawned. Each producer runs a reader,
+/// projects its qualifying rows and pushes the batches into a bounded queue.
+/// Every pull serves a queued batch when there is one and otherwise scans
+/// one batch itself, so with no producer (parallelism 1, an index probe, a
+/// pool that lent none, or producers that all yielded) the consumer simply
+/// reads the whole scan inline. It waits only when its own reader found the
+/// plan empty while producers still hold morsels, and counts a prefetch
+/// stall then. Batch storage circulates — drained batches return to a spare
+/// pool the producers refill — so a steady-state scan stops allocating. The
+/// queue bound backpressures producers when the consumer is slow.
 class StreamingScanSource : public RowSource {
  public:
   StreamingScanSource(Session* session, const SelectPlan& select,
@@ -623,19 +644,19 @@ class StreamingScanSource : public RowSource {
                       ReadSet read)
       : select_(select),
         scan_(session, select.query, batch_rows, std::move(read)),
-        pool_(session->db()->worker_pool()),
         queue_capacity_(std::max<size_t>(queue_batches, 1)),
-        inline_reader_(&scan_, 0) {
+        own_reader_(&scan_, 0, /*lent=*/false) {
     if (workers <= 1) return;
     // Counted before dispatch: lent producers may start, and even finish,
     // before TryDispatch returns. The slot is a stable worker id for morsel
     // affinity (home queue slot % partitions).
-    producers_live_ = workers;
-    const size_t lent = pool_->TryDispatch(
-        workers, [this](size_t slot) { ProduceLoop(slot); }, &ticket_);
+    producers_live_ = workers - 1;
+    const size_t lent = scan_.pool->TryDispatch(
+        workers - 1, [this](size_t slot) { ProduceLoop(slot + 1); },
+        &ticket_);
+    scan_.counters->readers_lent.fetch_add(lent, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(mu_);
-    producers_live_ -= workers - lent;
-    producing_ = lent > 0;
+    producers_live_ -= workers - 1 - lent;
   }
 
   ~StreamingScanSource() override {
@@ -646,21 +667,11 @@ class StreamingScanSource : public RowSource {
       closed_.store(true, std::memory_order_relaxed);
     }
     cv_.notify_all();
-    pool_->Wait(&ticket_);
+    scan_.pool->Wait(&ticket_);
   }
 
   Result<bool> NextBatch(ProjectedRows* out) override {
     out->Clear();
-    if (!producing_) {
-      while (out->size == 0) {
-        IDB_ASSIGN_OR_RETURN(
-            const bool more, inline_reader_.Next([&](QualifiedRow& row) {
-              ProjectRow(select_, row, out);
-            }));
-        if (!more) return false;
-      }
-      return true;
-    }
     std::unique_lock<std::mutex> lock(mu_);
     bool stalled = false;
     while (true) {
@@ -679,9 +690,23 @@ class StreamingScanSource : public RowSource {
         cv_.notify_all();
         return true;
       }
+      if (own_reader_live_) {
+        // Nothing queued: scan a batch here instead of waiting for one.
+        lock.unlock();
+        IDB_ASSIGN_OR_RETURN(const bool more,
+                             own_reader_.Next([&](QualifiedRow& row) {
+                               ProjectRow(select_, row, out);
+                             }));
+        if (out->size > 0) return true;
+        lock.lock();
+        own_reader_live_ = more;
+        continue;
+      }
+      // Our reader found the plan empty: only the producers' claimed
+      // morsels are left.
       if (producers_live_ == 0) return false;
-      // One stall per pull that found the queue empty — not one per wakeup,
-      // or producer-exit notifications would inflate the producer-bound
+      // One stall per pull that had to wait — not one per wakeup, or
+      // producer-exit notifications would inflate the producer-bound
       // signal the benches read.
       if (!stalled) {
         stalled = true;
@@ -694,7 +719,7 @@ class StreamingScanSource : public RowSource {
 
  private:
   void ProduceLoop(size_t worker) {
-    ScanReader reader(&scan_, worker);
+    ScanReader reader(&scan_, worker, /*lent=*/true);
     ProjectedRows batch;
     Status status;
     // Checked between batches, fully filtered ones included: an early
@@ -734,12 +759,9 @@ class StreamingScanSource : public RowSource {
 
   const SelectPlan& select_;
   HeapScan scan_;
-  WorkerPool* const pool_;
   const size_t queue_capacity_;
-  /// The consumer's own reader, used when no producer runs.
-  ScanReader inline_reader_;
-  /// Set once by the constructor: true when the pool lent producers.
-  bool producing_ = false;
+  /// The consumer's own reader; used only on the consumer's thread.
+  ScanReader own_reader_;
 
   std::mutex mu_;
   std::condition_variable cv_;
@@ -747,6 +769,9 @@ class StreamingScanSource : public RowSource {
   std::vector<ProjectedRows> spares_;
   Status error_;
   size_t producers_live_ = 0;
+  /// False once the consumer's reader found the morsel plan empty; only
+  /// then may `producers_live_ == 0` end the scan.
+  bool own_reader_live_ = true;
   /// Atomic so producers can poll it between batches without the mutex.
   std::atomic<bool> closed_{false};
   WorkerPool::Ticket ticket_;
@@ -754,13 +779,15 @@ class StreamingScanSource : public RowSource {
 
 /// The materialized drain behind Execute's projection, aggregation and
 /// DELETE: hands every qualifying row of `query` to the consumer
-/// worker-side. Fanout readers run on the shared pool (WorkerPool::Run: the
-/// caller drains too, so a saturated pool only narrows the scan; an index
-/// probe's one reader runs inline), each row tagged with its reader's worker
+/// worker-side. The caller's own reader (worker 0) drains until the morsel
+/// plan is empty, helped by up to Fanout − 1 readers the shared pool lends
+/// (an index probe's one reader runs inline), then waits for the lent
+/// ones, which may yield early. Each row is tagged with its reader's worker
 /// slot and its morsel ordinal. The consumer provides Prepare(workers,
 /// buckets) — called once, before any row — Row(worker, bucket,
 /// QualifiedRow&) and, for count-only scans, Count(worker, survivors).
-/// Returns the number of workers.
+/// Returns the number of worker slots. The first error any reader meets is
+/// returned.
 template <typename Consumer>
 Result<size_t> DrainQualifying(Session* session, const BoundQuery& query,
                                bool count_only, Consumer* consumer) {
@@ -770,18 +797,34 @@ Result<size_t> DrainQualifying(Session* session, const BoundQuery& query,
   const size_t workers =
       scan.Fanout(ResolveScanParallelism(session, *query.table));
   consumer->Prepare(workers, std::max<size_t>(scan.sched.total(), 1));
-  IDB_RETURN_IF_ERROR(session->db()->worker_pool()->Run(
-      workers, workers, [&](size_t worker) -> Status {
-        ScanReader reader(&scan, worker);
-        for (;;) {
-          IDB_ASSIGN_OR_RETURN(const bool more,
-                               reader.Next([&](QualifiedRow& row) {
-                                 consumer->Row(worker, reader.ordinal(), row);
-                               }));
-          if (!more) return Status::OK();
-          if (count_only) consumer->Count(worker, reader.survivors());
-        }
-      }));
+  auto drain = [&](size_t worker, bool lent) -> Status {
+    ScanReader reader(&scan, worker, lent);
+    for (;;) {
+      IDB_ASSIGN_OR_RETURN(const bool more,
+                           reader.Next([&](QualifiedRow& row) {
+                             consumer->Row(worker, reader.ordinal(), row);
+                           }));
+      if (!more) return Status::OK();
+      if (count_only) consumer->Count(worker, reader.survivors());
+    }
+  };
+  std::mutex error_mu;
+  Status error;
+  WorkerPool::Ticket ticket;
+  const size_t lent = scan.pool->TryDispatch(
+      workers - 1,
+      [&](size_t slot) {
+        const Status status = drain(slot + 1, /*lent=*/true);
+        if (status.ok()) return;
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (error.ok()) error = status;
+      },
+      &ticket);
+  scan.counters->readers_lent.fetch_add(lent, std::memory_order_relaxed);
+  const Status own = drain(0, /*lent=*/false);
+  scan.pool->Wait(&ticket);
+  IDB_RETURN_IF_ERROR(own);
+  IDB_RETURN_IF_ERROR(error);
   return workers;
 }
 

@@ -6,7 +6,8 @@
 
 namespace instantdb {
 
-WorkerPool::WorkerPool(size_t size) : size_(std::max<size_t>(size, 1)) {}
+WorkerPool::WorkerPool(size_t size)
+    : size_(std::max<size_t>(size, 1)), free_(size_) {}
 
 WorkerPool::~WorkerPool() {
   {
@@ -22,7 +23,6 @@ WorkerPool::~WorkerPool() {
 void WorkerPool::EnsureStartedLocked() {
   if (started_) return;
   started_ = true;
-  free_ = size_;
   threads_.reserve(size_);
   for (size_t i = 0; i < size_; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
@@ -50,14 +50,16 @@ size_t WorkerPool::TryDispatch(size_t want, std::function<void(size_t)> fn,
   {
     std::lock_guard<std::mutex> lock(mu_);
     EnsureStartedLocked();
-    // Normal dispatches see a pool shrunk by the reserve; only priority
-    // callers (the degrader) may take the last `reserved_` tokens, so no
-    // foreground dispatch loop can ever re-acquire them first.
-    const size_t visible =
-        priority ? free_ : (free_ > reserved_ ? free_ - reserved_ : 0);
+    // Normal dispatches see a pool shrunk by the reserve and by one core
+    // per statement in flight (its caller's thread); only priority callers
+    // (the degrader) may take the last `reserved_` tokens, so no foreground
+    // dispatch loop can ever re-acquire them first.
+    const size_t free = free_.load(std::memory_order_relaxed);
+    const size_t held = reserved_ + statements_.load(std::memory_order_relaxed);
+    const size_t visible = priority ? free : (free > held ? free - held : 0);
     take = std::min(want, visible);
     if (take == 0) return 0;
-    if (priority && free_ - take < reserved_) ++reserved_grants_;
+    if (priority && free - take < reserved_) ++reserved_grants_;
     // Tokens come off BEFORE the tasks are visible: a concurrent dispatch
     // can never promise the same free worker twice, which is the
     // no-over-commit invariant everything above relies on.
@@ -99,8 +101,26 @@ size_t WorkerPool::reserved() const {
 }
 
 size_t WorkerPool::free_workers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return started_ ? free_ : size_;
+  return free_.load(std::memory_order_relaxed);
+}
+
+WorkerPool::InFlight::InFlight(WorkerPool* pool) : pool_(pool) {
+  pool_->statements_.fetch_add(1, std::memory_order_relaxed);
+}
+
+WorkerPool::InFlight& WorkerPool::InFlight::operator=(
+    InFlight&& other) noexcept {
+  if (this != &other) {
+    Release();
+    pool_ = std::exchange(other.pool_, nullptr);
+  }
+  return *this;
+}
+
+void WorkerPool::InFlight::Release() {
+  if (pool_ == nullptr) return;
+  pool_->statements_.fetch_sub(1, std::memory_order_relaxed);
+  pool_ = nullptr;
 }
 
 uint64_t WorkerPool::reserved_grants() const {

@@ -1,6 +1,7 @@
 #ifndef INSTANTDB_UTIL_WORKER_POOL_H_
 #define INSTANTDB_UTIL_WORKER_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -19,8 +21,8 @@ namespace instantdb {
 /// drains, degradation passes, checkpoints, audit sweeps, index rebuilds
 /// and WAL recovery borrow instead of each spawning (and joining) their own
 /// — thread create/join is tens of microseconds per worker, which used to
-/// be paid per query. The only other threads are the two background loops
-/// (degradation coordinator, maintenance scheduler).
+/// be paid per query. The only other thread is the one background loop
+/// (DegradationEngine: degradation, checkpoint and audit cadences).
 ///
 /// The pool never over-commits: TryDispatch hands out at most as many tasks
 /// as there are workers NOT currently running one (a free-worker token
@@ -30,6 +32,17 @@ namespace instantdb {
 /// free workers and the caller runs the shortfall inline). That
 /// no-queueing-behind-busy-work guarantee is what makes borrowing safe for
 /// both blocking fan-outs and long-lived producers without a deadlock story.
+///
+/// Lending counts cores, not only tokens. A statement in flight (an
+/// InFlight scope: ExecuteStatement, or a streaming Cursor from Open until
+/// its stream ends or it closes) runs on its caller's thread, which the
+/// pool does not own, so a normal dispatch lends only the cores no
+/// statement and no busy worker holds: at most free tokens − statements in
+/// flight − reserve. Lent scan readers
+/// give cores back as load rises: before every morsel claim they ask
+/// ShouldYield() (statements in flight + busy workers > size) and return
+/// their token when it is true, so a query's fan-out shrinks at morsel
+/// boundaries instead of staying fixed at what was free when it started.
 ///
 /// Threads start on first use and park on a condition variable between
 /// tasks; an idle pool costs nothing until then.
@@ -42,6 +55,25 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   size_t size() const { return size_; }
+
+  /// One statement in flight on its caller's thread, from construction to
+  /// destruction (or reassignment). A default-constructed scope counts
+  /// nothing. Move-only: exactly one scope releases each count.
+  class InFlight {
+   public:
+    InFlight() = default;
+    explicit InFlight(WorkerPool* pool);
+    ~InFlight() { Release(); }
+    InFlight(InFlight&& other) noexcept
+        : pool_(std::exchange(other.pool_, nullptr)) {}
+    InFlight& operator=(InFlight&& other) noexcept;
+    InFlight(const InFlight&) = delete;
+    InFlight& operator=(const InFlight&) = delete;
+
+   private:
+    void Release();
+    WorkerPool* pool_ = nullptr;
+  };
 
   /// Handle for one TryDispatch: Wait() blocks until every accepted task
   /// finished. Must be waited before the state captured by `fn` dies.
@@ -65,15 +97,16 @@ class WorkerPool {
   /// itself. Never blocks.
   ///
   /// `priority` selects the token pool: normal dispatches (the default)
-  /// never take the last `reserved()` free tokens, priority dispatches may
-  /// take every free token. Priority is for the degradation engine (and
-  /// anything else privacy-critical): because only priority callers can
-  /// touch the reserve, a tight normal-dispatch loop — one session
-  /// re-borrowing tokens the instant they free — can never re-acquire them
-  /// first, which closes the starvation race where a parked degrader lost
-  /// every freed token to faster foreground dispatchers. A priority caller
-  /// is therefore guaranteed min(want, reserved()) tokens whenever its own
-  /// kind isn't already holding them.
+  /// never take the last `reserved()` free tokens nor one core per
+  /// statement in flight, priority dispatches may take every free token.
+  /// Priority is for the degradation engine (and anything else
+  /// privacy-critical): because only priority callers can touch the
+  /// reserve, a tight normal-dispatch loop — one session re-borrowing
+  /// tokens the instant they free — can never re-acquire them first, which
+  /// closes the starvation race where a parked degrader lost every freed
+  /// token to faster foreground dispatchers. A priority caller is therefore
+  /// guaranteed min(want, reserved()) tokens whenever its own kind isn't
+  /// already holding them.
   size_t TryDispatch(size_t want, std::function<void(size_t)> fn,
                      Ticket* ticket, bool priority = false);
 
@@ -83,7 +116,8 @@ class WorkerPool {
 
   /// Parallel for-loop on the pool: runs `fn(0) .. fn(count - 1)` from an
   /// atomic cursor with the CALLER always participating, helped by however
-  /// many pool workers are free right now (at most `workers - 1`). Progress
+  /// many workers a normal TryDispatch lends right now (at most
+  /// `workers - 1`). Progress
   /// is therefore guaranteed even when the pool is saturated or `Run` is
   /// called from a pool worker — it degrades to inline, never deadlocks.
   /// The first non-OK status is returned; the failing worker stops
@@ -98,6 +132,20 @@ class WorkerPool {
   /// already handed out are unaffected.
   void SetReserved(size_t n);
   size_t reserved() const;
+
+  /// For a task a normal dispatch lent: true when statements in flight plus
+  /// busy workers exceed the pool size, i.e. some statement's caller shares
+  /// a core with a lent worker. A lent scan reader asks before every morsel
+  /// claim and stops (returning its token) when it is true. Lock-free.
+  bool ShouldYield() const {
+    return statements_.load(std::memory_order_relaxed) >
+           free_.load(std::memory_order_relaxed);
+  }
+
+  /// Statements in flight right now (InFlight scopes alive).
+  size_t statements_in_flight() const {
+    return statements_.load(std::memory_order_relaxed);
+  }
 
   /// Free-worker tokens right now (dispatch-order snapshot). A pool that
   /// was never started reports its full size — nothing has borrowed from
@@ -120,8 +168,12 @@ class WorkerPool {
   std::deque<std::function<void()>> tasks_;
   /// Workers not currently running a task. Decremented at dispatch time
   /// (task count never exceeds free workers), re-incremented by the worker
-  /// when its task completes.
-  size_t free_ = 0;
+  /// when its task completes. Written only under `mu_`; atomic so that
+  /// ShouldYield reads it without the lock. Before the pool starts it
+  /// holds the full size: nothing has borrowed from it.
+  std::atomic<size_t> free_;
+  /// Live InFlight scopes: statements running on their callers' threads.
+  std::atomic<size_t> statements_{0};
   /// Tokens only priority dispatches may take (SetReserved).
   size_t reserved_ = 0;
   /// Priority dispatches that dipped into the reserve (free_ at or below

@@ -561,20 +561,29 @@ Status WalManager::DestroyEpochKeysThrough(
   // insert re-create that key id, and redo would open the older records
   // with the new key.
   const uint64_t end_epoch = EpochOf(safe_time);
-  uint64_t& watermark = epoch_watermark_[table];
+  auto [slot, first_call] = epoch_watermark_.try_emplace(table, end_epoch);
+  uint64_t& watermark = slot->second;
+  if (first_call) {
+    // This process has destroyed nothing of the table yet: start at its
+    // oldest live key, not at epoch 0, which on a system clock lies about
+    // half a million hour-long epochs back.
+    const std::string prefix = StringPrintf("wal.t%u.e", table);
+    keys_->ForEachLiveKeyId(prefix, [&](const std::string& id) {
+      watermark = std::min<uint64_t>(
+          watermark, std::strtoull(id.c_str() + prefix.size(), nullptr, 10));
+    });
+  }
   bool prepared = false;
-  while (watermark < end_epoch) {
+  for (; watermark < end_epoch; ++watermark) {
     const std::string id = WalEpochKeyId(table, watermark);
-    if (!keys_->IsDestroyed(id)) {
-      if (!prepared && keys_->Get(id).ok()) {  // a live key, not a gap
-        IDB_RETURN_IF_ERROR(before_destroy());
-        prepared = true;
-      }
-      IDB_RETURN_IF_ERROR(keys_->Destroy(id));
-      std::lock_guard<std::mutex> stats_lock(mu_);
-      ++stats_.epoch_keys_destroyed;
+    if (!keys_->Get(id).ok()) continue;  // a gap: no insert in that epoch
+    if (!prepared) {
+      IDB_RETURN_IF_ERROR(before_destroy());
+      prepared = true;
     }
-    ++watermark;
+    IDB_RETURN_IF_ERROR(keys_->Destroy(id));
+    std::lock_guard<std::mutex> stats_lock(mu_);
+    ++stats_.epoch_keys_destroyed;
   }
   return Status::OK();
 }

@@ -206,6 +206,13 @@ class WalManager {
   /// the table's prefix rather than walking all elapsed epochs).
   uint64_t LingeringEpochKeys(TableId table, Micros safe_time) const;
 
+  /// End of the epoch holding `t`: the first instant another epoch's key
+  /// seals inserts.
+  Micros EpochEnd(Micros t) const {
+    return static_cast<Micros>((EpochOf(t) + 1) *
+                               static_cast<uint64_t>(options_.epoch_micros));
+  }
+
   /// True when epoch keys exist to destroy (kEncryptedEpoch). Lets callers
   /// skip computing the safe-time bound — which walks live phase-0 state —
   /// in the other privacy modes.

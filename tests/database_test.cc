@@ -9,6 +9,7 @@
 #include "gtest/gtest.h"
 #include "io/fault_env.h"
 #include "scan_oracle.h"
+#include "storage/key_manager.h"
 #include "util/coding.h"
 #include "util/file.h"
 #include "wal/wal_manager.h"
@@ -144,6 +145,71 @@ TEST_F(DatabaseTest, UserDeleteRemovesEverythingImmediately) {
   clock_->Advance(kMicrosPerHour);
   ASSERT_TRUE(db_->RunDegradationOnce().ok());
   EXPECT_TRUE(LocationOf(gone).is_null());
+}
+
+/// Opens a fresh kEncryptedEpoch database with hour-long epochs in dir_, on
+/// the fixture's clock as it stands.
+void OpenEncryptedEpoch(const DbOptions& base, std::unique_ptr<Database>* db) {
+  db->reset();
+  ASSERT_TRUE(RemoveDirRecursive(base.path).ok());
+  DbOptions options = base;
+  options.wal.privacy_mode = WalPrivacyMode::kEncryptedEpoch;
+  options.wal.epoch_micros = kMicrosPerHour;
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  *db = std::move(*opened);
+}
+
+/// A system clock counts from 1970, so hour-long epochs number about
+/// 490,000 by now. The first key destruction of a process starts at the
+/// table's oldest live key: it destroys that key and records no id of the
+/// empty epochs before it.
+TEST_F(DatabaseTest, FirstEpochKeyDestructionTouchesOnlyLiveKeys) {
+  constexpr uint64_t kEpoch = 490000;
+  clock_->AdvanceTo(static_cast<Micros>(kEpoch) * kMicrosPerHour +
+                    kMicrosPerMinute);
+  OpenEncryptedEpoch(Options(), &db_);
+  auto def = db_->CreateTable("pings", PingSchema());
+  ASSERT_TRUE(def.ok());
+  const TableId table = (*def)->id;
+  InsertPing("alice", 1, "11 Rue Lepic");
+
+  // Past the phase-0 deadline and the epoch: the step destroys the key.
+  clock_->Advance(kMicrosPerHour);
+  auto moved = db_->RunDegradationOnce();
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_EQ(*moved, 1u);
+  EXPECT_EQ(db_->stats().wal.epoch_keys_destroyed, 1u);
+  EXPECT_TRUE(db_->keys()->IsDestroyed(WalEpochKeyId(table, kEpoch)));
+  EXPECT_FALSE(db_->keys()->IsDestroyed(WalEpochKeyId(table, 0)));
+  EXPECT_FALSE(db_->keys()->IsDestroyed(WalEpochKeyId(table, kEpoch - 1)));
+}
+
+/// A user delete that removes an epoch's last phase-0 value leaves its key
+/// without a phase-0 step to destroy it. Once the epoch is over, a pass
+/// that moves nothing still destroys it.
+TEST_F(DatabaseTest, DeletedLastAccurateValueLeavesNoEpochKey) {
+  OpenEncryptedEpoch(Options(), &db_);
+  ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
+  const RowId gone = InsertPing("gone", 1, "11 Rue Lepic");
+  ASSERT_TRUE(db_->Delete("pings", gone).ok());
+  // The epoch may still seal inserts: its key lives until the epoch ends.
+  EXPECT_EQ(db_->degradation()->NextDeadline(), kMicrosPerHour);
+
+  clock_->Advance(kMicrosPerHour + kMicrosPerMinute);
+  auto moved = db_->RunDegradationOnce();
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_EQ(*moved, 0u);
+  EXPECT_EQ(db_->Audit().lingering_epoch_keys, 0u);
+  EXPECT_EQ(db_->stats().wal.epoch_keys_destroyed, 1u);
+  EXPECT_EQ(db_->degradation()->NextDeadline(), kForever);
+
+  // A delete after its value's epoch ended destroys the key at commit.
+  const RowId late = InsertPing("late", 2, "3 Av Foch");
+  clock_->Advance(kMicrosPerHour);
+  ASSERT_TRUE(db_->Delete("pings", late).ok());
+  EXPECT_EQ(db_->stats().wal.epoch_keys_destroyed, 2u);
+  EXPECT_EQ(db_->Audit().lingering_epoch_keys, 0u);
 }
 
 TEST_F(DatabaseTest, RecoveryReplaysInsertsAndDegradations) {

@@ -3,15 +3,19 @@
 // shared pool lends no worker and the scan runs inline — preserve snapshot
 // safety while the degrader runs, expose morsel cursors for consumers
 // that shard a scan themselves, and account their work in
-// Database::stats().scan. This test runs under ThreadSanitizer in
-// scripts/verify.sh --tsan: the prefetch workers, bounded queue and
-// consumer are exactly the cross-thread paths it exercises.
+// Database::stats().scan. Statements share the pool elastically: each
+// lends only the cores no statement holds, lent readers give theirs back at
+// a morsel boundary, and answers stay exact whoever reads which morsel.
+// This test runs under ThreadSanitizer in scripts/verify.sh --tsan: the
+// prefetch workers, bounded queue, scanning consumer and concurrent
+// sessions are exactly the cross-thread paths it exercises.
 
 #include <algorithm>
 #include <future>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "catalog/builtin_domains.h"
@@ -22,6 +26,7 @@
 #include "query/session.h"
 #include "scan_oracle.h"
 #include "util/file.h"
+#include "util/worker_pool.h"
 
 namespace instantdb {
 namespace {
@@ -403,6 +408,183 @@ TEST_F(ParallelScanTest, SaturatedPoolRunsTheStreamingScanInline) {
 
   release.set_value();
   pool->Wait(&ticket);
+  EXPECT_EQ(pool->free_workers(), pool->size());
+}
+
+/// The statements of the elastic fan-out cases and their oracle answers,
+/// all at CITY accuracy (every row computable).
+struct SharedMix {
+  static constexpr const char* kPurpose =
+      "DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY FOR pings.location";
+  static constexpr const char* kRows = "SELECT user, location FROM pings";
+  static constexpr const char* kGroups =
+      "SELECT location, COUNT(*) FROM pings GROUP BY location";
+  oracle::Answer rows;
+  oracle::Answer groups;
+};
+
+/// Every row `cursor` streams, sorted.
+std::vector<std::vector<Value>> SortedValues(Cursor* cursor) {
+  std::vector<std::vector<Value>> values;
+  const CursorBatch* batch = nullptr;
+  while (true) {
+    auto more = cursor->NextBatch(&batch);
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.ok() || !*more) break;
+    for (size_t i = 0; i < batch->size(); ++i) {
+      values.push_back(batch->values(i));
+    }
+  }
+  std::sort(values.begin(), values.end());
+  return values;
+}
+
+std::vector<std::vector<Value>> Sorted(std::vector<std::vector<Value>> rows) {
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// Runs statement `kind` (0 materialized, 1 cursor, 2 aggregate) of `mix`
+/// on a fresh session at parallelism 4 and checks it against the oracle.
+void RunMixStatement(Database* db, const SharedMix& mix, int kind) {
+  Session session(db);
+  ASSERT_TRUE(session.Execute(SharedMix::kPurpose).ok());
+  session.scan_options().parallelism = 4;
+  session.scan_options().morsel_pages = 1;
+  switch (kind) {
+    case 0: {
+      auto result = session.Execute(SharedMix::kRows);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->rows, mix.rows.rows);
+      break;
+    }
+    case 1: {
+      auto cursor = session.ExecuteCursor(SharedMix::kRows);
+      ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+      EXPECT_EQ(SortedValues(cursor->get()), Sorted(mix.rows.rows));
+      break;
+    }
+    default: {
+      auto result = session.Execute(SharedMix::kGroups);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->rows, mix.groups.rows);
+      break;
+    }
+  }
+}
+
+class ElasticFanoutTest : public ParallelScanTest {
+ protected:
+  static constexpr int kRows = 8000;
+
+  void SetUp() override {
+    ParallelScanTest::SetUp();
+    BuildDb(4, kRows);
+    Session session(db_.get());
+    ASSERT_TRUE(session.Execute(SharedMix::kPurpose).ok());
+    mix_.rows = Oracle(&session, SharedMix::kRows);
+    mix_.groups = Oracle(&session, SharedMix::kGroups);
+    ASSERT_EQ(mix_.rows.rows.size(), static_cast<size_t>(kRows));
+    for (const auto& queue : db_->GetTable("pings")->MorselPlan(1)) {
+      morsels_ += queue.size();
+    }
+  }
+
+  SharedMix mix_;
+  /// Morsels of one full scan at one page per morsel.
+  uint64_t morsels_ = 0;
+};
+
+/// Eight sessions at parallelism 4 share a pool of four: every statement
+/// lends only the cores no statement holds and lent readers yield as others
+/// arrive, yet every materialized, streamed and aggregated answer is exact,
+/// every morsel is claimed exactly once per scan, and every token comes
+/// back.
+TEST_F(ElasticFanoutTest, ConcurrentSessionsShareThePoolExactly) {
+  constexpr int kClients = 8;
+  constexpr int kRounds = 6;
+  const Database::Stats before = db_->stats();
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([this, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        RunMixStatement(db_.get(), mix_, (c + round) % 3);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+
+  const Database::Stats after = db_->stats();
+  constexpr uint64_t kScans = kClients * kRounds;
+  EXPECT_EQ(after.scan.rows - before.scan.rows, kScans * kRows);
+  EXPECT_EQ(after.scan.morsels_claimed - before.scan.morsels_claimed,
+            kScans * morsels_);
+  EXPECT_LE(after.scan.readers_yielded - before.scan.readers_yielded,
+            after.scan.readers_lent - before.scan.readers_lent);
+  WorkerPool* pool = db_->worker_pool();
+  EXPECT_EQ(pool->statements_in_flight(), 0u);
+  EXPECT_EQ(pool->free_workers(), pool->size());
+}
+
+/// Once statements outnumber the free cores, every lent reader stops at its
+/// next morsel claim; the consumer's own reader never yields and reads every
+/// morsel left, so the streamed answer is still exact.
+TEST_F(ElasticFanoutTest, EveryLentReaderYieldsAndNoRowIsLost) {
+  Session session(db_.get());
+  ASSERT_TRUE(session.Execute(SharedMix::kPurpose).ok());
+  session.scan_options().parallelism = 4;
+  session.scan_options().morsel_pages = 1;
+  session.scan_options().prefetch_batches = 1;
+  WorkerPool* pool = db_->worker_pool();
+
+  const Database::Stats before = db_->stats();
+  auto cursor = session.ExecuteCursor(SharedMix::kRows);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  const uint64_t lent = db_->stats().scan.readers_lent - before.scan.readers_lent;
+  // The cursor holds one core: the pool lends the other three.
+  ASSERT_EQ(lent, pool->size() - 1);
+  // Every producer holds a claimed morsel before the pool fills up. With a
+  // one-batch queue and no pull yet, none can reach the end of the plan.
+  while (db_->stats().scan.morsels_claimed - before.scan.morsels_claimed <
+         lent) {
+    std::this_thread::yield();
+  }
+  std::vector<WorkerPool::InFlight> arrivals;
+  for (size_t i = 0; i < pool->size(); ++i) arrivals.emplace_back(pool);
+
+  EXPECT_EQ(SortedValues(cursor->get()), Sorted(mix_.rows.rows));
+
+  const Database::Stats after = db_->stats();
+  EXPECT_EQ(after.scan.readers_yielded - before.scan.readers_yielded, lent);
+  EXPECT_EQ(after.scan.morsels_claimed - before.scan.morsels_claimed,
+            morsels_);
+  (*cursor)->Close();
+  arrivals.clear();
+  EXPECT_EQ(pool->statements_in_flight(), 0u);
+  EXPECT_EQ(pool->free_workers(), pool->size());
+}
+
+/// A statement may itself run on a pool worker. With every token taken by
+/// such tasks the pool is oversubscribed (four statements on four busy
+/// workers): each statement's caller reader — not lent, so it never
+/// yields — drains its scan alone and answers exactly.
+TEST_F(ElasticFanoutTest, StatementsOnPoolWorkersDrainAloneWhenThePoolIsFull) {
+  WorkerPool* pool = db_->worker_pool();
+  const Database::Stats before = db_->stats();
+  WorkerPool::Ticket ticket;
+  const size_t taken = pool->TryDispatch(
+      pool->size(),
+      [this](size_t slot) {
+        RunMixStatement(db_.get(), mix_, static_cast<int>(slot % 3));
+      },
+      &ticket);
+  ASSERT_EQ(taken, pool->size());
+  pool->Wait(&ticket);
+
+  const Database::Stats after = db_->stats();
+  EXPECT_EQ(after.scan.readers_lent, before.scan.readers_lent);
+  EXPECT_EQ(after.scan.rows - before.scan.rows, taken * kRows);
+  EXPECT_EQ(pool->statements_in_flight(), 0u);
   EXPECT_EQ(pool->free_workers(), pool->size());
 }
 
