@@ -202,11 +202,11 @@ struct MaintenanceOptions {
   /// only when at least `checkpoint_dirty_threshold` partitions are dirty
   /// OR a live WAL segment holds a degradable payload past its phase-0
   /// deadline (retirement must not wait for new writes). The cadence is
-  /// adaptive: the engine schedules the next point at `interval` from now,
-  /// pulled EARLIER to the earliest phase-0 deadline of any payload still
-  /// in the live log (WalManager::EarliestPayloadDeadline) when that lands
-  /// inside the window — so the interval no longer needs to sit below the
-  /// shortest phase-0 duration; it only bounds the idle wake-up rate.
+  /// adaptive: at every step the next point is `interval` after the last
+  /// one, pulled EARLIER to the earliest phase-0 deadline of any payload
+  /// still in the live log (WalManager::EarliestPayloadDeadline) — so the
+  /// interval need not sit below the shortest phase-0 duration; it only
+  /// bounds the idle wake-up rate.
   Micros checkpoint_interval = kMicrosPerSecond;
   /// Minimum number of dirty partitions before a cadence checkpoint fires;
   /// below it the cadence point is recorded as skipped-clean. 0 makes every

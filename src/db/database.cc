@@ -153,7 +153,12 @@ Status Database::Recover() {
 
 Status Database::Apply(const WalRecord& record) {
   Table* table = GetTable(record.table);
-  return table == nullptr ? Status::OK() : table->Apply(record);
+  if (table == nullptr) return Status::OK();
+  IDB_RETURN_IF_ERROR(table->Apply(record));
+  // An insert's payload deadline is its values' earliest store deadline
+  // and its WAL copy's: either may land before the loop's armed wake.
+  degrader_->Publish(record.payload_deadline);
+  return Status::OK();
 }
 
 Result<const TableDef*> Database::CreateTable(const std::string& name,
@@ -259,6 +264,7 @@ Status Database::Commit(Transaction* txn, const WriteOptions& options) {
       IDB_WARN("epoch keys of table %u not destroyed after a delete: %s", id,
                destroyed.ToString().c_str());
     }
+    degrader_->Publish(table->epoch_key_deadline());
   }
   return Status::OK();
 }

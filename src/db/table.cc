@@ -246,27 +246,18 @@ Micros Table::NextDeadline() const {
   return next;
 }
 
-bool Table::HasWorkAt(Micros now) const { return NextDeadline() <= now; }
-
-bool Table::PartitionHasWorkAt(uint32_t partition, Micros now) const {
-  return partitions_[partition]->HasWorkAt(now);
-}
-
 Result<size_t> Table::RunDegradationStep(Micros now, size_t batch_limit,
                                          uint32_t partition) {
   bool stepped_phase0 = false;
   IDB_ASSIGN_OR_RETURN(const size_t moved,
                        partitions_[partition]->RunDegradationStep(
                            now, batch_limit, &stepped_phase0));
-  if (moved > 0 && stepped_phase0) IDB_RETURN_IF_ERROR(DestroyDueEpochKeys());
+  if (moved > 0 && stepped_phase0) IDB_RETURN_IF_ERROR(ArmEpochKeyDeadline());
   return moved;
 }
 
-Status Table::AfterDeleteCommit() {
-  // Loaded first: every commit of every table passes here, and most
-  // delete no phase-0 value.
-  if (!phase0_deleted_.load(std::memory_order_relaxed) ||
-      !phase0_deleted_.exchange(false, std::memory_order_relaxed)) {
+Status Table::ArmEpochKeyDeadline() {
+  if (runtime_.wal == nullptr || !runtime_.wal->epoch_keys_enabled()) {
     return Status::OK();
   }
   // The current epoch's key may have lost its last phase-0 value too, but
@@ -279,6 +270,16 @@ Status Table::AfterDeleteCommit() {
                                                 std::memory_order_relaxed)) {
   }
   return DestroyDueEpochKeys();
+}
+
+Status Table::AfterDeleteCommit() {
+  // Loaded first: every commit of every table passes here, and most
+  // delete no phase-0 value.
+  if (!phase0_deleted_.load(std::memory_order_relaxed) ||
+      !phase0_deleted_.exchange(false, std::memory_order_relaxed)) {
+    return Status::OK();
+  }
+  return ArmEpochKeyDeadline();
 }
 
 Status Table::RunEpochKeyDeadline() {

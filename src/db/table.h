@@ -205,30 +205,29 @@ class Table {
   Micros NextDeadline() const;
 
   /// Runs ONE degradation step on `partition` (see
-  /// TablePartition::RunDegradationStep). After a phase-0 step the WAL
-  /// epoch-key watermark advances using the table-wide safe time; before a
-  /// key is destroyed, every partition's stores are synced, so the values
-  /// it could decrypt are durable at their coarser levels. Distinct
-  /// partitions may be stepped concurrently.
+  /// TablePartition::RunDegradationStep). A phase-0 step arms the epoch-key
+  /// deadline (see below), which advances the WAL epoch-key watermark using
+  /// the table-wide safe time; before a key is destroyed, every partition's
+  /// stores are synced, so the values it could decrypt are durable at their
+  /// coarser levels. Distinct partitions may be stepped concurrently.
   Result<size_t> RunDegradationStep(Micros now, size_t batch_limit,
                                     uint32_t partition);
 
-  /// kEncryptedEpoch: an epoch key whose last phase-0 value left by a user
-  /// delete has no phase-0 step left to destroy it. Database::Commit calls
-  /// AfterDeleteCommit once a commit is applied: when one of its deletes
-  /// removed a phase-0 value, it destroys the keys that became due and arms
-  /// an epoch-key deadline at the end of the current epoch, whose key may
-  /// have lost its last value too but may still seal inserts until then.
-  /// NextDeadline includes the deadline; every degradation pass calls
+  /// kEncryptedEpoch: an epoch whose last phase-0 value left, by a step or
+  /// a user delete, before the epoch ended has no phase-0 step left to
+  /// destroy its key. So a phase-0 step destroys the keys already due and
+  /// arms an epoch-key deadline (epoch_key_deadline) at the end of the
+  /// current epoch, whose key may still seal inserts until then. So does
+  /// AfterDeleteCommit, which Database::Commit calls once a commit is
+  /// applied, when one of its deletes removed a phase-0 value. NextDeadline
+  /// includes the deadline; every degradation pass calls
   /// RunEpochKeyDeadline, which destroys the due keys once it has passed
   /// (and re-arms it when that fails).
   Status AfterDeleteCommit();
   Status RunEpochKeyDeadline();
-
-  /// True if any store head of any partition is overdue at `now`.
-  bool HasWorkAt(Micros now) const;
-  /// True if any store head of `partition` is overdue at `now`.
-  bool PartitionHasWorkAt(uint32_t partition, Micros now) const;
+  Micros epoch_key_deadline() const {
+    return epoch_keys_due_.load(std::memory_order_relaxed);
+  }
 
   // --- apply ----------------------------------------------------------------
 
@@ -253,6 +252,7 @@ class Table {
 
  private:
   std::string PartitionCountPath() const { return dir_ + "/PARTITIONS"; }
+  Status ArmEpochKeyDeadline();  // see AfterDeleteCommit
   /// kEncryptedEpoch: destroys the WAL epoch keys through SafeEpochTime,
   /// syncing every partition's stores before the first one goes.
   Status DestroyDueEpochKeys();
@@ -271,7 +271,7 @@ class Table {
   /// Set by Apply when a delete removed a phase-0 value; taken by
   /// AfterDeleteCommit.
   std::atomic<bool> phase0_deleted_{false};
-  /// The armed epoch-key deadline (AfterDeleteCommit), kForever when none.
+  /// The armed epoch-key deadline, kForever when none.
   std::atomic<Micros> epoch_keys_due_{kForever};
 };
 

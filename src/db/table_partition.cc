@@ -628,10 +628,6 @@ Micros TablePartition::NextDeadline() const {
   return MostOverdue().deadline;
 }
 
-bool TablePartition::HasWorkAt(Micros now) const {
-  return NextDeadline() <= now;
-}
-
 Result<size_t> TablePartition::RunDegradationStep(Micros now,
                                                   size_t batch_limit,
                                                   bool* stepped_phase0) {

@@ -201,12 +201,9 @@ class TablePartition {
   /// (column, phase) store goes to the next phase's store (nothing at ⊥),
   /// index postings included. Returns the number of values moved.
   /// `*stepped_phase0` is set when the step drained a phase-0 store (the
-  /// router then advances the WAL epoch-key watermark).
+  /// router then arms the table's epoch-key deadline).
   Result<size_t> RunDegradationStep(Micros now, size_t batch_limit,
                                     bool* stepped_phase0);
-
-  /// True if any store head of this partition is overdue at `now`.
-  bool HasWorkAt(Micros now) const;
 
   /// Earliest phase-0 head insert time (or `now` when phase 0 is empty):
   /// epoch keys up to the table-wide minimum of this are destroyable.

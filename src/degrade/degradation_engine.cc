@@ -1,7 +1,6 @@
 #include "degrade/degradation_engine.h"
 
 #include <algorithm>
-#include <deque>
 #include <vector>
 
 #include "common/logging.h"
@@ -30,7 +29,7 @@ DegradationEngine::~DegradationEngine() { Stop(); }
 void DegradationEngine::RegisterTable(Table* table) {
   std::lock_guard<std::mutex> lock(mu_);
   tables_[table->id()] = table;
-  clock_->WakeAll();  // the new table may carry an earlier deadline
+  Publish(table->NextDeadline());
 }
 
 void DegradationEngine::UnregisterTable(TableId id) {
@@ -60,7 +59,7 @@ size_t DegradationEngine::OverdueUnits(Micros now) const {
   size_t overdue = 0;
   for (const auto& [id, table] : tables_) {
     for (uint32_t p = 0; p < table->num_partitions(); ++p) {
-      if (table->PartitionHasWorkAt(p, now)) ++overdue;
+      if (table->partition(p)->NextDeadline() <= now) ++overdue;
     }
   }
   return overdue;
@@ -75,13 +74,29 @@ Micros DegradationEngine::NextDeadline() const {
   return next;
 }
 
+Micros DegradationEngine::LowerArmed(Micros deadline) {
+  Micros armed = armed_.load();
+  while (deadline < armed && !armed_.compare_exchange_weak(armed, deadline)) {
+  }
+  return armed;
+}
+
+void DegradationEngine::Publish(Micros deadline) {
+  if (LowerArmed(deadline) > deadline) clock_->WakeAll();
+}
+
 Result<size_t> DegradationEngine::RunDue(Micros now) {
   // One unit of schedulable work: a table partition with an overdue store
-  // head. Units never share physical state, so the worker pool drains them
-  // concurrently.
+  // head, keyed by that head's deadline. Units never share physical state,
+  // so the worker pool drains them concurrently.
   struct Unit {
     Table* table;
     uint32_t partition;
+    Micros deadline;
+  };
+  // Min-heap order: the earliest deadline is served first.
+  const auto later = [](const Unit& a, const Unit& b) {
+    return a.deadline > b.deadline;
   };
 
   // Tables snapshotted below stay alive for the whole pass: UnregisterTable
@@ -94,46 +109,30 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
 
   // Keep collecting and draining until no partition has overdue work.
   for (;;) {
-    std::vector<Unit> units;
-    std::set<std::pair<TableId, uint32_t>> urgent;
+    // Step-grained work queue: a claim runs ONE bounded step on the unit
+    // with the earliest deadline, then requeues it at its new head deadline
+    // while that is still due, so the most overdue value always goes next.
+    std::vector<Unit> queue;
+    std::mutex queue_mu;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      urgent.swap(urgent_);
       for (auto& [id, table] : tables_) {
         for (uint32_t p = 0; p < table->num_partitions(); ++p) {
           if (!fault_skip_.empty() && fault_skip_.count({id, p}) != 0) {
             continue;  // injected fault: leave this unit's work stale
           }
-          if (table->PartitionHasWorkAt(p, now)) units.push_back({table, p});
+          const Micros deadline = table->partition(p)->NextDeadline();
+          if (deadline <= now) queue.push_back({table, p, deadline});
         }
       }
     }
-    if (!urgent.empty()) {
-      // Audit-repair units jump the queue: workers claim units in order, so
-      // moving them to the front of the round drains the proven-overdue
-      // partitions before any merely-due one. Units not collected above
-      // (no overdue work, unregistered table, injected fault) drop out of
-      // the urgent set with the swap — stale repairs are self-cleaning.
-      const auto urgent_end = std::stable_partition(
-          units.begin(), units.end(), [&](const Unit& unit) {
-            return urgent.count({unit.table->id(), unit.partition}) != 0;
-          });
-      delta.urgent_units +=
-          static_cast<uint64_t>(urgent_end - units.begin());
-    }
-    if (units.empty()) break;
+    if (queue.empty()) break;
     delta.passes = 1;  // a pass only counts when some partition had due work
+    std::make_heap(queue.begin(), queue.end(), later);
 
     std::atomic<uint64_t> steps{0};
     std::atomic<uint64_t> moved_round{0};
     std::mutex error_mu;
-
-    // Step-grained work queue: a claim runs ONE bounded step, then requeues
-    // the unit at the back while it still has work. Urgent units sit at the
-    // front, so their first step is never stuck behind another partition's
-    // deep backlog.
-    std::mutex queue_mu;
-    std::deque<Unit> queue(units.begin(), units.end());
 
     auto drain = [&] {
       for (;;) {
@@ -141,10 +140,10 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
         {
           std::lock_guard<std::mutex> lock(queue_mu);
           if (queue.empty()) return;
-          unit = queue.front();
-          queue.pop_front();
+          std::pop_heap(queue.begin(), queue.end(), later);
+          unit = queue.back();
+          queue.pop_back();
         }
-        if (!unit.table->PartitionHasWorkAt(unit.partition, now)) continue;
         auto moved = unit.table->RunDegradationStep(
             now, options_.step_batch_limit, unit.partition);
         if (!moved.ok()) {
@@ -152,18 +151,22 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
           if (error.ok()) error = moved.status();
           return;
         }
-        // Nothing moved (a spurious wake-up, or another pass drained this
-        // partition first): drop, re-collect next round.
+        // Nothing moved (another pass drained this partition first): drop,
+        // re-collect next round.
         if (*moved == 0) continue;
         steps.fetch_add(1, std::memory_order_relaxed);
         moved_round.fetch_add(*moved, std::memory_order_relaxed);
+        // May still have work past the step limit.
+        unit.deadline = unit.table->partition(unit.partition)->NextDeadline();
+        if (unit.deadline > now) continue;
         std::lock_guard<std::mutex> lock(queue_mu);
-        queue.push_back(unit);  // may still have work past the step limit
+        queue.push_back(unit);
+        std::push_heap(queue.begin(), queue.end(), later);
       }
     };
 
     const size_t workers = std::min<size_t>(
-        std::max<size_t>(options_.worker_threads, 1), units.size());
+        std::max<size_t>(options_.worker_threads, 1), queue.size());
     if (workers <= 1) {
       drain();
     } else {
@@ -190,8 +193,8 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
     if (moved_round.load() == 0) break;
   }
 
-  // Epoch keys whose last phase-0 value a user delete removed have no step
-  // left to destroy them (Table::AfterDeleteCommit armed their deadline).
+  // Epoch keys whose last phase-0 value left before the epoch ended have no
+  // step left to destroy them (Table::epoch_key_deadline).
   std::vector<Table*> tables;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -202,12 +205,11 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
     if (error.ok()) error = destroyed;
   }
 
-  if (delta.passes != 0 || delta.urgent_units != 0) {
+  if (delta.passes != 0) {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.passes += delta.passes;
     stats_.steps += delta.steps;
     stats_.values_moved += delta.values_moved;
-    stats_.urgent_units += delta.urgent_units;
   }
   if (!error.ok()) return error;
   return total;
@@ -225,11 +227,15 @@ Status DegradationEngine::Step(Micros now, bool degrade, bool maintain,
   // most one pass.
   Status status;
   if (degrade) status = RunDue(now).status();
-  const bool checkpoint_due = maintain &&
-                              maintenance_.checkpoint_interval > 0 &&
-                              now >= next_checkpoint_due_;
+  const bool checkpoints = maintain && maintenance_.checkpoint_interval > 0;
+  const Micros checkpoint_point = checkpoints ? CheckpointDue() : kForever;
+  const bool checkpoint_due = now >= checkpoint_point;
   Status checkpointed;
   if (checkpoint_due) {
+    if (checkpoint_point < next_checkpoint_due_) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++maintenance_stats_.adaptive_checkpoint_pulls;
+    }
     checkpointed = CheckpointIfWorthwhile(now);
     if (status.ok()) status = checkpointed;
   }
@@ -255,28 +261,21 @@ Status DegradationEngine::Step(Micros now, bool degrade, bool maintain,
   }
   if (checkpoint_due) {
     // A failed checkpoint retries at the backoff and bypasses the
-    // skip-clean gate then. A successful one sets the next cadence point
-    // only now: it retired the pressuring segment, so the adaptive pull
-    // fires only for a payload deadline still live inside the interval.
+    // skip-clean gate then; a successful one waits for the next interval
+    // point or payload deadline.
     checkpoint_pressure_pending_ = !checkpointed.ok();
-    next_checkpoint_due_ =
-        checkpointed.ok() ? NextCheckpointDue(now) : now + backoff_;
+    last_checkpoint_point_ = now;
+    next_checkpoint_due_ = now + (checkpointed.ok()
+                                      ? maintenance_.checkpoint_interval
+                                      : backoff_);
   }
 
   if (!status.ok()) {
     *wake = now + backoff_;
     return status;
   }
-  Micros next = kForever;
-  if (degrade) {
-    next = NextDeadline();
-    // A failed audit's repair units are drained without sleeping.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!urgent_.empty()) next = now;
-  }
-  if (maintain && maintenance_.checkpoint_interval > 0) {
-    next = std::min(next, next_checkpoint_due_);
-  }
+  Micros next = degrade ? NextDeadline() : kForever;
+  if (checkpoints) next = std::min(next, CheckpointDue());
   if (maintain && maintenance_.audit_interval > 0) {
     next = std::min(next, next_audit_due_);
   }
@@ -308,20 +307,17 @@ Status DegradationEngine::CheckpointIfWorthwhile(Micros now) {
   return Status::OK();
 }
 
-Micros DegradationEngine::NextCheckpointDue(Micros now) {
-  // `checkpoint_interval` is the floor, the guaranteed worst-case gap. When
-  // a live WAL payload's phase-0 deadline lands inside it, the next cadence
-  // point moves to that deadline, so the segment retires the moment its
-  // payload turns overdue. A deadline already past (or kForever) leaves the
-  // interval alone: pressure that old forces this very cadence point.
-  Micros due = now + maintenance_.checkpoint_interval;
+Micros DegradationEngine::CheckpointDue() const {
+  // `checkpoint_interval` is the floor, the guaranteed worst-case gap. A
+  // live WAL payload whose phase-0 deadline comes first pulls the cadence
+  // point in to it, so its segment retires the moment the payload turns
+  // overdue. A deadline the last cadence point already saw (a segment a
+  // commit in flight kept live, or a failed checkpoint's pressure, retried
+  // at the backoff) cannot spin the loop.
   const Micros payload = db_->wal()->EarliestPayloadDeadline();
-  if (payload > now && payload < due) {
-    due = payload;
-    std::lock_guard<std::mutex> lock(mu_);
-    ++maintenance_stats_.adaptive_checkpoint_pulls;
-  }
-  return due;
+  return payload > last_checkpoint_point_
+             ? std::min(next_checkpoint_due_, payload)
+             : next_checkpoint_due_;
 }
 
 AuditReport DegradationEngine::RunAudit(Micros now) {
@@ -330,17 +326,7 @@ AuditReport DegradationEngine::RunAudit(Micros now) {
   std::lock_guard<std::mutex> lock(mu_);
   MaintenanceStats& stats = maintenance_stats_;
   ++stats.audits;
-  if (!report.clean()) {
-    ++stats.audits_failed;
-    // Audit-driven repair: every partition the sweep proved overdue becomes
-    // an urgent unit the next pass drains ahead of the regular order.
-    for (const TableAuditFindings& findings : report.tables) {
-      for (const uint32_t partition : findings.exposed_partitions) {
-        urgent_.emplace(findings.table, partition);
-        ++stats.repairs_enqueued;
-      }
-    }
-  }
+  if (!report.clean()) ++stats.audits_failed;
   stats.audit_rows_scanned += report.rows_scanned;
   stats.max_exposure_seen =
       std::max(stats.max_exposure_seen, report.max_exposure);
@@ -368,13 +354,14 @@ void DegradationEngine::Stop() {
 }
 
 void DegradationEngine::BackgroundLoop() {
-  for (;;) {
-    // Token before the running_ check and the step: a Stop() or a
-    // RegisterTable()'s earlier-deadline WakeAll landing after this line
-    // expires the token, so WaitUntil returns immediately instead of
-    // sleeping through the wake.
-    const uint64_t token = clock_->WakeToken();
-    if (!running_.load(std::memory_order_acquire)) break;
+  // Only degradation and the checkpoint cadence serve published deadlines.
+  const bool arms =
+      options_.background_thread ||
+      (maintenance_.enabled && maintenance_.checkpoint_interval > 0);
+  while (running_.load(std::memory_order_acquire)) {
+    // Armed before the step reads any deadline: a write applied after the
+    // reads publishes below kForever and is folded into the wake below.
+    if (arms) armed_.store(kForever);
     const Micros now = clock_->NowMicros();
     Micros wake = kForever;
     const Status status = Step(now, options_.background_thread,
@@ -382,8 +369,20 @@ void DegradationEngine::BackgroundLoop() {
     if (!status.ok()) {
       IDB_ERROR("background step failed: %s", status.ToString().c_str());
     }
+    // Token after the step, so the writes published during it do not
+    // expire it, and before the running_ check: a Stop() or a Publish()
+    // landing after this line expires it, so WaitUntil returns instead of
+    // sleeping through the wake.
+    const uint64_t token = clock_->WakeToken();
+    if (!running_.load(std::memory_order_acquire)) break;
+    if (!status.ok()) {
+      armed_.store(kUnarmed);  // a failed step sleeps out its backoff
+    } else if (arms) {
+      wake = std::min(wake, LowerArmed(wake));
+    }
     clock_->WaitUntil(wake == kForever ? now + kMicrosPerHour : wake, token);
   }
+  armed_.store(kUnarmed);
 }
 
 DegradationEngine::Stats DegradationEngine::stats() const {

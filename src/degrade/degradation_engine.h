@@ -2,6 +2,7 @@
 #define INSTANTDB_DEGRADE_DEGRADATION_ENGINE_H_
 
 #include <atomic>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -24,27 +25,27 @@ class Database;
 /// paper §III), the checkpoint cadence that retires WAL segments holding
 /// overdue payloads, and the deletion-assurance audits that prove both.
 ///
-/// Degradation is scheduled per (table, partition): one pass collects every
-/// partition with overdue work and drains it STEP-GRAINED over the
-/// Database's shared worker pool (`DegradationOptions::worker_threads`).
-/// Each claim runs one bounded degradation step and requeues the unit at
-/// the back while it still has work, so an urgent (audit-repair) unit at
-/// the front of the queue gets its first step within one step latency even
-/// when another partition holds a deep backlog. Distinct partitions never
-/// share physical state, so workers proceed without interfering. A step
-/// takes no logical lock and writes no log record, so no user transaction
-/// can hold it back; steps on one partition serialize on its latch.
+/// It is the only reader of the deadlines the database keeps: the FIFO
+/// store heads (a store's head is its only deadline), each live WAL
+/// segment's payload-deadline minimum, each table's epoch-key deadline and
+/// the two cadence points. A pass collects every (table, partition) whose
+/// head deadline has passed and drains them STEP-GRAINED, earliest deadline
+/// first, over the Database's shared worker pool
+/// (`DegradationOptions::worker_threads`): each claim runs one bounded step
+/// and requeues the partition at its new head deadline while that is still
+/// due. A partition an audit proves exposed holds the earliest head, so it
+/// goes first by construction. A step takes no logical lock and writes no
+/// log record, so no user transaction can hold it back; steps on one
+/// partition serialize on its latch.
 ///
-/// The checkpoint cadence runs Database::Checkpoint every
-/// `MaintenanceOptions::checkpoint_interval` when at least
+/// The checkpoint cadence runs Database::Checkpoint when at least
 /// `checkpoint_dirty_threshold` partitions are dirty, and FORCES one when a
 /// live WAL segment still holds an accurate payload past its phase-0
-/// deadline (retirement must not wait for new writes). The interval is a
-/// floor: the next cadence point is pulled in to the earliest payload
-/// deadline in the live log (WalManager::EarliestPayloadDeadline) when that
-/// lands inside it. Every `audit_interval` a DeletionAuditor sweep proves
-/// every value past its deadline is degraded or destroyed; the partitions a
-/// failed sweep finds exposed become urgent units of the next pass.
+/// deadline (retirement must not wait for new writes). Its cadence point is
+/// `MaintenanceOptions::checkpoint_interval` after the last one, pulled in
+/// to the earliest payload deadline in the live log at every step. Every
+/// `audit_interval` a DeletionAuditor sweep proves every value past its
+/// deadline is degraded or destroyed.
 ///
 /// Drive modes:
 ///  - pumped: tests call `RunDue(now)` (degradation only) or `RunOnce(now)`
@@ -54,7 +55,9 @@ class Database;
 ///    as RunOnce, running the services its flags enable
 ///    (`DegradationOptions::background_thread`,
 ///    `MaintenanceOptions::enabled`), and sleeps on the Clock until the
-///    earliest store deadline or cadence point.
+///    earliest deadline the step left. A deadline that appears meanwhile
+///    (an insert, a delete's epoch-key deadline, a new table) goes to
+///    `Publish`, which wakes the loop only when it lands before that wake.
 class DegradationEngine {
  public:
   /// `db` (not owned) must outlive the engine, and its WAL, clock and
@@ -69,9 +72,9 @@ class DegradationEngine {
   /// pass to finish, so the caller may destroy the Table afterwards.
   void UnregisterTable(TableId id);
 
-  /// Runs every step whose deadline has passed at `now` (fanning overdue
-  /// partitions out over the worker pool); returns the total number of
-  /// attribute values moved/removed.
+  /// Runs every step whose deadline has passed at `now`, earliest deadline
+  /// first (fanning overdue partitions out over the worker pool); returns
+  /// the total number of attribute values moved/removed.
   Result<size_t> RunDue(Micros now);
 
   /// One deterministic step at clock time `now`: the degradation pass, then
@@ -88,6 +91,11 @@ class DegradationEngine {
   /// Earliest pending deadline over all tables (kForever when idle).
   Micros NextDeadline() const;
 
+  /// A new deadline exists: wakes the background loop when `deadline` lands
+  /// before its armed wake, and lowers the armed wake to it. One atomic
+  /// load when it does not (always, while no loop runs).
+  void Publish(Micros deadline);
+
   /// Degradation backlog: (table, partition) units with overdue work at
   /// `now` — the same test RunDue schedules by. Non-zero means the engine
   /// is behind its deadlines; the service front end reads it as a
@@ -95,10 +103,10 @@ class DegradationEngine {
   /// load so the floor holds. Walks every partition; callers cache it.
   size_t OverdueUnits(Micros now) const;
 
-  /// Next checkpoint cadence point, as the last step left it.
+  /// Next checkpoint cadence point (see the class comment).
   Micros next_checkpoint_due() const {
     std::lock_guard<std::mutex> lock(cadence_mu_);
-    return next_checkpoint_due_;
+    return CheckpointDue();
   }
 
   /// Background-thread mode. Stop() joins the thread, then waits for any
@@ -121,8 +129,6 @@ class DegradationEngine {
     /// Always 0: steps take no lock, so nothing aborts them. Kept only
     /// because perfbench reports it (degrade.lock_abort_ratio).
     uint64_t lock_aborts = 0;
-    /// Urgent (audit-repair) units drained ahead of the regular order.
-    uint64_t urgent_units = 0;
     /// RunOnce steps in which a service failed with IOError or Busy; the
     /// background loop retries each after a capped exponential backoff
     /// instead of hot-spinning on the still-overdue deadline.
@@ -138,11 +144,9 @@ class DegradationEngine {
     /// Checkpoints forced below the dirty threshold by WAL payload-deadline
     /// pressure (a live segment held an overdue accurate value).
     uint64_t forced_checkpoints = 0;
-    /// Cadence points pulled EARLIER than checkpoint_interval because a
-    /// live WAL payload's phase-0 deadline landed inside the window.
+    /// Cadence points that fell due before the interval point because a
+    /// live WAL payload's phase-0 deadline came first.
     uint64_t adaptive_checkpoint_pulls = 0;
-    /// Overdue (table, partition) units a failed audit marked urgent.
-    uint64_t repairs_enqueued = 0;
     uint64_t audits = 0;
     uint64_t audits_failed = 0;
     uint64_t audit_rows_scanned = 0;
@@ -168,9 +172,12 @@ class DegradationEngine {
   Status Step(Micros now, bool degrade, bool maintain, Micros* wake);
   /// Cadence checkpoint decision + execution (see the class comment).
   Status CheckpointIfWorthwhile(Micros now);
-  /// Interval-floored next cadence point, pulled in to the earliest live
-  /// WAL payload deadline when that lands inside the window.
-  Micros NextCheckpointDue(Micros now);
+  /// The checkpoint cadence point (see the class comment). Needs
+  /// cadence_mu_.
+  Micros CheckpointDue() const;
+  /// Lowers `armed_` to `deadline` when that is earlier; returns the value
+  /// it held before.
+  Micros LowerArmed(Micros deadline);
   AuditReport RunAudit(Micros now);
   void BackgroundLoop();
 
@@ -181,9 +188,9 @@ class DegradationEngine {
   WorkerPool& pool_;  // shared Database pool
   const DeletionAuditor auditor_;
 
-  /// Guards the table map, the counters, the sticky error and the urgent
-  /// and fault sets. Never held across a step, a checkpoint or an audit, so
-  /// stats() and OverdueUnits never wait behind I/O.
+  /// Guards the table map, the counters, the sticky error and the fault
+  /// set. Never held across a step, a checkpoint or an audit, so stats()
+  /// and OverdueUnits never wait behind I/O.
   mutable std::mutex mu_;
   std::map<TableId, Table*> tables_;
   Stats stats_;
@@ -191,14 +198,13 @@ class DegradationEngine {
   Status first_error_;
   /// (table, partition) units RunDue must skip (TEST_FaultSkipPartition).
   std::set<std::pair<TableId, uint32_t>> fault_skip_;
-  /// Audit-repair units to schedule ahead of the regular order; swapped out
-  /// (and counted) by the next RunDue pass.
-  std::set<std::pair<TableId, uint32_t>> urgent_;
 
   /// Serializes RunOnce steps (the background thread and pumped callers)
   /// and guards the cadence state below.
   mutable std::mutex cadence_mu_;
+  /// The interval point, and the clock time of the last cadence point.
   Micros next_checkpoint_due_ = 0;
+  Micros last_checkpoint_point_ = -1;
   Micros next_audit_due_ = 0;
   /// Current retry delay after a failed step; 0 after a clean one.
   Micros backoff_ = 0;
@@ -215,6 +221,12 @@ class DegradationEngine {
 
   std::thread thread_;
   std::atomic<bool> running_{false};
+  /// The background loop's armed wake: kForever while a step runs, then the
+  /// step's wake lowered by every Publish since. kUnarmed, below every
+  /// deadline, while no loop waits on it (none runs, or a failed step
+  /// sleeps out its backoff), so Publish does nothing then.
+  static constexpr Micros kUnarmed = std::numeric_limits<Micros>::min();
+  std::atomic<Micros> armed_{kUnarmed};
 };
 
 }  // namespace instantdb

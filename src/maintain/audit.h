@@ -34,9 +34,9 @@ struct TableAuditFindings {
   /// held past its transition deadline (0 when nothing is exposed).
   Micros max_exposure = 0;
   /// Partitions where in-store exposure was found (exposed values, overdue
-  /// tuple shells, or stale index postings) — the units a failed audit
-  /// marks urgent for the DegradationEngine's next pass. WAL/epoch-key
-  /// findings are not partition work and never appear here.
+  /// tuple shells, or stale index postings): their overdue heads put them
+  /// first in the DegradationEngine's next, earliest-deadline-first pass.
+  /// WAL/epoch-key findings are not partition work and never appear here.
   std::vector<uint32_t> exposed_partitions;
 };
 

@@ -366,19 +366,4 @@ Status EvictDirFromOsCache(const std::string& path) {
   return Status::OK();
 }
 
-Status OverwriteRange(const std::string& path, uint64_t offset, uint64_t len) {
-  IDB_ASSIGN_OR_RETURN(auto file, NewRandomRWFile(path));
-  const std::string zeros(4096, '\0');
-  uint64_t remaining = len;
-  uint64_t off = offset;
-  while (remaining > 0) {
-    const uint64_t chunk =
-        remaining < zeros.size() ? remaining : zeros.size();
-    IDB_RETURN_IF_ERROR(file->Write(off, Slice(zeros.data(), chunk)));
-    off += chunk;
-    remaining -= chunk;
-  }
-  return file->Sync();
-}
-
 }  // namespace instantdb

@@ -85,11 +85,6 @@ Result<std::string> ReadFileToString(const std::string& path);
 /// Truncates `path` to exactly `size` bytes (drops a torn tail after crash).
 Status TruncateFile(const std::string& path, uint64_t size);
 
-/// Overwrites `[offset, offset+len)` of `path` with zero bytes and syncs —
-/// the physical erase primitive behind EraseMode::kOverwrite. (On real
-/// hardware, overwrite semantics depend on the FTL; DESIGN.md documents the
-/// simulation assumption.)
-Status OverwriteRange(const std::string& path, uint64_t offset, uint64_t len);
 /// Drops the file's clean pages from the OS page cache (posix_fadvise
 /// DONTNEED after an fdatasync). Cold-read benchmarks use this to measure
 /// scans that actually hit the device instead of the page cache.

@@ -147,14 +147,15 @@ TEST_F(DatabaseTest, UserDeleteRemovesEverythingImmediately) {
   EXPECT_TRUE(LocationOf(gone).is_null());
 }
 
-/// Opens a fresh kEncryptedEpoch database with hour-long epochs in dir_, on
-/// the fixture's clock as it stands.
-void OpenEncryptedEpoch(const DbOptions& base, std::unique_ptr<Database>* db) {
+/// Opens a fresh kEncryptedEpoch database with `epoch`-long epochs (an hour
+/// by default) in dir_, on the fixture's clock as it stands.
+void OpenEncryptedEpoch(const DbOptions& base, std::unique_ptr<Database>* db,
+                        Micros epoch = kMicrosPerHour) {
   db->reset();
   ASSERT_TRUE(RemoveDirRecursive(base.path).ok());
   DbOptions options = base;
   options.wal.privacy_mode = WalPrivacyMode::kEncryptedEpoch;
-  options.wal.epoch_micros = kMicrosPerHour;
+  options.wal.epoch_micros = epoch;
   auto opened = Database::Open(options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   *db = std::move(*opened);
@@ -210,6 +211,30 @@ TEST_F(DatabaseTest, DeletedLastAccurateValueLeavesNoEpochKey) {
   ASSERT_TRUE(db_->Delete("pings", late).ok());
   EXPECT_EQ(db_->stats().wal.epoch_keys_destroyed, 2u);
   EXPECT_EQ(db_->Audit().lingering_epoch_keys, 0u);
+}
+
+/// A step that takes an epoch's last value out of phase 0 before the epoch
+/// ends leaves its key to a deadline at the epoch's end: once that passes,
+/// a pass that moves nothing destroys it.
+TEST_F(DatabaseTest, SteppedLastAccurateValueLeavesNoEpochKey) {
+  OpenEncryptedEpoch(Options(), &db_, 2 * kMicrosPerHour);
+  ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
+  InsertPing("alice", 1, "11 Rue Lepic");
+
+  clock_->AdvanceTo(kMicrosPerHour);
+  auto moved = db_->RunDegradationOnce();
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_EQ(*moved, 1u);
+  // The epoch may still seal inserts: its key lives until the epoch ends.
+  EXPECT_EQ(db_->stats().wal.epoch_keys_destroyed, 0u);
+  EXPECT_EQ(db_->degradation()->NextDeadline(), 2 * kMicrosPerHour);
+
+  clock_->AdvanceTo(2 * kMicrosPerHour + kMicrosPerMinute);
+  moved = db_->RunDegradationOnce();
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_EQ(*moved, 0u);
+  EXPECT_EQ(db_->Audit().lingering_epoch_keys, 0u);
+  EXPECT_EQ(db_->stats().wal.epoch_keys_destroyed, 1u);
 }
 
 TEST_F(DatabaseTest, RecoveryReplaysInsertsAndDegradations) {

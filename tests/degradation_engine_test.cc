@@ -128,6 +128,28 @@ TEST_F(EngineTest, BackgroundThreadDegradesOnVirtualClock) {
   EXPECT_EQ((*view)->values[col], Value::String("Paris"));
 }
 
+/// An insert into an empty table publishes its deadline to the parked loop
+/// (maintenance off, so no cadence point wakes it): the loop meets a
+/// deadline far inside its idle cap with no caller pumping it.
+TEST_F(EngineTest, InsertIntoEmptyTableWakesParkedLoop) {
+  DegradationOptions degradation;
+  degradation.background_thread = true;
+  OpenDb(degradation);
+  auto lcp = AttributeLcp::Make({{0, kMicrosPerMinute}, {1, kForever}});
+  ASSERT_TRUE(lcp.ok());
+  ASSERT_TRUE(db_->CreateTable("pings", PingSchema(*lcp)).ok());
+  // Let the loop park on the empty table.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(db_->Insert("pings", {Value::String("a"),
+                                    Value::String("11 Rue Lepic")}).ok());
+  clock_->AdvanceTo(kMicrosPerMinute + kMicrosPerSecond);
+  Table* table = db_->GetTable("pings");
+  for (int i = 0; i < 1000 && table->stats().values_degraded == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(table->stats().values_degraded, 1u);
+}
+
 TEST_F(EngineTest, DroppedTableLeavesScheduler) {
   OpenDb();
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema(Fig2LocationLcp())).ok());

@@ -13,7 +13,8 @@
 // late stable decode (Values built only for survivors' projected columns),
 // randomized stable predicates against the oracle, a corrupt heap record
 // failing every scan shape with Corruption, the adaptive checkpoint
-// cadence, and audit-driven urgent repair. Runs under TSan/ASan in
+// cadence, and the earliest-deadline-first pass order with audit-then-
+// repair. Runs under TSan/ASan in
 // scripts/verify.sh: the aggregate fan-out and the degrade-while-aggregating
 // test are real cross-thread paths.
 
@@ -32,6 +33,7 @@
 #include "db/database.h"
 #include "degradable_mix.h"
 #include "gtest/gtest.h"
+#include "io/fault_env.h"
 #include "query/cursor.h"
 #include "query/parser.h"
 #include "query/plan.h"
@@ -152,6 +154,7 @@ class PushdownTest : public ::testing::Test {
 
   std::string dir_;
   std::unique_ptr<VirtualClock> clock_;
+  std::unique_ptr<FaultInjectionEnv> fault_;  // outlives db_
   std::unique_ptr<Database> db_;
 };
 
@@ -1181,7 +1184,6 @@ TEST_F(PushdownTest, AdaptiveCadencePullsCheckpointToPayloadDeadline) {
   // phase-0 deadline (insert at 0 + 1h address phase).
   ASSERT_TRUE(engine->RunOnce(clock_->NowMicros()).ok());
   EXPECT_EQ(engine->next_checkpoint_due(), kMicrosPerHour);
-  EXPECT_GE(engine->maintenance_stats().adaptive_checkpoint_pulls, 1u);
   EXPECT_EQ(engine->maintenance_stats().checkpoints, 0u);
 
   // At the pulled deadline the payload is overdue: WAL pressure forces the
@@ -1192,33 +1194,93 @@ TEST_F(PushdownTest, AdaptiveCadencePullsCheckpointToPayloadDeadline) {
   ASSERT_TRUE(engine->RunOnce(now).ok());
   EXPECT_EQ(engine->maintenance_stats().checkpoints, 1u);
   EXPECT_EQ(engine->maintenance_stats().forced_checkpoints, 1u);
+  EXPECT_EQ(engine->maintenance_stats().adaptive_checkpoint_pulls, 1u);
   EXPECT_EQ(engine->next_checkpoint_due(),
             now + 24 * kMicrosPerHour);
+
+  // A payload logged after that cadence point pulls the cadence in too,
+  // although no checkpoint has rescheduled it since.
+  clock_->Advance(kMicrosPerMinute);
+  ASSERT_TRUE(
+      session.Execute("INSERT INTO pings VALUES ('u1', '3 Av Foch')").ok());
+  const Micros deadline = clock_->NowMicros() + kMicrosPerHour;
+  EXPECT_EQ(engine->next_checkpoint_due(), deadline);
+  clock_->AdvanceTo(deadline + kMicrosPerSecond);
+  ASSERT_TRUE(engine->RunOnce(clock_->NowMicros()).ok());
+  EXPECT_EQ(engine->maintenance_stats().checkpoints, 2u);
+  EXPECT_EQ(engine->maintenance_stats().forced_checkpoints, 2u);
+  EXPECT_EQ(engine->maintenance_stats().adaptive_checkpoint_pulls, 2u);
+  EXPECT_EQ(db_->Audit().exposed_wal_segments, 0u);
 }
 
-TEST_F(PushdownTest, FailedAuditEnqueuesUrgentRepairThatDrainsFirst) {
-  constexpr int kRows = 400;
-  BuildDb(4, kRows);
+/// A pass serves partitions earliest deadline first, whatever their order
+/// in the table: partition 7's head is the oldest, behind deeper but later
+/// backlogs on partitions 0-6. A fault on partition 0's first step stops
+/// the pass there, so partition 7 must already have moved.
+TEST_F(PushdownTest, PassServesOldestHeadFirstAndAuditedExposureRepairs) {
+  fault_ = std::make_unique<FaultInjectionEnv>(Env::Default());
+  clock_ = std::make_unique<VirtualClock>(0);
+  DbOptions options;
+  options.path = dir_;
+  options.clock = clock_.get();
+  options.env = fault_.get();
+  options.partitions = 8;
+  options.degradation.worker_threads = 1;
+  options.degradation.step_batch_limit = 64;
+  options.storage.segment_bytes = 512;
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  db_ = std::move(*opened);
+  auto schema = Schema::Make(
+      {ColumnDef::Stable("user", ValueType::kString),
+       ColumnDef::Stable("score", ValueType::kInt64),
+       ColumnDef::Degradable("location", LocationDomain(), Fig2LocationLcp())});
+  ASSERT_TRUE(schema.ok());
+  ASSERT_TRUE(db_->CreateTable("pings", *schema).ok());
   Table* table = db_->GetTable("pings");
-  ASSERT_NE(table, nullptr);
+  auto row = [](int i) {
+    return std::vector<Value>{Value::String("u" + std::to_string(i)),
+                              Value::Int64(i), Value::String("3 Av Foch")};
+  };
 
-  // Plant exposure: partition 0 skips the next degradation pass, so its
-  // phase-0 locations outlive the address deadline.
-  db_->degradation()->TEST_FaultSkipPartition(table->id(), 0, true);
+  // Each transaction inserts into the next partition in turn: seven
+  // aborted ones pass partitions 0-6, so the first row lands in 7.
+  for (int i = 0; i < 7; ++i) {
+    auto txn = db_->Begin();
+    ASSERT_TRUE(table->Insert(txn.get(), row(i)).ok());
+    db_->Abort(txn.get());
+  }
+  WriteBatch oldest;
+  oldest.Insert("pings", row(0));
+  ASSERT_TRUE(db_->Write(&oldest).ok());
+  ASSERT_EQ(table->PartitionOf(oldest.row_ids()[0]), 7u);
+  clock_->Advance(kMicrosPerMinute);
+  for (uint32_t p = 0; p < 7; ++p) {
+    WriteBatch deep;
+    for (int i = 0; i < 200; ++i) deep.Insert("pings", row(i));
+    ASSERT_TRUE(db_->Write(&deep).ok());
+    ASSERT_EQ(table->PartitionOf(deep.row_ids()[0]), p);
+  }
+
+  // No audit has run: the order comes from the deadlines alone.
+  fault_->FailOnce(FaultOp::kAppend, 1, Status::IOError("injected"), "/p0/");
   clock_->Advance(kMicrosPerHour + kMicrosPerMinute);
-  ASSERT_TRUE(db_->RunDegradationOnce().ok());
+  auto failed = db_->RunDegradationOnce();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+  EXPECT_EQ(table->partition(7)->stats().values_degraded, 1u);
+  EXPECT_EQ(table->partition(0)->stats().degrade_steps, 1u);
 
-  const AuditReport failed = db_->Audit();
-  EXPECT_FALSE(failed.clean());
-  ASSERT_EQ(failed.tables.size(), 1u);
-  EXPECT_EQ(failed.tables[0].exposed_partitions, std::vector<uint32_t>{0});
-  EXPECT_GE(db_->degradation()->maintenance_stats().repairs_enqueued, 1u);
+  const AuditReport exposed = db_->Audit();
+  EXPECT_FALSE(exposed.clean());
+  ASSERT_EQ(exposed.tables.size(), 1u);
+  const std::vector<uint32_t>& partitions = exposed.tables[0].exposed_partitions;
+  EXPECT_NE(std::find(partitions.begin(), partitions.end(), 0u),
+            partitions.end());
 
-  // Lift the fault: the next pass drains the urgent unit first and the
-  // store-level exposure disappears.
-  db_->degradation()->TEST_FaultSkipPartition(table->id(), 0, false);
+  // The fault is gone: the next pass repairs every exposed partition.
+  fault_->ClearFaults();
   ASSERT_TRUE(db_->RunDegradationOnce().ok());
-  EXPECT_GE(db_->stats().degradation.urgent_units, 1u);
   const AuditReport repaired = db_->Audit();
   EXPECT_EQ(repaired.exposed_values, 0u) << repaired.ToString();
   EXPECT_TRUE(repaired.tables[0].exposed_partitions.empty());

@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "gtest/gtest.h"
+#include "io/env.h"
 #include "util/chacha20.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
@@ -298,7 +299,7 @@ TEST_F(FileTest, RandomAccessReads) {
 TEST_F(FileTest, OverwriteRangeZeroesBytes) {
   const std::string path = dir_ + "/erase";
   ASSERT_TRUE(WriteStringToFile(path, "SENSITIVE-DATA-HERE", true).ok());
-  ASSERT_TRUE(OverwriteRange(path, 0, 9).ok());
+  ASSERT_TRUE(Env::Default()->OverwriteRange(path, 0, 9).ok());
   auto contents = ReadFileToString(path);
   ASSERT_TRUE(contents.ok());
   EXPECT_EQ(contents->substr(9), "-DATA-HERE");
