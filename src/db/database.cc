@@ -107,9 +107,8 @@ Status Database::OpenImpl() {
                                       keys_.get(), env_);
   IDB_RETURN_IF_ERROR(wal_->Open());
 
-  locks_ = std::make_unique<LockManager>();
   tm_ = std::make_unique<TransactionManager>(
-      locks_.get(), wal_.get(),
+      wal_.get(),
       [this](const WalRecord& record) { return Apply(record); });
   degrader_ = std::make_unique<DegradationEngine>(this);
 

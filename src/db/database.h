@@ -16,7 +16,6 @@
 #include "db/table.h"
 #include "db/write_batch.h"
 #include "degrade/degradation_engine.h"
-#include "txn/lock_manager.h"
 #include "txn/transaction.h"
 #include "util/worker_pool.h"
 #include "wal/wal_manager.h"
@@ -115,9 +114,8 @@ class Database {
   /// one WAL append/sync (group commit). On success the batch's `row_ids()`
   /// carry the assigned id of each staged insert. This is the scalable
   /// ingest path — per-row Insert/Delete pay the full commit overhead per
-  /// row. A failure while staging or logging (including a wait-die abort
-  /// of a delete or update) applies nothing; see TransactionManager::Commit
-  /// for a failure after the log append.
+  /// row. A failure while staging or logging applies nothing; see
+  /// TransactionManager::Commit for a failure after the log append.
   Status Write(WriteBatch* batch, const WriteOptions& options = {});
 
   /// Single-statement convenience: insert one row (schema order) in its own
@@ -372,7 +370,18 @@ class Database {
   Env* env() const { return env_; }
   WalManager* wal() const { return wal_.get(); }
   KeyManager* keys() const { return keys_.get(); }
-  LockManager* lock_manager() const { return locks_.get(); }
+  /// No write takes a row lock, so `stats().waits` is always 0. Kept only
+  /// because perfbench reports it (txn.lock_waits_per_commit).
+  struct RowLockStub {
+    struct Stats {
+      uint64_t waits = 0;
+    };
+    Stats stats() const { return {}; }
+  };
+  const RowLockStub* lock_manager() const {
+    static constexpr RowLockStub kStub;
+    return &kStub;
+  }
   TransactionManager* txn_manager() const { return tm_.get(); }
   DegradationEngine* degradation() const { return degrader_.get(); }
   const DbOptions& options() const { return options_; }
@@ -403,7 +412,6 @@ class Database {
   std::unique_ptr<KeyManager> keys_;
   std::unique_ptr<Catalog> catalog_;
   std::unique_ptr<WalManager> wal_;
-  std::unique_ptr<LockManager> locks_;
   std::unique_ptr<TransactionManager> tm_;
   std::unique_ptr<DegradationEngine> degrader_;
   /// Guards the table map against the background loop: DDL takes it

@@ -155,7 +155,6 @@ Result<RowId> Table::Insert(Transaction* txn, const std::vector<Value>& row) {
 }
 
 Status Table::Delete(Transaction* txn, RowId row_id) {
-  IDB_RETURN_IF_ERROR(txn->LockRow(id(), row_id));
   if (!Route(row_id)->Contains(row_id)) return Status::NotFound("no such row");
   // Degradation never waits for this transaction: the apply removes the
   // row from whichever store holds it at commit time.
@@ -178,7 +177,6 @@ Status Table::UpdateStable(Transaction* txn, RowId row_id,
       return Status::InvalidArgument("stable type mismatch for " + col.name);
     }
   }
-  IDB_RETURN_IF_ERROR(txn->LockRow(id(), row_id));
   if (!Route(row_id)->Contains(row_id)) return Status::NotFound("no such row");
   WalRecord record;
   record.type = WalRecordType::kUpdateStable;

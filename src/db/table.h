@@ -141,7 +141,9 @@ class Table {
   /// rows — and their WAL redo — land in one partition and one log stream.
   Result<RowId> Insert(Transaction* txn, const std::vector<Value>& row);
 
-  /// Locks and queues the removal of one tuple (stable + degradable parts).
+  /// Queues the removal of one tuple (stable + degradable parts). No lock:
+  /// a delete commutes with every other write of its row (see
+  /// TransactionManager), so concurrent deletes of one row all commit.
   Status Delete(Transaction* txn, RowId row_id);
 
   /// Updates stable columns of one tuple (degradable updates are rejected

@@ -54,8 +54,8 @@ struct TableRuntime {
 /// deletes and expiry free (storage/heap_file.h), and the row map is a
 /// row-id-sorted array whose head FIFO expiry pops (db/row_map.h).
 ///
-/// Thread-safety: user deletes and stable updates lock their row in the
-/// LockManager; degradation takes no logical lock. Physical structures are
+/// Thread-safety: no write takes a logical lock (TransactionManager orders
+/// the only writes that need it, stable updates). Physical structures are
 /// protected by the per-partition latch (scans share it; applies and
 /// degradation steps take it exclusive). Statistics are mutated under the
 /// exclusive latch and read under the shared latch.

@@ -51,10 +51,11 @@ class PageGuard {
 
 /// \brief Fixed-capacity LRU buffer pool over one DiskManager.
 ///
-/// Classic steal/no-force is *not* used: InstantDB runs a no-steal policy —
-/// dirty pages of uncommitted transactions are never evicted (transactions
-/// pin what they write), so the WAL needs only redo records. Flushing
-/// happens at checkpoints and on eviction of committed work.
+/// Uncommitted work never reaches a page: a transaction applies its records
+/// only after their log append (deferred apply), so the WAL needs only redo
+/// records. A page can still hold a committed record whose log is not yet
+/// synced, and eviction writes such a page back without syncing the WAL.
+/// Only Database::Checkpoint syncs the log before it flushes pages.
 class BufferPool {
  public:
   BufferPool(DiskManager* disk, size_t capacity);

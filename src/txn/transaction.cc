@@ -10,12 +10,21 @@ std::unique_ptr<Transaction> TransactionManager::Begin() {
     ++stats_.started;
   }
   return std::make_unique<Transaction>(
-      next_txn_id_.fetch_add(1, std::memory_order_relaxed), locks_);
+      next_txn_id_.fetch_add(1, std::memory_order_relaxed));
 }
 
 Status TransactionManager::Commit(Transaction* txn, bool sync) {
   assert(txn->state_ == TxnState::kActive);
   if (!txn->ops_.empty()) {
+    // Stable updates apply in log order (see the class comment).
+    std::unique_lock<std::mutex> update_order(update_order_mu_,
+                                              std::defer_lock);
+    for (const WalRecord& op : txn->ops_) {
+      if (op.type == WalRecordType::kUpdateStable) {
+        update_order.lock();
+        break;
+      }
+    }
     // The append+apply window must look atomic to CheckpointBeginLsn: a
     // checkpoint begin LSN captured between the two would exclude this
     // durably logged transaction from both the flush and the replay range.
@@ -46,9 +55,8 @@ Status TransactionManager::Commit(Transaction* txn, bool sync) {
     // Point of no return: the transaction is durable; now surface it. A
     // failed apply is re-run once from the failing record: every apply is
     // the idempotent redo, so records already applied in part converge. A
-    // failure that outlasts the retry still ends the transaction, so its
-    // row locks cannot outlive it and block every later writer of those
-    // rows; the next checkpoint finishes it (CheckpointBeginLsn).
+    // failure that outlasts the retry still ends the transaction; the next
+    // checkpoint finishes it (CheckpointBeginLsn).
     for (size_t i = 0; i < count; ++i) {
       if (apply_(ops[i]).ok()) continue;
       for (size_t j = i; j < count; ++j) {
@@ -100,9 +108,6 @@ void TransactionManager::Abort(Transaction* txn) {
 void TransactionManager::End(Transaction* txn, TxnState state) {
   txn->ops_.clear();
   txn->state_ = state;
-  // Inserts, degrade steps and read-only statements take no lock: skip the
-  // lock manager's mutex.
-  if (txn->locked_) locks_->ReleaseAll(txn->id_);
   std::lock_guard<std::mutex> lock(mu_);
   ++(state == TxnState::kCommitted ? stats_.committed : stats_.aborted);
 }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "txn/lock_manager.h"
 #include "wal/log_record.h"
 #include "wal/wal_manager.h"
 
@@ -20,16 +19,14 @@ enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 
 /// \brief Transaction context under a deferred-apply, redo-only protocol.
 ///
-/// Statements validate, lock the rows they delete or update and enqueue WAL
-/// records; nothing touches shared storage until Commit, which logs every
-/// record followed by a COMMIT record and only then applies the records it
-/// logged, through the same function crash recovery replays them with.
-/// Consequences:
-///  - Abort (user abort or wait-die victim) simply drops the queue — no
-///    undo log is ever needed, which matters because undoing a degradation
-///    step would mean *resurrecting* an accurate value the engine has
-///    promised to forget (paper §III on transaction atomicity vs.
-///    degradation).
+/// Statements validate and enqueue WAL records; nothing touches shared
+/// storage until Commit, which logs every record followed by a COMMIT
+/// record and only then applies the records it logged, through the same
+/// function crash recovery replays them with. Consequences:
+///  - Abort simply drops the queue — no undo log is ever needed, which
+///    matters because undoing a degradation step would mean *resurrecting*
+///    an accurate value the engine has promised to forget (paper §III on
+///    transaction atomicity vs. degradation).
 ///  - Crash recovery replays the WAL in two passes: collect committed txn
 ///    ids, then redo only their records (all redo is idempotent).
 ///  - The logged record is the whole truth about a commit, so a failed
@@ -42,20 +39,12 @@ enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 /// time (TablePartition::Reconcile).
 class Transaction {
  public:
-  Transaction(uint64_t id, LockManager* locks) : id_(id), locks_(locks) {}
+  explicit Transaction(uint64_t id) : id_(id) {}
   Transaction(const Transaction&) = delete;
   Transaction& operator=(const Transaction&) = delete;
 
   uint64_t id() const { return id_; }
   TxnState state() const { return state_; }
-
-  /// Exclusive lock on one row until commit/abort (wait-die may return
-  /// Aborted; the caller must then Abort() this transaction and retry with
-  /// a fresh one).
-  Status LockRow(TableId table, RowId row) {
-    locked_ = true;
-    return locks_->LockRow(id_, table, row);
-  }
 
   /// Queues one logical write for commit time.
   void AddOp(WalRecord record) { ops_.push_back(std::move(record)); }
@@ -81,15 +70,24 @@ class Transaction {
   friend class TransactionManager;
 
   const uint64_t id_;
-  LockManager* const locks_;
   TxnState state_ = TxnState::kActive;
-  bool locked_ = false;  // LockRow was called: End must release
   std::vector<WalRecord> ops_;
   std::map<TableId, uint32_t> insert_partition_;  // batch-affine inserts
 };
 
-/// \brief Allocates transaction ids, drives commit (log → sync → apply →
-/// release) and abort (drop → release).
+/// \brief Allocates transaction ids, drives commit (log → sync → apply) and
+/// abort (drop).
+///
+/// Commit appends under the log mutex and applies outside it, so two
+/// commits can apply in the opposite order to their log records. Only one
+/// pair of writes cares, and it takes no row lock:
+///  - An insert names an id no other transaction can see before the apply.
+///  - A delete commutes with every other write of its row: the row is gone
+///    whichever applies first, live and in redo, and row ids are never
+///    reused. A later apply that finds the row gone changes nothing.
+///  - Two stable updates of one row do not commute. A commit that carries
+///    any kUpdateStable holds `update_order_mu_` from before its append to
+///    the end of its apply, so those commits apply in log order.
 class TransactionManager {
  public:
   /// Applies one logged record to storage. The database passes the table
@@ -97,8 +95,8 @@ class TransactionManager {
   /// record the same way.
   using ApplyFn = std::function<Status(const WalRecord&)>;
 
-  TransactionManager(LockManager* locks, WalManager* wal, ApplyFn apply)
-      : locks_(locks), wal_(wal), apply_(std::move(apply)) {}
+  TransactionManager(WalManager* wal, ApplyFn apply)
+      : wal_(wal), apply_(std::move(apply)) {}
 
   std::unique_ptr<Transaction> Begin();
 
@@ -113,17 +111,17 @@ class TransactionManager {
     }
   }
 
-  /// Logs the queued records + COMMIT, applies the records in order, and
-  /// releases all locks. With `sync` (WriteOptions::sync) it returns only
-  /// once the log holds the commit durably; without it a crash can lose the
-  /// commit until the next sync or checkpoint. The transaction ends on
-  /// every path: a failed log append aborts it. A failed apply is re-run
-  /// once, from the failing record on (applies are idempotent); if that
-  /// fails too the transaction stays committed, Commit returns the error,
-  /// and the commit is pending until CheckpointBeginLsn finishes it.
+  /// Logs the queued records + COMMIT and applies the records in order.
+  /// With `sync` (WriteOptions::sync) it returns only once the log holds
+  /// the commit durably; without it a crash can lose the commit until the
+  /// next sync or checkpoint. The transaction ends on every path: a failed
+  /// log append aborts it. A failed apply is re-run once, from the failing
+  /// record on (applies are idempotent); if that fails too the transaction
+  /// stays committed, Commit returns the error, and the commit is pending
+  /// until CheckpointBeginLsn finishes it.
   Status Commit(Transaction* txn, bool sync = false);
 
-  /// Drops queued work and releases locks. Always succeeds.
+  /// Drops queued work. Always succeeds.
   void Abort(Transaction* txn);
 
   /// Fuzzy-checkpoint begin LSN: waits for every in-flight commit to
@@ -156,10 +154,9 @@ class TransactionManager {
   Stats stats() const;
 
  private:
-  /// Moves `txn` to `state`, drops its queue and releases its locks.
+  /// Moves `txn` to `state` and drops its queue.
   void End(Transaction* txn, TxnState state);
 
-  LockManager* const locks_;
   WalManager* const wal_;
   const ApplyFn apply_;
   std::atomic<uint64_t> next_txn_id_{1};
@@ -172,6 +169,11 @@ class TransactionManager {
   /// fdatasync runs with it released), so commits draining under the
   /// barrier cannot deadlock against concurrent appenders.
   mutable std::shared_mutex commit_mu_;
+  /// Held by a commit with a kUpdateStable record from before its append
+  /// to the end of its apply, durability wait included, so those commits
+  /// apply in log order. Taken before commit_mu_; CheckpointBeginLsn never
+  /// takes it.
+  std::mutex update_order_mu_;
   Stats stats_;
   /// First LSN of the oldest pending commit; meaningful while
   /// stats_.commits_pending > 0. Guarded by mu_.

@@ -318,55 +318,22 @@ Status WalManager::SyncThrough(Lsn lsn) {
   lsn = std::min(lsn, next_lsn_);
   bool led = false;
   if (synced_lsn_ < lsn) {
-    // Commit-latency-aware leadership: register our demand so the waiter
-    // with the LARGEST covered LSN — the newest arrival, since appends
-    // serialize — is the one that leads the next sync. Smaller demands
-    // park; the leader's fdatasync covers them anyway. Registrations are
-    // generation-tagged: only the holders of the CURRENT largest demand
-    // may clear it on exit, so a stale waiter (one whose registration was
-    // superseded by a larger arrival, or who never registered) can never
-    // clobber a later generation that happens to reuse its LSN.
-    bool registered = false;
-    uint64_t my_generation = 0;
-    ++sync_parked_;  // depth signal; deregister() undoes it on every exit
-    if (lsn > pending_target_) {
-      pending_target_ = lsn;
-      pending_target_holders_ = 1;
-      my_generation = ++pending_generation_;
-      registered = true;
-    } else if (lsn == pending_target_) {
-      ++pending_target_holders_;
-      my_generation = pending_generation_;
-      registered = true;
-    }
-    auto deregister = [&] {
-      --sync_parked_;
-      if (registered && my_generation == pending_generation_ &&
-          --pending_target_holders_ == 0) {
-        // Last holder of the largest demand leaves (normally satisfied;
-        // after a sync error, unsatisfied): let smaller demands lead.
-        pending_target_ = 0;
-        ++pending_generation_;
-        sync_cv_.notify_all();
-      }
-    };
+    ++sync_parked_;  // depth signal; every exit below undoes it
     while (synced_lsn_ < lsn) {
-      if (sync_in_flight_ || lsn < pending_target_) {
-        // Park on the watermark: either a leader's sync is in flight (it
-        // covers every byte appended before it started, very likely
-        // including ours), or a newer arrival with a larger demand is
-        // about to lead one that will.
+      if (sync_in_flight_) {
+        // Park on the watermark: the leader's sync covers every byte
+        // appended before it started, very likely including ours.
         sync_cv_.wait(lock);
         if (!poisoned_.ok()) {
           // The leader's sync failed and poisoned the log: this commit
           // was never made durable and never will be on this log.
-          deregister();
+          --sync_parked_;
           return poisoned_;
         }
         continue;
       }
-      // Largest demand present: lead. One fdatasync for everything
-      // appended so far absorbs every committer parked above.
+      // No sync in flight: lead. One fdatasync for everything appended so
+      // far covers every parked demand, whoever leads.
       sync_in_flight_ = true;
       led = true;
       const Lsn durable_to = next_lsn_;
@@ -386,12 +353,12 @@ Status WalManager::SyncThrough(Lsn lsn) {
         // failed to write; a retry could succeed while covering nothing.
         // Poison the log so no later sync can silently "succeed".
         PoisonLocked(synced);
-        deregister();
+        --sync_parked_;
         return poisoned_;
       }
       synced_lsn_ = std::max(synced_lsn_, durable_to);
     }
-    deregister();
+    --sync_parked_;
   }
   if (!led) ++stats_.commits_absorbed;
   return Status::OK();

@@ -56,15 +56,11 @@ std::string WalEpochKeyId(TableId table, uint64_t epoch);
 /// LSN-derived blob seal + CRC run under it — the LSN-reservation path).
 /// Durability runs OUTSIDE the mutex behind the *synced* LSN watermark
 /// (`synced_lsn_`): a committer wanting durability parks until the
-/// watermark covers its bytes; leadership is commit-latency-aware — among
-/// the committers waiting while no sync is in flight, the one demanding the
-/// LARGEST covered LSN (the newest arrival, since appends serialize) leads,
-/// issues one fdatasync for everything appended so far with the mutex
-/// released, and its sync absorbs every parked committer at once. Handing
-/// the sync to the largest demand instead of first-through-the-gate shaves
-/// the tail: the biggest outstanding commit never waits behind a sync led
-/// on its behalf by a smaller one. The `sync_requests`/`syncs`/
-/// `commits_absorbed` counters expose how well the absorption works
+/// watermark covers its bytes. A waiter that finds no sync in flight leads:
+/// it issues one fdatasync for everything appended so far (`next_lsn_`, not
+/// just its own demand) with the mutex released, so its sync absorbs every
+/// parked committer at once, whichever of them leads. The `sync_requests`/
+/// `syncs`/`commits_absorbed` counters expose how well the absorption works
 /// (sync_requests == syncs + commits_absorbed always).
 ///
 /// Thread-safety: all public methods are safe to call concurrently; shared
@@ -350,17 +346,6 @@ class WalManager {
   /// True while a leader's fdatasync runs with the mutex released. At most
   /// one sync is ever in flight; rotation waits on it.
   bool sync_in_flight_ = false;
-  /// Largest LSN any still-waiting committer demands, and how many waiters
-  /// demand exactly it. A waiter below the target parks instead of leading
-  /// (the target's holder leads and covers it); the last holder to leave
-  /// resets the target so smaller demands can lead after an error. The
-  /// generation counter advances whenever the target is raised or cleared:
-  /// deregistration is generation-checked, so a waiter whose registration
-  /// was superseded cannot decrement a later registration that reuses its
-  /// LSN.
-  Lsn pending_target_ = 0;
-  size_t pending_target_holders_ = 0;
-  uint64_t pending_generation_ = 0;
   /// Committers inside SyncThrough not yet covered by the watermark (the
   /// SyncWaiters() depth signal).
   size_t sync_parked_ = 0;

@@ -10,6 +10,7 @@
 #include "catalog/builtin_domains.h"
 #include "db/database.h"
 #include "gtest/gtest.h"
+#include "io/fault_env.h"
 #include "query/cursor.h"
 #include "query/session.h"
 #include "scan_oracle.h"
@@ -398,6 +399,99 @@ TEST_F(ConcurrencyStressTest, ConcurrentPassesDeletesAndUpdatesKeepPhasesExact) 
   auto reopened = Database::Open(options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   check(reopened->get(), "after recovery");
+}
+
+/// Racing writers of one row, redone from a crash image: four threads each
+/// make durable commits that update the stable columns of one shared row
+/// and delete a row of their own. No writer aborts. The live shared row
+/// holds the update the log holds last, and redo of a crash image taken
+/// with no checkpoint since the load rebuilds the same row, with every
+/// deleted row gone.
+TEST_F(ConcurrencyStressTest, RacingWritersOfOneRowRedoToTheLiveState) {
+  constexpr int kThreads = 4;
+  constexpr int kCommitsPerThread = 50;
+  const std::string image = dir_ + "_crash";
+  ASSERT_TRUE(RemoveDirRecursive(image).ok());
+  VirtualClock clock(0);
+  FaultInjectionEnv fault(Env::Default());
+  DbOptions options;
+  options.path = dir_;
+  options.clock = &clock;
+  options.env = &fault;
+  options.partitions = 2;
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(*opened);
+  auto schema = Schema::Make(
+      {ColumnDef::Stable("user", ValueType::kString),
+       ColumnDef::Stable("n", ValueType::kInt64),
+       ColumnDef::Degradable("location", LocationDomain(),
+                             Fig2LocationLcp())});
+  ASSERT_TRUE(schema.ok());
+  ASSERT_TRUE(db->CreateTable("racing", *schema).ok());
+  WriteBatch load;
+  for (int i = 0; i <= kThreads * kCommitsPerThread; ++i) {
+    load.Insert("racing", {Value::String("load"), Value::Int64(i),
+                           Value::String("11 Rue Lepic")});
+  }
+  ASSERT_TRUE(db->Write(&load).ok());
+  ASSERT_TRUE(db->Checkpoint().ok());
+  const RowId shared = load.row_ids()[0];
+  Table* table = db->GetTable("racing");
+
+  std::atomic<int> errors{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (int i = 0; i < kCommitsPerThread; ++i) {
+        const RowId own = load.row_ids()[1 + t * kCommitsPerThread + i];
+        auto txn = db->Begin();
+        const Status staged =
+            table->UpdateStable(txn.get(), shared,
+                                {Value::String("t" + std::to_string(t)),
+                                 Value::Int64(i)});
+        if (!staged.ok() || !table->Delete(txn.get(), own).ok() ||
+            !db->Commit(txn.get(), WriteOptions{.sync = true}).ok()) {
+          ++errors;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  ASSERT_EQ(errors.load(), 0);
+  EXPECT_EQ(table->live_rows(), 1u);
+
+  auto live = oracle::StoredRow(*table, shared);
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE(live->has_value());
+  const std::vector<Value> live_stable = {(*live)->values[0],
+                                          (*live)->values[1]};
+  std::vector<Value> last_logged;
+  auto keep_last_update = [&](const WalRecord& record) {
+    if (record.type == WalRecordType::kUpdateStable && record.row_id == shared) {
+      last_logged = record.stable;
+    }
+    return Status::OK();
+  };
+  ASSERT_TRUE(db->wal()->RecoverCommitted(0, keep_last_update).ok());
+  EXPECT_EQ(last_logged, live_stable);
+
+  ASSERT_TRUE(fault.SimulateCrashTo(dir_, image).ok());
+  db.reset();
+  options.path = image;
+  options.env = nullptr;
+  auto recovered = Database::Open(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  Table* redone = (*recovered)->GetTable("racing");
+  auto stored = oracle::StoredRows(*redone);
+  ASSERT_TRUE(stored.ok());
+  ASSERT_EQ(stored->size(), 1u) << "a deleted row came back";
+  EXPECT_EQ(stored->front().row_id, shared);
+  EXPECT_EQ(stored->front().values[0], live_stable[0]);
+  EXPECT_EQ(stored->front().values[1], live_stable[1]);
+  recovered->reset();
+  RemoveDirRecursive(image).ok();
 }
 
 }  // namespace

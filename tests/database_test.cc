@@ -591,6 +591,54 @@ TEST_F(DatabaseTest, UpdateStableKeepsDegradationSchedule) {
   EXPECT_EQ(LocationOf(row), Value::String("Paris"));
 }
 
+TEST_F(DatabaseTest, WritersOfOneRowNeverAbort) {
+  // Three open transactions write one row: the oldest updates its stable
+  // columns, two younger ones delete it. None waits or aborts; they commit
+  // in another order, and the applies after the first delete find the row
+  // gone. Redo of a crash image replays them in log order to the same end.
+  const std::string image = dir_ + "_crash";
+  ASSERT_TRUE(RemoveDirRecursive(image).ok());
+  db_.reset();
+  ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
+  FaultInjectionEnv fault(Env::Default());
+  DbOptions options = Options();
+  options.env = &fault;
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  db_ = std::move(*opened);
+  ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
+  const RowId row = InsertPing("alice", 1, "11 Rue Lepic");
+  Table* pings = db_->GetTable("pings");
+  auto update = db_->Begin();
+  auto first_delete = db_->Begin();
+  auto second_delete = db_->Begin();
+  ASSERT_TRUE(pings
+                  ->UpdateStable(update.get(), row,
+                                 {Value::String("bob"), Value::Int64(2)})
+                  .ok());
+  const Status staged = pings->Delete(first_delete.get(), row);
+  ASSERT_TRUE(staged.ok()) << staged.ToString();
+  ASSERT_TRUE(pings->Delete(second_delete.get(), row).ok());
+  const WriteOptions durable{.sync = true};
+  ASSERT_TRUE(db_->Commit(second_delete.get(), durable).ok());
+  ASSERT_TRUE(db_->Commit(update.get(), durable).ok());
+  ASSERT_TRUE(db_->Commit(first_delete.get(), durable).ok());
+  EXPECT_EQ(pings->live_rows(), 0u);
+  EXPECT_EQ(pings->stats().applies_without_row, 2u);
+
+  ASSERT_TRUE(fault.SimulateCrashTo(dir_, image).ok());
+  db_.reset();
+  options = Options();
+  options.path = image;
+  opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  db_ = std::move(*opened);
+  EXPECT_EQ(db_->GetTable("pings")->live_rows(), 0u);
+  EXPECT_EQ(db_->GetTable("pings")->stats().applies_without_row, 2u);
+  db_.reset();
+  RemoveDirRecursive(image).ok();
+}
+
 TEST_F(DatabaseTest, AbortedTransactionLeavesNoTrace) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   auto txn = db_->Begin();

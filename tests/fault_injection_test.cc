@@ -311,6 +311,10 @@ TEST_F(FaultInjectionTest, FsyncEioPoisonsStreamAndFailsAllWaiters) {
     });
   }
   for (std::thread& t : threads) t.join();
+  // Every exit from the sync wait (failed lead, poisoned while parked)
+  // gave back its waiter count: a leak would shed writes forever at the
+  // service front end's WAL rung.
+  EXPECT_EQ(db->wal()->SyncWaiters(), 0u);
   for (int t = 0; t < kCommitters; ++t) {
     EXPECT_FALSE(statuses[t].ok()) << "committer " << t << " was acked past a "
                                    << "failed fsync";

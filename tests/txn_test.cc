@@ -1,4 +1,7 @@
-#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -10,72 +13,6 @@
 
 namespace instantdb {
 namespace {
-
-// --- LockManager -----------------------------------------------------------------
-
-TEST(LockManagerTest, ExclusiveConflictsYoungerDies) {
-  LockManager lm;
-  ASSERT_TRUE(lm.LockRow(1, 1, 42).ok());
-  EXPECT_TRUE(lm.LockRow(1, 1, 42).ok());  // re-acquire: no-op
-  // Younger transaction (larger id) requesting a held row dies.
-  EXPECT_TRUE(lm.LockRow(2, 1, 42).IsAborted());
-  EXPECT_EQ(lm.stats().die_aborts, 1u);
-  lm.ReleaseAll(1);
-  EXPECT_TRUE(lm.LockRow(2, 1, 42).ok());
-  lm.ReleaseAll(2);
-}
-
-TEST(LockManagerTest, OlderWaitsForYounger) {
-  LockManager lm;
-  ASSERT_TRUE(lm.LockRow(5, 1, 7).ok());
-
-  std::atomic<bool> granted{false};
-  std::thread older([&] {
-    // Txn 2 is older than holder 5: it must block, not die.
-    EXPECT_TRUE(lm.LockRow(2, 1, 7).ok());
-    granted = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(granted.load());
-  lm.ReleaseAll(5);
-  older.join();
-  EXPECT_TRUE(granted.load());
-  EXPECT_GE(lm.stats().waits, 1u);
-  lm.ReleaseAll(2);
-}
-
-TEST(LockManagerTest, DistinctKeysDoNotConflict) {
-  LockManager lm;
-  EXPECT_TRUE(lm.LockRow(1, 1, 5).ok());
-  EXPECT_TRUE(lm.LockRow(2, 1, 6).ok());
-  EXPECT_TRUE(lm.LockRow(3, 2, 5).ok());  // same row id, other table
-  for (uint64_t t = 1; t <= 3; ++t) lm.ReleaseAll(t);
-}
-
-TEST(LockManagerTest, MutualExclusionUnderContention) {
-  LockManager lm;
-  int counter = 0;
-  std::atomic<uint64_t> next_id{1};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 200; ++i) {
-        // Retry loop: wait-die victims restart with a fresh (younger) id,
-        // as a real transaction restart would.
-        for (;;) {
-          const uint64_t id = next_id.fetch_add(1);
-          if (lm.LockRow(id, 1, 1).ok()) {
-            ++counter;  // protected by the row lock
-            lm.ReleaseAll(id);
-            break;
-          }
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter, 800);
-}
 
 // --- TransactionManager ------------------------------------------------------------
 
@@ -90,11 +27,15 @@ class TxnTest : public ::testing::Test {
     wal_ = std::make_unique<WalManager>(dir_ + "/wal", WalOptions{},
                                         keys_.get());
     ASSERT_TRUE(wal_->Open().ok());
-    // The apply seam: records the row id of every record applied, and
-    // fails the applies whose (1-based) call number is in `fail_calls_`.
+    // The apply seam: runs `on_apply_`, records the row id and txn id of
+    // every record applied, and fails the applies whose (1-based) call
+    // number is in `fail_calls_`.
     tm_ = std::make_unique<TransactionManager>(
-        &locks_, wal_.get(), [this](const WalRecord& record) {
+        wal_.get(), [this](const WalRecord& record) {
+          if (on_apply_) on_apply_(record);
+          std::lock_guard<std::mutex> lock(applied_mu_);
           applied_.push_back(record.row_id);
+          applied_txns_.push_back(record.txn_id);
           return fail_calls_.count(applied_.size()) != 0
                      ? Status::IOError("apply failed")
                      : Status::OK();
@@ -103,28 +44,75 @@ class TxnTest : public ::testing::Test {
   void TearDown() override { RemoveDirRecursive(dir_).ok(); }
 
   WalRecord InsertRecord(RowId row) {
+    return RowRecord(WalRecordType::kInsert, row);
+  }
+
+  WalRecord RowRecord(WalRecordType type, RowId row) {
     WalRecord record;
-    record.type = WalRecordType::kInsert;
+    record.type = type;
     record.table = 1;
     record.row_id = row;
-    record.stable = {Value::Int64(static_cast<int64_t>(row))};
+    if (type != WalRecordType::kDelete) {
+      record.stable = {Value::Int64(static_cast<int64_t>(row))};
+    }
     return record;
   }
 
-  /// A fresh (younger) transaction locks the row at once: wait-die would
-  /// abort it if any transaction still held the row.
-  void ExpectRowFree(TableId table, RowId row) {
-    auto other = tm_->Begin();
-    EXPECT_TRUE(other->LockRow(table, row).ok());
-    EXPECT_TRUE(tm_->Commit(other.get()).ok());
+  /// Commits `first` on another thread and, once its apply has started,
+  /// `second` on this one. The first commit's apply holds until the second
+  /// commit returns or `hold` passes. Returns whether the second commit
+  /// returned while the first was still applying.
+  bool CommitWhileFirstApplies(Transaction* first, Transaction* second,
+                               std::chrono::milliseconds hold) {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool first_applying = false;
+    bool second_returned = false;
+    bool overtaken = false;
+    on_apply_ = [&, id = first->id()](const WalRecord& record) {
+      if (record.txn_id != id) return;
+      std::unique_lock<std::mutex> lock(mu);
+      first_applying = true;
+      cv.notify_all();
+      cv.wait_for(lock, hold, [&] { return second_returned; });
+      overtaken = second_returned;
+    };
+    std::thread committer([&] { EXPECT_TRUE(tm_->Commit(first).ok()); });
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return first_applying; });
+    }
+    EXPECT_TRUE(tm_->Commit(second).ok());
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      second_returned = true;
+    }
+    cv.notify_all();
+    committer.join();
+    on_apply_ = nullptr;
+    return overtaken;
+  }
+
+  /// Txn ids of the logged data records, in log order.
+  std::vector<uint64_t> LoggedTxns() {
+    std::vector<uint64_t> txns;
+    EXPECT_TRUE(wal_->Replay(0, [&](const WalRecord& r, Lsn) {
+                       if (r.type != WalRecordType::kCommit) {
+                         txns.push_back(r.txn_id);
+                       }
+                       return Status::OK();
+                     }).ok());
+    return txns;
   }
 
   std::string dir_;
   std::unique_ptr<KeyManager> keys_;
   std::unique_ptr<WalManager> wal_;
-  LockManager locks_;
   std::unique_ptr<TransactionManager> tm_;
+  std::function<void(const WalRecord&)> on_apply_;
+  std::mutex applied_mu_;
   std::vector<RowId> applied_;
+  std::vector<uint64_t> applied_txns_;
   std::set<size_t> fail_calls_;
 };
 
@@ -132,11 +120,9 @@ TEST_F(TxnTest, CommitAppliesOpsInOrderAndLogs) {
   auto txn = tm_->Begin();
   txn->AddOp(InsertRecord(1));
   txn->AddOp(InsertRecord(2));
-  ASSERT_TRUE(txn->LockRow(1, 1).ok());
   ASSERT_TRUE(tm_->Commit(txn.get()).ok());
   EXPECT_EQ(txn->state(), TxnState::kCommitted);
   EXPECT_EQ(applied_, (std::vector<RowId>{1, 2}));
-  ExpectRowFree(1, 1);
 
   // WAL contains the two ops followed by a COMMIT with the txn id.
   std::vector<WalRecordType> types;
@@ -155,11 +141,9 @@ TEST_F(TxnTest, CommitAppliesOpsInOrderAndLogs) {
 TEST_F(TxnTest, AbortDropsOpsAndLogsNothing) {
   auto txn = tm_->Begin();
   txn->AddOp(InsertRecord(1));
-  ASSERT_TRUE(txn->LockRow(1, 1).ok());
   tm_->Abort(txn.get());
   EXPECT_EQ(txn->state(), TxnState::kAborted);
   EXPECT_TRUE(applied_.empty());
-  ExpectRowFree(1, 1);
   size_t records = 0;
   ASSERT_TRUE(wal_->Replay(0, [&](const WalRecord&, Lsn) {
                    ++records;
@@ -176,19 +160,43 @@ TEST_F(TxnTest, ReadOnlyCommitWritesNoWal) {
   EXPECT_EQ(wal_->stats().records_appended, 0u);
 }
 
-TEST_F(TxnTest, FailedApplyEndsTxnAndReleasesLocks) {
+TEST_F(TxnTest, FailedApplyEndsTxn) {
   // The apply runs after the WAL commit; an I/O error there that outlasts
-  // the retry must still end the transaction, or its row lock would block
-  // every later writer.
+  // the retry must still end the transaction.
   auto txn = tm_->Begin();
-  ASSERT_TRUE(txn->LockRow(1, 1).ok());
   txn->AddOp(InsertRecord(1));
   fail_calls_ = {1, 2};
   const Status committed = tm_->Commit(txn.get());
   EXPECT_TRUE(committed.IsIOError()) << committed.ToString();
   EXPECT_EQ(applied_, (std::vector<RowId>{1, 1}));  // the apply and its retry
   EXPECT_NE(txn->state(), TxnState::kActive);
-  ExpectRowFree(1, 1);
+}
+
+TEST_F(TxnTest, StableUpdatesOfOneRowApplyInLogOrder) {
+  // Two stable updates of row 1 do not commute: the second may not apply
+  // before the first, or redo (log order) would diverge from the live row.
+  auto first = tm_->Begin();
+  auto second = tm_->Begin();
+  first->AddOp(RowRecord(WalRecordType::kUpdateStable, 1));
+  second->AddOp(RowRecord(WalRecordType::kUpdateStable, 1));
+  EXPECT_FALSE(CommitWhileFirstApplies(first.get(), second.get(),
+                                       std::chrono::milliseconds(200)));
+  EXPECT_EQ(LoggedTxns(), (std::vector<uint64_t>{first->id(), second->id()}));
+  EXPECT_EQ(applied_txns_, LoggedTxns());
+}
+
+TEST_F(TxnTest, DeletesDoNotWaitForEarlierWritersOfTheRow) {
+  // A delete commutes with a stable update of its row, so it commits while
+  // the update is still applying.
+  auto first = tm_->Begin();
+  auto second = tm_->Begin();
+  first->AddOp(RowRecord(WalRecordType::kUpdateStable, 1));
+  second->AddOp(RowRecord(WalRecordType::kDelete, 1));
+  EXPECT_TRUE(CommitWhileFirstApplies(first.get(), second.get(),
+                                      std::chrono::seconds(30)));
+  EXPECT_EQ(LoggedTxns(), (std::vector<uint64_t>{first->id(), second->id()}));
+  EXPECT_EQ(applied_txns_, (std::vector<uint64_t>{second->id(), first->id()}));
+  EXPECT_EQ(tm_->stats().committed, 2u);
 }
 
 TEST_F(TxnTest, FailedApplyIsRetriedOnceFromTheFailingRecord) {

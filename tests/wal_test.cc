@@ -576,8 +576,8 @@ TEST_F(GroupCommitWatermarkTest, ConcurrentDurableAppendsKeepInvariants) {
 // demand: after three unsynced appends, a demand for the FIRST record's end
 // leads one fdatasync through the appended end, so later demands for the
 // larger LSNs are already below the watermark and absorb without syncing.
-// This is the property the commit-latency-aware handoff rests on (the
-// largest demand leading cannot strand smaller ones).
+// This is why any waiter may lead: whoever finds no sync in flight covers
+// every parked demand.
 TEST_F(GroupCommitWatermarkTest, OneLeaderCoversEveryLargerDemand) {
   WalManager wal(dir_ + "/wal", WalOptions{}, keys_.get());
   ASSERT_TRUE(wal.Open().ok());
