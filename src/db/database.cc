@@ -388,6 +388,10 @@ Database::Stats Database::stats() const {
       scan_counters_.readers_lent.load(std::memory_order_relaxed);
   stats.scan.readers_yielded =
       scan_counters_.readers_yielded.load(std::memory_order_relaxed);
+  stats.scan.records_walked =
+      scan_counters_.records_walked.load(std::memory_order_relaxed);
+  stats.scan.page_images_built =
+      scan_counters_.page_images_built.load(std::memory_order_relaxed);
   stats.checkpoints = checkpoints_.load(std::memory_order_relaxed);
   stats.checkpoint_partitions_flushed =
       checkpoint_partitions_flushed_.load(std::memory_order_relaxed);
@@ -400,6 +404,8 @@ Database::Stats Database::stats() const {
         stats.stores += table->partition(p)->store_memory();
         stats.index += table->partition(p)->index_memory();
         stats.rows += table->partition(p)->row_memory();
+        stats.page_images += table->partition(p)->heap_pool()->image_memory();
+        stats.heap_frames += table->partition(p)->heap_pool()->frame_memory();
       }
     }
   }

@@ -219,6 +219,14 @@ class Database {
     /// morsels_claimed still grows by the plan size per scan.
     uint64_t readers_lent = 0;
     uint64_t readers_yielded = 0;
+    /// Physical decode work under the pushdown counters above: heap
+    /// records walked with WalkHeapRecord (page image builds included; a
+    /// record read from a page image is not walked), and page images
+    /// built (storage/page_image.h). A range scan that reads a stable
+    /// field builds a page's image on its second fetch since the page was
+    /// loaded or last written; after that, scans of the page walk nothing.
+    uint64_t records_walked = 0;
+    uint64_t page_images_built = 0;
   };
 
   /// I/O-layer health (snapshot in Stats::io): physical-operation counters
@@ -309,6 +317,12 @@ class Database {
     /// Row maps of every table partition (row id → heap Rid): live rows
     /// and the heap bytes of their sorted arrays, capacity included.
     MemoryUsage rows;
+    /// Page images attached to heap buffer-pool frames (one per image) and
+    /// the heap bytes they hold.
+    MemoryUsage page_images;
+    /// Heap buffer-pool frames holding a page, and their bytes (the pools'
+    /// memory is allocated whole, but only these frames were written).
+    MemoryUsage heap_frames;
   };
   Stats stats() const;
 
@@ -329,6 +343,8 @@ class Database {
     std::atomic<uint64_t> steal_failures{0};
     std::atomic<uint64_t> readers_lent{0};
     std::atomic<uint64_t> readers_yielded{0};
+    std::atomic<uint64_t> records_walked{0};
+    std::atomic<uint64_t> page_images_built{0};
   };
   ScanCounters* scan_counters() const { return &scan_counters_; }
 

@@ -11,12 +11,18 @@
 /// layer: what a scan may evaluate BELOW row assembly, and the compact
 /// per-row state it hands up instead of assembled rows.
 ///
-/// A heap scan walks each record once, while it is still in the buffer
-/// pool: WalkHeapRecord (storage/record.h) parses the header and every
-/// stable field into the worker's FieldView array — borrowed integers,
-/// doubles and string views, nothing allocated — and the stable filter
-/// runs on those views. Only a survivor gets Values, and only for the
-/// stable columns its consumer reads, built from the same views; then one
+/// A heap scan reads each record while it is still in the buffer pool, as
+/// a row id plus the worker's FieldView array — borrowed integers, doubles
+/// and string views, nothing allocated — and the stable filter runs on
+/// those views. The views come from one of two sources
+/// (HeapFile::ScanFields): the frame's decoded page image
+/// (storage/page_image.h), which a page gets on its second field-reading
+/// range-scan fetch since it was loaded or last written, or else a walk of
+/// the record with WalkHeapRecord (storage/record.h). So between two writes
+/// to a cached page, field-reading range scans walk its records at most
+/// twice, however many read it. Only a survivor gets Values, and only for
+/// the stable columns its consumer reads, built from the same views; only
+/// a survivor's insertion time is read from its record header. Then one
 /// sorted merge per (degradable column, phase) over that state store's
 /// contiguous row-id array resolves each of its degradable cells to the
 /// stored phase and leaf ordinal — all a store keeps of a value in memory
@@ -56,11 +62,13 @@ struct ScanSpec {
   /// rows_prefiltered). Implies no store probe.
   bool count_only = false;
   /// One flag per stable ordinal (Schema::stable_columns()).
-  /// `filter_columns`: the columns the filter reads. `output_columns`: the
-  /// columns the consumer reads from a survivor — the only ones it gets
-  /// Values for; unflagged slots stay NULL. Every field is parsed into a
-  /// view either way; the flags drive the Values built and the decode
-  /// accounting (ScanDeltas).
+  /// `filter_columns`: the columns the filter reads — the only views the
+  /// filter may read when the record comes from a page image (an empty
+  /// vector lets it read every view). `output_columns`: the columns the
+  /// consumer reads from a survivor — the only ones it gets Values for;
+  /// unflagged slots stay NULL. The flags also drive the decode accounting
+  /// (ScanDeltas), and a range scan that reads any of these columns counts
+  /// toward the page images (storage/buffer_pool.h).
   std::vector<bool> filter_columns;
   std::vector<bool> output_columns;
 };
@@ -80,6 +88,11 @@ struct ScanDeltas {
   /// examined plus the other output columns for every survivor.
   uint64_t values_decoded = 0;
   uint64_t values_built = 0;     ///< stable Values constructed (survivors)
+  /// Physical work below σ: heap records walked with WalkHeapRecord (page
+  /// image builds included; a record read from an image is not walked),
+  /// and page images built.
+  uint64_t records_walked = 0;
+  uint64_t page_images_built = 0;
 };
 
 /// One pushdown batch's surviving rows plus the scratch that produced them,
@@ -93,8 +106,15 @@ struct ScanWorkspace {
   /// keep their capacity. A count-only batch leaves them untouched.
   std::vector<HeapTuple> tuples;
   size_t count = 0;
-  /// The record being examined, one view per stable ordinal.
+  /// The record being examined, one view per stable ordinal: every field
+  /// of a walked record; from a page image, the fields σ reads, and for a
+  /// survivor its output fields too.
   std::vector<FieldView> fields;
+  /// Stable ordinals whose views every record examined needs (the
+  /// filter's; the outputs when no filter runs), and those only a survivor
+  /// needs (its other outputs).
+  std::vector<uint32_t> every_record_fields;
+  std::vector<uint32_t> survivor_fields;
   /// Survivor k's stored phase (lcp.num_phases() = removed) and leaf
   /// ordinal at that phase's level (-1 when removed) of degradable column
   /// d, at [k * degradable columns + d] — all a scan learns of a stored

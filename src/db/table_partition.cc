@@ -36,7 +36,11 @@ Status TablePartition::Open() {
                                     runtime_.env));
   heap_pool_ = std::make_unique<BufferPool>(
       heap_disk_.get(), runtime_.storage.buffer_pool_pages);
-  heap_ = std::make_unique<HeapFile>(heap_pool_.get());
+  std::vector<ValueType> stable_types;
+  for (int idx : schema().stable_columns()) {
+    stable_types.push_back(schema().column(idx).type);
+  }
+  heap_ = std::make_unique<HeapFile>(heap_pool_.get(), std::move(stable_types));
   IDB_RETURN_IF_ERROR(heap_->Open());
 
   // Rebuild the row-id map from the heap, sorted once: pages the heap
@@ -379,42 +383,59 @@ Status TablePartition::FillBatch(const ScanSpec& spec, ScanWorkspace* ws,
   ws->count = 0;
   const size_t stable_count = schema().stable_columns().size();
   ws->fields.resize(stable_count);
-  FieldView* const fields = ws->fields.data();
+  // The fields σ reads on every record (a filter with no column flags may
+  // read any), then the output fields only a survivor needs. Without a
+  // filter every record survives, so its outputs come first.
+  ws->every_record_fields.clear();
+  ws->survivor_fields.clear();
+  for (uint32_t i = 0; i < stable_count; ++i) {
+    const bool output = !spec.count_only && spec.output_columns[i];
+    const bool filter_reads =
+        spec.filter != nullptr &&
+        (spec.filter_columns.empty() ||
+         (i < spec.filter_columns.size() && spec.filter_columns[i]));
+    if (filter_reads || (output && spec.filter == nullptr)) {
+      ws->every_record_fields.push_back(i);
+    } else if (output) {
+      ws->survivor_fields.push_back(i);
+    }
+  }
+  FieldScan scan;
+  scan.fields = ws->fields.data();
+  scan.first = &ws->every_record_fields;
+  scan.rest = &ws->survivor_fields;
   size_t examined = 0;
   size_t survivors = 0;
-  bool corrupt = false;
-  // The per-record body, one inlined copy per record source.
-  IDB_RETURN_IF_ERROR(for_each_record([&](Slice record) {
-    ++examined;
-    RowId row_id = kInvalidRowId;
-    Micros insert_time = 0;
-    const auto keep = [fields](size_t i, const FieldView& field) {
-      fields[i] = field;
-    };
-    if (!WalkHeapRecord(record, stable_count, &row_id, &insert_time, keep)) {
-      corrupt = true;
-      return false;
-    }
-    // The views borrow the pinned page: σ runs on them right here, and only
-    // a survivor's output columns become Values.
-    if (spec.filter != nullptr && !spec.filter->Matches(fields)) return true;
-    ++survivors;
-    if (spec.count_only) return true;
-    if (ws->count == ws->tuples.size()) ws->tuples.emplace_back();
-    HeapTuple& slot = ws->tuples[ws->count++];
-    slot.row_id = row_id;
-    slot.insert_time = insert_time;
-    slot.stable.resize(stable_count);
-    for (size_t i = 0; i < stable_count; ++i) {
-      if (spec.output_columns[i]) {
-        slot.stable[i] = fields[i].ToValue();
-      } else if (!slot.stable[i].is_null()) {
-        slot.stable[i] = Value::Null();
-      }
-    }
-    return true;
-  }));
-  if (corrupt) return Status::Corruption("malformed heap record");
+  // The per-record body, one inlined copy per record source. The views
+  // come from the page image or a walk of the record, and borrow the pinned
+  // page: σ runs on them right here, and only a survivor's output columns
+  // become Values.
+  IDB_RETURN_IF_ERROR(for_each_record(
+      &scan, [&](RowId row_id, Slice record, const FieldView* fields) {
+        ++examined;
+        if (spec.filter != nullptr && !spec.filter->Matches(fields)) {
+          return true;
+        }
+        ++survivors;
+        if (spec.count_only) return true;
+        scan.CompleteFields();
+        if (ws->count == ws->tuples.size()) ws->tuples.emplace_back();
+        HeapTuple& slot = ws->tuples[ws->count++];
+        slot.row_id = row_id;
+        // The record passed the codec's checks when it was walked or
+        // imaged, so its header parses.
+        RowId header_id = kInvalidRowId;
+        ParseHeapHeader(record, &header_id, &slot.insert_time);
+        slot.stable.resize(stable_count);
+        for (size_t i = 0; i < stable_count; ++i) {
+          if (spec.output_columns[i]) {
+            slot.stable[i] = fields[i].ToValue();
+          } else if (!slot.stable[i].is_null()) {
+            slot.stable[i] = Value::Null();
+          }
+        }
+        return true;
+      }));
 
   // Decode accounting: the filter's fields for every tuple examined, the
   // other output fields for every survivor.
@@ -435,6 +456,8 @@ Status TablePartition::FillBatch(const ScanSpec& spec, ScanWorkspace* ws,
   deltas->rows_prefiltered += examined - survivors;
   deltas->values_decoded += examined * filter_fields + survivors * output_only;
   deltas->values_built += ws->count * outputs;
+  deltas->records_walked += scan.records_walked;
+  deltas->page_images_built += scan.images_built;
   deltas->probes_skipped += (examined - survivors) * dcols;
   if (probe) {
     deltas->probes_issued += survivors * dcols;
@@ -451,16 +474,18 @@ Status TablePartition::ScanBatchFiltered(Rid* pos, PageId end_page,
                                          ScanDeltas* deltas) const {
   *done = true;
   size_t taken = 0;
-  return FillBatch(spec, ws, deltas, [&](const auto& take) {
-    return heap_->ScanRange(*pos, end_page, [&](Rid rid, Slice record) {
-      if (taken == limit) {
-        *pos = rid;  // resume here: this record has not been consumed
-        *done = false;
-        return false;
-      }
-      ++taken;
-      return take(record);
-    });
+  return FillBatch(spec, ws, deltas, [&](FieldScan* scan, const auto& take) {
+    return heap_->ScanFields(
+        *pos, end_page, scan,
+        [&](Rid rid, RowId row_id, Slice record, const FieldView* fields) {
+          if (taken == limit) {
+            *pos = rid;  // resume here: this record has not been consumed
+            *done = false;
+            return false;
+          }
+          ++taken;
+          return take(row_id, record, fields);
+        });
   });
 }
 
@@ -469,15 +494,17 @@ Status TablePartition::ReadRowsFiltered(const std::vector<RowId>& ids,
                                         const ScanSpec& spec,
                                         ScanWorkspace* ws, bool* done,
                                         ScanDeltas* deltas) const {
-  return FillBatch(spec, ws, deltas, [&](const auto& take) {
+  return FillBatch(spec, ws, deltas, [&](FieldScan* scan, const auto& take) {
     const size_t end = *next + std::min(limit, ids.size() - *next);
-    bool ok = true;
     size_t cursor = 0;  // the ids ascend: each lookup gallops on from the last
-    for (; ok && *next < end; ++*next) {
+    for (; *next < end; ++*next) {
       const Rid* rid = row_map_.Seek(ids[*next], &cursor);
       if (rid == nullptr) continue;  // deleted or expired since the probe
-      IDB_RETURN_IF_ERROR(
-          heap_->Read(*rid, [&](Slice record) { ok = take(record); }));
+      IDB_RETURN_IF_ERROR(heap_->ReadFields(
+          *rid, scan,
+          [&](Rid, RowId row_id, Slice record, const FieldView* fields) {
+            take(row_id, record, fields);
+          }));
     }
     *done = *next == ids.size();
     return Status::OK();

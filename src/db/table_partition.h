@@ -172,6 +172,15 @@ class TablePartition {
                           ScanWorkspace* ws, bool* done,
                           ScanDeltas* deltas) const;
 
+  /// Calls `fn(Rid, Slice)` for every live heap record under the shared
+  /// latch, read raw from its pinned page: never from a page image, and
+  /// without the scan path's accounting. The test oracle's heap read.
+  template <typename Fn>
+  Status ForEachRecordForTesting(Fn&& fn) const {
+    std::shared_lock<std::shared_mutex> latch(latch_);
+    return heap_->Scan(std::forward<Fn>(fn));
+  }
+
   /// True if the row id currently lives in this partition.
   bool Contains(RowId row_id) const;
 
@@ -284,13 +293,14 @@ class TablePartition {
 
 
   /// One pushdown batch under a single shared-latch acquisition:
-  /// `for_each_record(take)` hands each heap record, borrowed from its
-  /// pinned page, to `take`, which walks it into ws->fields, runs
-  /// spec.filter on the views and appends a survivor, with Values for its
-  /// output columns only, to ws's batch; it returns false on a malformed
-  /// record, and the source then stops. Then the ScanDeltas accounting and
-  /// the survivors' degradable cells. The body of ScanBatchFiltered and
-  /// ReadRowsFiltered, instantiated once for each.
+  /// `for_each_record(&scan, take)` reads heap records through the
+  /// HeapFile's FieldScan primitives and hands each one to
+  /// `take(row id, record, field views)`, with the record and views
+  /// borrowed from its pinned page (walked, or read from the page image).
+  /// `take` runs spec.filter on the views and appends a survivor, with
+  /// Values for its output columns only, to ws's batch. Then the ScanDeltas
+  /// accounting and the survivors' degradable cells. The body of
+  /// ScanBatchFiltered and ReadRowsFiltered, instantiated once for each.
   template <typename ForEachRecord>
   Status FillBatch(const ScanSpec& spec, ScanWorkspace* ws,
                    ScanDeltas* deltas, ForEachRecord&& for_each_record) const;

@@ -59,6 +59,10 @@ void FoldDeltas(Database::ScanCounters* counters, const ScanDeltas& deltas) {
                                      std::memory_order_relaxed);
   counters->values_built.fetch_add(deltas.values_built,
                                    std::memory_order_relaxed);
+  counters->records_walked.fetch_add(deltas.records_walked,
+                                     std::memory_order_relaxed);
+  counters->page_images_built.fetch_add(deltas.page_images_built,
+                                        std::memory_order_relaxed);
 }
 
 /// The pushdown contract of one bound query: its stable terms as the filter,
@@ -588,6 +592,9 @@ class ScanReader {
     survivors_ = deltas.rows_scanned - deltas.rows_prefiltered;
     if (deltas.rows_scanned > 0) {
       scan_->counters->batches.fetch_add(1, std::memory_order_relaxed);
+    }
+    // A page with no live record can still get an (empty) image.
+    if (deltas.rows_scanned > 0 || deltas.page_images_built > 0) {
       FoldDeltas(scan_->counters, deltas);
     }
     const size_t dcols = levels_.size();

@@ -12,8 +12,11 @@ PageGuard& PageGuard::operator=(PageGuard&& other) noexcept {
     id_ = other.id_;
     frame_ = other.frame_;
     data_ = other.data_;
+    image_ = other.image_;
+    build_image_ = other.build_image_;
     other.pool_ = nullptr;
     other.data_ = nullptr;
+    other.image_ = nullptr;
   }
   return *this;
 }
@@ -23,6 +26,13 @@ PageGuard::~PageGuard() { Release(); }
 void PageGuard::MarkDirty() {
   assert(valid());
   pool_->MarkDirtyFrame(frame_);
+  image_ = nullptr;
+}
+
+const PageImage* PageGuard::PublishImage(std::unique_ptr<PageImage> image) {
+  assert(valid());
+  image_ = pool_->PublishImage(frame_, std::move(image));
+  return image_;
 }
 
 void PageGuard::Release() {
@@ -30,6 +40,7 @@ void PageGuard::Release() {
     pool_->Unpin(frame_);
     pool_ = nullptr;
     data_ = nullptr;
+    image_ = nullptr;
   }
 }
 
@@ -45,11 +56,34 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity)
 
 BufferPool::~BufferPool() { FlushAll().ok(); }
 
+void BufferPool::UnlinkLocked(size_t frame) {
+  Frame& f = frames_[frame];
+  (f.lru_prev == kNoFrame ? lru_head_ : frames_[f.lru_prev].lru_next) =
+      f.lru_next;
+  (f.lru_next == kNoFrame ? lru_tail_ : frames_[f.lru_next].lru_prev) =
+      f.lru_prev;
+  f.lru_prev = kNoFrame;
+  f.lru_next = kNoFrame;
+}
+
 void BufferPool::TouchLocked(size_t frame) {
-  auto it = lru_pos_.find(frame);
-  if (it != lru_pos_.end()) lru_.erase(it->second);
-  lru_.push_front(frame);
-  lru_pos_[frame] = lru_.begin();
+  if (lru_head_ == frame) return;
+  Frame& f = frames_[frame];
+  // Off the list, a frame has no predecessor; on it, only the head has none.
+  if (f.lru_prev != kNoFrame) UnlinkLocked(frame);
+  const auto index = static_cast<uint32_t>(frame);
+  f.lru_next = lru_head_;
+  if (lru_head_ != kNoFrame) frames_[lru_head_].lru_prev = index;
+  lru_head_ = index;
+  if (lru_tail_ == kNoFrame) lru_tail_ = index;
+}
+
+std::unique_ptr<PageImage> BufferPool::TakeImageLocked(Frame& f) {
+  if (f.image != nullptr) {
+    --images_.entries;
+    images_.bytes -= f.image->bytes();
+  }
+  return std::move(f.image);
 }
 
 Result<size_t> BufferPool::GetFreeFrameLocked() {
@@ -59,18 +93,18 @@ Result<size_t> BufferPool::GetFreeFrameLocked() {
     return frame;
   }
   // Evict the least-recently-used unpinned frame.
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    const size_t frame = *it;
-    if (frames_[frame].pins > 0) continue;
+  for (uint32_t frame = lru_tail_; frame != kNoFrame;
+       frame = frames_[frame].lru_prev) {
     Frame& victim = frames_[frame];
+    if (victim.pins > 0) continue;
     if (victim.dirty) {
       IDB_RETURN_IF_ERROR(
           disk_->WritePage(victim.page, memory_.get() + frame * page_size_));
       ++stats_.dirty_writebacks;
     }
     table_.erase(victim.page);
-    lru_.erase(lru_pos_[frame]);
-    lru_pos_.erase(frame);
+    UnlinkLocked(frame);
+    TakeImageLocked(victim);
     victim = Frame{};
     ++stats_.evictions;
     return frame;
@@ -78,19 +112,25 @@ Result<size_t> BufferPool::GetFreeFrameLocked() {
   return Status::Busy("buffer pool exhausted: all frames pinned");
 }
 
-Result<PageGuard> BufferPool::PinExistingLocked(size_t frame) {
+Result<PageGuard> BufferPool::PinExistingLocked(size_t frame,
+                                                bool for_field_scan) {
   Frame& f = frames_[frame];
   ++f.pins;
   TouchLocked(frame);
-  return PageGuard(this, f.page, frame, memory_.get() + frame * page_size_);
+  bool build = false;
+  if (for_field_scan && f.image == nullptr && f.scan_fetches < 2) {
+    build = ++f.scan_fetches == 2;
+  }
+  return PageGuard(this, f.page, frame, memory_.get() + frame * page_size_,
+                   f.image.get(), build);
 }
 
-Result<PageGuard> BufferPool::FetchPage(PageId id) {
+Result<PageGuard> BufferPool::FetchPage(PageId id, bool for_field_scan) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = table_.find(id);
   if (it != table_.end()) {
     ++stats_.hits;
-    return PinExistingLocked(it->second);
+    return PinExistingLocked(it->second, for_field_scan);
   }
   ++stats_.misses;
   IDB_ASSIGN_OR_RETURN(size_t frame, GetFreeFrameLocked());
@@ -99,9 +139,9 @@ Result<PageGuard> BufferPool::FetchPage(PageId id) {
     free_frames_.push_back(frame);
     return read;
   }
-  frames_[frame] = Frame{id, 0, false};
+  frames_[frame].page = id;
   table_[id] = frame;
-  return PinExistingLocked(frame);
+  return PinExistingLocked(frame, for_field_scan);
 }
 
 Result<PageGuard> BufferPool::NewPage() {
@@ -109,9 +149,9 @@ Result<PageGuard> BufferPool::NewPage() {
   IDB_ASSIGN_OR_RETURN(PageId id, disk_->AllocatePage());
   IDB_ASSIGN_OR_RETURN(size_t frame, GetFreeFrameLocked());
   std::memset(memory_.get() + frame * page_size_, 0, page_size_);
-  frames_[frame] = Frame{id, 0, false};
+  frames_[frame].page = id;
   table_[id] = frame;
-  return PinExistingLocked(frame);
+  return PinExistingLocked(frame, false);
 }
 
 Status BufferPool::FlushAll() {
@@ -134,13 +174,38 @@ void BufferPool::Unpin(size_t frame) {
 }
 
 void BufferPool::MarkDirtyFrame(size_t frame) {
+  std::unique_ptr<PageImage> dropped;  // wiped after the lock is released
   std::lock_guard<std::mutex> lock(mu_);
-  frames_[frame].dirty = true;
+  Frame& f = frames_[frame];
+  f.dirty = true;
+  f.scan_fetches = 0;
+  dropped = TakeImageLocked(f);
+}
+
+const PageImage* BufferPool::PublishImage(size_t frame,
+                                          std::unique_ptr<PageImage> image) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Frame& f = frames_[frame];
+  if (f.image == nullptr) {
+    images_ += MemoryUsage{1, image->bytes()};
+    f.image = std::move(image);
+  }
+  return f.image.get();
 }
 
 BufferPool::Stats BufferPool::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+MemoryUsage BufferPool::frame_memory() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return MemoryUsage{table_.size(), table_.size() * page_size_};
+}
+
+MemoryUsage BufferPool::image_memory() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return images_;
 }
 
 }  // namespace instantdb

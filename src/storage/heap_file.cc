@@ -15,8 +15,45 @@ void HeapFile::SetSlot(char* page, uint16_t slot, uint16_t offset,
                     (static_cast<uint32_t>(len) << 16));
 }
 
-HeapFile::HeapFile(BufferPool* pool)
-    : pool_(pool), page_size_(pool->disk()->page_size()) {}
+HeapFile::HeapFile(BufferPool* pool, const std::vector<ValueType>& field_types)
+    : pool_(pool),
+      page_size_(pool->disk()->page_size()),
+      layout_(field_types) {}
+
+Status HeapFile::Walk(Slice record, FieldScan* scan, RowId* row_id) const {
+  ++scan->records_walked;
+  Micros insert_time = 0;
+  FieldView* const fields = scan->fields;
+  if (!WalkHeapRecord(record, layout_.fields(), row_id, &insert_time,
+                      [fields](size_t i, const FieldView& field) {
+                        fields[i] = field;
+                      })) {
+    return Status::Corruption("malformed heap record");
+  }
+  return Status::OK();
+}
+
+const PageImage* HeapFile::BuildImage(PageGuard* guard,
+                                      FieldScan* scan) const {
+  const char* page = guard->data();
+  const PageHeader header = ReadHeader(page);
+  size_t live = 0;
+  for (uint16_t s = 0; s < header.num_slots; ++s) {
+    live += SlotOffset(page, s) != 0 ? 1 : 0;
+  }
+  auto image = std::make_unique<PageImage>(layout_, live);
+  for (uint16_t s = 0; s < header.num_slots; ++s) {
+    const uint16_t offset = SlotOffset(page, s);
+    if (offset == 0) continue;
+    ++scan->records_walked;
+    if (!image->Append(layout_, page, s,
+                       Slice(page + offset, SlotLen(page, s)))) {
+      return nullptr;
+    }
+  }
+  ++scan->images_built;
+  return guard->PublishImage(std::move(image));
+}
 
 void HeapFile::WriteHeader(char* page, PageHeader header) {
   EncodeFixed32(page, static_cast<uint32_t>(header.num_slots) |

@@ -13,9 +13,12 @@
 /// \brief Heap record codec. A record is the varint row id, the varint
 /// insertion time, then one type-tagged value per stable column
 /// (Value::EncodeTo), and nothing after. WalkHeapRecord is the one walk
-/// over that layout: heap scans read borrowed FieldViews from it and build
-/// Values only for the survivors' read columns, and DecodeHeapTuple builds
-/// a HeapTuple through it.
+/// over that layout, and it runs in three places: a heap scan walks a
+/// record into borrowed FieldViews, unless the page's decoded image
+/// (storage/page_image.h) already holds them; the image builder walks each
+/// record of a page once; and DecodeHeapTuple builds a HeapTuple through
+/// it. Scans build Values only for the survivors' read columns, and read a
+/// survivor's insertion time with ParseHeapHeader.
 
 namespace instantdb {
 
@@ -39,19 +42,29 @@ void EncodeHeapTuple(const HeapTuple& tuple, std::string* dst);
 /// false means the record is corrupt, whatever the caller keeps: a record
 /// with bytes past its last stable value (inline degradable images, say) is
 /// refused.
-template <typename OnField>
-inline bool WalkHeapRecord(Slice input, size_t stable_count, RowId* row_id,
-                           Micros* insert_time, OnField&& on_field) {
+/// Reads a heap record's header, its row id and insertion time, and
+/// returns the byte after it, or nullptr when a varint is truncated.
+inline const char* ParseHeapHeader(Slice input, RowId* row_id,
+                                   Micros* insert_time) {
   const char* p = input.data();
   const char* const limit = p + input.size();
   uint64_t id = 0;
   uint64_t time = 0;
   if ((p = GetVarint64Ptr(p, limit, &id)) == nullptr ||
       (p = GetVarint64Ptr(p, limit, &time)) == nullptr) {
-    return false;
+    return nullptr;
   }
   *row_id = id;
   *insert_time = static_cast<Micros>(time);
+  return p;
+}
+
+template <typename OnField>
+inline bool WalkHeapRecord(Slice input, size_t stable_count, RowId* row_id,
+                           Micros* insert_time, OnField&& on_field) {
+  const char* p = ParseHeapHeader(input, row_id, insert_time);
+  if (p == nullptr) return false;
+  const char* const limit = input.data() + input.size();
   for (size_t i = 0; i < stable_count; ++i) {
     FieldView field;
     if ((p = FieldView::Parse(p, limit, &field)) == nullptr) return false;

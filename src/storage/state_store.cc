@@ -376,7 +376,10 @@ void StateStore::RecomputeTimeBlocks(size_t first) {
 }
 
 Status StateStore::Append(const StoreEntry& entry) {
-  const size_t pos = LowerBound(entry.row_id);
+  // Commits and degrade steps almost always append past the last live id.
+  const size_t pos = ids_.size() == head_ || ids_.back() < entry.row_id
+                         ? ids_.size()
+                         : LowerBound(entry.row_id);
   if (pos != ids_.size() && ids_[pos] == entry.row_id) {
     return Status::OK();  // idempotent WAL redo
   }

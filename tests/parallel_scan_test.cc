@@ -11,6 +11,7 @@
 // sessions are exactly the cross-thread paths it exercises.
 
 #include <algorithm>
+#include <atomic>
 #include <future>
 #include <map>
 #include <set>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "catalog/builtin_domains.h"
+#include "common/random.h"
 #include "db/database.h"
 #include "degradable_mix.h"
 #include "gtest/gtest.h"
@@ -409,6 +411,105 @@ TEST_F(ParallelScanTest, SaturatedPoolRunsTheStreamingScanInline) {
   release.set_value();
   pool->Wait(&ticket);
   EXPECT_EQ(pool->free_workers(), pool->size());
+}
+
+// Page images under concurrent writes: four sessions scan one partition
+// while a writer inserts and deletes in it, so images are built, read,
+// dropped and rebuilt at once (scripts/verify.sh runs this under TSan).
+// Every row a scan returns must be one the writer stored whole — its user
+// names its score — and after the writer stops, every answer is the
+// oracle's.
+TEST_F(ParallelScanTest, PageImagesStayExactUnderConcurrentWrites) {
+  BuildDb(1, 0);
+  auto schema = Schema::Make({ColumnDef::Stable("user", ValueType::kString),
+                              ColumnDef::Stable("score", ValueType::kInt64)});
+  ASSERT_TRUE(schema.ok());
+  ASSERT_TRUE(db_->CreateTable("scores", *schema).ok());
+  Table* table = db_->GetTable("scores");
+  std::vector<RowId> live;
+  auto insert = [&](int from, int to) {
+    WriteBatch batch;
+    for (int i = from; i < to; ++i) {
+      batch.Insert("scores", {Value::String("u" + std::to_string(i) +
+                                            std::string(i % 13, '.')),
+                              Value::Int64(i)});
+    }
+    ASSERT_TRUE(db_->Write(&batch).ok());
+    live.insert(live.end(), batch.row_ids().begin(), batch.row_ids().end());
+  };
+  insert(0, 1500);
+
+  const std::vector<std::string> kQueries = {
+      "SELECT user, score FROM scores WHERE score >= 0",
+      "SELECT score, user FROM scores WHERE user LIKE 'u1%'",
+      "SELECT user, score FROM scores"};
+  auto check_rows = [](const QueryResult& result, const std::string& sql) {
+    for (const auto& row : result.rows) {
+      const Value& user = row[sql.find("SELECT score") == 0 ? 1 : 0];
+      const Value& score = row[sql.find("SELECT score") == 0 ? 0 : 1];
+      const std::string expected = "u" + std::to_string(score.int64());
+      ASSERT_EQ(user.str().substr(0, user.str().find('.')), expected) << sql;
+    }
+  };
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> statements{0};
+  std::atomic<int> readers_done{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      Session session(db_.get());
+      session.scan_options().parallelism = 1;
+      for (size_t i = r; !stop.load(std::memory_order_acquire); ++i) {
+        const std::string& sql = kQueries[i % kQueries.size()];
+        auto result = session.Execute(sql);
+        EXPECT_TRUE(result.ok()) << sql << " -> "
+                                 << result.status().ToString();
+        if (!result.ok()) break;
+        check_rows(*result, sql);
+        statements.fetch_add(1, std::memory_order_relaxed);
+      }
+      readers_done.fetch_add(1);
+    });
+  }
+  // Each round waits for two more statements, so scans overlap writes.
+  auto await_statements = [&](uint64_t count) {
+    const uint64_t target = statements.load() + count;
+    while (statements.load() < target && readers_done.load() == 0) {
+      std::this_thread::yield();
+    }
+  };
+  Random rng(7);
+  int next = 1500;
+  for (int round = 0; round < 20; ++round) {
+    await_statements(2);
+    insert(next, next + 25);
+    next += 25;
+    auto txn = db_->Begin();
+    for (int k = 0; k < 20; ++k) {
+      const size_t at = rng.Uniform(live.size());
+      ASSERT_TRUE(table->Delete(txn.get(), live[at]).ok());
+      live[at] = live.back();
+      live.pop_back();
+    }
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  // The readers see the final table a few times before they stop.
+  await_statements(12);
+  stop.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_GT(db_->stats().scan.page_images_built, 0u);
+
+  Session session(db_.get());
+  for (const std::string& sql : kQueries) {
+    const oracle::Answer reference = Oracle(&session, sql);
+    auto result = session.Execute(sql);
+    ASSERT_TRUE(result.ok()) << sql;
+    EXPECT_EQ(oracle::ByFirstColumn(*result), oracle::ByFirstColumn(reference))
+        << sql;
+    if (sql.find("LIKE") == std::string::npos) {
+      EXPECT_EQ(result->rows.size(), live.size()) << sql;
+    }
+  }
 }
 
 /// The statements of the elastic fan-out cases and their oracle answers,

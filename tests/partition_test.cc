@@ -401,17 +401,26 @@ TEST_F(PartitionTest, RowMapMatchesAnOracleThroughApplyAndReopen) {
     // exactly the oracle's rows.
     auto scanned = oracle::StoredRows(table);
     ASSERT_TRUE(scanned.ok());
-    std::vector<oracle::Stored> read;
-    ASSERT_TRUE(oracle::internal::ReadStored(
-                    table, 0, table.OpenRowIdCursor(0, ids), &read)
-                    .ok());
-    for (const auto* rows : {&*scanned, &read}) {
-      std::map<RowId, std::string> seen;
-      for (const oracle::Stored& row : *rows) {
-        seen[row.row_id] = row.values[0].str();
-      }
-      EXPECT_EQ(seen, oracle);
+    std::map<RowId, std::string> seen;
+    for (const oracle::Stored& row : *scanned) {
+      seen[row.row_id] = row.values[0].str();
     }
+    EXPECT_EQ(seen, oracle);
+    seen.clear();
+    PartitionCursor read = table.OpenRowIdCursor(0, ids);
+    ScanSpec spec;
+    spec.need_degradable = false;
+    spec.output_columns = {true};
+    ScanWorkspace ws;
+    ScanDeltas deltas;
+    bool done = false;
+    while (!done) {
+      ASSERT_TRUE(read.NextBatch(1024, spec, &ws, &done, &deltas).ok());
+      for (size_t k = 0; k < ws.count; ++k) {
+        seen[ws.tuples[k].row_id] = ws.tuples[k].stable[0].str();
+      }
+    }
+    EXPECT_EQ(seen, oracle);
   };
 
   // Out of order: adjacent pairs swapped, every seventh id held back and

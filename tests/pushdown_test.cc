@@ -19,6 +19,7 @@
 // test are real cross-thread paths.
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -39,6 +40,7 @@
 #include "query/plan.h"
 #include "query/session.h"
 #include "scan_oracle.h"
+#include "storage/page_image.h"
 #include "util/file.h"
 
 namespace instantdb {
@@ -69,9 +71,12 @@ class PushdownTest : public ::testing::Test {
     options.partitions = partitions;
     options.degradation.worker_threads = partitions;
     options.wal.privacy_mode = privacy;
+    if (pool_pages_ > 0) options.storage.buffer_pool_pages = pool_pages_;
+    if (fault_ != nullptr) options.env = fault_.get();
     auto opened = Database::Open(options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     db_ = std::move(*opened);
+    options_ = options;
 
     auto schema = Schema::Make(
         {ColumnDef::Stable("user", ValueType::kString),
@@ -155,6 +160,9 @@ class PushdownTest : public ::testing::Test {
   std::string dir_;
   std::unique_ptr<VirtualClock> clock_;
   std::unique_ptr<FaultInjectionEnv> fault_;  // outlives db_
+  /// BuildDb's heap buffer pools hold this many pages (0: the default).
+  size_t pool_pages_ = 0;
+  DbOptions options_;  // BuildDb's
   std::unique_ptr<Database> db_;
 };
 
@@ -652,6 +660,282 @@ TEST_F(PushdownTest, LateDecodeAndCountOnlyCountersAreExact) {
     ASSERT_TRUE(some.ok());
     EXPECT_EQ(some->rows[0][0], Value::Int64(kRows - 100)) << where;
   }
+}
+
+// Page images (storage/page_image.h) must read exactly what a walk of the
+// heap reads after every kind of write: each step below changes the table,
+// runs every query three times — the first two leave an image on every
+// cached page — and compares each run with the oracle, which always walks.
+// With the default pool the third run reads images only; with a 4-page pool
+// every scan evicts and reloads pages.
+TEST_F(PushdownTest, PageImagesAgreeWithTheOracleAfterEveryMutation) {
+  const std::vector<std::string> kQueries = {
+      "SELECT user, score, location FROM pings WHERE score >= 0",
+      "SELECT score, user FROM pings WHERE user LIKE '%1%'",
+      "SELECT user, score FROM pings",
+      "SELECT COUNT(*) FROM pings WHERE score < 300",
+  };
+  const std::string image = dir_ + "_crash";
+  for (size_t pool_pages : {size_t{0}, size_t{4}}) {
+    SCOPED_TRACE("pool pages " + std::to_string(pool_pages));
+    ASSERT_TRUE(RemoveDirRecursive(image).ok());
+    db_.reset();
+    pool_pages_ = pool_pages;
+    fault_ = std::make_unique<FaultInjectionEnv>(Env::Default());
+    BuildDb(2, 600);
+    std::unique_ptr<Session> session;
+    auto open_session = [&] {
+      session = std::make_unique<Session>(db_.get());
+      ASSERT_TRUE(session
+                      ->Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
+                                "FOR pings.location")
+                      .ok());
+      session->set_use_indexes(false);
+      session->scan_options().parallelism = 0;
+    };
+    open_session();
+    auto check = [&](const std::string& after) {
+      SCOPED_TRACE("after " + after);
+      for (const std::string& sql : kQueries) {
+        const oracle::Answer reference = Oracle(session.get(), sql);
+        for (int run = 0; run < 3; ++run) {
+          const Database::Stats before = db_->stats();
+          auto result = session->Execute(sql);
+          ASSERT_TRUE(result.ok()) << sql << " -> "
+                                   << result.status().ToString();
+          EXPECT_EQ(result->rows, reference.rows) << sql << " run " << run;
+          if (run == 2 && pool_pages == 0) {
+            EXPECT_EQ(db_->stats().scan.records_walked,
+                      before.scan.records_walked)
+                << sql;
+          }
+        }
+      }
+      if (pool_pages == 0) EXPECT_GT(db_->stats().page_images.entries, 0u);
+    };
+    // Every row in row-id order, as the oracle stores it.
+    auto stored_rows = [&] {
+      auto stored = oracle::StoredRows(*db_->GetTable("pings"));
+      EXPECT_TRUE(stored.ok());
+      std::vector<oracle::Stored> rows;
+      if (stored.ok()) rows = std::move(*stored);
+      std::sort(rows.begin(), rows.end(),
+                [](const oracle::Stored& a, const oracle::Stored& b) {
+                  return a.row_id < b.row_id;
+                });
+      return rows;
+    };
+    auto insert = [&](int from, int to, const WriteOptions& options) {
+      WriteBatch batch;
+      for (int i = from; i < to; ++i) {
+        batch.Insert("pings", {Value::String("u" + std::to_string(i)),
+                               Value::Int64(i), Value::String("3 Av Foch")});
+      }
+      ASSERT_TRUE(db_->Write(&batch, options).ok());
+    };
+    check("load");
+
+    insert(600, 650, {});
+    check("insert");
+
+    Table* table = db_->GetTable("pings");
+    {
+      const std::vector<oracle::Stored> rows = stored_rows();
+      auto txn = db_->Begin();
+      for (size_t i = 0; i < rows.size(); i += 5) {
+        ASSERT_TRUE(table->Delete(txn.get(), rows[i].row_id).ok());
+      }
+      ASSERT_TRUE(db_->Commit(txn.get()).ok());
+    }
+    check("delete");
+
+    // The same length: each record is rewritten where it is.
+    {
+      const std::vector<oracle::Stored> rows = stored_rows();
+      auto txn = db_->Begin();
+      for (size_t i = 1; i < rows.size(); i += 6) {
+        std::string user = rows[i].values[0].str();
+        user[0] = 'w';
+        ASSERT_TRUE(table
+                        ->UpdateStable(txn.get(), rows[i].row_id,
+                                       {Value::String(user), rows[i].values[1]})
+                        .ok());
+      }
+      ASSERT_TRUE(db_->Commit(txn.get()).ok());
+    }
+    check("stable update in place");
+
+    // A grown record leaves its page, which is compacted (every string an
+    // image pointed at moves), and lands on another.
+    RelocateEvery(7);
+    check("relocating update and compaction");
+
+    // The first half's values reach ⊥ (address, city, region, country:
+    // 1h + 1d + 2 months after insertion) and their rows leave the heap;
+    // the second half, inserted 1h + 1min later, stays.
+    const uint64_t live = table->live_rows();
+    clock_->Advance(kMicrosPerDay + 2 * kMicrosPerMonth - 30 * kMicrosPerSecond);
+    for (int pass = 0; pass < 8; ++pass) {
+      ASSERT_TRUE(db_->RunDegradationOnce().ok());
+    }
+    ASSERT_LT(table->live_rows(), live);
+    ASSERT_GT(table->live_rows(), 0u);
+    check("expiry at bottom");
+
+    // Writes logged after a checkpoint are redone into the heap of a crash
+    // image.
+    ASSERT_TRUE(db_->Checkpoint().ok());
+    WriteOptions sync;
+    sync.sync = true;
+    insert(700, 760, sync);
+    {
+      const std::vector<oracle::Stored> rows = stored_rows();
+      auto txn = db_->Begin();
+      for (size_t i = 0; i < rows.size(); i += 11) {
+        ASSERT_TRUE(table->Delete(txn.get(), rows[i].row_id).ok());
+      }
+      ASSERT_TRUE(db_->Commit(txn.get(), sync).ok());
+    }
+    check("writes before the crash");
+    ASSERT_TRUE(fault_->SimulateCrashTo(dir_, image).ok());
+    session.reset();
+    db_.reset();
+    DbOptions options = options_;
+    options.path = image;
+    auto reopened = Database::Open(options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    db_ = std::move(*reopened);
+    open_session();
+    check("redo of a crash image");
+    session.reset();
+    db_.reset();
+  }
+  RemoveDirRecursive(image).ok();
+}
+
+// The build rule: a page gets its image on the second field-reading range
+// scan since it was loaded or written, and then scans of it walk nothing.
+// COUNT(*) and index probes read images but never count toward one.
+TEST_F(PushdownTest, PageImagesBuildOnTheSecondFieldReadingScan) {
+  // One partition, and one materialized batch (1024 rows) per scan: no
+  // page is split across two batches.
+  constexpr uint64_t kRows = 1000;
+  BuildDb(1, static_cast<int>(kRows));
+  Session session(db_.get());
+  ASSERT_TRUE(session
+                  .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
+                           "FOR pings.location")
+                  .ok());
+  const uint64_t pages =
+      db_->GetTable("pings")->partition(0)->heap_pool()->disk()->num_pages();
+  ASSERT_GT(pages, 2u);
+  struct Work {
+    uint64_t walked = 0;
+    uint64_t built = 0;
+  };
+  auto run = [&](const std::string& sql) {
+    const Database::Stats before = db_->stats();
+    auto result = session.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+    const Database::Stats after = db_->stats();
+    return Work{after.scan.records_walked - before.scan.records_walked,
+                after.scan.page_images_built - before.scan.page_images_built};
+  };
+  // score has no index: a heap scan that filters on it and outputs user.
+  const std::string select = "SELECT user FROM pings WHERE score < 300";
+  const std::string count = "SELECT COUNT(*) FROM pings";
+  const std::string lookup = "SELECT user FROM pings WHERE location = 'Paris'";
+
+  Work work = run(select);
+  EXPECT_EQ(work.walked, kRows);
+  EXPECT_EQ(work.built, 0u);
+  // Neither counts toward an image; both walk what they read.
+  work = run(count);
+  EXPECT_EQ(work.walked, kRows);
+  EXPECT_EQ(work.built, 0u);
+  work = run(lookup);
+  EXPECT_GT(work.walked, 0u);
+  EXPECT_EQ(work.built, 0u);
+  EXPECT_EQ(db_->stats().page_images.entries, 0u);
+
+  // The second field-reading scan builds every page's image, walking each
+  // record once to do so; from then on nothing is walked.
+  work = run(select);
+  EXPECT_EQ(work.built, pages);
+  EXPECT_EQ(work.walked, kRows);
+  EXPECT_EQ(db_->stats().page_images.entries, pages);
+  for (const std::string& sql : {select, count, lookup}) {
+    work = run(sql);
+    EXPECT_EQ(work.walked, 0u) << sql;
+    EXPECT_EQ(work.built, 0u) << sql;
+  }
+
+  // An insert drops one page's image: the next scan walks that page, the
+  // one after rebuilds it, and the third walks nothing.
+  WriteBatch batch;
+  batch.Insert("pings",
+               {Value::String("u-new"), Value::Int64(5),
+                Value::String("3 Av Foch")});
+  ASSERT_TRUE(db_->Write(&batch).ok());
+  EXPECT_EQ(db_->stats().page_images.entries, pages - 1);
+  const Work first = run(select);
+  const Work second = run(select);
+  EXPECT_EQ(first.built, 0u);
+  EXPECT_EQ(second.built, 1u);
+  EXPECT_GT(first.walked, 0u);
+  EXPECT_LT(first.walked, kRows / 2);
+  EXPECT_EQ(second.walked, first.walked);
+  work = run(select);
+  EXPECT_EQ(work.walked, 0u);
+  EXPECT_EQ(work.built, 0u);
+}
+
+std::atomic<uint64_t> released_images{0};
+std::atomic<uint64_t> released_image_bytes{0};
+
+// stats() reports the heap buffer-pool frames that hold a page and the
+// page images attached to them, byte for byte, and both return to zero
+// when the table is dropped.
+TEST_F(PushdownTest, StatsCountPageImagesAndHeapFrames) {
+  BuildDb(2, 600);
+  Table* table = db_->GetTable("pings");
+  uint64_t pages = 0;
+  for (uint32_t p = 0; p < table->num_partitions(); ++p) {
+    pages += table->partition(p)->heap_pool()->disk()->num_pages();
+  }
+  const uint64_t page_size =
+      table->partition(0)->heap_pool()->disk()->page_size();
+  Database::Stats stats = db_->stats();
+  EXPECT_EQ(stats.heap_frames.entries, pages);
+  EXPECT_EQ(stats.heap_frames.bytes, pages * page_size);
+  EXPECT_EQ(stats.page_images.entries, 0u);
+  EXPECT_EQ(stats.page_images.bytes, 0u);
+
+  Session session(db_.get());
+  for (int run = 0; run < 2; ++run) {
+    ASSERT_TRUE(session.Execute("SELECT user FROM pings WHERE score < 9").ok());
+  }
+  stats = db_->stats();
+  EXPECT_EQ(stats.page_images.entries, pages);
+  EXPECT_GT(stats.page_images.bytes, pages * sizeof(PageImage));
+
+  // Each dropped image reports its arrays to the hook; the object itself
+  // is sizeof(PageImage).
+  released_images = 0;
+  released_image_bytes = 0;
+  PageImage::SetReleaseHookForTesting([](const void*, size_t bytes) {
+    released_images.fetch_add(1);
+    released_image_bytes.fetch_add(bytes + sizeof(PageImage));
+  });
+  ASSERT_TRUE(db_->DropTable("pings").ok());
+  PageImage::SetReleaseHookForTesting(nullptr);
+  EXPECT_EQ(released_images.load(), stats.page_images.entries);
+  EXPECT_EQ(released_image_bytes.load(), stats.page_images.bytes);
+  stats = db_->stats();
+  EXPECT_EQ(stats.page_images.entries, 0u);
+  EXPECT_EQ(stats.page_images.bytes, 0u);
+  EXPECT_EQ(stats.heap_frames.entries, 0u);
+  EXPECT_EQ(stats.heap_frames.bytes, 0u);
 }
 
 /// Keeps the rows whose score is not a multiple of three.

@@ -1,16 +1,18 @@
 // Test-only reference evaluator for SELECT statements: the answer every
 // production scan shape (streaming or materialized, any parallelism,
 // inline or on the worker pool, index or heap, worker-side aggregate or
-// not) must reproduce. It reads the table its own simple way — the heap
-// through an unfiltered PartitionCursor that outputs every stable column
-// and resolves no degradable cell, then one StateStore::Find per (row,
-// column, phase) store and DomainHierarchy::AncestorValue for the stored
-// degradable values (StoredRows, StoredRow) — and computes σ, f_k, π,
-// rendering and aggregates itself, from those Values with
-// DomainHierarchy::Generalize/LeafRange/DisplayValue. It shares no
-// FindMany merge, leaf-ordinal σ, morsel, pool, projection or aggregate
-// code with the paths under test; only the heap record walk, statement
-// binding (plan::BindSelect) and the scalar stable comparators are common.
+// not) must reproduce. It reads the table its own simple way — every heap
+// record walked in place and decoded with DecodeHeapTuple
+// (TablePartition::ForEachRecordForTesting, which never reads a page
+// image), then one StateStore::Find per (row, column, phase) store and
+// DomainHierarchy::AncestorValue for the stored degradable values
+// (StoredRows, StoredRow) — and computes σ, f_k, π, rendering and
+// aggregates itself, from those Values with
+// DomainHierarchy::Generalize/LeafRange/DisplayValue. It shares no page
+// image, FindMany merge, leaf-ordinal σ, morsel, pool, projection or
+// aggregate code with the paths under test; only the heap record walk,
+// statement binding (plan::BindSelect) and the scalar stable comparators
+// are common.
 //
 // The heap read and the store probes are separate steps, so the oracle
 // needs a quiescent table: no write, degrade step or checkpoint may run
@@ -62,44 +64,47 @@ struct Stored {
 
 namespace internal {
 
-/// Drains `cursor` unfiltered, every stable column output and no store
-/// probed, and resolves each row's degradable cells with one Find per
-/// (column, phase) store of `partition` until a store holds the row.
-inline Status ReadStored(const Table& table, uint32_t partition,
-                         PartitionCursor cursor, std::vector<Stored>* out) {
+/// Reads every heap record of `partition` whose row id is `only` (every
+/// record when kInvalidRowId), in heap order, and resolves each row's
+/// degradable cells with one Find per (column, phase) store until a store
+/// holds the row.
+inline Status ReadStored(const Table& table, uint32_t partition, RowId only,
+                         std::vector<Stored>* out) {
   const Schema& schema = table.schema();
-  ScanSpec spec;
-  spec.need_degradable = false;
-  spec.output_columns.assign(schema.stable_columns().size(), true);
-  ScanWorkspace ws;
-  ScanDeltas deltas;
-  bool done = false;
-  while (!done) {
-    IDB_RETURN_IF_ERROR(cursor.NextBatch(1024, spec, &ws, &done, &deltas));
-    for (size_t k = 0; k < ws.count; ++k) {
-      const HeapTuple& tuple = ws.tuples[k];
-      Stored row;
-      row.row_id = tuple.row_id;
-      row.insert_time = tuple.insert_time;
-      row.values.assign(schema.num_columns(), Value::Null());
-      for (size_t i = 0; i < schema.stable_columns().size(); ++i) {
-        row.values[schema.stable_columns()[i]] = tuple.stable[i];
-      }
-      for (int col : schema.degradable_columns()) {
-        const ColumnDef& column = schema.column(col);
-        int phase = 0;
-        for (; phase < column.lcp.num_phases(); ++phase) {
-          const auto entry =
-              table.partition(partition)->store(col, phase)->Find(row.row_id);
-          if (!entry) continue;
-          row.values[col] = column.hierarchy->AncestorValue(
-              entry->ordinal, column.lcp.phase(phase).level);
-          break;
-        }
-        row.phases.push_back(phase);
-      }
-      out->push_back(std::move(row));
+  const TablePartition* part = table.partition(partition);
+  std::vector<HeapTuple> tuples;
+  Status decoded;
+  IDB_RETURN_IF_ERROR(part->ForEachRecordForTesting([&](Rid, Slice record) {
+    HeapTuple tuple;
+    decoded = DecodeHeapTuple(schema, record, &tuple);
+    if (!decoded.ok()) return false;
+    if (only == kInvalidRowId || tuple.row_id == only) {
+      tuples.push_back(std::move(tuple));
     }
+    return true;
+  }));
+  IDB_RETURN_IF_ERROR(decoded);
+  for (HeapTuple& tuple : tuples) {
+    Stored row;
+    row.row_id = tuple.row_id;
+    row.insert_time = tuple.insert_time;
+    row.values.assign(schema.num_columns(), Value::Null());
+    for (size_t i = 0; i < schema.stable_columns().size(); ++i) {
+      row.values[schema.stable_columns()[i]] = std::move(tuple.stable[i]);
+    }
+    for (int col : schema.degradable_columns()) {
+      const ColumnDef& column = schema.column(col);
+      int phase = 0;
+      for (; phase < column.lcp.num_phases(); ++phase) {
+        const auto entry = part->store(col, phase)->Find(row.row_id);
+        if (!entry) continue;
+        row.values[col] = column.hierarchy->AncestorValue(
+            entry->ordinal, column.lcp.phase(phase).level);
+        break;
+      }
+      row.phases.push_back(phase);
+    }
+    out->push_back(std::move(row));
   }
   return Status::OK();
 }
@@ -111,10 +116,7 @@ inline Status ReadStored(const Table& table, uint32_t partition,
 inline Result<std::vector<Stored>> StoredRows(const Table& table) {
   std::vector<Stored> rows;
   for (uint32_t p = 0; p < table.num_partitions(); ++p) {
-    Morsel whole;
-    whole.partition = p;
-    IDB_RETURN_IF_ERROR(internal::ReadStored(
-        table, p, table.OpenMorselCursor(whole), &rows));
+    IDB_RETURN_IF_ERROR(internal::ReadStored(table, p, kInvalidRowId, &rows));
   }
   return rows;
 }
@@ -123,10 +125,9 @@ inline Result<std::vector<Stored>> StoredRows(const Table& table) {
 /// Needs a quiescent table (see above).
 inline Result<std::optional<Stored>> StoredRow(const Table& table,
                                                RowId row_id) {
-  const uint32_t p = table.PartitionOf(row_id);
   std::vector<Stored> rows;
-  IDB_RETURN_IF_ERROR(internal::ReadStored(
-      table, p, table.OpenRowIdCursor(p, {row_id}), &rows));
+  IDB_RETURN_IF_ERROR(internal::ReadStored(table, table.PartitionOf(row_id),
+                                           row_id, &rows));
   if (rows.empty()) return std::optional<Stored>();
   return std::optional<Stored>(std::move(rows.front()));
 }

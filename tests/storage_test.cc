@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <atomic>
 #include <deque>
 #include <filesystem>
 #include <map>
@@ -107,6 +108,37 @@ TEST_F(StorageTest, BufferPoolCachesAndEvicts) {
   const auto stats = pool.stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.dirty_writebacks, 0u);
+}
+
+// The LRU order: with 4 frames, the victim is the frame whose last fetch
+// is the oldest, whatever order the pages were first read in.
+TEST_F(StorageTest, BufferPoolEvictsTheLeastRecentlyUsedFrame) {
+  auto dm = DiskManager::Open(dir_ + "/heap.db", 4096);
+  ASSERT_TRUE(dm.ok());
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE((*dm)->AllocatePage().ok());
+  BufferPool pool(dm->get(), 4);
+  auto fetch = [&](PageId id) { ASSERT_TRUE(pool.FetchPage(id).ok()); };
+  // Resident after this: 0..3, least recently used first: 2, 0, 3, 1.
+  for (PageId id : {0u, 1u, 2u, 3u, 1u, 0u, 2u, 0u, 3u, 1u}) fetch(id);
+  // A miss on the least recently used page evicts the next one.
+  const auto resident = [&](std::vector<PageId> hits) {
+    for (PageId id : hits) {
+      const uint64_t misses = pool.stats().misses;
+      fetch(id);
+      EXPECT_EQ(pool.stats().misses, misses) << "page " << id << " evicted";
+    }
+  };
+  fetch(4);  // evicts 2
+  EXPECT_EQ(pool.stats().evictions, 1u);
+  resident({0, 3, 1, 4});  // LRU order now 0, 3, 1, 4
+  fetch(5);                // evicts 0
+  resident({3, 1, 4, 5});
+  const uint64_t misses = pool.stats().misses;
+  fetch(2);  // evicts 3
+  fetch(0);  // evicts 1
+  EXPECT_EQ(pool.stats().misses, misses + 2);
+  resident({4, 5, 2, 0});
+  EXPECT_EQ(pool.stats().evictions, 4u);
 }
 
 TEST_F(StorageTest, BufferPoolPinPreventsEviction) {
@@ -466,6 +498,255 @@ TEST_F(HeapFileTest, ReopenedHeapReusesHoles) {
     EXPECT_EQ(*Get(reopened, rids[i]),
               StringPrintf("holed-record-%04zu-wwwwwwwwww", i));
   }
+}
+
+// --- Page images -------------------------------------------------------------
+
+/// One heap record as a scan sees it: its rid, row id and stable Values.
+struct ScannedRecord {
+  Rid rid;
+  RowId row_id = kInvalidRowId;
+  std::vector<Value> stable;
+  bool operator==(const ScannedRecord&) const = default;
+};
+
+/// A heap of typed records (every stable column type, some NULLs) whose
+/// page images must read exactly what a walk of the records reads.
+class PageImageTest : public StorageTest {
+ protected:
+  static constexpr size_t kFields = 5;
+
+  void SetUp() override {
+    StorageTest::SetUp();
+    auto dm = DiskManager::Open(dir_ + "/heap.db", 4096);
+    ASSERT_TRUE(dm.ok());
+    disk_ = std::move(*dm);
+    OpenHeap(64);
+  }
+
+  void OpenHeap(size_t pool_pages) {
+    heap_.reset();
+    if (pool_ != nullptr) ASSERT_TRUE(pool_->FlushAll().ok());
+    pool_ = std::make_unique<BufferPool>(disk_.get(), pool_pages);
+    heap_ = std::make_unique<HeapFile>(
+        pool_.get(),
+        std::vector<ValueType>{ValueType::kString, ValueType::kInt64,
+                               ValueType::kDouble, ValueType::kBool,
+                               ValueType::kTimestamp});
+    ASSERT_TRUE(heap_->Open().ok());
+  }
+
+  /// `updated` changes the double and the bool, which keeps the length.
+  static std::string Record(RowId id, size_t pad = 0, bool updated = false) {
+    HeapTuple tuple;
+    tuple.row_id = id;
+    tuple.insert_time = static_cast<Micros>(id) * 1000;
+    tuple.stable = {
+        id % 7 == 3 ? Value::Null()
+                    : Value::String("name-" + std::to_string(id) +
+                                    std::string(pad + id % 5, 'n')),
+        Value::Int64(static_cast<int64_t>(id) * 3 - 100),
+        id % 11 == 5 ? Value::Null() : Value::Double(id / 4.0 + updated),
+        Value::Bool((id % 2 == 0) != updated),
+        Value::Timestamp(static_cast<Micros>(id) * kMicrosPerMinute)};
+    std::string bytes;
+    EncodeHeapTuple(tuple, &bytes);
+    return bytes;
+  }
+
+  Rid Insert(RowId id, size_t pad = 0) {
+    auto rid = heap_->Insert(Record(id, pad));
+    EXPECT_TRUE(rid.ok()) << rid.status().ToString();
+    return rid.ok() ? *rid : Rid{};
+  }
+
+  /// Every record read with HeapFile::ScanFields, `batch` records per call
+  /// resumed at the next rid as a morsel scan does. The filter's field is
+  /// the int64 one; a kept record fills the others with CompleteFields.
+  std::vector<ScannedRecord> ScanImages(size_t batch, FieldScan* scan) {
+    std::vector<FieldView> fields(kFields);
+    const std::vector<uint32_t> first = {1};
+    const std::vector<uint32_t> rest = {0, 2, 3, 4};
+    scan->fields = fields.data();
+    scan->first = &first;
+    scan->rest = &rest;
+    std::vector<ScannedRecord> out;
+    Rid pos{0, 0};
+    for (bool done = false; !done;) {
+      done = true;
+      size_t taken = 0;
+      EXPECT_TRUE(heap_
+                      ->ScanFields(pos, kInvalidPageId, scan,
+                                   [&](Rid rid, RowId row_id, Slice,
+                                       const FieldView* views) {
+                                     if (taken == batch) {
+                                       pos = rid;
+                                       done = false;
+                                       return false;
+                                     }
+                                     ++taken;
+                                     scan->CompleteFields();
+                                     ScannedRecord record{rid, row_id, {}};
+                                     for (size_t i = 0; i < kFields; ++i) {
+                                       record.stable.push_back(
+                                           views[i].ToValue());
+                                     }
+                                     out.push_back(std::move(record));
+                                     return true;
+                                   })
+                      .ok());
+    }
+    return out;
+  }
+
+  /// The same records walked with WalkHeapRecord, never from an image.
+  std::vector<ScannedRecord> Walk() {
+    std::vector<ScannedRecord> out;
+    EXPECT_TRUE(heap_
+                    ->Scan([&](Rid rid, Slice record) {
+                      ScannedRecord scanned{rid, kInvalidRowId, {}};
+                      Micros insert_time = 0;
+                      EXPECT_TRUE(WalkHeapRecord(
+                          record, kFields, &scanned.row_id, &insert_time,
+                          [&](size_t, const FieldView& field) {
+                            scanned.stable.push_back(field.ToValue());
+                          }));
+                      out.push_back(std::move(scanned));
+                      return true;
+                    })
+                    .ok());
+    return out;
+  }
+
+  /// Scans twice so that every cached page has an image, then checks that
+  /// a third scan reads the images, walks nothing, and agrees with the
+  /// walk, at every batch size.
+  void ExpectImagesMatchTheWalk(const std::string& after) {
+    SCOPED_TRACE(after);
+    const std::vector<ScannedRecord> walked = Walk();
+    for (size_t batch : {size_t{1000000}, size_t{7}, size_t{1}}) {
+      FieldScan first;
+      FieldScan second;
+      FieldScan third;
+      EXPECT_EQ(ScanImages(batch, &first), walked) << "batch " << batch;
+      EXPECT_EQ(ScanImages(batch, &second), walked) << "batch " << batch;
+      EXPECT_EQ(ScanImages(batch, &third), walked) << "batch " << batch;
+      EXPECT_EQ(third.records_walked, 0u) << "batch " << batch;
+      EXPECT_EQ(third.images_built, 0u) << "batch " << batch;
+    }
+    EXPECT_EQ(pool_->image_memory().entries, disk_->num_pages());
+  }
+
+  std::unique_ptr<DiskManager> disk_;
+  std::unique_ptr<BufferPool> pool_;
+  std::unique_ptr<HeapFile> heap_;
+};
+
+TEST_F(PageImageTest, ImagesMatchTheWalkAfterEveryWrite) {
+  std::map<RowId, Rid> rids;
+  for (RowId id = 1; id <= 300; ++id) rids[id] = Insert(id);
+  ASSERT_GT(disk_->num_pages(), 2u);
+  ExpectImagesMatchTheWalk("insert");
+
+  for (RowId id = 3; id <= 300; id += 4) {
+    ASSERT_TRUE(heap_->Delete(rids[id]).ok());
+    rids.erase(id);
+  }
+  ExpectImagesMatchTheWalk("delete");
+
+  Rid out;
+  for (RowId id = 2; id <= 300; id += 8) {
+    // Same length: the record is rewritten in place.
+    ASSERT_TRUE(heap_->Update(rids[id], Record(id, 0, true), &out).ok());
+    ASSERT_EQ(out, rids[id]);
+  }
+  ExpectImagesMatchTheWalk("update in place");
+
+  for (RowId id = 1; id <= 300; id += 16) {
+    ASSERT_TRUE(heap_->Update(rids[id], Record(id, 900), &out).ok());
+    rids[id] = out;
+  }
+  ExpectImagesMatchTheWalk("relocating update");
+
+  // Page 0 has holes but no gap left for a long record: the insert compacts
+  // it, which moves every string the page's image pointed at.
+  const uint64_t pages = disk_->num_pages();
+  Insert(5000, 200);
+  EXPECT_EQ(disk_->num_pages(), pages);
+  ExpectImagesMatchTheWalk("compaction");
+
+  // Reload: a 4-frame pool evicts the pages and reads them back.
+  OpenHeap(4);
+  for (RowId id = 6000; id < 6040; ++id) Insert(id);
+  EXPECT_EQ(ScanImages(5, std::make_unique<FieldScan>().get()), Walk());
+  EXPECT_EQ(ScanImages(5, std::make_unique<FieldScan>().get()), Walk());
+  EXPECT_GT(pool_->stats().evictions, 0u);
+}
+
+// Point reads use an image and never build one; a field-less scan counts
+// toward none.
+TEST_F(PageImageTest, OnlyFieldReadingRangeScansBuildImages) {
+  std::vector<Rid> rids;
+  for (RowId id = 1; id <= 200; ++id) rids.push_back(Insert(id));
+  std::vector<FieldView> fields(kFields);
+  const std::vector<uint32_t> none;
+  const std::vector<uint32_t> all = {0, 1, 2, 3, 4};
+  auto read_all = [&](const std::vector<uint32_t>& first) {
+    FieldScan scan{fields.data(), &first, &none};
+    for (const Rid& rid : rids) {
+      EXPECT_TRUE(heap_->ReadFields(rid, &scan, [](auto&&...) {}).ok());
+    }
+    return scan;
+  };
+  auto scan_all = [&](const std::vector<uint32_t>& first) {
+    FieldScan scan{fields.data(), &first, &none};
+    EXPECT_TRUE(heap_
+                    ->ScanFields(Rid{0, 0}, kInvalidPageId, &scan,
+                                 [](auto&&...) { return true; })
+                    .ok());
+    return scan;
+  };
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(read_all(all).records_walked, rids.size());
+    EXPECT_EQ(scan_all(none).records_walked, rids.size());
+  }
+  EXPECT_EQ(pool_->image_memory().entries, 0u);
+  EXPECT_EQ(scan_all(all).images_built, 0u);
+  EXPECT_EQ(scan_all(all).images_built, disk_->num_pages());
+  EXPECT_EQ(read_all(all).records_walked, 0u);
+  EXPECT_EQ(scan_all(none).records_walked, 0u);
+}
+
+std::atomic<int> wiped_images{0};
+std::atomic<int> unwiped_images{0};
+
+// Every image the pool drops is zeroed before its memory is freed: after a
+// delete, the image held the stable values the heap just scrubbed.
+TEST_F(PageImageTest, DroppedImagesAreZeroed) {
+  std::vector<Rid> rids;
+  for (RowId id = 1; id <= 200; ++id) rids.push_back(Insert(id));
+  FieldScan first;
+  FieldScan second;
+  ScanImages(1000, &first);
+  ScanImages(1000, &second);
+  const uint64_t images = pool_->image_memory().entries;
+  ASSERT_EQ(images, disk_->num_pages());
+  wiped_images = 0;
+  unwiped_images = 0;
+  PageImage::SetReleaseHookForTesting([](const void* region, size_t bytes) {
+    const char* p = static_cast<const char*>(region);
+    (std::all_of(p, p + bytes, [](char c) { return c == 0; }) ? wiped_images
+                                                              : unwiped_images)
+        .fetch_add(1);
+  });
+  ASSERT_TRUE(heap_->Delete(rids[0]).ok());
+  EXPECT_EQ(wiped_images.load(), 1);
+  EXPECT_EQ(pool_->image_memory().entries, images - 1);
+  heap_.reset();
+  pool_.reset();  // the remaining images go with their frames
+  PageImage::SetReleaseHookForTesting(nullptr);
+  EXPECT_EQ(wiped_images.load(), static_cast<int>(images));
+  EXPECT_EQ(unwiped_images.load(), 0);
 }
 
 // --- record codec ------------------------------------------------------------------
@@ -838,6 +1119,38 @@ TEST_P(StateStoreTest, AppendIsIdempotentOnRowId) {
   EXPECT_EQ(store->size(), 2u);
   EXPECT_EQ(ValueOf(store->Head()), Value::String("late"));
   EXPECT_EQ(store->Head().row_id, 3u);
+}
+
+// Appends past the last live id skip the search; the others still land in
+// row-id order, and a repeat of any live id, the last included, is a no-op.
+TEST_P(StateStoreTest, TailAppendsAndLateAppendsStaySorted) {
+  auto store = MakeStore();
+  ASSERT_TRUE(store->Open().ok());
+  for (RowId id : {10u, 20u, 30u}) {
+    ASSERT_TRUE(store->Append(Entry(id, "v")).ok());
+  }
+  ASSERT_TRUE(store->Append(Entry(30, "x")).ok());
+  ASSERT_TRUE(store->Append(Entry(25, "late")).ok());
+  ASSERT_TRUE(store->Append(Entry(20, "x")).ok());
+  ASSERT_TRUE(store->Append(Entry(5, "new")).ok());
+  ASSERT_TRUE(store->Append(Entry(40, "v")).ok());
+  auto ids = [&] {
+    std::vector<RowId> out;
+    store->ForEach([&](const StoreEntryView& entry) {
+      out.push_back(entry.row_id);
+      return true;
+    });
+    return out;
+  };
+  EXPECT_EQ(ids(), (std::vector<RowId>{5, 10, 20, 25, 30, 40}));
+  EXPECT_EQ(ValueOf(*store->Find(25)), Value::String("late"));
+  EXPECT_EQ(ValueOf(*store->Find(30)), Value::String("v"));
+  // Drained to empty, the next append starts the mirror again.
+  StoreEntryView out;
+  while (!store->empty()) ASSERT_TRUE(store->PopHead(&out).ok());
+  ASSERT_TRUE(store->Append(Entry(7, "v")).ok());
+  ASSERT_TRUE(store->Append(Entry(7, "x")).ok());
+  EXPECT_EQ(ids(), (std::vector<RowId>{7}));
 }
 
 TEST_P(StateStoreTest, PopByIdPopsExactlyThatEntry) {
