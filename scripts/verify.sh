@@ -33,8 +33,24 @@ check_thread_spawning() {
   fi
 }
 
+# One key per segment file: a key is minted where a WAL or state-store
+# segment file is created and destroyed where that file is erased, and
+# nowhere else.
+check_key_lifecycle() {
+  local hits
+  hits="$(grep -rnE 'keys_->(Mint|Destroy)\(' src |
+    grep -vE '^src/(wal/wal_manager|storage/state_store)\.cc:' ||
+    true)"
+  if [ -n "$hits" ]; then
+    echo "verify: key minted or destroyed outside segment creation and erase:" >&2
+    echo "$hits" >&2
+    return 1
+  fi
+}
+
 run_plain() {
   check_thread_spawning
+  check_key_lifecycle
   cmake -B build -S .
   cmake --build build -j "$JOBS"
   ctest --test-dir build --output-on-failure -j "$JOBS"

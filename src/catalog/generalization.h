@@ -16,7 +16,8 @@ namespace instantdb {
 
 /// Contiguous range of leaf ordinals [lo, hi] covered by a generalized
 /// value. GT nodes are DFS-numbered so every node owns such a range; this is
-/// what turns coarse-level predicates into index range scans (DESIGN.md §4).
+/// what turns coarse-level predicates into index range scans (README "What a
+/// multi-resolution index keeps in memory").
 struct LeafInterval {
   int64_t lo = 0;
   int64_t hi = -1;  // empty by default

@@ -26,8 +26,7 @@ inline constexpr Micros kMicrosPerMonth = 30 * kMicrosPerDay;
 /// The paper's LCP delays span minutes to months; experiments cannot run in
 /// wall time. All engine components take time exclusively through this
 /// interface so that tests and benchmarks can drive a `VirtualClock` while
-/// deployments use `SystemClock`. This is the substitution documented in
-/// DESIGN.md §2.
+/// deployments use `SystemClock`.
 class Clock {
  public:
   virtual ~Clock() = default;

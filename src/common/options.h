@@ -11,17 +11,21 @@ namespace instantdb {
 class CancelToken;
 
 /// How the WAL prevents accurate values from surviving in log files past
-/// their degradation deadline (DESIGN.md §3, experiment B5).
+/// their degradation deadline. In every mode the checkpoint cadence pulls a
+/// checkpoint in to the earliest phase-0 deadline in the live log, and that
+/// checkpoint retires the segment holding it; the modes differ only in what
+/// retirement does to the segment's bytes (README "Architecture: one redo
+/// log").
 enum class WalPrivacyMode {
   /// Traditional WAL: records are kept until segment recycling. Accurate
   /// values linger — this is the unsafe baseline the paper warns about.
   kPlain,
-  /// Segments containing values whose first degradation deadline passed are
-  /// physically overwritten after a forced checkpoint.
+  /// A retired segment is zero-overwritten, synced and unlinked.
   kScrub,
-  /// Degradable payloads are encrypted under per-epoch keys; destroying the
-  /// epoch key at transition time makes every log copy unreadable.
-  kEncryptedEpoch,
+  /// Each segment file seals its insert payloads under its own key, minted
+  /// when the file is created; retirement destroys the key, then unlinks
+  /// the file. Matches EraseMode::kCryptoErase for state stores.
+  kCryptoErase,
 };
 
 /// How popped state-store segments are made unrecoverable.
@@ -43,10 +47,6 @@ struct StorageOptions {
 struct WalOptions {
   WalPrivacyMode privacy_mode = WalPrivacyMode::kScrub;
   size_t segment_bytes = 1 * 1024 * 1024;
-  /// kEncryptedEpoch: width of one key epoch. Choosing it at or below the
-  /// shortest phase-0 duration lets every epoch be destroyed as soon as its
-  /// tuples leave the accurate state.
-  Micros epoch_micros = kMicrosPerHour;
 };
 
 struct DegradationOptions {

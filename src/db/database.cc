@@ -5,7 +5,6 @@
 #include <set>
 #include <shared_mutex>
 
-#include "common/logging.h"
 #include "common/strings.h"
 #include "io/env.h"
 
@@ -42,7 +41,6 @@ TableRuntime Database::MakeRuntime() const {
   runtime.storage = options_.storage;
   runtime.partitions = options_.partitions == 0 ? 1 : options_.partitions;
   runtime.keys = keys_.get();
-  runtime.wal = wal_.get();
   runtime.clock = clock_;
   runtime.env = env_;
   return runtime;
@@ -251,21 +249,6 @@ Status Database::Write(WriteBatch* batch, const WriteOptions& options) {
   const Status status = Commit(txn.get(), options);
   if (!status.ok()) batch->row_ids_.clear();
   return status;
-}
-
-Status Database::Commit(Transaction* txn, const WriteOptions& options) {
-  IDB_RETURN_IF_ERROR(tm_->Commit(txn, options.sync));
-  if (!wal_->epoch_keys_enabled()) return Status::OK();
-  std::shared_lock<std::shared_mutex> map(tables_mu_);
-  for (const auto& [id, table] : tables_) {
-    const Status destroyed = table->AfterDeleteCommit();
-    if (!destroyed.ok()) {
-      IDB_WARN("epoch keys of table %u not destroyed after a delete: %s", id,
-               destroyed.ToString().c_str());
-    }
-    degrader_->Publish(table->epoch_key_deadline());
-  }
-  return Status::OK();
 }
 
 Result<RowId> Database::Insert(const std::string& table_name,

@@ -27,7 +27,7 @@ namespace instantdb {
 /// version, and any non-empty directory without the stamp, with
 /// NotSupported and touches nothing. A layout change bumps this number and
 /// ships no converter.
-inline constexpr uint32_t kFormatVersion = 2;
+inline constexpr uint32_t kFormatVersion = 3;
 
 /// Top-level configuration of an InstantDB instance.
 struct DbOptions {
@@ -102,12 +102,10 @@ class Database {
   // --- transactions ------------------------------------------------------------
 
   std::unique_ptr<Transaction> Begin() { return tm_->Begin(); }
-  /// Commits `txn` (TransactionManager::Commit). Under kEncryptedEpoch a
-  /// commit whose deletes removed phase-0 values then destroys the epoch
-  /// keys that lost their last accurate value (Table::AfterDeleteCommit);
-  /// a failure there is logged, not returned — the commit is durable — and
-  /// retried at the table's armed epoch-key deadline.
-  Status Commit(Transaction* txn, const WriteOptions& options = {});
+  /// Commits `txn` (TransactionManager::Commit).
+  Status Commit(Transaction* txn, const WriteOptions& options = {}) {
+    return tm_->Commit(txn, options.sync);
+  }
   void Abort(Transaction* txn) { tm_->Abort(txn); }
 
   /// Applies every staged operation of `batch` atomically: one transaction,
@@ -136,8 +134,8 @@ class Database {
   /// the begin LSN once every partition succeeded, and retires fully-covered
   /// segments per the privacy mode. Clean partitions cost one atomic
   /// compare — a mostly-cold database checkpoints in O(dirty), which is what
-  /// keeps the segment retirement cadence (and therefore kScrub/
-  /// kEncryptedEpoch timeliness) independent of total data volume.
+  /// keeps the segment retirement cadence (and therefore the timeliness of
+  /// kScrub and kCryptoErase) independent of total data volume.
   Status Checkpoint();
 
   /// Pumped degradation: run everything due at the clock's current time.

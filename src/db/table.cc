@@ -81,15 +81,10 @@ Status Table::Open() {
 Status Table::FinishRecovery(WorkerPool& pool) {
   // Partitions own disjoint physical state, so their recovery is
   // embarrassingly parallel.
-  IDB_RETURN_IF_ERROR(
-      pool.Run(pool.size(), partitions_.size(), [this](size_t i) {
-        IDB_RETURN_IF_ERROR(partitions_[i]->Reconcile());
-        return partitions_[i]->RebuildIndexes();
-      }));
-  // An epoch whose values all left phase 0 while its key survived (the
-  // crash lost the step that would have destroyed it, or the inserts the
-  // key sealed) has no phase-0 step left to destroy its key.
-  return DestroyDueEpochKeys();
+  return pool.Run(pool.size(), partitions_.size(), [this](size_t i) {
+    IDB_RETURN_IF_ERROR(partitions_[i]->Reconcile());
+    return partitions_[i]->RebuildIndexes();
+  });
 }
 
 Status Table::Drop() {
@@ -237,88 +232,11 @@ Status Table::IndexLookupRange(
 // --- degradation ----------------------------------------------------------------------
 
 Micros Table::NextDeadline() const {
-  Micros next = epoch_keys_due_.load(std::memory_order_relaxed);
+  Micros next = kForever;
   for (const auto& partition : partitions_) {
     next = std::min(next, partition->NextDeadline());
   }
   return next;
-}
-
-Result<size_t> Table::RunDegradationStep(Micros now, size_t batch_limit,
-                                         uint32_t partition) {
-  bool stepped_phase0 = false;
-  IDB_ASSIGN_OR_RETURN(const size_t moved,
-                       partitions_[partition]->RunDegradationStep(
-                           now, batch_limit, &stepped_phase0));
-  if (moved > 0 && stepped_phase0) IDB_RETURN_IF_ERROR(ArmEpochKeyDeadline());
-  return moved;
-}
-
-Status Table::ArmEpochKeyDeadline() {
-  if (runtime_.wal == nullptr || !runtime_.wal->epoch_keys_enabled()) {
-    return Status::OK();
-  }
-  // The current epoch's key may have lost its last phase-0 value too, but
-  // it can still seal inserts until the epoch ends: arm a deadline there.
-  const Micros epoch_end =
-      runtime_.wal->EpochEnd(runtime_.clock->NowMicros());
-  Micros armed = epoch_keys_due_.load(std::memory_order_relaxed);
-  while ((armed == kForever || armed < epoch_end) &&
-         !epoch_keys_due_.compare_exchange_weak(armed, epoch_end,
-                                                std::memory_order_relaxed)) {
-  }
-  return DestroyDueEpochKeys();
-}
-
-Status Table::AfterDeleteCommit() {
-  // Loaded first: every commit of every table passes here, and most
-  // delete no phase-0 value.
-  if (!phase0_deleted_.load(std::memory_order_relaxed) ||
-      !phase0_deleted_.exchange(false, std::memory_order_relaxed)) {
-    return Status::OK();
-  }
-  return ArmEpochKeyDeadline();
-}
-
-Status Table::RunEpochKeyDeadline() {
-  Micros armed = epoch_keys_due_.load(std::memory_order_relaxed);
-  if (armed > runtime_.clock->NowMicros()) return Status::OK();
-  // A commit that re-armed a later deadline meanwhile keeps it.
-  epoch_keys_due_.compare_exchange_strong(armed, kForever,
-                                          std::memory_order_relaxed);
-  const Status destroyed = DestroyDueEpochKeys();
-  if (!destroyed.ok()) {
-    // Retry at the next pass.
-    Micros retry = kForever;
-    epoch_keys_due_.compare_exchange_strong(retry, armed,
-                                            std::memory_order_relaxed);
-  }
-  return destroyed;
-}
-
-Status Table::DestroyDueEpochKeys() {
-  if (runtime_.wal == nullptr || !runtime_.wal->epoch_keys_enabled()) {
-    return Status::OK();
-  }
-  // Epoch keys are table-wide: a key is destroyable only once every
-  // partition's phase-0 head has moved past the epoch. SafeEpochTime takes
-  // every partition's latch (O(1) per store), so it only runs when there
-  // are keys to destroy. The key is the last trace of the values' accurate
-  // copies in the log: their coarser copies are synced first.
-  return runtime_.wal->DestroyEpochKeysThrough(id(), SafeEpochTime(), [this] {
-    for (auto& partition : partitions_) {
-      IDB_RETURN_IF_ERROR(partition->SyncStores());
-    }
-    return Status::OK();
-  });
-}
-
-Micros Table::SafeEpochTime() const {
-  Micros safe = kForever;
-  for (const auto& partition : partitions_) {
-    safe = std::min(safe, partition->SafeEpochTime());
-  }
-  return safe;
 }
 
 // --- apply ------------------------------------------------------------------------
@@ -332,13 +250,8 @@ Status Table::Apply(const WalRecord& record) {
       partition->EnsureRowAllocatorAbove(record.row_id);
       return partition->ApplyInsert(record);
     }
-    case WalRecordType::kDelete: {
-      bool removed_phase0 = false;
-      IDB_RETURN_IF_ERROR(
-          Route(record.row_id)->ApplyDelete(record.row_id, &removed_phase0));
-      if (removed_phase0) phase0_deleted_.store(true, std::memory_order_relaxed);
-      return Status::OK();
-    }
+    case WalRecordType::kDelete:
+      return Route(record.row_id)->ApplyDelete(record.row_id);
     case WalRecordType::kUpdateStable:
       return Route(record.row_id)
           ->ApplyUpdateStable(record.row_id, record.stable);

@@ -102,8 +102,7 @@ class Table {
   /// Recovery finishes separately (FinishRecovery) after WAL redo.
   Status Open();
   /// After WAL redo: reconciles every partition's stores and heap
-  /// (TablePartition::Reconcile), rebuilds its indexes, and destroys the
-  /// epoch keys no phase-0 value needs any more. Partitions are
+  /// (TablePartition::Reconcile) and rebuilds its indexes. Partitions are
   /// independent, so they run on the database's shared worker pool
   /// (WorkerPool::Run, the caller participating) — this is what cuts
   /// recovery time on multi-partition tables.
@@ -201,34 +200,16 @@ class Table {
 
   // --- degradation -----------------------------------------------------------
 
-  /// Earliest pending transition deadline across all partitions, or the
-  /// armed epoch-key deadline when earlier (kForever if nothing is
-  /// pending).
+  /// Earliest pending transition deadline across all partitions (kForever
+  /// if nothing is pending).
   Micros NextDeadline() const;
 
   /// Runs ONE degradation step on `partition` (see
-  /// TablePartition::RunDegradationStep). A phase-0 step arms the epoch-key
-  /// deadline (see below), which advances the WAL epoch-key watermark using
-  /// the table-wide safe time; before a key is destroyed, every partition's
-  /// stores are synced, so the values it could decrypt are durable at their
-  /// coarser levels. Distinct partitions may be stepped concurrently.
+  /// TablePartition::RunDegradationStep). Distinct partitions may be
+  /// stepped concurrently.
   Result<size_t> RunDegradationStep(Micros now, size_t batch_limit,
-                                    uint32_t partition);
-
-  /// kEncryptedEpoch: an epoch whose last phase-0 value left, by a step or
-  /// a user delete, before the epoch ended has no phase-0 step left to
-  /// destroy its key. So a phase-0 step destroys the keys already due and
-  /// arms an epoch-key deadline (epoch_key_deadline) at the end of the
-  /// current epoch, whose key may still seal inserts until then. So does
-  /// AfterDeleteCommit, which Database::Commit calls once a commit is
-  /// applied, when one of its deletes removed a phase-0 value. NextDeadline
-  /// includes the deadline; every degradation pass calls
-  /// RunEpochKeyDeadline, which destroys the due keys once it has passed
-  /// (and re-arms it when that fails).
-  Status AfterDeleteCommit();
-  Status RunEpochKeyDeadline();
-  Micros epoch_key_deadline() const {
-    return epoch_keys_due_.load(std::memory_order_relaxed);
+                                    uint32_t partition) {
+    return partitions_[partition]->RunDegradationStep(now, batch_limit);
   }
 
   // --- apply ----------------------------------------------------------------
@@ -237,12 +218,6 @@ class Table {
   /// commit-time apply and WAL redo alike. Idempotent: applying a record
   /// again changes nothing.
   Status Apply(const WalRecord& record);
-
-  /// min over partitions of the phase-0 head insert times: every insert at
-  /// or before this instant has left the accurate state in all partitions.
-  /// Drives both epoch-key destruction (RunDegradationStep) and the
-  /// deletion-assurance audit's lingering-key probe.
-  Micros SafeEpochTime() const;
 
   using Stats = TablePartition::Stats;
   /// Aggregated over partitions; each partition snapshot is taken under its
@@ -254,10 +229,6 @@ class Table {
 
  private:
   std::string PartitionCountPath() const { return dir_ + "/PARTITIONS"; }
-  Status ArmEpochKeyDeadline();  // see AfterDeleteCommit
-  /// kEncryptedEpoch: destroys the WAL epoch keys through SafeEpochTime,
-  /// syncing every partition's stores before the first one goes.
-  Status DestroyDueEpochKeys();
   TablePartition* Route(RowId row_id) const {
     return partitions_[PartitionOf(row_id)].get();
   }
@@ -270,11 +241,6 @@ class Table {
   /// Rotates the partition assigned to each inserting transaction (the
   /// partitions own the actual row-id allocators).
   std::atomic<uint32_t> next_affine_{0};
-  /// Set by Apply when a delete removed a phase-0 value; taken by
-  /// AfterDeleteCommit.
-  std::atomic<bool> phase0_deleted_{false};
-  /// The armed epoch-key deadline, kForever when none.
-  std::atomic<Micros> epoch_keys_due_{kForever};
 };
 
 }  // namespace instantdb

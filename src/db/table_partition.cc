@@ -154,15 +154,6 @@ Status TablePartition::Checkpoint() {
   return heap_pool_->FlushAll();
 }
 
-Status TablePartition::SyncStores() {
-  std::lock_guard<std::mutex> ckpt(ckpt_mu_);
-  std::shared_lock<std::shared_mutex> latch(latch_);
-  for (auto& per_phase : stores_) {
-    for (auto& store : per_phase) IDB_RETURN_IF_ERROR(store->Sync());
-  }
-  return Status::OK();
-}
-
 Status TablePartition::Reconcile() {
   std::unique_lock<std::shared_mutex> latch(latch_);
   if (stores_.empty()) return Status::OK();
@@ -267,8 +258,7 @@ Status TablePartition::ApplyInsert(const WalRecord& record) {
     max_row_id_ = std::max(max_row_id_, row_id);
   }
   bool stored = fresh;
-  for (size_t d = 0; d < stores_.size() && !record.degradable_unavailable;
-       ++d) {
+  for (size_t d = 0; d < stores_.size(); ++d) {
     const ColumnDef& col = column(d);
     const int phase = col.lcp.PhaseAt(age);
     if (phase == col.lcp.num_phases() ||
@@ -302,7 +292,7 @@ Status TablePartition::ApplyInsert(const WalRecord& record) {
   return Status::OK();
 }
 
-Status TablePartition::ApplyDelete(RowId row_id, bool* removed_phase0) {
+Status TablePartition::ApplyDelete(RowId row_id) {
   std::unique_lock<std::shared_mutex> latch(latch_);
   const Rid* rid = row_map_.Find(row_id);
   if (rid == nullptr) {
@@ -322,7 +312,6 @@ Status TablePartition::ApplyDelete(RowId row_id, bool* removed_phase0) {
             row_id, static_cast<int>(p), entry->ordinal));
       }
       IDB_RETURN_IF_ERROR(scrubbed);
-      if (p == 0) *removed_phase0 = true;
       break;
     }
   }
@@ -656,9 +645,7 @@ Micros TablePartition::NextDeadline() const {
 }
 
 Result<size_t> TablePartition::RunDegradationStep(Micros now,
-                                                  size_t batch_limit,
-                                                  bool* stepped_phase0) {
-  *stepped_phase0 = false;
+                                                  size_t batch_limit) {
   // One in-memory move: nothing is logged, so collect and move happen under
   // one exclusive latch and no delete can slip between them.
   std::unique_lock<std::shared_mutex> latch(latch_);
@@ -721,7 +708,6 @@ Result<size_t> TablePartition::RunDegradationStep(Micros now,
   (removal ? stats_.values_removed : stats_.values_degraded) += moved;
   mutation_seq_.fetch_add(1, std::memory_order_release);
   IDB_RETURN_IF_ERROR(status);
-  *stepped_phase0 = from_phase == 0;
   return moved;
 }
 
@@ -739,19 +725,6 @@ Status TablePartition::MaybeExpireTupleLocked(RowId row_id) {
   row_map_.Erase(row_id);
   ++stats_.tuples_expired;
   return Status::OK();
-}
-
-Micros TablePartition::SafeEpochTime() const {
-  std::shared_lock<std::shared_mutex> latch(latch_);
-  Micros safe = runtime_.clock->NowMicros();
-  for (const auto& per_phase : stores_) {
-    // Exact minimum, not Head(): the mirror is sorted by row id, and an
-    // out-of-order commit can put an earlier insert_time behind the head.
-    // Destroying an epoch key while such a value is still accurate would
-    // make it unrecoverable after a crash.
-    safe = std::min(safe, per_phase[0]->MinInsertTime());
-  }
-  return safe;
 }
 
 TablePartition::IndexAuditCounts TablePartition::AuditIndexes() const {

@@ -21,7 +21,7 @@
 #include "txn/transaction.h"
 #include "util/histogram.h"
 #include "util/morsel.h"
-#include "wal/wal_manager.h"
+#include "wal/log_record.h"
 
 namespace instantdb {
 
@@ -33,7 +33,6 @@ struct TableRuntime {
   /// lives under `<table-dir>/p<k>`.
   uint32_t partitions = 1;
   KeyManager* keys = nullptr;
-  WalManager* wal = nullptr;
   Clock* clock = nullptr;
   /// All table storage I/O routes through this seam; nullptr = Env::Default().
   Env* env = nullptr;
@@ -63,8 +62,8 @@ struct TableRuntime {
 /// A degradation step writes no log record: recovery redoes inserts at
 /// their mandated phase and then Reconciles. One write order keeps a moved
 /// value durable: its to-phase frame is durable before the last trace of
-/// its from-phase copy can vanish (segment erase, checkpoint META, epoch-key
-/// destruction).
+/// its from-phase copy can vanish (segment erase, checkpoint META, WAL
+/// segment retirement).
 class TablePartition {
  public:
   TablePartition(const TableDef* def, std::string dir,
@@ -85,8 +84,6 @@ class TablePartition {
   /// Unconditional flush of state stores, in descending phase order (a META
   /// makes pops durable), then heap pages. Prefer CheckpointIfDirty.
   Status Checkpoint();
-  /// Makes every frame the stores have appended durable (no META).
-  Status SyncStores();
   /// Incremental checkpoint: flushes only when a mutation applied since the
   /// last flush. On success the partition's durable state covers every WAL
   /// record below the fuzzy begin LSN the caller captured under the commit
@@ -125,9 +122,8 @@ class TablePartition {
   Status ApplyInsert(const WalRecord& record);
   /// The delete and the stable update of a row that is gone (deleted, or
   /// expired by the LCP since the statement found it) change nothing and
-  /// count in Stats::applies_without_row. `*removed_phase0` is set when the
-  /// delete removed a value still at phase 0.
-  Status ApplyDelete(RowId row_id, bool* removed_phase0);
+  /// count in Stats::applies_without_row.
+  Status ApplyDelete(RowId row_id);
   Status ApplyUpdateStable(RowId row_id, const std::vector<Value>& stable);
 
   // --- read path -------------------------------------------------------------
@@ -209,14 +205,7 @@ class TablePartition {
   /// latch: the overdue prefix (up to `batch_limit`) of the most overdue
   /// (column, phase) store goes to the next phase's store (nothing at ⊥),
   /// index postings included. Returns the number of values moved.
-  /// `*stepped_phase0` is set when the step drained a phase-0 store (the
-  /// router then arms the table's epoch-key deadline).
-  Result<size_t> RunDegradationStep(Micros now, size_t batch_limit,
-                                    bool* stepped_phase0);
-
-  /// Earliest phase-0 head insert time (or `now` when phase 0 is empty):
-  /// epoch keys up to the table-wide minimum of this are destroyable.
-  Micros SafeEpochTime() const;
+  Result<size_t> RunDegradationStep(Micros now, size_t batch_limit);
 
   struct Stats {
     uint64_t inserts = 0;

@@ -193,18 +193,6 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
     if (moved_round.load() == 0) break;
   }
 
-  // Epoch keys whose last phase-0 value left before the epoch ended have no
-  // step left to destroy them (Table::epoch_key_deadline).
-  std::vector<Table*> tables;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [id, table] : tables_) tables.push_back(table);
-  }
-  for (Table* table : tables) {
-    const Status destroyed = table->RunEpochKeyDeadline();
-    if (error.ok()) error = destroyed;
-  }
-
   if (delta.passes != 0) {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.passes += delta.passes;

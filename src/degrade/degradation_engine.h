@@ -27,10 +27,10 @@ class Database;
 ///
 /// It is the only reader of the deadlines the database keeps: the FIFO
 /// store heads (a store's head is its only deadline), each live WAL
-/// segment's payload-deadline minimum, each table's epoch-key deadline and
-/// the two cadence points. A pass collects every (table, partition) whose
-/// head deadline has passed and drains them STEP-GRAINED, earliest deadline
-/// first, over the Database's shared worker pool
+/// segment's payload-deadline minimum and the two cadence points. A pass
+/// collects every (table, partition) whose head deadline has passed and
+/// drains them STEP-GRAINED, earliest deadline first, over the Database's
+/// shared worker pool
 /// (`DegradationOptions::worker_threads`): each claim runs one bounded step
 /// and requeues the partition at its new head deadline while that is still
 /// due. A partition an audit proves exposed holds the earliest head, so it
@@ -56,8 +56,8 @@ class Database;
 ///    (`DegradationOptions::background_thread`,
 ///    `MaintenanceOptions::enabled`), and sleeps on the Clock until the
 ///    earliest deadline the step left. A deadline that appears meanwhile
-///    (an insert, a delete's epoch-key deadline, a new table) goes to
-///    `Publish`, which wakes the loop only when it lands before that wake.
+///    (an insert, a new table) goes to `Publish`, which wakes the loop only
+///    when it lands before that wake.
 class DegradationEngine {
  public:
   /// `db` (not owned) must outlive the engine, and its WAL, clock and

@@ -166,8 +166,10 @@ Status FaultInjectionEnv::CheckFault(FaultOp op, const std::string& path,
   // Sticky disk-full beats one-shot faults: every data-bearing op under the
   // prefix reports ENOSPC until the "disk" is cleared. Syncs pass — with the
   // write already refused there is nothing new to make durable, and the
-  // caller's sticky-error handling is driven by the write failure.
+  // caller's sticky-error handling is driven by the write failure — and so
+  // do unlinks, which free space.
   if (!disk_full_prefix_.empty() && op != FaultOp::kSync &&
+      op != FaultOp::kRemove &&
       path.compare(0, disk_full_prefix_.size(), disk_full_prefix_) == 0) {
     CountInjectedFault();
     return Status::IOError("no space left on device (injected ENOSPC)");
@@ -342,6 +344,8 @@ Result<uint64_t> FaultInjectionEnv::GetFileSize(const std::string& path) {
 }
 
 Status FaultInjectionEnv::RemoveFile(const std::string& path) {
+  size_t ignored = kNoShortWrite;
+  IDB_RETURN_IF_ERROR(CheckFault(FaultOp::kRemove, path, 0, &ignored));
   IDB_RETURN_IF_ERROR(base_->RemoveFile(path));
   std::lock_guard<std::mutex> lock(mu_);
   files_.erase(path);

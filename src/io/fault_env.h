@@ -19,6 +19,7 @@ enum class FaultOp {
   kSync,     // WritableFile::Sync/SyncData, RandomRWFile::Sync
   kRename,   // Env::RenameFile
   kAllocate, // WritableFile::Preallocate
+  kRemove,   // Env::RemoveFile
 };
 
 /// \brief Env wrapper that injects filesystem faults and simulates crashes.

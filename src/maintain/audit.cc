@@ -18,7 +18,7 @@ std::string AuditReport::ToString() const {
       "audit@%lld(grace=%lld): rows=%llu exposed_values=%llu "
       "stale_index=%llu missing_index=%llu overdue_tuples=%llu "
       "exposed_wal_segments=%llu unscrubbed_recycled=%llu "
-      "lingering_epoch_keys=%llu max_exposure=%lld",
+      "max_exposure=%lld",
       static_cast<long long>(at), static_cast<long long>(grace),
       static_cast<unsigned long long>(rows_scanned),
       static_cast<unsigned long long>(exposed_values),
@@ -27,7 +27,6 @@ std::string AuditReport::ToString() const {
       static_cast<unsigned long long>(overdue_tuples),
       static_cast<unsigned long long>(exposed_wal_segments),
       static_cast<unsigned long long>(unscrubbed_recycled_segments),
-      static_cast<unsigned long long>(lingering_epoch_keys),
       static_cast<long long>(max_exposure));
 }
 
@@ -160,20 +159,12 @@ AuditReport DeletionAuditor::Run(const std::vector<Table*>& tables, Micros now,
         findings.exposed_partitions.push_back(p);
       }
     }
-    if (wal_ != nullptr && wal_->epoch_keys_enabled()) {
-      // Keys for epochs whose inserts all left phase 0 must be destroyed;
-      // grace gives the destroyer the same slack the value sweep grants.
-      const Micros safe = table->SafeEpochTime();
-      findings.lingering_epoch_keys =
-          wal_->LingeringEpochKeys(table->id(), grace >= safe ? 0 : safe - grace);
-    }
 
     report.rows_scanned += findings.rows_scanned;
     report.exposed_values += findings.exposed_values;
     report.stale_index_entries += findings.stale_index_entries;
     report.missing_index_entries += findings.missing_index_entries;
     report.overdue_tuples += findings.overdue_tuples;
-    report.lingering_epoch_keys += findings.lingering_epoch_keys;
     report.max_exposure = std::max(report.max_exposure, findings.max_exposure);
     report.tables.push_back(std::move(findings));
   }

@@ -28,15 +28,13 @@ struct TableAuditFindings {
   /// Tuples whose every degradable value reached ⊥ yet whose shell still
   /// occupies the heap (the LCP's disappearance step did not run).
   uint64_t overdue_tuples = 0;
-  /// kEncryptedEpoch: live epoch keys the destroyer should have killed.
-  uint64_t lingering_epoch_keys = 0;
   /// Worst attack window found: how long the most overdue value has been
   /// held past its transition deadline (0 when nothing is exposed).
   Micros max_exposure = 0;
   /// Partitions where in-store exposure was found (exposed values, overdue
   /// tuple shells, or stale index postings): their overdue heads put them
   /// first in the DegradationEngine's next, earliest-deadline-first pass.
-  /// WAL/epoch-key findings are not partition work and never appear here.
+  /// WAL findings are not partition work and never appear here.
   std::vector<uint32_t> exposed_partitions;
 };
 
@@ -53,11 +51,10 @@ struct TableAuditFindings {
 ///  - `overdue_tuples`: fully-degraded tuple shells that should have
 ///    disappeared.
 ///  - `exposed_wal_segments`: live WAL segments that may still hold an
-///    accurate insert payload past its phase-0 deadline (kPlain/kScrub).
+///    accurate insert payload past its phase-0 deadline, in every privacy
+///    mode (under kCryptoErase a live segment's key is live too).
 ///  - `unscrubbed_recycled_segments`: segments retired by rename and left
 ///    on disk (kPlain — the unsafe baseline, permanently flagged).
-///  - `lingering_epoch_keys`: undestroyed keys for epochs whose tuples all
-///    left phase 0 (kEncryptedEpoch).
 ///
 /// `clean()` is the subsystem's acceptance criterion; `Verify()` is the
 /// hard-fail form for tests and operators.
@@ -71,7 +68,6 @@ struct AuditReport {
   uint64_t overdue_tuples = 0;
   uint64_t exposed_wal_segments = 0;
   uint64_t unscrubbed_recycled_segments = 0;
-  uint64_t lingering_epoch_keys = 0;
   Micros max_exposure = 0;
   std::vector<TableAuditFindings> tables;
 
@@ -80,8 +76,7 @@ struct AuditReport {
   /// completeness bug, not retention — it is still surfaced and ToString'd.
   uint64_t total_exposed() const {
     return exposed_values + stale_index_entries + overdue_tuples +
-           exposed_wal_segments + unscrubbed_recycled_segments +
-           lingering_epoch_keys;
+           exposed_wal_segments + unscrubbed_recycled_segments;
   }
   bool clean() const { return total_exposed() == 0 && missing_index_entries == 0; }
 
@@ -102,10 +97,9 @@ struct AuditReport {
 /// partition, so one large partition is shared instead of serializing the
 /// audit), the multi-resolution indexes (TablePartition::AuditIndexes —
 /// one shared-latch acquisition per partition, so a live degrader is never
-/// observed halfway), the WAL segment set (WalManager::AuditExposure) and
-/// the epoch keystore (WalManager::LingeringEpochKeys). Read-only: sweeps
-/// take each partition's shared latch a batch at a time and never block
-/// writers or the degrader for longer than a scan batch.
+/// observed halfway) and the WAL segment set (WalManager::AuditExposure).
+/// Read-only: sweeps take each partition's shared latch a batch at a time
+/// and never block writers or the degrader for longer than a scan batch.
 class DeletionAuditor {
  public:
   /// `pool` (not owned, must outlive the auditor) is the Database's shared

@@ -33,7 +33,6 @@ KeyManager::KeyManager(std::string path, Env* env)
 Status KeyManager::Open() {
   std::lock_guard<std::mutex> lock(mu_);
   keys_.clear();
-  destroyed_.clear();
   if (!env_->FileExists(path_)) return Status::OK();
   IDB_ASSIGN_OR_RETURN(std::string contents, env_->ReadFileToString(path_));
   Slice input = contents;
@@ -42,8 +41,8 @@ Status KeyManager::Open() {
       crc32c::Unmask(masked) != crc32c::Value(input.data(), input.size())) {
     return Status::Corruption("keystore checksum mismatch: " + path_);
   }
-  uint32_t live, dead;
-  if (!GetVarint32(&input, &live) || !GetVarint32(&input, &dead)) {
+  uint32_t live;
+  if (!GetVarint32(&input, &live)) {
     return Status::Corruption("bad keystore header");
   }
   for (uint32_t i = 0; i < live; ++i) {
@@ -57,25 +56,16 @@ Status KeyManager::Open() {
     input.remove_prefix(ChaCha20::kKeyBytes);
     keys_[std::string(id)] = key;
   }
-  for (uint32_t i = 0; i < dead; ++i) {
-    Slice id;
-    if (!GetLengthPrefixed(&input, &id)) {
-      return Status::Corruption("bad keystore tombstone");
-    }
-    destroyed_.insert(std::string(id));
-  }
   return Status::OK();
 }
 
 Status KeyManager::PersistLocked() {
   std::string body;
   PutVarint32(&body, static_cast<uint32_t>(keys_.size()));
-  PutVarint32(&body, static_cast<uint32_t>(destroyed_.size()));
   for (const auto& [id, key] : keys_) {
     PutLengthPrefixed(&body, id);
     body.append(reinterpret_cast<const char*>(key.data()), key.size());
   }
-  for (const auto& id : destroyed_) PutLengthPrefixed(&body, id);
   std::string file;
   PutFixed32(&file, crc32c::Mask(crc32c::Value(body.data(), body.size())));
   file += body;
@@ -93,24 +83,20 @@ Status KeyManager::PersistLocked() {
   return env_->RenameFile(tmp, path_);
 }
 
-Result<ChaCha20::Key> KeyManager::GetOrCreate(const std::string& key_id) {
+Result<ChaCha20::Key> KeyManager::Mint(const std::string& key_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = keys_.find(key_id);
-  if (it != keys_.end()) return it->second;
-  ChaCha20::Key key;
+  // A key left under this id is overwritten, never handed out again.
+  ChaCha20::Key& key = keys_[key_id];
   for (size_t i = 0; i < key.size(); i += 8) {
     const uint64_t r = rng_.NextU64();
     std::memcpy(key.data() + i, &r, 8);
   }
-  keys_[key_id] = key;
-  const bool reused = destroyed_.erase(key_id) > 0;  // covers only new data
   const Status persisted = PersistLocked();
   if (!persisted.ok()) {
     // A key handed out must be durable, or a crash loses what it sealed:
-    // forget it, so the next call creates and persists one afresh.
-    keys_[key_id].fill(0);
+    // forget it, so the next call mints and persists one afresh.
+    key.fill(0);
     keys_.erase(key_id);
-    if (reused) destroyed_.insert(key_id);
     return persisted;
   }
   return key;
@@ -128,32 +114,12 @@ Result<ChaCha20::Key> KeyManager::Get(const std::string& key_id) const {
 Status KeyManager::Destroy(const std::string& key_id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = keys_.find(key_id);
-  if (it == keys_.end()) {
-    destroyed_.insert(key_id);
-    return Status::OK();
-  }
+  if (it == keys_.end()) return Status::OK();
   // Zero the in-memory copy before dropping it.
   it->second.fill(0);
   keys_.erase(it);
-  destroyed_.insert(key_id);
   ++keys_destroyed_;
   return PersistLocked();
-}
-
-bool KeyManager::IsDestroyed(const std::string& key_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return destroyed_.count(key_id) != 0;
-}
-
-void KeyManager::ForEachLiveKeyId(
-    const std::string& prefix,
-    const std::function<void(const std::string&)>& fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = keys_.lower_bound(prefix);
-       it != keys_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
-       ++it) {
-    fn(it->first);
-  }
 }
 
 size_t KeyManager::live_keys() const {

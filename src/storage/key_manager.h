@@ -1,10 +1,8 @@
 #ifndef INSTANTDB_STORAGE_KEY_MANAGER_H_
 #define INSTANTDB_STORAGE_KEY_MANAGER_H_
 
-#include <functional>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 
 #include "common/random.h"
@@ -15,18 +13,22 @@
 namespace instantdb {
 
 /// \brief Keystore backing crypto-erasure (EraseMode::kCryptoErase and
-/// WalPrivacyMode::kEncryptedEpoch).
+/// WalPrivacyMode::kCryptoErase).
 ///
-/// Every state-store segment and WAL epoch encrypts its payloads under a
-/// key identified by a string id. *Destroying* the key is the erase
-/// operation: all at-rest copies of the ciphertext become unreadable at
-/// once, which is how degradation reaches index pages, log archives and
-/// file-system slack that physical overwrite cannot reach (paper §III).
+/// One key per segment file, state store and WAL alike: the key is minted
+/// when the file is created and identified by a string id naming the file.
+/// *Destroying* the key is the erase operation: all at-rest copies of the
+/// ciphertext become unreadable at once, which is how degradation reaches
+/// index pages, log archives and file-system slack that physical overwrite
+/// cannot reach (paper §III). The keystore holds live keys only, so every
+/// rewrite of it is as small as the live segment count allows.
 ///
-/// Substitution note (DESIGN.md §2): a production system would hold this
-/// table in tamper-resistant storage (TPM/enclave/SED). Here the keystore
-/// is a file that is rewritten without the destroyed key and the previous
-/// image is zero-overwritten before being unlinked.
+/// Substitution note: a production system would hold this table in
+/// tamper-resistant storage (TPM/enclave/SED), which is what lets a
+/// destroyed key stay destroyed whatever the medium does with an overwrite.
+/// Here the keystore is a file that is rewritten without the destroyed key
+/// and the previous image is zero-overwritten before being unlinked; the
+/// forensic tests treat it as that trusted storage.
 class Env;
 
 class KeyManager {
@@ -37,26 +39,19 @@ class KeyManager {
   /// Loads the keystore if it exists.
   Status Open();
 
-  /// Returns the key for `key_id`, minting (and persisting) a fresh random
-  /// key on first use. A destroyed id may be reused for *new* data — the
-  /// old ciphertext remains unreadable because the old key bytes are gone.
-  Result<ChaCha20::Key> GetOrCreate(const std::string& key_id);
+  /// Mints a fresh random key for `key_id`, persists it, and returns it.
+  /// Never hands out an existing key: one a crash left behind under the
+  /// same id (a segment file recreated at the same name) is replaced, so no
+  /// key seals two byte streams at one nonce.
+  Result<ChaCha20::Key> Mint(const std::string& key_id);
 
   /// Key lookup without minting; NotFound if absent or destroyed.
   Result<ChaCha20::Key> Get(const std::string& key_id) const;
 
   /// Irreversibly forgets the key: removes it from the in-memory table,
-  /// rewrites the keystore without it, and scrubs the old file image.
+  /// rewrites the keystore without it, and scrubs the old file image. An
+  /// absent key is already destroyed: OK, nothing is rewritten.
   Status Destroy(const std::string& key_id);
-
-  bool IsDestroyed(const std::string& key_id) const;
-
-  /// Calls `fn` with every live (present, not destroyed) key id starting
-  /// with `prefix`, in id order. The deletion-assurance audit uses this to
-  /// count epoch keys that outlived their destruction deadline — bounded by
-  /// the live key count, not by elapsed epochs.
-  void ForEachLiveKeyId(const std::string& prefix,
-                        const std::function<void(const std::string&)>& fn) const;
 
   size_t live_keys() const;
   uint64_t keys_destroyed() const;
@@ -68,7 +63,6 @@ class KeyManager {
   Env* const env_;
   mutable std::mutex mu_;
   std::map<std::string, ChaCha20::Key> keys_;
-  std::set<std::string> destroyed_;
   Random rng_;
   uint64_t keys_destroyed_ = 0;
 };

@@ -69,6 +69,7 @@ StateStore::StateStore(std::string dir, TableId table, int column, int phase,
 
 StateStore::~StateStore() {
   if (tail_writer_ != nullptr) tail_writer_->Close().ok();
+  tail_key_.fill(0);
 }
 
 static_assert(StateStore::kMirrorBytesPerEntry <= 40,
@@ -182,7 +183,6 @@ Status StateStore::Open() {
     ordinals_.push_back(row.ordinal);
     frames_.push_back(row.frame);
   }
-  RecomputeTimeBlocks(0);
   // Largest id ever appended: popped ids (covered by the watermark) count
   // too. Keeping this exact prevents the table from re-allocating a row id
   // whose value was already degraded out of this store.
@@ -282,7 +282,9 @@ Status StateStore::OpenTailWriter() {
   Segment segment;
   segment.seqno = next_seqno_++;
   if (options_.erase_mode == EraseMode::kCryptoErase) {
-    IDB_RETURN_IF_ERROR(keys_->GetOrCreate(KeyId(segment.seqno)).status());
+    // Always a fresh key: a seqno a crash let this store reuse must not
+    // seal new frames under the key of the lost ones.
+    IDB_ASSIGN_OR_RETURN(tail_key_, keys_->Mint(KeyId(segment.seqno)));
   }
   IDB_ASSIGN_OR_RETURN(tail_writer_,
                        env_->NewWritableFile(SegmentPath(segment.seqno)));
@@ -308,6 +310,7 @@ Status StateStore::SealTail() {
     IDB_RETURN_IF_ERROR(tail_writer_->Close());
     tail_writer_.reset();
   }
+  tail_key_.fill(0);
   if (!segments_.empty()) segments_.back().sealed = true;
   return Status::OK();
 }
@@ -327,13 +330,6 @@ void StateStore::MirrorInsert(size_t pos, const MirrorRow& row) {
   times_.insert(times_.begin() + pos, row.insert_time);
   ordinals_.insert(ordinals_.begin() + pos, row.ordinal);
   frames_.insert(frames_.begin() + pos, row.frame);
-  if (pos + 1 < ids_.size()) {
-    RecomputeTimeBlocks(pos / kTimeBlock);  // the tail moved
-  } else if (pos % kTimeBlock == 0) {
-    time_block_min_.push_back(row.insert_time);
-  } else {
-    time_block_min_.back() = std::min(time_block_min_.back(), row.insert_time);
-  }
 }
 
 void StateStore::MirrorErase(size_t pos) {
@@ -346,7 +342,6 @@ void StateStore::MirrorErase(size_t pos) {
   times_.erase(times_.begin() + pos);
   ordinals_.erase(ordinals_.begin() + pos);
   frames_.erase(frames_.begin() + pos);
-  RecomputeTimeBlocks(pos / kTimeBlock);
 }
 
 void StateStore::Compact() {
@@ -361,17 +356,6 @@ void StateStore::Compact() {
     times_.shrink_to_fit();
     ordinals_.shrink_to_fit();
     frames_.shrink_to_fit();
-  }
-  RecomputeTimeBlocks(0);
-}
-
-void StateStore::RecomputeTimeBlocks(size_t first) {
-  const size_t n = times_.size();
-  time_block_min_.resize((n + kTimeBlock - 1) / kTimeBlock);
-  for (size_t b = first; b < time_block_min_.size(); ++b) {
-    time_block_min_[b] =
-        *std::min_element(times_.begin() + b * kTimeBlock,
-                          times_.begin() + std::min(n, (b + 1) * kTimeBlock));
   }
 }
 
@@ -402,11 +386,9 @@ Status StateStore::Append(const StoreEntry& entry) {
   std::string payload;
   EncodeEntryPayload(entry, &payload);
   if (options_.erase_mode == EraseMode::kCryptoErase) {
-    IDB_ASSIGN_OR_RETURN(ChaCha20::Key key,
-                         keys_->GetOrCreate(KeyId(tail.seqno)));
     // Stream offset = the payload's file offset (after the frame header),
     // keeping (key, nonce, offset) unique per on-disk byte.
-    ChaCha20::XorStreamAt(key, NonceForSequence(tail.seqno),
+    ChaCha20::XorStreamAt(tail_key_, NonceForSequence(tail.seqno),
                           tail.bytes + kFrameHeader,
                           payload.data(), payload.size());
   }
@@ -592,25 +574,10 @@ void StateStore::ForEach(
   }
 }
 
-Micros StateStore::MinInsertTime() const {
-  if (empty()) return kForever;
-  // The head's block holds consumed positions: scan its live part, then
-  // take every later block's minimum.
-  const size_t first = head_ / kTimeBlock;
-  Micros min = *std::min_element(
-      times_.begin() + head_,
-      times_.begin() + std::min(times_.size(), (first + 1) * kTimeBlock));
-  for (size_t b = first + 1; b < time_block_min_.size(); ++b) {
-    min = std::min(min, time_block_min_[b]);
-  }
-  return min;
-}
-
 size_t StateStore::mirror_bytes() const {
   return ids_.capacity() * sizeof(RowId) + times_.capacity() * sizeof(Micros) +
          ordinals_.capacity() * sizeof(int64_t) +
-         frames_.capacity() * sizeof(FrameLocator) +
-         time_block_min_.capacity() * sizeof(Micros);
+         frames_.capacity() * sizeof(FrameLocator);
 }
 
 Status StateStore::Checkpoint() {
@@ -651,7 +618,6 @@ Status StateStore::Drop() {
   times_ = {};
   ordinals_ = {};
   frames_ = {};
-  time_block_min_ = {};
   head_ = 0;
   return env_->RemoveDirRecursive(dir_);
 }

@@ -83,8 +83,8 @@ struct StoreEntryView {
 /// node of the hierarchy at the store's level therefore cannot be stored.
 class StateStore {
  public:
-  /// Bytes one live entry costs in the mirror arrays (capacity slack and
-  /// the per-block insert-time minima come on top; see mirror_bytes()).
+  /// Bytes one live entry costs in the mirror arrays (capacity slack comes
+  /// on top; see mirror_bytes()).
   static constexpr size_t kMirrorBytesPerEntry =
       sizeof(RowId) + sizeof(Micros) + sizeof(int64_t) + 3 * sizeof(uint32_t);
 
@@ -164,12 +164,6 @@ class StateStore {
 
   /// In-order iteration; stops early when `fn` returns false.
   void ForEach(const std::function<bool(const StoreEntryView&)>& fn) const;
-
-  /// Earliest insert_time over the live entries (kForever when empty). The
-  /// mirror is sorted by row id, and out-of-order commits mean the head's
-  /// insert_time is not necessarily the minimum — WAL epoch-key destruction
-  /// must use this exact bound.
-  Micros MinInsertTime() const;
 
   /// Sync() + persist checkpoint meta (the popped set, so the successor is
   /// checkpointed first). No-op when nothing changed since the last
@@ -265,8 +259,6 @@ class StateStore {
   void MirrorErase(size_t pos);
   /// Drops the consumed prefix [0, head_) from every array.
   void Compact();
-  /// Recomputes time_block_min_ from block `first` on.
-  void RecomputeTimeBlocks(size_t first);
 
   const std::string dir_;
   const TableId table_;
@@ -287,16 +279,12 @@ class StateStore {
   std::vector<int64_t> ordinals_;
   std::vector<FrameLocator> frames_;
   size_t head_ = 0;
-  /// time_block_min_[b]: minimum of times_ over array positions
-  /// [b * kTimeBlock, (b + 1) * kTimeBlock), consumed prefix included (the
-  /// block holding head_ is rescanned from head_ instead) — an exact
-  /// MinInsertTime in O(size / kTimeBlock + kTimeBlock) without a per-entry
-  /// tree node.
-  static constexpr size_t kTimeBlock = 256;
-  std::vector<Micros> time_block_min_;
 
   std::deque<Segment> segments_;  // front = head (oldest)
   std::unique_ptr<WritableFile> tail_writer_;
+  /// EraseMode::kCryptoErase: the open tail segment's key, minted by
+  /// OpenTailWriter and zeroed when the tail seals or the store closes.
+  ChaCha20::Key tail_key_{};
   /// Frames appended but not yet written through (see FlushTail).
   std::string tail_pending_;
   /// Seqnos of the segments holding frames a crash could lose, oldest

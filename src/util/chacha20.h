@@ -10,11 +10,11 @@ namespace instantdb {
 /// \brief ChaCha20 stream cipher (RFC 8439), implemented from scratch.
 ///
 /// Used for crypto-erasure: state-store segments and WAL payloads are
-/// encrypted under per-segment/per-epoch keys; destroying a key renders
-/// every at-rest copy unreadable. A stream cipher is the right primitive
-/// because encryption and decryption are the same XOR pass and records can
-/// be sealed at arbitrary byte offsets (the block counter addresses 64-byte
-/// keystream blocks).
+/// encrypted under the key of the segment file holding them; destroying a
+/// key renders every at-rest copy unreadable. A stream cipher is the right
+/// primitive because encryption and decryption are the same XOR pass and
+/// records can be sealed at arbitrary byte offsets (the block counter
+/// addresses 64-byte keystream blocks).
 class ChaCha20 {
  public:
   static constexpr size_t kKeyBytes = 32;

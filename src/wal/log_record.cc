@@ -97,17 +97,14 @@ Result<WalRecord> DecodeWalRecord(Slice input, const WalBlobCipher& decrypt) {
       if (!GetLengthPrefixed(&input, &blob)) {
         return Status::Corruption("bad insert blob");
       }
-      std::string plain;
-      if (decrypt != nullptr &&
-          decrypt(record, std::string(blob), &plain)) {
-        Slice plain_slice = plain;
-        if (!DecodeValues(&plain_slice, &record.degradable)) {
-          return Status::Corruption("bad decrypted insert blob");
-        }
-      } else {
-        // Epoch key destroyed: the accurate values are unrecoverable by
-        // design. Redo proceeds without them.
-        record.degradable_unavailable = true;
+      if (decrypt == nullptr) {
+        return Status::Corruption("sealed insert blob and no key to open it");
+      }
+      std::string plain(blob);
+      IDB_RETURN_IF_ERROR(decrypt(&plain));
+      Slice plain_slice = plain;
+      if (!DecodeValues(&plain_slice, &record.degradable)) {
+        return Status::Corruption("bad decrypted insert blob");
       }
       break;
     }

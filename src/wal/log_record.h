@@ -48,12 +48,6 @@ struct WalRecord {
   Micros insert_time = 0;
   std::vector<Value> stable;      // schema stable-column order
   std::vector<Value> degradable;  // schema degradable-column order (accurate)
-  /// Set by the decoder when the degradable payload was epoch-encrypted and
-  /// the epoch key has been destroyed: the accurate values are gone for
-  /// good, which is exactly the guarantee. A key is destroyed only once the
-  /// stores holding the values' coarser levels are durable, so redo finds
-  /// the values there.
-  bool degradable_unavailable = false;
   /// In-memory only (never serialized): each degradable value's leaf
   /// ordinal at its phase-0 level, as the live insert validated it, so the
   /// apply needs no label lookup. Empty on a decoded record, whose apply
@@ -73,11 +67,9 @@ struct WalRecord {
   Micros payload_deadline = kForever;
 };
 
-/// Decrypts the degradable blob of an insert record: `in` is the
-/// ciphertext; returns false when the key is unavailable (destroyed epoch).
-using WalBlobCipher =
-    std::function<bool(const WalRecord& record, const std::string& in,
-                       std::string* out)>;
+/// Decrypts the sealed degradable blob of an insert record in place; an
+/// error (no key to open it) fails the decode.
+using WalBlobCipher = std::function<Status(std::string* blob)>;
 
 /// Byte range of an insert's degradable blob inside its record body.
 struct WalBlobRange {
@@ -96,8 +88,8 @@ struct WalBlobRange {
 std::string EncodeWalRecord(const WalRecord& record,
                             WalBlobRange* blob = nullptr);
 
-/// Decodes a record body; `decrypt` may be null (encrypted payloads are then
-/// reported unavailable).
+/// Decodes a record body; `decrypt` may be null when the body holds no
+/// sealed payload (a sealed one is then Corruption).
 Result<WalRecord> DecodeWalRecord(Slice input, const WalBlobCipher& decrypt);
 
 }  // namespace instantdb

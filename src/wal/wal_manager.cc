@@ -43,9 +43,8 @@ Result<uint64_t> ForEachFrame(
 
 }  // namespace
 
-std::string WalEpochKeyId(TableId table, uint64_t epoch) {
-  return StringPrintf("wal.t%u.e%llu", table,
-                      static_cast<unsigned long long>(epoch));
+std::string WalSegmentKeyId(Lsn start) {
+  return StringPrintf("wal.s%llu", static_cast<unsigned long long>(start));
 }
 
 WalManager::WalManager(std::string dir, const WalOptions& options,
@@ -57,6 +56,7 @@ WalManager::WalManager(std::string dir, const WalOptions& options,
 
 WalManager::~WalManager() {
   if (writer_ != nullptr) writer_->Close().ok();
+  active_key_.fill(0);
 }
 
 std::string WalManager::SegmentPath(Lsn start) const {
@@ -96,8 +96,16 @@ Status WalManager::Open() {
   for (size_t i = 0; i + 1 < segments_.size(); ++i) {
     segments_[i].end = segments_[i + 1].start;
   }
-  for (SegmentInfo& segment : segments_) {
-    if (segment.end == segment.start) segment.min_payload_deadline = kForever;
+  if (crypto_erase()) {
+    // A crash between RetireThrough destroying a segment's key and unlinking
+    // its file leaves a file no one can read: finish its retirement.
+    IDB_ASSIGN_OR_RETURN(const Lsn checkpoint, ReadCheckpointLsn());
+    while (segments_.size() > 1 && segments_.front().end <= checkpoint &&
+           !keys_->Get(WalSegmentKeyId(segments_.front().start)).ok()) {
+      IDB_RETURN_IF_ERROR(
+          env_->RemoveFile(SegmentPath(segments_.front().start)));
+      segments_.erase(segments_.begin());
+    }
   }
 
   if (!segments_.empty()) {
@@ -112,12 +120,20 @@ Status WalManager::Open() {
       last.end = last.start + off;
     }
     next_lsn_ = last.end;
-    // Positional writer, not O_APPEND: preallocation extends the physical
-    // file past the logical end, and appends must land at the logical end.
-    IDB_ASSIGN_OR_RETURN(
-        writer_,
-        env_->NewWritableFile(SegmentPath(last.start), /*truncate=*/false));
-    IDB_RETURN_IF_ERROR(PreallocateActiveLocked());
+    // kCryptoErase leaves the writer closed: the crash may have lost
+    // records this segment's key sealed at the LSNs that come next.
+    if (!crypto_erase()) {
+      // Positional writer, not O_APPEND: preallocation extends the physical
+      // file past the logical end, and appends must land at the logical
+      // end.
+      IDB_ASSIGN_OR_RETURN(
+          writer_,
+          env_->NewWritableFile(SegmentPath(last.start), /*truncate=*/false));
+      IDB_RETURN_IF_ERROR(PreallocateActiveLocked());
+    }
+  }
+  for (SegmentInfo& segment : segments_) {
+    if (segment.end == segment.start) segment.min_payload_deadline = kForever;
   }
   // Everything recovered from disk is as durable as it will ever be.
   synced_lsn_ = next_lsn_;
@@ -159,6 +175,13 @@ Status WalManager::OpenNewSegmentLocked(std::unique_lock<std::mutex>& lock) {
     }
   }
   IDB_ASSIGN_OR_RETURN(writer_, env_->NewWritableFile(SegmentPath(next_lsn_)));
+  if (crypto_erase()) {
+    IDB_ASSIGN_OR_RETURN(active_key_, keys_->Mint(WalSegmentKeyId(next_lsn_)));
+  }
+  // An empty tail an earlier process left is the file just recreated.
+  if (!segments_.empty() && segments_.back().start == next_lsn_) {
+    segments_.pop_back();
+  }
   segments_.push_back({next_lsn_, next_lsn_});
   ++stats_.segments_created;
   IDB_RETURN_IF_ERROR(PreallocateActiveLocked());
@@ -181,38 +204,15 @@ Status WalManager::PoisonLocked(const Status& cause) {
   return poisoned_;
 }
 
-WalBlobCipher WalManager::MakeDecryptor(Lsn lsn) const {
-  return [this, lsn](const WalRecord& record, const std::string& in,
-                     std::string* out) {
-    auto key =
-        keys_->Get(WalEpochKeyId(record.table, EpochOf(record.insert_time)));
-    if (!key.ok()) return false;  // destroyed epoch: values are gone
-    *out = in;
-    ChaCha20::XorStreamAt(*key, NonceForSequence(lsn), 0, out->data(),
-                          out->size());
-    return true;
-  };
-}
-
 WalManager::PendingFrame WalManager::PrepareFrame(
     const WalRecord& record) const {
   PendingFrame frame;
   frame.payload_deadline = record.payload_deadline;
   WalBlobRange range;
-  WalBlobRange* defer = nullptr;
-  if (options_.privacy_mode == WalPrivacyMode::kEncryptedEpoch &&
-      record.type == WalRecordType::kInsert) {
-    // The epoch key depends only on (table, insert time), so it can be
-    // fetched here; only the nonce needs the LSN reserved under the mutex.
-    // Keystore unavailable: the payload is logged in the plaintext layout.
-    auto key = keys_->GetOrCreate(
-        WalEpochKeyId(record.table, EpochOf(record.insert_time)));
-    if (key.ok()) {
-      defer = &range;
-      frame.key = *key;
-    }
-  }
-  const std::string body = EncodeWalRecord(record, defer);
+  const std::string body = EncodeWalRecord(
+      record,
+      crypto_erase() && record.type == WalRecordType::kInsert ? &range
+                                                              : nullptr);
   frame.bytes.reserve(8 + body.size());
   if (range.length == 0) {
     PutFixed32(&frame.bytes,
@@ -261,9 +261,10 @@ Result<Lsn> WalManager::AppendFramesLocked(std::unique_lock<std::mutex>& lock,
     PendingFrame& frame = frames[i];
     if (frame.blob_length > 0) {
       // LSN-reservation seal: the record was serialized outside the mutex;
-      // now that its LSN is fixed, XOR the blob with the LSN-derived nonce
-      // and fill in the frame CRC over the final (ciphertext) body.
-      ChaCha20::XorStreamAt(frame.key, NonceForSequence(lsn), 0,
+      // now that its segment and LSN are fixed, XOR the blob with the
+      // segment's key and the LSN-derived nonce, and fill in the frame CRC
+      // over the final (ciphertext) body.
+      ChaCha20::XorStreamAt(active_key_, NonceForSequence(lsn), 0,
                             &frame.bytes[frame.blob_offset],
                             frame.blob_length);
       EncodeFixed32(&frame.bytes[0],
@@ -285,9 +286,9 @@ Result<Lsn> WalManager::AppendFramesLocked(std::unique_lock<std::mutex>& lock,
 
 Result<Lsn> WalManager::AppendBatch(
     const std::vector<const WalRecord*>& records, bool sync, Lsn* end_lsn) {
-  // Encoding — serialization, CRC, and for encrypted payloads the key fetch
-  // — happens here, before the log mutex: concurrent committers encode
-  // in parallel and only the buffered write serializes.
+  // Encoding — serialization and CRC — happens here, before the log mutex:
+  // concurrent committers encode in parallel and only the buffered write
+  // (and a sealed payload's XOR) serializes.
   std::vector<PendingFrame> frames;
   frames.reserve(records.size());
   for (const WalRecord* record : records) frames.push_back(PrepareFrame(*record));
@@ -449,8 +450,11 @@ Status WalManager::RetireThrough(Lsn lsn) {
         IDB_RETURN_IF_ERROR(env_->RemoveFile(path));
         break;
       }
-      case WalPrivacyMode::kEncryptedEpoch: {
-        // Ciphertext is unreadable once its epoch key dies; plain unlink.
+      case WalPrivacyMode::kCryptoErase: {
+        // Key first: once it is gone every copy of the segment's payloads
+        // is unreadable, and a crash before the unlink leaves a file Open
+        // finishes retiring.
+        IDB_RETURN_IF_ERROR(keys_->Destroy(WalSegmentKeyId(segment.start)));
         IDB_RETURN_IF_ERROR(env_->RemoveFile(path));
         break;
       }
@@ -483,14 +487,27 @@ Status WalManager::Replay(
     if (segment.end <= from) continue;
     IDB_ASSIGN_OR_RETURN(std::string raw,
                          env_->ReadFileToString(SegmentPath(segment.start)));
-    IDB_RETURN_IF_ERROR(
+    // Sealed payloads open with the segment's key, whatever mode the log
+    // runs in now.
+    auto key = keys_->Get(WalSegmentKeyId(segment.start));
+    const Status replayed =
         ForEachFrame(raw, [&](uint64_t off, Slice body) -> Status {
           const Lsn lsn = segment.start + off;
           if (lsn < from) return Status::OK();
-          auto record = DecodeWalRecord(body, MakeDecryptor(lsn));
+          auto record = DecodeWalRecord(body, [&](std::string* blob) {
+            if (!key.ok()) {
+              return Status::Corruption("no key for sealed payloads of " +
+                                        SegmentPath(segment.start));
+            }
+            ChaCha20::XorStreamAt(*key, NonceForSequence(lsn), 0,
+                                  blob->data(), blob->size());
+            return Status::OK();
+          });
           if (!record.ok()) return record.status();
           return fn(*record, lsn);
-        }).status());
+        }).status();
+    if (key.ok()) key->fill(0);
+    IDB_RETURN_IF_ERROR(replayed);
   }
   return Status::OK();
 }
@@ -517,51 +534,11 @@ Status WalManager::RecoverCommitted(
   });
 }
 
-Status WalManager::DestroyEpochKeysThrough(
-    TableId table, Micros safe_time,
-    const std::function<Status()>& before_destroy) {
-  if (!epoch_keys_enabled() || safe_time <= 0) return Status::OK();
-  std::lock_guard<std::mutex> lock(epoch_mu_);
-  // Epoch e covers [e*epoch, (e+1)*epoch); destroy every epoch that ends at
-  // or before safe_time, e < EpochOf(safe_time). The epoch holding
-  // safe_time may still take inserts: destroying its key would let the next
-  // insert re-create that key id, and redo would open the older records
-  // with the new key.
-  const uint64_t end_epoch = EpochOf(safe_time);
-  auto [slot, first_call] = epoch_watermark_.try_emplace(table, end_epoch);
-  uint64_t& watermark = slot->second;
-  if (first_call) {
-    // This process has destroyed nothing of the table yet: start at its
-    // oldest live key, not at epoch 0, which on a system clock lies about
-    // half a million hour-long epochs back.
-    const std::string prefix = StringPrintf("wal.t%u.e", table);
-    keys_->ForEachLiveKeyId(prefix, [&](const std::string& id) {
-      watermark = std::min<uint64_t>(
-          watermark, std::strtoull(id.c_str() + prefix.size(), nullptr, 10));
-    });
-  }
-  bool prepared = false;
-  for (; watermark < end_epoch; ++watermark) {
-    const std::string id = WalEpochKeyId(table, watermark);
-    if (!keys_->Get(id).ok()) continue;  // a gap: no insert in that epoch
-    if (!prepared) {
-      IDB_RETURN_IF_ERROR(before_destroy());
-      prepared = true;
-    }
-    IDB_RETURN_IF_ERROR(keys_->Destroy(id));
-    std::lock_guard<std::mutex> stats_lock(mu_);
-    ++stats_.epoch_keys_destroyed;
-  }
-  return Status::OK();
-}
-
 WalManager::ExposureAudit WalManager::AuditExposure(Micros horizon) const {
   std::lock_guard<std::mutex> lock(mu_);
   ExposureAudit audit;
-  if (options_.privacy_mode != WalPrivacyMode::kEncryptedEpoch) {
-    for (const SegmentInfo& segment : segments_) {
-      if (segment.min_payload_deadline <= horizon) ++audit.exposed_segments;
-    }
+  for (const SegmentInfo& segment : segments_) {
+    if (segment.min_payload_deadline <= horizon) ++audit.exposed_segments;
   }
   // Every retirement under kPlain renamed the segment and left the bytes
   // on disk; none has ever been scrubbed.
@@ -576,20 +553,6 @@ Micros WalManager::EarliestPayloadDeadline() const {
     earliest = std::min(earliest, segment.min_payload_deadline);
   }
   return earliest;
-}
-
-uint64_t WalManager::LingeringEpochKeys(TableId table, Micros safe_time) const {
-  if (!epoch_keys_enabled() || safe_time <= 0) return 0;
-  // Epoch e covers [e*epoch, (e+1)*epoch): every epoch ending at or before
-  // safe_time must be dead. Count survivors among the table's live keys.
-  const uint64_t end_epoch = EpochOf(safe_time);
-  const std::string prefix = StringPrintf("wal.t%u.e", table);
-  uint64_t lingering = 0;
-  keys_->ForEachLiveKeyId(prefix, [&](const std::string& id) {
-    const uint64_t epoch = std::strtoull(id.c_str() + prefix.size(), nullptr, 10);
-    if (epoch < end_epoch) ++lingering;
-  });
-  return lingering;
 }
 
 }  // namespace instantdb

@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -18,30 +17,36 @@ namespace instantdb {
 
 class Env;
 
-/// Id of the per-(table, epoch) key in the KeyManager
-/// (WalPrivacyMode::kEncryptedEpoch). Destroying it makes every logged copy
-/// of the epoch's inserts unreadable at once.
-std::string WalEpochKeyId(TableId table, uint64_t epoch);
+/// Id of a segment's key in the KeyManager (WalPrivacyMode::kCryptoErase):
+/// `wal.s<start-lsn>`.
+std::string WalSegmentKeyId(Lsn start);
 
 /// \brief The redo log: segment files, writer, group-commit sync watermark,
-/// checkpoint manifest, privacy-mode retirement, epoch keys and the
-/// deletion-assurance probes.
+/// checkpoint manifest, privacy-mode retirement and the deletion-assurance
+/// probes.
 ///
 /// The paper (§III, citing Stahlberg et al.) observes that traditional WALs
 /// keep every inserted value recoverable long after deletion. Accurate
-/// degradable values enter the log exactly once, inside kInsert records;
-/// three strategies (WalPrivacyMode) bound their lifetime:
+/// degradable values enter the log exactly once, inside kInsert records.
+/// In every mode a checkpoint retires the segments fully below its replay
+/// position, and the checkpoint cadence pulls a checkpoint in to the
+/// earliest phase-0 deadline in the live log; three strategies
+/// (WalPrivacyMode) decide what retirement does to the bytes:
 ///
 ///  - kPlain: retired segments are renamed to `*.recycled` and left on disk.
 ///    This models the unintended retention of real systems (log archives,
 ///    recycled-but-unscrubbed segments) and is the unsafe baseline the
 ///    forensic experiments scan.
 ///  - kScrub: retired segments are zero-overwritten, synced, and unlinked.
-///  - kEncryptedEpoch: each insert's degradable payload is encrypted under
-///    a per-(table, epoch) key and the nonce NonceForSequence(lsn). LSNs
-///    never repeat within a log, so neither do (key, nonce) pairs.
-///    Destroying the key makes every log copy of the epoch unreadable at
-///    once.
+///  - kCryptoErase: a segment file gets its own key when it is created
+///    (KeyManager::Mint, WalSegmentKeyId), and each insert's degradable
+///    payload is sealed under it with the nonce NonceForSequence(lsn).
+///    Retirement destroys the key, then unlinks the file, so every copy of
+///    the segment's payloads the medium kept becomes unreadable at once —
+///    the state stores' EraseMode::kCryptoErase rule. A reopened log never
+///    appends to a segment an earlier process wrote: the crash may have lost
+///    records whose ciphertext under that key and LSN the medium still
+///    holds.
 ///
 /// Layout: LSNs are byte offsets in the logical log. Segments
 /// `wal_<start-lsn>.log` and the CHECKPOINT manifest (the LSN replay starts
@@ -52,7 +57,7 @@ std::string WalEpochKeyId(TableId table, uint64_t epoch);
 /// Commit pipeline: append and sync are split around two watermarks.
 /// Appends advance the *appended* LSN (`next_lsn_`) under the mutex, but
 /// frames are encoded and checksummed BEFORE the mutex is taken (for
-/// kEncryptedEpoch inserts, serialization happens outside and only the
+/// kCryptoErase inserts, serialization happens outside and only the
 /// LSN-derived blob seal + CRC run under it — the LSN-reservation path).
 /// Durability runs OUTSIDE the mutex behind the *synced* LSN watermark
 /// (`synced_lsn_`): a committer wanting durability parks until the
@@ -78,7 +83,10 @@ class WalManager {
   WalManager& operator=(const WalManager&) = delete;
 
   /// Scans existing segments, truncating a torn tail, and positions the
-  /// writer at the end of the log.
+  /// writer at the end of the log. kCryptoErase: finishes a retirement a
+  /// crash cut between destroying a segment's key and unlinking its file,
+  /// and leaves the writer closed, so the first append opens a fresh
+  /// segment.
   Status Open();
 
   /// Group append: every record as ONE buffered write, so a torn tail that
@@ -139,8 +147,10 @@ class WalManager {
   /// Replay start recorded by the last completed checkpoint; 0 if none.
   Result<Lsn> ReadCheckpointLsn() const;
 
-  /// Replays records with LSN >= `from` in log order. `fn` returning
-  /// non-OK aborts the replay with that status.
+  /// Replays records with LSN >= `from` in log order, opening sealed
+  /// payloads with the key of the segment holding them; a sealed payload in
+  /// a segment with no key is Corruption. `fn` returning non-OK aborts the
+  /// replay with that status.
   Status Replay(Lsn from,
                 const std::function<Status(const WalRecord&, Lsn)>& fn) const;
 
@@ -157,23 +167,14 @@ class WalManager {
                           const std::function<Status(const WalRecord&)>& redo,
                           uint64_t* max_txn_id = nullptr);
 
-  /// kEncryptedEpoch: destroys the keys of every epoch of `table` that ends
-  /// at or before `safe_time` (all its tuples have left phase 0). Calls
-  /// `before_destroy` once, before the first key it actually destroys, and
-  /// destroys nothing when that fails.
-  Status DestroyEpochKeysThrough(TableId table, Micros safe_time,
-                                 const std::function<Status()>& before_destroy);
-
   /// Deletion-assurance probes (maintain/audit.h). `ExposureAudit` covers
-  /// what plaintext-readable log bytes may still hold an accurate value past
-  /// its phase-0 deadline:
+  /// what readable log bytes may still hold an accurate value past its
+  /// phase-0 deadline:
   ///  - `exposed_segments`: live segments (the active one included) whose
-  ///    per-segment payload-deadline minimum is at or before `horizon`
-  ///    (kPlain, kScrub — under kEncryptedEpoch live payloads are
-  ///    ciphertext and exposure is the epoch keys' problem, so the count is
-  ///    0 by construction). The minima are folded in at append time;
-  ///    segments already on disk at Open count as exposed until retirement
-  ///    proves otherwise.
+  ///    per-segment payload-deadline minimum is at or before `horizon`, in
+  ///    every mode: under kCryptoErase a live segment's key is live too.
+  ///    The minima are folded in at append time; segments already on disk
+  ///    at Open count as exposed until retirement proves otherwise.
   ///  - `unscrubbed_recycled`: segments retired by renaming to `*.recycled`
   ///    and left on disk (kPlain only), by this process or found at Open.
   ///    These were never scanned again, so every one is assumed to hold
@@ -189,32 +190,8 @@ class WalManager {
   /// kForever when the log holds no degradable payload. Drives
   /// the background loop's adaptive checkpoint cadence: a checkpoint at
   /// this instant rotates + retires the segment before its payload becomes
-  /// an exposure finding. Deadlines are tracked in every privacy mode (under
-  /// kEncryptedEpoch an early checkpoint still shrinks the decryptable
-  /// window between epoch-key destructions).
+  /// an exposure finding, in every privacy mode.
   Micros EarliestPayloadDeadline() const;
-
-  /// kEncryptedEpoch: number of live (undestroyed) epoch keys of `table`
-  /// whose epoch ends at or before `safe_time` — keys DestroyEpochKeysThrough
-  /// should already have destroyed. Non-zero means accurate log payloads are
-  /// still decryptable past their deadline. 0 in the other privacy modes.
-  /// Bounded by the keystore's live key count (it enumerates live keys with
-  /// the table's prefix rather than walking all elapsed epochs).
-  uint64_t LingeringEpochKeys(TableId table, Micros safe_time) const;
-
-  /// End of the epoch holding `t`: the first instant another epoch's key
-  /// seals inserts.
-  Micros EpochEnd(Micros t) const {
-    return static_cast<Micros>((EpochOf(t) + 1) *
-                               static_cast<uint64_t>(options_.epoch_micros));
-  }
-
-  /// True when epoch keys exist to destroy (kEncryptedEpoch). Lets callers
-  /// skip computing the safe-time bound — which walks live phase-0 state —
-  /// in the other privacy modes.
-  bool epoch_keys_enabled() const {
-    return options_.privacy_mode == WalPrivacyMode::kEncryptedEpoch;
-  }
 
   struct Stats {
     uint64_t records_appended = 0;
@@ -223,7 +200,6 @@ class WalManager {
     /// Segments this process retired (a reopened log starts at 0).
     uint64_t segments_retired = 0;
     uint64_t scrub_bytes = 0;
-    uint64_t epoch_keys_destroyed = 0;
     /// fdatasync/fsync calls actually issued on the commit path.
     uint64_t syncs = 0;
     /// Durability demands (SyncThrough calls): every durable commit makes
@@ -247,14 +223,13 @@ class WalManager {
 
  private:
   /// One frame prepared outside the log mutex: header + body bytes, plus
-  /// the blob seal left for the LSN-reservation step (kEncryptedEpoch
-  /// inserts: the nonce derives from the record's LSN, which only exists
-  /// once the mutex assigns it).
+  /// the blob seal left for the LSN-reservation step (kCryptoErase inserts:
+  /// the key is the segment's and the nonce derives from the record's LSN,
+  /// and both only exist once the mutex assigns them).
   struct PendingFrame {
     std::string bytes;       // [u32 crc (0 until sealed)][u32 len][body]
     size_t blob_offset = 0;  // into `bytes`; meaningful when blob_length > 0
     size_t blob_length = 0;  // 0 = frame final (CRC already computed)
-    ChaCha20::Key key{};     // epoch key for the deferred seal
     /// Earliest phase-0 deadline of the payload (WalRecord carry-through);
     /// min-merged into the segment the frame lands in.
     Micros payload_deadline = kForever;
@@ -270,15 +245,14 @@ class WalManager {
     Micros min_payload_deadline = kForever;
   };
 
-  uint64_t EpochOf(Micros t) const {
-    return static_cast<uint64_t>(t) /
-           static_cast<uint64_t>(options_.epoch_micros);
+  bool crypto_erase() const {
+    return options_.privacy_mode == WalPrivacyMode::kCryptoErase;
   }
   /// `<dir>/wal_<start>.log`: the segment whose first record has LSN
   /// `start`.
   std::string SegmentPath(Lsn start) const;
   /// Encodes + checksums `record` into a frame. Plaintext frames come out
-  /// final; kEncryptedEpoch inserts carry their blob in plaintext with the
+  /// final; kCryptoErase inserts carry their blob in plaintext with the
   /// seal deferred to AppendFramesLocked. Called outside the mutex.
   PendingFrame PrepareFrame(const WalRecord& record) const;
   /// Assigns LSNs, seals deferred blobs, and appends every frame as
@@ -289,12 +263,13 @@ class WalManager {
   /// Returns the first frame's LSN. Caller holds `lock`.
   Result<Lsn> AppendFramesLocked(std::unique_lock<std::mutex>& lock,
                                  std::vector<PendingFrame>& frames);
-  /// Seals + closes the active segment and opens a fresh one. Waits out an
-  /// in-flight leader sync first (it holds the writer's fd), and advances
-  /// the synced watermark to the sealed end. Caller holds `lock`.
+  /// Seals + closes the active segment and opens a fresh one: creates the
+  /// file, then (kCryptoErase) mints its key, and only then may frames land
+  /// in it. Waits out an in-flight leader sync first (it holds the writer's
+  /// fd), and advances the synced watermark to the sealed end. Caller holds
+  /// `lock`.
   Status OpenNewSegmentLocked(std::unique_lock<std::mutex>& lock);
   Status PreallocateActiveLocked();
-  WalBlobCipher MakeDecryptor(Lsn lsn) const;
   /// Marks the log sticky-failed (first failure wins) and wakes every
   /// parked committer so they observe the poison. Returns the sticky status.
   Status PoisonLocked(const Status& cause);
@@ -337,6 +312,9 @@ class WalManager {
 
   std::vector<SegmentInfo> segments_;  // sorted by start
   std::unique_ptr<WritableFile> writer_;
+  /// kCryptoErase: the active segment's key, sealing every insert payload
+  /// appended to it.
+  ChaCha20::Key active_key_{};
   /// Appended watermark: everything below is written (buffered) to the
   /// active segment.
   Lsn next_lsn_ = 0;
@@ -366,10 +344,6 @@ class WalManager {
   /// process renamed.
   uint64_t recycled_segments_ = 0;
   Stats stats_;
-
-  /// Guards the epoch watermark map.
-  std::mutex epoch_mu_;
-  std::map<TableId, uint64_t> epoch_watermark_;  // first not-yet-destroyed
 };
 
 }  // namespace instantdb

@@ -253,15 +253,15 @@ TEST_P(CheckpointFuzzyTest, MostlyCleanDatabaseFlushesOnlyDirtyPartitions) {
 INSTANTIATE_TEST_SUITE_P(AllPrivacyModes, CheckpointFuzzyTest,
                          ::testing::Values(WalPrivacyMode::kPlain,
                                            WalPrivacyMode::kScrub,
-                                           WalPrivacyMode::kEncryptedEpoch),
+                                           WalPrivacyMode::kCryptoErase),
                          [](const auto& info) {
                            switch (info.param) {
                              case WalPrivacyMode::kPlain:
                                return "Plain";
                              case WalPrivacyMode::kScrub:
                                return "Scrub";
-                             case WalPrivacyMode::kEncryptedEpoch:
-                               return "EncryptedEpoch";
+                             case WalPrivacyMode::kCryptoErase:
+                               return "CryptoErase";
                            }
                            return "?";
                          });

@@ -1,7 +1,7 @@
 // Crash-point sweep. Degradation writes no log record, so what keeps every
 // level of a value durable is one write order: a value's coarser frame is
 // durable before the last durable trace of its finer copy can vanish (a
-// store segment erase, a checkpoint META, an epoch-key destruction). This
+// store segment erase, a checkpoint META, a WAL segment's retirement). This
 // suite checks that order at every crash point of a seeded workload that
 // mixes synced and unsynced inserts, deletes, stable updates, degradation
 // passes across every phase boundary down to ⊥, and checkpoints:
@@ -86,8 +86,8 @@ std::vector<Op> Workload(uint64_t seed) {
   // Prologue: three synced batches half an hour apart (partitions take
   // inserting transactions in turn, so the first and third share one),
   // then a pass at 70 minutes. It moves the first batch out of phase 0,
-  // where the third still sits in the same unsynced store tail, and
-  // destroys the first batch's epoch key: the log copy goes.
+  // where the third still sits in the same unsynced store tail, while the
+  // log copy of the first batch lives until a checkpoint retires it.
   for (int batch = 0; batch < 3; ++batch) {
     Op insert;
     insert.kind = Kind::kInsert;
@@ -189,7 +189,6 @@ class CrashSweepTest : public ::testing::TestWithParam<WalPrivacyMode> {
     options.storage.segment_bytes = 256;       // seals and erases often
     options.wal.segment_bytes = 4096;
     options.wal.privacy_mode = GetParam();
-    options.wal.epoch_micros = 30 * kMicrosPerMinute;
     return options;
   }
 
@@ -469,9 +468,9 @@ TEST_P(CrashSweepTest, EveryFailedFsyncIsACrashPoint) {
 
 INSTANTIATE_TEST_SUITE_P(
     PrivacyModes, CrashSweepTest,
-    ::testing::Values(WalPrivacyMode::kScrub, WalPrivacyMode::kEncryptedEpoch),
+    ::testing::Values(WalPrivacyMode::kScrub, WalPrivacyMode::kCryptoErase),
     [](const auto& info) {
-      return info.param == WalPrivacyMode::kScrub ? "Scrub" : "EncryptedEpoch";
+      return info.param == WalPrivacyMode::kScrub ? "Scrub" : "CryptoErase";
     });
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "scan_oracle.h"
 #include "storage/key_manager.h"
 #include "util/coding.h"
+#include "util/crc32c.h"
 #include "util/file.h"
 #include "wal/wal_manager.h"
 
@@ -147,94 +148,60 @@ TEST_F(DatabaseTest, UserDeleteRemovesEverythingImmediately) {
   EXPECT_TRUE(LocationOf(gone).is_null());
 }
 
-/// Opens a fresh kEncryptedEpoch database with `epoch`-long epochs (an hour
-/// by default) in dir_, on the fixture's clock as it stands.
-void OpenEncryptedEpoch(const DbOptions& base, std::unique_ptr<Database>* db,
-                        Micros epoch = kMicrosPerHour) {
-  db->reset();
-  ASSERT_TRUE(RemoveDirRecursive(base.path).ok());
-  DbOptions options = base;
-  options.wal.privacy_mode = WalPrivacyMode::kEncryptedEpoch;
-  options.wal.epoch_micros = epoch;
+/// Files under `dir` whose name starts with `prefix` and ends with
+/// `suffix`, at any depth.
+size_t FilesNamed(const std::string& dir, const std::string& prefix,
+                  const std::string& suffix) {
+  size_t count = 0;
+  for (const auto& [path, bytes] : FilesUnder(dir)) {
+    const std::string name = std::filesystem::path(path).filename().string();
+    if (StartsWith(name, prefix) && EndsWith(name, suffix)) ++count;
+  }
+  return count;
+}
+
+/// WAL and stores both on crypto-erase: every segment file, log or store,
+/// holds exactly one live key. A payload's log copy lives until the
+/// checkpoint that retires its segment destroys the key and unlinks the
+/// file.
+TEST_F(DatabaseTest, CryptoEraseKeepsOneKeyPerLiveSegmentFile) {
+  db_.reset();
+  DbOptions options = Options();
+  options.wal.privacy_mode = WalPrivacyMode::kCryptoErase;
+  options.storage.erase_mode = EraseMode::kCryptoErase;
   auto opened = Database::Open(options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  *db = std::move(*opened);
-}
+  db_ = std::move(*opened);
+  const auto expect_one_key_per_file = [&] {
+    const size_t wal_files = FilesNamed(dir_ + "/wal", "wal_", ".log");
+    const size_t store_files = FilesNamed(dir_ + "/tables", "seg_", ".dat");
+    EXPECT_GT(wal_files, 0u);
+    EXPECT_EQ(db_->keys()->live_keys(), wal_files + store_files);
+  };
 
-/// A system clock counts from 1970, so hour-long epochs number about
-/// 490,000 by now. The first key destruction of a process starts at the
-/// table's oldest live key: it destroys that key and records no id of the
-/// empty epochs before it.
-TEST_F(DatabaseTest, FirstEpochKeyDestructionTouchesOnlyLiveKeys) {
-  constexpr uint64_t kEpoch = 490000;
-  clock_->AdvanceTo(static_cast<Micros>(kEpoch) * kMicrosPerHour +
-                    kMicrosPerMinute);
-  OpenEncryptedEpoch(Options(), &db_);
-  auto def = db_->CreateTable("pings", PingSchema());
-  ASSERT_TRUE(def.ok());
-  const TableId table = (*def)->id;
-  InsertPing("alice", 1, "11 Rue Lepic");
-
-  // Past the phase-0 deadline and the epoch: the step destroys the key.
-  clock_->Advance(kMicrosPerHour);
-  auto moved = db_->RunDegradationOnce();
-  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
-  EXPECT_EQ(*moved, 1u);
-  EXPECT_EQ(db_->stats().wal.epoch_keys_destroyed, 1u);
-  EXPECT_TRUE(db_->keys()->IsDestroyed(WalEpochKeyId(table, kEpoch)));
-  EXPECT_FALSE(db_->keys()->IsDestroyed(WalEpochKeyId(table, 0)));
-  EXPECT_FALSE(db_->keys()->IsDestroyed(WalEpochKeyId(table, kEpoch - 1)));
-}
-
-/// A user delete that removes an epoch's last phase-0 value leaves its key
-/// without a phase-0 step to destroy it. Once the epoch is over, a pass
-/// that moves nothing still destroys it.
-TEST_F(DatabaseTest, DeletedLastAccurateValueLeavesNoEpochKey) {
-  OpenEncryptedEpoch(Options(), &db_);
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
-  const RowId gone = InsertPing("gone", 1, "11 Rue Lepic");
-  ASSERT_TRUE(db_->Delete("pings", gone).ok());
-  // The epoch may still seal inserts: its key lives until the epoch ends.
-  EXPECT_EQ(db_->degradation()->NextDeadline(), kMicrosPerHour);
+  for (int i = 0; i < 40; ++i) {
+    InsertPing("u" + std::to_string(i), i, "11 Rue Lepic");
+  }
+  expect_one_key_per_file();
 
+  // Past the phase-0 deadline the stores hold only the city, but the log
+  // segments holding the inserts are live, and so are their keys.
   clock_->Advance(kMicrosPerHour + kMicrosPerMinute);
   auto moved = db_->RunDegradationOnce();
   ASSERT_TRUE(moved.ok()) << moved.status().ToString();
-  EXPECT_EQ(*moved, 0u);
-  EXPECT_EQ(db_->Audit().lingering_epoch_keys, 0u);
-  EXPECT_EQ(db_->stats().wal.epoch_keys_destroyed, 1u);
-  EXPECT_EQ(db_->degradation()->NextDeadline(), kForever);
+  EXPECT_EQ(*moved, 40u);
+  AuditReport audit = db_->Audit();
+  EXPECT_EQ(audit.exposed_values, 0u);
+  EXPECT_GT(audit.exposed_wal_segments, 0u);
+  expect_one_key_per_file();
 
-  // A delete after its value's epoch ended destroys the key at commit.
-  const RowId late = InsertPing("late", 2, "3 Av Foch");
-  clock_->Advance(kMicrosPerHour);
-  ASSERT_TRUE(db_->Delete("pings", late).ok());
-  EXPECT_EQ(db_->stats().wal.epoch_keys_destroyed, 2u);
-  EXPECT_EQ(db_->Audit().lingering_epoch_keys, 0u);
-}
-
-/// A step that takes an epoch's last value out of phase 0 before the epoch
-/// ends leaves its key to a deadline at the epoch's end: once that passes,
-/// a pass that moves nothing destroys it.
-TEST_F(DatabaseTest, SteppedLastAccurateValueLeavesNoEpochKey) {
-  OpenEncryptedEpoch(Options(), &db_, 2 * kMicrosPerHour);
-  ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
-  InsertPing("alice", 1, "11 Rue Lepic");
-
-  clock_->AdvanceTo(kMicrosPerHour);
-  auto moved = db_->RunDegradationOnce();
-  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
-  EXPECT_EQ(*moved, 1u);
-  // The epoch may still seal inserts: its key lives until the epoch ends.
-  EXPECT_EQ(db_->stats().wal.epoch_keys_destroyed, 0u);
-  EXPECT_EQ(db_->degradation()->NextDeadline(), 2 * kMicrosPerHour);
-
-  clock_->AdvanceTo(2 * kMicrosPerHour + kMicrosPerMinute);
-  moved = db_->RunDegradationOnce();
-  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
-  EXPECT_EQ(*moved, 0u);
-  EXPECT_EQ(db_->Audit().lingering_epoch_keys, 0u);
-  EXPECT_EQ(db_->stats().wal.epoch_keys_destroyed, 1u);
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  EXPECT_GT(db_->stats().wal.segments_retired, 0u);
+  audit = db_->Audit();
+  EXPECT_TRUE(audit.clean()) << audit.ToString();
+  EXPECT_EQ(FilesNamed(dir_ + "/wal", "wal_", ".log"), 1u);
+  expect_one_key_per_file();
 }
 
 TEST_F(DatabaseTest, RecoveryReplaysInsertsAndDegradations) {
@@ -334,7 +301,7 @@ TEST_F(DatabaseTest, RetentionBaselineIsAllOrNothing) {
 /// city and then to its region, per WAL privacy mode, counted in every file
 /// and every freed block: after a clean close, and in the crash image taken
 /// right after the second degrade + checkpoint, then again once that image
-/// has recovered. kScrub and kEncryptedEpoch must leave no copy of the
+/// has recovered. kScrub and kCryptoErase must leave no copy of the
 /// address; kPlain keeps its recycled WAL segments, the forensic threat the
 /// paper cites from Stahlberg et al. The intermediate city label is past
 /// its own deadline too, and no mode leaves a copy of it: degradation
@@ -347,12 +314,13 @@ class DatabaseForensicTest
   bool crash() const { return std::get<1>(GetParam()); }
 
   /// Opens `path` in this test's privacy mode through `env`.
-  std::unique_ptr<Database> OpenWith(const std::string& path, Env* env) {
+  std::unique_ptr<Database> OpenWith(const std::string& path, Env* env,
+                                     EraseMode erase = EraseMode::kOverwrite) {
     DbOptions options = Options();
     options.path = path;
     options.env = env;
     options.wal.privacy_mode = mode();
-    options.wal.epoch_micros = kMicrosPerHour;
+    options.storage.erase_mode = erase;
     auto db = Database::Open(options);
     EXPECT_TRUE(db.ok()) << db.status().ToString();
     return db.ok() ? std::move(*db) : nullptr;
@@ -419,17 +387,71 @@ TEST_P(DatabaseForensicTest, ForensicScanFindsNoDegradedPlaintext) {
   RemoveDirRecursive(image).ok();
 }
 
+/// The same workload on a copy-on-write medium: every in-place write keeps
+/// the bytes it replaced, so overwriting erases nothing and only destroying
+/// a key does. With the WAL and the stores both on crypto-erase, neither
+/// degraded label is readable in any file, freed block or replaced range, in
+/// the crash image, or after recovery. The KEYSTORE is out of scope: it
+/// stands for trusted key storage (forensic.h).
+TEST_P(DatabaseForensicTest, CopyOnWriteMediumKeepsNoDegradedLabel) {
+  if (mode() != WalPrivacyMode::kCryptoErase) GTEST_SKIP();
+  const std::string image = dir_ + "_crash";
+  ASSERT_TRUE(RemoveDirRecursive(image).ok());
+  db_.reset();
+  ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
+  FaultInjectionEnv fault(Env::Default());
+  FreedBlocksEnv medium(&fault, /*copy_on_write=*/true);
+  // Copies of the address and of its city, both past their deadlines once
+  // the address became the city and the city the region.
+  const auto degraded_copies = [](const std::string& dir,
+                                  FreedBlocksEnv& env) {
+    size_t copies = 0;
+    for (const char* label : {"11 Rue Lepic", "Paris"}) {
+      copies += CopiesUnder(dir, std::string(label)) +
+                env.Copies(std::string(label));
+    }
+    return copies;
+  };
+  db_ = OpenWith(dir_, &medium, EraseMode::kCryptoErase);
+  ASSERT_NE(db_, nullptr);
+  ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
+  for (int i = 0; i < 20; ++i) InsertPing("alice", i, "11 Rue Lepic");
+  for (const Micros advance : {kMicrosPerHour, kMicrosPerDay}) {
+    clock_->Advance(advance);
+    ASSERT_TRUE(db_->RunDegradationOnce().ok());
+    ASSERT_TRUE(db_->Checkpoint().ok());
+  }
+
+  std::string scanned = dir_;
+  if (crash()) {
+    ASSERT_TRUE(fault.SimulateCrashTo(dir_, image).ok());
+    EXPECT_EQ(degraded_copies(image, medium), 0u) << "crash image";
+    scanned = image;
+  }
+  db_.reset();
+  if (!crash()) EXPECT_EQ(degraded_copies(dir_, medium), 0u) << "clean close";
+
+  FreedBlocksEnv reopen_medium(Env::Default(), /*copy_on_write=*/true);
+  auto reopened = OpenWith(scanned, &reopen_medium, EraseMode::kCryptoErase);
+  ASSERT_NE(reopened, nullptr);
+  EXPECT_EQ(reopened->GetTable("pings")->live_rows(), 20u);
+  ASSERT_TRUE(reopened->Close().ok());
+  reopened.reset();
+  EXPECT_EQ(degraded_copies(scanned, reopen_medium), 0u) << "after reopen";
+  RemoveDirRecursive(image).ok();
+}
+
 INSTANTIATE_TEST_SUITE_P(
     PrivacyModes, DatabaseForensicTest,
     ::testing::Combine(::testing::Values(WalPrivacyMode::kPlain,
                                          WalPrivacyMode::kScrub,
-                                         WalPrivacyMode::kEncryptedEpoch),
+                                         WalPrivacyMode::kCryptoErase),
                        ::testing::Bool()),
     [](const auto& info) {
       const WalPrivacyMode mode = std::get<0>(info.param);
       return std::string(mode == WalPrivacyMode::kPlain   ? "Plain"
                          : mode == WalPrivacyMode::kScrub ? "Scrub"
-                                                          : "EncryptedEpoch") +
+                                                          : "CryptoErase") +
              (std::get<1>(info.param) ? "Crash" : "Clean");
     });
 
@@ -678,6 +700,7 @@ enum class OldLayout {
   kNoStamp,             // any directory written before the FORMAT stamp
   kNewerStamp,          // FORMAT holds kFormatVersion + 1
   kFormatOne,           // format 1: degradation steps logged as type 5
+  kFormatTwo,           // format 2: per-(table, epoch) WAL keys, tombstones
   kShardedWal,          // wal/STREAMS and wal/s1/ holding redo
   kPositionalStoreMeta, // a state-store META without its magic
   kUnpartitionedTable,  // heap.db directly under tables/t1
@@ -766,6 +789,8 @@ TEST_P(FormatGateTest, OtherLayoutIsRefusedUntouched) {
                     .ok());
   } else if (layout == OldLayout::kFormatOne) {
     ASSERT_TRUE(WriteStringToFile(format, "1", /*sync=*/true).ok());
+  } else if (layout == OldLayout::kFormatTwo) {
+    ASSERT_TRUE(WriteStringToFile(format, "2", /*sync=*/true).ok());
   } else {
     ASSERT_TRUE(RemoveFile(format).ok());
   }
@@ -774,6 +799,18 @@ TEST_P(FormatGateTest, OtherLayoutIsRefusedUntouched) {
     case OldLayout::kNewerStamp:
     case OldLayout::kFormatOne:
       break;
+    case OldLayout::kFormatTwo: {
+      // A format-2 keystore: live keys, then the ids of destroyed ones.
+      std::string body;
+      PutVarint32(&body, 0);  // live keys
+      PutVarint32(&body, 1);  // tombstones
+      PutLengthPrefixed(&body, "wal.t1.e0");
+      std::string file;
+      PutFixed32(&file, crc32c::Mask(crc32c::Value(body.data(), body.size())));
+      file += body;
+      ASSERT_TRUE(WriteStringToFile(dir_ + "/KEYSTORE", file, true).ok());
+      break;
+    }
     case OldLayout::kShardedWal: {
       ASSERT_TRUE(WriteStringToFile(dir_ + "/wal/STREAMS", "2", true).ok());
       KeyManager keys(dir_ + "/KEYSTORE");
@@ -831,13 +868,17 @@ TEST_P(FormatGateTest, OtherLayoutIsRefusedUntouched) {
   if (layout == OldLayout::kFormatOne) {
     EXPECT_NE(message.find("format 1;"), std::string::npos) << message;
   }
+  if (layout == OldLayout::kFormatTwo) {
+    EXPECT_NE(message.find("format 2;"), std::string::npos) << message;
+  }
   EXPECT_EQ(TreeUnder(dir_), before);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Layouts, FormatGateTest,
     ::testing::Values(OldLayout::kNoStamp, OldLayout::kNewerStamp,
-                      OldLayout::kFormatOne, OldLayout::kShardedWal,
+                      OldLayout::kFormatOne, OldLayout::kFormatTwo,
+                      OldLayout::kShardedWal,
                       OldLayout::kPositionalStoreMeta,
                       OldLayout::kUnpartitionedTable,
                       OldLayout::kLeftoverIndexFile),
@@ -846,6 +887,7 @@ INSTANTIATE_TEST_SUITE_P(
         case OldLayout::kNoStamp: return "NoStamp";
         case OldLayout::kNewerStamp: return "NewerStamp";
         case OldLayout::kFormatOne: return "FormatOne";
+        case OldLayout::kFormatTwo: return "FormatTwo";
         case OldLayout::kShardedWal: return "ShardedWal";
         case OldLayout::kPositionalStoreMeta: return "PositionalStoreMeta";
         case OldLayout::kUnpartitionedTable: return "UnpartitionedTable";

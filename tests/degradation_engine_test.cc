@@ -182,11 +182,11 @@ TEST_F(EngineTest, LatenessReflectsDelayedPumping) {
 // the pass nor leaves a value exposed, and its later commit deletes the row
 // from every store and index without bringing any value back.
 TEST_F(EngineTest, OpenUserTransactionCannotStopDegradation) {
-  // Epoch-keyed WAL: the pass that drains phase 0 also destroys the keys of
-  // the accurate values' log records, so the audit can come clean without
-  // a checkpoint.
+  // Crypto-erase WAL: a checkpoint taken while the transaction is open
+  // retires the log segments holding the accurate values by destroying
+  // their keys, so the audit comes clean before the commit.
   WalOptions wal;
-  wal.privacy_mode = WalPrivacyMode::kEncryptedEpoch;
+  wal.privacy_mode = WalPrivacyMode::kCryptoErase;
   OpenDb({}, wal);
   ASSERT_TRUE(db_->CreateTable("pings", mix::MixSchema()).ok());
   Table* table = db_->GetTable("pings");
@@ -211,6 +211,7 @@ TEST_F(EngineTest, OpenUserTransactionCannotStopDegradation) {
   auto moved = db_->RunDegradationOnce();
   ASSERT_TRUE(moved.ok()) << moved.status().ToString();
   EXPECT_EQ(*moved, 202u);  // both degradable columns of every row
+  ASSERT_TRUE(db_->Checkpoint().ok());
   const AuditReport while_open = db_->Audit();
   EXPECT_TRUE(while_open.clean()) << while_open.ToString();
 
@@ -532,7 +533,7 @@ TEST_P(DegradeOrdinalTest, DegradeStepResolvesTheNextLevelsOrdinal) {
 INSTANTIATE_TEST_SUITE_P(
     AllPrivacyModes, DegradeOrdinalTest,
     ::testing::Values(WalPrivacyMode::kPlain, WalPrivacyMode::kScrub,
-                      WalPrivacyMode::kEncryptedEpoch),
+                      WalPrivacyMode::kCryptoErase),
     [](const auto& info) {
       switch (info.param) {
         case WalPrivacyMode::kPlain:
@@ -540,7 +541,7 @@ INSTANTIATE_TEST_SUITE_P(
         case WalPrivacyMode::kScrub:
           return "Scrub";
         default:
-          return "EncryptedEpoch";
+          return "CryptoErase";
       }
     });
 

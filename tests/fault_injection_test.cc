@@ -227,23 +227,52 @@ TEST_F(FaultInjectionTest, CrashAfterAStepThatErasedPhaseZeroKeepsPhaseOne) {
   EXPECT_TRUE(audit.clean()) << audit.ToString();
 }
 
-// The same under kEncryptedEpoch with no checkpoint: the step destroys the
-// epoch key of the inserts' log payloads, the only other durable copy of
-// the values. The stores are synced before the key goes.
-TEST_F(FaultInjectionTest, CrashAfterAStepThatDestroyedTheEpochKeyKeepsValues) {
-  DbOptions options = Options(dir_, nullptr, nullptr);
-  options.wal.privacy_mode = WalPrivacyMode::kEncryptedEpoch;
-  std::unique_ptr<Database> db = CrashRightAfterOneStep(
-      options, *AttributeLcp::Make({{0, kMicrosPerHour}, {1, kForever}}),
-      /*checkpoint=*/false);
-  ASSERT_NE(db, nullptr);
-  Table* table = db->GetTable("pings");
+// Under crypto-erase a checkpoint retires a log segment by destroying its
+// key, then unlinking its file. A crash between the two leaves a file no
+// key opens: the reopened log finishes the retirement, the values are in
+// the stores the checkpoint flushed, and the audit is clean at once.
+TEST_F(FaultInjectionTest, CrashBetweenKeyDestroyAndUnlinkReopensClean) {
+  FaultInjectionEnv fault(Env::Default());
+  VirtualClock clock(0);
+  DbOptions options = Options(dir_, &clock, &fault);
+  options.wal.privacy_mode = WalPrivacyMode::kCryptoErase;
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(*opened);
+  ASSERT_NO_FATAL_FAILURE(CreatePings(db.get()));
+  WriteOptions durable;
+  durable.sync = true;
+  for (int i = 0; i < kCrashRows; ++i) {
+    ASSERT_TRUE(db->Insert("pings",
+                           {Value::String("u" + std::to_string(i)),
+                            Value::String("11 Rue Lepic")},
+                           durable)
+                    .ok());
+  }
+  clock.Advance(kMicrosPerHour);
+  auto moved = db->RunDegradationOnce();
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  ASSERT_EQ(*moved, static_cast<size_t>(kCrashRows));
+
+  const std::string first = "/wal/wal_0000000000000000.log";
+  fault.FailOnce(FaultOp::kRemove, 1, Status::IOError("injected unlink EIO"),
+                 first);
+  EXPECT_TRUE(db->Checkpoint().IsIOError());
+  EXPECT_TRUE(db->keys()->Get(WalSegmentKeyId(0)).status().IsNotFound());
+  EXPECT_TRUE(FileExists(dir_ + first));
+  ASSERT_TRUE(fault.SimulateCrashTo(dir_, clone_).ok());
+  db.reset();
+
+  options.path = clone_;
+  options.env = nullptr;
+  auto recovered = Database::Open(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_FALSE(FileExists(clone_ + first));
+  Table* table = (*recovered)->GetTable("pings");
   EXPECT_EQ(table->live_rows(), static_cast<uint64_t>(kCrashRows));
   EXPECT_EQ(ValuesAt(table, 0), 0u);
   EXPECT_EQ(ValuesAt(table, 1), static_cast<size_t>(kCrashRows));
-  // A reopened log counts as exposed until a checkpoint retires it.
-  ASSERT_TRUE(db->Checkpoint().ok());
-  const AuditReport audit = db->Audit();
+  const AuditReport audit = (*recovered)->Audit();
   EXPECT_TRUE(audit.clean()) << audit.ToString();
 }
 
@@ -507,8 +536,8 @@ TEST_F(FaultInjectionTest, TortureRandomizedFaultCrashSchedules) {
 
     // Privacy: drain whatever degradation became due, run one maintenance
     // cadence point (checkpoint + segment retirement), and the audit must
-    // prove no value outlived its deadline anywhere — stores, indexes, WAL
-    // segments, epoch keys.
+    // prove no value outlived its deadline anywhere — stores, indexes and
+    // WAL segments.
     const Micros now = recovered_clock.NowMicros();
     for (int i = 0; i < 200 && table->NextDeadline() <= now; ++i) {
       auto moved = rdb->RunDegradationOnce();
@@ -722,9 +751,9 @@ TEST_F(FaultInjectionTest, FailedDegradeApplyCompletesOnNextPass) {
   options.path = dir_;
   options.clock = &clock;
   options.env = &fault;
-  // Epoch-keyed WAL: the pass that drains phase 0 destroys the accurate
-  // values' log keys, so the audit needs no checkpoint to come clean.
-  options.wal.privacy_mode = WalPrivacyMode::kEncryptedEpoch;
+  // Crypto-erase WAL: the checkpoint after the passes retires the log
+  // segments holding the accurate values by destroying their keys.
+  options.wal.privacy_mode = WalPrivacyMode::kCryptoErase;
   auto opened = Database::Open(options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<Database> db = std::move(*opened);
@@ -755,6 +784,7 @@ TEST_F(FaultInjectionTest, FailedDegradeApplyCompletesOnNextPass) {
   auto retried = db->RunDegradationOnce();
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   EXPECT_GT(*retried, 0u);
+  ASSERT_TRUE(db->Checkpoint().ok());
   const AuditReport audit = db->Audit();
   EXPECT_TRUE(audit.clean()) << audit.ToString();
   Table* table = db->GetTable("pings");

@@ -2,7 +2,8 @@
 // value. `FilesUnder` and `CopiesUnder` read every live file under a
 // directory (recycled segments, the keystore and subdirectories included);
 // `FreedBlocksEnv` keeps what a database unlinked, truncated away or
-// replaced, which stays in unallocated disk blocks until it is overwritten.
+// replaced, which stays in unallocated disk blocks until it is overwritten,
+// and on a copy-on-write medium also what every in-place write replaced.
 
 #ifndef INSTANTDB_TESTS_FORENSIC_H_
 #define INSTANTDB_TESTS_FORENSIC_H_
@@ -62,19 +63,24 @@ inline size_t CountCopies(const std::string& bytes,
   return copies;
 }
 
-/// The CATALOG holds the generalization trees, which are public domain
-/// metadata: a label in it associates no tuple with the value.
-inline bool IsCatalog(const std::string& path) {
-  return std::filesystem::path(path).filename() == "CATALOG";
+/// Files outside the attacker's reach. The CATALOG holds the
+/// generalization trees, which are public domain metadata: a label in it
+/// associates no tuple with the value. The KEYSTORE stands for the trusted
+/// key storage a deployment keeps keys in (see the substitution note in
+/// storage/key_manager.h): a key destroyed there stays destroyed, whatever
+/// a copy-on-write medium kept of the file standing in for it.
+inline bool IsOutOfScope(const std::string& path) {
+  const std::filesystem::path name = std::filesystem::path(path).filename();
+  return name == "CATALOG" || name == "KEYSTORE";
 }
 
 /// Copies of `needle` (a string, or a set of same-length strings) in the
-/// files under `dir`, counted file by file, the CATALOG excluded.
+/// files under `dir`, counted file by file, out-of-scope files excluded.
 template <typename Needle>
 size_t CopiesUnder(const std::string& dir, const Needle& needle) {
   size_t copies = 0;
   for (const auto& [path, bytes] : FilesUnder(dir)) {
-    if (!IsCatalog(path)) copies += CountCopies(bytes, needle);
+    if (!IsOutOfScope(path)) copies += CountCopies(bytes, needle);
   }
   return copies;
 }
@@ -86,19 +92,26 @@ size_t CopiesUnder(const std::string& dir, const Needle& needle) {
 /// contents of a file replaced by a rename or a truncating open — is kept,
 /// because a raw read of the device still finds it. Secure erase shows up
 /// as zeros here, a plain unlink as the old plaintext.
+///
+/// With `copy_on_write`, every in-place write (RandomRWFile::Write, which
+/// Env::OverwriteRange and so every secure-erase overwrite runs on) also
+/// keeps the bytes it replaced: the medium writes the new bytes elsewhere,
+/// as a log-structured filesystem or a flash translation layer does, so an
+/// overwrite erases nothing.
 class FreedBlocksEnv final : public Env {
  public:
   /// `base` must outlive this env.
-  explicit FreedBlocksEnv(Env* base) : base_(base) {}
+  explicit FreedBlocksEnv(Env* base, bool copy_on_write = false)
+      : base_(base), copy_on_write_(copy_on_write) {}
 
   /// Copies of `needle` (as for CopiesUnder) in the freed bytes, the
-  /// CATALOG's excluded.
+  /// out-of-scope files' excluded.
   template <typename Needle>
   size_t Copies(const Needle& needle) {
     std::lock_guard<std::mutex> lock(mu_);
     size_t copies = 0;
     for (const auto& [path, bytes] : freed_) {
-      if (!IsCatalog(path)) copies += CountCopies(bytes, needle);
+      if (!IsOutOfScope(path)) copies += CountCopies(bytes, needle);
     }
     return copies;
   }
@@ -118,7 +131,10 @@ class FreedBlocksEnv final : public Env {
   }
   Result<std::unique_ptr<RandomRWFile>> NewRandomRWFile(
       const std::string& path) override {
-    return base_->NewRandomRWFile(path);
+    auto file = base_->NewRandomRWFile(path);
+    if (!file.ok() || !copy_on_write_) return file;
+    return std::unique_ptr<RandomRWFile>(
+        new KeepingRWFile(this, path, std::move(*file)));
   }
   Status CreateDirIfMissing(const std::string& path) override {
     return base_->CreateDirIfMissing(path);
@@ -153,6 +169,34 @@ class FreedBlocksEnv final : public Env {
   }
 
  private:
+  /// Copy-on-write: keeps what each write replaces, then writes.
+  class KeepingRWFile final : public RandomRWFile {
+   public:
+    KeepingRWFile(FreedBlocksEnv* env, std::string path,
+                  std::unique_ptr<RandomRWFile> file)
+        : env_(env), path_(std::move(path)), file_(std::move(file)) {}
+    Status Write(uint64_t offset, Slice data) override {
+      std::string scratch;
+      Slice replaced;
+      if (file_->Read(offset, data.size(), &scratch, &replaced).ok() &&
+          !replaced.empty()) {
+        env_->Keep(path_, std::string(replaced));
+      }
+      return file_->Write(offset, data);
+    }
+    Status Read(uint64_t offset, size_t n, std::string* scratch,
+                Slice* out) const override {
+      return file_->Read(offset, n, scratch, out);
+    }
+    Status Sync() override { return file_->Sync(); }
+    uint64_t Size() const override { return file_->Size(); }
+
+   private:
+    FreedBlocksEnv* const env_;
+    const std::string path_;
+    const std::unique_ptr<RandomRWFile> file_;
+  };
+
   /// Keeps the bytes of `path` past `from`, if the file exists.
   void Free(const std::string& path, uint64_t from) {
     if (!base_->FileExists(path)) return;
@@ -165,6 +209,7 @@ class FreedBlocksEnv final : public Env {
   }
 
   Env* const base_;
+  const bool copy_on_write_;
   std::mutex mu_;
   std::vector<std::pair<std::string, std::string>> freed_;
 };

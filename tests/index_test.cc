@@ -504,7 +504,6 @@ class IndexResidueTest
     options.env = env;
     options.clock = &clock_;
     options.wal.privacy_mode = std::get<0>(GetParam());
-    options.wal.epoch_micros = kMicrosPerHour;
     auto db = Database::Open(options);
     EXPECT_TRUE(db.ok()) << db.status().ToString();
     return db.ok() ? std::move(*db) : nullptr;
@@ -590,13 +589,13 @@ INSTANTIATE_TEST_SUITE_P(
     PrivacyModes, IndexResidueTest,
     ::testing::Combine(::testing::Values(WalPrivacyMode::kPlain,
                                          WalPrivacyMode::kScrub,
-                                         WalPrivacyMode::kEncryptedEpoch),
+                                         WalPrivacyMode::kCryptoErase),
                        ::testing::Bool()),
     [](const auto& info) {
       const WalPrivacyMode mode = std::get<0>(info.param);
       return std::string(mode == WalPrivacyMode::kPlain   ? "Plain"
                          : mode == WalPrivacyMode::kScrub ? "Scrub"
-                                                          : "EncryptedEpoch") +
+                                                          : "CryptoErase") +
              (std::get<1>(info.param) ? "Crash" : "Clean");
     });
 

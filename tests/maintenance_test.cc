@@ -5,7 +5,7 @@
 // the degrader's fault-injection hook, shutdown mid-cadence is clean, one
 // background thread runs every service, stats() never waits behind a
 // cadence checkpoint, and — the acceptance bar — a 100 ms cadence keeps
-// every layer (stores, indexes, WAL, epoch keys) audit-clean across every
+// every layer (stores, indexes, WAL) audit-clean across every
 // phase-0 deadline with no manual Checkpoint() call. Everything runs on a
 // VirtualClock; DegradationEngine::RunOnce is the exact body of the
 // background loop, so the pumped tests exercise the real scheduler. In
@@ -490,7 +490,7 @@ TEST_F(MaintenanceTest, StatsDoNotWaitBehindACadenceCheckpoint) {
 
 // The acceptance bar: with the cadences at 100 ms, an
 // audit taken after EVERY phase-0 deadline reports zero exposed values
-// across stores, indexes, WAL segments and epoch keys — with no manual
+// across stores, indexes and WAL segments — with no manual
 // Checkpoint() call anywhere. Parameterized over the privacy modes that
 // can be clean (kPlain is the unsafe baseline, proven dirty above).
 class MaintenanceAcceptanceTest
@@ -504,7 +504,6 @@ TEST_P(MaintenanceAcceptanceTest, DaemonKeepsEveryLayerCleanAtEveryDeadline) {
   VirtualClock clock(0);
   DbOptions options = Options(&clock);
   options.wal.privacy_mode = GetParam();
-  options.wal.epoch_micros = kStep;  // epochs as fine as the cadence
   options.maintenance.checkpoint_interval = kStep;
   options.maintenance.audit_interval = kStep;
   auto opened = Database::Open(options);
@@ -543,19 +542,24 @@ TEST_P(MaintenanceAcceptanceTest, DaemonKeepsEveryLayerCleanAtEveryDeadline) {
   EXPECT_EQ(stats.audits_failed, 0u);
   EXPECT_EQ(stats.max_exposure_seen, 0);
   EXPECT_GE(stats.audit_rows_scanned, static_cast<uint64_t>(inserted));
-  if (GetParam() == WalPrivacyMode::kEncryptedEpoch) {
-    EXPECT_GT(db->stats().wal.epoch_keys_destroyed, 0u);
+  if (GetParam() == WalPrivacyMode::kCryptoErase) {
+    // Retirement destroyed each retired segment's key: one key per live
+    // segment is left.
+    const WalManager::Stats wal = db->stats().wal;
+    EXPECT_GT(wal.segments_retired, 0u);
+    EXPECT_EQ(db->keys()->live_keys(),
+              wal.segments_created - wal.segments_retired);
   }
   ASSERT_TRUE(db->Close().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(PrivacyModes, MaintenanceAcceptanceTest,
                          ::testing::Values(WalPrivacyMode::kScrub,
-                                           WalPrivacyMode::kEncryptedEpoch),
+                                           WalPrivacyMode::kCryptoErase),
                          [](const auto& info) {
                            return info.param == WalPrivacyMode::kScrub
                                       ? "Scrub"
-                                      : "EncryptedEpoch";
+                                      : "CryptoErase";
                          });
 
 }  // namespace

@@ -193,7 +193,7 @@ TEST_F(PushdownTest, EquivalenceAcrossPredicatesParallelismAndPrivacyModes) {
   const std::vector<std::pair<WalPrivacyMode, uint32_t>> kDatabases = {
       {WalPrivacyMode::kPlain, 1},
       {WalPrivacyMode::kScrub, 4},
-      {WalPrivacyMode::kEncryptedEpoch, 8}};
+      {WalPrivacyMode::kCryptoErase, 8}};
   for (const auto& [privacy, partitions] : kDatabases) {
     BuildDb(partitions, kRows, privacy);
     // Heap order no longer follows row id, on either read path.

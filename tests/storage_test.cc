@@ -886,20 +886,36 @@ TEST(RecordCodecTest, FieldParseRejectsEveryTruncation) {
 TEST_F(StorageTest, KeyManagerMintGetDestroy) {
   KeyManager keys(dir_ + "/keystore");
   ASSERT_TRUE(keys.Open().ok());
-  auto k1 = keys.GetOrCreate("t1.c0.p0.s0");
+  auto k1 = keys.Mint("t1.c0.p0.s0");
   ASSERT_TRUE(k1.ok());
-  auto k1_again = keys.GetOrCreate("t1.c0.p0.s0");
+  auto k1_again = keys.Get("t1.c0.p0.s0");
   ASSERT_TRUE(k1_again.ok());
   EXPECT_EQ(*k1, *k1_again);
-  auto k2 = keys.GetOrCreate("t1.c0.p0.s1");
+  auto k2 = keys.Mint("t1.c0.p0.s1");
   ASSERT_TRUE(k2.ok());
   EXPECT_NE(*k1, *k2);
 
   ASSERT_TRUE(keys.Destroy("t1.c0.p0.s0").ok());
   EXPECT_TRUE(keys.Get("t1.c0.p0.s0").status().IsNotFound());
-  EXPECT_TRUE(keys.IsDestroyed("t1.c0.p0.s0"));
   EXPECT_EQ(keys.live_keys(), 1u);
   EXPECT_EQ(keys.keys_destroyed(), 1u);
+  // Destroying an absent key is a no-op.
+  ASSERT_TRUE(keys.Destroy("t1.c0.p0.s0").ok());
+  EXPECT_EQ(keys.keys_destroyed(), 1u);
+}
+
+// A file recreated under a name a crash left a key for gets a new key:
+// Mint never hands out the key that sealed the lost bytes.
+TEST_F(StorageTest, KeyManagerMintReplacesAnExistingKey) {
+  KeyManager keys(dir_ + "/keystore");
+  ASSERT_TRUE(keys.Open().ok());
+  auto first = keys.Mint("wal.s0");
+  ASSERT_TRUE(first.ok());
+  auto second = keys.Mint("wal.s0");
+  ASSERT_TRUE(second.ok());
+  EXPECT_NE(*first, *second);
+  EXPECT_EQ(*keys.Get("wal.s0"), *second);
+  EXPECT_EQ(keys.live_keys(), 1u);
 }
 
 TEST_F(StorageTest, KeyManagerPersistsAcrossReopen) {
@@ -908,8 +924,8 @@ TEST_F(StorageTest, KeyManagerPersistsAcrossReopen) {
   {
     KeyManager keys(path);
     ASSERT_TRUE(keys.Open().ok());
-    original = *keys.GetOrCreate("a");
-    ASSERT_TRUE(keys.GetOrCreate("b").ok());
+    original = *keys.Mint("a");
+    ASSERT_TRUE(keys.Mint("b").ok());
     ASSERT_TRUE(keys.Destroy("b").ok());
   }
   KeyManager keys(path);
@@ -918,14 +934,38 @@ TEST_F(StorageTest, KeyManagerPersistsAcrossReopen) {
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(*a, original);
   EXPECT_TRUE(keys.Get("b").status().IsNotFound());
-  EXPECT_TRUE(keys.IsDestroyed("b"));
+  EXPECT_EQ(keys.live_keys(), 1u);
+}
+
+// The keystore holds live keys only: however many segments were minted a
+// key and erased, the file stays the size of its live keys, so each
+// rewrite of it costs no more than the live segment count asks.
+TEST_F(StorageTest, KeyManagerFileHoldsOnlyLiveKeys) {
+  const std::string churned = dir_ + "/churned";
+  const std::string single = dir_ + "/single";
+  KeyManager keys(churned);
+  ASSERT_TRUE(keys.Open().ok());
+  for (int i = 0; i < 1000; ++i) {
+    const std::string id = "t1.c0.p0.s" + std::to_string(i);
+    ASSERT_TRUE(keys.Mint(id).ok());
+    ASSERT_TRUE(keys.Destroy(id).ok());
+  }
+  ASSERT_TRUE(keys.Mint("t1.c0.p0.s1000").ok());
+  KeyManager one(single);
+  ASSERT_TRUE(one.Open().ok());
+  ASSERT_TRUE(one.Mint("t1.c0.p0.s1000").ok());
+  auto churned_size = GetFileSize(churned);
+  auto single_size = GetFileSize(single);
+  ASSERT_TRUE(churned_size.ok());
+  ASSERT_TRUE(single_size.ok());
+  EXPECT_LE(*churned_size, *single_size);
 }
 
 TEST_F(StorageTest, KeyManagerDestroyRemovesBytesFromDisk) {
   const std::string path = dir_ + "/keystore";
   KeyManager keys(path);
   ASSERT_TRUE(keys.Open().ok());
-  auto key = keys.GetOrCreate("victim");
+  auto key = keys.Mint("victim");
   ASSERT_TRUE(key.ok());
   const std::string key_bytes(reinterpret_cast<const char*>(key->data()),
                               key->size());
@@ -1496,8 +1536,8 @@ TEST_P(StateStoreTest, DropErasesEverything) {
   EXPECT_FALSE(FileExists(dir_ + "/store"));
 }
 
-// The mirror arrays against a reference model (an ordered map plus a
-// multiset of insert times) under seeded random operations: in-order,
+// The mirror arrays against a reference model (an ordered map) under
+// seeded random operations: in-order,
 // out-of-order and redo appends, head pops, pops and secure deletes by id
 // (present and absent). Every observable is compared after every
 // operation, and again after each checkpoint + reopen.
@@ -1522,7 +1562,6 @@ TEST_P(StateStoreTest, MirrorMatchesReferenceModelUnderRandomOperations) {
     int64_t ordinal;
   };
   std::map<RowId, Ref> ref;
-  std::multiset<Micros> times;
   RowId last_appended = kInvalidRowId;
   RowId max_popped = kInvalidRowId;
   Random rnd(GetParam() == EraseMode::kOverwrite ? 17 : 71);
@@ -1532,8 +1571,6 @@ TEST_P(StateStoreTest, MirrorMatchesReferenceModelUnderRandomOperations) {
     ASSERT_EQ(store->size(), ref.size());
     ASSERT_EQ(store->empty(), ref.empty());
     ASSERT_EQ(store->LastAppendedRowId(), last_appended);
-    ASSERT_EQ(store->MinInsertTime(),
-              times.empty() ? kForever : *times.begin());
     if (!ref.empty()) ASSERT_EQ(store->Head().row_id, ref.begin()->first);
     // ForEach visits exactly the reference, in row-id order.
     auto it = ref.begin();
@@ -1588,15 +1625,12 @@ TEST_P(StateStoreTest, MirrorMatchesReferenceModelUnderRandomOperations) {
         store->Append({id, t, domain->AncestorValue(leaf, 0)}).ok());
     if (ref.count(id) != 0) return;  // redo: ignored
     ref[id] = {t, leaf};
-    times.insert(t);
     if (last_appended == kInvalidRowId || id > last_appended) {
       last_appended = id;
     }
   };
   auto remove = [&](RowId id, bool popped) {
-    auto it = ref.find(id);
-    times.erase(times.find(it->second.insert_time));
-    ref.erase(it);
+    ref.erase(id);
     if (popped && (max_popped == kInvalidRowId || id > max_popped)) {
       max_popped = id;
     }
@@ -1611,8 +1645,8 @@ TEST_P(StateStoreTest, MirrorMatchesReferenceModelUnderRandomOperations) {
   std::set<RowId> used;  // every id ever appended
   constexpr int kOps = 4000;
   for (int op = 0; op < kOps; ++op) {
-    // Grow for the first half, then drain: the mirror crosses many
-    // insert-time blocks and compacts its consumed prefix several times.
+    // Grow for the first half, then drain: the mirror compacts its
+    // consumed prefix several times.
     const bool growing = op < kOps / 2;
     const uint64_t dice = rnd.Uniform(100);
     std::string what;
@@ -1649,8 +1683,8 @@ TEST_P(StateStoreTest, MirrorMatchesReferenceModelUnderRandomOperations) {
       if (!ref.empty() && rnd.OneIn(3)) {
         id = random_present();
       } else if (!ref.empty() && rnd.OneIn(2)) {
-        // The entry holding MinInsertTime, usually mid-store: the bound
-        // must move to the next-oldest entry.
+        // The entry with the oldest insert time, usually mid-store: the
+        // pop moves the tail.
         id = std::min_element(ref.begin(), ref.end(),
                               [](const auto& a, const auto& b) {
                                 return a.second.insert_time <
@@ -1888,7 +1922,7 @@ TEST_P(OrdinalLifecycleTest, AppendReopenTornTailAndCrashRedo) {
 INSTANTIATE_TEST_SUITE_P(
     AllPrivacyModes, OrdinalLifecycleTest,
     ::testing::Values(WalPrivacyMode::kPlain, WalPrivacyMode::kScrub,
-                      WalPrivacyMode::kEncryptedEpoch),
+                      WalPrivacyMode::kCryptoErase),
     [](const auto& info) {
       switch (info.param) {
         case WalPrivacyMode::kPlain:
@@ -1896,7 +1930,7 @@ INSTANTIATE_TEST_SUITE_P(
         case WalPrivacyMode::kScrub:
           return "Scrub";
         default:
-          return "EncryptedEpoch";
+          return "CryptoErase";
       }
     });
 

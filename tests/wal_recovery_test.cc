@@ -2,8 +2,8 @@
 //
 // What must hold: crash recovery reconstructs the pre-crash state, a torn
 // commit marker voids its transaction while earlier transactions survive,
-// checkpoints retire segments per the privacy mode, and epoch-key
-// destruction reaches every logged copy at once.
+// checkpoints retire segments per the privacy mode, and under crypto-erase
+// retiring a segment destroys its key, reaching every logged copy at once.
 //
 // Crashes are simulated by syncing the WAL and copying the database
 // directory while the source stays open (no checkpoint runs), then
@@ -213,14 +213,14 @@ TEST_P(WalRecoveryTest, CheckpointRetiresSegments) {
       EXPECT_GT(copies, 0u);
       break;
     case WalPrivacyMode::kScrub:
-    case WalPrivacyMode::kEncryptedEpoch:
+    case WalPrivacyMode::kCryptoErase:
       EXPECT_EQ(copies, 0u);
       break;
   }
 }
 
-TEST_P(WalRecoveryTest, EpochKeyDestructionReachesEveryCopy) {
-  if (mode() != WalPrivacyMode::kEncryptedEpoch) GTEST_SKIP();
+TEST_P(WalRecoveryTest, RetiringASegmentDestroysItsKey) {
+  if (mode() != WalPrivacyMode::kCryptoErase) GTEST_SKIP();
   VirtualClock clock(0);
   auto db = MustOpen(Options(dir_, 4, &clock));
   ASSERT_NE(db, nullptr);
@@ -234,33 +234,39 @@ TEST_P(WalRecoveryTest, EpochKeyDestructionReachesEveryCopy) {
   ASSERT_TRUE(db->wal()->Sync().ok());
   // Sealed on arrival: the log never holds the accurate value in clear.
   EXPECT_EQ(CopiesUnder(dir_ + "/wal", needle), 0u);
+  ASSERT_TRUE(db->keys()->Get(WalSegmentKeyId(0)).ok());
 
-  // Every tuple leaves phase 0; the per-(table, epoch) keys die, voiding
-  // every logged copy of the inserts' payloads at once.
+  // Every tuple leaves phase 0. The segment's key lives until the
+  // checkpoint retires the segment: that voids every logged copy of the
+  // inserts' payloads at once.
   clock.Advance(kMicrosPerHour + kMicrosPerMinute);
   auto moved = db->RunDegradationOnce();
   ASSERT_TRUE(moved.ok());
   EXPECT_EQ(*moved, 32u);
-  EXPECT_GT(db->wal()->stats().epoch_keys_destroyed, 0u);
+  EXPECT_TRUE(db->keys()->Get(WalSegmentKeyId(0)).ok());
+  ASSERT_TRUE(db->Checkpoint().ok());
+  EXPECT_TRUE(db->keys()->Get(WalSegmentKeyId(0)).status().IsNotFound());
+  EXPECT_FALSE(FileExists(dir_ + "/wal/wal_0000000000000000.log"));
 
   CrashClone(db.get());
   VirtualClock recovered_clock(clock.NowMicros());
   auto recovered = MustOpen(Options(clone_, 4, &recovered_clock));
   ASSERT_NE(recovered, nullptr);
-  // Recovery fell back to the degraded values logged by the steps; the
+  // Recovery reads the degraded values the checkpoint made durable; the
   // accurate addresses are unrecoverable by design.
   for (const RowState& state : DumpTable(recovered->GetTable("pings"))) {
     EXPECT_EQ(state.location, "Paris");
     EXPECT_EQ(state.phase, 1);
   }
   EXPECT_EQ(CopiesUnder(clone_ + "/wal", needle), 0u);
+  EXPECT_TRUE(recovered->Audit().clean());
 }
 
 std::string ModeName(const ::testing::TestParamInfo<WalPrivacyMode>& info) {
   switch (info.param) {
     case WalPrivacyMode::kPlain: return "Plain";
     case WalPrivacyMode::kScrub: return "Scrub";
-    case WalPrivacyMode::kEncryptedEpoch: return "EncryptedEpoch";
+    case WalPrivacyMode::kCryptoErase: return "CryptoErase";
   }
   return "?";
 }
@@ -268,7 +274,7 @@ std::string ModeName(const ::testing::TestParamInfo<WalPrivacyMode>& info) {
 INSTANTIATE_TEST_SUITE_P(AllPrivacyModes, WalRecoveryTest,
                          ::testing::Values(WalPrivacyMode::kPlain,
                                            WalPrivacyMode::kScrub,
-                                           WalPrivacyMode::kEncryptedEpoch),
+                                           WalPrivacyMode::kCryptoErase),
                          ModeName);
 
 // --- torn-tail atomicity, at the WalManager level ---------------------------
@@ -366,7 +372,7 @@ TEST_P(WalTornTailTest, TornCommitMarkerVoidsItsTransaction) {
 INSTANTIATE_TEST_SUITE_P(AllPrivacyModes, WalTornTailTest,
                          ::testing::Values(WalPrivacyMode::kPlain,
                                            WalPrivacyMode::kScrub,
-                                           WalPrivacyMode::kEncryptedEpoch),
+                                           WalPrivacyMode::kCryptoErase),
                          ModeName);
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include "common/strings.h"
 #include "forensic.h"
 #include "gtest/gtest.h"
+#include "io/env.h"
+#include "io/fault_env.h"
 #include "storage/key_manager.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
@@ -151,26 +153,15 @@ TEST_F(WalGoldenTest, UnusedTypeBytesDecodeAsCorruption) {
   }
 }
 
-// kEncryptedEpoch seals an insert's degradable values with its epoch key
-// and the nonce of the record's LSN; with a fixed key at a fixed LSN the
-// frame is fixed too.
+// kCryptoErase seals an insert's degradable values with the key of the
+// segment the frame lands in and the nonce of the record's LSN. Every
+// segment gets a fresh random key, so the sealed blob is pinned once opened
+// with that key; the rest of the frame is pinned byte for byte.
 TEST_F(WalGoldenTest, SealedInsertMatchesGoldenBytes) {
-  // A keystore holding one fixed key for (table 1, epoch 0).
-  std::string body;
-  PutVarint32(&body, 1);  // live keys
-  PutVarint32(&body, 0);  // tombstones
-  PutLengthPrefixed(&body, "wal.t1.e0");
-  for (int i = 0; i < 32; ++i) body.push_back(static_cast<char>(i));
-  std::string file;
-  PutFixed32(&file, crc32c::Mask(crc32c::Value(body.data(), body.size())));
-  file += body;
-  ASSERT_TRUE(WriteStringToFile(dir_ + "/keystore", file, true).ok());
   KeyManager keys(dir_ + "/keystore");
   ASSERT_TRUE(keys.Open().ok());
-
   WalOptions options;
-  options.privacy_mode = WalPrivacyMode::kEncryptedEpoch;
-  options.epoch_micros = kMicrosPerHour;
+  options.privacy_mode = WalPrivacyMode::kCryptoErase;
   WalManager wal(dir_ + "/wal", options, &keys);
   ASSERT_TRUE(wal.Open().ok());
   WalRecord commit;
@@ -181,11 +172,20 @@ TEST_F(WalGoldenTest, SealedInsertMatchesGoldenBytes) {
   auto lsn = wal.AppendBatch({&insert}, /*sync=*/true);
   ASSERT_TRUE(lsn.ok());
   EXPECT_EQ(*lsn, 11u);
-  EXPECT_EQ(FramesOf(dir_ + "/wal/wal_0000000000000000.log",
-                     {*lsn, wal.next_lsn()}),
-            std::vector<std::string>{
-                "2111150c2400000004070103e8070201030305646f6e6f72011212c3efbd18"
-                "7c8d3efbdbf2432675f67d3903"});
+  const std::vector<std::string> frames = FramesOf(
+      dir_ + "/wal/wal_0000000000000000.log", {*lsn, wal.next_lsn()});
+  ASSERT_EQ(frames.size(), 1u);
+  std::string frame = Unhex(frames[0]);
+  ASSERT_EQ(frame.size(), 44u);
+  // The CRC covers the sealed body.
+  EXPECT_EQ(DecodeFixed32(frame.data()),
+            crc32c::Mask(crc32c::Value(frame.data() + 8, frame.size() - 8)));
+  auto key = keys.Get(WalSegmentKeyId(0));
+  ASSERT_TRUE(key.ok());
+  ChaCha20::XorStreamAt(*key, NonceForSequence(*lsn), 0, &frame[26], 18);
+  EXPECT_EQ(Hex(frame.substr(4)),
+            "2400000004070103e8070201030305646f6e6f720112"
+            "02030c313120527565204c6570696301d00f");
   // The sealed payload opens with the same key.
   std::vector<WalRecord> seen;
   ASSERT_TRUE(wal.Replay(*lsn, [&](const WalRecord& record, Lsn) {
@@ -211,7 +211,6 @@ class WalTest : public ::testing::TestWithParam<WalPrivacyMode> {
     WalOptions options;
     options.privacy_mode = GetParam();
     options.segment_bytes = 512;  // tiny segments to exercise rollover
-    options.epoch_micros = kMicrosPerHour;
     return options;
   }
 
@@ -254,7 +253,6 @@ TEST_P(WalTest, AppendAndReplayRoundTrip) {
   ASSERT_EQ(seen.size(), 20u);
   for (size_t i = 0; i < seen.size(); ++i) {
     EXPECT_EQ(seen[i].row_id, i + 1);
-    ASSERT_FALSE(seen[i].degradable_unavailable);
     ASSERT_EQ(seen[i].degradable.size(), 2u);
     EXPECT_EQ(seen[i].degradable[0],
               Value::String(StringPrintf("addr-%llu",
@@ -390,7 +388,7 @@ TEST_P(WalTest, AccurateResidueMatchesPrivacyMode) {
   }
   ASSERT_TRUE(wal->Sync().ok());
 
-  if (GetParam() == WalPrivacyMode::kEncryptedEpoch) {
+  if (GetParam() == WalPrivacyMode::kCryptoErase) {
     // Even before retirement, the accurate value never hits the disk in
     // the clear.
     EXPECT_EQ(WalCopies(secret), 0u);
@@ -407,47 +405,120 @@ TEST_P(WalTest, AccurateResidueMatchesPrivacyMode) {
       EXPECT_GT(copies, 0u);
       break;
     case WalPrivacyMode::kScrub:
-    case WalPrivacyMode::kEncryptedEpoch:
+    case WalPrivacyMode::kCryptoErase:
       EXPECT_EQ(copies, 0u);
       break;
   }
 }
 
-TEST_P(WalTest, EpochKeyDestructionMakesInsertsUnreadable) {
-  if (GetParam() != WalPrivacyMode::kEncryptedEpoch) GTEST_SKIP();
+// kCryptoErase: every segment file has exactly one live key from its
+// creation until its retirement destroys the key and unlinks the file.
+TEST_P(WalTest, RetirementDestroysTheSegmentKey) {
+  if (GetParam() != WalPrivacyMode::kCryptoErase) GTEST_SKIP();
   auto wal = MakeWal();
   ASSERT_TRUE(wal->Open().ok());
-  // Epoch 0: t < 1h. Epoch 1: 1h <= t < 2h.
-  ASSERT_TRUE(
-      Append(wal.get(), MakeInsert(1, 1, 0, "old-epoch-addr"), false).ok());
-  ASSERT_TRUE(Append(wal.get(),
-                     MakeInsert(1, 2, kMicrosPerHour + 1, "new-epoch-addr"),
-                     false)
-                  .ok());
-  ASSERT_TRUE(wal->Sync().ok());
+  const auto segment_starts = [&] {
+    std::vector<Lsn> starts;
+    auto names = ListDir(dir_ + "/wal");
+    EXPECT_TRUE(names.ok());
+    for (const std::string& name : *names) {
+      if (EndsWith(name, ".log")) {
+        starts.push_back(std::strtoull(name.c_str() + 4, nullptr, 16));
+      }
+    }
+    std::sort(starts.begin(), starts.end());
+    return starts;
+  };
+  for (RowId r = 1; r <= 30; ++r) {
+    ASSERT_TRUE(
+        Append(wal.get(), MakeInsert(1, r, 0, "payload-payload"), false).ok());
+  }
+  const std::vector<Lsn> before = segment_starts();
+  ASSERT_GT(before.size(), 2u);
+  EXPECT_EQ(keys_->live_keys(), before.size());
+  for (Lsn start : before) {
+    EXPECT_TRUE(keys_->Get(WalSegmentKeyId(start)).ok()) << start;
+  }
 
-  // Destroy epoch 0 (everything before 1h is fully degraded).
-  ASSERT_TRUE(wal->DestroyEpochKeysThrough(1, kMicrosPerHour, [] {
-                   return Status::OK();
-                 }).ok());
-  EXPECT_EQ(wal->stats().epoch_keys_destroyed, 1u);
+  ASSERT_TRUE(wal->LogCheckpoint(wal->next_lsn()).ok());
+  const std::vector<Lsn> after = segment_starts();
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(keys_->live_keys(), 1u);
+  EXPECT_TRUE(keys_->Get(WalSegmentKeyId(after[0])).ok());
+  for (Lsn start : before) {
+    EXPECT_TRUE(keys_->Get(WalSegmentKeyId(start)).status().IsNotFound())
+        << start;
+  }
+  EXPECT_EQ(wal->stats().segments_retired, before.size());
+}
 
-  std::vector<WalRecord> seen;
-  ASSERT_TRUE(wal->Replay(0, [&](const WalRecord& record, Lsn) {
-                   seen.push_back(record);
+// A live segment's key only dies with its retirement: a sealed payload in a
+// live segment whose key is gone is Corruption, never a silent gap in redo.
+TEST_P(WalTest, SealedPayloadWithoutItsKeyIsCorruption) {
+  if (GetParam() != WalPrivacyMode::kCryptoErase) GTEST_SKIP();
+  auto wal = MakeWal();
+  ASSERT_TRUE(wal->Open().ok());
+  ASSERT_TRUE(Append(wal.get(), MakeInsert(1, 1, 0, "addr"), true).ok());
+  ASSERT_TRUE(keys_->Destroy(WalSegmentKeyId(0)).ok());
+  const Status replayed =
+      wal->Replay(0, [](const WalRecord&, Lsn) { return Status::OK(); });
+  EXPECT_TRUE(replayed.IsCorruption()) << replayed.ToString();
+}
+
+// A crash image that lost a rotation's unsynced records reopens with the
+// fresh segment empty at the same start LSN. The segment the reopened log
+// opens there gets a new key: the old one sealed the lost records at the
+// same LSNs, and the medium may still hold their ciphertext.
+TEST_P(WalTest, SegmentRecreatedAtTheSameLsnGetsAFreshKey) {
+  if (GetParam() != WalPrivacyMode::kCryptoErase) GTEST_SKIP();
+  FaultInjectionEnv fault(Env::Default());
+  const std::string live = dir_ + "/live";
+  const std::string image = dir_ + "/image";
+  Lsn rotated_at = 0;
+  ChaCha20::Key lost_key{};
+  {
+    KeyManager keys(live + "/keystore", &fault);
+    ASSERT_TRUE(CreateDirs(live).ok());
+    ASSERT_TRUE(keys.Open().ok());
+    WalManager wal(live + "/wal", MakeOptions(), &keys, &fault);
+    ASSERT_TRUE(wal.Open().ok());
+    // Fill the first segment durably; the next append rotates into the
+    // second one, and nothing syncs it.
+    while (wal.next_lsn() < MakeOptions().segment_bytes) {
+      ASSERT_TRUE(Append(&wal, MakeInsert(1, 1, 0, "durable"), true).ok());
+    }
+    ASSERT_EQ(wal.stats().segments_created, 1u);
+    rotated_at = wal.next_lsn();
+    ASSERT_TRUE(Append(&wal, MakeInsert(1, 2, 0, "lost"), false).ok());
+    ASSERT_TRUE(Append(&wal, MakeInsert(1, 3, 0, "lost"), false).ok());
+    ASSERT_EQ(wal.stats().segments_created, 2u);
+    auto key = keys.Get(WalSegmentKeyId(rotated_at));
+    ASSERT_TRUE(key.ok());
+    lost_key = *key;
+    ASSERT_TRUE(fault.SimulateCrashTo(live, image).ok());
+  }
+  KeyManager keys(image + "/keystore");
+  ASSERT_TRUE(keys.Open().ok());
+  WalManager wal(image + "/wal", MakeOptions(), &keys);
+  ASSERT_TRUE(wal.Open().ok());
+  ASSERT_EQ(wal.next_lsn(), rotated_at);  // the crash lost the second's records
+  ASSERT_TRUE(Append(&wal, MakeInsert(1, 4, 0, "after"), true).ok());
+  auto key = keys.Get(WalSegmentKeyId(rotated_at));
+  ASSERT_TRUE(key.ok());
+  EXPECT_NE(*key, lost_key);
+  // The log reads back whole under the new key.
+  std::vector<RowId> rows;
+  ASSERT_TRUE(wal.Replay(0, [&](const WalRecord& record, Lsn) {
+                   rows.push_back(record.row_id);
                    return Status::OK();
                  }).ok());
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_TRUE(seen[0].degradable_unavailable);
-  EXPECT_TRUE(seen[0].degradable.empty());
-  EXPECT_FALSE(seen[1].degradable_unavailable);
-  ASSERT_EQ(seen[1].degradable.size(), 2u);
-  EXPECT_EQ(seen[1].degradable[0], Value::String("new-epoch-addr"));
-  // Idempotent: destroying again is a no-op.
-  ASSERT_TRUE(wal->DestroyEpochKeysThrough(1, kMicrosPerHour, [] {
-                   return Status::OK();
-                 }).ok());
-  EXPECT_EQ(wal->stats().epoch_keys_destroyed, 1u);
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows.back(), 4u);
+  EXPECT_EQ(std::count(rows.begin(), rows.end(), 2u), 0);
+  // The recreated segment replaced the empty one: a checkpoint retires
+  // every segment but the fresh one, keys included.
+  ASSERT_TRUE(wal.LogCheckpoint(wal.next_lsn()).ok());
+  EXPECT_EQ(keys.live_keys(), 1u);
 }
 
 TEST_P(WalTest, CorruptFrameStopsReplayCleanly) {
@@ -651,15 +722,15 @@ TEST_F(GroupCommitWatermarkTest, StaggeredDemandsKeepTheSyncLedgerExact) {
 INSTANTIATE_TEST_SUITE_P(AllPrivacyModes, WalTest,
                          ::testing::Values(WalPrivacyMode::kPlain,
                                            WalPrivacyMode::kScrub,
-                                           WalPrivacyMode::kEncryptedEpoch),
+                                           WalPrivacyMode::kCryptoErase),
                          [](const auto& info) {
                            switch (info.param) {
                              case WalPrivacyMode::kPlain:
                                return "Plain";
                              case WalPrivacyMode::kScrub:
                                return "Scrub";
-                             case WalPrivacyMode::kEncryptedEpoch:
-                               return "EncryptedEpoch";
+                             case WalPrivacyMode::kCryptoErase:
+                               return "CryptoErase";
                            }
                            return "?";
                          });
