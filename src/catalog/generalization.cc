@@ -59,15 +59,6 @@ bool DomainHierarchy::DecodeLevelNames(Slice* input,
   return true;
 }
 
-bool DomainHierarchy::Covers(const Value& general, int general_level,
-                             const Value& specific, int specific_level) const {
-  if (specific_level > general_level) return false;
-  auto g = LeafRange(general, general_level);
-  auto s = LeafRange(specific, specific_level);
-  if (!g.ok() || !s.ok()) return false;
-  return g->Contains(*s);
-}
-
 // ---------------------------------------------------------------------------
 // GeneralizationTree::Builder
 // ---------------------------------------------------------------------------

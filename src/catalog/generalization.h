@@ -99,11 +99,6 @@ class DomainHierarchy {
   virtual void EncodeTo(std::string* dst) const = 0;
   static Result<std::shared_ptr<DomainHierarchy>> DecodeFrom(Slice* input);
 
-  /// True if `general` (at `general_level`) is an ancestor-or-self of
-  /// `specific` (at `specific_level <= general_level`).
-  bool Covers(const Value& general, int general_level, const Value& specific,
-              int specific_level) const;
-
  protected:
   void EncodeLevelNames(std::string* dst) const;
   static bool DecodeLevelNames(Slice* input, std::vector<std::string>* out);

@@ -67,14 +67,6 @@ int AttributeLcp::PhaseAt(Micros offset) const {
   return num_phases();  // removed
 }
 
-Micros AttributeLcp::ShortestStep() const {
-  Micros shortest = kForever;
-  for (const auto& phase : phases_) {
-    shortest = std::min(shortest, phase.duration);
-  }
-  return shortest;
-}
-
 std::string AttributeLcp::ToString() const {
   std::string out;
   for (int i = 0; i < num_phases(); ++i) {
@@ -153,14 +145,6 @@ TupleLcp TupleLcp::Make(const std::vector<const AttributeLcp*>& lcps) {
     out.states_.push_back(std::move(state));
   }
   return out;
-}
-
-int TupleLcp::StateAt(Micros offset) const {
-  int idx = 0;
-  for (int i = 0; i < num_states(); ++i) {
-    if (states_[i].start_offset <= offset) idx = i;
-  }
-  return idx;
 }
 
 std::string TupleLcp::ToString() const {

@@ -71,10 +71,6 @@ class AttributeLcp {
   /// True if the value eventually reaches ⊥.
   bool DegradesFully() const { return RemovalOffset() != kForever; }
 
-  /// Shortest phase duration — the paper's "shortest degradation step",
-  /// which bounds the attack window (benefit ii).
-  Micros ShortestStep() const;
-
   std::string ToString() const;
 
   void EncodeTo(std::string* dst) const;
@@ -111,9 +107,6 @@ class TupleLcp {
 
   const std::vector<TupleState>& states() const { return states_; }
   int num_states() const { return static_cast<int>(states_.size()); }
-
-  /// Index of the tuple state holding at `offset` since insertion.
-  int StateAt(Micros offset) const;
 
   /// Offset at which the whole tuple disappears: all degradable attributes
   /// have reached their final state and the paper removes the tuple (both

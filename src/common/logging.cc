@@ -7,8 +7,6 @@ namespace instantdb {
 
 namespace {
 
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kWarn)};
-
 const char* LevelName(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug:
@@ -29,14 +27,6 @@ const char* Basename(const char* path) {
 }
 
 }  // namespace
-
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
 
 void LogMessage(LogLevel level, const char* file, int line,
                 const std::string& message) {

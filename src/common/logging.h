@@ -1,7 +1,6 @@
 #ifndef INSTANTDB_COMMON_LOGGING_H_
 #define INSTANTDB_COMMON_LOGGING_H_
 
-#include <atomic>
 #include <string>
 
 #include "common/strings.h"
@@ -10,10 +9,9 @@ namespace instantdb {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Global minimum level; messages below it are discarded. Defaults to kWarn
-/// so tests and benchmarks stay quiet unless they opt in.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+/// Minimum level; messages below it are discarded, so tests and benchmarks
+/// stay quiet.
+inline constexpr LogLevel kMinLogLevel = LogLevel::kWarn;
 
 /// Writes one line to stderr: "[LEVEL file:line] message".
 void LogMessage(LogLevel level, const char* file, int line,
@@ -22,7 +20,7 @@ void LogMessage(LogLevel level, const char* file, int line,
 #define IDB_LOG(level, ...)                                              \
   do {                                                                   \
     if (static_cast<int>(level) >=                                       \
-        static_cast<int>(::instantdb::GetLogLevel())) {                  \
+        static_cast<int>(::instantdb::kMinLogLevel)) {                   \
       ::instantdb::LogMessage(level, __FILE__, __LINE__,                 \
                               ::instantdb::StringPrintf(__VA_ARGS__));   \
     }                                                                    \

@@ -136,7 +136,8 @@ struct ScanOptions {
 /// holds its commit durably (group commit: at most one fdatasync, usually
 /// shared with concurrent committers). Without it the commit is acked from
 /// the log's buffers, and a crash can lose it, up to the next sync or
-/// checkpoint.
+/// checkpoint. A commit that deletes is always synced: its apply erases
+/// values from disk at once.
 struct WriteOptions {
   bool sync = false;
 };

@@ -279,11 +279,10 @@ Status Database::Checkpoint() {
 
   // Write-ahead barrier: every record the partitions have already applied
   // is durable BEFORE any flush makes its effects durable. A transaction
-  // that touched several partitions (a stable update of rows in two of
-  // them) may otherwise have one partition's part flushed while its
-  // unsynced records die with a crash: the other part is then lost for
-  // good, and the transaction survives in part. With the log synced, redo
-  // completes it.
+  // that touched several partitions (inserts into two tables) may
+  // otherwise have one partition's part flushed while its unsynced records
+  // die with a crash: the other part is then lost for good, and the
+  // transaction survives in part. With the log synced, redo completes it.
   IDB_RETURN_IF_ERROR(wal_->Sync());
 
   // Incremental flush: only partitions mutated since their last flush do

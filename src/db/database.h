@@ -27,7 +27,7 @@ namespace instantdb {
 /// version, and any non-empty directory without the stamp, with
 /// NotSupported and touches nothing. A layout change bumps this number and
 /// ships no converter.
-inline constexpr uint32_t kFormatVersion = 3;
+inline constexpr uint32_t kFormatVersion = 4;
 
 /// Top-level configuration of an InstantDB instance.
 struct DbOptions {

@@ -110,7 +110,7 @@ Result<RowId> Table::Insert(Transaction* txn, const std::vector<Value>& row) {
            static_cast<uint32_t>(partitions_.size());
   });
   // No row lock: no other transaction can name an id before its insert
-  // commits (Delete and UpdateStable return NotFound for it).
+  // commits (Delete returns NotFound for it).
   const RowId row_id = partitions_[affine]->AllocateRowId();
 
   WalRecord record;
@@ -157,27 +157,6 @@ Status Table::Delete(Transaction* txn, RowId row_id) {
   record.type = WalRecordType::kDelete;
   record.table = id();
   record.row_id = row_id;
-  txn->AddOp(std::move(record));
-  return Status::OK();
-}
-
-Status Table::UpdateStable(Transaction* txn, RowId row_id,
-                           const std::vector<Value>& stable) {
-  if (stable.size() != schema().stable_columns().size()) {
-    return Status::InvalidArgument("stable value count mismatch");
-  }
-  for (size_t i = 0; i < stable.size(); ++i) {
-    const ColumnDef& col = schema().column(schema().stable_columns()[i]);
-    if (!stable[i].is_null() && stable[i].type() != col.type) {
-      return Status::InvalidArgument("stable type mismatch for " + col.name);
-    }
-  }
-  if (!Route(row_id)->Contains(row_id)) return Status::NotFound("no such row");
-  WalRecord record;
-  record.type = WalRecordType::kUpdateStable;
-  record.table = id();
-  record.row_id = row_id;
-  record.stable = stable;
   txn->AddOp(std::move(record));
   return Status::OK();
 }
@@ -252,9 +231,6 @@ Status Table::Apply(const WalRecord& record) {
     }
     case WalRecordType::kDelete:
       return Route(record.row_id)->ApplyDelete(record.row_id);
-    case WalRecordType::kUpdateStable:
-      return Route(record.row_id)
-          ->ApplyUpdateStable(record.row_id, record.stable);
     default:
       return Status::OK();
   }

@@ -145,11 +145,6 @@ class Table {
   /// TransactionManager), so concurrent deletes of one row all commit.
   Status Delete(Transaction* txn, RowId row_id);
 
-  /// Updates stable columns of one tuple (degradable updates are rejected
-  /// by the binder; this API only accepts stable values).
-  Status UpdateStable(Transaction* txn, RowId row_id,
-                      const std::vector<Value>& stable);
-
   // --- read path -------------------------------------------------------------
 
   /// Morsel-grained sharding (util/morsel.h): per-partition page-range

@@ -322,28 +322,6 @@ Status TablePartition::ApplyDelete(RowId row_id) {
   return Status::OK();
 }
 
-Status TablePartition::ApplyUpdateStable(RowId row_id,
-                                         const std::vector<Value>& stable) {
-  std::unique_lock<std::shared_mutex> latch(latch_);
-  Rid* rid = row_map_.Find(row_id);
-  if (rid == nullptr) {
-    ++stats_.applies_without_row;
-    return Status::OK();
-  }
-  HeapTuple tuple;
-  Status decoded;
-  IDB_RETURN_IF_ERROR(heap_->Read(*rid, [&](Slice record) {
-    decoded = DecodeHeapTuple(schema(), record, &tuple);
-  }));
-  IDB_RETURN_IF_ERROR(decoded);
-  tuple.stable = stable;
-  std::string encoded;
-  EncodeHeapTuple(tuple, &encoded);
-  IDB_RETURN_IF_ERROR(heap_->Update(*rid, encoded, rid));
-  mutation_seq_.fetch_add(1, std::memory_order_release);
-  return Status::OK();
-}
-
 // --- read path ---------------------------------------------------------------------
 
 std::vector<Morsel> TablePartition::MorselPlan(uint32_t pages_per_morsel) const {
@@ -510,8 +488,8 @@ void TablePartition::ResolveDegradableLocked(ScanWorkspace* ws) const {
 
   // One sorted merge per (column, phase) store over the survivors'
   // ascending row ids. Heap order is mostly — but not strictly —
-  // ascending (updates relocate rows, and inserts fill the space deletes
-  // and expiry freed), hence the sort when it is not.
+  // ascending (first fit places new rows in the holes deletes and expiry
+  // freed, ahead of older rows), hence the sort when it is not.
   ws->order.resize(n);
   for (size_t k = 0; k < n; ++k) ws->order[k] = static_cast<uint32_t>(k);
   const auto by_row_id = [&](uint32_t a, uint32_t b) {

@@ -53,11 +53,11 @@ struct TableRuntime {
 /// deletes and expiry free (storage/heap_file.h), and the row map is a
 /// row-id-sorted array whose head FIFO expiry pops (db/row_map.h).
 ///
-/// Thread-safety: no write takes a logical lock (TransactionManager orders
-/// the only writes that need it, stable updates). Physical structures are
-/// protected by the per-partition latch (scans share it; applies and
-/// degradation steps take it exclusive). Statistics are mutated under the
-/// exclusive latch and read under the shared latch.
+/// Thread-safety: no write takes a logical lock (rows are insert-only, so
+/// every pair of writes commutes; see TransactionManager). Physical
+/// structures are protected by the per-partition latch (scans share it;
+/// applies and degradation steps take it exclusive). Statistics are mutated
+/// under the exclusive latch and read under the shared latch.
 ///
 /// A degradation step writes no log record: recovery redoes inserts at
 /// their mandated phase and then Reconciles. One write order keeps a moved
@@ -120,11 +120,10 @@ class TablePartition {
   /// all when every value is at ⊥. Uses the record's phase-0 `ordinals`
   /// when the live insert carried them.
   Status ApplyInsert(const WalRecord& record);
-  /// The delete and the stable update of a row that is gone (deleted, or
-  /// expired by the LCP since the statement found it) change nothing and
-  /// count in Stats::applies_without_row.
+  /// The delete of a row that is gone (deleted, or expired by the LCP since
+  /// the statement found it) changes nothing and counts in
+  /// Stats::applies_without_row.
   Status ApplyDelete(RowId row_id);
-  Status ApplyUpdateStable(RowId row_id, const std::vector<Value>& stable);
 
   // --- read path -------------------------------------------------------------
 
@@ -214,8 +213,8 @@ class TablePartition {
     uint64_t values_degraded = 0;
     uint64_t values_removed = 0;
     uint64_t tuples_expired = 0;  // whole-tuple removals by the LCP
-    /// Deletes and stable updates applied to a row already gone: a delete
-    /// or expiry between the statement and its commit, or a redo.
+    /// Deletes applied to a row already gone: a delete or expiry between
+    /// the statement and its commit, or a redo.
     uint64_t applies_without_row = 0;
 
     void MergeFrom(const Stats& other) {
@@ -316,9 +315,9 @@ class TablePartition {
   /// Serializes checkpoints and store syncs of this partition and guards
   /// the incremental-checkpoint bookkeeping (flushed_seq_).
   mutable std::mutex ckpt_mu_;
-  /// Monotone count of applied mutations (inserts, deletes, degrade moves,
-  /// stable updates), bumped under the exclusive latch. The dirty test is
-  /// `mutation_seq_ != flushed_seq_`.
+  /// Monotone count of applied mutations (inserts, deletes, degrade moves),
+  /// bumped under the exclusive latch. The dirty test is `mutation_seq_ !=
+  /// flushed_seq_`.
   std::atomic<uint64_t> mutation_seq_{0};
   /// Written under ckpt_mu_; atomic so dirty() can poll it latch-free (the
   /// checkpoint cadence's test must not contend with checkpoints).

@@ -271,11 +271,6 @@ Status FaultInjectionEnv::SimulateCrashTo(const std::string& src_dir,
   return Status::OK();
 }
 
-void FaultInjectionEnv::ResetFileStates() {
-  std::lock_guard<std::mutex> lock(mu_);
-  files_.clear();
-}
-
 Result<std::unique_ptr<WritableFile>> FaultInjectionEnv::NewWritableFile(
     const std::string& path, bool truncate) {
   IDB_ASSIGN_OR_RETURN(auto file, base_->NewWritableFile(path, truncate));

@@ -77,9 +77,6 @@ class FaultInjectionEnv final : public Env {
   Status SimulateCrashTo(const std::string& src_dir,
                          const std::string& clone_dir);
 
-  /// Forgets all per-file durability tracking (e.g. between test cases).
-  void ResetFileStates();
-
   // --- Env interface ---------------------------------------------------------
 
   Result<std::unique_ptr<WritableFile>> NewWritableFile(

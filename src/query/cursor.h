@@ -107,9 +107,10 @@ class CursorRow {
 ///
 /// Isolation is snapshot-per-batch at every parallelism, for cursors and
 /// `Session::Execute` alike: each scan batch is assembled under one
-/// partition's shared latch, rows inserted, deleted or degraded while the
-/// statement runs may or may not be observed (never torn), and a row
-/// physically relocated by a concurrent update can be missed or seen twice.
+/// partition's shared latch, and rows inserted, deleted or degraded while
+/// the statement runs may or may not be observed (never torn). Rows are
+/// insert-only and a heap record never moves, so a row is observed at most
+/// once.
 /// Aggregate/GROUP BY statements are supported but buffer their (small)
 /// aggregated result before streaming it.
 class Cursor {

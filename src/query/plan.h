@@ -171,8 +171,8 @@ size_t ResolveScanParallelism(Session* session, const Table& table);
 /// morsels from a work-stealing scheduler (util/morsel.h), pull latched
 /// batches with the stable predicates evaluated inside the scan, run the
 /// degradable σ on the survivors' ordinals and project the qualifying rows.
-/// Isolation is snapshot-per-batch at any parallelism (a row relocated by a
-/// concurrent update may be missed or observed twice). With resolved
+/// Isolation is snapshot-per-batch at any parallelism, and a row is
+/// observed at most once (a heap record never moves). With resolved
 /// parallelism 1 — or a one-morsel table, or a pool that lends no worker —
 /// the consumer's thread pulls one reader inline, in (partition, heap)
 /// order; otherwise the producers the shared pool lends feed a bounded

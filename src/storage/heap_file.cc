@@ -277,37 +277,4 @@ Status HeapFile::Delete(Rid rid) {
   return Status::OK();
 }
 
-Status HeapFile::Update(Rid rid, Slice record, Rid* out) {
-  *out = rid;
-  IDB_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page));
-  char* page = guard.data();
-  const PageHeader header = ReadHeader(page);
-  if (rid.slot >= header.num_slots || SlotOffset(page, rid.slot) == 0) {
-    return Status::NotFound("no record at rid");
-  }
-  const uint16_t offset = SlotOffset(page, rid.slot);
-  const uint16_t old_len = SlotLen(page, rid.slot);
-  if (record.size() <= old_len) {
-    std::memcpy(page + offset, record.data(), record.size());
-    // Scrub the shrunk tail.
-    std::memset(page + offset + record.size(), 0, old_len - record.size());
-    SetSlot(page, rid.slot, offset, static_cast<uint16_t>(record.size()));
-    guard.MarkDirty();
-    holes_[rid.page] += old_len - record.size();
-    RefreshFree(guard);
-    return Status::OK();
-  }
-  // Grow: zero the old image, free the slot, and re-insert (same page if it
-  // fits after compaction, else anywhere).
-  std::memset(page + offset, 0, old_len);
-  SetSlot(page, rid.slot, 0, 0);
-  ++freed_slots_[rid.page];
-  CompactPage(guard);
-  --live_records_;
-  guard.Release();
-  IDB_ASSIGN_OR_RETURN(Rid new_rid, Insert(record));
-  *out = new_rid;
-  return Status::OK();
-}
-
 }  // namespace instantdb

@@ -100,10 +100,6 @@ class HeapFile {
   /// Frees the slot; record bytes are always zeroed first.
   Status Delete(Rid rid);
 
-  /// Rewrites the record. Stays at `rid` when it fits (possibly after page
-  /// compaction); otherwise relocates and returns the new rid in `*out`.
-  Status Update(Rid rid, Slice record, Rid* out);
-
   /// Calls `fn(Rid, Slice)` for every live record in (page, slot) order
   /// from `start` (inclusive; `Rid{0, 0}` scans everything), stopping
   /// before `end_page` (exclusive; kInvalidPageId = to the end of the heap)
@@ -297,7 +293,7 @@ class HeapFile {
   /// Per page: gap + holes, the figure first fit reads.
   MaxTree free_;
   /// Per page: bytes of the data region that no live record holds, freed by
-  /// deletes and shrinking updates. Zero again after CompactPage.
+  /// deletes. Zero again after CompactPage.
   std::vector<uint16_t> holes_;
   /// Reusable (freed) slots per page: 0 means InsertIntoPage can append a
   /// fresh slot without scanning the slot array (the append-only hot path).

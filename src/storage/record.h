@@ -74,8 +74,8 @@ inline bool WalkHeapRecord(Slice input, size_t stable_count, RowId* row_id,
 }
 
 /// Decodes a heap record with WalkHeapRecord, building every stable Value
-/// (the read-modify-write of a stable update). A malformed record is
-/// Corruption.
+/// (the reference decode tests compare the scans with). A malformed record
+/// is Corruption.
 Status DecodeHeapTuple(const Schema& schema, Slice input, HeapTuple* out);
 
 }  // namespace instantdb

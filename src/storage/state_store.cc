@@ -490,12 +490,6 @@ Status StateStore::CleanupDrainedSegments() {
   return Status::OK();
 }
 
-Status StateStore::PopHead(StoreEntryView* out) {
-  if (empty()) return Status::NotFound("state store empty");
-  if (out != nullptr) *out = Head();
-  return PopById(ids_[head_]);
-}
-
 Status StateStore::PopById(RowId row_id) {
   const size_t pos = LowerBound(row_id);
   if (pos == ids_.size() || ids_[pos] != row_id) {

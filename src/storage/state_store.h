@@ -135,9 +135,6 @@ class StateStore {
   /// it is not a node there.
   Result<int64_t> OrdinalOf(const Value& value) const;
 
-  /// Removes the head entry; erases segments as they drain.
-  Status PopHead(StoreEntryView* out);
-
   /// Pops exactly one entry by row id; a no-op when absent. Degradation
   /// steps pop precisely the entries they moved to the next phase.
   Status PopById(RowId row_id);

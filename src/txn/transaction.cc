@@ -16,15 +16,6 @@ std::unique_ptr<Transaction> TransactionManager::Begin() {
 Status TransactionManager::Commit(Transaction* txn, bool sync) {
   assert(txn->state_ == TxnState::kActive);
   if (!txn->ops_.empty()) {
-    // Stable updates apply in log order (see the class comment).
-    std::unique_lock<std::mutex> update_order(update_order_mu_,
-                                              std::defer_lock);
-    for (const WalRecord& op : txn->ops_) {
-      if (op.type == WalRecordType::kUpdateStable) {
-        update_order.lock();
-        break;
-      }
-    }
     // The append+apply window must look atomic to CheckpointBeginLsn: a
     // checkpoint begin LSN captured between the two would exclude this
     // durably logged transaction from both the flush and the replay range.
@@ -44,6 +35,10 @@ Status TransactionManager::Commit(Transaction* txn, bool sync) {
     for (WalRecord& op : ops) {
       op.txn_id = txn->id_;
       records.push_back(&op);
+      // A delete's apply erases its values from disk at once, so a commit
+      // that deletes is durable before it applies: otherwise a crash could
+      // keep the erase and lose the rest of the commit.
+      sync |= op.type == WalRecordType::kDelete;
     }
     const Result<Lsn> logged = wal_->AppendBatch(records, sync);
     if (!logged.ok()) {

@@ -79,15 +79,12 @@ class Transaction {
 /// abort (drop).
 ///
 /// Commit appends under the log mutex and applies outside it, so two
-/// commits can apply in the opposite order to their log records. Only one
-/// pair of writes cares, and it takes no row lock:
+/// commits can apply in the opposite order to their log records. Rows are
+/// insert-only, so no pair of writes cares and no write takes a lock:
 ///  - An insert names an id no other transaction can see before the apply.
 ///  - A delete commutes with every other write of its row: the row is gone
 ///    whichever applies first, live and in redo, and row ids are never
 ///    reused. A later apply that finds the row gone changes nothing.
-///  - Two stable updates of one row do not commute. A commit that carries
-///    any kUpdateStable holds `update_order_mu_` from before its append to
-///    the end of its apply, so those commits apply in log order.
 class TransactionManager {
  public:
   /// Applies one logged record to storage. The database passes the table
@@ -112,9 +109,9 @@ class TransactionManager {
   }
 
   /// Logs the queued records + COMMIT and applies the records in order.
-  /// With `sync` (WriteOptions::sync) it returns only once the log holds
-  /// the commit durably; without it a crash can lose the commit until the
-  /// next sync or checkpoint. The transaction ends on every path: a failed
+  /// With `sync` (WriteOptions::sync), or when the commit carries a delete,
+  /// the log holds the commit durably before any record applies; otherwise
+  /// a crash can lose the commit until the next sync or checkpoint. The transaction ends on every path: a failed
   /// log append aborts it. A failed apply is re-run once, from the failing
   /// record on (applies are idempotent); if that fails too the transaction
   /// stays committed, Commit returns the error, and the commit is pending
@@ -135,8 +132,8 @@ class TransactionManager {
   /// Pending commits (an apply that failed twice) are finished here first:
   /// the committed log from the oldest one's first LSN on is redone through
   /// the apply function, in log order, as recovery would. A re-apply of a
-  /// kept copy out of log order could undo a later update of the same row
-  /// or put back a value a later step removed; redo in log order cannot.
+  /// kept copy out of log order could put back a value a later step
+  /// removed; redo in log order cannot.
   /// While that redo still fails, the returned LSN is that first LSN, so no
   /// manifest moves past a commit storage does not fully hold.
   Lsn CheckpointBeginLsn();
@@ -169,11 +166,6 @@ class TransactionManager {
   /// fdatasync runs with it released), so commits draining under the
   /// barrier cannot deadlock against concurrent appenders.
   mutable std::shared_mutex commit_mu_;
-  /// Held by a commit with a kUpdateStable record from before its append
-  /// to the end of its apply, durability wait included, so those commits
-  /// apply in log order. Taken before commit_mu_; CheckpointBeginLsn never
-  /// takes it.
-  std::mutex update_order_mu_;
   Stats stats_;
   /// First LSN of the oldest pending commit; meaningful while
   /// stats_.commits_pending > 0. Guarded by mu_.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/strings.h"
-
 namespace instantdb {
 
 void Histogram::Add(double value) {
@@ -55,12 +53,6 @@ double Histogram::Percentile(double p) const {
   const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
   const size_t idx = static_cast<size_t>(std::llround(rank));
   return samples_[std::min(idx, samples_.size() - 1)];
-}
-
-std::string Histogram::ToString() const {
-  return StringPrintf(
-      "count=%zu mean=%.2f p50=%.2f p95=%.2f p99=%.2f max=%.2f", count(),
-      mean(), Percentile(50), Percentile(95), Percentile(99), max());
 }
 
 }  // namespace instantdb

@@ -1,8 +1,7 @@
 #ifndef INSTANTDB_UTIL_HISTOGRAM_H_
 #define INSTANTDB_UTIL_HISTOGRAM_H_
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 namespace instantdb {
@@ -21,9 +20,6 @@ class Histogram {
   double mean() const;
   /// p in [0, 100]. Nearest-rank percentile; 0 with no samples.
   double Percentile(double p) const;
-
-  /// One-line summary "count=.. mean=.. p50=.. p95=.. p99=.. max=..".
-  std::string ToString() const;
 
  private:
   void EnsureSorted() const;

@@ -55,8 +55,11 @@ struct MorselStatsSink {
 /// first — consecutive morsels of one partition keep the partition's pages
 /// warm in its buffer pool. When the home queue runs dry the worker steals
 /// from the queue with the most remaining morsels (the busiest partition is
-/// exactly the one worth sharing). A steal that loses the race to the last
-/// morsel counts a steal failure and re-picks.
+/// exactly the one worth sharing). Stealing spreads a cold scan's readers
+/// over partitions: BufferPool::FetchPage holds the partition's pool mutex
+/// across the disk read, so readers stacked on one partition would miss one
+/// page at a time. A steal that loses the race to the last morsel counts a
+/// steal failure and re-picks.
 ///
 /// Thread-safe and lock-free: each queue is an immutable morsel array plus
 /// an atomic claim cursor. Total claims over a fully-drained scheduler

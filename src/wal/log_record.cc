@@ -51,10 +51,6 @@ std::string EncodeWalRecord(const WalRecord& record, WalBlobRange* blob) {
     case WalRecordType::kDelete:
       PutVarint64(&dst, record.row_id);
       break;
-    case WalRecordType::kUpdateStable:
-      PutVarint64(&dst, record.row_id);
-      EncodeValues(record.stable, &dst);
-      break;
     case WalRecordType::kCheckpoint:
       PutVarint64(&dst, record.checkpoint_lsn);
       break;
@@ -112,15 +108,6 @@ Result<WalRecord> DecodeWalRecord(Slice input, const WalBlobCipher& decrypt) {
       uint64_t row_id;
       if (!GetVarint64(&input, &row_id)) {
         return Status::Corruption("bad delete record");
-      }
-      record.row_id = row_id;
-      break;
-    }
-    case WalRecordType::kUpdateStable: {
-      uint64_t row_id;
-      if (!GetVarint64(&input, &row_id) ||
-          !DecodeValues(&input, &record.stable)) {
-        return Status::Corruption("bad update record");
       }
       record.row_id = row_id;
       break;

@@ -18,32 +18,31 @@ namespace instantdb {
 /// logical log (segments are named by their starting LSN).
 using Lsn = uint64_t;
 
-/// The values are the on-disk type byte; 1, 3 and 5 are unused (a decoded
-/// one is Corruption). Degradation writes no record: a value's phase is a
-/// function of its insert time, and the state stores hold every level.
+/// The values are the on-disk type byte; 1, 3, 5 and 7 are unused (a
+/// decoded one is Corruption). Degradation writes no record: a value's
+/// phase is a function of its insert time, and the state stores hold every
+/// level.
 enum class WalRecordType : uint8_t {
   kCommit = 2,
   /// Tuple insertion at full accuracy. The degradable values are the only
   /// sensitive bytes that ever reach the log; WalPrivacyMode governs how
   /// they are kept from outliving their degradation deadline.
   kInsert = 4,
-  /// Tuple removal (user delete, or the final LCP transition).
+  /// Tuple removal by a user delete.
   kDelete = 6,
-  /// Update of the stable part (full physical redo image).
-  kUpdateStable = 7,
   kCheckpoint = 8,
 };
 
 /// \brief One redo record: a commit applies it and crash recovery replays
 /// it through the same function (Table::Apply). All redo is *idempotent*:
-/// appends carry row ids (stores skip duplicates), deletes and stable
-/// updates are absolute.
+/// appends carry row ids (stores skip duplicates) and deletes are absolute.
+/// Rows are insert-only: no record changes a row in place.
 struct WalRecord {
   WalRecordType type = WalRecordType::kCommit;
   uint64_t txn_id = 0;
   TableId table = 0;
 
-  // kInsert / kDelete / kUpdateStable
+  // kInsert / kDelete
   RowId row_id = kInvalidRowId;
   Micros insert_time = 0;
   std::vector<Value> stable;      // schema stable-column order

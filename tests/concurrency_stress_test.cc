@@ -205,15 +205,16 @@ void ConcurrencyStressTest::RunStress(size_t scan_parallelism) {
 /// partition only by its step mutex (the second skips it), and a pass and a
 /// user delete only by the partition latch and the apply's live-row test.
 /// Two threads call RunDue at once while a writer inserts and a mutator
-/// deletes rows and updates their stable column, all under short phases.
+/// replaces rows (a delete and an insert in one transaction), all under
+/// short phases.
 /// Location reaches ⊥ long before salary, so a removed location leaves its
 /// row in place (the case a replayed stale step would corrupt), and the
 /// rows inserted first expire whole. Checked against the scan oracle, live
 /// and again after recovery: every stored phase of both columns is exactly
 /// the one the LCP gives at the final clock (never finer), no id sits in
 /// two phases of a column or in a store without a heap row, no committed
-/// delete comes back, and every update shows.
-TEST_F(ConcurrencyStressTest, ConcurrentPassesDeletesAndUpdatesKeepPhasesExact) {
+/// delete comes back, and every replacement row shows.
+TEST_F(ConcurrencyStressTest, ConcurrentPassesDeletesAndInsertsKeepPhasesExact) {
   constexpr int kBatches = 40;
   constexpr int kRowsPerBatch = 10;
   VirtualClock clock(0);
@@ -252,7 +253,7 @@ TEST_F(ConcurrencyStressTest, ConcurrentPassesDeletesAndUpdatesKeepPhasesExact) 
   std::vector<RowId> inserted;
   std::map<RowId, Micros> inserted_before;  // clock read before the Write
   std::set<RowId> deleted;                  // committed deletes
-  std::map<RowId, std::string> updated;     // last committed user value
+  std::map<RowId, std::string> replacements;  // committed inserts: user
 
   // Paced, so the rows' insert times spread over the run.
   std::thread writer([&] {
@@ -279,43 +280,43 @@ TEST_F(ConcurrencyStressTest, ConcurrentPassesDeletesAndUpdatesKeepPhasesExact) 
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
-  // One transaction deletes a row and updates another, as a user would;
-  // either may have expired meanwhile (NotFound), then the txn aborts.
+  // One transaction replaces a row, as a user would: it deletes the row and
+  // inserts a new one. The row may have expired meanwhile (NotFound), then
+  // the txn aborts.
   std::thread mutator([&] {
     std::mt19937_64 rng(7);
     Table* table = db->GetTable("stress");
     for (int n = 0; !stop.load(std::memory_order_acquire); ++n) {
       RowId victim;
-      RowId target;
       {
         std::lock_guard<std::mutex> lock(mu);
-        if (inserted.size() < 2) continue;
+        if (inserted.empty()) continue;
         victim = inserted[rng() % inserted.size()];
-        target = inserted[rng() % inserted.size()];
       }
-      if (victim == target) continue;
       // Paced too, so rows outlive their location and the run ends with
       // some left.
       std::this_thread::sleep_for(std::chrono::microseconds(500));
-      const std::string user = "upd" + std::to_string(n);
+      const std::string user = "rep" + std::to_string(n);
       auto txn = db->Begin();
       const Status deleting = table->Delete(txn.get(), victim);
-      const Status updating =
-          deleting.ok() ? table->UpdateStable(txn.get(), target,
-                                              {Value::String(user)})
-                        : deleting;
-      if (!updating.ok()) {
+      if (!deleting.ok()) {
         db->Abort(txn.get());
-        if (!updating.IsNotFound()) ++errors;
+        if (!deleting.IsNotFound()) ++errors;
         continue;
       }
-      if (!db->Commit(txn.get()).ok()) {
+      const Micros before = clock.NowMicros();
+      auto added = table->Insert(
+          txn.get(), {Value::String(user), Value::String("3 Av Foch"),
+                      Value::Int64(n % 20000)});
+      if (!added.ok() || !db->Commit(txn.get()).ok()) {
         ++errors;
         return;
       }
       std::lock_guard<std::mutex> lock(mu);
       deleted.insert(victim);
-      updated[target] = user;
+      replacements[*added] = user;
+      inserted.push_back(*added);
+      inserted_before[*added] = before;
     }
   });
   std::vector<std::thread> passes;
@@ -339,7 +340,7 @@ TEST_F(ConcurrencyStressTest, ConcurrentPassesDeletesAndUpdatesKeepPhasesExact) 
   const Micros now = clock.NowMicros();
   ASSERT_TRUE(db->degradation()->RunDue(now).ok());
   ASSERT_GT(deleted.size(), 0u);
-  ASSERT_GT(updated.size(), 0u);
+  ASSERT_GT(replacements.size(), 0u);
 
   auto check = [&](Database* checked, const std::string& when) {
     SCOPED_TRACE(when);
@@ -355,10 +356,10 @@ TEST_F(ConcurrencyStressTest, ConcurrentPassesDeletesAndUpdatesKeepPhasesExact) 
         EXPECT_EQ(row.phases[d], lcps[d].PhaseAt(now - row.insert_time))
             << "row " << row.row_id << " column " << columns[d];
       }
-      auto update = updated.find(row.row_id);
+      auto replacement = replacements.find(row.row_id);
       const std::string user = row.values[0].ToString();
-      if (update != updated.end()) {
-        EXPECT_EQ(user, update->second) << "row " << row.row_id;
+      if (replacement != replacements.end()) {
+        EXPECT_EQ(user, replacement->second) << "row " << row.row_id;
       } else {
         EXPECT_EQ(user.rfind("u", 0), 0u) << "row " << row.row_id;
       }
@@ -402,11 +403,11 @@ TEST_F(ConcurrencyStressTest, ConcurrentPassesDeletesAndUpdatesKeepPhasesExact) 
 }
 
 /// Racing writers of one row, redone from a crash image: four threads each
-/// make durable commits that update the stable columns of one shared row
-/// and delete a row of their own. No writer aborts. The live shared row
-/// holds the update the log holds last, and redo of a crash image taken
-/// with no checkpoint since the load rebuilds the same row, with every
-/// deleted row gone.
+/// make durable commits that delete one shared row and a row of their own
+/// and insert a new row. No writer aborts: a delete of the shared row that
+/// applies after the first finds it gone, as does its redo. Redo of a crash
+/// image taken with no checkpoint since the load rebuilds exactly the live
+/// rows, with every deleted row gone.
 TEST_F(ConcurrencyStressTest, RacingWritersOfOneRowRedoToTheLiveState) {
   constexpr int kThreads = 4;
   constexpr int kCommitsPerThread = 50;
@@ -440,42 +441,49 @@ TEST_F(ConcurrencyStressTest, RacingWritersOfOneRowRedoToTheLiveState) {
   Table* table = db->GetTable("racing");
 
   std::atomic<int> errors{0};
+  std::atomic<uint64_t> shared_deletes{0};  // staged and committed
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&, t] {
       for (int i = 0; i < kCommitsPerThread; ++i) {
         const RowId own = load.row_ids()[1 + t * kCommitsPerThread + i];
         auto txn = db->Begin();
-        const Status staged =
-            table->UpdateStable(txn.get(), shared,
-                                {Value::String("t" + std::to_string(t)),
-                                 Value::Int64(i)});
-        if (!staged.ok() || !table->Delete(txn.get(), own).ok() ||
+        // NotFound once a commit that deleted the shared row has applied.
+        const Status staged = table->Delete(txn.get(), shared);
+        if (!(staged.ok() || staged.IsNotFound()) ||
+            !table->Delete(txn.get(), own).ok() ||
+            !table
+                 ->Insert(txn.get(), {Value::String("t" + std::to_string(t)),
+                                      Value::Int64(i),
+                                      Value::String("3 Av Foch")})
+                 .ok() ||
             !db->Commit(txn.get(), WriteOptions{.sync = true}).ok()) {
           ++errors;
           return;
         }
+        if (staged.ok()) ++shared_deletes;
       }
     });
   }
   for (std::thread& w : writers) w.join();
   ASSERT_EQ(errors.load(), 0);
-  EXPECT_EQ(table->live_rows(), 1u);
+  ASSERT_GE(shared_deletes.load(), 1u);
+  EXPECT_EQ(table->live_rows(), uint64_t{kThreads * kCommitsPerThread});
+  EXPECT_EQ(table->stats().applies_without_row, shared_deletes.load() - 1);
 
-  auto live = oracle::StoredRow(*table, shared);
-  ASSERT_TRUE(live.ok());
-  ASSERT_TRUE(live->has_value());
-  const std::vector<Value> live_stable = {(*live)->values[0],
-                                          (*live)->values[1]};
-  std::vector<Value> last_logged;
-  auto keep_last_update = [&](const WalRecord& record) {
-    if (record.type == WalRecordType::kUpdateStable && record.row_id == shared) {
-      last_logged = record.stable;
+  // Each live row's id and stable values.
+  const auto rows_of = [](const Table& of) {
+    std::map<RowId, std::vector<Value>> rows;
+    auto stored = oracle::StoredRows(of);
+    EXPECT_TRUE(stored.ok());
+    for (const oracle::Stored& row : *stored) {
+      rows[row.row_id] = {row.values[0], row.values[1]};
     }
-    return Status::OK();
+    return rows;
   };
-  ASSERT_TRUE(db->wal()->RecoverCommitted(0, keep_last_update).ok());
-  EXPECT_EQ(last_logged, live_stable);
+  const auto live = rows_of(*table);
+  EXPECT_EQ(live.count(shared), 0u);
+  EXPECT_EQ(live.size(), size_t{kThreads * kCommitsPerThread});
 
   ASSERT_TRUE(fault.SimulateCrashTo(dir_, image).ok());
   db.reset();
@@ -484,12 +492,8 @@ TEST_F(ConcurrencyStressTest, RacingWritersOfOneRowRedoToTheLiveState) {
   auto recovered = Database::Open(options);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   Table* redone = (*recovered)->GetTable("racing");
-  auto stored = oracle::StoredRows(*redone);
-  ASSERT_TRUE(stored.ok());
-  ASSERT_EQ(stored->size(), 1u) << "a deleted row came back";
-  EXPECT_EQ(stored->front().row_id, shared);
-  EXPECT_EQ(stored->front().values[0], live_stable[0]);
-  EXPECT_EQ(stored->front().values[1], live_stable[1]);
+  EXPECT_EQ(rows_of(*redone), live) << "a deleted row came back or was lost";
+  EXPECT_EQ(redone->stats().applies_without_row, shared_deletes.load() - 1);
   recovered->reset();
   RemoveDirRecursive(image).ok();
 }

@@ -3,16 +3,18 @@
 // durable before the last durable trace of its finer copy can vanish (a
 // store segment erase, a checkpoint META, a WAL segment's retirement). This
 // suite checks that order at every crash point of a seeded workload that
-// mixes synced and unsynced inserts, deletes, stable updates, degradation
-// passes across every phase boundary down to ⊥, and checkpoints:
+// mixes synced and unsynced inserts, deletes, transactions that delete rows
+// in both partitions and insert one, degradation passes across every phase
+// boundary down to ⊥, and checkpoints:
 //
 //  - a crash image is taken after every engine call of the workload;
 //  - for every k, the workload is replayed with the k-th fsync failing, and
 //    a crash image is taken right after the call that hit it.
 //
 // Each image is reopened at the crash instant and must show:
-//  - every write acknowledged durable (a synced commit, or any commit
-//    before a later synced commit or checkpoint) survives;
+//  - every write acknowledged durable (a synced commit, a commit that
+//    deletes, or any commit before one of those or a checkpoint) survives,
+//    and every transaction survives whole or not at all;
 //  - no value coarser than its LCP mandates at the crash instant, and every
 //    stored value the exact generalization of the inserted one;
 //  - no row id in two stores of one column.
@@ -70,7 +72,7 @@ Schema SweepSchema() {
                                                   {1, kMicrosPerHour}}))});
 }
 
-enum class Kind { kInsert, kDelete, kUpdate, kAdvance, kPass, kCheckpoint };
+enum class Kind { kInsert, kDelete, kReplace, kAdvance, kPass, kCheckpoint };
 
 struct Op {
   Kind kind = Kind::kPass;
@@ -110,7 +112,7 @@ std::vector<Op> Workload(uint64_t seed) {
     } else if (r < 7) {
       op.kind = Kind::kDelete;
     } else if (r < 9) {
-      op.kind = Kind::kUpdate;
+      op.kind = Kind::kReplace;
     } else if (r < 12) {
       op.kind = Kind::kAdvance;
       op.advance = static_cast<Micros>(10 + rng() % 80) * kMicrosPerMinute;
@@ -137,22 +139,19 @@ struct ModelRow {
   Micros insert_time = 0;
   std::string address;
   int64_t salary = 0;
+  std::string user;
   bool insert_durable = false;
   bool delete_attempted = false;
   bool delete_durable = false;
-  /// Every stable user the row was given, in commit order. A crash keeps
-  /// users[durable] or a later one.
-  std::vector<std::string> users;
-  size_t durable = 0;
 };
 
 struct Model {
   std::map<RowId, ModelRow> rows;
   /// Users of inserts whose commit failed (their ids are unknown).
   std::set<std::string> failed_inserts;
-  /// Each stable-update transaction: the rows it set and the user it gave
-  /// them. A crash keeps it on all of them or on none.
-  std::vector<std::pair<std::vector<RowId>, std::string>> updates;
+  /// Each replace transaction: the rows it deleted and the row it inserted.
+  /// A crash keeps all of it or none.
+  std::vector<std::pair<std::vector<RowId>, RowId>> replaces;
 
   /// A synced commit or a checkpoint succeeded: everything logged so far is
   /// durable.
@@ -160,7 +159,6 @@ struct Model {
     for (auto& [id, row] : rows) {
       row.insert_durable = true;
       row.delete_durable |= row.delete_attempted;
-      row.durable = row.users.size() - 1;
     }
   }
 };
@@ -219,7 +217,16 @@ class CrashSweepTest : public ::testing::TestWithParam<WalPrivacyMode> {
       const Op& op = ops[i];
       WriteOptions write;
       write.sync = op.sync;
-      // The live rows a delete or an update may pick.
+      // The r-th row this op inserts.
+      const auto make_row = [&](int r) {
+        ModelRow row;
+        row.insert_time = clock.NowMicros();
+        row.address = kAddresses[(op.pick + r) % std::size(kAddresses)];
+        row.salary = static_cast<int64_t>((op.pick >> 8) % 100000) + r;
+        row.user = "r" + std::to_string(users++);
+        return row;
+      };
+      // The live rows a delete may pick.
       std::vector<RowId> live;
       for (const auto& [id, row] : model.rows) {
         if (!row.delete_attempted &&
@@ -234,12 +241,8 @@ class CrashSweepTest : public ::testing::TestWithParam<WalPrivacyMode> {
           WriteBatch batch;
           std::vector<ModelRow> inserted;
           for (int r = 0; r < op.rows; ++r) {
-            ModelRow row;
-            row.insert_time = clock.NowMicros();
-            row.address = kAddresses[(op.pick + r) % std::size(kAddresses)];
-            row.salary = static_cast<int64_t>((op.pick >> 8) % 100000) + r;
-            row.users = {"r" + std::to_string(users++)};
-            batch.Insert("pings", {Value::String(row.users[0]),
+            const ModelRow row = make_row(r);
+            batch.Insert("pings", {Value::String(row.user),
                                    Value::String(row.address),
                                    Value::Int64(row.salary)});
             inserted.push_back(row);
@@ -251,7 +254,7 @@ class CrashSweepTest : public ::testing::TestWithParam<WalPrivacyMode> {
             }
           } else {
             for (const ModelRow& row : inserted) {
-              model.failed_inserts.insert(row.users[0]);
+              model.failed_inserts.insert(row.user);
             }
           }
           durable_point = op.sync;
@@ -262,12 +265,13 @@ class CrashSweepTest : public ::testing::TestWithParam<WalPrivacyMode> {
           const RowId id = live[op.pick % live.size()];
           model.rows[id].delete_attempted = true;
           status = db->Delete("pings", id, write);
-          durable_point = op.sync;
+          durable_point = true;  // a commit that deletes is synced
           break;
         }
-        case Kind::kUpdate: {
-          // One row, and a second one in the other partition when there is
-          // one: the transaction spans both partitions' flushes.
+        case Kind::kReplace: {
+          // Deletes one row, and a second one in the other partition when
+          // there is one, and inserts a row: the transaction spans both
+          // partitions' flushes.
           if (live.empty()) continue;
           std::vector<RowId> ids = {live[op.pick % live.size()]};
           for (size_t k = 1; k < live.size(); ++k) {
@@ -277,22 +281,28 @@ class CrashSweepTest : public ::testing::TestWithParam<WalPrivacyMode> {
               break;
             }
           }
-          const std::string user = "u" + std::to_string(users++);
           auto txn = db->Begin();
           for (const RowId id : ids) {
-            if (status.ok()) {
-              status =
-                  table->UpdateStable(txn.get(), id, {Value::String(user)});
-            }
+            if (status.ok()) status = table->Delete(txn.get(), id);
+          }
+          const ModelRow row = make_row(0);
+          RowId inserted = kInvalidRowId;
+          if (status.ok()) {
+            auto id = table->Insert(txn.get(), {Value::String(row.user),
+                                                Value::String(row.address),
+                                                Value::Int64(row.salary)});
+            status = id.status();
+            if (id.ok()) inserted = *id;
           }
           if (!status.ok()) {
             db->Abort(txn.get());
             continue;
           }
-          for (const RowId id : ids) model.rows[id].users.push_back(user);
-          model.updates.emplace_back(ids, user);
+          for (const RowId id : ids) model.rows[id].delete_attempted = true;
+          model.rows[inserted] = row;
+          model.replaces.emplace_back(ids, inserted);
           status = db->Commit(txn.get(), write);
-          durable_point = op.sync;
+          durable_point = true;  // a commit that deletes is synced
           break;
         }
         case Kind::kAdvance:
@@ -374,12 +384,7 @@ class CrashSweepTest : public ::testing::TestWithParam<WalPrivacyMode> {
       }
       const oracle::Stored& got = it->second;
       EXPECT_FALSE(row.delete_durable) << "durably deleted row " << id;
-      const std::string user = got.values[0].ToString();
-      const auto kept = std::find(row.users.begin(), row.users.end(), user);
-      EXPECT_TRUE(kept != row.users.end() &&
-                  kept - row.users.begin() >=
-                      static_cast<std::ptrdiff_t>(row.durable))
-          << "row " << id << " has user " << user;
+      EXPECT_EQ(got.values[0].ToString(), row.user) << "row " << id;
       for (int d = 0; d < 2; ++d) {
         const int column = d == 0 ? kLocation : kSalary;
         const int phase = got.phases[d];
@@ -399,20 +404,32 @@ class CrashSweepTest : public ::testing::TestWithParam<WalPrivacyMode> {
       EXPECT_EQ(model.failed_inserts.count(got.values[0].ToString()), 1u)
           << "row " << id << " was never written";
     }
-    // Each update transaction is kept on all its surviving rows or on none:
-    // a row keeps it when it shows its user or a later one.
-    for (const auto& [ids, user] : model.updates) {
+    // Each replace transaction is kept whole or not at all. Its inserted
+    // row shows it when present, and shows it lost when absent, unless a
+    // later delete or the LCP may have removed it; a deleted row shows it
+    // when absent although durably inserted and not expired.
+    const auto present = [&](RowId id) {
+      return std::any_of(stored->begin(), stored->end(),
+                         [id](const auto& r) { return r.row_id == id; });
+    };
+    for (const auto& [ids, inserted] : model.replaces) {
       std::set<bool> kept;
-      for (const RowId id : ids) {
-        auto got = std::find_if(stored->begin(), stored->end(),
-                                [id](const auto& r) { return r.row_id == id; });
-        if (got == stored->end()) continue;
-        const std::vector<std::string>& users = model.rows.at(id).users;
-        const auto shown = std::find(users.begin(), users.end(),
-                                     got->values[0].ToString());
-        kept.insert(shown >= std::find(users.begin(), users.end(), user));
+      const ModelRow& added = model.rows.at(inserted);
+      if (present(inserted)) {
+        kept.insert(true);
+      } else if (!added.delete_attempted && !expired(added)) {
+        kept.insert(false);
       }
-      EXPECT_LE(kept.size(), 1u) << "update to " << user << " kept in part";
+      for (const RowId id : ids) {
+        const ModelRow& row = model.rows.at(id);
+        if (present(id)) {
+          kept.insert(false);
+        } else if (row.insert_durable && !expired(row)) {
+          kept.insert(true);
+        }
+      }
+      EXPECT_LE(kept.size(), 1u) << "replace inserting " << inserted
+                                 << " kept in part";
     }
 
     // No id in two stores of one column.

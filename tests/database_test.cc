@@ -594,30 +594,11 @@ TEST_F(DatabaseTest, DropTableErasesStorage) {
   EXPECT_EQ(db_->GetTable("pings")->live_rows(), 0u);
 }
 
-TEST_F(DatabaseTest, UpdateStableKeepsDegradationSchedule) {
-  ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
-  const RowId row = InsertPing("alice", 1, "11 Rue Lepic");
-  auto txn = db_->Begin();
-  ASSERT_TRUE(db_->GetTable("pings")
-                  ->UpdateStable(txn.get(), row,
-                                 {Value::String("alice-renamed"),
-                                  Value::Int64(99)})
-                  .ok());
-  ASSERT_TRUE(db_->Commit(txn.get()).ok());
-  auto view = *oracle::StoredRow(*db_->GetTable("pings"), row);
-  ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(view->values[0], Value::String("alice-renamed"));
-  EXPECT_EQ(view->values[2], Value::String("11 Rue Lepic"));
-  clock_->Advance(kMicrosPerHour);
-  ASSERT_TRUE(db_->RunDegradationOnce().ok());
-  EXPECT_EQ(LocationOf(row), Value::String("Paris"));
-}
-
 TEST_F(DatabaseTest, WritersOfOneRowNeverAbort) {
-  // Three open transactions write one row: the oldest updates its stable
-  // columns, two younger ones delete it. None waits or aborts; they commit
-  // in another order, and the applies after the first delete find the row
-  // gone. Redo of a crash image replays them in log order to the same end.
+  // Three open transactions delete one row, the oldest also inserting
+  // another. None waits or aborts; they commit in another order, and the
+  // applies after the first delete find the row gone. Redo of a crash image
+  // replays them in log order to the same end.
   const std::string image = dir_ + "_crash";
   ASSERT_TRUE(RemoveDirRecursive(image).ok());
   db_.reset();
@@ -631,21 +612,23 @@ TEST_F(DatabaseTest, WritersOfOneRowNeverAbort) {
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
   const RowId row = InsertPing("alice", 1, "11 Rue Lepic");
   Table* pings = db_->GetTable("pings");
-  auto update = db_->Begin();
+  auto oldest = db_->Begin();
   auto first_delete = db_->Begin();
   auto second_delete = db_->Begin();
   ASSERT_TRUE(pings
-                  ->UpdateStable(update.get(), row,
-                                 {Value::String("bob"), Value::Int64(2)})
+                  ->Insert(oldest.get(), {Value::String("bob"),
+                                          Value::Int64(2),
+                                          Value::String("3 Av Foch")})
                   .ok());
+  ASSERT_TRUE(pings->Delete(oldest.get(), row).ok());
   const Status staged = pings->Delete(first_delete.get(), row);
   ASSERT_TRUE(staged.ok()) << staged.ToString();
   ASSERT_TRUE(pings->Delete(second_delete.get(), row).ok());
   const WriteOptions durable{.sync = true};
   ASSERT_TRUE(db_->Commit(second_delete.get(), durable).ok());
-  ASSERT_TRUE(db_->Commit(update.get(), durable).ok());
+  ASSERT_TRUE(db_->Commit(oldest.get(), durable).ok());
   ASSERT_TRUE(db_->Commit(first_delete.get(), durable).ok());
-  EXPECT_EQ(pings->live_rows(), 0u);
+  EXPECT_EQ(pings->live_rows(), 1u);
   EXPECT_EQ(pings->stats().applies_without_row, 2u);
 
   ASSERT_TRUE(fault.SimulateCrashTo(dir_, image).ok());
@@ -655,10 +638,101 @@ TEST_F(DatabaseTest, WritersOfOneRowNeverAbort) {
   opened = Database::Open(options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   db_ = std::move(*opened);
-  EXPECT_EQ(db_->GetTable("pings")->live_rows(), 0u);
+  EXPECT_EQ(db_->GetTable("pings")->live_rows(), 1u);
   EXPECT_EQ(db_->GetTable("pings")->stats().applies_without_row, 2u);
   db_.reset();
   RemoveDirRecursive(image).ok();
+}
+
+// A delete's apply erases the row's values from disk at once, so a commit
+// that deletes is logged durably before it applies, even unsynced: a crash
+// keeps the whole commit, the insert beside the delete included, and never
+// the erase alone.
+TEST_F(DatabaseTest, UnsyncedCommitThatDeletesSurvivesACrashWhole) {
+  const std::string image = dir_ + "_crash";
+  ASSERT_TRUE(RemoveDirRecursive(image).ok());
+  db_.reset();
+  ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
+  FaultInjectionEnv fault(Env::Default());
+  DbOptions options = Options();
+  options.env = &fault;
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  db_ = std::move(*opened);
+  ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
+  WriteBatch load;
+  load.Insert("pings", {Value::String("alice"), Value::Int64(1),
+                        Value::String("11 Rue Lepic")});
+  ASSERT_TRUE(db_->Write(&load, WriteOptions{.sync = true}).ok());
+  const RowId deleted = load.row_ids()[0];
+  WriteBatch replace;
+  replace.Delete("pings", deleted);
+  replace.Insert("pings", {Value::String("bob"), Value::Int64(2),
+                           Value::String("3 Av Foch")});
+  ASSERT_TRUE(db_->Write(&replace).ok());
+  const RowId inserted = replace.row_ids()[1];
+
+  ASSERT_TRUE(fault.SimulateCrashTo(dir_, image).ok());
+  db_.reset();
+  options = Options();
+  options.path = image;
+  opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  db_ = std::move(*opened);
+  auto rows = oracle::StoredRows(*db_->GetTable("pings"));
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ(rows->front().row_id, inserted);
+  EXPECT_EQ(rows->front().values[0], Value::String("bob"));
+  db_.reset();
+  RemoveDirRecursive(image).ok();
+}
+
+// Checkpoint syncs the log before it flushes any partition. An unsynced
+// commit that inserted into two tables stays whole whichever fsync of the
+// checkpoint fails, though a partition flushed before the failure already
+// holds its part: redo of the synced log brings back the other.
+TEST_F(DatabaseTest, CheckpointKeepsAnUnsyncedTwoTableCommitWhole) {
+  const std::string image = dir_ + "_crash";
+  for (int fail = 1;; ++fail) {
+    SCOPED_TRACE("fsync " + std::to_string(fail) + " of the checkpoint fails");
+    db_.reset();
+    ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
+    ASSERT_TRUE(RemoveDirRecursive(image).ok());
+    FaultInjectionEnv fault(Env::Default());
+    DbOptions options = Options();
+    options.env = &fault;
+    auto opened = Database::Open(options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    db_ = std::move(*opened);
+    for (const char* name : {"a", "b"}) {
+      ASSERT_TRUE(db_->CreateTable(name, PingSchema()).ok());
+    }
+    auto txn = db_->Begin();
+    for (const char* name : {"a", "b"}) {
+      ASSERT_TRUE(db_->GetTable(name)
+                      ->Insert(txn.get(), {Value::String(name), Value::Int64(1),
+                                           Value::String("11 Rue Lepic")})
+                      .ok());
+    }
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+    fault.FailOnce(FaultOp::kSync, fail, Status::IOError("injected"));
+    db_->Checkpoint().ok();  // fails when the fault fires
+    const bool fired = fault.io_counters().injected_faults > 0;
+    ASSERT_TRUE(fault.SimulateCrashTo(dir_, image).ok());
+    db_.reset();  // a poisoned log fails its last checkpoint: ignored
+
+    options = Options();
+    options.path = image;
+    opened = Database::Open(options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    db_ = std::move(*opened);
+    EXPECT_EQ(db_->GetTable("a")->live_rows(), db_->GetTable("b")->live_rows())
+        << "the commit survived in part";
+    db_.reset();
+    ASSERT_TRUE(RemoveDirRecursive(image).ok());
+    if (!fired) break;  // the checkpoint issued fewer fsyncs: all covered
+  }
 }
 
 TEST_F(DatabaseTest, AbortedTransactionLeavesNoTrace) {
@@ -701,6 +775,7 @@ enum class OldLayout {
   kNewerStamp,          // FORMAT holds kFormatVersion + 1
   kFormatOne,           // format 1: degradation steps logged as type 5
   kFormatTwo,           // format 2: per-(table, epoch) WAL keys, tombstones
+  kFormatThree,         // format 3: stable updates logged as type 7
   kShardedWal,          // wal/STREAMS and wal/s1/ holding redo
   kPositionalStoreMeta, // a state-store META without its magic
   kUnpartitionedTable,  // heap.db directly under tables/t1
@@ -791,6 +866,8 @@ TEST_P(FormatGateTest, OtherLayoutIsRefusedUntouched) {
     ASSERT_TRUE(WriteStringToFile(format, "1", /*sync=*/true).ok());
   } else if (layout == OldLayout::kFormatTwo) {
     ASSERT_TRUE(WriteStringToFile(format, "2", /*sync=*/true).ok());
+  } else if (layout == OldLayout::kFormatThree) {
+    ASSERT_TRUE(WriteStringToFile(format, "3", /*sync=*/true).ok());
   } else {
     ASSERT_TRUE(RemoveFile(format).ok());
   }
@@ -809,6 +886,40 @@ TEST_P(FormatGateTest, OtherLayoutIsRefusedUntouched) {
       PutFixed32(&file, crc32c::Mask(crc32c::Value(body.data(), body.size())));
       file += body;
       ASSERT_TRUE(WriteStringToFile(dir_ + "/KEYSTORE", file, true).ok());
+      break;
+    }
+    case OldLayout::kFormatThree: {
+      // A format-3 log: a committed stable update of the row (type 7),
+      // framed as that build wrote it, after the insert.
+      std::string body(1, '\x07');
+      PutVarint64(&body, 2);  // txn id
+      PutVarint32(&body, 1);  // table
+      PutVarint64(&body, 1);  // row id
+      PutVarint32(&body, 2);  // stable values
+      Value::String("bob").EncodeTo(&body);
+      Value::Int64(2).EncodeTo(&body);
+      std::string commit(1, '\x02');  // its commit marker
+      PutVarint64(&commit, 2);
+      PutVarint32(&commit, 0);
+      std::string frames;
+      for (const std::string* record : {&body, &commit}) {
+        PutFixed32(&frames, crc32c::Mask(crc32c::Value(record->data(),
+                                                       record->size())));
+        PutFixed32(&frames, static_cast<uint32_t>(record->size()));
+        frames += *record;
+      }
+      std::string segment;
+      for (const auto& entry :
+           std::filesystem::directory_iterator(dir_ + "/wal")) {
+        const std::string name = entry.path().filename().string();
+        if (name.starts_with("wal_") && name.ends_with(".log")) {
+          segment = std::max(segment, entry.path().string());
+        }
+      }
+      ASSERT_FALSE(segment.empty());
+      auto log = ReadFileToString(segment);
+      ASSERT_TRUE(log.ok());
+      ASSERT_TRUE(WriteStringToFile(segment, *log + frames, true).ok());
       break;
     }
     case OldLayout::kShardedWal: {
@@ -871,6 +982,9 @@ TEST_P(FormatGateTest, OtherLayoutIsRefusedUntouched) {
   if (layout == OldLayout::kFormatTwo) {
     EXPECT_NE(message.find("format 2;"), std::string::npos) << message;
   }
+  if (layout == OldLayout::kFormatThree) {
+    EXPECT_NE(message.find("format 3;"), std::string::npos) << message;
+  }
   EXPECT_EQ(TreeUnder(dir_), before);
 }
 
@@ -878,7 +992,7 @@ INSTANTIATE_TEST_SUITE_P(
     Layouts, FormatGateTest,
     ::testing::Values(OldLayout::kNoStamp, OldLayout::kNewerStamp,
                       OldLayout::kFormatOne, OldLayout::kFormatTwo,
-                      OldLayout::kShardedWal,
+                      OldLayout::kFormatThree, OldLayout::kShardedWal,
                       OldLayout::kPositionalStoreMeta,
                       OldLayout::kUnpartitionedTable,
                       OldLayout::kLeftoverIndexFile),
@@ -888,6 +1002,7 @@ INSTANTIATE_TEST_SUITE_P(
         case OldLayout::kNewerStamp: return "NewerStamp";
         case OldLayout::kFormatOne: return "FormatOne";
         case OldLayout::kFormatTwo: return "FormatTwo";
+        case OldLayout::kFormatThree: return "FormatThree";
         case OldLayout::kShardedWal: return "ShardedWal";
         case OldLayout::kPositionalStoreMeta: return "PositionalStoreMeta";
         case OldLayout::kUnpartitionedTable: return "UnpartitionedTable";

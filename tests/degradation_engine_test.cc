@@ -178,9 +178,10 @@ TEST_F(EngineTest, LatenessReflectsDelayedPumping) {
 }
 
 // Degradation is a system action no user transaction can hold back: an
-// open transaction that staged a delete and a stable update neither delays
-// the pass nor leaves a value exposed, and its later commit deletes the row
-// from every store and index without bringing any value back.
+// open transaction that staged a delete and an insert neither delays the
+// pass nor leaves a value exposed, and its later commit deletes the row
+// from every store and index and stores the new row at the phase its
+// deadlines mandate by then, bringing no accurate value back.
 TEST_F(EngineTest, OpenUserTransactionCannotStopDegradation) {
   // Crypto-erase WAL: a checkpoint taken while the transaction is open
   // retires the log segments holding the accurate values by destroying
@@ -198,14 +199,13 @@ TEST_F(EngineTest, OpenUserTransactionCannotStopDegradation) {
   }
   ASSERT_TRUE(db_->Write(&batch).ok());
   const RowId deleted = batch.row_ids()[7];
-  const RowId updated = batch.row_ids()[8];
 
   auto txn = db_->Begin();
   ASSERT_TRUE(table->Delete(txn.get(), deleted).ok());
-  ASSERT_TRUE(table
-                  ->UpdateStable(txn.get(), updated,
-                                 {Value::String("renamed"), Value::Int64(-1)})
-                  .ok());
+  auto inserted = table->Insert(
+      txn.get(), {Value::String("late"), Value::Int64(-1),
+                  Value::String("11 Rue Lepic"), Value::Int64(500)});
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
 
   clock_->Advance(kMicrosPerHour + kMicrosPerSecond);
   auto moved = db_->RunDegradationOnce();
@@ -230,42 +230,44 @@ TEST_F(EngineTest, OpenUserTransactionCannotStopDegradation) {
                                      Value::String("Paris"), 1, &indexed)
                   .ok());
   ASSERT_EQ(indexed.size(), 1u);
-  EXPECT_EQ(indexed[0].size(), 100u);
+  EXPECT_EQ(indexed[0].size(), 101u);
   EXPECT_EQ(std::count(indexed[0].begin(), indexed[0].end(), deleted), 0);
+  EXPECT_EQ(std::count(indexed[0].begin(), indexed[0].end(), *inserted), 1);
 
   auto rows = oracle::StoredRows(*table);
   ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 100u);
+  ASSERT_EQ(rows->size(), 101u);
   for (const oracle::Stored& row : *rows) {
     EXPECT_NE(row.row_id, deleted);
     EXPECT_EQ(row.phases, (std::vector<int>{1, 1})) << row.row_id;
-    if (row.row_id == updated) {
-      EXPECT_EQ(row.values[0].ToString(), "renamed");
+    if (row.row_id == *inserted) {
+      EXPECT_EQ(row.values[0].ToString(), "late");
     }
   }
   auto again = db_->RunDegradationOnce();
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, 0u);
+  // The commit logged the staged insert's accurate values past their
+  // deadline; a checkpoint retires that log copy like any other.
+  ASSERT_TRUE(db_->Checkpoint().ok());
   const AuditReport committed = db_->Audit();
   EXPECT_TRUE(committed.clean()) << committed.ToString();
 }
 
-// A stable update staged on a row the LCP then expires applies to nothing:
-// the commit succeeds, changes nothing, and counts the apply that found no
-// row. A reopen replays the update over the expired row, which stays gone.
-TEST_F(EngineTest, UpdateOfARowExpiredBeforeItsCommitChangesNothing) {
+// A delete staged on a row the LCP then expires applies to nothing: the
+// commit succeeds, changes nothing, and counts the apply that found no row.
+// A reopen replays the delete over the expired row, which stays gone.
+TEST_F(EngineTest, DeleteOfARowExpiredBeforeItsCommitChangesNothing) {
   OpenDb();
   ASSERT_TRUE(db_->CreateTable("pings", PingSchema(Fig2LocationLcp())).ok());
   auto row = db_->Insert("pings",
                          {Value::String("u"), Value::String("11 Rue Lepic")});
   ASSERT_TRUE(row.ok());
   auto txn = db_->Begin();
-  ASSERT_TRUE(db_->GetTable("pings")
-                  ->UpdateStable(txn.get(), *row, {Value::String("renamed")})
-                  .ok());
+  ASSERT_TRUE(db_->GetTable("pings")->Delete(txn.get(), *row).ok());
 
   // Past the last phase: the pass removes the value and so expires the
-  // tuple, with the update's row lock still held.
+  // tuple while the delete is still staged.
   clock_->Advance(kMicrosPerHour + kMicrosPerDay + 2 * kMicrosPerMonth +
                   kMicrosPerSecond);
   auto moved = db_->RunDegradationOnce();

@@ -157,9 +157,18 @@ std::vector<Micros> SnapshotTimes(Micros tick, Micros period, Micros horizon) {
   return times;
 }
 
+/// The paper's "shortest degradation step": the shortest phase duration.
+Micros ShortestStep(const AttributeLcp& lcp) {
+  Micros shortest = kForever;
+  for (int p = 0; p < lcp.num_phases(); ++p) {
+    shortest = std::min(shortest, lcp.phase(p).duration);
+  }
+  return shortest;
+}
+
 TEST_F(PaperClaimsTest, CaptureNeedsSnapshotsWithinTheShortestStep) {
   const AttributeLcp lcp = Fig2LocationLcp();
-  const Micros tau0 = lcp.ShortestStep();
+  const Micros tau0 = ShortestStep(lcp);
   ASSERT_EQ(tau0, kMicrosPerHour);
   constexpr size_t kTuples = 2000;
   constexpr Micros kGap = kMicrosPerMinute;  // one arrival a minute

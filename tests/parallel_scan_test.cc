@@ -545,6 +545,113 @@ std::vector<std::vector<Value>> Sorted(std::vector<std::vector<Value>> rows) {
   return rows;
 }
 
+// Rows are insert-only, so a heap record never moves: a statement observes
+// a row at most once. Fanned-out scans (one morsel per page) and cursor
+// drains run while the writer deletes rows and inserts new ones, which
+// first fit places in the freed holes, behind the scans' positions or
+// ahead of them. Each statement must return every row at most once, each
+// row whole (its user names its n), and after the writer stops the
+// oracle's row set.
+TEST_F(ParallelScanTest, ChurnNeverServesARowTwice) {
+  BuildDb(4, 0);
+  auto schema = Schema::Make({ColumnDef::Stable("user", ValueType::kString),
+                              ColumnDef::Stable("n", ValueType::kInt64)});
+  ASSERT_TRUE(schema.ok());
+  ASSERT_TRUE(db_->CreateTable("churn", *schema).ok());
+  Table* table = db_->GetTable("churn");
+  std::vector<RowId> live;
+  int next = 0;
+  // 25 rows per batch: batches rotate over the partitions.
+  auto insert = [&](int rows) {
+    for (int done = 0; done < rows; done += 25) {
+      WriteBatch batch;
+      for (int i = 0; i < std::min(25, rows - done); ++i, ++next) {
+        batch.Insert("churn", {Value::String("u" + std::to_string(next) +
+                                             std::string(next % 17, '.')),
+                               Value::Int64(next)});
+      }
+      ASSERT_TRUE(db_->Write(&batch).ok());
+      live.insert(live.end(), batch.row_ids().begin(), batch.row_ids().end());
+    }
+  };
+  insert(2000);
+
+  const std::string sql = "SELECT n, user FROM churn";
+  // Every row of one statement; false on a duplicate or a torn row.
+  auto distinct = [](const std::vector<std::vector<Value>>& rows) {
+    std::set<int64_t> seen;
+    for (const std::vector<Value>& row : rows) {
+      const std::string& user = row[1].str();
+      EXPECT_EQ(user.substr(0, user.find('.')),
+                "u" + std::to_string(row[0].int64()));
+      if (!seen.insert(row[0].int64()).second) return false;
+    }
+    return true;
+  };
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> statements{0};
+  std::atomic<int> readers_done{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      Session session(db_.get());
+      session.scan_options().parallelism = 4;
+      session.scan_options().morsel_pages = 1;
+      while (!stop.load(std::memory_order_acquire)) {
+        std::vector<std::vector<Value>> rows;
+        if (r == 0) {
+          auto result = session.Execute(sql);
+          EXPECT_TRUE(result.ok()) << result.status().ToString();
+          if (!result.ok()) break;
+          rows = std::move(result->rows);
+        } else {
+          auto cursor = session.ExecuteCursor(sql);
+          EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+          if (!cursor.ok()) break;
+          rows = SortedValues(cursor->get());
+        }
+        EXPECT_TRUE(distinct(rows)) << "a row served twice";
+        statements.fetch_add(1, std::memory_order_relaxed);
+      }
+      readers_done.fetch_add(1);
+    });
+  }
+  auto await_statements = [&](uint64_t count) {
+    const uint64_t target = statements.load() + count;
+    while (statements.load() < target && readers_done.load() == 0) {
+      std::this_thread::yield();
+    }
+  };
+  Random rng(11);
+  for (int round = 0; round < 30; ++round) {
+    await_statements(1);
+    auto txn = db_->Begin();
+    for (int k = 0; k < 25; ++k) {
+      const size_t at = rng.Uniform(live.size());
+      ASSERT_TRUE(table->Delete(txn.get(), live[at]).ok());
+      live[at] = live.back();
+      live.pop_back();
+    }
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+    insert(25);
+  }
+  await_statements(4);
+  stop.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(readers_done.load(), 2);
+
+  Session session(db_.get());
+  const oracle::Answer reference = Oracle(&session, sql);
+  EXPECT_EQ(reference.rows.size(), live.size());
+  for (size_t parallelism : {1u, 4u}) {
+    session.scan_options().parallelism = parallelism;
+    auto result = session.Execute(sql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(oracle::ByFirstColumn(*result),
+              oracle::ByFirstColumn(reference));
+  }
+}
+
 /// Runs statement `kind` (0 materialized, 1 cursor, 2 aggregate) of `mix`
 /// on a fresh session at parallelism 4 and checks it against the oracle.
 void RunMixStatement(Database* db, const SharedMix& mix, int kind) {

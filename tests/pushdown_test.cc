@@ -7,8 +7,8 @@
 // privacy modes — while the scan counters prove the store probes and
 // decodes were actually skipped. Also covers the batched store merge (the
 // scan's per-survivor (phase, ordinal) vs a per-row StateStore::Find, with
-// rows out of row-id order after relocating updates), the row-id cursor
-// of index probes skipping deleted ids, the rule that
+// rows out of row-id order after new rows refill deleted ones' holes), the
+// row-id cursor of index probes skipping deleted ids, the rule that
 // no degradable value finer than the purpose's accuracy leaves the scan, the
 // late stable decode (Values built only for survivors' projected columns),
 // randomized stable predicates against the oracle, a corrupt heap record
@@ -45,6 +45,11 @@
 
 namespace instantdb {
 namespace {
+
+/// BuildDb gives the row with score i the address kAddresses[i % 5].
+const char* const kAddresses[] = {"11 Rue Lepic", "3 Av Foch",
+                                  "12 Rue Royale", "4 Rue Breteuil",
+                                  "8 Cours Mirabeau"};
 
 class PushdownTest : public ::testing::Test {
  protected:
@@ -86,8 +91,6 @@ class PushdownTest : public ::testing::Test {
     ASSERT_TRUE(schema.ok());
     ASSERT_TRUE(db_->CreateTable("pings", *schema).ok());
 
-    const char* kAddresses[] = {"11 Rue Lepic", "3 Av Foch", "12 Rue Royale",
-                                "4 Rue Breteuil", "8 Cours Mirabeau"};
     auto insert_range = [&](int from, int to) {
       for (int start = from; start < to; start += 25) {
         WriteBatch batch;
@@ -106,11 +109,13 @@ class PushdownTest : public ::testing::Test {
     insert_range(rows / 2, rows);
   }
 
-  /// Grows the user string of every `every`-th row (in row-id order) by
-  /// 1000 bytes: a packed heap page cannot hold the longer record, so the
-  /// update relocates it behind rows with higher ids and the heap is no
-  /// longer in ascending row-id order.
-  void RelocateEvery(size_t every) {
+  /// Deletes every `every`-th row (in row-id order), then inserts as many
+  /// rows with the deleted rows' users and scores, 25 to a transaction so
+  /// the batches rotate over the partitions. First fit places the new rows,
+  /// whose ids are above every old one, in the holes the deletes freed,
+  /// ahead of rows with lower ids. Asserts that some partition's heap is
+  /// then out of ascending row-id order.
+  void DeleteAndRefillEvery(size_t every) {
     Table* table = db_->GetTable("pings");
     auto stored = oracle::StoredRows(*table);
     ASSERT_TRUE(stored.ok());
@@ -120,15 +125,31 @@ class PushdownTest : public ::testing::Test {
               });
     auto txn = db_->Begin();
     for (size_t i = 0; i < stored->size(); i += every) {
-      const oracle::Stored& row = (*stored)[i];
-      ASSERT_TRUE(table
-                      ->UpdateStable(txn.get(), row.row_id,
-                                     {Value::String(row.values[0].str() +
-                                                    std::string(1000, 'x')),
-                                      row.values[1]})
-                      .ok());
+      ASSERT_TRUE(table->Delete(txn.get(), (*stored)[i].row_id).ok());
     }
     ASSERT_TRUE(db_->Commit(txn.get()).ok());
+    const size_t per_batch = 25 * every;
+    for (size_t start = 0; start < stored->size(); start += per_batch) {
+      WriteBatch batch;
+      const size_t end = std::min(start + per_batch, stored->size());
+      for (size_t i = start; i < end; i += every) {
+        const oracle::Stored& row = (*stored)[i];
+        const int64_t score = row.values[1].int64();
+        batch.Insert("pings", {row.values[0], row.values[1],
+                               Value::String(kAddresses[score % 5])});
+      }
+      ASSERT_TRUE(db_->Write(&batch).ok());
+    }
+    auto heap = oracle::StoredRows(*table);  // (partition, heap) order
+    ASSERT_TRUE(heap.ok());
+    bool descends = false;
+    for (size_t i = 1; i < heap->size(); ++i) {
+      const RowId prev = (*heap)[i - 1].row_id;
+      const RowId id = (*heap)[i].row_id;
+      descends |=
+          id < prev && table->PartitionOf(id) == table->PartitionOf(prev);
+    }
+    ASSERT_TRUE(descends) << "the refilled holes should put newer rows first";
   }
 
   /// The oracle's answer for `sql`.
@@ -197,7 +218,7 @@ TEST_F(PushdownTest, EquivalenceAcrossPredicatesParallelismAndPrivacyModes) {
   for (const auto& [privacy, partitions] : kDatabases) {
     BuildDb(partitions, kRows, privacy);
     // Heap order no longer follows row id, on either read path.
-    RelocateEvery(7);
+    DeleteAndRefillEvery(7);
     Session session(db_.get());
     // CITY accuracy makes every row computable regardless of phase.
     ASSERT_TRUE(session
@@ -749,26 +770,10 @@ TEST_F(PushdownTest, PageImagesAgreeWithTheOracleAfterEveryMutation) {
     }
     check("delete");
 
-    // The same length: each record is rewritten where it is.
-    {
-      const std::vector<oracle::Stored> rows = stored_rows();
-      auto txn = db_->Begin();
-      for (size_t i = 1; i < rows.size(); i += 6) {
-        std::string user = rows[i].values[0].str();
-        user[0] = 'w';
-        ASSERT_TRUE(table
-                        ->UpdateStable(txn.get(), rows[i].row_id,
-                                       {Value::String(user), rows[i].values[1]})
-                        .ok());
-      }
-      ASSERT_TRUE(db_->Commit(txn.get()).ok());
-    }
-    check("stable update in place");
-
-    // A grown record leaves its page, which is compacted (every string an
-    // image pointed at moves), and lands on another.
-    RelocateEvery(7);
-    check("relocating update and compaction");
+    // New rows fill the holes deletes left: a page too full for one is
+    // compacted first (every string an image pointed at moves).
+    DeleteAndRefillEvery(7);
+    check("refill and compaction");
 
     // The first half's values reach ⊥ (address, city, region, country:
     // 1h + 1d + 2 months after insertion) and their rows leave the heap;
@@ -1302,7 +1307,7 @@ TEST_F(PushdownTest, BatchedStoreMergeAgreesWithPerRowFindOutOfRowIdOrder) {
   ASSERT_NE(table, nullptr);
   const std::vector<int>& degradable = table->schema().degradable_columns();
   const size_t dcols = degradable.size();
-  RelocateEvery(7);
+  DeleteAndRefillEvery(7);
   auto stored = oracle::StoredRows(*table);
   ASSERT_TRUE(stored.ok());
   std::map<RowId, Value> user_of;

@@ -60,10 +60,9 @@ class TxnTest : public ::testing::Test {
 
   /// Commits `first` on another thread and, once its apply has started,
   /// `second` on this one. The first commit's apply holds until the second
-  /// commit returns or `hold` passes. Returns whether the second commit
+  /// commit returns or 30 s pass. Returns whether the second commit
   /// returned while the first was still applying.
-  bool CommitWhileFirstApplies(Transaction* first, Transaction* second,
-                               std::chrono::milliseconds hold) {
+  bool CommitWhileFirstApplies(Transaction* first, Transaction* second) {
     std::mutex mu;
     std::condition_variable cv;
     bool first_applying = false;
@@ -74,7 +73,8 @@ class TxnTest : public ::testing::Test {
       std::unique_lock<std::mutex> lock(mu);
       first_applying = true;
       cv.notify_all();
-      cv.wait_for(lock, hold, [&] { return second_returned; });
+      cv.wait_for(lock, std::chrono::seconds(30),
+                  [&] { return second_returned; });
       overtaken = second_returned;
     };
     std::thread committer([&] { EXPECT_TRUE(tm_->Commit(first).ok()); });
@@ -172,28 +172,14 @@ TEST_F(TxnTest, FailedApplyEndsTxn) {
   EXPECT_NE(txn->state(), TxnState::kActive);
 }
 
-TEST_F(TxnTest, StableUpdatesOfOneRowApplyInLogOrder) {
-  // Two stable updates of row 1 do not commute: the second may not apply
-  // before the first, or redo (log order) would diverge from the live row.
-  auto first = tm_->Begin();
-  auto second = tm_->Begin();
-  first->AddOp(RowRecord(WalRecordType::kUpdateStable, 1));
-  second->AddOp(RowRecord(WalRecordType::kUpdateStable, 1));
-  EXPECT_FALSE(CommitWhileFirstApplies(first.get(), second.get(),
-                                       std::chrono::milliseconds(200)));
-  EXPECT_EQ(LoggedTxns(), (std::vector<uint64_t>{first->id(), second->id()}));
-  EXPECT_EQ(applied_txns_, LoggedTxns());
-}
-
 TEST_F(TxnTest, DeletesDoNotWaitForEarlierWritersOfTheRow) {
-  // A delete commutes with a stable update of its row, so it commits while
-  // the update is still applying.
+  // A delete commutes with every other write of its row, an earlier delete
+  // of it included, so it commits while the earlier one is still applying.
   auto first = tm_->Begin();
   auto second = tm_->Begin();
-  first->AddOp(RowRecord(WalRecordType::kUpdateStable, 1));
+  first->AddOp(RowRecord(WalRecordType::kDelete, 1));
   second->AddOp(RowRecord(WalRecordType::kDelete, 1));
-  EXPECT_TRUE(CommitWhileFirstApplies(first.get(), second.get(),
-                                      std::chrono::seconds(30)));
+  EXPECT_TRUE(CommitWhileFirstApplies(first.get(), second.get()));
   EXPECT_EQ(LoggedTxns(), (std::vector<uint64_t>{first->id(), second->id()}));
   EXPECT_EQ(applied_txns_, (std::vector<uint64_t>{second->id(), first->id()}));
   EXPECT_EQ(tm_->stats().committed, 2u);

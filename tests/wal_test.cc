@@ -95,20 +95,14 @@ TEST_F(WalGoldenTest, PlaintextFramesMatchGoldenBytes) {
   WalManager wal(dir_ + "/wal", options, &keys);
   ASSERT_TRUE(wal.Open().ok());
 
-  std::vector<WalRecord> records(4);
+  std::vector<WalRecord> records(3);
   records[0] = MakeInsert(1, 3, 1000, "11 Rue Lepic");
   WalRecord& del = records[1];
   del.type = WalRecordType::kDelete;
   del.txn_id = 9;
   del.table = 3;
   del.row_id = 15;
-  WalRecord& update = records[2];
-  update.type = WalRecordType::kUpdateStable;
-  update.txn_id = 9;
-  update.table = 1;
-  update.row_id = 3;
-  update.stable = {Value::Int64(3), Value::String("acceptor")};
-  WalRecord& commit = records[3];
+  WalRecord& commit = records[2];
   commit.type = WalRecordType::kCommit;
   commit.txn_id = 9;
 
@@ -129,24 +123,23 @@ TEST_F(WalGoldenTest, PlaintextFramesMatchGoldenBytes) {
       "7565204c6570696301d00f",
       // kDelete
       "64e2e965040000000609030f",
-      // kUpdateStable
-      "87c4a658110000000709010302010303086163636570746f72",
       // kCommit
       "532ef4f703000000020900",
-      // kCheckpoint, carrying its begin LSN: 91, the bytes above
-      "f6d71556040000000800005b",
+      // kCheckpoint, carrying its begin LSN: 66, the bytes above
+      "9e27572d0400000008000042",
   };
   EXPECT_EQ(FramesOf(dir_ + "/wal/wal_0000000000000000.log.recycled", starts),
             expected);
 }
 
-// Degradation writes no log record: the body of a format-1 degrade step
-// (type byte 5) decodes as Corruption, like the other unused type bytes.
+// Degradation writes no log record and rows are never updated in place: the
+// body of a format-1 degrade step (type byte 5) decodes as Corruption, like
+// the other unused type bytes, a format-3 stable update's (7) included.
 TEST_F(WalGoldenTest, UnusedTypeBytesDecodeAsCorruption) {
   const std::string step =
       Unhex("05080302000111020f640305506172697311780303416978");
   EXPECT_TRUE(DecodeWalRecord(step, nullptr).status().IsCorruption());
-  for (const char type : {'\x01', '\x03', '\x05', '\x09'}) {
+  for (const char type : {'\x01', '\x03', '\x05', '\x07', '\x09'}) {
     const std::string body = std::string(1, type) + "\x08\x03";
     EXPECT_TRUE(DecodeWalRecord(body, nullptr).status().IsCorruption())
         << static_cast<int>(type);
