@@ -80,8 +80,10 @@ run_plain() {
 # parsed out of encoded bytes, and index_test the postings' row-id arrays
 # (shifting inserts and erases, compaction, and the wiping allocator's
 # release on growth and shrink). txn_test commits a delete while an
-# earlier delete of its row is still applying. util_test runs the CRC32C kernel's unaligned
-# word loads and byte tail over random offsets and lengths. The rest of the
+# earlier delete of its row is still applying. morsel_test races concurrent
+# claimers over the morsel scheduler's one claim cursor. util_test runs the
+# CRC32C kernel's unaligned word loads and byte tail over random offsets and
+# lengths. The rest of the
 # suite is single-threaded and adds only build time.
 SANITIZE_TESTS="util_test|txn_test|storage_test|catalog_test|index_test|wal_test|database_test|query_test|cursor_test|concurrency_stress_test|parallel_scan_test|pushdown_test|stable_predicate_test|partition_test|degradation_engine_test|write_batch_test|wal_recovery_test|checkpoint_fuzzy_test|maintenance_test|fault_injection_test|crash_sweep_test|morsel_test|service_test"
 

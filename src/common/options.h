@@ -78,9 +78,8 @@ struct ReadOptions {
 
 /// How a SELECT's heap scan fans out over a table (Session::scan_options).
 /// The unit of read parallelism is the MORSEL — a page range of one
-/// partition's heap (util/morsel.h) — not the whole partition: workers
-/// claim morsels from per-partition queues with partition affinity and
-/// steal from the busiest queue when their own runs dry, so parallelism is
+/// partition's heap (util/morsel.h) — not the whole partition: every
+/// worker claims the next morsel from one shared cursor, so parallelism is
 /// not capped by the partition count and a skewed partition is shared by
 /// many workers. Every scan evaluates its stable WHERE terms inside the
 /// heap scan and probes the state stores only for the survivors;
@@ -108,7 +107,7 @@ struct ScanOptions {
   /// streaming scan interleaves rows across morsels in arrival order.
   size_t parallelism = 0;
   /// Heap pages per morsel. 0 (the default) = kDefaultMorselPages (16).
-  /// Smaller morsels split work finer (better stealing on skew, more claim
+  /// Smaller morsels split work finer (better sharing on skew, more claim
   /// overhead); tests force 1 to exercise many morsels on tiny tables.
   uint32_t morsel_pages = 0;
   /// Capacity of the streaming cursor's prefetch queue, in batches. The

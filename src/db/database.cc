@@ -362,10 +362,6 @@ Database::Stats Database::stats() const {
       scan_counters_.aggregate_partials_merged.load(std::memory_order_relaxed);
   stats.scan.morsels_claimed =
       scan_counters_.morsels_claimed.load(std::memory_order_relaxed);
-  stats.scan.morsels_stolen =
-      scan_counters_.morsels_stolen.load(std::memory_order_relaxed);
-  stats.scan.steal_failures =
-      scan_counters_.steal_failures.load(std::memory_order_relaxed);
   stats.scan.readers_lent =
       scan_counters_.readers_lent.load(std::memory_order_relaxed);
   stats.scan.readers_yielded =

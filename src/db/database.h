@@ -201,15 +201,15 @@ class Database {
     /// Per-worker aggregate partials (or group maps) merged into final
     /// results by heap-scan aggregates (index-probe aggregates merge none).
     uint64_t aggregate_partials_merged = 0;
-    /// Morsel-scheduler accounting over the parallel scan paths
-    /// (util/morsel.h): page-range work units claimed, how many of those
-    /// were stolen from a non-home partition queue, and steals that lost
-    /// the race to a queue's last morsel. Invariant (asserted in tests):
-    /// a fully-drained parallel scan claims exactly its morsel-plan size —
-    /// morsels_claimed grows by Σ per-partition plan sizes per scan.
+    /// Page-range work units the query scans claimed (util/morsel.h).
+    /// Invariant (asserted in tests): a fully-drained scan claims exactly
+    /// its morsel-plan size — morsels_claimed grows by Σ per-partition plan
+    /// sizes per scan.
     uint64_t morsels_claimed = 0;
+    /// Always 0: one claim cursor has no home queue to steal from. Kept
+    /// only for the benchmark's util.morsel_steal_ratio until that metric
+    /// is retired.
     uint64_t morsels_stolen = 0;
-    uint64_t steal_failures = 0;
     /// Elastic fan-out (util/worker_pool.h): scan readers the worker pool
     /// lent statements beside their callers' own readers, and how many of
     /// those stopped claiming morsels early to give their core back to a
@@ -337,8 +337,6 @@ class Database {
     std::atomic<uint64_t> values_built{0};
     std::atomic<uint64_t> aggregate_partials_merged{0};
     std::atomic<uint64_t> morsels_claimed{0};
-    std::atomic<uint64_t> morsels_stolen{0};
-    std::atomic<uint64_t> steal_failures{0};
     std::atomic<uint64_t> readers_lent{0};
     std::atomic<uint64_t> readers_yielded{0};
     std::atomic<uint64_t> records_walked{0};

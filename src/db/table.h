@@ -148,8 +148,8 @@ class Table {
   // --- read path -------------------------------------------------------------
 
   /// Morsel-grained sharding (util/morsel.h): per-partition page-range
-  /// plans for the work-stealing scheduler. `plan[p]` is partition p's
-  /// queue; Σ plan sizes is the claim total the scan counters assert
+  /// plans for the MorselScheduler. `plan[p]` is partition p's morsels in
+  /// page order; Σ plan sizes is the claim total the scan counters assert
   /// against. `pages_per_morsel` 0 = kDefaultMorselPages
   /// (ScanOptions::morsel_pages plumbs through here).
   std::vector<std::vector<Morsel>> MorselPlan(uint32_t pages_per_morsel) const {

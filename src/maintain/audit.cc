@@ -77,11 +77,11 @@ AuditReport DeletionAuditor::Run(const std::vector<Table*>& tables, Micros now,
     MorselScheduler sched(table->MorselPlan(0));
     const size_t workers =
         std::max<size_t>(1, std::min<size_t>(workers_, sched.total()));
-    auto sweep = [&](size_t w) -> Status {
+    auto sweep = [&](size_t) -> Status {
       Morsel morsel;
       ScanWorkspace ws;
       ScanDeltas deltas;
-      while (sched.Claim(w, &morsel)) {
+      while (sched.Claim(&morsel)) {
         PartitionFindings acc;
         PartitionCursor cursor = table->OpenMorselCursor(morsel);
         bool done = false;

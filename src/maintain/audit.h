@@ -93,13 +93,13 @@ struct AuditReport {
 /// One Run() proves (or refutes) timely degradation across every layer that
 /// holds sensitive bytes: table storage (page-range morsel sweeps over the
 /// same MorselScheduler the parallel read path shards on — `workers` sweep
-/// workers claim with partition affinity and steal from the busiest
-/// partition, so one large partition is shared instead of serializing the
-/// audit), the multi-resolution indexes (TablePartition::AuditIndexes —
-/// one shared-latch acquisition per partition, so a live degrader is never
-/// observed halfway) and the WAL segment set (WalManager::AuditExposure).
-/// Read-only: sweeps take each partition's shared latch a batch at a time
-/// and never block writers or the degrader for longer than a scan batch.
+/// workers each claim the next morsel, so one large partition is shared
+/// instead of serializing the audit), the multi-resolution indexes
+/// (TablePartition::AuditIndexes — one shared-latch acquisition per
+/// partition, so a live degrader is never observed halfway) and the WAL
+/// segment set (WalManager::AuditExposure). Read-only: sweeps take each
+/// partition's shared latch a batch at a time and never block writers or
+/// the degrader for longer than a scan batch.
 class DeletionAuditor {
  public:
   /// `pool` (not owned, must outlive the auditor) is the Database's shared

@@ -496,10 +496,7 @@ struct HeapScan {
         spec(MakeScanSpec(query, filter, count_only)),
         indexed(read.indexed),
         probed(std::move(read.probed)),
-        sched(std::move(read.plan),
-              MorselStatsSink{&counters->morsels_claimed,
-                              &counters->morsels_stolen,
-                              &counters->steal_failures}) {}
+        sched(std::move(read.plan)) {}
 
   /// Readers worth running for `want` workers: at least one, at most one
   /// per morsel, exactly one for an index probe.
@@ -508,12 +505,13 @@ struct HeapScan {
     return std::max<size_t>(1, std::min(want, sched.total()));
   }
 
-  /// Opens `worker`'s next cursor: on a heap scan over a morsel it claims
-  /// (stored in `*morsel`), on an index probe over the next partition's
-  /// probed ids. False once nothing is left.
-  bool OpenNext(size_t worker, Morsel* morsel, PartitionCursor* cursor) {
+  /// Opens the next cursor: on a heap scan over a morsel it claims (stored
+  /// in `*morsel`, counted in morsels_claimed), on an index probe over the
+  /// next partition's probed ids. False once nothing is left.
+  bool OpenNext(Morsel* morsel, PartitionCursor* cursor) {
     if (!indexed) {
-      if (!sched.Claim(worker, morsel)) return false;
+      if (!sched.Claim(morsel)) return false;
+      counters->morsels_claimed.fetch_add(1, std::memory_order_relaxed);
       *cursor = query.table->OpenMorselCursor(*morsel);
       return true;
     }
@@ -561,9 +559,8 @@ struct HeapScan {
 /// yield never strands a morsel.
 class ScanReader {
  public:
-  ScanReader(HeapScan* scan, size_t worker, bool lent)
+  ScanReader(HeapScan* scan, bool lent)
       : scan_(scan),
-        worker_(worker),
         lent_(lent),
         levels_(scan->query.degradable.size()) {}
 
@@ -580,7 +577,7 @@ class ScanReader {
                                                    std::memory_order_relaxed);
         return false;
       }
-      if (!scan_->OpenNext(worker_, &morsel_, &cursor_)) return false;
+      if (!scan_->OpenNext(&morsel_, &cursor_)) return false;
       cursor_open_ = true;
     }
     IDB_RETURN_IF_ERROR(scan_->budget.Check());
@@ -621,7 +618,6 @@ class ScanReader {
 
  private:
   HeapScan* const scan_;
-  const size_t worker_;
   const bool lent_;
   Morsel morsel_;
   PartitionCursor cursor_;
@@ -632,11 +628,10 @@ class ScanReader {
 };
 
 /// Streaming source (cursors): rows in arrival order. The consumer's thread
-/// owns one reader (worker 0) and up to `workers − 1` producers run on
-/// workers the shared pool lends — the consumer is one of the `workers`
-/// cores, and no thread is ever spawned. Each producer runs a reader,
-/// projects its qualifying rows and pushes the batches into a bounded queue.
-/// Every pull serves a queued batch when there is one and otherwise scans
+/// owns one reader and up to `workers − 1` producers run on workers the
+/// shared pool lends — the consumer is one of the `workers` cores, and no
+/// thread is ever spawned. Each producer runs a reader, projects its
+/// qualifying rows and pushes the batches into a bounded queue. Every pull serves a queued batch when there is one and otherwise scans
 /// one batch itself, so with no producer (parallelism 1, an index probe, a
 /// pool that lent none, or producers that all yielded) the consumer simply
 /// reads the whole scan inline. It waits only when its own reader found the
@@ -652,15 +647,13 @@ class StreamingScanSource : public RowSource {
       : select_(select),
         scan_(session, select.query, batch_rows, std::move(read)),
         queue_capacity_(std::max<size_t>(queue_batches, 1)),
-        own_reader_(&scan_, 0, /*lent=*/false) {
+        own_reader_(&scan_, /*lent=*/false) {
     if (workers <= 1) return;
     // Counted before dispatch: lent producers may start, and even finish,
-    // before TryDispatch returns. The slot is a stable worker id for morsel
-    // affinity (home queue slot % partitions).
+    // before TryDispatch returns.
     producers_live_ = workers - 1;
     const size_t lent = scan_.pool->TryDispatch(
-        workers - 1, [this](size_t slot) { ProduceLoop(slot + 1); },
-        &ticket_);
+        workers - 1, [this](size_t) { ProduceLoop(); }, &ticket_);
     scan_.counters->readers_lent.fetch_add(lent, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(mu_);
     producers_live_ -= workers - 1 - lent;
@@ -725,8 +718,8 @@ class StreamingScanSource : public RowSource {
   }
 
  private:
-  void ProduceLoop(size_t worker) {
-    ScanReader reader(&scan_, worker, /*lent=*/true);
+  void ProduceLoop() {
+    ScanReader reader(&scan_, /*lent=*/true);
     ProjectedRows batch;
     Status status;
     // Checked between batches, fully filtered ones included: an early
@@ -805,7 +798,7 @@ Result<size_t> DrainQualifying(Session* session, const BoundQuery& query,
       scan.Fanout(ResolveScanParallelism(session, *query.table));
   consumer->Prepare(workers, std::max<size_t>(scan.sched.total(), 1));
   auto drain = [&](size_t worker, bool lent) -> Status {
-    ScanReader reader(&scan, worker, lent);
+    ScanReader reader(&scan, lent);
     for (;;) {
       IDB_ASSIGN_OR_RETURN(const bool more,
                            reader.Next([&](QualifiedRow& row) {
@@ -943,8 +936,9 @@ Result<std::unique_ptr<RowSource>> MakeRowSource(Session* session,
   const size_t workers = std::max<size_t>(
       1, std::min(ResolveScanParallelism(session, *query.table), total));
   if (workers <= 1) {
-    // One queue over the flattened plan: the inline reader claims morsels
-    // in ordinal order, so rows come out in (partition, heap) order.
+    // One list over the flattened plan, which the scheduler hands out in
+    // list order: the inline reader claims morsels in ordinal order, so
+    // rows come out in (partition, heap) order.
     std::vector<Morsel> flat;
     flat.reserve(total);
     for (const auto& queue : read.plan) {
@@ -1095,7 +1089,7 @@ Result<std::map<std::string, AggregateGroup>> ExecuteAggregation(
     if (src.stable >= 0 || src.degradable >= 0) count_only = false;
   }
   // One accumulator per WORKER, not per partition or morsel: a worker folds
-  // every morsel it claims — home partition or stolen — into its own state.
+  // every morsel it claims, whatever its partition, into its own state.
   struct Folder {
     const SelectPlan& select;
     size_t items;

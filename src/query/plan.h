@@ -168,7 +168,7 @@ size_t ResolveScanParallelism(Session* session, const Table& table);
 /// ReadOptions and ScanOptions are captured from the session at this point.
 ///
 /// Every heap scan is one pipeline: per-worker readers claim page-range
-/// morsels from a work-stealing scheduler (util/morsel.h), pull latched
+/// morsels from one shared claim cursor (util/morsel.h), pull latched
 /// batches with the stable predicates evaluated inside the scan, run the
 /// degradable σ on the survivors' ordinals and project the qualifying rows.
 /// Isolation is snapshot-per-batch at any parallelism, and a row is

@@ -1,76 +1,20 @@
 #include "util/morsel.h"
 
+#include <algorithm>
+
 namespace instantdb {
 
-MorselScheduler::MorselScheduler(std::vector<std::vector<Morsel>> queues,
-                                 MorselStatsSink sink)
-    : sink_(sink) {
+MorselScheduler::MorselScheduler(std::vector<std::vector<Morsel>> plan) {
   size_t total = 0;
-  for (const auto& queue : queues) total += queue.size();
+  size_t depth = 0;
+  for (auto& partition : plan) {
+    for (Morsel& m : partition) m.ordinal = total++;
+    depth = std::max(depth, partition.size());
+  }
   morsels_.reserve(total);
-  ranges_.reserve(queues.size());
-  for (auto& queue : queues) {
-    const size_t first = morsels_.size();
-    for (Morsel& m : queue) {
-      m.ordinal = morsels_.size();
-      morsels_.push_back(m);
-    }
-    ranges_.emplace_back(first, morsels_.size());
-  }
-  cursors_ = std::vector<std::atomic<size_t>>(ranges_.size());
-}
-
-size_t MorselScheduler::Remaining(size_t queue) const {
-  const size_t size = ranges_[queue].second - ranges_[queue].first;
-  const size_t next = cursors_[queue].load(std::memory_order_relaxed);
-  return next >= size ? 0 : size - next;
-}
-
-bool MorselScheduler::TryClaim(size_t queue, Morsel* out) {
-  const size_t size = ranges_[queue].second - ranges_[queue].first;
-  const size_t i = cursors_[queue].fetch_add(1, std::memory_order_relaxed);
-  if (i >= size) return false;
-  *out = morsels_[ranges_[queue].first + i];
-  return true;
-}
-
-bool MorselScheduler::Claim(size_t worker, Morsel* out, bool* stolen) {
-  const size_t nq = ranges_.size();
-  if (stolen != nullptr) *stolen = false;
-  if (nq == 0) return false;
-  const size_t home = worker % nq;
-  if (Remaining(home) > 0 && TryClaim(home, out)) {
-    if (sink_.claimed != nullptr) {
-      sink_.claimed->fetch_add(1, std::memory_order_relaxed);
-    }
-    return true;
-  }
-  // Home is dry: steal from the busiest queue — the skewed partition is the
-  // one whose latency bounds the scan, so it is the one worth sharing.
-  for (;;) {
-    size_t best = nq;
-    size_t best_remaining = 0;
-    for (size_t q = 0; q < nq; ++q) {
-      const size_t remaining = Remaining(q);
-      if (remaining > best_remaining) {
-        best = q;
-        best_remaining = remaining;
-      }
-    }
-    if (best == nq) return false;  // everything drained
-    if (TryClaim(best, out)) {
-      if (stolen != nullptr) *stolen = true;
-      if (sink_.claimed != nullptr) {
-        sink_.claimed->fetch_add(1, std::memory_order_relaxed);
-      }
-      if (sink_.stolen != nullptr) {
-        sink_.stolen->fetch_add(1, std::memory_order_relaxed);
-      }
-      return true;
-    }
-    // Raced another worker to the victim's last morsel: re-pick.
-    if (sink_.steal_failures != nullptr) {
-      sink_.steal_failures->fetch_add(1, std::memory_order_relaxed);
+  for (size_t i = 0; i < depth; ++i) {
+    for (const auto& partition : plan) {
+      if (i < partition.size()) morsels_.push_back(partition[i]);
     }
   }
 }

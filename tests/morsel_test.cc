@@ -1,21 +1,21 @@
-// Morsel-driven execution: page-range work units claimed from per-partition
-// queues with partition affinity and busiest-queue stealing (util/morsel.h).
-// These tests pin down (a) scheduler accounting — every morsel claimed exactly
-// once, home claims never counted as steals, ordinals in (partition, page)
-// order; (b) equivalence with the test oracle (scan_oracle.h) at any
+// Morsel-driven execution: page-range work units claimed from one shared
+// cursor over a partition-interleaved plan (util/morsel.h). These tests pin
+// down (a) the scheduler — claims interleave partitions while ordinals stay
+// in (partition, page) order, and racing claimers get every morsel exactly
+// once; (b) equivalence with the test oracle (scan_oracle.h) at any
 // parallelism, including parallelism ABOVE the partition count; (c)
-// range-bounded cursor resume exactness across morsel boundaries; (d) work
-// stealing on a 100%-skewed table, proving more than one worker participates in
-// one partition's scan; and (e) snapshot safety with a concurrent degrader.
-// Runs under ThreadSanitizer in scripts/verify.sh --tsan: the scheduler's
-// lock-free claim path and the shared worker pool are exactly the cross-thread
-// code it exercises.
+// range-bounded cursor resume exactness across morsel boundaries; (d) a
+// skewed table scanned whole and a hot partition shared by every claimer;
+// and (e) snapshot safety with a concurrent degrader. Runs under
+// ThreadSanitizer in scripts/verify.sh --tsan: the scheduler's lock-free
+// claim path and the shared worker pool are exactly the cross-thread code
+// it exercises.
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "catalog/builtin_domains.h"
@@ -30,55 +30,63 @@
 namespace instantdb {
 namespace {
 
-TEST(MorselSchedulerTest, OrdinalsFlattenQueueMajor) {
-  std::vector<std::vector<Morsel>> queues(2);
-  queues[0].push_back(Morsel{0, 0, 2, 0});
-  queues[0].push_back(Morsel{0, 2, kInvalidPageId, 0});
-  queues[1].push_back(Morsel{1, 0, kInvalidPageId, 0});
-  MorselScheduler sched(queues);
-  EXPECT_EQ(sched.total(), 3u);
-  EXPECT_EQ(sched.num_queues(), 2u);
-  // Worker 0 drains its home queue in order, then steals the last morsel;
-  // ordinals come out 0, 1, 2 — the flattened (partition, page) order the
-  // materializing path concatenates buckets in.
-  Morsel m;
-  for (size_t expect = 0; expect < 3; ++expect) {
-    ASSERT_TRUE(sched.Claim(0, &m));
-    EXPECT_EQ(m.ordinal, expect);
+TEST(MorselSchedulerTest, ClaimsInterleavePartitionsAndKeepOrdinals) {
+  // A uniform 4×3 plan: begin_page is the morsel's index in its partition.
+  constexpr uint32_t kPartitions = 4;
+  constexpr PageId kPerPartition = 3;
+  std::vector<std::vector<Morsel>> plan(kPartitions);
+  for (uint32_t p = 0; p < kPartitions; ++p) {
+    for (PageId i = 0; i < kPerPartition; ++i) {
+      plan[p].push_back(Morsel{p, i, i + 1, 0});
+    }
   }
-  EXPECT_FALSE(sched.Claim(0, &m));
+  MorselScheduler sched(plan);
+  ASSERT_EQ(sched.total(), size_t{kPartitions * kPerPartition});
+  std::vector<Morsel> claimed;
+  Morsel m;
+  while (sched.Claim(&m)) claimed.push_back(m);
+  ASSERT_EQ(claimed.size(), sched.total());
+  // The first P claims cover P distinct partitions: readers claiming back
+  // to back read from different partitions' buffer pools. A partition-major
+  // claim array hands all of them partition 0.
+  std::set<uint32_t> first;
+  for (size_t k = 0; k < kPartitions; ++k) first.insert(claimed[k].partition);
+  EXPECT_EQ(first.size(), size_t{kPartitions});
+  // Every morsel keeps its ordinal in the flattened (partition, page)
+  // order, the order the materializing path concatenates buckets in.
+  for (const Morsel& c : claimed) {
+    EXPECT_EQ(c.ordinal, c.partition * kPerPartition + c.begin_page);
+  }
 }
 
-TEST(MorselSchedulerTest, HomeClaimsAndStealsAreCountedApart) {
-  // Queue 0 holds all the work; queue 1 is a single empty-partition morsel.
-  // Worker 1 exhausts its home immediately and must then steal from the
-  // busiest queue — deterministically, single-threaded.
-  std::vector<std::vector<Morsel>> queues(2);
-  for (PageId p = 0; p < 3; ++p) queues[0].push_back(Morsel{0, p, p + 1, 0});
-  queues[1].push_back(Morsel{1, 0, kInvalidPageId, 0});
-  std::atomic<uint64_t> claimed{0};
-  std::atomic<uint64_t> stolen{0};
-  std::atomic<uint64_t> failures{0};
-  MorselScheduler sched(queues, MorselStatsSink{&claimed, &stolen, &failures});
-
+TEST(MorselSchedulerTest, ConcurrentClaimersGetEveryMorselExactlyOnce) {
+  // Uneven partitions, claimed by racing threads until the cursor runs dry.
+  std::vector<std::vector<Morsel>> plan(5);
+  for (uint32_t p = 0; p < plan.size(); ++p) {
+    for (PageId i = 0; i < 40 * p + 1; ++i) {
+      plan[p].push_back(Morsel{p, i, i + 1, 0});
+    }
+  }
+  MorselScheduler sched(plan);
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<size_t>> ordinals(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&sched, &ordinals, t] {
+      Morsel m;
+      while (sched.Claim(&m)) ordinals[t].push_back(m.ordinal);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::vector<size_t> all;
+  for (const auto& mine : ordinals) {
+    all.insert(all.end(), mine.begin(), mine.end());
+  }
+  std::sort(all.begin(), all.end());
+  ASSERT_EQ(all.size(), sched.total());
+  for (size_t k = 0; k < all.size(); ++k) EXPECT_EQ(all[k], k);
   Morsel m;
-  bool was_stolen = true;
-  ASSERT_TRUE(sched.Claim(1, &m, &was_stolen));  // home queue 1
-  EXPECT_FALSE(was_stolen);
-  EXPECT_EQ(m.partition, 1u);
-  ASSERT_TRUE(sched.Claim(1, &m, &was_stolen));  // home empty: steals
-  EXPECT_TRUE(was_stolen);
-  EXPECT_EQ(m.partition, 0u);
-  ASSERT_TRUE(sched.Claim(0, &m, &was_stolen));  // home claim, no steal
-  EXPECT_FALSE(was_stolen);
-  ASSERT_TRUE(sched.Claim(1, &m, &was_stolen));
-  EXPECT_TRUE(was_stolen);
-  EXPECT_FALSE(sched.Claim(0, &m));
-  EXPECT_FALSE(sched.Claim(1, &m));
-
-  EXPECT_EQ(claimed.load(), sched.total());
-  EXPECT_EQ(stolen.load(), 2u);
-  EXPECT_EQ(failures.load(), 0u);  // no races single-threaded
+  EXPECT_FALSE(sched.Claim(&m));  // a drained cursor stays drained
 }
 
 class MorselScanTest : public ::testing::Test {
@@ -96,7 +104,8 @@ class MorselScanTest : public ::testing::Test {
   /// holding `rows` pings with mixed phases (first half degraded past the
   /// one-hour address deadline). `batch_rows` sets the WriteBatch size:
   /// batches are partition-affine, so 25 spreads rows over every partition
-  /// while a single `rows`-sized batch lands them all in ONE (100% skew).
+  /// while a `rows`-sized batch lands each half in ONE partition (two
+  /// partitions hold every row, the others none).
   void BuildDb(uint32_t partitions, int rows, int batch_rows = 25) {
     db_.reset();
     ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
@@ -255,33 +264,52 @@ TEST_F(MorselScanTest, ClaimedCounterMatchesThePlanSizeExactly) {
   EXPECT_GT(db_->stats().scan.aggregate_partials_merged, merges_before);
 }
 
-TEST_F(MorselScanTest, SkewedPartitionIsSharedByStealingWorkers) {
-  // Every row in ONE partition (a single partition-affine WriteBatch per
-  // half): 3 of the 4 scan workers find an empty home queue and must steal
-  // from the hot partition to contribute.
+TEST_F(MorselScanTest, SkewedPartitionIsSharedByEveryClaimer) {
+  // Every row in two of the four partitions (each half is one
+  // partition-affine WriteBatch); the other two plan one empty morsel each.
   constexpr int kRows = 4000;
   BuildDb(4, kRows, /*batch_rows=*/kRows);
   Session session(db_.get());
-  // Queue capacity 1 maximizes backpressure: the first worker blocks after
-  // a couple of morsels, so the stealing workers are the only runnable
-  // producers for most of the plan.
+  // Queue capacity 1 maximizes backpressure: the first reader blocks after
+  // a couple of morsels, so the others must scan the hot partitions.
   session.scan_options().prefetch_batches = 1;
 
   const auto plan = db_->GetTable("pings")->MorselPlan(1);
-  size_t hot = 0;
-  for (const auto& queue : plan) hot = std::max(hot, queue.size());
+  size_t hot_partition = 0;
+  for (size_t p = 0; p < plan.size(); ++p) {
+    if (plan[p].size() > plan[hot_partition].size()) hot_partition = p;
+  }
+  const size_t hot = plan[hot_partition].size();
   ASSERT_GE(hot, 20u) << "skewed table did not materialize enough pages";
 
-  const Database::Stats before = db_->stats();
+  const uint64_t before = db_->stats().scan.morsels_claimed;
   const auto rows = DrainCursor(&session, "SELECT user FROM pings", 4);
   EXPECT_EQ(rows.size(), static_cast<size_t>(kRows));
-  const Database::Stats after = db_->stats();
-  EXPECT_EQ(after.scan.morsels_claimed - before.scan.morsels_claimed,
-            PlanTotal());
-  // The proof that >1 worker scanned the hot partition: home claims are
-  // never counted as steals, so any stolen morsel was taken by a worker
-  // whose home queue lay elsewhere.
-  EXPECT_GT(after.scan.morsels_stolen, before.scan.morsels_stolen);
+  EXPECT_EQ(db_->stats().scan.morsels_claimed - before, PlanTotal());
+
+  // The proof that a hot partition is shared, deterministically: keep the
+  // hottest partition's morsels and give every other partition one empty
+  // morsel (the plan of a table whose rows all sit in one partition). Two
+  // claimers taking turns on one cursor each receive about half of the hot
+  // morsels.
+  std::vector<std::vector<Morsel>> one_hot(plan.size());
+  for (size_t p = 0; p < plan.size(); ++p) {
+    if (p == hot_partition) {
+      one_hot[p] = plan[p];
+    } else {
+      one_hot[p].push_back(
+          Morsel{static_cast<uint32_t>(p), 0, kInvalidPageId, 0});
+    }
+  }
+  MorselScheduler sched(std::move(one_hot));
+  size_t hot_claims[2] = {0, 0};
+  Morsel m;
+  for (size_t turn = 0; sched.Claim(&m); ++turn) {
+    if (m.partition == hot_partition) ++hot_claims[turn % 2];
+  }
+  EXPECT_EQ(hot_claims[0] + hot_claims[1], hot);
+  EXPECT_GE(hot_claims[0], hot / 2 - 1);
+  EXPECT_GE(hot_claims[1], hot / 2 - 1);
 }
 
 TEST_F(MorselScanTest, MorselCursorsResumeExactlyAcrossBoundaries) {
